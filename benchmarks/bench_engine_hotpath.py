@@ -11,14 +11,6 @@ Four workloads, each reported as events/sec (and pkts/sec where packets flow):
 * ``fig2_cubic``    — the Fig. 2 setup's transport (Cubic over the feedback
   trace), a loss-heavy counterpart exercising retransmission paths.
 
-The artifact also carries a ``scheduler_comparison`` section: the
-scheduler-bound workloads (plus ``dispatch_dense``, a 20 000-timer
-high-concurrency variant) measured under both event-loop backends
-(``REPRO_SCHED=heap`` vs ``wheel``), interleaved within one process so
-machine drift cancels out of the ratio.  The wheel wins dispatch-dominated
-high-concurrency loads; the heap stays ahead on long-delay cancel churn —
-see ARCHITECTURE.md's Performance notes for when to flip the knob.
-
 Run as a script to (re)generate the committed perf artifact::
 
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --out BENCH_engine.json
@@ -57,7 +49,6 @@ except ImportError:  # script mode (CI perf smoke) runs without pytest
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.experiments.feedback import default_feedback_trace
 from repro.experiments.runner import run_single_bottleneck
-from repro.simulator import sched
 from repro.simulator.engine import EventLoop
 from repro.simulator.scenario import Scenario
 
@@ -120,26 +111,6 @@ def _noop() -> None:
     pass
 
 
-def run_dispatch_dense(horizon: float = 1.0, n_timers: int = 20_000) -> dict:
-    """High-concurrency dispatch: 20 000 live self-rescheduling timers with
-    20–100 ms periods, the event-population shape of a large metro city.
-    With thousands of entries resident, the heap pays a deep sift on every
-    push/pop while the wheel's bucket index stays O(1) — this is the
-    regime the ``REPRO_SCHED=wheel`` backend targets."""
-    loop = EventLoop()
-
-    def tick(i: int, interval: float) -> None:
-        loop.schedule(interval, tick, i, interval)
-
-    for i in range(n_timers):
-        loop.schedule(0.0001 * (i + 1), tick, i, 0.02 + 0.0001 * (i % 800))
-    t0 = time.perf_counter()
-    loop.run(until=horizon)
-    wall = time.perf_counter() - t0
-    return {"events": loop.events_processed, "wall_sec": wall,
-            "events_per_sec": loop.events_processed / wall}
-
-
 def run_fig1_abc(duration: float = 15.0) -> dict:
     """The canonical Fig.-1 scenario: one ABC flow over the LTE showcase
     trace, instrumented for events/sec and pkts/sec."""
@@ -191,51 +162,6 @@ QUICK_ARGS = {
     "fig1_abc": {"duration": 5.0},
     "fig2_cubic": {"duration": 5.0},
 }
-
-#: Scheduler-bound workloads measured under both event-loop backends.
-#: ``dispatch_dense`` only exists here — it has no pre-PR baseline row
-#: because the seed engine had a single backend.
-SCHED_WORKLOADS = {
-    "dispatch": run_dispatch,
-    "cancel_churn": run_cancel_churn,
-    "dispatch_dense": run_dispatch_dense,
-}
-
-SCHED_QUICK_ARGS = {
-    "dispatch": {"horizon": 40.0},
-    "cancel_churn": {"n_events": 40_000},
-    "dispatch_dense": {"horizon": 0.4, "n_timers": 8_000},
-}
-
-
-def scheduler_comparison(quick: bool = False,
-                         repeats: int | None = None) -> dict:
-    """Heap-vs-wheel rates for the scheduler-bound workloads.
-
-    The two backends are interleaved (heap, wheel, heap, wheel, ...) inside
-    one process and the best run of each is kept: separate processes can
-    easily drift 20–30% apart on a busy machine, which would swamp the
-    backend ratio being measured.
-    """
-    if repeats is None:
-        repeats = 1 if quick else 3
-    comparison = {}
-    for name, workload in SCHED_WORKLOADS.items():
-        kwargs = SCHED_QUICK_ARGS[name] if quick else {}
-        best = {"heap": 0.0, "wheel": 0.0}
-        for _ in range(repeats):
-            for backend in best:
-                with sched.override(backend):
-                    rate = workload(**kwargs)["events_per_sec"]
-                if rate > best[backend]:
-                    best[backend] = rate
-        comparison[name] = {
-            "heap_events_per_sec": round(best["heap"]),
-            "wheel_events_per_sec": round(best["wheel"]),
-            "wheel_speedup_vs_heap": round(best["wheel"] / best["heap"], 2),
-        }
-    return comparison
-
 
 #: Repeats for the ``quick_reference`` section and ``--check-overhead``:
 #: quick-mode single runs vary ±15% on a busy machine, best-of-5 is stable
@@ -293,7 +219,6 @@ def run_all(quick: bool = False) -> dict:
         "pre_pr_baseline": PRE_PR_BASELINE,
         "current": current,
         "speedup_vs_pre_pr": speedup,
-        "scheduler_comparison": scheduler_comparison(quick=quick),
     }
     if not quick:
         # Quick-mode reference rates for --check-overhead: the comparison
@@ -363,23 +288,6 @@ if pytest is not None:
                 f"{name}: {rate:,.0f} events/s is below 1.5x the pre-PR "
                 f"baseline ({base:,.0f})")
 
-    @pytest.mark.benchmark(group="engine-hotpath")
-    def test_scheduler_comparison(benchmark):
-        result = benchmark.pedantic(scheduler_comparison,
-                                    kwargs={"quick": True},
-                                    rounds=1, iterations=1, warmup_rounds=0)
-        for name, row in result.items():
-            print(f"\n  [sched:{name}] heap "
-                  f"{row['heap_events_per_sec']:,} ev/s, wheel "
-                  f"{row['wheel_events_per_sec']:,} ev/s "
-                  f"({row['wheel_speedup_vs_heap']:.2f}x)")
-        import os
-        if os.environ.get("REPRO_PERF_GATE") == "1":
-            # The dense high-concurrency workload is the wheel's home turf;
-            # parity there means the bucket path stopped paying for itself.
-            assert result["dispatch_dense"]["wheel_speedup_vs_heap"] > 1.1, (
-                "timer wheel no longer beats the heap on dense dispatch")
-
 
 # ---------------------------------------------------------------------------
 # Script mode: write the perf artifact
@@ -412,10 +320,6 @@ def main(argv=None) -> int:
                  if "pkts_per_sec" in result else "")
         print(f"{name:>14}: {result['events_per_sec']:>12,.0f} events/s"
               f"{extra}  ({payload['speedup_vs_pre_pr'][name]:.2f}x pre-PR)")
-    for name, row in payload["scheduler_comparison"].items():
-        print(f"{'sched:' + name:>20}: heap {row['heap_events_per_sec']:>11,}"
-              f" ev/s, wheel {row['wheel_events_per_sec']:>11,} ev/s "
-              f"({row['wheel_speedup_vs_heap']:.2f}x)")
     if args.out is not None:
         args.out.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {args.out}")

@@ -1,32 +1,35 @@
-"""Vectorised rate estimation for the ABC/cellular router fast path.
+"""Vectorised rate estimation for the ABC/cellular router.
 
-The ABC router records one ``(timestamp, bytes)`` sample per packet on both
-the enqueue and the dequeue side and queries the sliding-window rate once per
-departing packet (Eq. 2's ``cr(t)`` denominator).  The scalar fast-path
-implementation (:class:`repro.simulator.estimators.BatchedRateEstimator`)
-already defers expiry to the query, but both its sample storage and its
-expiry walk stay element-at-a-time Python.
+The ABC router records one ``(timestamp, bytes)`` sample per packet and
+queries the sliding-window rate once per departing packet (Eq. 2's ``cr(t)``
+denominator).  The deque-based
+:class:`repro.simulator.estimators.WindowedRateEstimator` expires samples
+element by element on every ``add``; at the router's call rate that walk is
+the estimator's whole cost.
 
-:class:`VectorRateEstimator` keeps the same *hot-write* representation —
-plain Python list tails named ``_times``/``_sizes`` plus an integer
-``_total``, so the router's inlined per-packet append sites work on it
-unchanged — and **folds** the tail into flat numpy arrays once it reaches
+:class:`VectorRateEstimator` makes the write path two plain Python list
+appends (``_times``/``_sizes``) plus an integer ``_total`` — simple enough
+for the router to inline at its per-packet append site — defers all expiry to
+the query, and **folds** the list tail into flat numpy arrays once it reaches
 :attr:`VectorRateEstimator._FOLD` samples (roughly one fold per measurement
 interval at the router's packet rates).  After a fold, window expiry over the
 folded region is a single ``searchsorted`` plus one prefix-sum difference
 instead of a Python loop, and the expired prefix is trimmed wholesale.
+Expiry happens only inside :meth:`VectorRateEstimator.rate_bps`, so an
+estimator must be read to stay bounded: feed one only where its rate is used.
 
 Bit-for-bit contract
 --------------------
-The returned rate is **bit-identical** to both scalar estimators for any
+The returned rate is **bit-identical** to ``WindowedRateEstimator``'s for any
 time-ordered interleaving of ``add``/``rate_bps`` calls:
 
 * byte accounting is integer arithmetic end to end — the prefix-sum
   difference over ``int64`` equals the sequential Python additions exactly;
 * ``searchsorted(..., side="left")`` stops at the first sample with
-  ``time >= cutoff``, exactly where the scalar ``while times[i] < cutoff``
-  loop stops;
-* the span expression is copied verbatim from the scalar implementation.
+  ``time >= cutoff``, exactly where the deque's ``while samples[0][0] <
+  cutoff`` walk stops;
+* the span is ``min(window, max(now - first, 0))`` with the zero-span
+  fallback to the full window, spelled as comparisons.
 
 ``tests/test_vector_estimator.py`` pins the equivalence differentially.
 """
@@ -39,10 +42,10 @@ import numpy as np
 
 
 class VectorRateEstimator:
-    """Numpy-folded drop-in for :class:`BatchedRateEstimator`.
+    """Numpy-folded drop-in for :class:`WindowedRateEstimator`.
 
-    Samples append to plain list tails (``_times``/``_sizes``) exactly like
-    the scalar fast-path estimator; :meth:`rate_bps` folds a long-enough tail
+    Samples append to plain list tails (``_times``/``_sizes``) with no
+    per-add expiry; :meth:`rate_bps` folds a long-enough tail
     into sorted ``float64``/prefix-sum ``int64`` arrays and thereafter
     expires whole spans of samples per query with C-level ``searchsorted``.
     The head timestamp of the live folded region is cached as a Python float
@@ -142,8 +145,8 @@ class VectorRateEstimator:
                 fhead = None
                 self._fhead = None
         if fhead is None:
-            # Folded region empty or fully expired: expire the tail with the
-            # scalar walk (verbatim from BatchedRateEstimator).
+            # Folded region empty or fully expired: expire the tail with a
+            # scalar walk.
             times = self._times
             start = self._tstart
             n = len(times)

@@ -16,6 +16,28 @@ Setting ``feedback_basis="enqueue"`` reproduces the ablation of Fig. 2, where
 the fraction is computed from the enqueue rate the way prior explicit schemes
 do — the resulting feedback lags capacity changes by an RTT and roughly
 doubles tail queuing delay.
+
+Optimisation changes vs the original per-packet path
+----------------------------------------------------
+:meth:`ABCRouterQdisc.dequeue` runs steps 1–5 as straight-line code (the
+original chained ``_pop`` → estimator ``add`` → ``accel_fraction`` →
+``target_rate`` → capacity / queuing-delay reads → marker); marks and rates
+are bit-identical (``tests/test_path_golden.py``):
+
+* **Per-timestamp capacity memo.**  All dequeues of one transmission
+  opportunity share ``now``, so µ(t) is read once per timestamp when it is a
+  pure function of time (stock links, no ``capacity_fn``, ``capacity_bps``
+  not overridden — see :meth:`ABCRouterQdisc.attach`).
+* **One estimator, fed where it is read.**  A numpy-folded
+  :class:`~repro.cellular.estimators.VectorRateEstimator` receives a sample
+  per dequeue (or per enqueue under ``feedback_basis="enqueue"``) through an
+  inlined append; expiry is deferred to the once-per-dequeue rate read.
+* **Inlined token bucket.**  Algorithm 1's add / clamp / spend on the
+  already-clamped fraction, without the marker's defensive re-clamp.
+
+:meth:`ABCRouterQdisc.target_rate` and :meth:`ABCRouterQdisc.accel_fraction`
+remain the readable form of Eq. 1/2, and ``tests/test_abc_core.py`` asserts
+that the inlined arithmetic agrees with them after every dequeue.
 """
 
 from __future__ import annotations
@@ -25,8 +47,6 @@ from typing import Callable, Optional
 from repro.cellular.estimators import VectorRateEstimator
 from repro.core.marking import ProbabilisticMarker, TokenBucketMarker
 from repro.core.params import ABCParams
-from repro.simulator import fastpath
-from repro.simulator.estimators import WindowedRateEstimator
 from repro.simulator.packet import ECN, Packet, apply_brake
 from repro.simulator.qdisc import Qdisc
 
@@ -59,35 +79,22 @@ class ABCRouterQdisc(Qdisc):
         self.delay_mode = delay_mode
         self.capacity_share = capacity_share
 
-        window = self.params.measurement_window
-        self._fast = fastpath.enabled()
-        if self._fast:
-            # Numpy-folded estimators: identical hot-write representation
-            # (the inlined appends in _enqueue_fast/_dequeue_fast work on
-            # them unchanged), vectorised window expiry on read.
-            self._dequeue_rate = VectorRateEstimator(window=window)
-            self._enqueue_rate = VectorRateEstimator(window=window)
-        else:
-            self._dequeue_rate = WindowedRateEstimator(window=window)
-            self._enqueue_rate = WindowedRateEstimator(window=window)
+        # One windowed-rate estimator: the cr(t) of Eq. 2, fed at the site
+        # ``feedback_basis`` names (every dequeue, or — the Fig. 2 ablation —
+        # every admitted enqueue).
+        self._rate = VectorRateEstimator(
+            window=self.params.measurement_window)
+        self._rate_on_dequeue = feedback_basis == "dequeue"
         if probabilistic_marking:
             self.marker = ProbabilisticMarker()
         else:
             self.marker = TokenBucketMarker(token_limit=self.params.token_limit)
-        if self._fast:
-            # Fused per-packet pipeline; the capacity memo is enabled per
-            # link type in attach().  Instance attributes shadow the class
-            # methods so the classic path stays untouched when the knob is
-            # off.
-            self._ref_rate = (self._dequeue_rate if feedback_basis == "dequeue"
-                              else self._enqueue_rate)
-            self._token_bucket = not probabilistic_marking
-            self._standing = delay_mode == "standing"
-            self._cap_memo_time = -1.0
-            self._cap_memo = 0.0
-            self._cap_memoizable = False
-            self.enqueue = self._enqueue_fast
-            self.dequeue = self._dequeue_fast
+        self._token_bucket = not probabilistic_marking
+        self._standing = delay_mode == "standing"
+        # Per-timestamp capacity memo, enabled per link type in attach().
+        self._cap_memo_time = -1.0
+        self._cap_memo = 0.0
+        self._cap_memoizable = False
 
         # Introspection counters used by tests and the feedback ablation.
         self.accel_marked = 0
@@ -100,18 +107,17 @@ class ABCRouterQdisc(Qdisc):
     # ------------------------------------------------------------ wiring
     def attach(self, link) -> None:
         super().attach(link)
-        if self._fast:
-            # The per-timestamp capacity memo is only sound when capacity is
-            # a pure function of `now`: the two stock link models qualify, a
-            # user-supplied capacity_fn (e.g. the stateful WiFi estimator)
-            # may not — those keep the one-call-per-packet behaviour.  A
-            # subclass overriding capacity_bps (PK-ABC's lookahead oracle)
-            # also opts out, since the memoized read inlines the base method.
-            from repro.simulator.link import OpportunityLink, RateLink
-            self._cap_memoizable = (
-                self.capacity_fn is None
-                and type(link) in (OpportunityLink, RateLink)
-                and type(self).capacity_bps is ABCRouterQdisc.capacity_bps)
+        # The per-timestamp capacity memo is only sound when capacity is a
+        # pure function of `now`: the two stock link models qualify, a
+        # user-supplied capacity_fn (e.g. the stateful WiFi estimator) may
+        # not — those keep the one-call-per-packet behaviour.  A subclass
+        # overriding capacity_bps (PK-ABC's lookahead oracle) also opts out,
+        # since the memoized read inlines the base method.
+        from repro.simulator.link import OpportunityLink, RateLink
+        self._cap_memoizable = (
+            self.capacity_fn is None
+            and type(link) in (OpportunityLink, RateLink)
+            and type(self).capacity_bps is ABCRouterQdisc.capacity_bps)
 
     # ------------------------------------------------------------ measurement
     def capacity_bps(self, now: float) -> float:
@@ -130,8 +136,7 @@ class ABCRouterQdisc(Qdisc):
         if not 0.0 < share <= 1.0:
             raise ValueError("share must be in (0, 1]")
         self.capacity_share = share
-        if self._fast:
-            self._cap_memo_time = -1.0
+        self._cap_memo_time = -1.0
 
     def queuing_delay_estimate(self, now: float, capacity: float) -> float:
         """The x(t) term of Eq. (1)."""
@@ -159,10 +164,7 @@ class ABCRouterQdisc(Qdisc):
         rate instead (the Fig. 2 ablation).
         """
         tr = self.target_rate(now)
-        if self.feedback_basis == "dequeue":
-            reference = self._dequeue_rate.rate_bps(now)
-        else:
-            reference = self._enqueue_rate.rate_bps(now)
+        reference = self._rate.rate_bps(now)
         if reference <= 0.0:
             # No rate measurement yet (start-up or after an idle period):
             # allow senders to ramp up by marking accelerate.
@@ -173,68 +175,31 @@ class ABCRouterQdisc(Qdisc):
         return self.last_fraction
 
     # ------------------------------------------------------------ queue ops
+    # Per-packet pipeline, flattened: dequeue is _pop → estimator add →
+    # target_rate → accel_fraction → marker in straight-line code with the
+    # same arithmetic (`max`/`min` become the equivalent comparisons).
+    # target_rate()/accel_fraction() above stay the readable form of
+    # Eq. 1/2; tests/test_abc_core.py checks the two agree after every
+    # dequeue.
+
     def enqueue(self, packet: Packet, now: float) -> bool:
         if self.backlog_packets >= self.buffer_packets:
             self.dropped_packets += 1
             return False
-        self._enqueue_rate.add(now, packet.size)
-        self._push(packet, now)
-        return True
-
-    def dequeue(self, now: float) -> Optional[Packet]:
-        packet = self._pop(now)
-        if packet is None:
-            return None
-        self._dequeue_rate.add(now, packet.size)
-        self._apply_marking(packet, now)
-        return packet
-
-    def _apply_marking(self, packet: Packet, now: float) -> None:
-        """Mark a departing packet; only ABC (accelerate-carrying) packets are
-        eligible, and marks are only ever downgraded (accel → brake)."""
-        fraction = self.accel_fraction(now)
-        if packet.ecn != ECN.ACCEL:
-            # Brake/CE/Not-ECT packets pass through untouched (the router may
-            # not upgrade), but the token bucket still advances (Algorithm 1
-            # adds f(t) for every outgoing packet) so that the accelerate
-            # fraction along a multi-bottleneck path is the minimum of the
-            # per-router fractions rather than their product.
-            self.marker.observe(fraction)
-            return
-        keep_accel = self.marker.mark(fraction)
-        if keep_accel:
-            self.accel_marked += 1
-        else:
-            packet.ecn = apply_brake(packet.ecn)
-            self.brake_marked += 1
-            self.marked_packets += 1
-
-    # ------------------------------------------------------------ fast path
-    # Installed as instance attributes when REPRO_BATCH_ACKS is on.  Each is
-    # the corresponding classic chain (enqueue; dequeue → estimator add →
-    # _apply_marking → accel_fraction → target_rate → capacity/queuing-delay
-    # reads → marker) flattened into straight-line code with identical
-    # arithmetic; `max`/`min` become the equivalent comparisons.  Equivalence
-    # is pinned by tests/test_batched_ack.py.
-
-    def _enqueue_fast(self, packet: Packet, now: float) -> bool:
-        if self.backlog_packets >= self.buffer_packets:
-            self.dropped_packets += 1
-            return False
         size = packet.size
-        rate = self._enqueue_rate
-        if rate._first_sample_time is None:
-            rate._first_sample_time = now
-        rate._times.append(now)
-        rate._sizes.append(size)
-        rate._total += size
+        if not self._rate_on_dequeue:
+            self._rate.add(now, size)
+        # Qdisc._push, inlined.
         packet.enqueue_time = now
         self._queue.append(packet)
         self.backlog_bytes += size
         self.backlog_packets += 1
         return True
 
-    def _dequeue_fast(self, now: float) -> Optional[Packet]:
+    def dequeue(self, now: float) -> Optional[Packet]:
+        """Pop, measure and mark a departing packet.  Only ABC
+        (accelerate-carrying) packets are eligible for marking, and marks are
+        only ever downgraded (accel → brake)."""
         queue = self._queue
         if not queue:
             return None
@@ -247,12 +212,14 @@ class ABCRouterQdisc(Qdisc):
         self.backlog_bytes -= size
         self.backlog_packets -= 1
 
-        rate = self._dequeue_rate
-        if rate._first_sample_time is None:
-            rate._first_sample_time = now
-        rate._times.append(now)
-        rate._sizes.append(size)
-        rate._total += size
+        rate = self._rate
+        if self._rate_on_dequeue:
+            # VectorRateEstimator.add, inlined.
+            if rate._first_sample_time is None:
+                rate._first_sample_time = now
+            rate._times.append(now)
+            rate._sizes.append(size)
+            rate._total += size
 
         # target_rate (Eq. 1).  All dequeues of one transmission opportunity
         # share `now`, so the capacity lookup is memoized per timestamp when
@@ -291,7 +258,7 @@ class ABCRouterQdisc(Qdisc):
         self.last_target_rate = tr
 
         # accel_fraction (Eq. 2).
-        reference = self._ref_rate.rate_bps(now)
+        reference = rate.rate_bps(now)
         if reference <= 0.0:
             fraction = 1.0
         else:
@@ -306,6 +273,11 @@ class ABCRouterQdisc(Qdisc):
         # to [0, 1] so the marker's defensive clamp is skipped.
         marker = self.marker
         if packet.ecn is not ECN.ACCEL:
+            # Brake/CE/Not-ECT packets pass through untouched (the router may
+            # not upgrade), but the token bucket still advances (Algorithm 1
+            # adds f(t) for every outgoing packet) so that the accelerate
+            # fraction along a multi-bottleneck path is the minimum of the
+            # per-router fractions rather than their product.
             if self._token_bucket:
                 token = marker.token + fraction
                 limit = marker.token_limit

@@ -86,8 +86,8 @@ class ABCWindowControl(CongestionControl):
         self._apply_window_caps(feedback.packets_in_flight)
 
     def fast_ack(self, feedback: AckFeedback) -> float:
-        """Fused accel/brake + Cubic + window-cap update for the batched fast
-        path.  This is :meth:`on_ack` followed by the sender's
+        """Fused accel/brake + Cubic + window-cap update for the sender's
+        per-ACK handler.  This is :meth:`on_ack` followed by the sender's
         ``max(cwnd(), min_cwnd())`` read, flattened into one call with the
         same floating-point operations in the same order — the ``max``/``min``
         built-ins are replaced by the equivalent comparisons so the result is

@@ -4,11 +4,7 @@
 plain-dict return value, so it can serve as a
 :class:`~repro.runtime.executor.SweepJob` target: multiprocessing workers
 import it by name, and the content-addressed
-:class:`~repro.runtime.cache.ResultCache` keys on its kwargs.  Note that the
-``REPRO_BATCH_ACKS`` knob deliberately does *not* enter the cache key — the
-batched ACK fast path is bit-identical by contract (enforced by
-``tests/test_batched_ack.py``), so classic and batched runs may share cache
-entries.
+:class:`~repro.runtime.cache.ResultCache` keys on its kwargs.
 
 Each cell simulates one bottleneck (a trace-driven cellular link or a fixed
 rate) carrying

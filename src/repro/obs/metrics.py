@@ -37,10 +37,9 @@ merge by summation (order-independent, so serial and parallel sweeps produce
 identical totals — ``tests/test_obs.py`` pins this); gauges merge by ``max``
 so the result cannot depend on worker completion order.
 
-Like the fast-path knob (:mod:`repro.simulator.fastpath`), some components
-read ``enabled()`` **at construction time** and keep the handles they
-acquired; use :func:`override` around construction *and* execution when
-toggling telemetry programmatically.
+Some components read ``enabled()`` **at construction time** and keep the
+handles they acquired; use :func:`override` around construction *and*
+execution when toggling telemetry programmatically.
 """
 
 from __future__ import annotations
@@ -328,16 +327,11 @@ def harvest_scenario(scenario: Any) -> None:
     reg.counter("engine.events_dispatched").inc(env.events_processed)
     reg.counter("engine.events_cancelled").inc(env.cancels)
     reg.counter("engine.compactions").inc(env.compactions)
-    # Timer-wheel backend counters (0 / absent on the heap backend).
-    reg.counter("engine.wheel_rotations").inc(getattr(env, "rotations", 0))
-    reg.counter("engine.overflow_spills").inc(
-        getattr(env, "overflow_spills", 0))
     for link in scenario.links:
         reg.counter("link.arrived_packets").inc(link.arrived_packets)
         reg.counter("link.delivered_packets").inc(link.delivered_packets)
         reg.counter("link.dropped_packets").inc(link.dropped_packets)
         reg.counter("link.random_loss_packets").inc(link.random_loss_packets)
-    fast_flows = classic_flows = 0
     for flow in scenario.flows:
         sender = flow.sender
         reg.counter("sender.acks_received").inc(sender.acks_received)
@@ -345,14 +339,7 @@ def harvest_scenario(scenario: Any) -> None:
         reg.counter("sender.timeouts").inc(sender.timeouts)
         reg.counter("sender.retransmissions").inc(sender.retransmissions)
         reg.counter("sender.packets_sent").inc(sender.packets_sent)
-        # Fused pacing-loop counters (absent on non-paced/classic senders).
-        reg.counter("sender.pace_ticks").inc(getattr(sender, "pace_ticks", 0))
-        reg.counter("sender.pace_halts").inc(getattr(sender, "pace_halts", 0))
+        reg.counter("sender.pace_ticks").inc(sender.pace_ticks)
+        reg.counter("sender.pace_halts").inc(sender.pace_halts)
         reg.counter("receiver.packets_received").inc(
             flow.receiver.packets_received)
-        if getattr(sender, "_fast", False):
-            fast_flows += 1
-        else:
-            classic_flows += 1
-    reg.counter("sender.fastpath_flows").inc(fast_flows)
-    reg.counter("sender.classic_flows").inc(classic_flows)

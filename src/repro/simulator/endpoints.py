@@ -11,6 +11,37 @@ The :class:`Receiver` acknowledges every data packet and echoes congestion
 feedback: the classic ECN signal as the ECE flag and the ABC accelerate/brake
 bit (the re-purposed NS bit of §5.1.2), plus any scheme-specific header fields
 (XCP/RCP/VCP) carried in ``packet.meta``.
+
+Optimisation changes vs the original per-ACK path
+-------------------------------------------------
+The per-ACK and per-tick code is written flat.  Each item below replaced a
+call-per-step original with the same arithmetic; simulation *results* are
+bit-identical (``tests/test_path_golden.py`` holds digests taken from the
+original), the raw event sequence is not:
+
+* **One frame per ACK.**  :meth:`Sender.receive` does the RTT update, the
+  RACK precheck (full scan only when the oldest outstanding packet is past
+  the reorder window), the ``AckFeedback`` build, the fused window update
+  (``cc.fast_ack``) and the send burst (:meth:`Sender._burst`: integer
+  arithmetic for backlogged / fixed-size sources, window hoisted out of the
+  loop when the CC cannot change it mid-burst).  Recovery and other sources
+  take the generic :meth:`Sender._send_loop`.
+* **Lazy RTO deadline.**  Re-arming writes ``DeadlineTimer.deadline`` instead
+  of cancelling and re-pushing a heap event per ACK; the pending event
+  re-schedules itself when it fires early (occasional no-op
+  ``DeadlineTimer._fire`` events, same expiry instant).
+* **Fused DelayHop forward.**  A ``DelayHop`` next hop is resolved once to
+  ``(delay, dst.receive)`` and posted handle-free — the heap entry the hop
+  itself would push, minus the bounce (senders: ``_resolve_forward``;
+  receivers: ``_ack_fwd``).
+* **One callback per pacing tick.**  :meth:`Sender._pace_tick` inlines the
+  send decision (at most one packet per tick, so every ``sent_time`` is
+  unchanged) and *halts* the tick chain when a fixed-size flow completes
+  instead of idle-polling to the horizon (``pace_ticks`` / ``pace_halts``).
+* **Time-shifted receiver.**  :meth:`Receiver.receive_at` takes the arrival
+  time as an argument so the demux can run it synchronously at delivery time
+  (``deliver_shifted``; the ``_limit`` horizon rule lives in
+  :class:`~repro.simulator.scenario.FlowDemux`).
 """
 
 from __future__ import annotations
@@ -21,12 +52,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cc.base import CongestionControl
-from repro.simulator import fastpath
 from repro.simulator.engine import DeadlineTimer, EventHandle, EventLoop
 from repro.simulator.estimators import RTTEstimator
 from repro.simulator.monitor import FlowStats
 from repro.simulator.packet import (ACK_SIZE, MTU, Ack, AckFeedback, ECN,
-                                    Packet, _packet_ids, packet_pool)
+                                    _packet_ids, packet_pool)
 from repro.simulator.traffic import (BackloggedSource, FixedSizeSource,
                                      TrafficSource)
 
@@ -129,78 +159,40 @@ class Sender:
         self.timeouts = 0
         self.acks_received = 0
         self.rto_rearms = 0
+        #: Pacing-loop ticks fired / tick chains halted on flow completion
+        #: (both stay 0 on an ACK-clocked sender).
+        self.pace_ticks = 0
+        self.pace_halts = 0
         self.completion_time: Optional[float] = None
 
         self._started = False
-        self._rto_handle: Optional[EventHandle] = None
         self._wake_handle: Optional[EventHandle] = None
         self._pacing_active = False
         self._rto_backoff = 1.0
-
-        # Batched ACK fast path (REPRO_BATCH_ACKS, see repro.simulator.
-        # fastpath).  Instance attributes shadow the class methods so the
-        # classic path pays nothing when the knob is off; pacing-based
-        # schemes always keep the classic path (their per-tick pacing loop
-        # is untouched by batching).
-        self._fast = fastpath.enabled() and not cc.needs_pacing
-        if self._fast:
-            cc_type = type(cc)
-            # A CC with the base no-op on_packet_sent cannot change its
-            # window during a send burst, so the window is hoisted out of
-            # the loop.  Every ACK-clocked scheme in the repo qualifies.
-            self._static_window = (
-                cc_type.on_packet_sent is CongestionControl.on_packet_sent)
-            # CCs with the base packet_meta get a fresh empty dict stamped
-            # inline (routers may write into packet.meta — XCP feedback —
-            # so the dict must never be shared between packets).
-            self._static_meta = (
-                cc_type.packet_meta is CongestionControl.packet_meta)
-            source_type = type(self.source)
-            if source_type is BackloggedSource:
-                self._source_kind = 0
-            elif source_type is FixedSizeSource:
-                self._source_kind = 1
-            else:
-                self._source_kind = 2
-            self._fwd: Optional[tuple] = None
-            self._rto_timer = DeadlineTimer(env, self._on_rto_expired)
-            self.receive = self._receive_fast
-            self._try_send = self._try_send_fast
-            self._arm_rto = self._arm_rto_fast
-        elif fastpath.enabled():
-            # Pacing-based schemes (BBR, PCC-Vivace, RCP) get their own fused
-            # send loop: the per-tick call chain (_pace_tick -> _can_send_new
-            # _data -> _send_new_packet -> _transmit -> _forward) collapses
-            # into straight-line code with identical arithmetic — at most one
-            # packet per tick, so every packet keeps its classic sent_time —
-            # and the tick chain *halts* once the flow completes instead of
-            # polling forever.  They also keep the lazy RTO timer (per-ACK
-            # re-arming becomes two float writes instead of a heap cancel +
-            # push).  Both are result-identical: the timer fires the
-            # idempotent classic ``_on_rto``, and a completed paced sender's
-            # ticks are pure no-ops (see _pace_tick_fused).
-            cc_type = type(cc)
-            self._static_window = (
-                cc_type.on_packet_sent is CongestionControl.on_packet_sent)
-            self._static_meta = (
-                cc_type.packet_meta is CongestionControl.packet_meta)
-            source_type = type(self.source)
-            if source_type is BackloggedSource:
-                self._source_kind = 0
-            elif source_type is FixedSizeSource:
-                self._source_kind = 1
-            else:
-                self._source_kind = 2
-            self._fwd = None
-            self.pace_ticks = 0
-            self.pace_halts = 0
-            self._rto_timer = DeadlineTimer(env, self._on_rto)
-            self._arm_rto = self._arm_rto_fast
-            # Exotic sources keep the thin classic tick (their data protocol
-            # cannot be collapsed into integer arithmetic).
-            self._pace_tick = (self._pace_tick_fast if self._source_kind == 2
-                               else self._pace_tick_fused)
-            self.receive = self._receive_paced_fast
+        self._rto_timer = DeadlineTimer(env, self._on_rto)
+        self._paced = cc.needs_pacing
+        cc_type = type(cc)
+        # A CC with the base no-op on_packet_sent cannot change its window
+        # during a send burst, so the window is hoisted out of the loop.
+        # Every ACK-clocked scheme in the repo qualifies.
+        self._static_window = (
+            cc_type.on_packet_sent is CongestionControl.on_packet_sent)
+        # CCs with the base packet_meta get a fresh empty dict stamped inline
+        # (routers may write into packet.meta — XCP feedback — so the dict
+        # must never be shared between packets).
+        self._static_meta = (
+            cc_type.packet_meta is CongestionControl.packet_meta)
+        # Backlogged (0) and fixed-size (1) sources collapse into integer
+        # arithmetic in the send paths; anything else (2) goes through the
+        # generic source protocol.
+        source_type = type(self.source)
+        if source_type is BackloggedSource:
+            self._source_kind = 0
+        elif source_type is FixedSizeSource:
+            self._source_kind = 1
+        else:
+            self._source_kind = 2
+        self._fwd: Optional[tuple] = None
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -211,13 +203,13 @@ class Sender:
         if self._started:
             return
         self._started = True
-        if self.cc.needs_pacing:
+        if self._paced:
             self._start_pacing()
         self._try_send()
 
     def connect(self, egress) -> None:
         self.egress = egress
-        self._fwd = None  # re-resolve the fused forward hop (fast paths)
+        self._fwd = None  # re-resolve the fused forward hop
 
     # ------------------------------------------------------------ properties
     @property
@@ -228,43 +220,40 @@ class Sender:
         return max(self.cc.cwnd(), self.cc.min_cwnd())
 
     # ------------------------------------------------------------ sending
-    def _can_send_new_data(self, now: float) -> bool:
-        if self.in_flight + 1 > self._cwnd_packets():
-            return False
-        return self.source.bytes_available(now) >= 1.0
-
-    def _next_payload_size(self, now: float) -> int:
-        available = self.source.bytes_available(now)
-        if math.isinf(available):
-            return self.mss
-        return int(min(self.mss, max(available, 0)))
-
     def _try_send(self) -> None:
         """Send as much as the window, the pacer and the application allow."""
         if not self._started:
             return
-        now = self.env.now
-        if self.cc.needs_pacing:
+        now = self.env._now
+        if self._paced:
             # The pacing loop is the only thing allowed to emit new packets,
             # but retransmissions are sent immediately.
-            self._flush_retransmissions(now)
-            return
-        sent_any = True
-        while sent_any:
-            sent_any = False
-            if self.retransmit_queue and self.in_flight + 1 <= self._cwnd_packets():
+            while (self.retransmit_queue
+                   and self.in_flight + 1 <= self._cwnd_packets()):
                 self._send_retransmission(now)
-                sent_any = True
-                continue
-            if self._can_send_new_data(now):
-                self._send_new_packet(now)
-                sent_any = True
-        self._maybe_schedule_data_wakeup(now)
-        self._check_completion(now)
+        elif self.retransmit_queue or self._source_kind == 2:
+            self._send_loop(now)
+        elif self._burst(now, self._cwnd_packets()):
+            self._arm_rto(now)
 
-    def _flush_retransmissions(self, now: float) -> None:
-        while self.retransmit_queue and self.in_flight + 1 <= self._cwnd_packets():
-            self._send_retransmission(now)
+    def _send_loop(self, now: float) -> None:
+        """The generic ACK-clocked send loop: retransmissions first, then new
+        data through the full source protocol.  Recovery and exotic sources
+        come here; the common case is :meth:`_burst`."""
+        source = self.source
+        while True:
+            if self.in_flight + 1 > self._cwnd_packets():
+                break
+            if self.retransmit_queue:
+                self._send_retransmission(now)
+            elif source.bytes_available(now) >= 1.0:
+                self._send_new_packet(now)
+            else:
+                break
+        self._maybe_schedule_data_wakeup(now)
+        if (self.completion_time is None and source.finished(now)
+                and not self.outstanding and not self.retransmit_queue):
+            self.completion_time = now
 
     def _maybe_schedule_data_wakeup(self, now: float) -> None:
         """Application-limited flows: wake up when more data arrives."""
@@ -283,7 +272,9 @@ class Sender:
         self._try_send()
 
     def _send_new_packet(self, now: float) -> None:
-        size = self._next_payload_size(now)
+        available = self.source.bytes_available(now)
+        size = (self.mss if math.isinf(available)
+                else int(min(self.mss, max(available, 0))))
         if size <= 0:
             return
         seq = self.next_seq
@@ -317,258 +308,27 @@ class Sender:
             _forward(self.egress, packet)
         self._arm_rto(now)
 
-    # ------------------------------------------------------------ pacing
-    def _start_pacing(self) -> None:
-        if self._pacing_active:
-            return
-        self._pacing_active = True
-        self.env.schedule(0.0, self._pace_tick)
-
-    def _pace_tick(self) -> None:
-        now = self.env.now
-        rate = self.cc.pacing_rate() or 0.0
-        sent = False
-        if rate > 0:
-            if self.retransmit_queue and self.in_flight + 1 <= self._cwnd_packets():
-                self._send_retransmission(now)
-                sent = True
-            elif self._can_send_new_data(now):
-                self._send_new_packet(now)
-                sent = True
-        if rate > 0:
-            interval = self.mss * 8.0 / rate
-        else:
-            interval = IDLE_PACING_POLL
-        if not sent and rate > 0:
-            # Window- or application-limited: poll again shortly so we react
-            # quickly once the constraint clears.
-            interval = min(interval, IDLE_PACING_POLL)
-        self.env.schedule(interval, self._pace_tick)
-        self._check_completion(now)
-
-    # ------------------------------------------------------------ receiving
-    def receive(self, packet) -> None:
-        """Entry point for packets arriving from the reverse path (ACKs)."""
-        if isinstance(packet, Ack):
-            self._handle_ack(packet)
-
-    def _handle_ack(self, ack: Ack) -> None:
-        now = self.env.now
-        self.acks_received += 1
-        info = self.outstanding.pop(ack.seq, None)
-        if info is None:
-            # ACK for a packet we already retired (spurious retransmission or
-            # a duplicate) — nothing to update.
-            packet_pool.release_ack(ack)
-            return
-        rtt_sample = None
-        if not info.is_retransmission:
-            rtt_sample = now - info.sent_time
-            self.rtt.update(rtt_sample)
-            # Fresh feedback from the network: clear any RTO backoff.
-            self._rto_backoff = 1.0
-        self.bytes_acked += info.size
-        if ack.seq > self.highest_acked:
-            self.highest_acked = ack.seq
-        if info.sent_time > self._latest_acked_sent_time:
-            self._latest_acked_sent_time = info.sent_time
-
-        self._detect_losses(now)
-
-        feedback = AckFeedback(
-            now=now,
-            rtt=rtt_sample,
-            bytes_acked=info.size,
-            accel=ack.accel,
-            ece=ack.ece,
-            packets_in_flight=self.in_flight,
-            is_retransmission=info.is_retransmission,
-            sent_time=info.sent_time,
-            meta=ack.meta,
-        )
-        packet_pool.release_ack(ack)
-        self.cc.on_ack(feedback)
-
-        if self.outstanding:
-            self._arm_rto(now)
-        elif self._rto_handle is not None:
-            self._rto_handle.cancel()
-            self._rto_handle = None
-        self._try_send()
-
-    def _detect_losses(self, now: float) -> None:
-        """RACK-style loss detection: an outstanding packet is lost when some
-        packet transmitted ``REORDER_WINDOW`` later has already been ACKed."""
-        outstanding = self.outstanding
-        if not outstanding:
-            return
-        threshold_time = self._latest_acked_sent_time - REORDER_WINDOW
-        # ``outstanding`` is insertion-ordered by transmission time (packets
-        # are only ever (re)inserted at their send time), so its first entry
-        # carries the minimum sent_time: when even that packet is newer than
-        # the threshold nothing can be lost, and the common no-loss ACK skips
-        # the full scan — O(1) instead of O(window) per ACK.
-        first_info = next(iter(outstanding.values()))
-        if first_info.sent_time >= threshold_time:
-            return
-        lost = [seq for seq, info in outstanding.items()
-                if info.sent_time < threshold_time]
-        if not lost:
-            return
-        newest_lost = max(lost)
-        for seq in lost:
-            info = self.outstanding.pop(seq)
-            self.retransmit_queue.append(info)
-        if newest_lost > self._recovery_end_seq:
-            self.loss_events += 1
-            self._recovery_end_seq = self.next_seq
-            self.cc.on_loss(now)
-
-    # ------------------------------------------------------------ timers
-    def _arm_rto(self, now: float) -> None:
-        self.rto_rearms += 1
-        if self._rto_handle is not None:
-            self._rto_handle.cancel()
-        self._rto_handle = self.env.schedule(self.rtt.rto * self._rto_backoff,
-                                             self._on_rto)
-
-    def _on_rto(self) -> None:
-        now = self.env.now
-        self._rto_handle = None
-        if not self.outstanding:
-            return
-        self.timeouts += 1
-        self._recovery_end_seq = self.next_seq
-        for seq in sorted(self.outstanding):
-            self.retransmit_queue.append(self.outstanding.pop(seq))
-        self.cc.on_timeout(now)
-        # Exponential backoff (Karn): successive timeouts without any fresh
-        # ACK double the timer, which prevents spurious-RTO livelock behind
-        # deep queues.
-        self._rto_backoff = min(self._rto_backoff * 2.0, 64.0)
-        self._arm_rto(now)
-        self._try_send()
-
-    # ------------------------------------------------------------ completion
-    def _check_completion(self, now: float) -> None:
-        if self.completion_time is not None:
-            return
-        if (self.source.finished(now) and not self.outstanding
-                and not self.retransmit_queue):
-            self.completion_time = now
-
-    # ------------------------------------------------------------ fast path
-    # Installed as instance attributes when REPRO_BATCH_ACKS is on (see
-    # repro.simulator.fastpath).  Each method flattens the corresponding
-    # classic call chain into straight-line code with identical arithmetic
-    # and identical externally visible state; rare cases (retransmissions,
-    # exotic sources, non-DelayHop egress) fall back to the classic methods.
-    # Equivalence is pinned differentially by tests/test_batched_ack.py.
-
-    def _receive_fast(self, ack) -> None:
-        # _handle_ack with RTTEstimator.update, the RACK precheck, the
-        # window read and the RTO re-arm inlined, then the send burst.
-        if not isinstance(ack, Ack):
-            return
-        now = self.env._now
-        self.acks_received += 1
-        outstanding = self.outstanding
-        info = outstanding.pop(ack.seq, None)
-        if info is None:
-            packet_pool.release_ack(ack)
-            return
-        rtt_sample = None
-        info_sent_time = info.sent_time
-        if not info.is_retransmission:
-            rtt_sample = now - info_sent_time
-            if rtt_sample > 0:
-                rtt = self.rtt
-                rtt.latest = rtt_sample
-                if rtt_sample < rtt.min_rtt:
-                    rtt.min_rtt = rtt_sample
-                srtt = rtt.srtt
-                if srtt is None or rtt.rttvar is None:
-                    rtt.srtt = rtt_sample
-                    rtt.rttvar = rtt_sample / 2.0
-                else:
-                    diff = srtt - rtt_sample
-                    if diff < 0.0:
-                        diff = -diff
-                    rtt.rttvar = 0.75 * rtt.rttvar + 0.25 * diff
-                    rtt.srtt = 0.875 * srtt + 0.125 * rtt_sample
-            self._rto_backoff = 1.0
-        info_size = info.size
-        self.bytes_acked += info_size
-        seq = ack.seq
-        if seq > self.highest_acked:
-            self.highest_acked = seq
-        latest = self._latest_acked_sent_time
-        if info_sent_time > latest:
-            latest = info_sent_time
-            self._latest_acked_sent_time = info_sent_time
-        if outstanding:
-            first_info = next(iter(outstanding.values()))
-            if first_info.sent_time < latest - REORDER_WINDOW:
-                self._detect_losses(now)
-        # Positional AckFeedback construction (field order pinned by the
-        # dataclass definition); kwargs are measurable at this call rate.
-        feedback = AckFeedback(now, rtt_sample, info_size, ack.accel, ack.ece,
-                               len(outstanding), info.is_retransmission,
-                               info_sent_time, ack.meta)
-        acks = packet_pool._acks
-        if len(acks) < packet_pool.max_size:
-            acks.append(ack)
-        cwnd = self.cc.fast_ack(feedback)
-
-        if self.retransmit_queue or self._source_kind == 2:
-            # Recovery or an exotic source: the classic sender loop handles
-            # every corner (it re-arms the RTO per transmission through the
-            # shadowed _arm_rto, so the deadline below is a no-op refresh).
-            Sender._try_send(self)
-        else:
-            self._burst_fast(now, cwnd)
-        if outstanding:
-            self._arm_rto_fast(now)
-        else:
-            self._rto_timer.deadline = None
-
-    def _try_send_fast(self) -> None:
-        # Shadows _try_send for begin/wakeup/timeout callers; the per-ACK
-        # burst is issued directly by the ACK fast path (_receive_fast).
-        if not self._started:
-            return
-        if self.retransmit_queue or self._source_kind == 2:
-            Sender._try_send(self)
-            return
-        now = self.env._now
-        cc = self.cc
-        cwnd = cc.cwnd()
-        floor = cc.min_cwnd()
-        if floor > cwnd:
-            cwnd = floor
-        if self._burst_fast(now, cwnd):
-            self._arm_rto_fast(now)
-
     def _resolve_forward(self) -> tuple:
         """Fuse the egress DelayHop: schedule its destination callback
         directly, skipping the per-packet dispatch and hop bounce.  The
-        scheduled (time, callback) pairs are identical to the classic
-        path's, so even the event sequence is unchanged by this fusion."""
+        scheduled (time, callback) pairs are the ones the hop would
+        schedule, so even the event sequence is unchanged by this fusion."""
         egress = self.egress
         if type(egress) is DelayHop and egress.dst is not None:
             fwd = (egress.delay, egress.dst.receive)
         else:
-            fwd = (0.0, None)  # classic _forward fallback
+            fwd = (0.0, None)  # generic _forward fallback
         self._fwd = fwd
         return fwd
 
-    def _burst_fast(self, now: float, cwnd: float) -> bool:
+    def _burst(self, now: float, cwnd: float) -> bool:
         """Send as much new data as the window and the source allow.
 
         Only called with an empty retransmit queue and a backlogged or
-        fixed-size source, which makes the classic per-packet protocol
+        fixed-size source, which makes the per-packet source protocol
         (bytes_available/consume/next_data_time/finished) collapse into
-        plain integer arithmetic.  Returns True when anything was sent.
+        plain integer arithmetic.  Returns True when anything was sent; the
+        caller arms the RTO once for the whole burst.
         """
         outstanding = self.outstanding
         n = len(outstanding)
@@ -637,11 +397,210 @@ class Sender:
             self.completion_time = now
         return sent_packets > 0
 
-    def _arm_rto_fast(self, now: float) -> None:
+    # ------------------------------------------------------------ pacing
+    def _start_pacing(self) -> None:
+        if self._pacing_active:
+            return
+        self._pacing_active = True
+        self.env.schedule(0.0, self._pace_tick)
+
+    def _pace_tick(self) -> None:
+        # At most one packet per tick.  The whole send decision (window
+        # check, retransmission first, source draw, packet build, forward
+        # hop, RTO re-arm) is inlined for backlogged and fixed-size sources,
+        # mirroring _burst's integer arithmetic.
+        now = self.env._now
+        self.pace_ticks += 1
+        cc = self.cc
+        kind = self._source_kind
+        rate = cc.pacing_rate() or 0.0
+        sent = False
+        if rate > 0:
+            outstanding = self.outstanding
+            n = len(outstanding)
+            cwnd = cc.cwnd()
+            floor = cc.min_cwnd()
+            if floor > cwnd:
+                cwnd = floor
+            if n + 1 <= cwnd:
+                if self.retransmit_queue:
+                    self._send_retransmission(now)
+                    sent = True
+                elif kind == 2:
+                    if self.source.bytes_available(now) >= 1.0:
+                        self._send_new_packet(now)
+                        sent = True
+                else:
+                    mss = self.mss
+                    if kind == 1:
+                        source = self.source
+                        available = source.total_bytes - source.sent_bytes
+                        size = mss if available >= mss else available
+                        if size >= 1:
+                            source.sent_bytes += size
+                        else:
+                            size = 0
+                    else:
+                        size = mss
+                    if size > 0:
+                        abc_capable = cc.uses_abc
+                        meta = {} if self._static_meta else cc.packet_meta(now)
+                        seq = self.next_seq
+                        self.next_seq = seq + 1
+                        packet = packet_pool.acquire_packet(
+                            self.flow_id, seq, size,
+                            ECN.ACCEL if abc_capable else ECN.NOT_ECT,
+                            now, False, abc_capable, meta)
+                        outstanding[seq] = _SentInfo(seq, size, now, False)
+                        self.bytes_sent += size
+                        self.packets_sent += 1
+                        if not self._static_window:
+                            cc.on_packet_sent(now, seq, size, n + 1)
+                        fwd = self._fwd
+                        if fwd is None:
+                            fwd = self._resolve_forward()
+                        fwd_cb = fwd[1]
+                        if fwd_cb is not None:
+                            self.env.post(fwd[0], fwd_cb, packet)
+                        else:
+                            egress = self.egress
+                            if egress is not None:
+                                _forward(egress, packet)
+                        self._arm_rto(now)
+                        sent = True
+        if rate > 0:
+            interval = self.mss * 8.0 / rate
+            if not sent and interval > IDLE_PACING_POLL:
+                # Window- or application-limited: poll again shortly so we
+                # react quickly once the constraint clears.
+                interval = IDLE_PACING_POLL
+        else:
+            interval = IDLE_PACING_POLL
+        if (kind and self.completion_time is None and not self.outstanding
+                and not self.retransmit_queue and self.source.finished(now)):
+            self.completion_time = now
+            if kind == 1:
+                # A completed fixed-size flow has nothing outstanding, an
+                # empty retransmit queue and a source that stays finished,
+                # and pacing_rate() is a pure read: every later tick would
+                # only schedule its successor, so the chain stops here.
+                self.pace_halts += 1
+                return
+        self.env.post(interval, self._pace_tick)
+
+    # ------------------------------------------------------------ receiving
+    def receive(self, ack) -> None:
+        """Entry point for packets arriving from the reverse path (ACKs)."""
+        if not isinstance(ack, Ack):
+            return
+        now = self.env._now
+        self.acks_received += 1
+        outstanding = self.outstanding
+        info = outstanding.pop(ack.seq, None)
+        if info is None:
+            # ACK for a packet we already retired (spurious retransmission or
+            # a duplicate) — nothing to update.
+            packet_pool.release_ack(ack)
+            return
+        rtt_sample = None
+        info_sent_time = info.sent_time
+        if not info.is_retransmission:
+            rtt_sample = now - info_sent_time
+            if rtt_sample > 0:
+                # RTTEstimator.update, inlined.
+                rtt = self.rtt
+                rtt.latest = rtt_sample
+                if rtt_sample < rtt.min_rtt:
+                    rtt.min_rtt = rtt_sample
+                srtt = rtt.srtt
+                if srtt is None or rtt.rttvar is None:
+                    rtt.srtt = rtt_sample
+                    rtt.rttvar = rtt_sample / 2.0
+                else:
+                    diff = srtt - rtt_sample
+                    if diff < 0.0:
+                        diff = -diff
+                    rtt.rttvar = 0.75 * rtt.rttvar + 0.25 * diff
+                    rtt.srtt = 0.875 * srtt + 0.125 * rtt_sample
+            # Fresh feedback from the network: clear any RTO backoff.
+            self._rto_backoff = 1.0
+        info_size = info.size
+        self.bytes_acked += info_size
+        seq = ack.seq
+        if seq > self.highest_acked:
+            self.highest_acked = seq
+        latest = self._latest_acked_sent_time
+        if info_sent_time > latest:
+            latest = info_sent_time
+            self._latest_acked_sent_time = info_sent_time
+        if outstanding:
+            # RACK precheck (see _detect_losses): the first entry carries the
+            # minimum sent_time, so the common no-loss ACK skips the call.
+            first_info = next(iter(outstanding.values()))
+            if first_info.sent_time < latest - REORDER_WINDOW:
+                self._detect_losses(now)
+        # Positional AckFeedback construction (field order pinned by the
+        # dataclass definition); kwargs are measurable at this call rate.
+        feedback = AckFeedback(now, rtt_sample, info_size, ack.accel, ack.ece,
+                               len(outstanding), info.is_retransmission,
+                               info_sent_time, ack.meta)
+        acks = packet_pool._acks  # PacketPool.release_ack, inlined
+        if len(acks) < packet_pool.max_size:
+            acks.append(ack)
+        if self._paced:
+            # The pacing loop emits new packets; an ACK only re-arms the RTO
+            # and flushes retransmissions.
+            self.cc.on_ack(feedback)
+            if outstanding:
+                self._arm_rto(now)
+            else:
+                self._rto_timer.deadline = None
+            self._try_send()
+            return
+        cwnd = self.cc.fast_ack(feedback)
+        if self.retransmit_queue or self._source_kind == 2:
+            # _send_loop re-arms the RTO per transmission, so the re-arm
+            # below is a no-op refresh.
+            self._send_loop(now)
+        else:
+            self._burst(now, cwnd)
+        if outstanding:
+            self._arm_rto(now)
+        else:
+            self._rto_timer.deadline = None
+
+    def _detect_losses(self, now: float) -> None:
+        """RACK-style loss detection: an outstanding packet is lost when some
+        packet transmitted ``REORDER_WINDOW`` later has already been ACKed."""
+        outstanding = self.outstanding
+        if not outstanding:
+            return
+        threshold_time = self._latest_acked_sent_time - REORDER_WINDOW
+        # ``outstanding`` is insertion-ordered by transmission time (packets
+        # are only ever (re)inserted at their send time), so its first entry
+        # carries the minimum sent_time: when even that packet is newer than
+        # the threshold nothing can be lost, and the common no-loss ACK skips
+        # the full scan — O(1) instead of O(window) per ACK.
+        first_info = next(iter(outstanding.values()))
+        if first_info.sent_time >= threshold_time:
+            return
+        lost = [seq for seq, info in outstanding.items()
+                if info.sent_time < threshold_time]
+        if not lost:
+            return
+        newest_lost = max(lost)
+        for seq in lost:
+            info = self.outstanding.pop(seq)
+            self.retransmit_queue.append(info)
+        if newest_lost > self._recovery_end_seq:
+            self.loss_events += 1
+            self._recovery_end_seq = self.next_seq
+            self.cc.on_loss(now)
+
+    # ------------------------------------------------------------ timers
+    def _arm_rto(self, now: float) -> None:
         self.rto_rearms += 1
-        # _arm_rto with the RTO property inlined and the cancel-and-repush
-        # replaced by the lazy DeadlineTimer (same expiry instant, no heap
-        # traffic while the deadline only moves forward).
+        # RTTEstimator.rto, inlined (min/max as comparisons).
         rtt = self.rtt
         srtt = rtt.srtt
         if srtt is None:
@@ -657,203 +616,35 @@ class Sender:
                     rto = max_rto
         self._rto_timer.set(now + rto * self._rto_backoff)
 
-    def _pace_tick_fast(self) -> None:
-        # Classic ``_pace_tick`` with the clock read flattened and the next
-        # tick posted handle-free (same heap entry ``schedule`` would build).
+    def _on_rto(self) -> None:
         now = self.env._now
-        rate = self.cc.pacing_rate() or 0.0
-        sent = False
-        if rate > 0:
-            if (self.retransmit_queue
-                    and self.in_flight + 1 <= self._cwnd_packets()):
-                self._send_retransmission(now)
-                sent = True
-            elif self._can_send_new_data(now):
-                self._send_new_packet(now)
-                sent = True
-        if rate > 0:
-            interval = self.mss * 8.0 / rate
-        else:
-            interval = IDLE_PACING_POLL
-        if not sent and rate > 0:
-            # Window- or application-limited: poll again shortly so we react
-            # quickly once the constraint clears.
-            interval = min(interval, IDLE_PACING_POLL)
-        self.env.post(interval, self._pace_tick)
-        self._check_completion(now)
-
-    def _pace_tick_fused(self) -> None:
-        # Classic ``_pace_tick`` with the whole send machinery inlined
-        # (mirroring _burst_fast's integer arithmetic for backlogged and
-        # fixed-size sources; at most one packet per tick, so every packet
-        # keeps its classic sent_time and the cc sees the same call sequence)
-        # and the tick chain *halted* once the flow completes.  Halting is
-        # result-identical: a completed sender has a finished source, nothing
-        # outstanding and an empty retransmit queue, and ``pacing_rate()`` is
-        # a pure read, so every later classic tick is a no-op that only
-        # schedules its successor.
-        now = self.env._now
-        self.pace_ticks += 1
-        cc = self.cc
-        rate = cc.pacing_rate() or 0.0
-        sent = False
-        if rate > 0:
-            outstanding = self.outstanding
-            n = len(outstanding)
-            cwnd = cc.cwnd()
-            floor = cc.min_cwnd()
-            if floor > cwnd:
-                cwnd = floor
-            if self.retransmit_queue:
-                if n + 1 <= cwnd:
-                    self._send_retransmission(now)
-                    sent = True
-            elif n + 1 <= cwnd:
-                mss = self.mss
-                if self._source_kind == 1:
-                    source = self.source
-                    available = source.total_bytes - source.sent_bytes
-                    size = mss if available >= mss else available
-                    if size >= 1:
-                        source.sent_bytes += size
-                    else:
-                        size = 0
-                else:
-                    size = mss
-                if size > 0:
-                    abc_capable = cc.uses_abc
-                    meta = {} if self._static_meta else cc.packet_meta(now)
-                    seq = self.next_seq
-                    self.next_seq = seq + 1
-                    packet = packet_pool.acquire_packet(
-                        self.flow_id, seq, size,
-                        ECN.ACCEL if abc_capable else ECN.NOT_ECT,
-                        now, False, abc_capable, meta)
-                    outstanding[seq] = _SentInfo(seq, size, now, False)
-                    self.bytes_sent += size
-                    self.packets_sent += 1
-                    if not self._static_window:
-                        cc.on_packet_sent(now, seq, size, n + 1)
-                    fwd = self._fwd
-                    if fwd is None:
-                        fwd = self._resolve_forward()
-                    fwd_cb = fwd[1]
-                    if fwd_cb is not None:
-                        self.env.post(fwd[0], fwd_cb, packet)
-                    else:
-                        egress = self.egress
-                        if egress is not None:
-                            _forward(egress, packet)
-                    self._arm_rto_fast(now)
-                    sent = True
-        if rate > 0:
-            interval = self.mss * 8.0 / rate
-            if not sent and interval > IDLE_PACING_POLL:
-                # Window- or application-limited: poll again shortly so we
-                # react quickly once the constraint clears.
-                interval = IDLE_PACING_POLL
-        else:
-            interval = IDLE_PACING_POLL
-        if self.completion_time is not None:
-            return
-        if (self._source_kind == 1 and not self.outstanding
-                and not self.retransmit_queue and self.source.finished(now)):
-            # Same tick, same instant the classic _check_completion would
-            # stamp — but the pacing loop stops here instead of idling on.
-            self.completion_time = now
-            self.pace_halts += 1
-            return
-        self.env.post(interval, self._pace_tick)
-
-    def _receive_paced_fast(self, ack) -> None:
-        # Classic ``_handle_ack`` for pacing-based schemes, with
-        # RTTEstimator.update, the RACK precheck and the RTO bookkeeping
-        # flattened — same statements in the same order (no send burst: the
-        # pacing loop emits new packets, so this ends in the classic
-        # ``_try_send``, which only flushes retransmissions).
-        if not isinstance(ack, Ack):
-            return
-        now = self.env._now
-        self.acks_received += 1
         outstanding = self.outstanding
-        info = outstanding.pop(ack.seq, None)
-        if info is None:
-            packet_pool.release_ack(ack)
-            return
-        rtt_sample = None
-        info_sent_time = info.sent_time
-        if not info.is_retransmission:
-            rtt_sample = now - info_sent_time
-            if rtt_sample > 0:
-                rtt = self.rtt
-                rtt.latest = rtt_sample
-                if rtt_sample < rtt.min_rtt:
-                    rtt.min_rtt = rtt_sample
-                srtt = rtt.srtt
-                if srtt is None or rtt.rttvar is None:
-                    rtt.srtt = rtt_sample
-                    rtt.rttvar = rtt_sample / 2.0
-                else:
-                    diff = srtt - rtt_sample
-                    if diff < 0.0:
-                        diff = -diff
-                    rtt.rttvar = 0.75 * rtt.rttvar + 0.25 * diff
-                    rtt.srtt = 0.875 * srtt + 0.125 * rtt_sample
-            self._rto_backoff = 1.0
-        info_size = info.size
-        self.bytes_acked += info_size
-        seq = ack.seq
-        if seq > self.highest_acked:
-            self.highest_acked = seq
-        latest = self._latest_acked_sent_time
-        if info_sent_time > latest:
-            latest = info_sent_time
-            self._latest_acked_sent_time = info_sent_time
-        if outstanding:
-            first_info = next(iter(outstanding.values()))
-            if first_info.sent_time < latest - REORDER_WINDOW:
-                self._detect_losses(now)
-        feedback = AckFeedback(now, rtt_sample, info_size, ack.accel, ack.ece,
-                               len(outstanding), info.is_retransmission,
-                               info_sent_time, ack.meta)
-        packet_pool.release_ack(ack)
-        self.cc.on_ack(feedback)
-        if outstanding:
-            self._arm_rto_fast(now)
-        else:
-            self._rto_timer.deadline = None
-        self._try_send()
-
-    def _on_rto_expired(self) -> None:
-        # _on_rto, reached through the DeadlineTimer at the same simulated
-        # instant the classic timer would have fired.
-        now = self.env._now
-        if not self.outstanding:
+        if not outstanding:
             return
         self.timeouts += 1
         self._recovery_end_seq = self.next_seq
-        outstanding = self.outstanding
         retransmit = self.retransmit_queue
         for seq in sorted(outstanding):
             retransmit.append(outstanding.pop(seq))
         self.cc.on_timeout(now)
-        backoff = self._rto_backoff * 2.0
-        self._rto_backoff = backoff if backoff <= 64.0 else 64.0
-        self._arm_rto_fast(now)
-        self._try_send_fast()
+        # Exponential backoff (Karn): successive timeouts without any fresh
+        # ACK double the timer, which prevents spurious-RTO livelock behind
+        # deep queues.
+        self._rto_backoff = min(self._rto_backoff * 2.0, 64.0)
+        self._arm_rto(now)
+        self._try_send()
 
 
 class Receiver:
     """Acknowledges data packets and echoes congestion feedback to senders."""
 
-    #: Fast-path marker: a receiver is a per-flow leaf — its state is only
-    #: ever touched by this flow's data packets, which all funnel through one
-    #: demux in delivery order — so the demux may run it synchronously at
-    #: delivery time with the *computed* arrival timestamp instead of posting
-    #: an arrival event (see :meth:`_receive_fast_at`).  Every recorded time
-    #: and the returned ACK's scheduled arrival are built from the same float
-    #: expressions the event path would produce; only heap sequence numbers
-    #: shift.
+    #: A receiver is a per-flow leaf — its state is only ever touched by this
+    #: flow's data packets, which all funnel through one demux in delivery
+    #: order — so the demux may run it synchronously at delivery time with
+    #: the *computed* arrival timestamp instead of posting an arrival event
+    #: (see :meth:`receive_at`).  Every recorded time and the returned ACK's
+    #: scheduled arrival are built from the same float expressions the event
+    #: would produce; only heap sequence numbers shift.
     deliver_shifted = True
 
     def __init__(self, env: EventLoop, egress=None, name: str = "receiver",
@@ -865,9 +656,7 @@ class Receiver:
         self.flow_stats: Dict[int, FlowStats] = {}
         self.packets_received = 0
         self._next_expected: Dict[int, int] = {}
-        if fastpath.enabled():
-            self._ack_fwd: Optional[tuple] = None
-            self.receive = self._receive_fast
+        self._ack_fwd: Optional[tuple] = None
 
     def connect(self, egress) -> None:
         self.egress = egress
@@ -879,50 +668,14 @@ class Receiver:
         return self.flow_stats[flow_id]
 
     def receive(self, packet) -> None:
-        if isinstance(packet, Ack):
-            return
-        now = self.env.now
-        self.packets_received += 1
-        flow_id = packet.flow_id
-        self.stats_for(flow_id).record(packet, now)
+        self.receive_at(packet, self.env._now)
 
-        next_expected = self._next_expected
-        expected = next_expected.get(flow_id, 0)
-        if packet.seq >= expected:
-            expected = packet.seq + 1
-            next_expected[flow_id] = expected
+    def receive_at(self, packet, now: float) -> None:
+        """Record ``packet`` as arriving at ``now`` and return its ACK.
 
-        ecn = packet.ecn
-        ack = packet_pool.acquire_ack(
-            flow_id=flow_id,
-            seq=packet.seq,
-            size=self.ack_size,
-            accel=(ecn == ECN.ACCEL),
-            ece=(ecn == ECN.CE),
-            data_sent_time=packet.sent_time,
-            data_size=packet.size,
-            ack_sent_time=now,
-            cumulative_ack=next_expected[flow_id],
-            sent_time=now,
-            meta=dict(packet.meta),
-        )
-        # The data packet's life ends here: its fields are copied into the
-        # flow stats and the ACK above, so the object can be recycled.
-        packet_pool.release_packet(packet)
-        if self.egress is not None:
-            _forward(self.egress, ack)
-
-    # ------------------------------------------------------------ fast path
-    def _receive_fast(self, packet) -> None:
-        self._receive_fast_at(packet, self.env._now)
-
-    def _receive_fast_at(self, packet, now: float) -> None:
-        # `receive` with FlowStats.record inlined and the return ACK hop
-        # fused (the DelayHop bounce is replaced by scheduling its
-        # destination callback directly — same time, same event order).
-        # ``now`` is the packet's arrival time, which may lie ahead of the
-        # simulation clock when the demux invokes this synchronously at
-        # delivery time (see :attr:`deliver_shifted`).
+        ``now`` may lie ahead of the simulation clock when the demux invokes
+        this synchronously at delivery time (see :attr:`deliver_shifted`).
+        """
         if isinstance(packet, Ack):
             return
         self.packets_received += 1
@@ -932,6 +685,7 @@ class Receiver:
             stats = FlowStats(flow_id)
             self.flow_stats[flow_id] = stats
         size = packet.size
+        # FlowStats.record, inlined.
         stats.recv_times.append(now)
         stats.sent_times.append(packet.sent_time)
         stats.sizes.append(size)
@@ -978,11 +732,14 @@ class Receiver:
             ack = packet_pool.acquire_ack(
                 flow_id, seq, self.ack_size, ecn == ECN.ACCEL, ecn == ECN.CE,
                 packet.sent_time, size, now, expected, now, dict(packet.meta))
+        # The data packet's life ends here: its fields are copied into the
+        # flow stats and the ACK above, so the object can be recycled.
         packets = packet_pool._packets
         if len(packets) < packet_pool.max_size:
             packets.append(packet)
         fwd = self._ack_fwd
         if fwd is None:
+            # Fuse the return DelayHop the way Sender._resolve_forward does.
             egress = self.egress
             if type(egress) is DelayHop and egress.dst is not None:
                 fwd = (egress.delay, egress.dst.receive)
@@ -991,10 +748,10 @@ class Receiver:
             self._ack_fwd = fwd
         cb = fwd[1]
         if cb is not None:
-            # ``now + delay`` is the exact expression the classic path would
-            # evaluate at the arrival event (where ``env._now == now``), so
-            # the ACK lands at a bit-identical time even when this runs
-            # early, at delivery time.
+            # ``now + delay`` is the exact expression the hop would evaluate
+            # at the arrival event (where ``env._now == now``), so the ACK
+            # lands at a bit-identical time even when this runs early, at
+            # delivery time.
             self.env.post_at(now + fwd[0], cb, ack)
         elif self.egress is not None:
             _forward(self.egress, ack)

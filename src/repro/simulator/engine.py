@@ -28,13 +28,10 @@ Design notes
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heapify, heappop, heappush
 from itertools import count
 from time import perf_counter_ns
 from typing import Any, Callable, Optional
-
-from repro.simulator import sched
 
 #: Sentinel stored in an entry's callback slot once the event has fired (or
 #: the queue was cleared), distinguishing "already ran" from "cancelled"
@@ -87,20 +84,19 @@ class EventHandle:
 class DeadlineTimer:
     """A lazily re-armed one-shot timer for deadline-style timeouts (RTO).
 
-    The classic pattern — cancel the pending event and push a new one every
-    time the deadline moves — costs a heap push plus a lazy-cancelled entry
-    per move, which on an ACK-clocked sender means one per ACK.  This timer
-    stores the deadline in a plain attribute instead: moving the deadline
-    *later* is free, and the pending heap event simply re-schedules itself
-    at the current deadline when it fires early.  Only moving the deadline
-    *earlier* than the pending event (a shrinking RTO after an idle period)
-    touches the heap.
+    Cancelling the pending event and pushing a new one every time the
+    deadline moves costs a heap push plus a lazily cancelled entry per move,
+    which on an ACK-clocked sender means one per ACK.  This timer stores the
+    deadline in a plain attribute instead: moving the deadline *later* is
+    free, and the pending heap event simply re-schedules itself at the
+    current deadline when it fires early.  Only moving the deadline *earlier*
+    than the pending event (a shrinking RTO after an idle period) touches the
+    heap.
 
     ``expire()`` is invoked exactly when simulated time reaches the deadline,
-    at the same instant the classic cancel-and-repush pattern would have
-    fired.  The early no-op firings mutate no simulation state, so results
-    are unchanged; only the raw event sequence differs (see
-    ``repro.simulator.fastpath``).
+    the instant a cancel-and-repush timer would fire.  The early no-op
+    firings mutate no simulation state, so results are the same; only the raw
+    event sequence differs (extra ``DeadlineTimer._fire`` entries).
     """
 
     __slots__ = ("_loop", "_expire", "deadline", "_handle")
@@ -154,15 +150,6 @@ class EventLoop:
     2.0
     """
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> "EventLoop":
-        # Backend dispatch happens at construction time (mirroring how the
-        # batched-ACK knob is read once per Sender): ``EventLoop()`` yields a
-        # TimerWheelLoop when REPRO_SCHED=wheel.  Explicit subclasses (and
-        # TimerWheelLoop itself) construct exactly what was asked for.
-        if cls is EventLoop and sched.wheel_enabled():
-            return super().__new__(TimerWheelLoop)
-        return super().__new__(cls)
-
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[list] = []
@@ -210,16 +197,6 @@ class EventLoop:
     def compactions(self) -> int:
         """Times the heap has been compacted (introspection for tests)."""
         return self._compactions
-
-    @property
-    def rotations(self) -> int:
-        """Timer-wheel rotations (always 0 on the heap backend)."""
-        return 0
-
-    @property
-    def overflow_spills(self) -> int:
-        """Events spilled past the wheel horizon (0 on the heap backend)."""
-        return 0
 
     # ----------------------------------------------------------------- trace
     def set_trace_hook(
@@ -319,9 +296,10 @@ class EventLoop:
         self._running = True
         heap = self._heap
         limit = float("inf") if until is None else until
-        # Published so fast-path components that execute work synchronously
-        # (instead of via a heap entry) can honour the same cut-off the run
-        # loop applies: an event strictly beyond ``until`` never fires.
+        # Published so components that execute work synchronously instead of
+        # via a heap entry (FlowDemux's inline receiver delivery) can honour
+        # the same cut-off the run loop applies: an event strictly beyond
+        # ``until`` never fires.
         self._limit = limit
         processed = 0
         executed = 0
@@ -428,468 +406,4 @@ class EventLoop:
             if entry[2] is not None:
                 entry[2] = _FIRED
         self._heap.clear()
-        self._cancelled = 0
-
-
-class TimerWheelLoop(EventLoop):
-    """Calendar-queue (timer-wheel) scheduler backend (``REPRO_SCHED=wheel``).
-
-    Near-future events land in fixed-width time buckets — one ``list.append``
-    per schedule instead of an O(log n) heap sift — and each bucket is sorted
-    once when the wheel's cursor reaches it, so the dispatch order is exactly
-    the heap backend's (time, seq) order.  Events beyond the wheel horizon
-    spill into a heap-ordered overflow (reusing ``_heap``, so the lazy-cancel
-    accounting and the compaction introspection keep their meaning) and are
-    drained into buckets when the wheel rotates into their range.
-
-    The slot width is a power of two (2^-9 s ≈ 1.95 ms), which makes
-    ``time * inv_width`` an *exact* float scaling: the slot index is an exact
-    floor and the time-based horizon comparisons agree exactly with the
-    slot-based ones, so bucket placement can never disagree with dispatch
-    order.  Events whose slot the cursor has already entered (the clock sits
-    inside the slot being dispatched) are clamped into the cursor's bucket,
-    where the per-bucket sort restores (time, seq) order; such an event's
-    time is always >= ``now``, so it still fires in global order.
-    """
-
-    #: Bucket width in seconds — a power of two so slot arithmetic is exact.
-    SLOT_WIDTH = 2.0 ** -9
-    #: Number of wheel slots; horizon = SLOT_WIDTH * NUM_SLOTS = 8 s.
-    NUM_SLOTS = 4096
-
-    def __init__(self) -> None:
-        super().__init__()
-        n = self.NUM_SLOTS
-        self._width = self.SLOT_WIDTH
-        self._inv_width = 1.0 / self.SLOT_WIDTH
-        self._mask = n - 1
-        self._buckets: list[list] = [[] for _ in range(n)]
-        self._count = 0            # entries currently held in buckets
-        self._cursor = 0           # absolute slot the wheel is positioned at
-        self._horizon = n          # absolute slot where overflow begins
-        self._horizon_time = n * self.SLOT_WIDTH
-        self._active: Optional[list] = None  # bucket mid-dispatch, if any
-        self._compact_floor = 0
-        self._rotations = 0
-        self._overflow_spills = 0
-
-    # ------------------------------------------------------------ properties
-    @property
-    def pending(self) -> int:
-        return self._count + len(self._heap) - self._cancelled
-
-    @property
-    def rotations(self) -> int:
-        """Times the wheel advanced its horizon by a full rotation."""
-        return self._rotations
-
-    @property
-    def overflow_spills(self) -> int:
-        """Events scheduled beyond the horizon (pushed to the overflow)."""
-        return self._overflow_spills
-
-    # -------------------------------------------------------------- schedule
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        if delay != delay:
-            raise ValueError("event delay must not be NaN")
-        now = self._now
-        time = now + delay if delay > 0.0 else now
-        entry = [time, self._next_seq(), callback, args]
-        if time < self._horizon_time:
-            slot = int(time * self._inv_width)
-            cursor = self._cursor
-            if slot > cursor:
-                self._buckets[slot & self._mask].append(entry)
-            else:
-                bucket = self._buckets[cursor & self._mask]
-                if bucket is self._active:
-                    insort(bucket, entry)
-                else:
-                    bucket.append(entry)
-            self._count += 1
-        else:
-            heappush(self._heap, entry)
-            self._overflow_spills += 1
-        return EventHandle(entry, self)
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        if time != time:
-            raise ValueError("event time must not be NaN")
-        if time < self._now:
-            time = self._now
-        entry = [time, self._next_seq(), callback, args]
-        if time < self._horizon_time:
-            slot = int(time * self._inv_width)
-            cursor = self._cursor
-            if slot > cursor:
-                self._buckets[slot & self._mask].append(entry)
-            else:
-                bucket = self._buckets[cursor & self._mask]
-                if bucket is self._active:
-                    insort(bucket, entry)
-                else:
-                    bucket.append(entry)
-            self._count += 1
-        else:
-            heappush(self._heap, entry)
-            self._overflow_spills += 1
-        return EventHandle(entry, self)
-
-    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        if delay != delay:
-            raise ValueError("event delay must not be NaN")
-        now = self._now
-        time = now + delay if delay > 0.0 else now
-        entry = [time, self._next_seq(), callback, args]
-        if time < self._horizon_time:
-            slot = int(time * self._inv_width)
-            cursor = self._cursor
-            if slot > cursor:
-                self._buckets[slot & self._mask].append(entry)
-            else:
-                bucket = self._buckets[cursor & self._mask]
-                if bucket is self._active:
-                    insort(bucket, entry)
-                else:
-                    bucket.append(entry)
-            self._count += 1
-        else:
-            heappush(self._heap, entry)
-            self._overflow_spills += 1
-
-    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        if time != time:
-            raise ValueError("event time must not be NaN")
-        if time < self._now:
-            time = self._now
-        entry = [time, self._next_seq(), callback, args]
-        if time < self._horizon_time:
-            slot = int(time * self._inv_width)
-            cursor = self._cursor
-            if slot > cursor:
-                self._buckets[slot & self._mask].append(entry)
-            else:
-                bucket = self._buckets[cursor & self._mask]
-                if bucket is self._active:
-                    insort(bucket, entry)
-                else:
-                    bucket.append(entry)
-            self._count += 1
-        else:
-            heappush(self._heap, entry)
-            self._overflow_spills += 1
-
-    # ---------------------------------------------------------- compaction
-    def _maybe_compact(self) -> None:
-        """Sweep cancelled entries out of the overflow heap only.
-
-        Cancelled entries inside the wheel need no sweep: the cursor passes
-        every bucket within one horizon (8 s of simulated time), and the
-        dispatch loop drops dead entries as it trims each bucket, so their
-        memory is bounded and short-lived.  Only the overflow heap — where a
-        cancelled far-future timer could otherwise linger indefinitely — is
-        filtered.  Sweeping the 4096 buckets here would turn cancel-heavy
-        workloads (per-ACK RTO re-arming) into repeated O(NUM_SLOTS) scans.
-
-        ``_compact_floor`` remembers the bucket-resident cancelled entries a
-        sweep cannot touch, so they do not re-trigger a sweep on every
-        subsequent cancel; it decays as the dispatch loop reclaims them.
-        """
-        cancelled = self._cancelled
-        if cancelled < self._compact_floor:
-            self._compact_floor = cancelled
-        if (cancelled > self._compact_floor + _COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(self._heap) + self._count):
-            heap = [entry for entry in self._heap if entry[2] is not None]
-            removed = len(self._heap) - len(heap)
-            heapify(heap)
-            self._heap = heap
-            self._cancelled = cancelled - removed
-            self._compact_floor = self._cancelled
-            self._compactions += 1
-
-    # ----------------------------------------------------------------- drain
-    def _drain(self) -> None:
-        """Move overflow entries that are now inside the horizon into their
-        buckets (cancelled ones are dropped on the way)."""
-        heap = self._heap
-        if not heap:
-            return
-        horizon_time = self._horizon_time
-        if heap[0][0] >= horizon_time:
-            return
-        buckets = self._buckets
-        mask = self._mask
-        inv_width = self._inv_width
-        moved = 0
-        while heap and heap[0][0] < horizon_time:
-            entry = heappop(heap)
-            if entry[2] is None:
-                self._cancelled -= 1
-                continue
-            buckets[int(entry[0] * inv_width) & mask].append(entry)
-            moved += 1
-        self._count += moved
-
-    # ------------------------------------------------------------------- run
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        if self._trace_hook is not None:
-            return self._run_traced(until, max_events)
-        self._running = True
-        limit = float("inf") if until is None else until
-        self._limit = limit
-        mask = self._mask
-        n_slots = mask + 1
-        width = self._width
-        inv_width = self._inv_width
-        buckets = self._buckets
-        cursor = self._cursor
-        horizon = self._horizon
-        # Slots beyond this cannot hold an event at time <= limit, so the
-        # cursor never advances past it (bounds empty-slot scanning and keeps
-        # later schedules from clustering into one far-ahead bucket).
-        now = self._now
-        limit_slot = (1 << 62) if limit > 1e300 else int(limit * inv_width)
-        remaining = -1 if max_events is None else (max_events if max_events > 0 else 1)
-        executed = 0
-        try:
-            while True:
-                if self._count == 0:
-                    heap = self._heap
-                    while heap and heap[0][2] is None:
-                        heappop(heap)
-                        self._cancelled -= 1
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    t0 = entry[0]
-                    if t0 > limit:
-                        break
-                    if t0 > 1e300:
-                        # Astronomically far (or infinite) deadlines cannot
-                        # be indexed as wheel slots; with the buckets empty,
-                        # overflow pop order is the global (time, seq) order,
-                        # so dispatch straight off the heap.
-                        heappop(heap)
-                        callback = entry[2]
-                        entry[2] = _FIRED
-                        if t0 > now:
-                            now = t0
-                            self._now = t0
-                        callback(*entry[3])
-                        executed += 1
-                        if remaining > 0:
-                            remaining -= 1
-                            if remaining == 0:
-                                break
-                        continue
-                    # Fast-forward: jump the wheel to the overflow head and
-                    # refill the buckets from the overflow.
-                    cursor = int(t0 * inv_width)
-                    self._cursor = cursor
-                    horizon = cursor + n_slots
-                    self._horizon = horizon
-                    self._horizon_time = horizon * width
-                    self._rotations += 1
-                    self._drain()
-                    continue
-                bucket = buckets[cursor & mask]
-                if bucket:
-                    # Publish the cursor before callbacks run: schedule()
-                    # clamps already-entered slots against it.  Empty-slot
-                    # scanning skips this write (nothing can observe it).
-                    self._cursor = cursor
-                    if len(bucket) > 1:
-                        bucket.sort()
-                    self._active = bucket
-                    pos = 0
-                    n_entries = len(bucket)
-                    broke = False
-                    while pos < n_entries:
-                        entry = bucket[pos]
-                        time = entry[0]
-                        if time > limit:
-                            broke = True
-                            break
-                        pos += 1
-                        callback = entry[2]
-                        if callback is None:
-                            self._cancelled -= 1
-                            continue
-                        entry[2] = _FIRED
-                        if time > now:
-                            now = time
-                            self._now = time
-                        callback(*entry[3])
-                        # A callback may insort into this bucket (same-slot
-                        # schedule) or clear() it; re-read the length only
-                        # after callbacks — nothing else can change it.
-                        n_entries = len(bucket)
-                        executed += 1
-                        if remaining > 0:
-                            remaining -= 1
-                            if remaining == 0:
-                                broke = True
-                                break
-                    self._active = None
-                    if pos:
-                        del bucket[:pos]
-                        self._count -= pos
-                        if self._count < 0:
-                            # clear() ran inside a callback; every queue is
-                            # already empty, so just resync the count.
-                            self._count = 0
-                    if broke:
-                        break
-                cursor += 1
-                if cursor > limit_slot:
-                    break
-                if cursor == horizon:
-                    self._rotations += 1
-                    horizon = cursor + n_slots
-                    self._horizon = horizon
-                    self._horizon_time = horizon * width
-                    self._drain()
-        finally:
-            self._cursor = cursor
-            self._running = False
-            self._events_processed += executed
-        if until is not None and until > self._now:
-            self._now = until
-
-    def _run_traced(self, until: Optional[float] = None,
-                    max_events: Optional[int] = None) -> None:
-        """:meth:`run` with the trace hook active (verbatim copy plus the
-        per-event hook call, exactly like the heap backend's traced loop)."""
-        self._running = True
-        limit = float("inf") if until is None else until
-        self._limit = limit
-        hook = self._trace_hook
-        mask = self._mask
-        n_slots = mask + 1
-        width = self._width
-        inv_width = self._inv_width
-        buckets = self._buckets
-        cursor = self._cursor
-        horizon = self._horizon
-        now = self._now
-        limit_slot = (1 << 62) if limit > 1e300 else int(limit * inv_width)
-        remaining = -1 if max_events is None else (max_events if max_events > 0 else 1)
-        executed = 0
-        try:
-            while True:
-                if self._count == 0:
-                    heap = self._heap
-                    while heap and heap[0][2] is None:
-                        heappop(heap)
-                        self._cancelled -= 1
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    t0 = entry[0]
-                    if t0 > limit:
-                        break
-                    if t0 > 1e300:
-                        heappop(heap)
-                        callback = entry[2]
-                        entry[2] = _FIRED
-                        if t0 > now:
-                            now = t0
-                            self._now = t0
-                        w0 = perf_counter_ns()
-                        callback(*entry[3])
-                        hook(t0, callback, perf_counter_ns() - w0)
-                        executed += 1
-                        if remaining > 0:
-                            remaining -= 1
-                            if remaining == 0:
-                                break
-                        continue
-                    cursor = int(t0 * inv_width)
-                    self._cursor = cursor
-                    horizon = cursor + n_slots
-                    self._horizon = horizon
-                    self._horizon_time = horizon * width
-                    self._rotations += 1
-                    self._drain()
-                    continue
-                bucket = buckets[cursor & mask]
-                if bucket:
-                    self._cursor = cursor
-                    if len(bucket) > 1:
-                        bucket.sort()
-                    self._active = bucket
-                    pos = 0
-                    n_entries = len(bucket)
-                    broke = False
-                    while pos < n_entries:
-                        entry = bucket[pos]
-                        time = entry[0]
-                        if time > limit:
-                            broke = True
-                            break
-                        pos += 1
-                        callback = entry[2]
-                        if callback is None:
-                            self._cancelled -= 1
-                            continue
-                        entry[2] = _FIRED
-                        if time > now:
-                            now = time
-                            self._now = time
-                        w0 = perf_counter_ns()
-                        callback(*entry[3])
-                        hook(time, callback, perf_counter_ns() - w0)
-                        n_entries = len(bucket)
-                        executed += 1
-                        if remaining > 0:
-                            remaining -= 1
-                            if remaining == 0:
-                                broke = True
-                                break
-                    self._active = None
-                    if pos:
-                        del bucket[:pos]
-                        self._count -= pos
-                        if self._count < 0:
-                            self._count = 0
-                    if broke:
-                        break
-                cursor += 1
-                if cursor > limit_slot:
-                    break
-                if cursor == horizon:
-                    self._rotations += 1
-                    horizon = cursor + n_slots
-                    self._horizon = horizon
-                    self._horizon_time = horizon * width
-                    self._drain()
-        finally:
-            self._cursor = cursor
-            self._running = False
-            self._events_processed += executed
-        if until is not None and until > self._now:
-            self._now = until
-
-    def step(self) -> bool:
-        """Execute a single (non-cancelled) event via the wheel run loop."""
-        if self._count + len(self._heap) - self._cancelled == 0:
-            return False
-        before = self._events_processed
-        self.run(max_events=1)
-        return self._events_processed > before
-
-    def clear(self) -> None:
-        """Drop all pending events (the clock is left untouched)."""
-        for bucket in self._buckets:
-            if bucket:
-                for entry in bucket:
-                    if entry[2] is not None:
-                        entry[2] = _FIRED
-                bucket.clear()
-        for entry in self._heap:
-            if entry[2] is not None:
-                entry[2] = _FIRED
-        self._heap.clear()
-        self._count = 0
         self._cancelled = 0

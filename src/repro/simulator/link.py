@@ -13,6 +13,22 @@ capacity models cover every experiment in the paper:
 
 The WiFi MAC link lives in :mod:`repro.wifi.mac`; it subclasses :class:`Link`
 and adds A-MPDU batching and block ACKs.
+
+Optimisation changes vs the original per-packet path
+----------------------------------------------------
+Results are bit-identical to the original (``tests/test_path_golden.py``);
+heap sequence numbers are not:
+
+* **Handle-free posts.**  Transmissions, delivery opportunities and
+  deliveries are fire-and-forget, so they go through ``EventLoop.post`` /
+  ``post_at`` — the heap entry ``schedule`` would build, without the
+  ``EventHandle``.
+* **Inline delivery.**  With zero propagation delay and a downstream node
+  that declares itself ``deliver_inline``-safe (a ``FlowDemux``: it only
+  posts future events), :class:`RateLink` and :class:`OpportunityLink` call
+  it synchronously instead of bouncing through a zero-delay event.  Arrival
+  order at every stateful object is unchanged.  The Wi-Fi MAC keeps the
+  delivery event (:meth:`Link._deliver`).
 """
 
 from __future__ import annotations
@@ -21,7 +37,6 @@ import bisect
 import random
 from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
 
-from repro.simulator import fastpath
 from repro.simulator.engine import EventLoop
 from repro.simulator.packet import MTU, Packet
 from repro.simulator.qdisc import FifoQdisc, Qdisc
@@ -200,27 +215,11 @@ class Link:
         self.random_loss_packets = 0
         self.loss_rate = loss_rate
         self._loss_rng = random.Random(loss_seed)
-        # Hot-path scheduling: with the batched fast path on, transmissions
-        # and deliveries post handle-free events (identical heap entries —
-        # same times, same sequence numbers — minus the EventHandle
-        # allocation, which these fire-and-forget events never use), and
-        # ``send``/``receive`` collapse to one flattened entry point.
-        self._fastpath = fastpath.enabled()
-        if self._fastpath:
-            self._post = env.post
-            self._post_at = env.post_at
-            self.send = self._send_fast
-            self.receive = self._send_fast
-        else:
-            self._post = env.schedule
-            self._post_at = env.schedule_at
-        # Fast-path only: when the downstream node declares itself
-        # ``deliver_inline``-safe (it only *posts* future events, never
-        # mutates shared state — e.g. a FlowDemux) and there is no
-        # propagation delay to model, delivery invokes it synchronously
-        # instead of bouncing through a zero-delay event.  Arrival order at
-        # every stateful object is unchanged; only heap sequence numbers
-        # shift (same divergence class as the lazy RTO timer).
+        # When the downstream node declares itself ``deliver_inline``-safe
+        # (it only *posts* future events, never mutates shared state — e.g.
+        # a FlowDemux) and there is no propagation delay to model, delivery
+        # invokes it synchronously instead of bouncing through a zero-delay
+        # event (see connect()).
         self._rx_inline = None
         if dst is not None:
             self.connect(dst)
@@ -229,7 +228,7 @@ class Link:
     def connect(self, dst: Node) -> None:
         self.dst = dst
         self._rx_inline = (
-            dst.receive if (self._fastpath and self.prop_delay == 0.0
+            dst.receive if (self.prop_delay == 0.0
                             and getattr(dst, "deliver_inline", False))
             else None)
 
@@ -239,35 +238,12 @@ class Link:
     # ------------------------------------------------------------ data path
     def send(self, packet: Packet) -> None:
         """Called by the upstream node to hand a packet to this link."""
-        now = self.env.now
+        now = self.env._now
         self.arrived_packets += 1
         packet.hop_count += 1
         if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
             # Independent random loss (lossy-wireless model): the packet
             # vanishes before it ever reaches the queue.
-            self.random_loss_packets += 1
-            if self.monitor is not None:
-                self.monitor.record_drop(now, packet)
-            return
-        accepted = self.qdisc.enqueue(packet, now)
-        if not accepted:
-            self.dropped_packets += 1
-            if self.monitor is not None:
-                self.monitor.record_drop(now, packet)
-            return
-        self._on_enqueue(now)
-
-    # Links can be chained directly (link.dst = another link); the downstream
-    # link's ``receive`` is simply its ``send``.
-    def receive(self, packet: Packet) -> None:
-        self.send(packet)
-
-    def _send_fast(self, packet: Packet) -> None:
-        # ``send`` with the clock read flattened; shadows both spellings.
-        now = self.env._now
-        self.arrived_packets += 1
-        packet.hop_count += 1
-        if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
             self.random_loss_packets += 1
             if self.monitor is not None:
                 self.monitor.record_drop(now, packet)
@@ -279,20 +255,26 @@ class Link:
             if self.monitor is not None:
                 self.monitor.record_drop(now, packet)
 
+    # Links can be chained directly (link.dst = another link); the downstream
+    # link's ``receive`` is simply its ``send``.
+    receive = send
+
     def _on_enqueue(self, now: float) -> None:
         """Hook: subclasses kick their transmission machinery here."""
         raise NotImplementedError
 
     def _deliver(self, packet: Packet) -> None:
-        """Ship a dequeued packet to the downstream node after propagation."""
-        now = self.env.now
+        """Ship a dequeued packet to the downstream node through a delivery
+        event after the propagation delay (the Wi-Fi MAC's delivery;
+        :class:`RateLink` and :class:`OpportunityLink` inline their own)."""
+        now = self.env._now
         self.delivered_bytes += packet.size
         self.delivered_packets += 1
         if self.monitor is not None:
             self.monitor.record_departure(now, packet)
         dst = self.dst
         if dst is not None:
-            self._post(self.prop_delay, dst.receive, packet)
+            self.env.post(self.prop_delay, dst.receive, packet)
 
     @property
     def packets_in_transmission(self) -> int:
@@ -340,8 +322,6 @@ class RateLink(Link):
                          dst=dst, loss_rate=loss_rate, loss_seed=loss_seed)
         self.capacity = capacity
         self._busy = False
-        if self._fastpath:
-            self._finish_transmission = self._finish_transmission_fast
 
     @property
     def packets_in_transmission(self) -> int:
@@ -352,23 +332,18 @@ class RateLink(Link):
             self._start_transmission()
 
     def _start_transmission(self) -> None:
-        now = self.env.now
+        now = self.env._now
         packet = self.qdisc.dequeue(now)
         if packet is None:
             self._busy = False
             return
         self._busy = True
-        rate = self.capacity.rate_at(now)
-        tx_time = packet.size * 8.0 / rate
-        self._post(tx_time, self._finish_transmission, packet)
+        self.env.post(packet.size * 8.0 / self.capacity.rate_at(now),
+                      self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
-        self._deliver(packet)
-        self._start_transmission()
-
-    def _finish_transmission_fast(self, packet: Packet) -> None:
-        # _deliver + _start_transmission fused: same statements, same order,
-        # minus the call frames and the monitor/clock indirections.
+        # Delivery (inline to a deliver_inline-safe neighbour) and the next
+        # transmission start in one frame.
         env = self.env
         now = env._now
         size = packet.size
@@ -429,8 +404,6 @@ class OpportunityLink(Link):
         self._next_index = 0
         self._cycle = 0
         self._started = False
-        if self._fastpath:
-            self._fire_opportunity = self._fire_opportunity_fast
 
     # ------------------------------------------------------------ trace math
     def _opportunity_time(self, index: int) -> float:
@@ -458,36 +431,21 @@ class OpportunityLink(Link):
         self._schedule_next_opportunity()
 
     def _schedule_next_opportunity(self) -> None:
-        when = self._opportunity_time(self._next_index)
-        self._post_at(when, self._fire_opportunity, self._next_index)
-        self._next_index += 1
+        index = self._next_index
+        self.env.post_at(self._opportunity_time(index),
+                         self._fire_opportunity, index)
+        self._next_index = index + 1
 
     def _fire_opportunity(self, index: int) -> None:
-        now = self.env.now
-        budget = self.bytes_per_opportunity
-        while budget > 0:
-            head = self.qdisc.peek()
-            if head is None or head.size > budget:
-                break
-            packet = self.qdisc.dequeue(now)
-            if packet is None:
-                break
-            budget -= packet.size
-            self._deliver(packet)
-        if self.monitor is not None:
-            self.monitor.record_opportunity(now, self.bytes_per_opportunity)
-        self._schedule_next_opportunity()
-
-    def _fire_opportunity_fast(self, index: int) -> None:
-        # _fire_opportunity with peek, _deliver and the next-opportunity
-        # scheduling flattened (same statements in the same order).
+        # Drain up to one opportunity's bytes, delivering each packet inline
+        # (see _finish_transmission), then post the next opportunity.
         env = self.env
         now = env._now
         budget = self.bytes_per_opportunity
         qdisc = self.qdisc
         peek = qdisc.peek
-        monitor = self.monitor
         dequeue = qdisc.dequeue
+        monitor = self.monitor
         prop_delay = self.prop_delay
         rx = self._rx_inline
         dst = self.dst

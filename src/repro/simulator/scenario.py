@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.cc.base import CongestionControl
 from repro.cellular.trace import CellularTrace
 from repro.obs import metrics as obs_metrics
-from repro.simulator import fastpath
 from repro.simulator.endpoints import DelayHop, Receiver, Sender
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import (CapacityModel, ConstantRate, Link,
@@ -37,9 +36,7 @@ from repro.simulator.traffic import TrafficSource
 class FlowDemux:
     """Routes packets leaving a shared link to the flow's next hop.
 
-    With the batched fast path on (``REPRO_BATCH_ACKS=1``, see
-    :mod:`repro.simulator.fastpath`) and an event loop to schedule on, routes
-    whose next hop is a :class:`DelayHop` are precompiled to
+    Routes whose next hop is a :class:`DelayHop` are precompiled to
     ``(delay, destination_callback, shifted)`` triples so a routed packet
     costs one dict lookup and one ``post`` call instead of a hop bounce
     through the event loop.  When the destination declares itself
@@ -47,64 +44,60 @@ class FlowDemux:
     — a per-flow leaf whose state nothing else observes mid-run), the post
     is elided entirely: the destination runs synchronously with the computed
     arrival time ``now + delay``, unless that time lies beyond the run
-    horizon (the classic path would leave such an arrival event unfired).
-    Scheduled times and per-object arrival orders are identical to the
-    classic path's; only heap sequence numbers shift.
+    horizon ``env._limit`` (an arrival event there would never fire, so one
+    is parked in the heap instead).  Scheduled times and per-object arrival
+    orders are those of the hop-by-hop events; only heap sequence numbers
+    shift.  Any other route (or a demux built without an event loop) takes
+    the generic hop dispatch.
     """
 
     #: A demux only *posts* future events when handed a packet — it never
     #: mutates queue or flow state — so a link may invoke it synchronously
-    #: at delivery time instead of bouncing through a zero-delay event (the
-    #: fast path's links check this marker; arrival order at every stateful
-    #: object is unchanged, only heap sequence numbers shift).
+    #: at delivery time instead of bouncing through a zero-delay event
+    #: (arrival order at every stateful object is unchanged, only heap
+    #: sequence numbers shift).
     deliver_inline = True
 
     def __init__(self, name: str = "demux", env=None):
         self.name = name
         self.routes: Dict[int, object] = {}
         self.default_route: Optional[object] = None
-        self._fast: Dict[int, tuple] = {}
-        if env is not None and fastpath.enabled():
-            self._env = env
-            self.receive = self._receive_fast
+        self._env = env
+        self._fused: Dict[int, tuple] = {}
 
     def set_route(self, flow_id: int, next_hop) -> None:
         self.routes[flow_id] = next_hop
-        if type(next_hop) is DelayHop and next_hop.dst is not None:
+        if (self._env is not None and type(next_hop) is DelayHop
+                and next_hop.dst is not None):
             dst = next_hop.dst
             if getattr(dst, "deliver_shifted", False):
-                self._fast[flow_id] = (next_hop.delay,
-                                       dst._receive_fast_at, True)
+                self._fused[flow_id] = (next_hop.delay, dst.receive_at, True)
             else:
-                self._fast[flow_id] = (next_hop.delay, dst.receive, False)
+                self._fused[flow_id] = (next_hop.delay, dst.receive, False)
         else:
-            self._fast.pop(flow_id, None)
+            self._fused.pop(flow_id, None)
 
     def receive(self, packet) -> None:
-        hop = self.routes.get(packet.flow_id, self.default_route)
-        if hop is None:
-            return
-        if hasattr(hop, "send"):
-            hop.send(packet)
-        else:
-            hop.receive(packet)
-
-    def _receive_fast(self, packet) -> None:
-        fast = self._fast.get(packet.flow_id)
-        if fast is None:
-            FlowDemux.receive(self, packet)
+        fused = self._fused.get(packet.flow_id)
+        if fused is None:
+            hop = self.routes.get(packet.flow_id, self.default_route)
+            if hop is None:
+                return
+            if hasattr(hop, "send"):
+                hop.send(packet)
+            else:
+                hop.receive(packet)
             return
         env = self._env
-        if fast[2]:
-            when = env._now + fast[0]
+        delay, callback, shifted = fused
+        if shifted:
+            when = env._now + delay
             if when <= env._limit:
-                fast[1](packet, when)
+                callback(packet, when)
             else:
-                # The classic arrival event would sit in the heap beyond the
-                # run horizon and never fire; park it there the same way.
-                env.post(fast[0], fast[1], packet, when)
+                env.post(delay, callback, packet, when)
         else:
-            env.post(fast[0], fast[1], packet)
+            env.post(delay, callback, packet)
 
 
 @dataclass

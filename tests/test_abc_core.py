@@ -233,6 +233,41 @@ def test_router_sojourn_delay_mode():
     assert router.queuing_delay_estimate(0.5, 10e6) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("feedback_basis", ["dequeue", "enqueue"])
+@pytest.mark.parametrize("delay_mode", ["standing", "sojourn"])
+def test_dequeue_matches_the_documented_control_law(delay_mode, feedback_basis):
+    """``dequeue`` evaluates Eq. 1/2 inline; ``target_rate`` /
+    ``accel_fraction`` are the documented form.  After every dequeue the two
+    must agree exactly on the same router state, so the inlined arithmetic
+    cannot drift from the equations."""
+    from repro.simulator.engine import EventLoop
+    from repro.simulator.link import RateLink, SquareWaveRate
+
+    router = ABCRouterQdisc(delay_mode=delay_mode,
+                            feedback_basis=feedback_basis, buffer_packets=400)
+    # Attached to a stock link, so the per-timestamp capacity memo is live.
+    RateLink(EventLoop(), SquareWaveRate(4e6, 16e6, half_period=0.05),
+             qdisc=router)
+    seq = 0
+    checked = 0
+    for step in range(600):
+        now = step * 0.0007
+        for _ in range(1 + (step * 7) % 4):          # bursty arrivals
+            router.enqueue(Packet(flow_id=0, seq=seq, ecn=ECN.ACCEL), now)
+            seq += 1
+        for _ in range(1 + step % 3):                # same-timestamp dequeues
+            if router.dequeue(now) is None:
+                break
+            inline = (router.last_target_rate, router.last_fraction,
+                      router.last_capacity, router.last_queuing_delay)
+            assert router.accel_fraction(now) == inline[1]
+            assert router.target_rate(now) == inline[0]
+            assert (router.last_capacity, router.last_queuing_delay) == inline[2:]
+            checked += 1
+    assert checked > 600
+    assert 0 < router.brake_marked and 0 < router.accel_marked
+
+
 # ------------------------------------------------------------ sender window law
 def test_sender_accelerate_adds_one_plus_ai():
     cc = ABCWindowControl(initial_cwnd=10.0, dual_window=False)

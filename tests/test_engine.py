@@ -152,6 +152,47 @@ def test_clear_drops_pending_events():
     assert fired == []
 
 
+def test_clear_inside_callback():
+    loop = EventLoop()
+    fired = []
+    loop.schedule(0.1, fired.append, "first")
+    loop.schedule(0.1, loop.clear)            # wipes the rest mid-dispatch
+    loop.schedule(0.1, fired.append, "gone")
+    loop.schedule(5.0, fired.append, "gone-too")
+    loop.run()
+    assert fired == ["first"]
+    assert loop.pending == 0
+    # The loop is reusable after an in-callback clear.
+    loop.schedule(0.05, fired.append, "again")
+    loop.run()
+    assert fired == ["first", "again"]
+
+
+def test_step_and_max_events_interleave():
+    loop = EventLoop()
+    fired = []
+    for i in range(4):
+        loop.schedule(0.1 * (i + 1), fired.append, i)
+    assert loop.step() is True
+    assert fired == [0]
+    loop.run(max_events=2)
+    assert fired == [0, 1, 2]
+    loop.run()
+    assert fired == [0, 1, 2, 3]
+    assert loop.step() is False
+
+
+def test_schedule_after_run_until_is_relative_to_advanced_clock():
+    loop = EventLoop()
+    loop.run(until=3.25)                         # no events: clock still moves
+    fired = []
+    loop.schedule(10.0, fired.append, "later")   # relative to now=3.25
+    loop.run(until=5.0)
+    assert fired == [] and loop.now == 5.0 and loop.pending == 1
+    loop.run()
+    assert fired == ["later"] and loop.now == 13.25
+
+
 def test_callback_args_are_passed():
     loop = EventLoop()
     received = []

@@ -1,20 +1,19 @@
 """Golden per-event determinism trace for the engine hot path.
 
-The hot-path optimisations (tuple-based heap entries, lazy cancellation with
-compaction, slotted packets, flat-array monitors, the timer-wheel scheduler
-backend) are only admissible if they leave the simulation's event sequence
-untouched.  This test replays a small but representative scenario — two flows
-(ABC + Cubic) over a trace-driven cellular bottleneck, exercising opportunity
-firing, ACK clocking, RTO arm/cancel churn and queue sampling — while
-recording every fired event as ``(repr(now), callback qualname)`` through the
-engine's trace hook, and compares the sequence against a golden trace
-captured from the seed (pre-optimisation) engine.
+Engine-level optimisations (list-based heap entries, lazy cancellation with
+compaction, slotted packets, flat-array monitors) are only admissible if they
+leave the simulation's event sequence untouched.  This test replays a small
+but representative scenario — two flows (ABC + Cubic) over a trace-driven
+cellular bottleneck, exercising opportunity firing, ACK clocking, lazy RTO
+re-arming and queue sampling — while recording every fired event as
+``(repr(now), callback qualname)`` through the engine's trace hook, and
+compares the sequence against a committed golden trace.
 
-Both scheduler backends (``REPRO_SCHED=heap|wheel``) are pinned against the
-*same* golden file: the wheel's contract is a bit-for-bit identical event
-sequence, so any divergence — an event firing at a different time, in a
-different order, or a different number of events — fails loudly.  Regenerate
-the golden file only for an *intentional* semantic change::
+Any divergence — an event firing at a different time, in a different order,
+or a different number of events — fails loudly.  Result-level equivalence
+with the original per-ACK implementation is pinned separately by
+``tests/test_path_golden.py``.  Regenerate the golden file only for an
+*intentional* change to the event sequence::
 
     PYTHONPATH=src python tests/test_engine_golden_trace.py --regenerate
 """
@@ -25,14 +24,10 @@ import hashlib
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.cc import make_cc
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.core.params import ABCParams
 from repro.core.router import ABCRouterQdisc
-from repro.simulator import fastpath, sched
-from repro.simulator.engine import EventLoop, TimerWheelLoop
 from repro.simulator.scenario import Scenario
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_event_trace.json"
@@ -41,21 +36,12 @@ DURATION = 3.0
 TRACE_SEED = 11
 
 
-def run_traced_scenario(backend: str | None = None,
-                        batched: bool = False) -> list:
+def run_traced_scenario() -> list:
     """Run the canonical golden scenario and return the event log.
 
-    Recording goes through :meth:`EventLoop.set_trace_hook`, which works
-    identically on both scheduler backends: the hook receives each entry's
-    scheduled time (equal to ``now`` at dispatch) and the raw callback, so
-    the log is exactly the ``(repr(now), qualname)`` sequence the seed
-    recorder produced.
-
-    The golden digest is pinned on the classic (per-ACK) path: the batched
-    fast path guarantees bit-identical *results*, not an identical event
-    trace (its lazy RTO timer fires occasional no-op events and its fused
-    hops change callback names) — ``batched=True`` is used only for the
-    backend-equivalence comparison below.
+    The trace hook receives each entry's scheduled time (equal to ``now`` at
+    dispatch) and the raw callback, so the log is the ``(repr(now),
+    qualname)`` sequence of every fired event.
     """
     log: list = []
 
@@ -65,20 +51,16 @@ def run_traced_scenario(backend: str | None = None,
                             getattr(callback, "__name__", str(callback)))))
 
     trace = lte_showcase_trace(duration=DURATION, seed=TRACE_SEED)
-    with fastpath.override(batched), sched.override(backend):
-        scenario = Scenario()
-        scenario.env.set_trace_hook(hook)
-        params = ABCParams()
-        link = scenario.add_cellular_link(
-            trace, qdisc=ABCRouterQdisc(params=params, buffer_packets=100),
-            name="cell")
-        scenario.add_flow(make_cc("abc", params=params), [link], rtt=0.08,
-                          label="abc")
-        scenario.add_flow(make_cc("cubic"), [link], rtt=0.08, label="cubic")
-        if backend is not None:
-            expected = TimerWheelLoop if backend == "wheel" else EventLoop
-            assert type(scenario.env) is expected
-        scenario.run(DURATION)
+    scenario = Scenario()
+    scenario.env.set_trace_hook(hook)
+    params = ABCParams()
+    link = scenario.add_cellular_link(
+        trace, qdisc=ABCRouterQdisc(params=params, buffer_packets=100),
+        name="cell")
+    scenario.add_flow(make_cc("abc", params=params), [link], rtt=0.08,
+                      label="abc")
+    scenario.add_flow(make_cc("cubic"), [link], rtt=0.08, label="cubic")
+    scenario.run(DURATION)
     log.append(("final_now", repr(scenario.env.now)))
     log.append(("events_processed", str(scenario.env.events_processed)))
     return log
@@ -89,10 +71,9 @@ def _digest(log: list) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("backend", sched.BACKENDS)
-def test_event_sequence_matches_seed_engine(backend):
+def test_event_sequence_matches_golden():
     golden = json.loads(GOLDEN_PATH.read_text())
-    log = run_traced_scenario(backend)
+    log = run_traced_scenario()
     # Head/tail first: a readable diff when something diverges.
     head = [list(entry) for entry in log[:len(golden["head"])]]
     tail = [list(entry) for entry in log[-len(golden["tail"]):]]
@@ -101,15 +82,6 @@ def test_event_sequence_matches_seed_engine(backend):
     assert len(log) == golden["n_entries"]
     # Then the full sequence, compressed to a digest.
     assert _digest(log) == golden["sha256"]
-
-
-def test_wheel_trace_matches_heap_under_batched_acks():
-    """The backends must agree event for event in the batched-ACK mode too
-    (that trace differs from the golden classic one, so it is compared
-    heap-vs-wheel directly)."""
-    heap_log = run_traced_scenario("heap", batched=True)
-    wheel_log = run_traced_scenario("wheel", batched=True)
-    assert heap_log == wheel_log
 
 
 def _regenerate() -> None:

@@ -8,12 +8,7 @@ square-wave sectors) at seed 0.  The same golden values must come back from
 
 * serial in-process execution,
 * a 2-worker process pool (determinism across process boundaries), and
-* a cache replay (determinism of the content-addressed result cache),
-
-each under **both scheduler backends** (``REPRO_SCHED=heap|wheel`` — the
-wheel's bit-for-bit contract), and, by the batched-ACK contract
-(``tests/test_batched_ack.py``), from both ACK paths — CI runs this file
-with ``REPRO_BATCH_ACKS`` both unset and set.
+* a cache replay (determinism of the content-addressed result cache).
 
 Regenerate only for an *intentional* change to the metro workload or the
 simulation semantics::
@@ -26,18 +21,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.metro import aggregate_city, metro_pack
 from repro.runtime import SweepExecutor
-from repro.simulator import sched
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_metro_city.json"
 
 CITY = dict(n_cells=4, duration=3.0, trace_seed=2, seeds=(0,),
             arrival_rate=1.5)
-
-BACKENDS = sched.BACKENDS
 
 
 def run_city(executor: SweepExecutor) -> dict:
@@ -56,30 +46,21 @@ def _roundtrip(payload: dict) -> dict:
     return json.loads(json.dumps(payload))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_serial_matches_golden(backend):
-    with sched.override(backend):
-        payload = run_city(SweepExecutor(jobs=1))
-    assert _roundtrip(payload) == _golden()
+def test_serial_matches_golden():
+    assert _roundtrip(run_city(SweepExecutor(jobs=1))) == _golden()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parallel_matches_golden(backend, monkeypatch):
-    # Pool workers are spawned per run() and inherit the environment, so the
-    # knob must travel via the env var rather than the in-process override.
-    monkeypatch.setenv(sched.ENV_KNOB, backend)
+def test_parallel_matches_golden():
     assert _roundtrip(run_city(SweepExecutor(jobs=2))) == _golden()
 
 
 CITY_CELL_NAMES = tuple(f"cell-{i:03d}" for i in range(CITY["n_cells"]))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cache_replay_matches_golden(tmp_path, backend):
-    with sched.override(backend):
-        executor = SweepExecutor(jobs=1, cache_dir=tmp_path / "cache")
-        assert _roundtrip(run_city(executor)) == _golden()    # populate
-        assert _roundtrip(run_city(executor)) == _golden()    # replay
+def test_cache_replay_matches_golden(tmp_path):
+    executor = SweepExecutor(jobs=1, cache_dir=tmp_path / "cache")
+    assert _roundtrip(run_city(executor)) == _golden()    # populate
+    assert _roundtrip(run_city(executor)) == _golden()    # replay
     assert executor.last_stats.cache_hits == len(CITY_CELL_NAMES), (
         "the replay run was expected to come entirely from the cache")
 

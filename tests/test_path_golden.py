@@ -1,0 +1,287 @@
+"""Golden result digests for the simulator's per-packet path.
+
+The sender's ACK handler and pacing tick, the lazy RTO timer, the links'
+handle-free transmissions, the demux's inline receiver delivery and the ABC
+router's flattened enqueue/dequeue are written as straight-line code for
+speed.  What makes that admissible is that every *result* a simulation
+reports — each per-packet timestamp, delay, drop count and completion time —
+is bit-identical to what the original call-per-step implementation (one heap
+cancel + push per RTO re-arm, a hop-bounce event per forward, per-ACK send
+loops) produced.  This suite pins that: each scenario below is reduced to a
+sha256 over its full summary (per-packet float lists included, no
+tolerances) and compared with ``tests/data/golden_path_results.json``, which
+was generated *from that original implementation* just before it was deleted
+(the commit is named in the file's ``description``).
+
+Scenarios: every paper scheme end to end on a cellular trace; an outage
+trace that forces RTO expiry and recovery; the golden-event-trace scenario;
+metro cells (trace-driven, square-wave, fixed-rate; churn on, mixed schemes);
+pacing schemes on a trace, under CoDel/PIE, with random loss, sharing a
+bottleneck with a window scheme, and as finite flows.
+
+Regenerate only for an *intentional* change to simulation semantics::
+
+    PYTHONPATH=src python tests/test_path_golden.py --regenerate
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.aqm import CoDelQdisc, PIEQdisc
+from repro.cc import make_cc
+from repro.cellular.synthetic import lte_showcase_trace
+from repro.core.params import ABCParams
+from repro.core.router import ABCRouterQdisc
+from repro.experiments.runner import run_single_bottleneck
+from repro.metro.cell import metro_cell
+from repro.simulator.endpoints import IDLE_PACING_POLL
+from repro.simulator.scenario import Scenario
+from repro.simulator.traffic import FixedSizeSource
+
+from test_engine_golden_trace import DURATION, TRACE_SEED
+from test_scheme_golden import GOLDEN_WIRING
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_path_results.json"
+
+PACED_SCHEMES = ("bbr", "pcc")
+
+
+def flow_summary(flow) -> dict:
+    """Everything a flow reports, including full per-packet float lists."""
+    stats = flow.stats
+    sender = flow.sender
+    return {
+        "bytes_received": stats.bytes_received,
+        "recv_times": list(stats.recv_times),
+        "sent_times": list(stats.sent_times),
+        "sizes": list(stats.sizes),
+        "queuing_delays": list(stats.queuing_delays),
+        "first_recv_time": stats.first_recv_time,
+        "last_recv_time": stats.last_recv_time,
+        "packets_sent": sender.packets_sent,
+        "retransmissions": sender.retransmissions,
+        "timeouts": sender.timeouts,
+        "acks_received": sender.acks_received,
+        "bytes_acked": sender.bytes_acked,
+        "completion_time": sender.completion_time,
+    }
+
+
+def scenario_summary(scenario, links) -> dict:
+    return {
+        "flows": [flow_summary(flow) for flow in scenario.flows],
+        "drops": [link.dropped_packets for link in links],
+        "delivered": [link.delivered_packets for link in links],
+        "final_now": scenario.env.now,
+    }
+
+
+# ------------------------------------------------------------------ builders
+def _scheme_on_trace(scheme):
+    def run():
+        result = run_single_bottleneck(
+            scheme, lte_showcase_trace(duration=2.5, seed=7),
+            rtt=0.08, duration=2.5, buffer_packets=150)
+        # ``extra`` holds live simulation objects; the flow's full per-packet
+        # record is captured through flow_summary instead.
+        summary = {key: value
+                   for key, value in dataclasses.asdict(result).items()
+                   if key != "extra"}
+        flow = result.extra.get("flow")
+        if flow is not None:
+            summary["flow"] = flow_summary(flow)
+        return summary
+    return run
+
+
+def _outage(scheme):
+    # A 1.2 s hole in the opportunity schedule: ACK clocking stalls, the RTO
+    # fires and recovery retransmits — where a lazily re-armed deadline timer
+    # and a cancel-and-repush one have the most room to disagree.
+    times = ([i * 0.004 for i in range(200)]            # 0.0 - 0.8 s
+             + [2.0 + i * 0.004 for i in range(500)])   # 2.0 - 4.0 s
+
+    def run():
+        scenario = Scenario()
+        link = scenario.add_cellular_link(list(times), name="outage-cell")
+        scenario.add_flow(make_cc(scheme), [link], rtt=0.06, label=scheme)
+        scenario.run(4.0)
+        summary = scenario_summary(scenario, [link])
+        assert summary["flows"][0]["timeouts"] >= 1, (
+            "outage scenario no longer triggers an RTO")
+        return summary
+    return run
+
+
+def _golden_trace_scenario():
+    params = ABCParams()
+    scenario = Scenario()
+    link = scenario.add_cellular_link(
+        lte_showcase_trace(duration=DURATION, seed=TRACE_SEED),
+        qdisc=ABCRouterQdisc(params=params, buffer_packets=100), name="cell")
+    scenario.add_flow(make_cc("abc", params=params), [link], rtt=0.08,
+                      label="abc")
+    scenario.add_flow(make_cc("cubic"), [link], rtt=0.08, label="cubic")
+    scenario.run(DURATION)
+    return scenario_summary(scenario, [link])
+
+
+def _metro(label, link_spec, mix="abc:0.6,cubic:0.3,bbr:0.1", seed=3):
+    def run():
+        result = metro_cell(mix=mix, cell=f"diff-{label}",
+                            link_spec=link_spec, seed=seed, duration=4.0,
+                            arrival_rate=2.0)
+        assert result["offered_flows"] > 2, "churn arrivals disappeared"
+        return result
+    return run
+
+
+def _single_flow(scheme, add_link, rtt, guard=None):
+    def run():
+        scenario = Scenario()
+        link = add_link(scenario)
+        scenario.add_flow(make_cc(scheme), [link], rtt=rtt, label=scheme)
+        scenario.run(3.0)
+        summary = scenario_summary(scenario, [link])
+        if guard is not None:
+            assert summary["flows"][0][guard] > 0, (
+                f"{scheme}: scenario no longer exercises {guard}")
+        return summary
+    return run
+
+
+def _mixed_bottleneck():
+    # BBR + PCC + Cubic on one queue: paced and ACK-clocked senders
+    # interleave on the same demux and qdisc.
+    scenario = Scenario()
+    link = scenario.add_cellular_link(
+        lte_showcase_trace(duration=3.0, seed=13), name="shared")
+    for scheme in ("bbr", "pcc", "cubic"):
+        scenario.add_flow(make_cc(scheme), [link], rtt=0.08, label=scheme)
+    scenario.run(3.0)
+    return scenario_summary(scenario, [link])
+
+
+def _churn_scenario():
+    scenario = Scenario()
+    link = scenario.add_rate_link(12e6, name="bottleneck")
+    for i, size in enumerate((40_000, 200_000, 1_000_000)):
+        scenario.add_flow(make_cc("bbr"), [link], rtt=0.05,
+                          start_time=0.1 * i, source=FixedSizeSource(size),
+                          label=f"churn-{i}")
+    scenario.add_flow(make_cc("pcc"), [link], rtt=0.05,
+                      source=FixedSizeSource(300_000), label="churn-pcc")
+    scenario.run(6.0)
+    return scenario, link
+
+
+def _finite_paced_flows():
+    scenario, link = _churn_scenario()
+    summary = scenario_summary(scenario, [link])
+    assert all(f["completion_time"] is not None for f in summary["flows"]), (
+        "every finite flow was expected to finish within the horizon")
+    return summary
+
+
+def _cases() -> dict:
+    cases = {f"scheme-{s}": _scheme_on_trace(s) for s in sorted(GOLDEN_WIRING)}
+    cases.update({f"outage-{s}": _outage(s) for s in ("abc", "cubic", "bbr")})
+    cases["golden-trace-scenario"] = _golden_trace_scenario
+    cases["metro-square-wave"] = _metro("square", ("square", 10e6, 24e6, 0.5))
+    cases["metro-fixed-rate"] = _metro("rate", 30e6)
+    cases["metro-trace"] = _metro(
+        "trace", lte_showcase_trace(duration=4.0, seed=5),
+        mix="abc:0.5,cubic:0.2,bbr:0.1,pcc:0.1,sprout:0.1", seed=1)
+    for scheme in PACED_SCHEMES:
+        cases[f"paced-{scheme}-trace"] = _single_flow(
+            scheme, lambda s: s.add_cellular_link(
+                lte_showcase_trace(duration=3.0, seed=9), name="cell"),
+            rtt=0.08, guard="packets_sent")
+        cases[f"paced-{scheme}-codel"] = _single_flow(
+            scheme, lambda s: s.add_rate_link(
+                8e6, qdisc=CoDelQdisc(buffer_packets=60), name="aqm"),
+            rtt=0.06)
+        cases[f"paced-{scheme}-pie"] = _single_flow(
+            scheme, lambda s: s.add_rate_link(
+                8e6, qdisc=PIEQdisc(buffer_packets=60), name="aqm"),
+            rtt=0.06)
+        cases[f"paced-{scheme}-random-loss"] = _single_flow(
+            scheme, lambda s: s.add_rate_link(
+                10e6, loss_rate=0.02, loss_seed=4, name="lossy"),
+            rtt=0.05, guard="retransmissions")
+    cases["paced-mixed-bottleneck"] = _mixed_bottleneck
+    cases["paced-finite-flows"] = _finite_paced_flows
+    return cases
+
+
+CASES = _cases()
+
+
+def _digest(summary) -> str:
+    # json.dumps writes floats with repr(), which round-trips IEEE doubles
+    # exactly, so equal digests mean bit-identical results.
+    return hashlib.sha256(
+        json.dumps(summary, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_results_match_original_path(case):
+    golden = json.loads(GOLDEN_PATH.read_text())["digests"]
+    assert set(golden) == set(CASES)
+    assert _digest(CASES[case]()) == golden[case]
+
+
+# ------------------------------------------------------ pacing-loop behaviour
+def test_pace_tick_chain_halts_after_completion():
+    """The pacing loop stops re-posting ticks once a finite flow completes
+    (a completed flow's ticks are pure no-ops) and counts the halt."""
+    scenario, _link = _churn_scenario()
+    for flow in scenario.flows:
+        sender = flow.sender
+        assert sender.pace_ticks > 0
+        assert sender.pace_halts == 1
+        assert sender.completion_time is not None
+    # The 40 kB flow finishes in well under a second; had its tick chain
+    # kept idle-polling it would approach a full horizon of ticks.
+    small = scenario.flows[0].sender
+    assert small.pace_ticks < 0.5 * (6.0 / IDLE_PACING_POLL)
+
+
+def test_ack_clocked_senders_report_zero_pace_counters():
+    scenario = Scenario()
+    link = scenario.add_rate_link(12e6, name="bottleneck")
+    flow = scenario.add_flow(make_cc("cubic"), [link], rtt=0.05)
+    scenario.run(1.0)
+    assert flow.sender.packets_sent > 0
+    assert flow.sender.pace_ticks == 0
+    assert flow.sender.pace_halts == 0
+
+
+def _regenerate(commit: str) -> None:
+    digests = {case: _digest(CASES[case]()) for case in sorted(CASES)}
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps({
+        "description": "sha256 of each scenario's full result summary "
+                       "(json.dumps, sort_keys); regenerate only for "
+                       "intentional semantics changes",
+        "generated_at_commit": commit,
+        "digests": digests,
+    }, indent=1) + "\n")
+    print(f"wrote {GOLDEN_PATH} ({len(digests)} digests)")
+
+
+if __name__ == "__main__":
+    import subprocess
+    import sys
+    if "--regenerate" in sys.argv:
+        _regenerate(subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], capture_output=True,
+            text=True, cwd=Path(__file__).parent).stdout.strip() or "unknown")
+    else:
+        print(__doc__)

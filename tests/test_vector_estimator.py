@@ -1,13 +1,13 @@
-"""VectorRateEstimator is bit-for-bit a BatchedRateEstimator (and hence a
-WindowedRateEstimator).
+"""VectorRateEstimator is bit-for-bit a WindowedRateEstimator.
 
-The vectorised estimator folds its Python-list sample tail into flat numpy
-arrays with a prefix-sum every ``_FOLD`` appends, expires whole prefixes
-with a ``searchsorted`` instead of a scalar walk, and keeps the router's
-inline append sites unchanged.  Exact equality everywhere: window sums are
-integer byte counts (int64 prefix sums are exact) and the span arithmetic
-is the scalar expression verbatim, so there are **no tolerances** in this
-file.
+The vectorised estimator (the ABC router's) folds its Python-list sample tail
+into flat numpy arrays with a prefix-sum every ``_FOLD`` appends, expires
+whole prefixes with a ``searchsorted`` instead of a scalar walk, and keeps
+the router's inline append site unchanged.  The deque-based
+:class:`WindowedRateEstimator` (BBR / Sprout / XCP / RCP / Wi-Fi) is the
+reference.  Exact equality everywhere: window sums are integer byte counts
+(int64 prefix sums are exact) and the span arithmetic is the scalar
+expression, so there are **no tolerances** in this file.
 """
 
 from __future__ import annotations
@@ -19,33 +19,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cellular.estimators import VectorRateEstimator
-from repro.simulator.estimators import (BatchedRateEstimator,
-                                        WindowedRateEstimator)
+from repro.core.router import ABCRouterQdisc
+from repro.simulator.estimators import WindowedRateEstimator
+from repro.simulator.packet import Packet
 
 
-def _trio(window):
+def _pair(window):
     return (WindowedRateEstimator(window=window),
-            BatchedRateEstimator(window=window),
             VectorRateEstimator(window=window))
 
 
 # ------------------------------------------------------------- randomized
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("window", [0.04, 0.5])
-def test_vector_matches_deque_and_batched(seed, window):
+def test_vector_matches_deque(seed, window):
     rng = random.Random(f"vector-estimator-{seed}-{window}")
-    deque_est, flat_est, vec_est = _trio(window)
+    deque_est, vec_est = _pair(window)
     now = 0.0
     for _ in range(6000):
         now += rng.expovariate(2000.0)
         size = rng.randrange(40, 1600)
-        for est in (deque_est, flat_est, vec_est):
-            est.add(now, size)
+        deque_est.add(now, size)
+        vec_est.add(now, size)
         if rng.random() < 0.3:
             at = now + rng.random() * 0.01
-            rate = deque_est.rate_bps(at)
-            assert flat_est.rate_bps(at) == rate
-            assert vec_est.rate_bps(at) == rate
+            assert vec_est.rate_bps(at) == deque_est.rate_bps(at)
     assert vec_est.rate_bps(now) == deque_est.rate_bps(now)
     assert vec_est.folds > 0, (
         "6000 appends never triggered a fold; the vectorised path went "
@@ -56,7 +54,7 @@ def test_vector_matches_at_ack_burst_cadence():
     """The router's real cadence: bursts of same-timestamp ACK-clocked
     samples, rate read once per measurement interval."""
     rng = random.Random("burst-cadence")
-    deque_est, _flat, vec_est = _trio(0.05)
+    deque_est, vec_est = _pair(0.05)
     now = 0.0
     for _ in range(400):
         now += rng.expovariate(200.0)
@@ -73,7 +71,7 @@ def test_vector_matches_at_ack_burst_cadence():
                 min_size=1, max_size=300),
        st.floats(min_value=1e-3, max_value=5.0))
 def test_vector_matches_on_arbitrary_histories(samples, window):
-    deque_est, _flat, vec_est = _trio(window)
+    deque_est, vec_est = _pair(window)
     last = 0.0
     for t, size in sorted(samples):
         deque_est.add(t, size)
@@ -89,7 +87,7 @@ def test_fold_boundary_expiry_is_exact():
     time, and past the end of the folded region all agree with the scalar
     walk."""
     fold = VectorRateEstimator._FOLD
-    deque_est, _flat, vec_est = _trio(1.0)
+    deque_est, vec_est = _pair(1.0)
     for i in range(3 * fold):                         # three folds' worth
         t = i * 0.01
         deque_est.add(t, 100 + i)
@@ -103,7 +101,7 @@ def test_fold_boundary_expiry_is_exact():
 
 
 def test_fully_expired_window_matches():
-    deque_est, _flat, vec_est = _trio(0.1)
+    deque_est, vec_est = _pair(0.1)
     for i in range(2 * VectorRateEstimator._FOLD):
         deque_est.add(i * 0.001, 500)
         vec_est.add(i * 0.001, 500)
@@ -112,18 +110,25 @@ def test_fully_expired_window_matches():
     assert vec_est.rate_bps(10.0) == 0.0
 
 
-def test_unread_estimator_never_folds():
-    """Folding happens inside rate_bps, so an estimator that is only ever
-    appended to (the enqueue-side estimator in dequeue-basis runs) keeps the
-    plain-list memory behaviour."""
-    vec = VectorRateEstimator(window=0.05)
-    for i in range(20 * VectorRateEstimator._FOLD):
-        vec.add(i * 0.001, 1500)
-    assert vec.folds == 0
+def test_dequeue_basis_router_holds_a_window_of_samples():
+    """The router feeds exactly the estimator its control law reads, so
+    sample memory is bounded by the measurement window — it used to append
+    every enqueue to a second, never-read (hence never-expired) estimator."""
+    router = ABCRouterQdisc(capacity_fn=lambda now: 12e6)
+    interval = 0.001                       # 1 000 pkt/s -> ~40 per window
+    for i in range(50_000):
+        now = i * interval
+        assert router.enqueue(Packet(flow_id=0, seq=i), now)
+        router.dequeue(now)
+    est = router._rate
+    held = len(est._times) + (len(est._ftimes) - est._fstart)
+    per_window = router.params.measurement_window / interval
+    assert held <= per_window + 2 * VectorRateEstimator._FOLD
+    assert est.folds > 0
 
 
 def test_reset_clears_folded_state():
-    deque_est, _flat, vec_est = _trio(0.5)
+    deque_est, vec_est = _pair(0.5)
     for i in range(2 * VectorRateEstimator._FOLD):
         vec_est.add(i * 0.01, 777)
     vec_est.rate_bps(1.0)
