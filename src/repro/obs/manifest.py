@@ -98,7 +98,7 @@ def provenance() -> Dict[str, Any]:
 def executor_record(executor: Any) -> Dict[str, Any]:
     """JSON-able view of an executor's last run (stats + per-job timings).
 
-    Resilient runs (timeouts/retries/fault injection) add their bookkeeping:
+    Runs that retried, timed out or lost a worker add their bookkeeping:
     retry/timeout/crash counters plus the full per-job failure histories, so
     a manifest answers *which cells were retried and why* months later and
     ``tools/export_trace.py`` can render retried attempts as separate spans.

@@ -11,7 +11,7 @@ JSON that ``chrome://tracing`` (and Perfetto's legacy loader) accepts:
   callback is literally a long bar; one tracing row (tid) per component class
   plus per-link queue-depth counter tracks.
 * **Sweep worker timeline** — :func:`sweep_trace_events` renders the per-job
-  records an observed :class:`~repro.runtime.executor.SweepExecutor` run
+  records every :class:`~repro.runtime.executor.SweepExecutor` run
   collects (and a run manifest stores under ``executor.jobs``): one row per
   worker pid, one bar per sweep cell, wall-clock axis.
 
@@ -120,10 +120,10 @@ def sweep_trace_events(job_records: List[Dict[str, Any]]
     """Per-worker job timeline from an executor's (or manifest's) records.
 
     Each record needs ``label``, ``pid``, ``start_unix`` and ``wall_seconds``
-    (what :class:`~repro.runtime.executor.SweepExecutor` collects when
-    observing); timestamps are re-based to the earliest job start.
+    (what :class:`~repro.runtime.executor.SweepExecutor` collects on every
+    run); timestamps are re-based to the earliest job start.
 
-    Resilient runs tag records with ``attempt``/``outcome``; each retried
+    Records are tagged with ``attempt``/``outcome``; each retried
     attempt renders as its own span (``label [attempt N]``) in a distinct
     category per outcome (``retry``/``timeout``/``worker_crash``), so a
     chaos run's timeline shows exactly which cells were retried, where, and

@@ -41,56 +41,69 @@ tiny :class:`~repro.runtime.trace_store.TraceRef` handles instead of pickling
 every trace into every cell.  If new traces are registered after the pool
 started, the next ``run()`` transparently restarts it with a fresh snapshot.
 
-Fault tolerance
----------------
-A wedged cell, a crashed worker or a mid-run ``KeyboardInterrupt`` must not
-lose a whole sweep.  Four knobs, all construction-time like the others:
+Execution
+---------
+Every ``run()`` — default, with progress or telemetry, with a timeout or a
+retry budget, in-process or pooled — walks each pending cell through one
+attempt state machine (:meth:`SweepExecutor._drive`; diagram in
+``docs/ARCHITECTURE.md``): submit → attempt → *ok*: commit + record +
+progress, or *failed* (exception / worker died / deadline): seeded backoff
+and resubmit while the retry budget lasts, then a
+:class:`~repro.runtime.faults.JobFailure` in the cell's slot.
 
-* ``REPRO_JOB_TIMEOUT`` / ``timeout=`` — per-job wall-clock deadline; a
-  job attempt that exceeds it is abandoned and its (possibly wedged) worker
-  is killed, letting the pool respawn a fresh one.
-* ``REPRO_JOB_RETRIES`` / ``retries=`` — failed attempts (exception, crash
-  or timeout) are retried up to this many times with seeded exponential
-  backoff + jitter (``REPRO_RETRY_BACKOFF`` base seconds), so the schedule
-  itself is part of the reproducible record.
-* ``REPRO_FAULTS`` / ``faults=`` — deterministic chaos injection (see
-  :mod:`repro.runtime.faults`): same spec + seed ⇒ the same faults hit the
-  same cells, byte-reproducibly, serial or parallel.
-* ``failure_policy=`` (``"strict"`` default, or ``"salvage"``; also
-  ``REPRO_FAILURE_POLICY``) — after retries are exhausted, ``strict``
-  re-raises the original exception (or a
-  :class:`~repro.runtime.faults.JobFailureError`), while ``salvage``
-  returns a picklable :class:`~repro.runtime.faults.JobFailure` sentinel
-  *in the failed cell's slot* so the other 199 cells of a metro sweep
-  survive with an explicit failure record.
+The loop runs over one of two small *transports*, chosen from what the code
+can observe — one worker, or a single pending cell with no deadline to
+enforce, runs in-process (:class:`_InProcessTransport`: capacity one,
+injected crashes/hangs synthesized, no preemption of a wedged job); anything
+else goes to the pool (:class:`_PoolTransport`: ``apply_async``, a
+completion queue the parent blocks on, start announcements, pid liveness,
+condemn → grace → finalise).
 
-Worker crashes are detected by pid liveness (workers announce each attempt
-through a start queue), crashed/expired attempts are resubmitted, and the
-pool's automatic respawn keeps the worker count constant.  Completed cells
-can additionally be journaled for checkpoint/resume — see
-:mod:`repro.runtime.journal`.  ``KeyboardInterrupt`` tears the pool down in
-a ``finally`` path instead of orphaning workers.
+Timeout, retries, fault injection, journal, cache, progress and telemetry
+are per-job policies that are simply absent when not configured
+(``timeout=None`` arms no deadline, ``retries=0`` exhausts on the first
+failure, no injector fires nothing), so on every run:
+
+1. a completed cell is committed (slot, cache, journal) *as it lands* — an
+   interrupted or failed sweep resumes instead of restarting;
+2. ``strict`` finishes the sweep, assembles ``last_stats``, then raises the
+   lowest failed slot's original exception (a
+   :class:`~repro.runtime.faults.JobFailureError` when a crash/timeout left
+   nothing to re-raise); ``salvage`` returns the sentinels in-slot, so the
+   other 199 cells of a metro sweep survive;
+3. ``last_stats.job_records`` holds one timing record per executed attempt,
+   tagged ``attempt`` / ``outcome``;
+4. job keys are computed only when something consumes them (cache, journal,
+   fault injector, or a failure record / backoff draw).
+
+The knobs are read at construction (see :class:`SweepExecutor`); the retry
+schedule is seeded, so it is part of the reproducible record; and a
+``KeyboardInterrupt`` tears the pool down instead of orphaning workers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import multiprocessing
 import os
 import pickle
+import queue
 import signal
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
-from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs.progress import ProgressTracker, resolve_progress
 from repro.runtime.cache import (CACHE_DIR_ENV, ResultCache, effective_salt,
                                  stable_hash)
-from repro.runtime.faults import (FaultInjector, FaultSpec, JobAttempt,
-                                  JobFailure, JobFailureError, crash_attempt,
+from repro.runtime.faults import (FaultInjectionError, FaultInjector,
+                                  FaultSpec, JobAttempt, JobFailure,
+                                  JobFailureError, crash_attempt,
                                   resolve_fault_spec, retry_backoff,
                                   timeout_attempt)
 from repro.runtime.journal import RunJournal, resolve_journal_dir, run_key_for
@@ -123,8 +136,10 @@ BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
 #: in-slot and keep the rest of the sweep).
 FAILURE_POLICY_ENV = "REPRO_FAILURE_POLICY"
 
-#: Parent-side poll interval while supervising resilient parallel runs.
-_POLL_SECONDS = 0.01
+#: The pool cannot wake the parent for a start announcement or a worker
+#: death (only completions are pushed), so a blocked wait on the pool
+#: transport returns at least this often to look for both.
+_HEARTBEAT_SECONDS = 0.05
 
 #: How long a dead-pid / expired-deadline attempt stays *condemned* before
 #: it is finalised as a crash/timeout.  A worker writes an attempt's result
@@ -288,44 +303,9 @@ class SweepJob:
         return self.func(**self.kwargs)
 
 
-def _execute_job(job: SweepJob) -> Any:
-    """Module-level trampoline so pool workers can unpickle it."""
-    return job.run()
-
-
-def _execute_job_observed(payload: Tuple[SweepJob, float]
-                          ) -> Tuple[Any, Dict[str, Any], Optional[dict]]:
-    """Worker-side trampoline for observed runs.
-
-    Returns ``(value, meta, metrics_snapshot)``: the job's result, a timing
-    record (worker pid, wall-clock start, wall time, how long the job sat in
-    the pool's queue) and — when ``REPRO_TELEMETRY`` is on — the worker
-    registry's snapshot, which is then **reset** so every job ships exactly
-    its own delta and the parent-side merge is order-independent.
-    """
-    job, submitted_unix = payload
-    start_unix = time.time()
-    t0 = time.perf_counter()
-    value = job.run()
-    wall = time.perf_counter() - t0
-    meta = {
-        "label": job.label,
-        "pid": os.getpid(),
-        "start_unix": start_unix,
-        "wall_seconds": wall,
-        "queue_wait_seconds": max(start_unix - submitted_unix, 0.0),
-    }
-    snapshot = None
-    if obs_metrics.enabled():
-        registry = obs_metrics.registry()
-        snapshot = registry.snapshot()
-        registry.reset()
-    return value, meta, snapshot
-
-
 #: Worker-side handle on the executor's start queue (set by the pool
-#: initializer); resilient attempts announce (run id, slot, attempt, pid)
-#: through it so the parent can arm deadlines and attribute worker deaths.
+#: initializer); attempts announce (run id, slot, attempt, pid) through it
+#: so the parent can arm deadlines and attribute worker deaths.
 _START_QUEUE = None
 
 
@@ -336,21 +316,20 @@ def _pool_init(trace_snapshot: Dict[str, Any], start_queue=None) -> None:
     _START_QUEUE = start_queue
 
 
-def _attempt_outcome(job: SweepJob, job_key: str, attempt: int,
+def _attempt_outcome(job: SweepJob, job_key: Optional[str], attempt: int,
                      fault_spec: Optional[FaultSpec]) -> Dict[str, Any]:
     """Run one guarded attempt body; never raises.
 
-    Shared verbatim by the serial driver and pool workers so an error's
-    captured traceback is byte-identical across execution modes (same
-    frames, same files, same lines).  Injected ``job_error`` faults fire
-    inside the ``try`` for the same reason.
+    Shared verbatim by the in-process transport and pool workers so an
+    error's captured traceback is byte-identical across execution modes
+    (same frames, same files, same lines).  Injected ``job_error`` faults
+    fire inside the ``try`` for the same reason.
     """
     try:
         if fault_spec is not None:
             FaultInjector(fault_spec).maybe_error(job_key, attempt)
         value = job.run()
     except Exception as exc:
-        from repro.runtime.faults import FaultInjectionError
         tb = "".join(traceback.format_exception(type(exc), exc,
                                                 exc.__traceback__))
         return {"ok": False, "outcome": "error",
@@ -360,40 +339,46 @@ def _attempt_outcome(job: SweepJob, job_key: str, attempt: int,
     return {"ok": True, "value": value}
 
 
-def _resilient_attempt(payload: tuple) -> tuple:
-    """Worker-side trampoline for supervised (resilient) attempts.
-
-    Announces itself on the start queue first — the parent arms the job's
-    deadline and learns which pid to blame if this process dies — then fires
-    any injected process faults (crash/hang) and runs the guarded attempt.
-    """
-    run_id, slot, attempt, job, job_key, fault_spec, submitted_unix = payload
-    queue = _START_QUEUE
-    if queue is not None:
-        queue.put((run_id, slot, attempt, os.getpid()))
-    if fault_spec is not None:
-        FaultInjector(fault_spec).fire_process_faults(job_key, attempt)
+def _timed_attempt(job: SweepJob, job_key: Optional[str], attempt: int,
+                   fault_spec: Optional[FaultSpec], pid: int
+                   ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The guarded attempt plus its timing record: ``(outcome, meta)``."""
     start_unix = time.time()
     t0 = time.perf_counter()
     outcome = _attempt_outcome(job, job_key, attempt, fault_spec)
     wall = time.perf_counter() - t0
-    if not outcome["ok"] and outcome.get("exception") is not None:
+    return outcome, {
+        "label": job.label, "pid": pid, "start_unix": start_unix,
+        "wall_seconds": wall, "queue_wait_seconds": 0.0, "attempt": attempt,
+        "outcome": "ok" if outcome["ok"] else "error"}
+
+
+def _run_attempt(payload: tuple) -> tuple:
+    """The worker-side trampoline: one attempt of one job.
+
+    Announces itself on the start queue first — the parent arms the job's
+    deadline and learns which pid to blame if this process dies — then fires
+    any injected process faults (crash/hang), runs the guarded attempt and
+    ships the completion home.  With ``REPRO_TELEMETRY`` on, the worker
+    registry is snapshotted and **reset**, so every attempt ships exactly
+    its own delta and the parent-side merge is order-independent.
+    """
+    run_id, slot, attempt, job, job_key, fault_spec, submitted_unix = payload
+    pid = os.getpid()
+    if _START_QUEUE is not None:
+        _START_QUEUE.put((run_id, slot, attempt, pid))
+    if fault_spec is not None:
+        FaultInjector(fault_spec).fire_process_faults(job_key, attempt)
+    outcome, meta = _timed_attempt(job, job_key, attempt, fault_spec, pid)
+    meta["queue_wait_seconds"] = max(meta["start_unix"] - submitted_unix, 0.0)
+    if not outcome["ok"]:
         # The original exception rides home for strict-mode re-raising, but
-        # only when it survives pickling — a poison result would kill the
-        # whole drain loop otherwise.
+        # only when it survives pickling — a poison result would be lost in
+        # the pool's result pipe otherwise.
         try:
             pickle.dumps(outcome["exception"])
         except Exception:
             outcome["exception"] = None
-    meta = {
-        "label": job.label,
-        "pid": os.getpid(),
-        "start_unix": start_unix,
-        "wall_seconds": wall,
-        "queue_wait_seconds": max(start_unix - submitted_unix, 0.0),
-        "attempt": attempt,
-        "outcome": "ok" if outcome["ok"] else "error",
-    }
     snapshot = None
     if obs_metrics.enabled():
         registry = obs_metrics.registry()
@@ -413,6 +398,155 @@ def _needed_trace_keys(jobs: Sequence[SweepJob]) -> set:
                 keys.update(item.key for item in value
                             if isinstance(item, TraceRef))
     return keys
+
+
+class _InProcessTransport:
+    """Runs each attempt in this process, at submission.
+
+    Nothing announces itself here, so the driver never arms a deadline or
+    looks for a dead pid (``live_pids`` / ``kill`` / ``forget`` are never
+    reached): a serial run cannot preempt a wedged job.  Injected process
+    faults are synthesized instead of fired, and metrics stay in the live
+    registry (a snapshot/reset round-trip would orphan live handles).
+
+    A completion is ``(slot, attempt, outcome, meta, metrics_snapshot)``:
+    ``outcome`` is :func:`_attempt_outcome`'s dict, or ``{"ok": False,
+    "outcome": tag}`` for a synthesized ``worker_crash`` / ``timeout``;
+    ``meta`` is ``None`` when no worker lived to time the attempt.
+    """
+
+    #: Attempts in flight at once; ``None`` means "everything pending".
+    capacity: Optional[int] = 1
+    #: The driver's clock (monotonic seconds).
+    now = staticmethod(time.monotonic)
+
+    def __init__(self, fault_spec: Optional[FaultSpec] = None):
+        self._fault_spec = fault_spec
+        self._injector = (FaultInjector(fault_spec)
+                          if fault_spec is not None else None)
+        self._pid = os.getpid()
+        self._done: Optional[tuple] = None
+
+    def submit(self, run_id: int, slot: int, attempt: int, job: SweepJob,
+               job_key: Optional[str]) -> None:
+        injector = self._injector
+        if injector is not None:
+            for kind, tag in (("worker_crash", "worker_crash"),
+                              ("job_hang", "timeout")):
+                if injector.should(kind, job_key, attempt):
+                    self._done = (slot, attempt,
+                                  {"ok": False, "outcome": tag}, None, None)
+                    return
+        outcome, meta = _timed_attempt(job, job_key, attempt,
+                                       self._fault_spec, self._pid)
+        self._done = (slot, attempt, outcome, meta, None)
+
+    def wait(self, timeout: Optional[float]) -> Optional[tuple]:
+        """The next completion, or ``None`` once ``timeout`` has passed."""
+        done, self._done = self._done, None
+        if done is None:
+            time.sleep(timeout)      # only a retry's backoff is pending
+        return done
+
+    def starts(self) -> Sequence[Tuple[int, int, int, int]]:
+        """Start announcements ``(run id, slot, attempt, pid)`` read so far."""
+        return ()
+
+
+class _PoolTransport:
+    """Runs attempts on a ``multiprocessing`` pool via ``apply_async``.
+
+    Completions are pushed onto a thread-safe queue by the pool's result
+    thread, so the parent blocks instead of scanning.  Each attempt
+    announces ``(run id, slot, attempt, pid)`` on the start queue as its
+    first act: the driver arms the deadline only then (queue wait never
+    counts) and knows which attempt to blame when that pid dies.  Crashed
+    or killed workers are respawned by the pool's own maintenance thread.
+    """
+
+    capacity = None
+    now = staticmethod(time.monotonic)
+
+    def __init__(self, pool, start_queue,
+                 fault_spec: Optional[FaultSpec] = None):
+        self._pool = pool
+        self._start_queue = start_queue
+        self._fault_spec = fault_spec
+        self._completions: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
+        self._handles: Dict[int, Any] = {}
+
+    def submit(self, run_id, slot, attempt, job, job_key) -> None:
+        completions = self._completions  # no cycle through the callbacks
+
+        def broken(exc: BaseException) -> None:
+            # Pool plumbing failure (e.g. an unpicklable result): an errored
+            # attempt carrying the parent-side exception text.
+            completions.put((slot, attempt, {
+                "ok": False, "outcome": "error", "error": str(exc),
+                "error_type": type(exc).__qualname__, "traceback": "",
+                "exception": None, "injected": False}, None, None))
+
+        payload = (run_id, slot, attempt, job, job_key, self._fault_spec,
+                   time.time())
+        self._handles[slot] = self._pool.apply_async(
+            _run_attempt, (payload,), callback=completions.put,
+            error_callback=broken)
+
+    def wait(self, timeout):
+        if timeout is None or timeout > _HEARTBEAT_SECONDS:
+            timeout = _HEARTBEAT_SECONDS
+        try:
+            return self._completions.get(timeout=max(timeout, 0.0))
+        except queue.Empty:
+            return None
+
+    def starts(self):
+        messages = []
+        while not self._start_queue.empty():
+            try:
+                messages.append(self._start_queue.get())
+            except (EOFError, OSError):
+                break
+        return messages
+
+    def live_pids(self) -> Set[int]:
+        """Pids of pool workers currently alive (respawns change this set)."""
+        try:
+            return {worker.pid for worker in self._pool._pool
+                    if worker.exitcode is None and worker.pid is not None}
+        except Exception:
+            return set()
+
+    def kill(self, pid: int) -> None:
+        """SIGKILL a wedged worker so the pool can respawn a fresh one."""
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+
+    def forget(self, slot: int) -> None:
+        """Drop a lost attempt's handle: left in the pool's result cache it
+        would make ``close()`` + ``join()`` wait for a result that cannot
+        arrive (best effort)."""
+        try:
+            self._pool._cache.pop(self._handles.pop(slot)._job, None)
+        except Exception:
+            pass
+
+
+@dataclass
+class _Running:
+    """Parent-side view of an in-flight attempt that announced itself."""
+
+    attempt: int
+    pid: int
+    started_unix: float
+    #: The job deadline (armed when the announcement is read, never at
+    #: submission; ``None`` without a timeout) — or, once condemned, the
+    #: end of the late-result grace window.
+    due: Optional[float]
+    #: ``"worker_crash"`` / ``"timeout"`` once presumed lost (condemned).
+    lost: Optional[str] = None
 
 
 @dataclass
@@ -452,9 +586,9 @@ class ExecutorStats:
     #: JSON-able JobFailure records, in slot order (salvage and strict both
     #: populate this before any strict-mode raise).
     failures: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per-executed-attempt timing records (label, worker pid, start, wall
-    #: time, queue wait; resilient runs add attempt/outcome) — populated on
-    #: observed and resilient runs; empty otherwise.
+    #: One timing record per executed attempt, on every run: label, worker
+    #: pid, start, wall time, queue wait, attempt number and outcome
+    #: (``ok`` / ``error`` / ``timeout`` / ``worker_crash``).
     job_records: List[Dict[str, Any]] = field(default_factory=list)
 
 
@@ -570,95 +704,93 @@ class SweepExecutor:
         self.close()
         self._persistent = False
 
-    def _get_start_queue(self):
-        """The executor-lifetime start queue (survives pool restarts)."""
-        if self._start_queue is None:
-            self._start_queue = multiprocessing.SimpleQueue()
-        return self._start_queue
-
-    def _ensure_pool(self, needed_keys: set) -> multiprocessing.pool.Pool:
-        """The persistent pool, restarted only when it is missing a trace.
+    def _ensure_pool(self, needed_keys: set, processes: int
+                     ) -> multiprocessing.pool.Pool:
+        """The executor's pool, restarted only when it is missing a trace.
 
         Workers are primed with exactly the traces the submitted jobs
         reference — never with unrelated registrations from other sweeps, so
         worker memory stays bounded by one sweep's working set.  A ``run()``
-        whose refs the workers already hold reuses the warm pool; one that
-        needs anything else restarts it (the restart costs ~1 s, the same as
-        a one-shot pool would have paid anyway).
+        whose refs the workers already hold reuses the warm pool; any other
+        restarts it (~1 s, what a one-shot pool would have paid anyway).
         """
         if self._pool is not None and not needed_keys <= self._pool_trace_keys:
             self.close()
         if self._pool is None:
+            if self._start_queue is None:  # executor-lifetime, outlives pools
+                self._start_queue = multiprocessing.SimpleQueue()
             snapshot = snapshot_for(needed_keys)
             self._pool = multiprocessing.Pool(
-                processes=self.workers, initializer=_pool_init,
-                initargs=(snapshot, self._get_start_queue()))
+                processes=processes, initializer=_pool_init,
+                initargs=(snapshot, self._start_queue))
             self._pool_trace_keys = set(snapshot)
         return self._pool
 
     def _abort_pool(self) -> None:
-        """Emergency teardown: terminate + join the persistent pool.
-
-        Called when a run is aborted (``KeyboardInterrupt``/``SystemExit``)
-        so no orphaned workers outlive the interrupted sweep; one-shot pools
-        terminate through their own ``with`` blocks.
-        """
+        """Terminate + join the pool: no worker outlives an aborted run."""
         pool, self._pool = self._pool, None
         self._pool_trace_keys = set()
         if pool is not None:
             pool.terminate()
             pool.join()
 
+    def _transport(self, pending: List[SweepJob]) -> Tuple[Any, bool]:
+        """``(transport, pool_was_reused)`` for this run's pending jobs.
+
+        In-process or pool is chosen from what the code can observe: one
+        worker, or a single cell with no deadline to enforce, needs no pool.
+        Outside ``with SweepExecutor(...)``, :meth:`run` tears the pool down.
+        """
+        if self.workers <= 1 or (len(pending) == 1 and self.timeout is None):
+            return _InProcessTransport(self.faults), False
+        previous = self._pool
+        pool = self._ensure_pool(
+            _needed_trace_keys(pending),
+            self.workers if self._persistent
+            else min(self.workers, len(pending)))
+        return (_PoolTransport(pool, self._start_queue, self.faults),
+                pool is previous)
+
     # ------------------------------------------------------------------ run
     def run(self, jobs: Sequence[SweepJob],
             failure_policy: Optional[str] = None) -> List[Any]:
         """Execute every job, returning results in submission order.
 
-        Cached (or journaled) cells are served without executing; the
-        remainder run either in-process (one worker) or on a
-        ``multiprocessing`` pool.  With telemetry on, a progress reporter
-        active, or ``REPRO_RUN_DIR`` set, the run is *observed*: per-job
-        timing records are collected (and worker metrics merged back)
-        without changing any result — results stay bit-identical either way.
-
-        With a timeout, retries, fault injection or a journal configured the
-        run is *supervised*: attempts are tracked individually, failures are
-        retried with seeded backoff, and exhausted jobs either raise
-        (``strict``) or come back as in-slot
-        :class:`~repro.runtime.faults.JobFailure` sentinels (``salvage``).
-        ``failure_policy`` overrides the executor-level policy for this run.
+        Cached (or journaled) cells are served without executing; the rest
+        walk the attempt state machine of the module docstring, in-process
+        or on a ``multiprocessing`` pool.  Jobs whose retry budget ran out
+        either raise once the sweep has finished (``strict``) or come back
+        as in-slot :class:`~repro.runtime.faults.JobFailure` sentinels
+        (``salvage``); ``failure_policy`` overrides the executor-level
+        policy for this run.
         """
         jobs = list(jobs)
         policy = (resolve_failure_policy(failure_policy)
                   if failure_policy is not None else self.failure_policy)
         started = time.perf_counter()
         results: List[Any] = [None] * len(jobs)
-        keys: List[Optional[str]] = [None] * len(jobs)
-        resilient = (self._injector is not None or self.timeout is not None
-                     or self.retries > 0 or self.journal_dir is not None
-                     or policy == "salvage")
-        need_keys = self.cache is not None or resilient
-        hits = 0
-        journal_hits = 0
-        corrupt_before = self.cache.corrupt if self.cache is not None else 0
-        evictions_before = self.cache.evictions if self.cache is not None else 0
-        writefail_before = (self.cache.write_errors
-                            if self.cache is not None else 0)
-        if need_keys:
-            for index, job in enumerate(jobs):
-                keys[index] = job.cache_key(self.salt)
+        cache = self.cache
+        # Keys are computed up front only for a consumer that reads every
+        # one of them; a failure record or backoff draw computes its own.
+        keys: List[Optional[str]] = (
+            [job.cache_key(self.salt) for job in jobs]
+            if (cache is not None or self.journal_dir is not None
+                or self._injector is not None) else [None] * len(jobs))
+        stats = ExecutorStats(total=len(jobs), workers=self.workers)
+        cache_before = ((cache.corrupt, cache.evictions, cache.write_errors)
+                        if cache is not None else None)
         journal: Optional[RunJournal] = None
         if self.journal_dir is not None and jobs:
             journal = RunJournal(self.journal_dir, run_key_for(keys),
-                                 store=self.cache)
+                                 store=cache)
             journal.load()
         pending: List[int] = []
         for index, job in enumerate(jobs):
-            if self.cache is not None:
-                hit, value = self.cache.get(keys[index])
+            if cache is not None:
+                hit, value = cache.get(keys[index])
                 if hit:
                     results[index] = value
-                    hits += 1
+                    stats.cache_hits += 1
                     if journal is not None:
                         journal.record(keys[index], job.label)
                     continue
@@ -666,94 +798,72 @@ class SweepExecutor:
                 hit, value = journal.lookup(keys[index])
                 if hit:
                     results[index] = value
-                    journal_hits += 1
+                    stats.journal_hits += 1
                     continue
             pending.append(index)
+        stats.executed = len(pending)
 
         callback = resolve_progress(self.progress)
-        observing = (callback is not None or obs_metrics.enabled()
-                     or obs_manifest.run_dir() is not None)
-        tracker = (ProgressTracker(len(jobs), hits + journal_hits, callback)
+        tracker = (ProgressTracker(len(jobs),
+                                   stats.cache_hits + stats.journal_hits,
+                                   callback)
                    if callback is not None else None)
-
-        reused = False
-        job_records: List[Dict[str, Any]] = []
-        counts = {"retries": 0, "timeouts": 0, "worker_crashes": 0}
-        failures: Dict[int, JobFailure] = {}
-        failure_excs: Dict[int, BaseException] = {}
 
         def commit(index: int, value: Any) -> None:
             """Land one completed cell: result slot, cache, journal."""
             results[index] = value
-            if self.cache is not None:
-                self.cache.put(keys[index], value)
+            if cache is not None:
+                cache.put(keys[index], value)
             if journal is not None:
                 journal.record(keys[index], jobs[index].label, value,
                                store_value=journal.owns_store)
 
+        failures: Dict[int, JobFailure] = {}
+        originals: Dict[int, BaseException] = {}
         try:
             if pending:
-                if resilient:
-                    reused = self._execute_resilient(
-                        pending, jobs, keys, tracker, commit, counts,
-                        failures, failure_excs, job_records, results)
-                elif observing:
-                    outputs, reused, job_records = self._execute_observed(
-                        [jobs[i] for i in pending], tracker)
-                    for index, value in zip(pending, outputs):
-                        commit(index, value)
-                else:
-                    outputs, reused = self._execute([jobs[i] for i in pending])
-                    for index, value in zip(pending, outputs):
-                        commit(index, value)
+                transport, stats.pool_reused = self._transport(
+                    [jobs[i] for i in pending])
+                failures, originals = self._drive(
+                    transport, pending, jobs, keys, commit, tracker, stats)
         except (KeyboardInterrupt, SystemExit):
-            # Never orphan pool workers on an interrupted sweep: tear the
-            # persistent pool down (one-shot pools terminate via their own
-            # context managers) before letting the interrupt propagate.
-            # Everything committed so far is already cached/journaled, so a
-            # rerun resumes instead of restarting.
+            # Never orphan pool workers on an interrupted sweep, persistent
+            # pool or not.  Every cell that completed was committed as it
+            # landed, so a rerun resumes instead of restarting.
             self._abort_pool()
             raise
         finally:
+            if not self._persistent:
+                self._abort_pool()
             if journal is not None:
                 journal.close()
 
-        corrupt = ((self.cache.corrupt - corrupt_before)
-                   if self.cache is not None else 0)
-        evictions = ((self.cache.evictions - evictions_before)
-                     if self.cache is not None else 0)
-        write_errors = ((self.cache.write_errors - writefail_before)
-                        if self.cache is not None else 0)
-        self.last_stats = ExecutorStats(
-            total=len(jobs), cache_hits=hits, cache_corrupt=corrupt,
-            cache_evictions=evictions, cache_write_errors=write_errors,
-            executed=len(pending), workers=self.workers,
-            wall_seconds=time.perf_counter() - started,
-            pool_reused=reused,
-            retries=counts["retries"], timeouts=counts["timeouts"],
-            worker_crashes=counts["worker_crashes"],
-            failed_jobs=len(failures), journal_hits=journal_hits,
-            failures=[failures[i].to_jsonable() for i in sorted(failures)],
-            job_records=job_records)
+        for index, failure in failures.items():
+            results[index] = failure
+        stats.failed_jobs = len(failures)
+        stats.failures = [failures[i].to_jsonable() for i in sorted(failures)]
+        if cache_before is not None:
+            stats.cache_corrupt = cache.corrupt - cache_before[0]
+            stats.cache_evictions = cache.evictions - cache_before[1]
+            stats.cache_write_errors = cache.write_errors - cache_before[2]
+        stats.wall_seconds = time.perf_counter() - started
+        self.last_stats = stats
         if obs_metrics.enabled():
-            self._publish_run_metrics(job_records, reused)
+            self._publish_run_metrics(stats)
         if failures and policy == "strict":
             first = min(failures)
-            original = failure_excs.get(first)
-            if original is not None:
-                raise original
+            if first in originals:
+                raise originals[first]
             raise JobFailureError(failures[first])
         return results
 
-    def _publish_run_metrics(self, job_records: List[Dict[str, Any]],
-                             reused: bool) -> None:
+    def _publish_run_metrics(self, stats: ExecutorStats) -> None:
         """Fold the finished run's bookkeeping into the metrics registry."""
         registry = obs_metrics.registry()
         registry.counter("executor.runs").inc()
-        if reused:
+        if stats.pool_reused:
             registry.counter("executor.pool_reuses").inc()
         registry.gauge("executor.workers").set(self.workers)
-        stats = self.last_stats
         for name in ("retries", "timeouts", "worker_crashes", "failed_jobs",
                      "journal_hits", "cache_write_errors"):
             value = getattr(stats, name)
@@ -761,433 +871,161 @@ class SweepExecutor:
                 registry.counter(f"executor.{name}").inc(value)
         wall = registry.timer("executor.job_wall")
         wait = registry.timer("executor.queue_wait")
-        for record in job_records:
+        for record in stats.job_records:
             wall.observe_ns(int(record["wall_seconds"] * 1e9))
             wait.observe_ns(int(record["queue_wait_seconds"] * 1e9))
 
-    def _execute(self, jobs: List[SweepJob]) -> Tuple[List[Any], bool]:
-        """Run jobs; returns ``(results, pool_was_reused)``."""
-        if self.workers <= 1 or len(jobs) <= 1:
-            return [_execute_job(job) for job in jobs], False
-        needed = _needed_trace_keys(jobs)
-        if self._persistent:
-            previous = self._pool
-            pool = self._ensure_pool(needed)
-            return (pool.map(_execute_job, jobs, chunksize=1),
-                    pool is previous)
-        # One-shot pool: ship only the traces these jobs actually reference.
-        processes = min(self.workers, len(jobs))
-        with multiprocessing.Pool(processes=processes,
-                                  initializer=_pool_init,
-                                  initargs=(snapshot_for(needed), None)) as pool:
-            return pool.map(_execute_job, jobs, chunksize=1), False
+    # ------------------------------------------------------------ the loop
+    def _drive(self, transport, pending: List[int], jobs: List[SweepJob],
+               keys: List[Optional[str]], commit: Callable[[int, Any], None],
+               tracker: Optional[ProgressTracker], stats: ExecutorStats
+               ) -> Tuple[Dict[int, JobFailure], Dict[int, BaseException]]:
+        """Walk every pending slot through the attempt state machine.
 
-    def _execute_observed(
-            self, jobs: List[SweepJob], tracker: Optional[ProgressTracker]
-    ) -> Tuple[List[Any], bool, List[Dict[str, Any]]]:
-        """:meth:`_execute` plus per-job records, merge-back and progress.
-
-        Parallel runs stream results through ``imap(chunksize=1)`` — the
-        order-preserving twin of the unobserved path's ``map`` — so each
-        completed cell can update the progress line and merge its worker
-        metrics as it lands instead of at the end of the sweep.
+        The clock, sleep, pid-liveness and kill primitives all come from
+        ``transport``, so the loop itself never touches a process.  Attempt
+        records and retry/timeout/crash counts go straight into ``stats``;
+        returns ``(failures, original exceptions)`` by slot.
         """
-        records: List[Dict[str, Any]] = []
-        if self.workers <= 1 or len(jobs) <= 1:
-            # In-process: metrics accumulate directly in this registry (no
-            # snapshot/reset round-trip, which would orphan live handles).
-            outputs = []
-            for job in jobs:
-                start_unix = time.time()
-                t0 = time.perf_counter()
-                outputs.append(_execute_job(job))
-                records.append({
-                    "label": job.label, "pid": os.getpid(),
-                    "start_unix": start_unix,
-                    "wall_seconds": time.perf_counter() - t0,
-                    "queue_wait_seconds": 0.0,
-                })
-                if tracker is not None:
-                    tracker.job_done(job.label)
-            return outputs, False, records
-        payloads = [(job, time.time()) for job in jobs]
-        needed = _needed_trace_keys(jobs)
-        if self._persistent:
-            previous = self._pool
-            pool = self._ensure_pool(needed)
-            outputs = self._drain_observed(pool, payloads, records, tracker)
-            return outputs, pool is previous, records
-        processes = min(self.workers, len(jobs))
-        with multiprocessing.Pool(processes=processes,
-                                  initializer=_pool_init,
-                                  initargs=(snapshot_for(needed), None)) as pool:
-            outputs = self._drain_observed(pool, payloads, records, tracker)
-        return outputs, False, records
-
-    @staticmethod
-    def _drain_observed(pool, payloads, records, tracker) -> List[Any]:
-        """Consume observed worker results in submission order."""
-        registry = obs_metrics.registry()
-        outputs: List[Any] = []
-        for value, meta, snapshot in pool.imap(_execute_job_observed,
-                                               payloads, chunksize=1):
-            outputs.append(value)
-            records.append(meta)
-            if snapshot is not None:
-                registry.merge(snapshot)
-            if tracker is not None:
-                tracker.job_done(meta["label"])
-        return outputs
-
-    # ------------------------------------------------------- resilient paths
-    def _execute_resilient(self, pending: List[int], jobs: List[SweepJob],
-                           keys: List[Optional[str]],
-                           tracker: Optional[ProgressTracker],
-                           commit: Callable[[int, Any], None],
-                           counts: Dict[str, int],
-                           failures: Dict[int, JobFailure],
-                           failure_excs: Dict[int, BaseException],
-                           records: List[Dict[str, Any]],
-                           results: List[Any]) -> bool:
-        """Supervised execution: retries, deadlines, crash detection."""
-        if self.workers <= 1:
-            self._drive_resilient_serial(pending, jobs, keys, tracker, commit,
-                                         counts, failures, failure_excs,
-                                         records, results)
-            return False
-        needed = _needed_trace_keys([jobs[i] for i in pending])
-        queue = self._get_start_queue()
-        if self._persistent:
-            previous = self._pool
-            pool = self._ensure_pool(needed)
-            self._drive_resilient_parallel(pool, pending, jobs, keys, tracker,
-                                           commit, counts, failures,
-                                           failure_excs, records, results)
-            return pool is previous
-        processes = min(self.workers, len(pending))
-        with multiprocessing.Pool(processes=processes,
-                                  initializer=_pool_init,
-                                  initargs=(snapshot_for(needed),
-                                            queue)) as pool:
-            self._drive_resilient_parallel(pool, pending, jobs, keys, tracker,
-                                           commit, counts, failures,
-                                           failure_excs, records, results)
-        return False
-
-    def _fail_job(self, slot: int, attempts: List[JobAttempt],
-                  jobs: List[SweepJob], keys: List[Optional[str]],
-                  failures: Dict[int, JobFailure],
-                  failure_excs: Dict[int, BaseException],
-                  results: List[Any],
-                  tracker: Optional[ProgressTracker],
-                  original: Optional[BaseException]) -> None:
-        """Retire a job whose retry budget ran out: in-slot sentinel."""
-        failure = JobFailure(key=keys[slot] or "", label=jobs[slot].label,
-                             attempts=tuple(attempts))
-        failures[slot] = failure
-        if original is not None:
-            failure_excs[slot] = original
-        results[slot] = failure
-        if tracker is not None:
-            tracker.job_done(jobs[slot].label)
-
-    def _drive_resilient_serial(self, pending, jobs, keys, tracker, commit,
-                                counts, failures, failure_excs, records,
-                                results) -> None:
-        """In-process supervised driver.
-
-        Serial runs cannot preempt a wedged job, so process faults are
-        *synthesized*: an injected crash/hang becomes the same canonical
-        attempt record the parallel driver produces when it observes the
-        real thing — which is exactly what makes serial and parallel chaos
-        runs byte-identical.
-        """
+        retries, timeout, backoff = self.retries, self.timeout, self.backoff
         injector = self._injector
         seed = self.faults.seed if self.faults is not None else 0
-        for slot in pending:
-            job, key = jobs[slot], keys[slot]
-            attempts: List[JobAttempt] = []
-            original: Optional[BaseException] = None
-            for attempt in range(1, self.retries + 2):
-                start_unix = time.time()
-                t0 = time.perf_counter()
-                rec: Optional[JobAttempt] = None
-                if injector is not None and injector.should(
-                        "worker_crash", key, attempt):
-                    counts["worker_crashes"] += 1
-                    rec = crash_attempt(attempt, injected=True)
-                    tag = "worker_crash"
-                elif injector is not None and injector.should(
-                        "job_hang", key, attempt):
-                    counts["timeouts"] += 1
-                    rec = timeout_attempt(attempt, self.timeout, injected=True)
-                    tag = "timeout"
-                else:
-                    outcome = _attempt_outcome(job, key, attempt, self.faults)
-                    wall = time.perf_counter() - t0
-                    if outcome["ok"]:
-                        records.append({
-                            "label": job.label, "pid": os.getpid(),
-                            "start_unix": start_unix, "wall_seconds": wall,
-                            "queue_wait_seconds": 0.0, "attempt": attempt,
-                            "outcome": "ok"})
-                        commit(slot, outcome["value"])
-                        if tracker is not None:
-                            tracker.job_done(job.label)
-                        break
-                    rec = JobAttempt(
-                        attempt=attempt, outcome="error",
-                        error=outcome["error"],
-                        error_type=outcome["error_type"],
-                        traceback=outcome["traceback"],
-                        injected=outcome["injected"])
-                    original = outcome.get("exception")
-                    tag = "error"
-                records.append({
-                    "label": job.label, "pid": os.getpid(),
-                    "start_unix": start_unix,
-                    "wall_seconds": time.perf_counter() - t0,
-                    "queue_wait_seconds": 0.0, "attempt": attempt,
-                    "outcome": tag})
-                if attempt <= self.retries:
-                    delay = retry_backoff(key, attempt, self.backoff, seed)
-                    attempts.append(dataclasses.replace(
-                        rec, backoff_seconds=delay))
-                    counts["retries"] += 1
-                    if delay:
-                        time.sleep(delay)
-                else:
-                    attempts.append(rec)
-                    self._fail_job(slot, attempts, jobs, keys, failures,
-                                   failure_excs, results, tracker, original)
-
-    @staticmethod
-    def _live_pids(pool) -> Set[int]:
-        """Pids of pool workers currently alive (respawns change this set)."""
-        try:
-            return {worker.pid for worker in pool._pool
-                    if worker.exitcode is None and worker.pid is not None}
-        except Exception:
-            return set()
-
-    @staticmethod
-    def _forget_async(pool, result) -> None:
-        """Drop an abandoned AsyncResult from the pool's cache (best
-        effort — a crashed/hung attempt's result will never arrive)."""
-        try:
-            pool._cache.pop(result._job, None)
-        except Exception:
-            pass
-
-    def _drive_resilient_parallel(self, pool, pending, jobs, keys, tracker,
-                                  commit, counts, failures, failure_excs,
-                                  records, results) -> None:
-        """Pool-supervisor loop: poll results, pids and deadlines.
-
-        Every attempt announces ``(run id, slot, attempt, pid)`` on the
-        start queue as its first act, which (a) arms the job's wall-clock
-        deadline only once it actually starts running — queue wait never
-        counts against ``REPRO_JOB_TIMEOUT`` — and (b) lets a worker death
-        be attributed to the attempt it was running.  Crashed workers are
-        respawned by the pool's own maintenance thread; wedged ones are
-        killed at the deadline and respawn the same way.  Lost attempts are
-        resubmitted (with seeded backoff) until the retry budget runs out.
-        """
-        injector = self._injector
-        fault_spec = self.faults
-        seed = fault_spec.seed if fault_spec is not None else 0
-        timeout = self.timeout
-        queue = self._get_start_queue()
         registry = obs_metrics.registry()
         self._run_counter += 1
         run_id = self._run_counter
-
-        inflight: Dict[int, Dict[str, Any]] = {}
-        attempts_log: Dict[int, List[JobAttempt]] = {s: [] for s in pending}
+        records = stats.job_records
+        failures: Dict[int, JobFailure] = {}
         originals: Dict[int, BaseException] = {}
-        waiting: List[Tuple[float, int, int]] = []  # (due, slot, attempt)
-        remaining = set(pending)
+        fresh: Deque[int] = deque(pending)          # attempt 1 not yet sent
+        waiting: List[Tuple[float, int, int]] = []  # heap: (due, slot, attempt)
+        inflight: Dict[int, int] = {}               # slot -> attempt number
+        running: Dict[int, _Running] = {}           # inflight and announced
+        history: Dict[int, List[JobAttempt]] = {}
+        unfinished = len(pending)
+        capacity = transport.capacity or unfinished
 
-        def submit(slot: int, attempt: int) -> None:
-            submitted_unix = time.time()
-            payload = (run_id, slot, attempt, jobs[slot], keys[slot],
-                       fault_spec, submitted_unix)
-            inflight[slot] = {
-                "result": pool.apply_async(_resilient_attempt, (payload,)),
-                "attempt": attempt,
-                "pid": None,
-                "deadline": None,
-                "submitted_unix": submitted_unix,
-                "started_wall": None,
-                "condemned": None,  # (tag, monotonic) once presumed lost
-                "predicted_crash": (injector.should("worker_crash",
-                                                    keys[slot], attempt)
-                                    if injector is not None else False),
-                "predicted_hang": (injector.should("job_hang", keys[slot],
-                                                   attempt)
-                                   if injector is not None else False),
-            }
+        def key_of(slot: int) -> str:
+            if keys[slot] is None:
+                keys[slot] = jobs[slot].cache_key(self.salt)
+            return keys[slot]
 
-        def synth_meta(slot: int, state: Dict[str, Any], tag: str
-                       ) -> Dict[str, Any]:
-            started = state["started_wall"] or state["submitted_unix"]
-            return {"label": jobs[slot].label, "pid": state["pid"],
-                    "start_unix": started,
-                    "wall_seconds": max(time.time() - started, 0.0),
-                    "queue_wait_seconds": max(
-                        started - state["submitted_unix"], 0.0),
-                    "attempt": state["attempt"], "outcome": tag}
-
-        def attempt_failed(slot: int, rec: JobAttempt,
-                           original: Optional[BaseException],
-                           meta: Dict[str, Any]) -> None:
-            inflight.pop(slot, None)
-            records.append(meta)
-            if original is not None:
-                originals[slot] = original
-            if rec.attempt <= self.retries:
-                delay = retry_backoff(keys[slot], rec.attempt, self.backoff,
-                                      seed)
-                attempts_log[slot].append(dataclasses.replace(
-                    rec, backoff_seconds=delay))
-                counts["retries"] += 1
-                waiting.append((time.monotonic() + delay, slot,
-                                rec.attempt + 1))
-            else:
-                attempts_log[slot].append(rec)
-                remaining.discard(slot)
-                self._fail_job(slot, attempts_log[slot], jobs, keys, failures,
-                               failure_excs, results, tracker,
-                               originals.get(slot))
-
-        for slot in pending:
-            submit(slot, 1)
-
-        while remaining:
-            progressed = False
-
-            # 1. Start announcements: arm deadlines, learn attempt→pid.
-            while not queue.empty():
-                try:
-                    msg_run, slot, attempt, pid = queue.get()
-                except (EOFError, OSError):
+        submit, wait, starts = transport.submit, transport.wait, transport.starts
+        now = transport.now()
+        while unfinished:
+            # 1. Submit: retries whose backoff elapsed, then fresh slots.
+            while len(inflight) < capacity:
+                if waiting and waiting[0][0] <= now:
+                    _, slot, attempt = heapq.heappop(waiting)
+                elif fresh:
+                    slot, attempt = fresh.popleft(), 1
+                else:
                     break
-                progressed = True
+                inflight[slot] = attempt
+                submit(run_id, slot, attempt, jobs[slot], keys[slot])
+
+            # 2. Block until a completion lands or something falls due.
+            due = waiting[0][0] if waiting else None
+            for state in running.values():
+                if state.due is not None and (due is None or state.due < due):
+                    due = state.due
+            completion = wait(None if due is None else max(due - now, 0.0))
+            now = transport.now()
+
+            # 3. Start announcements: learn attempt → pid, and arm the
+            #    deadline only now that the attempt actually runs.
+            for msg_run, slot, attempt, pid in starts():
                 if msg_run != run_id:
                     continue  # stale message from an aborted earlier run
-                state = inflight.get(slot)
-                if state is not None and state["attempt"] == attempt:
-                    state["pid"] = pid
-                    state["started_wall"] = time.time()
-                    if timeout is not None:
-                        state["deadline"] = time.monotonic() + timeout
+                if inflight.get(slot) == attempt:
+                    running[slot] = _Running(
+                        attempt, pid, time.time(),
+                        now + timeout if timeout is not None else None)
 
-            # 2. Completed attempts.
-            for slot in list(inflight):
-                state = inflight[slot]
-                if not state["result"].ready():
-                    continue
-                progressed = True
-                try:
-                    _, attempt, outcome, meta, snapshot = \
-                        state["result"].get()
-                except Exception as exc:
-                    # Pool plumbing failure (e.g. unpicklable result):
-                    # treated as an errored attempt with the parent-side
-                    # exception text.
-                    rec = JobAttempt(attempt=state["attempt"],
-                                     outcome="error", error=str(exc),
-                                     error_type=type(exc).__qualname__)
-                    attempt_failed(slot, rec, None,
-                                   synth_meta(slot, state, "error"))
-                    continue
-                if snapshot is not None:
-                    registry.merge(snapshot)
-                if outcome["ok"]:
-                    inflight.pop(slot)
-                    remaining.discard(slot)
-                    records.append(meta)
-                    commit(slot, outcome["value"])
-                    if tracker is not None:
-                        tracker.job_done(meta["label"])
-                else:
-                    rec = JobAttempt(
-                        attempt=attempt, outcome="error",
-                        error=outcome["error"],
-                        error_type=outcome["error_type"],
-                        traceback=outcome["traceback"],
-                        injected=outcome["injected"])
-                    attempt_failed(slot, rec, outcome.get("exception"), meta)
+            # 4. A dead pid or passed deadline *condemns* an attempt.  Once
+            #    the grace window has passed with the completion queue empty
+            #    (see _LATE_RESULT_GRACE_SECONDS) its loss becomes this
+            #    iteration's completion, and a wedged worker is killed so
+            #    the pool can respawn a fresh one.
+            if running:
+                live = transport.live_pids()
+                for slot, state in running.items():
+                    if state.lost is None:
+                        if state.pid not in live:
+                            state.lost = "worker_crash"
+                        elif state.due is not None and now >= state.due:
+                            state.lost = "timeout"
+                        else:
+                            continue
+                        state.due = now + _LATE_RESULT_GRACE_SECONDS
+                    elif completion is None and now >= state.due:
+                        transport.forget(slot)
+                        if state.lost == "timeout" and state.pid in live:
+                            transport.kill(state.pid)
+                        completion = (slot, state.attempt,
+                                      {"ok": False, "outcome": state.lost},
+                                      None, None)
 
-            # 3. Worker deaths: condemn the attempt that announced the dead
-            #    pid; the pool respawns the worker on its own.
-            live = self._live_pids(pool)
-            now = time.monotonic()
-            for slot in list(inflight):
-                state = inflight[slot]
-                if (state["pid"] is None or state["pid"] in live
-                        or state["result"].ready()
-                        or state["condemned"] is not None):
-                    continue
-                progressed = True
-                state["condemned"] = ("worker_crash", now)
-
-            # 4. Deadlines: condemn expired attempts.
-            if timeout is not None:
-                for slot in list(inflight):
-                    state = inflight[slot]
-                    if (state["deadline"] is None or now < state["deadline"]
-                            or state["result"].ready()
-                            or state["condemned"] is not None):
-                        continue
-                    progressed = True
-                    state["condemned"] = ("timeout", now)
-
-            # 5. Finalise condemned attempts once the late-result grace
-            #    window has elapsed with no result delivered (step 2 rescues
-            #    any attempt whose result was already in the outqueue pipe
-            #    when its worker died or its deadline expired — see
-            #    _LATE_RESULT_GRACE_SECONDS).  Wedged workers are killed at
-            #    finalisation so the pool can respawn a fresh one.
-            for slot in list(inflight):
-                state = inflight[slot]
-                if state["condemned"] is None or state["result"].ready():
-                    continue
-                tag, since = state["condemned"]
-                if time.monotonic() - since < _LATE_RESULT_GRACE_SECONDS:
-                    continue
-                progressed = True
-                if tag == "worker_crash":
-                    counts["worker_crashes"] += 1
-                    rec = crash_attempt(state["attempt"],
-                                        injected=state["predicted_crash"])
-                else:
-                    counts["timeouts"] += 1
-                    rec = timeout_attempt(state["attempt"], timeout,
-                                          injected=state["predicted_hang"])
-                pid = state["pid"]
-                self._forget_async(pool, state["result"])
-                attempt_failed(slot, rec, None, synth_meta(slot, state, tag))
-                if (tag == "timeout" and pid is not None
-                        and pid in self._live_pids(pool)):
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except OSError:
-                        pass
-
-            # 6. Resubmit retries whose backoff elapsed.
-            if waiting:
-                now = time.monotonic()
-                due = [item for item in waiting if item[0] <= now]
-                if due:
-                    progressed = True
-                    waiting = [item for item in waiting if item[0] > now]
-                    for _, slot, attempt in sorted(due,
-                                                   key=lambda item: item[1]):
-                        submit(slot, attempt)
-
-            if not progressed:
-                time.sleep(_POLL_SECONDS)
+            # 5. Land the completed attempt, or record why it failed.
+            if completion is None:
+                continue
+            slot, attempt, outcome, meta, snapshot = completion
+            if inflight.get(slot) != attempt:
+                continue
+            del inflight[slot]
+            state = running.pop(slot, None) if running else None
+            if snapshot is not None:
+                registry.merge(snapshot)
+            if outcome["ok"]:
+                unfinished -= 1
+                records.append(meta)
+                commit(slot, outcome["value"])
+                if tracker is not None:
+                    tracker.job_done(meta["label"])
+                continue
+            tag = outcome["outcome"]
+            if meta is None:  # no worker lived to time this attempt
+                begun = state.started_unix if state else time.time()
+                meta = {"label": jobs[slot].label,
+                        "pid": state.pid if state else None,
+                        "start_unix": begun,
+                        "wall_seconds": max(time.time() - begun, 0.0),
+                        "queue_wait_seconds": 0.0,
+                        "attempt": attempt, "outcome": tag}
+            records.append(meta)
+            if tag == "worker_crash":
+                stats.worker_crashes += 1
+                rec = crash_attempt(attempt, injected=(
+                    injector is not None
+                    and injector.should("worker_crash", key_of(slot), attempt)))
+            elif tag == "timeout":
+                stats.timeouts += 1
+                rec = timeout_attempt(attempt, timeout, injected=(
+                    injector is not None
+                    and injector.should("job_hang", key_of(slot), attempt)))
+            else:
+                rec = JobAttempt(
+                    attempt=attempt, outcome="error", error=outcome["error"],
+                    error_type=outcome["error_type"],
+                    traceback=outcome["traceback"],
+                    injected=outcome["injected"])
+                if outcome["exception"] is not None:
+                    originals[slot] = outcome["exception"]
+            attempts = history.setdefault(slot, [])
+            if attempt <= retries:  # budget left: seeded backoff, resubmit
+                delay = retry_backoff(key_of(slot), attempt, backoff, seed)
+                attempts.append(dataclasses.replace(rec,
+                                                    backoff_seconds=delay))
+                stats.retries += 1
+                heapq.heappush(waiting, (now + delay, slot, attempt + 1))
+            else:                   # exhausted: the failure takes the slot
+                attempts.append(rec)
+                unfinished -= 1
+                failures[slot] = JobFailure(
+                    key=key_of(slot), label=jobs[slot].label,
+                    attempts=tuple(attempts))
+                if tracker is not None:
+                    tracker.job_done(jobs[slot].label)
+        return failures, originals
 
 
 def get_executor(executor: Optional[SweepExecutor] = None,

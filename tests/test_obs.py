@@ -234,6 +234,8 @@ def test_observed_run_collects_job_records(monkeypatch):
         assert record["queue_wait_seconds"] >= 0
         assert record["pid"] > 0
         assert record["label"]
+        assert record["attempt"] == 1
+        assert record["outcome"] == "ok"
     timers = obs_metrics.registry().snapshot()["timers"]
     assert timers["executor.job_wall"]["count"] == 4
 
@@ -245,7 +247,8 @@ def test_unobserved_run_collects_nothing(monkeypatch):
     executor = SweepExecutor(jobs=1)
     SweepSpec(schemes=["abc"], traces={"12mbps": 12e6},
               duration=1.0).run_cells(executor)
-    assert executor.last_stats.job_records == []
+    stats = executor.last_stats
+    assert len(stats.job_records) == stats.executed
     assert obs_metrics.registry().snapshot()["counters"] == {}
 
 

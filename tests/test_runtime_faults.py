@@ -562,3 +562,54 @@ def test_sigint_leaves_no_orphaned_workers(tmp_path):
             child.communicate()
     assert child.returncode == 0, out
     assert "ORPHANS 0" in out
+
+
+# ------------------------------------------------ the default executor
+# No timeout, retries, faults or journal configured: the loop every figure
+# sweep uses must give the same guarantees as the configured one.
+def _fragile(value: int, die: bool = False, fail: bool = False) -> int:
+    if die:
+        os._exit(3)                      # an OOM kill, as the pool sees it
+    return _double(value, fail=fail)
+
+
+def test_default_parallel_run_survives_dead_worker():
+    jobs = [SweepJob(func=_fragile, kwargs={"value": i, "die": i == 1},
+                     label=f"j{i}") for i in range(4)]
+    executor = SweepExecutor(jobs=2)
+    with pytest.raises(JobFailureError) as excinfo:
+        executor.run(jobs)
+    assert excinfo.value.failure.outcome == "worker_crash"
+    assert executor.last_stats.worker_crashes == 1
+
+    results = SweepExecutor(jobs=2, failure_policy="salvage").run(jobs)
+    assert [results[i] for i in (0, 2, 3)] == [0, 4, 6]
+    assert is_failure(results[1]) and results[1].outcome == "worker_crash"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_completed_cells_are_committed_and_stats_fresh(tmp_path, workers):
+    jobs = [SweepJob(func=_fragile, kwargs={"value": i, "fail": i == 3},
+                     label=f"j{i}") for i in range(4)]
+    executor = SweepExecutor(jobs=workers, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="bad value 3"):
+        executor.run(jobs)
+    # last_stats describes *this* run, assembled before the raise ...
+    assert executor.last_stats.executed == 4
+    assert executor.last_stats.failed_jobs == 1
+    # ... and the three cells that completed were cached as they landed.
+    rerun = SweepExecutor(jobs=workers, cache_dir=tmp_path,
+                          failure_policy="salvage")
+    rerun.run(jobs)
+    assert rerun.last_stats.cache_hits == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupted_run_keeps_completed_cells(tmp_path, workers):
+    interrupted = SweepExecutor(jobs=workers, cache_dir=tmp_path,
+                                progress=_interrupt_after(2))
+    with pytest.raises(KeyboardInterrupt):
+        interrupted.run(_jobs(4))
+    rerun = SweepExecutor(jobs=workers, cache_dir=tmp_path, progress=False)
+    assert rerun.run(_jobs(4)) == [0, 2, 4, 6]
+    assert rerun.last_stats.cache_hits == 2

@@ -13,7 +13,7 @@ Two sources, one output format (the Chrome trace-event JSON that
       PYTHONPATH=src python tools/export_trace.py --scheme cubic --duration 5
 
 * A **sweep worker timeline** — renders the per-job records of a run manifest
-  (written by an observed sweep when ``REPRO_RUN_DIR`` is set; see
+  (written by a sweep when ``REPRO_RUN_DIR`` is set; see
   :mod:`repro.obs.manifest`): one row per worker pid, one bar per cell::
 
       PYTHONPATH=src python tools/export_trace.py \\
@@ -62,8 +62,8 @@ def export_manifest_trace(manifest_path: Path, out: Path) -> Path:
     jobs = manifest.get("executor", {}).get("jobs", [])
     if not jobs:
         raise SystemExit(
-            f"{manifest_path} has no executor.jobs records — was the sweep "
-            f"run observed (REPRO_RUN_DIR or REPRO_TELEMETRY set)?")
+            f"{manifest_path} has no executor.jobs records — did the sweep "
+            f"execute anything (or was every cell a cache hit)?")
     events = sweep_trace_events(jobs)
     path = write_chrome_trace(out, events,
                               metadata={"manifest": str(manifest_path),
