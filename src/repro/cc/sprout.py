@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Tuple
+from typing import Deque, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class Sprout(CongestionControl):
         self.tick_interval = tick_interval
         self._delivery_rate = WindowedRateEstimator(window=0.2)
         self._rate_samples: Deque[Tuple[float, float]] = deque()
+        # Memo of forecast_rate_bps(); dropped wherever _rate_samples changes
+        # (at most once per tick, while the forecast is read on every ACK).
+        self._forecast: Optional[float] = None
         self._last_sample_time = 0.0
         self._srtt = 0.1
         self.rtt_min = math.inf
@@ -62,16 +65,22 @@ class Sprout(CongestionControl):
         if rate <= 0:
             return
         self._rate_samples.append((now, rate))
+        self._forecast = None
         cutoff = now - self.sample_window
         while self._rate_samples and self._rate_samples[0][0] < cutoff:
             self._rate_samples.popleft()
 
     def forecast_rate_bps(self) -> float:
         """Cautious (low-percentile) forecast of the deliverable rate."""
-        if not self._rate_samples:
-            return 0.0
-        rates = np.array([r for _, r in self._rate_samples])
-        return float(np.percentile(rates, self.forecast_percentile))
+        forecast = self._forecast
+        if forecast is None:
+            if self._rate_samples:
+                rates = np.array([r for _, r in self._rate_samples])
+                forecast = float(np.percentile(rates, self.forecast_percentile))
+            else:
+                forecast = 0.0
+            self._forecast = forecast
+        return forecast
 
     def _queuing_delay(self) -> float:
         if not math.isfinite(self.rtt_min):
@@ -120,6 +129,7 @@ class Sprout(CongestionControl):
 
     def on_timeout(self, now: float) -> None:
         self._rate_samples.clear()
+        self._forecast = None
         self._cwnd = self.min_cwnd()
 
     def min_cwnd(self) -> float:

@@ -28,10 +28,12 @@ are bit-identical (``tests/test_path_golden.py``):
   opportunity share ``now``, so µ(t) is read once per timestamp when it is a
   pure function of time (stock links, no ``capacity_fn``, ``capacity_bps``
   not overridden — see :meth:`ABCRouterQdisc.attach`).
-* **One estimator, fed where it is read.**  A numpy-folded
-  :class:`~repro.cellular.estimators.VectorRateEstimator` receives a sample
-  per dequeue (or per enqueue under ``feedback_basis="enqueue"``) through an
-  inlined append; expiry is deferred to the once-per-dequeue rate read.
+* **One estimator, fed where it is read.**  A scalar two-pointer
+  :class:`~repro.simulator.estimators.WindowedRateEstimator` receives a
+  sample per dequeue (or per enqueue under ``feedback_basis="enqueue"``) and
+  is read once per dequeue; both the append and the expire-and-read are
+  inlined in :meth:`ABCRouterQdisc.dequeue` — running integer sums and a
+  live-start index, no numpy on the per-packet path.
 * **Inlined token bucket.**  Algorithm 1's add / clamp / spend on the
   already-clamped fraction, without the marker's defensive re-clamp.
 
@@ -44,9 +46,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.cellular.estimators import VectorRateEstimator
 from repro.core.marking import ProbabilisticMarker, TokenBucketMarker
 from repro.core.params import ABCParams
+from repro.simulator.estimators import _TRIM, WindowedRateEstimator
 from repro.simulator.packet import ECN, Packet, apply_brake
 from repro.simulator.qdisc import Qdisc
 
@@ -82,7 +84,7 @@ class ABCRouterQdisc(Qdisc):
         # One windowed-rate estimator: the cr(t) of Eq. 2, fed at the site
         # ``feedback_basis`` names (every dequeue, or — the Fig. 2 ablation —
         # every admitted enqueue).
-        self._rate = VectorRateEstimator(
+        self._rate = WindowedRateEstimator(
             window=self.params.measurement_window)
         self._rate_on_dequeue = feedback_basis == "dequeue"
         if probabilistic_marking:
@@ -213,11 +215,13 @@ class ABCRouterQdisc(Qdisc):
         self.backlog_packets -= 1
 
         rate = self._rate
+        times = rate._times
         if self._rate_on_dequeue:
-            # VectorRateEstimator.add, inlined.
+            # WindowedRateEstimator.add, inlined; the rate read below does
+            # its expiry, at the same `now`.
             if rate._first_sample_time is None:
                 rate._first_sample_time = now
-            rate._times.append(now)
+            times.append(now)
             rate._sizes.append(size)
             rate._total += size
 
@@ -257,8 +261,31 @@ class ABCRouterQdisc(Qdisc):
             tr = 0.0
         self.last_target_rate = tr
 
-        # accel_fraction (Eq. 2).
-        reference = rate.rate_bps(now)
+        # accel_fraction (Eq. 2).  WindowedRateEstimator.rate_bps, inlined.
+        window = rate.window
+        cutoff = now - window
+        start = rate._start
+        n = len(times)
+        expired = rate._expired
+        if start < n and times[start] < cutoff:
+            sizes = rate._sizes
+            while start < n and times[start] < cutoff:
+                expired += sizes[start]
+                start += 1
+            rate._expired = expired
+            if start >= _TRIM:
+                del times[:start]
+                del sizes[:start]
+                n -= start
+                start = 0
+            rate._start = start
+        if start < n:
+            span = now - rate._first_sample_time
+            if span > window or span <= 0.0:
+                span = window
+            reference = (rate._total - expired) * 8.0 / span
+        else:
+            reference = 0.0
         if reference <= 0.0:
             fraction = 1.0
         else:

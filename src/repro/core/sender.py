@@ -70,28 +70,14 @@ class ABCWindowControl(CongestionControl):
 
     # ------------------------------------------------------------ feedback
     def on_ack(self, feedback: AckFeedback) -> None:
-        acked = feedback.bytes_acked / self.mss
-        ai = acked / max(self.w_abc, 1.0) if self.params.additive_increase else 0.0
-        if feedback.accel:
-            self.accel_acks += 1
-            self.w_abc += acked + ai
-        else:
-            self.brake_acks += 1
-            self.w_abc -= acked - ai
-        self.w_abc = max(self.w_abc, self.min_cwnd())
-
-        if self.cubic is not None:
-            self.cubic.on_ack(feedback)
-
-        self._apply_window_caps(feedback.packets_in_flight)
+        self.fast_ack(feedback)
 
     def fast_ack(self, feedback: AckFeedback) -> float:
-        """Fused accel/brake + Cubic + window-cap update for the sender's
-        per-ACK handler.  This is :meth:`on_ack` followed by the sender's
-        ``max(cwnd(), min_cwnd())`` read, flattened into one call with the
-        same floating-point operations in the same order — the ``max``/``min``
-        built-ins are replaced by the equivalent comparisons so the result is
-        bit-identical (``min_cwnd`` is the constant 1.0 here).
+        """The per-ACK body: accel/brake update of ``w_abc`` (Eq. 3), the
+        Cubic update of ``w_nonabc``, the window caps, and the effective
+        window ``max(cwnd(), min_cwnd())`` the sender reads next, in one
+        call.  ``max``/``min`` are spelled as comparisons (``min_cwnd`` is
+        the constant 1.0 here).
         """
         acked = feedback.bytes_acked / self.mss
         w = self.w_abc
@@ -112,7 +98,12 @@ class ABCWindowControl(CongestionControl):
         if cubic is not None:
             cubic.on_ack(feedback)
 
-        # _apply_window_caps, inlined.
+        # Cap both windows at ``window_cap_factor ×`` packets in flight
+        # (§5.1.1) so the non-bottleneck window cannot grow unboundedly.  The
+        # count includes the packet whose ACK is being processed (the sender
+        # removes it from its in-flight set just before invoking the
+        # congestion controller), otherwise the cap would bite during normal
+        # ACK-clocked growth instead of only when the window is idle.
         in_flight = feedback.packets_in_flight + 1
         cap = self.params.window_cap_factor * (in_flight if in_flight >= 1 else 1)
         if cap < 2.0:
@@ -122,6 +113,7 @@ class ABCWindowControl(CongestionControl):
         self.w_abc = w
 
         if cubic is not None:
+            # cubic.clamp_to(cap), inlined.
             cw = cubic._cwnd
             if cw > cap:
                 cw = cap if cap >= 1.0 else 1.0
@@ -131,21 +123,6 @@ class ABCWindowControl(CongestionControl):
         else:
             effective = w
         return effective if effective >= 1.0 else 1.0
-
-    def _apply_window_caps(self, packets_in_flight: int) -> None:
-        """Cap both windows at ``window_cap_factor ×`` packets in flight
-        (§5.1.1) so the non-bottleneck window cannot grow unboundedly.
-
-        The count includes the packet whose ACK is being processed (the sender
-        removes it from its in-flight set just before invoking the congestion
-        controller), otherwise the cap would bite during normal ACK-clocked
-        growth instead of only when the window is idle."""
-        in_flight = packets_in_flight + 1
-        cap = max(self.params.window_cap_factor * max(in_flight, 1),
-                  2.0 * self.min_cwnd())
-        self.w_abc = min(self.w_abc, cap)
-        if self.cubic is not None:
-            self.cubic.clamp_to(cap)
 
     def on_loss(self, now: float) -> None:
         if self.cubic is not None:

@@ -13,8 +13,8 @@ Three instrument kinds cover every signal the platform emits:
 Disabled-mode contract
 ----------------------
 ``REPRO_TELEMETRY`` unset (the default) must leave the per-packet hot path
-untouched — ``benchmarks/bench_engine_hotpath.py --check-overhead`` guards a
-<2 % bound.  Two mechanisms make that possible:
+untouched; that default configuration is what the repo benchmark
+(``benchmarks/ledger/``) measures.  Two mechanisms make that possible:
 
 1. The acquisition helpers (:func:`counter`/:func:`gauge`/:func:`timer`)
    return shared **no-op singletons** when telemetry is off, so cold-path

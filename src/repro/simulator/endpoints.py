@@ -56,7 +56,7 @@ from repro.simulator.engine import DeadlineTimer, EventHandle, EventLoop
 from repro.simulator.estimators import RTTEstimator
 from repro.simulator.monitor import FlowStats
 from repro.simulator.packet import (ACK_SIZE, MTU, Ack, AckFeedback, ECN,
-                                    _packet_ids, packet_pool)
+                                    packet_pool)
 from repro.simulator.traffic import (BackloggedSource, FixedSizeSource,
                                      TrafficSource)
 
@@ -655,7 +655,6 @@ class Receiver:
         self.ack_size = ack_size
         self.flow_stats: Dict[int, FlowStats] = {}
         self.packets_received = 0
-        self._next_expected: Dict[int, int] = {}
         self._ack_fwd: Optional[tuple] = None
 
     def connect(self, egress) -> None:
@@ -695,43 +694,30 @@ class Receiver:
             stats.first_recv_time = now
         stats.last_recv_time = now
 
-        next_expected = self._next_expected
-        expected = next_expected.get(flow_id, 0)
-        seq = packet.seq
-        if seq >= expected:
-            expected = seq + 1
-            next_expected[flow_id] = expected
-
         ecn = packet.ecn
         pool = packet_pool._acks
         if pool:
             # PacketPool.acquire_ack inlined: same field resets in the same
-            # order, same uid draw — only the call frame is saved.
+            # order — only the call frame is saved.
             ack = pool.pop()
             packet_pool.reused += 1
             ack.flow_id = flow_id
-            ack.seq = seq
+            ack.seq = packet.seq
             ack.size = self.ack_size
             ack.accel = ecn == ECN.ACCEL
             ack.ece = ecn == ECN.CE
-            ack.data_sent_time = packet.sent_time
-            ack.data_size = size
-            ack.ack_sent_time = now
-            ack.cumulative_ack = expected
             ack.ecn = ECN.NOT_ECT
             ack.meta = dict(packet.meta)
-            ack.uid = next(_packet_ids)
             ack.sent_time = now
             ack.enqueue_time = 0.0
             ack.dequeue_time = 0.0
             ack.total_queuing_delay = 0.0
             ack.is_retransmission = False
             ack.abc_capable = False
-            ack.hop_count = 0
         else:
             ack = packet_pool.acquire_ack(
-                flow_id, seq, self.ack_size, ecn == ECN.ACCEL, ecn == ECN.CE,
-                packet.sent_time, size, now, expected, now, dict(packet.meta))
+                flow_id, packet.seq, self.ack_size, ecn == ECN.ACCEL,
+                ecn == ECN.CE, now, dict(packet.meta))
         # The data packet's life ends here: its fields are copied into the
         # flow stats and the ACK above, so the object can be recycled.
         packets = packet_pool._packets

@@ -11,8 +11,8 @@ Design notes
   runs deterministic, which the test-suite and the benchmark harness rely on.
 * Heap entries are plain ``[time, seq, callback, args]`` lists, so heap
   ordering is a C-level list comparison that never goes past ``seq`` (which is
-  unique) — no Python-level ``__lt__`` on the hot path.  The engine-dispatch
-  rate is tracked by ``benchmarks/bench_engine_hotpath.py``.
+  unique) — no Python-level ``__lt__`` on the hot path.  Dispatch cost is the
+  ledger's ``engine.dispatch_ns_per_event`` row (``benchmarks/ledger/``).
 * Cancelling an event is O(1): the entry's callback slot is cleared and the
   entry is skipped when popped.  When cancelled entries pile up (per-ACK RTO
   re-arming cancels one event per ACK) the heap is compacted in place, so the

@@ -14,6 +14,11 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 
+#: Dead samples tolerated in front of a :class:`WindowedRateEstimator`'s live
+#: window before the prefix is cut off with one ``del lst[:start]``.
+_TRIM = 128
+
+
 class WindowedRateEstimator:
     """Rate estimate over a sliding time window.
 
@@ -22,46 +27,81 @@ class WindowedRateEstimator:
     per second.  When fewer than ``window`` seconds of history exist the
     elapsed time since the first sample is used instead, which avoids the
     start-up bias of dividing by the full window.
+
+    Nothing is ever re-derived: samples sit in parallel ``_times`` /
+    ``_sizes`` lists, ``_start`` indexes the oldest live one, and the window's
+    byte count is the difference of two running integer sums (``_total``
+    added, ``_expired`` aged out).  Both :meth:`add` and :meth:`rate_bps`
+    advance ``_start``, so an instance that is fed but never read holds at
+    most one window of samples plus ``_TRIM`` dead ones.  The ABC router
+    inlines both methods at its per-packet call sites
+    (:meth:`repro.core.router.ABCRouterQdisc.dequeue`).
     """
+
+    __slots__ = ("window", "_times", "_sizes", "_start", "_total", "_expired",
+                 "_first_sample_time")
 
     def __init__(self, window: float = 0.04):
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        self._samples: Deque[Tuple[float, int]] = deque()
-        self._bytes_in_window = 0
+        self._times: list[float] = []
+        self._sizes: list[int] = []
+        self._start = 0
+        self._total = 0
+        self._expired = 0
         self._first_sample_time: Optional[float] = None
 
     def add(self, now: float, size_bytes: int) -> None:
         """Record ``size_bytes`` observed at time ``now``."""
         if self._first_sample_time is None:
             self._first_sample_time = now
-        self._samples.append((now, size_bytes))
-        self._bytes_in_window += size_bytes
+        self._times.append(now)
+        self._sizes.append(size_bytes)
+        self._total += size_bytes
         self._expire(now)
 
-    def _expire(self, now: float) -> None:
+    def _expire(self, now: float) -> bool:
+        """Age out samples older than ``now - window``; True when a live
+        sample remains."""
         cutoff = now - self.window
-        samples = self._samples
-        while samples and samples[0][0] < cutoff:
-            _, size = samples.popleft()
-            self._bytes_in_window -= size
+        times = self._times
+        start = self._start
+        n = len(times)
+        if start < n and times[start] < cutoff:
+            sizes = self._sizes
+            expired = self._expired
+            while start < n and times[start] < cutoff:
+                expired += sizes[start]
+                start += 1
+            self._expired = expired
+            if start >= _TRIM:
+                del times[:start]
+                del sizes[:start]
+                n -= start
+                start = 0
+            self._start = start
+        return start < n
 
     def rate_bps(self, now: float) -> float:
         """Current rate estimate in bits per second (0.0 with no samples)."""
-        self._expire(now)
-        if not self._samples or self._first_sample_time is None:
+        if not self._expire(now):
             return 0.0
-        span = min(self.window, max(now - self._first_sample_time, 0.0))
-        if span <= 0.0:
-            # A single instantaneous burst of samples: fall back to the full
-            # window rather than reporting an infinite rate.
-            span = self.window
-        return self._bytes_in_window * 8.0 / span
+        # min(window, max(now - first, 0)), with an instantaneous burst of
+        # samples (zero span) falling back to the full window rather than
+        # reporting an infinite rate.
+        span = now - self._first_sample_time
+        window = self.window
+        if span > window or span <= 0.0:
+            span = window
+        return (self._total - self._expired) * 8.0 / span
 
     def reset(self) -> None:
-        self._samples.clear()
-        self._bytes_in_window = 0
+        self._times.clear()
+        self._sizes.clear()
+        self._start = 0
+        self._total = 0
+        self._expired = 0
         self._first_sample_time = None
 
 

@@ -240,7 +240,6 @@ class Link:
         """Called by the upstream node to hand a packet to this link."""
         now = self.env._now
         self.arrived_packets += 1
-        packet.hop_count += 1
         if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
             # Independent random loss (lossy-wireless model): the packet
             # vanishes before it ever reaches the queue.

@@ -24,7 +24,6 @@ feedback.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -35,8 +34,6 @@ MTU = 1500
 
 #: Size of a bare ACK in bytes (TCP/IP headers only).
 ACK_SIZE = 40
-
-_packet_ids = itertools.count()
 
 
 class ECN(enum.IntEnum):
@@ -109,9 +106,7 @@ class Packet:
     enqueue_time: float = 0.0
     dequeue_time: float = 0.0
     total_queuing_delay: float = 0.0
-    hop_count: int = 0
     meta: dict[str, Any] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
 
     @property
     def queuing_delay(self) -> float:
@@ -133,13 +128,8 @@ class Ack:
     size: int = ACK_SIZE
     accel: bool = True
     ece: bool = False
-    data_sent_time: float = 0.0
-    data_size: int = MTU
-    ack_sent_time: float = 0.0
-    cumulative_ack: int = 0
     ecn: ECN = ECN.NOT_ECT
     meta: dict[str, Any] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
 
     # ACKs traverse (possibly trace-driven) reverse links, so they carry the
     # same bookkeeping fields as data packets.
@@ -149,7 +139,6 @@ class Ack:
     total_queuing_delay: float = 0.0
     is_retransmission: bool = False
     abc_capable: bool = False
-    hop_count: int = 0
 
     @property
     def is_ack(self) -> bool:
@@ -172,11 +161,11 @@ class PacketPool:
     well-defined point and recycling cannot alias a live reference.
 
     Determinism: ``acquire_*`` resets *every* field to exactly what the
-    corresponding constructor call would produce — including a fresh ``uid``
-    and the caller-supplied ``meta`` dict (never a cleared old one, since
-    in-band ``meta`` dicts may outlive their packet via
-    :class:`AckFeedback`).  Pooling therefore changes which Python object
-    carries the data, never the data itself.
+    corresponding constructor call would produce — including the
+    caller-supplied ``meta`` dict (never a cleared old one, since in-band
+    ``meta`` dicts may outlive their packet via :class:`AckFeedback`).
+    Pooling therefore changes which Python object carries the data, never the
+    data itself.
     """
 
     __slots__ = ("max_size", "_packets", "_acks", "reused", "created")
@@ -206,9 +195,7 @@ class PacketPool:
             packet.enqueue_time = 0.0
             packet.dequeue_time = 0.0
             packet.total_queuing_delay = 0.0
-            packet.hop_count = 0
             packet.meta = meta
-            packet.uid = next(_packet_ids)
             return packet
         self.created += 1
         return Packet(flow_id=flow_id, seq=seq, size=size, ecn=ecn,
@@ -221,9 +208,7 @@ class PacketPool:
 
     # ------------------------------------------------------------ acks
     def acquire_ack(self, flow_id: int, seq: int, size: int, accel: bool,
-                    ece: bool, data_sent_time: float, data_size: int,
-                    ack_sent_time: float, cumulative_ack: int,
-                    sent_time: float, meta: dict) -> Ack:
+                    ece: bool, sent_time: float, meta: dict) -> Ack:
         pool = self._acks
         if pool:
             ack = pool.pop()
@@ -233,25 +218,17 @@ class PacketPool:
             ack.size = size
             ack.accel = accel
             ack.ece = ece
-            ack.data_sent_time = data_sent_time
-            ack.data_size = data_size
-            ack.ack_sent_time = ack_sent_time
-            ack.cumulative_ack = cumulative_ack
             ack.ecn = ECN.NOT_ECT
             ack.meta = meta
-            ack.uid = next(_packet_ids)
             ack.sent_time = sent_time
             ack.enqueue_time = 0.0
             ack.dequeue_time = 0.0
             ack.total_queuing_delay = 0.0
             ack.is_retransmission = False
             ack.abc_capable = False
-            ack.hop_count = 0
             return ack
         self.created += 1
         return Ack(flow_id=flow_id, seq=seq, size=size, accel=accel, ece=ece,
-                   data_sent_time=data_sent_time, data_size=data_size,
-                   ack_sent_time=ack_sent_time, cumulative_ack=cumulative_ack,
                    sent_time=sent_time, meta=meta)
 
     def release_ack(self, ack: Ack) -> None:

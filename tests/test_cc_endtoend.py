@@ -5,7 +5,9 @@ simulator), checking each control law's defining behaviours.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.cc import (AIMD, BBR, Copa, Cubic, NewReno, PCCVivace, Sprout,
@@ -257,6 +259,38 @@ def test_sprout_timeout_resets():
     cc = Sprout(initial_cwnd=30.0)
     cc.on_timeout(1.0)
     assert cc.cwnd() == cc.min_cwnd()
+
+
+def test_sprout_forecast_is_recomputed_only_when_its_samples_change(monkeypatch):
+    """The forecast is read on every ACK but its samples change at most once
+    per 20 ms tick: the memo must equal a fresh percentile after every ACK,
+    loss and timeout, at no more than one ``np.percentile`` per sample."""
+    percentile, calls = np.percentile, []
+    monkeypatch.setattr(np, "percentile",
+                        lambda *a, **kw: calls.append(1) or percentile(*a, **kw))
+
+    def fresh(cc):
+        rates = [r for _, r in cc._rate_samples]
+        return float(percentile(np.array(rates), cc.forecast_percentile)) \
+            if rates else 0.0
+
+    rng = random.Random("sprout-memo")
+    cc = Sprout()
+    recorded = 0
+    for i in range(4000):
+        now = i * 0.003
+        cc.on_ack(ack(now, rtt=0.05, bytes_acked=rng.randrange(40, MTU + 1)))
+        recorded += bool(cc._rate_samples) and cc._rate_samples[-1][0] == now
+        assert cc.forecast_rate_bps() == fresh(cc)
+        if i % 500 == 499:
+            cc.on_loss(now)
+            assert cc.forecast_rate_bps() == fresh(cc)
+        if i % 1500 == 1499:
+            cc.on_timeout(now)
+            assert cc.forecast_rate_bps() == fresh(cc) == 0.0
+    assert recorded > 400                   # ~one per tick; expiry after 2 s
+    assert len(cc._rate_samples) < recorded
+    assert 0 < len(calls) <= recorded + 1
 
 
 # ------------------------------------------------------------ Verus

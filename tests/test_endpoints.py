@@ -167,14 +167,6 @@ def test_receiver_echoes_scheme_meta():
     assert captured[0].meta["xcp_feedback_bytes"] == 123.0
 
 
-def test_receiver_tracks_cumulative_ack():
-    env = EventLoop()
-    receiver = Receiver(env, egress=Sink())
-    for seq in (0, 1, 2):
-        receiver.receive(Packet(flow_id=5, seq=seq))
-    assert receiver._next_expected[5] == 3
-
-
 # ------------------------------------------------------------ ABC marking path
 def test_abc_sender_marks_packets_accelerate():
     scenario = Scenario()

@@ -494,6 +494,18 @@ def test_profile_tool_json_output(tmp_path):
     assert set(row) >= {"function", "file", "line", "tottime", "cumtime"}
 
 
+def test_profile_tool_metro_city(tmp_path):
+    out = tmp_path / "metro.json"
+    proc = _run_tool("profile_hotpath.py", "--metro", "abc:0.6,cubic:0.4",
+                     "--duration", "0.5", "--top", "400", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(out.read_text())
+    assert payload["title"].startswith("metro city abc:0.6,cubic:0.4")
+    # A city goes through the shared ABC router and the per-cell job body.
+    profiled = {row["function"] for row in payload["rows"]}
+    assert {"metro_cell", "dequeue"} <= profiled
+
+
 def test_profile_tool_bare_out_lands_in_run_dir(tmp_path):
     run_dir = tmp_path / "runs"
     proc = _run_tool("profile_hotpath.py", "--scheme", "abc",

@@ -45,12 +45,6 @@ def test_packet_defaults():
     assert pkt.total_queuing_delay == 0.0
 
 
-def test_packet_uids_are_unique():
-    a = Packet(flow_id=1, seq=0)
-    b = Packet(flow_id=1, seq=0)
-    assert a.uid != b.uid
-
-
 def test_queuing_delay_property():
     pkt = Packet(flow_id=1, seq=0)
     pkt.enqueue_time = 1.0

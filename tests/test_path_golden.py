@@ -26,11 +26,14 @@ Regenerate only for an *intentional* change to simulation semantics::
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.aqm import CoDelQdisc, PIEQdisc
@@ -41,6 +44,7 @@ from repro.core.router import ABCRouterQdisc
 from repro.experiments.runner import run_single_bottleneck
 from repro.metro.cell import metro_cell
 from repro.simulator.endpoints import IDLE_PACING_POLL
+from repro.simulator.engine import EventLoop
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import FixedSizeSource
 
@@ -285,3 +289,46 @@ if __name__ == "__main__":
             text=True, cwd=Path(__file__).parent).stdout.strip() or "unknown")
     else:
         print(__doc__)
+
+
+# ------------------------------------------------------ numpy stays outside
+def test_event_loop_makes_no_numpy_calls():
+    """numpy is for set-up (trace synthesis, workload draws) and for analysis
+    after the run; at per-packet call rates a numpy scalar or a
+    ``searchsorted`` costs several times the Python arithmetic it replaces.
+    Guarded by behaviour rather than by an import list (``endpoints``
+    legitimately imports ``monitor``, whose numpy runs after the run): no
+    call into numpy between entering and leaving ``EventLoop.run`` on an
+    ABC + Cubic metro cell."""
+    run_code = EventLoop.run.__code__
+    inside = runs = 0
+    numpy_calls = collections.Counter()
+
+    def profiler(frame, event, arg):
+        nonlocal inside, runs
+        if event == "c_call":
+            if inside and (
+                    (getattr(arg, "__module__", None) or "").startswith("numpy")
+                    or isinstance(getattr(arg, "__self__", None),
+                                  (np.ndarray, np.generic))):
+                numpy_calls[arg.__name__] += 1
+        elif frame.f_code is run_code:
+            if event == "call":
+                inside += 1
+                runs += 1
+            elif event == "return":
+                inside -= 1
+        elif (event == "call" and inside
+              and frame.f_globals.get("__name__", "").startswith("numpy")):
+            numpy_calls[frame.f_code.co_name] += 1
+
+    trace = lte_showcase_trace(duration=1.0, seed=5)
+    sys.setprofile(profiler)
+    try:
+        cell = metro_cell("abc:0.5,cubic:0.5", "guard", trace, seed=1,
+                          duration=1.0)
+    finally:
+        sys.setprofile(None)
+    assert runs == 1 and inside == 0
+    assert cell["throughput_bps"] > 1e6 and "abc" in cell["schemes"]
+    assert not numpy_calls

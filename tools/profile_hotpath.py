@@ -1,13 +1,15 @@
 """cProfile the per-packet hot path and dump the top-N functions.
 
-Profiles one of the canonical hot-path workloads from
-``benchmarks/bench_engine_hotpath.py`` (or any scheme over the showcase LTE
-trace) and prints the top functions by ``tottime`` (or any other
-:mod:`pstats` sort key) — the profile-guided half of the hot-path workflow::
+Profiles one scheme over the showcase LTE trace, or one ``metro_pack`` city
+(many flows of mixed schemes churning through shared ABC routers — the load
+that makes router and demux costs visible, which a single-flow trace cannot),
+and prints the top functions by ``tottime`` (or any other :mod:`pstats` sort
+key).  The ledger (``benchmarks/ledger/``) says which layer the time goes to;
+this says which function::
 
     PYTHONPATH=src python tools/profile_hotpath.py                    # fig1 ABC
     PYTHONPATH=src python tools/profile_hotpath.py --scheme cubic
-    PYTHONPATH=src python tools/profile_hotpath.py --workload dispatch
+    PYTHONPATH=src python tools/profile_hotpath.py --metro abc:0.5,cubic:0.3,bbr:0.2
     PYTHONPATH=src python tools/profile_hotpath.py --sort cumulative --top 40
     PYTHONPATH=src python tools/profile_hotpath.py --out profile.pstats
     PYTHONPATH=src python tools/profile_hotpath.py --out profile.json
@@ -29,8 +31,11 @@ import pstats
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+#: Cells in a ``--metro`` city: two square-wave sectors and two trace-driven
+#: cells, enough for every link model and a few dozen churning flows.
+METRO_CELLS = 4
 
 
 def profile_scenario(scheme: str, duration: float) -> cProfile.Profile:
@@ -46,12 +51,15 @@ def profile_scenario(scheme: str, duration: float) -> cProfile.Profile:
     return profiler
 
 
-def profile_workload(name: str) -> cProfile.Profile:
-    from bench_engine_hotpath import WORKLOADS
+def profile_metro(mix: str, duration: float) -> cProfile.Profile:
+    from repro.metro.spec import metro_pack
 
+    _cells, jobs = metro_pack(METRO_CELLS, mixes=(mix,),
+                              duration=duration).expand()
     profiler = cProfile.Profile()
     profiler.enable()
-    WORKLOADS[name]()
+    for job in jobs:
+        job.run()
     profiler.disable()
     return profiler
 
@@ -91,13 +99,12 @@ def main(argv=None) -> int:
     parser.add_argument("--scheme", default="abc",
                         help="scheme to run over the LTE showcase trace "
                              "(default: abc)")
-    parser.add_argument("--workload", default=None,
-                        choices=["dispatch", "cancel_churn", "fig1_abc",
-                                 "fig2_cubic"],
-                        help="profile a bench_engine_hotpath workload "
-                             "instead of a scheme scenario")
+    parser.add_argument("--metro", default=None, metavar="MIX",
+                        help="profile a metro_pack city with this scheme mix "
+                             "(e.g. abc:0.5,cubic:0.3,bbr:0.2) instead of a "
+                             "single-flow scheme scenario")
     parser.add_argument("--duration", type=float, default=15.0,
-                        help="simulated seconds for scheme scenarios")
+                        help="simulated seconds per scenario / metro cell")
     parser.add_argument("--top", type=int, default=25,
                         help="number of rows to print")
     parser.add_argument("--sort", default="tottime",
@@ -109,9 +116,10 @@ def main(argv=None) -> int:
                              "that is set)")
     args = parser.parse_args(argv)
 
-    if args.workload is not None:
-        profiler = profile_workload(args.workload)
-        title = f"workload {args.workload}"
+    if args.metro is not None:
+        profiler = profile_metro(args.metro, args.duration)
+        title = (f"metro city {args.metro}, {METRO_CELLS} cells x "
+                 f"{args.duration:g}s")
     else:
         profiler = profile_scenario(args.scheme, args.duration)
         title = f"{args.scheme} over LTE showcase, {args.duration:g}s"
