@@ -49,7 +49,7 @@ from typing import Callable, Optional
 from repro.core.marking import ProbabilisticMarker, TokenBucketMarker
 from repro.core.params import ABCParams
 from repro.simulator.estimators import _TRIM, WindowedRateEstimator
-from repro.simulator.packet import ECN, Packet, apply_brake
+from repro.simulator.packet import ACCEL, BRAKE, Packet
 from repro.simulator.qdisc import Qdisc
 
 #: Type of the optional capacity callback: ``capacity_bps = fn(now)``.
@@ -299,7 +299,7 @@ class ABCRouterQdisc(Qdisc):
         # Token-bucket marking (Algorithm 1); `fraction` is already clamped
         # to [0, 1] so the marker's defensive clamp is skipped.
         marker = self.marker
-        if packet.ecn is not ECN.ACCEL:
+        if packet.ecn is not ACCEL:
             # Brake/CE/Not-ECT packets pass through untouched (the router may
             # not upgrade), but the token bucket still advances (Algorithm 1
             # adds f(t) for every outgoing packet) so that the accelerate
@@ -330,7 +330,8 @@ class ABCRouterQdisc(Qdisc):
         if keep_accel:
             self.accel_marked += 1
         else:
-            packet.ecn = apply_brake(packet.ecn)
+            # apply_brake, inlined: only accelerate packets get this far.
+            packet.ecn = BRAKE
             self.brake_marked += 1
             self.marked_packets += 1
         return packet

@@ -8,9 +8,10 @@ paper's implementation strategy of pluggable TCP congestion control modules
 (§6.1) and lets ABC, Cubic, BBR, XCP, ... share one code path.
 
 The :class:`Receiver` acknowledges every data packet and echoes congestion
-feedback: the classic ECN signal as the ECE flag and the ABC accelerate/brake
-bit (the re-purposed NS bit of §5.1.2), plus any scheme-specific header fields
-(XCP/RCP/VCP) carried in ``packet.meta``.
+feedback: the received codepoint, which the sender reads as the classic ECN
+signal (the ECE flag) and the ABC accelerate/brake bit (the re-purposed NS bit
+of §5.1.2), plus any scheme-specific header fields (XCP/RCP/VCP) carried in
+``packet.meta``.
 
 Optimisation changes vs the original per-ACK path
 -------------------------------------------------
@@ -38,6 +39,11 @@ original), the raw event sequence is not:
   send decision (at most one packet per tick, so every ``sent_time`` is
   unchanged) and *halts* the tick chain when a fixed-size flow completes
   instead of idle-polling to the horizon (``pace_ticks`` / ``pace_halts``).
+* **One object per round trip.**  The receiver turns the delivered
+  ``Packet`` around in place as its own ACK (see :class:`Receiver`) instead
+  of copying it into a second object, senders construct packets directly
+  (a freelist measured no faster than the allocator), and the in-flight
+  record is a plain ``(seq, size, sent_time, is_retransmission)`` tuple.
 * **Time-shifted receiver.**  :meth:`Receiver.receive_at` takes the arrival
   time as an argument so the demux can run it synchronously at delivery time
   (``deliver_shifted``; the ``_limit`` horizon rule lives in
@@ -48,15 +54,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cc.base import CongestionControl
 from repro.simulator.engine import DeadlineTimer, EventHandle, EventLoop
 from repro.simulator.estimators import RTTEstimator
 from repro.simulator.monitor import FlowStats
-from repro.simulator.packet import (ACK_SIZE, MTU, Ack, AckFeedback, ECN,
-                                    packet_pool)
+from repro.simulator.packet import (ACCEL, ACK_SIZE, CE, MTU, NOT_ECT,
+                                    AckFeedback, Packet)
 from repro.simulator.traffic import (BackloggedSource, FixedSizeSource,
                                      TrafficSource)
 
@@ -78,14 +83,6 @@ def _forward(hop, packet) -> None:
         hop.receive(packet)
 
 
-@dataclass(slots=True)
-class _SentInfo:
-    seq: int
-    size: int
-    sent_time: float
-    is_retransmission: bool
-
-
 class DelayHop:
     """A pure propagation-delay segment (no queueing, no capacity limit)."""
 
@@ -103,7 +100,7 @@ class DelayHop:
     def receive(self, packet) -> None:
         if self.dst is None:
             return
-        self.env.schedule(self.delay, self.dst.receive, packet)
+        self.env.post(self.delay, self.dst.receive, packet)
 
     # Links use .send(); keep both spellings so hops are interchangeable.
     send = receive
@@ -145,8 +142,11 @@ class Sender:
 
         self.rtt = RTTEstimator()
         self.next_seq = 0
-        self.outstanding: Dict[int, _SentInfo] = {}
-        self.retransmit_queue: deque[_SentInfo] = deque()
+        #: ``seq -> (seq, size, sent_time, is_retransmission)`` in send-time
+        #: order.  The sender's own record: a returning object may be an
+        #: earlier transmission of a since-retransmitted sequence number.
+        self.outstanding: Dict[int, tuple] = {}
+        self.retransmit_queue: deque[tuple] = deque()
         self.highest_acked = -1
         self._recovery_end_seq = -1
         self._latest_acked_sent_time = -1.0
@@ -283,24 +283,23 @@ class Sender:
         self._transmit(seq, size, now, is_retransmission=False)
 
     def _send_retransmission(self, now: float) -> None:
-        info = self.retransmit_queue.popleft()
+        seq, size, _, _ = self.retransmit_queue.popleft()
         self.retransmissions += 1
-        self._transmit(info.seq, info.size, now, is_retransmission=True)
+        self._transmit(seq, size, now, is_retransmission=True)
 
     def _transmit(self, seq: int, size: int, now: float, is_retransmission: bool) -> None:
         abc_capable = self.cc.uses_abc
-        packet = packet_pool.acquire_packet(
+        packet = Packet(
             flow_id=self.flow_id,
             seq=seq,
             size=size,
-            ecn=ECN.ACCEL if abc_capable else ECN.NOT_ECT,
+            ecn=ACCEL if abc_capable else NOT_ECT,
             sent_time=now,
             is_retransmission=is_retransmission,
             abc_capable=abc_capable,
             meta=self.cc.packet_meta(now),
         )
-        self.outstanding[seq] = _SentInfo(seq=seq, size=size, sent_time=now,
-                                          is_retransmission=is_retransmission)
+        self.outstanding[seq] = (seq, size, now, is_retransmission)
         self.bytes_sent += size
         self.packets_sent += 1
         self.cc.on_packet_sent(now, seq, size, self.in_flight)
@@ -346,7 +345,7 @@ class Sender:
             mss = self.mss
             flow_id = self.flow_id
             abc_capable = cc.uses_abc
-            ecn = ECN.ACCEL if abc_capable else ECN.NOT_ECT
+            ecn = ACCEL if abc_capable else NOT_ECT
             static_meta = self._static_meta
             static_window = self._static_window
             fwd = self._fwd
@@ -354,7 +353,6 @@ class Sender:
                 fwd = self._resolve_forward()
             fwd_delay, fwd_cb = fwd
             post = self.env.post
-            acquire = packet_pool.acquire_packet
             next_seq = self.next_seq
             sent_bytes = 0
             while True:
@@ -365,9 +363,10 @@ class Sender:
                 else:
                     size = mss
                 meta = {} if static_meta else cc.packet_meta(now)
-                packet = acquire(flow_id, next_seq, size, ecn, now, False,
-                                 abc_capable, meta)
-                outstanding[next_seq] = _SentInfo(next_seq, size, now, False)
+                # Positional; the zeros are the queue-bookkeeping fields.
+                packet = Packet(flow_id, next_seq, size, ecn, now, False,
+                                abc_capable, 0.0, 0.0, 0.0, meta)
+                outstanding[next_seq] = (next_seq, size, now, False)
                 next_seq += 1
                 n += 1
                 sent_bytes += size
@@ -447,11 +446,11 @@ class Sender:
                         meta = {} if self._static_meta else cc.packet_meta(now)
                         seq = self.next_seq
                         self.next_seq = seq + 1
-                        packet = packet_pool.acquire_packet(
+                        packet = Packet(
                             self.flow_id, seq, size,
-                            ECN.ACCEL if abc_capable else ECN.NOT_ECT,
-                            now, False, abc_capable, meta)
-                        outstanding[seq] = _SentInfo(seq, size, now, False)
+                            ACCEL if abc_capable else NOT_ECT,
+                            now, False, abc_capable, 0.0, 0.0, 0.0, meta)
+                        outstanding[seq] = (seq, size, now, False)
                         self.bytes_sent += size
                         self.packets_sent += 1
                         if not self._static_window:
@@ -491,20 +490,20 @@ class Sender:
     # ------------------------------------------------------------ receiving
     def receive(self, ack) -> None:
         """Entry point for packets arriving from the reverse path (ACKs)."""
-        if not isinstance(ack, Ack):
+        if not ack.is_ack:
             return
         now = self.env._now
         self.acks_received += 1
         outstanding = self.outstanding
-        info = outstanding.pop(ack.seq, None)
+        seq = ack.seq
+        info = outstanding.pop(seq, None)
         if info is None:
             # ACK for a packet we already retired (spurious retransmission or
             # a duplicate) — nothing to update.
-            packet_pool.release_ack(ack)
             return
+        _, info_size, info_sent_time, info_retransmission = info
         rtt_sample = None
-        info_sent_time = info.sent_time
-        if not info.is_retransmission:
+        if not info_retransmission:
             rtt_sample = now - info_sent_time
             if rtt_sample > 0:
                 # RTTEstimator.update, inlined.
@@ -524,9 +523,7 @@ class Sender:
                     rtt.srtt = 0.875 * srtt + 0.125 * rtt_sample
             # Fresh feedback from the network: clear any RTO backoff.
             self._rto_backoff = 1.0
-        info_size = info.size
         self.bytes_acked += info_size
-        seq = ack.seq
         if seq > self.highest_acked:
             self.highest_acked = seq
         latest = self._latest_acked_sent_time
@@ -536,17 +533,16 @@ class Sender:
         if outstanding:
             # RACK precheck (see _detect_losses): the first entry carries the
             # minimum sent_time, so the common no-loss ACK skips the call.
-            first_info = next(iter(outstanding.values()))
-            if first_info.sent_time < latest - REORDER_WINDOW:
+            if next(iter(outstanding.values()))[2] < latest - REORDER_WINDOW:
                 self._detect_losses(now)
-        # Positional AckFeedback construction (field order pinned by the
-        # dataclass definition); kwargs are measurable at this call rate.
-        feedback = AckFeedback(now, rtt_sample, info_size, ack.accel, ack.ece,
-                               len(outstanding), info.is_retransmission,
-                               info_sent_time, ack.meta)
-        acks = packet_pool._acks  # PacketPool.release_ack, inlined
-        if len(acks) < packet_pool.max_size:
-            acks.append(ack)
+        # The echoed codepoint decodes to the two §5.1.2 header bits,
+        # accelerate (NS) and ECE.  Positional AckFeedback construction
+        # (field order pinned by the dataclass definition); kwargs are
+        # measurable at this call rate.
+        echo = ack.echo
+        feedback = AckFeedback(now, rtt_sample, info_size, echo is ACCEL,
+                               echo is CE, len(outstanding),
+                               info_retransmission, info_sent_time, ack.meta)
         if self._paced:
             # The pacing loop emits new packets; an ACK only re-arms the RTO
             # and flushes retransmissions.
@@ -573,26 +569,24 @@ class Sender:
         """RACK-style loss detection: an outstanding packet is lost when some
         packet transmitted ``REORDER_WINDOW`` later has already been ACKed."""
         outstanding = self.outstanding
-        if not outstanding:
-            return
         threshold_time = self._latest_acked_sent_time - REORDER_WINDOW
         # ``outstanding`` is insertion-ordered by transmission time (packets
-        # are only ever (re)inserted at their send time), so its first entry
-        # carries the minimum sent_time: when even that packet is newer than
-        # the threshold nothing can be lost, and the common no-loss ACK skips
-        # the full scan — O(1) instead of O(window) per ACK.
-        first_info = next(iter(outstanding.values()))
-        if first_info.sent_time >= threshold_time:
-            return
-        lost = [seq for seq, info in outstanding.items()
-                if info.sent_time < threshold_time]
+        # are only ever (re)inserted at their send time), so the lost packets
+        # are a prefix: stop at the first one sent inside the reorder window
+        # (Sender.receive checks that first entry before it even calls).
+        lost = []
+        for info in outstanding.values():
+            if info[2] >= threshold_time:
+                break
+            lost.append(info)
         if not lost:
             return
-        newest_lost = max(lost)
-        for seq in lost:
-            info = self.outstanding.pop(seq)
-            self.retransmit_queue.append(info)
-        if newest_lost > self._recovery_end_seq:
+        for info in lost:
+            del outstanding[info[0]]
+        self.retransmit_queue.extend(lost)
+        # Retransmissions reuse their sequence number, so the prefix is not
+        # seq-sorted.
+        if max(info[0] for info in lost) > self._recovery_end_seq:
             self.loss_events += 1
             self._recovery_end_seq = self.next_seq
             self.cc.on_loss(now)
@@ -636,7 +630,17 @@ class Sender:
 
 
 class Receiver:
-    """Acknowledges data packets and echoes congestion feedback to senders."""
+    """Acknowledges data packets and echoes congestion feedback to senders.
+
+    The ACK is the delivered packet itself, turned around in place once its
+    statistics are recorded.  Five fields are written: ``is_ack`` (the
+    endpoints' mis-wiring guards test it), ``echo`` (the codepoint received,
+    which the sender decodes) and the three a reverse-path element reads —
+    ``ecn = NOT_ECT`` and ``abc_capable = False`` so no router marks or
+    classifies the ACK, ``size = ack_size`` so a link charges a bare ACK.
+    Nothing reads the time and queue bookkeeping fields again (the sender
+    keeps its own in-flight record), so they stay as they are.
+    """
 
     #: A receiver is a per-flow leaf — its state is only ever touched by this
     #: flow's data packets, which all funnel through one demux in delivery
@@ -675,7 +679,7 @@ class Receiver:
         ``now`` may lie ahead of the simulation clock when the demux invokes
         this synchronously at delivery time (see :attr:`deliver_shifted`).
         """
-        if isinstance(packet, Ack):
+        if packet.is_ack:
             return
         self.packets_received += 1
         flow_id = packet.flow_id
@@ -694,35 +698,12 @@ class Receiver:
             stats.first_recv_time = now
         stats.last_recv_time = now
 
-        ecn = packet.ecn
-        pool = packet_pool._acks
-        if pool:
-            # PacketPool.acquire_ack inlined: same field resets in the same
-            # order — only the call frame is saved.
-            ack = pool.pop()
-            packet_pool.reused += 1
-            ack.flow_id = flow_id
-            ack.seq = packet.seq
-            ack.size = self.ack_size
-            ack.accel = ecn == ECN.ACCEL
-            ack.ece = ecn == ECN.CE
-            ack.ecn = ECN.NOT_ECT
-            ack.meta = dict(packet.meta)
-            ack.sent_time = now
-            ack.enqueue_time = 0.0
-            ack.dequeue_time = 0.0
-            ack.total_queuing_delay = 0.0
-            ack.is_retransmission = False
-            ack.abc_capable = False
-        else:
-            ack = packet_pool.acquire_ack(
-                flow_id, packet.seq, self.ack_size, ecn == ECN.ACCEL,
-                ecn == ECN.CE, now, dict(packet.meta))
-        # The data packet's life ends here: its fields are copied into the
-        # flow stats and the ACK above, so the object can be recycled.
-        packets = packet_pool._packets
-        if len(packets) < packet_pool.max_size:
-            packets.append(packet)
+        # Turn the packet around: from here on it is its own ACK.
+        packet.is_ack = True
+        packet.echo = packet.ecn
+        packet.ecn = NOT_ECT
+        packet.abc_capable = False
+        packet.size = self.ack_size
         fwd = self._ack_fwd
         if fwd is None:
             # Fuse the return DelayHop the way Sender._resolve_forward does.
@@ -738,9 +719,9 @@ class Receiver:
             # at the arrival event (where ``env._now == now``), so the ACK
             # lands at a bit-identical time even when this runs early, at
             # delivery time.
-            self.env.post_at(now + fwd[0], cb, ack)
+            self.env.post_at(now + fwd[0], cb, packet)
         elif self.egress is not None:
-            _forward(self.egress, ack)
+            _forward(self.egress, packet)
 
 
 class Sink:

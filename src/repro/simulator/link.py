@@ -146,12 +146,12 @@ class SquareWaveRate(CapacityModel):
         self.high_bps = high_bps
         self.half_period = half_period
         self.start_low = start_low
+        # The rates of the even and the odd half-periods.
+        self._first, self._second = ((low_bps, high_bps) if start_low
+                                     else (high_bps, low_bps))
 
     def rate_at(self, t: float) -> float:
-        phase = int(t / self.half_period) % 2
-        first, second = ((self.low_bps, self.high_bps) if self.start_low
-                         else (self.high_bps, self.low_bps))
-        return first if phase == 0 else second
+        return self._second if int(t / self.half_period) % 2 else self._first
 
     def bits_between(self, t0: float, t1: float) -> float:
         """Closed form: whole half-periods plus the two partial edges.
@@ -168,8 +168,8 @@ class SquareWaveRate(CapacityModel):
         if t <= 0.0:
             return 0.0
         h = self.half_period
-        first, second = ((self.low_bps, self.high_bps) if self.start_low
-                         else (self.high_bps, self.low_bps))
+        first = self._first
+        second = self._second
         n_halves = int(t / h)
         pair_bits = (first + second) * h
         total = (n_halves // 2) * pair_bits + (n_halves % 2) * first * h

@@ -19,6 +19,14 @@ multi-bottleneck path win (§3.1.2, "Multiple bottlenecks").  Legacy
 ECN-capable routers still see an ECN-capable transport and still use ``11`` to
 signal congestion, so classic ECN marks remain distinguishable from ABC
 feedback.
+
+Echo convention.  There is one :class:`Packet` object per transmission: the
+receiver turns the delivered packet around in place as its own ACK — ``is_ack``
+set, the codepoint it saw moved to ``echo``, and ``ecn`` / ``abc_capable`` /
+``size`` rewritten so the reverse path sees a bare, Not-ECT, unmarkable ACK.
+The sender decodes ``echo`` the way §5.1.2 reads the returning header: ``echo
+is ACCEL`` is the accelerate bit (the re-purposed NS flag), ``echo is CE`` is
+ECE, brake and Not-ECT set neither (:func:`repro.core.ecn.receiver_echo`).
 """
 
 from __future__ import annotations
@@ -47,7 +55,15 @@ class ECN(enum.IntEnum):
     @property
     def is_ecn_capable(self) -> bool:
         """True when a legacy ECN router would treat the packet as ECN-capable."""
-        return self in (ECN.ACCEL, ECN.BRAKE)
+        return self in (ACCEL, BRAKE)
+
+
+#: The codepoints bound once, for per-packet code: an ``ECN.X`` load goes
+#: through the enum metaclass.  Members are singletons, so ``is`` compares.
+NOT_ECT = ECN.NOT_ECT
+ACCEL = ECN.ACCEL
+BRAKE = ECN.BRAKE
+CE = ECN.CE
 
 
 def apply_brake(codepoint: ECN) -> ECN:
@@ -56,21 +72,22 @@ def apply_brake(codepoint: ECN) -> ECN:
     Routers may turn an accelerate into a brake but must never upgrade a brake
     (or touch CE / Not-ECT packets).
     """
-    if codepoint == ECN.ACCEL:
-        return ECN.BRAKE
+    if codepoint == ACCEL:
+        return BRAKE
     return codepoint
 
 
 def apply_ce(codepoint: ECN) -> ECN:
     """Apply a classic ECN congestion mark (used by legacy AQM routers)."""
     if codepoint.is_ecn_capable:
-        return ECN.CE
+        return CE
     return codepoint
 
 
 @dataclass(slots=True)
 class Packet:
-    """A data packet travelling through the simulator.
+    """A packet travelling through the simulator: data on the way out, its own
+    acknowledgement on the way back (see the module docstring).
 
     Attributes
     ----------
@@ -79,9 +96,11 @@ class Packet:
     seq:
         Sequence number, in packets, assigned by the sender.
     size:
-        Size in bytes (headers included).
+        Size in bytes (headers included); the receiver's ``ack_size`` once the
+        packet has been turned around.
     ecn:
-        Current ECN codepoint.  ABC data packets start as :attr:`ECN.ACCEL`.
+        Current ECN codepoint.  ABC data packets start as :attr:`ECN.ACCEL`;
+        ACKs travel Not-ECT.
     sent_time:
         Simulated time at which the sender transmitted the packet.
     is_retransmission:
@@ -89,17 +108,21 @@ class Packet:
         number (retransmissions are excluded from RTT sampling).
     abc_capable:
         True for packets whose sender speaks ABC; routers use this to steer
-        packets into the ABC or non-ABC queue (§5.2).
+        packets into the ABC or non-ABC queue (§5.2).  False on ACKs.
     meta:
         Scheme-specific in-band fields.  XCP/RCP/VCP store their multi-bit
         congestion headers here (the paper's point is precisely that ABC does
-        *not* need such fields).
+        *not* need such fields).  Returns to the sender with the ACK.
+    is_ack:
+        True once the receiver has turned the packet around.
+    echo:
+        On an ACK, the codepoint the data packet arrived with.
     """
 
     flow_id: int
     seq: int
     size: int = MTU
-    ecn: ECN = ECN.NOT_ECT
+    ecn: ECN = NOT_ECT
     sent_time: float = 0.0
     is_retransmission: bool = False
     abc_capable: bool = False
@@ -107,6 +130,8 @@ class Packet:
     dequeue_time: float = 0.0
     total_queuing_delay: float = 0.0
     meta: dict[str, Any] = field(default_factory=dict)
+    is_ack: bool = False
+    echo: ECN = NOT_ECT
 
     @property
     def queuing_delay(self) -> float:
@@ -115,138 +140,11 @@ class Packet:
 
 
 @dataclass(slots=True)
-class Ack:
-    """An acknowledgement flowing back to the sender.
-
-    The receiver echoes both the classic ECN congestion signal (``ece``) and
-    the ABC accelerate/brake bit (``accel``), mirroring the paper's use of the
-    ECE flag and the re-purposed NS bit (§5.1.2).
-    """
-
-    flow_id: int
-    seq: int
-    size: int = ACK_SIZE
-    accel: bool = True
-    ece: bool = False
-    ecn: ECN = ECN.NOT_ECT
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    # ACKs traverse (possibly trace-driven) reverse links, so they carry the
-    # same bookkeeping fields as data packets.
-    sent_time: float = 0.0
-    enqueue_time: float = 0.0
-    dequeue_time: float = 0.0
-    total_queuing_delay: float = 0.0
-    is_retransmission: bool = False
-    abc_capable: bool = False
-
-    @property
-    def is_ack(self) -> bool:
-        return True
-
-
-def is_ack(packet: object) -> bool:
-    """True when ``packet`` is an :class:`Ack` (data packets lack ``is_ack``)."""
-    return isinstance(packet, Ack)
-
-
-class PacketPool:
-    """Freelist recycling :class:`Packet` and :class:`Ack` objects.
-
-    The per-packet pipeline allocates one ``Packet`` per transmission and one
-    ``Ack`` per delivery; at hot-path event rates that allocation churn is
-    measurable.  The sender acquires data packets here and the receiver
-    releases them once their fields have been copied into the flow statistics
-    (and vice versa for ACKs), so each object's lifetime ends at a single
-    well-defined point and recycling cannot alias a live reference.
-
-    Determinism: ``acquire_*`` resets *every* field to exactly what the
-    corresponding constructor call would produce — including the
-    caller-supplied ``meta`` dict (never a cleared old one, since in-band
-    ``meta`` dicts may outlive their packet via :class:`AckFeedback`).
-    Pooling therefore changes which Python object carries the data, never the
-    data itself.
-    """
-
-    __slots__ = ("max_size", "_packets", "_acks", "reused", "created")
-
-    def __init__(self, max_size: int = 2048):
-        self.max_size = max_size
-        self._packets: list[Packet] = []
-        self._acks: list[Ack] = []
-        self.reused = 0
-        self.created = 0
-
-    # ------------------------------------------------------------ packets
-    def acquire_packet(self, flow_id: int, seq: int, size: int, ecn: ECN,
-                       sent_time: float, is_retransmission: bool,
-                       abc_capable: bool, meta: dict) -> Packet:
-        pool = self._packets
-        if pool:
-            packet = pool.pop()
-            self.reused += 1
-            packet.flow_id = flow_id
-            packet.seq = seq
-            packet.size = size
-            packet.ecn = ecn
-            packet.sent_time = sent_time
-            packet.is_retransmission = is_retransmission
-            packet.abc_capable = abc_capable
-            packet.enqueue_time = 0.0
-            packet.dequeue_time = 0.0
-            packet.total_queuing_delay = 0.0
-            packet.meta = meta
-            return packet
-        self.created += 1
-        return Packet(flow_id=flow_id, seq=seq, size=size, ecn=ecn,
-                      sent_time=sent_time, is_retransmission=is_retransmission,
-                      abc_capable=abc_capable, meta=meta)
-
-    def release_packet(self, packet: Packet) -> None:
-        if len(self._packets) < self.max_size:
-            self._packets.append(packet)
-
-    # ------------------------------------------------------------ acks
-    def acquire_ack(self, flow_id: int, seq: int, size: int, accel: bool,
-                    ece: bool, sent_time: float, meta: dict) -> Ack:
-        pool = self._acks
-        if pool:
-            ack = pool.pop()
-            self.reused += 1
-            ack.flow_id = flow_id
-            ack.seq = seq
-            ack.size = size
-            ack.accel = accel
-            ack.ece = ece
-            ack.ecn = ECN.NOT_ECT
-            ack.meta = meta
-            ack.sent_time = sent_time
-            ack.enqueue_time = 0.0
-            ack.dequeue_time = 0.0
-            ack.total_queuing_delay = 0.0
-            ack.is_retransmission = False
-            ack.abc_capable = False
-            return ack
-        self.created += 1
-        return Ack(flow_id=flow_id, seq=seq, size=size, accel=accel, ece=ece,
-                   sent_time=sent_time, meta=meta)
-
-    def release_ack(self, ack: Ack) -> None:
-        if len(self._acks) < self.max_size:
-            self._acks.append(ack)
-
-
-#: Process-wide pool shared by all senders/receivers (worker processes each
-#: get their own copy, so pooled sweeps stay independent).
-packet_pool = PacketPool()
-
-
-@dataclass(slots=True)
 class AckFeedback:
     """Normalised view of an ACK handed to congestion-control algorithms.
 
-    Congestion controllers never see raw :class:`Ack` objects; the sender
-    converts them so that window- and rate-based algorithms share one
+    Congestion controllers never see the returning :class:`Packet`; the
+    sender converts it so that window- and rate-based algorithms share one
     interface.
     """
 

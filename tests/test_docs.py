@@ -49,3 +49,32 @@ def test_architecture_names_every_package():
                       if p.is_dir() and not p.name.startswith("__"))
     missing = [f"{name}/" for name in packages if f"{name}/" not in arch]
     assert not missing, f"ARCHITECTURE.md misses packages: {missing}"
+
+
+#: A speed figure in prose: "3×" / "1.3–1.4x", "14 % faster / lower /
+#: cheaper", "12 µs/op".
+SPEED_FIGURE = re.compile(
+    r"\d(?:×|x\b)"
+    r"|\d\s?%\s+(?:faster|quicker|slower|lower|cheaper)\b"
+    r"|\d\s?(?:µs|us)/op")
+LEDGER_WORKLOADS = ("metro_ack", "metro_paced", "paper_figs", "runtime_arms")
+
+
+def test_speed_figures_name_a_ledger_workload():
+    """Every speed claim in the docs is a number from the one harness
+    (`benchmarks/ledger/`): a paragraph that quotes one names the workload
+    it was measured on, so it can be re-measured with one command."""
+    for claim in ("3× faster", "1.3–1.4x the cost", "14 % lower", "9% faster",
+                  "12 µs/op", "9.8 us/op"):
+        assert SPEED_FIGURE.search(claim), claim
+    for benign in ("95 % CI", "schemes × traces", "4096 x 2", "0x1f"):
+        assert not SPEED_FIGURE.search(benign), benign
+    offenders = []
+    for path in (REPO_ROOT / "README.md", REPO_ROOT / "docs" / "ARCHITECTURE.md"):
+        for paragraph in re.split(r"\n\s*\n", path.read_text()):
+            figure = SPEED_FIGURE.search(paragraph)
+            if figure and not any(w in paragraph for w in LEDGER_WORKLOADS):
+                offenders.append(f"{path.name}: {figure.group()!r} in "
+                                 f"{paragraph.strip()[:70]!r}")
+    assert not offenders, ("speed figures that name no ledger workload:\n"
+                           + "\n".join(offenders))

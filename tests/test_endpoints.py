@@ -7,10 +7,12 @@ from repro.cc.cubic import Cubic
 from repro.simulator.endpoints import DelayHop, Receiver, Sender, Sink
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import ConstantRate, RateLink
-from repro.simulator.packet import Ack, ECN, Packet
+from repro.simulator.packet import ACK_SIZE, MTU, ECN, Packet
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import FixedSizeSource, RateLimitedSource
+from repro.core.ecn import receiver_echo
+from repro.core.router import ABCRouterQdisc
 from repro.core.sender import ABCWindowControl
 
 
@@ -29,6 +31,39 @@ def build_loop(cc, rate_bps=10e6, buffer_packets=100, rtt=0.1,
     sender.start()
     env.run(until=duration)
     return env, sender, receiver, link
+
+
+class Capture:
+    """A hop that keeps every packet it is handed."""
+
+    def __init__(self):
+        self.packets = []
+
+    def receive(self, packet):
+        self.packets.append(packet)
+
+    send = receive
+
+
+class RecordingAIMD(AIMD):
+    """AIMD that keeps every ``AckFeedback`` the sender hands it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.feedbacks = []
+
+    def on_ack(self, feedback):
+        self.feedbacks.append(feedback)
+        super().on_ack(feedback)
+
+
+def turn_around(packet):
+    """``packet`` the way a receiver sends it back: as its own ACK."""
+    capture = Capture()
+    Receiver(EventLoop(), egress=capture).receive(packet)
+    (ack,) = capture.packets
+    assert ack is packet
+    return ack
 
 
 # ------------------------------------------------------------ basics
@@ -129,42 +164,177 @@ def test_stale_ack_ignored():
     sender.start()
     env.run(until=0.01)
     before = sender.bytes_acked
-    sender.receive(Ack(flow_id=0, seq=999))
+    in_flight = sender.in_flight
+    sender.receive(turn_around(Packet(flow_id=0, seq=999)))
+    assert sender.acks_received == 1
     assert sender.bytes_acked == before
+    assert sender.in_flight == in_flight
+
+
+def test_loss_scan_stops_at_first_packet_inside_reorder_window():
+    """The lost set is a prefix of ``outstanding`` (insertion-ordered by send
+    time), but not a seq-sorted one: retransmissions reuse their number."""
+    cc = RecordingAIMD(initial_cwnd=8.0)
+    sender = Sender(EventLoop(), flow_id=0, cc=cc)
+    sender.next_seq = 10
+    sender._recovery_end_seq = 4
+    old_new = (5, MTU, 0.100, False)
+    old_retransmitted = (2, 700, 0.101, True)
+    young_new = (7, MTU, 0.150, False)
+    young_retransmitted = (3, MTU, 0.151, True)  # low seq behind newer ones
+    sender.outstanding = {info[0]: info for info in (
+        old_new, old_retransmitted, young_new, young_retransmitted)}
+    sender._latest_acked_sent_time = 0.110
+    cwnd = cc.cwnd()
+    sender._detect_losses(0.2)
+    assert list(sender.retransmit_queue) == [old_new, old_retransmitted]
+    assert list(sender.outstanding.values()) == [young_new,
+                                                 young_retransmitted]
+    # The newest lost seq is 5 (> the recovery point 4), not the prefix's
+    # last entry 2: this is a fresh loss event.
+    assert sender.loss_events == 1
+    assert cc.cwnd() < cwnd
+    # Nothing else is old enough: a second scan finds no loss.
+    sender._detect_losses(0.2)
+    assert len(sender.retransmit_queue) == 2 and sender.loss_events == 1
+
+
+def test_ack_of_retransmitted_seq_gives_no_rtt_sample():
+    """Karn: size, send time and the retransmission flag come from the
+    sender's own record, never from the returning object — which may be the
+    original transmission of a number that was RTO-retransmitted meanwhile."""
+    env = EventLoop()
+    cc = RecordingAIMD(initial_cwnd=2.0)
+    sender = Sender(env, flow_id=0, cc=cc)
+    path = Capture()  # holds the packets; no ACK returns by itself
+    sender.connect(path)
+    sender.start()
+    env.run(until=1.5)  # past the initial 1 s RTO
+    assert sender.timeouts == 1 and sender.retransmissions >= 1
+    original, retransmission = [p for p in path.packets if p.seq == 0]
+    assert not original.is_retransmission and original.sent_time == 0.0
+    assert retransmission.is_retransmission
+    sender.receive(turn_around(original))
+    (feedback,) = cc.feedbacks
+    assert feedback.rtt is None
+    assert feedback.is_retransmission
+    assert feedback.sent_time == retransmission.sent_time > 0.0
+    assert sender.rtt.srtt is None
 
 
 # ------------------------------------------------------------ receiver echo
 def test_receiver_echoes_accelerate_bit():
     env = EventLoop()
-    received = []
-
-    class Capture:
-        def receive(self, packet):
-            received.append(packet)
-        send = receive
-
-    receiver = Receiver(env, egress=Capture())
-    receiver.receive(Packet(flow_id=1, seq=0, ecn=ECN.ACCEL, sent_time=0.0))
-    receiver.receive(Packet(flow_id=1, seq=1, ecn=ECN.BRAKE, sent_time=0.0))
-    receiver.receive(Packet(flow_id=1, seq=2, ecn=ECN.CE, sent_time=0.0))
+    capture = Capture()
+    receiver = Receiver(env, egress=capture)
+    sent = [Packet(flow_id=1, seq=seq, ecn=codepoint, abc_capable=True)
+            for seq, codepoint in enumerate(ECN)]
+    for packet in sent:
+        receiver.receive(packet)
     env.run()
-    assert [a.accel for a in received] == [True, False, False]
-    assert [a.ece for a in received] == [False, False, True]
+    # Each delivered packet comes back as its own ACK: the same object,
+    # flagged, carrying the codepoint it arrived with in ``echo``, and bare,
+    # Not-ECT and unmarkable for whatever sits on the reverse path.
+    assert all(a is p for a, p in zip(capture.packets, sent))
+    assert [a.seq for a in capture.packets] == [0, 1, 2, 3]
+    assert all(a.is_ack for a in capture.packets)
+    assert [a.echo for a in capture.packets] == list(ECN)
+    assert all(a.ecn is ECN.NOT_ECT for a in capture.packets)
+    assert not any(a.abc_capable for a in capture.packets)
+    assert all(a.size == ACK_SIZE for a in capture.packets)
+    assert receiver.stats_for(1).bytes_received == 4 * MTU
+
+
+@pytest.mark.parametrize("codepoint", list(ECN), ids=lambda c: c.name)
+def test_sender_decodes_echo_like_the_section_5_1_2_table(codepoint):
+    """The (accel, ece) pair the sender hands its cc is what the readable
+    table ``repro.core.ecn.receiver_echo`` says for the received codepoint."""
+
+    class Stamp:
+        """A router stand-in: every packet leaves with ``codepoint``."""
+
+        def __init__(self, dst):
+            self.dst = dst
+
+        def receive(self, packet):
+            packet.ecn = codepoint
+            self.dst.receive(packet)
+
+    env = EventLoop()
+    cc = RecordingAIMD(initial_cwnd=2.0, ssthresh=2.0)
+    sender = Sender(env, flow_id=0, cc=cc)
+    receiver = Receiver(env, egress=DelayHop(env, 0.01, dst=sender))
+    sender.connect(DelayHop(env, 0.01, dst=Stamp(receiver)))
+    sender.start()
+    env.run(until=0.1)
+    expected = receiver_echo(codepoint)
+    assert len(cc.feedbacks) >= 4
+    assert ({(f.accel, f.ece) for f in cc.feedbacks}
+            == {(expected.accel, expected.ece)})
+
+
+def test_ack_crosses_a_reverse_abc_router_unmarked():
+    """A hand-wired reverse link sees a bare ACK: ``ack_size`` bytes of
+    backlog, Not-ECT, so a congested ABC router there cannot re-mark the
+    echo, and the scheme's in-band fields ride through."""
+    def congested_router_link(env, dst):
+        return RateLink(env, ConstantRate(100e3), qdisc=ABCRouterQdisc(),
+                        dst=dst)
+
+    def burst(size):
+        return [Packet(flow_id=1, seq=seq, size=size, ecn=ECN.ACCEL,
+                       abc_capable=True, meta={"xcp_feedback_bytes": 7.0 + seq})
+                for seq in range(20)]
+
+    env = EventLoop()
+    capture = Capture()
+    reverse = congested_router_link(env, capture)
+    receiver = Receiver(env, egress=reverse, ack_size=52)
+    for packet in burst(MTU):
+        receiver.receive(packet)
+    # One ACK is in transmission, the other 19 wait, 52 bytes each.
+    assert reverse.qdisc.backlog_packets == 19
+    assert reverse.qdisc.backlog_bytes == 19 * 52
+    env.run()
+    assert len(capture.packets) == 20
+    assert reverse.qdisc.brake_marked == 0 and reverse.qdisc.accel_marked == 0
+    assert all(a.is_ack and a.echo is ECN.ACCEL and a.ecn is ECN.NOT_ECT
+               for a in capture.packets)
+    assert ([a.meta["xcp_feedback_bytes"] for a in capture.packets]
+            == [7.0 + seq for seq in range(20)])
+
+    # Control: the same burst as 52-byte accelerate *data* is braked there,
+    # so the zero above is the turn-around's doing, not an idle router.
+    env = EventLoop()
+    forward = congested_router_link(env, Capture())
+    for packet in burst(52):
+        forward.send(packet)
+    env.run()
+    assert forward.qdisc.brake_marked > 0
+
+
+def test_miswired_endpoints_ignore_the_wrong_kind_of_packet():
+    env = EventLoop()
+    sender = Sender(env, flow_id=0, cc=AIMD(initial_cwnd=2.0))
+    sender.connect(Sink())
+    sender.start()
+    env.run(until=0.01)
+    assert 0 in sender.outstanding
+    sender.receive(Packet(flow_id=0, seq=0))  # data, not an ACK
+    assert sender.acks_received == 0 and 0 in sender.outstanding
+
+    capture = Capture()
+    receiver = Receiver(env, egress=capture)
+    ack = turn_around(Packet(flow_id=0, seq=0))
+    receiver.receive(ack)  # an ACK, not data
+    assert receiver.packets_received == 0 and not capture.packets
+    assert not receiver.flow_stats
 
 
 def test_receiver_echoes_scheme_meta():
-    env = EventLoop()
-    captured = []
-
-    class Capture:
-        def receive(self, packet):
-            captured.append(packet)
-        send = receive
-
-    receiver = Receiver(env, egress=Capture())
-    receiver.receive(Packet(flow_id=1, seq=0, meta={"xcp_feedback_bytes": 123.0}))
-    env.run()
-    assert captured[0].meta["xcp_feedback_bytes"] == 123.0
+    ack = turn_around(Packet(flow_id=1, seq=0,
+                             meta={"xcp_feedback_bytes": 123.0}))
+    assert ack.meta["xcp_feedback_bytes"] == 123.0
 
 
 # ------------------------------------------------------------ ABC marking path
@@ -187,6 +357,6 @@ def test_delay_hop_validation():
 def test_sink_counts_traffic():
     sink = Sink()
     sink.receive(Packet(flow_id=0, seq=0, size=100))
-    sink.receive(Ack(flow_id=0, seq=0))
+    sink.receive(turn_around(Packet(flow_id=0, seq=0)))
     assert sink.packets == 2
-    assert sink.bytes > 0
+    assert sink.bytes == 100 + ACK_SIZE

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core import ecn
-from repro.simulator.packet import (ACK_SIZE, MTU, Ack, ECN, Packet,
-                                    apply_brake, apply_ce, is_ack)
+from repro.simulator import packet as packet_module
+from repro.simulator.endpoints import Receiver, Sink
+from repro.simulator.engine import EventLoop
+from repro.simulator.packet import (ACK_SIZE, MTU, ECN, Packet, apply_brake,
+                                    apply_ce)
 
 
 # ---------------------------------------------------------------- codepoints
@@ -55,11 +58,19 @@ def test_queuing_delay_property():
 
 
 def test_ack_defaults_and_detection():
-    ack = Ack(flow_id=3, seq=7)
-    assert ack.size == ACK_SIZE
-    assert ack.accel is True
-    assert is_ack(ack)
-    assert not is_ack(Packet(flow_id=3, seq=7))
+    packet = Packet(flow_id=3, seq=7)
+    assert not packet.is_ack and packet.echo is ECN.NOT_ECT
+    Receiver(EventLoop(), egress=Sink()).receive(packet)
+    # The receiver turned it around: a default-sized, Not-ECT ACK.
+    assert packet.is_ack
+    assert packet.size == ACK_SIZE
+    assert (packet.flow_id, packet.seq) == (3, 7)
+    assert packet.ecn is ECN.NOT_ECT and not packet.abc_capable
+
+
+def test_module_constants_are_the_enum_members():
+    for member in ECN:
+        assert getattr(packet_module, member.name) is member
 
 
 # ---------------------------------------------------------------- §5.1.2 tables

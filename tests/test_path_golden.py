@@ -332,3 +332,52 @@ def test_event_loop_makes_no_numpy_calls():
     assert runs == 1 and inside == 0
     assert cell["throughput_bps"] > 1e6 and "abc" in cell["schemes"]
     assert not numpy_calls
+
+
+# ------------------------------------------------- one object per round trip
+def test_one_packet_object_per_transmission(monkeypatch):
+    """A transmission allocates one ``Packet`` and nothing else: the receiver
+    turns the delivered object around as its own ACK and the sender reads
+    the echo off it.  Guarded by behaviour: on an ABC + Cubic metro cell the
+    constructions equal the packets the senders sent, none of them made by
+    the two receive handlers — a freelist would construct fewer, an ACK copy
+    more — and the packet module has no second packet class to copy into."""
+    import inspect
+
+    from repro.simulator import packet as packet_module
+    from repro.simulator.endpoints import Receiver, Sender
+
+    assert {name for name, value in vars(packet_module).items()
+            if inspect.isclass(value)
+            and value.__module__ == packet_module.__name__} == {
+                "ECN", "Packet", "AckFeedback"}
+
+    receive_handlers = (Receiver.receive_at.__code__, Sender.receive.__code__)
+    built = collections.Counter()
+    init = packet_module.Packet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["total"] += 1
+        if sys._getframe(1).f_code in receive_handlers:
+            built["by_a_receive_handler"] += 1
+        init(self, *args, **kwargs)
+
+    scenarios = []
+    run = Scenario.run
+
+    def recording_run(self, duration):
+        scenarios.append(self)
+        return run(self, duration)
+
+    monkeypatch.setattr(packet_module.Packet, "__init__", counting_init)
+    monkeypatch.setattr(Scenario, "run", recording_run)
+    cell = metro_cell("abc:0.5,cubic:0.5", "guard",
+                      lte_showcase_trace(duration=1.0, seed=5), seed=1,
+                      duration=1.0)
+    (scenario,) = scenarios
+    sent = sum(flow.sender.packets_sent for flow in scenario.flows)
+    delivered = sum(flow.receiver.packets_received for flow in scenario.flows)
+    assert {"abc", "cubic"} <= set(cell["schemes"])
+    assert sent > delivered > 100
+    assert built["total"] == sent
+    assert not built["by_a_receive_handler"]
