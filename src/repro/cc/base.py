@@ -58,11 +58,10 @@ class CongestionControl:
     def fast_ack(self, feedback: AckFeedback) -> float:
         """Fused ACK update called by the sender's per-ACK handler: process
         the ACK and return the effective window ``max(cwnd(), min_cwnd())``
-        in one call.  Cubic overrides this with the window reads inlined,
-        and ABC writes its whole per-ACK body here (its ``on_ack`` calls it);
-        an override must remain float-op-for-float-op identical to
-        ``on_ack`` + the two window reads (``tests/test_path_golden.py`` pins
-        every scheme's results)."""
+        in one call.  Cubic and ABC write their whole per-ACK body here
+        (their ``on_ack`` calls it); an override must remain
+        float-op-for-float-op identical to ``on_ack`` + the two window reads
+        (``tests/test_path_golden.py`` pins every scheme's results)."""
         self.on_ack(feedback)
         cwnd = self.cwnd()
         floor = self.min_cwnd()

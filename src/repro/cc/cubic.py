@@ -6,7 +6,11 @@ high-BDP paths.  On the deep cellular buffers the paper studies it fills the
 queue and produces the bufferbloat of Fig. 1a; paired with CoDel/PIE it
 produces the underutilisation of Fig. 1c.  The ABC sender also uses Cubic as
 the control law for its non-ABC window ``w_nonabc`` (§5.1.1), so this
-implementation is reused by :mod:`repro.core.sender`.
+implementation is reused by :mod:`repro.core.sender` — which is why it runs on
+most ACKs of an ABC-heavy city, and why :meth:`Cubic.fast_ack` *is* the
+per-ACK body, written flat (``on_ack`` calls it, as does the ABC sender);
+``tests/test_cc_endtoend.py`` holds the RFC 8312 formulas call by call and
+checks the two agree to the last bit.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from repro.simulator.packet import MTU, AckFeedback
 CUBIC_C = 0.4
 #: Multiplicative decrease factor.
 CUBIC_BETA = 0.7
+#: Per-RTT growth of the TCP-friendly window estimate (RFC 8312 §4.2).
+_TCP_FRIENDLY_GAIN = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
 
 
 class Cubic(CongestionControl):
@@ -58,48 +64,52 @@ class Cubic(CongestionControl):
         self.ack_count = 0.0
         self.w_tcp = self._cwnd
 
-    def _cubic_target(self, now: float) -> float:
-        assert self.epoch_start is not None
-        t = now - self.epoch_start + self._srtt
-        return self.origin_point + CUBIC_C * (t - self.k) ** 3
-
-    def _tcp_friendly_window(self, acked_packets: float) -> float:
-        # RFC 8312 §4.2 estimate of what standard TCP would have reached.
-        self.w_tcp += 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA) * (
-            acked_packets / max(self._cwnd, 1.0))
-        return self.w_tcp
-
     # ------------------------------------------------------------ interface
     def on_ack(self, feedback: AckFeedback) -> None:
-        if feedback.rtt is not None:
-            self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
-        if self.react_to_ecn and feedback.ece:
-            self._reduce(feedback.now)
-            return
-        acked_packets = feedback.bytes_acked / self.mss
-        if self._cwnd < self.ssthresh:
-            self._cwnd += acked_packets
-            return
-        if self.epoch_start is None:
-            self._reset_epoch(feedback.now)
-        target = self._cubic_target(feedback.now)
-        if target > self._cwnd:
-            self._cwnd += (target - self._cwnd) / max(self._cwnd, 1.0) * acked_packets
-        else:
-            self._cwnd += 0.01 * acked_packets / max(self._cwnd, 1.0)
-        if self.tcp_friendliness:
-            w_est = self._tcp_friendly_window(acked_packets)
-            if w_est > self._cwnd:
-                self._cwnd = w_est
-        self._clamp()
+        self.fast_ack(feedback)
 
     def fast_ack(self, feedback: AckFeedback) -> float:
-        """Base ``fast_ack`` with the two window reads inlined (Cubic keeps
-        the base ``cwnd``/``min_cwnd``, so the effective window is simply
-        ``max(self._cwnd, 1.0)``)."""
-        self.on_ack(feedback)
+        """The per-ACK body, written flat: ECN reaction, slow start, or the
+        RFC 8312 window update, returning the effective window the sender
+        reads next (Cubic keeps the base ``cwnd`` / ``min_cwnd``, so that is
+        ``max(self._cwnd, 1.0)``).  ``max`` is spelled as a comparison.
+        """
+        rtt = feedback.rtt
+        if rtt is not None:
+            self._srtt = 0.875 * self._srtt + 0.125 * rtt
+        now = feedback.now
+        if self.react_to_ecn and feedback.ece:
+            self._reduce(now)
+            cwnd = self._cwnd
+            return cwnd if cwnd >= 1.0 else 1.0
+        acked_packets = feedback.bytes_acked / self.mss
         cwnd = self._cwnd
-        return cwnd if cwnd >= 1.0 else 1.0
+        if cwnd < self.ssthresh:
+            cwnd += acked_packets
+            self._cwnd = cwnd
+            return cwnd if cwnd >= 1.0 else 1.0
+        if self.epoch_start is None:
+            self._reset_epoch(now)
+        # W_cubic(t + RTT) = C·(t − K)³ + W_max (RFC 8312 Eq. 1).
+        t = now - self.epoch_start + self._srtt
+        target = self.origin_point + CUBIC_C * (t - self.k) ** 3
+        per_window = cwnd if cwnd > 1.0 else 1.0
+        if target > cwnd:
+            cwnd += (target - cwnd) / per_window * acked_packets
+        else:
+            cwnd += 0.01 * acked_packets / per_window
+        if self.tcp_friendliness:
+            # RFC 8312 §4.2 estimate of what standard TCP would have reached,
+            # per packet ACKed over the window as just updated.
+            w_tcp = self.w_tcp + _TCP_FRIENDLY_GAIN * (
+                acked_packets / (cwnd if cwnd > 1.0 else 1.0))
+            self.w_tcp = w_tcp
+            if w_tcp > cwnd:
+                cwnd = w_tcp
+        if cwnd < 1.0:
+            cwnd = 1.0
+        self._cwnd = cwnd
+        return cwnd
 
     def _reduce(self, now: float) -> None:
         """Multiplicative decrease, at most once per smoothed RTT."""

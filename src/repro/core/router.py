@@ -98,9 +98,7 @@ class ABCRouterQdisc(Qdisc):
         self._cap_memo = 0.0
         self._cap_memoizable = False
 
-        # Introspection counters used by tests and the feedback ablation.
-        self.accel_marked = 0
-        self.brake_marked = 0
+        # Introspection values used by tests and the feedback ablation.
         self.last_target_rate = 0.0
         self.last_fraction = 1.0
         self.last_capacity = 0.0
@@ -327,16 +325,22 @@ class ABCRouterQdisc(Qdisc):
                 keep_accel = False
         else:
             keep_accel = marker.mark(fraction)
-        if keep_accel:
-            self.accel_marked += 1
-        else:
+        if not keep_accel:
             # apply_brake, inlined: only accelerate packets get this far.
             packet.ecn = BRAKE
-            self.brake_marked += 1
             self.marked_packets += 1
         return packet
 
     # ------------------------------------------------------------ stats
+    # Every marking decision goes through the marker, which counts it.
+    @property
+    def accel_marked(self) -> int:
+        return self.marker.accel_count
+
+    @property
+    def brake_marked(self) -> int:
+        return self.marker.brake_count
+
     @property
     def observed_accel_fraction(self) -> float:
         total = self.accel_marked + self.brake_marked

@@ -96,7 +96,7 @@ class ABCWindowControl(CongestionControl):
 
         cubic = self.cubic
         if cubic is not None:
-            cubic.on_ack(feedback)
+            cubic.fast_ack(feedback)
 
         # Cap both windows at ``window_cap_factor ×`` packets in flight
         # (§5.1.1) so the non-bottleneck window cannot grow unboundedly.  The

@@ -27,10 +27,13 @@ original), the raw event sequence is not:
   arithmetic for backlogged / fixed-size sources, window hoisted out of the
   loop when the CC cannot change it mid-burst).  Recovery and other sources
   take the generic :meth:`Sender._send_loop`.
-* **Lazy RTO deadline.**  Re-arming writes ``DeadlineTimer.deadline`` instead
-  of cancelling and re-pushing a heap event per ACK; the pending event
-  re-schedules itself when it fires early (occasional no-op
-  ``DeadlineTimer._fire`` events, same expiry instant).
+* **RTO deadline computed when read.**  The deadline is ``armed_at +
+  rto(srtt, rttvar) · backoff`` and all three inputs only change in an event
+  that ends by re-arming or disarming, so an ACK re-arms with one attribute
+  store (``timer.armed_at = now``) and the arithmetic
+  (:meth:`Sender._rto_deadline`) runs in the timer's guard event, once per
+  ``min_rto`` per armed flow (no-op ``DeadlineTimer._fire`` events, same
+  expiry instant).
 * **Fused DelayHop forward.**  A ``DelayHop`` next hop is resolved once to
   ``(delay, dst.receive)`` and posted handle-free — the heap entry the hop
   itself would push, minus the bounce (senders: ``_resolve_forward``;
@@ -147,7 +150,6 @@ class Sender:
         #: earlier transmission of a since-retransmitted sequence number.
         self.outstanding: Dict[int, tuple] = {}
         self.retransmit_queue: deque[tuple] = deque()
-        self.highest_acked = -1
         self._recovery_end_seq = -1
         self._latest_acked_sent_time = -1.0
 
@@ -169,7 +171,11 @@ class Sender:
         self._wake_handle: Optional[EventHandle] = None
         self._pacing_active = False
         self._rto_backoff = 1.0
-        self._rto_timer = DeadlineTimer(env, self._on_rto)
+        # The srtt-less default RTO (1.0 s) must not undercut the guard
+        # spacing either.
+        assert self.rtt.min_rto <= 1.0
+        self._rto_timer = DeadlineTimer(env, self._on_rto, self._rto_deadline,
+                                        self.rtt.min_rto)
         self._paced = cc.needs_pacing
         cc_type = type(cc)
         # A CC with the base no-op on_packet_sent cannot change its window
@@ -197,7 +203,7 @@ class Sender:
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
         """Register the flow start with the event loop."""
-        self.env.schedule_at(self.start_time, self._begin)
+        self.env.post_at(self.start_time, self._begin)
 
     def _begin(self) -> None:
         if self._started:
@@ -401,7 +407,7 @@ class Sender:
         if self._pacing_active:
             return
         self._pacing_active = True
-        self.env.schedule(0.0, self._pace_tick)
+        self.env.post(0.0, self._pace_tick)
 
     def _pace_tick(self) -> None:
         # At most one packet per tick.  The whole send decision (window
@@ -508,7 +514,6 @@ class Sender:
             if rtt_sample > 0:
                 # RTTEstimator.update, inlined.
                 rtt = self.rtt
-                rtt.latest = rtt_sample
                 if rtt_sample < rtt.min_rtt:
                     rtt.min_rtt = rtt_sample
                 srtt = rtt.srtt
@@ -524,8 +529,6 @@ class Sender:
             # Fresh feedback from the network: clear any RTO backoff.
             self._rto_backoff = 1.0
         self.bytes_acked += info_size
-        if seq > self.highest_acked:
-            self.highest_acked = seq
         latest = self._latest_acked_sent_time
         if info_sent_time > latest:
             latest = info_sent_time
@@ -533,8 +536,10 @@ class Sender:
         if outstanding:
             # RACK precheck (see _detect_losses): the first entry carries the
             # minimum sent_time, so the common no-loss ACK skips the call.
-            if next(iter(outstanding.values()))[2] < latest - REORDER_WINDOW:
-                self._detect_losses(now)
+            for oldest in outstanding.values():
+                if oldest[2] < latest - REORDER_WINDOW:
+                    self._detect_losses(now)
+                break
         # The echoed codepoint decodes to the two §5.1.2 header bits,
         # accelerate (NS) and ECE.  Positional AckFeedback construction
         # (field order pinned by the dataclass definition); kwargs are
@@ -543,14 +548,18 @@ class Sender:
         feedback = AckFeedback(now, rtt_sample, info_size, echo is ACCEL,
                                echo is CE, len(outstanding),
                                info_retransmission, info_sent_time, ack.meta)
+        # The packet just ACKed was in flight, so the timer is armed and its
+        # guard pending: re-arming (both branches) is DeadlineTimer.arm minus
+        # the guard check, a bare store.
         if self._paced:
             # The pacing loop emits new packets; an ACK only re-arms the RTO
             # and flushes retransmissions.
             self.cc.on_ack(feedback)
             if outstanding:
-                self._arm_rto(now)
+                self.rto_rearms += 1
+                self._rto_timer.armed_at = now
             else:
-                self._rto_timer.deadline = None
+                self._rto_timer.armed_at = None
             self._try_send()
             return
         cwnd = self.cc.fast_ack(feedback)
@@ -561,9 +570,10 @@ class Sender:
         else:
             self._burst(now, cwnd)
         if outstanding:
-            self._arm_rto(now)
+            self.rto_rearms += 1
+            self._rto_timer.armed_at = now
         else:
-            self._rto_timer.deadline = None
+            self._rto_timer.armed_at = None
 
     def _detect_losses(self, now: float) -> None:
         """RACK-style loss detection: an outstanding packet is lost when some
@@ -594,6 +604,11 @@ class Sender:
     # ------------------------------------------------------------ timers
     def _arm_rto(self, now: float) -> None:
         self.rto_rearms += 1
+        self._rto_timer.arm(now)
+
+    def _rto_deadline(self, armed_at: float) -> float:
+        """The RTO deadline of a timer armed at ``armed_at``, from the current
+        RTT estimate and backoff (evaluated by the timer's guard event)."""
         # RTTEstimator.rto, inlined (min/max as comparisons).
         rtt = self.rtt
         srtt = rtt.srtt
@@ -608,7 +623,7 @@ class Sender:
                 max_rto = rtt.max_rto
                 if rto > max_rto:
                     rto = max_rto
-        self._rto_timer.set(now + rto * self._rto_backoff)
+        return armed_at + rto * self._rto_backoff
 
     def _on_rto(self) -> None:
         now = self.env._now
@@ -658,12 +673,16 @@ class Receiver:
         self.name = name
         self.ack_size = ack_size
         self.flow_stats: Dict[int, FlowStats] = {}
-        self.packets_received = 0
         self._ack_fwd: Optional[tuple] = None
 
     def connect(self, egress) -> None:
         self.egress = egress
         self._ack_fwd = None
+
+    @property
+    def packets_received(self) -> int:
+        """Data packets delivered, over every flow this receiver serves."""
+        return sum(len(stats) for stats in self.flow_stats.values())
 
     def stats_for(self, flow_id: int) -> FlowStats:
         if flow_id not in self.flow_stats:
@@ -681,7 +700,6 @@ class Receiver:
         """
         if packet.is_ack:
             return
-        self.packets_received += 1
         flow_id = packet.flow_id
         stats = self.flow_stats.get(flow_id)
         if stats is None:
@@ -693,10 +711,6 @@ class Receiver:
         stats.sent_times.append(packet.sent_time)
         stats.sizes.append(size)
         stats.queuing_delays.append(packet.total_queuing_delay)
-        stats.bytes_received += size
-        if stats.first_recv_time is None:
-            stats.first_recv_time = now
-        stats.last_recv_time = now
 
         # Turn the packet around: from here on it is its own ACK.
         packet.is_ack = True

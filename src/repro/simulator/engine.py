@@ -14,14 +14,18 @@ Design notes
   unique) — no Python-level ``__lt__`` on the hot path.  Dispatch cost is the
   ledger's ``engine.dispatch_ns_per_event`` row (``benchmarks/ledger/``).
 * Cancelling an event is O(1): the entry's callback slot is cleared and the
-  entry is skipped when popped.  When cancelled entries pile up (per-ACK RTO
-  re-arming cancels one event per ACK) the heap is compacted in place, so the
-  queue's memory footprint tracks the number of *live* events.
-* :meth:`EventLoop.schedule` and :meth:`EventLoop.schedule_at` both construct
-  heap entries directly (no delegation — it costs a Python call per event on
-  the hottest path in the repo).  Instrumentation that needs to observe every
-  event (the golden determinism trace in
-  ``tests/test_engine_golden_trace.py``) overrides *both* methods.
+  entry is skipped when popped.  When cancelled entries pile up the heap is
+  compacted *in place* — the list object never changes, so the run loop keeps
+  its local binding across a compaction inside a callback — and the queue's
+  memory footprint tracks the number of *live* events.
+* One run loop.  :meth:`EventLoop.run` reads the trace hook once per run and
+  branches on that local per event; it pops before it looks (an entry beyond
+  the horizon is pushed back, once per run, under its own sequence number)
+  and stores the clock unconditionally: every heap entry's time is at or
+  after ``now``, because the schedulers clamp and the clock only jumps to
+  ``until`` when nothing earlier is left.
+* The four schedulers each build their heap entry directly (delegating costs
+  a Python call per event on the hottest path in the repo).
 * Simulated time is a float in **seconds**.  All other modules follow the same
   convention (rates are in bits per second, sizes in bytes).
 """
@@ -44,11 +48,8 @@ _COMPACT_MIN_CANCELLED = 64
 
 
 class EventHandle:
-    """Opaque handle returned by :meth:`EventLoop.schedule`.
-
-    The only supported operation is :meth:`cancel`; everything else is an
-    implementation detail of the engine.
-    """
+    """Opaque handle returned by :meth:`EventLoop.schedule`; the only
+    supported operation is :meth:`cancel`."""
 
     __slots__ = ("_entry", "_loop")
 
@@ -82,55 +83,65 @@ class EventHandle:
 
 
 class DeadlineTimer:
-    """A lazily re-armed one-shot timer for deadline-style timeouts (RTO).
+    """A one-shot timer whose deadline is a function, not a stored value (RTO).
 
-    Cancelling the pending event and pushing a new one every time the
-    deadline moves costs a heap push plus a lazily cancelled entry per move,
-    which on an ACK-clocked sender means one per ACK.  This timer stores the
-    deadline in a plain attribute instead: moving the deadline *later* is
-    free, and the pending heap event simply re-schedules itself at the
-    current deadline when it fires early.  Only moving the deadline *earlier*
-    than the pending event (a shrinking RTO after an idle period) touches the
-    heap.
+    A deadline that moves on every ACK should cost nothing to move, so the
+    timer keeps only ``armed_at`` — when it was last (re)armed, ``None`` while
+    disarmed — and asks ``deadline_from(armed_at)`` for the absolute deadline
+    inside its *guard*, the one heap event it keeps pending while armed.  The
+    guard re-posts itself at ``min(deadline, now + min_delay)`` and calls
+    ``expire()`` when simulated time reaches the deadline, the very float
+    instant a cancel-and-repush timer would fire; its early firings mutate no
+    simulation state, so only the raw event sequence shows them.
 
-    ``expire()`` is invoked exactly when simulated time reaches the deadline,
-    the instant a cancel-and-repush timer would fire.  The early no-op
-    firings mutate no simulation state, so results are the same; only the raw
-    event sequence differs (extra ``DeadlineTimer._fire`` entries).
+    ``min_delay`` must lower-bound ``deadline_from(t) - t`` in every state the
+    owner can reach (the sender passes its minimum RTO), so that a guard is
+    never later than a deadline that shrank behind its back, and whatever
+    ``deadline_from`` reads may only change in an event that ends by
+    re-arming or disarming.  Invariant: armed ⇒ a guard is pending — an owner
+    that knows the timer is armed may re-arm with a bare ``timer.armed_at =
+    now`` (:meth:`repro.simulator.endpoints.Sender.receive` does, per ACK);
+    from the disarmed state only :meth:`arm` is safe.
     """
 
-    __slots__ = ("_loop", "_expire", "deadline", "_handle")
+    __slots__ = ("_loop", "_expire", "_deadline_from", "_min_delay",
+                 "armed_at", "_guarded")
 
-    def __init__(self, loop: "EventLoop", expire: Callable[[], None]):
+    def __init__(self, loop: "EventLoop", expire: Callable[[], None],
+                 deadline_from: Callable[[float], float], min_delay: float):
+        assert min_delay > 0.0  # a guard must make progress
         self._loop = loop
         self._expire = expire
-        self.deadline: Optional[float] = None
-        self._handle: Optional[EventHandle] = None
+        self._deadline_from = deadline_from
+        self._min_delay = min_delay
+        self.armed_at: Optional[float] = None
+        self._guarded = False
 
-    def set(self, deadline: float) -> None:
-        """Move the expiry to absolute time ``deadline``."""
-        self.deadline = deadline
-        handle = self._handle
-        if handle is None:
-            self._handle = self._loop.schedule_at(deadline, self._fire)
-        elif handle._entry[0] > deadline:
-            handle.cancel()
-            self._handle = self._loop.schedule_at(deadline, self._fire)
+    def arm(self, now: float) -> None:
+        """(Re)start the countdown at ``now``, the loop's current time."""
+        self.armed_at = now
+        if not self._guarded:
+            self._guarded = True
+            self._loop.post(self._min_delay, self._fire)
 
     def clear(self) -> None:
-        """Disarm without touching the heap (the stale event no-ops)."""
-        self.deadline = None
+        """Disarm without touching the heap (the pending guard lapses)."""
+        self.armed_at = None
 
     def _fire(self) -> None:
-        self._handle = None
-        deadline = self.deadline
-        if deadline is None:
+        armed_at = self.armed_at
+        if armed_at is None:
+            self._guarded = False
             return
+        min_delay = self._min_delay
+        deadline = self._deadline_from(armed_at)
+        assert deadline >= armed_at + min_delay, "deadline undercuts min_delay"
         loop = self._loop
         if loop._now < deadline:
-            self._handle = loop.schedule_at(deadline, self._fire)
+            loop.post_at(min(deadline, loop._now + min_delay), self._fire)
             return
-        self.deadline = None
+        self._guarded = False
+        self.armed_at = None
         self._expire()
 
 
@@ -155,7 +166,6 @@ class EventLoop:
         self._heap: list[list] = []
         self._next_seq = count().__next__
         self._limit = float("inf")
-        self._running = False
         self._events_processed = 0
         self._cancelled = 0
         self._total_cancels = 0
@@ -185,12 +195,9 @@ class EventLoop:
 
     @property
     def cancels(self) -> int:
-        """Cumulative in-heap cancellations over the loop's whole lifetime.
-
-        Unlike :attr:`cancelled_pending` this never decreases — compaction
-        and popping reclaim heap slots but leave this count alone — so the
-        telemetry harvest can report total cancel traffic.
-        """
+        """Cumulative in-heap cancellations over the loop's lifetime (unlike
+        :attr:`cancelled_pending`, never decreased by compaction or popping;
+        the telemetry harvest reports it as total cancel traffic)."""
         return self._total_cancels
 
     @property
@@ -204,14 +211,13 @@ class EventLoop:
     ) -> None:
         """Install (or with ``None`` remove) a per-event dispatch observer.
 
-        While a hook is installed, :meth:`run` executes a separate traced
-        loop that calls ``hook(sim_time, callback, wall_ns)`` after every
-        dispatched event, where ``wall_ns`` is the callback's wall-clock cost
-        from :func:`time.perf_counter_ns`.  The hook observes only — the
-        event sequence and all simulation state are identical to an untraced
-        run.  With no hook installed (the default) the hot loop is untouched
-        and pays nothing; :class:`repro.obs.trace.EventTraceRecorder` is the
-        standard consumer.
+        :meth:`run` reads the hook when it starts and, with one installed,
+        calls ``hook(sim_time, callback, wall_ns)`` after every dispatched
+        event (``wall_ns``: the callback's cost by :func:`time.perf_counter_ns`).
+        The hook observes only: same loop, same event sequence, same state.
+        A run without one pays a local ``is None`` test per event; what a
+        hook costs is the ledger's ``trace.overhead_ratio``.
+        :class:`repro.obs.trace.EventTraceRecorder` is the standard consumer.
         """
         self._trace_hook = hook
 
@@ -222,19 +228,20 @@ class EventLoop:
         Negative delays are clamped to zero (fire "immediately", i.e. at the
         current time but after any events already queued for it).
         """
-        if delay != delay:  # faster spelling of math.isnan(delay)
-            raise ValueError("event delay must not be NaN")
-        now = self._now
-        entry = [now + delay if delay > 0.0 else now,
-                 self._next_seq(), callback, args]
+        if not delay >= 0.0:  # negative, or NaN
+            if delay != delay:
+                raise ValueError("event delay must not be NaN")
+            delay = 0.0
+        entry = [self._now + delay, self._next_seq(), callback, args]
         heappush(self._heap, entry)
         return EventHandle(entry, self)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time != time:
-            raise ValueError("event time must not be NaN")
-        if time < self._now:
+        """Schedule ``callback(*args)`` at an absolute simulated time (a time
+        in the past is clamped to now)."""
+        if not time >= self._now:  # in the past, or NaN
+            if time != time:
+                raise ValueError("event time must not be NaN")
             time = self._now
         entry = [time, self._next_seq(), callback, args]
         heappush(self._heap, entry)
@@ -244,22 +251,22 @@ class EventLoop:
         """:meth:`schedule` without constructing an :class:`EventHandle`.
 
         Identical heap entry (same time, same sequence number), so the event
-        order is exactly what :meth:`schedule` would produce — the only
-        difference is that the event cannot be cancelled.  Used by the
-        fire-and-forget hot paths (packet forwarding, link transmissions),
-        where the handle allocation is pure overhead.
+        order is exactly what :meth:`schedule` would produce; the event just
+        cannot be cancelled.  For the fire-and-forget hot paths (packet
+        forwarding, link transmissions), where the handle is pure overhead.
         """
-        if delay != delay:
-            raise ValueError("event delay must not be NaN")
-        now = self._now
-        heappush(self._heap, [now + delay if delay > 0.0 else now,
-                              self._next_seq(), callback, args])
+        if not delay >= 0.0:
+            if delay != delay:
+                raise ValueError("event delay must not be NaN")
+            delay = 0.0
+        heappush(self._heap,
+                 [self._now + delay, self._next_seq(), callback, args])
 
     def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """:meth:`schedule_at` without constructing an :class:`EventHandle`."""
-        if time != time:
-            raise ValueError("event time must not be NaN")
-        if time < self._now:
+        if not time >= self._now:
+            if time != time:
+                raise ValueError("event time must not be NaN")
             time = self._now
         heappush(self._heap, [time, self._next_seq(), callback, args])
 
@@ -267,18 +274,17 @@ class EventLoop:
     def _maybe_compact(self) -> None:
         """Rebuild the heap without cancelled entries once they dominate.
 
-        Lazy deletion alone lets a cancel-heavy workload (one RTO re-arm per
-        ACK) grow the heap without bound; compacting when cancelled entries
-        outnumber live ones keeps memory O(live events) at amortised O(1)
-        cost per cancellation.  Compaction preserves the (time, seq) order of
-        the surviving entries, so it is invisible to the event sequence.
+        Lazy deletion alone lets a cancel-heavy workload grow the heap
+        without bound; compacting when cancelled entries outnumber live ones
+        keeps memory O(live events) at amortised O(1) cost per cancellation.
+        The survivors keep their (time, seq) order, so the event sequence
+        cannot tell, and the list is rewritten in place (see Design notes).
         """
         cancelled = self._cancelled
-        if (cancelled > _COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(self._heap)):
-            self._heap = [entry for entry in self._heap
-                          if entry[2] is not None]
-            heapify(self._heap)
+        heap = self._heap
+        if cancelled > _COMPACT_MIN_CANCELLED and cancelled * 2 > len(heap):
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapify(heap)
             self._cancelled = 0
             self._compactions += 1
 
@@ -287,13 +293,12 @@ class EventLoop:
         """Run events until the queue empties, ``until`` is reached, or
         ``max_events`` have been processed.
 
-        When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the last event fires earlier; this makes utilisation
-        calculations over a fixed horizon straightforward.
+        When ``until`` is given and the loop stopped there or ran dry, the
+        clock is advanced to exactly ``until`` even if the last event fired
+        earlier (utilisation over a fixed horizon divides by it).  A run that
+        stops on its event budget leaves the clock at the last event fired:
+        events before ``until`` may still be pending.
         """
-        if self._trace_hook is not None:
-            return self._run_traced(until, max_events)
-        self._running = True
         heap = self._heap
         limit = float("inf") if until is None else until
         # Published so components that execute work synchronously instead of
@@ -301,99 +306,48 @@ class EventLoop:
         # the same cut-off the run loop applies: an event strictly beyond
         # ``until`` never fires.
         self._limit = limit
-        processed = 0
-        executed = 0
-        try:
-            while heap:
-                entry = heap[0]
-                time = entry[0]
-                if time > limit:
-                    break
-                heappop(heap)
-                callback = entry[2]
-                if callback is None:
-                    self._cancelled -= 1
-                    continue
-                entry[2] = _FIRED
-                if time > self._now:
-                    self._now = time
-                callback(*entry[3])
-                if heap is not self._heap:
-                    # A cancel inside the callback compacted the heap (the
-                    # list was replaced); re-bind before the next pop.
-                    heap = self._heap
-                executed += 1
-                if max_events is not None:
-                    processed += 1
-                    if processed >= max_events:
-                        break
-        finally:
-            self._running = False
-            self._events_processed += executed
-        if until is not None and until > self._now:
-            self._now = until
-
-    def _run_traced(self, until: Optional[float] = None,
-                    max_events: Optional[int] = None) -> None:
-        """:meth:`run` with the trace hook active.
-
-        A verbatim copy of the :meth:`run` loop plus the per-event hook call
-        and wall-clock timing.  Duplicating the loop (instead of branching on
-        the hook inside it) keeps the untraced hot path — the one every
-        benchmark and sweep runs — completely free of tracing overhead.
-        """
-        self._running = True
-        heap = self._heap
-        limit = float("inf") if until is None else until
-        self._limit = limit
         hook = self._trace_hook
-        processed = 0
+        # Any budget below one still runs one event; -1 never matches.
+        budget = -1 if max_events is None else max(max_events, 1)
         executed = 0
         try:
             while heap:
-                entry = heap[0]
-                time = entry[0]
+                entry = heappop(heap)
+                time, _, callback, args = entry
                 if time > limit:
+                    heappush(heap, entry)  # same seq: keeps its place
                     break
-                heappop(heap)
-                callback = entry[2]
                 if callback is None:
                     self._cancelled -= 1
                     continue
                 entry[2] = _FIRED
-                if time > self._now:
-                    self._now = time
-                t0 = perf_counter_ns()
-                callback(*entry[3])
-                hook(time, callback, perf_counter_ns() - t0)
-                if heap is not self._heap:
-                    heap = self._heap
+                self._now = time
+                if hook is None:
+                    callback(*args)
+                else:
+                    t0 = perf_counter_ns()
+                    callback(*args)
+                    hook(time, callback, perf_counter_ns() - t0)
                 executed += 1
-                if max_events is not None:
-                    processed += 1
-                    if processed >= max_events:
-                        break
+                if executed == budget:
+                    return
         finally:
-            self._running = False
             self._events_processed += executed
         if until is not None and until > self._now:
             self._now = until
 
     def step(self) -> bool:
-        """Execute a single (non-cancelled) event.  Returns ``False`` when the
-        queue is empty."""
+        """Execute one live event; ``False`` when the queue is empty."""
         heap = self._heap
         while heap:
             entry = heappop(heap)
-            callback = entry[2]
+            time, _, callback, args = entry
             if callback is None:
                 self._cancelled -= 1
                 continue
             entry[2] = _FIRED
-            time = entry[0]
-            if time > self._now:
-                self._now = time
-            callback(*entry[3])
+            self._now = time
+            callback(*args)
             self._events_processed += 1
             return True
         return False

@@ -179,14 +179,12 @@ class RTTEstimator:
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.min_rtt = math.inf
-        self.latest: Optional[float] = None
         self.min_rto = min_rto
         self.max_rto = max_rto
 
     def update(self, sample: float) -> None:
         if sample <= 0:
             return
-        self.latest = sample
         self.min_rtt = min(self.min_rtt, sample)
         if self.srtt is None or self.rttvar is None:
             self.srtt = sample

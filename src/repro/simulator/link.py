@@ -469,7 +469,6 @@ class OpportunityLink(Link):
             elif dst_receive is not None:
                 post(prop_delay, dst_receive, packet)
         if monitor is not None:
-            monitor.opportunity_times.append(now)
             monitor.opportunity_bytes += self.bytes_per_opportunity
         # _opportunity_time inlined (integer divmod, identical expression).
         next_index = self._next_index

@@ -82,9 +82,6 @@ class FlowStats:
         self.sent_times: List[float] = []
         self.sizes: List[int] = []
         self.queuing_delays: List[float] = []
-        self.bytes_received = 0
-        self.first_recv_time: Optional[float] = None
-        self.last_recv_time: Optional[float] = None
         self.completion_time: Optional[float] = None
 
     def record(self, packet: Packet, now: float) -> None:
@@ -92,14 +89,24 @@ class FlowStats:
         self.sent_times.append(packet.sent_time)
         self.sizes.append(packet.size)
         self.queuing_delays.append(packet.total_queuing_delay)
-        self.bytes_received += packet.size
-        if self.first_recv_time is None:
-            self.first_recv_time = now
-        self.last_recv_time = now
 
     # ------------------------------------------------------------ views
+    # Totals and end points are read off the sample lists, not counted per
+    # packet next to them.
     def __len__(self) -> int:
         return len(self.recv_times)
+
+    @property
+    def bytes_received(self) -> int:
+        return sum(self.sizes)
+
+    @property
+    def first_recv_time(self) -> Optional[float]:
+        return self.recv_times[0] if self.recv_times else None
+
+    @property
+    def last_recv_time(self) -> Optional[float]:
+        return self.recv_times[-1] if self.recv_times else None
 
     @property
     def records(self) -> List[DeliveryRecord]:
@@ -194,7 +201,6 @@ class LinkMonitor:
         self.departure_times: List[float] = []
         self.departure_bytes: List[int] = []
         self.drop_times: List[float] = []
-        self.opportunity_times: List[float] = []
         self.opportunity_bytes = 0
         self.queue_sample_times: List[float] = []
         self.queue_sample_backlogs: List[int] = []
@@ -208,7 +214,6 @@ class LinkMonitor:
         self.drop_times.append(now)
 
     def record_opportunity(self, now: float, size_bytes: int) -> None:
-        self.opportunity_times.append(now)
         self.opportunity_bytes += size_bytes
 
     def record_queue(self, now: float, backlog_packets: int) -> None:

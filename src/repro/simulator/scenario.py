@@ -240,7 +240,7 @@ class Scenario:
             if link.monitor is not None:
                 link.monitor.record_queue(now, link.qdisc.backlog_packets)
         if now + self.queue_sample_interval <= self.duration:
-            self.env.schedule(self.queue_sample_interval, self._sample_queues)
+            self.env.post(self.queue_sample_interval, self._sample_queues)
 
     def run(self, duration: float) -> "ScenarioResult":
         """Run the scenario for ``duration`` seconds and collect results."""
@@ -254,7 +254,7 @@ class Scenario:
         for flow in self.flows:
             flow.sender.start()
         if self.queue_sample_interval > 0:
-            self.env.schedule(0.0, self._sample_queues)
+            self.env.post(0.0, self._sample_queues)
         self.env.run(until=duration)
         if obs_metrics.enabled():
             obs_metrics.harvest_scenario(self)

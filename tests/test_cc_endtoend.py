@@ -12,6 +12,8 @@ import pytest
 
 from repro.cc import (AIMD, BBR, Copa, Cubic, NewReno, PCCVivace, Sprout,
                       Vegas, Verus, available_schemes, make_cc)
+from repro.cc.base import CongestionControl
+from repro.cc.cubic import CUBIC_BETA, CUBIC_C
 from repro.simulator.packet import MTU, AckFeedback
 
 
@@ -133,6 +135,86 @@ def test_cubic_clamp_to_cap():
     cc = Cubic(initial_cwnd=50.0)
     cc.clamp_to(10.0)
     assert cc.cwnd() == 10.0
+
+
+class _ReferenceCubic(Cubic):
+    """RFC 8312 written out call by call: what ``Cubic.fast_ack`` flattens."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.branches = set()
+
+    def _cubic_target(self, now):
+        t = now - self.epoch_start + self._srtt
+        return self.origin_point + CUBIC_C * (t - self.k) ** 3
+
+    def _tcp_friendly_window(self, acked_packets):
+        self.w_tcp += 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA) * (
+            acked_packets / max(self._cwnd, 1.0))
+        return self.w_tcp
+
+    def on_ack(self, feedback):
+        if feedback.rtt is not None:
+            self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
+        if self.react_to_ecn and feedback.ece:
+            self.branches.add("ece")
+            self._reduce(feedback.now)
+            return
+        acked_packets = feedback.bytes_acked / self.mss
+        if self._cwnd < self.ssthresh:
+            self.branches.add("slow start")
+            self._cwnd += acked_packets
+            return
+        if self.epoch_start is None:
+            self._reset_epoch(feedback.now)
+        target = self._cubic_target(feedback.now)
+        if target > self._cwnd:
+            self.branches.add("toward target")
+            self._cwnd += ((target - self._cwnd) / max(self._cwnd, 1.0)
+                           * acked_packets)
+        else:
+            self.branches.add("past target")
+            self._cwnd += 0.01 * acked_packets / max(self._cwnd, 1.0)
+        if self.tcp_friendliness:
+            w_est = self._tcp_friendly_window(acked_packets)
+            if w_est > self._cwnd:
+                self.branches.add("tcp friendly")
+                self._cwnd = w_est
+        self._clamp()
+
+    def fast_ack(self, feedback):
+        return CongestionControl.fast_ack(self, feedback)
+
+
+def test_cubic_flat_ack_body_matches_the_rfc_formulas_bit_for_bit():
+    rng = random.Random(8)
+    script, now = [], 0.0
+    for phase, n, ece_every in (("slow start", 40, 0), ("ece", 3, 1),
+                                ("avoidance", 600, 0), ("marks", 400, 97),
+                                ("long rtt", 300, 0)):
+        for i in range(n):
+            now += rng.uniform(0.0005, 0.02)
+            rtt = rng.choice((None, 0.03, 0.08, 0.4 if phase == "long rtt"
+                              else 0.05))
+            script.append(ack(now, rtt=rtt,
+                              bytes_acked=rng.choice((MTU, MTU, 536)),
+                              ece=bool(ece_every) and i % ece_every == 0))
+    by_on_ack, by_fast_ack, reference = (
+        Cubic(initial_cwnd=2.0), Cubic(initial_cwnd=2.0),
+        _ReferenceCubic(initial_cwnd=2.0))
+    for step, feedback in enumerate(script):
+        if step == 700:            # a timeout mid-avoidance, as the sender would
+            for cc in (by_on_ack, by_fast_ack, reference):
+                cc.on_timeout(feedback.now)
+        by_on_ack.on_ack(feedback)
+        window = by_fast_ack.fast_ack(feedback)
+        assert window == reference.fast_ack(feedback) == max(
+            by_fast_ack.cwnd(), 1.0)
+        state = {key: value for key, value in vars(reference).items()
+                 if key != "branches"}
+        assert vars(by_on_ack) == vars(by_fast_ack) == state, step
+    assert reference.branches == {"ece", "slow start", "toward target",
+                                  "past target", "tcp friendly"}
 
 
 # ------------------------------------------------------------ Vegas

@@ -360,3 +360,59 @@ def test_sink_counts_traffic():
     sink.receive(turn_around(Packet(flow_id=0, seq=0)))
     assert sink.packets == 2
     assert sink.bytes == 100 + ACK_SIZE
+
+
+# ------------------------------------------------------------ RTO instants
+class TimeoutLog(AIMD):
+    """AIMD that records when the sender reports a retransmission timeout."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.timeouts_at = []
+
+    def on_timeout(self, now):
+        self.timeouts_at.append(now)
+        super().on_timeout(now)
+
+
+def test_black_holed_flow_times_out_at_1_3_7_seconds():
+    env = EventLoop()
+    cc = TimeoutLog(initial_cwnd=2.0)
+    sender = Sender(env, flow_id=0, cc=cc)
+    sender.connect(Sink())
+    sender.start()
+    env.run(until=10.0)
+    # Backoff 1, 2, 4 on the srtt-less 1.0 s RTO, to the float.
+    assert cc.timeouts_at == [1.0, 3.0, 7.0]
+    assert sender._rto_backoff == 8.0
+
+
+def test_resumed_acks_reset_the_backoff_and_fire_no_spurious_rto():
+    """The deadline shrinks from ``armed_at + 1.0 · 4`` to a 0.2 s RTO at
+    backoff 1 the moment fresh ACKs return; the pending guard must neither
+    miss the new deadline nor fire the old one."""
+    env = EventLoop()
+    cc = TimeoutLog(initial_cwnd=2.0)
+    sender = Sender(env, flow_id=0, cc=cc)
+    receiver = Receiver(env)
+    link = RateLink(env, ConstantRate(10e6),
+                    qdisc=FifoQdisc(buffer_packets=100), dst=receiver)
+
+    class Gate:
+        """Black-holes the path until t = 1.5 s."""
+
+        def receive(self, packet):
+            if env.now >= 1.5:
+                link.send(packet)
+
+    sender.connect(DelayHop(env, 0.05, dst=Gate()))
+    receiver.connect(DelayHop(env, 0.05, dst=sender))
+    sender.start()
+    env.run(until=8.0)
+    # 1.0: first RTO; its retransmissions die too; 3.0: second RTO, whose
+    # retransmissions get through.  Nothing after that.
+    assert cc.timeouts_at == [1.0, 3.0]
+    assert sender._rto_backoff == 1.0
+    assert sender.rtt.rto == sender.rtt.min_rto   # srtt + 4·rttvar < 0.2 s
+    assert receiver.packets_received > 1000
+    assert sender._rto_timer.armed_at is not None  # still in flight, armed

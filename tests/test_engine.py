@@ -1,10 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
+import functools
 import math
 
 import pytest
 
-from repro.simulator.engine import EventLoop
+from repro.simulator.engine import DeadlineTimer, EventLoop
 
 
 def test_events_fire_in_time_order():
@@ -273,3 +274,222 @@ def test_cancelled_events_popped_during_run_update_accounting():
     assert fired == [0, 2, 4]
     assert loop.pending == 0
     assert loop.cancelled_pending == 0
+
+
+# ------------------------------------------------------------- event budget
+def test_max_events_does_not_jump_the_clock_past_pending_events():
+    loop = EventLoop()
+    fired = []
+    for t in (1.0, 2.0, 3.0, 4.0):
+        loop.schedule_at(t, lambda t=t: fired.append((t, loop.now)))
+    loop.run(until=10.0, max_events=2)
+    # Stopped on the budget with events pending: the clock stays put ...
+    assert loop.now == 2.0 and loop.pending == 2
+    loop.run()
+    # ... so the rest still fire at their own times, not "at" until.
+    assert fired == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
+    # Stopped at the horizon or run dry, the clock does advance to until.
+    loop.schedule(1.0, lambda: None)
+    loop.run(until=20.0, max_events=5)
+    assert loop.now == 20.0
+
+
+def test_max_events_zero_still_runs_one_event():
+    loop = EventLoop()
+    for i in range(3):
+        loop.schedule(float(i + 1), lambda: None)
+    loop.run(max_events=0)
+    assert loop.events_processed == 1 and loop.now == 1.0
+
+
+# ------------------------------------------------------------------ one loop
+def test_event_loop_has_one_run_loop():
+    # No traced twin, under any name: ``run`` and ``step`` are the only
+    # methods that pop the heap.
+    import inspect
+    assert [name for name in vars(EventLoop) if "run" in name] == ["run"]
+    assert sorted(name for name, fn in vars(EventLoop).items()
+                  if callable(fn) and "heappop(" in inspect.getsource(fn)
+                  ) == ["run", "step"]
+
+
+def _chained_workload(loop, fired):
+    """Events that schedule, post and cancel further events."""
+    def tick(depth):
+        fired.append((loop.now, depth))
+        if depth < 40:
+            loop.post(0.01 * (depth % 3), tick, depth + 1)
+            loop.schedule(0.5, fired.append, ("never", depth)).cancel()
+    loop.schedule(0.1, tick, 0)
+    loop.post_at(0.2, tick, 30)
+
+
+def test_trace_hook_observes_every_event_and_changes_nothing():
+    plain, hooked, seen = [], [], []
+    loop_a, loop_b = EventLoop(), EventLoop()
+    _chained_workload(loop_a, plain)
+    _chained_workload(loop_b, hooked)
+    loop_b.set_trace_hook(
+        lambda time, callback, wall_ns: seen.append((time, wall_ns >= 0)))
+    loop_a.run(until=5.0)
+    loop_b.run(until=5.0)
+    assert plain == hooked
+    assert loop_a.events_processed == loop_b.events_processed == len(seen)
+    assert [time for time, _ in seen] == [now for now, _ in hooked]
+    assert all(ok for _, ok in seen) and loop_a.now == loop_b.now == 5.0
+
+
+def test_traced_scenario_equals_untraced_scenario():
+    from test_engine_golden_trace import run_golden_scenario
+
+    seen = []
+    plain = run_golden_scenario()
+    traced = run_golden_scenario(
+        lambda time, callback, wall_ns: seen.append(callback.__name__))
+    assert traced.env.events_processed == plain.env.events_processed == len(seen)
+    assert {"receive", "_fire_opportunity", "_fire", "_sample_queues"} <= set(seen)
+    for a, b in zip(plain.flows, traced.flows):
+        assert a.stats.recv_times == b.stats.recv_times
+        assert a.stats.queuing_delays == b.stats.queuing_delays
+        assert a.sender.packets_sent == b.sender.packets_sent > 100
+
+
+def test_compaction_inside_a_callback_keeps_the_heap_object():
+    loop = EventLoop()
+    heap = loop._heap
+    fired = []
+    doomed = [loop.schedule(5.0 + i, fired.append, ("doomed", i))
+              for i in range(200)]
+    for i in range(10):
+        loop.schedule(2.0 + i, fired.append, ("kept", i))
+
+    def cancel_all():
+        for handle in doomed:
+            handle.cancel()
+        loop.schedule(0.5, fired.append, ("late", 0))
+
+    loop.schedule(1.0, cancel_all)
+    loop.run()
+    assert loop.compactions >= 1           # > 64 cancelled, mid-run
+    assert loop._heap is heap              # compacted in place
+    assert fired == [("late", 0)] + [("kept", i) for i in range(10)]
+    assert loop.pending == 0 and loop.cancelled_pending == 0
+
+
+def test_event_beyond_until_keeps_its_place_among_same_time_peers():
+    loop = EventLoop()
+    fired = []
+    loop.schedule_at(5.0, fired.append, "first")
+    loop.run(until=2.0)                    # popped, found late, pushed back
+    assert fired == [] and loop.pending == 1 and loop.now == 2.0
+    loop.schedule_at(5.0, fired.append, "second")
+    loop.run(until=3.0)                    # and again
+    loop.schedule_at(5.0, fired.append, "third")
+    loop.run()
+    assert fired == ["first", "second", "third"]
+
+
+# ------------------------------------------------------------ deadline timer
+class _EagerTimer:
+    """The reference: cancel the pending event and push a new one per arm."""
+
+    def __init__(self, loop, expire, deadline_from):
+        self._loop, self._expire, self._deadline_from = loop, expire, deadline_from
+        self._handle = None
+
+    def arm(self, now):
+        self.clear()
+        self._handle = self._loop.schedule_at(self._deadline_from(now),
+                                              self._fire)
+
+    def clear(self):
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _fire(self):
+        self._handle = None
+        self._expire()
+
+
+MIN_DELAY = 0.2
+
+
+def _drive_timer(make_timer, steps):
+    """Run ``steps`` = [(time, action, rto, backoff)] against one timer the
+    way a sender would: the deadline's inputs change only in an event that
+    ends by arming or clearing, and an expiry backs off and re-arms."""
+    loop = EventLoop()
+    state = {"rto": 1.0, "backoff": 1.0}
+    expired = []
+    guards = []
+
+    def expire():
+        expired.append(loop.now)
+        state["backoff"] = min(state["backoff"] * 2.0, 64.0)
+        timer.arm(loop.now)
+
+    timer = make_timer(
+        loop, expire, lambda armed_at: armed_at + state["rto"] * state["backoff"])
+
+    def step(action, rto, backoff):
+        state["rto"], state["backoff"] = rto, backoff
+        if action == "arm":
+            timer.arm(loop.now)
+        else:
+            timer.clear()
+        guards.append(sum(1 for entry in loop._heap
+                          if getattr(entry[2], "__name__", "") == "_fire"))
+
+    for time, action, rto, backoff in steps:
+        loop.post_at(time, step, action, rto, backoff)
+    loop.run(until=steps[-1][0] + 100.0)
+    return expired, guards
+
+
+def test_deadline_timer_expires_exactly_when_an_eager_timer_does():
+    import random
+    rng = random.Random(20)
+    steps, now = [], 0.0
+    for _ in range(600):
+        now += rng.choice((0.0007, 0.03, 0.25, 0.9)) * rng.uniform(0.5, 1.5)
+        steps.append((now,
+                      "arm" if rng.random() < 0.8 else "clear",
+                      # An rttvar decay shrinks the RTO as well as growing it;
+                      # a fresh ACK resets a 64x backoff to 1x.
+                      rng.uniform(MIN_DELAY, 1.5),
+                      rng.choice((1.0, 1.0, 1.0, 2.0, 8.0, 64.0))))
+    eager, _ = _drive_timer(_EagerTimer, steps)
+    lazy, guards = _drive_timer(
+        functools.partial(DeadlineTimer, min_delay=MIN_DELAY), steps)
+    assert lazy == eager            # the same float instants, not approx
+    assert len(lazy) > 30
+    assert max(guards) == 1         # never a second guard in the heap
+
+
+def test_cleared_timer_lapses_and_rearms_with_one_guard():
+    loop = EventLoop()
+    expired = []
+    timer = DeadlineTimer(loop, lambda: expired.append(loop.now),
+                          lambda armed_at: armed_at + 1.0, MIN_DELAY)
+    timer.arm(loop.now)
+    timer.arm(loop.now)
+    assert loop.pending == 1
+    timer.clear()
+    loop.run(until=5.0)             # the guard fires once at 0.2 and lapses
+    assert expired == [] and loop.pending == 0 and loop.events_processed == 1
+    timer.arm(loop.now)
+    timer.arm(loop.now)
+    assert loop.pending == 1        # exactly one new guard
+    loop.run(until=10.0)
+    assert expired == [6.0] and loop.pending == 0 and timer.armed_at is None
+
+
+def test_deadline_that_undercuts_min_delay_is_caught():
+    loop = EventLoop()
+    timer = DeadlineTimer(loop, lambda: None,
+                          lambda armed_at: armed_at + MIN_DELAY / 2.0,
+                          MIN_DELAY)
+    timer.arm(loop.now)
+    with pytest.raises(AssertionError):
+        loop.run(until=1.0)

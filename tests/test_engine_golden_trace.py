@@ -36,6 +36,23 @@ DURATION = 3.0
 TRACE_SEED = 11
 
 
+def run_golden_scenario(hook=None) -> Scenario:
+    """Build and run the canonical golden scenario (ABC + Cubic through one
+    cellular ABC router), optionally under an engine trace hook."""
+    trace = lte_showcase_trace(duration=DURATION, seed=TRACE_SEED)
+    scenario = Scenario()
+    scenario.env.set_trace_hook(hook)
+    params = ABCParams()
+    link = scenario.add_cellular_link(
+        trace, qdisc=ABCRouterQdisc(params=params, buffer_packets=100),
+        name="cell")
+    scenario.add_flow(make_cc("abc", params=params), [link], rtt=0.08,
+                      label="abc")
+    scenario.add_flow(make_cc("cubic"), [link], rtt=0.08, label="cubic")
+    scenario.run(DURATION)
+    return scenario
+
+
 def run_traced_scenario() -> list:
     """Run the canonical golden scenario and return the event log.
 
@@ -50,17 +67,7 @@ def run_traced_scenario() -> list:
                     getattr(callback, "__qualname__",
                             getattr(callback, "__name__", str(callback)))))
 
-    trace = lte_showcase_trace(duration=DURATION, seed=TRACE_SEED)
-    scenario = Scenario()
-    scenario.env.set_trace_hook(hook)
-    params = ABCParams()
-    link = scenario.add_cellular_link(
-        trace, qdisc=ABCRouterQdisc(params=params, buffer_packets=100),
-        name="cell")
-    scenario.add_flow(make_cc("abc", params=params), [link], rtt=0.08,
-                      label="abc")
-    scenario.add_flow(make_cc("cubic"), [link], rtt=0.08, label="cubic")
-    scenario.run(DURATION)
+    scenario = run_golden_scenario(hook)
     log.append(("final_now", repr(scenario.env.now)))
     log.append(("events_processed", str(scenario.env.events_processed)))
     return log

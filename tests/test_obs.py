@@ -506,6 +506,25 @@ def test_profile_tool_metro_city(tmp_path):
     assert {"metro_cell", "dequeue"} <= profiled
 
 
+@pytest.mark.parametrize("target", [("--scheme", "cubic"),
+                                    ("--metro", "abc:0.6,cubic:0.4")])
+def test_profile_tool_counts_mode(tmp_path, target):
+    out = tmp_path / "counts.json"
+    proc = _run_tool("profile_hotpath.py", *target, "--duration", "0.3",
+                     "--counts", "--top", "400", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "bytecodes/op" in proc.stdout
+    payload = json.loads(out.read_text())
+    assert payload["kind"] == "counts" and payload["delivered_mtus"] > 50
+    # ``co_qualname`` (3.11+) or the bare name.
+    rows = {row["function"].rpartition(".")[2]: row for row in payload["rows"]}
+    # Counted around Scenario.run only: the job body outside it is absent.
+    assert "_burst" in rows and "metro_cell" not in rows
+    assert 0.2 < rows["receive_at"]["py_calls_per_op"] < 2.0
+    assert rows["receive_at"]["bytecodes_per_op"] > 50
+    assert payload["bytecodes_per_op"] > 30 * payload["py_calls_per_op"] > 300
+
+
 def test_profile_tool_bare_out_lands_in_run_dir(tmp_path):
     run_dir = tmp_path / "runs"
     proc = _run_tool("profile_hotpath.py", "--scheme", "abc",

@@ -13,6 +13,16 @@ this says which function::
     PYTHONPATH=src python tools/profile_hotpath.py --sort cumulative --top 40
     PYTHONPATH=src python tools/profile_hotpath.py --out profile.pstats
     PYTHONPATH=src python tools/profile_hotpath.py --out profile.json
+    PYTHONPATH=src python tools/profile_hotpath.py --metro MIX --duration 2 --counts
+
+``--counts`` replaces the clock with counters: executed bytecodes
+(``frame.f_trace_opcodes``) and Python / C calls (``sys.setprofile``) per
+delivered MTU, by function, traced around ``Scenario.run`` only.  The numbers
+are deterministic and machine-independent (one run is enough; they do move
+between CPython minor versions), which is what sizing a change to the
+per-event substrate needs: a call or a store removed shows up exactly, with
+no speed phase of the box in the way.  Tracing every opcode is ~50x slower
+than running, so keep ``--duration`` short.
 
 A saved ``--out`` file can be explored interactively with
 ``python -m pstats profile.pstats`` or rendered by snakeviz/gprof2dot.  A
@@ -38,30 +48,126 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 METRO_CELLS = 4
 
 
-def profile_scenario(scheme: str, duration: float) -> cProfile.Profile:
+def scenario_workload(scheme: str, duration: float):
+    """Set up one scheme over the LTE showcase trace; returns the run."""
     from repro.cellular.synthetic import lte_showcase_trace
     from repro.experiments.runner import run_single_bottleneck
 
     trace = lte_showcase_trace(duration=duration, seed=7)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_single_bottleneck(scheme, trace, rtt=0.1, duration=duration,
-                          buffer_packets=250, seed=0)
-    profiler.disable()
-    return profiler
+    return lambda: run_single_bottleneck(
+        scheme, trace, rtt=0.1, duration=duration, buffer_packets=250, seed=0)
 
 
-def profile_metro(mix: str, duration: float) -> cProfile.Profile:
+def metro_workload(mix: str, duration: float):
+    """Set up one small ``metro_pack`` city; returns the run."""
     from repro.metro.spec import metro_pack
 
     _cells, jobs = metro_pack(METRO_CELLS, mixes=(mix,),
                               duration=duration).expand()
+    return lambda: [job.run() for job in jobs]
+
+
+def profile(workload) -> cProfile.Profile:
     profiler = cProfile.Profile()
     profiler.enable()
-    for job in jobs:
-        job.run()
+    workload()
     profiler.disable()
     return profiler
+
+
+class HotpathCounts:
+    """Bytecodes and calls executed inside ``Scenario.run``, by function."""
+
+    def __init__(self) -> None:
+        #: code object -> [bytecodes, Python calls, C calls made from it]
+        self.by_code: dict = {}
+        self.delivered_mtus = 0.0
+
+    def _row(self, code) -> list:
+        row = self.by_code.get(code)
+        if row is None:
+            row = self.by_code[code] = [0, 0, 0]
+        return row
+
+    def _trace(self, frame, event, arg):
+        # Global trace function: called once per new frame.
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        row = self._row(frame.f_code)
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                row[0] += 1
+            return local
+        return local
+
+    def _profile(self, frame, event, arg) -> None:
+        if event == "call":
+            self._row(frame.f_code)[1] += 1
+        elif event == "c_call":
+            self._row(frame.f_code)[2] += 1
+
+    def run(self, workload) -> None:
+        """Run ``workload()`` with every ``Scenario.run`` inside it counted."""
+        from repro.simulator.packet import MTU
+        from repro.simulator.scenario import Scenario
+
+        run = Scenario.run
+        counts = self
+
+        def counted_run(self, duration):
+            sys.settrace(counts._trace)
+            sys.setprofile(counts._profile)
+            try:
+                return run(self, duration)
+            finally:
+                sys.setprofile(None)
+                sys.settrace(None)
+                counts.delivered_mtus += sum(
+                    flow.stats.bytes_received for flow in self.flows) / MTU
+
+        Scenario.run = counted_run
+        try:
+            workload()
+        finally:
+            Scenario.run = run
+
+    def rows(self, sort: str, top: int) -> list:
+        """The top-N functions, per delivered MTU (``sort``: ``calls`` orders
+        by Python calls, anything else by bytecodes)."""
+        ops = self.delivered_mtus or 1.0
+        column = 1 if sort == "calls" else 0
+        ranked = sorted(self.by_code.items(),
+                        key=lambda item: item[1][column], reverse=True)
+        return [{"function": getattr(code, "co_qualname", code.co_name),
+                 "file": code.co_filename, "line": code.co_firstlineno,
+                 "bytecodes_per_op": row[0] / ops,
+                 "py_calls_per_op": row[1] / ops,
+                 "c_calls_per_op": row[2] / ops}
+                for code, row in ranked[:top]]
+
+    def totals(self) -> dict:
+        ops = self.delivered_mtus or 1.0
+        summed = [sum(row[i] for row in self.by_code.values())
+                  for i in range(3)]
+        return {"delivered_mtus": self.delivered_mtus,
+                "bytecodes_per_op": summed[0] / ops,
+                "py_calls_per_op": summed[1] / ops,
+                "c_calls_per_op": summed[2] / ops}
+
+
+def print_counts(counts: HotpathCounts, sort: str, top: int) -> None:
+    totals = counts.totals()
+    print(f"   {totals['delivered_mtus']:.0f} delivered MTUs: "
+          f"{totals['bytecodes_per_op']:.1f} bytecodes, "
+          f"{totals['py_calls_per_op']:.2f} Python calls, "
+          f"{totals['c_calls_per_op']:.2f} C calls per MTU\n")
+    print("   bytecodes/op  pycalls/op   ccalls/op  filename:lineno(function)")
+    for row in counts.rows(sort, top):
+        print(f"   {row['bytecodes_per_op']:12.1f}"
+              f"  {row['py_calls_per_op']:10.3f}"
+              f"  {row['c_calls_per_op']:10.3f}"
+              f"  {row['file']}:{row['line']}({row['function']})")
 
 
 def resolve_out(out: Path) -> Path:
@@ -109,6 +215,11 @@ def main(argv=None) -> int:
                         help="number of rows to print")
     parser.add_argument("--sort", default="tottime",
                         help="pstats sort key (tottime, cumulative, calls, …)")
+    parser.add_argument("--counts", action="store_true",
+                        help="count bytecodes and Python / C calls per "
+                             "delivered MTU inside Scenario.run instead of "
+                             "timing (deterministic; --sort calls orders by "
+                             "Python calls; --out writes the rows as JSON)")
     parser.add_argument("--out", type=Path, default=None,
                         help="also dump the profile to this file: raw pstats "
                              "data, or top-N rows as JSON for a .json suffix "
@@ -117,15 +228,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.metro is not None:
-        profiler = profile_metro(args.metro, args.duration)
+        workload = metro_workload(args.metro, args.duration)
         title = (f"metro city {args.metro}, {METRO_CELLS} cells x "
                  f"{args.duration:g}s")
     else:
-        profiler = profile_scenario(args.scheme, args.duration)
+        workload = scenario_workload(args.scheme, args.duration)
         title = f"{args.scheme} over LTE showcase, {args.duration:g}s"
 
+    if args.counts:
+        counts = HotpathCounts()
+        counts.run(workload)
+        print(f"=== hot-path counts: {title} (top {args.top}) ===")
+        print_counts(counts, args.sort, args.top)
+        if args.out is not None:
+            out = resolve_out(args.out)
+            payload = {"schema": 1, "kind": "counts", "title": title,
+                       **counts.totals(),
+                       "rows": counts.rows(args.sort, args.top)}
+            out.write_text(json.dumps(payload, indent=1) + "\n")
+            print(f"wrote {out}")
+        return 0
+
     print(f"=== hot-path profile: {title} (top {args.top} by {args.sort}) ===")
-    stats = pstats.Stats(profiler)
+    stats = pstats.Stats(profile(workload))
     stats.sort_stats(args.sort).print_stats(args.top)
     if args.out is not None:
         out = resolve_out(args.out)
