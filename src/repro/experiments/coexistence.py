@@ -26,11 +26,11 @@ from repro.analysis.stats import (SeedAggregate, SeedResultSet,
 from repro.aqm import DropTailQdisc
 from repro.cc import make_cc
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
+from repro.config import resolve_seeds
 from repro.core.coexistence import (DualQueueABCQdisc, MaxMinWeightController,
                                     ZombieListWeightController)
 from repro.core.params import ABCParams
-from repro.runtime.executor import (SweepExecutor, SweepJob, get_executor,
-                                    resolve_seeds)
+from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
 from repro.core.router import ABCRouterQdisc
 from repro.simulator.link import SteppedRate
 from repro.simulator.scenario import Scenario

@@ -34,12 +34,12 @@ from repro.analysis.metrics import is_outside_frontier, pareto_frontier
 from repro.analysis.stats import SeedAggregate, SeedResultSet, split_by_seed
 from repro.cellular.synthetic import synthetic_trace_set, uplink_downlink_pair
 from repro.cellular.trace import CellularTrace
+from repro.config import resolve_seeds
 from repro.experiments.runner import (EXPLICIT_SCHEMES, SCHEME_NAMES,
                                       SingleBottleneckResult,
                                       group_seed_results, normalized_table,
                                       run_cellular_sweep, sweep_averages)
-from repro.runtime.executor import (SweepExecutor, SweepJob, get_executor,
-                                    resolve_seeds)
+from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
 from repro.runtime.spec import SweepSpec, sweep_cell, validate_schemes
 from repro.runtime.trace_store import register_trace
 

@@ -30,11 +30,12 @@ from repro.aqm import CoDelQdisc, DropTailQdisc, PIEQdisc
 from repro.cc import make_cc
 from repro.cc.base import CongestionControl
 from repro.cellular.trace import CellularTrace
+from repro.config import resolve_seeds
 from repro.core.params import ABCParams, CELLULAR_DEFAULTS
 from repro.core.pk_abc import PKABCRouterQdisc
 from repro.core.router import ABCRouterQdisc
 from repro.explicit import (RCPRouterQdisc, VCPRouterQdisc, XCPRouterQdisc)
-from repro.runtime.executor import SweepExecutor, get_executor, resolve_seeds
+from repro.runtime.executor import SweepExecutor, get_executor
 from repro.runtime.spec import SweepSpec
 from repro.simulator.link import CapacityModel
 from repro.simulator.qdisc import Qdisc

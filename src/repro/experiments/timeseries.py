@@ -23,9 +23,9 @@ from repro.analysis.stats import (SeedAggregate, aggregate_metric_dicts,
                                   split_by_seed)
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.cellular.trace import CellularTrace
+from repro.config import resolve_seeds
 from repro.experiments.runner import run_single_bottleneck
-from repro.runtime.executor import (SweepExecutor, SweepJob, get_executor,
-                                    resolve_seeds)
+from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
 from repro.runtime.trace_store import register_trace, resolve_link_spec
 from repro.simulator.link import SquareWaveRate
 

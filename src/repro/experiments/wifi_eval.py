@@ -23,10 +23,10 @@ import numpy as np
 from repro.analysis.stats import SeedResultSet, result_metrics, split_by_seed
 from repro.aqm import CoDelQdisc, DropTailQdisc
 from repro.cc import make_cc
+from repro.config import resolve_seeds
 from repro.core.params import ABCParams, WIFI_DEFAULTS
 from repro.core.router import ABCRouterQdisc
-from repro.runtime.executor import (SweepExecutor, SweepJob, get_executor,
-                                    resolve_seeds)
+from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import RateLimitedSource

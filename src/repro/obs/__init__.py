@@ -1,19 +1,17 @@
 """Observability: metrics registry, run manifests, progress, trace export.
 
-The subsystem is opt-in via environment knobs and costs (near) nothing when
-disabled:
+The subsystem is opt-in via three knobs (declared in :mod:`repro.config`) and
+costs (near) nothing when disabled:
 
-* ``REPRO_TELEMETRY=1`` — turn the process-local metrics registry on
-  (:mod:`repro.obs.metrics`).  With the knob unset every handle the
-  instrumentation acquires is a shared no-op singleton, and the hot-path
-  components are *harvested* (their existing always-on counters are read once
-  at run end) rather than instrumented per event, so the per-packet pipeline
-  is untouched.
+* ``REPRO_TELEMETRY=1`` — the process-local metrics registry
+  (:mod:`repro.obs.metrics`).  Unset, every handle the instrumentation
+  acquires is a shared no-op singleton, and the hot-path components are
+  *harvested* (their always-on counters are read once at run end) rather
+  than instrumented per event, so the per-packet pipeline is untouched.
 * ``REPRO_RUN_DIR=<dir>`` — every sweep / metro / fuzz run writes a JSON
-  provenance manifest there (:mod:`repro.obs.manifest`): git SHA, code
-  version salt, knob snapshot, seeds, per-job timings, metrics snapshot.
-* ``REPRO_PROGRESS=1`` — long sweeps render a live stderr progress line
-  (cells done/total, cache-hit rate, ETA; :mod:`repro.obs.progress`).
+  provenance manifest there (:mod:`repro.obs.manifest`).
+* ``REPRO_PROGRESS=1`` — a live stderr progress line for long sweeps
+  (:mod:`repro.obs.progress`).
 * Chrome-trace export (:mod:`repro.obs.trace` + ``tools/export_trace.py``)
   renders a simulation's event timeline or a sweep's per-worker job timeline
   as ``chrome://tracing``-loadable JSON.
@@ -24,8 +22,7 @@ either of them; :mod:`repro.obs.manifest` reaches into ``repro.runtime`` via
 late imports only.
 """
 
-from repro.obs.metrics import (TELEMETRY_ENV, counter, enabled, gauge,
-                               override, registry, timer)
+from repro.obs.metrics import (counter, enabled, gauge, override, registry,
+                               timer)
 
-__all__ = ["TELEMETRY_ENV", "counter", "enabled", "gauge", "override",
-           "registry", "timer"]
+__all__ = ["counter", "enabled", "gauge", "override", "registry", "timer"]

@@ -4,9 +4,10 @@ When ``REPRO_RUN_DIR`` names a directory, every :meth:`SweepSpec.run_cells`
 call (and therefore every figure sweep, ``metro_pack`` city and fuzz
 campaign) writes one manifest there — enough to answer, months later, *what
 exactly produced this number*: the git SHA, the cache's code-version salt,
-the full ``REPRO_*`` knob environment, the grid (schemes × traces × seeds),
-per-job wall-clock timings (worker pid, queue wait), the executor's cache
-statistics and — when ``REPRO_TELEMETRY=1`` — the merged metrics snapshot.
+the ``REPRO_*`` variables set and the configuration the executor resolved
+(``executor.config``), the grid (schemes × traces × seeds), per-job timings
+(worker pid, queue wait), the executor's cache statistics and — when
+``REPRO_TELEMETRY=1`` — the merged metrics snapshot.
 
 :func:`provenance` is the deterministic core of a manifest (no timestamps,
 no timings): fuzz campaign reports embed it verbatim so a failing corpus
@@ -28,24 +29,24 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-#: Environment variable naming the manifest/trace output directory; unset
-#: (the default) disables manifest emission entirely.
-RUN_DIR_ENV = "REPRO_RUN_DIR"
+from repro.config import environment_knobs, resolve
 
 #: Manifest schema version (bump on incompatible layout changes).
 MANIFEST_SCHEMA = 1
 
 
 def run_dir() -> Optional[Path]:
-    """The manifest output directory, or None when manifests are disabled."""
-    raw = os.environ.get(RUN_DIR_ENV, "").strip()
-    return Path(raw).expanduser() if raw else None
+    """``REPRO_RUN_DIR``, read live; None (unset) disables manifests."""
+    return resolve("run_dir")
 
 
-def knob_snapshot() -> Dict[str, str]:
-    """Every ``REPRO_*`` environment knob currently set (sorted)."""
-    return {key: value for key, value in sorted(os.environ.items())
-            if key.startswith("REPRO_")}
+def in_run_dir(out: Path) -> Path:
+    """``out``, with a bare filename routed into the run directory if set."""
+    directory = run_dir()
+    if directory is None or out.parent != Path("."):
+        return out
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / out
 
 
 _GIT_SHA_CACHE: List[Optional[str]] = []
@@ -83,13 +84,13 @@ def provenance() -> Dict[str, Any]:
     with the same environment produce byte-identical provenance — the
     property fuzz reports rely on when they embed it.
     """
-    from repro.runtime.cache import effective_salt  # late: avoid import cycle
+    from repro.runtime.cache import CODE_VERSION_SALT  # late: import cycle
 
     return {
         "schema": MANIFEST_SCHEMA,
         "git_sha": git_sha(),
-        "code_version_salt": effective_salt(),
-        "knobs": knob_snapshot(),
+        "code_version_salt": CODE_VERSION_SALT,
+        "knobs": environment_knobs(),
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
@@ -113,15 +114,14 @@ def executor_record(executor: Any) -> Dict[str, Any]:
         "wall_seconds": stats.wall_seconds,
         "pool_reused": stats.pool_reused,
         "jobs": list(stats.job_records),
+        "config": executor.config.to_jsonable(),
     }
     for name in ("retries", "timeouts", "worker_crashes", "failed_jobs",
                  "cache_write_errors", "journal_hits"):
-        value = getattr(stats, name, 0)
-        if value:
-            record[name] = value
-    failures = getattr(stats, "failures", None)
-    if failures:
-        record["failures"] = list(failures)
+        if getattr(stats, name):
+            record[name] = getattr(stats, name)
+    if stats.failures:
+        record["failures"] = list(stats.failures)
     return record
 
 

@@ -44,17 +44,13 @@ execution when toggling telemetry programmatically.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
-#: Environment variable that turns the metrics registry on.
-TELEMETRY_ENV = "REPRO_TELEMETRY"
+from repro.config import resolve
 
-_TRUTHY = ("1", "true", "yes", "on")
-
-#: Programmatic override; None defers to the environment.
+#: Programmatic override; None defers to ``REPRO_TELEMETRY``, read live.
 _override: Optional[bool] = None
 
 
@@ -62,7 +58,7 @@ def enabled() -> bool:
     """True when telemetry collection is active in this process."""
     if _override is not None:
         return _override
-    return os.environ.get(TELEMETRY_ENV, "").strip().lower() in _TRUTHY
+    return resolve("telemetry")
 
 
 @contextmanager

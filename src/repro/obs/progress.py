@@ -15,21 +15,10 @@ the cells still pending (cache hits are free and counted done up front).
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-#: Environment variable that turns the default stderr reporter on.
-PROGRESS_ENV = "REPRO_PROGRESS"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def env_enabled() -> bool:
-    """True when ``REPRO_PROGRESS`` asks for the default stderr reporter."""
-    return os.environ.get(PROGRESS_ENV, "").strip().lower() in _TRUTHY
 
 
 @dataclass
@@ -96,20 +85,5 @@ class ProgressTracker:
 
 
 def resolve_progress(progress) -> Optional[ProgressCallback]:
-    """Normalise the executor's ``progress`` argument to a callback or None.
-
-    ``None`` defers to the ``REPRO_PROGRESS`` environment knob (truthy =
-    stderr reporter); ``False`` forces progress off regardless of the
-    environment; ``True`` selects the stderr reporter; any callable is used
-    as-is.
-    """
-    if progress is None:
-        return stderr_reporter if env_enabled() else None
-    if progress is False:
-        return None
-    if progress is True:
-        return stderr_reporter
-    if callable(progress):
-        return progress
-    raise TypeError(f"progress must be None, a bool or a callable, "
-                    f"got {progress!r}")
+    """The resolved ``progress`` knob (a bool or a callable) as a callback."""
+    return stderr_reporter if progress is True else (progress or None)

@@ -21,46 +21,31 @@ independent jobs:
 Used as a context manager, :class:`SweepExecutor` keeps one pool alive
 across ``run()`` calls, so repeated sweeps skip the ~1 s worker spin-up.
 Multi-seed sweeps add a statistical seed axis selected by ``seeds=``
-arguments or the ``REPRO_SEEDS`` environment variable
-(:func:`~repro.runtime.executor.resolve_seeds`).
+arguments or ``REPRO_SEEDS`` (:func:`~repro.config.resolve_seeds`; every
+``REPRO_*`` knob is declared and parsed in :mod:`repro.config`).
 
 The invariant the rest of the repo relies on: a sweep's metrics are
 bit-for-bit identical whether executed serially, in parallel, on a reused
 pool, or replayed from the cache.
 """
 
-from repro.runtime.cache import (CACHE_DIR_ENV, CODE_VERSION_SALT, ResultCache,
-                                 effective_salt, stable_hash)
-from repro.runtime.executor import (BACKOFF_ENV, FAILURE_POLICY_ENV, JOBS_ENV,
-                                    RETRIES_ENV, SEEDS_ENV, TIMEOUT_ENV,
-                                    ExecutorStats, SweepExecutor, SweepJob,
-                                    get_executor, resolve_failure_policy,
-                                    resolve_job_retries, resolve_job_timeout,
-                                    resolve_retry_backoff, resolve_seeds,
-                                    resolve_worker_count)
-from repro.runtime.faults import (FAULT_KINDS, FAULTS_ENV, FaultInjectionError,
+from repro.config import resolve_seeds
+from repro.runtime.cache import CODE_VERSION_SALT, ResultCache, stable_hash
+from repro.runtime.executor import (ExecutorStats, SweepExecutor, SweepJob,
+                                    get_executor)
+from repro.runtime.faults import (FAULT_KINDS, FaultInjectionError,
                                   FaultInjector, FaultSpec, JobAttempt,
                                   JobFailure, JobFailureError, is_failure,
-                                  resolve_fault_spec, retry_backoff)
-from repro.runtime.journal import (JOURNAL_ENV, RunJournal,
-                                   resolve_journal_dir, run_key_for)
+                                  retry_backoff)
+from repro.runtime.journal import RunJournal, run_key_for
 from repro.runtime.spec import (SweepCell, SweepSpec, strip_result, sweep_cell,
                                 validate_schemes)
 from repro.runtime.trace_store import (TraceRef, clear_trace_store, get_trace,
                                        register_trace, resolve_link_spec)
 
 __all__ = [
-    "BACKOFF_ENV",
-    "CACHE_DIR_ENV",
     "CODE_VERSION_SALT",
-    "FAILURE_POLICY_ENV",
-    "FAULTS_ENV",
     "FAULT_KINDS",
-    "JOBS_ENV",
-    "JOURNAL_ENV",
-    "RETRIES_ENV",
-    "SEEDS_ENV",
-    "TIMEOUT_ENV",
     "ExecutorStats",
     "FaultInjectionError",
     "FaultInjector",
@@ -76,20 +61,12 @@ __all__ = [
     "SweepSpec",
     "TraceRef",
     "clear_trace_store",
-    "effective_salt",
     "get_executor",
     "get_trace",
     "is_failure",
     "register_trace",
-    "resolve_failure_policy",
-    "resolve_fault_spec",
-    "resolve_job_retries",
-    "resolve_job_timeout",
-    "resolve_journal_dir",
     "resolve_link_spec",
-    "resolve_retry_backoff",
     "resolve_seeds",
-    "resolve_worker_count",
     "retry_backoff",
     "run_key_for",
     "stable_hash",

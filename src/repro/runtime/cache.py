@@ -23,8 +23,10 @@ concurrent writer can never leave a torn entry; unreadable entries are
 treated as misses and deleted lazily.
 
 The salt defaults to :data:`CODE_VERSION_SALT` (bump it when a simulator
-change intentionally alters results) and can be extended per-environment via
-``REPRO_CACHE_SALT``.
+change intentionally alters results); a per-branch cache is a different
+``REPRO_CACHE_DIR`` (or ``salt=``).  Under a size cap (``REPRO_CACHE_MAX_MB``
+or ``max_mb=``) a write that crosses it evicts the oldest entries by mtime
+(entries are never touched on read, so mtime order is write order).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
+from repro.config import resolve
 from repro.obs import metrics as obs_metrics
 
 #: Bump whenever simulator semantics change in a way that alters metrics;
@@ -49,26 +52,6 @@ from repro.obs import metrics as obs_metrics
 #: utilisation denominators, and the Fig. 6/7/11/13 entry points became
 #: cacheable sweep jobs.
 CODE_VERSION_SALT = "repro-runtime-v3"
-
-#: Environment variable appended to the salt (e.g. per-branch caches).
-SALT_ENV = "REPRO_CACHE_SALT"
-
-#: Environment variable naming the default cache directory; when unset the
-#: cache is disabled unless a directory is passed explicitly.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable capping the cache's on-disk size in megabytes.
-#: When the cap is exceeded after a write, the oldest entries by mtime are
-#: evicted (mtime-LRU: entries are only ever *written*, never touched on
-#: read, so mtime order is write order).  Unset, empty or ``0`` = unbounded.
-CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
-
-
-def effective_salt(salt: Optional[str] = None) -> str:
-    """The code-version salt plus any ``REPRO_CACHE_SALT`` extension."""
-    base = CODE_VERSION_SALT if salt is None else salt
-    extra = os.environ.get(SALT_ENV, "")
-    return f"{base}:{extra}" if extra else base
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +134,9 @@ class ResultCache:
         #: Optional FaultInjector (set by the executor when REPRO_FAULTS
         #: includes cache_write_fail) — put() consults it to inject OSErrors.
         self.fault_injector = None
-        # Size cap (REPRO_CACHE_MAX_MB, read once at construction like the
-        # other runtime knobs); None/0 = unbounded.
-        if max_mb is None:
-            raw = os.environ.get(CACHE_MAX_MB_ENV, "").strip()
-            max_mb = float(raw) if raw else 0.0
-        self._max_bytes = int(max_mb * 1024 * 1024) if max_mb > 0 else None
+        # Size cap: max_mb, else REPRO_CACHE_MAX_MB; unset / 0 = unbounded.
+        max_mb = resolve("cache_max_mb", max_mb)
+        self._max_bytes = int(max_mb * 1024 * 1024) if max_mb else None
         # Sweeping stats the whole tree on every put would make writes O(n);
         # instead a sweep runs on the first put and then once per
         # ``_sweep_interval`` bytes written by this process.  The cap is

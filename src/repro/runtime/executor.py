@@ -17,12 +17,12 @@ reused pool, or is replayed from the cache.
 ``tests/test_runtime_executor.py`` enforces this; with fault injection
 active, ``tests/test_runtime_faults.py`` extends it to the failure records.
 
-Worker selection
-----------------
-``SweepExecutor(jobs=N)`` wins over the ``REPRO_JOBS`` environment variable,
-which wins over the serial default (1).  ``0`` or ``"auto"`` means one worker
-per CPU.  Job *functions* must be module-level callables and their kwargs
-picklable, because parallel workers receive them by reference.
+Configuration
+-------------
+Every knob is resolved once, at construction, into ``executor.config`` (a
+:class:`~repro.config.RuntimeConfig`: argument beats environment beats
+default); the run manifest records it.  Job *functions* must be module-level
+callables with picklable kwargs: parallel workers receive them by reference.
 
 Pool reuse
 ----------
@@ -76,9 +76,8 @@ failure, no injector fires nothing), so on every run:
 4. job keys are computed only when something consumes them (cache, journal,
    fault injector, or a failure record / backoff draw).
 
-The knobs are read at construction (see :class:`SweepExecutor`); the retry
-schedule is seeded, so it is part of the reproducible record; and a
-``KeyboardInterrupt`` tears the pool down instead of orphaning workers.
+The retry schedule is seeded, so it is part of the reproducible record; and
+a ``KeyboardInterrupt`` tears the pool down instead of orphaning workers.
 """
 
 from __future__ import annotations
@@ -97,44 +96,17 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
+from repro.config import RuntimeConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs.progress import ProgressTracker, resolve_progress
-from repro.runtime.cache import (CACHE_DIR_ENV, ResultCache, effective_salt,
-                                 stable_hash)
+from repro.runtime.cache import CODE_VERSION_SALT, ResultCache, stable_hash
 from repro.runtime.faults import (FaultInjectionError, FaultInjector,
                                   FaultSpec, JobAttempt, JobFailure,
                                   JobFailureError, crash_attempt,
-                                  resolve_fault_spec, retry_backoff,
-                                  timeout_attempt)
-from repro.runtime.journal import RunJournal, resolve_journal_dir, run_key_for
+                                  retry_backoff, timeout_attempt)
+from repro.runtime.journal import RunJournal, run_key_for
 from repro.runtime.trace_store import (TraceRef, install_snapshot,
                                        snapshot_for)
-
-#: Environment variable selecting the worker count (``1`` = serial).
-JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable selecting the default seed list for multi-seed
-#: sweeps: comma- or space-separated integers (``REPRO_SEEDS="1,2,3"``).
-SEEDS_ENV = "REPRO_SEEDS"
-
-#: Environment variable: per-job wall-clock timeout in seconds (unset/0 =
-#: no deadline).  Parallel runs enforce it preemptively (the wedged worker
-#: is killed and respawned); serial runs cannot preempt a running job, so
-#: there it only applies to injected hangs.
-TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
-
-#: Environment variable: how many times a failed job attempt is retried
-#: (default 0 — fail on the first exhausted attempt, the legacy behavior).
-RETRIES_ENV = "REPRO_JOB_RETRIES"
-
-#: Environment variable: base seconds for the seeded exponential retry
-#: backoff (default 0.05; 0 disables the delay but keeps the retries).
-BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
-
-#: Environment variable selecting the failure policy: ``strict`` (raise on
-#: the first exhausted job) or ``salvage`` (return JobFailure sentinels
-#: in-slot and keep the rest of the sweep).
-FAILURE_POLICY_ENV = "REPRO_FAILURE_POLICY"
 
 #: The pool cannot wake the parent for a start announcement or a worker
 #: death (only completions are pushed), so a blocked wait on the pool
@@ -151,135 +123,6 @@ _HEARTBEAT_SECONDS = 0.05
 #: already-piped result win the race.  A genuinely lost attempt can never
 #: deliver, so the delay costs latency only, never correctness.
 _LATE_RESULT_GRACE_SECONDS = 1.0
-
-
-def resolve_worker_count(jobs: Optional[int | str] = None) -> int:
-    """Resolve the worker count from the API arg or ``REPRO_JOBS``."""
-    value: Any = jobs if jobs is not None else os.environ.get(JOBS_ENV, "1")
-    if isinstance(value, str):
-        value = value.strip().lower()
-        if value in ("", "auto"):
-            value = 0
-        else:
-            try:
-                value = int(value)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{JOBS_ENV} must be an integer or 'auto', got {value!r}"
-                ) from exc
-    if value < 0:
-        raise ValueError(f"worker count must be >= 0, got {value}")
-    if value == 0:
-        value = os.cpu_count() or 1
-    return value
-
-
-def resolve_seeds(seeds: Union[int, Sequence[int], None] = None
-                  ) -> Optional[Tuple[int, ...]]:
-    """Resolve a seed list from the API arg or the ``REPRO_SEEDS`` env var.
-
-    The precedence mirrors :func:`resolve_worker_count`: an explicit
-    ``seeds=`` argument (an int or an iterable of ints) wins over
-    ``REPRO_SEEDS`` (comma- or space-separated integers), which wins over the
-    entry point's legacy single-seed default (signalled by returning
-    ``None``).
-    """
-    if seeds is not None:
-        if isinstance(seeds, int):
-            return (seeds,)
-        resolved = tuple(int(s) for s in seeds)
-        if not resolved:
-            raise ValueError("seeds must contain at least one seed")
-        return resolved
-    raw = os.environ.get(SEEDS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        parsed = tuple(int(part) for part in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ValueError(
-            f"{SEEDS_ENV} must be comma- or space-separated integers, "
-            f"got {raw!r}") from exc
-    if not parsed:
-        raise ValueError(f"{SEEDS_ENV} must name at least one seed")
-    return parsed
-
-
-def resolve_job_timeout(timeout: Union[int, float, str, None] = None
-                        ) -> Optional[float]:
-    """Per-job deadline in seconds from the API arg or ``REPRO_JOB_TIMEOUT``.
-
-    ``None``/unset/``0`` means no deadline.
-    """
-    value: Any = timeout if timeout is not None \
-        else os.environ.get(TIMEOUT_ENV, "")
-    if isinstance(value, str):
-        value = value.strip()
-        if not value:
-            return None
-        try:
-            value = float(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{TIMEOUT_ENV} must be a number of seconds, got "
-                f"{value!r}") from exc
-    value = float(value)
-    if value < 0:
-        raise ValueError(f"job timeout must be >= 0, got {value}")
-    return value if value > 0 else None
-
-
-def resolve_job_retries(retries: Union[int, str, None] = None) -> int:
-    """Retry budget per job from the API arg or ``REPRO_JOB_RETRIES``."""
-    value: Any = retries if retries is not None \
-        else os.environ.get(RETRIES_ENV, "")
-    if isinstance(value, str):
-        value = value.strip()
-        if not value:
-            return 0
-        try:
-            value = int(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{RETRIES_ENV} must be an integer, got {value!r}") from exc
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"job retries must be >= 0, got {value}")
-    return value
-
-
-def resolve_retry_backoff(backoff: Union[int, float, str, None] = None
-                          ) -> float:
-    """Backoff base seconds from the API arg or ``REPRO_RETRY_BACKOFF``."""
-    value: Any = backoff if backoff is not None \
-        else os.environ.get(BACKOFF_ENV, "")
-    if isinstance(value, str):
-        value = value.strip()
-        if not value:
-            return 0.05
-        try:
-            value = float(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{BACKOFF_ENV} must be a number of seconds, got "
-                f"{value!r}") from exc
-    value = float(value)
-    if value < 0:
-        raise ValueError(f"retry backoff must be >= 0, got {value}")
-    return value
-
-
-def resolve_failure_policy(policy: Optional[str] = None) -> str:
-    """``strict`` or ``salvage`` from the API arg or the environment."""
-    value = policy if policy is not None \
-        else os.environ.get(FAILURE_POLICY_ENV, "").strip().lower()
-    if not value:
-        return "strict"
-    value = str(value).strip().lower()
-    if value not in ("strict", "salvage"):
-        raise ValueError(
-            f"failure policy must be 'strict' or 'salvage', got {value!r}")
-    return value
 
 
 @dataclass
@@ -595,39 +438,33 @@ class ExecutorStats:
 class SweepExecutor:
     """Runs :class:`SweepJob` lists with optional parallelism and caching.
 
+    Every argument left ``None`` defers to its ``REPRO_*`` knob, then to the
+    knob's default (:mod:`repro.config`); the resolved table is ``.config``.
+
     Parameters
     ----------
     jobs:
-        Worker count; ``None`` defers to ``REPRO_JOBS`` (default serial),
-        ``0``/``"auto"`` uses every CPU.
+        Worker count; ``0``/``"auto"`` uses every CPU.
     cache_dir:
-        Directory for the on-disk result cache.  ``None`` defers to
-        ``REPRO_CACHE_DIR``; when neither is set, caching is disabled.
+        Directory of the on-disk result cache; unset disables caching.
     salt:
-        Code-version salt mixed into every cache key (see
-        :mod:`repro.runtime.cache`).
+        Code-version salt mixed into every cache key.
     progress:
-        Per-cell progress reporting: ``None`` defers to ``REPRO_PROGRESS``
-        (truthy selects the stderr line), ``True`` forces the stderr line,
-        ``False`` forces progress off, and any callable receives a
-        :class:`~repro.obs.progress.SweepProgress` after every completed
-        cell.
+        ``True`` selects the stderr line, ``False`` forces progress off, and
+        any callable receives a :class:`~repro.obs.progress.SweepProgress`
+        after every completed cell.
     timeout, retries, backoff:
-        Fault-tolerance knobs; ``None`` defers to ``REPRO_JOB_TIMEOUT`` /
-        ``REPRO_JOB_RETRIES`` / ``REPRO_RETRY_BACKOFF``.
+        Per-job deadline (seconds), retry budget, backoff base (seconds).
     faults:
-        Deterministic chaos spec (:class:`~repro.runtime.faults.FaultSpec`,
-        a spec string, or ``False`` to force off); ``None`` defers to
-        ``REPRO_FAULTS``.
+        Deterministic chaos: a :class:`~repro.runtime.faults.FaultSpec`, a
+        spec string, or ``False`` to force off.
     failure_policy:
-        ``"strict"`` (default: raise after retries are exhausted) or
-        ``"salvage"`` (return JobFailure sentinels in-slot); ``None`` defers
-        to ``REPRO_FAILURE_POLICY``.
+        ``"strict"`` (raise after retries are exhausted) or ``"salvage"``
+        (return JobFailure sentinels in-slot).
     journal:
-        Checkpoint/resume journal: a directory, ``True`` (use
-        ``REPRO_JOURNAL``/``REPRO_RUN_DIR``), ``False`` (force off), or
-        ``None`` (defer to ``REPRO_JOURNAL``).  See
-        :mod:`repro.runtime.journal`.
+        Checkpoint/resume (:mod:`repro.runtime.journal`): a directory,
+        ``True`` (the directory the environment names, else
+        ``REPRO_RUN_DIR/journal``) or ``False`` (force off).
 
     Used as a plain object, every :meth:`run` call manages its own
     short-lived pool.  Used as a context manager (``with SweepExecutor(...)
@@ -645,24 +482,26 @@ class SweepExecutor:
                  faults: Any = None,
                  failure_policy: Optional[str] = None,
                  journal: Any = None):
-        self.workers = resolve_worker_count(jobs)
-        self.progress = progress
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_DIR_ENV) or None
+        self.config = config = RuntimeConfig.from_env().overlay(
+            jobs=jobs, cache_dir=cache_dir, progress=progress,
+            timeout=timeout, retries=retries, backoff=backoff, faults=faults,
+            failure_policy=failure_policy, journal=journal)
+        self.workers = config.jobs
+        self.progress = config.progress
         self.cache: Optional[ResultCache] = (
-            ResultCache(cache_dir) if cache_dir is not None else None)
-        self.salt = effective_salt(salt)
-        self.timeout = resolve_job_timeout(timeout)
-        self.retries = resolve_job_retries(retries)
-        self.backoff = resolve_retry_backoff(backoff)
-        self.faults: Optional[FaultSpec] = resolve_fault_spec(faults)
-        self.failure_policy = resolve_failure_policy(failure_policy)
-        self.journal_dir = resolve_journal_dir(journal)
+            ResultCache(config.cache_dir, config.cache_max_mb)
+            if config.cache_dir is not None else None)
+        self.salt = CODE_VERSION_SALT if salt is None else salt
+        self.timeout = config.timeout
+        self.retries = config.retries
+        self.backoff = config.backoff
+        self.faults: Optional[FaultSpec] = config.faults
+        self.failure_policy = config.failure_policy
+        self.journal_dir = config.journal_dir
         self._injector: Optional[FaultInjector] = (
             FaultInjector(self.faults) if self.faults is not None else None)
-        if (self._injector is not None
-                and self.faults.rate("job_hang") > 0.0
-                and self.timeout is None):
+        if (self.faults is not None and self.timeout is None
+                and self.faults.rate("job_hang") > 0.0):
             raise ValueError(
                 "REPRO_FAULTS injects job_hang but no job timeout is set — "
                 "an injected hang would wedge the sweep forever; set "
@@ -765,8 +604,8 @@ class SweepExecutor:
         policy for this run.
         """
         jobs = list(jobs)
-        policy = (resolve_failure_policy(failure_policy)
-                  if failure_policy is not None else self.failure_policy)
+        policy = self.config.overlay(
+            failure_policy=failure_policy).failure_policy
         started = time.perf_counter()
         results: List[Any] = [None] * len(jobs)
         cache = self.cache
@@ -1036,9 +875,7 @@ def get_executor(executor: Optional[SweepExecutor] = None,
     """Shared convenience for experiment entry points.
 
     Returns ``executor`` unchanged when given one, otherwise builds a fresh
-    :class:`SweepExecutor` from the ``jobs``/``cache_dir``/``journal``/
-    ``failure_policy`` knobs (and thus the ``REPRO_JOBS``/``REPRO_CACHE_DIR``
-    /``REPRO_JOURNAL``/``REPRO_FAILURE_POLICY`` environment defaults).
+    :class:`SweepExecutor` from the other arguments.
     """
     if executor is not None:
         return executor

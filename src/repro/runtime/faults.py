@@ -53,10 +53,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
-
-#: Environment variable holding the fault spec (unset/empty = no injection).
-FAULTS_ENV = "REPRO_FAULTS"
+from typing import Any, Dict, Tuple
 
 #: Fault kinds the injector understands (anything else is a spec error).
 FAULT_KINDS = ("worker_crash", "job_hang", "job_error", "cache_write_fail")
@@ -79,8 +76,7 @@ class FaultSpec:
     """A parsed, validated fault spec: sorted (kind, probability) + seed.
 
     Frozen and picklable so the executor can ship it to pool workers inside
-    each attempt payload; hashable content (via :meth:`cache_fingerprint`)
-    so it can participate in stable hashing if ever embedded in a key.
+    each attempt payload.
     """
 
     rates: Tuple[Tuple[str, float], ...] = ()
@@ -95,9 +91,6 @@ class FaultSpec:
             if name == kind:
                 return rate
         return 0.0
-
-    def cache_fingerprint(self) -> Any:
-        return [list(pair) for pair in self.rates] + [self.seed]
 
     def describe(self) -> str:
         parts = [f"{kind}:{rate:g}" for kind, rate in self.rates]
@@ -117,59 +110,34 @@ class FaultSpec:
             name = name.strip().lower()
             if not sep:
                 raise ValueError(
-                    f"{FAULTS_ENV} token {token!r} must be kind:probability "
+                    f"fault spec token {token!r} must be kind:probability "
                     f"(or seed:N)")
             if name == "seed":
                 try:
                     seed = int(value)
                 except ValueError as exc:
                     raise ValueError(
-                        f"{FAULTS_ENV} seed must be an integer, got "
+                        f"fault spec seed must be an integer, got "
                         f"{value!r}") from exc
                 continue
             if name not in FAULT_KINDS:
                 raise ValueError(
-                    f"unknown fault kind {name!r} in {FAULTS_ENV}; known "
-                    f"kinds: {sorted(FAULT_KINDS)}")
+                    f"unknown fault kind {name!r}; known kinds: "
+                    f"{sorted(FAULT_KINDS)}")
             try:
                 rate = float(value)
             except ValueError as exc:
                 raise ValueError(
-                    f"{FAULTS_ENV} probability for {name!r} must be a float, "
+                    f"fault probability for {name!r} must be a float, "
                     f"got {value!r}") from exc
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(
-                    f"{FAULTS_ENV} probability for {name!r} must be in "
+                    f"fault probability for {name!r} must be in "
                     f"[0, 1], got {rate}")
             if name in rates:
-                raise ValueError(
-                    f"duplicate fault kind {name!r} in {FAULTS_ENV}")
+                raise ValueError(f"duplicate fault kind {name!r}")
             rates[name] = rate
         return cls(rates=tuple(sorted(rates.items())), seed=seed)
-
-
-def resolve_fault_spec(faults: Any = None) -> Optional[FaultSpec]:
-    """Resolve a fault spec from the API arg or ``REPRO_FAULTS``.
-
-    Accepts a ready :class:`FaultSpec`, a spec string, ``False`` (force off),
-    or ``None`` (defer to the environment).  Returns ``None`` when no fault
-    is active so callers can branch on a single test.
-    """
-    if faults is False:
-        return None
-    if isinstance(faults, FaultSpec):
-        return faults if faults.active else None
-    if isinstance(faults, str):
-        spec = FaultSpec.parse(faults)
-        return spec if spec.active else None
-    if faults is not None:
-        raise TypeError(f"faults must be a FaultSpec, spec string, False or "
-                        f"None, got {type(faults).__name__}")
-    raw = os.environ.get(FAULTS_ENV, "").strip()
-    if not raw:
-        return None
-    spec = FaultSpec.parse(raw)
-    return spec if spec.active else None
 
 
 def _uniform_draw(seed: int, kind: str, job_key: str, attempt: int) -> float:

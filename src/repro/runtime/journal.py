@@ -22,10 +22,10 @@ Two storage regimes, resolved automatically:
   checkpoint/resume works even for cache-less runs (these serves are counted
   as ``journal_hits`` in :class:`~repro.runtime.executor.ExecutorStats`).
 
-Activation: the executor's ``journal=`` argument, or the ``REPRO_JOURNAL``
-environment knob — a directory path, or a truthy value to place journals
-under ``REPRO_RUN_DIR``.  Failed cells are never journaled: a resumed run
-retries them from scratch.
+Activation: the executor's ``journal=`` argument, or ``REPRO_JOURNAL`` — a
+directory path, or a truthy value to place journals under ``REPRO_RUN_DIR``
+(:attr:`repro.config.RuntimeConfig.journal_dir` is the rule).  Failed cells
+are never journaled: a resumed run retries them from scratch.
 
 Crash safety: records are appended one ``\\n``-terminated JSON line at a
 time and flushed immediately; a torn final line (the process died
@@ -40,44 +40,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, TextIO, Tuple
+from typing import Any, Optional, Sequence, Set, TextIO, Tuple
 
 from repro.runtime.cache import ResultCache, stable_hash
-
-#: Environment knob: a journal directory, or truthy to use ``REPRO_RUN_DIR``.
-JOURNAL_ENV = "REPRO_JOURNAL"
-
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("", "0", "false", "no", "off")
-
-
-def resolve_journal_dir(journal: Any = None) -> Optional[Path]:
-    """Resolve the journal directory from the API arg or ``REPRO_JOURNAL``.
-
-    ``journal`` may be ``False`` (force off), ``True`` (require the
-    environment to name a directory — ``REPRO_JOURNAL=<dir>`` or
-    ``REPRO_RUN_DIR``), a path, or ``None`` (defer to the environment
-    entirely).  Returns ``None`` when journaling is off.
-    """
-    if journal is False:
-        return None
-    if journal is not None and journal is not True:
-        return Path(journal).expanduser()
-    raw = os.environ.get(JOURNAL_ENV, "").strip()
-    if journal is None and raw.lower() in _FALSY:
-        return None
-    if raw and raw.lower() not in _TRUTHY + _FALSY:
-        return Path(raw).expanduser()
-    # Truthy flag (or journal=True): land next to the run manifests.
-    from repro.obs.manifest import run_dir
-    directory = run_dir()
-    if directory is not None:
-        return directory / "journal"
-    if journal is True or raw.lower() in _TRUTHY:
-        raise ValueError(
-            f"journaling requested but no directory available: set "
-            f"{JOURNAL_ENV} to a path or set REPRO_RUN_DIR")
-    return None
 
 
 def run_key_for(job_keys: Sequence[str]) -> str:
@@ -159,10 +124,6 @@ class RunJournal:
         self._handle.flush()
         self._completed.add(key)
 
-    @property
-    def completed(self) -> int:
-        return len(self._completed)
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -173,17 +134,3 @@ class RunJournal:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    # ---------------------------------------------------------------- admin
-    def discard(self) -> None:
-        """Remove this run's journal (and private store, if owned)."""
-        self.close()
-        self.path.unlink(missing_ok=True)
-        if self.owns_store:
-            self.store.clear()
-        self._completed = set()
-
-    def describe(self) -> Dict[str, Any]:
-        return {"path": str(self.path), "run_key": self.run_key,
-                "completed": len(self._completed),
-                "private_store": self.owns_store}

@@ -38,9 +38,20 @@ def test_readme_maps_every_figure_benchmark():
 
 
 def test_readme_documents_the_knobs():
+    """README's knob table against ``repro.config``'s, row for row: one row
+    per field, no row for anything else, and each row's Default cell shows
+    the field's default (``None`` as "unset", ``False`` as "off")."""
+    from repro.config import KNOBS
+
     readme = (REPO_ROOT / "README.md").read_text()
-    for knob in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_SEEDS"):
-        assert knob in readme
+    rows = dict(re.findall(
+        r"^\| `(REPRO_[A-Z_]+)` *\|.*\| *([^|]*?) *\|$", readme, re.M))
+    declared = {knob.metadata["env"]: knob.default for knob in KNOBS.values()}
+    assert sorted(rows) == sorted(declared)
+    for env, default in declared.items():
+        shown = ("unset" if default is None else "off" if default is False
+                 else f"`{default}`")
+        assert shown in rows[env], f"{env}: README says {rows[env]!r}"
 
 
 def test_architecture_names_every_package():

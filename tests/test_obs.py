@@ -21,14 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
-from repro.obs import progress
 from repro.obs.manifest import MANIFEST_SCHEMA, provenance
 from repro.obs.metrics import (NULL_COUNTER, NULL_GAUGE, NULL_TIMER,
                                MetricsRegistry, TimerHist)
-from repro.obs.progress import (ProgressTracker, resolve_progress,
-                                stderr_reporter)
+from repro.obs.progress import ProgressTracker
 from repro.obs.trace import (EventTraceRecorder, sweep_trace_events,
                              write_chrome_trace)
 from repro.runtime.executor import SweepExecutor, SweepJob
@@ -78,7 +75,7 @@ def test_enabled_handles_record():
 
 
 def test_override_nesting_restores_previous_state(monkeypatch):
-    monkeypatch.delenv(obs_metrics.TELEMETRY_ENV, raising=False)
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     assert not obs_metrics.enabled()
     with obs_metrics.override(True):
         assert obs_metrics.enabled()
@@ -89,9 +86,9 @@ def test_override_nesting_restores_previous_state(monkeypatch):
 
 
 def test_env_knob(monkeypatch):
-    monkeypatch.setenv(obs_metrics.TELEMETRY_ENV, "1")
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
     assert obs_metrics.enabled()
-    monkeypatch.setenv(obs_metrics.TELEMETRY_ENV, "0")
+    monkeypatch.setenv("REPRO_TELEMETRY", "0")
     assert not obs_metrics.enabled()
 
 
@@ -204,7 +201,7 @@ def _small_spec():
 
 
 def test_worker_merge_back_matches_serial(monkeypatch):
-    monkeypatch.setenv(obs_metrics.TELEMETRY_ENV, "1")
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
     spec = _small_spec()
 
     obs_metrics.registry().reset()
@@ -223,7 +220,7 @@ def test_worker_merge_back_matches_serial(monkeypatch):
 
 
 def test_observed_run_collects_job_records(monkeypatch):
-    monkeypatch.setenv(obs_metrics.TELEMETRY_ENV, "1")
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
     executor = SweepExecutor(jobs=2)
     _small_spec().run_cells(executor)
     stats = executor.last_stats
@@ -241,9 +238,9 @@ def test_observed_run_collects_job_records(monkeypatch):
 
 
 def test_unobserved_run_collects_nothing(monkeypatch):
-    monkeypatch.delenv(obs_metrics.TELEMETRY_ENV, raising=False)
-    monkeypatch.delenv(obs_manifest.RUN_DIR_ENV, raising=False)
-    monkeypatch.delenv(progress.PROGRESS_ENV, raising=False)
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    monkeypatch.delenv("REPRO_RUN_DIR", raising=False)
+    monkeypatch.delenv("REPRO_PROGRESS", raising=False)
     executor = SweepExecutor(jobs=1)
     SweepSpec(schemes=["abc"], traces={"12mbps": 12e6},
               duration=1.0).run_cells(executor)
@@ -292,20 +289,6 @@ def test_progress_tracker_counts_and_eta():
     assert last.label == "b"
 
 
-def test_resolve_progress_semantics(monkeypatch):
-    monkeypatch.delenv("REPRO_PROGRESS", raising=False)
-    assert resolve_progress(None) is None
-    assert resolve_progress(False) is None
-    assert resolve_progress(True) is stderr_reporter
-    sink = lambda p: None  # noqa: E731
-    assert resolve_progress(sink) is sink
-    monkeypatch.setenv("REPRO_PROGRESS", "1")
-    assert resolve_progress(None) is stderr_reporter
-    assert resolve_progress(False) is None
-    with pytest.raises(TypeError):
-        resolve_progress(42)
-
-
 def test_executor_progress_callback():
     seen = []
     executor = SweepExecutor(jobs=1, progress=seen.append)
@@ -328,7 +311,7 @@ def test_provenance_is_deterministic_and_timestamp_free():
 
 def test_sweep_manifest_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
-    monkeypatch.setenv(obs_metrics.TELEMETRY_ENV, "1")
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
     executor = SweepExecutor(jobs=1)
     spec = _small_spec()
     spec.run_cells(executor)

@@ -18,7 +18,7 @@ from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.core.params import ABCParams
 from repro.experiments.runner import run_cellular_sweep, sweep_averages
 from repro.runtime import (ResultCache, SweepExecutor, SweepJob, SweepSpec,
-                           resolve_worker_count, stable_hash)
+                           stable_hash)
 
 
 def _tiny_traces():
@@ -169,9 +169,9 @@ def test_repro_jobs_env_fallback(monkeypatch):
 def test_explicit_jobs_overrides_env(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "8")
     assert SweepExecutor(jobs=2).workers == 2
-    assert resolve_worker_count(0) == (os.cpu_count() or 1)
+    assert SweepExecutor(jobs=0).workers == (os.cpu_count() or 1)
     with pytest.raises(ValueError):
-        resolve_worker_count(-1)
+        SweepExecutor(jobs=-1)
 
 
 def test_repro_jobs_1_runs_in_process(monkeypatch):

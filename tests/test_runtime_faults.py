@@ -28,7 +28,7 @@ from repro.obs.trace import sweep_trace_events
 from repro.runtime import (FaultInjector, FaultSpec, JobFailure,
                            JobFailureError, ResultCache, RunJournal,
                            SweepExecutor, SweepJob, SweepSpec, is_failure,
-                           resolve_fault_spec, retry_backoff, run_key_for)
+                           retry_backoff, run_key_for)
 from repro.runtime.faults import FaultInjectionError
 
 
@@ -83,16 +83,6 @@ def test_fault_spec_parsing_roundtrip():
 def test_fault_spec_rejects_bad_tokens(raw):
     with pytest.raises(ValueError):
         FaultSpec.parse(raw)
-
-
-def test_resolve_fault_spec_env_and_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "job_error:0.5,seed:3")
-    spec = resolve_fault_spec()
-    assert spec is not None and spec.rate("job_error") == 0.5
-    assert resolve_fault_spec(False) is None          # explicit off
-    assert resolve_fault_spec("job_error:0.0") is None  # inactive spec
-    monkeypatch.setenv("REPRO_FAULTS", "")
-    assert resolve_fault_spec() is None
 
 
 def test_injected_hang_requires_timeout():

@@ -23,7 +23,7 @@ from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.experiments.pareto import fig9_sweep
 from repro.experiments.runner import run_cellular_sweep, sweep_averages
 from repro.runtime import (SweepExecutor, SweepSpec, TraceRef,
-                           register_trace, resolve_link_spec, resolve_seeds)
+                           register_trace, resolve_link_spec)
 
 
 def _tiny_traces():
@@ -179,23 +179,6 @@ def test_sweep_averages_multi_seed_adds_ci_columns():
 
 
 # ------------------------------------------------------------ REPRO_SEEDS
-def test_resolve_seeds_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_SEEDS", raising=False)
-    assert resolve_seeds() is None
-    assert resolve_seeds(3) == (3,)
-    assert resolve_seeds([1, 2]) == (1, 2)
-    monkeypatch.setenv("REPRO_SEEDS", "4,5,6")
-    assert resolve_seeds() == (4, 5, 6)
-    assert resolve_seeds([9]) == (9,)    # argument beats the environment
-    monkeypatch.setenv("REPRO_SEEDS", "7 8")
-    assert resolve_seeds() == (7, 8)
-    monkeypatch.setenv("REPRO_SEEDS", "banana")
-    with pytest.raises(ValueError, match="REPRO_SEEDS"):
-        resolve_seeds()
-    with pytest.raises(ValueError):
-        resolve_seeds([])
-
-
 def test_repro_seeds_env_routes_run_cellular_sweep(monkeypatch):
     traces = {"t1": _tiny_traces()["t1"]}
     monkeypatch.setenv("REPRO_SEEDS", "0,1")

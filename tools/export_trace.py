@@ -32,6 +32,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.obs.manifest import in_run_dir  # noqa: E402
+
 
 def export_scenario_trace(scheme: str, duration: float, seed: int,
                           out: Path) -> Path:
@@ -72,15 +74,6 @@ def export_manifest_trace(manifest_path: Path, out: Path) -> Path:
     return path
 
 
-def resolve_out(out: Path) -> Path:
-    from repro.obs.manifest import run_dir
-
-    directory = run_dir()
-    if directory is not None and out.parent == Path("."):
-        return directory / out
-    return out
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="export chrome://tracing timelines")
@@ -99,7 +92,7 @@ def main(argv=None) -> int:
                              "when set)")
     args = parser.parse_args(argv)
 
-    out = resolve_out(args.out)
+    out = in_run_dir(args.out)
     if args.manifest is not None:
         export_manifest_trace(args.manifest, out)
     else:

@@ -43,6 +43,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.obs.manifest import in_run_dir  # noqa: E402
+
 #: Cells in a ``--metro`` city: two square-wave sectors and two trace-driven
 #: cells, enough for every link model and a few dozen churning flows.
 METRO_CELLS = 4
@@ -170,17 +172,6 @@ def print_counts(counts: HotpathCounts, sort: str, top: int) -> None:
               f"  {row['file']}:{row['line']}({row['function']})")
 
 
-def resolve_out(out: Path) -> Path:
-    """Route bare filenames into ``REPRO_RUN_DIR`` when it is set."""
-    from repro.obs.manifest import run_dir
-
-    directory = run_dir()
-    if directory is not None and out.parent == Path("."):
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory / out
-    return out
-
-
 def profile_json(stats: pstats.Stats, title: str, sort: str,
                  top: int) -> dict:
     """The top-N profile rows as a JSON-able dict (manifest side-band)."""
@@ -241,7 +232,7 @@ def main(argv=None) -> int:
         print(f"=== hot-path counts: {title} (top {args.top}) ===")
         print_counts(counts, args.sort, args.top)
         if args.out is not None:
-            out = resolve_out(args.out)
+            out = in_run_dir(args.out)
             payload = {"schema": 1, "kind": "counts", "title": title,
                        **counts.totals(),
                        "rows": counts.rows(args.sort, args.top)}
@@ -253,7 +244,7 @@ def main(argv=None) -> int:
     stats = pstats.Stats(profile(workload))
     stats.sort_stats(args.sort).print_stats(args.top)
     if args.out is not None:
-        out = resolve_out(args.out)
+        out = in_run_dir(args.out)
         if out.suffix == ".json":
             payload = profile_json(stats, title, args.sort, args.top)
             out.write_text(json.dumps(payload, indent=1) + "\n")
