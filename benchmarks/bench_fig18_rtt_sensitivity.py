@@ -6,7 +6,6 @@ across-seed means with a ±CI column)."""
 from _util import (bench_seeds, print_executor_stats, print_table, run_once,
                    sweep_executor)
 
-from repro.analysis.stats import SeedResultSet
 from repro.experiments.pareto import fig18_rtt_sensitivity
 
 SCHEMES = ("abc", "cubic+codel", "cubic", "bbr")
@@ -21,9 +20,7 @@ def test_fig18_rtt_sensitivity(benchmark):
                        rtts=RTTS, duration=15.0, executor=EXECUTOR,
                        seeds=SEEDS)
     print_executor_stats(EXECUTOR)
-    multi = any(isinstance(res, SeedResultSet)
-                for per_scheme in results.values()
-                for res in per_scheme.values())
+    multi = hasattr(results[RTTS[0]]["abc"], "agg")   # a SeedResultSet
     rows = []
     for rtt, per_scheme in results.items():
         for scheme, res in per_scheme.items():

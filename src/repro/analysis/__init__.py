@@ -16,8 +16,7 @@ from repro.analysis.fairness import jain_fairness_index
 from repro.analysis.maxmin import max_min_allocation
 from repro.analysis.metrics import normalize_to_reference, percentile, utilization
 from repro.analysis.stats import (SeedAggregate, SeedResultSet,
-                                  aggregate_cells, aggregate_metric_dicts,
-                                  aggregate_results, aggregate_values,
+                                  aggregate_metric_dicts, aggregate_values,
                                   result_metrics, t_critical_95)
 from repro.analysis.topk import SpaceSaving
 from repro.analysis.zombie import ZombieList
@@ -25,9 +24,7 @@ from repro.analysis.zombie import ZombieList
 __all__ = [
     "SeedAggregate",
     "SeedResultSet",
-    "aggregate_cells",
     "aggregate_metric_dicts",
-    "aggregate_results",
     "aggregate_values",
     "result_metrics",
     "t_critical_95",

@@ -17,10 +17,9 @@ output.
 
 Typical use::
 
-    pairs = spec.run_cells(executor)          # seeds axis > 1
-    table = aggregate_cells(pairs)            # scheme -> trace -> metric -> SeedAggregate
-    table["abc"]["Verizon-LTE-1"]["utilization"].mean
-    table["abc"]["Verizon-LTE-1"]["utilization"].ci95
+    sweep = run_cellular_sweep(schemes, traces, seeds=[1, 2, 3])
+    sweep["abc"]["Verizon-LTE-1"].utilization                # mean
+    sweep["abc"]["Verizon-LTE-1"].stats["utilization"].ci95  # SeedAggregate
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 __all__ = [
     "SeedAggregate",
     "SeedResultSet",
-    "aggregate_cells",
     "aggregate_metric_dicts",
-    "aggregate_results",
     "aggregate_values",
     "result_metrics",
     "split_by_seed",
@@ -158,11 +155,6 @@ def aggregate_metric_dicts(dicts: Sequence[Mapping[str, float]]
     return {key: aggregate_values([d[key] for d in dicts]) for key in keys}
 
 
-def aggregate_results(results: Sequence[Any]) -> Dict[str, SeedAggregate]:
-    """Aggregate the numeric fields of per-seed result objects."""
-    return aggregate_metric_dicts([result_metrics(r) for r in results])
-
-
 def split_by_seed(results: Sequence[Any], n_seeds: int) -> List[List[Any]]:
     """Regroup a flat seed-major result list into per-cell seed lists.
 
@@ -241,29 +233,3 @@ class SeedResultSet:
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (f"<SeedResultSet seeds={self.seeds} "
                 f"metrics={sorted(self.stats)}>")
-
-
-def aggregate_cells(pairs: Sequence[Tuple[Any, Any]]
-                    ) -> Dict[str, Dict[str, Dict[str, SeedAggregate]]]:
-    """Aggregate ``SweepSpec.run_cells()`` output over the seed axis.
-
-    ``pairs`` is the list of ``(SweepCell, result)`` tuples a multi-seed grid
-    produces.  Cells are grouped by ``(scheme, trace, overrides)`` — i.e.
-    everything except the seed — and each group's numeric metrics are
-    aggregated, giving ``out[scheme][trace][metric] -> SeedAggregate``.
-
-    When the grid has several override mappings the trace key becomes
-    ``"{trace}|{overrides}"`` so distinct cells never merge.
-    """
-    grouped: Dict[Tuple[str, str, tuple], List[Any]] = {}
-    for cell, result in pairs:
-        grouped.setdefault((cell.scheme, cell.trace, cell.overrides),
-                           []).append(result)
-    multiple_overrides = len({key[2] for key in grouped}) > 1
-    out: Dict[str, Dict[str, Dict[str, SeedAggregate]]] = {}
-    for (scheme, trace, overrides), results in grouped.items():
-        label = trace
-        if multiple_overrides:
-            label = f"{trace}|{dict(overrides)!r}"
-        out.setdefault(scheme, {})[label] = aggregate_results(results)
-    return out

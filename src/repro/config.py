@@ -11,8 +11,8 @@ whitespace-only value means *unset*.
 :class:`~repro.runtime.executor.SweepExecutor` resolves the whole table once,
 at construction, as ``executor.config``; the run manifest records it.  What
 has no executor to hang off is a single-field live read through
-:func:`resolve`: ``REPRO_TELEMETRY``, ``REPRO_RUN_DIR``, ``REPRO_SEEDS`` in the
-figure entry points, ``REPRO_CACHE_MAX_MB`` in a bare ``ResultCache``.
+:func:`resolve`: ``REPRO_TELEMETRY``, ``REPRO_RUN_DIR``, ``REPRO_SEEDS`` in
+``run_seed_grid`` / ``run_cellular_sweep``, ``REPRO_CACHE_MAX_MB`` in a bare ``ResultCache``.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ claims (who wins, by roughly what factor, where crossovers fall).
 
 Index (see DESIGN.md §4 for the full mapping):
 
-* :mod:`repro.experiments.runner` — scheme registry and the single-bottleneck
-  cellular runner shared by most experiments.
+* :mod:`repro.experiments.runner` — scheme registry, the single-bottleneck
+  cellular runner shared by most experiments, and ``run_seed_grid``, the seed
+  axis of every seeded figure.
 * :mod:`repro.experiments.timeseries` — Fig. 1 and Fig. 17 time series.
 * :mod:`repro.experiments.feedback` — Fig. 2 dequeue- vs enqueue-rate ablation.
 * :mod:`repro.experiments.fairness` — Fig. 3, the Jain-index experiment (§6.5).

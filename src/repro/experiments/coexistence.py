@@ -17,21 +17,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.stats import (SeedAggregate, SeedResultSet,
-                                  aggregate_metric_dicts, split_by_seed)
+from repro.analysis.stats import SeedResultSet
 from repro.aqm import DropTailQdisc
 from repro.cc import make_cc
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
-from repro.config import resolve_seeds
 from repro.core.coexistence import (DualQueueABCQdisc, MaxMinWeightController,
                                     ZombieListWeightController)
 from repro.core.params import ABCParams
-from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
 from repro.core.router import ABCRouterQdisc
+from repro.experiments.runner import run_seed_grid
+from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
 from repro.simulator.link import SteppedRate
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import FixedSizeSource, OnOffSource, RateLimitedSource
@@ -42,12 +42,7 @@ from repro.simulator.traffic import FixedSizeSource, OnOffSource, RateLimitedSou
 # ---------------------------------------------------------------------------
 @dataclass
 class DualBottleneckTrace:
-    """Time series of the Fig. 6 / Fig. 11 experiment.
-
-    For multi-seed runs the arrays are across-seed means (trimmed to the
-    shortest seed's sample count), ``n_seeds`` > 1, and ``seed_stats`` maps
-    ``tracking_error`` to its :class:`~repro.analysis.stats.SeedAggregate`.
-    """
+    """Time series of the Fig. 6 / Fig. 11 experiment."""
 
     times: np.ndarray
     throughput_mbps: np.ndarray
@@ -57,8 +52,6 @@ class DualBottleneckTrace:
     wireless_rate_mbps: np.ndarray
     ideal_rate_mbps: np.ndarray
     tracking_error: float = 0.0
-    n_seeds: int = 1
-    seed_stats: Optional[Dict[str, SeedAggregate]] = None
 
 
 def _default_wireless_steps(duration: float, period: float = 5.0,
@@ -78,14 +71,12 @@ def fig6_cell(duration: float, wired_mbps: float, rtt: float,
               sample_interval: float, cross_traffic: bool,
               cross_schedule: Optional[Sequence[tuple]] = None,
               seed: int = 0) -> DualBottleneckTrace:
-    """One seed's run of the Fig. 6 / Fig. 11 experiment.
+    """The Fig. 6 / Fig. 11 experiment (deterministic: ``seed`` is unused).
 
     Module-level with plain picklable kwargs so the entry points can route it
-    through the sweep executor (pool fan-out + result cache).  The topology
-    itself is deterministic — ``seed`` exists for seed-axis API uniformity
-    with the other figures and to keep per-seed cache keys distinct.
+    through the sweep executor (pool fan-out + result cache).
     """
-    del seed  # deterministic scenario; see docstring
+    del seed  # kept in the signature so cached results keep their keys
     scenario = Scenario()
     wireless_capacity = _default_wireless_steps(duration)
     params = ABCParams()
@@ -119,9 +110,9 @@ def fig6_cell(duration: float, wired_mbps: float, rtt: float,
         samples.append((now, cc.w_abc, cc.w_nonabc,
                         wireless_capacity.rate_at(now)))
         if now + sample_interval <= duration:
-            scenario.env.schedule(sample_interval, _sample)
+            scenario.env.post(sample_interval, _sample)
 
-    scenario.env.schedule(0.0, _sample)
+    scenario.env.post(0.0, _sample)
     scenario.run(duration)
 
     times = np.array([s[0] for s in samples])
@@ -162,39 +153,13 @@ def fig6_cell(duration: float, wired_mbps: float, rtt: float,
     )
 
 
-def _combine_dual_bottleneck(per_seed: Sequence[DualBottleneckTrace],
-                             seed_list: Sequence[int]) -> DualBottleneckTrace:
-    """Average per-seed Fig. 6/11 traces into one mean-curve trace."""
-    n = min(len(trace.times) for trace in per_seed)
-
-    def mean_of(attr: str) -> np.ndarray:
-        return np.mean([getattr(trace, attr)[:n] for trace in per_seed],
-                       axis=0)
-
-    stats = aggregate_metric_dicts(
-        [{"tracking_error": trace.tracking_error} for trace in per_seed])
-    return DualBottleneckTrace(
-        times=per_seed[0].times[:n],
-        throughput_mbps=mean_of("throughput_mbps"),
-        queuing_delay_ms=mean_of("queuing_delay_ms"),
-        w_abc=mean_of("w_abc"),
-        w_cubic=mean_of("w_cubic"),
-        wireless_rate_mbps=mean_of("wireless_rate_mbps"),
-        ideal_rate_mbps=mean_of("ideal_rate_mbps"),
-        tracking_error=stats["tracking_error"].mean,
-        n_seeds=len(seed_list),
-        seed_stats=stats,
-    )
-
-
 def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
                            rtt: float = 0.1, sample_interval: float = 0.25,
                            cross_traffic: bool = False,
                            cross_schedule: Optional[Sequence[tuple]] = None,
                            executor: Optional[SweepExecutor] = None,
                            jobs: Optional[int] = None,
-                           cache_dir: Optional[str] = None,
-                           seeds: Optional[Sequence[int]] = None
+                           cache_dir: Optional[str] = None
                            ) -> DualBottleneckTrace:
     """Run the wireless(ABC)+wired(drop-tail) experiment.
 
@@ -204,28 +169,17 @@ def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
 
     The run is routed through the sweep executor, so it honours
     ``REPRO_JOBS``/``REPRO_CACHE_DIR`` like the sweep figures.  The topology
-    is deterministic; ``seeds=`` (or ``REPRO_SEEDS``) exists for API
-    uniformity with the stochastic figures and returns the across-seed mean
-    curves with ``seed_stats`` attached, exactly like
-    :func:`~repro.experiments.timeseries.fig17_square_wave`.  Because
-    :func:`fig6_cell` provably ignores its seed, the seed axis replicates a
-    single simulation instead of running N identical ones.
+    is deterministic, so there is no seed axis.
     """
-    seeds = resolve_seeds(seeds)
-    seed_list = (0,) if seeds is None else seeds
     schedule = (None if cross_schedule is None
                 else [tuple(interval) for interval in cross_schedule])
-    tag = "fig11" if cross_traffic else "fig6"
     job = SweepJob(func=fig6_cell,
                    kwargs=dict(duration=duration, wired_mbps=wired_mbps,
                                rtt=rtt, sample_interval=sample_interval,
                                cross_traffic=cross_traffic,
                                cross_schedule=schedule, seed=0),
-                   label=tag)
-    result = get_executor(executor, jobs=jobs, cache_dir=cache_dir).run([job])[0]
-    if len(seed_list) == 1:
-        return result
-    return _combine_dual_bottleneck([result] * len(seed_list), seed_list)
+                   label="fig11" if cross_traffic else "fig6")
+    return get_executor(executor, jobs=jobs, cache_dir=cache_dir).run([job])[0]
 
 
 def fig11_cross_traffic(duration: float = 80.0, **kwargs) -> DualBottleneckTrace:
@@ -280,30 +234,18 @@ def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0
                                 rtt: float = 0.1, stagger: float = 30.0,
                                 executor: Optional[SweepExecutor] = None,
                                 jobs: Optional[int] = None,
-                                cache_dir: Optional[str] = None,
-                                seeds: Optional[Sequence[int]] = None):
+                                cache_dir: Optional[str] = None
+                                ) -> CoexistenceResult:
     """Fig. 7: two ABC then two Cubic flows arrive one after another.
 
-    Routed through the sweep executor.  With multiple ``seeds`` (argument or
-    ``REPRO_SEEDS``) the return value becomes a
-    :class:`~repro.analysis.stats.SeedResultSet` aggregating
-    :func:`coexistence_metrics` across seeds (Fig. 7 runs no short flows, so
-    the seed axis mirrors Fig. 12's API); a single/default seed returns the
-    legacy :class:`CoexistenceResult`.  The seed only drives the Poisson
-    short-flow process, which Fig. 7 disables — so the seed axis replicates
-    one simulation instead of running N identical ones.
+    Routed through the sweep executor.  The seed only drives the Poisson
+    short-flow process, which Fig. 7 disables, so there is no seed axis.
     """
-    seeds = resolve_seeds(seeds)
-    seed_list = (17,) if seeds is None else seeds
     job = SweepJob(func=fig7_cell,
                    kwargs=dict(link_mbps=link_mbps, duration=duration,
                                rtt=rtt, stagger=stagger, seed=17),
                    label="fig7")
-    result = get_executor(executor, jobs=jobs, cache_dir=cache_dir).run([job])[0]
-    if len(seed_list) == 1:
-        return result
-    return SeedResultSet(seed_list, [result] * len(seed_list),
-                         metrics=coexistence_metrics)
+    return get_executor(executor, jobs=jobs, cache_dir=cache_dir).run([job])[0]
 
 
 def _run_shared_bottleneck(link_mbps: float, duration: float, rtt: float,
@@ -408,29 +350,25 @@ def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5)
     paper's approach) or ``"zombie"`` (RCP's flow-count equalisation, which
     over-serves the queue holding the short flows).
 
-    The seed drives the Poisson short-flow arrival process, so with multiple
-    ``seeds`` (argument or ``REPRO_SEEDS``) each load's value becomes a
+    The seed drives the Poisson short-flow arrival process; with several
+    ``seeds`` each load's value becomes a
     :class:`~repro.analysis.stats.SeedResultSet` aggregating
-    :func:`coexistence_metrics` across arrival patterns; a single/default
-    seed returns the legacy per-load :class:`CoexistenceResult`.
+    :func:`coexistence_metrics` across arrival patterns.
     """
     if strategy not in ("maxmin", "zombie"):
         raise ValueError("strategy must be 'maxmin' or 'zombie'")
-    seeds = resolve_seeds(seeds)
-    seed_list = (seed,) if seeds is None else seeds
-    sweep_jobs = [SweepJob(func=coexistence_load_cell,
-                           kwargs=dict(load=load, strategy=strategy,
-                                       link_mbps=link_mbps, duration=duration,
-                                       rtt=rtt, n_long=n_long, seed=s),
-                           label=f"fig12/{strategy}/seed{s}/load{load:g}")
-                  for s in seed_list for load in loads]
-    results = get_executor(executor, jobs=jobs, cache_dir=cache_dir).run(sweep_jobs)
-    if len(seed_list) == 1:
-        return dict(zip(loads, results))
-    groups = split_by_seed(results, len(seed_list))
-    return {load: SeedResultSet(seed_list, groups[j],
-                                metrics=coexistence_metrics)
-            for j, load in enumerate(loads)}
+
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        return [SweepJob(func=coexistence_load_cell,
+                         kwargs=dict(load=load, strategy=strategy,
+                                     link_mbps=link_mbps, duration=duration,
+                                     rtt=rtt, n_long=n_long, seed=s),
+                         label=f"fig12/{strategy}/seed{s}/load{load:g}")
+                for load in loads]
+
+    return dict(zip(loads, run_seed_grid(
+        jobs_for_seed, seed, seeds, executor, jobs, cache_dir,
+        combine=partial(SeedResultSet, metrics=coexistence_metrics))))
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +432,16 @@ def fig13_app_limited(num_app_limited: int = 50,
     low even though most flows cannot respond to accelerates) is unchanged.
 
     Routed through the sweep executor.  The seed regenerates the synthetic
-    cellular trace, so with multiple ``seeds`` (argument or ``REPRO_SEEDS``)
-    the return value becomes a
+    cellular trace; with several ``seeds`` the return value becomes a
     :class:`~repro.analysis.stats.SeedResultSet` over genuinely different
-    capacity processes; a single/default seed returns the legacy
-    :class:`AppLimitedResult` bit-for-bit.
+    capacity processes.
     """
-    seeds = resolve_seeds(seeds)
-    seed_list = (seed,) if seeds is None else seeds
-    sweep_jobs = [SweepJob(func=fig13_cell,
-                           kwargs=dict(num_app_limited=num_app_limited,
-                                       aggregate_app_rate_mbps=aggregate_app_rate_mbps,
-                                       duration=duration, rtt=rtt, seed=s),
-                           label=f"fig13/seed{s}")
-                  for s in seed_list]
-    results = get_executor(executor, jobs=jobs, cache_dir=cache_dir).run(sweep_jobs)
-    if len(seed_list) == 1:
-        return results[0]
-    return SeedResultSet(seed_list, results)
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        return [SweepJob(func=fig13_cell,
+                         kwargs=dict(num_app_limited=num_app_limited,
+                                     aggregate_app_rate_mbps=aggregate_app_rate_mbps,
+                                     duration=duration, rtt=rtt, seed=s),
+                         label=f"fig13/seed{s}")]
+
+    return run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs,
+                         cache_dir)[0]

@@ -18,29 +18,30 @@ Every sweep here fans out through :class:`repro.runtime.SweepExecutor`; pass
 grid, or set ``REPRO_JOBS``/``REPRO_CACHE_DIR`` in the environment.
 
 Each entry point also takes ``seeds=`` (default: the ``REPRO_SEEDS``
-environment variable).  With several seeds the synthetic traces are
-regenerated per seed and every metric is reported as an across-seed
-aggregate (mean, with the 95 % confidence interval available through the
-returned :class:`~repro.analysis.stats.SeedResultSet`\\ s); with a single or
-default seed the output is bit-for-bit the legacy point estimate.
+environment variable), the seed axis of
+:func:`~repro.experiments.runner.run_seed_grid`.  Here a seed regenerates the
+synthetic traces; the per-cell simulation seed is 0 for every seed, so seed
+``s`` of a multi-seed run is the single-seed ``seed=s`` run.  With several
+seeds every value is a :class:`~repro.analysis.stats.SeedResultSet`
+(across-seed mean, 95 % confidence interval under ``.stats``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import is_outside_frontier, pareto_frontier
-from repro.analysis.stats import SeedAggregate, SeedResultSet, split_by_seed
+from repro.analysis.stats import SeedAggregate, SeedResultSet
 from repro.cellular.synthetic import synthetic_trace_set, uplink_downlink_pair
 from repro.cellular.trace import CellularTrace
-from repro.config import resolve_seeds
 from repro.experiments.runner import (EXPLICIT_SCHEMES, SCHEME_NAMES,
                                       SingleBottleneckResult,
-                                      group_seed_results, normalized_table,
-                                      run_cellular_sweep, sweep_averages)
-from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
-from repro.runtime.spec import SweepSpec, sweep_cell, validate_schemes
+                                      normalized_table, run_seed_grid,
+                                      sweep_averages)
+from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.spec import (SweepCell, SweepSpec, sweep_cell,
+                                validate_schemes)
 from repro.runtime.trace_store import register_trace
 
 #: Scheme subset used by default for the heavier sweeps (everything).
@@ -86,7 +87,9 @@ class ParetoScatter:
 def _scatter_from_results(label: str,
                           results: Mapping[str, SingleBottleneckResult]
                           ) -> ParetoScatter:
-    scatter = ParetoScatter(label=label)
+    scatter = ParetoScatter(label=label, point_stats={
+        scheme: res.stats for scheme, res in results.items()
+        if isinstance(res, SeedResultSet)})
     for scheme, res in results.items():
         scatter.points.append(ParetoPoint(
             scheme=scheme,
@@ -97,13 +100,15 @@ def _scatter_from_results(label: str,
     return scatter
 
 
+#: The Fig. 8 panels, in grid order.
+FIG8_PANELS: Tuple[str, ...] = ("downlink", "uplink", "uplink+downlink")
+
+
 def _fig8_panel_links(duration: float, seed: int) -> Tuple[tuple, ...]:
-    """The three Fig. 8 panels for one seed, traces as store refs."""
+    """One seed's ``(link, extra_links)`` per panel, traces as store refs."""
     uplink, downlink = uplink_downlink_pair(duration=duration, seed=seed)
     up_ref, down_ref = register_trace(uplink), register_trace(downlink)
-    return (("downlink", down_ref, ()),
-            ("uplink", up_ref, ()),
-            ("uplink+downlink", up_ref, (down_ref,)))
+    return ((down_ref, ()), (up_ref, ()), (up_ref, (down_ref,)))
 
 
 def fig8_pareto(schemes: Sequence[str] = DEFAULT_SCHEMES,
@@ -115,51 +120,28 @@ def fig8_pareto(schemes: Sequence[str] = DEFAULT_SCHEMES,
                 ) -> Dict[str, ParetoScatter]:
     """Reproduce Fig. 8: downlink, uplink and uplink+downlink scatters.
 
-    With multiple ``seeds`` (argument or ``REPRO_SEEDS``) the uplink/downlink
-    trace pair is regenerated per seed; every scatter point is the
-    across-seed mean and ``panel.point_stats`` carries the per-metric
-    aggregates.  With a single seed ``s`` the output matches the legacy
-    ``seed=s`` run.
+    The seed regenerates the uplink/downlink trace pair.  With several
+    ``seeds`` every scatter point is the across-seed mean and
+    ``panel.point_stats`` carries the per-metric aggregates.
     """
     schemes = list(schemes)
     validate_schemes(schemes)
-    executor = get_executor(executor, jobs=jobs, cache_dir=cache_dir)
-    seeds = resolve_seeds(seeds)
-    seed_list = (seed,) if seeds is None else seeds
 
-    sweep_jobs = []
-    panel_labels: List[str] = []
-    for s in seed_list:
-        panel_links = _fig8_panel_links(duration, s)
-        if not panel_labels:
-            panel_labels = [label for label, _, _ in panel_links]
-        # fig8's legacy `seed` only drives trace generation; the per-cell
-        # simulation seed stays at the legacy 0 unless the seed axis is real.
-        cell_seed = 0 if seeds is None or len(seeds) == 1 else s
-        sweep_jobs += [SweepJob(func=sweep_cell,
-                                kwargs=dict(scheme=str(sch).lower(),
-                                            link_spec=link, rtt=rtt,
-                                            duration=duration,
-                                            extra_links=extras,
-                                            seed=cell_seed),
-                                label=f"seed{s}/{label}/{sch}")
-                       for label, link, extras in panel_links
-                       for sch in schemes]
-    groups = split_by_seed(executor.run(sweep_jobs), len(seed_list))
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        return [SweepJob(func=sweep_cell,
+                         kwargs=dict(scheme=str(sch).lower(), link_spec=link,
+                                     rtt=rtt, duration=duration,
+                                     extra_links=extras, seed=0),
+                         label=f"seed{s}/{label}/{sch}")
+                for label, (link, extras) in zip(
+                    FIG8_PANELS, _fig8_panel_links(duration, s))
+                for sch in schemes]
 
-    panels: Dict[str, ParetoScatter] = {}
-    for p, label in enumerate(panel_labels):
-        cells = {s: groups[p * len(schemes) + i]
-                 for i, s in enumerate(schemes)}
-        if len(seed_list) == 1:
-            panels[label] = _scatter_from_results(
-                label, {s: cells[s][0] for s in schemes})
-        else:
-            sets = {s: SeedResultSet(seed_list, cells[s]) for s in schemes}
-            scatter = _scatter_from_results(label, sets)
-            scatter.point_stats = {s: sets[s].stats for s in schemes}
-            panels[label] = scatter
-    return panels
+    values = iter(run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs,
+                                cache_dir))
+    return {label: _scatter_from_results(
+                label, {sch: next(values) for sch in schemes})
+            for label in FIG8_PANELS}
 
 
 def fig9_sweep(schemes: Sequence[str] = DEFAULT_SCHEMES,
@@ -172,46 +154,34 @@ def fig9_sweep(schemes: Sequence[str] = DEFAULT_SCHEMES,
                ) -> Dict[str, Dict[str, SingleBottleneckResult]]:
     """Reproduce Fig. 9 / Fig. 15: every scheme over the eight-trace set.
 
-    With multiple ``seeds`` (argument or ``REPRO_SEEDS``) the synthetic
-    trace set is regenerated per seed (unless ``traces`` is given, which
-    pins it) and each (scheme, trace-name) value becomes a
-    :class:`~repro.analysis.stats.SeedResultSet`; :func:`sweep_averages`
-    then reports mean ± 95 % CI per scheme.  ``seeds=[s]`` is bit-for-bit
-    identical to the legacy ``seed=s`` run (the trace set comes from ``s``,
-    the per-cell simulation keeps the legacy seed 0), matching the
-    single-seed semantics of :func:`fig8_pareto`/:func:`fig18_rtt_sensitivity`.
-
-    ``trace_names`` restricts the synthetic set to a subset of the trace
-    library while keeping per-seed regeneration (use it instead of
-    ``traces=`` for multi-seed subset sweeps such as Figs. 15/16).
+    The seed regenerates the synthetic trace set; with several ``seeds``
+    each (scheme, trace-name) value becomes a
+    :class:`~repro.analysis.stats.SeedResultSet` and :func:`sweep_averages`
+    reports mean ± 95 % CI per scheme.  ``traces=`` pins the set, which
+    leaves the seed nothing to vary — for a seed axis over fixed traces use
+    :func:`~repro.experiments.runner.run_cellular_sweep`; ``trace_names``
+    restricts the synthetic set to a subset of the trace library while
+    keeping per-seed regeneration (Figs. 15/16).
     """
-    seeds = resolve_seeds(seeds)
-    executor = get_executor(executor, jobs=jobs, cache_dir=cache_dir)
+    grid: List[SweepCell] = []
 
-    def _trace_set(s: int) -> Mapping[str, CellularTrace]:
-        if traces is not None:
-            return traces
-        return synthetic_trace_set(duration=duration, seed=s,
-                                   names=(list(trace_names)
-                                          if trace_names is not None else None))
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        trace_set = traces if traces is not None else synthetic_trace_set(
+            duration=duration, seed=s,
+            names=list(trace_names) if trace_names is not None else None)
+        grid[:], sweep_jobs = SweepSpec(schemes=list(schemes),
+                                        traces=dict(trace_set), rtt=rtt,
+                                        duration=duration).expand()
+        for cell, job in zip(grid, sweep_jobs):   # the spec labels its seed, 0
+            job.label = f"seed{s}/{cell.scheme}/{cell.trace}"
+        return sweep_jobs
 
-    if seeds is None or len(seeds) == 1:
-        # Explicit seeds=(0,) pins the per-cell seed to the legacy default
-        # (and keeps run_cellular_sweep from re-reading REPRO_SEEDS).
-        return run_cellular_sweep(schemes,
-                                  _trace_set(seed if seeds is None else seeds[0]),
-                                  rtt=rtt, duration=duration,
-                                  executor=executor, seeds=(0,))
-    all_cells: List[Any] = []
-    sweep_jobs: List[SweepJob] = []
-    for s in seeds:
-        spec = SweepSpec(schemes=list(schemes), traces=dict(_trace_set(s)),
-                         rtt=rtt, duration=duration, seeds=(s,))
-        cells, jobs_for_seed = spec.expand()
-        all_cells += cells
-        sweep_jobs += jobs_for_seed
-    pairs = list(zip(all_cells, executor.run(sweep_jobs)))
-    return group_seed_results(pairs, seeds)
+    values = run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs,
+                           cache_dir)
+    out: Dict[str, Dict[str, SingleBottleneckResult]] = {}
+    for cell, value in zip(grid, values):
+        out.setdefault(cell.scheme, {})[cell.trace] = value
+    return out
 
 
 def fig16_explicit(duration: float = 30.0, rtt: float = 0.1, seed: int = 1,
@@ -247,47 +217,24 @@ def fig18_rtt_sensitivity(schemes: Sequence[str] = ("abc", "cubic+codel",
                           ) -> Dict[float, Dict[str, SingleBottleneckResult]]:
     """Reproduce Fig. 18: the same trace at several propagation RTTs.
 
-    With multiple ``seeds`` (argument or ``REPRO_SEEDS``) the trace is
-    regenerated per seed (unless pinned via ``trace=``) and every
-    ``out[rtt][scheme]`` value becomes a
+    The seed regenerates the trace (unless pinned via ``trace=``); with
+    several ``seeds`` every ``out[rtt][scheme]`` value becomes a
     :class:`~repro.analysis.stats.SeedResultSet` of across-seed aggregates.
     """
     schemes = list(schemes)
     validate_schemes(schemes)
-    executor = get_executor(executor, jobs=jobs, cache_dir=cache_dir)
-    seeds = resolve_seeds(seeds)
-    seed_list = (seed,) if seeds is None else seeds
 
-    pinned_ref = register_trace(trace) if trace is not None else None
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        ref = register_trace(trace if trace is not None else
+                             synthetic_trace_set(
+                                 duration=duration, seed=s,
+                                 names=["Verizon-LTE-1"])["Verizon-LTE-1"])
+        return [SweepJob(func=sweep_cell,
+                         kwargs=dict(scheme=str(sch).lower(), link_spec=ref,
+                                     rtt=rtt, duration=duration, seed=0),
+                         label=f"seed{s}/rtt{rtt:g}/{sch}")
+                for rtt in rtts for sch in schemes]
 
-    def _trace_ref(s: int):
-        if pinned_ref is not None:
-            return pinned_ref
-        generated = synthetic_trace_set(duration=duration, seed=s,
-                                        names=["Verizon-LTE-1"])["Verizon-LTE-1"]
-        return register_trace(generated)
-
-    multi = len(seed_list) > 1
-    sweep_jobs = []
-    for s in seed_list:
-        ref = _trace_ref(s)
-        # As in fig8: the legacy seed is a trace seed, so single-seed runs
-        # keep the legacy per-cell seed 0 (bit-identical output).
-        cell_seed = s if multi else 0
-        sweep_jobs += [SweepJob(func=sweep_cell,
-                                kwargs=dict(scheme=str(sch).lower(),
-                                            link_spec=ref, rtt=rtt,
-                                            duration=duration,
-                                            seed=cell_seed),
-                                label=f"seed{s}/rtt{rtt:g}/{sch}")
-                       for rtt in rtts for sch in schemes]
-    groups = split_by_seed(executor.run(sweep_jobs), len(seed_list))
-
-    out: Dict[float, Dict[str, SingleBottleneckResult]] = {}
-    for i, rtt in enumerate(rtts):
-        out[rtt] = {}
-        for j, sch in enumerate(schemes):
-            per_seed = groups[i * len(schemes) + j]
-            out[rtt][sch] = (SeedResultSet(seed_list, per_seed) if multi
-                             else per_seed[0])
-    return out
+    values = iter(run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs,
+                                cache_dir))
+    return {rtt: {sch: next(values) for sch in schemes} for rtt in rtts}

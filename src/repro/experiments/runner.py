@@ -17,6 +17,8 @@ metrics.  Passing ``seeds=[...]`` (or setting ``REPRO_SEEDS``) adds the
 statistical seed axis: each cell runs once per seed and the sweep returns
 :class:`~repro.analysis.stats.SeedResultSet` aggregates whose metric
 attributes are across-seed means with 95 % confidence intervals attached.
+:func:`run_seed_grid` is that axis for every figure entry point: a figure
+lists one seed's jobs and shapes the per-cell values it gets back.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
-from repro.analysis.stats import SeedResultSet, aggregate_values
+from repro.analysis.stats import (SeedResultSet, aggregate_values,
+                                  split_by_seed)
 from repro.aqm import CoDelQdisc, DropTailQdisc, PIEQdisc
 from repro.cc import make_cc
 from repro.cc.base import CongestionControl
@@ -35,7 +38,8 @@ from repro.core.params import ABCParams, CELLULAR_DEFAULTS
 from repro.core.pk_abc import PKABCRouterQdisc
 from repro.core.router import ABCRouterQdisc
 from repro.explicit import (RCPRouterQdisc, VCPRouterQdisc, XCPRouterQdisc)
-from repro.runtime.executor import SweepExecutor, get_executor
+from repro.obs.manifest import build_manifest, run_dir, write_manifest
+from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
 from repro.runtime.spec import SweepSpec
 from repro.simulator.link import CapacityModel
 from repro.simulator.qdisc import Qdisc
@@ -201,6 +205,43 @@ def run_single_bottleneck(scheme: str, link_spec: LinkSpec,
         extra={"flow": flow, "scenario": scenario, "links": links,
                "per_link_utilization": per_link_utilization},
     )
+
+
+def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
+                  default_seed: int,
+                  seeds: Optional[Sequence[int]] = None,
+                  executor: Optional[SweepExecutor] = None,
+                  jobs: Optional[int] = None,
+                  cache_dir: Optional[str] = None,
+                  combine: Callable[..., Any] = SeedResultSet) -> List[Any]:
+    """The seed axis of every figure: one value per grid cell, in grid order.
+
+    ``jobs_for_seed(s)`` lists one seed's cells.  The seed list is ``seeds``,
+    else ``REPRO_SEEDS``, else ``(default_seed,)``; every seed's jobs go
+    seed-major through one executor (``executor``, or one built from
+    ``jobs``/``cache_dir``).  With one seed each value is the cell's own
+    result object; with several it is ``combine(seeds, per_seed)``.
+    ``jobs_for_seed`` sees the seed and nothing else, so seed ``s`` runs the
+    same jobs — same cache keys, same results — however many other seeds
+    ride along.
+
+    When ``REPRO_RUN_DIR`` is set, one ``figure`` manifest per call records
+    the seed list, the job labels and the executor's run.
+    """
+    seeds = resolve_seeds(seeds) or (default_seed,)
+    executor = get_executor(executor, jobs=jobs, cache_dir=cache_dir)
+    sweep_jobs = [job for s in seeds for job in jobs_for_seed(s)]
+    results = executor.run(sweep_jobs)
+    directory = run_dir()
+    if directory is not None:
+        write_manifest(build_manifest(
+            "figure", spec={"seeds": list(seeds),
+                            "jobs": [job.label for job in sweep_jobs]},
+            executor=executor), directory)
+    if len(seeds) == 1:
+        return results
+    return [combine(seeds, per_seed)
+            for per_seed in split_by_seed(results, len(seeds))]
 
 
 def group_seed_results(pairs: Sequence[Tuple[Any, Any]],

@@ -6,10 +6,12 @@ over time.  Fig. 17 runs ABC, RCP and XCPw over a square-wave link whose
 capacity alternates between 12 and 24 Mbit/s every 500 ms.
 
 Both entry points take ``seeds=`` (default: the ``REPRO_SEEDS`` environment
-variable).  With several seeds, Fig. 1 regenerates its LTE trace per seed and
-the returned :class:`TimeSeries` holds the across-seed mean curves, with the
-scalar metrics' aggregates (mean/stdev/95 % CI) in ``TimeSeries.seed_stats``;
-the default/single-seed output is the legacy point estimate.
+variable), the seed axis of :func:`~repro.experiments.runner.run_seed_grid`.
+Fig. 1's seed regenerates the LTE trace (the per-cell simulation seed stays
+0); Fig. 17's link is deterministic, so its seed is the simulation seed.  With
+several seeds the returned :class:`TimeSeries` holds the across-seed mean
+curves, with the scalar metrics' aggregates (mean/stdev/95 % CI) in
+``TimeSeries.seed_stats``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.stats import (SeedAggregate, aggregate_metric_dicts,
-                                  split_by_seed)
+from repro.analysis.stats import SeedAggregate, aggregate_metric_dicts
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.cellular.trace import CellularTrace
-from repro.config import resolve_seeds
-from repro.experiments.runner import run_single_bottleneck
-from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
+from repro.experiments.runner import run_seed_grid, run_single_bottleneck
+from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.runtime.trace_store import register_trace, resolve_link_spec
 from repro.simulator.link import SquareWaveRate
 
@@ -35,8 +35,8 @@ class TimeSeries:
     """One scheme's throughput/queuing-delay time series plus the capacity.
 
     For multi-seed runs the arrays are across-seed means (trimmed to the
-    shortest seed's bin count), ``n_seeds`` > 1, and ``seed_stats`` maps the
-    scalar metrics (``utilization``, ``queuing_p95_ms``) to their
+    shortest seed's bin count) and ``seed_stats`` maps the scalar metrics
+    (``utilization``, ``queuing_p95_ms``) to their
     :class:`~repro.analysis.stats.SeedAggregate`.
     """
 
@@ -47,7 +47,6 @@ class TimeSeries:
     capacity_bps: Optional[np.ndarray] = None
     utilization: float = 0.0
     queuing_p95_ms: float = 0.0
-    n_seeds: int = 1
     seed_stats: Optional[Dict[str, SeedAggregate]] = None
 
 
@@ -81,21 +80,19 @@ def timeseries_cell(scheme: str, link_spec, rtt: float, duration: float,
     return _timeseries_from_result(result, bin_size)
 
 
-def _combine_seed_series(scheme: str, series_list: Sequence[TimeSeries],
-                         capacities: Sequence[Optional[np.ndarray]],
-                         seed_list: Sequence[int]) -> TimeSeries:
+def _combine_seed_series(series_list: Sequence[TimeSeries],
+                         capacities: Sequence[np.ndarray] = ()) -> TimeSeries:
     """Average per-seed series into one mean-curve :class:`TimeSeries`."""
     n = min(len(ts.times) for ts in series_list)
     capacity = None
-    usable = [c for c in capacities if c is not None]
-    if usable:
-        n = min(n, min(len(c) for c in usable))
-        capacity = np.mean([c[:n] for c in usable], axis=0)
+    if capacities:
+        n = min(n, min(len(c) for c in capacities))
+        capacity = np.mean([c[:n] for c in capacities], axis=0)
     stats = aggregate_metric_dicts(
         [{"utilization": ts.utilization, "queuing_p95_ms": ts.queuing_p95_ms}
          for ts in series_list])
     return TimeSeries(
-        scheme=scheme,
+        scheme=series_list[0].scheme,
         times=series_list[0].times[:n],
         throughput_bps=np.mean([ts.throughput_bps[:n] for ts in series_list],
                                axis=0),
@@ -104,7 +101,6 @@ def _combine_seed_series(scheme: str, series_list: Sequence[TimeSeries],
         capacity_bps=capacity,
         utilization=stats["utilization"].mean,
         queuing_p95_ms=stats["queuing_p95_ms"].mean,
-        n_seeds=len(seed_list),
         seed_stats=stats,
     )
 
@@ -120,47 +116,32 @@ def fig1_timeseries(schemes: Sequence[str] = ("cubic", "verus", "cubic+codel", "
                     ) -> Dict[str, TimeSeries]:
     """Reproduce Fig. 1: each scheme over the same emulated LTE trace.
 
-    With multiple ``seeds`` the LTE trace is regenerated per seed (unless
-    pinned via ``trace=``) and each scheme's series is the across-seed mean.
+    The seed regenerates the LTE trace (unless pinned via ``trace=``); with
+    several ``seeds`` each scheme's series is the across-seed mean.
     """
-    seeds = resolve_seeds(seeds)
-    seed_list = (seed,) if seeds is None else seeds
-    multi = len(seed_list) > 1
-    executor = get_executor(executor, jobs=jobs, cache_dir=cache_dir)
+    capacities: Dict[int, np.ndarray] = {}
 
-    pinned_ref = register_trace(trace) if trace is not None else None
-    sweep_jobs = []
-    capacities: List[np.ndarray] = []
-    for s in seed_list:
+    def jobs_for_seed(s: int) -> List[SweepJob]:
         trace_s = trace if trace is not None else lte_showcase_trace(
             duration=duration, seed=s)
-        _, capacity = trace_s.rate_timeseries(bin_size=bin_size)
-        capacities.append(capacity)
-        ref = pinned_ref if pinned_ref is not None else register_trace(trace_s)
-        # fig1's legacy `seed` is a trace seed; single-seed runs keep the
-        # legacy per-cell seed 0 (fig5/10/12/17 differ: there the legacy
-        # seed feeds the simulation itself, so it passes through).
-        cell_seed = s if multi else 0
-        sweep_jobs += [SweepJob(func=timeseries_cell,
-                                kwargs=dict(scheme=sch, link_spec=ref, rtt=rtt,
-                                            duration=duration,
-                                            buffer_packets=buffer_packets,
-                                            bin_size=bin_size, seed=cell_seed),
-                                label=f"fig1/seed{s}/{sch}")
-                       for sch in schemes]
-    groups = split_by_seed(executor.run(sweep_jobs), len(seed_list))
+        _, capacities[s] = trace_s.rate_timeseries(bin_size=bin_size)
+        ref = register_trace(trace_s)
+        return [SweepJob(func=timeseries_cell,
+                         kwargs=dict(scheme=sch, link_spec=ref, rtt=rtt,
+                                     duration=duration,
+                                     buffer_packets=buffer_packets,
+                                     bin_size=bin_size, seed=0),
+                         label=f"fig1/seed{s}/{sch}")
+                for sch in schemes]
 
-    out: Dict[str, TimeSeries] = {}
-    for j, scheme in enumerate(schemes):
-        per_seed = groups[j]
-        if multi:
-            out[scheme] = _combine_seed_series(scheme, per_seed, capacities,
-                                               seed_list)
-        else:
-            series = per_seed[0]
-            n = min(len(series.times), len(capacities[0]))
-            series.capacity_bps = capacities[0][:n]
-            out[scheme] = series
+    out = dict(zip(schemes, run_seed_grid(
+        jobs_for_seed, seed, seeds, executor, jobs, cache_dir,
+        combine=lambda seeds, per_seed: _combine_seed_series(
+            per_seed, [capacities[s] for s in seeds]))))
+    if len(capacities) == 1:  # one seed: the cells' own series, no capacity yet
+        (capacity,) = capacities.values()
+        for series in out.values():
+            series.capacity_bps = capacity[:len(series.times)]
     return out
 
 
@@ -175,29 +156,23 @@ def fig17_square_wave(schemes: Sequence[str] = ("abc", "rcp", "xcpw"),
                       ) -> Dict[str, TimeSeries]:
     """Reproduce Fig. 17: explicit schemes on a 12↔24 Mbit/s square wave.
 
-    The square-wave link is deterministic, so the seed axis only reseeds the
-    per-cell simulation; multi-seed runs still return mean curves with
-    ``seed_stats`` attached, for API uniformity with :func:`fig1_timeseries`.
+    The square-wave link is deterministic, so the seed only reseeds the
+    per-cell simulation; with several ``seeds`` each scheme's series is the
+    across-seed mean, as in :func:`fig1_timeseries`.
     """
-    seeds = resolve_seeds(seeds)
-    seed_list = (0,) if seeds is None else seeds
-    multi = len(seed_list) > 1
-    sweep_jobs = [SweepJob(func=timeseries_cell,
-                           kwargs=dict(scheme=sch,
-                                       link_spec=SquareWaveRate(
-                                           low_mbps * 1e6, high_mbps * 1e6,
-                                           half_period),
-                                       rtt=rtt, duration=duration,
-                                       bin_size=bin_size, seed=s),
-                           label=f"fig17/seed{s}/{sch}")
-                  for s in seed_list for sch in schemes]
-    results = get_executor(executor, jobs=jobs, cache_dir=cache_dir).run(sweep_jobs)
-    if not multi:
-        return dict(zip(schemes, results))
-    groups = split_by_seed(results, len(seed_list))
-    return {scheme: _combine_seed_series(scheme, groups[j],
-                                         [None] * len(seed_list), seed_list)
-            for j, scheme in enumerate(schemes)}
+    link = SquareWaveRate(low_mbps * 1e6, high_mbps * 1e6, half_period)
+
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        return [SweepJob(func=timeseries_cell,
+                         kwargs=dict(scheme=sch, link_spec=link, rtt=rtt,
+                                     duration=duration, bin_size=bin_size,
+                                     seed=s),
+                         label=f"fig17/seed{s}/{sch}")
+                for sch in schemes]
+
+    return dict(zip(schemes, run_seed_grid(
+        jobs_for_seed, 0, seeds, executor, jobs, cache_dir,
+        combine=lambda seeds, per_seed: _combine_seed_series(per_seed))))
 
 
 def summarize_timeseries(series: Dict[str, TimeSeries]) -> list[dict]:

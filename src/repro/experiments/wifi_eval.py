@@ -16,17 +16,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.stats import SeedResultSet, result_metrics, split_by_seed
+from repro.analysis.stats import SeedResultSet, result_metrics
 from repro.aqm import CoDelQdisc, DropTailQdisc
 from repro.cc import make_cc
-from repro.config import resolve_seeds
 from repro.core.params import ABCParams, WIFI_DEFAULTS
 from repro.core.router import ABCRouterQdisc
-from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
+from repro.experiments.runner import run_seed_grid
+from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import RateLimitedSource
@@ -157,26 +158,21 @@ def fig5_rate_prediction(mcs_indices: Sequence[int] = (3, 5, 7),
                          ) -> List[RatePredictionPoint]:
     """Sweep offered load on three links and record estimator accuracy.
 
-    With multiple ``seeds`` (argument or ``REPRO_SEEDS``) each (MCS, load)
-    point is run once per MAC-model seed and returned as a
-    :class:`~repro.analysis.stats.SeedResultSet` (attribute reads give the
-    across-seed mean; ``relative_error`` is aggregated too).
+    The seed drives the WiFi MAC model; with several ``seeds`` each (MCS,
+    load) point is a :class:`~repro.analysis.stats.SeedResultSet`
+    (attribute reads give the across-seed mean; ``relative_error`` is
+    aggregated too).
     """
-    seeds = resolve_seeds(seeds)
-    seed_list = (seed,) if seeds is None else seeds
-    grid = [(mcs, fraction) for mcs in mcs_indices
-            for fraction in load_fractions]
-    sweep_jobs = [SweepJob(func=rate_prediction_cell,
-                           kwargs=dict(mcs=mcs, fraction=fraction,
-                                       duration=duration, seed=s),
-                           label=f"fig5/seed{s}/mcs{mcs}/load{fraction:g}")
-                  for s in seed_list for mcs, fraction in grid]
-    results = get_executor(executor, jobs=jobs, cache_dir=cache_dir).run(sweep_jobs)
-    if len(seed_list) == 1:
-        return results
-    return [SeedResultSet(seed_list, per_seed,
-                          metrics=rate_prediction_metrics)
-            for per_seed in split_by_seed(results, len(seed_list))]
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        return [SweepJob(func=rate_prediction_cell,
+                         kwargs=dict(mcs=mcs, fraction=fraction,
+                                     duration=duration, seed=s),
+                         label=f"fig5/seed{s}/mcs{mcs}/load{fraction:g}")
+                for mcs in mcs_indices for fraction in load_fractions]
+
+    return run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs, cache_dir,
+                         combine=partial(SeedResultSet,
+                                         metrics=rate_prediction_metrics))
 
 
 # ---------------------------------------------------------------------------
@@ -256,44 +252,31 @@ def fig10_wifi(num_users: int = 1, duration: float = 45.0, rtt: float = 0.04,
     Returns one row per scheme; ABC appears once per delay threshold with the
     scheme name ``abc_dt{ms}``.
 
-    The seed drives the WiFi MAC model (and the Brownian MCS walk), so with
-    multiple ``seeds`` (argument or ``REPRO_SEEDS``) each row becomes a
-    :class:`~repro.analysis.stats.SeedResultSet` across MAC realisations;
-    single/default seed returns the legacy point rows.
+    The seed drives the WiFi MAC model (and the Brownian MCS walk); with
+    several ``seeds`` each row becomes a
+    :class:`~repro.analysis.stats.SeedResultSet` across MAC realisations.
     """
-    seeds = resolve_seeds(seeds)
-    seed_list = (seed,) if seeds is None else seeds
+    names = [f"abc_dt{int(round(threshold * 1000))}"
+             for threshold in abc_delay_thresholds]
 
-    def _jobs_for(s: int) -> List[SweepJob]:
-        jobs_s = [SweepJob(func=_run_wifi_case,
-                           kwargs=dict(scheme="abc", num_users=num_users,
-                                       duration=duration, rtt=rtt,
-                                       mcs_mode=mcs_mode, seed=s,
-                                       abc_delay_threshold=threshold),
-                           label=f"wifi/seed{s}/"
-                                 f"abc_dt{int(round(threshold * 1000))}")
-                  for threshold in abc_delay_thresholds]
-        jobs_s += [SweepJob(func=_run_wifi_case,
-                            kwargs=dict(scheme=scheme, num_users=num_users,
-                                        duration=duration, rtt=rtt,
-                                        mcs_mode=mcs_mode, seed=s),
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        common = dict(num_users=num_users, duration=duration, rtt=rtt,
+                      mcs_mode=mcs_mode, seed=s)
+        return ([SweepJob(func=_run_wifi_case,
+                          kwargs=dict(scheme="abc", **common,
+                                      abc_delay_threshold=threshold),
+                          label=f"wifi/seed{s}/{name}")
+                 for name, threshold in zip(names, abc_delay_thresholds)]
+                + [SweepJob(func=_run_wifi_case,
+                            kwargs=dict(scheme=scheme, **common),
                             label=f"wifi/seed{s}/{scheme}")
-                   for scheme in baselines]
-        return jobs_s
+                   for scheme in baselines])
 
-    sweep_jobs = [job for s in seed_list for job in _jobs_for(s)]
-    results = get_executor(executor, jobs=jobs, cache_dir=cache_dir).run(sweep_jobs)
-
-    rows: List[WiFiSchemeResult] = []
-    for per_seed in split_by_seed(results, len(seed_list)):
-        rows.append(per_seed[0] if len(seed_list) == 1
-                    else SeedResultSet(seed_list, per_seed))
-    for threshold, row in zip(abc_delay_thresholds, rows):
-        name = f"abc_dt{int(round(threshold * 1000))}"
-        if isinstance(row, SeedResultSet):
-            for res in row.per_seed:
-                res.scheme = name
-        row.scheme = name
+    rows = run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs, cache_dir)
+    for name, row in zip(names, rows):
+        # A SeedResultSet forwards ``scheme`` from its first seed's result.
+        for res in getattr(row, "per_seed", (row,)):
+            res.scheme = name
     return rows
 
 

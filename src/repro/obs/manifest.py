@@ -1,13 +1,17 @@
 """Run manifests: JSON provenance records for every sweep-scale run.
 
-When ``REPRO_RUN_DIR`` names a directory, every :meth:`SweepSpec.run_cells`
-call (and therefore every figure sweep, ``metro_pack`` city and fuzz
-campaign) writes one manifest there — enough to answer, months later, *what
-exactly produced this number*: the git SHA, the cache's code-version salt,
-the ``REPRO_*`` variables set and the configuration the executor resolved
-(``executor.config``), the grid (schemes × traces × seeds), per-job timings
-(worker pid, queue wait), the executor's cache statistics and — when
-``REPRO_TELEMETRY=1`` — the merged metrics snapshot.
+When ``REPRO_RUN_DIR`` names a directory, three call sites write one manifest
+each there: :meth:`SweepSpec.run_cells` (kind ``sweep``: ``run_cellular_sweep``
+and every ``metro_pack`` city), :func:`repro.experiments.runner.run_seed_grid`
+(kind ``figure``: every seeded figure entry point) and a fuzz campaign (kind
+``fuzz``).  The single-cell deterministic figures (6, 7, 11) and the
+in-process ones (2, 3, 4) write none.  A manifest is enough to answer,
+months later, *what exactly produced this number*: the git SHA, the cache's
+code-version salt, the ``REPRO_*`` variables set and the configuration the
+executor resolved (``executor.config``), the grid (schemes × traces × seeds,
+or the seed list and job labels), per-job timings (worker pid, queue wait),
+the executor's cache statistics and — when ``REPRO_TELEMETRY=1`` — the
+merged metrics snapshot.
 
 :func:`provenance` is the deterministic core of a manifest (no timestamps,
 no timings): fuzz campaign reports embed it verbatim so a failing corpus

@@ -103,10 +103,9 @@ class SweepSpec:
 
     ``seeds`` is the statistical axis: each (scheme, trace, overrides) cell
     runs once per seed, and
-    :func:`repro.analysis.stats.aggregate_cells` (or the experiment entry
-    points' ``seeds=`` parameters) turns the resulting ``run_cells()`` pairs
-    into mean ± 95 % CI aggregates.  The default ``(0,)`` reproduces the
-    single-seed figures bit-for-bit.
+    :func:`repro.experiments.runner.group_seed_results` turns the resulting
+    ``run_cells()`` pairs into mean ± 95 % CI aggregates.  The default
+    ``(0,)`` reproduces the single-seed figures bit-for-bit.
     """
 
     schemes: Sequence[str]

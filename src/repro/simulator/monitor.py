@@ -213,9 +213,6 @@ class LinkMonitor:
     def record_drop(self, now: float, packet: Packet) -> None:
         self.drop_times.append(now)
 
-    def record_opportunity(self, now: float, size_bytes: int) -> None:
-        self.opportunity_bytes += size_bytes
-
     def record_queue(self, now: float, backlog_packets: int) -> None:
         self.queue_sample_times.append(now)
         self.queue_sample_backlogs.append(backlog_packets)

@@ -89,3 +89,17 @@ def test_speed_figures_name_a_ledger_workload():
                                  f"{paragraph.strip()[:70]!r}")
     assert not offenders, ("speed figures that name no ledger workload:\n"
                            + "\n".join(offenders))
+
+
+#: Total lines of ``src/**/*.py`` at the last PR that moved it.  The north
+#: star says this number goes down: lower it when a PR shrinks ``src/``;
+#: raising it is an edit a reviewer sees and a PR has to argue for.
+SRC_LINE_CEILING = 14_493
+
+
+def test_src_line_count_ratchet():
+    total = sum(len(path.read_text().splitlines())
+                for path in (REPO_ROOT / "src").rglob("*.py"))
+    assert total <= SRC_LINE_CEILING, (
+        f"src/ grew to {total} lines (ceiling {SRC_LINE_CEILING}): delete "
+        "something, or raise the ceiling and say why in CHANGES.md")

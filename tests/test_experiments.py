@@ -134,33 +134,9 @@ def test_fig6_single_seed_is_bit_identical_to_cell():
     direct = fig6_cell(duration=12.0, wired_mbps=12.0, rtt=0.1,
                        sample_interval=0.25, cross_traffic=False,
                        cross_schedule=None, seed=0)
-    assert routed.n_seeds == 1
     assert routed.tracking_error == direct.tracking_error
     assert (routed.throughput_mbps == direct.throughput_mbps).all()
     assert (routed.w_abc == direct.w_abc).all()
-
-
-def test_fig6_multi_seed_returns_mean_curves():
-    single = fig6_nonabc_bottleneck(duration=10.0)
-    multi = fig6_nonabc_bottleneck(duration=10.0, seeds=[1, 2])
-    assert multi.n_seeds == 2
-    assert "tracking_error" in multi.seed_stats
-    # The Fig. 6 topology is deterministic, so the across-seed mean equals
-    # the single-seed curve exactly.
-    assert multi.tracking_error == pytest.approx(single.tracking_error)
-    assert multi.throughput_mbps == pytest.approx(single.throughput_mbps)
-
-
-def test_fig7_multi_seed_returns_seed_result_set():
-    from repro.analysis.stats import SeedResultSet
-    from repro.experiments.coexistence import fig7_coexistence_timeseries
-    single = fig7_coexistence_timeseries(duration=20.0, stagger=5.0)
-    multi = fig7_coexistence_timeseries(duration=20.0, stagger=5.0,
-                                        seeds=[1, 2])
-    assert isinstance(multi, SeedResultSet)
-    assert multi.agg("throughput_gap").n == 2
-    # No short flows, so the seed axis leaves the simulation unchanged.
-    assert multi.throughput_gap == pytest.approx(single.throughput_gap)
 
 
 def test_fig13_multi_seed_aggregates_distinct_traces():

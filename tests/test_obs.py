@@ -331,6 +331,28 @@ def test_sweep_manifest_round_trip(tmp_path, monkeypatch):
     assert manifest["metrics"]["counters"]["scenario.runs"] == 4
 
 
+def test_every_seeded_figure_call_leaves_one_manifest(tmp_path, monkeypatch):
+    from repro.experiments.coexistence import fig13_app_limited
+    from repro.experiments.pareto import fig9_sweep
+    monkeypatch.delenv("REPRO_SEEDS", raising=False)
+    monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
+    fig9_sweep(schemes=["abc"], duration=1.0, seeds=[1, 2],
+               trace_names=["Verizon-LTE-1"], executor=SweepExecutor(jobs=1))
+    (path,) = (tmp_path / "runs").glob("*.json")
+    manifest = json.loads(path.read_text())
+    assert manifest["kind"] == "figure"
+    assert manifest["spec"]["seeds"] == [1, 2]
+    assert len(manifest["spec"]["jobs"]) == 2
+    assert manifest["executor"]["total"] == 2
+    assert manifest["executor"]["config"]["jobs"] == 1
+    path.unlink()
+    fig13_app_limited(num_app_limited=2, duration=1.0)
+    (path,) = (tmp_path / "runs").glob("*.json")
+    manifest = json.loads(path.read_text())
+    assert manifest["kind"] == "figure"
+    assert manifest["spec"] == {"seeds": [23], "jobs": ["fig13/seed23"]}
+
+
 def test_no_manifest_without_run_dir(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_RUN_DIR", raising=False)
     from repro.obs.manifest import write_manifest

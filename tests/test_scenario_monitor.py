@@ -65,7 +65,7 @@ def test_link_monitor_counters():
     for i in range(10):
         mon.record_departure(i * 0.1, Packet(flow_id=0, seq=i, size=1000))
     mon.record_drop(0.5, Packet(flow_id=0, seq=99))
-    mon.record_opportunity(0.2, 1500)
+    mon.opportunity_bytes += 1500    # what OpportunityLink does per opportunity
     assert mon.delivered_bytes(0.0, 1.0) == 10_000
     assert mon.delivered_bytes(0.0, 0.35) == 4000
     assert mon.throughput_bps(0.0, 1.0) == pytest.approx(80_000)

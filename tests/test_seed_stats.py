@@ -1,29 +1,43 @@
 """Tests for the multi-seed statistical sweep layer.
 
-Three load-bearing properties:
+Four load-bearing properties:
 
 * single-seed sweeps are bit-for-bit identical to the legacy output,
 * the confidence-interval math matches hand-computed values,
+* one ``run_seed_grid`` is the seed axis of every figure, and seed ``s`` of a
+  multi-seed run *is* the single-seed run (same jobs, same results),
 * a reused (persistent) pool returns identical results across repeated
   ``run()`` calls.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import pickle
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.stats import (SeedAggregate, SeedResultSet,
-                                  aggregate_cells, aggregate_metric_dicts,
-                                  aggregate_values, result_metrics,
-                                  t_critical_95)
+                                  aggregate_metric_dicts, aggregate_values,
+                                  result_metrics, t_critical_95)
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
-from repro.experiments.pareto import fig9_sweep
-from repro.experiments.runner import run_cellular_sweep, sweep_averages
-from repro.runtime import (SweepExecutor, SweepSpec, TraceRef,
+from repro.experiments.coexistence import (fig12_offered_load_sweep,
+                                           fig13_app_limited)
+from repro.experiments.pareto import (fig8_pareto, fig9_sweep,
+                                      fig18_rtt_sensitivity)
+from repro.experiments.runner import (group_seed_results, run_cellular_sweep,
+                                      run_seed_grid, sweep_averages)
+from repro.experiments.timeseries import fig1_timeseries, fig17_square_wave
+from repro.experiments.wifi_eval import fig5_rate_prediction, fig10_wifi
+from repro.runtime import (SweepExecutor, SweepJob, SweepSpec, TraceRef,
                            register_trace, resolve_link_spec)
+
+EXPERIMENTS_SRC = (Path(__file__).resolve().parents[1]
+                   / "src" / "repro" / "experiments")
 
 
 def _tiny_traces():
@@ -122,14 +136,14 @@ def test_result_metrics_skips_non_numeric():
     assert "scheme" not in metrics and "extra" not in metrics
 
 
-def test_aggregate_cells_groups_by_scheme_and_trace():
+def test_group_seed_results_groups_by_scheme_and_trace():
     traces = _tiny_traces()
     spec = SweepSpec(schemes=["abc"], traces=traces, seeds=(0, 1),
                      duration=3.0)
-    table = aggregate_cells(spec.run_cells(SweepExecutor(jobs=1)))
+    table = group_seed_results(spec.run_cells(SweepExecutor(jobs=1)), (0, 1))
     assert set(table) == {"abc"}
     assert set(table["abc"]) == {"t1", "t2"}
-    assert table["abc"]["t1"]["utilization"].n == 2
+    assert table["abc"]["t1"].stats["utilization"].n == 2
 
 
 # --------------------------------------------------- single-seed == legacy
@@ -185,6 +199,146 @@ def test_repro_seeds_env_routes_run_cellular_sweep(monkeypatch):
     multi = run_cellular_sweep(["abc"], traces, duration=3.0)
     assert isinstance(multi["abc"]["t1"], SeedResultSet)
     assert multi["abc"]["t1"].seeds == (0, 1)
+
+
+# ------------------------------------------------------- run_seed_grid
+def _toy_cell(seed: int, index: int) -> dict:
+    return {"value": 100.0 * seed + index}
+
+
+def _toy_jobs(s: int) -> list:
+    return [SweepJob(func=_toy_cell, kwargs=dict(seed=s, index=i),
+                     label=f"seed{s}/cell{i}") for i in range(3)]
+
+
+class _RecordingExecutor(SweepExecutor):
+    """In-process executor that keeps what one ``run`` saw and returned
+    (a copy: figures relabel and annotate the result objects they get)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(jobs=1, **kwargs)
+
+    def run(self, jobs, **kwargs):
+        self.labels = [job.label for job in jobs]
+        results = super().run(jobs, **kwargs)
+        self.results = copy.deepcopy(results)
+        return results
+
+
+def test_run_seed_grid_one_seed_returns_the_cells_own_results(monkeypatch):
+    monkeypatch.delenv("REPRO_SEEDS", raising=False)
+    executor = _RecordingExecutor()
+    values = run_seed_grid(_toy_jobs, 7, executor=executor)
+    assert executor.labels == ["seed7/cell0", "seed7/cell1", "seed7/cell2"]
+    assert values == [{"value": 700.0}, {"value": 701.0}, {"value": 702.0}]
+    assert run_seed_grid(_toy_jobs, 7, seeds=[2], executor=executor) == [
+        {"value": 200.0}, {"value": 201.0}, {"value": 202.0}]
+
+
+def test_run_seed_grid_submits_seed_major_and_combines_in_grid_order():
+    executor = _RecordingExecutor()
+    values = run_seed_grid(_toy_jobs, 7, seeds=[1, 2], executor=executor)
+    assert executor.labels == ["seed1/cell0", "seed1/cell1", "seed1/cell2",
+                               "seed2/cell0", "seed2/cell1", "seed2/cell2"]
+    assert all(isinstance(v, SeedResultSet) for v in values)
+    assert [v.seeds for v in values] == [(1, 2)] * 3
+    assert [v.per_seed for v in values] == [
+        ({"value": 100.0 + i}, {"value": 200.0 + i}) for i in range(3)]
+    assert [v.stats["value"].mean for v in values] == [150.0, 151.0, 152.0]
+    combined = run_seed_grid(
+        _toy_jobs, 7, seeds=[1, 2], executor=executor,
+        combine=lambda seeds, per_seed: (seeds, [r["value"] for r in per_seed]))
+    assert combined == [((1, 2), [100.0 + i, 200.0 + i]) for i in range(3)]
+
+
+def test_run_seed_grid_reads_repro_seeds_only_without_an_argument(monkeypatch):
+    monkeypatch.setenv("REPRO_SEEDS", "4,5")
+    executor = _RecordingExecutor()
+    values = run_seed_grid(_toy_jobs, 7, executor=executor)
+    assert [v.seeds for v in values] == [(4, 5)] * 3
+    run_seed_grid(_toy_jobs, 7, seeds=[9], executor=executor)
+    assert executor.labels == ["seed9/cell0", "seed9/cell1", "seed9/cell2"]
+
+
+def _exact(result) -> dict:
+    """Every field of one cell's result, arrays as their bytes."""
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+            for name, value in vars(result).items()}
+
+
+def _numbers(value) -> list:
+    """The numeric fields of every cell a figure returned, in grid order."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [n for item in value for n in _numbers(item)]
+    if hasattr(value, "points"):                 # a ParetoScatter
+        return _numbers(value.points)
+    return [result_metrics(value)]
+
+
+PIE = ("abc", "cubic+pie")      # cubic+pie's drop RNG consumes the cell seed
+SEEDED_FIGURES = {
+    "fig1": (fig1_timeseries, dict(schemes=PIE, duration=2.0)),
+    "fig5": (fig5_rate_prediction, dict(mcs_indices=(3,), duration=2.0,
+                                        load_fractions=(0.4, 1.0))),
+    "fig8": (fig8_pareto, dict(schemes=PIE, duration=2.0)),
+    "fig9": (fig9_sweep, dict(schemes=PIE, duration=2.0,
+                              trace_names=["Verizon-LTE-1"])),
+    "fig10": (fig10_wifi, dict(duration=2.0, abc_delay_thresholds=(0.06,),
+                               baselines=("cubic",))),
+    "fig12": (fig12_offered_load_sweep, dict(loads=(0.5,), duration=8.0)),
+    "fig13": (fig13_app_limited, dict(num_app_limited=4, duration=3.0)),
+    "fig17": (fig17_square_wave, dict(schemes=("abc", "rcp"), duration=2.0)),
+    "fig18": (fig18_rtt_sensitivity, dict(schemes=PIE, rtts=(0.05, 0.1),
+                                          duration=2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_FIGURES))
+def test_every_seeded_figure_keeps_the_seed_axis_contract(name, monkeypatch):
+    """``seeds=[a]`` is the ``seed=a`` run, and seed ``a``'s block of
+    ``seeds=[a, b]`` is that same run bit for bit — whatever the figure."""
+    monkeypatch.delenv("REPRO_SEEDS", raising=False)
+    figure, kwargs = SEEDED_FIGURES[name]
+    # Fig. 17 has no ``seed`` parameter: its default seed is 0.
+    a, legacy = (0, {}) if name == "fig17" else (3, {"seed": 3})
+    executor = _RecordingExecutor()
+    single = figure(seeds=[a], executor=executor, **kwargs)
+    assert _numbers(single) == _numbers(figure(**legacy, **kwargs))
+    single_cells = [_exact(r) for r in executor.results]
+    figure(seeds=[a, 4], executor=executor, **kwargs)
+    n = len(single_cells)
+    assert len(executor.results) == 2 * n
+    assert [_exact(r) for r in executor.results[:n]] == single_cells
+
+
+def test_fig9_adding_a_seed_replays_the_cached_one(tmp_path):
+    kwargs = dict(schemes=PIE, duration=2.0, trace_names=["Verizon-LTE-1"])
+    executor = _RecordingExecutor(cache_dir=tmp_path / "cache")
+    single = fig9_sweep(seeds=[1], executor=executor, **kwargs)
+    assert executor.last_stats.executed == 2
+    multi = fig9_sweep(seeds=[1, 2], executor=executor, **kwargs)
+    assert executor.last_stats.cache_hits == 2       # seed 1's two cells
+    assert executor.last_stats.executed == 2         # seed 2's two cells
+    for scheme in PIE:
+        assert (_metrics(multi[scheme]["Verizon-LTE-1"].per_seed[0])
+                == _metrics(single[scheme]["Verizon-LTE-1"]))
+
+
+def test_the_seed_axis_is_written_once():
+    """Only ``runner.py`` turns a seed list into jobs and back; no figure
+    branches on how many seeds were asked for."""
+    strays = {}
+    for path in sorted(EXPERIMENTS_SRC.glob("*.py")):
+        if path.name == "runner.py":
+            continue
+        found = sorted(set(re.findall(
+            r"\b(resolve_seeds|split_by_seed|multi(?= *=[^=])|cell_seed)\b",
+            path.read_text())))
+        if found:
+            strays[path.name] = found
+    assert not strays, f"hand-rolled seed axis in experiments/: {strays}"
 
 
 # ------------------------------------------------- pool reuse / trace store
