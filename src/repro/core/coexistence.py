@@ -174,8 +174,7 @@ class DualQueueABCQdisc(Qdisc):
             raise ValueError("initial_weight must be in (0, 1)")
         self.params = params if params is not None else ABCParams()
         self.abc_queue = ABCRouterQdisc(params=self.params,
-                                        buffer_packets=buffer_packets,
-                                        capacity_fn=self._abc_capacity)
+                                        buffer_packets=buffer_packets)
         self.nonabc_queue = nonabc_qdisc if nonabc_qdisc is not None else (
             FifoQdisc(buffer_packets=buffer_packets))
         self.controller = controller if controller is not None else MaxMinWeightController()
@@ -188,6 +187,14 @@ class DualQueueABCQdisc(Qdisc):
         self.weight_history: list[tuple[float, float]] = []
 
     # ------------------------------------------------------------ capacity
+    def attach(self, link) -> None:
+        """The embedded router reads its share of the link through ``self``
+        only while attached: detached (capacity 0 either way), ``self`` owns
+        no bound method of itself, which would be a reference cycle."""
+        super().attach(link)
+        self.abc_queue.capacity_fn = (
+            self._abc_capacity if link is not None else None)
+
     def _link_capacity(self, now: float) -> float:
         if self.link is None:
             return 0.0

@@ -113,9 +113,6 @@ class FluidModel:
             return min(1.0 + a, 1.0)
         return 1.0
 
-    def is_stable(self) -> bool:
-        return is_theoretically_stable(self.params.delta, self.tau)
-
     # ------------------------------------------------------------ integration
     def simulate(self, duration: float = 30.0, step: float = 1e-3,
                  initial_delay: float = 0.0,

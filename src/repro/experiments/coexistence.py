@@ -114,6 +114,7 @@ def fig6_cell(duration: float, wired_mbps: float, rtt: float,
 
     scenario.env.post(0.0, _sample)
     scenario.run(duration)
+    del _sample  # a self-rescheduling closure is a cycle through its own cell
 
     times = np.array([s[0] for s in samples])
     w_abc = np.array([s[1] for s in samples])

@@ -80,12 +80,6 @@ def resolve_link_spec(spec: Any) -> Any:
     return spec
 
 
-def store_snapshot() -> Dict[str, Any]:
-    """The full store contents (introspection/debugging; pools ship only
-    the subset their jobs reference, via :func:`snapshot_for`)."""
-    return dict(_STORE)
-
-
 def snapshot_for(keys: Iterable[str]) -> Dict[str, Any]:
     """Just the entries named by ``keys``, so a pool never pays for traces
     its jobs never reference (registered by earlier, unrelated sweeps)."""

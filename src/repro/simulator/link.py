@@ -225,7 +225,7 @@ class Link:
             self.connect(dst)
 
     # ------------------------------------------------------------ wiring
-    def connect(self, dst: Node) -> None:
+    def connect(self, dst: Optional[Node]) -> None:
         self.dst = dst
         self._rx_inline = (
             dst.receive if (self.prop_delay == 0.0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -249,20 +249,3 @@ class LinkMonitor:
                              0.0, t1, bin_size, n_bins)
         centers = (np.arange(n_bins) + 0.5) * bin_size
         return centers, totals * 8.0 / bin_size
-
-
-@dataclass
-class SchemeResult:
-    """Summary row produced by the experiment runner for one scheme."""
-
-    scheme: str
-    throughput_bps: float
-    utilization: float
-    delay_p95_ms: float
-    delay_mean_ms: float
-    queuing_p95_ms: float = 0.0
-    extra: dict = field(default_factory=dict)
-
-    def as_row(self) -> Sequence:
-        return (self.scheme, self.throughput_bps, self.utilization,
-                self.delay_p95_ms, self.delay_mean_ms)

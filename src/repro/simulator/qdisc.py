@@ -43,8 +43,10 @@ class Qdisc:
         self._queue: deque[Packet] = deque()
 
     # ------------------------------------------------------------ wiring
-    def attach(self, link: "Link") -> None:
-        """Called by the owning link once, before the simulation starts."""
+    def attach(self, link: Optional["Link"]) -> None:
+        """Called by the owning link before the simulation starts, and with
+        ``None`` by the scenario once its run is over (``link`` ↔ ``qdisc``
+        is a reference cycle)."""
         self.link = link
 
     @property

@@ -12,6 +12,12 @@ Propagation delay is modelled with per-flow :class:`DelayHop` segments: half
 of the flow's minimum RTT is spread over the forward path (split evenly
 between the segments before, between and after the bottleneck links) and half
 is spent on the ACK return path.
+
+Lifetime of a cell: a scenario is wired by ``add_*``, runs once, is unwired
+by :meth:`Scenario.run` and is freed by its last reference — a finished
+scenario holds no reference cycle, so no collector pass is needed.  Results
+are read from flows, monitors, links, qdiscs and cc objects, not from wiring
+(``link.dst``, ``sender.egress``, demux routes and the event heap are gone).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.cc.base import CongestionControl
 from repro.cellular.trace import CellularTrace
 from repro.obs import metrics as obs_metrics
-from repro.simulator.endpoints import DelayHop, Receiver, Sender
+from repro.simulator.endpoints import DelayHop, Receiver, Sender, _forward
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import (CapacityModel, ConstantRate, Link,
                                   OpportunityLink, RateLink)
@@ -61,7 +67,6 @@ class FlowDemux:
     def __init__(self, name: str = "demux", env=None):
         self.name = name
         self.routes: Dict[int, object] = {}
-        self.default_route: Optional[object] = None
         self._env = env
         self._fused: Dict[int, tuple] = {}
 
@@ -80,13 +85,9 @@ class FlowDemux:
     def receive(self, packet) -> None:
         fused = self._fused.get(packet.flow_id)
         if fused is None:
-            hop = self.routes.get(packet.flow_id, self.default_route)
-            if hop is None:
-                return
-            if hasattr(hop, "send"):
-                hop.send(packet)
-            else:
-                hop.receive(packet)
+            hop = self.routes.get(packet.flow_id)
+            if hop is not None:
+                _forward(hop, packet)
             return
         env = self._env
         delay, callback, shifted = fused
@@ -243,9 +244,11 @@ class Scenario:
             self.env.post(self.queue_sample_interval, self._sample_queues)
 
     def run(self, duration: float) -> "ScenarioResult":
-        """Run the scenario for ``duration`` seconds and collect results."""
+        """Run the scenario, once, for ``duration`` seconds."""
         if duration <= 0:
             raise ValueError("duration must be positive")
+        if self.duration:
+            raise RuntimeError(f"{self!r} has already been run")
         self.duration = duration
         for link in self.links:
             starter = getattr(link, "start", None)
@@ -257,8 +260,23 @@ class Scenario:
             self.env.post(0.0, self._sample_queues)
         self.env.run(until=duration)
         if obs_metrics.enabled():
-            obs_metrics.harvest_scenario(self)
+            obs_metrics.harvest_scenario(self)  # as run: before the teardown
+        self._unwire()
         return ScenarioResult(self)
+
+    def _unwire(self) -> None:
+        """Undo the wiring ``add_*`` did ("Lifetime of a cell", above)."""
+        self.env.clear()  # env -> heap -> bound method -> component -> env
+        for link in self.links:
+            link.connect(None)
+            link.qdisc.attach(None)
+        for demux in self._demux.values():
+            demux.routes.clear()
+            demux._fused.clear()
+        for flow in self.flows:
+            flow.sender.connect(None)
+            flow.sender._rto_timer = None  # holds two of its bound methods
+            flow.receiver.connect(None)
 
 
 class ScenarioResult:
@@ -285,10 +303,6 @@ class ScenarioResult:
     def flow_delay_p95_ms(self, flow: Union[int, Flow],
                           kind: str = "one_way") -> float:
         return self.flow_stats(flow).delay_percentile(95, kind=kind) * 1000.0
-
-    def flow_delay_mean_ms(self, flow: Union[int, Flow],
-                           kind: str = "one_way") -> float:
-        return self.flow_stats(flow).mean_delay(kind=kind) * 1000.0
 
     def _aggregate_delays(self, kind: str = "one_way"):
         import numpy as np

@@ -528,6 +528,9 @@ def test_profile_tool_counts_mode(tmp_path, target):
     assert 0.2 < rows["receive_at"]["py_calls_per_op"] < 2.0
     assert rows["receive_at"]["bytecodes_per_op"] > 50
     assert payload["bytecodes_per_op"] > 30 * payload["py_calls_per_op"] > 300
+    # A finished scenario is freed by refcounting: nothing left to collect.
+    assert "0 cyclic garbage objects left per run" in proc.stdout
+    assert payload["garbage_objects_per_run"] == 0
 
 
 def test_profile_tool_bare_out_lands_in_run_dir(tmp_path):

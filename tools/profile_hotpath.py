@@ -22,7 +22,10 @@ are deterministic and machine-independent (one run is enough; they do move
 between CPython minor versions), which is what sizing a change to the
 per-event substrate needs: a call or a store removed shows up exactly, with
 no speed phase of the box in the way.  Tracing every opcode is ~50x slower
-than running, so keep ``--duration`` short.
+than running, so keep ``--duration`` short.  One more machine-independent
+row comes from a second, untraced pass with the collector off: the cyclic
+garbage objects a run leaves behind once its results are dropped (0 — a
+finished scenario is unwired by ``Scenario.run`` and freed by refcounting).
 
 A saved ``--out`` file can be explored interactively with
 ``python -m pstats profile.pstats`` or rendered by snakeviz/gprof2dot.  A
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import pstats
 import sys
@@ -84,6 +88,9 @@ class HotpathCounts:
         #: code object -> [bytecodes, Python calls, C calls made from it]
         self.by_code: dict = {}
         self.delivered_mtus = 0.0
+        self.runs = 0
+        #: Unreachable objects only a collection could free, over all runs.
+        self.garbage_objects = 0
 
     def _row(self, code) -> list:
         row = self.by_code.get(code)
@@ -125,6 +132,7 @@ class HotpathCounts:
             finally:
                 sys.setprofile(None)
                 sys.settrace(None)
+                counts.runs += 1
                 counts.delivered_mtus += sum(
                     flow.stats.bytes_received for flow in self.flows) / MTU
 
@@ -133,6 +141,17 @@ class HotpathCounts:
             workload()
         finally:
             Scenario.run = run
+        # A second, untraced pass with the collector off (the first was its
+        # warm-up: lazy imports and the tracer's closures leave garbage of
+        # their own): whatever is unreachable once the results are dropped
+        # was held by a reference cycle.
+        gc.collect()
+        gc.disable()
+        try:
+            workload()
+            self.garbage_objects = gc.collect()
+        finally:
+            gc.enable()
 
     def rows(self, sort: str, top: int) -> list:
         """The top-N functions, per delivered MTU (``sort``: ``calls`` orders
@@ -155,7 +174,9 @@ class HotpathCounts:
         return {"delivered_mtus": self.delivered_mtus,
                 "bytecodes_per_op": summed[0] / ops,
                 "py_calls_per_op": summed[1] / ops,
-                "c_calls_per_op": summed[2] / ops}
+                "c_calls_per_op": summed[2] / ops,
+                "garbage_objects_per_run": (self.garbage_objects
+                                            / (self.runs or 1))}
 
 
 def print_counts(counts: HotpathCounts, sort: str, top: int) -> None:
@@ -163,7 +184,9 @@ def print_counts(counts: HotpathCounts, sort: str, top: int) -> None:
     print(f"   {totals['delivered_mtus']:.0f} delivered MTUs: "
           f"{totals['bytecodes_per_op']:.1f} bytecodes, "
           f"{totals['py_calls_per_op']:.2f} Python calls, "
-          f"{totals['c_calls_per_op']:.2f} C calls per MTU\n")
+          f"{totals['c_calls_per_op']:.2f} C calls per MTU")
+    print(f"   {totals['garbage_objects_per_run']:.0f} cyclic garbage objects "
+          f"left per run (collector off, {counts.runs} runs)\n")
     print("   bytecodes/op  pycalls/op   ccalls/op  filename:lineno(function)")
     for row in counts.rows(sort, top):
         print(f"   {row['bytecodes_per_op']:12.1f}"
