@@ -4,10 +4,10 @@ The subsystem is opt-in via three knobs (declared in :mod:`repro.config`) and
 costs (near) nothing when disabled:
 
 * ``REPRO_TELEMETRY=1`` — the process-local metrics registry
-  (:mod:`repro.obs.metrics`).  Unset, every handle the instrumentation
-  acquires is a shared no-op singleton, and the hot-path components are
-  *harvested* (their always-on counters are read once at run end) rather
-  than instrumented per event, so the per-packet pipeline is untouched.
+  (:mod:`repro.obs.metrics`).  Components are *harvested* (their always-on
+  counters are read once at run end) rather than instrumented per event or
+  per call, so unset it costs nothing and the per-packet pipeline is
+  untouched either way.
 * ``REPRO_RUN_DIR=<dir>`` — every sweep / metro / fuzz run writes a JSON
   provenance manifest there (:mod:`repro.obs.manifest`).
 * ``REPRO_PROGRESS=1`` — a live stderr progress line for long sweeps
@@ -22,7 +22,6 @@ either of them; :mod:`repro.obs.manifest` reaches into ``repro.runtime`` via
 late imports only.
 """
 
-from repro.obs.metrics import (counter, enabled, gauge, override, registry,
-                               timer)
+from repro.obs.metrics import enabled, override, registry
 
-__all__ = ["counter", "enabled", "gauge", "override", "registry", "timer"]
+__all__ = ["enabled", "override", "registry"]

@@ -14,32 +14,26 @@ Disabled-mode contract
 ----------------------
 ``REPRO_TELEMETRY`` unset (the default) must leave the per-packet hot path
 untouched; that default configuration is what the repo benchmark
-(``benchmarks/ledger/``) measures.  Two mechanisms make that possible:
-
-1. The acquisition helpers (:func:`counter`/:func:`gauge`/:func:`timer`)
-   return shared **no-op singletons** when telemetry is off, so cold-path
-   call sites (the result cache, the sweep executor) can instrument
-   unconditionally; a disabled instrument is one no-op method call.
-2. Hot-path components are not instrumented per event at all: they already
-   maintain plain integer counters for their own bookkeeping (the engine's
-   ``events_processed``, a link's ``delivered_packets``, a sender's
-   ``acks_received``), and :func:`harvest_scenario` reads those **once at run
-   end** into the registry.  Enabled or disabled, the inner loops never see a
-   telemetry call.
+(``benchmarks/ledger/``) measures.  One mechanism makes that possible:
+nothing is instrumented per event or per call.  Components already maintain
+plain integer counters for their own bookkeeping (the engine's
+``events_processed``, a link's ``delivered_packets``, a sender's
+``acks_received``, the result cache's ``hits`` / ``stores``), and a harvest
+reads those **once at run end** into the registry when :func:`enabled` says
+so *then* — :func:`harvest_scenario` per ``Scenario.run``,
+``SweepExecutor._publish_run_metrics`` per sweep (cache counters as the
+run's deltas).  Enabled or disabled, the inner loops never see a telemetry
+call, and no component holds an instrument handle.
 
 Workers and merging
 -------------------
 Each process owns one module-level registry.  Sweep workers accumulate
 metrics while running a job, then ship a :meth:`MetricsRegistry.snapshot` back
-through the pool and :meth:`MetricsRegistry.reset`; the parent merges the
+over their pipe and :meth:`MetricsRegistry.reset`; the parent merges the
 deltas with :meth:`MetricsRegistry.merge`.  Counters and timer histograms
 merge by summation (order-independent, so serial and parallel sweeps produce
 identical totals — ``tests/test_obs.py`` pins this); gauges merge by ``max``
 so the result cannot depend on worker completion order.
-
-Some components read ``enabled()`` **at construction time** and keep the
-handles they acquired; use :func:`override` around construction *and*
-execution when toggling telemetry programmatically.
 """
 
 from __future__ import annotations
@@ -176,49 +170,6 @@ class TimerHist:
 
 
 # ---------------------------------------------------------------------------
-# No-op singletons (the disabled-mode handles)
-# ---------------------------------------------------------------------------
-class _NullCounter:
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullTimer:
-    __slots__ = ()
-    name = "null"
-    count = 0
-    total_ns = 0
-    min_ns = None
-    max_ns = 0
-    mean_ns = 0.0
-
-    def observe_ns(self, ns: int) -> None:
-        pass
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        yield
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_TIMER = _NullTimer()
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 class MetricsRegistry:
@@ -288,21 +239,6 @@ _registry = MetricsRegistry()
 def registry() -> MetricsRegistry:
     """This process's registry (always real, even when telemetry is off)."""
     return _registry
-
-
-def counter(name: str):
-    """A live :class:`Counter`, or the no-op singleton when disabled."""
-    return _registry.counter(name) if enabled() else NULL_COUNTER
-
-
-def gauge(name: str):
-    """A live :class:`Gauge`, or the no-op singleton when disabled."""
-    return _registry.gauge(name) if enabled() else NULL_GAUGE
-
-
-def timer(name: str):
-    """A live :class:`TimerHist`, or the no-op singleton when disabled."""
-    return _registry.timer(name) if enabled() else NULL_TIMER
 
 
 # ---------------------------------------------------------------------------

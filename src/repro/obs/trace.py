@@ -16,8 +16,9 @@ JSON that ``chrome://tracing`` (and Perfetto's legacy loader) accepts:
   worker pid, one bar per sweep cell, wall-clock axis.
 
 ``tools/export_trace.py`` is the CLI for both.  Tracing is strictly opt-in:
-with no hook installed the engine runs its untouched hot loop (the traced
-loop is a separate method), so the disabled-mode overhead is zero.
+the engine's one run loop reads the hook once per run and tests a local per
+event, so with no hook installed the cost is that one branch (the ledger's
+``trace.overhead_ratio`` is what an installed hook costs).
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def sweep_trace_events(job_records: List[Dict[str, Any]]
     attempt renders as its own span (``label [attempt N]``) in a distinct
     category per outcome (``retry``/``timeout``/``worker_crash``), so a
     chaos run's timeline shows exactly which cells were retried, where, and
-    why.  Records whose worker pid was never learned (a crash before the
-    attempt announced itself) land on a dedicated ``unattributed`` row.
+    why.  Records without a worker pid (a crash or hang an in-process run
+    synthesized) land on a dedicated ``unattributed`` row.
     """
     records = [r for r in job_records if r.get("start_unix") is not None]
     if not records:

@@ -14,7 +14,7 @@ independent jobs:
   code-version salt).
 
 * :mod:`~repro.runtime.trace_store` — a module-level store that ships each
-  cellular trace to pool workers once (via the pool initializer) instead of
+  cellular trace to each worker process once (as it starts) instead of
   pickling it into every job; jobs carry tiny
   :class:`~repro.runtime.trace_store.TraceRef` handles.
 

@@ -44,7 +44,6 @@ from typing import Any, Optional, Tuple
 import numpy as np
 
 from repro.config import resolve
-from repro.obs import metrics as obs_metrics
 
 #: Bump whenever simulator semantics change in a way that alters metrics;
 #: stale cache entries from older code versions then miss instead of lying.
@@ -148,14 +147,6 @@ class ResultCache:
             max(self._max_bytes // 8, min(1 << 20, self._max_bytes))
             if self._max_bytes is not None else 0)
         self._bytes_since_sweep: Optional[int] = None  # None = sweep on first put
-        # Telemetry handles resolve at construction time: no-op singletons
-        # when REPRO_TELEMETRY is off (see repro.obs.metrics).
-        self._obs_hits = obs_metrics.counter("cache.hits")
-        self._obs_misses = obs_metrics.counter("cache.misses")
-        self._obs_stores = obs_metrics.counter("cache.writes")
-        self._obs_corrupt = obs_metrics.counter("cache.corrupt")
-        self._obs_evictions = obs_metrics.counter("cache.evictions")
-        self._obs_write_errors = obs_metrics.counter("cache.write_errors")
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -168,7 +159,6 @@ class ResultCache:
                 value = pickle.load(handle)
         except FileNotFoundError:
             self.misses += 1
-            self._obs_misses.inc()
             return False, None
         except Exception:
             # A torn, truncated or garbage entry must behave as a miss (and
@@ -181,11 +171,8 @@ class ResultCache:
             path.unlink(missing_ok=True)
             self.misses += 1
             self.corrupt += 1
-            self._obs_misses.inc()
-            self._obs_corrupt.inc()
             return False, None
         self.hits += 1
-        self._obs_hits.inc()
         return True, value
 
     def put(self, key: str, value: Any) -> None:
@@ -218,13 +205,11 @@ class ResultCache:
                 raise
         except OSError as exc:
             self.write_errors += 1
-            self._obs_write_errors.inc()
             print(f"warning: result cache write failed for {key[:12]}… "
                   f"({exc}); continuing without caching this cell",
                   file=sys.stderr)
             return
         self.stores += 1
-        self._obs_stores.inc()
         if self._max_bytes is not None:
             written = self._bytes_since_sweep
             if written is None:
@@ -260,7 +245,6 @@ class ResultCache:
             for _, size, path in entries:
                 path.unlink(missing_ok=True)
                 self.evictions += 1
-                self._obs_evictions.inc()
                 total -= size
                 if total <= self._max_bytes:
                     break

@@ -3,10 +3,9 @@
 The experiment sweeps in this repository (Figs. 8/9/15/16/18, Table 1, the
 WiFi and coexistence grids) are embarrassingly parallel: every (scheme,
 trace, seed, overrides) cell is an independent single-process simulation.
-:class:`SweepExecutor` fans a list of :class:`SweepJob`\\ s out over a
-``multiprocessing`` pool, falls back to in-process serial execution when one
-worker is requested, and memoizes completed cells through
-:class:`~repro.runtime.cache.ResultCache`.
+:class:`SweepExecutor` fans a list of :class:`SweepJob`\\ s out over worker
+processes it owns, runs in-process when one worker is requested, and
+memoizes completed cells through :class:`~repro.runtime.cache.ResultCache`.
 
 Determinism contract
 --------------------
@@ -26,74 +25,66 @@ callables with picklable kwargs: parallel workers receive them by reference.
 
 Pool reuse
 ----------
-By default every :meth:`SweepExecutor.run` call spins up (and tears down) its
-own pool, which costs ~1 s of worker start-up — enough to swamp the
-parallel win on small grids.  Used as a context manager the executor keeps
-one pool alive across ``run()`` calls::
+By default every :meth:`SweepExecutor.run` call starts (and stops) its own
+workers.  Used as a context manager the executor keeps them alive across
+``run()`` calls::
 
     with SweepExecutor(jobs=4) as executor:
-        first = spec_a.run(executor)    # pool starts here
-        second = spec_b.run(executor)   # pool reused, no spin-up
+        first = spec_a.run(executor)    # workers start here
+        second = spec_b.run(executor)   # workers reused, no spin-up
 
 Workers are primed with the shared trace store
-(:mod:`repro.runtime.trace_store`) when the pool starts, so job kwargs carry
+(:mod:`repro.runtime.trace_store`) when they start, so job kwargs carry
 tiny :class:`~repro.runtime.trace_store.TraceRef` handles instead of pickling
-every trace into every cell.  If new traces are registered after the pool
-started, the next ``run()`` transparently restarts it with a fresh snapshot.
+every trace into every cell.  A ``run()`` that references a trace the workers
+do not hold transparently restarts them with a fresh snapshot.
 
 Execution
 ---------
 Every ``run()`` — default, with progress or telemetry, with a timeout or a
 retry budget, in-process or pooled — walks each pending cell through one
 attempt state machine (:meth:`SweepExecutor._drive`; diagram in
-``docs/ARCHITECTURE.md``): submit → attempt → *ok*: commit + record +
-progress, or *failed* (exception / worker died / deadline): seeded backoff
-and resubmit while the retry budget lasts, then a
+``docs/ARCHITECTURE.md``): fresh → in flight → landed, and a landed attempt
+is *ok*: commit + record + progress, or *failed* (exception / worker died /
+deadline): seeded backoff and resubmit while the retry budget lasts, then a
 :class:`~repro.runtime.faults.JobFailure` in the cell's slot.
 
 The loop runs over one of two small *transports*, chosen from what the code
 can observe — one worker, or a single pending cell with no deadline to
 enforce, runs in-process (:class:`_InProcessTransport`: capacity one,
 injected crashes/hangs synthesized, no preemption of a wedged job); anything
-else goes to the pool (:class:`_PoolTransport`: ``apply_async``, a
-completion queue the parent blocks on, start announcements, pid liveness,
-condemn → grace → finalise).
+else goes to the pool (:class:`_PoolTransport`: N processes, one duplex pipe
+each, one attempt at a time per worker, so the parent *knows* which process
+runs which attempt and whether it is alive — no thread, no poll interval, no
+grace period; its docstring has the protocol).  ``queue_wait_seconds`` is
+the hand-off latency from ``submit`` to the worker starting the attempt: a
+cell waiting for a free worker waits in the parent, off every clock.
 
 Timeout, retries, fault injection, journal, cache, progress and telemetry
 are per-job policies that are simply absent when not configured
 (``timeout=None`` arms no deadline, ``retries=0`` exhausts on the first
-failure, no injector fires nothing), so on every run:
-
-1. a completed cell is committed (slot, cache, journal) *as it lands* — an
-   interrupted or failed sweep resumes instead of restarting;
-2. ``strict`` finishes the sweep, assembles ``last_stats``, then raises the
-   lowest failed slot's original exception (a
-   :class:`~repro.runtime.faults.JobFailureError` when a crash/timeout left
-   nothing to re-raise); ``salvage`` returns the sentinels in-slot, so the
-   other 199 cells of a metro sweep survive;
-3. ``last_stats.job_records`` holds one timing record per executed attempt,
-   tagged ``attempt`` / ``outcome``;
-4. job keys are computed only when something consumes them (cache, journal,
-   fault injector, or a failure record / backoff draw).
+failure, no injector fires nothing), so every run keeps the four promises
+of ``docs/ARCHITECTURE.md`` ("Failure lifecycle"): a completed cell is
+committed as it lands; ``strict`` raises only after the sweep finished and
+``last_stats`` is assembled; ``job_records`` holds one record per attempt;
+job keys are computed only when something consumes them.
 
 The retry schedule is seeded, so it is part of the reproducible record; and
-a ``KeyboardInterrupt`` tears the pool down instead of orphaning workers.
+a ``KeyboardInterrupt`` kills and reaps the workers instead of orphaning them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
-import queue
-import signal
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.config import RuntimeConfig
@@ -107,23 +98,6 @@ from repro.runtime.faults import (FaultInjectionError, FaultInjector,
 from repro.runtime.journal import RunJournal, run_key_for
 from repro.runtime.trace_store import (TraceRef, install_snapshot,
                                        snapshot_for)
-
-#: The pool cannot wake the parent for a start announcement or a worker
-#: death (only completions are pushed), so a blocked wait on the pool
-#: transport returns at least this often to look for both.
-_HEARTBEAT_SECONDS = 0.05
-
-#: How long a dead-pid / expired-deadline attempt stays *condemned* before
-#: it is finalised as a crash/timeout.  A worker writes an attempt's result
-#: to the pool's outqueue pipe *before* it picks up its next task, so it can
-#: die on task N+1 while task N's bytes are still waiting for the parent's
-#: result-handler thread.  Finalising on the first dead-pid sighting would
-#: misread that finished attempt as crashed (dropping its real result and
-#: breaking serial ≡ parallel determinism); the grace window lets any
-#: already-piped result win the race.  A genuinely lost attempt can never
-#: deliver, so the delay costs latency only, never correctness.
-_LATE_RESULT_GRACE_SECONDS = 1.0
-
 
 @dataclass
 class SweepJob:
@@ -146,78 +120,54 @@ class SweepJob:
         return self.func(**self.kwargs)
 
 
-#: Worker-side handle on the executor's start queue (set by the pool
-#: initializer); attempts announce (run id, slot, attempt, pid) through it
-#: so the parent can arm deadlines and attribute worker deaths.
-_START_QUEUE = None
-
-
-def _pool_init(trace_snapshot: Dict[str, Any], start_queue=None) -> None:
-    """Pool initializer: prime the trace store and keep the start queue."""
-    global _START_QUEUE
-    install_snapshot(trace_snapshot)
-    _START_QUEUE = start_queue
-
-
-def _attempt_outcome(job: SweepJob, job_key: Optional[str], attempt: int,
-                     fault_spec: Optional[FaultSpec]) -> Dict[str, Any]:
-    """Run one guarded attempt body; never raises.
+def _timed_attempt(job: SweepJob, job_key: Optional[str], attempt: int,
+                   injector: Optional[FaultInjector], pid: int
+                   ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """One guarded attempt and its timing record, ``(outcome, meta)``; never
+    raises.
 
     Shared verbatim by the in-process transport and pool workers so an
     error's captured traceback is byte-identical across execution modes
     (same frames, same files, same lines).  Injected ``job_error`` faults
     fire inside the ``try`` for the same reason.
     """
+    start_unix = time.time()
+    t0 = time.perf_counter()
     try:
-        if fault_spec is not None:
-            FaultInjector(fault_spec).maybe_error(job_key, attempt)
-        value = job.run()
+        if injector is not None:
+            injector.maybe_error(job_key, attempt)
+        outcome = {"ok": True, "value": job.run()}
     except Exception as exc:
         tb = "".join(traceback.format_exception(type(exc), exc,
                                                 exc.__traceback__))
-        return {"ok": False, "outcome": "error",
-                "error_type": type(exc).__qualname__, "error": str(exc),
-                "traceback": tb, "exception": exc,
-                "injected": isinstance(exc, FaultInjectionError)}
-    return {"ok": True, "value": value}
-
-
-def _timed_attempt(job: SweepJob, job_key: Optional[str], attempt: int,
-                   fault_spec: Optional[FaultSpec], pid: int
-                   ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """The guarded attempt plus its timing record: ``(outcome, meta)``."""
-    start_unix = time.time()
-    t0 = time.perf_counter()
-    outcome = _attempt_outcome(job, job_key, attempt, fault_spec)
-    wall = time.perf_counter() - t0
+        outcome = {"ok": False, "outcome": "error",
+                   "error_type": type(exc).__qualname__, "error": str(exc),
+                   "traceback": tb, "exception": exc,
+                   "injected": isinstance(exc, FaultInjectionError)}
     return outcome, {
         "label": job.label, "pid": pid, "start_unix": start_unix,
-        "wall_seconds": wall, "queue_wait_seconds": 0.0, "attempt": attempt,
-        "outcome": "ok" if outcome["ok"] else "error"}
+        "wall_seconds": time.perf_counter() - t0, "queue_wait_seconds": 0.0,
+        "attempt": attempt, "outcome": "ok" if outcome["ok"] else "error"}
 
 
 def _run_attempt(payload: tuple) -> tuple:
     """The worker-side trampoline: one attempt of one job.
 
-    Announces itself on the start queue first — the parent arms the job's
-    deadline and learns which pid to blame if this process dies — then fires
-    any injected process faults (crash/hang), runs the guarded attempt and
-    ships the completion home.  With ``REPRO_TELEMETRY`` on, the worker
+    Fires any injected process faults (crash/hang), runs the guarded attempt
+    and hands the completion back.  With ``REPRO_TELEMETRY`` on, the worker
     registry is snapshotted and **reset**, so every attempt ships exactly
     its own delta and the parent-side merge is order-independent.
     """
-    run_id, slot, attempt, job, job_key, fault_spec, submitted_unix = payload
-    pid = os.getpid()
-    if _START_QUEUE is not None:
-        _START_QUEUE.put((run_id, slot, attempt, pid))
-    if fault_spec is not None:
-        FaultInjector(fault_spec).fire_process_faults(job_key, attempt)
-    outcome, meta = _timed_attempt(job, job_key, attempt, fault_spec, pid)
+    attempt, job, job_key, injector, submitted_unix = payload
+    if injector is not None:
+        injector.fire_process_faults(job_key, attempt)
+    outcome, meta = _timed_attempt(job, job_key, attempt, injector,
+                                   os.getpid())
     meta["queue_wait_seconds"] = max(meta["start_unix"] - submitted_unix, 0.0)
     if not outcome["ok"]:
         # The original exception rides home for strict-mode re-raising, but
-        # only when it survives pickling — a poison result would be lost in
-        # the pool's result pipe otherwise.
+        # only when it survives pickling — otherwise the whole completion,
+        # captured traceback included, would fail to send.
         try:
             pickle.dumps(outcome["exception"])
         except Exception:
@@ -227,7 +177,26 @@ def _run_attempt(payload: tuple) -> tuple:
         registry = obs_metrics.registry()
         snapshot = registry.snapshot()
         registry.reset()
-    return slot, attempt, outcome, meta, snapshot
+    return outcome, meta, snapshot
+
+
+def _worker_main(conn, trace_snapshot: Dict[str, Any]) -> None:
+    """A worker process: prime the trace store, then run one attempt per
+    message off ``conn`` until the parent sends ``None``."""
+    install_snapshot(trace_snapshot)
+    while True:
+        payload = conn.recv()
+        if payload is None:
+            return
+        completion = _run_attempt(payload)
+        try:
+            conn.send(completion)
+        except Exception as exc:
+            # An unpicklable result (``send`` pickles before it writes, so
+            # the pipe is still clean): an errored attempt, not a hang.
+            conn.send(({"ok": False, "outcome": "error", "error": str(exc),
+                        "error_type": type(exc).__qualname__, "traceback": "",
+                        "exception": None, "injected": False}, None, None))
 
 
 def _needed_trace_keys(jobs: Sequence[SweepJob]) -> set:
@@ -246,43 +215,43 @@ def _needed_trace_keys(jobs: Sequence[SweepJob]) -> set:
 class _InProcessTransport:
     """Runs each attempt in this process, at submission.
 
-    Nothing announces itself here, so the driver never arms a deadline or
-    looks for a dead pid (``live_pids`` / ``kill`` / ``forget`` are never
-    reached): a serial run cannot preempt a wedged job.  Injected process
-    faults are synthesized instead of fired, and metrics stay in the live
-    registry (a snapshot/reset round-trip would orphan live handles).
+    ``submit`` names no worker process (it returns ``None``), so the driver
+    arms no deadline and never calls ``abandon``: a serial run cannot
+    preempt a wedged job.  Injected process faults are synthesized instead
+    of fired, and metrics stay in the live registry (a snapshot/reset
+    round-trip would orphan live handles).
 
-    A completion is ``(slot, attempt, outcome, meta, metrics_snapshot)``:
-    ``outcome`` is :func:`_attempt_outcome`'s dict, or ``{"ok": False,
-    "outcome": tag}`` for a synthesized ``worker_crash`` / ``timeout``;
-    ``meta`` is ``None`` when no worker lived to time the attempt.
+    A completion is ``(slot, outcome, meta, metrics_snapshot)``:
+    ``outcome`` is :func:`_timed_attempt`'s dict, or ``{"ok": False,
+    "outcome": tag}`` for a ``worker_crash`` / ``timeout``; ``meta`` is
+    ``None`` when no worker lived to time the attempt.
     """
 
-    #: Attempts in flight at once; ``None`` means "everything pending".
-    capacity: Optional[int] = 1
+    #: Attempts in flight at once.
+    capacity = 1
     #: The driver's clock (monotonic seconds).
     now = staticmethod(time.monotonic)
 
-    def __init__(self, fault_spec: Optional[FaultSpec] = None):
-        self._fault_spec = fault_spec
-        self._injector = (FaultInjector(fault_spec)
-                          if fault_spec is not None else None)
+    def __init__(self, injector: Optional[FaultInjector] = None):
+        self._injector = injector
         self._pid = os.getpid()
         self._done: Optional[tuple] = None
 
-    def submit(self, run_id: int, slot: int, attempt: int, job: SweepJob,
-               job_key: Optional[str]) -> None:
+    def submit(self, slot: int, attempt: int, job: SweepJob,
+               job_key: Optional[str]) -> Optional[int]:
+        """Start one attempt; the pid now running it, if a process is."""
         injector = self._injector
         if injector is not None:
             for kind, tag in (("worker_crash", "worker_crash"),
                               ("job_hang", "timeout")):
                 if injector.should(kind, job_key, attempt):
-                    self._done = (slot, attempt,
-                                  {"ok": False, "outcome": tag}, None, None)
-                    return
-        outcome, meta = _timed_attempt(job, job_key, attempt,
-                                       self._fault_spec, self._pid)
-        self._done = (slot, attempt, outcome, meta, None)
+                    self._done = (slot, {"ok": False, "outcome": tag},
+                                  None, None)
+                    return None
+        outcome, meta = _timed_attempt(job, job_key, attempt, injector,
+                                       self._pid)
+        self._done = (slot, outcome, meta, None)
+        return None
 
     def wait(self, timeout: Optional[float]) -> Optional[tuple]:
         """The next completion, or ``None`` once ``timeout`` has passed."""
@@ -291,105 +260,121 @@ class _InProcessTransport:
             time.sleep(timeout)      # only a retry's backoff is pending
         return done
 
-    def starts(self) -> Sequence[Tuple[int, int, int, int]]:
-        """Start announcements ``(run id, slot, attempt, pid)`` read so far."""
-        return ()
-
 
 class _PoolTransport:
-    """Runs attempts on a ``multiprocessing`` pool via ``apply_async``.
+    """``capacity`` worker processes, one duplex pipe each, owned here.
 
-    Completions are pushed onto a thread-safe queue by the pool's result
-    thread, so the parent blocks instead of scanning.  Each attempt
-    announces ``(run id, slot, attempt, pid)`` on the start queue as its
-    first act: the driver arms the deadline only then (queue wait never
-    counts) and knows which attempt to blame when that pid dies.  Crashed
-    or killed workers are respawned by the pool's own maintenance thread.
+    The parent hands a worker one attempt at a time, so it always knows
+    which process runs which attempt and an idle worker starts at once:
+    ``submit`` returns the pid and the driver arms the deadline there.
+    ``wait`` is one select over the busy pipes; a completion and a death
+    (end of file with no completion in the pipe) both wake it, and the dead
+    worker is replaced on the spot.
     """
 
-    capacity = None
     now = staticmethod(time.monotonic)
 
-    def __init__(self, pool, start_queue,
-                 fault_spec: Optional[FaultSpec] = None):
-        self._pool = pool
-        self._start_queue = start_queue
-        self._fault_spec = fault_spec
-        self._completions: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
-        self._handles: Dict[int, Any] = {}
+    def __init__(self, processes: int, trace_snapshot: Dict[str, Any],
+                 injector: Optional[FaultInjector] = None):
+        self.capacity = processes
+        self.trace_snapshot = trace_snapshot
+        self._injector = injector
+        #: pipe -> (process, the slot whose attempt it is running).
+        self._busy: Dict[Any, Tuple[Any, int]] = {}
+        self._idle = [self._spawn() for _ in range(processes)]
 
-    def submit(self, run_id, slot, attempt, job, job_key) -> None:
-        completions = self._completions  # no cycle through the callbacks
+    def _spawn(self) -> tuple:
+        """Start one worker: ``(process, the parent's end of its pipe)``."""
+        conn, worker_end = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_worker_main, args=(worker_end, self.trace_snapshot),
+            daemon=True)
+        process.start()
+        worker_end.close()   # the worker's copy is the only one: death = EOF
+        return process, conn
 
-        def broken(exc: BaseException) -> None:
-            # Pool plumbing failure (e.g. an unpicklable result): an errored
-            # attempt carrying the parent-side exception text.
-            completions.put((slot, attempt, {
-                "ok": False, "outcome": "error", "error": str(exc),
-                "error_type": type(exc).__qualname__, "traceback": "",
-                "exception": None, "injected": False}, None, None))
+    def _replace(self, process, conn) -> tuple:
+        """Reap a dead (or kill a wedged) worker and start its successor.
 
-        payload = (run_id, slot, attempt, job, job_key, self._fault_spec,
-                   time.time())
-        self._handles[slot] = self._pool.apply_async(
-            _run_attempt, (payload,), callback=completions.put,
-            error_callback=broken)
+        Never from inside an ``except`` block: a forked child inherits the
+        exception being handled and chains every traceback it later captures
+        to it, which breaks serial ≡ parallel failure records.
+        """
+        process.kill()
+        process.join()
+        conn.close()
+        return self._spawn()
+
+    def submit(self, slot, attempt, job, job_key) -> int:
+        payload = (attempt, job, job_key, self._injector, time.time())
+        while True:
+            process, conn = self._idle.pop()
+            try:
+                conn.send(payload)
+                break
+            except OSError:  # it died idle (between two run() calls of a
+                pass         # persistent executor): no attempt is charged
+            self._idle.append(self._replace(process, conn))
+        self._busy[conn] = (process, slot)
+        return process.pid
 
     def wait(self, timeout):
-        if timeout is None or timeout > _HEARTBEAT_SECONDS:
-            timeout = _HEARTBEAT_SECONDS
-        try:
-            return self._completions.get(timeout=max(timeout, 0.0))
-        except queue.Empty:
-            return None
+        ready = multiprocessing.connection.wait(list(self._busy), timeout)
+        return self._collect(ready[0]) if ready else None
 
-    def starts(self):
-        messages = []
-        while not self._start_queue.empty():
+    def _collect(self, conn) -> tuple:
+        """Read a readable busy pipe: its worker's completion — or, at end
+        of file, a ``worker_crash`` for the attempt that worker died on."""
+        process, slot = self._busy.pop(conn)
+        try:
+            completion = conn.recv()
+        except (EOFError, OSError):
+            completion = None
+        if completion is None:
+            self._idle.append(self._replace(process, conn))
+            return slot, {"ok": False, "outcome": "worker_crash"}, None, None
+        self._idle.append((process, conn))
+        return (slot, *completion)
+
+    def abandon(self, slot: int) -> Optional[tuple]:
+        """Give up on ``slot``'s attempt at its deadline.
+
+        Whatever already sits in the pipe wins (the late-result rule);
+        otherwise the wedged worker is killed and replaced, and ``None``
+        tells the driver the attempt timed out.
+        """
+        conn = next(c for c, (_, busy) in self._busy.items() if busy == slot)
+        if conn.poll():
+            return self._collect(conn)
+        self._idle.append(self._replace(self._busy.pop(conn)[0], conn))
+        return None
+
+    def close(self) -> None:
+        """Stop and reap every worker.
+
+        An idle one is *told* to return: under ``fork`` a worker started
+        later holds a copy of the parent's end of every earlier pipe, so
+        closing that end never reaches it.  A busy one (the run was aborted
+        under it) is killed.
+        """
+        busy = [(process, conn) for conn, (process, _) in self._busy.items()]
+        for process, _ in busy:
+            process.kill()
+        for _, conn in self._idle:
             try:
-                messages.append(self._start_queue.get())
-            except (EOFError, OSError):
-                break
-        return messages
-
-    def live_pids(self) -> Set[int]:
-        """Pids of pool workers currently alive (respawns change this set)."""
-        try:
-            return {worker.pid for worker in self._pool._pool
-                    if worker.exitcode is None and worker.pid is not None}
-        except Exception:
-            return set()
-
-    def kill(self, pid: int) -> None:
-        """SIGKILL a wedged worker so the pool can respawn a fresh one."""
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except OSError:
-            pass
-
-    def forget(self, slot: int) -> None:
-        """Drop a lost attempt's handle: left in the pool's result cache it
-        would make ``close()`` + ``join()`` wait for a result that cannot
-        arrive (best effort)."""
-        try:
-            self._pool._cache.pop(self._handles.pop(slot)._job, None)
-        except Exception:
-            pass
+                conn.send(None)
+            except OSError:
+                pass             # died idle
+        for process, conn in self._idle + busy:
+            process.join()
+            conn.close()
 
 
-@dataclass
-class _Running:
-    """Parent-side view of an in-flight attempt that announced itself."""
-
-    attempt: int
-    pid: int
-    started_unix: float
-    #: The job deadline (armed when the announcement is read, never at
-    #: submission; ``None`` without a timeout) — or, once condemned, the
-    #: end of the late-result grace window.
-    due: Optional[float]
-    #: ``"worker_crash"`` / ``"timeout"`` once presumed lost (condemned).
-    lost: Optional[str] = None
+#: ``ResultCache`` counter -> the metric its per-run delta is published as.
+_CACHE_COUNTERS = {"hits": "cache.hits", "misses": "cache.misses",
+                   "stores": "cache.writes", "corrupt": "cache.corrupt",
+                   "evictions": "cache.evictions",
+                   "write_errors": "cache.write_errors"}
 
 
 @dataclass
@@ -415,10 +400,10 @@ class ExecutorStats:
     #: each job counts once).
     retries: int = 0
     #: Attempts abandoned at the REPRO_JOB_TIMEOUT deadline (their wedged
-    #: workers are killed and respawned).
+    #: workers are killed and replaced).
     timeouts: int = 0
-    #: Worker processes that died mid-attempt (injected or real); the pool
-    #: respawns them and the in-flight attempt is resubmitted or failed.
+    #: Worker processes that died mid-attempt (injected or real); each is
+    #: replaced and the in-flight attempt is resubmitted or failed.
     worker_crashes: int = 0
     #: Jobs whose retry budget was exhausted; under the salvage policy each
     #: occupies its result slot as a JobFailure sentinel.
@@ -466,10 +451,8 @@ class SweepExecutor:
         ``True`` (the directory the environment names, else
         ``REPRO_RUN_DIR/journal``) or ``False`` (force off).
 
-    Used as a plain object, every :meth:`run` call manages its own
-    short-lived pool.  Used as a context manager (``with SweepExecutor(...)
-    as ex:``) the pool persists across ``run()`` calls — see
-    :meth:`open`/:meth:`close`.
+    Every :meth:`run` starts and stops its own workers unless the executor
+    is used as a context manager (:meth:`open` / :meth:`close`).
     """
 
     def __init__(self, jobs: Optional[int | str] = None,
@@ -512,10 +495,7 @@ class SweepExecutor:
             self.cache.fault_injector = self._injector
         self.last_stats = ExecutorStats()
         self._persistent = False
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._pool_trace_keys: set = set()
-        self._start_queue = None
-        self._run_counter = 0
+        self._pool: Optional[_PoolTransport] = None
 
     # ------------------------------------------------------------ pool reuse
     def open(self) -> "SweepExecutor":
@@ -529,66 +509,39 @@ class SweepExecutor:
         return self
 
     def close(self) -> None:
-        """Shut the persistent pool down (idempotent, safe without one)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-        self._pool_trace_keys = set()
+        """Stop the workers (idempotent, safe without any)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
 
-    def __enter__(self) -> "SweepExecutor":
-        return self.open()
+    __enter__ = open
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
         self._persistent = False
-
-    def _ensure_pool(self, needed_keys: set, processes: int
-                     ) -> multiprocessing.pool.Pool:
-        """The executor's pool, restarted only when it is missing a trace.
-
-        Workers are primed with exactly the traces the submitted jobs
-        reference — never with unrelated registrations from other sweeps, so
-        worker memory stays bounded by one sweep's working set.  A ``run()``
-        whose refs the workers already hold reuses the warm pool; any other
-        restarts it (~1 s, what a one-shot pool would have paid anyway).
-        """
-        if self._pool is not None and not needed_keys <= self._pool_trace_keys:
-            self.close()
-        if self._pool is None:
-            if self._start_queue is None:  # executor-lifetime, outlives pools
-                self._start_queue = multiprocessing.SimpleQueue()
-            snapshot = snapshot_for(needed_keys)
-            self._pool = multiprocessing.Pool(
-                processes=processes, initializer=_pool_init,
-                initargs=(snapshot, self._start_queue))
-            self._pool_trace_keys = set(snapshot)
-        return self._pool
-
-    def _abort_pool(self) -> None:
-        """Terminate + join the pool: no worker outlives an aborted run."""
-        pool, self._pool = self._pool, None
-        self._pool_trace_keys = set()
-        if pool is not None:
-            pool.terminate()
-            pool.join()
 
     def _transport(self, pending: List[SweepJob]) -> Tuple[Any, bool]:
         """``(transport, pool_was_reused)`` for this run's pending jobs.
 
         In-process or pool is chosen from what the code can observe: one
         worker, or a single cell with no deadline to enforce, needs no pool.
-        Outside ``with SweepExecutor(...)``, :meth:`run` tears the pool down.
+        Workers are primed with exactly the traces the submitted jobs
+        reference (worker memory stays bounded by one sweep's working set);
+        a ``run()`` whose refs they already hold reuses the warm pool, any
+        other restarts it.
         """
         if self.workers <= 1 or (len(pending) == 1 and self.timeout is None):
-            return _InProcessTransport(self.faults), False
-        previous = self._pool
-        pool = self._ensure_pool(
-            _needed_trace_keys(pending),
-            self.workers if self._persistent
-            else min(self.workers, len(pending)))
-        return (_PoolTransport(pool, self._start_queue, self.faults),
-                pool is previous)
+            return _InProcessTransport(self._injector), False
+        needed = _needed_trace_keys(pending)
+        reused = (self._pool is not None
+                  and needed <= self._pool.trace_snapshot.keys())
+        if not reused:
+            self.close()
+            self._pool = _PoolTransport(
+                self.workers if self._persistent
+                else min(self.workers, len(pending)),
+                snapshot_for(needed), self._injector)
+        return self._pool, reused
 
     # ------------------------------------------------------------------ run
     def run(self, jobs: Sequence[SweepJob],
@@ -616,8 +569,7 @@ class SweepExecutor:
             if (cache is not None or self.journal_dir is not None
                 or self._injector is not None) else [None] * len(jobs))
         stats = ExecutorStats(total=len(jobs), workers=self.workers)
-        cache_before = ((cache.corrupt, cache.evictions, cache.write_errors)
-                        if cache is not None else None)
+        cache_before = [getattr(cache, name, 0) for name in _CACHE_COUNTERS]
         journal: Optional[RunJournal] = None
         if self.journal_dir is not None and jobs:
             journal = RunJournal(self.journal_dir, run_key_for(keys),
@@ -665,15 +617,16 @@ class SweepExecutor:
                     [jobs[i] for i in pending])
                 failures, originals = self._drive(
                     transport, pending, jobs, keys, commit, tracker, stats)
-        except (KeyboardInterrupt, SystemExit):
-            # Never orphan pool workers on an interrupted sweep, persistent
-            # pool or not.  Every cell that completed was committed as it
+        except BaseException:
+            # Never orphan workers on an interrupted sweep, persistent pool
+            # or not (nor keep one whose workers still run a dead sweep's
+            # attempts).  Every cell that completed was committed as it
             # landed, so a rerun resumes instead of restarting.
-            self._abort_pool()
+            self.close()
             raise
         finally:
             if not self._persistent:
-                self._abort_pool()
+                self.close()
             if journal is not None:
                 journal.close()
 
@@ -681,14 +634,15 @@ class SweepExecutor:
             results[index] = failure
         stats.failed_jobs = len(failures)
         stats.failures = [failures[i].to_jsonable() for i in sorted(failures)]
-        if cache_before is not None:
-            stats.cache_corrupt = cache.corrupt - cache_before[0]
-            stats.cache_evictions = cache.evictions - cache_before[1]
-            stats.cache_write_errors = cache.write_errors - cache_before[2]
+        cache_delta = {name: getattr(cache, name, 0) - before for name, before
+                       in zip(_CACHE_COUNTERS, cache_before)}  # 0: no cache
+        stats.cache_corrupt = cache_delta["corrupt"]
+        stats.cache_evictions = cache_delta["evictions"]
+        stats.cache_write_errors = cache_delta["write_errors"]
         stats.wall_seconds = time.perf_counter() - started
         self.last_stats = stats
         if obs_metrics.enabled():
-            self._publish_run_metrics(stats)
+            self._publish_run_metrics(stats, cache_delta)
         if failures and policy == "strict":
             first = min(failures)
             if first in originals:
@@ -696,18 +650,24 @@ class SweepExecutor:
             raise JobFailureError(failures[first])
         return results
 
-    def _publish_run_metrics(self, stats: ExecutorStats) -> None:
-        """Fold the finished run's bookkeeping into the metrics registry."""
+    def _publish_run_metrics(self, stats: ExecutorStats,
+                             cache_delta: Dict[str, int]) -> None:
+        """Fold the finished run's bookkeeping into the metrics registry
+        (the ``harvest_scenario`` pattern: plain counts, read once per run).
+        """
         registry = obs_metrics.registry()
         registry.counter("executor.runs").inc()
         if stats.pool_reused:
             registry.counter("executor.pool_reuses").inc()
         registry.gauge("executor.workers").set(self.workers)
-        for name in ("retries", "timeouts", "worker_crashes", "failed_jobs",
-                     "journal_hits", "cache_write_errors"):
-            value = getattr(stats, name)
+        counts = {f"executor.{name}": getattr(stats, name) for name in (
+            "retries", "timeouts", "worker_crashes", "failed_jobs",
+            "journal_hits")}
+        counts.update((_CACHE_COUNTERS[name], value)
+                      for name, value in cache_delta.items())
+        for name, value in counts.items():
             if value:
-                registry.counter(f"executor.{name}").inc(value)
+                registry.counter(name).inc(value)
         wall = registry.timer("executor.job_wall")
         wait = registry.timer("executor.queue_wait")
         for record in stats.job_records:
@@ -721,37 +681,38 @@ class SweepExecutor:
                ) -> Tuple[Dict[int, JobFailure], Dict[int, BaseException]]:
         """Walk every pending slot through the attempt state machine.
 
-        The clock, sleep, pid-liveness and kill primitives all come from
-        ``transport``, so the loop itself never touches a process.  Attempt
-        records and retry/timeout/crash counts go straight into ``stats``;
-        returns ``(failures, original exceptions)`` by slot.
+        fresh → inflight → landed.  The clock, the wait and every process
+        come from ``transport``, so the loop itself never touches one.
+        Attempt records and retry/timeout/crash counts go straight into
+        ``stats``; returns ``(failures, original exceptions)`` by slot.
         """
         retries, timeout, backoff = self.retries, self.timeout, self.backoff
         injector = self._injector
         seed = self.faults.seed if self.faults is not None else 0
         registry = obs_metrics.registry()
-        self._run_counter += 1
-        run_id = self._run_counter
         records = stats.job_records
         failures: Dict[int, JobFailure] = {}
         originals: Dict[int, BaseException] = {}
         fresh: Deque[int] = deque(pending)          # attempt 1 not yet sent
         waiting: List[Tuple[float, int, int]] = []  # heap: (due, slot, attempt)
-        inflight: Dict[int, int] = {}               # slot -> attempt number
-        running: Dict[int, _Running] = {}           # inflight and announced
+        #: slot -> (attempt, worker pid or None, unix time of submission)
+        inflight: Dict[int, Tuple[int, Optional[int], float]] = {}
+        deadlines: Dict[int, float] = {}            # inflight slot -> due
         history: Dict[int, List[JobAttempt]] = {}
         unfinished = len(pending)
-        capacity = transport.capacity or unfinished
+        capacity = transport.capacity
 
         def key_of(slot: int) -> str:
             if keys[slot] is None:
                 keys[slot] = jobs[slot].cache_key(self.salt)
             return keys[slot]
 
-        submit, wait, starts = transport.submit, transport.wait, transport.starts
+        submit, wait = transport.submit, transport.wait
         now = transport.now()
         while unfinished:
-            # 1. Submit: retries whose backoff elapsed, then fresh slots.
+            # 1. Submit: retries whose backoff elapsed, then fresh slots.  A
+            #    slot waits here, off the clock, until a worker is free — so
+            #    the deadline is armed at submission, where a pid is named.
             while len(inflight) < capacity:
                 if waiting and waiting[0][0] <= now:
                     _, slot, attempt = heapq.heappop(waiting)
@@ -759,111 +720,87 @@ class SweepExecutor:
                     slot, attempt = fresh.popleft(), 1
                 else:
                     break
-                inflight[slot] = attempt
-                submit(run_id, slot, attempt, jobs[slot], keys[slot])
+                pid = submit(slot, attempt, jobs[slot], keys[slot])
+                inflight[slot] = (attempt, pid, time.time())
+                if timeout is not None and pid is not None:
+                    deadlines[slot] = transport.now() + timeout
 
-            # 2. Block until a completion lands or something falls due.
+            # 2. Block until a completion lands (a dead worker's attempt
+            #    lands as a crash) or something falls due.
             due = waiting[0][0] if waiting else None
-            for state in running.values():
-                if state.due is not None and (due is None or state.due < due):
-                    due = state.due
+            for deadline in deadlines.values():
+                if due is None or deadline < due:
+                    due = deadline
             completion = wait(None if due is None else max(due - now, 0.0))
             now = transport.now()
 
-            # 3. Start announcements: learn attempt → pid, and arm the
-            #    deadline only now that the attempt actually runs.
-            for msg_run, slot, attempt, pid in starts():
-                if msg_run != run_id:
-                    continue  # stale message from an aborted earlier run
-                if inflight.get(slot) == attempt:
-                    running[slot] = _Running(
-                        attempt, pid, time.time(),
-                        now + timeout if timeout is not None else None)
+            # 3. Every deadline that has passed abandons its attempt: what
+            #    already sits in its pipe wins, otherwise the worker is
+            #    killed and the attempt lands as a timeout.
+            landed = [] if completion is None else [completion]
+            if deadlines:
+                if completion is not None:
+                    deadlines.pop(completion[0], None)
+                for slot in [s for s, due in deadlines.items() if due <= now]:
+                    del deadlines[slot]
+                    landed.append(transport.abandon(slot) or (
+                        slot, {"ok": False, "outcome": "timeout"}, None, None))
 
-            # 4. A dead pid or passed deadline *condemns* an attempt.  Once
-            #    the grace window has passed with the completion queue empty
-            #    (see _LATE_RESULT_GRACE_SECONDS) its loss becomes this
-            #    iteration's completion, and a wedged worker is killed so
-            #    the pool can respawn a fresh one.
-            if running:
-                live = transport.live_pids()
-                for slot, state in running.items():
-                    if state.lost is None:
-                        if state.pid not in live:
-                            state.lost = "worker_crash"
-                        elif state.due is not None and now >= state.due:
-                            state.lost = "timeout"
-                        else:
-                            continue
-                        state.due = now + _LATE_RESULT_GRACE_SECONDS
-                    elif completion is None and now >= state.due:
-                        transport.forget(slot)
-                        if state.lost == "timeout" and state.pid in live:
-                            transport.kill(state.pid)
-                        completion = (slot, state.attempt,
-                                      {"ok": False, "outcome": state.lost},
-                                      None, None)
-
-            # 5. Land the completed attempt, or record why it failed.
-            if completion is None:
-                continue
-            slot, attempt, outcome, meta, snapshot = completion
-            if inflight.get(slot) != attempt:
-                continue
-            del inflight[slot]
-            state = running.pop(slot, None) if running else None
-            if snapshot is not None:
-                registry.merge(snapshot)
-            if outcome["ok"]:
-                unfinished -= 1
+            # 4. Land each completed attempt, or record why it failed.
+            for slot, outcome, meta, snapshot in landed:
+                attempt, pid, begun = inflight.pop(slot)
+                if snapshot is not None:
+                    registry.merge(snapshot)
+                if outcome["ok"]:
+                    unfinished -= 1
+                    records.append(meta)
+                    commit(slot, outcome["value"])
+                    if tracker is not None:
+                        tracker.job_done(meta["label"])
+                    continue
+                tag = outcome["outcome"]
+                if meta is None:  # no worker lived to time this attempt
+                    meta = {"label": jobs[slot].label, "pid": pid,
+                            "start_unix": begun,
+                            "wall_seconds": max(time.time() - begun, 0.0),
+                            "queue_wait_seconds": 0.0,
+                            "attempt": attempt, "outcome": tag}
                 records.append(meta)
-                commit(slot, outcome["value"])
-                if tracker is not None:
-                    tracker.job_done(meta["label"])
-                continue
-            tag = outcome["outcome"]
-            if meta is None:  # no worker lived to time this attempt
-                begun = state.started_unix if state else time.time()
-                meta = {"label": jobs[slot].label,
-                        "pid": state.pid if state else None,
-                        "start_unix": begun,
-                        "wall_seconds": max(time.time() - begun, 0.0),
-                        "queue_wait_seconds": 0.0,
-                        "attempt": attempt, "outcome": tag}
-            records.append(meta)
-            if tag == "worker_crash":
-                stats.worker_crashes += 1
-                rec = crash_attempt(attempt, injected=(
-                    injector is not None
-                    and injector.should("worker_crash", key_of(slot), attempt)))
-            elif tag == "timeout":
-                stats.timeouts += 1
-                rec = timeout_attempt(attempt, timeout, injected=(
-                    injector is not None
-                    and injector.should("job_hang", key_of(slot), attempt)))
-            else:
-                rec = JobAttempt(
-                    attempt=attempt, outcome="error", error=outcome["error"],
-                    error_type=outcome["error_type"],
-                    traceback=outcome["traceback"],
-                    injected=outcome["injected"])
-                if outcome["exception"] is not None:
-                    originals[slot] = outcome["exception"]
-            attempts = history.setdefault(slot, [])
-            if attempt <= retries:  # budget left: seeded backoff, resubmit
-                delay = retry_backoff(key_of(slot), attempt, backoff, seed)
-                attempts.append(dataclasses.replace(rec,
-                                                    backoff_seconds=delay))
-                stats.retries += 1
-                heapq.heappush(waiting, (now + delay, slot, attempt + 1))
-            else:                   # exhausted: the failure takes the slot
-                attempts.append(rec)
-                unfinished -= 1
-                failures[slot] = JobFailure(
-                    key=key_of(slot), label=jobs[slot].label,
-                    attempts=tuple(attempts))
-                if tracker is not None:
-                    tracker.job_done(jobs[slot].label)
+                if tag == "worker_crash":
+                    stats.worker_crashes += 1
+                    rec = crash_attempt(attempt, injected=(
+                        injector is not None and injector.should(
+                            "worker_crash", key_of(slot), attempt)))
+                elif tag == "timeout":
+                    stats.timeouts += 1
+                    rec = timeout_attempt(attempt, timeout, injected=(
+                        injector is not None and injector.should(
+                            "job_hang", key_of(slot), attempt)))
+                else:
+                    rec = JobAttempt(
+                        attempt=attempt, outcome="error",
+                        error=outcome["error"],
+                        error_type=outcome["error_type"],
+                        traceback=outcome["traceback"],
+                        injected=outcome["injected"])
+                    if outcome["exception"] is not None:
+                        originals[slot] = outcome["exception"]
+                attempts = history.setdefault(slot, [])
+                if attempt <= retries:  # budget left: seeded backoff, resubmit
+                    delay = retry_backoff(key_of(slot), attempt, backoff,
+                                          seed)
+                    attempts.append(dataclasses.replace(
+                        rec, backoff_seconds=delay))
+                    stats.retries += 1
+                    heapq.heappush(waiting, (now + delay, slot, attempt + 1))
+                else:                   # exhausted: the failure takes the slot
+                    attempts.append(rec)
+                    unfinished -= 1
+                    failures[slot] = JobFailure(
+                        key=key_of(slot), label=jobs[slot].label,
+                        attempts=tuple(attempts))
+                    if tracker is not None:
+                        tracker.job_done(jobs[slot].label)
         return failures, originals
 
 

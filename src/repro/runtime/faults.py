@@ -21,7 +21,7 @@ Supported kinds:
 ``worker_crash``
     The worker process running the attempt dies (``os._exit`` in pool
     workers; synthesized in-process for serial runs).  Exercises the
-    executor's pid-liveness detection, pool respawn and resubmission path.
+    executor's end-of-file detection, worker replacement and resubmission path.
 ``job_hang``
     The attempt wedges forever (the worker sleeps until killed; synthesized
     as an immediate timeout for serial runs).  Requires ``REPRO_JOB_TIMEOUT``

@@ -6,7 +6,7 @@ the full trace inside every job's kwargs pickles (and re-parses) the same
 timestamps once per cell — for the Fig. 9 grid that is 14 copies of each of
 the eight traces.  The store fixes this: traces are registered once in the
 parent, jobs carry only a tiny :class:`TraceRef`, and workers receive the
-whole store exactly once via the pool initializer
+whole store exactly once, as each worker process starts
 (:func:`install_snapshot`).
 
 Content addressing is preserved: a :class:`TraceRef` carries the
@@ -68,8 +68,8 @@ def get_trace(key: str) -> Any:
     except KeyError:
         raise KeyError(
             f"trace {key!r} is not in this process's trace store; workers "
-            "receive the store via the pool initializer — register traces "
-            "before creating the pool, or run the sweep through "
+            "receive the store as they start — register traces before "
+            "starting workers, or run the sweep through "
             "SweepExecutor so the snapshot is installed for you") from None
 
 
@@ -87,7 +87,7 @@ def snapshot_for(keys: Iterable[str]) -> Dict[str, Any]:
 
 
 def install_snapshot(snapshot: Dict[str, Any]) -> None:
-    """Merge a snapshot into this process's store (pool initializer)."""
+    """Merge a snapshot into this process's store (a worker's first act)."""
     _STORE.update(snapshot)
 
 

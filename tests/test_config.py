@@ -313,6 +313,18 @@ def test_only_the_config_module_reads_the_environment():
     assert sites["repro/config.py"] <= 2
 
 
+def test_the_executor_owns_its_workers():
+    """``multiprocessing.Pool`` hides which process runs which attempt and
+    whether it is alive; the side channels and private attributes that
+    reconstructed both must not come back."""
+    banned = re.compile(
+        r"multiprocessing\.Pool|SimpleQueue|\._pool\._|\._cache\b")
+    sites = {path.relative_to(SRC).as_posix(): hits
+             for path in sorted(SRC.rglob("*.py"))
+             if (hits := banned.findall(path.read_text()))}
+    assert not sites
+
+
 def test_every_knob_named_in_src_is_a_field_of_the_table():
     declared = {knob.metadata["env"] for knob in KNOBS.values()}
     strays = {}

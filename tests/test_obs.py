@@ -2,7 +2,8 @@
 
 Pins the contracts ``src/repro/obs`` is built on:
 
-* disabled mode hands out shared no-op instruments and records nothing;
+* nothing holds an instrument handle: counts are published once per run,
+  under whatever ``enabled()`` says at that moment;
 * instruments merge exactly and order-independently, so serial and parallel
   sweeps produce identical merged counter totals;
 * simulation results are bit-identical with telemetry on and off (and with
@@ -23,8 +24,7 @@ import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import MANIFEST_SCHEMA, provenance
-from repro.obs.metrics import (NULL_COUNTER, NULL_GAUGE, NULL_TIMER,
-                               MetricsRegistry, TimerHist)
+from repro.obs.metrics import MetricsRegistry, TimerHist
 from repro.obs.progress import ProgressTracker
 from repro.obs.trace import (EventTraceRecorder, sweep_trace_events,
                              write_chrome_trace)
@@ -44,30 +44,16 @@ def _clean_registry():
 
 
 # ---------------------------------------------------------------------------
-# Registry: enabled vs disabled
+# Registry
 # ---------------------------------------------------------------------------
-def test_disabled_handles_are_noop_singletons():
-    with obs_metrics.override(False):
-        assert obs_metrics.counter("x") is NULL_COUNTER
-        assert obs_metrics.gauge("x") is NULL_GAUGE
-        assert obs_metrics.timer("x") is NULL_TIMER
-        obs_metrics.counter("x").inc(5)
-        obs_metrics.gauge("x").set(3.0)
-        obs_metrics.timer("x").observe_ns(100)
-        with obs_metrics.timer("x").time():
-            pass
-    snap = obs_metrics.registry().snapshot()
-    assert snap == {"counters": {}, "gauges": {}, "timers": {}}
-
-
 def test_enabled_handles_record():
-    with obs_metrics.override(True):
-        obs_metrics.counter("a").inc()
-        obs_metrics.counter("a").inc(2)
-        obs_metrics.gauge("g").set(7)
-        with obs_metrics.timer("t").time():
-            pass
-    snap = obs_metrics.registry().snapshot()
+    registry = obs_metrics.registry()
+    registry.counter("a").inc()
+    registry.counter("a").inc(2)
+    registry.gauge("g").set(7)
+    with registry.timer("t").time():
+        pass
+    snap = registry.snapshot()
     assert snap["counters"] == {"a": 3}
     assert snap["gauges"] == {"g": 7}
     assert snap["timers"]["t"]["count"] == 1
@@ -200,20 +186,28 @@ def _small_spec():
                      seeds=(0, 1), duration=1.0)
 
 
-def test_worker_merge_back_matches_serial(monkeypatch):
-    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+def test_worker_merge_back_matches_serial(tmp_path, monkeypatch):
     spec = _small_spec()
 
-    obs_metrics.registry().reset()
-    serial = spec.run_cells(SweepExecutor(jobs=1))
-    serial_counters = _scenario_counters(obs_metrics.registry().snapshot())
+    def counters_of(jobs, cache_dir):
+        """Cold run then cached replay; the executor (and its cache) is
+        built with telemetry *off* — only the runs happen under it."""
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        obs_metrics.registry().reset()
+        cells = spec.run_cells(executor)
+        assert spec.run_cells(executor) == cells
+        return cells, _scenario_counters(obs_metrics.registry().snapshot())
 
-    obs_metrics.registry().reset()
-    parallel = spec.run_cells(SweepExecutor(jobs=2))
-    parallel_counters = _scenario_counters(obs_metrics.registry().snapshot())
+    serial, serial_counters = counters_of(1, tmp_path / "serial")
+    parallel, parallel_counters = counters_of(2, tmp_path / "parallel")
 
     assert serial_counters == parallel_counters
     assert serial_counters["scenario.runs"] == 4
+    assert serial_counters["cache.misses"] == 4      # the cold scan
+    assert serial_counters["cache.writes"] == 4
+    assert serial_counters["cache.hits"] == 4        # the replay
     for (cell_s, res_s), (cell_p, res_p) in zip(serial, parallel):
         assert cell_s == cell_p
         assert res_s.throughput_bps == res_p.throughput_bps

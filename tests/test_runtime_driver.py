@@ -1,14 +1,15 @@
 """The executor's attempt state machine on a fake clock — no forks, no sleeps.
 
-``SweepExecutor._drive`` reaches the clock, the wait, pid liveness and the
-kill primitive only through its transport, so these tests hand it a
-*scripted* one: every ``(slot, attempt)`` names the events that follow its
-submission (a start announcement, a completion, a worker death) and the
-clock jumps straight to whichever comes first — the next scripted event or
-the moment the driver asked to be woken.  Each case runs in milliseconds.
+``SweepExecutor._drive`` reaches the clock, the wait and every worker
+process only through its transport (``capacity`` / ``now`` / ``submit → pid``
+/ ``wait`` / ``abandon``), so these tests hand it a *scripted* one: every
+``(slot, attempt)`` names what its worker will do and how long after
+submission (complete, raise, die — or nothing: it wedges), and the clock
+jumps straight to whichever comes first — the next scripted event or the
+moment the driver asked to be woken.  Each case runs in milliseconds.
 
-The fork-and-kill tests in ``test_runtime_faults.py`` stay as the bridge
-between this script and a real pool.
+The real-process tests in ``test_runtime_faults.py`` stay as the bridge
+between this script and the pipes.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ import pytest
 
 from repro.runtime import (JobFailureError, SweepExecutor, SweepJob,
                            is_failure, retry_backoff)
-from repro.runtime import executor as executor_module
 from repro.runtime.faults import crash_attempt, timeout_attempt
-
-GRACE = executor_module._LATE_RESULT_GRACE_SECONDS
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +30,7 @@ def _no_processes_no_sleeps(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the driver tests must not fork or sleep")
 
-    monkeypatch.setattr(multiprocessing, "Pool", forbidden)
+    monkeypatch.setattr(multiprocessing, "Process", forbidden)
     monkeypatch.setattr(time, "sleep", forbidden)
 
 
@@ -46,195 +44,181 @@ def _jobs(n: int):
 
 
 def ok(value):
-    return ("done", {"ok": True, "value": value})
+    return {"ok": True, "value": value}
 
 
 def error(message: str = "boom"):
-    return ("done", {"ok": False, "outcome": "error", "error": message,
-                     "error_type": "ValueError", "traceback": f"tb {message}",
-                     "exception": ValueError(message), "injected": False})
+    return {"ok": False, "outcome": "error", "error": message,
+            "error_type": "ValueError", "traceback": f"tb {message}",
+            "exception": ValueError(message), "injected": False}
 
 
-def start(pid: int, run_offset: int = 0):
-    return ("start", (pid, run_offset))
-
-
-def die(pid: int):
-    return ("die", pid)
+#: The worker dies: end of file on its pipe, no completion in it.
+DIES = {"ok": False, "outcome": "worker_crash"}
 
 
 class ScriptedTransport:
     """A transport whose every event is written down in advance.
 
-    ``script[(slot, attempt)]`` is a list of ``(seconds after submission,
-    event)``; attempts without an entry never announce and never finish.
+    ``script[(slot, attempt)]`` is ``(seconds after submission, outcome)``;
+    an attempt without an entry wedges until it is abandoned.  Every
+    submission runs on a fresh pid, 100 + its position in ``submitted``.
     """
 
-    capacity = None
-
-    def __init__(self, script):
+    def __init__(self, script, capacity):
         self.script = script
+        self.capacity = capacity
         self.clock = 0.0
         self.submitted = []           # (clock, slot, attempt)
+        self.abandoned = []           # (clock, slot)
         self.killed = []              # (clock, pid)
-        self.forgotten = []           # (clock, slot)
-        self._events = []             # heap of (at, seq, event, slot, attempt)
-        self._announced = []
-        self._pids = set()
-        self._dead = set()
-        self._run_id = None
+        self._pipes = []              # heap: (readable at, seq, slot, outcome)
+        self._busy = {}               # slot -> (pid, attempt)
 
     def now(self):
         return self.clock
 
-    def submit(self, run_id, slot, attempt, job, job_key):
-        self._run_id = run_id
+    def submit(self, slot, attempt, job, job_key):
+        assert len(self._busy) < self.capacity, "no idle worker"
+        pid = 100 + len(self.submitted)
         self.submitted.append((self.clock, slot, attempt))
-        for delay, event in self.script.get((slot, attempt), ()):
-            heapq.heappush(self._events, (self.clock + delay,
-                                          len(self._events), event, slot,
-                                          attempt))
+        self._busy[slot] = (pid, attempt)
+        if (slot, attempt) in self.script:
+            delay, outcome = self.script[(slot, attempt)]
+            heapq.heappush(self._pipes, (self.clock + delay,
+                                         len(self.submitted), slot, outcome))
+        return pid
+
+    def _read(self, slot, outcome):
+        pid, attempt = self._busy.pop(slot)
+        if outcome is DIES:
+            return slot, outcome, None, None
+        meta = {"label": f"j{slot}", "pid": pid, "start_unix": 0.0,
+                "wall_seconds": 0.0, "queue_wait_seconds": 0.0,
+                "attempt": attempt,
+                "outcome": "ok" if outcome["ok"] else "error"}
+        return slot, outcome, meta, None
 
     def wait(self, timeout):
         wake = None if timeout is None else self.clock + timeout
-        if not self._events or (wake is not None
-                                and self._events[0][0] > wake):
+        if not self._pipes or (wake is not None
+                               and self._pipes[0][0] > wake):
             assert wake is not None, "the driver would block forever"
             self.clock = wake
             return None
-        at, _, (kind, payload), slot, attempt = heapq.heappop(self._events)
+        at, _, slot, outcome = heapq.heappop(self._pipes)
         self.clock = max(self.clock, at)
-        if kind == "done":
-            meta = {"label": f"j{slot}", "pid": 1, "start_unix": 0.0,
-                    "wall_seconds": 0.0, "queue_wait_seconds": 0.0,
-                    "attempt": attempt,
-                    "outcome": "ok" if payload["ok"] else "error"}
-            return slot, attempt, payload, meta, None
-        if kind == "start":
-            pid, run_offset = payload
-            self._pids.add(pid)
-            self._announced.append((self._run_id + run_offset, slot, attempt,
-                                    pid))
-        else:
-            self._dead.add(payload)
+        return self._read(slot, outcome)
+
+    def abandon(self, slot):
+        self.abandoned.append((self.clock, slot))
+        mine = [entry for entry in self._pipes if entry[2] == slot]
+        self._pipes = [entry for entry in self._pipes if entry[2] != slot]
+        heapq.heapify(self._pipes)
+        if mine and mine[0][0] <= self.clock:    # already in the pipe
+            return self._read(slot, mine[0][3])
+        self.killed.append((self.clock, self._busy.pop(slot)[0]))
         return None
 
-    def starts(self):
-        announced, self._announced = self._announced, []
-        return announced
 
-    def live_pids(self):
-        return self._pids - self._dead
-
-    def kill(self, pid):
-        self.killed.append((self.clock, pid))
-
-    def forget(self, slot):
-        self.forgotten.append((self.clock, slot))
-
-
-def _run(script, n_jobs=1, policy="salvage", **knobs):
-    """Drive ``n_jobs`` scripted cells; returns (results, executor, transport)."""
+def _run(script, n_jobs=1, policy="salvage", capacity=2, **knobs):
+    """Drive ``n_jobs`` scripted cells: (results, executor, transport)."""
     executor = SweepExecutor(jobs=2, progress=False, faults=False,
                              journal=False, failure_policy=policy, **knobs)
-    transport = ScriptedTransport(script)
+    transport = ScriptedTransport(script, capacity)
     executor._transport = lambda pending: (transport, False)
     return executor.run(_jobs(n_jobs)), executor, transport
 
 
 # ------------------------------------------------------------- deadlines
-def test_deadline_is_armed_on_announcement_not_submission():
-    # Five seconds in the pool's queue against a one-second timeout: queue
-    # wait never counts, so cell 0 completes.  Cell 1 announces at t=5 and
-    # wedges: condemned at start + timeout, finalised one grace later.
-    results, executor, transport = _run({
-        (0, 1): [(5.0, start(11)), (5.5, ok("late but fine"))],
-        (1, 1): [(5.0, start(12))],
-    }, n_jobs=2, timeout=1.0)
-    assert results[0] == "late but fine"
-    assert is_failure(results[1]) and results[1].outcome == "timeout"
-    assert transport.forgotten == [(5.0 + 1.0 + GRACE, 1)]
-    assert executor.last_stats.timeouts == 1
-
-
 def test_timeout_is_finalised_with_the_canonical_record_and_one_kill():
-    results, executor, transport = _run({(0, 1): [(0.1, start(12))]},
-                                        timeout=2.0)
+    results, executor, transport = _run({}, timeout=2.0)      # it wedges
     (failure,) = results
     assert failure.attempts == (timeout_attempt(1, 2.0, injected=False),)
-    assert transport.killed == [(0.1 + 2.0 + GRACE, 12)]   # once, at the end
+    assert transport.abandoned == [(2.0, 0)]     # once, at the deadline
+    assert transport.killed == [(2.0, 100)]
     assert executor.last_stats.timeouts == 1
     assert executor.last_stats.worker_crashes == 0
     (record,) = executor.last_stats.job_records
-    assert (record["pid"], record["outcome"]) == (12, "timeout")
+    assert (record["pid"], record["outcome"]) == (100, "timeout")
 
 
-def test_timed_out_attempt_whose_worker_died_is_not_killed():
-    # The pid dies inside the grace window: still a timeout, nothing to kill.
-    results, _, transport = _run(
-        {(0, 1): [(0.1, start(12)), (2.5, die(12))]}, timeout=2.0)
-    assert results[0].outcome == "timeout"
+def test_completion_already_in_the_pipe_beats_the_deadline():
+    # Both cells finish at t=1.0, which is also their deadline.  The wake-up
+    # reads cell 0; cell 1's deadline has passed by then, but its completion
+    # already sits in its pipe: abandon returns it, nothing is killed.
+    results, executor, transport = _run({
+        (0, 1): (1.0, ok("first read")),
+        (1, 1): (1.0, ok("in the pipe")),
+    }, n_jobs=2, timeout=1.0)
+    assert results == ["first read", "in the pipe"]
+    assert transport.abandoned == [(1.0, 1)]
     assert transport.killed == []
+    assert executor.last_stats.timeouts == 0
+    assert executor.last_stats.failed_jobs == 0
+
+
+def test_deadline_runs_from_each_cells_own_submission():
+    # Three cells on two workers, one-second timeout.  Cell 2 waits in the
+    # parent — off the clock — until cell 1 frees a worker at t=0.5, then
+    # runs 0.8 s: it ends 1.3 s after run() began and is fine.
+    script = {(0, 1): (0.9, ok("a")), (1, 1): (0.5, ok("b")),
+              (2, 1): (0.8, ok("late in the run, on time for itself"))}
+    results, executor, transport = _run(script, n_jobs=3, timeout=1.0)
+    assert results[2] == "late in the run, on time for itself"
+    assert transport.submitted[2] == (0.5, 2, 1)
+    assert transport.abandoned == []
+
+    # The same cell wedged: abandoned at *its* submission + timeout.
+    del script[(2, 1)]
+    results, executor, transport = _run(script, n_jobs=3, timeout=1.0)
+    assert results[:2] == ["a", "b"] and results[2].outcome == "timeout"
+    assert transport.abandoned == [(0.5 + 1.0, 2)]
+    assert transport.killed == [(1.5, 102)]
+
+
+def test_two_deadlines_expiring_in_one_wake_up_are_both_landed():
+    results, executor, transport = _run({}, n_jobs=2, timeout=1.0)
+    assert [r.outcome for r in results] == ["timeout", "timeout"]
+    assert transport.abandoned == [(1.0, 0), (1.0, 1)]
+    assert transport.killed == [(1.0, 100), (1.0, 101)]
+    assert executor.last_stats.timeouts == 2
 
 
 # --------------------------------------------------------- worker deaths
-def test_result_landing_inside_the_grace_window_wins():
-    # The worker finished cell 0, wrote its result to the pipe and died on
-    # its next task before the parent read the result: dead pid, live result.
-    results, executor, transport = _run({
-        (0, 1): [(0.1, start(11)), (0.2, die(11)),
-                 (0.2 + GRACE / 2, ok("rescued"))]})
-    assert results == ["rescued"]
-    assert executor.last_stats.worker_crashes == 0
-    assert executor.last_stats.failed_jobs == 0
-    assert transport.forgotten == [] and transport.killed == []
-
-
-def test_result_queued_behind_another_completion_still_wins():
-    # The grace window expires on the very wake-up that delivers cell 0, and
-    # cell 1's result already sits in the completion queue behind it: an
-    # attempt is finalised only when the queue was empty.
-    late = 0.2 + GRACE
-    results, executor, transport = _run({
-        (0, 1): [(late, ok("first in the queue"))],
-        (1, 1): [(0.1, start(11)), (0.2, die(11)), (late, ok("rescued"))],
-    }, n_jobs=2)
-    assert results == ["first in the queue", "rescued"]
-    assert executor.last_stats.worker_crashes == 0
-    assert transport.forgotten == []
-
-
-def test_dead_worker_is_finalised_as_a_crash_after_the_grace_window():
-    results, executor, transport = _run(
-        {(0, 1): [(0.1, start(11)), (0.2, die(11))]})
+def test_dead_worker_is_landed_as_a_crash_with_the_canonical_record():
+    results, executor, transport = _run({(0, 1): (0.2, DIES)})
     (failure,) = results
     assert failure.attempts == (crash_attempt(1, injected=False),)
-    assert transport.forgotten == [(0.2 + GRACE, 0)]
-    assert transport.killed == []             # nothing left to kill
+    assert transport.abandoned == []          # nothing left to kill
     assert executor.last_stats.worker_crashes == 1
+    (record,) = executor.last_stats.job_records
+    assert (record["pid"], record["outcome"]) == (100, "worker_crash")
 
     with pytest.raises(JobFailureError) as excinfo:
-        _run({(0, 1): [(0.1, start(11)), (0.2, die(11))]}, policy="strict")
+        _run({(0, 1): (0.2, DIES)}, policy="strict")
     assert excinfo.value.failure.outcome == "worker_crash"
 
 
-def test_start_message_from_another_run_is_ignored():
-    # A stale announcement (aborted earlier run on the same start queue)
-    # names this slot and a pid that is long dead.  Believing it would
-    # condemn a healthy attempt as crashed.
+def test_crash_lands_in_the_wake_up_that_saw_it():
+    # With no backoff the retry goes out at the instant of the death: the
+    # expected clock has no polling or grace term in it, timeout or not.
     results, executor, transport = _run({
-        (0, 1): [(0.1, start(99, run_offset=-1)), (0.1, die(99)),
-                 (0.1 + 3 * GRACE, ok("healthy"))]}, timeout=60.0)
-    assert results == ["healthy"]
-    assert executor.last_stats.worker_crashes == 0
-    assert transport.forgotten == []
+        (0, 1): (0.2, DIES), (0, 2): (0.3, ok("second worker"))},
+        retries=1, backoff=0.0, timeout=60.0)
+    assert results == ["second worker"]
+    assert transport.submitted == [(0.0, 0, 1), (0.2, 0, 2)]
+    assert transport.clock == 0.5
+    assert transport.abandoned == []
+    assert (executor.last_stats.worker_crashes,
+            executor.last_stats.retries) == (1, 1)
 
 
 # ---------------------------------------------------------------- retries
 def test_retry_is_resubmitted_only_after_its_seeded_backoff():
     results, executor, transport = _run({
-        (0, 1): [(0.25, error())],
-        (0, 2): [(0.25, ok("second time lucky"))],
+        (0, 1): (0.25, error()),
+        (0, 2): (0.25, ok("second time lucky")),
     }, retries=1, backoff=0.5)
     key = _jobs(1)[0].cache_key(executor.salt)
     delay = retry_backoff(key, 1, 0.5, seed=0)
@@ -249,10 +233,10 @@ def test_retry_is_resubmitted_only_after_its_seeded_backoff():
 
 def test_exhausted_budget_leaves_the_full_history_in_slot():
     script = {
-        (0, 1): [(0.1, ok("fine"))],
-        (1, 1): [(0.1, error("first"))],
-        (1, 2): [(0.1, start(11)), (0.2, die(11))],
-        (1, 3): [(0.1, error("last"))],
+        (0, 1): (0.1, ok("fine")),
+        (1, 1): (0.1, error("first")),
+        (1, 2): (0.2, DIES),
+        (1, 3): (0.1, error("last")),
     }
     results, executor, _ = _run(script, n_jobs=2, retries=2, backoff=0.5)
     key = _jobs(2)[1].cache_key(executor.salt)

@@ -11,6 +11,7 @@ uninterrupted run.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import signal
@@ -116,7 +117,7 @@ def test_retry_backoff_is_deterministic_and_bounded():
 # ------------------------------------------------------- chaos determinism
 def test_chaos_byte_identical_serial_vs_parallel():
     """The acceptance pin: same seed + spec => byte-identical records."""
-    kwargs = dict(faults=CHAOS, retries=2, backoff=0.0, timeout=5.0,
+    kwargs = dict(faults=CHAOS, retries=2, backoff=0.0, timeout=1.0,
                   failure_policy="salvage")
     serial = SweepExecutor(jobs=1, **kwargs).run(_jobs())
     serial_again = SweepExecutor(jobs=1, **kwargs).run(_jobs())
@@ -197,7 +198,7 @@ def test_injected_hang_times_out_serial_and_parallel_identically():
 
 
 def test_worker_crash_detected_and_resubmitted():
-    """A crash on attempt 1 only: the pool respawns the worker and the
+    """A crash on attempt 1 only: the worker is replaced and the
     resubmitted attempt completes the sweep."""
     executor = SweepExecutor(jobs=2, faults="worker_crash:0.3,seed:11",
                              retries=2, backoff=0.0, timeout=10.0)
@@ -206,6 +207,74 @@ def test_worker_crash_detected_and_resubmitted():
     assert executor.last_stats.worker_crashes > 0
     assert executor.last_stats.retries > 0
     assert executor.last_stats.failed_jobs == 0
+
+
+def test_error_on_a_replacement_worker_matches_the_serial_traceback():
+    """A replacement must not be forked inside the handler that saw its
+    predecessor's end of file: it would inherit that exception as context
+    and chain every traceback it later captures to it."""
+    (job,) = _jobs(1)
+    key = job.cache_key(SweepExecutor(jobs=1).salt)
+
+    def crash_then_error(seed: int) -> bool:
+        injector = FaultInjector(FaultSpec.parse(
+            f"worker_crash:0.5,job_error:0.5,seed:{seed}"))
+        return (injector.should("worker_crash", key, 1)
+                and not injector.should("worker_crash", key, 2)
+                and injector.should("job_error", key, 2))
+
+    seed = next(seed for seed in range(1000) if crash_then_error(seed))
+    kwargs = dict(faults=f"worker_crash:0.5,job_error:0.5,seed:{seed}",
+                  retries=1, backoff=0.0, timeout=10.0,
+                  failure_policy="salvage")
+    (serial,) = SweepExecutor(jobs=1, **kwargs).run([job])
+    # One cell with a deadline to enforce: a pool of one worker, so only
+    # the crashed worker's replacement can have run attempt 2.
+    (parallel,) = SweepExecutor(jobs=2, **kwargs).run([job])
+    assert [a.outcome for a in parallel.attempts] == ["worker_crash", "error"]
+    assert "FaultInjectionError" in parallel.last.traceback
+    assert "During handling" not in parallel.last.traceback
+    assert parallel.last.traceback == serial.last.traceback
+    assert _canonical_run([serial]) == _canonical_run([parallel])
+
+
+def test_worker_killed_between_runs_is_replaced_without_charge():
+    """A persistent executor's worker that died *idle* is not an attempt's
+    fault: the next run replaces it at submission and charges nothing."""
+    with SweepExecutor(jobs=2, retries=0) as executor:
+        assert executor.run(_jobs(4)) == [0, 2, 4, 6]
+        victim = executor.last_stats.job_records[0]["pid"]
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while victim in [p.pid for p in multiprocessing.active_children()]:
+            assert time.monotonic() < deadline, "the worker did not die"
+            time.sleep(0.01)
+        assert executor.run(_jobs(6)) == [0, 2, 4, 6, 8, 10]
+        stats = executor.last_stats
+        assert stats.pool_reused
+        assert (stats.worker_crashes, stats.retries, stats.failed_jobs) == (
+            0, 0, 0)
+        assert victim not in {r["pid"] for r in stats.job_records}
+        assert len(multiprocessing.active_children()) == 2
+    assert multiprocessing.active_children() == []
+
+
+def _unpicklable(value: int):
+    return lambda: value                 # a local function cannot be pickled
+
+
+def test_unpicklable_result_is_an_error_attempt_not_a_hang():
+    jobs = _jobs(3)
+    jobs[1] = SweepJob(func=_unpicklable, kwargs={"value": 1}, label="bad")
+    executor = SweepExecutor(jobs=2, failure_policy="salvage")
+    results = executor.run(jobs)
+    assert results[0] == 0 and results[2] == 4
+    assert is_failure(results[1]) and results[1].outcome == "error"
+    assert "pickle" in results[1].last.error.lower()
+    assert executor.last_stats.worker_crashes == 0
+    # Nothing survived to re-raise, so strict wraps the record.
+    with pytest.raises(JobFailureError):
+        SweepExecutor(jobs=2).run(jobs)
 
 
 # ------------------------------------------------------ strict vs salvage
@@ -512,21 +581,28 @@ _SIGINT_SCRIPT = textwrap.dedent("""
     from repro.runtime import SweepExecutor, SweepJob
     from tests.test_runtime_faults import _sleepy
 
+    def children():
+        return len(multiprocessing.active_children())
+
     if __name__ == "__main__":
         with SweepExecutor(jobs=2) as executor:
             jobs = [SweepJob(func=_sleepy,
-                             kwargs={{"value": i, "seconds": 60.0}})
-                    for i in range(2)]
+                             kwargs={{"value": i, "seconds": seconds}})
+                    for i in range(2) for seconds in (60.0, 0.0)]
             print("READY", flush=True)
             try:
-                executor.run(jobs)
+                executor.run(jobs[::2])
             except KeyboardInterrupt:
-                # The executor must have torn its pool down already.
-                leftover = multiprocessing.active_children()
-                print(f"ORPHANS {{len(leftover)}}", flush=True)
-                sys.exit(0)
-        print("ORPHANS unreachable", flush=True)
-        sys.exit(1)
+                # The executor must have killed and reaped its workers.
+                print(f"ORPHANS {{children()}}", flush=True)
+            else:
+                print("ORPHANS unreachable", flush=True)
+                sys.exit(1)
+            executor.run(jobs[1::2])     # the next run starts fresh ones
+            print(f"RESTARTED {{children()}}", flush=True)
+        # close() stops idle workers too, although each later one holds a
+        # copy of the parent's end of every earlier worker's pipe.
+        print(f"CLOSED {{children()}}", flush=True)
 """)
 
 
@@ -543,7 +619,7 @@ def test_sigint_leaves_no_orphaned_workers(tmp_path):
                              cwd=repo_root)
     try:
         assert child.stdout.readline().strip() == "READY"
-        time.sleep(1.0)                  # let the pool start its workers
+        time.sleep(0.3)                  # let run() start its workers
         child.send_signal(signal.SIGINT)
         out, _ = child.communicate(timeout=30)
     finally:
@@ -551,7 +627,7 @@ def test_sigint_leaves_no_orphaned_workers(tmp_path):
             child.kill()
             child.communicate()
     assert child.returncode == 0, out
-    assert "ORPHANS 0" in out
+    assert out.split("\n")[:3] == ["ORPHANS 0", "RESTARTED 2", "CLOSED 0"]
 
 
 # ------------------------------------------------ the default executor
@@ -559,7 +635,7 @@ def test_sigint_leaves_no_orphaned_workers(tmp_path):
 # sweep uses must give the same guarantees as the configured one.
 def _fragile(value: int, die: bool = False, fail: bool = False) -> int:
     if die:
-        os._exit(3)                      # an OOM kill, as the pool sees it
+        os._exit(3)                      # an OOM kill, as the parent sees it
     return _double(value, fail=fail)
 
 
