@@ -94,8 +94,9 @@ def print_table(title: str, rows: Iterable[Mapping], columns: Sequence[str]) -> 
 
 
 #: Durations used by the benchmark harnesses.  They are shorter than the
-#: paper's runs so the whole suite completes in minutes; EXPERIMENTS.md
-#: records results from longer runs.
+#: paper's runs so the whole suite completes in minutes.  README.md maps each
+#: figure to its harness; benchmarks/ledger/README.md records the measured
+#: ranges behind the ledger's paper-claim checks.
 BENCH_DURATION = 15.0
 BENCH_SCHEMES = ("abc", "xcp", "xcpw", "cubic+codel", "cubic+pie", "copa",
                  "sprout", "vegas", "verus", "bbr", "pcc", "cubic")

@@ -37,7 +37,7 @@ from repro.simulator.qdisc import FifoQdisc, Qdisc
 class WeightController:
     """Interface for coexistence weight controllers."""
 
-    def record_departure(self, queue: str, flow_id: int, size: int, now: float) -> None:
+    def observe_departure(self, queue: str, flow_id: int, size: int, now: float) -> None:
         """Observe one departing packet."""
 
     def compute_weight(self, now: float, capacity_bps: float) -> float:
@@ -67,7 +67,7 @@ class MaxMinWeightController(WeightController):
         self.last_weight = 0.5
         self.last_allocation: Dict = {}
 
-    def record_departure(self, queue: str, flow_id: int, size: int, now: float) -> None:
+    def observe_departure(self, queue: str, flow_id: int, size: int, now: float) -> None:
         if self._interval_start is None:
             self._interval_start = now
         self._meters[queue].update(flow_id, size)
@@ -134,7 +134,7 @@ class ZombieListWeightController(WeightController):
         self._last_update: Optional[float] = None
         self.last_weight = 0.5
 
-    def record_departure(self, queue: str, flow_id: int, size: int, now: float) -> None:
+    def observe_departure(self, queue: str, flow_id: int, size: int, now: float) -> None:
         self._zombies[queue].observe(flow_id)
 
     def compute_weight(self, now: float, capacity_bps: float) -> float:
@@ -246,7 +246,7 @@ class DualQueueABCQdisc(Qdisc):
         self.backlog_bytes -= packet.size
         self.backlog_packets -= 1
         self._served_bytes[choice] += packet.size
-        self.controller.record_departure(choice, packet.flow_id, packet.size, now)
+        self.controller.observe_departure(choice, packet.flow_id, packet.size, now)
         return packet
 
     def _refresh_weight(self, now: float) -> None:

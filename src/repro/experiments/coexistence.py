@@ -103,18 +103,10 @@ def fig6_cell(duration: float, wired_mbps: float, rtt: float,
 
     # Sample windows and rates while the simulation runs.
     samples: List[tuple] = []
-
-    def _sample() -> None:
-        now = scenario.env.now
-        cc = abc_flow.cc
-        samples.append((now, cc.w_abc, cc.w_nonabc,
-                        wireless_capacity.rate_at(now)))
-        if now + sample_interval <= duration:
-            scenario.env.post(sample_interval, _sample)
-
-    scenario.env.post(0.0, _sample)
+    cc = abc_flow.cc
+    scenario.every(sample_interval, lambda now: samples.append(
+        (now, cc.w_abc, cc.w_nonabc, wireless_capacity.rate_at(now))))
     scenario.run(duration)
-    del _sample  # a self-rescheduling closure is a cycle through its own cell
 
     times = np.array([s[0] for s in samples])
     w_abc = np.array([s[1] for s in samples])

@@ -26,13 +26,6 @@ class OracleComparison:
     abc_delay_p95_ms: float
     pk_delay_p95_ms: float
 
-    @property
-    def delay_reduction(self) -> float:
-        """Fraction of ABC's p95 queuing delay removed by perfect knowledge."""
-        if self.abc_queuing_p95_ms <= 0:
-            return 0.0
-        return 1.0 - self.pk_queuing_p95_ms / self.abc_queuing_p95_ms
-
 
 def pk_abc_comparison(duration: float = 30.0, rtt: float = 0.1, seed: int = 11,
                       trace: Optional[CellularTrace] = None) -> OracleComparison:

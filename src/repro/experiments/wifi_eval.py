@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count, cycle
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -69,20 +70,15 @@ def fig4_inter_ack(mcs_index: int = 5, offered_load_bps: float = 12e6,
                     qdisc=FifoQdisc(buffer_packets=2000))
     scenario.add_custom_link(link, name="wifi")
 
-    burst_sizes = (1, 2, 4, 8, 12, 16, 20, 24, 28, 32)
+    bursts = cycle((1, 2, 4, 8, 12, 16, 20, 24, 28, 32))
+    seqs = count()
     gap = 0.04  # long enough that each burst is transmitted as its own batch
 
-    def offer(count: int, base_seq: int) -> None:
-        for i in range(count):
-            link.send(Packet(flow_id=0, seq=base_seq + i))
+    def offer(now: float) -> None:
+        for _ in range(next(bursts)):
+            link.send(Packet(flow_id=0, seq=next(seqs)))
 
-    t, seq, index = 0.0, 0, 0
-    while t < duration:
-        burst = burst_sizes[index % len(burst_sizes)]
-        scenario.env.schedule_at(t, offer, burst, seq)
-        seq += burst
-        index += 1
-        t += gap
+    scenario.every(gap, offer)
     scenario.run(duration)
 
     sizes = np.array([obs.batch_frames for obs in link.batch_log])

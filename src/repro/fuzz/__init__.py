@@ -7,7 +7,7 @@ Four layers (see ``docs/ARCHITECTURE.md`` § Fuzzing):
 * :mod:`repro.fuzz.generator` — seeded :class:`~repro.fuzz.generator.ScenarioGen`
   samples random-but-valid scenarios and builds runnable simulations.
 * :mod:`repro.fuzz.invariants` — composable checkers run against every
-  finished simulation's monitors and counters.
+  finished simulation's counters, departure records and mid-run samples.
 * :mod:`repro.fuzz.shrink` — greedy delta-debugging minimizer for failing
   scenarios, plus corpus (de)serialization.
 * :mod:`repro.fuzz.campaign` — campaign driver fanning scenarios out through

@@ -18,10 +18,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.fuzz.generator import FuzzScenario, ScenarioGen, build_scenario
-from repro.fuzz.invariants import (CheckContext, CwndProbe, INVARIANT_NAMES,
-                                   Violation, run_invariants,
-                                   scenario_summary)
+from repro.fuzz.generator import FuzzScenario, ScenarioGen
+from repro.fuzz.invariants import (INVARIANT_NAMES, Violation, run_invariants,
+                                   run_scenario, scenario_summary)
 from repro.fuzz.shrink import corpus_entry, save_corpus_entry, shrink_scenario
 from repro.obs.manifest import (build_manifest, provenance, run_dir,
                                 write_manifest)
@@ -38,16 +37,6 @@ from repro.runtime.faults import is_failure
 REPORT_FORMAT = 3
 
 
-def _run_once(fuzz: FuzzScenario):
-    """Build, instrument and run one scenario; returns (ctx, summary)."""
-    built = build_scenario(fuzz)
-    probe = CwndProbe(built)
-    result = built.scenario.run(fuzz.duration)
-    ctx = CheckContext(fuzz=fuzz, built=built, result=result,
-                       cwnd_samples=probe.samples)
-    return ctx, scenario_summary(built)
-
-
 def evaluate_scenario(fuzz: FuzzScenario,
                       check_determinism: bool = True) -> Dict[str, Any]:
     """Run one scenario through the full invariant suite.
@@ -56,10 +45,11 @@ def evaluate_scenario(fuzz: FuzzScenario,
     simulation runs twice from scratch and the two run summaries must be
     equal — the bit-for-bit property every sweep and cache hit relies on.
     """
-    ctx, summary = _run_once(fuzz)
+    ctx = run_scenario(fuzz)
+    summary = scenario_summary(ctx.built)
     violations = run_invariants(ctx)
     if check_determinism:
-        _, replay = _run_once(fuzz)
+        replay = scenario_summary(run_scenario(fuzz).built)
         if replay != summary:
             violations.append(Violation(
                 "determinism",

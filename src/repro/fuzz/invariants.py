@@ -10,8 +10,8 @@ simulator (or checker) bug worth a corpus entry:
     Bits a link delivered never exceed the bits its capacity model offered
     (plus an explicit per-model slack for edge effects).
 ``non-negative``
-    Queue backlogs, counters, congestion windows and delay samples are
-    non-negative and finite.
+    Queue backlogs (sampled mid-run and at the end), counters, congestion
+    windows and delay samples are non-negative and finite.
 ``queuing-delay-bound``
     No delivered packet queued longer than the worst-case FIFO drain time of
     the buffers it crossed.
@@ -31,11 +31,12 @@ campaign layer, which owns running the simulation twice; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.fairness import jain_fairness_index
-from repro.fuzz.generator import NATIVE, BuiltScenario, FuzzScenario
+from repro.fuzz.generator import (NATIVE, BuiltScenario, FuzzScenario,
+                                  build_scenario)
 from repro.simulator.link import (CapacityModel, ConstantRate, OpportunityLink,
                                   RateLink, SquareWaveRate, SteppedRate)
 from repro.simulator.packet import MTU
@@ -48,6 +49,9 @@ FAIRNESS_FLOOR = 0.6
 
 #: Absolute slack for float comparisons on time quantities (seconds).
 TIME_EPS = 1e-6
+
+#: Simulated seconds between two mid-run samples of :func:`run_scenario`.
+SAMPLE_INTERVAL = 0.05
 
 
 @dataclass(frozen=True)
@@ -65,33 +69,33 @@ class CheckContext:
     fuzz: FuzzScenario
     built: BuiltScenario
     result: ScenarioResult
-    cwnd_samples: Optional[Dict[int, List[float]]] = None
+    #: Mid-run samples: ``{flow_id: [cwnd, ...]}`` and
+    #: ``{link name: [backlog packets, ...]}``.
+    cwnd_samples: Dict[int, List[float]] = field(default_factory=dict)
+    backlog_samples: Dict[str, List[int]] = field(default_factory=dict)
 
 
 Checker = Callable[[CheckContext], List[Violation]]
 
 
-class CwndProbe:
-    """Samples every flow's congestion window during the run.
+def run_scenario(fuzz: FuzzScenario) -> CheckContext:
+    """Build and run ``fuzz`` with one probe sampling every flow's window and
+    every link's backlog each :data:`SAMPLE_INTERVAL`; what the checkers read."""
+    built = build_scenario(fuzz)
+    links = built.scenario.links
+    cwnd = {flow.flow_id: [] for flow in built.flows}
+    backlog = {link.name: [] for link in links}
 
-    Install *before* ``scenario.run``; the probe re-schedules itself on the
-    scenario's event loop.  ``samples[flow_id]`` holds the sampled windows.
-    """
+    def probe(now: float) -> None:
+        for flow in built.flows:
+            cwnd[flow.flow_id].append(flow.sender.cc.cwnd())
+        for link in links:
+            backlog[link.name].append(link.qdisc.backlog_packets)
 
-    def __init__(self, built: BuiltScenario, interval: float = 0.05):
-        self.built = built
-        self.interval = interval
-        self.samples: Dict[int, List[float]] = {
-            flow.flow_id: [] for flow in built.flows}
-        self._duration = built.fuzz.duration
-        built.scenario.env.schedule(0.0, self._sample)
-
-    def _sample(self) -> None:
-        for flow in self.built.flows:
-            self.samples[flow.flow_id].append(flow.sender.cc.cwnd())
-        env = self.built.scenario.env
-        if env.now + self.interval <= self._duration:
-            env.schedule(self.interval, self._sample)
+    built.scenario.every(SAMPLE_INTERVAL, probe)
+    result = built.scenario.run(fuzz.duration)
+    return CheckContext(fuzz=fuzz, built=built, result=result,
+                        cwnd_samples=cwnd, backlog_samples=backlog)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,7 @@ def check_link_throughput(ctx: CheckContext) -> List[Violation]:
     out = []
     duration = ctx.fuzz.duration
     for link in ctx.built.scenario.links:
-        delivered = ctx.result.link_monitor(link).delivered_bytes(0.0, duration) * 8.0
+        delivered = link.delivered_bits(0.0, duration)
         offered = link.offered_bits(0.0, duration)
         if isinstance(link, RateLink):
             slack = (_rate_segments(link.capacity, duration) + 4) * MTU * 8.0
@@ -159,8 +163,7 @@ def check_non_negative(ctx: CheckContext) -> List[Violation]:
             out.append(Violation(
                 "non-negative",
                 f"link {link.name!r} has a negative packet counter"))
-        monitor = ctx.result.link_monitor(link)
-        if monitor.queue_sample_backlogs and min(monitor.queue_sample_backlogs) < 0:
+        if min(ctx.backlog_samples.get(link.name, ()), default=0) < 0:
             out.append(Violation(
                 "non-negative",
                 f"link {link.name!r} recorded a negative queue sample"))
@@ -175,7 +178,7 @@ def check_non_negative(ctx: CheckContext) -> List[Violation]:
             out.append(Violation(
                 "non-negative",
                 f"flow {flow.flow_id} recorded a negative queuing delay"))
-        for sample in (ctx.cwnd_samples or {}).get(flow.flow_id, ()):
+        for sample in ctx.cwnd_samples.get(flow.flow_id, ()):
             if not math.isfinite(sample) or sample < 0.0:
                 out.append(Violation(
                     "non-negative",

@@ -8,8 +8,10 @@ JSON that ``chrome://tracing`` (and Perfetto's legacy loader) accepts:
   engine's dispatch loop (:meth:`EventLoop.set_trace_hook`) and records every
   fired event.  Exported events use **simulated time** as the timeline axis
   (µs) and the callback's **wall-clock cost** as the bar length, so a slow
-  callback is literally a long bar; one tracing row (tid) per component class
-  plus per-link queue-depth counter tracks.
+  callback is literally a long bar; one tracing row (tid) per component class,
+  plus per-link queue-depth counter tracks when the caller registers
+  :meth:`EventTraceRecorder.queue_probe` with :meth:`Scenario.every
+  <repro.simulator.scenario.Scenario.every>`.
 * **Sweep worker timeline** — :func:`sweep_trace_events` renders the per-job
   records every :class:`~repro.runtime.executor.SweepExecutor` run
   collects (and a run manifest stores under ``executor.jobs``): one row per
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: Cap on recorded events; beyond it the recorder counts drops instead of
 #: growing without bound (a 30 s metro cell can dispatch tens of millions).
@@ -38,6 +40,7 @@ class EventTraceRecorder:
     Attach before the run, detach (or just export) after::
 
         recorder = EventTraceRecorder(scenario.env)
+        scenario.every(0.05, recorder.queue_probe(scenario.links))
         scenario.run(duration)
         recorder.write_chrome(Path("trace.json"))
     """
@@ -48,6 +51,8 @@ class EventTraceRecorder:
         #: (sim_time_s, wall_ns, callback) triples, in dispatch order.
         self.records: List[tuple] = []
         self.dropped = 0
+        #: Counter-track events (``"ph": "C"``) exported beside the bars.
+        self.counters: List[Dict[str, Any]] = []
         loop.set_trace_hook(self._record)
 
     def _record(self, sim_time: float, callback: Any, wall_ns: int) -> None:
@@ -84,26 +89,22 @@ class EventTraceRecorder:
         events.extend(_thread_names(1, {v: k for k, v in tids.items()}))
         return events
 
-    def queue_counter_events(self, scenario: Any) -> List[Dict[str, Any]]:
-        """Per-link queue-depth counter tracks from the scenario monitors."""
-        events: List[Dict[str, Any]] = []
-        for name, monitor in getattr(scenario, "monitors", {}).items():
-            times = getattr(monitor, "queue_sample_times", ())
-            depths = getattr(monitor, "queue_sample_backlogs", ())
-            for t, depth in zip(times, depths):
-                events.append({
-                    "name": f"queue:{name}", "cat": "queue", "ph": "C",
-                    "ts": t * 1e6, "pid": 1,
-                    "args": {"packets": depth},
-                })
-        return events
+    def queue_probe(self, links: List[Any]) -> Callable[[float], None]:
+        """A ``Scenario.every`` probe adding one ``queue:<link name>``
+        counter sample (backlog in packets) per link to :attr:`counters`."""
+        counters = self.counters
 
-    def write_chrome(self, path: Path,
-                     scenario: Any = None) -> Path:
-        events = self.chrome_events()
-        if scenario is not None:
-            events.extend(self.queue_counter_events(scenario))
-        return write_chrome_trace(path, events,
+        def probe(now: float) -> None:
+            for link in links:
+                counters.append({
+                    "name": f"queue:{link.name}", "cat": "queue", "ph": "C",
+                    "ts": now * 1e6, "pid": 1,
+                    "args": {"packets": link.qdisc.backlog_packets},
+                })
+        return probe
+
+    def write_chrome(self, path: Path) -> Path:
+        return write_chrome_trace(path, self.chrome_events() + self.counters,
                                   metadata={"dropped_events": self.dropped})
 
 

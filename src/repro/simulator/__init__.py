@@ -10,15 +10,15 @@ This subpackage is the substrate every experiment runs on.  It provides:
   trace-driven (Mahimahi-style) delivery opportunities.
 * Endpoints (:mod:`repro.simulator.endpoints`): window- or rate-based senders,
   receivers that echo congestion feedback, and traffic sources.
-* Monitors (:mod:`repro.simulator.monitor`) that record per-packet delay and
-  per-interval throughput.
+* Per-flow statistics (:mod:`repro.simulator.monitor`) that record
+  per-packet delay and per-interval throughput.
 * A high-level :class:`~repro.simulator.scenario.Scenario` builder that wires
   all of the above into the topologies used in the paper's experiments.
 """
 
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import Link, OpportunityLink, RateLink
-from repro.simulator.monitor import FlowStats, LinkMonitor
+from repro.simulator.monitor import FlowStats
 from repro.simulator.packet import ECN, Packet
 from repro.simulator.qdisc import FifoQdisc, Qdisc
 from repro.simulator.scenario import Scenario, ScenarioResult
@@ -32,7 +32,6 @@ __all__ = [
     "Link",
     "RateLink",
     "OpportunityLink",
-    "LinkMonitor",
     "FlowStats",
     "Scenario",
     "ScenarioResult",

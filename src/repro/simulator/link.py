@@ -29,20 +29,20 @@ heap sequence numbers are not:
   it synchronously instead of bouncing through a zero-delay event.  Arrival
   order at every stateful object is unchanged.  The Wi-Fi MAC keeps the
   delivery event (:meth:`Link._deliver`).
+* **A link is its own record.**  Each delivery appends ``(time, bytes)`` to
+  the link's departure lists — the numerator of every utilisation figure —
+  and the delivered totals are read off them, not counted next to them.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
+from typing import Iterable, List, Optional, Protocol, Sequence
 
 from repro.simulator.engine import EventLoop
 from repro.simulator.packet import MTU, Packet
 from repro.simulator.qdisc import FifoQdisc, Qdisc
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.simulator.monitor import LinkMonitor
 
 
 class Node(Protocol):
@@ -187,7 +187,7 @@ class Link:
 
     Subclasses decide *when* packets leave the queue; this class handles the
     shared plumbing (enqueueing, drop accounting, propagation delay, delivery
-    and monitoring hooks).
+    and the departure record).
     """
 
     def __init__(self, env: EventLoop, qdisc: Optional[Qdisc] = None,
@@ -202,9 +202,9 @@ class Link:
         self.prop_delay = prop_delay
         self.name = name
         self.dst = dst
-        self.monitor: Optional["LinkMonitor"] = None
-        self.delivered_bytes = 0
-        self.delivered_packets = 0
+        #: One entry per delivered packet: when it left and its size.
+        self.departure_times: List[float] = []
+        self.departure_bytes: List[int] = []
         self.dropped_packets = 0
         #: Packets handed to :meth:`send` (the per-link conservation law's
         #: left-hand side: arrived == delivered + queue drops + random-loss
@@ -232,8 +232,21 @@ class Link:
                             and getattr(dst, "deliver_inline", False))
             else None)
 
-    def set_monitor(self, monitor: "LinkMonitor") -> None:
-        self.monitor = monitor
+    # ------------------------------------------------------------ record
+    @property
+    def delivered_packets(self) -> int:
+        return len(self.departure_times)
+
+    @property
+    def delivered_bytes(self) -> int:
+        return sum(self.departure_bytes)
+
+    def delivered_bits(self, t0: float, t1: float) -> float:
+        """Bits that left the link over ``[t0, t1]`` (the utilisation
+        numerator; :meth:`offered_bits` is the denominator)."""
+        lo = bisect.bisect_left(self.departure_times, t0)
+        hi = bisect.bisect_right(self.departure_times, t1)
+        return sum(self.departure_bytes[lo:hi]) * 8.0
 
     # ------------------------------------------------------------ data path
     def send(self, packet: Packet) -> None:
@@ -244,15 +257,11 @@ class Link:
             # Independent random loss (lossy-wireless model): the packet
             # vanishes before it ever reaches the queue.
             self.random_loss_packets += 1
-            if self.monitor is not None:
-                self.monitor.record_drop(now, packet)
             return
         if self.qdisc.enqueue(packet, now):
             self._on_enqueue(now)
         else:
             self.dropped_packets += 1
-            if self.monitor is not None:
-                self.monitor.record_drop(now, packet)
 
     # Links can be chained directly (link.dst = another link); the downstream
     # link's ``receive`` is simply its ``send``.
@@ -266,11 +275,8 @@ class Link:
         """Ship a dequeued packet to the downstream node through a delivery
         event after the propagation delay (the Wi-Fi MAC's delivery;
         :class:`RateLink` and :class:`OpportunityLink` inline their own)."""
-        now = self.env._now
-        self.delivered_bytes += packet.size
-        self.delivered_packets += 1
-        if self.monitor is not None:
-            self.monitor.record_departure(now, packet)
+        self.departure_times.append(self.env._now)
+        self.departure_bytes.append(packet.size)
         dst = self.dst
         if dst is not None:
             self.env.post(self.prop_delay, dst.receive, packet)
@@ -345,13 +351,8 @@ class RateLink(Link):
         # transmission start in one frame.
         env = self.env
         now = env._now
-        size = packet.size
-        self.delivered_bytes += size
-        self.delivered_packets += 1
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.departure_times.append(now)
-            monitor.departure_bytes.append(size)
+        self.departure_times.append(now)
+        self.departure_bytes.append(packet.size)
         rx = self._rx_inline
         if rx is not None:
             rx(packet)
@@ -444,7 +445,8 @@ class OpportunityLink(Link):
         qdisc = self.qdisc
         peek = qdisc.peek
         dequeue = qdisc.dequeue
-        monitor = self.monitor
+        departure_times = self.departure_times
+        departure_bytes = self.departure_bytes
         prop_delay = self.prop_delay
         rx = self._rx_inline
         dst = self.dst
@@ -459,17 +461,12 @@ class OpportunityLink(Link):
                 break
             size = packet.size
             budget -= size
-            self.delivered_bytes += size
-            self.delivered_packets += 1
-            if monitor is not None:
-                monitor.departure_times.append(now)
-                monitor.departure_bytes.append(size)
+            departure_times.append(now)
+            departure_bytes.append(size)
             if rx is not None:
                 rx(packet)
             elif dst_receive is not None:
                 post(prop_delay, dst_receive, packet)
-        if monitor is not None:
-            monitor.opportunity_bytes += self.bytes_per_opportunity
         # _opportunity_time inlined (integer divmod, identical expression).
         next_index = self._next_index
         times = self._times

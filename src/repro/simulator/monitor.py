@@ -1,4 +1,4 @@
-"""Measurement hooks: per-flow delivery statistics and per-link monitors.
+"""Per-flow delivery statistics.
 
 The paper reports three families of metrics:
 
@@ -9,12 +9,13 @@ The paper reports three families of metrics:
 * **queuing delay** — the time packets spend in bottleneck queues, plotted as
   time series (Figs. 1, 2, 6, 7, 11, 13, 17).
 
-:class:`FlowStats` captures the first two at the receiver;
-:class:`LinkMonitor` captures link-side time series and the utilisation
-denominator.
+:class:`FlowStats` captures all three per flow at the receiver.  A link's
+delivered bits — the utilisation numerator — are its own departure record
+(:meth:`repro.simulator.link.Link.delivered_bits`), and state that has to be
+read *during* a run is sampled by :meth:`repro.simulator.scenario.Scenario.every`.
 
-Hot-path note: both classes record one sample per delivered packet, so they
-sit directly on the per-packet pipeline.  Samples are appended to flat
+Hot-path note: :class:`FlowStats` records one sample per delivered packet, so
+it sits directly on the per-packet pipeline.  Samples are appended to flat
 parallel lists (one float per field) rather than wrapped in per-sample
 objects; the metric accessors bin and aggregate those lists with vectorised
 numpy.  :class:`DeliveryRecord` remains as a lazily materialised view for
@@ -82,7 +83,6 @@ class FlowStats:
         self.sent_times: List[float] = []
         self.sizes: List[int] = []
         self.queuing_delays: List[float] = []
-        self.completion_time: Optional[float] = None
 
     def record(self, packet: Packet, now: float) -> None:
         self.recv_times.append(now)
@@ -186,66 +186,3 @@ class FlowStats:
             means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
         return centers, means
 
-
-class LinkMonitor:
-    """Records departures, drops, queue occupancy and offered capacity.
-
-    Per-event callbacks are plain list appends; queue samples land in two
-    parallel flat lists (``queue_sample_times`` / ``queue_sample_backlogs``)
-    with ``queue_samples`` kept as a zipped compatibility view.
-    """
-
-    def __init__(self, name: str = "link", sample_interval: float = 0.05):
-        self.name = name
-        self.sample_interval = sample_interval
-        self.departure_times: List[float] = []
-        self.departure_bytes: List[int] = []
-        self.drop_times: List[float] = []
-        self.opportunity_bytes = 0
-        self.queue_sample_times: List[float] = []
-        self.queue_sample_backlogs: List[int] = []
-
-    # ------------------------------------------------------------ callbacks
-    def record_departure(self, now: float, packet: Packet) -> None:
-        self.departure_times.append(now)
-        self.departure_bytes.append(packet.size)
-
-    def record_drop(self, now: float, packet: Packet) -> None:
-        self.drop_times.append(now)
-
-    def record_queue(self, now: float, backlog_packets: int) -> None:
-        self.queue_sample_times.append(now)
-        self.queue_sample_backlogs.append(backlog_packets)
-
-    @property
-    def queue_samples(self) -> List[tuple[float, int]]:
-        """``(time, backlog_packets)`` pairs (compatibility view)."""
-        return list(zip(self.queue_sample_times, self.queue_sample_backlogs))
-
-    # ------------------------------------------------------------ metrics
-    def delivered_bytes(self, t0: float = 0.0, t1: float = math.inf) -> int:
-        lo = bisect.bisect_left(self.departure_times, t0)
-        hi = bisect.bisect_right(self.departure_times, t1)
-        return int(sum(self.departure_bytes[lo:hi]))
-
-    def throughput_bps(self, t0: float, t1: float) -> float:
-        if t1 <= t0:
-            return 0.0
-        return self.delivered_bytes(t0, t1) * 8.0 / (t1 - t0)
-
-    def drops(self, t0: float = 0.0, t1: float = math.inf) -> int:
-        lo = bisect.bisect_left(self.drop_times, t0)
-        hi = bisect.bisect_right(self.drop_times, t1)
-        return hi - lo
-
-    def throughput_timeseries(self, bin_size: float = 0.5,
-                              t1: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-        if not self.departure_times:
-            return np.array([]), np.array([])
-        if t1 is None:
-            t1 = self.departure_times[-1]
-        n_bins = max(int(math.ceil(t1 / bin_size)), 1)
-        totals = _bin_totals(self.departure_times, self.departure_bytes,
-                             0.0, t1, bin_size, n_bins)
-        centers = (np.arange(n_bins) + 0.5) * bin_size
-        return centers, totals * 8.0 / bin_size

@@ -16,15 +16,19 @@ is spent on the ACK return path.
 Lifetime of a cell: a scenario is wired by ``add_*``, runs once, is unwired
 by :meth:`Scenario.run` and is freed by its last reference — a finished
 scenario holds no reference cycle, so no collector pass is needed.  Results
-are read from flows, monitors, links, qdiscs and cc objects, not from wiring
+are read from flows, links, qdiscs and cc objects, not from wiring
 (``link.dst``, ``sender.egress``, demux routes and the event heap are gone).
+
+State that only exists mid-run (a window, a queue backlog) is read by a probe
+registered with :meth:`Scenario.every`; nothing is sampled unless a caller
+registers one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cc.base import CongestionControl
 from repro.cellular.trace import CellularTrace
@@ -33,7 +37,7 @@ from repro.simulator.endpoints import DelayHop, Receiver, Sender, _forward
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import (CapacityModel, ConstantRate, Link,
                                   OpportunityLink, RateLink)
-from repro.simulator.monitor import FlowStats, LinkMonitor
+from repro.simulator.monitor import FlowStats
 from repro.simulator.packet import MTU
 from repro.simulator.qdisc import FifoQdisc, Qdisc
 from repro.simulator.traffic import TrafficSource
@@ -123,24 +127,19 @@ class Flow:
 class Scenario:
     """Builds and runs one simulation scenario."""
 
-    def __init__(self, queue_sample_interval: float = 0.05):
+    def __init__(self):
         self.env = EventLoop()
         self.links: List[Link] = []
         self.flows: List[Flow] = []
-        self.monitors: Dict[str, LinkMonitor] = {}
         self._demux: Dict[int, FlowDemux] = {}
         self._next_flow_id = 0
-        self.queue_sample_interval = queue_sample_interval
         self.duration: float = 0.0
 
     # ------------------------------------------------------------ links
     def _register_link(self, link: Link, name: str) -> Link:
-        monitor = LinkMonitor(name=name)
-        link.set_monitor(monitor)
         demux = FlowDemux(name=f"{name}-demux", env=self.env)
         link.connect(demux)
         self._demux[id(link)] = demux
-        self.monitors[name] = monitor
         self.links.append(link)
         return link
 
@@ -235,13 +234,25 @@ class Scenario:
         return flow
 
     # ------------------------------------------------------------ running
-    def _sample_queues(self) -> None:
-        now = self.env.now
-        for link in self.links:
-            if link.monitor is not None:
-                link.monitor.record_queue(now, link.qdisc.backlog_packets)
-        if now + self.queue_sample_interval <= self.duration:
-            self.env.post(self.queue_sample_interval, self._sample_queues)
+    def every(self, interval: float,
+              probe: Callable[[float], None]) -> None:
+        """Call ``probe(now)`` at 0, ``interval``, 2·``interval``, … of the
+        run, for as long as the next call still falls within it.
+
+        Register before :meth:`run`; the first call is posted now.  A probe
+        that only reads state leaves the run's results as they were.  The
+        scenario keeps no reference to ``probe`` beyond its pending event, so
+        a probe may close over the scenario without making a cycle.
+        """
+        if not interval > 0.0:
+            raise ValueError("interval must be positive")
+        self.env.post(0.0, self._probe, interval, probe)
+
+    def _probe(self, interval: float, probe: Callable[[float], None]) -> None:
+        now = self.env._now
+        probe(now)
+        if now + interval <= self.duration:
+            self.env.post(interval, self._probe, interval, probe)
 
     def run(self, duration: float) -> "ScenarioResult":
         """Run the scenario, once, for ``duration`` seconds."""
@@ -256,8 +267,6 @@ class Scenario:
                 starter()
         for flow in self.flows:
             flow.sender.start()
-        if self.queue_sample_interval > 0:
-            self.env.post(0.0, self._sample_queues)
         self.env.run(until=duration)
         if obs_metrics.enabled():
             obs_metrics.harvest_scenario(self)  # as run: before the teardown
@@ -335,22 +344,18 @@ class ScenarioResult:
         return sum(self.flow_throughput_bps(f, t0, t1) for f in self.scenario.flows)
 
     # ------------------------------------------------------------ links
-    def link_monitor(self, link_or_name: Union[Link, str]) -> LinkMonitor:
-        if isinstance(link_or_name, str):
-            return self.scenario.monitors[link_or_name]
-        return self.scenario.monitors[link_or_name.name]
-
     def link_utilization(self, link: Link, t0: float = 0.0,
                          t1: Optional[float] = None) -> float:
         t1 = self.duration if t1 is None else t1
         offered = link.offered_bits(t0, t1)
         if offered <= 0:
             return 0.0
-        delivered = self.link_monitor(link).delivered_bytes(t0, t1) * 8.0
+        delivered = link.delivered_bits(t0, t1)
         return min(max(delivered / offered, 0.0), 1.0)
 
     def link_drops(self, link: Link) -> int:
-        return self.link_monitor(link).drops()
+        """Packets the link lost: refused by its queue or randomly lost."""
+        return link.dropped_packets + link.random_loss_packets
 
     def summary(self, link: Optional[Link] = None,
                 warmup: float = 0.0) -> Dict[str, float]:

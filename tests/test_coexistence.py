@@ -121,9 +121,9 @@ def test_maxmin_controller_balanced_long_flows():
     for t in range(10):
         now = t * 0.1
         for flow in (1, 2):
-            ctrl.record_departure("abc", flow, 12_000, now)
+            ctrl.observe_departure("abc", flow, 12_000, now)
         for flow in (3, 4):
-            ctrl.record_departure("nonabc", flow, 12_000, now)
+            ctrl.observe_departure("nonabc", flow, 12_000, now)
     weight = ctrl.compute_weight(1.5, capacity_bps=10e6)
     assert weight == pytest.approx(0.5, abs=0.05)
 
@@ -135,11 +135,11 @@ def test_maxmin_controller_short_flows_do_not_inflate_their_queue():
     for t in range(10):
         now = t * 0.1
         # One long ABC flow using ~4.8 Mbit/s.
-        ctrl.record_departure("abc", 1, 60_000, now)
+        ctrl.observe_departure("abc", 1, 60_000, now)
         # One long non-ABC flow using ~4.8 Mbit/s plus 20 tiny short flows.
-        ctrl.record_departure("nonabc", 2, 60_000, now)
+        ctrl.observe_departure("nonabc", 2, 60_000, now)
         for sf in range(20):
-            ctrl.record_departure("nonabc", 100 + sf, 500, now)
+            ctrl.observe_departure("nonabc", 100 + sf, 500, now)
     weight = ctrl.compute_weight(1.5, capacity_bps=10e6)
     # The ABC long flow should keep roughly half of the long-flow capacity:
     # its queue weight must not collapse because the other queue has many
@@ -150,14 +150,14 @@ def test_maxmin_controller_short_flows_do_not_inflate_their_queue():
 def test_maxmin_controller_weight_bounded():
     ctrl = MaxMinWeightController(interval=0.5, minimum_weight=0.05)
     for t in range(10):
-        ctrl.record_departure("abc", 1, 100_000, t * 0.1)
+        ctrl.observe_departure("abc", 1, 100_000, t * 0.1)
     weight = ctrl.compute_weight(2.0, capacity_bps=10e6)
     assert 0.05 <= weight <= 0.95
 
 
 def test_maxmin_controller_holds_weight_between_intervals():
     ctrl = MaxMinWeightController(interval=10.0)
-    ctrl.record_departure("abc", 1, 1000, 0.0)
+    ctrl.observe_departure("abc", 1, 1000, 0.0)
     assert ctrl.compute_weight(1.0, 10e6) == ctrl.last_weight
 
 
@@ -175,8 +175,8 @@ def test_zombie_controller_weights_proportional_to_flow_counts():
     ctrl = ZombieListWeightController(interval=1.0, seed=5)
     for t in range(4000):
         now = t * 0.001
-        ctrl.record_departure("abc", t % 2, 1500, now)          # 2 flows
-        ctrl.record_departure("nonabc", 100 + (t % 8), 1500, now)  # 8 flows
+        ctrl.observe_departure("abc", t % 2, 1500, now)          # 2 flows
+        ctrl.observe_departure("nonabc", 100 + (t % 8), 1500, now)  # 8 flows
     weight = ctrl.compute_weight(0.0, 10e6)          # first call sets baseline
     weight = ctrl.compute_weight(5.0, 10e6)
     # The non-ABC queue holds more flows, so RCP-style weighting favours it.

@@ -347,7 +347,7 @@ def test_traced_scenario_equals_untraced_scenario():
     traced = run_golden_scenario(
         lambda time, callback, wall_ns: seen.append(callback.__name__))
     assert traced.env.events_processed == plain.env.events_processed == len(seen)
-    assert {"receive", "_fire_opportunity", "_fire", "_sample_queues"} <= set(seen)
+    assert {"receive", "_fire_opportunity", "_fire"} <= set(seen)
     for a, b in zip(plain.flows, traced.flows):
         assert a.stats.recv_times == b.stats.recv_times
         assert a.stats.queuing_delays == b.stats.queuing_delays

@@ -1,11 +1,12 @@
 """Golden per-event determinism trace for the engine hot path.
 
 Engine-level optimisations (list-based heap entries, lazy cancellation with
-compaction, slotted packets, flat-array monitors) are only admissible if they
-leave the simulation's event sequence untouched.  This test replays a small
-but representative scenario — two flows (ABC + Cubic) over a trace-driven
-cellular bottleneck, exercising opportunity firing, ACK clocking, lazy RTO
-re-arming and queue sampling — while recording every fired event as
+compaction, slotted packets, flat-array delivery records) are only admissible
+if they leave the simulation's event sequence untouched.  This test replays a
+small but representative scenario — two flows (ABC + Cubic) over a
+trace-driven cellular bottleneck, exercising opportunity firing, ACK clocking
+and lazy RTO re-arming, with no sampler registered — while recording every
+fired event as
 ``(repr(now), callback qualname)`` through the engine's trace hook, and
 compares the sequence against a committed golden trace.
 

@@ -15,13 +15,13 @@ import pytest
 from repro.fuzz.campaign import evaluate_scenario, fuzz_cell, run_campaign
 from repro.fuzz.generator import (CHURN_CCS, CROSS_TRAFFIC_SCHEMES, NATIVE,
                                   FlowSpec, FuzzScenario, LinkSpec,
-                                  ScenarioGen, SmallMetroGen, build_scenario)
-from repro.fuzz.invariants import (CheckContext, CwndProbe, FAIRNESS_FLOOR,
-                                   Violation, check_fairness,
+                                  ScenarioGen, SmallMetroGen)
+from repro.fuzz.invariants import (FAIRNESS_FLOOR, check_fairness,
                                    check_link_throughput, check_non_negative,
                                    check_packet_conservation,
                                    check_queuing_delay, fairness_applies,
-                                   run_invariants, scenario_summary)
+                                   run_invariants, run_scenario,
+                                   scenario_summary)
 from repro.fuzz.shrink import (corpus_entry, load_corpus_entry,
                                save_corpus_entry, shrink_scenario)
 from repro.runtime import SweepExecutor
@@ -35,14 +35,6 @@ def _tiny_scenario(scheme: str = "cubic", n_flows: int = 1,
              for _ in range(n_flows)]
     return FuzzScenario(scenario_id=0, scheme=scheme, duration=duration,
                         links=[link], flows=flows, sim_seed=7)
-
-
-def _run(fuzz: FuzzScenario) -> CheckContext:
-    built = build_scenario(fuzz)
-    probe = CwndProbe(built)
-    result = built.scenario.run(fuzz.duration)
-    return CheckContext(fuzz=fuzz, built=built, result=result,
-                        cwnd_samples=probe.samples)
 
 
 # ================================================================ generator
@@ -118,7 +110,7 @@ def test_signature_groups_structurally_similar_scenarios():
 def test_finite_flow_departs_after_its_transfer():
     fuzz = _tiny_scenario(duration=2.0)
     fuzz.flows[0].size_bytes = 60_000
-    ctx = _run(fuzz)
+    ctx = run_scenario(fuzz)
     flow = ctx.built.flows[0]
     assert flow.sender.completion_time is not None
     assert flow.stats.bytes_received == 60_000
@@ -160,7 +152,7 @@ def test_small_metro_cells_satisfy_invariant_net():
     # cells end to end, enough to cover both link kinds and churn departure.
     departed = 0
     for cell in city[:4]:
-        ctx = _run(cell)
+        ctx = run_scenario(cell)
         violations = run_invariants(ctx)
         assert violations == [], (cell.scenario_id,
                                   [v.message for v in violations])
@@ -174,47 +166,55 @@ def test_small_metro_cells_satisfy_invariant_net():
 
 # ================================================================ invariants
 def test_healthy_run_has_no_violations():
-    ctx = _run(_tiny_scenario())
+    ctx = run_scenario(_tiny_scenario())
     assert run_invariants(ctx) == []
 
 
 def test_random_loss_run_has_no_violations():
     fuzz = _tiny_scenario(loss_rate=0.02, loss_seed=9)
-    ctx = _run(fuzz)
+    ctx = run_scenario(fuzz)
     assert run_invariants(ctx) == []
     bottleneck = ctx.built.scenario.links[0]
     assert bottleneck.random_loss_packets > 0  # the loss model did engage
 
 
 def test_conservation_checker_fires_on_broken_counter():
-    ctx = _run(_tiny_scenario())
+    ctx = run_scenario(_tiny_scenario())
     ctx.built.scenario.links[0].arrived_packets += 1
     names = [v.invariant for v in check_packet_conservation(ctx)]
     assert names == ["packet-conservation"]
 
 
 def test_non_negative_checker_fires_on_negative_backlog_and_cwnd():
-    ctx = _run(_tiny_scenario())
-    ctx.built.scenario.links[0].qdisc.backlog_packets = -1
+    ctx = run_scenario(_tiny_scenario())
+    link = ctx.built.scenario.links[0]
+    # One probe call per 50 ms of the 1.5 s run (0 … ≈1.45 s: the float sum
+    # overshoots 1.5), sampling the window and the queue together.
+    assert len(ctx.backlog_samples[link.name]) == 30
+    assert len(ctx.cwnd_samples[ctx.built.flows[0].flow_id]) == 30
+    assert check_non_negative(ctx) == []
+    ctx.backlog_samples[link.name].append(-2)
+    assert [v.invariant for v in check_non_negative(ctx)] == ["non-negative"]
+    link.qdisc.backlog_packets = -1
     flow_id = ctx.built.flows[0].flow_id
     ctx.cwnd_samples[flow_id].append(-5.0)
     names = {v.invariant for v in check_non_negative(ctx)}
     assert names == {"non-negative"}
-    assert len(check_non_negative(ctx)) >= 2
+    assert len(check_non_negative(ctx)) == 3
 
 
 def test_throughput_checker_fires_on_impossible_delivery():
-    ctx = _run(_tiny_scenario())
-    monitor = ctx.result.link_monitor(ctx.built.scenario.links[0])
+    ctx = run_scenario(_tiny_scenario())
+    link = ctx.built.scenario.links[0]
     # Forge a gigabyte departing at the end of the run.
-    monitor.departure_times.append(ctx.fuzz.duration)
-    monitor.departure_bytes.append(10**9)
+    link.departure_times.append(ctx.fuzz.duration)
+    link.departure_bytes.append(10**9)
     names = [v.invariant for v in check_link_throughput(ctx)]
     assert names == ["link-throughput"]
 
 
 def test_queuing_delay_checker_fires_on_impossible_delay():
-    ctx = _run(_tiny_scenario())
+    ctx = run_scenario(_tiny_scenario())
     ctx.built.flows[0].stats.queuing_delays.append(999.0)
     names = [v.invariant for v in check_queuing_delay(ctx)]
     assert names == ["queuing-delay-bound"]
@@ -238,7 +238,7 @@ def test_fairness_gate_and_checker():
     lossy = _tiny_scenario(scheme="abc", n_flows=2, loss_rate=0.01)
     assert not fairness_applies(lossy)
 
-    ctx = _run(symmetric)
+    ctx = run_scenario(symmetric)
     assert check_fairness(ctx) == []
     # Starve one flow's recorded deliveries: Jain index of (x, 0) is 0.5.
     starved = ctx.built.flows[1].stats
@@ -251,8 +251,8 @@ def test_fairness_gate_and_checker():
 
 def test_summary_is_reproducible_and_plain_data():
     fuzz = _tiny_scenario(scheme="abc", n_flows=2)
-    first = scenario_summary(_run(fuzz).built)
-    second = scenario_summary(_run(fuzz).built)
+    first = scenario_summary(run_scenario(fuzz).built)
+    second = scenario_summary(run_scenario(fuzz).built)
     assert first == second
     json.dumps(first)  # plain data only — serializable as-is
 

@@ -3,8 +3,10 @@
 Each test runs the packet-level simulator end to end (short durations, fixed
 seeds) and asserts the *shape* of a result the paper reports: who wins, by
 roughly what factor, and which trade-off each scheme lands on.  Absolute
-numbers differ from the paper (synthetic traces, simulated substrate) and are
-recorded in EXPERIMENTS.md.
+numbers differ from the paper (synthetic traces, simulated substrate); the
+README's figure map names the harness that prints each figure's numbers, and
+``benchmarks/ledger/README.md`` records the measured ranges behind the
+ledger's paper-claim checks.
 """
 
 import pytest

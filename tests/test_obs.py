@@ -464,6 +464,12 @@ def test_export_trace_tool_scenario_mode(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["traceEvents"]
     assert any(e["ph"] == "X" for e in payload["traceEvents"])
+    # The queue-depth track: one sample per 50 ms probe call, 0 … 0.95 s
+    # (the float sum 0.95 + 0.05 lands just past 1.0).
+    queue = [e for e in payload["traceEvents"]
+             if e["ph"] == "C" and e["name"] == "queue:bottleneck"]
+    assert len(queue) == 20
+    assert all(e["args"]["packets"] >= 0 for e in queue)
 
 
 def test_export_trace_tool_manifest_mode(tmp_path, monkeypatch):

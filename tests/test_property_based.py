@@ -287,8 +287,7 @@ def test_fluid_model_queue_nonnegative_and_bounded(delta, flows, initial):
 # checks; the fuzz campaign explores this space at scale, hypothesis owns
 # the corner-seeking (minimum rates, boundary RTTs, simultaneous starts).
 from repro.fuzz.generator import FlowSpec, FuzzScenario, LinkSpec, NATIVE
-from repro.fuzz.generator import build_scenario
-from repro.fuzz.invariants import CheckContext, CwndProbe, run_invariants
+from repro.fuzz.invariants import run_invariants, run_scenario
 
 # A fast subset of the scheme pool (one loss-based, one delay-based, one
 # AQM pairing, ABC itself, and one explicit-feedback router).
@@ -330,12 +329,7 @@ _scenarios = st.builds(
 @given(_scenarios)
 def test_random_small_scenarios_satisfy_invariant_suite(fuzz):
     fuzz.validate()
-    built = build_scenario(fuzz)
-    probe = CwndProbe(built)
-    result = built.scenario.run(fuzz.duration)
-    ctx = CheckContext(fuzz=fuzz, built=built, result=result,
-                       cwnd_samples=probe.samples)
-    violations = run_invariants(ctx)
+    violations = run_invariants(run_scenario(fuzz))
     assert violations == [], [v.message for v in violations]
 
 

@@ -1,4 +1,7 @@
-"""Tests for the scenario builder and the monitors."""
+"""Tests for the scenario builder, its one sampler and the delivery records."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from repro.cc.cubic import Cubic
 from repro.aqm import DropTailQdisc
 from repro.core.router import ABCRouterQdisc
 from repro.core.sender import ABCWindowControl
-from repro.simulator.monitor import FlowStats, LinkMonitor
+from repro.simulator.engine import EventLoop
+from repro.simulator.link import ConstantRate, RateLink
+from repro.simulator.monitor import FlowStats
 from repro.simulator.packet import Packet
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import FixedSizeSource
@@ -59,20 +64,116 @@ def test_flow_stats_timeseries_bins():
     assert len(qt) == len(qd)
 
 
-# ------------------------------------------------------------ LinkMonitor
-def test_link_monitor_counters():
-    mon = LinkMonitor("l")
-    for i in range(10):
-        mon.record_departure(i * 0.1, Packet(flow_id=0, seq=i, size=1000))
-    mon.record_drop(0.5, Packet(flow_id=0, seq=99))
-    mon.opportunity_bytes += 1500    # what OpportunityLink does per opportunity
-    assert mon.delivered_bytes(0.0, 1.0) == 10_000
-    assert mon.delivered_bytes(0.0, 0.35) == 4000
-    assert mon.throughput_bps(0.0, 1.0) == pytest.approx(80_000)
-    assert mon.drops() == 1
-    assert mon.opportunity_bytes == 1500
-    times, series = mon.throughput_timeseries(bin_size=0.5)
-    assert len(times) == 2
+# ------------------------------------------------------------ link record
+def test_link_records_its_own_departures():
+    env = EventLoop()
+    link = RateLink(env, ConstantRate(80_000.0),
+                    qdisc=DropTailQdisc(buffer_packets=3))
+    for i in range(5):  # 0.1 s per packet: one in transmission, three queued
+        link.send(Packet(flow_id=0, seq=i, size=1000))
+    env.run(until=1.0)
+    assert link.departure_times == pytest.approx([0.1, 0.2, 0.3, 0.4])
+    assert link.departure_bytes == [1000] * 4
+    assert (link.delivered_packets, link.delivered_bytes) == (4, 4000)
+    assert link.delivered_bits(0.0, 1.0) == 32_000.0
+    assert link.delivered_bits(0.0, 0.25) == 16_000.0
+    assert link.delivered_bits(0.15, 0.35) == 16_000.0
+    # Both window edges are inclusive, as for FlowStats.throughput_bps.
+    t = link.departure_times
+    assert link.delivered_bits(t[1], t[2]) == 16_000.0
+    assert link.dropped_packets == 1 and link.arrived_packets == 5
+    with pytest.raises(AttributeError):
+        link.delivered_packets = 0  # derived from the record, not stored
+
+
+def test_link_drops_and_utilization_read_the_link():
+    sc = Scenario()
+    link = sc.add_rate_link(2e6, qdisc=DropTailQdisc(5), loss_rate=0.005,
+                            loss_seed=3)
+    sc.add_flow(Cubic(), [link], rtt=0.1)
+    res = sc.run(3.0)
+    assert link.dropped_packets > 0 and link.random_loss_packets > 0
+    assert res.link_drops(link) == (link.dropped_packets
+                                    + link.random_loss_packets)
+    assert res.link_utilization(link) == min(
+        link.delivered_bits(0.0, 3.0) / link.offered_bits(0.0, 3.0), 1.0)
+
+
+# ------------------------------------------------------------ Scenario.every
+def _cubic_scenario():
+    sc = Scenario()
+    link = sc.add_rate_link(10e6, name="l")
+    sc.add_flow(Cubic(), [link], rtt=0.05)
+    return sc
+
+
+def _old_sampler_times(interval, duration):
+    """When the removed self-rescheduling samplers fired: at 0, then
+    ``now + interval`` for as long as that is ``<= duration``."""
+    times, now = [0.0], 0.0
+    while now + interval <= duration:
+        now = now + interval
+        times.append(now)
+    return times
+
+
+@pytest.mark.parametrize("interval,duration",
+                         [(0.05, 1.0), (0.1, 0.3), (0.25, 2.0), (0.3, 1.0),
+                          (5.0, 1.0)])
+def test_every_fires_at_the_old_sampler_times(interval, duration):
+    sc, seen = _cubic_scenario(), []
+    sc.every(interval, seen.append)
+    sc.run(duration)
+    assert seen == _old_sampler_times(interval, duration)
+    assert all(t <= duration for t in seen)
+    assert sc.env.pending == 0
+    sc.env.run(until=10 * duration)  # nothing is left to fire after the run
+    assert seen == _old_sampler_times(interval, duration)
+
+
+def test_nothing_is_sampled_unless_a_probe_is_registered():
+    plain, probed, seen = _cubic_scenario(), _cubic_scenario(), []
+    with pytest.raises(ValueError):
+        probed.every(0.0, seen.append)
+    probed.every(0.05, seen.append)
+    plain.run(1.0)
+    probed.run(1.0)
+    assert seen == _old_sampler_times(0.05, 1.0) and len(seen) == 20
+    assert (probed.env.events_processed
+            == plain.env.events_processed + len(seen))
+
+
+def test_a_read_only_probe_changes_no_result():
+    def run(probe):
+        sc = Scenario()
+        link = sc.add_rate_link(8e6, qdisc=DropTailQdisc(50), name="l")
+        flow = sc.add_flow(Cubic(), [link], rtt=0.05)
+        if probe:
+            sc.every(0.01, lambda now: (flow.cc.cwnd(),
+                                        link.qdisc.backlog_packets))
+        sc.run(2.0)
+        return (flow.stats.recv_times, flow.stats.queuing_delays,
+                link.departure_times)
+
+    assert run(probe=True) == run(probe=False)
+
+
+#: Where a hand-rolled sampler or injector would go.  Code above the
+#: simulator reads (or drives) a run through ``Scenario.every``.
+_NO_POSTS = ("src/repro/experiments", "src/repro/fuzz", "src/repro/metro",
+             "src/repro/obs", "tools")
+
+
+def test_only_the_simulator_posts_events():
+    root = Path(__file__).resolve().parents[1]
+    call = re.compile(r"\b(post|post_at|schedule|schedule_at)\(")
+    offenders = [f"{path.relative_to(root)}:{number}: {line.strip()}"
+                 for top in _NO_POSTS
+                 for path in sorted((root / top).rglob("*.py"))
+                 for number, line in enumerate(
+                     path.read_text().splitlines(), 1)
+                 if call.search(line)]
+    assert not offenders, "\n".join(offenders)
 
 
 # ------------------------------------------------------------ Scenario wiring

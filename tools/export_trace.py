@@ -6,8 +6,8 @@ Two sources, one output format (the Chrome trace-event JSON that
 * A **simulation event timeline** — runs one scheme over the LTE showcase
   trace with the engine's trace hook attached and renders every dispatched
   event: simulated time on the axis, each event's wall-clock cost as its bar
-  length, one row per component class, plus per-link queue-depth counter
-  tracks::
+  length, one row per component class, plus a queue-depth counter track
+  sampled every 50 simulated ms by a :meth:`Scenario.every` probe::
 
       PYTHONPATH=src python tools/export_trace.py --scheme abc --out trace.json
       PYTHONPATH=src python tools/export_trace.py --scheme cubic --duration 5
@@ -49,9 +49,10 @@ def export_scenario_trace(scheme: str, duration: float, seed: int,
                                       name="bottleneck")
     scenario.add_flow(spec.make_sender(), [link], rtt=0.1, label=spec.name)
     recorder = EventTraceRecorder(scenario.env)
+    scenario.every(0.05, recorder.queue_probe([link]))
     scenario.run(duration)
     recorder.detach()
-    path = recorder.write_chrome(out, scenario=scenario)
+    path = recorder.write_chrome(out)
     print(f"wrote {path}: {len(recorder.records)} events "
           f"({recorder.dropped} dropped)")
     return path
