@@ -48,27 +48,3 @@ def max_min_allocation(demands: Mapping[Hashable, float],
             del remaining[k]
     return allocation
 
-
-def queue_weights_from_allocation(allocation: Mapping[Hashable, float],
-                                  queue_of: Mapping[Hashable, str],
-                                  queues: tuple[str, str] = ("abc", "nonabc"),
-                                  minimum_weight: float = 0.05) -> Dict[str, float]:
-    """Convert per-flow allocations to per-queue scheduler weights.
-
-    The weight of a queue is the fraction of the total allocation assigned to
-    flows in that queue, floored at ``minimum_weight`` so a queue can never be
-    starved completely (new flows must be able to ramp up).
-    """
-    totals = {q: 0.0 for q in queues}
-    for key, value in allocation.items():
-        queue = queue_of.get(key)
-        if queue in totals:
-            totals[queue] += value
-    grand_total = sum(totals.values())
-    if grand_total <= 0:
-        return {q: 1.0 / len(queues) for q in queues}
-    weights = {q: totals[q] / grand_total for q in queues}
-    for q in queues:
-        weights[q] = max(weights[q], minimum_weight)
-    norm = sum(weights.values())
-    return {q: w / norm for q, w in weights.items()}

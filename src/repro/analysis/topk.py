@@ -58,9 +58,6 @@ class SpaceSaving:
         """Maximum overestimation error for ``key``."""
         return self._errors.get(key, 0.0)
 
-    def tracked_keys(self) -> List[Hashable]:
-        return list(self._counts)
-
     def __len__(self) -> int:
         return len(self._counts)
 

@@ -4,11 +4,12 @@ the explicit-feedback baselines.
 The :class:`~repro.simulator.endpoints.Sender` drives a congestion controller
 through this interface:
 
-* window-based schemes expose :meth:`CongestionControl.cwnd`; the sender keeps
-  ``packets_in_flight < cwnd`` and is ACK-clocked;
-* rate-based schemes (RCP, Sprout, Verus, PCC-Vivace in rate mode) additionally
-  expose :meth:`CongestionControl.pacing_rate`; the sender paces packets at
-  that rate, still bounded by ``cwnd`` when one is provided.
+* window-based schemes expose :meth:`CongestionControl.cwnd` and are
+  ACK-clocked: each ACK is one ``on_ack`` call, which returns the effective
+  window (:meth:`CongestionControl.window`) that the sender then fills;
+* paced schemes (``needs_pacing``: BBR, PCC-Vivace, RCP) also expose
+  :meth:`CongestionControl.pacing_rate`; the sender paces at that rate, still
+  bounded by the window, and their ``on_ack`` returns None.
 
 All callbacks receive plain data (:class:`~repro.simulator.packet.AckFeedback`)
 rather than simulator objects, which keeps the algorithms unit-testable without
@@ -26,8 +27,8 @@ from repro.simulator.packet import MTU, AckFeedback
 class CongestionControl:
     """Base class for all congestion-control algorithms.
 
-    Subclasses override the ``on_*`` callbacks they care about; the default
-    implementations do nothing.  ``cwnd`` is expressed in packets (floats are
+    Subclasses override the ``on_*`` callbacks they care about; the defaults
+    change nothing.  ``cwnd`` is expressed in packets (floats are
     fine — the sender floors it when gating transmissions).
     """
 
@@ -52,20 +53,16 @@ class CongestionControl:
         """Pacing rate in bits per second, or None for pure ACK clocking."""
         return None
 
-    def on_ack(self, feedback: AckFeedback) -> None:
-        """Called for every (non-duplicate) ACK."""
-
-    def fast_ack(self, feedback: AckFeedback) -> float:
-        """Fused ACK update called by the sender's per-ACK handler: process
-        the ACK and return the effective window ``max(cwnd(), min_cwnd())``
-        in one call.  Cubic and ABC write their whole per-ACK body here
-        (their ``on_ack`` calls it); an override must remain
-        float-op-for-float-op identical to ``on_ack`` + the two window reads
-        (``tests/test_path_golden.py`` pins every scheme's results)."""
-        self.on_ack(feedback)
+    def window(self) -> float:
+        """The effective window, ``max(cwnd(), min_cwnd())``."""
         cwnd = self.cwnd()
         floor = self.min_cwnd()
         return cwnd if cwnd >= floor else floor
+
+    def on_ack(self, feedback: AckFeedback) -> Optional[float]:
+        """Update the scheme for one (non-duplicate) ACK and return
+        :meth:`window` — or None if the scheme ``needs_pacing``."""
+        return self.window()
 
     def on_loss(self, now: float) -> None:
         """Called once per loss event (fast-retransmit style)."""
@@ -119,7 +116,7 @@ class AIMD(CongestionControl):
         self.beta = beta
         self.ssthresh = ssthresh
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> float:
         acked_packets = feedback.bytes_acked / self.mss
         if self._cwnd < self.ssthresh:
             self._cwnd += acked_packets  # slow start
@@ -127,6 +124,7 @@ class AIMD(CongestionControl):
             self._cwnd += self.additive_increase * acked_packets / max(self._cwnd, 1.0)
         if feedback.ece:
             self.on_loss(feedback.now)
+        return self.window()
 
     def on_loss(self, now: float) -> None:
         self.ssthresh = max(self._cwnd * self.beta, 2.0)

@@ -15,6 +15,8 @@ window clamp (DESIGN.md records this simplification).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.cc.base import CongestionControl
 from repro.simulator.estimators import WindowedMinMax, WindowedRateEstimator
 from repro.simulator.packet import MTU, AckFeedback
@@ -88,7 +90,7 @@ class BBR(CongestionControl):
             self._cycle_start = now
             self._pacing_gain = GAIN_CYCLE[self._cycle_index]
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> Optional[float]:
         now = feedback.now
         self.delivery_rate.add(now, feedback.bytes_acked)
         rate_sample = self.delivery_rate.rate_bps(now)

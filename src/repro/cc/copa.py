@@ -43,7 +43,7 @@ class Copa(CongestionControl):
         # RTT_standing is the min RTT over the last srtt/2.
         self.rtt_standing.window = max(self._srtt / 2.0, 0.01)
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> float:
         now = feedback.now
         if feedback.rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
@@ -52,7 +52,7 @@ class Copa(CongestionControl):
             self.rtt_standing.update(now, feedback.rtt)
         if feedback.ece:
             self.on_loss(now)
-            return
+            return self.window()
 
         rtt_min = self.rtt_min.get(default=self._srtt)
         rtt_standing = self.rtt_standing.query(now, default=self._srtt)
@@ -81,6 +81,7 @@ class Copa(CongestionControl):
         step = self.velocity * acked_packets / (self.delta * max(self._cwnd, 1.0))
         self._cwnd += step if increasing else -step
         self._clamp()
+        return self.window()
 
     def on_loss(self, now: float) -> None:
         self.velocity = 1.0

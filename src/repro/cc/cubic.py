@@ -7,10 +7,8 @@ queue and produces the bufferbloat of Fig. 1a; paired with CoDel/PIE it
 produces the underutilisation of Fig. 1c.  The ABC sender also uses Cubic as
 the control law for its non-ABC window ``w_nonabc`` (§5.1.1), so this
 implementation is reused by :mod:`repro.core.sender` — which is why it runs on
-most ACKs of an ABC-heavy city, and why :meth:`Cubic.fast_ack` *is* the
-per-ACK body, written flat (``on_ack`` calls it, as does the ABC sender);
-``tests/test_cc_endtoend.py`` holds the RFC 8312 formulas call by call and
-checks the two agree to the last bit.
+most ACKs of an ABC-heavy city and why :meth:`Cubic.on_ack` is written flat
+(``tests/test_cc_endtoend.py`` checks it against RFC 8312 to the last bit).
 """
 
 from __future__ import annotations
@@ -65,14 +63,10 @@ class Cubic(CongestionControl):
         self.w_tcp = self._cwnd
 
     # ------------------------------------------------------------ interface
-    def on_ack(self, feedback: AckFeedback) -> None:
-        self.fast_ack(feedback)
-
-    def fast_ack(self, feedback: AckFeedback) -> float:
-        """The per-ACK body, written flat: ECN reaction, slow start, or the
-        RFC 8312 window update, returning the effective window the sender
-        reads next (Cubic keeps the base ``cwnd`` / ``min_cwnd``, so that is
-        ``max(self._cwnd, 1.0)``).  ``max`` is spelled as a comparison.
+    def on_ack(self, feedback: AckFeedback) -> float:
+        """ECN reaction, slow start, or the RFC 8312 window update, returning
+        :meth:`window` (Cubic keeps the base ``cwnd`` / ``min_cwnd``, so that
+        is ``max(self._cwnd, 1.0)``).  ``max`` is spelled as a comparison.
         """
         rtt = feedback.rtt
         if rtt is not None:

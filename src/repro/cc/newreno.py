@@ -26,17 +26,18 @@ class NewReno(CongestionControl):
         self._srtt = 0.1
         self._last_reduction_time = -math.inf
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> float:
         if feedback.rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
         if self.react_to_ecn and feedback.ece:
             self.on_loss(feedback.now)
-            return
+            return self.window()
         acked_packets = feedback.bytes_acked / self.mss
         if self._cwnd < self.ssthresh:
             self._cwnd += acked_packets
         else:
             self._cwnd += acked_packets / max(self._cwnd, 1.0)
+        return self.window()
 
     def on_loss(self, now: float) -> None:
         if now - self._last_reduction_time < self._srtt:

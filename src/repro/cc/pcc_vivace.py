@@ -151,7 +151,7 @@ class PCCVivace(CongestionControl):
         mi = self._ensure_mi(now)
         mi.bytes_sent += size
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> Optional[float]:
         if feedback.rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
         self._ensure_mi(feedback.now)

@@ -91,7 +91,7 @@ class Sprout(CongestionControl):
     def cwnd(self) -> float:
         return max(self._cwnd, self.min_cwnd())
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> float:
         now = feedback.now
         if feedback.rtt is not None:
             self.rtt_min = min(self.rtt_min, feedback.rtt)
@@ -118,6 +118,7 @@ class Sprout(CongestionControl):
             else:
                 self._cwnd = max(self._cwnd * 0.9, self.min_cwnd())
         self._clamp()
+        return self.window()
 
     def on_loss(self, now: float) -> None:
         # Sprout's window already targets a bounded queue; a loss means the

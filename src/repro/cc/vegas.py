@@ -42,7 +42,7 @@ class Vegas(CongestionControl):
         actual = self._cwnd / self._srtt
         return (expected - actual) * self.base_rtt
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> float:
         if feedback.rtt is not None:
             self.base_rtt = min(self.base_rtt, feedback.rtt)
             if self._srtt is None:
@@ -51,7 +51,7 @@ class Vegas(CongestionControl):
                 self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
         if feedback.ece:
             self.on_loss(feedback.now)
-            return
+            return self.window()
         acked_packets = feedback.bytes_acked / self.mss
         diff = self._diff_packets()
         if self._in_slow_start:
@@ -62,12 +62,13 @@ class Vegas(CongestionControl):
                 # Vegas doubles every other RTT; growing by half an MSS per
                 # ACK gives the same average pace without per-RTT state.
                 self._cwnd += acked_packets / 2.0
-                return
+                return self.window()
         if diff < self.alpha:
             self._cwnd += acked_packets / max(self._cwnd, 1.0)
         elif diff > self.beta:
             self._cwnd -= acked_packets / max(self._cwnd, 1.0)
         self._clamp()
+        return self.window()
 
     def on_loss(self, now: float) -> None:
         self._in_slow_start = False

@@ -43,14 +43,14 @@ class Verus(CongestionControl):
         self._last_decrease = -math.inf
         self._epoch_start = 0.0
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> float:
         now = feedback.now
         if feedback.rtt is not None:
             self.rtt_min.update(now, feedback.rtt)
             self._smoothed_rtt.update(feedback.rtt)
         if feedback.ece:
             self.on_loss(now)
-            return
+            return self.window()
         rtt_min = self.rtt_min.get(default=0.05)
         srtt = self._smoothed_rtt.get(default=rtt_min)
         delay_ratio = srtt / max(rtt_min, 1e-6)
@@ -73,6 +73,7 @@ class Verus(CongestionControl):
             step = self.probe_boost if probing else 0.5
             self._cwnd += step * acked_packets / max(self._cwnd, 1.0)
         self._clamp()
+        return self.window()
 
     def on_loss(self, now: float) -> None:
         if now - self._last_decrease > self._smoothed_rtt.get(default=0.1):

@@ -75,13 +75,6 @@ class CellularTrace:
         count = (self.opportunities_before(t1) - self.opportunities_before(t0))
         return count * self.bytes_per_opportunity * 8.0
 
-    def rate_in_window(self, t0: float, t1: float) -> float:
-        """Average deliverable rate (bps) between ``t0`` and ``t1``."""
-        if t1 <= t0:
-            return 0.0
-        lo, hi = np.searchsorted(self._times_np, (t0, t1), side="left")
-        return int(hi - lo) * self.bytes_per_opportunity * 8.0 / (t1 - t0)
-
     def rate_timeseries(self, bin_size: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
         """Binned capacity time series ``(bin_centers_s, rate_bps)``."""
         n_bins = max(int(math.ceil(self.duration / bin_size)), 1)
@@ -122,13 +115,6 @@ class CellularTrace:
                     continue
                 times.append(int(line) / 1000.0)
         return cls(times, name=name or path.stem)
-
-    def to_mahimahi_file(self, path: Union[str, Path]) -> None:
-        """Write the trace in Mahimahi's millisecond format."""
-        path = Path(path)
-        with path.open("w") as handle:
-            for t in self._times:
-                handle.write(f"{int(round(t * 1000))}\n")
 
     @classmethod
     def from_rate_series(cls, times_s: Sequence[float], rates_bps: Sequence[float],

@@ -66,22 +66,12 @@ def sender_codepoint(abc_enabled: bool, ecn_enabled: bool = True) -> ECN:
     return ECN.BRAKE if ecn_enabled else ECN.NOT_ECT
 
 
-def is_legacy_ecn_capable(codepoint: ECN) -> bool:
-    """Would a legacy RFC 3168 router consider this packet ECN-capable?"""
-    return codepoint.is_ecn_capable
-
-
 # ---------------------------------------------------------------------------
 # Proxied-network deployment (§5.1.2 "Deployment in Proxied Networks"): when
 # no non-ABC router on the path uses ECN, accelerate can be either ECT
 # codepoint and brake can be CE, so completely unmodified receivers (which
 # echo CE via ECE) already convey ABC feedback.
 # ---------------------------------------------------------------------------
-
-def proxied_sender_codepoint() -> ECN:
-    """Accelerate marking used by a proxy-deployed ABC sender."""
-    return ECN.ACCEL
-
 
 def proxied_brake(codepoint: ECN) -> ECN:
     """Brake marking used by a proxy-deployed ABC router (plain CE)."""

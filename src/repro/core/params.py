@@ -68,10 +68,6 @@ class ABCParams:
         """Return a copy with some fields replaced."""
         return replace(self, **kwargs)
 
-    def is_stable_for_rtt(self, rtt: float) -> bool:
-        """Check the Theorem 3.1 stability criterion ``δ > 2/3 · τ``."""
-        return self.delta > (2.0 / 3.0) * rtt
-
 
 #: Parameters used throughout the paper's cellular evaluation (§6.2).
 CELLULAR_DEFAULTS = ABCParams(eta=0.98, delta=0.133, delay_threshold=0.02)

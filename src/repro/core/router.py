@@ -130,14 +130,6 @@ class ABCRouterQdisc(Qdisc):
             capacity = 0.0
         return max(capacity, 0.0) * self.capacity_share
 
-    def set_capacity_share(self, share: float) -> None:
-        """Restrict the target-rate computation to a share of the link
-        (used by the two-queue coexistence scheduler, §5.2)."""
-        if not 0.0 < share <= 1.0:
-            raise ValueError("share must be in (0, 1]")
-        self.capacity_share = share
-        self._cap_memo_time = -1.0
-
     def queuing_delay_estimate(self, now: float, capacity: float) -> float:
         """The x(t) term of Eq. (1)."""
         if self.delay_mode == "sojourn":

@@ -69,15 +69,11 @@ class ABCWindowControl(CongestionControl):
         return 1.0
 
     # ------------------------------------------------------------ feedback
-    def on_ack(self, feedback: AckFeedback) -> None:
-        self.fast_ack(feedback)
-
-    def fast_ack(self, feedback: AckFeedback) -> float:
-        """The per-ACK body: accel/brake update of ``w_abc`` (Eq. 3), the
-        Cubic update of ``w_nonabc``, the window caps, and the effective
-        window ``max(cwnd(), min_cwnd())`` the sender reads next, in one
-        call.  ``max``/``min`` are spelled as comparisons (``min_cwnd`` is
-        the constant 1.0 here).
+    def on_ack(self, feedback: AckFeedback) -> float:
+        """Accel/brake update of ``w_abc`` (Eq. 3), the Cubic update of
+        ``w_nonabc``, the window caps, and :meth:`window`, in one call.
+        ``max``/``min`` are spelled as comparisons (``min_cwnd`` is the
+        constant 1.0 here).
         """
         acked = feedback.bytes_acked / self.mss
         w = self.w_abc
@@ -96,7 +92,7 @@ class ABCWindowControl(CongestionControl):
 
         cubic = self.cubic
         if cubic is not None:
-            cubic.fast_ack(feedback)
+            cubic.on_ack(feedback)
 
         # Cap both windows at ``window_cap_factor ×`` packets in flight
         # (§5.1.1) so the non-bottleneck window cannot grow unboundedly.  The

@@ -127,7 +127,7 @@ class RCPSender(CongestionControl):
         # cannot keep flooding a link whose capacity collapsed.
         return max(2.0 * self.rate_bps * self._srtt / (self.mss * 8.0), 4.0)
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> Optional[float]:
         if feedback.rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
         advertised = feedback.meta.get("rcp_rate_bps")

@@ -113,7 +113,7 @@ class VCPSender(CongestionControl):
     def packet_meta(self, now: float) -> dict:
         return {"vcp_region": LOW_LOAD}
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> float:
         if feedback.rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
         region = int(feedback.meta.get("vcp_region", LOW_LOAD))
@@ -131,6 +131,7 @@ class VCPSender(CongestionControl):
             # MI: grow by a factor (1 + xi) per RTT, spread across ACKs.
             self._cwnd += self.xi * acked_packets
         self._clamp()
+        return self.window()
 
     def on_loss(self, now: float) -> None:
         self._cwnd = max(self._cwnd * self.beta, self.min_cwnd())

@@ -185,7 +185,7 @@ class XCPSender(CongestionControl):
             "xcp_feedback_bytes": float(self.mss),
         }
 
-    def on_ack(self, feedback: AckFeedback) -> None:
+    def on_ack(self, feedback: AckFeedback) -> float:
         if feedback.rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
         delta_bytes = float(feedback.meta.get("xcp_feedback_bytes", 0.0))
@@ -193,6 +193,7 @@ class XCPSender(CongestionControl):
             delta_bytes = 0.0
         self._cwnd += delta_bytes / self.mss
         self._clamp()
+        return self.window()
 
     def on_loss(self, now: float) -> None:
         self._cwnd = max(self._cwnd / 2.0, self.min_cwnd())

@@ -143,10 +143,6 @@ class TimerHist:
         finally:
             self.observe_ns(time.perf_counter_ns() - t0)
 
-    @property
-    def mean_ns(self) -> float:
-        return self.total_ns / self.count if self.count else 0.0
-
     def to_jsonable(self) -> Dict[str, Any]:
         # Trailing zero buckets are trimmed so snapshots stay compact.
         trimmed = list(self.buckets)

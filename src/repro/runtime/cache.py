@@ -253,13 +253,6 @@ class ResultCache:
     def contains(self, key: str) -> bool:
         return self._path(key).exists()
 
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry; returns whether it existed."""
-        path = self._path(key)
-        existed = path.exists()
-        path.unlink(missing_ok=True)
-        return existed
-
     def clear(self) -> int:
         """Remove every entry; returns the number removed."""
         removed = 0

@@ -22,11 +22,11 @@ original), the raw event sequence is not:
 
 * **One frame per ACK.**  :meth:`Sender.receive` does the RTT update, the
   RACK precheck (full scan only when the oldest outstanding packet is past
-  the reorder window), the ``AckFeedback`` build, the fused window update
-  (``cc.fast_ack``) and the send burst (:meth:`Sender._burst`: integer
-  arithmetic for backlogged / fixed-size sources, window hoisted out of the
-  loop when the CC cannot change it mid-burst).  Recovery and other sources
-  take the generic :meth:`Sender._send_loop`.
+  the reorder window), the ``AckFeedback`` build, the window update
+  (``cc.on_ack`` returns the window to fill) and the send burst
+  (:meth:`Sender._burst`: integer arithmetic for backlogged / fixed-size
+  sources, window read once per burst).  Recovery, other sources and a CC
+  whose window moves as it sends take the generic :meth:`Sender._send_loop`.
 * **RTO deadline computed when read.**  The deadline is ``armed_at +
   rto(srtt, rttvar) · backoff`` and all three inputs only change in an event
   that ends by re-arming or disarming, so an ACK re-arms with one attribute
@@ -179,8 +179,7 @@ class Sender:
         self._paced = cc.needs_pacing
         cc_type = type(cc)
         # A CC with the base no-op on_packet_sent cannot change its window
-        # during a send burst, so the window is hoisted out of the loop.
-        # Every ACK-clocked scheme in the repo qualifies.
+        # as it sends (the pacing loop then skips the call).
         self._static_window = (
             cc_type.on_packet_sent is CongestionControl.on_packet_sent)
         # CCs with the base packet_meta get a fresh empty dict stamped inline
@@ -190,9 +189,13 @@ class Sender:
             cc_type.packet_meta is CongestionControl.packet_meta)
         # Backlogged (0) and fixed-size (1) sources collapse into integer
         # arithmetic in the send paths; anything else (2) goes through the
-        # generic source protocol.
+        # generic source protocol.  So does an ACK-clocked CC whose window
+        # may move as it sends: _burst reads the window once, _send_loop
+        # re-reads it per packet.
         source_type = type(self.source)
-        if source_type is BackloggedSource:
+        if not (self._static_window or self._paced):
+            self._source_kind = 2
+        elif source_type is BackloggedSource:
             self._source_kind = 0
         elif source_type is FixedSizeSource:
             self._source_kind = 1
@@ -222,9 +225,6 @@ class Sender:
     def in_flight(self) -> int:
         return len(self.outstanding)
 
-    def _cwnd_packets(self) -> float:
-        return max(self.cc.cwnd(), self.cc.min_cwnd())
-
     # ------------------------------------------------------------ sending
     def _try_send(self) -> None:
         """Send as much as the window, the pacer and the application allow."""
@@ -235,11 +235,11 @@ class Sender:
             # The pacing loop is the only thing allowed to emit new packets,
             # but retransmissions are sent immediately.
             while (self.retransmit_queue
-                   and self.in_flight + 1 <= self._cwnd_packets()):
+                   and self.in_flight + 1 <= self.cc.window()):
                 self._send_retransmission(now)
         elif self.retransmit_queue or self._source_kind == 2:
             self._send_loop(now)
-        elif self._burst(now, self._cwnd_packets()):
+        elif self._burst(now, self.cc.window()):
             self._arm_rto(now)
 
     def _send_loop(self, now: float) -> None:
@@ -248,7 +248,7 @@ class Sender:
         come here; the common case is :meth:`_burst`."""
         source = self.source
         while True:
-            if self.in_flight + 1 > self._cwnd_packets():
+            if self.in_flight + 1 > self.cc.window():
                 break
             if self.retransmit_queue:
                 self._send_retransmission(now)
@@ -329,8 +329,9 @@ class Sender:
     def _burst(self, now: float, cwnd: float) -> bool:
         """Send as much new data as the window and the source allow.
 
-        Only called with an empty retransmit queue and a backlogged or
-        fixed-size source, which makes the per-packet source protocol
+        Only called with an empty retransmit queue, a backlogged or
+        fixed-size source and a window that holds still while sending, which
+        makes the per-packet source protocol
         (bytes_available/consume/next_data_time/finished) collapse into
         plain integer arithmetic.  Returns True when anything was sent; the
         caller arms the RTO once for the whole burst.
@@ -353,7 +354,6 @@ class Sender:
             abc_capable = cc.uses_abc
             ecn = ACCEL if abc_capable else NOT_ECT
             static_meta = self._static_meta
-            static_window = self._static_window
             fwd = self._fwd
             if fwd is None:
                 fwd = self._resolve_forward()
@@ -377,19 +377,12 @@ class Sender:
                 n += 1
                 sent_bytes += size
                 sent_packets += 1
-                if not static_window:
-                    cc.on_packet_sent(now, next_seq - 1, size, n)
                 if fwd_cb is not None:
                     post(fwd_delay, fwd_cb, packet)
                 else:
                     egress = self.egress
                     if egress is not None:
                         _forward(egress, packet)
-                if not static_window:
-                    cwnd = cc.cwnd()
-                    floor = cc.min_cwnd()
-                    if floor > cwnd:
-                        cwnd = floor
                 if n + 1 > cwnd:
                     break
                 if fixed and available < 1:
@@ -423,6 +416,7 @@ class Sender:
         if rate > 0:
             outstanding = self.outstanding
             n = len(outstanding)
+            # CongestionControl.window, inlined.
             cwnd = cc.cwnd()
             floor = cc.min_cwnd()
             if floor > cwnd:
@@ -562,7 +556,7 @@ class Sender:
                 self._rto_timer.armed_at = None
             self._try_send()
             return
-        cwnd = self.cc.fast_ack(feedback)
+        cwnd = self.cc.on_ack(feedback)
         if self.retransmit_queue or self._source_kind == 2:
             # _send_loop re-arms the RTO per transmission, so the re-arm
             # below is a no-op refresh.
@@ -706,7 +700,6 @@ class Receiver:
             stats = FlowStats(flow_id)
             self.flow_stats[flow_id] = stats
         size = packet.size
-        # FlowStats.record, inlined.
         stats.recv_times.append(now)
         stats.sent_times.append(packet.sent_time)
         stats.sizes.append(size)
@@ -737,17 +730,3 @@ class Receiver:
         elif self.egress is not None:
             _forward(self.egress, packet)
 
-
-class Sink:
-    """A node that silently absorbs whatever it receives (for cross traffic
-    whose ACK path is irrelevant to the experiment)."""
-
-    def __init__(self) -> None:
-        self.packets = 0
-        self.bytes = 0
-
-    def receive(self, packet) -> None:
-        self.packets += 1
-        self.bytes += getattr(packet, "size", 0)
-
-    send = receive

@@ -17,40 +17,18 @@ read *during* a run is sampled by :meth:`repro.simulator.scenario.Scenario.every
 Hot-path note: :class:`FlowStats` records one sample per delivered packet, so
 it sits directly on the per-packet pipeline.  Samples are appended to flat
 parallel lists (one float per field) rather than wrapped in per-sample
-objects; the metric accessors bin and aggregate those lists with vectorised
-numpy.  :class:`DeliveryRecord` remains as a lazily materialised view for
-callers that want per-packet objects.
+objects; :meth:`repro.simulator.endpoints.Receiver.receive_at` is the one
+writer, and the metric accessors bin and aggregate those lists with
+vectorised numpy.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-
-from repro.simulator.packet import Packet
-
-
-@dataclass(slots=True)
-class DeliveryRecord:
-    """One delivered data packet as observed by the receiver.
-
-    Materialised on demand from :attr:`FlowStats.records`; the hot path
-    stores the same fields in flat arrays instead.
-    """
-
-    recv_time: float
-    sent_time: float
-    size: int
-    queuing_delay: float
-    flow_id: int
-
-    @property
-    def one_way_delay(self) -> float:
-        return max(self.recv_time - self.sent_time, 0.0)
 
 
 def _bin_totals(times: Sequence[float], weights, t0: float, t1: float,
@@ -84,12 +62,6 @@ class FlowStats:
         self.sizes: List[int] = []
         self.queuing_delays: List[float] = []
 
-    def record(self, packet: Packet, now: float) -> None:
-        self.recv_times.append(now)
-        self.sent_times.append(packet.sent_time)
-        self.sizes.append(packet.size)
-        self.queuing_delays.append(packet.total_queuing_delay)
-
     # ------------------------------------------------------------ views
     # Totals and end points are read off the sample lists, not counted per
     # packet next to them.
@@ -101,20 +73,8 @@ class FlowStats:
         return sum(self.sizes)
 
     @property
-    def first_recv_time(self) -> Optional[float]:
-        return self.recv_times[0] if self.recv_times else None
-
-    @property
     def last_recv_time(self) -> Optional[float]:
         return self.recv_times[-1] if self.recv_times else None
-
-    @property
-    def records(self) -> List[DeliveryRecord]:
-        """Per-packet view of the flat sample arrays (materialised lazily)."""
-        return [DeliveryRecord(recv_time=r, sent_time=s, size=size,
-                               queuing_delay=q, flow_id=self.flow_id)
-                for r, s, size, q in zip(self.recv_times, self.sent_times,
-                                         self.sizes, self.queuing_delays)]
 
     # ------------------------------------------------------------ metrics
     def throughput_bps(self, t0: float = 0.0, t1: Optional[float] = None) -> float:

@@ -8,6 +8,7 @@ from repro.core.marking import ProbabilisticMarker, TokenBucketMarker
 from repro.core.params import ABCParams, CELLULAR_DEFAULTS, WIFI_DEFAULTS
 from repro.core.router import ABCRouterQdisc
 from repro.core.sender import ABCWindowControl
+from repro.core.stability import is_theoretically_stable
 from repro.simulator.packet import ECN, MTU, AckFeedback, Packet
 
 
@@ -38,8 +39,9 @@ def test_params_validation():
 
 
 def test_params_stability_helper():
-    assert CELLULAR_DEFAULTS.is_stable_for_rtt(0.1)        # 0.133 > 0.0667
-    assert not CELLULAR_DEFAULTS.is_stable_for_rtt(0.3)    # 0.133 < 0.2
+    delta = CELLULAR_DEFAULTS.delta
+    assert is_theoretically_stable(delta, 0.1)        # 0.133 > 0.0667
+    assert not is_theoretically_stable(delta, 0.3)    # 0.133 < 0.2
 
 
 def test_params_with_overrides():
@@ -213,11 +215,10 @@ def test_router_drops_when_buffer_full():
 
 
 def test_router_capacity_share_scales_target():
-    router = make_router(capacity_bps=10e6)
-    router.set_capacity_share(0.5)
+    router = make_router(capacity_bps=10e6, capacity_share=0.5)
     assert router.target_rate(0.0) == pytest.approx(0.98 * 5e6)
     with pytest.raises(ValueError):
-        router.set_capacity_share(0.0)
+        make_router(capacity_share=0.0)
 
 
 def test_router_feedback_basis_validation():

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (SpaceSaving, ZombieList, jain_fairness_index,
                             max_min_allocation)
 from repro.analysis.fairness import relative_std, throughput_ratio
-from repro.analysis.maxmin import queue_weights_from_allocation
 from repro.analysis.metrics import (is_outside_frontier, mean,
                                     normalize_to_reference, pareto_frontier,
                                     percentile, utilization)
@@ -154,23 +153,6 @@ def test_max_min_zero_capacity_and_validation():
     assert all(v == 0.0 for v in max_min_allocation({"a": 5.0}, 0.0).values())
     with pytest.raises(ValueError):
         max_min_allocation({"a": 1.0}, -1.0)
-
-
-def test_queue_weights_from_allocation():
-    allocation = {("abc", 1): 6.0, ("abc", 2): 6.0, ("nonabc", 3): 12.0}
-    queue_of = {key: key[0] for key in allocation}
-    weights = queue_weights_from_allocation(allocation, queue_of)
-    assert weights["abc"] == pytest.approx(0.5)
-    assert weights["nonabc"] == pytest.approx(0.5)
-    assert sum(weights.values()) == pytest.approx(1.0)
-
-
-def test_queue_weights_floor_prevents_starvation():
-    allocation = {("abc", 1): 0.1, ("nonabc", 2): 100.0}
-    queue_of = {key: key[0] for key in allocation}
-    weights = queue_weights_from_allocation(allocation, queue_of,
-                                            minimum_weight=0.05)
-    assert weights["abc"] >= 0.047  # floor then renormalised
 
 
 # ------------------------------------------------------------ Zombie list

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cc import (AIMD, BBR, Copa, Cubic, NewReno, PCCVivace, Sprout,
                       Vegas, Verus, available_schemes, make_cc)
-from repro.cc.base import CongestionControl
 from repro.cc.cubic import CUBIC_BETA, CUBIC_C
 from repro.simulator.packet import MTU, AckFeedback
 
@@ -43,6 +42,40 @@ def test_registry_lists_all_schemes():
 def test_registry_unknown_scheme_raises():
     with pytest.raises(KeyError):
         make_cc("quic-bbr3")
+
+
+# ------------------------------------------------------------ on_ack contract
+def _contract_script():
+    """Slow start, then ECE marks every seventh ACK; RTT samples missing or
+    varied, mixed ``bytes_acked`` and the explicit schemes' header fields."""
+    rng = random.Random(26)
+    script, now = [], 0.0
+    for i in range(300):
+        now += rng.uniform(0.001, 0.02)
+        script.append(AckFeedback(
+            now=now, rtt=rng.choice((None, 0.04, 0.1, 0.3)),
+            bytes_acked=rng.choice((MTU, MTU, 536, 40)),
+            accel=rng.random() < 0.6, ece=i >= 80 and i % 7 == 0,
+            packets_in_flight=rng.randint(0, 40), sent_time=now - 0.05,
+            meta={"xcp_feedback_bytes": rng.uniform(-MTU, MTU),
+                  "vcp_region": rng.choice((1, 2, 3)),
+                  "rcp_rate_bps": rng.uniform(1e5, 1e7)}))
+    return script
+
+
+@pytest.mark.parametrize("scheme", available_schemes())
+def test_on_ack_returns_the_window_the_sender_fills(scheme):
+    """An ACK-clocked scheme's ``on_ack`` returns ``max(cwnd(), min_cwnd())``
+    as it stands after the update; a paced one returns None."""
+    cc = make_cc(scheme)
+    for step, feedback in enumerate(_contract_script()):
+        if step == 150:            # a timeout mid-run, as the sender would
+            cc.on_timeout(feedback.now)
+        window = cc.on_ack(feedback)
+        if cc.needs_pacing:
+            assert window is None, step
+        else:
+            assert window == max(cc.cwnd(), cc.min_cwnd()) == cc.window(), step
 
 
 def test_registry_builds_instances():
@@ -138,7 +171,7 @@ def test_cubic_clamp_to_cap():
 
 
 class _ReferenceCubic(Cubic):
-    """RFC 8312 written out call by call: what ``Cubic.fast_ack`` flattens."""
+    """RFC 8312 written out call by call: what ``Cubic.on_ack`` flattens."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -159,12 +192,12 @@ class _ReferenceCubic(Cubic):
         if self.react_to_ecn and feedback.ece:
             self.branches.add("ece")
             self._reduce(feedback.now)
-            return
+            return self.window()
         acked_packets = feedback.bytes_acked / self.mss
         if self._cwnd < self.ssthresh:
             self.branches.add("slow start")
             self._cwnd += acked_packets
-            return
+            return self.window()
         if self.epoch_start is None:
             self._reset_epoch(feedback.now)
         target = self._cubic_target(feedback.now)
@@ -181,9 +214,7 @@ class _ReferenceCubic(Cubic):
                 self.branches.add("tcp friendly")
                 self._cwnd = w_est
         self._clamp()
-
-    def fast_ack(self, feedback):
-        return CongestionControl.fast_ack(self, feedback)
+        return self.window()
 
 
 def test_cubic_flat_ack_body_matches_the_rfc_formulas_bit_for_bit():
@@ -199,20 +230,16 @@ def test_cubic_flat_ack_body_matches_the_rfc_formulas_bit_for_bit():
             script.append(ack(now, rtt=rtt,
                               bytes_acked=rng.choice((MTU, MTU, 536)),
                               ece=bool(ece_every) and i % ece_every == 0))
-    by_on_ack, by_fast_ack, reference = (
-        Cubic(initial_cwnd=2.0), Cubic(initial_cwnd=2.0),
-        _ReferenceCubic(initial_cwnd=2.0))
+    flat, reference = Cubic(initial_cwnd=2.0), _ReferenceCubic(initial_cwnd=2.0)
     for step, feedback in enumerate(script):
         if step == 700:            # a timeout mid-avoidance, as the sender would
-            for cc in (by_on_ack, by_fast_ack, reference):
+            for cc in (flat, reference):
                 cc.on_timeout(feedback.now)
-        by_on_ack.on_ack(feedback)
-        window = by_fast_ack.fast_ack(feedback)
-        assert window == reference.fast_ack(feedback) == max(
-            by_fast_ack.cwnd(), 1.0)
+        window = flat.on_ack(feedback)
+        assert window == reference.on_ack(feedback) == max(flat.cwnd(), 1.0)
         state = {key: value for key, value in vars(reference).items()
                  if key != "branches"}
-        assert vars(by_on_ack) == vars(by_fast_ack) == state, step
+        assert vars(flat) == state, step
     assert reference.branches == {"ece", "slow start", "toward target",
                                   "past target", "tcp friendly"}
 

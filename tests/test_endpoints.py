@@ -4,7 +4,7 @@ import pytest
 
 from repro.cc.base import AIMD
 from repro.cc.cubic import Cubic
-from repro.simulator.endpoints import DelayHop, Receiver, Sender, Sink
+from repro.simulator.endpoints import DelayHop, Receiver, Sender
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import ConstantRate, RateLink
 from repro.simulator.packet import ACK_SIZE, MTU, ECN, Packet
@@ -45,6 +45,20 @@ class Capture:
     send = receive
 
 
+class Sink:
+    """A node that silently absorbs whatever it receives."""
+
+    def __init__(self):
+        self.packets = 0
+        self.bytes = 0
+
+    def receive(self, packet):
+        self.packets += 1
+        self.bytes += packet.size
+
+    send = receive
+
+
 class RecordingAIMD(AIMD):
     """AIMD that keeps every ``AckFeedback`` the sender hands it."""
 
@@ -54,7 +68,21 @@ class RecordingAIMD(AIMD):
 
     def on_ack(self, feedback):
         self.feedbacks.append(feedback)
-        super().on_ack(feedback)
+        return super().on_ack(feedback)
+
+
+class ShrinkingWindow(AIMD):
+    """An ACK-clocked CC whose window moves as it sends: every transmission
+    is logged with the window it was sent under, then costs half a packet
+    of window."""
+
+    def __init__(self):
+        super().__init__(initial_cwnd=6.0)
+        self.sent = []
+
+    def on_packet_sent(self, now, seq, size, in_flight):
+        self.sent.append((seq, in_flight, self.window()))
+        self._cwnd -= 0.5
 
 
 def turn_around(packet):
@@ -97,8 +125,21 @@ def test_slow_start_grows_window():
 def test_delivery_records_collected_per_flow():
     env, sender, receiver, _ = build_loop(AIMD(initial_cwnd=2.0), duration=1.0)
     stats = receiver.stats_for(0)
-    assert stats.bytes_received == sum(r.size for r in stats.records)
-    assert stats.records[0].one_way_delay > 0.0
+    assert stats.bytes_received == sum(stats.sizes)
+    assert stats.delays()[0] > 0.0
+
+
+def test_window_moving_cc_is_called_per_packet_and_its_window_reread():
+    cc = ShrinkingWindow()
+    _, sender, _, _ = build_loop(cc, duration=0.01)   # before the first ACK
+    # 6 → 5.5 → 5 → 4.5 → 4: the fourth packet fills the window as re-read.
+    assert cc.sent == [(0, 1, 6.0), (1, 2, 5.5), (2, 3, 5.0), (3, 4, 4.5)]
+    assert sender.packets_sent == 4
+
+    cc = ShrinkingWindow()
+    _, sender, _, _ = build_loop(cc, duration=2.0)
+    assert len(cc.sent) == sender.packets_sent > 50
+    assert all(in_flight <= window for _, in_flight, window in cc.sent)
 
 
 def test_fixed_size_flow_completes():

@@ -89,7 +89,6 @@ def test_timer_hist_stats():
     assert t.total_ns == 15
     assert t.min_ns == 0
     assert t.max_ns == 9
-    assert t.mean_ns == pytest.approx(3.75)
     data = t.to_jsonable()
     # 0 → bucket 0, 1 → bucket 1, 5 → bucket 3, 9 → bucket 4.
     assert data["buckets"] == [1, 1, 0, 1, 1]

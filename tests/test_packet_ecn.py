@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ecn
 from repro.simulator import packet as packet_module
-from repro.simulator.endpoints import Receiver, Sink
+from repro.simulator.endpoints import Receiver
 from repro.simulator.engine import EventLoop
 from repro.simulator.packet import (ACK_SIZE, MTU, ECN, Packet, apply_brake,
                                     apply_ce)
@@ -60,7 +60,7 @@ def test_queuing_delay_property():
 def test_ack_defaults_and_detection():
     packet = Packet(flow_id=3, seq=7)
     assert not packet.is_ack and packet.echo is ECN.NOT_ECT
-    Receiver(EventLoop(), egress=Sink()).receive(packet)
+    Receiver(EventLoop()).receive(packet)
     # The receiver turned it around: a default-sized, Not-ECT ACK.
     assert packet.is_ack
     assert packet.size == ACK_SIZE
@@ -102,13 +102,13 @@ def test_sender_codepoint_selection():
 
 
 def test_legacy_router_sees_abc_packets_as_ecn_capable():
-    assert ecn.is_legacy_ecn_capable(ecn.sender_codepoint(True))
+    assert ecn.sender_codepoint(True).is_ecn_capable
 
 
 def test_proxied_deployment_round_trip():
     # Sender marks accelerate, router may flip to CE for brake, receiver
     # echoes CE via ECE; absence of CE is read as accelerate.
-    sent = ecn.proxied_sender_codepoint()
+    sent = ECN.ACCEL
     assert ecn.proxied_receiver_accel(sent)
     braked = ecn.proxied_brake(sent)
     assert braked == ECN.CE

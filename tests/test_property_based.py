@@ -264,7 +264,7 @@ def test_space_saving_never_underestimates_and_bounded(updates, capacity):
         ss.update(key, amount)
         true_counts[key] = true_counts.get(key, 0) + amount
     assert len(ss) <= capacity
-    for key in ss.tracked_keys():
+    for key, _ in ss.top(capacity):
         assert ss.estimate(key) + 1e-9 >= true_counts.get(key, 0)
 
 

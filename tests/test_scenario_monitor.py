@@ -11,6 +11,7 @@ from repro.cc.cubic import Cubic
 from repro.aqm import DropTailQdisc
 from repro.core.router import ABCRouterQdisc
 from repro.core.sender import ABCWindowControl
+from repro.simulator.endpoints import Receiver
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import ConstantRate, RateLink
 from repro.simulator.monitor import FlowStats
@@ -21,9 +22,12 @@ from repro.simulator.traffic import FixedSizeSource
 
 # ------------------------------------------------------------ FlowStats
 def mk_record(stats, recv, sent, size=1500, queuing=0.0):
+    """Deliver one packet into ``stats`` through its one writer, a receiver."""
     pkt = Packet(flow_id=stats.flow_id, seq=0, size=size, sent_time=sent)
     pkt.total_queuing_delay = queuing
-    stats.record(pkt, recv)
+    receiver = Receiver(EventLoop())
+    receiver.flow_stats[stats.flow_id] = stats
+    receiver.receive_at(pkt, recv)
 
 
 def test_flow_stats_throughput():
