@@ -12,11 +12,11 @@ once with Cubic over a plain drop-tail buffer, then prints the utilisation and
 delay each achieves.
 """
 
-from repro import Scenario
 from repro.aqm import DropTailQdisc
 from repro.cc import Cubic
 from repro.cellular import lte_showcase_trace
 from repro.core import ABCParams, ABCRouterQdisc, ABCWindowControl
+from repro.simulator.scenario import Scenario
 
 DURATION = 30.0
 RTT = 0.1

@@ -14,12 +14,12 @@ Run with::
     python examples/wifi_access_point.py
 """
 
-from repro import Scenario
 from repro.aqm import CoDelQdisc
 from repro.cc import Cubic
 from repro.core import ABCRouterQdisc, ABCWindowControl
 from repro.core.params import WIFI_DEFAULTS
 from repro.simulator.qdisc import FifoQdisc
+from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import RateLimitedSource
 from repro.wifi import (AlternatingMCSSchedule, FixedMCSSchedule, WiFiLink,
                         WiFiMacConfig, WiFiRateEstimator)

@@ -27,9 +27,3 @@ The package is organised as follows:
 """
 
 __version__ = "1.0.0"
-
-from repro.simulator.engine import EventLoop
-from repro.simulator.packet import ECN, Packet
-from repro.simulator.scenario import Scenario
-
-__all__ = ["EventLoop", "Packet", "ECN", "Scenario", "__version__"]

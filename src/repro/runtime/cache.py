@@ -41,8 +41,6 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
-import numpy as np
-
 from repro.config import resolve
 
 #: Bump whenever simulator semantics change in a way that alters metrics;
@@ -76,11 +74,15 @@ def _canonical(obj: Any) -> Any:
         return ["s", sorted(json.dumps(_canonical(i), sort_keys=True) for i in obj)]
     if isinstance(obj, dict):
         return ["d", sorted((str(k), _canonical(v)) for k, v in obj.items())]
-    if isinstance(obj, np.ndarray):
-        return ["nd", str(obj.dtype), list(obj.shape),
-                hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _canonical(obj.item())
+    # No numpy value can exist before numpy is imported, so the runtime
+    # never imports it itself.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return ["nd", str(obj.dtype), list(obj.shape),
+                    hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()]
+        if isinstance(obj, (np.floating, np.integer, np.bool_)):
+            return _canonical(obj.item())
     # An explicit fingerprint wins over structural encoding (including for
     # dataclasses), so types like TraceRef can exclude cosmetic fields.
     fingerprint = getattr(obj, "cache_fingerprint", None)

@@ -15,24 +15,3 @@ This subpackage is the substrate every experiment runs on.  It provides:
 * A high-level :class:`~repro.simulator.scenario.Scenario` builder that wires
   all of the above into the topologies used in the paper's experiments.
 """
-
-from repro.simulator.engine import EventLoop
-from repro.simulator.link import Link, OpportunityLink, RateLink
-from repro.simulator.monitor import FlowStats
-from repro.simulator.packet import ECN, Packet
-from repro.simulator.qdisc import FifoQdisc, Qdisc
-from repro.simulator.scenario import Scenario, ScenarioResult
-
-__all__ = [
-    "EventLoop",
-    "Packet",
-    "ECN",
-    "Qdisc",
-    "FifoQdisc",
-    "Link",
-    "RateLink",
-    "OpportunityLink",
-    "FlowStats",
-    "Scenario",
-    "ScenarioResult",
-]

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +153,55 @@ def test_stable_hash_is_content_addressed():
     assert stable_hash(np.arange(4)) == stable_hash(np.arange(4))
     assert stable_hash(np.arange(4)) != stable_hash(np.arange(5))
     assert stable_hash({"a": 1, "b": 2.0}) == stable_hash({"b": 2.0, "a": 1})
+    # numpy scalars that are not Python numbers hash as their Python value.
+    assert stable_hash(np.int64(3)) == stable_hash(3)
+    assert stable_hash(np.float32(0.5)) == stable_hash(0.5)
+    assert stable_hash(np.bool_(True)) == stable_hash(True)
+    # np.float64 is a float, so it is keyed by its repr, which numpy 2
+    # spells "np.float64(0.5)"; pinned so no cache key moves silently.
+    assert stable_hash(np.float64(0.5)) == (
+        "5acc7245ad321fe06a0a6349bf2681283f31010eeea9bdb5f883ce17a2972b27")
+    assert stable_hash(np.arange(4, dtype=np.int64)) == (
+        "302efb4fef24acd2833b6dbff94e45dc8fb13cb3b0a8775c0e9154750fbf734c")
+
+
+# ------------------------------------------------------------ import surface
+def _fresh_python(code: str) -> str:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_runtime_imports_without_numpy_or_the_simulator():
+    """Executor, cache and journal start without numpy or any scheme."""
+    loaded = _fresh_python("""
+        import sys
+        import repro.runtime
+        print(" ".join(sys.modules))
+    """).split()
+    assert "numpy" not in loaded
+    assert not [name for name in loaded if name.startswith(
+        ("repro.simulator", "repro.cc", "repro.cellular"))]
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    """No import cycle hides behind a package ``__init__``'s import order."""
+    _fresh_python("""
+        import importlib, pkgutil, sys
+        import repro
+        names = [info.name for info in
+                 pkgutil.walk_packages(repro.__path__, "repro.")]
+        assert len(names) > 50, names
+        for name in names:
+            for key in [k for k in sys.modules
+                        if k == "repro" or k.startswith("repro.")]:
+                del sys.modules[key]
+            importlib.import_module(name)
+    """)
 
 
 # ---------------------------------------------------------------- REPRO_JOBS
