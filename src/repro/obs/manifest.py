@@ -11,7 +11,7 @@ code-version salt, the ``REPRO_*`` variables set and the configuration the
 executor resolved (``executor.config``), the grid (schemes × traces × seeds,
 or the seed list and job labels), per-job timings (worker pid, queue wait),
 the executor's cache statistics and — when ``REPRO_TELEMETRY=1`` — the
-merged metrics snapshot.
+merged simulation counters.
 
 :func:`provenance` is the deterministic core of a manifest (no timestamps,
 no timings): fuzz campaign reports embed it verbatim so a failing corpus
@@ -35,8 +35,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.config import environment_knobs, resolve
 
-#: Manifest schema version (bump on incompatible layout changes).
-MANIFEST_SCHEMA = 1
+#: Manifest schema version (bump on incompatible layout changes).  2:
+#: ``metrics`` holds simulation ``counters`` only.
+MANIFEST_SCHEMA = 2
 
 
 def run_dir() -> Optional[Path]:
@@ -121,7 +122,7 @@ def executor_record(executor: Any) -> Dict[str, Any]:
         "config": executor.config.to_jsonable(),
     }
     for name in ("retries", "timeouts", "worker_crashes", "failed_jobs",
-                 "cache_write_errors", "journal_hits"):
+                 "cache_evictions", "cache_write_errors", "journal_hits"):
         if getattr(stats, name):
             record[name] = getattr(stats, name)
     if stats.failures:

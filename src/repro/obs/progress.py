@@ -9,8 +9,8 @@ every completed cell::
 
 The reporter sits entirely outside the job hot path — one callback per
 *completed job*, never per event — so it costs nothing at simulation scale.
-The ETA extrapolates the mean wall time of the cells executed so far over
-the cells still pending (cache hits are free and counted done up front).
+The executor reports once before anything runs (cache and journal hits are
+free and counted done up front), then once per landed cell.
 """
 
 from __future__ import annotations
@@ -25,13 +25,27 @@ from typing import Callable, Optional
 class SweepProgress:
     """One progress observation, passed to the reporter after each cell."""
 
-    done: int                 #: cells finished (cache hits + executed)
+    done: int                 #: cells finished (served + executed)
     total: int                #: cells in this run() call
-    executed: int             #: cells actually simulated so far
-    cache_hits: int           #: cells served from the result cache
+    executed: int             #: cells landed so far (succeeded or failed)
+    cache_hits: int           #: cells served from the result cache/journal
     elapsed_seconds: float    #: wall time since run() started
     eta_seconds: Optional[float]  #: None until at least one cell executed
     label: str = ""           #: label of the most recently finished job
+
+    @classmethod
+    def of(cls, total: int, served: int, executed: int, started: float,
+           label: str = "") -> "SweepProgress":
+        """The observation once ``executed`` cells have landed, ``served``
+        having come without running; ``started`` is the run's
+        ``perf_counter()`` start.  The ETA extrapolates the mean wall time
+        per landed cell over the cells still pending."""
+        elapsed = time.perf_counter() - started
+        done = served + executed
+        eta = elapsed / executed * (total - done) if executed else None
+        return cls(done=done, total=total, executed=executed,
+                   cache_hits=served, elapsed_seconds=elapsed,
+                   eta_seconds=eta, label=label)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -53,35 +67,6 @@ def stderr_reporter(progress: SweepProgress) -> None:
             f"{rate:5.1f} cells/s | ETA {eta}")
     end = "\n" if progress.done >= progress.total else "\r"
     print(line, end=end, file=sys.stderr, flush=True)
-
-
-class ProgressTracker:
-    """Bookkeeping between the executor's loop and a reporter callback."""
-
-    def __init__(self, total: int, cache_hits: int,
-                 callback: ProgressCallback):
-        self._callback = callback
-        self._total = total
-        self._hits = cache_hits
-        self._executed = 0
-        self._started = time.perf_counter()
-        if total:
-            self._emit("")  # cache hits are done before anything runs
-
-    def job_done(self, label: str = "") -> None:
-        self._executed += 1
-        self._emit(label)
-
-    def _emit(self, label: str) -> None:
-        elapsed = time.perf_counter() - self._started
-        done = self._hits + self._executed
-        remaining = self._total - done
-        eta = (elapsed / self._executed * remaining
-               if self._executed else None)
-        self._callback(SweepProgress(
-            done=done, total=self._total, executed=self._executed,
-            cache_hits=self._hits, elapsed_seconds=elapsed,
-            eta_seconds=eta, label=label))
 
 
 def resolve_progress(progress) -> Optional[ProgressCallback]:

@@ -126,9 +126,7 @@ class ResultCache:
                  max_mb: Optional[float] = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+        #: Lifetime counts; the executor reports each run's delta.
         self.corrupt = 0
         self.evictions = 0
         self.write_errors = 0
@@ -160,7 +158,6 @@ class ResultCache:
             with path.open("rb") as handle:
                 value = pickle.load(handle)
         except FileNotFoundError:
-            self.misses += 1
             return False, None
         except Exception:
             # A torn, truncated or garbage entry must behave as a miss (and
@@ -171,10 +168,8 @@ class ResultCache:
             # through a tempfile + rename means entries are never *written*
             # torn, this guards against external truncation/corruption.
             path.unlink(missing_ok=True)
-            self.misses += 1
             self.corrupt += 1
             return False, None
-        self.hits += 1
         return True, value
 
     def put(self, key: str, value: Any) -> None:
@@ -211,7 +206,6 @@ class ResultCache:
                   f"({exc}); continuing without caching this cell",
                   file=sys.stderr)
             return
-        self.stores += 1
         if self._max_bytes is not None:
             written = self._bytes_since_sweep
             if written is None:

@@ -89,7 +89,7 @@ from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
 
 from repro.config import RuntimeConfig
 from repro.obs import metrics as obs_metrics
-from repro.obs.progress import ProgressTracker, resolve_progress
+from repro.obs.progress import SweepProgress, resolve_progress
 from repro.runtime.cache import CODE_VERSION_SALT, ResultCache, stable_hash
 from repro.runtime.faults import (FaultInjectionError, FaultInjector,
                                   FaultSpec, JobAttempt, JobFailure,
@@ -218,8 +218,8 @@ class _InProcessTransport:
     ``submit`` names no worker process (it returns ``None``), so the driver
     arms no deadline and never calls ``abandon``: a serial run cannot
     preempt a wedged job.  Injected process faults are synthesized instead
-    of fired, and metrics stay in the live registry (a snapshot/reset
-    round-trip would orphan live handles).
+    of fired, and a job's counters land in this process's registry
+    directly, so there is no snapshot to ship.
 
     A completion is ``(slot, outcome, meta, metrics_snapshot)``:
     ``outcome`` is :func:`_timed_attempt`'s dict, or ``{"ok": False,
@@ -370,16 +370,14 @@ class _PoolTransport:
             conn.close()
 
 
-#: ``ResultCache`` counter -> the metric its per-run delta is published as.
-_CACHE_COUNTERS = {"hits": "cache.hits", "misses": "cache.misses",
-                   "stores": "cache.writes", "corrupt": "cache.corrupt",
-                   "evictions": "cache.evictions",
-                   "write_errors": "cache.write_errors"}
-
-
 @dataclass
 class ExecutorStats:
-    """What the last :meth:`SweepExecutor.run` call actually did."""
+    """What the last :meth:`SweepExecutor.run` call actually did.
+
+    ``job_records`` is the run's one count of its attempts: ``retries``,
+    ``timeouts`` and ``worker_crashes`` are read off it, and ``failed_jobs``
+    off ``failures``.
+    """
 
     total: int = 0
     cache_hits: int = 0
@@ -396,18 +394,6 @@ class ExecutorStats:
     workers: int = 1
     wall_seconds: float = 0.0
     pool_reused: bool = False
-    #: Attempts re-submitted after an error/crash/timeout (each retry of
-    #: each job counts once).
-    retries: int = 0
-    #: Attempts abandoned at the REPRO_JOB_TIMEOUT deadline (their wedged
-    #: workers are killed and replaced).
-    timeouts: int = 0
-    #: Worker processes that died mid-attempt (injected or real); each is
-    #: replaced and the in-flight attempt is resubmitted or failed.
-    worker_crashes: int = 0
-    #: Jobs whose retry budget was exhausted; under the salvage policy each
-    #: occupies its result slot as a JobFailure sentinel.
-    failed_jobs: int = 0
     #: Cells served from a resume journal's *private* store (cache-less
     #: runs; journaled cells served by the result cache count as cache_hits).
     journal_hits: int = 0
@@ -418,6 +404,32 @@ class ExecutorStats:
     #: pid, start, wall time, queue wait, attempt number and outcome
     #: (``ok`` / ``error`` / ``timeout`` / ``worker_crash``).
     job_records: List[Dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def retries(self) -> int:
+        """Attempts re-submitted after an error/crash/timeout."""
+        return sum(record["attempt"] > 1 for record in self.job_records)
+
+    @property
+    def timeouts(self) -> int:
+        """Attempts abandoned at the REPRO_JOB_TIMEOUT deadline (their
+        wedged workers are killed and replaced)."""
+        return self._landed_as("timeout")
+
+    @property
+    def worker_crashes(self) -> int:
+        """Attempts whose worker died under them (injected or real)."""
+        return self._landed_as("worker_crash")
+
+    @property
+    def failed_jobs(self) -> int:
+        """Jobs whose retry budget ran out; under the salvage policy each
+        occupies its result slot as a JobFailure sentinel."""
+        return len(self.failures)
+
+    def _landed_as(self, outcome: str) -> int:
+        return sum(record["outcome"] == outcome
+                   for record in self.job_records)
 
 
 class SweepExecutor:
@@ -569,7 +581,8 @@ class SweepExecutor:
             if (cache is not None or self.journal_dir is not None
                 or self._injector is not None) else [None] * len(jobs))
         stats = ExecutorStats(total=len(jobs), workers=self.workers)
-        cache_before = [getattr(cache, name, 0) for name in _CACHE_COUNTERS]
+        cache_counts = ("corrupt", "evictions", "write_errors")
+        cache_before = [getattr(cache, name, 0) for name in cache_counts]
         journal: Optional[RunJournal] = None
         if self.journal_dir is not None and jobs:
             journal = RunJournal(self.journal_dir, run_key_for(keys),
@@ -595,10 +608,12 @@ class SweepExecutor:
         stats.executed = len(pending)
 
         callback = resolve_progress(self.progress)
-        tracker = (ProgressTracker(len(jobs),
-                                   stats.cache_hits + stats.journal_hits,
-                                   callback)
-                   if callback is not None else None)
+        served = stats.cache_hits + stats.journal_hits
+        progress = None if callback is None else (
+            lambda landed, label: callback(SweepProgress.of(
+                len(jobs), served, landed, started, label)))
+        if progress is not None and jobs:
+            progress(0, "")  # served cells are done before anything runs
 
         def commit(index: int, value: Any) -> None:
             """Land one completed cell: result slot, cache, journal."""
@@ -616,7 +631,8 @@ class SweepExecutor:
                 transport, stats.pool_reused = self._transport(
                     [jobs[i] for i in pending])
                 failures, originals = self._drive(
-                    transport, pending, jobs, keys, commit, tracker, stats)
+                    transport, pending, jobs, keys, commit, progress,
+                    stats.job_records)
         except BaseException:
             # Never orphan workers on an interrupted sweep, persistent pool
             # or not (nor keep one whose workers still run a dead sweep's
@@ -632,17 +648,11 @@ class SweepExecutor:
 
         for index, failure in failures.items():
             results[index] = failure
-        stats.failed_jobs = len(failures)
         stats.failures = [failures[i].to_jsonable() for i in sorted(failures)]
-        cache_delta = {name: getattr(cache, name, 0) - before for name, before
-                       in zip(_CACHE_COUNTERS, cache_before)}  # 0: no cache
-        stats.cache_corrupt = cache_delta["corrupt"]
-        stats.cache_evictions = cache_delta["evictions"]
-        stats.cache_write_errors = cache_delta["write_errors"]
+        for name, before in zip(cache_counts, cache_before):  # 0: no cache
+            setattr(stats, f"cache_{name}", getattr(cache, name, 0) - before)
         stats.wall_seconds = time.perf_counter() - started
         self.last_stats = stats
-        if obs_metrics.enabled():
-            self._publish_run_metrics(stats, cache_delta)
         if failures and policy == "strict":
             first = min(failures)
             if first in originals:
@@ -650,47 +660,24 @@ class SweepExecutor:
             raise JobFailureError(failures[first])
         return results
 
-    def _publish_run_metrics(self, stats: ExecutorStats,
-                             cache_delta: Dict[str, int]) -> None:
-        """Fold the finished run's bookkeeping into the metrics registry
-        (the ``harvest_scenario`` pattern: plain counts, read once per run).
-        """
-        registry = obs_metrics.registry()
-        registry.counter("executor.runs").inc()
-        if stats.pool_reused:
-            registry.counter("executor.pool_reuses").inc()
-        registry.gauge("executor.workers").set(self.workers)
-        counts = {f"executor.{name}": getattr(stats, name) for name in (
-            "retries", "timeouts", "worker_crashes", "failed_jobs",
-            "journal_hits")}
-        counts.update((_CACHE_COUNTERS[name], value)
-                      for name, value in cache_delta.items())
-        for name, value in counts.items():
-            if value:
-                registry.counter(name).inc(value)
-        wall = registry.timer("executor.job_wall")
-        wait = registry.timer("executor.queue_wait")
-        for record in stats.job_records:
-            wall.observe_ns(int(record["wall_seconds"] * 1e9))
-            wait.observe_ns(int(record["queue_wait_seconds"] * 1e9))
-
     # ------------------------------------------------------------ the loop
     def _drive(self, transport, pending: List[int], jobs: List[SweepJob],
                keys: List[Optional[str]], commit: Callable[[int, Any], None],
-               tracker: Optional[ProgressTracker], stats: ExecutorStats
+               progress: Optional[Callable[[int, str], None]],
+               records: List[Dict[str, Any]]
                ) -> Tuple[Dict[int, JobFailure], Dict[int, BaseException]]:
         """Walk every pending slot through the attempt state machine.
 
         fresh → inflight → landed.  The clock, the wait and every process
-        come from ``transport``, so the loop itself never touches one.
-        Attempt records and retry/timeout/crash counts go straight into
-        ``stats``; returns ``(failures, original exceptions)`` by slot.
+        come from ``transport``, so the loop itself never touches one.  One
+        record per landed attempt goes onto ``records``, and ``progress``
+        (if any) hears of every landed cell with the number landed so far;
+        returns ``(failures, original exceptions)`` by slot.
         """
         retries, timeout, backoff = self.retries, self.timeout, self.backoff
         injector = self._injector
         seed = self.faults.seed if self.faults is not None else 0
         registry = obs_metrics.registry()
-        records = stats.job_records
         failures: Dict[int, JobFailure] = {}
         originals: Dict[int, BaseException] = {}
         fresh: Deque[int] = deque(pending)          # attempt 1 not yet sent
@@ -755,8 +742,8 @@ class SweepExecutor:
                     unfinished -= 1
                     records.append(meta)
                     commit(slot, outcome["value"])
-                    if tracker is not None:
-                        tracker.job_done(meta["label"])
+                    if progress is not None:
+                        progress(len(pending) - unfinished, meta["label"])
                     continue
                 tag = outcome["outcome"]
                 if meta is None:  # no worker lived to time this attempt
@@ -767,12 +754,10 @@ class SweepExecutor:
                             "attempt": attempt, "outcome": tag}
                 records.append(meta)
                 if tag == "worker_crash":
-                    stats.worker_crashes += 1
                     rec = crash_attempt(attempt, injected=(
                         injector is not None and injector.should(
                             "worker_crash", key_of(slot), attempt)))
                 elif tag == "timeout":
-                    stats.timeouts += 1
                     rec = timeout_attempt(attempt, timeout, injected=(
                         injector is not None and injector.should(
                             "job_hang", key_of(slot), attempt)))
@@ -791,7 +776,6 @@ class SweepExecutor:
                                           seed)
                     attempts.append(dataclasses.replace(
                         rec, backoff_seconds=delay))
-                    stats.retries += 1
                     heapq.heappush(waiting, (now + delay, slot, attempt + 1))
                 else:                   # exhausted: the failure takes the slot
                     attempts.append(rec)
@@ -799,8 +783,8 @@ class SweepExecutor:
                     failures[slot] = JobFailure(
                         key=key_of(slot), label=jobs[slot].label,
                         attempts=tuple(attempts))
-                    if tracker is not None:
-                        tracker.job_done(jobs[slot].label)
+                    if progress is not None:
+                        progress(len(pending) - unfinished, jobs[slot].label)
         return failures, originals
 
 

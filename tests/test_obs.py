@@ -4,8 +4,10 @@ Pins the contracts ``src/repro/obs`` is built on:
 
 * nothing holds an instrument handle: counts are published once per run,
   under whatever ``enabled()`` says at that moment;
-* instruments merge exactly and order-independently, so serial and parallel
-  sweeps produce identical merged counter totals;
+* the registry holds simulation counters only — the executor's numbers live
+  in ``last_stats``, once;
+* counters merge exactly and order-independently, so serial and parallel
+  sweeps produce identical merged totals;
 * simulation results are bit-identical with telemetry on and off (and with
   the engine trace hook attached);
 * run manifests round-trip through JSON with the documented schema, and the
@@ -18,14 +20,15 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import MANIFEST_SCHEMA, provenance
-from repro.obs.metrics import MetricsRegistry, TimerHist
-from repro.obs.progress import ProgressTracker
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.progress import SweepProgress
 from repro.obs.trace import (EventTraceRecorder, sweep_trace_events,
                              write_chrome_trace)
 from repro.runtime.executor import SweepExecutor, SweepJob
@@ -50,14 +53,7 @@ def test_enabled_handles_record():
     registry = obs_metrics.registry()
     registry.counter("a").inc()
     registry.counter("a").inc(2)
-    registry.gauge("g").set(7)
-    with registry.timer("t").time():
-        pass
-    snap = registry.snapshot()
-    assert snap["counters"] == {"a": 3}
-    assert snap["gauges"] == {"g": 7}
-    assert snap["timers"]["t"]["count"] == 1
-    assert snap["timers"]["t"]["total_ns"] >= 0
+    assert registry.snapshot() == {"counters": {"a": 3}}
 
 
 def test_override_nesting_restores_previous_state(monkeypatch):
@@ -78,46 +74,14 @@ def test_env_knob(monkeypatch):
     assert not obs_metrics.enabled()
 
 
-# ---------------------------------------------------------------------------
-# TimerHist math and merging
-# ---------------------------------------------------------------------------
-def test_timer_hist_stats():
-    t = TimerHist("t")
-    for ns in (5, 1, 9, 0):
-        t.observe_ns(ns)
-    assert t.count == 4
-    assert t.total_ns == 15
-    assert t.min_ns == 0
-    assert t.max_ns == 9
-    data = t.to_jsonable()
-    # 0 → bucket 0, 1 → bucket 1, 5 → bucket 3, 9 → bucket 4.
-    assert data["buckets"] == [1, 1, 0, 1, 1]
-    assert sum(data["buckets"]) == t.count
-
-
-def test_timer_hist_merge_equals_combined_observations():
-    combined, a, b = TimerHist("c"), TimerHist("a"), TimerHist("b")
-    for ns in (10, 200, 3_000):
-        a.observe_ns(ns)
-        combined.observe_ns(ns)
-    for ns in (1, 40_000):
-        b.observe_ns(ns)
-        combined.observe_ns(ns)
-    a.merge(b.to_jsonable())
-    assert a.to_jsonable() == combined.to_jsonable()
-
-
 def test_registry_merge_is_order_independent():
-    snap_a = {"counters": {"c": 3}, "gauges": {"g": 2.0},
-              "timers": {"t": TimerHist("t").to_jsonable()}}
-    snap_b = {"counters": {"c": 4, "d": 1}, "gauges": {"g": 5.0},
-              "timers": {}}
+    snap_a = {"counters": {"c": 3}}
+    snap_b = {"counters": {"c": 4, "d": 1}}
     ab, ba = MetricsRegistry(), MetricsRegistry()
     ab.merge(snap_a), ab.merge(snap_b)
     ba.merge(snap_b), ba.merge(snap_a)
     assert ab.snapshot() == ba.snapshot()
     assert ab.snapshot()["counters"] == {"c": 7, "d": 1}
-    assert ab.snapshot()["gauges"] == {"g": 5.0}
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +138,6 @@ def test_results_bit_identical_with_and_without_telemetry():
 # ---------------------------------------------------------------------------
 # Executor: merge-back determinism, job records, corrupt-entry accounting
 # ---------------------------------------------------------------------------
-def _scenario_counters(snapshot):
-    """The deterministic (simulation-side) counters of a snapshot."""
-    return {name: value for name, value in snapshot["counters"].items()
-            if not name.startswith("executor.")}
-
-
 def _small_spec():
     return SweepSpec(schemes=["abc", "cubic"], traces={"12mbps": 12e6},
                      seeds=(0, 1), duration=1.0)
@@ -196,17 +154,16 @@ def test_worker_merge_back_matches_serial(tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         obs_metrics.registry().reset()
         cells = spec.run_cells(executor)
+        assert executor.last_stats.executed == 4        # the cold run
         assert spec.run_cells(executor) == cells
-        return cells, _scenario_counters(obs_metrics.registry().snapshot())
+        assert executor.last_stats.cache_hits == 4      # the replay
+        return cells, obs_metrics.registry().snapshot()["counters"]
 
     serial, serial_counters = counters_of(1, tmp_path / "serial")
     parallel, parallel_counters = counters_of(2, tmp_path / "parallel")
 
     assert serial_counters == parallel_counters
     assert serial_counters["scenario.runs"] == 4
-    assert serial_counters["cache.misses"] == 4      # the cold scan
-    assert serial_counters["cache.writes"] == 4
-    assert serial_counters["cache.hits"] == 4        # the replay
     for (cell_s, res_s), (cell_p, res_p) in zip(serial, parallel):
         assert cell_s == cell_p
         assert res_s.throughput_bps == res_p.throughput_bps
@@ -226,8 +183,18 @@ def test_observed_run_collects_job_records(monkeypatch):
         assert record["label"]
         assert record["attempt"] == 1
         assert record["outcome"] == "ok"
-    timers = obs_metrics.registry().snapshot()["timers"]
-    assert timers["executor.job_wall"]["count"] == 4
+
+
+def test_the_registry_holds_simulation_counters_only(monkeypatch):
+    """A telemetry-on parallel sweep leaves no executor or cache copy of
+    ``last_stats`` in the registry: every counter is a harvested one."""
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    SweepSpec(schemes=["abc"], traces={"12mbps": 12e6}, seeds=(0, 1),
+              duration=0.5).run_cells(SweepExecutor(jobs=2))
+    names = obs_metrics.registry().snapshot()["counters"]
+    assert names
+    assert {name.partition(".")[0] for name in names} <= {
+        "scenario", "engine", "link", "sender", "receiver"}
 
 
 def test_unobserved_run_collects_nothing(monkeypatch):
@@ -268,13 +235,11 @@ def test_executor_counts_corrupt_entries_distinctly(tmp_path):
 # ---------------------------------------------------------------------------
 # Progress
 # ---------------------------------------------------------------------------
-def test_progress_tracker_counts_and_eta():
-    seen = []
-    tracker = ProgressTracker(total=3, cache_hits=1, callback=seen.append)
-    assert seen[-1].done == 1 and seen[-1].eta_seconds is None
-    tracker.job_done("a")
-    tracker.job_done("b")
-    last = seen[-1]
+def test_progress_counts_and_eta():
+    started = time.perf_counter()
+    first = SweepProgress.of(3, 1, 0, started)
+    assert first.done == 1 and first.eta_seconds is None
+    last = SweepProgress.of(3, 1, 2, started, "b")
     assert last.done == 3 and last.total == 3
     assert last.executed == 2 and last.cache_hits == 1
     assert last.eta_seconds == pytest.approx(0.0, abs=1.0)
@@ -288,6 +253,28 @@ def test_executor_progress_callback():
     SweepSpec(schemes=["abc"], traces={"12mbps": 12e6},
               duration=1.0).run_cells(executor)
     assert seen[-1].done == seen[-1].total == 1
+
+
+def _double_or_fail(x: int) -> int:
+    if x < 0:
+        raise ValueError("negative cell")
+    return 2 * x
+
+
+def test_progress_reports_once_up_front_then_once_per_landed_cell(tmp_path):
+    """N cells with k served from the cache: N - k + 1 callbacks, failed
+    cells included."""
+    jobs = [SweepJob(func=_double_or_fail, kwargs={"x": x}, label=f"c{x}")
+            for x in (0, 1, 2, -3, 4)]
+    SweepExecutor(jobs=1, cache_dir=tmp_path).run(jobs[:2])
+    seen = []
+    executor = SweepExecutor(jobs=1, cache_dir=tmp_path, progress=seen.append,
+                             retries=0, failure_policy="salvage")
+    executor.run(jobs)
+    assert len(seen) == len(jobs) - 2 + 1
+    assert [(p.done, p.executed, p.cache_hits, p.label) for p in seen] == [
+        (2, 0, 2, ""), (3, 1, 2, "c2"), (4, 2, 2, "c-3"), (5, 3, 2, "c4")]
+    assert executor.last_stats.failed_jobs == 1
 
 
 # ---------------------------------------------------------------------------

@@ -429,3 +429,15 @@ def test_executor_reports_cache_evictions(tmp_path, monkeypatch):
     unbounded = SweepExecutor(jobs=1, cache_dir=tmp_path / "u")
     unbounded.run(jobs)
     assert unbounded.last_stats.cache_evictions == 0
+
+
+def test_manifest_records_cache_evictions(tmp_path, monkeypatch):
+    from repro.obs.manifest import executor_record
+    # 200 KB entries under a 0.5 MB cap: the fourth write sweeps and evicts
+    # the two oldest entries.
+    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.5")
+    executor = SweepExecutor(jobs=1, cache_dir=tmp_path)
+    executor.run([SweepJob(func=_blob_job, kwargs=dict(value=i, kilobytes=200))
+                  for i in range(4)])
+    assert executor_record(executor)["cache_evictions"] == 2
+    assert executor.last_stats.cache_evictions == 2

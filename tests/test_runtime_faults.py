@@ -479,7 +479,7 @@ def test_cache_write_failure_degrades_to_miss(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("repro.runtime.cache.tempfile.mkstemp", refuse)
     cache.put("a" * 64, {"value": 1})                # must not raise
     assert cache.write_errors == 1
-    assert cache.stores == 0
+    assert len(cache) == 0
     assert "cache write failed" in capsys.readouterr().err
     hit, _ = cache.get("a" * 64)
     assert not hit
