@@ -2,11 +2,11 @@
 
 The paper's headline numbers (Fig. 9's bars, Table 1, the Pareto scatters)
 are point estimates from a single simulation seed.  This module turns the
-per-seed metric dictionaries produced by a multi-seed
-:class:`~repro.runtime.spec.SweepSpec` grid into :class:`SeedAggregate`
-summaries — mean, sample standard deviation, a 95 % confidence interval on
-the mean, and the min/max envelope — so every reported metric can carry an
-error bar.
+per-seed results of a multi-seed grid
+(:func:`~repro.experiments.runner.run_seed_grid`) into
+:class:`SeedAggregate` summaries — mean, sample standard deviation, a 95 %
+confidence interval on the mean, and the min/max envelope — so every
+reported metric can carry an error bar.
 
 The confidence interval uses the two-sided Student-t critical value for
 ``n - 1`` degrees of freedom (exact table up to 30 df, the asymptotic 1.96

@@ -10,7 +10,7 @@ The paper observes (§2, footnote 1 and §6.3) that on variable-bandwidth links
 BBR's probing frequently overshoots the capacity, producing high 95th
 percentile delays despite good utilisation — this implementation preserves
 exactly that behaviour.  The full PROBE_RTT machinery is reduced to a periodic
-window clamp (DESIGN.md records this simplification).
+window clamp.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ Cubic+Codel (Figs. 8–10).
 
 The TCP-competitive mode switch is omitted (all Copa experiments in the paper
 are single-flow or Copa-vs-ABC on an ABC bottleneck, where default mode is the
-relevant behaviour); DESIGN.md records the simplification.
+relevant behaviour).
 """
 
 from __future__ import annotations

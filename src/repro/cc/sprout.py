@@ -16,7 +16,7 @@ inference: while the measured queuing delay is below half the target the
 window ramps multiplicatively (the forecast allows growth when the link is
 clearly keeping up), and once queuing appears the window is pinned to a
 conservative percentile of recently observed delivery rates times the delay
-target.  DESIGN.md records the simplification.
+target.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ ABC at ≈ 0.7× the throughput).
 This implementation keeps the two-level structure (an inner delay-tracking
 loop that sets a target delay multiplier and an outer window chosen from an
 online-estimated delay/window relationship) but replaces the full epoch
-machinery with per-ACK updates; DESIGN.md records the simplification.
+machinery with per-ACK updates.
 """
 
 from __future__ import annotations

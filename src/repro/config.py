@@ -12,7 +12,7 @@ whitespace-only value means *unset*.
 at construction, as ``executor.config``; the run manifest records it.  What
 has no executor to hang off is a single-field live read through
 :func:`resolve`: ``REPRO_TELEMETRY``, ``REPRO_RUN_DIR``, ``REPRO_SEEDS`` in
-``run_seed_grid`` / ``run_cellular_sweep``, ``REPRO_CACHE_MAX_MB`` in a bare ``ResultCache``.
+``run_seed_grid``, ``REPRO_CACHE_MAX_MB`` in a bare ``ResultCache``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ def _seeds(value: Any) -> Tuple[int, ...]:
                          f"got {value!r}") from None
     if not seeds:
         raise ValueError("must name at least one seed")
+    for index, seed in enumerate(seeds):
+        if seed in seeds[:index]:
+            raise ValueError(f"names seed {seed} twice")
     return seeds
 
 

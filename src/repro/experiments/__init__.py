@@ -6,11 +6,11 @@ the paper reports.  The benchmark harnesses under ``benchmarks/`` call these
 functions and print the results; the integration tests assert the qualitative
 claims (who wins, by roughly what factor, where crossovers fall).
 
-Index (see DESIGN.md §4 for the full mapping):
+Index (``README.md``'s figure table maps every figure to its benchmark):
 
 * :mod:`repro.experiments.runner` — scheme registry, the single-bottleneck
-  cellular runner shared by most experiments, and ``run_seed_grid``, the seed
-  axis of every seeded figure.
+  cellular runner shared by most experiments, and ``run_seed_grid``, the one
+  grid runner (the seed axis of every figure).
 * :mod:`repro.experiments.timeseries` — Fig. 1 and Fig. 17 time series.
 * :mod:`repro.experiments.feedback` — Fig. 2 dequeue- vs enqueue-rate ablation.
 * :mod:`repro.experiments.fairness` — Fig. 3, the Jain-index experiment (§6.5).

@@ -31,7 +31,7 @@ from repro.core.coexistence import (DualQueueABCQdisc, MaxMinWeightController,
 from repro.core.params import ABCParams
 from repro.core.router import ABCRouterQdisc
 from repro.experiments.runner import run_seed_grid
-from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
+from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.simulator.link import SteppedRate
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import FixedSizeSource, OnOffSource, RateLimitedSource
@@ -160,19 +160,23 @@ def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
     Cubic flow shares the wired link, so ABC's ideal rate becomes the minimum
     of the wireless rate and its fair share of the wired link.
 
-    The run is routed through the sweep executor, so it honours
+    The run is routed through :func:`run_seed_grid`, so it honours
     ``REPRO_JOBS``/``REPRO_CACHE_DIR`` like the sweep figures.  The topology
-    is deterministic, so there is no seed axis.
+    is deterministic, so its seed list is pinned to ``(0,)``.
     """
     schedule = (None if cross_schedule is None
                 else [tuple(interval) for interval in cross_schedule])
-    job = SweepJob(func=fig6_cell,
-                   kwargs=dict(duration=duration, wired_mbps=wired_mbps,
-                               rtt=rtt, sample_interval=sample_interval,
-                               cross_traffic=cross_traffic,
-                               cross_schedule=schedule, seed=0),
-                   label="fig11" if cross_traffic else "fig6")
-    return get_executor(executor, jobs=jobs, cache_dir=cache_dir).run([job])[0]
+
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        return [SweepJob(func=fig6_cell,
+                         kwargs=dict(duration=duration, wired_mbps=wired_mbps,
+                                     rtt=rtt, sample_interval=sample_interval,
+                                     cross_traffic=cross_traffic,
+                                     cross_schedule=schedule, seed=s),
+                         label="fig11" if cross_traffic else "fig6")]
+
+    return run_seed_grid(jobs_for_seed, 0, (0,), executor, jobs,
+                         cache_dir)[0]
 
 
 def fig11_cross_traffic(duration: float = 80.0, **kwargs) -> DualBottleneckTrace:
@@ -231,14 +235,18 @@ def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0
                                 ) -> CoexistenceResult:
     """Fig. 7: two ABC then two Cubic flows arrive one after another.
 
-    Routed through the sweep executor.  The seed only drives the Poisson
-    short-flow process, which Fig. 7 disables, so there is no seed axis.
+    Routed through :func:`run_seed_grid`.  The seed only drives the Poisson
+    short-flow process, which Fig. 7 disables, so its seed list is pinned to
+    ``(17,)``.
     """
-    job = SweepJob(func=fig7_cell,
-                   kwargs=dict(link_mbps=link_mbps, duration=duration,
-                               rtt=rtt, stagger=stagger, seed=17),
-                   label="fig7")
-    return get_executor(executor, jobs=jobs, cache_dir=cache_dir).run([job])[0]
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        return [SweepJob(func=fig7_cell,
+                         kwargs=dict(link_mbps=link_mbps, duration=duration,
+                                     rtt=rtt, stagger=stagger, seed=s),
+                         label="fig7")]
+
+    return run_seed_grid(jobs_for_seed, 17, (17,), executor, jobs,
+                         cache_dir)[0]
 
 
 def _run_shared_bottleneck(link_mbps: float, duration: float, rtt: float,

@@ -38,10 +38,9 @@ from repro.cellular.trace import CellularTrace
 from repro.experiments.runner import (EXPLICIT_SCHEMES, SCHEME_NAMES,
                                       SingleBottleneckResult,
                                       normalized_table, run_seed_grid,
-                                      sweep_averages)
+                                      run_spec_grid, sweep_averages)
 from repro.runtime.executor import SweepExecutor, SweepJob
-from repro.runtime.spec import (SweepCell, SweepSpec, sweep_cell,
-                                validate_schemes)
+from repro.runtime.spec import SweepSpec, sweep_cell, validate_schemes
 from repro.runtime.trace_store import register_trace
 
 #: Scheme subset used by default for the heavier sweeps (everything).
@@ -163,25 +162,15 @@ def fig9_sweep(schemes: Sequence[str] = DEFAULT_SCHEMES,
     restricts the synthetic set to a subset of the trace library while
     keeping per-seed regeneration (Figs. 15/16).
     """
-    grid: List[SweepCell] = []
-
-    def jobs_for_seed(s: int) -> List[SweepJob]:
+    def spec_for_seed(s: int) -> SweepSpec:
         trace_set = traces if traces is not None else synthetic_trace_set(
             duration=duration, seed=s,
             names=list(trace_names) if trace_names is not None else None)
-        grid[:], sweep_jobs = SweepSpec(schemes=list(schemes),
-                                        traces=dict(trace_set), rtt=rtt,
-                                        duration=duration).expand()
-        for cell, job in zip(grid, sweep_jobs):   # the spec labels its seed, 0
-            job.label = f"seed{s}/{cell.scheme}/{cell.trace}"
-        return sweep_jobs
+        return SweepSpec(schemes=list(schemes), traces=dict(trace_set),
+                         rtt=rtt, duration=duration)
 
-    values = run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs,
-                           cache_dir)
-    out: Dict[str, Dict[str, SingleBottleneckResult]] = {}
-    for cell, value in zip(grid, values):
-        out.setdefault(cell.scheme, {})[cell.trace] = value
-    return out
+    return run_spec_grid(spec_for_seed, seed, seeds, executor, jobs,
+                         cache_dir)
 
 
 def fig16_explicit(duration: float = 30.0, rtt: float = 0.1, seed: int = 1,

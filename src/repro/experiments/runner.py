@@ -17,13 +17,14 @@ metrics.  Passing ``seeds=[...]`` (or setting ``REPRO_SEEDS``) adds the
 statistical seed axis: each cell runs once per seed and the sweep returns
 :class:`~repro.analysis.stats.SeedResultSet` aggregates whose metric
 attributes are across-seed means with 95 % confidence intervals attached.
-:func:`run_seed_grid` is that axis for every figure entry point: a figure
-lists one seed's jobs and shapes the per-cell values it gets back.
+:func:`run_seed_grid` is the one grid runner — that axis for every figure
+entry point, ``run_cellular_sweep`` and a ``metro_pack`` city alike: a
+caller lists one seed's jobs and shapes the per-cell values it gets back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -40,7 +41,7 @@ from repro.core.router import ABCRouterQdisc
 from repro.explicit import (RCPRouterQdisc, VCPRouterQdisc, XCPRouterQdisc)
 from repro.obs.manifest import build_manifest, run_dir, write_manifest
 from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
-from repro.runtime.spec import SweepSpec
+from repro.runtime.spec import SweepCell, SweepSpec
 from repro.simulator.link import CapacityModel
 from repro.simulator.qdisc import Qdisc
 from repro.simulator.scenario import Scenario
@@ -214,7 +215,7 @@ def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
                   jobs: Optional[int] = None,
                   cache_dir: Optional[str] = None,
                   combine: Callable[..., Any] = SeedResultSet) -> List[Any]:
-    """The seed axis of every figure: one value per grid cell, in grid order.
+    """The one grid runner: one value per grid cell, in grid order.
 
     ``jobs_for_seed(s)`` lists one seed's cells.  The seed list is ``seeds``,
     else ``REPRO_SEEDS``, else ``(default_seed,)``; every seed's jobs go
@@ -223,7 +224,8 @@ def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
     result object; with several it is ``combine(seeds, per_seed)``.
     ``jobs_for_seed`` sees the seed and nothing else, so seed ``s`` runs the
     same jobs — same cache keys, same results — however many other seeds
-    ride along.
+    ride along.  A grid without a seed axis pins ``seeds`` (e.g. ``(0,)``),
+    which also leaves ``REPRO_SEEDS`` out of it.
 
     When ``REPRO_RUN_DIR`` is set, one ``figure`` manifest per call records
     the seed list, the job labels and the executor's run.
@@ -244,21 +246,33 @@ def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
             for per_seed in split_by_seed(results, len(seeds))]
 
 
-def group_seed_results(pairs: Sequence[Tuple[Any, Any]],
-                       seeds: Sequence[int]
-                       ) -> Dict[str, Dict[str, SeedResultSet]]:
-    """Group a multi-seed ``run_cells()`` output as ``out[scheme][trace]``.
+def run_spec_grid(spec_for_seed: Callable[[int], SweepSpec],
+                  default_seed: int,
+                  seeds: Optional[Sequence[int]] = None,
+                  executor: Optional[SweepExecutor] = None,
+                  jobs: Optional[int] = None,
+                  cache_dir: Optional[str] = None
+                  ) -> Dict[str, Dict[str, Any]]:
+    """:func:`run_seed_grid` over one :class:`SweepSpec` per seed, grouped
+    as ``results[scheme][trace]`` (the Fig. 9 / 15 / 16 shape).
 
-    Cells arrive in the grid's scheme→trace→seed order, so each (scheme,
-    trace) group collects its per-seed results already ordered by ``seeds``.
+    ``spec_for_seed(s)`` is seed ``s``'s scheme × trace grid; its jobs are
+    labelled ``seed{s}/{scheme}/{trace}``.
     """
-    grouped: Dict[str, Dict[str, List[Any]]] = {}
-    for cell, result in pairs:
-        grouped.setdefault(cell.scheme, {}).setdefault(cell.trace,
-                                                       []).append(result)
-    return {scheme: {trace: SeedResultSet(seeds, results)
-                     for trace, results in per_trace.items()}
-            for scheme, per_trace in grouped.items()}
+    grid: List[SweepCell] = []
+
+    def jobs_for_seed(s: int) -> List[SweepJob]:
+        grid[:], sweep_jobs = spec_for_seed(s).expand()
+        for cell, job in zip(grid, sweep_jobs):
+            job.label = f"seed{s}/{cell.scheme}/{cell.trace}"
+        return sweep_jobs
+
+    values = run_seed_grid(jobs_for_seed, default_seed, seeds, executor, jobs,
+                           cache_dir)
+    out: Dict[str, Dict[str, Any]] = {}
+    for cell, value in zip(grid, values):
+        out.setdefault(cell.scheme, {})[cell.trace] = value
+    return out
 
 
 def run_cellular_sweep(schemes: Sequence[str],
@@ -280,22 +294,18 @@ def run_cellular_sweep(schemes: Sequence[str],
     for an unknown scheme label or an empty scheme/trace set.
 
     ``seeds`` (argument, else the ``REPRO_SEEDS`` environment variable) adds
-    the statistical seed axis.  With a single seed the result values are
-    plain :class:`SingleBottleneckResult` objects, bit-for-bit identical to
-    the single-seed output (the default seed is 0, today's behaviour).  With
-    several seeds every cell runs once per seed and each value is a
+    the statistical seed axis; the traces are the caller's, so a seed is the
+    per-cell simulation seed.  With a single seed the result values are
+    plain :class:`SingleBottleneckResult` objects (the default seed is 0).
+    With several seeds every cell runs once per seed and each value is a
     :class:`~repro.analysis.stats.SeedResultSet` whose metric attributes are
     across-seed means (full aggregates under ``.stats``).
     """
-    seeds = resolve_seeds(seeds)
     spec = SweepSpec(schemes=list(schemes), traces=dict(traces), rtt=rtt,
                      duration=duration, buffer_packets=buffer_packets,
-                     abc_params=abc_params,
-                     seeds=seeds if seeds is not None else (0,))
-    executor = get_executor(executor, jobs=jobs, cache_dir=cache_dir)
-    if seeds is None or len(seeds) == 1:
-        return spec.run(executor)
-    return group_seed_results(spec.run_cells(executor), seeds)
+                     abc_params=abc_params)
+    return run_spec_grid(lambda s: replace(spec, seeds=(s,)), 0, seeds,
+                         executor, jobs, cache_dir)
 
 
 #: Metrics averaged across traces by :func:`sweep_averages`, in row order.

@@ -19,7 +19,7 @@ Setting ``wireless=True`` selects XCPw.
 
 Fairness shuffling (the bandwidth-shuffling term of the full XCP fairness
 controller) is omitted because every XCP experiment reproduced here is
-single-flow; DESIGN.md records the simplification.
+single-flow.
 """
 
 from __future__ import annotations

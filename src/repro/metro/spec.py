@@ -1,9 +1,10 @@
 """Metro sweep specification: a city of cells on the runtime executor.
 
 :class:`MetroSpec` reuses the :class:`~repro.runtime.spec.SweepSpec` grid
-machinery — deterministic expansion order, duplicate-cell detection, trace
-registration with the shared store, the seed axis and the result cache — and
-swaps in the metro vocabulary:
+expansion — deterministic order, duplicate-cell detection, trace
+registration with the shared store and ``jobs_for_seed``, so a city runs
+through :func:`~repro.experiments.runner.run_seed_grid` like any figure —
+and swaps in the metro vocabulary:
 
 * the *scheme* axis holds weighted mixes (``"abc:0.6,cubic:0.3,bbr:0.1"``)
   instead of single scheme labels;
@@ -19,7 +20,7 @@ distinct trace seed per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.metro.cell import metro_cell
 from repro.metro.workload import parse_mix
@@ -33,14 +34,13 @@ DEFAULT_MIX = "abc:0.6,cubic:0.3,bbr:0.1"
 
 @dataclass
 class MetroSpec(SweepSpec):
-    """Axes of a mix × cell (× seed × overrides) metro sweep.
+    """Axes of a mix × cell × seed metro sweep.
 
     ``schemes`` holds weighted mix labels (see
     :func:`repro.metro.workload.parse_mix`); ``traces`` maps cell names to
     link specs (a :class:`~repro.cellular.trace.CellularTrace` or a rate in
     bps).  The workload knobs (``base_flows``, ``arrival_rate``, the
-    bounded-Pareto size law) apply to every cell and can be varied per grid
-    entry through ``param_grid``.
+    bounded-Pareto size law) apply to every cell.
     """
 
     rtt: float = 0.05
@@ -65,7 +65,7 @@ class MetroSpec(SweepSpec):
                         f"sender-side schemes: {sorted(known)}")
 
     def _make_job(self, scheme: str, trace_name: str, link_spec: Any,
-                  seed: int, overrides: Mapping[str, Any]) -> SweepJob:
+                  seed: int) -> SweepJob:
         kwargs = dict(
             mix=str(scheme).lower(), cell=trace_name, link_spec=link_spec,
             seed=seed, rtt=self.rtt, duration=self.duration,
@@ -74,7 +74,6 @@ class MetroSpec(SweepSpec):
             flow_size_min=self.flow_size_min,
             flow_size_max=self.flow_size_max,
             flow_size_alpha=self.flow_size_alpha, warmup=self.warmup)
-        kwargs.update(overrides)
         return SweepJob(func=metro_cell, kwargs=kwargs,
                         label=f"{scheme}/{trace_name}/seed{seed}")
 

@@ -1,17 +1,15 @@
 """Run manifests: JSON provenance records for every sweep-scale run.
 
-When ``REPRO_RUN_DIR`` names a directory, three call sites write one manifest
-each there: :meth:`SweepSpec.run_cells` (kind ``sweep``: ``run_cellular_sweep``
-and every ``metro_pack`` city), :func:`repro.experiments.runner.run_seed_grid`
-(kind ``figure``: every seeded figure entry point) and a fuzz campaign (kind
-``fuzz``).  The single-cell deterministic figures (6, 7, 11) and the
-in-process ones (2, 3, 4) write none.  A manifest is enough to answer,
-months later, *what exactly produced this number*: the git SHA, the cache's
-code-version salt, the ``REPRO_*`` variables set and the configuration the
-executor resolved (``executor.config``), the grid (schemes × traces × seeds,
-or the seed list and job labels), per-job timings (worker pid, queue wait),
-the executor's cache statistics and — when ``REPRO_TELEMETRY=1`` — the
-merged simulation counters.
+When ``REPRO_RUN_DIR`` names a directory, two call sites write one manifest
+each there: :func:`repro.experiments.runner.run_seed_grid` (kind ``figure``:
+every figure entry point, ``run_cellular_sweep`` and every ``metro_pack``
+city) and a fuzz campaign (kind ``fuzz``).  The in-process figures (2, 3, 4)
+write none.  A manifest is enough to answer, months later, *what exactly
+produced this number*: the git SHA, the cache's code-version salt, the
+``REPRO_*`` variables set and the configuration the executor resolved
+(``executor.config``), the seed list and job labels, per-job timings (worker
+pid, queue wait), the executor's cache statistics and — when
+``REPRO_TELEMETRY=1`` — the merged simulation counters.
 
 :func:`provenance` is the deterministic core of a manifest (no timestamps,
 no timings): fuzz campaign reports embed it verbatim so a failing corpus
@@ -131,7 +129,6 @@ def executor_record(executor: Any) -> Dict[str, Any]:
 
 
 def build_manifest(kind: str, *, spec: Optional[Dict[str, Any]] = None,
-                   cells: Optional[List[Dict[str, Any]]] = None,
                    executor: Any = None,
                    extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Assemble a full manifest dict (provenance + run-specific sections)."""
@@ -142,8 +139,6 @@ def build_manifest(kind: str, *, spec: Optional[Dict[str, Any]] = None,
     manifest["created_unix"] = time.time()
     if spec is not None:
         manifest["spec"] = spec
-    if cells is not None:
-        manifest["cells"] = cells
     if executor is not None:
         manifest["executor"] = executor_record(executor)
     manifest["metrics"] = registry().snapshot() if enabled() else None
@@ -169,33 +164,3 @@ def write_manifest(manifest: Dict[str, Any],
     path = directory / name
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return path
-
-
-def spec_summary(spec: Any) -> Dict[str, Any]:
-    """Compact JSON-able description of a :class:`SweepSpec`-like grid."""
-    return {
-        "type": type(spec).__name__,
-        "schemes": [str(s) for s in spec.schemes],
-        "traces": [str(name) for name in spec.traces],
-        "seeds": [int(s) for s in spec.seeds],
-        "duration": spec.duration,
-        "rtt": spec.rtt,
-        "buffer_packets": spec.buffer_packets,
-        "param_grid_cells": len(list(spec.param_grid)),
-    }
-
-
-def maybe_write_sweep_manifest(spec: Any, cells: List[Any],
-                               executor: Any) -> Optional[Path]:
-    """Emit one manifest for a finished sweep (no-op without REPRO_RUN_DIR)."""
-    directory = run_dir()
-    if directory is None:
-        return None
-    cell_records = [
-        {"scheme": cell.scheme, "trace": cell.trace, "seed": cell.seed,
-         "overrides": [[str(k), repr(v)] for k, v in cell.overrides]}
-        for cell in cells]
-    manifest = build_manifest(
-        "sweep", spec=spec_summary(spec), cells=cell_records,
-        executor=executor)
-    return write_manifest(manifest, directory)

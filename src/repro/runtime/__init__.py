@@ -4,7 +4,8 @@ This subsystem turns the repository's figure sweeps into fleets of
 independent jobs:
 
 * :class:`~repro.runtime.spec.SweepSpec` — declarative schemes × traces ×
-  seeds × overrides grid that expands into jobs.
+  seeds grid that expands into jobs (run by
+  :func:`repro.experiments.runner.run_seed_grid`).
 * :class:`~repro.runtime.executor.SweepExecutor` — runs jobs serially or on
   a ``multiprocessing`` pool (``REPRO_JOBS`` / ``jobs=`` knob) and memoizes
   results in an on-disk content-addressed cache (``REPRO_CACHE_DIR`` /

@@ -1,9 +1,9 @@
 """Content-addressed on-disk cache for sweep cell results.
 
-Every sweep cell (one scheme on one trace with one seed and one set of
-parameter overrides) is identified by a *stable hash* of the job that
-produces it: the fully-qualified name of the job function, a canonical
-encoding of its keyword arguments, and a code-version salt.  Two processes
+Every sweep cell (one scheme on one trace with one seed) is identified by a
+*stable hash* of the job that produces it: the fully-qualified name of the
+job function, a canonical encoding of its keyword arguments, and a
+code-version salt.  Two processes
 (or two sessions days apart) that submit the same cell therefore compute the
 same key and share the cached value, and any change to the salt — or to the
 arguments, including the full content of a trace — invalidates the entry.

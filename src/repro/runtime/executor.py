@@ -2,7 +2,7 @@
 
 The experiment sweeps in this repository (Figs. 8/9/15/16/18, Table 1, the
 WiFi and coexistence grids) are embarrassingly parallel: every (scheme,
-trace, seed, overrides) cell is an independent single-process simulation.
+trace, seed) cell is an independent single-process simulation.
 :class:`SweepExecutor` fans a list of :class:`SweepJob`\\ s out over worker
 processes it owns, runs in-process when one worker is requested, and
 memoizes completed cells through :class:`~repro.runtime.cache.ResultCache`.
@@ -30,8 +30,8 @@ workers.  Used as a context manager the executor keeps them alive across
 ``run()`` calls::
 
     with SweepExecutor(jobs=4) as executor:
-        first = spec_a.run(executor)    # workers start here
-        second = spec_b.run(executor)   # workers reused, no spin-up
+        first = fig9_sweep(executor=executor)     # workers start here
+        second = fig18_rtt_sensitivity(executor=executor)  # no spin-up
 
 Workers are primed with the shared trace store
 (:mod:`repro.runtime.trace_store`) when they start, so job kwargs carry

@@ -1,21 +1,19 @@
 """Declarative sweep specifications.
 
 A :class:`SweepSpec` names the axes of a figure-style sweep — schemes ×
-traces × seeds × parameter overrides — and expands into independent
+traces × seeds — and expands into independent
 :class:`~repro.runtime.executor.SweepJob`\\ s, one per cell.  Each cell runs
 :func:`repro.experiments.runner.run_single_bottleneck` in its own simulator
 and returns a :class:`~repro.experiments.runner.SingleBottleneckResult`
 stripped to its picklable metrics, so cells can cross process boundaries and
 live in the on-disk cache.
 
-Example
--------
-::
+A spec runs nothing itself: :func:`repro.experiments.runner.run_seed_grid`
+is the one runner (one ``executor.run``, one ``figure`` manifest), fed one
+seed's jobs at a time::
 
-    spec = SweepSpec(schemes=SCHEME_NAMES, traces=synthetic_trace_set(30.0),
-                     duration=30.0)
-    results = spec.run(SweepExecutor(jobs=4, cache_dir="~/.cache/repro"))
-    results["abc"]["Verizon-LTE-1"].utilization
+    spec = metro_pack(n_cells=20, seeds=(0,))
+    results = run_seed_grid(spec.jobs_for_seed, 0, spec.seeds, executor)
 
 Validation happens at expansion time: an unknown scheme label or an empty
 trace/scheme axis raises :class:`ValueError` immediately instead of failing
@@ -24,15 +22,15 @@ deep inside a half-finished sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
-from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
+from repro.runtime.executor import SweepJob
 from repro.runtime.trace_store import register_trace, resolve_link_spec
 
 
 def sweep_cell(**kwargs) -> Any:
-    """Run one (scheme, trace, seed, overrides) cell.
+    """Run one (scheme, trace, seed) cell.
 
     Module-level so multiprocessing workers can import it by name.
     ``link_spec`` (and any ``extra_links``) may be
@@ -88,24 +86,18 @@ class SweepCell:
     scheme: str
     trace: str
     seed: int
-    overrides: Tuple[Tuple[str, Any], ...] = ()
 
 
 @dataclass
 class SweepSpec:
-    """Axes of a scheme × trace (× seed × overrides) sweep.
+    """Axes of a scheme × trace × seed grid.
 
     ``traces`` maps display names to link specs (a
     :class:`~repro.cellular.trace.CellularTrace`, a rate in bps, or a
-    :class:`~repro.simulator.link.CapacityModel`).  ``param_grid`` is an
-    extra axis of kwargs overrides applied on top of the base parameters —
-    e.g. ``[{"rtt": r} for r in rtts]`` reproduces the Fig. 18 RTT axis.
-
-    ``seeds`` is the statistical axis: each (scheme, trace, overrides) cell
-    runs once per seed, and
-    :func:`repro.experiments.runner.group_seed_results` turns the resulting
-    ``run_cells()`` pairs into mean ± 95 % CI aggregates.  The default
-    ``(0,)`` reproduces the single-seed figures bit-for-bit.
+    :class:`~repro.simulator.link.CapacityModel`).  ``seeds`` are the
+    per-cell simulation seeds; the default ``(0,)`` is the single-seed
+    figure.  A spec only expands: :meth:`jobs_for_seed` is one seed's jobs,
+    the shape :func:`repro.experiments.runner.run_seed_grid` runs.
     """
 
     schemes: Sequence[str]
@@ -116,7 +108,6 @@ class SweepSpec:
     buffer_packets: int = 250
     abc_params: Optional[Any] = None
     warmup: float = 0.0
-    param_grid: Sequence[Mapping[str, Any]] = field(default_factory=lambda: ({},))
 
     def validate(self) -> None:
         self._validate_schemes()
@@ -124,9 +115,6 @@ class SweepSpec:
             raise ValueError("sweep needs a non-empty trace set")
         if not self.seeds:
             raise ValueError("sweep needs at least one seed")
-        if not self.param_grid:
-            raise ValueError("param_grid must contain at least one override "
-                             "mapping (use [{}] for no overrides)")
 
     def _validate_schemes(self) -> None:
         """Hook: check the scheme axis.  Subclasses with a different label
@@ -135,14 +123,14 @@ class SweepSpec:
         validate_schemes(self.schemes)
 
     def _make_job(self, scheme: str, trace_name: str, link_spec: Any,
-                  seed: int, overrides: Mapping[str, Any]) -> SweepJob:
+                  seed: int) -> SweepJob:
         """Hook: build the :class:`SweepJob` for one grid coordinate.
 
         The base spec runs :func:`sweep_cell`
         (→ :func:`~repro.experiments.runner.run_single_bottleneck`);
         subclasses substitute their own module-level job function while
-        inheriting the grid expansion, duplicate detection, trace-store
-        registration and executor/cache plumbing unchanged.
+        inheriting the grid expansion, duplicate detection and trace-store
+        registration unchanged.
         """
         kwargs = dict(
             scheme=str(scheme).lower(), link_spec=link_spec,
@@ -150,13 +138,11 @@ class SweepSpec:
             buffer_packets=self.buffer_packets,
             abc_params=self.abc_params, warmup=self.warmup,
             seed=seed)
-        kwargs.update(overrides)
         return SweepJob(func=sweep_cell, kwargs=kwargs,
                         label=f"{scheme}/{trace_name}/seed{seed}")
 
-    # ------------------------------------------------------------- expansion
     def expand(self) -> Tuple[List[SweepCell], List[SweepJob]]:
-        """All cells in deterministic scheme→trace→seed→override order.
+        """All cells in deterministic scheme→trace→seed order.
 
         Cellular traces are registered with the shared trace store and
         replaced inside job kwargs by tiny
@@ -178,70 +164,26 @@ class SweepSpec:
         for scheme in self.schemes:
             for trace_name, link_spec in trace_specs.items():
                 for seed in self.seeds:
-                    for overrides in self.param_grid:
-                        # A duplicate coordinate would silently run (and be
-                        # aggregated) twice — e.g. a scheme listed under two
-                        # spellings, a repeated seed, or two identical
-                        # param_grid entries.  Fail loudly instead.
-                        key = (str(scheme).lower(), trace_name, seed,
-                               tuple(sorted((str(k), repr(v))
-                                            for k, v in overrides.items())))
-                        if key in seen_cells:
-                            raise ValueError(
-                                f"duplicate sweep cell: scheme={scheme!r}, "
-                                f"trace={trace_name!r}, seed={seed}, "
-                                f"overrides={dict(overrides)!r} — check the "
-                                f"schemes/seeds/param_grid axes for repeats")
-                        seen_cells.add(key)
-                        # The job normalises the label inside its kwargs so a
-                        # mixed-case spelling hashes to the same cache key;
-                        # the cell keeps the caller's spelling so grouped
-                        # results stay keyed the way they were requested.
-                        cells.append(SweepCell(
-                            scheme=str(scheme), trace=trace_name,
-                            seed=seed,
-                            overrides=tuple(sorted(overrides.items()))))
-                        jobs.append(self._make_job(
-                            scheme, trace_name, link_spec, seed, overrides))
+                    # A duplicate coordinate would silently run (and be
+                    # aggregated) twice — e.g. a scheme listed under two
+                    # spellings.  Fail loudly instead.
+                    key = (str(scheme).lower(), trace_name, seed)
+                    if key in seen_cells:
+                        raise ValueError(
+                            f"duplicate sweep cell: scheme={scheme!r}, "
+                            f"trace={trace_name!r}, seed={seed} — check the "
+                            f"schemes/seeds axes for repeats")
+                    seen_cells.add(key)
+                    # The job normalises the label inside its kwargs so a
+                    # mixed-case spelling hashes to the same cache key; the
+                    # cell keeps the caller's spelling so grouped results
+                    # stay keyed the way they were requested.
+                    cells.append(SweepCell(scheme=str(scheme),
+                                           trace=trace_name, seed=seed))
+                    jobs.append(self._make_job(scheme, trace_name,
+                                               link_spec, seed))
         return cells, jobs
 
-    # ------------------------------------------------------------------ run
-    def run_cells(self, executor: Optional[SweepExecutor] = None,
-                  failures: Optional[str] = None
-                  ) -> List[Tuple[SweepCell, Any]]:
-        """Execute the grid; returns ``(cell, result)`` pairs in grid order.
-
-        When ``REPRO_RUN_DIR`` is set, a JSON provenance manifest for the
-        finished sweep is written there (see :mod:`repro.obs.manifest`).
-
-        ``failures`` selects the policy for cells whose retry budget runs
-        out under the executor's fault-tolerance knobs: ``"strict"`` raises
-        (the default), ``"salvage"`` keeps the good cells and returns
-        :class:`~repro.runtime.faults.JobFailure` sentinels in the failed
-        slots (test with :func:`~repro.runtime.faults.is_failure`).  ``None``
-        defers to the executor / ``REPRO_FAILURE_POLICY``.
-        """
-        executor = get_executor(executor)
-        cells, jobs = self.expand()
-        results = list(zip(cells, executor.run(jobs,
-                                               failure_policy=failures)))
-        from repro.obs.manifest import maybe_write_sweep_manifest
-        maybe_write_sweep_manifest(self, cells, executor)
-        return results
-
-    def run(self, executor: Optional[SweepExecutor] = None,
-            failures: Optional[str] = None) -> Dict[str, Dict[str, Any]]:
-        """Execute and group as ``results[scheme][trace]``.
-
-        Requires a single seed and a single override mapping (the common
-        figure-sweep shape); use :meth:`run_cells` for richer grids.
-        ``failures`` is the strict-vs-salvage policy knob (see
-        :meth:`run_cells`).
-        """
-        if len(self.seeds) != 1 or len(self.param_grid) != 1:
-            raise ValueError("SweepSpec.run() requires exactly one seed and "
-                             "one param_grid entry; use run_cells() instead")
-        grouped: Dict[str, Dict[str, Any]] = {}
-        for cell, result in self.run_cells(executor, failures=failures):
-            grouped.setdefault(cell.scheme, {})[cell.trace] = result
-        return grouped
+    def jobs_for_seed(self, seed: int) -> List[SweepJob]:
+        """Seed ``seed``'s jobs: the grid expanded with ``seeds=(seed,)``."""
+        return replace(self, seeds=(seed,)).expand()[1]

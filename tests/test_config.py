@@ -198,6 +198,18 @@ def test_resolve_seeds_is_the_seeds_knob(clean_env):
     assert resolve_seeds([9]) == (9,)
 
 
+def test_a_repeated_seed_argument_is_rejected(clean_env):
+    """``seeds=[1, 1]`` would run one sample twice and report n=2, ±0."""
+    with pytest.raises(ValueError, match="REPRO_SEEDS: names seed 1 twice"):
+        resolve_seeds([1, 2, 1])
+
+
+def test_a_repeated_seed_in_the_environment_is_rejected(clean_env):
+    clean_env.setenv("REPRO_SEEDS", "3,3")
+    with pytest.raises(ValueError, match="REPRO_SEEDS: names seed 3 twice"):
+        resolve_seeds()
+
+
 def test_progress_knob_selects_the_reporter(clean_env):
     """``resolve_progress`` maps the resolved knob onto a callback."""
     assert resolve_progress(resolve("progress")) is None

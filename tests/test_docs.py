@@ -56,6 +56,15 @@ def test_readme_documents_the_knobs():
         assert shown in rows[env], f"{env}: README says {rows[env]!r}"
 
 
+def test_markdown_paths_named_in_src_exist():
+    """A docstring that points at a document points at one that exists."""
+    missing = [f"{path.relative_to(REPO_ROOT)}: {name}"
+               for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+               for name in re.findall(r"[\w./-]+\.md\b", path.read_text())
+               if not (REPO_ROOT / name).is_file()]
+    assert not missing, "src/ names missing documents:\n" + "\n".join(missing)
+
+
 def test_architecture_names_every_package():
     arch = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
     packages = sorted(p.name for p in (REPO_ROOT / "src" / "repro").iterdir()
@@ -96,7 +105,7 @@ def test_speed_figures_name_a_ledger_workload():
 #: Total lines of ``src/**/*.py`` at the last PR that moved it.  The north
 #: star says this number goes down: lower it when a PR shrinks ``src/``;
 #: raising it is an edit a reviewer sees and a PR has to argue for.
-SRC_LINE_CEILING = 13_940
+SRC_LINE_CEILING = 13_856
 
 
 def test_every_ci_job_gates():

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.experiments.runner import run_seed_grid
 from repro.metro import aggregate_city, metro_pack
 from repro.runtime import SweepExecutor
 
@@ -32,7 +33,7 @@ CITY = dict(n_cells=4, duration=3.0, trace_seed=2, seeds=(0,),
 
 def run_city(executor: SweepExecutor) -> dict:
     spec = metro_pack(**CITY)
-    results = [result for _cell, result in spec.run_cells(executor)]
+    results = run_seed_grid(spec.jobs_for_seed, 0, spec.seeds, executor)
     return {"cells": results, "city": aggregate_city(results)}
 
 

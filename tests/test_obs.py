@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.runner import run_cellular_sweep
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import MANIFEST_SCHEMA, provenance
 from repro.obs.metrics import MetricsRegistry
@@ -32,7 +33,6 @@ from repro.obs.progress import SweepProgress
 from repro.obs.trace import (EventTraceRecorder, sweep_trace_events,
                              write_chrome_trace)
 from repro.runtime.executor import SweepExecutor, SweepJob
-from repro.runtime.spec import SweepSpec
 from repro.simulator.engine import EventLoop
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -138,14 +138,21 @@ def test_results_bit_identical_with_and_without_telemetry():
 # ---------------------------------------------------------------------------
 # Executor: merge-back determinism, job records, corrupt-entry accounting
 # ---------------------------------------------------------------------------
-def _small_spec():
-    return SweepSpec(schemes=["abc", "cubic"], traces={"12mbps": 12e6},
-                     seeds=(0, 1), duration=1.0)
+def _small_sweep(executor):
+    """abc and cubic on a 12 Mbit/s link at seeds 0 and 1: four cells,
+    returned as their per-seed results."""
+    sweep = run_cellular_sweep(["abc", "cubic"], {"12mbps": 12e6},
+                               duration=1.0, seeds=(0, 1), executor=executor)
+    return [result for per_trace in sweep.values()
+            for cell in per_trace.values() for result in cell.per_seed]
+
+
+def _one_cell(executor, duration=1.0, seeds=None):
+    return run_cellular_sweep(["abc"], {"12mbps": 12e6}, duration=duration,
+                              seeds=seeds, executor=executor)
 
 
 def test_worker_merge_back_matches_serial(tmp_path, monkeypatch):
-    spec = _small_spec()
-
     def counters_of(jobs, cache_dir):
         """Cold run then cached replay; the executor (and its cache) is
         built with telemetry *off* — only the runs happen under it."""
@@ -153,9 +160,9 @@ def test_worker_merge_back_matches_serial(tmp_path, monkeypatch):
         executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         obs_metrics.registry().reset()
-        cells = spec.run_cells(executor)
+        cells = _small_sweep(executor)
         assert executor.last_stats.executed == 4        # the cold run
-        assert spec.run_cells(executor) == cells
+        assert _small_sweep(executor) == cells
         assert executor.last_stats.cache_hits == 4      # the replay
         return cells, obs_metrics.registry().snapshot()["counters"]
 
@@ -164,15 +171,15 @@ def test_worker_merge_back_matches_serial(tmp_path, monkeypatch):
 
     assert serial_counters == parallel_counters
     assert serial_counters["scenario.runs"] == 4
-    for (cell_s, res_s), (cell_p, res_p) in zip(serial, parallel):
-        assert cell_s == cell_p
+    for res_s, res_p in zip(serial, parallel):
+        assert res_s.scheme == res_p.scheme
         assert res_s.throughput_bps == res_p.throughput_bps
 
 
 def test_observed_run_collects_job_records(monkeypatch):
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
     executor = SweepExecutor(jobs=2)
-    _small_spec().run_cells(executor)
+    _small_sweep(executor)
     stats = executor.last_stats
     assert stats.executed == 4
     assert len(stats.job_records) == 4
@@ -189,8 +196,7 @@ def test_the_registry_holds_simulation_counters_only(monkeypatch):
     """A telemetry-on parallel sweep leaves no executor or cache copy of
     ``last_stats`` in the registry: every counter is a harvested one."""
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    SweepSpec(schemes=["abc"], traces={"12mbps": 12e6}, seeds=(0, 1),
-              duration=0.5).run_cells(SweepExecutor(jobs=2))
+    _one_cell(SweepExecutor(jobs=2), duration=0.5, seeds=(0, 1))
     names = obs_metrics.registry().snapshot()["counters"]
     assert names
     assert {name.partition(".")[0] for name in names} <= {
@@ -202,8 +208,7 @@ def test_unobserved_run_collects_nothing(monkeypatch):
     monkeypatch.delenv("REPRO_RUN_DIR", raising=False)
     monkeypatch.delenv("REPRO_PROGRESS", raising=False)
     executor = SweepExecutor(jobs=1)
-    SweepSpec(schemes=["abc"], traces={"12mbps": 12e6},
-              duration=1.0).run_cells(executor)
+    _one_cell(executor)
     stats = executor.last_stats
     assert len(stats.job_records) == stats.executed
     assert obs_metrics.registry().snapshot()["counters"] == {}
@@ -249,9 +254,7 @@ def test_progress_counts_and_eta():
 
 def test_executor_progress_callback():
     seen = []
-    executor = SweepExecutor(jobs=1, progress=seen.append)
-    SweepSpec(schemes=["abc"], traces={"12mbps": 12e6},
-              duration=1.0).run_cells(executor)
+    _one_cell(SweepExecutor(jobs=1, progress=seen.append))
     assert seen[-1].done == seen[-1].total == 1
 
 
@@ -292,18 +295,16 @@ def test_provenance_is_deterministic_and_timestamp_free():
 def test_sweep_manifest_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    executor = SweepExecutor(jobs=1)
-    spec = _small_spec()
-    spec.run_cells(executor)
-    (path,) = (tmp_path / "runs").glob("sweep-*.json")
+    _small_sweep(SweepExecutor(jobs=1))
+    (path,) = (tmp_path / "runs").glob("*.json")
     manifest = json.loads(path.read_text())
     assert manifest["schema"] == MANIFEST_SCHEMA
-    assert manifest["kind"] == "sweep"
+    assert manifest["kind"] == "figure"
     assert manifest["created_unix"] > 0
     assert manifest["knobs"]["REPRO_TELEMETRY"] == "1"
-    assert manifest["spec"]["schemes"] == ["abc", "cubic"]
-    assert manifest["spec"]["seeds"] == [0, 1]
-    assert len(manifest["cells"]) == 4
+    assert manifest["spec"] == {"seeds": [0, 1], "jobs": [
+        "seed0/abc/12mbps", "seed0/cubic/12mbps",
+        "seed1/abc/12mbps", "seed1/cubic/12mbps"]}
     assert manifest["executor"]["total"] == 4
     assert manifest["executor"]["executed"] == 4
     assert manifest["executor"]["cache_corrupt"] == 0
@@ -312,25 +313,44 @@ def test_sweep_manifest_round_trip(tmp_path, monkeypatch):
 
 
 def test_every_seeded_figure_call_leaves_one_manifest(tmp_path, monkeypatch):
-    from repro.experiments.coexistence import fig13_app_limited
+    from repro.experiments.coexistence import (fig6_nonabc_bottleneck,
+                                               fig13_app_limited)
     from repro.experiments.pareto import fig9_sweep
+    from repro.experiments.runner import run_seed_grid
+    from repro.metro import metro_pack
     monkeypatch.delenv("REPRO_SEEDS", raising=False)
-    monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
+    runs = tmp_path / "runs"
+    monkeypatch.setenv("REPRO_RUN_DIR", str(runs))
+
+    def only_manifest() -> dict:
+        (path,) = runs.glob("*.json")
+        assert path.name.startswith("figure-")
+        manifest = json.loads(path.read_text())
+        assert manifest["kind"] == "figure"
+        assert manifest["executor"]["total"] == len(manifest["spec"]["jobs"])
+        path.unlink()
+        return manifest
+
     fig9_sweep(schemes=["abc"], duration=1.0, seeds=[1, 2],
                trace_names=["Verizon-LTE-1"], executor=SweepExecutor(jobs=1))
-    (path,) = (tmp_path / "runs").glob("*.json")
-    manifest = json.loads(path.read_text())
-    assert manifest["kind"] == "figure"
+    manifest = only_manifest()
     assert manifest["spec"]["seeds"] == [1, 2]
     assert len(manifest["spec"]["jobs"]) == 2
-    assert manifest["executor"]["total"] == 2
     assert manifest["executor"]["config"]["jobs"] == 1
-    path.unlink()
     fig13_app_limited(num_app_limited=2, duration=1.0)
-    (path,) = (tmp_path / "runs").glob("*.json")
-    manifest = json.loads(path.read_text())
-    assert manifest["kind"] == "figure"
-    assert manifest["spec"] == {"seeds": [23], "jobs": ["fig13/seed23"]}
+    assert only_manifest()["spec"] == {"seeds": [23],
+                                       "jobs": ["fig13/seed23"]}
+    # The grids that used to run outside run_seed_grid.  The city and the
+    # one-job figure pin their seed list, so REPRO_SEEDS leaves them alone.
+    _one_cell(SweepExecutor(jobs=1), seeds=[0, 1])
+    assert only_manifest()["spec"]["seeds"] == [0, 1]
+    monkeypatch.setenv("REPRO_SEEDS", "5,6")
+    city = metro_pack(2, duration=1.0)
+    run_seed_grid(city.jobs_for_seed, 0, city.seeds, SweepExecutor(jobs=1))
+    assert only_manifest()["spec"] == {"seeds": [0], "jobs": [
+        f"{city.schemes[0]}/cell-00{i}/seed0" for i in range(2)]}
+    fig6_nonabc_bottleneck(duration=1.0)
+    assert only_manifest()["spec"] == {"seeds": [0], "jobs": ["fig6"]}
 
 
 def test_no_manifest_without_run_dir(tmp_path, monkeypatch):
@@ -461,10 +481,8 @@ def test_export_trace_tool_scenario_mode(tmp_path):
 def test_export_trace_tool_manifest_mode(tmp_path, monkeypatch):
     run_dir = tmp_path / "runs"
     monkeypatch.setenv("REPRO_RUN_DIR", str(run_dir))
-    executor = SweepExecutor(jobs=1)
-    SweepSpec(schemes=["abc"], traces={"12mbps": 12e6},
-              duration=1.0).run_cells(executor)
-    (manifest,) = run_dir.glob("sweep-*.json")
+    _one_cell(SweepExecutor(jobs=1))
+    (manifest,) = run_dir.glob("figure-*.json")
     out = tmp_path / "workers.json"
     proc = _run_tool("export_trace.py", "--manifest", str(manifest),
                      "--out", str(out))

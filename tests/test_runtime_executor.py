@@ -41,8 +41,9 @@ def _metrics(result) -> tuple:
             result.queuing_p95_ms, result.queuing_mean_ms, result.drops)
 
 
-def _spec(traces) -> SweepSpec:
-    return SweepSpec(schemes=["abc", "cubic"], traces=traces, duration=3.0)
+def _sweep(traces, executor):
+    return run_cellular_sweep(["abc", "cubic"], traces, duration=3.0,
+                              executor=executor)
 
 
 # Module-level so jobs survive pickling into pool workers.
@@ -54,15 +55,15 @@ def _echo_job(value: int, delay: float = 0.0) -> int:
 
 # ---------------------------------------------------------------- equivalence
 def test_serial_parallel_cached_equivalence(tmp_path):
-    """Same SweepSpec -> identical metrics across all three backends."""
+    """Same sweep -> identical metrics across all three backends."""
     traces = _tiny_traces()
-    serial = _spec(traces).run(SweepExecutor(jobs=1))
-    parallel = _spec(traces).run(SweepExecutor(jobs=2))
+    serial = _sweep(traces, SweepExecutor(jobs=1))
+    parallel = _sweep(traces, SweepExecutor(jobs=2))
 
     cached_executor = SweepExecutor(jobs=2, cache_dir=tmp_path / "cache")
-    _spec(traces).run(cached_executor)          # populate
+    _sweep(traces, cached_executor)             # populate
     assert cached_executor.last_stats.executed == 4
-    replay = _spec(traces).run(cached_executor)  # replay
+    replay = _sweep(traces, cached_executor)    # replay
     assert cached_executor.last_stats.executed == 0
     assert cached_executor.last_stats.cache_hits == 4
 
@@ -262,19 +263,19 @@ def test_sweep_averages_rejects_empty_inputs():
 
 
 # ---------------------------------------------------------------- SweepSpec
-def test_sweep_spec_param_grid_and_ordering():
+def test_sweep_spec_expands_scheme_trace_seed_order():
     traces = _tiny_traces()
-    spec = SweepSpec(schemes=["abc"], traces={"t1": traces["t1"]},
-                     seeds=(0, 1), duration=3.0,
-                     param_grid=({"rtt": 0.05}, {"rtt": 0.1}))
+    spec = SweepSpec(schemes=["abc", "cubic"], traces=traces, seeds=(0, 1),
+                     duration=3.0, rtt=0.05)
     cells, jobs = spec.expand()
-    assert len(cells) == len(jobs) == 4
-    assert [c.seed for c in cells] == [0, 0, 1, 1]
-    assert [dict(c.overrides)["rtt"] for c in cells] == [0.05, 0.1, 0.05, 0.1]
-    assert jobs[0].kwargs["rtt"] == 0.05
-
-    with pytest.raises(ValueError, match="exactly one seed"):
-        spec.run()
+    assert [(c.scheme, c.trace, c.seed) for c in cells] == [
+        (scheme, trace, seed) for scheme in ("abc", "cubic")
+        for trace in ("t1", "t2") for seed in (0, 1)]
+    assert [job.kwargs["seed"] for job in jobs] == [0, 1] * 4
+    assert {job.kwargs["rtt"] for job in jobs} == {0.05}
+    # One seed's jobs are that seed's slice of the grid, same cache keys.
+    assert ([job.cache_key("s") for job in spec.jobs_for_seed(1)]
+            == [job.cache_key("s") for job in jobs[1::2]])
 
 
 def test_mixed_case_labels_keep_caller_keys_and_share_cache(tmp_path):
@@ -300,8 +301,8 @@ def test_sweep_spec_results_are_picklable():
     import pickle
 
     traces = _tiny_traces()
-    results = SweepSpec(schemes=["abc"], traces={"t1": traces["t1"]},
-                        duration=3.0).run(SweepExecutor(jobs=1))
+    results = run_cellular_sweep(["abc"], {"t1": traces["t1"]}, duration=3.0,
+                                 executor=SweepExecutor(jobs=1))
     result = results["abc"]["t1"]
     assert dataclasses.is_dataclass(result)
     assert set(result.extra) <= {"per_link_utilization"}
@@ -327,18 +328,13 @@ def test_sweep_spec_rejects_duplicate_cells():
         SweepSpec(schemes=["abc"], traces=traces, seeds=(1, 2, 1),
                   duration=3.0).expand()
 
-    with pytest.raises(ValueError, match="duplicate sweep cell"):
-        SweepSpec(schemes=["abc"], traces=traces, duration=3.0,
-                  param_grid=({"rtt": 0.05}, {"rtt": 0.05})).expand()
-
 
 def test_sweep_spec_distinct_cells_still_expand():
     """The duplicate check never rejects a genuinely distinct grid."""
     traces = _tiny_traces()
     cells, jobs = SweepSpec(schemes=["abc", "cubic"], traces=traces,
-                            seeds=(0, 1), duration=3.0,
-                            param_grid=({"rtt": 0.05}, {"rtt": 0.1})).expand()
-    assert len(cells) == len(jobs) == 2 * 2 * 2 * 2
+                            seeds=(0, 1), duration=3.0).expand()
+    assert len(cells) == len(jobs) == 2 * 2 * 2
 
 
 # ---------------------------------------------------------------- corruption

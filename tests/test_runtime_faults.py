@@ -28,9 +28,8 @@ from repro.obs.manifest import executor_record
 from repro.obs.trace import sweep_trace_events
 from repro.runtime import (FaultInjector, FaultSpec, JobFailure,
                            JobFailureError, ResultCache, RunJournal,
-                           SweepExecutor, SweepJob, SweepSpec, is_failure,
+                           SweepExecutor, SweepJob, is_failure,
                            retry_backoff, run_key_for)
-from repro.runtime.faults import FaultInjectionError
 
 
 # Module-level so jobs survive pickling into pool workers.
@@ -319,22 +318,6 @@ def test_per_run_policy_overrides_executor_policy():
     assert is_failure(sentinel)
     with pytest.raises(ValueError):
         executor.run(jobs)
-
-
-def test_sweep_spec_failures_knob(tmp_path):
-    """SweepSpec.run forwards the strict-vs-salvage knob to the executor."""
-    from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
-    config = SyntheticTraceConfig(mean_rate_bps=10e6, min_rate_bps=2e6,
-                                  max_rate_bps=20e6, volatility=0.2,
-                                  outage_rate_per_s=0.0, name="faults-test")
-    traces = {"t1": synthetic_trace(config, duration=2.0, seed=5)}
-    spec = SweepSpec(schemes=["abc"], traces=traces, duration=2.0)
-    executor = SweepExecutor(jobs=1, faults="job_error:1.0,seed:1",
-                             retries=0)
-    with pytest.raises(FaultInjectionError):
-        spec.run(executor)
-    salvaged = spec.run(executor, failures="salvage")
-    assert is_failure(salvaged["abc"]["t1"])
 
 
 def test_aggregate_city_excludes_salvaged_cells():

@@ -12,6 +12,7 @@ Four load-bearing properties:
 
 from __future__ import annotations
 
+import ast
 import copy
 import math
 import pickle
@@ -29,15 +30,14 @@ from repro.experiments.coexistence import (fig12_offered_load_sweep,
                                            fig13_app_limited)
 from repro.experiments.pareto import (fig8_pareto, fig9_sweep,
                                       fig18_rtt_sensitivity)
-from repro.experiments.runner import (group_seed_results, run_cellular_sweep,
-                                      run_seed_grid, sweep_averages)
+from repro.experiments.runner import (run_cellular_sweep, run_seed_grid,
+                                      sweep_averages)
 from repro.experiments.timeseries import fig1_timeseries, fig17_square_wave
 from repro.experiments.wifi_eval import fig5_rate_prediction, fig10_wifi
-from repro.runtime import (SweepExecutor, SweepJob, SweepSpec, TraceRef,
+from repro.runtime import (SweepExecutor, SweepJob, TraceRef,
                            register_trace, resolve_link_spec)
 
-EXPERIMENTS_SRC = (Path(__file__).resolve().parents[1]
-                   / "src" / "repro" / "experiments")
+REPRO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def _tiny_traces():
@@ -134,16 +134,6 @@ def test_result_metrics_skips_non_numeric():
     metrics = result_metrics(single["abc"]["t1"])
     assert "utilization" in metrics and "drops" in metrics
     assert "scheme" not in metrics and "extra" not in metrics
-
-
-def test_group_seed_results_groups_by_scheme_and_trace():
-    traces = _tiny_traces()
-    spec = SweepSpec(schemes=["abc"], traces=traces, seeds=(0, 1),
-                     duration=3.0)
-    table = group_seed_results(spec.run_cells(SweepExecutor(jobs=1)), (0, 1))
-    assert set(table) == {"abc"}
-    assert set(table["abc"]) == {"t1", "t2"}
-    assert table["abc"]["t1"].stats["utilization"].n == 2
 
 
 # --------------------------------------------------- single-seed == legacy
@@ -327,18 +317,28 @@ def test_fig9_adding_a_seed_replays_the_cached_one(tmp_path):
 
 
 def test_the_seed_axis_is_written_once():
-    """Only ``runner.py`` turns a seed list into jobs and back; no figure
-    branches on how many seeds were asked for."""
+    """``run_seed_grid`` is the one grid runner: it alone resolves a seed
+    list, no second runner (``run_cells``, ``group_seed_results``) exists
+    anywhere in ``src/repro/``, and no figure branches on how many seeds
+    were asked for."""
+    runner = REPRO_SRC / "experiments" / "runner.py"
+    grid = next(node for node in ast.parse(runner.read_text()).body
+                if getattr(node, "name", None) == "run_seed_grid")
     strays = {}
-    for path in sorted(EXPERIMENTS_SRC.glob("*.py")):
-        if path.name == "runner.py":
-            continue
-        found = sorted(set(re.findall(
-            r"\b(resolve_seeds|split_by_seed|multi(?= *=[^=])|cell_seed)\b",
-            path.read_text())))
+    for path in sorted(REPRO_SRC.rglob("*.py")):
+        lines = path.read_text().splitlines()
+        if path == runner:
+            del lines[grid.lineno - 1:grid.end_lineno]
+        text = "\n".join(lines)
+        found = set(re.findall(r"(?<!def )\bresolve_seeds\(|"
+                               r"\bdef (?:run_cells|group_seed_results)\b",
+                               text))
+        if path.parent.name == "experiments" and path != runner:
+            found |= set(re.findall(
+                r"\b(?:split_by_seed|multi(?= *=[^=])|cell_seed)\b", text))
         if found:
-            strays[path.name] = found
-    assert not strays, f"hand-rolled seed axis in experiments/: {strays}"
+            strays[str(path.relative_to(REPRO_SRC))] = sorted(found)
+    assert not strays, f"a second seed axis or grid runner: {strays}"
 
 
 # ------------------------------------------------- pool reuse / trace store

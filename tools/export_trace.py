@@ -17,7 +17,7 @@ Two sources, one output format (the Chrome trace-event JSON that
   :mod:`repro.obs.manifest`): one row per worker pid, one bar per cell::
 
       PYTHONPATH=src python tools/export_trace.py \\
-          --manifest runs/sweep-...json --out workers.json
+          --manifest runs/figure-...json --out workers.json
 
 A bare ``--out`` filename lands in ``REPRO_RUN_DIR`` when that is set, so
 traces collect next to the manifests they belong to.
