@@ -64,7 +64,7 @@ class SeedAggregate:
     """Summary statistics of one metric across seeds.
 
     ``ci95`` is the *half-width* of the two-sided 95 % confidence interval on
-    the mean (Student-t); ``ci_lo``/``ci_hi`` give the interval bounds.  With
+    the mean (Student-t): the interval is ``mean ± ci95``.  With
     ``n == 1`` the stdev and half-width are 0 and ``mean`` equals the single
     observation exactly.
     """
@@ -75,14 +75,6 @@ class SeedAggregate:
     ci95: float
     min: float
     max: float
-
-    @property
-    def ci_lo(self) -> float:
-        return self.mean - self.ci95
-
-    @property
-    def ci_hi(self) -> float:
-        return self.mean + self.ci95
 
     def __format__(self, spec: str) -> str:
         spec = spec or ".3f"

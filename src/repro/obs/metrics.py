@@ -129,8 +129,6 @@ def harvest_scenario(scenario: Any) -> None:
     env = scenario.env
     reg.counter("scenario.runs").inc()
     reg.counter("engine.events_dispatched").inc(env.events_processed)
-    reg.counter("engine.events_cancelled").inc(env.cancels)
-    reg.counter("engine.compactions").inc(env.compactions)
     for link in scenario.links:
         reg.counter("link.arrived_packets").inc(link.arrived_packets)
         reg.counter("link.delivered_packets").inc(link.delivered_packets)

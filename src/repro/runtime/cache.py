@@ -25,8 +25,9 @@ treated as misses and deleted lazily.
 The salt defaults to :data:`CODE_VERSION_SALT` (bump it when a simulator
 change intentionally alters results); a per-branch cache is a different
 ``REPRO_CACHE_DIR`` (or ``salt=``).  Under a size cap (``REPRO_CACHE_MAX_MB``
-or ``max_mb=``) a write that crosses it evicts the oldest entries by mtime
-(entries are never touched on read, so mtime order is write order).
+or ``max_mb=``) a write that crosses it evicts the least recently used
+entries by mtime: a write sets an entry's mtime and, under a cap, so does a
+hit.
 """
 
 from __future__ import annotations
@@ -170,6 +171,11 @@ class ResultCache:
             path.unlink(missing_ok=True)
             self.corrupt += 1
             return False, None
+        if self._max_bytes is not None:
+            try:
+                os.utime(path)  # a hit is a use: _sweep evicts by mtime
+            except OSError:
+                pass
         return True, value
 
     def put(self, key: str, value: Any) -> None:
@@ -221,7 +227,8 @@ class ResultCache:
                     self._bytes_since_sweep = written
 
     def _sweep(self) -> None:
-        """Evict oldest-mtime entries until the tree fits ``_max_bytes``.
+        """Evict least recently used entries (oldest mtime) until the tree
+        fits ``_max_bytes``.
 
         The entry just written carries the newest mtime, so it is evicted
         last; a concurrently-vanished file (another worker's eviction) is

@@ -35,7 +35,7 @@ original), the raw event sequence is not:
   ``min_rto`` per armed flow (no-op ``DeadlineTimer._fire`` events, same
   expiry instant).
 * **Fused DelayHop forward.**  A ``DelayHop`` next hop is resolved once to
-  ``(delay, dst.receive)`` and posted handle-free — the heap entry the hop
+  ``(delay, dst.receive)`` and posted directly — the heap entry the hop
   itself would push, minus the bounce (senders: ``_resolve_forward``;
   receivers: ``_ack_fwd``).
 * **One callback per pacing tick.**  :meth:`Sender._pace_tick` inlines the
@@ -60,7 +60,7 @@ from collections import deque
 from typing import Dict, Optional
 
 from repro.cc.base import CongestionControl
-from repro.simulator.engine import DeadlineTimer, EventHandle, EventLoop
+from repro.simulator.engine import DeadlineTimer, EventLoop
 from repro.simulator.estimators import RTTEstimator
 from repro.simulator.monitor import FlowStats
 from repro.simulator.packet import (ACCEL, ACK_SIZE, CE, MTU, NOT_ECT,
@@ -168,7 +168,7 @@ class Sender:
         self.completion_time: Optional[float] = None
 
         self._started = False
-        self._wake_handle: Optional[EventHandle] = None
+        self._wake_pending = False
         self._pacing_active = False
         self._rto_backoff = 1.0
         # The srtt-less default RTO (1.0 s) must not undercut the guard
@@ -268,13 +268,13 @@ class Sender:
         next_time = self.source.next_data_time(now)
         if next_time is None:
             return
-        if self._wake_handle is not None and not self._wake_handle.cancelled:
+        if self._wake_pending:
             return
-        delay = max(next_time - now, 1e-6)
-        self._wake_handle = self.env.schedule(delay, self._data_wakeup)
+        self._wake_pending = True
+        self.env.post(max(next_time - now, 1e-6), self._data_wakeup)
 
     def _data_wakeup(self) -> None:
-        self._wake_handle = None
+        self._wake_pending = False
         self._try_send()
 
     def _send_new_packet(self, now: float) -> None:

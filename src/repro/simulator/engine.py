@@ -1,7 +1,7 @@
 """Discrete-event simulation engine.
 
 The engine is a classic calendar queue built on :mod:`heapq`.  Every other
-component in the simulator (links, senders, AQMs, monitors) schedules callbacks
+component in the simulator (links, senders, AQMs, monitors) posts callbacks
 on a shared :class:`EventLoop` instance and reads the current simulated time
 from :attr:`EventLoop.now`.
 
@@ -9,77 +9,32 @@ Design notes
 ------------
 * Events scheduled for the same timestamp fire in insertion order; this keeps
   runs deterministic, which the test-suite and the benchmark harness rely on.
-* Heap entries are plain ``[time, seq, callback, args]`` lists, so heap
-  ordering is a C-level list comparison that never goes past ``seq`` (which is
-  unique) — no Python-level ``__lt__`` on the hot path.  Dispatch cost is the
-  ledger's ``engine.dispatch_ns_per_event`` row (``benchmarks/ledger/``).
-* Cancelling an event is O(1): the entry's callback slot is cleared and the
-  entry is skipped when popped.  When cancelled entries pile up the heap is
-  compacted *in place* — the list object never changes, so the run loop keeps
-  its local binding across a compaction inside a callback — and the queue's
-  memory footprint tracks the number of *live* events.
-* One run loop.  :meth:`EventLoop.run` reads the trace hook once per run and
-  branches on that local per event; it pops before it looks (an entry beyond
-  the horizon is pushed back, once per run, under its own sequence number)
-  and stores the clock unconditionally: every heap entry's time is at or
-  after ``now``, because the schedulers clamp and the clock only jumps to
-  ``until`` when nothing earlier is left.
-* The four schedulers each build their heap entry directly (delegating costs
-  a Python call per event on the hottest path in the repo).
+* Heap entries are immutable ``(time, seq, callback, args)`` tuples, so heap
+  ordering is a C-level tuple comparison that never goes past ``seq`` (which
+  is unique) — no Python-level ``__lt__`` on the hot path.  Dispatch cost is
+  the ledger's ``engine.dispatch_ns_per_event`` row (``benchmarks/ledger/``).
+* Every event fires: there is no cancellation.  An owner that may no longer
+  want an event it posted keeps its own flag or generation and lets the
+  callback return early (:class:`DeadlineTimer` is the pattern).
+* One scheduler pair and one run loop.  :meth:`EventLoop.post` and
+  :meth:`EventLoop.post_at` each build their heap entry directly (delegating
+  costs a Python call per event on the hottest path in the repo).
+  :meth:`EventLoop.run` reads the trace hook once per run and branches on
+  that local per event; it pops before it looks (an entry beyond the horizon
+  is pushed back, once per run, under its own sequence number) and stores the
+  clock unconditionally: every heap entry's time is at or after ``now``,
+  because the schedulers clamp and the clock only jumps to ``until`` when
+  nothing earlier is left.
 * Simulated time is a float in **seconds**.  All other modules follow the same
   convention (rates are in bits per second, sizes in bytes).
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter_ns
 from typing import Any, Callable, Optional
-
-#: Sentinel stored in an entry's callback slot once the event has fired (or
-#: the queue was cleared), distinguishing "already ran" from "cancelled"
-#: (``None``) so late ``cancel()`` calls cannot corrupt the live-event count.
-_FIRED: Any = object()
-
-#: Compact the heap once more than this many cancelled entries linger *and*
-#: they outnumber the live ones (see :meth:`EventLoop._maybe_compact`).
-_COMPACT_MIN_CANCELLED = 64
-
-
-class EventHandle:
-    """Opaque handle returned by :meth:`EventLoop.schedule`; the only
-    supported operation is :meth:`cancel`."""
-
-    __slots__ = ("_entry", "_loop")
-
-    def __init__(self, entry: list, loop: "EventLoop"):
-        self._entry = entry
-        self._loop = loop
-
-    @property
-    def time(self) -> float:
-        """Absolute simulated time at which the event will fire."""
-        return self._entry[0]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[2] is None
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        entry = self._entry
-        callback = entry[2]
-        if callback is None:
-            return
-        entry[2] = None
-        if callback is not _FIRED:
-            # The entry is still in the heap: account for it so ``pending``
-            # stays accurate and compaction can reclaim the slot.
-            loop = self._loop
-            loop._cancelled += 1
-            loop._total_cancels += 1
-            loop._maybe_compact()
 
 
 class DeadlineTimer:
@@ -152,8 +107,8 @@ class EventLoop:
     -------
     >>> loop = EventLoop()
     >>> fired = []
-    >>> _ = loop.schedule(1.5, fired.append, "a")
-    >>> _ = loop.schedule(0.5, fired.append, "b")
+    >>> loop.post(1.5, fired.append, "a")
+    >>> loop.post(0.5, fired.append, "b")
     >>> loop.run(until=2.0)
     >>> fired
     ['b', 'a']
@@ -163,13 +118,10 @@ class EventLoop:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[list] = []
+        self._heap: list[tuple] = []
         self._next_seq = count().__next__
         self._limit = float("inf")
         self._events_processed = 0
-        self._cancelled = 0
-        self._total_cancels = 0
-        self._compactions = 0
         self._trace_hook: Optional[Callable[[float, Callable, int], None]] = None
 
     # ------------------------------------------------------------------ time
@@ -185,25 +137,8 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        """Number of *live* (non-cancelled) events currently scheduled."""
-        return len(self._heap) - self._cancelled
-
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled entries still occupying heap slots (lazy deletion)."""
-        return self._cancelled
-
-    @property
-    def cancels(self) -> int:
-        """Cumulative in-heap cancellations over the loop's lifetime (unlike
-        :attr:`cancelled_pending`, never decreased by compaction or popping;
-        the telemetry harvest reports it as total cancel traffic)."""
-        return self._total_cancels
-
-    @property
-    def compactions(self) -> int:
-        """Times the heap has been compacted (introspection for tests)."""
-        return self._compactions
+        """Number of events currently scheduled."""
+        return len(self._heap)
 
     # ----------------------------------------------------------------- trace
     def set_trace_hook(
@@ -222,8 +157,8 @@ class EventLoop:
         self._trace_hook = hook
 
     # -------------------------------------------------------------- schedule
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` ``delay`` seconds from now.
 
         Negative delays are clamped to zero (fire "immediately", i.e. at the
         current time but after any events already queued for it).
@@ -232,72 +167,25 @@ class EventLoop:
             if delay != delay:
                 raise ValueError("event delay must not be NaN")
             delay = 0.0
-        entry = [self._now + delay, self._next_seq(), callback, args]
-        heappush(self._heap, entry)
-        return EventHandle(entry, self)
+        heappush(self._heap,
+                 (self._now + delay, self._next_seq(), callback, args))
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at an absolute simulated time (a time
-        in the past is clamped to now)."""
+    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at an absolute simulated time (a time in
+        the past is clamped to now)."""
         if not time >= self._now:  # in the past, or NaN
             if time != time:
                 raise ValueError("event time must not be NaN")
             time = self._now
-        entry = [time, self._next_seq(), callback, args]
-        heappush(self._heap, entry)
-        return EventHandle(entry, self)
-
-    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """:meth:`schedule` without constructing an :class:`EventHandle`.
-
-        Identical heap entry (same time, same sequence number), so the event
-        order is exactly what :meth:`schedule` would produce; the event just
-        cannot be cancelled.  For the fire-and-forget hot paths (packet
-        forwarding, link transmissions), where the handle is pure overhead.
-        """
-        if not delay >= 0.0:
-            if delay != delay:
-                raise ValueError("event delay must not be NaN")
-            delay = 0.0
-        heappush(self._heap,
-                 [self._now + delay, self._next_seq(), callback, args])
-
-    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """:meth:`schedule_at` without constructing an :class:`EventHandle`."""
-        if not time >= self._now:
-            if time != time:
-                raise ValueError("event time must not be NaN")
-            time = self._now
-        heappush(self._heap, [time, self._next_seq(), callback, args])
-
-    # ---------------------------------------------------------- compaction
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap without cancelled entries once they dominate.
-
-        Lazy deletion alone lets a cancel-heavy workload grow the heap
-        without bound; compacting when cancelled entries outnumber live ones
-        keeps memory O(live events) at amortised O(1) cost per cancellation.
-        The survivors keep their (time, seq) order, so the event sequence
-        cannot tell, and the list is rewritten in place (see Design notes).
-        """
-        cancelled = self._cancelled
-        heap = self._heap
-        if cancelled > _COMPACT_MIN_CANCELLED and cancelled * 2 > len(heap):
-            heap[:] = [entry for entry in heap if entry[2] is not None]
-            heapify(heap)
-            self._cancelled = 0
-            self._compactions += 1
+        heappush(self._heap, (time, self._next_seq(), callback, args))
 
     # ------------------------------------------------------------------- run
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queue empties, ``until`` is reached, or
-        ``max_events`` have been processed.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until the queue empties or ``until`` is reached.
 
-        When ``until`` is given and the loop stopped there or ran dry, the
-        clock is advanced to exactly ``until`` even if the last event fired
-        earlier (utilisation over a fixed horizon divides by it).  A run that
-        stops on its event budget leaves the clock at the last event fired:
-        events before ``until`` may still be pending.
+        When ``until`` is given, the clock is advanced to exactly ``until``
+        even if the last event fired earlier (utilisation over a fixed
+        horizon divides by it).
         """
         heap = self._heap
         limit = float("inf") if until is None else until
@@ -307,8 +195,6 @@ class EventLoop:
         # ``until`` never fires.
         self._limit = limit
         hook = self._trace_hook
-        # Any budget below one still runs one event; -1 never matches.
-        budget = -1 if max_events is None else max(max_events, 1)
         executed = 0
         try:
             while heap:
@@ -317,10 +203,6 @@ class EventLoop:
                 if time > limit:
                     heappush(heap, entry)  # same seq: keeps its place
                     break
-                if callback is None:
-                    self._cancelled -= 1
-                    continue
-                entry[2] = _FIRED
                 self._now = time
                 if hook is None:
                     callback(*args)
@@ -329,35 +211,11 @@ class EventLoop:
                     callback(*args)
                     hook(time, callback, perf_counter_ns() - t0)
                 executed += 1
-                if executed == budget:
-                    return
         finally:
             self._events_processed += executed
         if until is not None and until > self._now:
             self._now = until
 
-    def step(self) -> bool:
-        """Execute one live event; ``False`` when the queue is empty."""
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            time, _, callback, args = entry
-            if callback is None:
-                self._cancelled -= 1
-                continue
-            entry[2] = _FIRED
-            self._now = time
-            callback(*args)
-            self._events_processed += 1
-            return True
-        return False
-
     def clear(self) -> None:
         """Drop all pending events (the clock is left untouched)."""
-        # Mark surviving entries as retired so a late cancel() on one of
-        # their handles cannot skew the cancelled-entry accounting.
-        for entry in self._heap:
-            if entry[2] is not None:
-                entry[2] = _FIRED
         self._heap.clear()
-        self._cancelled = 0

@@ -200,8 +200,5 @@ class RTTEstimator:
         rto = self.srtt + 4.0 * self.rttvar
         return min(max(rto, self.min_rto), self.max_rto)
 
-    def smoothed(self, default: float = 0.1) -> float:
-        return self.srtt if self.srtt is not None else default
-
     def minimum(self, default: float = 0.1) -> float:
         return self.min_rtt if math.isfinite(self.min_rtt) else default

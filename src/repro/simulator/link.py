@@ -19,10 +19,6 @@ Optimisation changes vs the original per-packet path
 Results are bit-identical to the original (``tests/test_path_golden.py``);
 heap sequence numbers are not:
 
-* **Handle-free posts.**  Transmissions, delivery opportunities and
-  deliveries are fire-and-forget, so they go through ``EventLoop.post`` /
-  ``post_at`` — the heap entry ``schedule`` would build, without the
-  ``EventHandle``.
 * **Inline delivery.**  With zero propagation delay and a downstream node
   that declares itself ``deliver_inline``-safe (a ``FlowDemux``: it only
   posts future events), :class:`RateLink` and :class:`OpportunityLink` call

@@ -108,7 +108,7 @@ class WiFiLink(Link):
         frame_bits = self.config.frame_size_bytes * 8.0
         payload_bits = sum(p.size for p in batch) * 8.0
         tx_time = payload_bits / bitrate + self._draw_overhead()
-        self.env.schedule(tx_time, self._finish_batch, batch, now, bitrate, tx_time)
+        self.env.post(tx_time, self._finish_batch, batch, now, bitrate, tx_time)
 
     def _finish_batch(self, batch: list[Packet], start_time: float,
                       bitrate: float, tx_time: float) -> None:

@@ -316,7 +316,3 @@ def test_rtt_estimator_ignores_non_positive_samples():
     rtt = RTTEstimator()
     rtt.update(-1.0)
     assert rtt.srtt is None
-
-
-def test_rtt_estimator_smoothed_default():
-    assert RTTEstimator().smoothed(default=0.25) == 0.25

@@ -139,7 +139,6 @@ GOLDEN_VIEW = {
               [2144, 3216000, 128.47334218404384, None, 128, 2562]],
 }
 GOLDEN_COUNTERS = {
-    "engine.compactions": 0, "engine.events_cancelled": 0,
     "engine.events_dispatched": 7578, "link.arrived_packets": 2745,
     "link.delivered_packets": 2311, "link.dropped_packets": 341,
     "link.random_loss_packets": 0, "receiver.packets_received": 2303,

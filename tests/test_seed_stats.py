@@ -66,8 +66,6 @@ def test_aggregate_values_hand_computed():
     assert agg.min == 1.0 and agg.max == 3.0
     expected_hw = 4.303 * 1.0 / math.sqrt(3)
     assert agg.ci95 == pytest.approx(expected_hw, abs=1e-12)
-    assert agg.ci_lo == pytest.approx(2.0 - expected_hw)
-    assert agg.ci_hi == pytest.approx(2.0 + expected_hw)
 
 
 def test_aggregate_values_two_observations():

@@ -96,7 +96,7 @@ def test_wifi_inter_ack_time_grows_with_batch_size():
 
     t = 0.0
     for burst in (2, 8, 16, 32, 2, 8, 16, 32, 4, 24):
-        env.schedule_at(t, offer, burst)
+        env.post_at(t, offer, burst)
         t += 0.05
     env.run(until=t + 0.1)
 
