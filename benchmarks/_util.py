@@ -12,7 +12,8 @@ import atexit
 import os
 from typing import Iterable, List, Mapping, Sequence
 
-from repro.runtime import SweepExecutor, resolve_seeds
+from repro.config import resolve_seeds
+from repro.runtime.executor import SweepExecutor
 
 
 _SHARED_EXECUTOR: SweepExecutor | None = None

@@ -12,10 +12,12 @@ once with Cubic over a plain drop-tail buffer, then prints the utilisation and
 delay each achieves.
 """
 
-from repro.aqm import DropTailQdisc
-from repro.cc import Cubic
-from repro.cellular import lte_showcase_trace
-from repro.core import ABCParams, ABCRouterQdisc, ABCWindowControl
+from repro.aqm.droptail import DropTailQdisc
+from repro.cc.cubic import Cubic
+from repro.cellular.synthetic import lte_showcase_trace
+from repro.core.params import ABCParams
+from repro.core.router import ABCRouterQdisc
+from repro.core.sender import ABCWindowControl
 from repro.simulator.scenario import Scenario
 
 DURATION = 30.0

@@ -14,15 +14,17 @@ Run with::
     python examples/wifi_access_point.py
 """
 
-from repro.aqm import CoDelQdisc
-from repro.cc import Cubic
-from repro.core import ABCRouterQdisc, ABCWindowControl
+from repro.aqm.codel import CoDelQdisc
+from repro.cc.cubic import Cubic
+from repro.core.router import ABCRouterQdisc
+from repro.core.sender import ABCWindowControl
 from repro.core.params import WIFI_DEFAULTS
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import RateLimitedSource
-from repro.wifi import (AlternatingMCSSchedule, FixedMCSSchedule, WiFiLink,
-                        WiFiMacConfig, WiFiRateEstimator)
+from repro.wifi.mac import WiFiLink, WiFiMacConfig
+from repro.wifi.mcs import AlternatingMCSSchedule, FixedMCSSchedule
+from repro.wifi.rate_estimator import WiFiRateEstimator
 
 DURATION = 30.0
 RTT = 0.04

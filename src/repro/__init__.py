@@ -10,7 +10,7 @@ The package is organised as follows:
     The paper's contribution: the ABC sender, the ABC router, the ECN
     re-purposing, coexistence machinery and the fluid-model stability analysis.
 ``repro.aqm``
-    Active queue management baselines (DropTail, CoDel, PIE, RED).
+    Active queue management baselines (DropTail, CoDel, PIE).
 ``repro.cc``
     End-to-end congestion-control baselines (Cubic, NewReno, Vegas, BBR, Copa,
     PCC-Vivace, Sprout, Verus).

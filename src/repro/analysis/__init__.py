@@ -11,28 +11,3 @@
 * :mod:`repro.analysis.stats` — seed-axis statistics (mean, stdev, 95 % CI)
   for multi-seed sweeps.
 """
-
-from repro.analysis.fairness import jain_fairness_index
-from repro.analysis.maxmin import max_min_allocation
-from repro.analysis.metrics import normalize_to_reference, percentile, utilization
-from repro.analysis.stats import (SeedAggregate, SeedResultSet,
-                                  aggregate_metric_dicts, aggregate_values,
-                                  result_metrics, t_critical_95)
-from repro.analysis.topk import SpaceSaving
-from repro.analysis.zombie import ZombieList
-
-__all__ = [
-    "SeedAggregate",
-    "SeedResultSet",
-    "aggregate_metric_dicts",
-    "aggregate_values",
-    "result_metrics",
-    "t_critical_95",
-    "jain_fairness_index",
-    "max_min_allocation",
-    "utilization",
-    "percentile",
-    "normalize_to_reference",
-    "SpaceSaving",
-    "ZombieList",
-]

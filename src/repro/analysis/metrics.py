@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,21 +31,6 @@ def mean(values: Sequence[float]) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.mean(arr))
-
-
-def normalize_to_reference(results: Mapping[str, float],
-                           reference: str) -> Dict[str, float]:
-    """Normalise a metric dictionary to one scheme's value.
-
-    The paper's summary table (§1) reports throughput and delay normalised to
-    ABC; this helper produces that representation.
-    """
-    if reference not in results:
-        raise KeyError(f"reference scheme {reference!r} missing from results")
-    ref = results[reference]
-    if ref == 0:
-        raise ValueError("reference value must be non-zero")
-    return {name: value / ref for name, value in results.items()}
 
 
 def pareto_frontier(points: Iterable[tuple[str, float, float]]

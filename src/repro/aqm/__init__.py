@@ -2,13 +2,5 @@
 
 The paper compares ABC against Cubic running over CoDel and PIE qdiscs
 (§6.2/§6.3).  DropTail is the plain deep buffer that produces Cubic's
-bufferbloat in Fig. 1a; RED is included for completeness as the classic ECN
-marker referenced in §2.
+bufferbloat in Fig. 1a.
 """
-
-from repro.aqm.codel import CoDelQdisc
-from repro.aqm.droptail import DropTailQdisc
-from repro.aqm.pie import PIEQdisc
-from repro.aqm.red import REDQdisc
-
-__all__ = ["DropTailQdisc", "CoDelQdisc", "PIEQdisc", "REDQdisc"]

@@ -2,34 +2,9 @@
 
 Every algorithm implements the :class:`~repro.cc.base.CongestionControl`
 interface so the generic :class:`~repro.simulator.endpoints.Sender` can drive
-any of them.  The registry in :func:`make_cc` lets experiments select schemes
-by name (``"cubic"``, ``"bbr"``, ...), matching the scheme labels used in the
-paper's figures.
+any of them.  The registry in :func:`repro.cc.registry.make_cc` lets
+experiments select schemes by name (``"cubic"``, ``"bbr"``, ...), matching
+the scheme labels used in the paper's figures.
 """
 
-from repro.cc.base import AIMD, CongestionControl
-from repro.cc.bbr import BBR
-from repro.cc.copa import Copa
-from repro.cc.cubic import Cubic
-from repro.cc.newreno import NewReno
-from repro.cc.pcc_vivace import PCCVivace
-from repro.cc.registry import available_schemes, make_cc, register_scheme
-from repro.cc.sprout import Sprout
-from repro.cc.vegas import Vegas
-from repro.cc.verus import Verus
-
-__all__ = [
-    "CongestionControl",
-    "AIMD",
-    "Cubic",
-    "NewReno",
-    "Vegas",
-    "BBR",
-    "Copa",
-    "PCCVivace",
-    "Sprout",
-    "Verus",
-    "make_cc",
-    "register_scheme",
-    "available_schemes",
-]
+from repro.cc.registry import make_cc  # read by benchmarks/ledger

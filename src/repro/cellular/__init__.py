@@ -9,19 +9,3 @@ outages during which no packets are delivered.  The trace file format itself
 is Mahimahi's (one millisecond timestamp per delivery opportunity), so real
 recordings can be dropped in when available.
 """
-
-from repro.cellular.synthetic import (
-    SyntheticTraceConfig,
-    lte_showcase_trace,
-    synthetic_trace,
-    synthetic_trace_set,
-)
-from repro.cellular.trace import CellularTrace
-
-__all__ = [
-    "CellularTrace",
-    "SyntheticTraceConfig",
-    "synthetic_trace",
-    "synthetic_trace_set",
-    "lte_showcase_trace",
-]

@@ -14,25 +14,3 @@
 * :mod:`repro.core.stability` — the fluid model behind Theorem 3.1.
 * :mod:`repro.core.ecn` — the ECN codepoint re-purposing of §5.1.2.
 """
-
-from repro.core.coexistence import DualQueueABCQdisc, MaxMinWeightController, ZombieListWeightController
-from repro.core.marking import ProbabilisticMarker, TokenBucketMarker
-from repro.core.params import ABCParams
-from repro.core.pk_abc import PKABCRouterQdisc
-from repro.core.router import ABCRouterQdisc
-from repro.core.sender import ABCWindowControl
-from repro.core.stability import FluidModel, stability_threshold
-
-__all__ = [
-    "ABCParams",
-    "TokenBucketMarker",
-    "ProbabilisticMarker",
-    "ABCRouterQdisc",
-    "ABCWindowControl",
-    "PKABCRouterQdisc",
-    "DualQueueABCQdisc",
-    "MaxMinWeightController",
-    "ZombieListWeightController",
-    "FluidModel",
-    "stability_threshold",
-]

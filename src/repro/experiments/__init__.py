@@ -20,15 +20,3 @@ Index (``README.md``'s figure table maps every figure to its benchmark):
 * :mod:`repro.experiments.oracle` — the PK-ABC comparison (§6.6).
 * :mod:`repro.experiments.stability_eval` — Theorem 3.1 boundary sweep.
 """
-
-from repro.experiments.runner import (SCHEME_NAMES, SingleBottleneckResult,
-                                      make_scheme, run_cellular_sweep,
-                                      run_single_bottleneck)
-
-__all__ = [
-    "SCHEME_NAMES",
-    "SingleBottleneckResult",
-    "make_scheme",
-    "run_single_bottleneck",
-    "run_cellular_sweep",
-]

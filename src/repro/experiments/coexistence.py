@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.stats import SeedResultSet
-from repro.aqm import DropTailQdisc
-from repro.cc import make_cc
+from repro.aqm.droptail import DropTailQdisc
+from repro.cc.registry import make_cc
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.core.coexistence import (DualQueueABCQdisc, MaxMinWeightController,
                                     ZombieListWeightController)

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.analysis.fairness import jain_fairness_index
-from repro.cc import make_cc
+from repro.cc.registry import make_cc
 from repro.core.params import ABCParams
 from repro.core.router import ABCRouterQdisc
 from repro.simulator.scenario import Scenario

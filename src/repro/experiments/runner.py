@@ -30,15 +30,19 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 from repro.analysis.stats import (SeedResultSet, aggregate_values,
                                   split_by_seed)
-from repro.aqm import CoDelQdisc, DropTailQdisc, PIEQdisc
-from repro.cc import make_cc
+from repro.aqm.codel import CoDelQdisc
+from repro.aqm.droptail import DropTailQdisc
+from repro.aqm.pie import PIEQdisc
 from repro.cc.base import CongestionControl
+from repro.cc.registry import make_cc
 from repro.cellular.trace import CellularTrace
 from repro.config import resolve_seeds
 from repro.core.params import ABCParams, CELLULAR_DEFAULTS
 from repro.core.pk_abc import PKABCRouterQdisc
 from repro.core.router import ABCRouterQdisc
-from repro.explicit import (RCPRouterQdisc, VCPRouterQdisc, XCPRouterQdisc)
+from repro.explicit.rcp import RCPRouterQdisc
+from repro.explicit.vcp import VCPRouterQdisc
+from repro.explicit.xcp import XCPRouterQdisc
 from repro.obs.manifest import build_manifest, run_dir, write_manifest
 from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
 from repro.runtime.spec import SweepCell, SweepSpec

@@ -23,8 +23,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.stats import SeedResultSet, result_metrics
-from repro.aqm import CoDelQdisc, DropTailQdisc
-from repro.cc import make_cc
+from repro.aqm.codel import CoDelQdisc
+from repro.aqm.droptail import DropTailQdisc
+from repro.cc.registry import make_cc
 from repro.core.params import ABCParams, WIFI_DEFAULTS
 from repro.core.router import ABCRouterQdisc
 from repro.experiments.runner import run_seed_grid
@@ -32,9 +33,10 @@ from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import RateLimitedSource
-from repro.wifi import (AlternatingMCSSchedule, BrownianMCSSchedule,
-                        FixedMCSSchedule, WiFiLink, WiFiMacConfig,
-                        WiFiRateEstimator)
+from repro.wifi.mac import WiFiLink, WiFiMacConfig
+from repro.wifi.mcs import (AlternatingMCSSchedule, BrownianMCSSchedule,
+                            FixedMCSSchedule)
+from repro.wifi.rate_estimator import WiFiRateEstimator
 
 #: End-to-end baselines evaluated on WiFi (§6.3 excludes Sprout and Verus,
 #: which are cellular-specific).

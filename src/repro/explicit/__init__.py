@@ -6,16 +6,3 @@ obeys it; the feedback travels in ``packet.meta`` — precisely the extra header
 state the paper points out makes these protocols hard to deploy, and that ABC
 replaces with a single re-purposed ECN bit.
 """
-
-from repro.explicit.rcp import RCPRouterQdisc, RCPSender
-from repro.explicit.vcp import VCPRouterQdisc, VCPSender
-from repro.explicit.xcp import XCPRouterQdisc, XCPSender
-
-__all__ = [
-    "XCPRouterQdisc",
-    "XCPSender",
-    "RCPRouterQdisc",
-    "RCPSender",
-    "VCPRouterQdisc",
-    "VCPSender",
-]

@@ -11,19 +11,6 @@ Four layers (see ``docs/ARCHITECTURE.md`` § Fuzzing):
 * :mod:`repro.fuzz.shrink` — greedy delta-debugging minimizer for failing
   scenarios, plus corpus (de)serialization.
 * :mod:`repro.fuzz.campaign` — campaign driver fanning scenarios out through
-  :class:`repro.runtime.SweepExecutor`, deduping failures and emitting a
-  deterministic JSON report (CLI: ``tools/fuzz_scenarios.py``).
+  :class:`repro.runtime.executor.SweepExecutor`, deduping failures and
+  emitting a deterministic JSON report (CLI: ``tools/fuzz_scenarios.py``).
 """
-
-from repro.fuzz.generator import (FlowSpec, FuzzScenario, LinkSpec,
-                                  ScenarioGen, build_scenario)
-from repro.fuzz.invariants import (CheckContext, Violation, run_invariants,
-                                   scenario_summary)
-from repro.fuzz.shrink import shrink_scenario
-from repro.fuzz.campaign import fuzz_cell, run_campaign
-
-__all__ = [
-    "FlowSpec", "FuzzScenario", "LinkSpec", "ScenarioGen", "build_scenario",
-    "CheckContext", "Violation", "run_invariants", "scenario_summary",
-    "shrink_scenario", "fuzz_cell", "run_campaign",
-]

@@ -29,8 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.aqm import DropTailQdisc
-from repro.cc import make_cc
+from repro.aqm.droptail import DropTailQdisc
+from repro.cc.registry import make_cc
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.experiments.runner import make_scheme
 from repro.simulator.link import ConstantRate, SquareWaveRate

@@ -24,20 +24,5 @@ Layout
     delay, Jain fairness over every flow in the city, FCT percentiles.
 """
 
-from repro.metro.aggregate import aggregate_city, jain_index
-from repro.metro.cell import metro_cell
-from repro.metro.spec import MetroSpec, metro_pack
-from repro.metro.workload import (bounded_pareto_sizes, parse_mix,
-                                  poisson_arrivals, scheme_assignment)
-
-__all__ = [
-    "MetroSpec",
-    "metro_pack",
-    "metro_cell",
-    "parse_mix",
-    "aggregate_city",
-    "jain_index",
-    "poisson_arrivals",
-    "bounded_pareto_sizes",
-    "scheme_assignment",
-]
+from repro.metro.aggregate import aggregate_city  # read by benchmarks/ledger
+from repro.metro.spec import metro_pack  # read by benchmarks/ledger

@@ -31,7 +31,7 @@ from repro.metro.workload import (bounded_pareto_sizes, parse_mix,
 
 def _make_cell_cc(scheme: str, params):
     """Instantiate one flow's congestion control for a shared-ABC-router cell."""
-    from repro.cc import make_cc
+    from repro.cc.registry import make_cc
 
     if scheme == "abc":
         return make_cc("abc", params=params)

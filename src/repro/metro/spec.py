@@ -52,7 +52,7 @@ class MetroSpec(SweepSpec):
     flow_size_alpha: float = 1.2
 
     def _validate_schemes(self) -> None:
-        from repro.cc import available_schemes
+        from repro.cc.registry import available_schemes
 
         if not self.schemes:
             raise ValueError("metro sweep needs at least one scheme mix")

@@ -17,12 +17,8 @@ costs (near) nothing when disabled:
   renders a simulation's event timeline or a sweep's per-worker job timeline
   as ``chrome://tracing``-loadable JSON.
 
-Import discipline: this package is imported by the simulator and the runtime,
-so :mod:`repro.obs.metrics` (the only module loaded eagerly) must not import
-either of them; :mod:`repro.obs.manifest` reaches into ``repro.runtime`` via
-late imports only.
+Import discipline: the simulator and the runtime import
+:mod:`repro.obs.metrics`, so it must not import either of them;
+:mod:`repro.obs.manifest` reaches into ``repro.runtime`` via late imports
+only.
 """
-
-from repro.obs.metrics import enabled, override, registry
-
-__all__ = ["enabled", "override", "registry"]

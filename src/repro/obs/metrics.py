@@ -30,35 +30,14 @@ the deltas with :meth:`MetricsRegistry.merge`.  Counters merge by summation
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict
 
 from repro.config import resolve
 
-#: Programmatic override; None defers to ``REPRO_TELEMETRY``, read live.
-_override: Optional[bool] = None
-
 
 def enabled() -> bool:
-    """True when telemetry collection is active in this process."""
-    if _override is not None:
-        return _override
+    """True when ``REPRO_TELEMETRY`` is set, read live."""
     return resolve("telemetry")
-
-
-@contextmanager
-def override(flag: Optional[bool]) -> Iterator[None]:
-    """Force telemetry on/off within a ``with`` block (None = no-op)."""
-    global _override
-    if flag is None:
-        yield
-        return
-    previous = _override
-    _override = bool(flag)
-    try:
-        yield
-    finally:
-        _override = previous
 
 
 class Counter:

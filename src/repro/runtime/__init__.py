@@ -13,7 +13,6 @@ independent jobs:
 * :class:`~repro.runtime.cache.ResultCache` — the cache itself, keyed by
   :func:`~repro.runtime.cache.stable_hash` of (job function, kwargs,
   code-version salt).
-
 * :mod:`~repro.runtime.trace_store` — a module-level store that ships each
   cellular trace to each worker process once (as it starts) instead of
   pickling it into every job; jobs carry tiny
@@ -30,48 +29,8 @@ bit-for-bit identical whether executed serially, in parallel, on a reused
 pool, or replayed from the cache.
 """
 
-from repro.config import resolve_seeds
-from repro.runtime.cache import CODE_VERSION_SALT, ResultCache, stable_hash
-from repro.runtime.executor import (ExecutorStats, SweepExecutor, SweepJob,
-                                    get_executor)
-from repro.runtime.faults import (FAULT_KINDS, FaultInjectionError,
-                                  FaultInjector, FaultSpec, JobAttempt,
-                                  JobFailure, JobFailureError, is_failure,
-                                  retry_backoff)
-from repro.runtime.journal import RunJournal, run_key_for
-from repro.runtime.spec import (SweepCell, SweepSpec, strip_result, sweep_cell,
-                                validate_schemes)
-from repro.runtime.trace_store import (TraceRef, clear_trace_store, get_trace,
-                                       register_trace, resolve_link_spec)
-
-__all__ = [
-    "CODE_VERSION_SALT",
-    "FAULT_KINDS",
-    "ExecutorStats",
-    "FaultInjectionError",
-    "FaultInjector",
-    "FaultSpec",
-    "JobAttempt",
-    "JobFailure",
-    "JobFailureError",
-    "ResultCache",
-    "RunJournal",
-    "SweepCell",
-    "SweepExecutor",
-    "SweepJob",
-    "SweepSpec",
-    "TraceRef",
-    "clear_trace_store",
-    "get_executor",
-    "get_trace",
-    "is_failure",
-    "register_trace",
-    "resolve_link_spec",
-    "resolve_seeds",
-    "retry_backoff",
-    "run_key_for",
-    "stable_hash",
-    "strip_result",
-    "sweep_cell",
-    "validate_schemes",
-]
+from repro.runtime.cache import ResultCache  # read by benchmarks/ledger
+from repro.runtime.executor import SweepExecutor, SweepJob  # read by benchmarks/ledger
+from repro.runtime.faults import is_failure  # read by benchmarks/ledger
+from repro.runtime.journal import RunJournal, run_key_for  # read by benchmarks/ledger
+from repro.runtime.spec import SweepSpec  # read by benchmarks/ledger

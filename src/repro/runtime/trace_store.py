@@ -89,10 +89,3 @@ def snapshot_for(keys: Iterable[str]) -> Dict[str, Any]:
 def install_snapshot(snapshot: Dict[str, Any]) -> None:
     """Merge a snapshot into this process's store (a worker's first act)."""
     _STORE.update(snapshot)
-
-
-def clear_trace_store() -> int:
-    """Empty the store (tests); returns the number of entries removed."""
-    removed = len(_STORE)
-    _STORE.clear()
-    return removed

@@ -2,7 +2,7 @@
 
 A :class:`Qdisc` sits between a router and its outgoing link.  The link calls
 :meth:`Qdisc.enqueue` when a packet arrives and :meth:`Qdisc.dequeue` whenever
-it has a transmission opportunity.  AQMs (CoDel, PIE, RED), ABC and the
+it has a transmission opportunity.  AQMs (CoDel, PIE), ABC and the
 explicit-feedback baselines are all implemented as qdiscs, which mirrors the
 paper's Linux implementation of ABC as a qdisc kernel module (§6.1).
 

@@ -15,20 +15,3 @@ transmission bitrates.  This package provides:
   the backlogged-link capacity from partial batches by extrapolating the
   inter-ACK time to a full batch.
 """
-
-from repro.wifi.mac import WiFiLink, WiFiMacConfig
-from repro.wifi.mcs import (AlternatingMCSSchedule, BrownianMCSSchedule,
-                            FixedMCSSchedule, MCS_RATES_BPS, mcs_rate_bps)
-from repro.wifi.rate_estimator import BatchObservation, WiFiRateEstimator
-
-__all__ = [
-    "MCS_RATES_BPS",
-    "mcs_rate_bps",
-    "FixedMCSSchedule",
-    "AlternatingMCSSchedule",
-    "BrownianMCSSchedule",
-    "WiFiMacConfig",
-    "WiFiLink",
-    "BatchObservation",
-    "WiFiRateEstimator",
-]

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.analysis import (SpaceSaving, ZombieList, jain_fairness_index,
-                            max_min_allocation)
-from repro.analysis.fairness import relative_std, throughput_ratio
-from repro.analysis.metrics import (is_outside_frontier, mean,
-                                    normalize_to_reference, pareto_frontier,
+from repro.analysis.fairness import (jain_fairness_index, relative_std,
+                                     throughput_ratio)
+from repro.analysis.maxmin import max_min_allocation
+from repro.analysis.metrics import (is_outside_frontier, mean, pareto_frontier,
                                     percentile, utilization)
+from repro.analysis.topk import SpaceSaving
+from repro.analysis.zombie import ZombieList
 
 
 # ------------------------------------------------------------ metrics
@@ -23,16 +24,6 @@ def test_percentile_and_mean():
     assert mean(values) == 3
     assert percentile([], 95) == 0.0
     assert mean([]) == 0.0
-
-
-def test_normalize_to_reference():
-    norm = normalize_to_reference({"abc": 2.0, "cubic": 1.0}, "abc")
-    assert norm["abc"] == 1.0
-    assert norm["cubic"] == 0.5
-    with pytest.raises(KeyError):
-        normalize_to_reference({"cubic": 1.0}, "abc")
-    with pytest.raises(ValueError):
-        normalize_to_reference({"abc": 0.0}, "abc")
 
 
 def test_pareto_frontier_excludes_dominated_points():

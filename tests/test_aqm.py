@@ -1,8 +1,21 @@
-"""Tests for the AQM qdiscs (DropTail, CoDel, PIE, RED)."""
+"""Tests for the AQM qdiscs (DropTail, CoDel, PIE).
+
+CoDel is also checked against a spec reference: ``_ReferenceCoDel`` is
+RFC 8289 §5's pseudocode, and a Hypothesis property drives it and
+``CoDelQdisc`` with the same arrivals and dequeue clock.
+"""
+
+import collections
+import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.aqm import CoDelQdisc, DropTailQdisc, PIEQdisc, REDQdisc
+from repro.aqm.codel import CoDelQdisc
+from repro.aqm.droptail import DropTailQdisc
+from repro.aqm.pie import PIEQdisc
 from repro.cc.cubic import Cubic
 from repro.simulator.packet import ECN, Packet
 from tests.conftest import run_single_flow
@@ -72,6 +85,209 @@ def test_codel_tail_drop_when_buffer_full():
     assert not q.enqueue(mk(2), 0.0)
 
 
+# ------------------------------------------------- CoDel against RFC 8289
+class _ReferenceCoDel:
+    """RFC 8289 §5's ``dodequeue`` / ``dequeue`` pseudocode, clocked by the
+    caller: ``now`` is an argument and there is no engine.  The RFC's "drop"
+    marks an ECN-capable packet and delivers it instead when ``ecn`` is on,
+    as Linux's ``codel`` does.  Each keyword after ``ecn`` defaults to the
+    RFC; ``CODEL_DEPARTURES`` sets it to what ``CoDelQdisc`` does instead.
+    """
+
+    MAXPACKET = 1500  # the RFC's ``maxpacket_``: the interface MTU
+
+    def __init__(self, buffer_packets, target, interval, ecn, *,
+                 backlog_floor=lambda size: _ReferenceCoDel.MAXPACKET,
+                 acm_queue_entry=False, recheck_after_entry_drop=True,
+                 reset_above_when_empty=True):
+        self.buffer_packets, self.target, self.interval = (
+            buffer_packets, target, interval)
+        self.ecn = ecn
+        self.backlog_floor = backlog_floor
+        self.acm_queue_entry = acm_queue_entry
+        self.recheck_after_entry_drop = recheck_after_entry_drop
+        self.reset_above_when_empty = reset_above_when_empty
+        self.queue = collections.deque()  # (seq, size, ecn_capable, tstamp)
+        self.bytes = 0
+        self.first_above_time = self.drop_next = 0.0
+        self.count = self.lastcount = 0
+        self.dropping = False
+        self.verdicts = {}  # seq -> "tail-drop" | "aqm-drop" | "ce-mark"
+
+    def enqueue(self, seq, size, ecn_capable, now):
+        if len(self.queue) >= self.buffer_packets:
+            self.verdicts[seq] = "tail-drop"
+            return False
+        self.queue.append((seq, size, ecn_capable, now))
+        self.bytes += size
+        return True
+
+    def _dodequeue(self, now, check=True):
+        if not self.queue:
+            if self.reset_above_when_empty:
+                self.first_above_time = 0.0
+            else:  # what an empty queue does instead: end the dropping state
+                self.dropping = False
+            return None, False
+        p = self.queue.popleft()
+        self.bytes -= p[1]
+        if not check:
+            return p, False
+        if now - p[3] < self.target or self.bytes <= self.backlog_floor(p[1]):
+            self.first_above_time = 0.0
+        elif self.first_above_time == 0.0:
+            self.first_above_time = now + self.interval
+        elif now >= self.first_above_time:
+            return p, True
+        return p, False
+
+    def _control_law(self, t):
+        return t + self.interval / math.sqrt(self.count)
+
+    def _drop(self, p):
+        """True when ``p`` is CE-marked and goes on; False when dropped."""
+        marked = self.ecn and p[2]
+        self.verdicts[p[0]] = "ce-mark" if marked else "aqm-drop"
+        return marked
+
+    def dequeue(self, now):
+        p, ok_to_drop = self._dodequeue(now)
+        if self.dropping:
+            if not ok_to_drop:
+                self.dropping = False
+            while now >= self.drop_next and self.dropping:
+                self.count += 1
+                if self._drop(p):
+                    self.drop_next = self._control_law(self.drop_next)
+                    break
+                p, ok_to_drop = self._dodequeue(now)
+                if not ok_to_drop:
+                    self.dropping = False
+                else:
+                    self.drop_next = self._control_law(self.drop_next)
+        elif ok_to_drop and (not self.acm_queue_entry
+                             or now - self.drop_next < self.interval
+                             or now - self.first_above_time >= self.interval):
+            marked = self._drop(p)
+            self.dropping = True  # set first: an empty queue may end it
+            delta = self.count - self.lastcount
+            self.count = 1
+            if delta > 1 and now - self.drop_next < 16 * self.interval:
+                self.count = delta
+            self.drop_next = self._control_law(now)
+            self.lastcount = self.count
+            if not marked:
+                p, _ = self._dodequeue(now, self.recheck_after_entry_drop)
+        return None if p is None else p[0]
+
+
+#: Where ``CoDelQdisc`` departs from RFC 8289 (ROADMAP item 6 lists them).
+CODEL_DEPARTURES = dict(
+    # Keeps two of the dequeued packet's size queued, not one MTU.
+    backlog_floor=lambda size: 2 * size,
+    # Enters the dropping state on the ACM Queue 2012 test, not ok_to_drop.
+    acm_queue_entry=True,
+    # Sends the packet after an entry drop without dodequeue's check.
+    recheck_after_entry_drop=False,
+    # Keeps first_above_time when the queue runs empty.
+    reset_above_when_empty=False,
+)
+
+
+def _codel_schedule(rng):
+    """Bursty arrivals ``(t, seq, size, ecn_capable)`` and dequeue times
+    ``(t, None, ...)`` against a link clock that stalls now and then."""
+    slot = rng.choice([0.0005, 0.001, 0.002])
+    events, t, seq, phase_end, load = [], 0.0, 0, 0, 0.0
+    for step in range(300):
+        if step >= phase_end:  # alternate overload and idle-ish phases
+            phase_end = step + rng.randrange(10, 150)
+            load = (rng.uniform(1.2, 3.0) if load < 1.0
+                    else rng.uniform(0.0, 0.8))
+        while rng.random() < load / (1.0 + load):
+            size = rng.choice((64, 576, 1500, 1500))
+            events.append((t + rng.random() * slot, seq, size,
+                           rng.random() < 0.5))
+            seq += 1
+        t += slot
+        if rng.random() > 0.05:
+            events.append((t, None, 0, False))
+    return sorted(events, key=lambda event: event[0])
+
+
+def _assert_codel_matches(reference, schedule):
+    """Drive ``reference`` and a ``CoDelQdisc`` with its settings through
+    ``schedule``: every dequeue sends the same packet, and every packet gets
+    the same verdict."""
+    qdisc = CoDelQdisc(buffer_packets=reference.buffer_packets,
+                       target=reference.target, interval=reference.interval,
+                       ecn=reference.ecn)
+    verdicts, accepted, sent = {}, set(), []
+    for now, seq, size, ecn_capable in schedule:
+        if seq is None:
+            packet = qdisc.dequeue(now)
+            got = None if packet is None else packet.seq
+            assert got == reference.dequeue(now), now
+            if packet is not None:
+                sent.append(got)
+                if packet.ecn == ECN.CE:
+                    verdicts[got] = "ce-mark"
+            continue
+        packet = Packet(flow_id=0, seq=seq, size=size,
+                        ecn=ECN.BRAKE if ecn_capable else ECN.NOT_ECT)
+        admitted = qdisc.enqueue(packet, now)
+        assert admitted == reference.enqueue(seq, size, ecn_capable, now)
+        if admitted:
+            accepted.add(seq)
+        else:
+            verdicts[seq] = "tail-drop"
+    queued = [packet.seq for packet in qdisc._queue]
+    assert queued == [p[0] for p in reference.queue]
+    verdicts.update(dict.fromkeys(accepted - set(sent) - set(queued),
+                                  "aqm-drop"))
+    assert verdicts == reference.verdicts
+    counts = collections.Counter(verdicts.values())
+    assert qdisc.dropped_packets == counts["tail-drop"] + counts["aqm-drop"]
+    assert qdisc.marked_packets == counts["ce-mark"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ecn=st.booleans(),
+       buffer_packets=st.sampled_from((6, 40, 1000)),
+       target=st.sampled_from((0.001, 0.002, 0.005)),
+       interval=st.sampled_from((0.005, 0.01, 0.02)))
+def test_codel_matches_rfc8289_reference(seed, ecn, buffer_packets, target,
+                                         interval):
+    reference = _ReferenceCoDel(buffer_packets, target, interval, ecn,
+                                **CODEL_DEPARTURES)
+    _assert_codel_matches(reference, _codel_schedule(random.Random(seed)))
+
+
+#: An entry drop at 23 ms leaves one packet, sent unchecked; the queue runs
+#: empty with ``first_above_time`` set, then a burst of four arrives.
+_EMPTY_AFTER_ENTRY = (
+    [(0.0, seq, size, False) for seq, size in enumerate((64, 64, 64, 1500))]
+    + [(now, None, 0, False) for now in (0.002, 0.013, 0.023, 0.024)]
+    + [(0.025, seq, 64, False) for seq in range(4, 8)]
+    + [(0.027, None, 0, False)])
+
+
+def test_codel_keeps_first_above_time_across_an_empty_queue():
+    """The departure the random schedules do not reach: ``CoDelQdisc``
+    drops the burst's first packet at once, the RFC starts a new interval."""
+    reference = _ReferenceCoDel(1000, 0.001, 0.01, False, **CODEL_DEPARTURES)
+    _assert_codel_matches(reference, _EMPTY_AFTER_ENTRY)
+    assert reference.verdicts == {2: "aqm-drop", 4: "aqm-drop"}
+    rfc = _ReferenceCoDel(1000, 0.001, 0.01, False, **dict(
+        CODEL_DEPARTURES, reset_above_when_empty=True))
+    for now, seq, size, ecn_capable in _EMPTY_AFTER_ENTRY:
+        if seq is None:
+            rfc.dequeue(now)
+        else:
+            rfc.enqueue(seq, size, ecn_capable, now)
+    assert rfc.verdicts == {2: "aqm-drop"}
+
+
 # ------------------------------------------------------------ PIE unit
 def test_pie_parameter_validation():
     with pytest.raises(ValueError):
@@ -100,43 +316,6 @@ def test_pie_no_drops_when_queue_short():
         q.enqueue(mk(i), now)
         q.dequeue(now + 0.0005)
         now += 0.001
-    assert q.dropped_packets == 0
-
-
-# ------------------------------------------------------------ RED unit
-def test_red_validation():
-    with pytest.raises(ValueError):
-        REDQdisc(min_th=10, max_th=5)
-    with pytest.raises(ValueError):
-        REDQdisc(max_p=0.0)
-
-
-def test_red_drops_probabilistically_above_min_threshold():
-    q = REDQdisc(buffer_packets=200, min_th=5, max_th=20, max_p=0.5, weight=0.5)
-    accepted = 0
-    for i in range(200):
-        if q.enqueue(mk(i), 0.0):
-            accepted += 1
-    assert q.dropped_packets > 0
-    assert accepted < 200
-
-
-def test_red_marks_ecn_capable_packets():
-    q = REDQdisc(buffer_packets=200, min_th=2, max_th=10, max_p=1.0,
-                 weight=0.9, ecn=True)
-    marked = 0
-    for i in range(100):
-        pkt = mk(i, ecn=ECN.ACCEL)
-        if q.enqueue(pkt, 0.0) and pkt.ecn == ECN.CE:
-            marked += 1
-    assert marked > 0
-    assert q.dropped_packets == 0
-
-
-def test_red_empty_queue_no_marking():
-    q = REDQdisc(min_th=5, max_th=20)
-    assert q.enqueue(mk(0), 0.0)
-    assert q.dequeue(0.0).seq == 0
     assert q.dropped_packets == 0
 
 
@@ -197,15 +376,6 @@ def test_pie_delay_estimate_fallbacks():
     # Little's law against the link capacity until the departure-rate EWMA
     # has a sample: 1500 bytes at 12 Mbit/s = 1 ms.
     assert q._estimate_delay() == pytest.approx(1500 * 8.0 / 12e6)
-
-
-def test_red_tail_drops_when_buffer_full():
-    q = REDQdisc(min_th=5, max_th=20, buffer_packets=4)
-    for i in range(4):
-        assert q.enqueue(mk(i), 0.0)
-    assert not q.enqueue(mk(4), 0.0)
-    assert q.dropped_packets == 1
-    assert q.backlog_packets == 4
 
 
 def test_codel_dequeue_empty_resets_dropping_state():

@@ -10,8 +10,16 @@ import random
 import numpy as np
 import pytest
 
-from repro.cc import (AIMD, BBR, Copa, Cubic, NewReno, PCCVivace, Sprout,
-                      Vegas, Verus, available_schemes, make_cc)
+from repro.cc.base import AIMD
+from repro.cc.bbr import BBR
+from repro.cc.copa import Copa
+from repro.cc.cubic import Cubic
+from repro.cc.newreno import NewReno
+from repro.cc.pcc_vivace import PCCVivace
+from repro.cc.registry import available_schemes, make_cc
+from repro.cc.sprout import Sprout
+from repro.cc.vegas import Vegas
+from repro.cc.verus import Verus
 from repro.cc.cubic import CUBIC_BETA, CUBIC_C
 from repro.simulator.packet import MTU, AckFeedback
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cellular import (CellularTrace, SyntheticTraceConfig,
-                            lte_showcase_trace, synthetic_trace,
-                            synthetic_trace_set)
+from repro.cellular.synthetic import (SyntheticTraceConfig, lte_showcase_trace,
+                                      synthetic_trace, synthetic_trace_set)
+from repro.cellular.trace import CellularTrace
 from repro.cellular.synthetic import TRACE_LIBRARY, rate_series, uplink_downlink_pair
 from repro.simulator.packet import MTU
 

@@ -23,7 +23,9 @@ from repro.config import (KNOBS, RuntimeConfig, environment_knobs, resolve,
                           resolve_seeds)
 from repro.obs.manifest import executor_record, provenance
 from repro.obs.progress import resolve_progress, stderr_reporter
-from repro.runtime import FaultSpec, ResultCache, SweepExecutor
+from repro.runtime.cache import ResultCache
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.faults import FaultSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CPUS = os.cpu_count() or 1

@@ -105,7 +105,7 @@ def test_speed_figures_name_a_ledger_workload():
 #: Total lines of ``src/**/*.py`` at the last PR that moved it.  The north
 #: star says this number goes down: lower it when a PR shrinks ``src/``;
 #: raising it is an edit a reviewer sees and a PR has to argue for.
-SRC_LINE_CEILING = 13_704
+SRC_LINE_CEILING = 13_381
 
 
 def test_every_ci_job_gates():
@@ -235,3 +235,79 @@ def test_dead_surface_allowlist_has_no_stale_entries():
                for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
                for node in _public_definitions(ast.parse(path.read_text()))}
     assert DEAD_SURFACE_ALLOWLIST <= defined
+
+
+def _is_package(module: str) -> bool:
+    return (REPO_ROOT / "src" / Path(*module.split(".")) / "__init__.py").is_file()
+
+
+def _names_a_module(package: str, name: str) -> bool:
+    base = REPO_ROOT / "src" / Path(*package.split(".")) / name
+    return base.with_suffix(".py").is_file() or (base / "__init__.py").is_file()
+
+
+def _ledger_imports():
+    """``{package: names}`` that ``benchmarks/ledger/`` imports from
+    ``repro.<package>`` itself (the ledger is not edited with the code)."""
+    found = collections.defaultdict(set)
+    for path in (REPO_ROOT / "benchmarks" / "ledger").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.count(".") == 1 and _is_package(node.module)):
+                found[node.module] |= {alias.name for alias in node.names}
+    return found
+
+
+def test_package_inits_are_docstrings_only():
+    """One import path per name: a package ``__init__`` is its docstring
+    (the package's module map), plus ``__version__`` in ``repro`` and, in
+    the packages the ledger imports from, exactly the names it imports."""
+    ledger = _ledger_imports()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("__init__.py")):
+        package = ".".join(path.parent.relative_to(REPO_ROOT / "src").parts)
+        text = path.read_text()
+        tree = ast.parse(text)
+        assert ast.get_docstring(tree), path
+        imported = set()
+        for node in tree.body[1:]:
+            where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+            if (package == "repro" and isinstance(node, ast.Assign)
+                    and [target.id for target in node.targets] == ["__version__"]):
+                continue
+            assert isinstance(node, ast.ImportFrom), where
+            assert node.module.startswith(package + "."), where
+            assert text.splitlines()[node.end_lineno - 1].endswith(
+                "# read by benchmarks/ledger"), where
+            imported |= {alias.name for alias in node.names}
+        assert imported == ledger.get(package, set()), path
+
+
+#: ``from repro.<x> import <names>``, one line or parenthesised.
+_FROM_IMPORT = re.compile(r"from (repro\.\w+) import (\([^)]*\)|[^\n#]*)")
+
+
+def test_code_docs_and_ci_import_from_defining_modules():
+    """Outside ``benchmarks/ledger/``, ``from repro.<package> import X``
+    names a module of the package, never a definition: docs, CI steps and
+    scripts embedded in strings included."""
+    paths = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md")),
+             REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+             REPO_ROOT / ".github" / "workflows" / "ci.yml"]
+    paths += [path for top in ("src", "tests", "tools", "examples", "benchmarks")
+              for path in sorted((REPO_ROOT / top).rglob("*.py"))
+              if "ledger" not in path.parts]
+    offenders = []
+    for path in paths:
+        text = path.read_text()
+        for match in _FROM_IMPORT.finditer(text):
+            package, names = match.groups()
+            if not _is_package(package):
+                continue
+            line = text.count("\n", 0, match.start()) + 1
+            offenders += [f"{path.relative_to(REPO_ROOT)}:{line} {package}."
+                          f"{part.split()[0]}"
+                          for part in names.strip("()").split(",")
+                          if part.strip()
+                          and not _names_a_module(package, part.split()[0])]
+    assert not offenders, ("import these from the module that defines them:\n"
+                           + "\n".join(offenders))

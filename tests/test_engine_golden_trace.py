@@ -25,7 +25,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.cc import make_cc
+from repro.cc.registry import make_cc
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.core.params import ABCParams
 from repro.core.router import ABCRouterQdisc

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.explicit import (RCPRouterQdisc, RCPSender, VCPRouterQdisc,
-                            VCPSender, XCPRouterQdisc, XCPSender)
+from repro.explicit.rcp import RCPRouterQdisc, RCPSender
+from repro.explicit.vcp import VCPRouterQdisc, VCPSender
+from repro.explicit.xcp import XCPRouterQdisc, XCPSender
 from repro.explicit.vcp import HIGH_LOAD, LOW_LOAD, OVERLOAD
 from repro.simulator.link import ConstantRate
 from repro.simulator.packet import MTU, AckFeedback, Packet

@@ -24,7 +24,7 @@ from repro.fuzz.invariants import (FAIRNESS_FLOOR, check_fairness,
                                    scenario_summary)
 from repro.fuzz.shrink import (corpus_entry, load_corpus_entry,
                                save_corpus_entry, shrink_scenario)
-from repro.runtime import SweepExecutor
+from repro.runtime.executor import SweepExecutor
 
 
 def _tiny_scenario(scheme: str = "cubic", n_flows: int = 1,

@@ -11,8 +11,9 @@ ledger's paper-claim checks.
 
 import pytest
 
-from repro.cc import make_cc
-from repro.aqm import CoDelQdisc, DropTailQdisc
+from repro.cc.registry import make_cc
+from repro.aqm.codel import CoDelQdisc
+from repro.aqm.droptail import DropTailQdisc
 from repro.core.params import ABCParams
 from repro.core.router import ABCRouterQdisc
 from repro.experiments.runner import run_single_bottleneck

@@ -26,7 +26,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cc import make_cc
+from repro.cc.registry import make_cc
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.experiments.coexistence import (fig6_cell,
                                            fig7_coexistence_timeseries)
@@ -155,11 +155,11 @@ GOLDEN_FUZZ = [
 ]
 
 
-def test_unwired_scenario_reads_as_before():
+def test_unwired_scenario_reads_as_before(monkeypatch):
     obs_metrics.registry().reset()
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
     try:
-        with obs_metrics.override(True):
-            scenario = run_golden_scenario()
+        scenario = run_golden_scenario()
         counters = obs_metrics.registry().snapshot()["counters"]
     finally:
         obs_metrics.registry().reset()

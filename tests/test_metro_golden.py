@@ -22,8 +22,9 @@ import json
 from pathlib import Path
 
 from repro.experiments.runner import run_seed_grid
-from repro.metro import aggregate_city, metro_pack
-from repro.runtime import SweepExecutor
+from repro.metro.aggregate import aggregate_city
+from repro.metro.spec import metro_pack
+from repro.runtime.executor import SweepExecutor
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_metro_city.json"
 

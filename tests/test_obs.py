@@ -56,17 +56,6 @@ def test_enabled_handles_record():
     assert registry.snapshot() == {"counters": {"a": 3}}
 
 
-def test_override_nesting_restores_previous_state(monkeypatch):
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    assert not obs_metrics.enabled()
-    with obs_metrics.override(True):
-        assert obs_metrics.enabled()
-        with obs_metrics.override(False):
-            assert not obs_metrics.enabled()
-        assert obs_metrics.enabled()
-    assert not obs_metrics.enabled()
-
-
 def test_env_knob(monkeypatch):
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
     assert obs_metrics.enabled()
@@ -95,9 +84,9 @@ def _run_fig_cell(**overrides):
     return run_single_bottleneck(**kwargs)
 
 
-def test_harvest_publishes_component_counters():
-    with obs_metrics.override(True):
-        result = _run_fig_cell()
+def test_harvest_publishes_component_counters(monkeypatch):
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    result = _run_fig_cell()
     scenario = result.extra["scenario"]
     counters = obs_metrics.registry().snapshot()["counters"]
     assert counters["scenario.runs"] == 1
@@ -112,21 +101,21 @@ def test_harvest_publishes_component_counters():
     assert counters["sender.pace_ticks"] == 0  # no pacing loop to tick
 
 
-def test_harvest_publishes_pacing_counters():
+def test_harvest_publishes_pacing_counters(monkeypatch):
     """The pacing-loop counters ride the same end-of-run harvest."""
-    with obs_metrics.override(True):
-        result = _run_fig_cell(scheme="bbr")
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    result = _run_fig_cell(scheme="bbr")
     sender = result.extra["scenario"].flows[0].sender
     counters = obs_metrics.registry().snapshot()["counters"]
     assert counters["sender.pace_ticks"] == sender.pace_ticks > 0
     assert counters["sender.pace_halts"] == sender.pace_halts
 
 
-def test_results_bit_identical_with_and_without_telemetry():
-    with obs_metrics.override(False):
-        off = _run_fig_cell()
-    with obs_metrics.override(True):
-        on = _run_fig_cell()
+def test_results_bit_identical_with_and_without_telemetry(monkeypatch):
+    monkeypatch.setenv("REPRO_TELEMETRY", "0")
+    off = _run_fig_cell()
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    on = _run_fig_cell()
     assert off.throughput_bps == on.throughput_bps
     assert off.utilization == on.utilization
     assert off.delay_p95_ms == on.delay_p95_ms
@@ -315,7 +304,7 @@ def test_every_seeded_figure_call_leaves_one_manifest(tmp_path, monkeypatch):
                                                fig13_app_limited)
     from repro.experiments.pareto import fig9_sweep
     from repro.experiments.runner import run_seed_grid
-    from repro.metro import metro_pack
+    from repro.metro.spec import metro_pack
     monkeypatch.delenv("REPRO_SEEDS", raising=False)
     runs = tmp_path / "runs"
     monkeypatch.setenv("REPRO_RUN_DIR", str(runs))

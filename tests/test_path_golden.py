@@ -36,8 +36,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.aqm import CoDelQdisc, PIEQdisc
-from repro.cc import make_cc
+from repro.aqm.codel import CoDelQdisc
+from repro.aqm.pie import PIEQdisc
+from repro.cc.registry import make_cc
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.core.router import ABCRouterQdisc
 from repro.experiments.runner import run_single_bottleneck

@@ -411,7 +411,7 @@ def test_parse_mix_round_trips_weighted_labels(mix):
 def test_metro_jobs_pickle_round_trip(cell_suffix, seed, rate):
     """Sweep-job kwargs — including the square-wave link tuples — must
     survive the pickle trip to a multiprocessing worker unchanged."""
-    from repro.metro import metro_pack
+    from repro.metro.spec import metro_pack
 
     spec = metro_pack(2, duration=1.0, trace_seed=seed % 1000 + 1,
                       seeds=(seed % 7,), arrival_rate=rate)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aqm import DropTailQdisc
+from repro.aqm.droptail import DropTailQdisc
 from repro.simulator.packet import Packet
 from repro.simulator.qdisc import FifoQdisc, Qdisc
 

@@ -20,8 +20,8 @@ import time
 
 import pytest
 
-from repro.runtime import (JobFailureError, SweepExecutor, SweepJob,
-                           is_failure, retry_backoff)
+from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.faults import JobFailureError, is_failure, retry_backoff
 from repro.runtime.faults import crash_attempt, timeout_attempt
 
 

@@ -21,8 +21,9 @@ import pytest
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.core.params import ABCParams
 from repro.experiments.runner import run_cellular_sweep, sweep_averages
-from repro.runtime import (ResultCache, SweepExecutor, SweepJob, SweepSpec,
-                           stable_hash)
+from repro.runtime.cache import ResultCache, stable_hash
+from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.spec import SweepSpec
 
 
 def _tiny_traces():

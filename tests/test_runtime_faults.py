@@ -26,10 +26,11 @@ import pytest
 from repro.metro.aggregate import aggregate_city
 from repro.obs.manifest import executor_record
 from repro.obs.trace import sweep_trace_events
-from repro.runtime import (FaultInjector, FaultSpec, JobFailure,
-                           JobFailureError, ResultCache, RunJournal,
-                           SweepExecutor, SweepJob, is_failure,
-                           retry_backoff, run_key_for)
+from repro.runtime.cache import ResultCache
+from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.faults import (FaultInjector, FaultSpec, JobFailure,
+                                  JobFailureError, is_failure, retry_backoff)
+from repro.runtime.journal import RunJournal, run_key_for
 
 
 # Module-level so jobs survive pickling into pool workers.
@@ -561,7 +562,7 @@ _SIGINT_SCRIPT = textwrap.dedent("""
     import time
 
     sys.path.insert(0, {src!r})
-    from repro.runtime import SweepExecutor, SweepJob
+    from repro.runtime.executor import SweepExecutor, SweepJob
     from tests.test_runtime_faults import _sleepy
 
     def children():

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cc import make_cc
+from repro.cc.registry import make_cc
 from repro.cc.cubic import Cubic
-from repro.aqm import DropTailQdisc
+from repro.aqm.droptail import DropTailQdisc
 from repro.core.router import ABCRouterQdisc
 from repro.core.sender import ABCWindowControl
 from repro.simulator.endpoints import Receiver
@@ -262,7 +262,7 @@ def test_scenario_short_flow_completes():
 
 def test_scenario_registry_schemes_run(short_trace):
     """Every registered sender scheme must at least move data end to end."""
-    from repro.cc import available_schemes
+    from repro.cc.registry import available_schemes
     for name in available_schemes():
         sc = Scenario()
         link = sc.add_cellular_link(short_trace, qdisc=DropTailQdisc(250),

@@ -6,9 +6,10 @@ import pytest
 from repro.simulator.engine import EventLoop
 from repro.simulator.packet import MTU, Packet
 from repro.simulator.qdisc import FifoQdisc
-from repro.wifi import (AlternatingMCSSchedule, BatchObservation,
-                        BrownianMCSSchedule, FixedMCSSchedule, MCS_RATES_BPS,
-                        WiFiLink, WiFiMacConfig, WiFiRateEstimator, mcs_rate_bps)
+from repro.wifi.mac import WiFiLink, WiFiMacConfig
+from repro.wifi.mcs import (AlternatingMCSSchedule, BrownianMCSSchedule,
+                            FixedMCSSchedule, MCS_RATES_BPS, mcs_rate_bps)
+from repro.wifi.rate_estimator import BatchObservation, WiFiRateEstimator
 
 
 class Collector:
@@ -198,7 +199,7 @@ def test_estimator_rejects_bad_observations():
 
 def test_estimator_accuracy_within_five_percent_end_to_end():
     """Fig. 5's headline claim, exercised through the full MAC model."""
-    from repro.cc import make_cc
+    from repro.cc.registry import make_cc
     from repro.simulator.scenario import Scenario
     from repro.simulator.traffic import RateLimitedSource
 
