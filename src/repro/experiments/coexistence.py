@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence
@@ -23,18 +24,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.stats import SeedResultSet
-from repro.aqm.droptail import DropTailQdisc
-from repro.cc.registry import make_cc
-from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
-from repro.core.coexistence import (DualQueueABCQdisc, MaxMinWeightController,
-                                    ZombieListWeightController)
-from repro.core.params import ABCParams
-from repro.core.router import ABCRouterQdisc
 from repro.experiments.runner import run_seed_grid
+from repro.experiments.scenario_spec import (FlowSpec, LinkSpec,
+                                             ScenarioSpec, build)
 from repro.runtime.executor import SweepExecutor, SweepJob
-from repro.simulator.link import SteppedRate
-from repro.simulator.scenario import Scenario
-from repro.simulator.traffic import FixedSizeSource, OnOffSource, RateLimitedSource
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +49,10 @@ class DualBottleneckTrace:
 
 def _default_wireless_steps(duration: float, period: float = 5.0,
                             rates_mbps: Sequence[float] = (18, 6, 14, 4, 10, 22, 8, 16)
-                            ) -> SteppedRate:
-    steps = []
-    t = 0.0
-    index = 0
-    while t < duration:
-        steps.append((t, rates_mbps[index % len(rates_mbps)] * 1e6))
-        t += period
-        index += 1
-    return SteppedRate(steps)
+                            ) -> List[List[float]]:
+    """``[start_s, rate_bps]`` steps: each rate in turn for ``period`` s."""
+    return [[index * period, rates_mbps[index % len(rates_mbps)] * 1e6]
+            for index in range(math.ceil(duration / period))]
 
 
 def fig6_cell(duration: float, wired_mbps: float, rtt: float,
@@ -77,33 +65,26 @@ def fig6_cell(duration: float, wired_mbps: float, rtt: float,
     through the sweep executor (pool fan-out + result cache).
     """
     del seed  # kept in the signature so cached results keep their keys
-    scenario = Scenario()
-    wireless_capacity = _default_wireless_steps(duration)
-    params = ABCParams()
-    wireless = scenario.add_rate_link(wireless_capacity,
-                                      qdisc=ABCRouterQdisc(params=params,
-                                                           buffer_packets=500),
-                                      name="wireless")
-    wired = scenario.add_rate_link(wired_mbps * 1e6,
-                                   qdisc=DropTailQdisc(buffer_packets=100),
-                                   name="wired")
-    abc_flow = scenario.add_flow(make_cc("abc", params=params),
-                                 [wireless, wired], rtt=rtt, label="abc")
-
-    cross_flows = []
+    flows = [FlowSpec(rtt=rtt, label="abc")]
     if cross_traffic:
         if cross_schedule is None:
             third = duration / 3.0
             cross_schedule = [(third, 2 * third), (2 * third + 1e-9, duration)]
-        # One Cubic cross-traffic flow per on-interval keeps the arrival
-        # pattern simple and mirrors the paper's on-off cross traffic.
-        cross_flows.append(scenario.add_flow(
-            make_cc("cubic"), [wired], rtt=rtt,
-            source=OnOffSource(list(cross_schedule)), label="cross"))
+        # One on-off Cubic flow on the wired hop only, as in the paper.
+        flows.append(FlowSpec(cc="cubic", rtt=rtt, path=[1], label="cross",
+                              on_off=[list(on) for on in cross_schedule]))
+    built = build(ScenarioSpec(
+        scheme="abc", duration=duration, flows=flows, links=[
+            LinkSpec("stepped", {"steps": _default_wireless_steps(duration)},
+                     buffer_packets=500, name="wireless"),
+            LinkSpec("constant", {"rate_bps": wired_mbps * 1e6},
+                     buffer_packets=100, role="wired", name="wired")]))
+    scenario, abc_flow = built.scenario, built.flows[0]
 
     # Sample windows and rates while the simulation runs.
     samples: List[tuple] = []
     cc = abc_flow.cc
+    wireless_capacity = scenario.links[0].capacity
     scenario.every(sample_interval, lambda now: samples.append(
         (now, cc.w_abc, cc.w_nonabc, wireless_capacity.rate_at(now))))
     scenario.run(duration)
@@ -222,8 +203,7 @@ def fig7_cell(link_mbps: float, duration: float, rtt: float, stagger: float,
     return _run_shared_bottleneck(
         link_mbps=link_mbps, duration=duration, rtt=rtt,
         n_abc=2, n_cubic=2, abc_starts=(0.0, stagger),
-        cubic_starts=(2 * stagger, 3 * stagger),
-        controller=MaxMinWeightController(interval=1.0),
+        cubic_starts=(2 * stagger, 3 * stagger), strategy="maxmin",
         short_flow_load=0.0, warmup=3 * stagger, seed=seed)
 
 
@@ -251,30 +231,19 @@ def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0
 
 def _run_shared_bottleneck(link_mbps: float, duration: float, rtt: float,
                            n_abc: int, n_cubic: int,
-                           controller, short_flow_load: float,
+                           strategy: str, short_flow_load: float,
                            abc_starts: Optional[Sequence[float]] = None,
                            cubic_starts: Optional[Sequence[float]] = None,
                            short_flow_bytes: int = 50_000,
                            warmup: float = 5.0, seed: int = 17
                            ) -> CoexistenceResult:
-    params = ABCParams()
-    scenario = Scenario()
-    qdisc = DualQueueABCQdisc(params=params, buffer_packets=500,
-                              controller=controller)
-    link = scenario.add_rate_link(link_mbps * 1e6, qdisc=qdisc, name="shared")
-
-    abc_flows = []
-    for i in range(n_abc):
-        start = abc_starts[i] if abc_starts else 0.0
-        abc_flows.append(scenario.add_flow(make_cc("abc", params=params), [link],
-                                           rtt=rtt, start_time=start,
-                                           label=f"abc-{i}"))
-    cubic_flows = []
-    for i in range(n_cubic):
-        start = cubic_starts[i] if cubic_starts else 0.0
-        cubic_flows.append(scenario.add_flow(make_cc("cubic"), [link], rtt=rtt,
-                                             start_time=start,
-                                             label=f"cubic-{i}"))
+    """ABC and Cubic flows on one dual-queue ABC bottleneck whose weight
+    controller is ``strategy`` (``"maxmin"`` or ``"zombie"``)."""
+    flows = [FlowSpec(rtt=rtt, start_time=abc_starts[i] if abc_starts else 0.0,
+                      label=f"abc-{i}") for i in range(n_abc)]
+    flows += [FlowSpec(cc="cubic", rtt=rtt,
+                       start_time=cubic_starts[i] if cubic_starts else 0.0,
+                       label=f"cubic-{i}") for i in range(n_cubic)]
 
     # Poisson arrivals of short non-ABC flows offering a fixed load.
     if short_flow_load > 0:
@@ -286,11 +255,16 @@ def _run_shared_bottleneck(link_mbps: float, duration: float, rtt: float,
             t += rng.exponential(1.0 / arrival_rate)
             if t >= duration:
                 break
-            scenario.add_flow(make_cc("cubic"), [link], rtt=rtt, start_time=t,
-                              source=FixedSizeSource(short_flow_bytes),
-                              label="short")
+            flows.append(FlowSpec(cc="cubic", rtt=rtt, start_time=float(t),
+                                  size_bytes=short_flow_bytes, label="short"))
 
-    scenario.run(duration)
+    built = build(ScenarioSpec(
+        scheme="abc", duration=duration, flows=flows, links=[LinkSpec(
+            "constant", {"rate_bps": link_mbps * 1e6}, buffer_packets=500,
+            name="shared", qdisc=strategy)]))
+    built.scenario.run(duration)
+    abc_flows = built.flows[:n_abc]
+    cubic_flows = built.flows[n_abc:n_abc + n_cubic]
 
     abc_tputs = [f.stats.throughput_bps(warmup, duration) / 1e6 for f in abc_flows]
     cubic_tputs = [f.stats.throughput_bps(warmup, duration) / 1e6 for f in cubic_flows]
@@ -301,7 +275,7 @@ def _run_shared_bottleneck(link_mbps: float, duration: float, rtt: float,
         cubic_throughputs_mbps=cubic_tputs,
         abc_queuing_p95_ms=float(np.mean(abc_q)) if abc_q else 0.0,
         cubic_queuing_p95_ms=float(np.mean(cubic_q)) if cubic_q else 0.0,
-        weight_history=list(qdisc.weight_history),
+        weight_history=list(built.scenario.links[0].qdisc.weight_history),
     )
 
 
@@ -313,15 +287,11 @@ def coexistence_load_cell(load: float, strategy: str, link_mbps: float,
     The weight controller is built *inside* the cell from its ``strategy``
     name, so the job's kwargs stay plain picklable values.
     """
-    if strategy == "maxmin":
-        controller = MaxMinWeightController(interval=1.0)
-    elif strategy == "zombie":
-        controller = ZombieListWeightController(interval=1.0)
-    else:
+    if strategy not in ("maxmin", "zombie"):
         raise ValueError("strategy must be 'maxmin' or 'zombie'")
     return _run_shared_bottleneck(
         link_mbps=link_mbps, duration=duration, rtt=rtt,
-        n_abc=n_long, n_cubic=n_long, controller=controller,
+        n_abc=n_long, n_cubic=n_long, strategy=strategy,
         short_flow_load=load, seed=seed)
 
 
@@ -390,24 +360,19 @@ def fig13_cell(num_app_limited: int, aggregate_app_rate_mbps: float,
     The seed drives the synthetic cellular trace, so the seed axis samples
     genuinely different capacity processes.
     """
-    config = SyntheticTraceConfig(mean_rate_bps=12e6, min_rate_bps=2e6,
-                                  max_rate_bps=24e6, volatility=0.2,
-                                  outage_rate_per_s=0.0, name="app-limited")
-    trace = synthetic_trace(config, duration, seed=seed)
-    params = ABCParams()
-    scenario = Scenario()
-    link = scenario.add_cellular_link(trace,
-                                      qdisc=ABCRouterQdisc(params=params,
-                                                           buffer_packets=500),
-                                      name="cell")
-    backlogged = scenario.add_flow(make_cc("abc", params=params), [link],
-                                   rtt=rtt, label="backlogged")
     per_flow_rate = aggregate_app_rate_mbps * 1e6 / num_app_limited
-    app_flows = [scenario.add_flow(make_cc("abc", params=params), [link], rtt=rtt,
-                                   source=RateLimitedSource(per_flow_rate),
-                                   label=f"app-{i}")
-                 for i in range(num_app_limited)]
-    result = scenario.run(duration)
+    flows = [FlowSpec(rtt=rtt, label="backlogged")]
+    flows += [FlowSpec(rtt=rtt, app_rate_bps=per_flow_rate, label=f"app-{i}")
+              for i in range(num_app_limited)]
+    built = build(ScenarioSpec(
+        scheme="abc", duration=duration, flows=flows, links=[LinkSpec(
+            "cellular", {"mean_rate_bps": 12e6, "min_rate_bps": 2e6,
+                         "max_rate_bps": 24e6, "volatility": 0.2,
+                         "outage_rate_per_s": 0.0, "trace_seed": seed},
+            buffer_packets=500, name="cell")]))
+    result = built.scenario.run(duration)
+    link = built.scenario.links[0]
+    backlogged, *app_flows = built.flows
     aggregate = sum(result.flow_throughput_bps(f) for f in app_flows) / 1e6
     return AppLimitedResult(
         utilization=result.link_utilization(link),

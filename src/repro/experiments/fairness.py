@@ -15,10 +15,14 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.analysis.fairness import jain_fairness_index
-from repro.cc.registry import make_cc
 from repro.core.params import ABCParams
-from repro.core.router import ABCRouterQdisc
-from repro.simulator.scenario import Scenario
+from repro.experiments.scenario_spec import (FlowSpec, LinkSpec, ScenarioSpec,
+                                             build)
+
+
+def _shared_link(link_mbps: float, buffer_packets: int) -> LinkSpec:
+    return LinkSpec("constant", {"rate_bps": link_mbps * 1e6},
+                    buffer_packets=buffer_packets, name="shared")
 
 
 @dataclass
@@ -40,20 +44,15 @@ def fig3_fairness(additive_increase: bool, num_flows: int = 5,
     Flows start ``stagger`` seconds apart; the steady-state window is the
     interval during which all flows are active (just before the run ends).
     """
-    params = ABCParams(additive_increase=additive_increase)
     duration = stagger * (num_flows + 1)
-    scenario = Scenario()
-    link = scenario.add_rate_link(link_mbps * 1e6,
-                                  qdisc=ABCRouterQdisc(params=params,
-                                                       buffer_packets=buffer_packets),
-                                  name="shared")
-    flows = []
-    for index in range(num_flows):
-        cc = make_cc("abc", params=params)
-        flows.append(scenario.add_flow(cc, [link], rtt=rtt,
-                                       start_time=index * stagger,
-                                       label=f"abc-{index}"))
-    result = scenario.run(duration)
+    built = build(ScenarioSpec(
+        scheme="abc", duration=duration,
+        links=[_shared_link(link_mbps, buffer_packets)],
+        flows=[FlowSpec(rtt=rtt, start_time=index * stagger,
+                        label=f"abc-{index}") for index in range(num_flows)],
+        abc_params=ABCParams(additive_increase=additive_increase)))
+    flows = built.flows
+    built.scenario.run(duration)
 
     per_flow: Dict[int, np.ndarray] = {}
     times = np.array([])
@@ -84,15 +83,13 @@ def jain_index_sweep(flow_counts: Sequence[int] = (2, 4, 8, 16, 32),
     """
     out: Dict[int, float] = {}
     for count in flow_counts:
-        scenario = Scenario()
-        link = scenario.add_rate_link(link_mbps * 1e6,
-                                      qdisc=ABCRouterQdisc(buffer_packets=500),
-                                      name="shared")
-        flows = [scenario.add_flow(make_cc("abc"), [link], rtt=rtt,
-                                   start_time=i * start_jitter / max(count, 1),
-                                   label=f"abc-{i}")
-                 for i in range(count)]
-        scenario.run(duration)
+        built = build(ScenarioSpec(
+            scheme="abc", duration=duration,
+            links=[_shared_link(link_mbps, 500)],
+            flows=[FlowSpec(rtt=rtt, start_time=i * start_jitter / max(count, 1),
+                            label=f"abc-{i}") for i in range(count)]))
+        flows = built.flows
+        built.scenario.run(duration)
         throughputs = [max(f.stats.throughput_bps(warmup, duration), 1e-9)
                        for f in flows]
         out[count] = jain_fairness_index(throughputs)

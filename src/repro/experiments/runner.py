@@ -1,12 +1,8 @@
-"""Shared experiment machinery: scheme registry and single-bottleneck runs.
+"""Shared experiment machinery: single-bottleneck runs and the grid runner.
 
-A *scheme* in the paper's sense is a sender-side congestion controller plus
-the queueing discipline running at the bottleneck (Cubic runs over a deep
-drop-tail buffer, "Cubic+Codel" runs over CoDel, ABC and the explicit schemes
-bring their own router).  :func:`make_scheme` builds both halves from the
-scheme label used in the figures, and :func:`run_single_bottleneck` runs the
-standard one-flow-one-bottleneck cellular experiment (§6.2: 100 ms minimum
-RTT, 250-packet buffer).
+:func:`run_single_bottleneck` runs the standard one-flow-one-bottleneck
+cellular experiment (§6.2: 100 ms minimum RTT, 250-packet buffer) for one
+scheme label, built through :func:`repro.experiments.scenario_spec.build`.
 
 Sweeps (:func:`run_cellular_sweep`) route through
 :class:`repro.runtime.SweepExecutor`: every (scheme, trace, seed) cell is an
@@ -26,29 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from repro.analysis.stats import (SeedResultSet, aggregate_values,
                                   split_by_seed)
-from repro.aqm.codel import CoDelQdisc
-from repro.aqm.droptail import DropTailQdisc
-from repro.aqm.pie import PIEQdisc
-from repro.cc.base import CongestionControl
-from repro.cc.registry import make_cc
 from repro.cellular.trace import CellularTrace
 from repro.config import resolve_seeds
-from repro.core.params import ABCParams, CELLULAR_DEFAULTS
-from repro.core.pk_abc import PKABCRouterQdisc
-from repro.core.router import ABCRouterQdisc
-from repro.explicit.rcp import RCPRouterQdisc
-from repro.explicit.vcp import VCPRouterQdisc
-from repro.explicit.xcp import XCPRouterQdisc
+from repro.core.params import ABCParams
+from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec, build,
+                                             link_spec_from)
 from repro.obs.manifest import build_manifest, run_dir, write_manifest
 from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
 from repro.runtime.spec import SweepCell, SweepSpec
-from repro.simulator.link import CapacityModel
-from repro.simulator.qdisc import Qdisc
-from repro.simulator.scenario import Scenario
 
 #: Scheme labels in the order the paper's tables list them.
 SCHEME_NAMES: Tuple[str, ...] = (
@@ -58,82 +43,6 @@ SCHEME_NAMES: Tuple[str, ...] = (
 
 #: Subset of schemes that are explicit-feedback protocols (Fig. 16).
 EXPLICIT_SCHEMES: Tuple[str, ...] = ("abc", "xcp", "xcpw", "rcp", "vcp")
-
-
-@dataclass
-class SchemeSpec:
-    """A sender factory plus a bottleneck-qdisc factory."""
-
-    name: str
-    make_sender: Callable[[], CongestionControl]
-    make_qdisc: Callable[[int], Qdisc]
-
-
-def _scheme_table(params: ABCParams, seed: int = 0
-                  ) -> Dict[str, Tuple[Callable[[], CongestionControl],
-                                       Callable[[int], Qdisc]]]:
-    """The label → (sender factory, qdisc factory) dispatch table.
-
-    Single source of truth for scheme wiring: :func:`make_scheme` dispatches
-    through it and :func:`known_scheme_names` derives the valid labels from
-    its keys, so the two can never drift apart.
-    """
-    return {
-        "abc": (lambda: make_cc("abc", params=params),
-                lambda b: ABCRouterQdisc(params=params, buffer_packets=b)),
-        "pk-abc": (lambda: make_cc("abc", params=params),
-                   lambda b: PKABCRouterQdisc(params=params, buffer_packets=b)),
-        "abc-enqueue": (lambda: make_cc("abc", params=params),
-                        lambda b: ABCRouterQdisc(params=params, buffer_packets=b,
-                                                 feedback_basis="enqueue")),
-        "cubic": (lambda: make_cc("cubic"),
-                  lambda b: DropTailQdisc(buffer_packets=b)),
-        "cubic+codel": (lambda: make_cc("cubic"),
-                        lambda b: CoDelQdisc(buffer_packets=b)),
-        "cubic+pie": (lambda: make_cc("cubic"),
-                      lambda b: PIEQdisc(buffer_packets=b, seed=seed)),
-        "newreno": (lambda: make_cc("newreno"),
-                    lambda b: DropTailQdisc(buffer_packets=b)),
-        "vegas": (lambda: make_cc("vegas"),
-                  lambda b: DropTailQdisc(buffer_packets=b)),
-        "copa": (lambda: make_cc("copa"),
-                 lambda b: DropTailQdisc(buffer_packets=b)),
-        "bbr": (lambda: make_cc("bbr"),
-                lambda b: DropTailQdisc(buffer_packets=b)),
-        "pcc": (lambda: make_cc("pcc"),
-                lambda b: DropTailQdisc(buffer_packets=b)),
-        "sprout": (lambda: make_cc("sprout"),
-                   lambda b: DropTailQdisc(buffer_packets=b)),
-        "verus": (lambda: make_cc("verus"),
-                  lambda b: DropTailQdisc(buffer_packets=b)),
-        "xcp": (lambda: make_cc("xcp"),
-                lambda b: XCPRouterQdisc(buffer_packets=b)),
-        "xcpw": (lambda: make_cc("xcp"),
-                 lambda b: XCPRouterQdisc(buffer_packets=b, wireless=True)),
-        "rcp": (lambda: make_cc("rcp"),
-                lambda b: RCPRouterQdisc(buffer_packets=b)),
-        "vcp": (lambda: make_cc("vcp"),
-                lambda b: VCPRouterQdisc(buffer_packets=b)),
-    }
-
-
-def known_scheme_names() -> frozenset:
-    """The set of scheme labels :func:`make_scheme` can build."""
-    return frozenset(_scheme_table(CELLULAR_DEFAULTS))
-
-
-def make_scheme(name: str, buffer_packets: int = 250,
-                abc_params: Optional[ABCParams] = None,
-                seed: int = 0) -> SchemeSpec:
-    """Build the sender+qdisc pair for a paper scheme label."""
-    key = name.lower()
-    params = abc_params if abc_params is not None else CELLULAR_DEFAULTS
-    table = _scheme_table(params, seed=seed)
-    if key not in table:
-        raise KeyError(f"unknown scheme {name!r}; available: {sorted(table)}")
-    sender_factory, qdisc_factory = table[key]
-    return SchemeSpec(name=key, make_sender=sender_factory,
-                      make_qdisc=lambda b=buffer_packets: qdisc_factory(b))
 
 
 @dataclass
@@ -152,62 +61,50 @@ class SingleBottleneckResult:
     extra: dict = field(default_factory=dict)
 
 
-LinkSpec = Union[CellularTrace, float, CapacityModel]
-
-
-def _add_bottleneck(scenario: Scenario, link_spec: LinkSpec, qdisc: Qdisc,
-                    name: str):
-    if isinstance(link_spec, CellularTrace):
-        return scenario.add_cellular_link(link_spec, qdisc=qdisc, name=name)
-    return scenario.add_rate_link(link_spec, qdisc=qdisc, name=name)
-
-
-def run_single_bottleneck(scheme: str, link_spec: LinkSpec,
+def run_single_bottleneck(scheme: str, link_spec: Any,
                           rtt: float = 0.1, duration: float = 30.0,
                           buffer_packets: int = 250,
                           abc_params: Optional[ABCParams] = None,
                           warmup: float = 0.0,
-                          extra_links: Sequence[LinkSpec] = (),
+                          extra_links: Sequence[Any] = (),
                           seed: int = 0) -> SingleBottleneckResult:
     """One backlogged flow of ``scheme`` over one (or more) bottleneck links.
 
+    ``link_spec`` is any value
+    :func:`~repro.experiments.scenario_spec.link_spec_from` converts.
     ``extra_links`` adds further bottlenecks in sequence on the data path
     (each gets its own instance of the scheme's qdisc), which is how the
     two-bottleneck uplink+downlink experiment of Fig. 8c is built.
     """
-    spec = make_scheme(scheme, buffer_packets=buffer_packets,
-                       abc_params=abc_params, seed=seed)
-    scenario = Scenario()
-    links = [_add_bottleneck(scenario, link_spec, spec.make_qdisc(buffer_packets),
-                             name="bottleneck")]
-    for index, extra in enumerate(extra_links):
-        links.append(_add_bottleneck(scenario, extra,
-                                     spec.make_qdisc(buffer_packets),
-                                     name=f"bottleneck-{index + 1}"))
-    flow = scenario.add_flow(spec.make_sender(), links, rtt=rtt,
-                             label=spec.name)
+    name = scheme.lower()
+    links = [link_spec_from(link, buffer_packets=buffer_packets,
+                            name=f"bottleneck-{index}" if index else "bottleneck")
+             for index, link in enumerate((link_spec, *extra_links))]
+    built = build(ScenarioSpec(scheme=name, duration=duration, links=links,
+                               flows=[FlowSpec(rtt=rtt, label=name)],
+                               sim_seed=seed, abc_params=abc_params))
+    scenario, flow = built.scenario, built.flows[0]
     result = scenario.run(duration)
 
-    trace_name = link_spec.name if isinstance(link_spec, CellularTrace) else str(link_spec)
     stats = flow.stats
     # The flow's utilisation is measured against the *last* bottleneck it
     # traverses when there are several (the paper reports end-to-end
     # utilisation of the constrained path); with a single link this is just
     # that link.
     per_link_utilization = [result.link_utilization(link, t0=warmup)
-                            for link in links]
+                            for link in scenario.links]
     min_util = min(per_link_utilization)
     return SingleBottleneckResult(
-        scheme=spec.name,
-        trace=trace_name,
+        scheme=name,
+        trace=links[0].display_name(),
         throughput_bps=result.flow_throughput_bps(flow, t0=warmup),
         utilization=min_util,
         delay_p95_ms=stats.delay_percentile(95) * 1000.0,
         delay_mean_ms=stats.mean_delay() * 1000.0,
         queuing_p95_ms=stats.delay_percentile(95, kind="queuing") * 1000.0,
         queuing_mean_ms=stats.mean_delay(kind="queuing") * 1000.0,
-        drops=result.link_drops(links[0]),
-        extra={"flow": flow, "scenario": scenario, "links": links,
+        drops=result.link_drops(scenario.links[0]),
+        extra={"flow": flow, "scenario": scenario, "links": scenario.links,
                "per_link_utilization": per_link_utilization},
     )
 

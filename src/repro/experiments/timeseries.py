@@ -26,7 +26,7 @@ from repro.cellular.synthetic import lte_showcase_trace
 from repro.cellular.trace import CellularTrace
 from repro.experiments.runner import run_seed_grid, run_single_bottleneck
 from repro.runtime.executor import SweepExecutor, SweepJob
-from repro.runtime.trace_store import register_trace, resolve_link_spec
+from repro.runtime.trace_store import register_trace
 from repro.simulator.link import SquareWaveRate
 
 
@@ -74,7 +74,7 @@ def timeseries_cell(scheme: str, link_spec, rtt: float, duration: float,
     objects never cross a process boundary when the sweep runs on a pool.
     ``link_spec`` may be a :class:`~repro.runtime.trace_store.TraceRef`.
     """
-    result = run_single_bottleneck(scheme, resolve_link_spec(link_spec),
+    result = run_single_bottleneck(scheme, link_spec,
                                    rtt=rtt, duration=duration,
                                    buffer_packets=buffer_packets, seed=seed)
     return _timeseries_from_result(result, bin_size)

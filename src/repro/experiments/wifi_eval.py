@@ -11,6 +11,14 @@
   delay thresholds) and the end-to-end baselines on a live-like WiFi link
   whose MCS index alternates 1↔7 every 2 s (Fig. 10) or follows a Brownian
   walk in [3, 7] (Fig. 14), for one and two users.
+
+These are the only experiments that wire a
+:class:`~repro.simulator.scenario.Scenario` by hand (``fig4_inter_ack``,
+``rate_prediction_cell`` and ``_run_wifi_case``) instead of describing it as
+a :class:`~repro.experiments.scenario_spec.ScenarioSpec`: their bottleneck
+is a :class:`~repro.wifi.mac.WiFiLink` whose MCS schedule, A-MPDU batching
+and per-user queues no :class:`~repro.experiments.scenario_spec.LinkSpec`
+kind describes, and their probes read the MAC and its rate estimator.
 """
 
 from __future__ import annotations

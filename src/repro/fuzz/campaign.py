@@ -18,7 +18,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.fuzz.generator import FuzzScenario, ScenarioGen
+from repro.experiments.scenario_spec import ScenarioSpec
+from repro.fuzz.generator import ScenarioGen
 from repro.fuzz.invariants import (INVARIANT_NAMES, Violation, run_invariants,
                                    run_scenario, scenario_summary)
 from repro.fuzz.shrink import corpus_entry, save_corpus_entry, shrink_scenario
@@ -37,7 +38,7 @@ from repro.runtime.faults import is_failure
 REPORT_FORMAT = 3
 
 
-def evaluate_scenario(fuzz: FuzzScenario,
+def evaluate_scenario(fuzz: ScenarioSpec,
                       check_determinism: bool = True) -> Dict[str, Any]:
     """Run one scenario through the full invariant suite.
 
@@ -69,7 +70,7 @@ def fuzz_cell(spec: dict, check_determinism: bool = True) -> Dict[str, Any]:
     receive it by reference and the result cache keys on its qualified name
     plus the canonical encoding of ``spec``.
     """
-    return evaluate_scenario(FuzzScenario.from_jsonable(spec),
+    return evaluate_scenario(ScenarioSpec.from_jsonable(spec),
                              check_determinism=check_determinism)
 
 
@@ -78,7 +79,7 @@ def fuzz_cell(spec: dict, check_determinism: bool = True) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 def _still_fails(invariant: str, check_determinism: bool):
     """Predicate factory for the shrinker: does ``invariant`` still trip?"""
-    def fails(candidate: FuzzScenario) -> bool:
+    def fails(candidate: ScenarioSpec) -> bool:
         verdict = evaluate_scenario(candidate,
                                     check_determinism=check_determinism)
         return any(name == invariant for name, _ in verdict["violations"])
@@ -147,14 +148,14 @@ def run_campaign(budget: int, seed: int = 0,
 
     failure_groups = [groups[key] for key in sorted(groups)]
     for group in failure_groups:
-        example = FuzzScenario.from_jsonable(group["example_scenario"])
+        example = ScenarioSpec.from_jsonable(group["example_scenario"])
         if shrink:
             minimized = shrink_scenario(
                 example, _still_fails(group["invariant"], check_determinism),
                 max_attempts=shrink_attempts)
             group["minimized_scenario"] = minimized.to_jsonable()
         if corpus_dir is not None:
-            target = FuzzScenario.from_jsonable(
+            target = ScenarioSpec.from_jsonable(
                 group.get("minimized_scenario", group["example_scenario"]))
             verdict = evaluate_scenario(target,
                                         check_determinism=check_determinism)

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.fairness import jain_fairness_index
-from repro.fuzz.generator import (NATIVE, BuiltScenario, FuzzScenario,
-                                  build_scenario)
+from repro.experiments.scenario_spec import (NATIVE, BuiltScenario,
+                                             ScenarioSpec, build)
 from repro.simulator.link import (CapacityModel, ConstantRate, OpportunityLink,
                                   RateLink, SquareWaveRate, SteppedRate)
 from repro.simulator.packet import MTU
@@ -66,7 +66,7 @@ class Violation:
 class CheckContext:
     """Everything a checker may inspect about one finished simulation."""
 
-    fuzz: FuzzScenario
+    fuzz: ScenarioSpec
     built: BuiltScenario
     result: ScenarioResult
     #: Mid-run samples: ``{flow_id: [cwnd, ...]}`` and
@@ -78,10 +78,10 @@ class CheckContext:
 Checker = Callable[[CheckContext], List[Violation]]
 
 
-def run_scenario(fuzz: FuzzScenario) -> CheckContext:
+def run_scenario(fuzz: ScenarioSpec) -> CheckContext:
     """Build and run ``fuzz`` with one probe sampling every flow's window and
     every link's backlog each :data:`SAMPLE_INTERVAL`; what the checkers read."""
-    built = build_scenario(fuzz)
+    built = build(fuzz)
     links = built.scenario.links
     cwnd = {flow.flow_id: [] for flow in built.flows}
     backlog = {link.name: [] for link in links}
@@ -256,7 +256,7 @@ def check_packet_conservation(ctx: CheckContext) -> List[Violation]:
     return out
 
 
-def fairness_applies(fuzz: FuzzScenario) -> bool:
+def fairness_applies(fuzz: ScenarioSpec) -> bool:
     """Whether the symmetric-ABC fairness floor is meaningful here.
 
     Requires ≥ 2 native ABC flows, identical RTTs, *simultaneous* starts and
@@ -329,7 +329,7 @@ def run_invariants(ctx: CheckContext,
 def scenario_summary(built: BuiltScenario) -> dict:
     """Exact-integer/float summary of one finished run.
 
-    Two runs of the same :class:`FuzzScenario` must produce *equal* summaries
+    Two runs of the same :class:`ScenarioSpec` must produce *equal* summaries
     (the determinism invariant compares with ``==``), so every field here is
     a deterministic function of the simulation — no wall-clock, no ids.
     """

@@ -1,11 +1,11 @@
 """Greedy delta-debugging minimizer for failing fuzz scenarios.
 
-Given a :class:`~repro.fuzz.generator.FuzzScenario` and a ``fails``
-predicate (``FuzzScenario -> bool``, True while the bug still reproduces),
-:func:`shrink_scenario` repeatedly tries structure- and value-simplifying
-transformations and keeps any variant that still fails.  The result is the
-smallest scenario this greedy walk reaches — fewer flows, shorter runs,
-rounder parameters — which is what gets committed to
+Given a :class:`~repro.experiments.scenario_spec.ScenarioSpec` and a
+``fails`` predicate (``ScenarioSpec -> bool``, True while the bug still
+reproduces), :func:`shrink_scenario` repeatedly tries structure- and
+value-simplifying transformations and keeps any variant that still fails.
+The result is the smallest scenario this greedy walk reaches — fewer
+flows, shorter runs, rounder parameters — which is what gets committed to
 ``tests/data/fuzz_corpus/`` as a regression test.
 
 The predicate is injected rather than hard-wired to the invariant suite so
@@ -16,12 +16,12 @@ whether the original invariant still trips.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import json
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional
 
-from repro.fuzz.generator import FuzzScenario, LinkSpec
+from repro.experiments.scenario_spec import ScenarioSpec
 
 #: Buffer sizes the shrinker rounds down through.
 _BUFFER_LADDER = (10, 25, 50, 100, 250)
@@ -30,11 +30,11 @@ _BUFFER_LADDER = (10, 25, 50, 100, 250)
 _RATE_LADDER = (1e6, 2e6, 5e6, 10e6, 20e6)
 
 
-def _clone(scenario: FuzzScenario) -> FuzzScenario:
-    return FuzzScenario.from_jsonable(copy.deepcopy(scenario.to_jsonable()))
+def _clone(scenario: ScenarioSpec) -> ScenarioSpec:
+    return ScenarioSpec.from_jsonable(scenario.to_jsonable())  # deep copy
 
 
-def _candidates(scenario: FuzzScenario) -> Iterator[FuzzScenario]:
+def _candidates(scenario: ScenarioSpec) -> Iterator[ScenarioSpec]:
     """Yield simplified variants of ``scenario``, most aggressive first.
 
     Every yielded variant is valid by construction (callers still run
@@ -68,23 +68,13 @@ def _candidates(scenario: FuzzScenario) -> Iterator[FuzzScenario]:
         yield variant
     # 5. Simplify the bottleneck capacity model.
     bottleneck = scenario.links[0]
-    if bottleneck.kind == "cellular":
+    rate_key = {"cellular": "mean_rate_bps",
+                "square": "low_bps"}.get(bottleneck.kind)
+    if rate_key is not None:
         variant = _clone(scenario)
-        variant.links[0] = LinkSpec(
-            kind="constant",
-            params={"rate_bps": bottleneck.params["mean_rate_bps"]},
-            buffer_packets=bottleneck.buffer_packets,
-            loss_rate=bottleneck.loss_rate,
-            loss_seed=bottleneck.loss_seed, role="bottleneck")
-        yield variant
-    if bottleneck.kind == "square":
-        variant = _clone(scenario)
-        variant.links[0] = LinkSpec(
-            kind="constant",
-            params={"rate_bps": bottleneck.params["low_bps"]},
-            buffer_packets=bottleneck.buffer_packets,
-            loss_rate=bottleneck.loss_rate,
-            loss_seed=bottleneck.loss_seed, role="bottleneck")
+        variant.links[0] = dataclasses.replace(
+            bottleneck, kind="constant",
+            params={"rate_bps": bottleneck.params[rate_key]})
         yield variant
     # 6. Round rates to the ladder (next round number at or below).
     for key in ("rate_bps", "low_bps", "high_bps", "mean_rate_bps"):
@@ -116,9 +106,9 @@ def _candidates(scenario: FuzzScenario) -> Iterator[FuzzScenario]:
             yield variant
 
 
-def shrink_scenario(scenario: FuzzScenario,
-                    fails: Callable[[FuzzScenario], bool],
-                    max_attempts: int = 200) -> FuzzScenario:
+def shrink_scenario(scenario: ScenarioSpec,
+                    fails: Callable[[ScenarioSpec], bool],
+                    max_attempts: int = 200) -> ScenarioSpec:
     """Greedily minimize ``scenario`` while ``fails`` stays True.
 
     ``max_attempts`` caps the total number of predicate evaluations (each
@@ -153,7 +143,7 @@ def shrink_scenario(scenario: FuzzScenario,
 CORPUS_FORMAT = 1
 
 
-def corpus_entry(scenario: FuzzScenario, violations: List[str],
+def corpus_entry(scenario: ScenarioSpec, violations: List[str],
                  description: str = "",
                  summary: Optional[dict] = None) -> dict:
     """Build a corpus-entry dict.

@@ -29,15 +29,6 @@ from repro.metro.workload import (bounded_pareto_sizes, parse_mix,
                                   poisson_arrivals, scheme_assignment)
 
 
-def _make_cell_cc(scheme: str, params):
-    """Instantiate one flow's congestion control for a shared-ABC-router cell."""
-    from repro.cc.registry import make_cc
-
-    if scheme == "abc":
-        return make_cc("abc", params=params)
-    return make_cc(scheme)
-
-
 def metro_cell(mix: str, cell: str, link_spec: Any, seed: int,
                rtt: float = 0.05, duration: float = 8.0,
                buffer_packets: int = 250, base_flows: int = 2,
@@ -50,19 +41,16 @@ def metro_cell(mix: str, cell: str, link_spec: Any, seed: int,
     :class:`~repro.runtime.trace_store.TraceRef` into the shared trace store,
     a rate in bits per second, or a picklable square-wave tuple
     ``("square", low_bps, high_bps, half_period_s)`` (the paper's Fig. 17
-    cell model).  The bottleneck always runs the ABC router qdisc (non-ABC
-    flows simply never receive accelerate marks, matching the paper's
-    coexistence setup).
+    cell model); see :func:`repro.experiments.scenario_spec.link_spec_from`.
+    The bottleneck always runs the ABC router qdisc (non-ABC flows simply
+    never receive accelerate marks, matching the paper's coexistence setup).
+    Per-flow throughputs, like ``throughput_bps``, cover ``[warmup,
+    duration]``.
     """
-    from repro.cellular.trace import CellularTrace
-    from repro.core.params import ABCParams
-    from repro.core.router import ABCRouterQdisc
-    from repro.runtime.trace_store import resolve_link_spec
-    from repro.simulator.link import SquareWaveRate
-    from repro.simulator.scenario import Scenario
-    from repro.simulator.traffic import FixedSizeSource
+    from repro.experiments.scenario_spec import (NATIVE, FlowSpec,
+                                                 ScenarioSpec, build,
+                                                 link_spec_from)
 
-    link_spec = resolve_link_spec(link_spec)
     arrivals = poisson_arrivals(arrival_rate, duration, cell, seed)
     # Arrivals in the final RTT cannot complete a handshake-free transfer of
     # even one segment round-trip; keep them anyway (they contribute load),
@@ -73,41 +61,24 @@ def metro_cell(mix: str, cell: str, link_spec: Any, seed: int,
                                  alpha=flow_size_alpha)
     schemes = scheme_assignment(base_flows + len(arrivals), parse_mix(mix),
                                 cell, seed)
-
-    params = ABCParams()
-    scenario = Scenario()
-    qdisc = ABCRouterQdisc(params=params, buffer_packets=buffer_packets)
-    if isinstance(link_spec, (int, float)):
-        link = scenario.add_rate_link(float(link_spec), qdisc=qdisc,
-                                      name=cell)
-    elif isinstance(link_spec, tuple) and link_spec[:1] == ("square",):
-        low, high, half_period = link_spec[1:]
-        link = scenario.add_rate_link(
-            SquareWaveRate(float(low), float(high), float(half_period)),
-            qdisc=qdisc, name=cell)
-    elif isinstance(link_spec, CellularTrace):
-        link = scenario.add_cellular_link(link_spec, qdisc=qdisc, name=cell)
-    else:
-        link = scenario.add_cellular_link(list(link_spec), qdisc=qdisc,
-                                          name=cell)
-
-    base = []
-    for index in range(base_flows):
-        cc = _make_cell_cc(schemes[index], params)
-        base.append(scenario.add_flow(cc, [link], rtt=rtt,
-                                      label=f"base-{index}"))
-    churn = []
-    for index, (start, size) in enumerate(zip(arrivals, sizes)):
-        cc = _make_cell_cc(schemes[base_flows + index], params)
-        churn.append((start, scenario.add_flow(
-            cc, [link], rtt=rtt, start_time=start,
-            source=FixedSizeSource(size), label=f"churn-{index}")))
-
+    ccs = [NATIVE if scheme == "abc" else scheme for scheme in schemes]
+    flows = [FlowSpec(cc=ccs[index], rtt=rtt, label=f"base-{index}")
+             for index in range(base_flows)]
+    flows += [FlowSpec(cc=ccs[base_flows + index], rtt=rtt, start_time=start,
+                       size_bytes=size, label=f"churn-{index}")
+              for index, (start, size) in enumerate(zip(arrivals, sizes))]
+    built = build(ScenarioSpec(scheme="abc", duration=duration, flows=flows,
+                               links=[link_spec_from(
+                                   link_spec, name=cell,
+                                   buffer_packets=buffer_packets)]))
+    scenario = built.scenario
+    link = scenario.links[0]
+    base = built.flows[:base_flows]
+    churn = list(zip(arrivals, built.flows[base_flows:]))
     result = scenario.run(duration)
 
-    horizon = duration - warmup
-    base_tputs = [flow.stats.bytes_received * 8.0 / horizon for flow in base]
-    churn_tputs = [flow.stats.bytes_received * 8.0 / horizon
+    base_tputs = [flow.stats.throughput_bps(warmup, duration) for flow in base]
+    churn_tputs = [flow.stats.throughput_bps(warmup, duration)
                    for _, flow in churn]
     fcts = []
     completed = 0

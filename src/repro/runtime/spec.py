@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runtime.executor import SweepJob
-from repro.runtime.trace_store import register_trace, resolve_link_spec
+from repro.runtime.trace_store import register_trace
 
 
 def sweep_cell(**kwargs) -> Any:
@@ -34,21 +34,15 @@ def sweep_cell(**kwargs) -> Any:
 
     Module-level so multiprocessing workers can import it by name.
     ``link_spec`` (and any ``extra_links``) may be
-    :class:`~repro.runtime.trace_store.TraceRef` handles, which are resolved
-    against this process's trace store before the simulation runs.  Returns
+    :class:`~repro.runtime.trace_store.TraceRef` handles, which resolve
+    against this process's trace store when the scenario is built.  Returns
     the :class:`SingleBottleneckResult` with its ``extra`` dict reduced to
     picklable values (the live ``Scenario``/flow objects are dropped,
     ``per_link_utilization`` is kept).
     """
     from repro.experiments.runner import run_single_bottleneck
 
-    kwargs = dict(kwargs)
-    kwargs["link_spec"] = resolve_link_spec(kwargs["link_spec"])
-    if "extra_links" in kwargs:
-        kwargs["extra_links"] = tuple(resolve_link_spec(link)
-                                      for link in kwargs["extra_links"])
-    result = run_single_bottleneck(**kwargs)
-    return strip_result(result)
+    return strip_result(run_single_bottleneck(**kwargs))
 
 
 def strip_result(result: Any) -> Any:
@@ -65,12 +59,12 @@ def validate_schemes(schemes: Sequence[str]) -> List[str]:
 
     Returns the normalised (lower-cased) labels on success.
     """
-    from repro.experiments.runner import known_scheme_names
+    from repro.experiments.scenario_spec import SCHEMES
 
     schemes = list(schemes)
     if not schemes:
         raise ValueError("sweep needs at least one scheme")
-    known = known_scheme_names()
+    known = frozenset(SCHEMES)
     unknown = [s for s in schemes if str(s).lower() not in known]
     if unknown:
         raise ValueError(

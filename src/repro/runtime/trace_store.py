@@ -73,13 +73,6 @@ def get_trace(key: str) -> Any:
             "SweepExecutor so the snapshot is installed for you") from None
 
 
-def resolve_link_spec(spec: Any) -> Any:
-    """Turn a :class:`TraceRef` back into its trace; pass anything else through."""
-    if isinstance(spec, TraceRef):
-        return spec.resolve()
-    return spec
-
-
 def snapshot_for(keys: Iterable[str]) -> Dict[str, Any]:
     """Just the entries named by ``keys``, so a pool never pays for traces
     its jobs never reference (registered by earlier, unrelated sweeps)."""

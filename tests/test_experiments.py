@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from repro.experiments.runner import (make_scheme, normalized_table,
-                                      run_cellular_sweep, sweep_averages)
+from repro.experiments.runner import (normalized_table, run_cellular_sweep,
+                                      sweep_averages)
+from repro.experiments.scenario_spec import (FlowSpec, LinkSpec, ScenarioSpec,
+                                             build)
 from repro.experiments.timeseries import fig17_square_wave, summarize_timeseries
 from repro.experiments.fairness import fig3_fairness
 from repro.experiments.wifi_eval import fig4_inter_ack, fig5_rate_prediction, fig10_wifi
@@ -17,18 +19,24 @@ from repro.cellular.synthetic import synthetic_trace_set
 
 
 # ------------------------------------------------------------ runner
-def test_make_scheme_known_and_unknown():
-    spec = make_scheme("cubic+codel")
-    assert spec.name == "cubic+codel"
-    assert spec.make_sender().name == "cubic"
+def _one_flow(scheme: str) -> ScenarioSpec:
+    return ScenarioSpec(scheme=scheme, duration=1.0, flows=[FlowSpec()],
+                        links=[LinkSpec("constant", {"rate_bps": 10e6},
+                                        buffer_packets=100)])
+
+
+def test_build_scheme_known_and_unknown():
+    built = build(_one_flow("cubic+codel"))
+    assert built.flows[0].cc.name == "cubic"
+    assert type(built.scenario.links[0].qdisc).__name__ == "CoDelQdisc"
     with pytest.raises(KeyError):
-        make_scheme("not-a-scheme")
+        build(_one_flow("not-a-scheme"))
 
 
-def test_make_scheme_abc_uses_abc_router():
-    spec = make_scheme("abc")
-    assert spec.make_sender().uses_abc
-    assert type(spec.make_qdisc(100)).__name__ == "ABCRouterQdisc"
+def test_build_abc_uses_abc_router():
+    built = build(_one_flow("abc"))
+    assert built.flows[0].cc.uses_abc
+    assert type(built.scenario.links[0].qdisc).__name__ == "ABCRouterQdisc"
 
 
 def test_sweep_and_normalized_table(short_trace):

@@ -13,9 +13,9 @@ import json
 import pytest
 
 from repro.fuzz.campaign import evaluate_scenario, fuzz_cell, run_campaign
-from repro.fuzz.generator import (CHURN_CCS, CROSS_TRAFFIC_SCHEMES, NATIVE,
-                                  FlowSpec, FuzzScenario, LinkSpec,
-                                  ScenarioGen, SmallMetroGen)
+from repro.experiments.scenario_spec import (CROSS_TRAFFIC_SCHEMES, NATIVE,
+                                             FlowSpec, LinkSpec, ScenarioSpec)
+from repro.fuzz.generator import CHURN_CCS, ScenarioGen, SmallMetroGen
 from repro.fuzz.invariants import (FAIRNESS_FLOOR, check_fairness,
                                    check_link_throughput, check_non_negative,
                                    check_packet_conservation,
@@ -28,12 +28,12 @@ from repro.runtime.executor import SweepExecutor
 
 
 def _tiny_scenario(scheme: str = "cubic", n_flows: int = 1,
-                   duration: float = 1.5, **link_kwargs) -> FuzzScenario:
+                   duration: float = 1.5, **link_kwargs) -> ScenarioSpec:
     link = LinkSpec(kind="constant", params={"rate_bps": 5e6},
                     buffer_packets=50, **link_kwargs)
     flows = [FlowSpec(cc=NATIVE, rtt=0.05, start_time=0.0)
              for _ in range(n_flows)]
-    return FuzzScenario(scenario_id=0, scheme=scheme, duration=duration,
+    return ScenarioSpec(scenario_id=0, scheme=scheme, duration=duration,
                         links=[link], flows=flows, sim_seed=7)
 
 
@@ -69,19 +69,19 @@ def test_generator_samples_are_valid_and_varied():
 def test_scenario_json_round_trip():
     fuzz = ScenarioGen(seed=2).sample(5)
     encoded = json.dumps(fuzz.to_jsonable(), sort_keys=True)
-    restored = FuzzScenario.from_jsonable(json.loads(encoded))
+    restored = ScenarioSpec.from_jsonable(json.loads(encoded))
     assert restored == fuzz
     assert restored.signature() == fuzz.signature()
 
 
 def test_scenario_validation_rejects_bad_inputs():
     with pytest.raises(ValueError, match="at least one flow"):
-        FuzzScenario(scenario_id=0, scheme="cubic", duration=1.0,
+        ScenarioSpec(scenario_id=0, scheme="cubic", duration=1.0,
                      links=[LinkSpec(kind="constant",
                                      params={"rate_bps": 1e6})],
                      flows=[]).validate()
     with pytest.raises(ValueError, match="cross-traffic"):
-        FuzzScenario(scenario_id=0, scheme="xcp", duration=1.0,
+        ScenarioSpec(scenario_id=0, scheme="xcp", duration=1.0,
                      links=[LinkSpec(kind="constant",
                                      params={"rate_bps": 1e6})],
                      flows=[FlowSpec(cc="cubic")]).validate()
@@ -90,7 +90,7 @@ def test_scenario_validation_rejects_bad_inputs():
         _tiny.flows[0].start_time = 99.0
         _tiny.validate()
     with pytest.raises(ValueError, match="bottleneck"):
-        FuzzScenario(scenario_id=0, scheme="cubic", duration=1.0,
+        ScenarioSpec(scenario_id=0, scheme="cubic", duration=1.0,
                      links=[LinkSpec(kind="constant",
                                      params={"rate_bps": 1e6}, role="wired")],
                      flows=[FlowSpec()]).validate()
@@ -142,7 +142,7 @@ def test_small_metro_city_deterministic_and_valid():
         assert any(flow.size_bytes is None for flow in cell.flows)
     # JSON round-trip covers the new size_bytes field.
     encoded = json.dumps([cell.to_jsonable() for cell in first])
-    assert [FuzzScenario.from_jsonable(data) for data in json.loads(encoded)] \
+    assert [ScenarioSpec.from_jsonable(data) for data in json.loads(encoded)] \
         == first
 
 
@@ -258,7 +258,7 @@ def test_summary_is_reproducible_and_plain_data():
 
 
 # ================================================================ shrinker
-def _pure_predicate(fuzz: FuzzScenario) -> bool:
+def _pure_predicate(fuzz: ScenarioSpec) -> bool:
     """Fails while the scenario still has >= 2 flows (no simulation)."""
     return len(fuzz.flows) >= 2
 
@@ -286,7 +286,7 @@ def test_shrinker_requires_failing_input_and_respects_budget():
 
     calls = []
 
-    def counting(candidate: FuzzScenario) -> bool:
+    def counting(candidate: ScenarioSpec) -> bool:
         calls.append(1)
         return len(candidate.flows) >= 2
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz.campaign import evaluate_scenario
-from repro.fuzz.generator import FuzzScenario
+from repro.experiments.scenario_spec import ScenarioSpec
 from repro.fuzz.shrink import load_corpus_entry
 
 CORPUS_DIR = Path(__file__).parent / "data" / "fuzz_corpus"
@@ -38,7 +38,7 @@ def test_corpus_is_seeded():
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
 def test_corpus_entry_replays_deterministically(path):
     entry = load_corpus_entry(path)
-    scenario = FuzzScenario.from_jsonable(entry["scenario"])
+    scenario = ScenarioSpec.from_jsonable(entry["scenario"])
     scenario.validate()
     verdict = evaluate_scenario(scenario, check_determinism=True)
     tripped = sorted({name for name, _ in verdict["violations"]})

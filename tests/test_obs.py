@@ -382,15 +382,13 @@ def test_event_trace_recorder_records_every_dispatch(tmp_path):
 
 def test_traced_run_is_bit_identical_to_untraced():
     untraced = _run_fig_cell()
-    from repro.experiments.runner import make_scheme
+    from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec,
+                                                 build, link_spec_from)
     # Tracing the same cell through the hook must not change results.
-    spec = make_scheme("abc", buffer_packets=100, seed=0)
-    from repro.simulator.scenario import Scenario
-    scenario = Scenario()
-    link = scenario.add_rate_link(12e6, qdisc=spec.make_qdisc(100),
-                                  name="bottleneck")
-    flow = scenario.add_flow(spec.make_sender(), [link], rtt=0.05,
-                             label=spec.name)
+    built = build(ScenarioSpec(
+        scheme="abc", duration=2.0, flows=[FlowSpec(rtt=0.05, label="abc")],
+        links=[link_spec_from(12e6, buffer_packets=100, name="bottleneck")]))
+    scenario, flow = built.scenario, built.flows[0]
     recorder = EventTraceRecorder(scenario.env)
     result = scenario.run(2.0)
     recorder.detach()

@@ -286,7 +286,8 @@ def test_fluid_model_queue_nonnegative_and_bounded(delta, flows, initial):
 # invariant suite.  Reuses repro.fuzz.invariants rather than re-deriving the
 # checks; the fuzz campaign explores this space at scale, hypothesis owns
 # the corner-seeking (minimum rates, boundary RTTs, simultaneous starts).
-from repro.fuzz.generator import FlowSpec, FuzzScenario, LinkSpec, NATIVE
+from repro.experiments.scenario_spec import (NATIVE, FlowSpec, LinkSpec,
+                                             ScenarioSpec)
 from repro.fuzz.invariants import run_invariants, run_scenario
 
 # A fast subset of the scheme pool (one loss-based, one delay-based, one
@@ -316,7 +317,7 @@ _flow_specs = st.builds(
     st.floats(min_value=0.0, max_value=0.75))
 
 _scenarios = st.builds(
-    lambda scheme, link, flows, sim_seed: FuzzScenario(
+    lambda scheme, link, flows, sim_seed: ScenarioSpec(
         scenario_id=0, scheme=scheme, duration=1.5, links=[link],
         flows=flows, sim_seed=sim_seed),
     st.sampled_from(_SCENARIO_SCHEMES),

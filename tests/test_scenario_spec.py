@@ -1,0 +1,149 @@
+"""The one scenario description (``repro.experiments.scenario_spec``).
+
+Every cell that builds through ``build`` must describe its run completely:
+its spec survives ``to_jsonable`` → JSON → ``from_jsonable`` unchanged and
+builds a run with the same result.  The legacy ``link_spec`` values convert
+through the one converter, and a result that names its link names it the
+same way every run.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cellular.synthetic import synthetic_trace_set
+from repro.experiments import coexistence, fairness, runner, scenario_spec
+from repro.experiments.scenario_spec import (ScenarioSpec, build,
+                                             link_spec_from)
+from repro.fuzz.generator import ScenarioGen, SmallMetroGen
+from repro.fuzz.invariants import scenario_summary
+from repro.fuzz.shrink import load_corpus_entry
+from repro.metro.cell import metro_cell
+from repro.runtime.trace_store import register_trace
+from repro.simulator.link import ConstantRate, SquareWaveRate, SteppedRate
+
+CORPUS = sorted((Path(__file__).parent / "data" / "fuzz_corpus").glob("*.json"))
+TRACE = synthetic_trace_set(duration=3.0, seed=2, names=["Verizon-LTE-1"])[
+    "Verizon-LTE-1"]
+MIX = "abc:0.5,cubic:0.3,bbr:0.2"
+
+
+def _round_trip(spec: ScenarioSpec) -> ScenarioSpec:
+    return ScenarioSpec.from_jsonable(json.loads(json.dumps(spec.to_jsonable())))
+
+
+def _run(spec: ScenarioSpec) -> dict:
+    built = build(spec)
+    built.scenario.run(spec.duration)
+    return scenario_summary(built)
+
+
+#: One short run of every rewired cell, by the figure it serves.
+CELLS = {
+    "single-bottleneck": lambda: runner.run_single_bottleneck(
+        "cubic+pie", TRACE, duration=2.0, extra_links=(9e6,), seed=3),
+    "single-bottleneck-models": lambda: [runner.run_single_bottleneck(
+        "abc", model, duration=1.5) for model in (
+            ConstantRate(6e6), SquareWaveRate(4e6, 9e6, 0.5, start_low=True),
+            SteppedRate([(0.0, 5e6), (1.0, 8e6)]))],
+    "fig11": lambda: coexistence.fig6_cell(
+        duration=6.0, wired_mbps=12.0, rtt=0.1, sample_interval=0.5,
+        cross_traffic=True),
+    "fig7": lambda: coexistence.fig7_cell(link_mbps=24.0, duration=4.0,
+                                          rtt=0.1, stagger=1.0),
+    "fig12-zombie": lambda: coexistence.coexistence_load_cell(
+        load=0.25, strategy="zombie", link_mbps=24.0, duration=4.0, rtt=0.1,
+        n_long=1, seed=17),
+    "fig13": lambda: coexistence.fig13_cell(
+        num_app_limited=5, aggregate_app_rate_mbps=1.0, duration=3.0,
+        rtt=0.1, seed=23),
+    "fig3": lambda: fairness.fig3_fairness(False, num_flows=2, stagger=1.0),
+    "jain": lambda: fairness.jain_index_sweep(flow_counts=(2,), duration=2.0,
+                                              warmup=1.0),
+    "metro-square": lambda: metro_cell(MIX, "cell-a", ("square", 4e6, 9e6, 0.5),
+                                       seed=1, duration=3.0),
+    "metro-trace-ref": lambda: metro_cell(MIX, "cell-b", register_trace(TRACE),
+                                          seed=2, duration=3.0),
+}
+
+
+@pytest.fixture
+def built_specs(monkeypatch):
+    """Every spec the code under test hands to ``build``."""
+    specs = []
+    real_build = scenario_spec.build
+
+    def recording(spec):
+        specs.append(spec)
+        return real_build(spec)
+
+    for module in (scenario_spec, runner, coexistence, fairness):
+        monkeypatch.setattr(module, "build", recording)
+    return specs
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_every_rewired_cell_spec_round_trips(cell, built_specs):
+    CELLS[cell]()
+    assert built_specs
+    for spec in built_specs:
+        again = _round_trip(spec)
+        assert again == spec
+        assert _run(again) == _run(spec)
+
+
+def test_fuzz_specs_round_trip():
+    specs = ScenarioGen(seed=6).sample_many(4) + SmallMetroGen(
+        seed=5, min_cells=1, max_cells=1).sample_city(0)
+    for spec in specs:
+        assert _round_trip(spec) == spec
+        assert _run(_round_trip(spec)) == _run(spec)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_entries_load_and_rebuild_unchanged(path):
+    """Corpus entries predate every figure-only field: they still load,
+    re-encode without those fields and replay their pinned summary."""
+    entry = load_corpus_entry(path)
+    spec = ScenarioSpec.from_jsonable(entry["scenario"])
+    encoded = spec.to_jsonable()
+    assert {k: v for k, v in encoded.items() if k != "flows"} == {
+        k: v for k, v in entry["scenario"].items() if k != "flows"}
+    assert _round_trip(spec) == spec
+    if entry["expect"].get("clean"):
+        assert _run(_round_trip(spec)) == entry["expect"]["summary"]
+
+
+def test_legacy_link_specs_convert():
+    ref = register_trace(TRACE)
+    assert link_spec_from(ref) == link_spec_from(TRACE)
+    assert link_spec_from(TRACE).params["name"] == "Verizon-LTE-1"
+    assert link_spec_from(12e6).params == {"rate_bps": 12e6}
+    assert (link_spec_from(("square", 4e6, 9e6, 0.5))
+            == link_spec_from(SquareWaveRate(4e6, 9e6, 0.5)))
+    assert link_spec_from([0.001, 0.002]).kind == "trace"
+    with pytest.raises(TypeError):
+        link_spec_from(object())
+
+
+def test_single_bottleneck_trace_label_is_deterministic():
+    labels = [runner.run_single_bottleneck("abc", ConstantRate(6e6),
+                                           duration=1.0).trace
+              for _ in range(2)]
+    assert labels[0] == labels[1]
+    assert "0x" not in labels[0]
+    assert runner.run_single_bottleneck("abc", 6e6, duration=1.0).trace \
+        == str(6e6)
+    assert runner.run_single_bottleneck("abc", TRACE, duration=1.0).trace \
+        == TRACE.name
+
+
+def test_metro_per_flow_throughputs_cover_the_measured_window():
+    cell = metro_cell(MIX, "cell-w", 8e6, seed=4, duration=4.0, warmup=2.0,
+                      arrival_rate=3.0)
+    per_flow = (sum(cell["base_throughputs_bps"])
+                + sum(cell["churn_throughputs_bps"]))
+    assert per_flow == pytest.approx(cell["throughput_bps"], rel=1e-9)

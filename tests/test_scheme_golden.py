@@ -1,17 +1,28 @@
-"""Golden regression tests pinning :func:`make_scheme` wiring.
+"""Golden regression tests pinning the scheme table's wiring.
 
 The sweep executor refactor routes every figure sweep through generic jobs,
 so a silent change to how a scheme label maps to (sender class, qdisc class,
 buffer size) would corrupt every downstream figure without any test noticing.
-This table pins the construction of all 14 paper schemes; update it only for
-an *intentional* wiring change.
+This table pins what :func:`repro.experiments.scenario_spec.build` wires for
+all 14 paper schemes; update it only for an *intentional* wiring change.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import SCHEME_NAMES, make_scheme
+from repro.experiments.runner import SCHEME_NAMES
+from repro.experiments.scenario_spec import (FlowSpec, LinkSpec, ScenarioSpec,
+                                             build)
+
+
+def _built(name: str, buffer_packets: int = 250, n: int = 1):
+    """``name`` wired over ``n`` constant links with ``n`` native flows."""
+    link = LinkSpec("constant", {"rate_bps": 10e6},
+                    buffer_packets=buffer_packets)
+    return build(ScenarioSpec(scheme=name, duration=1.0, links=[link] * n,
+                              flows=[FlowSpec(label=name)] * n))
+
 
 #: scheme label -> (sender class name, qdisc class name)
 GOLDEN_WIRING = {
@@ -40,26 +51,25 @@ def test_golden_table_covers_all_scheme_names():
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_scheme_wiring_matches_golden(name):
     expected_sender, expected_qdisc = GOLDEN_WIRING[name]
-    spec = make_scheme(name)
-    assert spec.name == name
-    assert type(spec.make_sender()).__name__ == expected_sender
-    assert type(spec.make_qdisc(250)).__name__ == expected_qdisc
+    built = _built(name)
+    assert built.flows[0].label == name
+    assert type(built.flows[0].cc).__name__ == expected_sender
+    assert type(built.scenario.links[0].qdisc).__name__ == expected_qdisc
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_scheme_buffer_size_is_plumbed(name):
-    spec = make_scheme(name, buffer_packets=137)
-    assert spec.make_qdisc(137).buffer_packets == 137
-    # The default argument baked into make_qdisc follows buffer_packets too.
-    assert spec.make_qdisc().buffer_packets == 137
+    assert _built(name, buffer_packets=137).scenario.links[0].qdisc \
+        .buffer_packets == 137
 
 
 def test_xcpw_is_the_wireless_xcp_variant():
-    assert make_scheme("xcpw").make_qdisc(250).wireless is True
-    assert make_scheme("xcp").make_qdisc(250).wireless is False
+    assert _built("xcpw").scenario.links[0].qdisc.wireless is True
+    assert _built("xcp").scenario.links[0].qdisc.wireless is False
 
 
 def test_sender_factories_build_fresh_instances():
-    spec = make_scheme("cubic")
-    assert spec.make_sender() is not spec.make_sender()
-    assert spec.make_qdisc(250) is not spec.make_qdisc(250)
+    built = _built("cubic", n=2)
+    assert built.flows[0].cc is not built.flows[1].cc
+    qdiscs = [link.qdisc for link in built.scenario.links]
+    assert qdiscs[0] is not qdiscs[1]

@@ -38,18 +38,17 @@ from repro.obs.manifest import in_run_dir  # noqa: E402
 def export_scenario_trace(scheme: str, duration: float, seed: int,
                           out: Path) -> Path:
     from repro.cellular.synthetic import lte_showcase_trace
-    from repro.experiments.runner import make_scheme
+    from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec,
+                                                 build, link_spec_from)
     from repro.obs.trace import EventTraceRecorder
-    from repro.simulator.scenario import Scenario
 
-    spec = make_scheme(scheme, buffer_packets=250, seed=seed)
-    scenario = Scenario()
     trace = lte_showcase_trace(duration=duration, seed=7)
-    link = scenario.add_cellular_link(trace, qdisc=spec.make_qdisc(250),
-                                      name="bottleneck")
-    scenario.add_flow(spec.make_sender(), [link], rtt=0.1, label=spec.name)
+    scenario = build(ScenarioSpec(
+        scheme=scheme.lower(), duration=duration, sim_seed=seed,
+        links=[link_spec_from(trace, name="bottleneck")],
+        flows=[FlowSpec(rtt=0.1, label=scheme.lower())])).scenario
     recorder = EventTraceRecorder(scenario.env)
-    scenario.every(0.05, recorder.queue_probe([link]))
+    scenario.every(0.05, recorder.queue_probe(scenario.links))
     scenario.run(duration)
     recorder.detach()
     path = recorder.write_chrome(out)
