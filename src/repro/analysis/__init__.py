@@ -1,6 +1,7 @@
 """Measurement and allocation utilities.
 
-* :mod:`repro.analysis.metrics` — throughput, utilisation and delay metrics.
+* :mod:`repro.analysis.metrics` — the delay/throughput Pareto frontier
+  (Fig. 8).
 * :mod:`repro.analysis.fairness` — Jain's fairness index and convergence
   helpers.
 * :mod:`repro.analysis.topk` — the Space-Saving heavy-hitter algorithm used by

@@ -1,36 +1,8 @@
-"""Throughput, utilisation and delay metrics used across the experiments."""
+"""The delay/throughput Pareto frontier of Fig. 8."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
-
-
-def utilization(delivered_bits: float, offered_bits: float) -> float:
-    """Fraction of the link's offered capacity that carried useful traffic.
-
-    Utilisation is clipped to ``[0, 1]`` — rounding in the opportunity
-    accounting can push the raw ratio marginally above one.
-    """
-    if offered_bits <= 0:
-        return 0.0
-    return float(min(max(delivered_bits / offered_bits, 0.0), 1.0))
-
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Percentile of a sequence (0.0 for an empty sequence)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.percentile(arr, pct))
-
-
-def mean(values: Sequence[float]) -> float:
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.mean(arr))
+from typing import Iterable
 
 
 def pareto_frontier(points: Iterable[tuple[str, float, float]]

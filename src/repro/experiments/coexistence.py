@@ -131,9 +131,7 @@ def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
                            rtt: float = 0.1, sample_interval: float = 0.25,
                            cross_traffic: bool = False,
                            cross_schedule: Optional[Sequence[tuple]] = None,
-                           executor: Optional[SweepExecutor] = None,
-                           jobs: Optional[int] = None,
-                           cache_dir: Optional[str] = None
+                           executor: Optional[SweepExecutor] = None
                            ) -> DualBottleneckTrace:
     """Run the wireless(ABC)+wired(drop-tail) experiment.
 
@@ -156,8 +154,7 @@ def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
                                      cross_schedule=schedule, seed=s),
                          label="fig11" if cross_traffic else "fig6")]
 
-    return run_seed_grid(jobs_for_seed, 0, (0,), executor, jobs,
-                         cache_dir)[0]
+    return run_seed_grid(jobs_for_seed, 0, (0,), executor)[0]
 
 
 def fig11_cross_traffic(duration: float = 80.0, **kwargs) -> DualBottleneckTrace:
@@ -209,9 +206,7 @@ def fig7_cell(link_mbps: float, duration: float, rtt: float, stagger: float,
 
 def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0,
                                 rtt: float = 0.1, stagger: float = 30.0,
-                                executor: Optional[SweepExecutor] = None,
-                                jobs: Optional[int] = None,
-                                cache_dir: Optional[str] = None
+                                executor: Optional[SweepExecutor] = None
                                 ) -> CoexistenceResult:
     """Fig. 7: two ABC then two Cubic flows arrive one after another.
 
@@ -225,8 +220,7 @@ def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0
                                      rtt=rtt, stagger=stagger, seed=s),
                          label="fig7")]
 
-    return run_seed_grid(jobs_for_seed, 17, (17,), executor, jobs,
-                         cache_dir)[0]
+    return run_seed_grid(jobs_for_seed, 17, (17,), executor)[0]
 
 
 def _run_shared_bottleneck(link_mbps: float, duration: float, rtt: float,
@@ -311,8 +305,6 @@ def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5)
                              duration: float = 40.0, rtt: float = 0.1,
                              n_long: int = 3, seed: int = 17,
                              executor: Optional[SweepExecutor] = None,
-                             jobs: Optional[int] = None,
-                             cache_dir: Optional[str] = None,
                              seeds: Optional[Sequence[int]] = None
                              ) -> Dict[float, CoexistenceResult]:
     """Fig. 12: long ABC and Cubic flows plus Poisson short flows.
@@ -338,7 +330,7 @@ def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5)
                 for load in loads]
 
     return dict(zip(loads, run_seed_grid(
-        jobs_for_seed, seed, seeds, executor, jobs, cache_dir,
+        jobs_for_seed, seed, seeds, executor,
         combine=partial(SeedResultSet, metrics=coexistence_metrics))))
 
 
@@ -387,8 +379,6 @@ def fig13_app_limited(num_app_limited: int = 50,
                       duration: float = 30.0, rtt: float = 0.1,
                       seed: int = 23,
                       executor: Optional[SweepExecutor] = None,
-                      jobs: Optional[int] = None,
-                      cache_dir: Optional[str] = None,
                       seeds: Optional[Sequence[int]] = None):
     """Fig. 13: a backlogged ABC flow plus many application-limited ABC flows.
 
@@ -409,5 +399,4 @@ def fig13_app_limited(num_app_limited: int = 50,
                                      duration=duration, rtt=rtt, seed=s),
                          label=f"fig13/seed{s}")]
 
-    return run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs,
-                         cache_dir)[0]
+    return run_seed_grid(jobs_for_seed, seed, seeds, executor)[0]

@@ -13,9 +13,10 @@ cellular links and report utilisation against per-packet delay:
 * Fig. 18 — sensitivity to the propagation RTT (20/50/100/200 ms).
 * Table 1 (§1) — throughput and delay normalised to ABC.
 
-Every sweep here fans out through :class:`repro.runtime.SweepExecutor`; pass
-``executor=`` (or ``jobs=``/``cache_dir=``) to parallelise or memoize the
-grid, or set ``REPRO_JOBS``/``REPRO_CACHE_DIR`` in the environment.
+Every sweep here fans out through
+:class:`repro.runtime.executor.SweepExecutor`; pass a configured
+``executor=`` to parallelise or memoize the grid, or set
+``REPRO_JOBS``/``REPRO_CACHE_DIR`` in the environment.
 
 Each entry point also takes ``seeds=`` (default: the ``REPRO_SEEDS``
 environment variable), the seed axis of
@@ -113,8 +114,6 @@ def _fig8_panel_links(duration: float, seed: int) -> Tuple[tuple, ...]:
 def fig8_pareto(schemes: Sequence[str] = DEFAULT_SCHEMES,
                 duration: float = 30.0, rtt: float = 0.1, seed: int = 11,
                 executor: Optional[SweepExecutor] = None,
-                jobs: Optional[int] = None,
-                cache_dir: Optional[str] = None,
                 seeds: Optional[Sequence[int]] = None
                 ) -> Dict[str, ParetoScatter]:
     """Reproduce Fig. 8: downlink, uplink and uplink+downlink scatters.
@@ -136,8 +135,7 @@ def fig8_pareto(schemes: Sequence[str] = DEFAULT_SCHEMES,
                     FIG8_PANELS, _fig8_panel_links(duration, s))
                 for sch in schemes]
 
-    values = iter(run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs,
-                                cache_dir))
+    values = iter(run_seed_grid(jobs_for_seed, seed, seeds, executor))
     return {label: _scatter_from_results(
                 label, {sch: next(values) for sch in schemes})
             for label in FIG8_PANELS}
@@ -147,7 +145,6 @@ def fig9_sweep(schemes: Sequence[str] = DEFAULT_SCHEMES,
                duration: float = 30.0, rtt: float = 0.1, seed: int = 1,
                traces: Optional[Mapping[str, CellularTrace]] = None,
                executor: Optional[SweepExecutor] = None,
-               jobs: Optional[int] = None, cache_dir: Optional[str] = None,
                seeds: Optional[Sequence[int]] = None,
                trace_names: Optional[Sequence[str]] = None
                ) -> Dict[str, Dict[str, SingleBottleneckResult]]:
@@ -169,22 +166,19 @@ def fig9_sweep(schemes: Sequence[str] = DEFAULT_SCHEMES,
         return SweepSpec(schemes=list(schemes), traces=dict(trace_set),
                          rtt=rtt, duration=duration)
 
-    return run_spec_grid(spec_for_seed, seed, seeds, executor, jobs,
-                         cache_dir)
+    return run_spec_grid(spec_for_seed, seed, seeds, executor)
 
 
 def fig16_explicit(duration: float = 30.0, rtt: float = 0.1, seed: int = 1,
                    traces: Optional[Mapping[str, CellularTrace]] = None,
                    executor: Optional[SweepExecutor] = None,
-                   jobs: Optional[int] = None, cache_dir: Optional[str] = None,
                    seeds: Optional[Sequence[int]] = None,
                    trace_names: Optional[Sequence[str]] = None
                    ) -> Dict[str, Dict[str, SingleBottleneckResult]]:
     """Reproduce Fig. 16: ABC against the explicit-feedback schemes."""
     return fig9_sweep(schemes=EXPLICIT_SCHEMES, duration=duration, rtt=rtt,
-                      seed=seed, traces=traces, executor=executor, jobs=jobs,
-                      cache_dir=cache_dir, seeds=seeds,
-                      trace_names=trace_names)
+                      seed=seed, traces=traces, executor=executor,
+                      seeds=seeds, trace_names=trace_names)
 
 
 def table1_summary(sweep: Mapping[str, Mapping[str, SingleBottleneckResult]]
@@ -200,8 +194,6 @@ def fig18_rtt_sensitivity(schemes: Sequence[str] = ("abc", "cubic+codel",
                           duration: float = 30.0, seed: int = 5,
                           trace: Optional[CellularTrace] = None,
                           executor: Optional[SweepExecutor] = None,
-                          jobs: Optional[int] = None,
-                          cache_dir: Optional[str] = None,
                           seeds: Optional[Sequence[int]] = None
                           ) -> Dict[float, Dict[str, SingleBottleneckResult]]:
     """Reproduce Fig. 18: the same trace at several propagation RTTs.
@@ -224,6 +216,5 @@ def fig18_rtt_sensitivity(schemes: Sequence[str] = ("abc", "cubic+codel",
                          label=f"seed{s}/rtt{rtt:g}/{sch}")
                 for rtt in rtts for sch in schemes]
 
-    values = iter(run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs,
-                                cache_dir))
+    values = iter(run_seed_grid(jobs_for_seed, seed, seeds, executor))
     return {rtt: {sch: next(values) for sch in schemes} for rtt in rtts}

@@ -5,14 +5,15 @@ cellular experiment (§6.2: 100 ms minimum RTT, 250-packet buffer) for one
 scheme label, built through :func:`repro.experiments.scenario_spec.build`.
 
 Sweeps (:func:`run_cellular_sweep`) route through
-:class:`repro.runtime.SweepExecutor`: every (scheme, trace, seed) cell is an
-independent job that can run serially, on a ``multiprocessing`` pool
-(``REPRO_JOBS`` or the ``jobs=`` argument), or be replayed from the on-disk
-result cache (``REPRO_CACHE_DIR`` or ``cache_dir=``) with bit-identical
-metrics.  Passing ``seeds=[...]`` (or setting ``REPRO_SEEDS``) adds the
-statistical seed axis: each cell runs once per seed and the sweep returns
-:class:`~repro.analysis.stats.SeedResultSet` aggregates whose metric
-attributes are across-seed means with 95 % confidence intervals attached.
+:class:`repro.runtime.executor.SweepExecutor`: every (scheme, trace, seed)
+cell is an independent job that can run serially, on a ``multiprocessing``
+pool, or be replayed from the on-disk result cache with bit-identical
+metrics, as the executor (``executor=``, else one built from the
+``REPRO_*`` environment) says.  Passing ``seeds=[...]`` (or setting
+``REPRO_SEEDS``) adds the statistical seed axis: each cell runs once per
+seed and the sweep returns :class:`~repro.analysis.stats.SeedResultSet`
+aggregates whose metric attributes are across-seed means with 95 %
+confidence intervals attached.
 :func:`run_seed_grid` is the one grid runner — that axis for every figure
 entry point, ``run_cellular_sweep`` and a ``metro_pack`` city alike: a
 caller lists one seed's jobs and shapes the per-cell values it gets back.
@@ -32,7 +33,7 @@ from repro.core.params import ABCParams
 from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec, build,
                                              link_spec_from)
 from repro.obs.manifest import build_manifest, run_dir, write_manifest
-from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
+from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.runtime.spec import SweepCell, SweepSpec
 
 #: Scheme labels in the order the paper's tables list them.
@@ -113,16 +114,15 @@ def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
                   default_seed: int,
                   seeds: Optional[Sequence[int]] = None,
                   executor: Optional[SweepExecutor] = None,
-                  jobs: Optional[int] = None,
-                  cache_dir: Optional[str] = None,
                   combine: Callable[..., Any] = SeedResultSet) -> List[Any]:
     """The one grid runner: one value per grid cell, in grid order.
 
     ``jobs_for_seed(s)`` lists one seed's cells.  The seed list is ``seeds``,
     else ``REPRO_SEEDS``, else ``(default_seed,)``; every seed's jobs go
-    seed-major through one executor (``executor``, or one built from
-    ``jobs``/``cache_dir``).  With one seed each value is the cell's own
-    result object; with several it is ``combine(seeds, per_seed)``.
+    seed-major through one executor (``executor``, else ``SweepExecutor()``,
+    which reads the ``REPRO_*`` environment).  With one seed each value is
+    the cell's own result object; with several it is
+    ``combine(seeds, per_seed)``.
     ``jobs_for_seed`` sees the seed and nothing else, so seed ``s`` runs the
     same jobs — same cache keys, same results — however many other seeds
     ride along.  A grid without a seed axis pins ``seeds`` (e.g. ``(0,)``),
@@ -132,7 +132,8 @@ def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
     the seed list, the job labels and the executor's run.
     """
     seeds = resolve_seeds(seeds) or (default_seed,)
-    executor = get_executor(executor, jobs=jobs, cache_dir=cache_dir)
+    if executor is None:
+        executor = SweepExecutor()
     sweep_jobs = [job for s in seeds for job in jobs_for_seed(s)]
     results = executor.run(sweep_jobs)
     directory = run_dir()
@@ -150,9 +151,7 @@ def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
 def run_spec_grid(spec_for_seed: Callable[[int], SweepSpec],
                   default_seed: int,
                   seeds: Optional[Sequence[int]] = None,
-                  executor: Optional[SweepExecutor] = None,
-                  jobs: Optional[int] = None,
-                  cache_dir: Optional[str] = None
+                  executor: Optional[SweepExecutor] = None
                   ) -> Dict[str, Dict[str, Any]]:
     """:func:`run_seed_grid` over one :class:`SweepSpec` per seed, grouped
     as ``results[scheme][trace]`` (the Fig. 9 / 15 / 16 shape).
@@ -168,8 +167,7 @@ def run_spec_grid(spec_for_seed: Callable[[int], SweepSpec],
             job.label = f"seed{s}/{cell.scheme}/{cell.trace}"
         return sweep_jobs
 
-    values = run_seed_grid(jobs_for_seed, default_seed, seeds, executor, jobs,
-                           cache_dir)
+    values = run_seed_grid(jobs_for_seed, default_seed, seeds, executor)
     out: Dict[str, Dict[str, Any]] = {}
     for cell, value in zip(grid, values):
         out.setdefault(cell.scheme, {})[cell.trace] = value
@@ -182,17 +180,15 @@ def run_cellular_sweep(schemes: Sequence[str],
                        buffer_packets: int = 250,
                        abc_params: Optional[ABCParams] = None,
                        executor: Optional[SweepExecutor] = None,
-                       jobs: Optional[int] = None,
-                       cache_dir: Optional[str] = None,
                        seeds: Optional[Sequence[int]] = None
                        ) -> Dict[str, Dict[str, SingleBottleneckResult]]:
     """Run every scheme over every trace (the Fig. 9 / 15 / 16 sweep).
 
     Returns ``results[scheme][trace_name]``.  The grid executes through a
-    :class:`~repro.runtime.SweepExecutor` — pass one explicitly, or let
-    ``jobs``/``cache_dir`` (and the ``REPRO_JOBS``/``REPRO_CACHE_DIR``
-    environment variables) build one.  Raises :class:`ValueError` up front
-    for an unknown scheme label or an empty scheme/trace set.
+    :class:`~repro.runtime.executor.SweepExecutor` — pass one explicitly, or
+    let the ``REPRO_JOBS``/``REPRO_CACHE_DIR`` environment variables build
+    one.  Raises :class:`ValueError` up front for an unknown scheme label or
+    an empty scheme/trace set.
 
     ``seeds`` (argument, else the ``REPRO_SEEDS`` environment variable) adds
     the statistical seed axis; the traces are the caller's, so a seed is the
@@ -206,7 +202,7 @@ def run_cellular_sweep(schemes: Sequence[str],
                      duration=duration, buffer_packets=buffer_packets,
                      abc_params=abc_params)
     return run_spec_grid(lambda s: replace(spec, seeds=(s,)), 0, seeds,
-                         executor, jobs, cache_dir)
+                         executor)
 
 
 #: Metrics averaged across traces by :func:`sweep_averages`, in row order.

@@ -110,8 +110,6 @@ def fig1_timeseries(schemes: Sequence[str] = ("cubic", "verus", "cubic+codel", "
                     buffer_packets: int = 250, bin_size: float = 0.5,
                     trace: Optional[CellularTrace] = None, seed: int = 7,
                     executor: Optional[SweepExecutor] = None,
-                    jobs: Optional[int] = None,
-                    cache_dir: Optional[str] = None,
                     seeds: Optional[Sequence[int]] = None
                     ) -> Dict[str, TimeSeries]:
     """Reproduce Fig. 1: each scheme over the same emulated LTE trace.
@@ -135,7 +133,7 @@ def fig1_timeseries(schemes: Sequence[str] = ("cubic", "verus", "cubic+codel", "
                 for sch in schemes]
 
     out = dict(zip(schemes, run_seed_grid(
-        jobs_for_seed, seed, seeds, executor, jobs, cache_dir,
+        jobs_for_seed, seed, seeds, executor,
         combine=lambda seeds, per_seed: _combine_seed_series(
             per_seed, [capacities[s] for s in seeds]))))
     if len(capacities) == 1:  # one seed: the cells' own series, no capacity yet
@@ -150,8 +148,6 @@ def fig17_square_wave(schemes: Sequence[str] = ("abc", "rcp", "xcpw"),
                       half_period: float = 0.5, duration: float = 10.0,
                       rtt: float = 0.1, bin_size: float = 0.25,
                       executor: Optional[SweepExecutor] = None,
-                      jobs: Optional[int] = None,
-                      cache_dir: Optional[str] = None,
                       seeds: Optional[Sequence[int]] = None
                       ) -> Dict[str, TimeSeries]:
     """Reproduce Fig. 17: explicit schemes on a 12↔24 Mbit/s square wave.
@@ -171,7 +167,7 @@ def fig17_square_wave(schemes: Sequence[str] = ("abc", "rcp", "xcpw"),
                 for sch in schemes]
 
     return dict(zip(schemes, run_seed_grid(
-        jobs_for_seed, 0, seeds, executor, jobs, cache_dir,
+        jobs_for_seed, 0, seeds, executor,
         combine=lambda seeds, per_seed: _combine_seed_series(per_seed))))
 
 

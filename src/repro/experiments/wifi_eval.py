@@ -158,8 +158,6 @@ def fig5_rate_prediction(mcs_indices: Sequence[int] = (3, 5, 7),
                          load_fractions: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
                          duration: float = 20.0, seed: int = 5,
                          executor: Optional[SweepExecutor] = None,
-                         jobs: Optional[int] = None,
-                         cache_dir: Optional[str] = None,
                          seeds: Optional[Sequence[int]] = None
                          ) -> List[RatePredictionPoint]:
     """Sweep offered load on three links and record estimator accuracy.
@@ -176,7 +174,7 @@ def fig5_rate_prediction(mcs_indices: Sequence[int] = (3, 5, 7),
                          label=f"fig5/seed{s}/mcs{mcs}/load{fraction:g}")
                 for mcs in mcs_indices for fraction in load_fractions]
 
-    return run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs, cache_dir,
+    return run_seed_grid(jobs_for_seed, seed, seeds, executor,
                          combine=partial(SeedResultSet,
                                          metrics=rate_prediction_metrics))
 
@@ -250,8 +248,6 @@ def fig10_wifi(num_users: int = 1, duration: float = 45.0, rtt: float = 0.04,
                abc_delay_thresholds: Sequence[float] = (0.02, 0.06, 0.1),
                baselines: Sequence[str] = WIFI_BASELINES,
                executor: Optional[SweepExecutor] = None,
-               jobs: Optional[int] = None,
-               cache_dir: Optional[str] = None,
                seeds: Optional[Sequence[int]] = None) -> List[WiFiSchemeResult]:
     """Reproduce Fig. 10 (alternating MCS) or Fig. 14 (``mcs_mode="brownian"``).
 
@@ -278,7 +274,7 @@ def fig10_wifi(num_users: int = 1, duration: float = 45.0, rtt: float = 0.04,
                             label=f"wifi/seed{s}/{scheme}")
                    for scheme in baselines])
 
-    rows = run_seed_grid(jobs_for_seed, seed, seeds, executor, jobs, cache_dir)
+    rows = run_seed_grid(jobs_for_seed, seed, seeds, executor)
     for name, row in zip(names, rows):
         # A SeedResultSet forwards ``scheme`` from its first seed's result.
         for res in getattr(row, "per_seed", (row,)):

@@ -25,7 +25,7 @@ from repro.fuzz.invariants import (INVARIANT_NAMES, Violation, run_invariants,
 from repro.fuzz.shrink import corpus_entry, save_corpus_entry, shrink_scenario
 from repro.obs.manifest import (build_manifest, provenance, run_dir,
                                 write_manifest)
-from repro.runtime.executor import SweepExecutor, SweepJob, get_executor
+from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.runtime.faults import is_failure
 
 #: Report schema version (bump on incompatible report changes).
@@ -87,14 +87,11 @@ def _still_fails(invariant: str, check_determinism: bool):
 
 
 def run_campaign(budget: int, seed: int = 0,
-                 jobs: Optional[int | str] = None,
                  executor: Optional[SweepExecutor] = None,
                  check_determinism: bool = True,
                  shrink: bool = True,
                  shrink_attempts: int = 60,
-                 corpus_dir: Optional[Path] = None,
-                 journal: Any = None,
-                 failures: Optional[str] = None) -> Dict[str, Any]:
+                 corpus_dir: Optional[Path] = None) -> Dict[str, Any]:
     """Run a fuzzing campaign and return the (deterministic) report dict.
 
     Failures are grouped by ``(invariant, scenario signature)``; each group
@@ -102,15 +99,15 @@ def run_campaign(budget: int, seed: int = 0,
     shrunk in-process and — when ``corpus_dir`` is given — written out as a
     corpus entry ready to commit under ``tests/data/fuzz_corpus/``.
 
-    ``journal`` enables checkpoint/resume (``tools/fuzz_scenarios.py
-    --resume``): completed scenarios are journaled as they land, and a
-    re-run of the identical campaign evaluates only the missing ones (see
-    :mod:`repro.runtime.journal`).  ``failures`` selects the executor's
-    strict-vs-salvage policy; under ``"salvage"`` a scenario whose sweep
-    job exhausted its retries is reported under ``failed_jobs`` (with its
-    deterministic :class:`~repro.runtime.faults.JobFailure` record) instead
-    of aborting the campaign.  Both default to the executor's own
-    configuration / environment knobs.
+    The scenarios run through ``executor`` (else ``SweepExecutor()``, which
+    reads the ``REPRO_*`` environment), so it says how: with a journal
+    (``tools/fuzz_scenarios.py --resume``) completed scenarios are journaled
+    as they land and a re-run of the identical campaign evaluates only the
+    missing ones (see :mod:`repro.runtime.journal`); under the ``"salvage"``
+    failure policy a scenario whose sweep job exhausted its retries is
+    reported under ``failed_jobs`` (with its deterministic
+    :class:`~repro.runtime.faults.JobFailure` record) instead of aborting
+    the campaign.
     """
     generator = ScenarioGen(seed)
     scenarios = generator.sample_many(budget)
@@ -119,8 +116,8 @@ def run_campaign(budget: int, seed: int = 0,
                                    "check_determinism": check_determinism},
                            label=f"fuzz-{seed}-{fuzz.scenario_id}")
                   for fuzz in scenarios]
-    runner = get_executor(executor, jobs=jobs, journal=journal)
-    verdicts = runner.run(sweep_jobs, failure_policy=failures)
+    runner = SweepExecutor() if executor is None else executor
+    verdicts = runner.run(sweep_jobs)
 
     # Group violations by failure mode; keep the first example of each.
     # Salvaged JobFailure sentinels (fault-tolerant campaigns) are split out

@@ -42,12 +42,6 @@ SCHEME_POOL = (
 #: Congestion controllers used as cross-traffic.
 CROSS_CCS = ("cubic", "newreno")
 
-#: Extra controllers the small-metro churn mix assigns to non-native flows
-#: (the paper's coexistence traffic).  Kept separate from :data:`CROSS_CCS`
-#: so extending the metro mix never perturbs :class:`ScenarioGen`'s sampled
-#: stream for a given seed.
-CHURN_CCS = ("cubic", "bbr")
-
 
 # ---------------------------------------------------------------------------
 # Random sampling
@@ -141,10 +135,10 @@ class SmallMetroGen:
     flows plus a churning population of finite-size flows — Poisson arrival
     times and bounded-Pareto sizes drawn from the deterministic streams in
     :mod:`repro.metro.workload` — whose schemes come from the coexistence
-    mix (ABC natives plus :data:`CHURN_CCS` cross-traffic).  Every cell runs
-    the ABC router (``scheme="abc"``), so each one goes through the
-    *existing* invariant net and campaign machinery unchanged: churn is just
-    flows with ``size_bytes`` set.
+    mix :attr:`MIX` (ABC natives plus Cubic and BBR cross-traffic).  Every
+    cell runs the ABC router (``scheme="abc"``), so each one goes through
+    the *existing* invariant net and campaign machinery unchanged: churn is
+    just flows with ``size_bytes`` set.
     """
 
     #: The coexistence mix churn flows draw their scheme from.

@@ -92,9 +92,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.progress import SweepProgress, resolve_progress
 from repro.runtime.cache import CODE_VERSION_SALT, ResultCache, stable_hash
 from repro.runtime.faults import (FaultInjectionError, FaultInjector,
-                                  FaultSpec, JobAttempt, JobFailure,
-                                  JobFailureError, crash_attempt,
-                                  retry_backoff, timeout_attempt)
+                                  JobAttempt, JobFailure, JobFailureError,
+                                  crash_attempt, retry_backoff,
+                                  timeout_attempt)
 from repro.runtime.journal import RunJournal, run_key_for
 from repro.runtime.trace_store import (TraceRef, install_snapshot,
                                        snapshot_for)
@@ -444,8 +444,6 @@ class SweepExecutor:
         Worker count; ``0``/``"auto"`` uses every CPU.
     cache_dir:
         Directory of the on-disk result cache; unset disables caching.
-    salt:
-        Code-version salt mixed into every cache key.
     progress:
         ``True`` selects the stderr line, ``False`` forces progress off, and
         any callable receives a :class:`~repro.obs.progress.SweepProgress`
@@ -469,7 +467,6 @@ class SweepExecutor:
 
     def __init__(self, jobs: Optional[int | str] = None,
                  cache_dir: Optional[os.PathLike | str] = None,
-                 salt: Optional[str] = None,
                  progress: Union[None, bool, Callable] = None,
                  timeout: Union[int, float, str, None] = None,
                  retries: Union[int, str, None] = None,
@@ -481,22 +478,16 @@ class SweepExecutor:
             jobs=jobs, cache_dir=cache_dir, progress=progress,
             timeout=timeout, retries=retries, backoff=backoff, faults=faults,
             failure_policy=failure_policy, journal=journal)
-        self.workers = config.jobs
-        self.progress = config.progress
         self.cache: Optional[ResultCache] = (
             ResultCache(config.cache_dir, config.cache_max_mb)
             if config.cache_dir is not None else None)
-        self.salt = CODE_VERSION_SALT if salt is None else salt
-        self.timeout = config.timeout
-        self.retries = config.retries
-        self.backoff = config.backoff
-        self.faults: Optional[FaultSpec] = config.faults
-        self.failure_policy = config.failure_policy
-        self.journal_dir = config.journal_dir
+        #: Code-version salt mixed into every cache key.
+        self.salt = CODE_VERSION_SALT
         self._injector: Optional[FaultInjector] = (
-            FaultInjector(self.faults) if self.faults is not None else None)
-        if (self.faults is not None and self.timeout is None
-                and self.faults.rate("job_hang") > 0.0):
+            FaultInjector(config.faults) if config.faults is not None
+            else None)
+        if (config.faults is not None and config.timeout is None
+                and config.faults.rate("job_hang") > 0.0):
             raise ValueError(
                 "REPRO_FAULTS injects job_hang but no job timeout is set — "
                 "an injected hang would wedge the sweep forever; set "
@@ -542,7 +533,8 @@ class SweepExecutor:
         a ``run()`` whose refs they already hold reuses the warm pool, any
         other restarts it.
         """
-        if self.workers <= 1 or (len(pending) == 1 and self.timeout is None):
+        workers = self.config.jobs
+        if workers <= 1 or (len(pending) == 1 and self.config.timeout is None):
             return _InProcessTransport(self._injector), False
         needed = _needed_trace_keys(pending)
         reused = (self._pool is not None
@@ -550,14 +542,12 @@ class SweepExecutor:
         if not reused:
             self.close()
             self._pool = _PoolTransport(
-                self.workers if self._persistent
-                else min(self.workers, len(pending)),
+                workers if self._persistent else min(workers, len(pending)),
                 snapshot_for(needed), self._injector)
         return self._pool, reused
 
     # ------------------------------------------------------------------ run
-    def run(self, jobs: Sequence[SweepJob],
-            failure_policy: Optional[str] = None) -> List[Any]:
+    def run(self, jobs: Sequence[SweepJob]) -> List[Any]:
         """Execute every job, returning results in submission order.
 
         Cached (or journaled) cells are served without executing; the rest
@@ -565,12 +555,10 @@ class SweepExecutor:
         or on a ``multiprocessing`` pool.  Jobs whose retry budget ran out
         either raise once the sweep has finished (``strict``) or come back
         as in-slot :class:`~repro.runtime.faults.JobFailure` sentinels
-        (``salvage``); ``failure_policy`` overrides the executor-level
-        policy for this run.
+        (``salvage``).
         """
         jobs = list(jobs)
-        policy = self.config.overlay(
-            failure_policy=failure_policy).failure_policy
+        config = self.config
         started = time.perf_counter()
         results: List[Any] = [None] * len(jobs)
         cache = self.cache
@@ -578,14 +566,14 @@ class SweepExecutor:
         # one of them; a failure record or backoff draw computes its own.
         keys: List[Optional[str]] = (
             [job.cache_key(self.salt) for job in jobs]
-            if (cache is not None or self.journal_dir is not None
+            if (cache is not None or config.journal_dir is not None
                 or self._injector is not None) else [None] * len(jobs))
-        stats = ExecutorStats(total=len(jobs), workers=self.workers)
+        stats = ExecutorStats(total=len(jobs), workers=config.jobs)
         cache_counts = ("corrupt", "evictions", "write_errors")
         cache_before = [getattr(cache, name, 0) for name in cache_counts]
         journal: Optional[RunJournal] = None
-        if self.journal_dir is not None and jobs:
-            journal = RunJournal(self.journal_dir, run_key_for(keys),
+        if config.journal_dir is not None and jobs:
+            journal = RunJournal(config.journal_dir, run_key_for(keys),
                                  store=cache)
             journal.load()
         pending: List[int] = []
@@ -607,7 +595,7 @@ class SweepExecutor:
             pending.append(index)
         stats.executed = len(pending)
 
-        callback = resolve_progress(self.progress)
+        callback = resolve_progress(config.progress)
         served = stats.cache_hits + stats.journal_hits
         progress = None if callback is None else (
             lambda landed, label: callback(SweepProgress.of(
@@ -653,7 +641,7 @@ class SweepExecutor:
             setattr(stats, f"cache_{name}", getattr(cache, name, 0) - before)
         stats.wall_seconds = time.perf_counter() - started
         self.last_stats = stats
-        if failures and policy == "strict":
+        if failures and config.failure_policy == "strict":
             first = min(failures)
             if first in originals:
                 raise originals[first]
@@ -674,9 +662,10 @@ class SweepExecutor:
         (if any) hears of every landed cell with the number landed so far;
         returns ``(failures, original exceptions)`` by slot.
         """
-        retries, timeout, backoff = self.retries, self.timeout, self.backoff
+        config = self.config
+        retries, timeout = config.retries, config.timeout
         injector = self._injector
-        seed = self.faults.seed if self.faults is not None else 0
+        seed = config.faults.seed if config.faults is not None else 0
         registry = obs_metrics.registry()
         failures: Dict[int, JobFailure] = {}
         originals: Dict[int, BaseException] = {}
@@ -772,8 +761,8 @@ class SweepExecutor:
                         originals[slot] = outcome["exception"]
                 attempts = history.setdefault(slot, [])
                 if attempt <= retries:  # budget left: seeded backoff, resubmit
-                    delay = retry_backoff(key_of(slot), attempt, backoff,
-                                          seed)
+                    delay = retry_backoff(key_of(slot), attempt,
+                                          config.backoff, seed)
                     attempts.append(dataclasses.replace(
                         rec, backoff_seconds=delay))
                     heapq.heappush(waiting, (now + delay, slot, attempt + 1))
@@ -786,19 +775,3 @@ class SweepExecutor:
                     if progress is not None:
                         progress(len(pending) - unfinished, jobs[slot].label)
         return failures, originals
-
-
-def get_executor(executor: Optional[SweepExecutor] = None,
-                 jobs: Optional[int | str] = None,
-                 cache_dir: Optional[os.PathLike | str] = None,
-                 journal: Any = None,
-                 failure_policy: Optional[str] = None) -> SweepExecutor:
-    """Shared convenience for experiment entry points.
-
-    Returns ``executor`` unchanged when given one, otherwise builds a fresh
-    :class:`SweepExecutor` from the other arguments.
-    """
-    if executor is not None:
-        return executor
-    return SweepExecutor(jobs=jobs, cache_dir=cache_dir, journal=journal,
-                         failure_policy=failure_policy)

@@ -1,6 +1,6 @@
 """Discrete-event simulation engine.
 
-The engine is a classic calendar queue built on :mod:`heapq`.  Every other
+The engine is a binary heap of event tuples (:mod:`heapq`).  Every other
 component in the simulator (links, senders, AQMs, monitors) posts callbacks
 on a shared :class:`EventLoop` instance and reads the current simulated time
 from :attr:`EventLoop.now`.

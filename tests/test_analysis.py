@@ -5,27 +5,12 @@ import pytest
 from repro.analysis.fairness import (jain_fairness_index, relative_std,
                                      throughput_ratio)
 from repro.analysis.maxmin import max_min_allocation
-from repro.analysis.metrics import (is_outside_frontier, mean, pareto_frontier,
-                                    percentile, utilization)
+from repro.analysis.metrics import is_outside_frontier, pareto_frontier
 from repro.analysis.topk import SpaceSaving
 from repro.analysis.zombie import ZombieList
 
 
 # ------------------------------------------------------------ metrics
-def test_utilization_basic_and_clipped():
-    assert utilization(5e6, 10e6) == pytest.approx(0.5)
-    assert utilization(11e6, 10e6) == 1.0
-    assert utilization(1.0, 0.0) == 0.0
-
-
-def test_percentile_and_mean():
-    values = [1, 2, 3, 4, 5]
-    assert percentile(values, 50) == 3
-    assert mean(values) == 3
-    assert percentile([], 95) == 0.0
-    assert mean([]) == 0.0
-
-
 def test_pareto_frontier_excludes_dominated_points():
     points = [("a", 100.0, 0.9), ("b", 200.0, 0.8), ("c", 150.0, 0.95),
               ("d", 90.0, 0.5)]

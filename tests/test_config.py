@@ -221,17 +221,17 @@ def test_progress_knob_selects_the_reporter(clean_env):
     clean_env.setenv("REPRO_PROGRESS", "1")
     assert resolve_progress(resolve("progress")) is stderr_reporter
     assert resolve_progress(resolve("progress", False)) is None
-    assert SweepExecutor(progress=False).progress is False
-    assert SweepExecutor().progress is True        # read at construction
+    assert SweepExecutor(progress=False).config.progress is False
+    assert SweepExecutor().config.progress is True  # read at construction
     clean_env.delenv("REPRO_PROGRESS")
-    assert SweepExecutor().progress is False
+    assert SweepExecutor().config.progress is False
 
 
 def test_journal_directory_rule(clean_env, tmp_path):
     """off / a path / on = the directory the environment names, else
     ``<run dir>/journal``, else an error."""
     def journal_dir(argument=None):
-        return SweepExecutor(jobs=1, journal=argument).journal_dir
+        return SweepExecutor(jobs=1, journal=argument).config.journal_dir
 
     assert journal_dir() is None
     assert journal_dir(tmp_path) == tmp_path
@@ -256,7 +256,7 @@ def test_journal_directory_rule(clean_env, tmp_path):
         journal_dir()
 
 
-def test_executor_attributes_mirror_its_config(clean_env, tmp_path):
+def test_executor_config_is_its_only_configuration(clean_env, tmp_path):
     clean_env.setenv("REPRO_JOB_RETRIES", "2")
     clean_env.setenv("REPRO_FAILURE_POLICY", "salvage")
     executor = SweepExecutor(jobs=3, timeout="5", cache_dir=tmp_path)
@@ -264,11 +264,13 @@ def test_executor_attributes_mirror_its_config(clean_env, tmp_path):
     assert isinstance(config, RuntimeConfig)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.jobs = 1
-    assert (executor.workers, executor.timeout, executor.retries,
-            executor.backoff, executor.faults, executor.failure_policy,
-            executor.journal_dir) == (3, 5.0, 2, 0.05, None, "salvage", None)
-    assert (config.jobs, config.timeout, config.retries, config.cache_dir
-            ) == (3, 5.0, 2, tmp_path)
+    assert (config.jobs, config.timeout, config.retries, config.backoff,
+            config.faults, config.failure_policy, config.journal_dir,
+            config.cache_dir) == (3, 5.0, 2, 0.05, None, "salvage", None,
+                                  tmp_path)
+    for mirror in ("workers", "progress", "timeout", "retries", "backoff",
+                   "faults", "failure_policy", "journal_dir"):
+        assert not hasattr(executor, mirror), mirror
     assert executor.cache.root == tmp_path
 
 
@@ -277,7 +279,7 @@ def test_empty_jobs_means_unset_not_every_cpu(clean_env):
     clean_env.setattr(os, "cpu_count", lambda: 8)
     for blank in ("", "  "):
         clean_env.setenv("REPRO_JOBS", blank)
-        assert SweepExecutor().workers == 1
+        assert SweepExecutor().config.jobs == 1
 
 
 def test_cache_cap_rejects_garbage_and_negatives_by_name(clean_env, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from repro.fuzz.campaign import evaluate_scenario, fuzz_cell, run_campaign
 from repro.experiments.scenario_spec import (CROSS_TRAFFIC_SCHEMES, NATIVE,
                                              FlowSpec, LinkSpec, ScenarioSpec)
-from repro.fuzz.generator import CHURN_CCS, ScenarioGen, SmallMetroGen
+from repro.fuzz.generator import ScenarioGen, SmallMetroGen
 from repro.fuzz.invariants import (FAIRNESS_FLOOR, check_fairness,
                                    check_link_throughput, check_non_negative,
                                    check_packet_conservation,
@@ -135,7 +135,8 @@ def test_small_metro_city_deterministic_and_valid():
     churn = [flow for cell in first for flow in cell.flows
              if flow.size_bytes is not None]
     assert churn, "a metro city must have churn on"
-    assert {flow.cc for flow in churn} <= {NATIVE} | set(CHURN_CCS)
+    allowed = {NATIVE if cc == "abc" else cc for cc, _ in SmallMetroGen.MIX}
+    assert {flow.cc for flow in churn} <= allowed
     for cell in first:
         cell.validate()  # raises on an invalid cell
         assert cell.scheme == "abc"

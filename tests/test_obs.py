@@ -348,9 +348,11 @@ def test_no_manifest_without_run_dir(tmp_path, monkeypatch):
 
 def test_fuzz_report_embeds_deterministic_manifest():
     from repro.fuzz.campaign import run_campaign
-    report = run_campaign(budget=2, seed=3, jobs=1, shrink=False,
+    report = run_campaign(budget=2, seed=3,
+                          executor=SweepExecutor(jobs=1), shrink=False,
                           check_determinism=False)
-    replay = run_campaign(budget=2, seed=3, jobs=1, shrink=False,
+    replay = run_campaign(budget=2, seed=3,
+                          executor=SweepExecutor(jobs=1), shrink=False,
                           check_determinism=False)
     assert report == replay
     assert report["format"] == 3

@@ -109,13 +109,14 @@ def test_cache_hit_miss_and_invalidation(tmp_path):
 
 
 def test_cache_salt_invalidates(tmp_path):
-    warm = SweepExecutor(jobs=1, cache_dir=tmp_path, salt="v1")
+    warm = SweepExecutor(jobs=1, cache_dir=tmp_path)
     jobs = [SweepJob(func=_echo_job, kwargs=dict(value=1))]
     warm.run(jobs)
     warm.run(jobs)
     assert warm.last_stats.cache_hits == 1
 
-    bumped = SweepExecutor(jobs=1, cache_dir=tmp_path, salt="v2")
+    bumped = SweepExecutor(jobs=1, cache_dir=tmp_path)
+    bumped.salt = warm.salt + "-bumped"
     bumped.run(jobs)
     assert bumped.last_stats.cache_hits == 0
     assert bumped.last_stats.executed == 1
@@ -209,13 +210,13 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
 # ---------------------------------------------------------------- REPRO_JOBS
 def test_repro_jobs_env_fallback(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "1")
-    assert SweepExecutor().workers == 1
+    assert SweepExecutor().config.jobs == 1
     monkeypatch.setenv("REPRO_JOBS", "4")
-    assert SweepExecutor().workers == 4
+    assert SweepExecutor().config.jobs == 4
     monkeypatch.setenv("REPRO_JOBS", "auto")
-    assert SweepExecutor().workers == (os.cpu_count() or 1)
+    assert SweepExecutor().config.jobs == (os.cpu_count() or 1)
     monkeypatch.delenv("REPRO_JOBS")
-    assert SweepExecutor().workers == 1
+    assert SweepExecutor().config.jobs == 1
     monkeypatch.setenv("REPRO_JOBS", "banana")
     with pytest.raises(ValueError):
         SweepExecutor()
@@ -223,8 +224,8 @@ def test_repro_jobs_env_fallback(monkeypatch):
 
 def test_explicit_jobs_overrides_env(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "8")
-    assert SweepExecutor(jobs=2).workers == 2
-    assert SweepExecutor(jobs=0).workers == (os.cpu_count() or 1)
+    assert SweepExecutor(jobs=2).config.jobs == 2
+    assert SweepExecutor(jobs=0).config.jobs == (os.cpu_count() or 1)
     with pytest.raises(ValueError):
         SweepExecutor(jobs=-1)
 

@@ -312,15 +312,6 @@ def test_salvage_policy_returns_sentinels_in_slot():
     assert "ValueError" in results[1].last.traceback
 
 
-def test_per_run_policy_overrides_executor_policy():
-    executor = SweepExecutor(jobs=1, retries=0)  # strict by default
-    jobs = [SweepJob(func=_double, kwargs={"value": 2, "fail": True})]
-    (sentinel,) = executor.run(jobs, failure_policy="salvage")
-    assert is_failure(sentinel)
-    with pytest.raises(ValueError):
-        executor.run(jobs)
-
-
 def test_aggregate_city_excludes_salvaged_cells():
     good = {"cell": "c0", "utilization": 0.9,
             "base_throughputs_bps": [1e6], "churn_throughputs_bps": [],
@@ -427,8 +418,9 @@ def test_fuzz_campaign_resume_and_salvage(tmp_path):
     from repro.fuzz.campaign import run_campaign
 
     jdir = tmp_path / "journal"
-    first = run_campaign(budget=2, seed=3, jobs=1, shrink=False,
-                         check_determinism=False, journal=jdir)
+    first = run_campaign(budget=2, seed=3,
+                         executor=SweepExecutor(jobs=1, journal=jdir),
+                         shrink=False, check_determinism=False)
     # Resume of the identical campaign executes nothing new.
     executor = SweepExecutor(jobs=1, journal=jdir)
     resumed = run_campaign(budget=2, seed=3, executor=executor, shrink=False,
@@ -442,10 +434,9 @@ def test_fuzz_campaign_resume_and_salvage(tmp_path):
     # report stays deterministic under the same fault spec.
     def chaos_campaign():
         chaos_executor = SweepExecutor(jobs=1, faults="job_error:0.6,seed:4",
-                                       retries=0)
+                                       retries=0, failure_policy="salvage")
         return run_campaign(budget=3, seed=3, executor=chaos_executor,
-                            shrink=False, check_determinism=False,
-                            failures="salvage")
+                            shrink=False, check_determinism=False)
     report = chaos_campaign()
     assert report["format"] == 3
     assert len(report["failed_jobs"]) > 0

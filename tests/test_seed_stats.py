@@ -206,9 +206,9 @@ class _RecordingExecutor(SweepExecutor):
     def __init__(self, **kwargs):
         super().__init__(jobs=1, **kwargs)
 
-    def run(self, jobs, **kwargs):
+    def run(self, jobs):
         self.labels = [job.label for job in jobs]
-        results = super().run(jobs, **kwargs)
+        results = super().run(jobs)
         self.results = copy.deepcopy(results)
         return results
 

@@ -30,6 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.fuzz.campaign import run_campaign  # noqa: E402
+from repro.runtime.executor import SweepExecutor  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -64,11 +65,12 @@ def main(argv=None) -> int:
                              "strict)")
     args = parser.parse_args(argv)
 
+    executor = SweepExecutor(jobs=args.jobs, journal=args.resume,
+                             failure_policy=args.failures)
     report = run_campaign(
-        budget=args.budget, seed=args.seed, jobs=args.jobs,
+        budget=args.budget, seed=args.seed, executor=executor,
         check_determinism=not args.no_determinism,
-        shrink=not args.no_shrink, corpus_dir=args.corpus_dir,
-        journal=args.resume, failures=args.failures)
+        shrink=not args.no_shrink, corpus_dir=args.corpus_dir)
 
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
