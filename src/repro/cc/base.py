@@ -18,7 +18,6 @@ an event loop.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.simulator.packet import MTU, AckFeedback
@@ -98,39 +97,3 @@ class CongestionControl:
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} cwnd={self._cwnd:.2f}>"
 
-
-class AIMD(CongestionControl):
-    """Textbook additive-increase / multiplicative-decrease controller.
-
-    Not evaluated in the paper directly, but useful both as the simplest
-    sanity-check workload for the simulator and as the base class for NewReno.
-    """
-
-    name = "aimd"
-
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 2.0,
-                 additive_increase: float = 1.0, beta: float = 0.5,
-                 ssthresh: float = math.inf):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
-        self.additive_increase = additive_increase
-        self.beta = beta
-        self.ssthresh = ssthresh
-
-    def on_ack(self, feedback: AckFeedback) -> float:
-        acked_packets = feedback.bytes_acked / self.mss
-        if self._cwnd < self.ssthresh:
-            self._cwnd += acked_packets  # slow start
-        else:
-            self._cwnd += self.additive_increase * acked_packets / max(self._cwnd, 1.0)
-        if feedback.ece:
-            self.on_loss(feedback.now)
-        return self.window()
-
-    def on_loss(self, now: float) -> None:
-        self.ssthresh = max(self._cwnd * self.beta, 2.0)
-        self._cwnd = self.ssthresh
-        self._clamp()
-
-    def on_timeout(self, now: float) -> None:
-        self.ssthresh = max(self._cwnd * self.beta, 2.0)
-        self._cwnd = self.min_cwnd()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.cc.base import AIMD, CongestionControl
+from repro.cc.base import CongestionControl
 from repro.cc.bbr import BBR
 from repro.cc.copa import Copa
 from repro.cc.cubic import Cubic
@@ -45,7 +45,6 @@ def available_schemes() -> List[str]:
 
 
 def _register_builtin() -> None:
-    register_scheme("aimd", AIMD)
     register_scheme("newreno", NewReno)
     register_scheme("cubic", Cubic)
     register_scheme("vegas", Vegas)

@@ -19,7 +19,12 @@ from repro.simulator.packet import MTU
 
 
 class CellularTrace:
-    """An immutable sequence of delivery-opportunity timestamps (seconds)."""
+    """An immutable sequence of delivery-opportunity timestamps (seconds).
+
+    A cache or trace-store key reads the trace as its name, opportunity size
+    and read-only float64 array (:meth:`cache_fingerprint`): as exact as the
+    floats themselves, at a fixed number of hashing steps.
+    """
 
     def __init__(self, opportunity_times: Iterable[float], name: str = "trace",
                  bytes_per_opportunity: int = MTU):
@@ -33,6 +38,7 @@ class CellularTrace:
         # count is ``searchsorted(_times_np, t)``, so the capacity offered
         # over a window is a cumulative-count difference instead of a scan.
         self._times_np = np.asarray(times, dtype=float)
+        self._times_np.setflags(write=False)
         self.name = name
         self.bytes_per_opportunity = bytes_per_opportunity
 
@@ -52,6 +58,9 @@ class CellularTrace:
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (f"<CellularTrace {self.name!r} {len(self)} opportunities, "
                 f"{self.duration:.1f}s, mean {self.mean_rate_bps() / 1e6:.2f} Mbit/s>")
+
+    def cache_fingerprint(self) -> tuple:
+        return (self.name, self.bytes_per_opportunity, self._times_np)
 
     # ------------------------------------------------------------ rates
     def mean_rate_bps(self) -> float:

@@ -7,6 +7,9 @@ code-version salt.  Two processes
 (or two sessions days apart) that submit the same cell therefore compute the
 same key and share the cached value, and any change to the salt — or to the
 arguments, including the full content of a trace — invalidates the entry.
+A cellular trace is keyed by its ``cache_fingerprint()``: name, opportunity
+size and the sha256 of its float64 opportunity array, so hashing one costs a
+fixed number of steps however long the trace is.
 
 Cache directory layout
 ----------------------

@@ -12,8 +12,11 @@ whole store exactly once, as each worker process starts
 Content addressing is preserved: a :class:`TraceRef` carries the
 ``stable_hash`` of the trace it names and exposes it through
 ``cache_fingerprint()``, so a job's :class:`~repro.runtime.cache.ResultCache`
-key still changes whenever the *content* of the trace changes, never just its
-display name.
+key still changes whenever the *content* of the trace changes.  That hash
+reads a :class:`~repro.cellular.trace.CellularTrace` as its name, opportunity
+size and float64 opportunity array (its own ``cache_fingerprint()``), so
+registering a trace costs one sha256 over its bytes, not one encoded node per
+delivery opportunity.
 
 The store is keyed by that content hash, so registering the same trace twice
 (or two different sweeps registering identical traces) dedupes to a single

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.cc.base import CongestionControl
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.cellular.trace import CellularTrace
 from repro.simulator.engine import EventLoop
+from repro.simulator.packet import MTU, AckFeedback
 
 
 @pytest.fixture
@@ -47,3 +51,40 @@ def run_single_flow(cc, qdisc, link_spec, duration=8.0, rtt=0.1, source=None):
     flow = scenario.add_flow(cc, [link], rtt=rtt, source=source)
     result = scenario.run(duration)
     return result, link, flow
+
+
+class AIMD(CongestionControl):
+    """Textbook additive-increase / multiplicative-decrease controller.
+
+    Not a scheme the paper evaluates (so not registered); the simplest
+    window a sender-loop test can drive.
+    """
+
+    name = "aimd"
+
+    def __init__(self, mss: int = MTU, initial_cwnd: float = 2.0,
+                 additive_increase: float = 1.0, beta: float = 0.5,
+                 ssthresh: float = math.inf):
+        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
+        self.additive_increase = additive_increase
+        self.beta = beta
+        self.ssthresh = ssthresh
+
+    def on_ack(self, feedback: AckFeedback) -> float:
+        acked_packets = feedback.bytes_acked / self.mss
+        if self._cwnd < self.ssthresh:
+            self._cwnd += acked_packets  # slow start
+        else:
+            self._cwnd += self.additive_increase * acked_packets / max(self._cwnd, 1.0)
+        if feedback.ece:
+            self.on_loss(feedback.now)
+        return self.window()
+
+    def on_loss(self, now: float) -> None:
+        self.ssthresh = max(self._cwnd * self.beta, 2.0)
+        self._cwnd = self.ssthresh
+        self._clamp()
+
+    def on_timeout(self, now: float) -> None:
+        self.ssthresh = max(self._cwnd * self.beta, 2.0)
+        self._cwnd = self.min_cwnd()

@@ -10,7 +10,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.cc.base import AIMD
 from repro.cc.bbr import BBR
 from repro.cc.copa import Copa
 from repro.cc.cubic import Cubic
@@ -22,6 +21,7 @@ from repro.cc.vegas import Vegas
 from repro.cc.verus import Verus
 from repro.cc.cubic import CUBIC_BETA, CUBIC_C
 from repro.simulator.packet import MTU, AckFeedback
+from tests.conftest import AIMD
 
 
 def ack(now, rtt=0.1, bytes_acked=MTU, accel=True, ece=False, in_flight=10,
@@ -43,7 +43,7 @@ def drive(cc, n_acks=100, rtt=0.1, start=0.0, spacing=0.01, **kwargs):
 def test_registry_lists_all_schemes():
     names = available_schemes()
     for expected in ("abc", "cubic", "bbr", "copa", "vegas", "sprout", "verus",
-                     "pcc", "xcp", "rcp", "vcp", "newreno", "aimd"):
+                     "pcc", "xcp", "rcp", "vcp", "newreno"):
         assert expected in names
 
 

@@ -73,6 +73,17 @@ def test_trace_truncated():
         CellularTrace([5.0]).truncated(1.0)
 
 
+def test_trace_array_is_read_only():
+    """A trace's cache key is read from ``_times_np``, so an in-place write
+    must fail rather than let the store and the cache answer wrongly."""
+    trace = CellularTrace([i * 0.01 for i in range(100)], name="ro")
+    with pytest.raises(ValueError):
+        trace._times_np[0] = 1.0
+    assert trace.scaled(2.0).duration == pytest.approx(trace.duration / 2)
+    assert len(trace.truncated(0.5)) == 51
+    assert not trace.scaled(2.0)._times_np.flags.writeable
+
+
 def test_trace_mahimahi_round_trip(tmp_path):
     trace = CellularTrace([0.001, 0.002, 0.002, 0.01], name="rt")
     path = tmp_path / "trace.mahi"

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cc.base import AIMD
 from repro.cc.cubic import Cubic
 from repro.simulator.endpoints import DelayHop, Receiver, Sender
 from repro.simulator.engine import EventLoop
@@ -14,6 +13,7 @@ from repro.simulator.traffic import FixedSizeSource, RateLimitedSource
 from repro.core.ecn import receiver_echo
 from repro.core.router import ABCRouterQdisc
 from repro.core.sender import ABCWindowControl
+from tests.conftest import AIMD
 
 
 def build_loop(cc, rate_bps=10e6, buffer_packets=100, rtt=0.1,

@@ -524,6 +524,17 @@ def test_profile_tool_counts_mode(tmp_path, target):
     assert payload["garbage_objects_per_run"] == 0
 
 
+def test_profile_tool_setup_split():
+    proc = _run_tool("profile_hotpath.py", "--setup", "--metro", "abc:1",
+                     "--duration", "0.5")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert [row.split(maxsplit=2)[2] for row in rows] == [
+        "interpreter", "numpy import", "repro import", "trace synthesis",
+        "expand", "total"]
+    assert rows[-1].split()[1] == "100.0%"
+
+
 def test_profile_tool_bare_out_lands_in_run_dir(tmp_path):
     run_dir = tmp_path / "runs"
     proc = _run_tool("profile_hotpath.py", "--scheme", "abc",

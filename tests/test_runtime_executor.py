@@ -18,9 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
+from repro.cellular.synthetic import (SyntheticTraceConfig, synthetic_trace,
+                                      synthetic_trace_set)
+from repro.cellular.trace import CellularTrace
 from repro.core.params import ABCParams
 from repro.experiments.runner import run_cellular_sweep, sweep_averages
+from repro.runtime import cache as cache_module
 from repro.runtime.cache import ResultCache, stable_hash
 from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.runtime.spec import SweepSpec
@@ -166,6 +169,39 @@ def test_stable_hash_is_content_addressed():
         "5acc7245ad321fe06a0a6349bf2681283f31010eeea9bdb5f883ce17a2972b27")
     assert stable_hash(np.arange(4, dtype=np.int64)) == (
         "302efb4fef24acd2833b6dbff94e45dc8fb13cb3b0a8775c0e9154750fbf734c")
+
+
+def test_a_trace_is_keyed_by_its_float64_array():
+    trace = synthetic_trace_set(duration=3.0, seed=1,
+                                names=["Verizon-LTE-1"])["Verizon-LTE-1"]
+    times = np.array(trace.opportunity_times)
+    key = stable_hash(trace)
+    assert stable_hash(CellularTrace(times, name=trace.name)) == key
+    nudged = times.copy()
+    nudged[len(nudged) // 2] = np.nextafter(nudged[len(nudged) // 2], np.inf)
+    assert stable_hash(CellularTrace(nudged, name=trace.name)) != key
+    assert stable_hash(CellularTrace(times, name="renamed")) != key
+    assert stable_hash(CellularTrace(times, name=trace.name,
+                                     bytes_per_opportunity=1000)) != key
+    # Pinned so no trace key moves silently.
+    assert stable_hash(CellularTrace([0.0, 0.001, 0.0025], name="pin")) == (
+        "d8e1f7b10c082a9d61564c6c9dd6cb6bf3a20429bfc9d3f04251d7efc2e2d3ad")
+
+
+def test_hashing_a_trace_takes_a_fixed_number_of_steps(monkeypatch):
+    trace = synthetic_trace_set(duration=30.0, seed=1,
+                                names=["Verizon-LTE-1"])["Verizon-LTE-1"]
+    assert len(trace) > 10_000
+    calls = []
+    canonical = cache_module._canonical
+
+    def counted(obj):
+        calls.append(obj)
+        return canonical(obj)
+
+    monkeypatch.setattr(cache_module, "_canonical", counted)
+    stable_hash(trace)
+    assert len(calls) <= 10
 
 
 # ------------------------------------------------------------ import surface

@@ -100,3 +100,56 @@ def test_stability_sweep_experiment():
     assert sweep[1.33].theoretically_stable
     assert sweep[1.33].fluid_converged
     assert sweep[0.2].fluid_oscillation_s > sweep[1.33].fluid_oscillation_s
+
+
+
+# ------------------------------------------------------------ packet vs fluid
+#: Measured over the cases below (last 10 s of 20 s runs): utilisation
+#: 0.000-0.017 below ``equilibrium_rate_fraction`` and never above it, so the
+#: band is 0.025 below (0.008 margin) to 0.002 above.
+UTIL_BELOW, UTIL_ABOVE = 0.025, 0.002
+#: Where A > 0 the median queuing delay was 1.2-9.6 ms below x* and never
+#: above it: the band is x* - 12 ms (2.4 ms margin) to x* + 2 ms.  Where
+#: A <= 0 it was <= 1 ms (one MTU's service time at 12 Mbit/s): <= 2 ms.
+DELAY_BELOW_S, DELAY_ABOVE_S, IDLE_DELAY_S = 0.012, 0.002, 0.002
+
+#: A = +0.02, the smallest positive drift of the grid.  The packet run
+#: alternates between a standing queue near x* (21 ms) and an almost empty
+#: one (1-3 ms) about every 8 s, which the fluid model does not predict:
+#: the last-10 s median is 3 ms against x* = 22.7 ms.
+_LIMIT_CYCLE = pytest.mark.xfail(
+    strict=True, reason="slow queue limit cycle at small positive drift: "
+                        "median queuing delay 3 ms against x* = 22.7 ms")
+
+
+@pytest.mark.parametrize("rate_bps,rtt,flows", [
+    pytest.param(rate, rtt, flows, id=f"{rate / 1e6:g}M-{rtt * 1e3:g}ms-{flows}",
+                 marks=_LIMIT_CYCLE if (rate, rtt, flows) == (12e6, 0.05, 2)
+                 else ())
+    for rate in (12e6, 24e6) for rtt in (0.05, 0.1) for flows in (1, 2, 8)])
+def test_packet_simulator_lands_on_the_fluid_fixed_point(rate_bps, rtt, flows):
+    """ABC on a constant link settles where Appendix A's fluid model says:
+    utilisation at ``equilibrium_rate_fraction``, and the median queuing
+    delay at ``fixed_point`` (an empty queue when the drift A <= 0)."""
+    from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec,
+                                                 build, link_spec_from)
+
+    built = build(ScenarioSpec(
+        scheme="abc", duration=20.0,
+        links=[link_spec_from(rate_bps, name="bottleneck")],
+        flows=[FlowSpec(rtt=rtt) for _ in range(flows)]))
+    result = built.scenario.run(20.0)
+    utilisation = result.link_utilization(built.scenario.links[0], t0=10.0)
+    delays = [delay for flow in built.flows
+              for t, delay in zip(flow.stats.recv_times,
+                                  flow.stats.queuing_delays) if t >= 10.0]
+    median_delay = float(np.median(delays))
+
+    model = FluidModel(tau=rtt, num_flows=flows, capacity_bps=rate_bps)
+    eta_star = model.equilibrium_rate_fraction()
+    assert eta_star - UTIL_BELOW <= utilisation <= eta_star + UTIL_ABOVE
+    if model.drift <= 0:
+        assert median_delay <= IDLE_DELAY_S
+    else:
+        x_star = model.fixed_point()
+        assert x_star - DELAY_BELOW_S <= median_delay <= x_star + DELAY_ABOVE_S

@@ -27,6 +27,16 @@ row comes from a second, untraced pass with the collector off: the cyclic
 garbage objects a run leaves behind once its results are dropped (0 — a
 finished scenario is unwired by ``Scenario.run`` and freed by refcounting).
 
+``--setup`` times what a fresh interpreter pays before the first job instead:
+interpreter start-up and exit, the ``numpy`` import, the ``repro`` import,
+trace synthesis and ``expand()`` (trace-store registration and job
+construction), as the median of ``SETUP_LAUNCHES`` launches.  It runs the
+``--metro`` city, or else the Fig. 9 grid (every scheme over the eight-trace
+set) at ``--duration``::
+
+    PYTHONPATH=src python tools/profile_hotpath.py --setup --duration 30
+    PYTHONPATH=src python tools/profile_hotpath.py --setup --metro MIX --duration 8
+
 A saved ``--out`` file can be explored interactively with
 ``python -m pstats profile.pstats`` or rendered by snakeviz/gprof2dot.  A
 ``.json`` suffix writes the top rows as JSON instead (schema below), so a
@@ -41,9 +51,13 @@ import argparse
 import cProfile
 import gc
 import json
+import os
 import pstats
+import subprocess
 import sys
+import time
 from pathlib import Path
+from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -52,6 +66,25 @@ from repro.obs.manifest import in_run_dir  # noqa: E402
 #: Cells in a ``--metro`` city: two square-wave sectors and two trace-driven
 #: cells, enough for every link model and a few dozen churning flows.
 METRO_CELLS = 4
+#: Fresh interpreters behind each ``--setup`` row (the median is printed).
+SETUP_LAUNCHES = 5
+
+#: Run by ``--setup`` in a fresh interpreter: each stage's end is marked,
+#: and the marks are printed as JSON.
+SETUP_PROBE = """\
+import json, time
+marks = [time.perf_counter()]
+import numpy
+marks.append(time.perf_counter())
+{imports}
+marks.append(time.perf_counter())
+spec = {spec}
+marks.append(time.perf_counter())
+spec.expand()
+marks.append(time.perf_counter())
+print(json.dumps(marks))
+"""
+SETUP_STAGES = ("numpy import", "repro import", "trace synthesis", "expand")
 
 
 def scenario_workload(scheme: str, duration: float):
@@ -71,6 +104,48 @@ def metro_workload(mix: str, duration: float):
     _cells, jobs = metro_pack(METRO_CELLS, mixes=(mix,),
                               duration=duration).expand()
     return lambda: [job.run() for job in jobs]
+
+
+def setup_probe(mix: str | None, duration: float) -> str:
+    """The ``SETUP_PROBE`` for a metro city (``mix``) or the Fig. 9 grid."""
+    if mix is not None:
+        return SETUP_PROBE.format(
+            imports="from repro.metro.spec import metro_pack",
+            spec=f"metro_pack({METRO_CELLS}, mixes=({mix!r},), "
+                 f"duration={duration!r})")
+    return SETUP_PROBE.format(
+        imports="from repro.cellular.synthetic import synthetic_trace_set\n"
+                "from repro.experiments.pareto import DEFAULT_SCHEMES\n"
+                "from repro.runtime.spec import SweepSpec",
+        spec=f"SweepSpec(schemes=list(DEFAULT_SCHEMES), duration={duration!r}, "
+             f"traces=synthetic_trace_set(duration={duration!r}, seed=1))")
+
+
+def setup_split(code: str) -> dict:
+    """Median seconds per set-up stage over ``SETUP_LAUNCHES`` fresh
+    interpreters; ``interpreter`` is each launch's wall time outside the
+    marked stages (start-up and exit)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    launches = []
+    for _ in range(SETUP_LAUNCHES):
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        wall = time.perf_counter() - t0
+        marks = json.loads(out.splitlines()[-1])
+        stages = [b - a for a, b in zip(marks, marks[1:])]
+        launches.append([wall - (marks[-1] - marks[0]), *stages, wall])
+    names = ("interpreter", *SETUP_STAGES, "total")
+    return {name: median(launch[i] for launch in launches)
+            for i, name in enumerate(names)}
+
+
+def print_setup(split: dict) -> None:
+    print("        ms   share  stage")
+    for name, seconds in split.items():
+        print(f"   {seconds * 1e3:7.1f}  {seconds / split['total']:6.1%}  {name}")
 
 
 def profile(workload) -> cProfile.Profile:
@@ -234,12 +309,25 @@ def main(argv=None) -> int:
                              "delivered MTU inside Scenario.run instead of "
                              "timing (deterministic; --sort calls orders by "
                              "Python calls; --out writes the rows as JSON)")
+    parser.add_argument("--setup", action="store_true",
+                        help="time a fresh interpreter's set-up instead: "
+                             "interpreter, numpy import, repro import, trace "
+                             "synthesis and expand() for the --metro city or "
+                             "the Fig. 9 grid")
     parser.add_argument("--out", type=Path, default=None,
                         help="also dump the profile to this file: raw pstats "
                              "data, or top-N rows as JSON for a .json suffix "
                              "(a bare filename lands in REPRO_RUN_DIR when "
                              "that is set)")
     args = parser.parse_args(argv)
+
+    if args.setup:
+        what = (f"metro city {args.metro}, {METRO_CELLS} cells"
+                if args.metro is not None else "Fig. 9 grid, 8 traces")
+        print(f"=== set-up split: {what} x {args.duration:g}s (median of "
+              f"{SETUP_LAUNCHES} fresh interpreters) ===")
+        print_setup(setup_split(setup_probe(args.metro, args.duration)))
+        return 0
 
     if args.metro is not None:
         workload = metro_workload(args.metro, args.duration)
