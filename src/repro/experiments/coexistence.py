@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.analysis.stats import SeedResultSet
 from repro.experiments.runner import run_seed_grid
-from repro.experiments.scenario_spec import (FlowSpec, LinkSpec,
-                                             ScenarioSpec, build)
+from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
+                                             LinkSpec, ScenarioSpec, spec_job)
 from repro.runtime.executor import SweepExecutor, SweepJob
 
 
@@ -55,31 +55,32 @@ def _default_wireless_steps(duration: float, period: float = 5.0,
             for index in range(math.ceil(duration / period))]
 
 
-def fig6_cell(duration: float, wired_mbps: float, rtt: float,
-              sample_interval: float, cross_traffic: bool,
-              cross_schedule: Optional[Sequence[tuple]] = None,
-              seed: int = 0) -> DualBottleneckTrace:
-    """The Fig. 6 / Fig. 11 experiment (deterministic: ``seed`` is unused).
-
-    Module-level with plain picklable kwargs so the entry points can route it
-    through the sweep executor (pool fan-out + result cache).
-    """
-    del seed  # kept in the signature so cached results keep their keys
+def fig6_spec(duration: float, wired_mbps: float, rtt: float,
+              cross_schedule: Optional[Sequence[Sequence[float]]] = None
+              ) -> ScenarioSpec:
+    """The Fig. 6 topology; with ``cross_schedule`` (``[start, stop]``
+    intervals) the on-off Cubic flow of Fig. 11 rides the wired hop only, as
+    in the paper."""
     flows = [FlowSpec(rtt=rtt, label="abc")]
-    if cross_traffic:
-        if cross_schedule is None:
-            third = duration / 3.0
-            cross_schedule = [(third, 2 * third), (2 * third + 1e-9, duration)]
-        # One on-off Cubic flow on the wired hop only, as in the paper.
+    if cross_schedule is not None:
         flows.append(FlowSpec(cc="cubic", rtt=rtt, path=[1], label="cross",
                               on_off=[list(on) for on in cross_schedule]))
-    built = build(ScenarioSpec(
+    return ScenarioSpec(
         scheme="abc", duration=duration, flows=flows, links=[
             LinkSpec("stepped", {"steps": _default_wireless_steps(duration)},
                      buffer_packets=500, name="wireless"),
             LinkSpec("constant", {"rate_bps": wired_mbps * 1e6},
-                     buffer_packets=100, role="wired", name="wired")]))
+                     buffer_packets=100, role="wired", name="wired")])
+
+
+def fig6_summary(built: BuiltScenario, wired_mbps: float,
+                 sample_interval: float) -> DualBottleneckTrace:
+    """Run a :func:`fig6_spec` scenario, sampling the ABC flow's two windows
+    and the wireless rate every ``sample_interval`` (the ``fig6`` summary)."""
     scenario, abc_flow = built.scenario, built.flows[0]
+    duration = built.spec.duration
+    cross_schedule = [on for flow in built.spec.flows[1:]
+                      for on in flow.on_off]
 
     # Sample windows and rates while the simulation runs.
     samples: List[tuple] = []
@@ -104,7 +105,7 @@ def fig6_cell(duration: float, wired_mbps: float, rtt: float,
     for i in range(n):
         now = times[i]
         fair_share = wired_mbps
-        if cross_traffic and any(start <= now < stop for start, stop in cross_schedule):
+        if any(start <= now < stop for start, stop in cross_schedule):
             fair_share = wired_mbps / 2.0
         ideal.append(min(wireless_rate[i], fair_share))
     ideal_arr = np.array(ideal)
@@ -143,18 +144,14 @@ def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
     ``REPRO_JOBS``/``REPRO_CACHE_DIR`` like the sweep figures.  The topology
     is deterministic, so its seed list is pinned to ``(0,)``.
     """
-    schedule = (None if cross_schedule is None
-                else [tuple(interval) for interval in cross_schedule])
-
-    def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [SweepJob(func=fig6_cell,
-                         kwargs=dict(duration=duration, wired_mbps=wired_mbps,
-                                     rtt=rtt, sample_interval=sample_interval,
-                                     cross_traffic=cross_traffic,
-                                     cross_schedule=schedule, seed=s),
-                         label="fig11" if cross_traffic else "fig6")]
-
-    return run_seed_grid(jobs_for_seed, 0, (0,), executor)[0]
+    if cross_traffic and cross_schedule is None:
+        third = duration / 3.0
+        cross_schedule = [(third, 2 * third), (2 * third + 1e-9, duration)]
+    job = spec_job(fig6_spec(duration, wired_mbps, rtt,
+                             cross_schedule if cross_traffic else None),
+                   "fig6", "fig11" if cross_traffic else "fig6",
+                   wired_mbps=wired_mbps, sample_interval=sample_interval)
+    return run_seed_grid(lambda s: [job], 0, (0,), executor)[0]
 
 
 def fig11_cross_traffic(duration: float = 80.0, **kwargs) -> DualBottleneckTrace:
@@ -190,20 +187,6 @@ class CoexistenceResult:
         return (self.mean_cubic_mbps - self.mean_abc_mbps) / denom
 
 
-def fig7_cell(link_mbps: float, duration: float, rtt: float, stagger: float,
-              seed: int = 17) -> CoexistenceResult:
-    """One seed's run of the Fig. 7 staggered-arrival experiment.
-
-    Module-level (controller built inside) so the entry point can route it
-    through the sweep executor with plain picklable kwargs.
-    """
-    return _run_shared_bottleneck(
-        link_mbps=link_mbps, duration=duration, rtt=rtt,
-        n_abc=2, n_cubic=2, abc_starts=(0.0, stagger),
-        cubic_starts=(2 * stagger, 3 * stagger), strategy="maxmin",
-        short_flow_load=0.0, warmup=3 * stagger, seed=seed)
-
-
 def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0,
                                 rtt: float = 0.1, stagger: float = 30.0,
                                 executor: Optional[SweepExecutor] = None
@@ -214,25 +197,25 @@ def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0
     short-flow process, which Fig. 7 disables, so its seed list is pinned to
     ``(17,)``.
     """
-    def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [SweepJob(func=fig7_cell,
-                         kwargs=dict(link_mbps=link_mbps, duration=duration,
-                                     rtt=rtt, stagger=stagger, seed=s),
-                         label="fig7")]
-
-    return run_seed_grid(jobs_for_seed, 17, (17,), executor)[0]
+    job = spec_job(shared_bottleneck_spec(
+        link_mbps, duration, rtt, n_abc=2, n_cubic=2,
+        abc_starts=(0.0, stagger), cubic_starts=(2 * stagger, 3 * stagger)),
+        "coexistence", "fig7", n_abc=2, n_cubic=2, warmup=3 * stagger)
+    return run_seed_grid(lambda s: [job], 17, (17,), executor)[0]
 
 
-def _run_shared_bottleneck(link_mbps: float, duration: float, rtt: float,
-                           n_abc: int, n_cubic: int,
-                           strategy: str, short_flow_load: float,
+def shared_bottleneck_spec(link_mbps: float, duration: float, rtt: float,
+                           n_abc: int, n_cubic: int, strategy: str = "maxmin",
+                           short_flow_load: float = 0.0,
                            abc_starts: Optional[Sequence[float]] = None,
                            cubic_starts: Optional[Sequence[float]] = None,
                            short_flow_bytes: int = 50_000,
                            warmup: float = 5.0, seed: int = 17
-                           ) -> CoexistenceResult:
+                           ) -> ScenarioSpec:
     """ABC and Cubic flows on one dual-queue ABC bottleneck whose weight
-    controller is ``strategy`` (``"maxmin"`` or ``"zombie"``)."""
+    controller is ``strategy`` (``"maxmin"`` or ``"zombie"``), plus Poisson
+    arrivals of short Cubic flows (seeded by ``seed``) offering
+    ``short_flow_load`` of the link from ``warmup`` on."""
     flows = [FlowSpec(rtt=rtt, start_time=abc_starts[i] if abc_starts else 0.0,
                       label=f"abc-{i}") for i in range(n_abc)]
     flows += [FlowSpec(cc="cubic", rtt=rtt,
@@ -252,10 +235,17 @@ def _run_shared_bottleneck(link_mbps: float, duration: float, rtt: float,
             flows.append(FlowSpec(cc="cubic", rtt=rtt, start_time=float(t),
                                   size_bytes=short_flow_bytes, label="short"))
 
-    built = build(ScenarioSpec(
+    return ScenarioSpec(
         scheme="abc", duration=duration, flows=flows, links=[LinkSpec(
             "constant", {"rate_bps": link_mbps * 1e6}, buffer_packets=500,
-            name="shared", qdisc=strategy)]))
+            name="shared", qdisc=strategy)])
+
+
+def coexistence_summary(built: BuiltScenario, n_abc: int, n_cubic: int,
+                        warmup: float) -> CoexistenceResult:
+    """Run a :func:`shared_bottleneck_spec` scenario and measure its long
+    flows from ``warmup`` on (the ``coexistence`` summary)."""
+    duration = built.spec.duration
     built.scenario.run(duration)
     abc_flows = built.flows[:n_abc]
     cubic_flows = built.flows[n_abc:n_abc + n_cubic]
@@ -271,22 +261,6 @@ def _run_shared_bottleneck(link_mbps: float, duration: float, rtt: float,
         cubic_queuing_p95_ms=float(np.mean(cubic_q)) if cubic_q else 0.0,
         weight_history=list(built.scenario.links[0].qdisc.weight_history),
     )
-
-
-def coexistence_load_cell(load: float, strategy: str, link_mbps: float,
-                          duration: float, rtt: float, n_long: int,
-                          seed: int) -> CoexistenceResult:
-    """One offered-load cell of the Fig. 12 sweep.
-
-    The weight controller is built *inside* the cell from its ``strategy``
-    name, so the job's kwargs stay plain picklable values.
-    """
-    if strategy not in ("maxmin", "zombie"):
-        raise ValueError("strategy must be 'maxmin' or 'zombie'")
-    return _run_shared_bottleneck(
-        link_mbps=link_mbps, duration=duration, rtt=rtt,
-        n_abc=n_long, n_cubic=n_long, strategy=strategy,
-        short_flow_load=load, seed=seed)
 
 
 def coexistence_metrics(result: CoexistenceResult) -> Dict[str, float]:
@@ -320,13 +294,15 @@ def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5)
     """
     if strategy not in ("maxmin", "zombie"):
         raise ValueError("strategy must be 'maxmin' or 'zombie'")
+    warmup = 5.0  # short flows arrive, and long flows are measured, after it
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [SweepJob(func=coexistence_load_cell,
-                         kwargs=dict(load=load, strategy=strategy,
-                                     link_mbps=link_mbps, duration=duration,
-                                     rtt=rtt, n_long=n_long, seed=s),
-                         label=f"fig12/{strategy}/seed{s}/load{load:g}")
+        return [spec_job(shared_bottleneck_spec(
+                    link_mbps, duration, rtt, n_abc=n_long, n_cubic=n_long,
+                    strategy=strategy, short_flow_load=load, warmup=warmup,
+                    seed=s),
+                    "coexistence", f"fig12/{strategy}/seed{s}/load{load:g}",
+                    n_abc=n_long, n_cubic=n_long, warmup=warmup)
                 for load in loads]
 
     return dict(zip(loads, run_seed_grid(
@@ -345,24 +321,25 @@ class AppLimitedResult:
     app_limited_aggregate_mbps: float
 
 
-def fig13_cell(num_app_limited: int, aggregate_app_rate_mbps: float,
-               duration: float, rtt: float, seed: int) -> AppLimitedResult:
-    """One seed's run of the Fig. 13 experiment (module-level sweep job).
-
-    The seed drives the synthetic cellular trace, so the seed axis samples
-    genuinely different capacity processes.
-    """
+def app_limited_spec(num_app_limited: int, aggregate_app_rate_mbps: float,
+                     duration: float, rtt: float, seed: int) -> ScenarioSpec:
+    """One backlogged ABC flow plus ``num_app_limited`` application-limited
+    ABC flows on a synthetic cellular link whose trace ``seed`` drives."""
     per_flow_rate = aggregate_app_rate_mbps * 1e6 / num_app_limited
     flows = [FlowSpec(rtt=rtt, label="backlogged")]
     flows += [FlowSpec(rtt=rtt, app_rate_bps=per_flow_rate, label=f"app-{i}")
               for i in range(num_app_limited)]
-    built = build(ScenarioSpec(
+    return ScenarioSpec(
         scheme="abc", duration=duration, flows=flows, links=[LinkSpec(
             "cellular", {"mean_rate_bps": 12e6, "min_rate_bps": 2e6,
                          "max_rate_bps": 24e6, "volatility": 0.2,
                          "outage_rate_per_s": 0.0, "trace_seed": seed},
-            buffer_packets=500, name="cell")]))
-    result = built.scenario.run(duration)
+            buffer_packets=500, name="cell")])
+
+
+def app_limited_summary(built: BuiltScenario) -> AppLimitedResult:
+    """The ``app_limited`` summary: run an :func:`app_limited_spec` cell."""
+    result = built.scenario.run(built.spec.duration)
     link = built.scenario.links[0]
     backlogged, *app_flows = built.flows
     aggregate = sum(result.flow_throughput_bps(f) for f in app_flows) / 1e6
@@ -393,10 +370,9 @@ def fig13_app_limited(num_app_limited: int = 50,
     capacity processes.
     """
     def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [SweepJob(func=fig13_cell,
-                         kwargs=dict(num_app_limited=num_app_limited,
-                                     aggregate_app_rate_mbps=aggregate_app_rate_mbps,
-                                     duration=duration, rtt=rtt, seed=s),
-                         label=f"fig13/seed{s}")]
+        return [spec_job(app_limited_spec(num_app_limited,
+                                          aggregate_app_rate_mbps, duration,
+                                          rtt, s),
+                         "app_limited", f"fig13/seed{s}")]
 
     return run_seed_grid(jobs_for_seed, seed, seeds, executor)[0]

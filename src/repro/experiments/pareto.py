@@ -39,9 +39,11 @@ from repro.cellular.trace import CellularTrace
 from repro.experiments.runner import (EXPLICIT_SCHEMES, SCHEME_NAMES,
                                       SingleBottleneckResult,
                                       normalized_table, run_seed_grid,
-                                      run_spec_grid, sweep_averages)
+                                      run_spec_grid, single_bottleneck_spec,
+                                      sweep_averages)
+from repro.experiments.scenario_spec import spec_job
 from repro.runtime.executor import SweepExecutor, SweepJob
-from repro.runtime.spec import SweepSpec, sweep_cell, validate_schemes
+from repro.runtime.spec import SweepSpec, validate_schemes
 from repro.runtime.trace_store import register_trace
 
 #: Scheme subset used by default for the heavier sweeps (everything).
@@ -126,11 +128,10 @@ def fig8_pareto(schemes: Sequence[str] = DEFAULT_SCHEMES,
     validate_schemes(schemes)
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [SweepJob(func=sweep_cell,
-                         kwargs=dict(scheme=str(sch).lower(), link_spec=link,
-                                     rtt=rtt, duration=duration,
-                                     extra_links=extras, seed=0),
-                         label=f"seed{s}/{label}/{sch}")
+        return [spec_job(single_bottleneck_spec(
+                    sch, link, rtt=rtt, duration=duration,
+                    extra_links=extras), "single_bottleneck",
+                    f"seed{s}/{label}/{sch}")
                 for label, (link, extras) in zip(
                     FIG8_PANELS, _fig8_panel_links(duration, s))
                 for sch in schemes]
@@ -210,10 +211,9 @@ def fig18_rtt_sensitivity(schemes: Sequence[str] = ("abc", "cubic+codel",
                              synthetic_trace_set(
                                  duration=duration, seed=s,
                                  names=["Verizon-LTE-1"])["Verizon-LTE-1"])
-        return [SweepJob(func=sweep_cell,
-                         kwargs=dict(scheme=str(sch).lower(), link_spec=ref,
-                                     rtt=rtt, duration=duration, seed=0),
-                         label=f"seed{s}/rtt{rtt:g}/{sch}")
+        return [spec_job(single_bottleneck_spec(
+                    sch, ref, rtt=rtt, duration=duration),
+                    "single_bottleneck", f"seed{s}/rtt{rtt:g}/{sch}")
                 for rtt in rtts for sch in schemes]
 
     values = iter(run_seed_grid(jobs_for_seed, seed, seeds, executor))

@@ -2,7 +2,8 @@
 
 :func:`run_single_bottleneck` runs the standard one-flow-one-bottleneck
 cellular experiment (§6.2: 100 ms minimum RTT, 250-packet buffer) for one
-scheme label, built through :func:`repro.experiments.scenario_spec.build`.
+scheme label: :func:`single_bottleneck_spec` run through the
+``single_bottleneck`` summary, as in a sweep cell.
 
 Sweeps (:func:`run_cellular_sweep`) route through
 :class:`repro.runtime.executor.SweepExecutor`: every (scheme, trace, seed)
@@ -30,8 +31,9 @@ from repro.analysis.stats import (SeedResultSet, aggregate_values,
 from repro.cellular.trace import CellularTrace
 from repro.config import resolve_seeds
 from repro.core.params import ABCParams
-from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec, build,
-                                             link_spec_from)
+from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
+                                             ScenarioSpec, build,
+                                             link_spec_from, spec_cell)
 from repro.obs.manifest import build_manifest, run_dir, write_manifest
 from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.runtime.spec import SweepCell, SweepSpec
@@ -62,13 +64,12 @@ class SingleBottleneckResult:
     extra: dict = field(default_factory=dict)
 
 
-def run_single_bottleneck(scheme: str, link_spec: Any,
-                          rtt: float = 0.1, duration: float = 30.0,
-                          buffer_packets: int = 250,
-                          abc_params: Optional[ABCParams] = None,
-                          warmup: float = 0.0,
-                          extra_links: Sequence[Any] = (),
-                          seed: int = 0) -> SingleBottleneckResult:
+def single_bottleneck_spec(scheme: str, link_spec: Any, rtt: float = 0.1,
+                           duration: float = 30.0,
+                           buffer_packets: int = 250,
+                           abc_params: Optional[ABCParams] = None,
+                           extra_links: Sequence[Any] = (),
+                           seed: int = 0) -> ScenarioSpec:
     """One backlogged flow of ``scheme`` over one (or more) bottleneck links.
 
     ``link_spec`` is any value
@@ -81,12 +82,17 @@ def run_single_bottleneck(scheme: str, link_spec: Any,
     links = [link_spec_from(link, buffer_packets=buffer_packets,
                             name=f"bottleneck-{index}" if index else "bottleneck")
              for index, link in enumerate((link_spec, *extra_links))]
-    built = build(ScenarioSpec(scheme=name, duration=duration, links=links,
-                               flows=[FlowSpec(rtt=rtt, label=name)],
-                               sim_seed=seed, abc_params=abc_params))
-    scenario, flow = built.scenario, built.flows[0]
-    result = scenario.run(duration)
+    return ScenarioSpec(scheme=name, duration=duration, links=links,
+                        flows=[FlowSpec(rtt=rtt, label=name)], sim_seed=seed,
+                        abc_params=abc_params)
 
+
+def single_bottleneck_summary(built: BuiltScenario,
+                              warmup: float = 0.0) -> SingleBottleneckResult:
+    """Run a :func:`single_bottleneck_spec` scenario and measure its flow
+    from ``warmup`` on (the ``single_bottleneck`` summary)."""
+    scenario, flow = built.scenario, built.flows[0]
+    result = scenario.run(built.spec.duration)
     stats = flow.stats
     # The flow's utilisation is measured against the *last* bottleneck it
     # traverses when there are several (the paper reports end-to-end
@@ -94,20 +100,37 @@ def run_single_bottleneck(scheme: str, link_spec: Any,
     # that link.
     per_link_utilization = [result.link_utilization(link, t0=warmup)
                             for link in scenario.links]
-    min_util = min(per_link_utilization)
     return SingleBottleneckResult(
-        scheme=name,
-        trace=links[0].display_name(),
+        scheme=built.spec.scheme,
+        trace=built.spec.links[0].display_name(),
         throughput_bps=result.flow_throughput_bps(flow, t0=warmup),
-        utilization=min_util,
+        utilization=min(per_link_utilization),
         delay_p95_ms=stats.delay_percentile(95) * 1000.0,
         delay_mean_ms=stats.mean_delay() * 1000.0,
         queuing_p95_ms=stats.delay_percentile(95, kind="queuing") * 1000.0,
         queuing_mean_ms=stats.mean_delay(kind="queuing") * 1000.0,
         drops=result.link_drops(scenario.links[0]),
-        extra={"flow": flow, "scenario": scenario, "links": scenario.links,
-               "per_link_utilization": per_link_utilization},
+        extra={"per_link_utilization": per_link_utilization},
     )
+
+
+def run_single_bottleneck(scheme: str, link_spec: Any, rtt: float = 0.1,
+                          duration: float = 30.0, buffer_packets: int = 250,
+                          abc_params: Optional[ABCParams] = None,
+                          warmup: float = 0.0,
+                          extra_links: Sequence[Any] = (),
+                          seed: int = 0) -> SingleBottleneckResult:
+    """:func:`single_bottleneck_spec`, built and run in this process; the
+    result's ``extra`` also holds the live ``flow``, ``scenario`` and
+    ``links``."""
+    built = build(single_bottleneck_spec(
+        scheme, link_spec, rtt=rtt, duration=duration,
+        buffer_packets=buffer_packets, abc_params=abc_params,
+        extra_links=extra_links, seed=seed))
+    result = single_bottleneck_summary(built, warmup)
+    result.extra.update(flow=built.flows[0], scenario=built.scenario,
+                        links=built.scenario.links)
+    return result
 
 
 def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
@@ -129,7 +152,9 @@ def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
     which also leaves ``REPRO_SEEDS`` out of it.
 
     When ``REPRO_RUN_DIR`` is set, one ``figure`` manifest per call records
-    the seed list, the job labels and the executor's run.
+    the seed list, the job labels, each :func:`spec_cell` job's kwargs (its
+    spec, summary and summary arguments: enough to replay the cell) and the
+    executor's run.
     """
     seeds = resolve_seeds(seeds) or (default_seed,)
     if executor is None:
@@ -139,8 +164,11 @@ def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
     directory = run_dir()
     if directory is not None:
         write_manifest(build_manifest(
-            "figure", spec={"seeds": list(seeds),
-                            "jobs": [job.label for job in sweep_jobs]},
+            "figure", spec={
+                "seeds": list(seeds),
+                "jobs": [job.label for job in sweep_jobs],
+                "cells": [job.kwargs if job.func is spec_cell else None
+                          for job in sweep_jobs]},
             executor=executor), directory)
     if len(seeds) == 1:
         return results

@@ -3,78 +3,52 @@
 A :class:`ScenarioSpec` is plain, JSON-serialisable data: a scheme label, a
 duration, the hops of the data path (:class:`LinkSpec`) and the flows
 (:class:`FlowSpec`).  :func:`build` is the one function that turns it into
-a wired, not yet run, :class:`~repro.simulator.scenario.Scenario`.  The
-figure cells, the metro cell and the fuzzer all describe their topology this
-way, so any of them can travel in a sweep job, be shrunk, replayed from JSON
-or diffed.  Only the Wi-Fi MAC experiments
-(:mod:`repro.experiments.wifi_eval`) wire by hand.
+a wired, not yet run, :class:`~repro.simulator.scenario.Scenario`.
+
+:func:`spec_cell` is the one sweep job function: a spec, built in the
+parent, plus the name of a *summary* (:mod:`repro.experiments.summaries`)
+that runs it into the figure's result, so a cell's spec is in its cache key
+and its ``figure`` manifest and replays from there.  Only Fig. 4's probe
+(:func:`repro.experiments.wifi_eval.fig4_inter_ack`) wires by hand.
 
 A *scheme* is a sender-side congestion controller plus the queueing
 discipline at the bottleneck (Cubic runs over a deep drop-tail buffer,
 "Cubic+Codel" over CoDel, ABC and the explicit schemes bring their own
-router); :data:`SCHEMES` maps each label to both halves.  A link's ``qdisc``
-is the scheme's own by default, drop-tail on a ``wired`` hop, or the
-two-queue ABC scheduler of Figs. 7 / 12 with its ``maxmin`` or ``zombie``
-weight controller.
+router); :data:`SCHEMES` maps each label to its sender, and :func:`build`
+makes the qdisc.  A link's ``qdisc`` is the scheme's own by default,
+drop-tail on a ``wired`` hop, or the two-queue ABC scheduler of Figs. 7 / 12
+with its ``maxmin`` or ``zombie`` weight controller.
 
 :func:`link_spec_from` is the one converter from the ``link_spec`` values
-the entry points accept: a rate in bit/s, a ``ConstantRate`` /
-``SquareWaveRate`` / ``SteppedRate``, a
-:class:`~repro.cellular.trace.CellularTrace`, a
-:class:`~repro.runtime.trace_store.TraceRef`, a ``("square", low_bps,
-high_bps, half_period)`` tuple or a list of opportunity times.
+the entry points accept: a rate in bit/s, a
+:class:`~repro.cellular.trace.CellularTrace` (registered with the trace
+store), a :class:`~repro.runtime.trace_store.TraceRef`, or a
+:class:`LinkSpec`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.aqm.codel import CoDelQdisc
-from repro.aqm.droptail import DropTailQdisc
-from repro.aqm.pie import PIEQdisc
 from repro.cc.registry import available_schemes, make_cc
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.cellular.trace import CellularTrace
-from repro.core.coexistence import (DualQueueABCQdisc, MaxMinWeightController,
-                                    ZombieListWeightController)
 from repro.core.params import ABCParams, CELLULAR_DEFAULTS
-from repro.core.pk_abc import PKABCRouterQdisc
-from repro.core.router import ABCRouterQdisc
-from repro.explicit.rcp import RCPRouterQdisc
-from repro.explicit.vcp import VCPRouterQdisc
-from repro.explicit.xcp import XCPRouterQdisc
-from repro.runtime.trace_store import TraceRef
-from repro.simulator.link import ConstantRate, SquareWaveRate, SteppedRate
-from repro.simulator.scenario import Flow, Scenario
-from repro.simulator.traffic import (FixedSizeSource, OnOffSource,
-                                     RateLimitedSource)
+from repro.runtime.executor import SweepJob
+from repro.runtime.trace_store import TraceRef, get_trace, register_trace
 
+if TYPE_CHECKING:  # the simulator is imported by build: a spec needs none of it
+    from repro.simulator.scenario import Flow, Scenario
 
-def _droptail(params, buffer_packets, seed):
-    return DropTailQdisc(buffer_packets=buffer_packets)
-
-
-#: Scheme label → (its sender's ``make_cc`` name, its bottleneck qdisc
-#: factory ``(abc_params, buffer_packets, sim_seed) -> Qdisc``).
-SCHEMES = {
-    "abc": ("abc", lambda p, b, s: ABCRouterQdisc(params=p, buffer_packets=b)),
-    "pk-abc": ("abc", lambda p, b, s: PKABCRouterQdisc(params=p,
-                                                       buffer_packets=b)),
-    "abc-enqueue": ("abc", lambda p, b, s: ABCRouterQdisc(
-        params=p, buffer_packets=b, feedback_basis="enqueue")),
-    "cubic": ("cubic", _droptail),
-    "cubic+codel": ("cubic", lambda p, b, s: CoDelQdisc(buffer_packets=b)),
-    "cubic+pie": ("cubic", lambda p, b, s: PIEQdisc(buffer_packets=b, seed=s)),
-    **{name: (name, _droptail) for name in
-       ("newreno", "vegas", "copa", "bbr", "pcc", "sprout", "verus")},
-    "xcp": ("xcp", lambda p, b, s: XCPRouterQdisc(buffer_packets=b)),
-    "xcpw": ("xcp", lambda p, b, s: XCPRouterQdisc(buffer_packets=b,
-                                                   wireless=True)),
-    "rcp": ("rcp", lambda p, b, s: RCPRouterQdisc(buffer_packets=b)),
-    "vcp": ("vcp", lambda p, b, s: VCPRouterQdisc(buffer_packets=b)),
-}
+#: Scheme label → its sender's ``make_cc`` name (:func:`_qdisc` builds its
+#: bottleneck qdisc).
+SCHEMES = {"abc": "abc", "pk-abc": "abc", "abc-enqueue": "abc",
+           **{name: "cubic" for name in ("cubic", "cubic+codel", "cubic+pie")},
+           **{name: name for name in ("newreno", "vegas", "copa", "bbr", "pcc",
+                                      "sprout", "verus", "xcp", "rcp", "vcp")},
+           "xcpw": "xcp"}
 
 #: Schemes whose bottleneck qdisc tolerates foreign loss-based cross-traffic
 #: (drop-tail/AQM queues, plus the ABC router which the paper's coexistence
@@ -91,11 +65,7 @@ NATIVE = "native"
 LINK_KINDS = {"constant": ("rate_bps",),
               "square": ("low_bps", "high_bps", "half_period"),
               "cellular": ("mean_rate_bps", "min_rate_bps", "max_rate_bps"),
-              "stepped": ("steps",), "trace": ("times",)}
-
-#: Dual-queue weight controllers by ``LinkSpec.qdisc`` label.
-_CONTROLLERS = {"maxmin": MaxMinWeightController,
-                "zombie": ZombieListWeightController}
+              "stepped": ("steps",), "trace_ref": ("key",), "wifi": ("mcs",)}
 
 #: Fields a fuzz spec never sets: left at ``None`` they are not encoded, so
 #: fuzz specs (job kwargs, reports, corpus entries) encode as they always have.
@@ -108,7 +78,7 @@ def _encoded(items) -> dict:
 
 
 def _given(value) -> bool:
-    return bool(value) if isinstance(value, list) else (value or 0) > 0
+    return bool(value) if isinstance(value, (list, str)) else (value or 0) > 0
 
 
 @dataclass
@@ -119,8 +89,11 @@ class LinkSpec:
     ``square`` (optionally ``start_low``), ``stepped`` (``[start_s,
     rate_bps]`` pairs), ``cellular`` (a
     :class:`~repro.cellular.synthetic.SyntheticTraceConfig` subset plus
-    ``trace_seed``, synthesised for the scenario's duration) or ``trace``
-    (opportunity ``times``, optionally a ``name``).  ``role`` is
+    ``trace_seed``, synthesised for the scenario's duration), ``trace_ref``
+    (a registered trace's store ``key`` and ``name``) or ``wifi`` (``mcs``
+    is ``["fixed", index]``, ``["alternating", low, high, period]`` or
+    ``["brownian", min, max, period, seed]``, plus ``mac_seed`` and
+    ``estimator``: the rate estimator an ABC router reads).  ``role`` is
     ``bottleneck`` or ``wired``; ``name`` defaults to ``"{role}-{index}"``.
     """
 
@@ -138,12 +111,14 @@ class LinkSpec:
             raise ValueError(f"unknown link kind {self.kind!r}")
         if self.role not in ("bottleneck", "wired"):
             raise ValueError(f"unknown link role {self.role!r}")
-        if self.qdisc not in (None, "droptail", *_CONTROLLERS):
+        if self.qdisc not in (None, "droptail", "maxmin", "zombie"):
             raise ValueError(f"unknown qdisc {self.qdisc!r}")
         if self.buffer_packets <= 0:
             raise ValueError("buffer_packets must be positive")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
+        if self.kind == "wifi" and self.loss_rate:
+            raise ValueError("a wifi link has no random loss")
         missing = [key for key in LINK_KINDS[self.kind]
                    if not _given(self.params.get(key))]
         if missing:
@@ -154,7 +129,7 @@ class LinkSpec:
         name, else the kind and its parameters."""
         if self.kind == "constant":
             return str(self.params["rate_bps"])
-        if self.kind == "trace":
+        if self.kind == "trace_ref":
             return self.params.get("name", "trace")
         return f"{self.kind}{sorted(self.params.items())}"
 
@@ -266,30 +241,18 @@ class ScenarioSpec:
 
 
 def link_spec_from(value: Any, **fields: Any) -> LinkSpec:
-    """The :class:`LinkSpec` of a legacy ``link_spec`` value (see the module
+    """The :class:`LinkSpec` of a ``link_spec`` value (see the module
     docstring); ``fields`` are its other :class:`LinkSpec` fields."""
-    if isinstance(value, TraceRef):
-        value = value.resolve()
+    if isinstance(value, LinkSpec):
+        return dataclasses.replace(value, **fields)
     if isinstance(value, CellularTrace):
-        params = {"name": value.name, "times": list(value.opportunity_times)}
-        return LinkSpec("trace", params, **fields)
+        value = register_trace(value)
+    if isinstance(value, TraceRef):
+        params = {"key": value.key, "name": value.name}
+        return LinkSpec("trace_ref", params, **fields)
     if isinstance(value, (int, float)):
         return LinkSpec("constant", {"rate_bps": value}, **fields)
-    if isinstance(value, ConstantRate):
-        return LinkSpec("constant", {"rate_bps": value.rate_bps}, **fields)
-    if isinstance(value, SteppedRate):
-        steps = [[t, rate] for t, rate in zip(value._times, value._rates)]
-        return LinkSpec("stepped", {"steps": steps}, **fields)
-    if isinstance(value, SquareWaveRate):
-        value = ("square", value.low_bps, value.high_bps, value.half_period,
-                 value.start_low)
-    if isinstance(value, tuple) and value[:1] == ("square",):
-        params = dict(zip(("low_bps", "high_bps", "half_period"),
-                          map(float, value[1:4])))
-        if value[4:] == (True,):
-            params["start_low"] = True
-        return LinkSpec("square", params, **fields)
-    return LinkSpec("trace", {"times": list(value)}, **fields)
+    raise TypeError(f"no link spec for {type(value).__name__}")
 
 
 @dataclass
@@ -301,24 +264,69 @@ class BuiltScenario:
     flows: List[Flow]
 
 
+def _qdisc(link: LinkSpec, spec: ScenarioSpec, params: ABCParams):
+    """``link``'s qdisc: its ``qdisc`` label, drop-tail on a wired hop, else
+    the scheme's bottleneck qdisc (imported here, so a spec needs none)."""
+    from repro.aqm.codel import CoDelQdisc
+    from repro.aqm.droptail import DropTailQdisc
+    from repro.aqm.pie import PIEQdisc
+    from repro.core import coexistence
+    from repro.core.pk_abc import PKABCRouterQdisc
+    from repro.core.router import ABCRouterQdisc
+    from repro.explicit.rcp import RCPRouterQdisc
+    from repro.explicit.vcp import VCPRouterQdisc
+    from repro.explicit.xcp import XCPRouterQdisc
+
+    b = link.buffer_packets
+    label = link.qdisc or ("droptail" if link.role == "wired" else spec.scheme)
+    controllers = {"maxmin": coexistence.MaxMinWeightController,
+                   "zombie": coexistence.ZombieListWeightController}
+    if label in controllers:
+        return coexistence.DualQueueABCQdisc(
+            params=params, buffer_packets=b,
+            controller=controllers[label](interval=1.0))
+    return {"abc": lambda: ABCRouterQdisc(params=params, buffer_packets=b),
+            "pk-abc": lambda: PKABCRouterQdisc(params=params,
+                                               buffer_packets=b),
+            "abc-enqueue": lambda: ABCRouterQdisc(
+                params=params, buffer_packets=b, feedback_basis="enqueue"),
+            "cubic+codel": lambda: CoDelQdisc(buffer_packets=b),
+            "cubic+pie": lambda: PIEQdisc(buffer_packets=b,
+                                          seed=spec.sim_seed),
+            "xcp": lambda: XCPRouterQdisc(buffer_packets=b),
+            "xcpw": lambda: XCPRouterQdisc(buffer_packets=b, wireless=True),
+            "rcp": lambda: RCPRouterQdisc(buffer_packets=b),
+            "vcp": lambda: VCPRouterQdisc(buffer_packets=b),
+            }.get(label, lambda: DropTailQdisc(buffer_packets=b))()
+
+
 def _add_link(scenario: Scenario, link: LinkSpec, index: int,
               spec: ScenarioSpec, params: ABCParams):
-    qdisc = link.qdisc or ("droptail" if link.role == "wired" else None)
-    if qdisc is None:
-        qdisc = SCHEMES[spec.scheme][1](params, link.buffer_packets,
-                                        spec.sim_seed)
-    elif qdisc == "droptail":
-        qdisc = DropTailQdisc(buffer_packets=link.buffer_packets)
-    else:
-        qdisc = DualQueueABCQdisc(
-            params=params, buffer_packets=link.buffer_packets,
-            controller=_CONTROLLERS[qdisc](interval=1.0))
+    qdisc = _qdisc(link, spec, params)
     name = link.name or f"{link.role}-{index}"
     kwargs = dict(qdisc=qdisc, name=name, loss_rate=link.loss_rate,
                   loss_seed=link.loss_seed)
     p = link.params
-    if link.kind == "trace":
-        return scenario.add_cellular_link(p["times"], **kwargs)
+    if link.kind == "trace_ref":
+        return scenario.add_cellular_link(get_trace(p["key"]), **kwargs)
+    if link.kind == "wifi":
+        from repro.core.router import ABCRouterQdisc
+        from repro.wifi import mcs
+        from repro.wifi.mac import WiFiLink, WiFiMacConfig
+        from repro.wifi.rate_estimator import WiFiRateEstimator
+
+        estimator = (WiFiRateEstimator(window=params.measurement_window)
+                     if p.get("estimator") else None)
+        if estimator is not None and isinstance(qdisc, ABCRouterQdisc):
+            qdisc.capacity_fn = estimator.capacity_fn()
+        schedule, *args = p["mcs"]
+        schedules = {"fixed": mcs.FixedMCSSchedule,
+                     "alternating": mcs.AlternatingMCSSchedule,
+                     "brownian": mcs.BrownianMCSSchedule}
+        return scenario.add_custom_link(WiFiLink(
+            scenario.env, mcs=schedules[schedule](*args),
+            config=WiFiMacConfig(seed=p.get("mac_seed", 0)), qdisc=qdisc,
+            estimator=estimator), name=name)
     if link.kind == "cellular":
         config = SyntheticTraceConfig(
             mean_rate_bps=p["mean_rate_bps"], min_rate_bps=p["min_rate_bps"],
@@ -329,6 +337,8 @@ def _add_link(scenario: Scenario, link: LinkSpec, index: int,
         trace = synthetic_trace(config, spec.duration,
                                 seed=int(p.get("trace_seed", 0)))
         return scenario.add_cellular_link(trace, **kwargs)
+    from repro.simulator.link import ConstantRate, SquareWaveRate, SteppedRate
+
     if link.kind == "constant":
         model = ConstantRate(p["rate_bps"])
     elif link.kind == "square":
@@ -340,6 +350,9 @@ def _add_link(scenario: Scenario, link: LinkSpec, index: int,
 
 
 def _source(flow: FlowSpec):
+    from repro.simulator.traffic import (FixedSizeSource, OnOffSource,
+                                         RateLimitedSource)
+
     if flow.size_bytes is not None:
         return FixedSizeSource(flow.size_bytes)
     if flow.app_rate_bps is not None:
@@ -360,13 +373,15 @@ def build(spec: ScenarioSpec) -> BuiltScenario:
     if spec.scheme not in SCHEMES:
         raise KeyError(f"unknown scheme {spec.scheme!r}; "
                        f"available: {sorted(SCHEMES)}")
+    from repro.simulator.scenario import Scenario
+
     params = spec.abc_params or CELLULAR_DEFAULTS
     scenario = Scenario()
     links = [_add_link(scenario, link, index, spec, params)
              for index, link in enumerate(spec.links)]
     flows = []
     for flow in spec.flows:
-        name = SCHEMES[spec.scheme][0] if flow.cc == NATIVE else flow.cc
+        name = SCHEMES[spec.scheme] if flow.cc == NATIVE else flow.cc
         cc = make_cc(name, params=params) if name == "abc" else make_cc(name)
         path = links if flow.path is None else [links[i] for i in flow.path]
         flows.append(scenario.add_flow(cc, path, rtt=flow.rtt,
@@ -374,3 +389,21 @@ def build(spec: ScenarioSpec) -> BuiltScenario:
                                        source=_source(flow),
                                        label=flow.label or flow.cc))
     return BuiltScenario(spec=spec, scenario=scenario, flows=flows)
+
+
+def spec_cell(spec: dict, summary: str, **summary_args) -> Any:
+    """The one sweep job function: build the JSON-able ``spec`` and hand it
+    to the summary named ``summary``, which runs it and returns the cell's
+    picklable result (the result cache keys on all three arguments)."""
+    # Late: the summaries live with their figures, which import this module.
+    from repro.experiments.summaries import SUMMARIES
+
+    return SUMMARIES[summary](build(ScenarioSpec.from_jsonable(spec)),
+                              **summary_args)
+
+
+def spec_job(spec: ScenarioSpec, summary: str, label: str,
+             **summary_args) -> SweepJob:
+    """The :class:`SweepJob` that runs ``spec`` through :func:`spec_cell`."""
+    return SweepJob(func=spec_cell, label=label, kwargs=dict(
+        spec=spec.to_jsonable(), summary=summary, **summary_args))

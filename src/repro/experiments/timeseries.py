@@ -24,10 +24,11 @@ import numpy as np
 from repro.analysis.stats import SeedAggregate, aggregate_metric_dicts
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.cellular.trace import CellularTrace
-from repro.experiments.runner import run_seed_grid, run_single_bottleneck
+from repro.experiments.runner import (run_seed_grid, single_bottleneck_spec,
+                                      single_bottleneck_summary)
+from repro.experiments.scenario_spec import BuiltScenario, LinkSpec, spec_job
 from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.runtime.trace_store import register_trace
-from repro.simulator.link import SquareWaveRate
 
 
 @dataclass
@@ -50,10 +51,14 @@ class TimeSeries:
     seed_stats: Optional[Dict[str, SeedAggregate]] = None
 
 
-def _timeseries_from_result(result, bin_size: float) -> TimeSeries:
-    flow = result.extra["flow"]
-    times, tput = flow.stats.throughput_timeseries(bin_size=bin_size)
-    qt, qd = flow.stats.queuing_delay_timeseries(bin_size=bin_size)
+def timeseries_summary(built: BuiltScenario,
+                       bin_size: float = 0.5) -> TimeSeries:
+    """Run a single-bottleneck scenario and bin its flow's stats into a
+    picklable :class:`TimeSeries` (the ``timeseries`` summary)."""
+    result = single_bottleneck_summary(built)
+    stats = built.flows[0].stats
+    times, tput = stats.throughput_timeseries(bin_size=bin_size)
+    qt, qd = stats.queuing_delay_timeseries(bin_size=bin_size)
     n = min(len(times), len(qt))
     return TimeSeries(
         scheme=result.scheme,
@@ -63,21 +68,6 @@ def _timeseries_from_result(result, bin_size: float) -> TimeSeries:
         utilization=result.utilization,
         queuing_p95_ms=result.queuing_p95_ms,
     )
-
-
-def timeseries_cell(scheme: str, link_spec, rtt: float, duration: float,
-                    buffer_packets: int = 250,
-                    bin_size: float = 0.5, seed: int = 0) -> TimeSeries:
-    """Run one scheme and bin its stats into a picklable :class:`TimeSeries`.
-
-    Module-level (and binning *inside* the job) so the live flow/scenario
-    objects never cross a process boundary when the sweep runs on a pool.
-    ``link_spec`` may be a :class:`~repro.runtime.trace_store.TraceRef`.
-    """
-    result = run_single_bottleneck(scheme, link_spec,
-                                   rtt=rtt, duration=duration,
-                                   buffer_packets=buffer_packets, seed=seed)
-    return _timeseries_from_result(result, bin_size)
 
 
 def _combine_seed_series(series_list: Sequence[TimeSeries],
@@ -124,12 +114,10 @@ def fig1_timeseries(schemes: Sequence[str] = ("cubic", "verus", "cubic+codel", "
             duration=duration, seed=s)
         _, capacities[s] = trace_s.rate_timeseries(bin_size=bin_size)
         ref = register_trace(trace_s)
-        return [SweepJob(func=timeseries_cell,
-                         kwargs=dict(scheme=sch, link_spec=ref, rtt=rtt,
-                                     duration=duration,
-                                     buffer_packets=buffer_packets,
-                                     bin_size=bin_size, seed=0),
-                         label=f"fig1/seed{s}/{sch}")
+        return [spec_job(single_bottleneck_spec(
+                    sch, ref, rtt=rtt, duration=duration,
+                    buffer_packets=buffer_packets), "timeseries",
+                    f"fig1/seed{s}/{sch}", bin_size=bin_size)
                 for sch in schemes]
 
     out = dict(zip(schemes, run_seed_grid(
@@ -156,14 +144,14 @@ def fig17_square_wave(schemes: Sequence[str] = ("abc", "rcp", "xcpw"),
     per-cell simulation; with several ``seeds`` each scheme's series is the
     across-seed mean, as in :func:`fig1_timeseries`.
     """
-    link = SquareWaveRate(low_mbps * 1e6, high_mbps * 1e6, half_period)
+    link = LinkSpec("square", {"low_bps": low_mbps * 1e6,
+                               "high_bps": high_mbps * 1e6,
+                               "half_period": float(half_period)})
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [SweepJob(func=timeseries_cell,
-                         kwargs=dict(scheme=sch, link_spec=link, rtt=rtt,
-                                     duration=duration, bin_size=bin_size,
-                                     seed=s),
-                         label=f"fig17/seed{s}/{sch}")
+        return [spec_job(single_bottleneck_spec(
+                    sch, link, rtt=rtt, duration=duration, seed=s),
+                    "timeseries", f"fig17/seed{s}/{sch}", bin_size=bin_size)
                 for sch in schemes]
 
     return dict(zip(schemes, run_seed_grid(

@@ -12,13 +12,13 @@
   whose MCS index alternates 1↔7 every 2 s (Fig. 10) or follows a Brownian
   walk in [3, 7] (Fig. 14), for one and two users.
 
-These are the only experiments that wire a
-:class:`~repro.simulator.scenario.Scenario` by hand (``fig4_inter_ack``,
-``rate_prediction_cell`` and ``_run_wifi_case``) instead of describing it as
-a :class:`~repro.experiments.scenario_spec.ScenarioSpec`: their bottleneck
-is a :class:`~repro.wifi.mac.WiFiLink` whose MCS schedule, A-MPDU batching
-and per-user queues no :class:`~repro.experiments.scenario_spec.LinkSpec`
-kind describes, and their probes read the MAC and its rate estimator.
+Figs. 5, 10 and 14 are :class:`~repro.experiments.scenario_spec.ScenarioSpec`
+cells on a ``wifi`` link (its MCS schedule, MAC seed and rate estimator),
+run by the ``rate_prediction`` and ``wifi`` summaries.  Fig. 4 is the one
+experiment in the repo that wires a
+:class:`~repro.simulator.scenario.Scenario` by hand: it pushes raw packets
+straight into the MAC, with no flow, sender or receiver, which is nothing a
+:class:`~repro.experiments.scenario_spec.FlowSpec` describes.
 """
 
 from __future__ import annotations
@@ -31,20 +31,15 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.stats import SeedResultSet, result_metrics
-from repro.aqm.codel import CoDelQdisc
-from repro.aqm.droptail import DropTailQdisc
-from repro.cc.registry import make_cc
-from repro.core.params import ABCParams, WIFI_DEFAULTS
-from repro.core.router import ABCRouterQdisc
+from repro.core.params import WIFI_DEFAULTS
 from repro.experiments.runner import run_seed_grid
+from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
+                                             LinkSpec, ScenarioSpec, spec_job)
 from repro.runtime.executor import SweepExecutor, SweepJob
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
-from repro.simulator.traffic import RateLimitedSource
 from repro.wifi.mac import WiFiLink, WiFiMacConfig
-from repro.wifi.mcs import (AlternatingMCSSchedule, BrownianMCSSchedule,
-                            FixedMCSSchedule)
-from repro.wifi.rate_estimator import WiFiRateEstimator
+from repro.wifi.mcs import FixedMCSSchedule, mcs_rate_bps
 
 #: End-to-end baselines evaluated on WiFi (§6.3 excludes Sprout and Verus,
 #: which are cellular-specific).
@@ -121,27 +116,32 @@ class RatePredictionPoint:
         return abs(self.predicted_mbps - self.true_capacity_mbps) / self.true_capacity_mbps
 
 
-def rate_prediction_cell(mcs: int, fraction: float, duration: float,
-                         seed: int) -> RatePredictionPoint:
-    """One (MCS index, offered-load fraction) cell of the Fig. 5 grid."""
-    scenario = Scenario()
-    estimator = WiFiRateEstimator(max_batch_frames=32)
-    link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(mcs),
-                    config=WiFiMacConfig(seed=seed),
-                    qdisc=FifoQdisc(buffer_packets=2000),
-                    estimator=estimator)
-    scenario.add_custom_link(link, name=f"wifi-{mcs}")
-    true_capacity = link.true_capacity_bps(0.0)
-    offered = fraction * true_capacity
-    source = RateLimitedSource(offered)
-    scenario.add_flow(make_cc("cubic"), [link], rtt=0.02, source=source)
-    scenario.run(duration)
-    raw = estimator.estimate_bps(duration, apply_cap=False)
-    capped = estimator.estimate_bps(duration, apply_cap=True)
+def rate_prediction_spec(mcs: int, fraction: float, duration: float,
+                         seed: int) -> ScenarioSpec:
+    """One (MCS index, offered-load fraction) cell of the Fig. 5 grid: a
+    Cubic sender offering ``fraction`` of the link's backlogged capacity
+    over a fixed-MCS link that carries the rate estimator."""
+    offered = fraction * WiFiMacConfig().capacity_bps(mcs_rate_bps(mcs))
+    return ScenarioSpec(
+        scheme="cubic", duration=duration, abc_params=WIFI_DEFAULTS,
+        links=[LinkSpec("wifi", {"mcs": ["fixed", mcs], "mac_seed": seed,
+                                 "estimator": True},
+                        buffer_packets=2000, name=f"wifi-{mcs}")],
+        flows=[FlowSpec(rtt=0.02, app_rate_bps=offered)])
+
+
+def rate_prediction_summary(built: BuiltScenario) -> RatePredictionPoint:
+    """Run a :func:`rate_prediction_spec` scenario and read the estimator
+    against the true capacity (the ``rate_prediction`` summary)."""
+    duration = built.spec.duration
+    built.scenario.run(duration)
+    link = built.scenario.links[0]
+    raw = link.estimator.estimate_bps(duration, apply_cap=False)
+    capped = link.estimator.estimate_bps(duration, apply_cap=True)
     return RatePredictionPoint(
-        mcs_index=mcs,
-        offered_load_mbps=offered / 1e6,
-        true_capacity_mbps=true_capacity / 1e6,
+        mcs_index=link.mcs.index,
+        offered_load_mbps=built.spec.flows[0].app_rate_bps / 1e6,
+        true_capacity_mbps=link.true_capacity_bps(0.0) / 1e6,
         predicted_mbps=raw / 1e6,
         capped_prediction_mbps=capped / 1e6,
     )
@@ -168,10 +168,9 @@ def fig5_rate_prediction(mcs_indices: Sequence[int] = (3, 5, 7),
     aggregated too).
     """
     def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [SweepJob(func=rate_prediction_cell,
-                         kwargs=dict(mcs=mcs, fraction=fraction,
-                                     duration=duration, seed=s),
-                         label=f"fig5/seed{s}/mcs{mcs}/load{fraction:g}")
+        return [spec_job(rate_prediction_spec(mcs, fraction, duration, s),
+                         "rate_prediction",
+                         f"fig5/seed{s}/mcs{mcs}/load{fraction:g}")
                 for mcs in mcs_indices for fraction in load_fractions]
 
     return run_seed_grid(jobs_for_seed, seed, seeds, executor,
@@ -192,54 +191,40 @@ class WiFiSchemeResult:
     extra: dict = field(default_factory=dict)
 
 
-def _make_wifi_link(scenario: Scenario, qdisc, mcs_mode: str, seed: int,
-                    estimator: Optional[WiFiRateEstimator]) -> WiFiLink:
-    if mcs_mode == "alternating":
-        schedule = AlternatingMCSSchedule(low_index=1, high_index=7, period=2.0)
-    elif mcs_mode == "brownian":
-        schedule = BrownianMCSSchedule(min_index=3, max_index=7, period=2.0,
-                                       seed=seed)
-    else:
-        raise ValueError("mcs_mode must be 'alternating' or 'brownian'")
-    link = WiFiLink(scenario.env, mcs=schedule, config=WiFiMacConfig(seed=seed),
-                    qdisc=qdisc, estimator=estimator)
-    scenario.add_custom_link(link, name="wifi")
-    return link
-
-
-def _run_wifi_case(scheme: str, num_users: int, duration: float, rtt: float,
+def wifi_case_spec(scheme: str, num_users: int, duration: float, rtt: float,
                    mcs_mode: str, seed: int,
-                   abc_delay_threshold: Optional[float] = None) -> WiFiSchemeResult:
-    scenario = Scenario()
-    estimator: Optional[WiFiRateEstimator] = None
-    if scheme == "abc":
-        params = WIFI_DEFAULTS if abc_delay_threshold is None else (
-            WIFI_DEFAULTS.with_overrides(delay_threshold=abc_delay_threshold))
-        estimator = WiFiRateEstimator(max_batch_frames=32,
-                                      window=params.measurement_window)
-        qdisc = ABCRouterQdisc(params=params, buffer_packets=500,
-                               capacity_fn=estimator.capacity_fn())
-    elif scheme == "cubic+codel":
-        qdisc = CoDelQdisc(buffer_packets=500)
-    else:
-        qdisc = DropTailQdisc(buffer_packets=500)
-    link = _make_wifi_link(scenario, qdisc, mcs_mode, seed, estimator)
+                   abc_delay_threshold: Optional[float] = None
+                   ) -> ScenarioSpec:
+    """``num_users`` backlogged flows of ``scheme`` on a varying-MCS link;
+    ``seed`` drives the MAC (and the Brownian walk).  ABC's router reads
+    the link's rate estimator."""
+    mcs = {"alternating": ["alternating", 1, 7, 2.0],
+           "brownian": ["brownian", 3, 7, 2.0, seed]}.get(mcs_mode)
+    if mcs is None:
+        raise ValueError("mcs_mode must be 'alternating' or 'brownian'")
+    params = WIFI_DEFAULTS if abc_delay_threshold is None else (
+        WIFI_DEFAULTS.with_overrides(delay_threshold=abc_delay_threshold))
+    return ScenarioSpec(
+        scheme=scheme, duration=duration, abc_params=params,
+        links=[LinkSpec("wifi", {"mcs": mcs, "mac_seed": seed,
+                                 "estimator": scheme == "abc"},
+                        buffer_packets=500, name="wifi")],
+        flows=[FlowSpec(rtt=rtt, label=f"{scheme}-{i}")
+               for i in range(num_users)])
 
-    sender_name = "cubic" if scheme == "cubic+codel" else scheme
-    flows = [scenario.add_flow(make_cc(sender_name), [link], rtt=rtt,
-                               label=f"{scheme}-{i}")
-             for i in range(num_users)]
-    result = scenario.run(duration)
 
-    throughput = sum(result.flow_throughput_bps(f) for f in flows) / 1e6
-    delay_p95 = result.aggregate_delay_percentile_ms(95)
-    queuing_p95 = result.aggregate_delay_percentile_ms(95, kind="queuing")
+def wifi_summary(built: BuiltScenario) -> WiFiSchemeResult:
+    """Run a :func:`wifi_case_spec` scenario and measure its users together
+    (the ``wifi`` summary)."""
+    result = built.scenario.run(built.spec.duration)
     return WiFiSchemeResult(
-        scheme=scheme,
-        throughput_mbps=throughput,
-        delay_p95_ms=delay_p95,
-        queuing_p95_ms=queuing_p95,
-        utilization=result.link_utilization(link),
+        scheme=built.spec.scheme,
+        throughput_mbps=sum(result.flow_throughput_bps(f)
+                            for f in built.flows) / 1e6,
+        delay_p95_ms=result.aggregate_delay_percentile_ms(95),
+        queuing_p95_ms=result.aggregate_delay_percentile_ms(95,
+                                                            kind="queuing"),
+        utilization=result.link_utilization(built.scenario.links[0]),
     )
 
 
@@ -262,17 +247,13 @@ def fig10_wifi(num_users: int = 1, duration: float = 45.0, rtt: float = 0.04,
              for threshold in abc_delay_thresholds]
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
-        common = dict(num_users=num_users, duration=duration, rtt=rtt,
-                      mcs_mode=mcs_mode, seed=s)
-        return ([SweepJob(func=_run_wifi_case,
-                          kwargs=dict(scheme="abc", **common,
-                                      abc_delay_threshold=threshold),
-                          label=f"wifi/seed{s}/{name}")
+        cases = [("abc", name, threshold)
                  for name, threshold in zip(names, abc_delay_thresholds)]
-                + [SweepJob(func=_run_wifi_case,
-                            kwargs=dict(scheme=scheme, **common),
-                            label=f"wifi/seed{s}/{scheme}")
-                   for scheme in baselines])
+        cases += [(scheme, scheme, None) for scheme in baselines]
+        return [spec_job(wifi_case_spec(scheme, num_users, duration, rtt,
+                                        mcs_mode, s, threshold),
+                         "wifi", f"wifi/seed{s}/{name}")
+                for scheme, name, threshold in cases]
 
     rows = run_seed_grid(jobs_for_seed, seed, seeds, executor)
     for name, row in zip(names, rows):

@@ -1,7 +1,8 @@
 """Campaign driver: fan fuzz scenarios out through the sweep runtime.
 
-:func:`fuzz_cell` is the module-level job function — one scenario in, one
-serializable verdict out — so campaigns parallelise through the existing
+Each scenario is a :func:`~repro.experiments.scenario_spec.spec_cell` job
+whose ``fuzz`` summary (:func:`fuzz_summary`) turns one scenario into one
+serializable verdict, so campaigns parallelise through the existing
 :class:`~repro.runtime.executor.SweepExecutor` (``--jobs``/``REPRO_JOBS``)
 and memoise through :class:`~repro.runtime.cache.ResultCache`
 (``REPRO_CACHE_DIR``) exactly like the paper-figure sweeps do.
@@ -18,14 +19,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.scenario_spec import ScenarioSpec
+from repro.experiments.scenario_spec import (BuiltScenario, ScenarioSpec,
+                                             build, spec_job)
 from repro.fuzz.generator import ScenarioGen
-from repro.fuzz.invariants import (INVARIANT_NAMES, Violation, run_invariants,
-                                   run_scenario, scenario_summary)
+from repro.fuzz.invariants import (INVARIANT_NAMES, Violation, run_built,
+                                   run_invariants, run_scenario,
+                                   scenario_summary)
 from repro.fuzz.shrink import corpus_entry, save_corpus_entry, shrink_scenario
 from repro.obs.manifest import (build_manifest, provenance, run_dir,
                                 write_manifest)
-from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.executor import SweepExecutor
 from repro.runtime.faults import is_failure
 
 #: Report schema version (bump on incompatible report changes).
@@ -40,13 +43,22 @@ REPORT_FORMAT = 3
 
 def evaluate_scenario(fuzz: ScenarioSpec,
                       check_determinism: bool = True) -> Dict[str, Any]:
-    """Run one scenario through the full invariant suite.
+    """Build ``fuzz`` and run it through :func:`fuzz_summary`."""
+    return fuzz_summary(build(fuzz), check_determinism=check_determinism)
+
+
+def fuzz_summary(built: BuiltScenario,
+                 check_determinism: bool = True) -> Dict[str, Any]:
+    """Run one built scenario through the full invariant suite (the
+    ``fuzz`` summary).
 
     Returns a picklable verdict dict.  When ``check_determinism`` is set the
-    simulation runs twice from scratch and the two run summaries must be
-    equal — the bit-for-bit property every sweep and cache hit relies on.
+    spec is built and run a second time from scratch and the two run
+    summaries must be equal — the bit-for-bit property every sweep and cache
+    hit relies on.
     """
-    ctx = run_scenario(fuzz)
+    fuzz = built.spec
+    ctx = run_built(built)
     summary = scenario_summary(ctx.built)
     violations = run_invariants(ctx)
     if check_determinism:
@@ -61,17 +73,6 @@ def evaluate_scenario(fuzz: ScenarioSpec,
         "violations": [[v.invariant, v.message] for v in violations],
         "summary": summary,
     }
-
-
-def fuzz_cell(spec: dict, check_determinism: bool = True) -> Dict[str, Any]:
-    """Module-level sweep job: evaluate one serialized scenario.
-
-    Must stay module-level and take only picklable kwargs — parallel workers
-    receive it by reference and the result cache keys on its qualified name
-    plus the canonical encoding of ``spec``.
-    """
-    return evaluate_scenario(ScenarioSpec.from_jsonable(spec),
-                             check_determinism=check_determinism)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +112,8 @@ def run_campaign(budget: int, seed: int = 0,
     """
     generator = ScenarioGen(seed)
     scenarios = generator.sample_many(budget)
-    sweep_jobs = [SweepJob(func=fuzz_cell,
-                           kwargs={"spec": fuzz.to_jsonable(),
-                                   "check_determinism": check_determinism},
-                           label=f"fuzz-{seed}-{fuzz.scenario_id}")
+    sweep_jobs = [spec_job(fuzz, "fuzz", f"fuzz-{seed}-{fuzz.scenario_id}",
+                           check_determinism=check_determinism)
                   for fuzz in scenarios]
     runner = SweepExecutor() if executor is None else executor
     verdicts = runner.run(sweep_jobs)

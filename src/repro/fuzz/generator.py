@@ -131,7 +131,7 @@ class SmallMetroGen:
 
     A *city* is a list of per-cell :class:`ScenarioSpec` descriptions, one
     single-bottleneck cell each, mirroring the metro pack's workload
-    (:func:`repro.metro.cell.metro_cell`): a couple of long-lived backlogged
+    (:meth:`repro.metro.spec.MetroSpec.cell_spec`): a couple of long-lived backlogged
     flows plus a churning population of finite-size flows — Poisson arrival
     times and bounded-Pareto sizes drawn from the deterministic streams in
     :mod:`repro.metro.workload` — whose schemes come from the coexistence

@@ -25,7 +25,7 @@ simulator (or checker) bug worth a corpus entry:
 
 Determinism (same scenario → bit-identical summary) is checked by the
 campaign layer, which owns running the simulation twice; see
-:func:`repro.fuzz.campaign.fuzz_cell`.
+:func:`repro.fuzz.campaign.fuzz_summary`.
 """
 
 from __future__ import annotations
@@ -79,9 +79,13 @@ Checker = Callable[[CheckContext], List[Violation]]
 
 
 def run_scenario(fuzz: ScenarioSpec) -> CheckContext:
-    """Build and run ``fuzz`` with one probe sampling every flow's window and
-    every link's backlog each :data:`SAMPLE_INTERVAL`; what the checkers read."""
-    built = build(fuzz)
+    """Build ``fuzz`` and :func:`run_built` it."""
+    return run_built(build(fuzz))
+
+
+def run_built(built: BuiltScenario) -> CheckContext:
+    """Run ``built`` with one probe sampling every flow's window and every
+    link's backlog each :data:`SAMPLE_INTERVAL`; what the checkers read."""
     links = built.scenario.links
     cwnd = {flow.flow_id: [] for flow in built.flows}
     backlog = {link.name: [] for link in links}
@@ -93,8 +97,8 @@ def run_scenario(fuzz: ScenarioSpec) -> CheckContext:
             backlog[link.name].append(link.qdisc.backlog_packets)
 
     built.scenario.every(SAMPLE_INTERVAL, probe)
-    result = built.scenario.run(fuzz.duration)
-    return CheckContext(fuzz=fuzz, built=built, result=result,
+    result = built.scenario.run(built.spec.duration)
+    return CheckContext(fuzz=built.spec, built=built, result=result,
                         cwnd_samples=cwnd, backlog_samples=backlog)
 
 

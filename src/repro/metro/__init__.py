@@ -13,8 +13,8 @@ Layout
     weighted scheme-mix assignment (one independent RNG stream per
     (cell, seed, purpose) key).
 :mod:`repro.metro.cell`
-    ``metro_cell`` — the module-level job function simulating one cell
-    (picklable kwargs in, plain-dict metrics out).
+    ``metro_summary`` — the summary that runs one cell (a
+    ``MetroSpec.cell_spec``) into a plain-dict row.
 :mod:`repro.metro.spec`
     :class:`~repro.metro.spec.MetroSpec` (a :class:`~repro.runtime.spec.SweepSpec`
     whose scheme axis holds weighted mixes) and the

@@ -1,7 +1,7 @@
 """City-wide roll-ups over per-cell metro results.
 
 A metro sweep produces one plain-dict result per (mix, cell, seed) — see
-:func:`repro.metro.cell.metro_cell`.  This module turns a list of those into
+:func:`repro.metro.cell.metro_summary`.  This module turns a list of those into
 city aggregates:
 
 * per-cell utilisation (and its mean/min/max),

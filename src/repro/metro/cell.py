@@ -1,13 +1,15 @@
-"""The per-cell metro job: one cellular bottleneck under mixed-flow churn.
+"""One metro cell: one cellular bottleneck under mixed-flow churn.
 
-:func:`metro_cell` is a module-level function with picklable kwargs and a
-plain-dict return value, so it can serve as a
-:class:`~repro.runtime.executor.SweepJob` target: multiprocessing workers
-import it by name, and the content-addressed
-:class:`~repro.runtime.cache.ResultCache` keys on its kwargs.
+:meth:`repro.metro.spec.MetroSpec.cell_spec` describes a cell as a
+:class:`~repro.experiments.scenario_spec.ScenarioSpec`, workload draws and
+all, and the ``metro`` summary (:func:`metro_summary`) runs it into a
+plain-dict row, so a cell travels as a
+:func:`~repro.experiments.scenario_spec.spec_cell` job like any figure cell
+and the content-addressed :class:`~repro.runtime.cache.ResultCache` keys on
+the whole scenario.
 
-Each cell simulates one bottleneck (a trace-driven cellular link or a fixed
-rate) carrying
+Each cell simulates one bottleneck (a trace-driven cellular link, a
+square-wave sector or a fixed rate) carrying
 
 * ``base_flows`` long-lived backlogged flows started at t=0, and
 * a churning population of short flows — Poisson arrivals, bounded-Pareto
@@ -24,57 +26,20 @@ from typing import Any, Dict
 
 import numpy as np
 
+from repro.experiments.scenario_spec import NATIVE, BuiltScenario
 from repro.metro.aggregate import queuing_histogram
-from repro.metro.workload import (bounded_pareto_sizes, parse_mix,
-                                  poisson_arrivals, scheme_assignment)
 
 
-def metro_cell(mix: str, cell: str, link_spec: Any, seed: int,
-               rtt: float = 0.05, duration: float = 8.0,
-               buffer_packets: int = 250, base_flows: int = 2,
-               arrival_rate: float = 2.0, flow_size_min: int = 20_000,
-               flow_size_max: int = 2_000_000, flow_size_alpha: float = 1.2,
-               warmup: float = 0.0) -> Dict[str, Any]:
-    """Simulate one metro cell; returns picklable per-cell metrics.
-
-    ``link_spec`` is a :class:`~repro.cellular.trace.CellularTrace`, a
-    :class:`~repro.runtime.trace_store.TraceRef` into the shared trace store,
-    a rate in bits per second, or a picklable square-wave tuple
-    ``("square", low_bps, high_bps, half_period_s)`` (the paper's Fig. 17
-    cell model); see :func:`repro.experiments.scenario_spec.link_spec_from`.
-    The bottleneck always runs the ABC router qdisc (non-ABC flows simply
-    never receive accelerate marks, matching the paper's coexistence setup).
-    Per-flow throughputs, like ``throughput_bps``, cover ``[warmup,
-    duration]``.
-    """
-    from repro.experiments.scenario_spec import (NATIVE, FlowSpec,
-                                                 ScenarioSpec, build,
-                                                 link_spec_from)
-
-    arrivals = poisson_arrivals(arrival_rate, duration, cell, seed)
-    # Arrivals in the final RTT cannot complete a handshake-free transfer of
-    # even one segment round-trip; keep them anyway (they contribute load),
-    # but only pre-run arrivals exist at all.
-    sizes = bounded_pareto_sizes(len(arrivals), cell, seed,
-                                 min_bytes=flow_size_min,
-                                 max_bytes=flow_size_max,
-                                 alpha=flow_size_alpha)
-    schemes = scheme_assignment(base_flows + len(arrivals), parse_mix(mix),
-                                cell, seed)
-    ccs = [NATIVE if scheme == "abc" else scheme for scheme in schemes]
-    flows = [FlowSpec(cc=ccs[index], rtt=rtt, label=f"base-{index}")
-             for index in range(base_flows)]
-    flows += [FlowSpec(cc=ccs[base_flows + index], rtt=rtt, start_time=start,
-                       size_bytes=size, label=f"churn-{index}")
-              for index, (start, size) in enumerate(zip(arrivals, sizes))]
-    built = build(ScenarioSpec(scheme="abc", duration=duration, flows=flows,
-                               links=[link_spec_from(
-                                   link_spec, name=cell,
-                                   buffer_packets=buffer_packets)]))
-    scenario = built.scenario
+def metro_summary(built: BuiltScenario, mix: str, seed: int,
+                  base_flows: int, warmup: float = 0.0) -> Dict[str, Any]:
+    """Run a :meth:`~repro.metro.spec.MetroSpec.cell_spec` cell into its
+    picklable row (the ``metro`` summary).  Per-flow throughputs, like
+    ``throughput_bps``, cover ``[warmup, duration]``; ``mix`` and ``seed``
+    label the row."""
+    scenario, duration = built.scenario, built.spec.duration
     link = scenario.links[0]
     base = built.flows[:base_flows]
-    churn = list(zip(arrivals, built.flows[base_flows:]))
+    churn = list(zip(built.spec.flows[base_flows:], built.flows[base_flows:]))
     result = scenario.run(duration)
 
     base_tputs = [flow.stats.throughput_bps(warmup, duration) for flow in base]
@@ -82,16 +47,16 @@ def metro_cell(mix: str, cell: str, link_spec: Any, seed: int,
                    for _, flow in churn]
     fcts = []
     completed = 0
-    for start, flow in churn:
+    for spec, flow in churn:
         done = flow.sender.completion_time
         if done is not None:
             completed += 1
-            fcts.append(done - start)
+            fcts.append(done - spec.start_time)
     queuing = np.concatenate(
         [np.asarray(flow.stats.queuing_delays, dtype=float)
          for flow in scenario.flows]) if scenario.flows else np.array([])
     return {
-        "cell": cell,
+        "cell": link.name,
         "mix": mix,
         "seed": seed,
         "utilization": result.link_utilization(link, t0=warmup),
@@ -105,5 +70,6 @@ def metro_cell(mix: str, cell: str, link_spec: Any, seed: int,
         "offered_flows": base_flows + len(churn),
         "completed_flows": completed,
         "drops": link.dropped_packets,
-        "schemes": schemes,
+        "schemes": ["abc" if flow.cc == NATIVE else flow.cc
+                    for flow in built.spec.flows],
     }

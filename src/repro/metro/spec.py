@@ -9,8 +9,11 @@ and swaps in the metro vocabulary:
 * the *scheme* axis holds weighted mixes (``"abc:0.6,cubic:0.3,bbr:0.1"``)
   instead of single scheme labels;
 * the *trace* axis holds one entry per cell (its name is the cell name);
-* each grid coordinate runs :func:`repro.metro.cell.metro_cell` instead of
-  the single-bottleneck experiment runner.
+* each grid coordinate is a metro cell's spec (:meth:`MetroSpec.cell_spec`:
+  its Poisson arrivals, Pareto sizes and scheme draws made here, in the
+  parent) run through the ``metro`` summary
+  (:func:`repro.metro.cell.metro_summary`) instead of the single-bottleneck
+  one.
 
 :func:`metro_pack` builds the standard city: ``n_cells`` cells whose
 capacity traces cycle through the synthetic cellular trace library with a
@@ -22,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Sequence
 
-from repro.metro.cell import metro_cell
-from repro.metro.workload import parse_mix
+from repro.metro.workload import (bounded_pareto_sizes, parse_mix,
+                                  poisson_arrivals, scheme_assignment)
 from repro.runtime.executor import SweepJob
 from repro.runtime.spec import SweepSpec
 
@@ -38,8 +41,9 @@ class MetroSpec(SweepSpec):
 
     ``schemes`` holds weighted mix labels (see
     :func:`repro.metro.workload.parse_mix`); ``traces`` maps cell names to
-    link specs (a :class:`~repro.cellular.trace.CellularTrace` or a rate in
-    bps).  The workload knobs (``base_flows``, ``arrival_rate``, the
+    link specs (a :class:`~repro.cellular.trace.CellularTrace`, a rate in
+    bps or a :class:`~repro.experiments.scenario_spec.LinkSpec`).  The
+    workload knobs (``base_flows``, ``arrival_rate``, the
     bounded-Pareto size law) apply to every cell.
     """
 
@@ -64,18 +68,47 @@ class MetroSpec(SweepSpec):
                         f"unknown scheme {name!r} in mix {label!r}; known "
                         f"sender-side schemes: {sorted(known)}")
 
+    def cell_spec(self, mix: str, cell: str, link_spec: Any,
+                  seed: int) -> ScenarioSpec:
+        """One cell of this city, its ``(cell, seed)`` workload drawn.  The
+        link (any ``link_spec_from`` value) is named after the cell and runs
+        the ABC router qdisc: non-ABC flows simply never receive accelerate
+        marks, matching the paper's coexistence setup."""
+        from repro.experiments.scenario_spec import (NATIVE, FlowSpec,
+                                                     ScenarioSpec,
+                                                     link_spec_from)
+
+        # Arrivals too late to finish a round trip stay: they add load.
+        arrivals = poisson_arrivals(self.arrival_rate, self.duration, cell,
+                                    seed)
+        sizes = bounded_pareto_sizes(len(arrivals), cell, seed,
+                                     min_bytes=self.flow_size_min,
+                                     max_bytes=self.flow_size_max,
+                                     alpha=self.flow_size_alpha)
+        base = self.base_flows
+        schemes = scheme_assignment(base + len(arrivals), parse_mix(mix),
+                                    cell, seed)
+        ccs = [NATIVE if scheme == "abc" else scheme for scheme in schemes]
+        flows = [FlowSpec(cc=ccs[index], rtt=self.rtt, label=f"base-{index}")
+                 for index in range(base)]
+        flows += [FlowSpec(cc=ccs[base + index], rtt=self.rtt,
+                           start_time=start, size_bytes=size,
+                           label=f"churn-{index}")
+                  for index, (start, size) in enumerate(zip(arrivals, sizes))]
+        return ScenarioSpec(scheme="abc", duration=self.duration, flows=flows,
+                            links=[link_spec_from(
+                                link_spec, name=cell,
+                                buffer_packets=self.buffer_packets)])
+
     def _make_job(self, scheme: str, trace_name: str, link_spec: Any,
                   seed: int) -> SweepJob:
-        kwargs = dict(
-            mix=str(scheme).lower(), cell=trace_name, link_spec=link_spec,
-            seed=seed, rtt=self.rtt, duration=self.duration,
-            buffer_packets=self.buffer_packets, base_flows=self.base_flows,
-            arrival_rate=self.arrival_rate,
-            flow_size_min=self.flow_size_min,
-            flow_size_max=self.flow_size_max,
-            flow_size_alpha=self.flow_size_alpha, warmup=self.warmup)
-        return SweepJob(func=metro_cell, kwargs=kwargs,
-                        label=f"{scheme}/{trace_name}/seed{seed}")
+        from repro.experiments.scenario_spec import spec_job
+
+        mix = str(scheme).lower()
+        return spec_job(self.cell_spec(mix, trace_name, link_spec, seed),
+                        "metro", f"{scheme}/{trace_name}/seed{seed}", mix=mix,
+                        seed=seed, base_flows=self.base_flows,
+                        warmup=self.warmup)
 
 
 def metro_pack(n_cells: int, duration: float = 8.0, trace_seed: int = 1,
@@ -98,6 +131,7 @@ def metro_pack(n_cells: int, duration: float = 8.0, trace_seed: int = 1,
     ``seeds=range(5)``).
     """
     from repro.cellular.synthetic import TRACE_LIBRARY, synthetic_trace
+    from repro.experiments.scenario_spec import LinkSpec
     from repro.metro.workload import stream
 
     if n_cells <= 0:
@@ -116,7 +150,9 @@ def metro_pack(n_cells: int, duration: float = 8.0, trace_seed: int = 1,
             low = rng.uniform(8e6, 16e6)
             high = low * rng.uniform(1.5, 2.5)
             half_period = rng.uniform(0.3, 0.7)
-            traces[name] = ("square", low, high, half_period)
+            traces[name] = LinkSpec("square", {"low_bps": low,
+                                               "high_bps": high,
+                                               "half_period": half_period})
             square_count += 1
         else:
             config = TRACE_LIBRARY[library[index % len(library)]]

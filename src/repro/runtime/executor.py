@@ -35,8 +35,8 @@ workers.  Used as a context manager the executor keeps them alive across
 
 Workers are primed with the shared trace store
 (:mod:`repro.runtime.trace_store`) when they start, so job kwargs carry
-tiny :class:`~repro.runtime.trace_store.TraceRef` handles instead of pickling
-every trace into every cell.  A ``run()`` that references a trace the workers
+only a trace's content key (a ``trace_ref`` link in a cell's spec) instead
+of pickling every trace into every cell.  A ``run()`` that references a trace the workers
 do not hold transparently restarts them with a fresh snapshot.
 
 Execution
@@ -96,7 +96,7 @@ from repro.runtime.faults import (FaultInjectionError, FaultInjector,
                                   crash_attempt, retry_backoff,
                                   timeout_attempt)
 from repro.runtime.journal import RunJournal, run_key_for
-from repro.runtime.trace_store import (TraceRef, install_snapshot,
+from repro.runtime.trace_store import (install_snapshot, referenced_keys,
                                        snapshot_for)
 
 @dataclass
@@ -197,19 +197,6 @@ def _worker_main(conn, trace_snapshot: Dict[str, Any]) -> None:
             conn.send(({"ok": False, "outcome": "error", "error": str(exc),
                         "error_type": type(exc).__qualname__, "traceback": "",
                         "exception": None, "injected": False}, None, None))
-
-
-def _needed_trace_keys(jobs: Sequence[SweepJob]) -> set:
-    """Content keys of every :class:`TraceRef` the jobs' kwargs reference."""
-    keys = set()
-    for job in jobs:
-        for value in job.kwargs.values():
-            if isinstance(value, TraceRef):
-                keys.add(value.key)
-            elif isinstance(value, (tuple, list)):
-                keys.update(item.key for item in value
-                            if isinstance(item, TraceRef))
-    return keys
 
 
 class _InProcessTransport:
@@ -536,7 +523,7 @@ class SweepExecutor:
         workers = self.config.jobs
         if workers <= 1 or (len(pending) == 1 and self.config.timeout is None):
             return _InProcessTransport(self._injector), False
-        needed = _needed_trace_keys(pending)
+        needed = referenced_keys([job.kwargs for job in pending])
         reused = (self._pool is not None
                   and needed <= self._pool.trace_snapshot.keys())
         if not reused:

@@ -2,11 +2,12 @@
 
 A :class:`SweepSpec` names the axes of a figure-style sweep — schemes ×
 traces × seeds — and expands into independent
-:class:`~repro.runtime.executor.SweepJob`\\ s, one per cell.  Each cell runs
-:func:`repro.experiments.runner.run_single_bottleneck` in its own simulator
-and returns a :class:`~repro.experiments.runner.SingleBottleneckResult`
-stripped to its picklable metrics, so cells can cross process boundaries and
-live in the on-disk cache.
+:class:`~repro.runtime.executor.SweepJob`\\ s, one per cell: a
+:func:`~repro.experiments.scenario_spec.spec_cell` job whose spec is
+:func:`repro.experiments.runner.single_bottleneck_spec`'s and whose
+``single_bottleneck`` summary returns a picklable
+:class:`~repro.experiments.runner.SingleBottleneckResult`, so cells can
+cross process boundaries and live in the on-disk cache.
 
 A spec runs nothing itself: :func:`repro.experiments.runner.run_seed_grid`
 is the one runner (one ``executor.run``, one ``figure`` manifest), fed one
@@ -27,31 +28,6 @@ from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runtime.executor import SweepJob
 from repro.runtime.trace_store import register_trace
-
-
-def sweep_cell(**kwargs) -> Any:
-    """Run one (scheme, trace, seed) cell.
-
-    Module-level so multiprocessing workers can import it by name.
-    ``link_spec`` (and any ``extra_links``) may be
-    :class:`~repro.runtime.trace_store.TraceRef` handles, which resolve
-    against this process's trace store when the scenario is built.  Returns
-    the :class:`SingleBottleneckResult` with its ``extra`` dict reduced to
-    picklable values (the live ``Scenario``/flow objects are dropped,
-    ``per_link_utilization`` is kept).
-    """
-    from repro.experiments.runner import run_single_bottleneck
-
-    return strip_result(run_single_bottleneck(**kwargs))
-
-
-def strip_result(result: Any) -> Any:
-    """Drop live simulator objects from a result's ``extra`` dict."""
-    extra = getattr(result, "extra", None)
-    if isinstance(extra, dict):
-        result.extra = {k: v for k, v in extra.items()
-                        if k == "per_link_utilization"}
-    return result
 
 
 def validate_schemes(schemes: Sequence[str]) -> List[str]:
@@ -88,7 +64,7 @@ class SweepSpec:
 
     ``traces`` maps display names to link specs (a
     :class:`~repro.cellular.trace.CellularTrace`, a rate in bps, or a
-    :class:`~repro.simulator.link.CapacityModel`).  ``seeds`` are the
+    :class:`~repro.experiments.scenario_spec.LinkSpec`).  ``seeds`` are the
     per-cell simulation seeds; the default ``(0,)`` is the single-seed
     figure.  A spec only expands: :meth:`jobs_for_seed` is one seed's jobs,
     the shape :func:`repro.experiments.runner.run_seed_grid` runs.
@@ -120,30 +96,28 @@ class SweepSpec:
                   seed: int) -> SweepJob:
         """Hook: build the :class:`SweepJob` for one grid coordinate.
 
-        The base spec runs :func:`sweep_cell`
-        (→ :func:`~repro.experiments.runner.run_single_bottleneck`);
-        subclasses substitute their own module-level job function while
-        inheriting the grid expansion, duplicate detection and trace-store
-        registration unchanged.
+        The base spec describes the single-bottleneck experiment; subclasses
+        describe their own scenario and summary while inheriting the grid
+        expansion, duplicate detection and trace-store registration
+        unchanged.
         """
-        kwargs = dict(
-            scheme=str(scheme).lower(), link_spec=link_spec,
-            rtt=self.rtt, duration=self.duration,
-            buffer_packets=self.buffer_packets,
-            abc_params=self.abc_params, warmup=self.warmup,
-            seed=seed)
-        return SweepJob(func=sweep_cell, kwargs=kwargs,
-                        label=f"{scheme}/{trace_name}/seed{seed}")
+        from repro.experiments.runner import single_bottleneck_spec
+        from repro.experiments.scenario_spec import spec_job
+
+        return spec_job(single_bottleneck_spec(
+            scheme, link_spec, rtt=self.rtt, duration=self.duration,
+            buffer_packets=self.buffer_packets, abc_params=self.abc_params,
+            seed=seed), "single_bottleneck",
+            f"{scheme}/{trace_name}/seed{seed}", warmup=self.warmup)
 
     def expand(self) -> Tuple[List[SweepCell], List[SweepJob]]:
         """All cells in deterministic scheme→trace→seed order.
 
-        Cellular traces are registered with the shared trace store and
-        replaced inside job kwargs by tiny
-        :class:`~repro.runtime.trace_store.TraceRef` handles, so a grid of
-        ``S × T`` cells pickles each trace once per worker pool instead of
-        once per cell.  The ref hashes like the trace's content, so cache
-        keys stay content-addressed.
+        Cellular traces are registered with the shared trace store once and
+        enter each job's spec as a ``trace_ref`` link (the trace's content
+        key and name), so a grid of ``S × T`` cells pickles each trace once
+        per worker pool instead of once per cell, and cache keys stay
+        content-addressed.
         """
         from repro.cellular.trace import CellularTrace
 

@@ -5,14 +5,14 @@ timestamps.  When a sweep fans out over a ``multiprocessing`` pool, shipping
 the full trace inside every job's kwargs pickles (and re-parses) the same
 timestamps once per cell — for the Fig. 9 grid that is 14 copies of each of
 the eight traces.  The store fixes this: traces are registered once in the
-parent, jobs carry only a tiny :class:`TraceRef`, and workers receive the
+parent, jobs carry only the trace's key (a :class:`TraceRef`, which a
+scenario spec turns into a ``trace_ref`` link), and workers receive the
 whole store exactly once, as each worker process starts
 (:func:`install_snapshot`).
 
-Content addressing is preserved: a :class:`TraceRef` carries the
-``stable_hash`` of the trace it names and exposes it through
-``cache_fingerprint()``, so a job's :class:`~repro.runtime.cache.ResultCache`
-key still changes whenever the *content* of the trace changes.  That hash
+Content addressing is preserved: the key is the ``stable_hash`` of the
+trace, so a job's :class:`~repro.runtime.cache.ResultCache` key still
+changes whenever the *content* of the trace changes.  That hash
 reads a :class:`~repro.cellular.trace.CellularTrace` as its name, opportunity
 size and float64 opportunity array (its own ``cache_fingerprint()``), so
 registering a trace costs one sha256 over its bytes, not one encoded node per
@@ -29,7 +29,7 @@ do not hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Iterable, Set
 
 from repro.runtime.cache import stable_hash
 
@@ -39,22 +39,11 @@ _STORE: Dict[str, Any] = {}
 
 @dataclass(frozen=True)
 class TraceRef:
-    """A picklable stand-in for a registered trace.
-
-    ``name`` is the trace's display name (cosmetic); ``key`` is the content
-    hash under which the trace lives in the store.  The ref hashes like the
-    trace it names (via ``cache_fingerprint``), so swapping a trace for its
-    ref inside job kwargs keeps the result cache content-addressed.
-    """
+    """A registered trace's handle: ``name`` is its display name
+    (cosmetic), ``key`` the content hash it lives under in the store."""
 
     name: str
     key: str
-
-    def cache_fingerprint(self) -> Tuple[str, str]:
-        return ("trace", self.key)
-
-    def resolve(self) -> Any:
-        return get_trace(self.key)
 
 
 def register_trace(trace: Any) -> TraceRef:
@@ -74,6 +63,16 @@ def get_trace(key: str) -> Any:
             "receive the store as they start — register traces before "
             "starting workers, or run the sweep through "
             "SweepExecutor so the snapshot is installed for you") from None
+
+
+def referenced_keys(value: Any) -> Set[str]:
+    """The store keys named anywhere inside ``value`` (a job's kwargs)."""
+    if isinstance(value, str):
+        return {value} & _STORE.keys()
+    if isinstance(value, dict):
+        value = list(value.values())
+    return (set().union(*map(referenced_keys, value))
+            if isinstance(value, (list, tuple)) else set())
 
 
 def snapshot_for(keys: Iterable[str]) -> Dict[str, Any]:

@@ -59,6 +59,13 @@ class WiFiMacConfig:
     def mean_overhead(self) -> float:
         return (self.overhead_min + self.overhead_max) / 2.0
 
+    def capacity_bps(self, bitrate: float) -> float:
+        """Backlogged-link capacity at PHY ``bitrate``: a full batch of M
+        frames takes ``M·S/R + E[h]`` seconds."""
+        m = self.max_batch_frames
+        frame_bits = self.frame_size_bytes * 8.0
+        return m * frame_bits / (m * frame_bits / bitrate + self.mean_overhead)
+
 
 class WiFiLink(Link):
     """A WiFi hop that transmits queued packets in A-MPDU batches."""
@@ -140,16 +147,9 @@ class WiFiLink(Link):
 
     # ------------------------------------------------------------ capacity
     def true_capacity_bps(self, now: float) -> float:
-        """Backlogged-link capacity given the current MCS and mean overhead.
-
-        This is the ground truth the estimator is evaluated against in Fig. 5:
-        a full batch of M frames takes ``M·S/R + E[h]`` seconds.
-        """
-        bitrate = self.mcs.rate_at(now)
-        m = self.config.max_batch_frames
-        frame_bits = self.config.frame_size_bytes * 8.0
-        batch_time = m * frame_bits / bitrate + self.config.mean_overhead
-        return m * frame_bits / batch_time
+        """Backlogged-link capacity given the current MCS and mean overhead:
+        the ground truth the estimator is evaluated against in Fig. 5."""
+        return self.config.capacity_bps(self.mcs.rate_at(now))
 
     def capacity_bps(self, now: float) -> float:
         """Capacity exposed to router qdiscs.

@@ -137,11 +137,11 @@ def test_fig13_app_limited_flows_do_not_hurt_utilization():
 
 # ------------------------------------ seed axis on the in-process figures
 def test_fig6_single_seed_is_bit_identical_to_cell():
-    from repro.experiments.coexistence import fig6_cell
+    from repro.experiments.coexistence import fig6_spec
+    from repro.experiments.scenario_spec import spec_cell
     routed = fig6_nonabc_bottleneck(duration=12.0)
-    direct = fig6_cell(duration=12.0, wired_mbps=12.0, rtt=0.1,
-                       sample_interval=0.25, cross_traffic=False,
-                       cross_schedule=None, seed=0)
+    direct = spec_cell(fig6_spec(12.0, wired_mbps=12.0, rtt=0.1).to_jsonable(),
+                       "fig6", wired_mbps=12.0, sample_interval=0.25)
     assert routed.tracking_error == direct.tracking_error
     assert (routed.throughput_mbps == direct.throughput_mbps).all()
     assert (routed.w_abc == direct.w_abc).all()
@@ -149,11 +149,13 @@ def test_fig6_single_seed_is_bit_identical_to_cell():
 
 def test_fig13_multi_seed_aggregates_distinct_traces():
     from repro.analysis.stats import SeedResultSet
-    from repro.experiments.coexistence import fig13_cell
+    from repro.experiments.coexistence import app_limited_spec
+    from repro.experiments.scenario_spec import spec_cell
     multi = fig13_app_limited(num_app_limited=5, duration=8.0, seeds=[1, 2])
     assert isinstance(multi, SeedResultSet)
-    per_seed = [fig13_cell(num_app_limited=5, aggregate_app_rate_mbps=1.0,
-                           duration=8.0, rtt=0.1, seed=s) for s in (1, 2)]
+    per_seed = [spec_cell(app_limited_spec(
+        num_app_limited=5, aggregate_app_rate_mbps=1.0, duration=8.0,
+        rtt=0.1, seed=s).to_jsonable(), "app_limited") for s in (1, 2)]
     expected = (per_seed[0].utilization + per_seed[1].utilization) / 2
     assert multi.utilization == pytest.approx(expected)
     # Different seeds regenerate the synthetic trace, so the per-seed

@@ -12,9 +12,10 @@ import json
 
 import pytest
 
-from repro.fuzz.campaign import evaluate_scenario, fuzz_cell, run_campaign
+from repro.fuzz.campaign import evaluate_scenario, run_campaign
 from repro.experiments.scenario_spec import (CROSS_TRAFFIC_SCHEMES, NATIVE,
-                                             FlowSpec, LinkSpec, ScenarioSpec)
+                                             FlowSpec, LinkSpec, ScenarioSpec,
+                                             spec_cell)
 from repro.fuzz.generator import ScenarioGen, SmallMetroGen
 from repro.fuzz.invariants import (FAIRNESS_FLOOR, check_fairness,
                                    check_link_throughput, check_non_negative,
@@ -318,7 +319,7 @@ def test_corpus_entry_round_trip(tmp_path):
 # ================================================================ campaign
 def test_fuzz_cell_verdict_shape_and_determinism_check():
     fuzz = _tiny_scenario()
-    verdict = fuzz_cell(fuzz.to_jsonable(), check_determinism=True)
+    verdict = spec_cell(fuzz.to_jsonable(), "fuzz", check_determinism=True)
     assert verdict["scenario_id"] == fuzz.scenario_id
     assert verdict["signature"] == fuzz.signature()
     assert verdict["violations"] == []

@@ -28,17 +28,18 @@ import pytest
 
 from repro.cc.registry import make_cc
 from repro.cellular.synthetic import lte_showcase_trace
-from repro.experiments.coexistence import (fig6_cell,
-                                           fig7_coexistence_timeseries)
+from repro.experiments.coexistence import fig7_coexistence_timeseries
 from repro.experiments.runner import SCHEME_NAMES, run_single_bottleneck
+from repro.experiments.scenario_spec import LinkSpec, spec_cell
 from repro.experiments.wifi_eval import fig10_wifi
 from repro.fuzz.campaign import evaluate_scenario
 from repro.fuzz.generator import ScenarioGen
-from repro.metro.cell import metro_cell
 from repro.obs import metrics as obs_metrics
 from repro.simulator.scenario import Scenario, ScenarioResult
 
 from test_engine_golden_trace import DURATION, run_golden_scenario
+from test_path_golden import metro_cell
+from test_summaries import SUMMARY_CELLS
 
 TRACE = lte_showcase_trace(duration=2.5, seed=7)
 #: The two ledger city mixes (``benchmarks/ledger/workloads.py``).
@@ -70,14 +71,18 @@ def _cases() -> dict:
         cases[f"metro-{name}-trace"] = lambda m=mix: metro_cell(
             m, "trace-cell", TRACE, seed=1, duration=2.5)
         cases[f"metro-{name}-square"] = lambda m=mix: metro_cell(
-            m, "square-cell", ("square", 12e6, 24e6, 0.5), seed=1,
-            duration=2.5)
+            m, "square-cell", LinkSpec("square", {
+                "low_bps": 12e6, "high_bps": 24e6, "half_period": 0.5}),
+            seed=1, duration=2.5)
     cases["fig10-wifi"] = lambda: fig10_wifi(num_users=2, duration=2.0)
     cases["fig7-coexistence"] = lambda: fig7_coexistence_timeseries(
         duration=4.0, stagger=1.0)
-    cases["fig6-cell"] = lambda: fig6_cell(
-        duration=6.0, wired_mbps=12.0, rtt=0.1, sample_interval=0.5,
-        cross_traffic=True)
+    # One spec_cell per summary: a summary's sampler closure (Fig. 6's
+    # ``samples`` / ``cc``) must not keep its Scenario alive.
+    for summary, (spec, args) in SUMMARY_CELLS.items():
+        name = "fig6-cell" if summary == "fig6" else f"summary-{summary}"
+        cases[name] = lambda s=spec, n=summary, a=args: spec_cell(
+            s().to_jsonable(), n, **a)
     cases["probe-over-own-scenario"] = _probe_over_own_scenario
     gen = ScenarioGen(seed=0)
     for index in range(10):

@@ -289,9 +289,16 @@ def test_sweep_manifest_round_trip(tmp_path, monkeypatch):
     assert manifest["kind"] == "figure"
     assert manifest["created_unix"] > 0
     assert manifest["knobs"]["REPRO_TELEMETRY"] == "1"
+    cells = manifest["spec"].pop("cells")
     assert manifest["spec"] == {"seeds": [0, 1], "jobs": [
         "seed0/abc/12mbps", "seed0/cubic/12mbps",
         "seed1/abc/12mbps", "seed1/cubic/12mbps"]}
+    # Each cell's spec and summary: enough to replay it (test_summaries.py).
+    assert [(cell["summary"], cell["spec"]["scheme"], cell["spec"]["sim_seed"])
+            for cell in cells] == [("single_bottleneck", "abc", 0),
+                                   ("single_bottleneck", "cubic", 0),
+                                   ("single_bottleneck", "abc", 1),
+                                   ("single_bottleneck", "cubic", 1)]
     assert manifest["executor"]["total"] == 4
     assert manifest["executor"]["executed"] == 4
     assert manifest["executor"]["cache_corrupt"] == 0
@@ -325,8 +332,9 @@ def test_every_seeded_figure_call_leaves_one_manifest(tmp_path, monkeypatch):
     assert len(manifest["spec"]["jobs"]) == 2
     assert manifest["executor"]["config"]["jobs"] == 1
     fig13_app_limited(num_app_limited=2, duration=1.0)
-    assert only_manifest()["spec"] == {"seeds": [23],
-                                       "jobs": ["fig13/seed23"]}
+    spec = only_manifest()["spec"]
+    assert (spec["seeds"], spec["jobs"]) == ([23], ["fig13/seed23"])
+    assert [cell["summary"] for cell in spec["cells"]] == ["app_limited"]
     # The grids that used to run outside run_seed_grid.  The city and the
     # one-job figure pin their seed list, so REPRO_SEEDS leaves them alone.
     _one_cell(SweepExecutor(jobs=1), seeds=[0, 1])
@@ -334,10 +342,14 @@ def test_every_seeded_figure_call_leaves_one_manifest(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SEEDS", "5,6")
     city = metro_pack(2, duration=1.0)
     run_seed_grid(city.jobs_for_seed, 0, city.seeds, SweepExecutor(jobs=1))
-    assert only_manifest()["spec"] == {"seeds": [0], "jobs": [
-        f"{city.schemes[0]}/cell-00{i}/seed0" for i in range(2)]}
+    spec = only_manifest()["spec"]
+    assert (spec["seeds"], spec["jobs"]) == ([0], [
+        f"{city.schemes[0]}/cell-00{i}/seed0" for i in range(2)])
+    assert [cell["summary"] for cell in spec["cells"]] == ["metro"] * 2
     fig6_nonabc_bottleneck(duration=1.0)
-    assert only_manifest()["spec"] == {"seeds": [0], "jobs": ["fig6"]}
+    spec = only_manifest()["spec"]
+    assert (spec["seeds"], spec["jobs"]) == ([0], ["fig6"])
+    assert [cell["summary"] for cell in spec["cells"]] == ["fig6"]
 
 
 def test_no_manifest_without_run_dir(tmp_path, monkeypatch):
@@ -499,7 +511,7 @@ def test_profile_tool_metro_city(tmp_path):
     assert payload["title"].startswith("metro city abc:0.6,cubic:0.4")
     # A city goes through the shared ABC router and the per-cell job body.
     profiled = {row["function"] for row in payload["rows"]}
-    assert {"metro_cell", "dequeue"} <= profiled
+    assert {"spec_cell", "dequeue"} <= profiled
 
 
 @pytest.mark.parametrize("target", [("--scheme", "cubic"),
@@ -515,7 +527,7 @@ def test_profile_tool_counts_mode(tmp_path, target):
     # ``co_qualname`` (3.11+) or the bare name.
     rows = {row["function"].rpartition(".")[2]: row for row in payload["rows"]}
     # Counted around Scenario.run only: the job body outside it is absent.
-    assert "_burst" in rows and "metro_cell" not in rows
+    assert "_burst" in rows and "spec_cell" not in rows
     assert 0.2 < rows["receive_at"]["py_calls_per_op"] < 2.0
     assert rows["receive_at"]["bytecodes_per_op"] > 50
     assert payload["bytecodes_per_op"] > 30 * payload["py_calls_per_op"] > 300

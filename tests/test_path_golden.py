@@ -42,7 +42,8 @@ from repro.cc.registry import make_cc
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.core.router import ABCRouterQdisc
 from repro.experiments.runner import run_single_bottleneck
-from repro.metro.cell import metro_cell
+from repro.experiments.scenario_spec import LinkSpec
+from repro.metro.spec import MetroSpec
 from repro.simulator.endpoints import IDLE_PACING_POLL
 from repro.simulator.engine import EventLoop
 from repro.simulator.scenario import Scenario
@@ -128,6 +129,13 @@ def _golden_trace_scenario():
     return scenario_summary(scenario, scenario.links)
 
 
+def metro_cell(mix, cell, link_spec, seed, **spec_kwargs):
+    """One metro cell, run as the one job of a one-cell ``MetroSpec``."""
+    (job,) = MetroSpec(schemes=[mix], traces={cell: link_spec}, seeds=(seed,),
+                       **spec_kwargs).expand()[1]
+    return job.run()
+
+
 def _metro(label, link_spec, mix="abc:0.6,cubic:0.3,bbr:0.1", seed=3):
     def run():
         result = metro_cell(mix=mix, cell=f"diff-{label}",
@@ -189,7 +197,8 @@ def _cases() -> dict:
     cases = {f"scheme-{s}": _scheme_on_trace(s) for s in sorted(GOLDEN_WIRING)}
     cases.update({f"outage-{s}": _outage(s) for s in ("abc", "cubic", "bbr")})
     cases["golden-trace-scenario"] = _golden_trace_scenario
-    cases["metro-square-wave"] = _metro("square", ("square", 10e6, 24e6, 0.5))
+    cases["metro-square-wave"] = _metro("square", LinkSpec("square", {
+        "low_bps": 10e6, "high_bps": 24e6, "half_period": 0.5}))
     cases["metro-fixed-rate"] = _metro("rate", 30e6)
     cases["metro-trace"] = _metro(
         "trace", lte_showcase_trace(duration=4.0, seed=5),

@@ -309,8 +309,9 @@ def test_sweep_spec_expands_scheme_trace_seed_order():
     assert [(c.scheme, c.trace, c.seed) for c in cells] == [
         (scheme, trace, seed) for scheme in ("abc", "cubic")
         for trace in ("t1", "t2") for seed in (0, 1)]
-    assert [job.kwargs["seed"] for job in jobs] == [0, 1] * 4
-    assert {job.kwargs["rtt"] for job in jobs} == {0.05}
+    assert [job.kwargs["spec"]["sim_seed"] for job in jobs] == [0, 1] * 4
+    assert {flow["rtt"] for job in jobs
+            for flow in job.kwargs["spec"]["flows"]} == {0.05}
     # One seed's jobs are that seed's slice of the grid, same cache keys.
     assert ([job.cache_key("s") for job in spec.jobs_for_seed(1)]
             == [job.cache_key("s") for job in jobs[1::2]])

@@ -2,7 +2,7 @@
 
 Every cell that builds through ``build`` must describe its run completely:
 its spec survives ``to_jsonable`` → JSON → ``from_jsonable`` unchanged and
-builds a run with the same result.  The legacy ``link_spec`` values convert
+builds a run with the same result.  The ``link_spec`` values convert
 through the one converter, and a result that names its link names it the
 same way every run.
 """
@@ -15,15 +15,16 @@ from pathlib import Path
 import pytest
 
 from repro.cellular.synthetic import synthetic_trace_set
-from repro.experiments import coexistence, fairness, runner, scenario_spec
-from repro.experiments.scenario_spec import (ScenarioSpec, build,
-                                             link_spec_from)
+from repro.experiments import (coexistence, fairness, runner, scenario_spec,
+                               wifi_eval)
+from repro.experiments.scenario_spec import (LinkSpec, ScenarioSpec, build,
+                                             link_spec_from, spec_cell)
 from repro.fuzz.generator import ScenarioGen, SmallMetroGen
 from repro.fuzz.invariants import scenario_summary
 from repro.fuzz.shrink import load_corpus_entry
-from repro.metro.cell import metro_cell
 from repro.runtime.trace_store import register_trace
-from repro.simulator.link import ConstantRate, SquareWaveRate, SteppedRate
+
+from test_path_golden import metro_cell
 
 CORPUS = sorted((Path(__file__).parent / "data" / "fuzz_corpus").glob("*.json"))
 TRACE = synthetic_trace_set(duration=3.0, seed=2, names=["Verizon-LTE-1"])[
@@ -46,24 +47,36 @@ CELLS = {
     "single-bottleneck": lambda: runner.run_single_bottleneck(
         "cubic+pie", TRACE, duration=2.0, extra_links=(9e6,), seed=3),
     "single-bottleneck-models": lambda: [runner.run_single_bottleneck(
-        "abc", model, duration=1.5) for model in (
-            ConstantRate(6e6), SquareWaveRate(4e6, 9e6, 0.5, start_low=True),
-            SteppedRate([(0.0, 5e6), (1.0, 8e6)]))],
-    "fig11": lambda: coexistence.fig6_cell(
-        duration=6.0, wired_mbps=12.0, rtt=0.1, sample_interval=0.5,
-        cross_traffic=True),
-    "fig7": lambda: coexistence.fig7_cell(link_mbps=24.0, duration=4.0,
-                                          rtt=0.1, stagger=1.0),
-    "fig12-zombie": lambda: coexistence.coexistence_load_cell(
-        load=0.25, strategy="zombie", link_mbps=24.0, duration=4.0, rtt=0.1,
-        n_long=1, seed=17),
-    "fig13": lambda: coexistence.fig13_cell(
+        "abc", LinkSpec(kind, params), duration=1.5) for kind, params in (
+            ("constant", {"rate_bps": 6e6}),
+            ("square", {"low_bps": 4e6, "high_bps": 9e6, "half_period": 0.5,
+                        "start_low": True}),
+            ("stepped", {"steps": [[0.0, 5e6], [1.0, 8e6]]}))],
+    "fig11": lambda: spec_cell(coexistence.fig6_spec(
+        6.0, wired_mbps=12.0, rtt=0.1,
+        cross_schedule=[(2.0, 4.0), (4.0 + 1e-9, 6.0)]).to_jsonable(),
+        "fig6", wired_mbps=12.0, sample_interval=0.5),
+    "fig7": lambda: spec_cell(coexistence.shared_bottleneck_spec(
+        24.0, 4.0, 0.1, n_abc=2, n_cubic=2, abc_starts=(0.0, 1.0),
+        cubic_starts=(2.0, 3.0)).to_jsonable(), "coexistence", n_abc=2,
+        n_cubic=2, warmup=3.0),
+    "fig12-zombie": lambda: spec_cell(coexistence.shared_bottleneck_spec(
+        24.0, 4.0, 0.1, n_abc=1, n_cubic=1, strategy="zombie",
+        short_flow_load=0.25, warmup=1.0).to_jsonable(), "coexistence",
+        n_abc=1, n_cubic=1, warmup=1.0),
+    "fig13": lambda: spec_cell(coexistence.app_limited_spec(
         num_app_limited=5, aggregate_app_rate_mbps=1.0, duration=3.0,
-        rtt=0.1, seed=23),
+        rtt=0.1, seed=23).to_jsonable(), "app_limited"),
+    "fig5": lambda: spec_cell(wifi_eval.rate_prediction_spec(
+        5, 0.6, duration=1.5, seed=1).to_jsonable(), "rate_prediction"),
+    "fig14": lambda: spec_cell(wifi_eval.wifi_case_spec(
+        "abc", 2, duration=1.5, rtt=0.04, mcs_mode="brownian", seed=3,
+        abc_delay_threshold=0.02).to_jsonable(), "wifi"),
     "fig3": lambda: fairness.fig3_fairness(False, num_flows=2, stagger=1.0),
     "jain": lambda: fairness.jain_index_sweep(flow_counts=(2,), duration=2.0,
                                               warmup=1.0),
-    "metro-square": lambda: metro_cell(MIX, "cell-a", ("square", 4e6, 9e6, 0.5),
+    "metro-square": lambda: metro_cell(MIX, "cell-a", LinkSpec("square", {
+        "low_bps": 4e6, "high_bps": 9e6, "half_period": 0.5}),
                                        seed=1, duration=3.0),
     "metro-trace-ref": lambda: metro_cell(MIX, "cell-b", register_trace(TRACE),
                                           seed=2, duration=3.0),
@@ -80,7 +93,7 @@ def built_specs(monkeypatch):
         specs.append(spec)
         return real_build(spec)
 
-    for module in (scenario_spec, runner, coexistence, fairness):
+    for module in (scenario_spec, runner, fairness):
         monkeypatch.setattr(module, "build", recording)
     return specs
 
@@ -120,18 +133,21 @@ def test_corpus_entries_load_and_rebuild_unchanged(path):
 def test_legacy_link_specs_convert():
     ref = register_trace(TRACE)
     assert link_spec_from(ref) == link_spec_from(TRACE)
-    assert link_spec_from(TRACE).params["name"] == "Verizon-LTE-1"
+    assert link_spec_from(TRACE).kind == "trace_ref"
+    assert link_spec_from(TRACE).params == {"key": ref.key,
+                                            "name": "Verizon-LTE-1"}
     assert link_spec_from(12e6).params == {"rate_bps": 12e6}
-    assert (link_spec_from(("square", 4e6, 9e6, 0.5))
-            == link_spec_from(SquareWaveRate(4e6, 9e6, 0.5)))
-    assert link_spec_from([0.001, 0.002]).kind == "trace"
+    square = LinkSpec("square", {"low_bps": 4e6, "high_bps": 9e6,
+                                 "half_period": 0.5})
+    assert link_spec_from(square, name="cell") == LinkSpec(
+        "square", square.params, name="cell")
     with pytest.raises(TypeError):
         link_spec_from(object())
 
 
 def test_single_bottleneck_trace_label_is_deterministic():
-    labels = [runner.run_single_bottleneck("abc", ConstantRate(6e6),
-                                           duration=1.0).trace
+    stepped = LinkSpec("stepped", {"steps": [[0.0, 6e6]]})
+    labels = [runner.run_single_bottleneck("abc", stepped, duration=1.0).trace
               for _ in range(2)]
     assert labels[0] == labels[1]
     assert "0x" not in labels[0]

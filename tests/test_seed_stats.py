@@ -35,7 +35,7 @@ from repro.experiments.runner import (run_cellular_sweep, run_seed_grid,
 from repro.experiments.timeseries import fig1_timeseries, fig17_square_wave
 from repro.experiments.wifi_eval import fig5_rate_prediction, fig10_wifi
 from repro.runtime.executor import SweepExecutor, SweepJob
-from repro.runtime.trace_store import TraceRef, register_trace
+from repro.runtime.trace_store import TraceRef, get_trace, register_trace
 
 REPRO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -385,7 +385,7 @@ def test_trace_ref_round_trip_and_fingerprint():
     assert isinstance(ref, TraceRef)
     # The store dedupes by content, so resolution returns a trace with the
     # same opportunities (possibly an earlier-registered identical instance).
-    assert ref.resolve().opportunity_times == trace.opportunity_times
+    assert get_trace(ref.key).opportunity_times == trace.opportunity_times
     # Same content -> same ref; the fingerprint is content-addressed.
     again = register_trace(_tiny_traces()["t1"])
     assert again == ref

@@ -38,15 +38,15 @@ from repro.obs.manifest import in_run_dir  # noqa: E402
 def export_scenario_trace(scheme: str, duration: float, seed: int,
                           out: Path) -> Path:
     from repro.cellular.synthetic import lte_showcase_trace
-    from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec,
-                                                 build, link_spec_from)
+    from repro.experiments.runner import single_bottleneck_spec
+    from repro.experiments.scenario_spec import build
     from repro.obs.trace import EventTraceRecorder
 
-    trace = lte_showcase_trace(duration=duration, seed=7)
-    scenario = build(ScenarioSpec(
-        scheme=scheme.lower(), duration=duration, sim_seed=seed,
-        links=[link_spec_from(trace, name="bottleneck")],
-        flows=[FlowSpec(rtt=0.1, label=scheme.lower())])).scenario
+    # The spec a single-bottleneck ``spec_cell`` job runs, built here so the
+    # recorder can attach before the run.
+    scenario = build(single_bottleneck_spec(
+        scheme, lte_showcase_trace(duration=duration, seed=7), rtt=0.1,
+        duration=duration, seed=seed)).scenario
     recorder = EventTraceRecorder(scenario.env)
     scenario.every(0.05, recorder.queue_probe(scenario.links))
     scenario.run(duration)

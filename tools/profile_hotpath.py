@@ -88,17 +88,21 @@ SETUP_STAGES = ("numpy import", "repro import", "trace synthesis", "expand")
 
 
 def scenario_workload(scheme: str, duration: float):
-    """Set up one scheme over the LTE showcase trace; returns the run."""
+    """Set up one scheme over the LTE showcase trace; returns the run (the
+    sweep job body, :func:`~repro.experiments.scenario_spec.spec_cell`)."""
     from repro.cellular.synthetic import lte_showcase_trace
-    from repro.experiments.runner import run_single_bottleneck
+    from repro.experiments.runner import single_bottleneck_spec
+    from repro.experiments.scenario_spec import spec_cell
 
-    trace = lte_showcase_trace(duration=duration, seed=7)
-    return lambda: run_single_bottleneck(
-        scheme, trace, rtt=0.1, duration=duration, buffer_packets=250, seed=0)
+    spec = single_bottleneck_spec(
+        scheme, lte_showcase_trace(duration=duration, seed=7), rtt=0.1,
+        duration=duration).to_jsonable()
+    return lambda: spec_cell(spec, "single_bottleneck")
 
 
 def metro_workload(mix: str, duration: float):
-    """Set up one small ``metro_pack`` city; returns the run."""
+    """Set up one small ``metro_pack`` city; returns the run (its
+    :func:`~repro.experiments.scenario_spec.spec_cell` jobs)."""
     from repro.metro.spec import metro_pack
 
     _cells, jobs = metro_pack(METRO_CELLS, mixes=(mix,),
