@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.analysis.stats import SeedResultSet
 from repro.experiments.runner import run_seed_grid
-from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
+from repro.experiments.scenario_spec import (NATIVE, BuiltScenario, FlowSpec,
                                              LinkSpec, ScenarioSpec, spec_job)
 from repro.runtime.executor import SweepExecutor, SweepJob
 
@@ -73,12 +73,13 @@ def fig6_spec(duration: float, wired_mbps: float, rtt: float,
                      buffer_packets=100, role="wired", name="wired")])
 
 
-def fig6_summary(built: BuiltScenario, wired_mbps: float,
+def fig6_summary(built: BuiltScenario,
                  sample_interval: float) -> DualBottleneckTrace:
     """Run a :func:`fig6_spec` scenario, sampling the ABC flow's two windows
     and the wireless rate every ``sample_interval`` (the ``fig6`` summary)."""
     scenario, abc_flow = built.scenario, built.flows[0]
     duration = built.spec.duration
+    wired_mbps = built.spec.links[1].params["rate_bps"] / 1e6
     cross_schedule = [on for flow in built.spec.flows[1:]
                       for on in flow.on_off]
 
@@ -101,14 +102,10 @@ def fig6_summary(built: BuiltScenario, wired_mbps: float,
     n = min(len(times), len(tput), len(queuing))
 
     # Ideal rate: min(wireless rate, fair share of the wired link).
-    ideal = []
-    for i in range(n):
-        now = times[i]
-        fair_share = wired_mbps
-        if any(start <= now < stop for start, stop in cross_schedule):
-            fair_share = wired_mbps / 2.0
-        ideal.append(min(wireless_rate[i], fair_share))
-    ideal_arr = np.array(ideal)
+    shared = [any(start <= now < stop for start, stop in cross_schedule)
+              for now in times[:n]]
+    ideal_arr = np.array([min(rate, wired_mbps / 2.0 if half else wired_mbps)
+                          for rate, half in zip(wireless_rate[:n], shared)])
     achieved = tput[:n] / 1e6
     with np.errstate(divide="ignore", invalid="ignore"):
         errors = np.abs(achieved - ideal_arr) / np.maximum(ideal_arr, 1e-9)
@@ -150,7 +147,7 @@ def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
     job = spec_job(fig6_spec(duration, wired_mbps, rtt,
                              cross_schedule if cross_traffic else None),
                    "fig6", "fig11" if cross_traffic else "fig6",
-                   wired_mbps=wired_mbps, sample_interval=sample_interval)
+                   sample_interval=sample_interval)
     return run_seed_grid(lambda s: [job], 0, (0,), executor)[0]
 
 
@@ -200,7 +197,7 @@ def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0
     job = spec_job(shared_bottleneck_spec(
         link_mbps, duration, rtt, n_abc=2, n_cubic=2,
         abc_starts=(0.0, stagger), cubic_starts=(2 * stagger, 3 * stagger)),
-        "coexistence", "fig7", n_abc=2, n_cubic=2, warmup=3 * stagger)
+        "coexistence", "fig7", warmup=3 * stagger)
     return run_seed_grid(lambda s: [job], 17, (17,), executor)[0]
 
 
@@ -241,14 +238,16 @@ def shared_bottleneck_spec(link_mbps: float, duration: float, rtt: float,
             name="shared", qdisc=strategy)])
 
 
-def coexistence_summary(built: BuiltScenario, n_abc: int, n_cubic: int,
+def coexistence_summary(built: BuiltScenario,
                         warmup: float) -> CoexistenceResult:
     """Run a :func:`shared_bottleneck_spec` scenario and measure its long
     flows from ``warmup`` on (the ``coexistence`` summary)."""
     duration = built.spec.duration
     built.scenario.run(duration)
-    abc_flows = built.flows[:n_abc]
-    cubic_flows = built.flows[n_abc:n_abc + n_cubic]
+    long_flows = [(spec.cc, flow) for spec, flow in zip(
+        built.spec.flows, built.flows) if spec.size_bytes is None]
+    abc_flows = [flow for cc, flow in long_flows if cc == NATIVE]
+    cubic_flows = [flow for cc, flow in long_flows if cc != NATIVE]
 
     abc_tputs = [f.stats.throughput_bps(warmup, duration) / 1e6 for f in abc_flows]
     cubic_tputs = [f.stats.throughput_bps(warmup, duration) / 1e6 for f in cubic_flows]
@@ -302,7 +301,7 @@ def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5)
                     strategy=strategy, short_flow_load=load, warmup=warmup,
                     seed=s),
                     "coexistence", f"fig12/{strategy}/seed{s}/load{load:g}",
-                    n_abc=n_long, n_cubic=n_long, warmup=warmup)
+                    warmup=warmup)
                 for load in loads]
 
     return dict(zip(loads, run_seed_grid(

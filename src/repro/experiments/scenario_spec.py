@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.cc.registry import available_schemes, make_cc
@@ -92,9 +93,9 @@ class LinkSpec:
     ``trace_seed``, synthesised for the scenario's duration), ``trace_ref``
     (a registered trace's store ``key`` and ``name``) or ``wifi`` (``mcs``
     is ``["fixed", index]``, ``["alternating", low, high, period]`` or
-    ``["brownian", min, max, period, seed]``, plus ``mac_seed`` and
-    ``estimator``: the rate estimator an ABC router reads).  ``role`` is
-    ``bottleneck`` or ``wired``; ``name`` defaults to ``"{role}-{index}"``.
+    ``["brownian", min, max, period]``; it carries the rate estimator an ABC
+    router reads).  ``role`` is ``bottleneck`` or ``wired``; ``name``
+    defaults to ``"{role}-{index}"``.
     """
 
     kind: str
@@ -173,9 +174,10 @@ class FlowSpec:
 class ScenarioSpec:
     """A complete, serializable scenario description.
 
-    ``sim_seed`` seeds the scheme's randomised qdisc (PIE); ``abc_params``
-    (default :data:`~repro.core.params.CELLULAR_DEFAULTS`) parameterises
-    every ABC router and ABC sender in the scenario.
+    ``sim_seed`` seeds the scheme's randomised qdisc (PIE) and a ``wifi``
+    link's MAC and Brownian MCS walk; ``abc_params`` (default
+    :data:`~repro.core.params.CELLULAR_DEFAULTS`) parameterises every ABC
+    router and ABC sender in the scenario.
     """
 
     scheme: str
@@ -315,17 +317,17 @@ def _add_link(scenario: Scenario, link: LinkSpec, index: int,
         from repro.wifi.mac import WiFiLink, WiFiMacConfig
         from repro.wifi.rate_estimator import WiFiRateEstimator
 
-        estimator = (WiFiRateEstimator(window=params.measurement_window)
-                     if p.get("estimator") else None)
-        if estimator is not None and isinstance(qdisc, ABCRouterQdisc):
+        estimator = WiFiRateEstimator(window=params.measurement_window)
+        if isinstance(qdisc, ABCRouterQdisc):
             qdisc.capacity_fn = estimator.capacity_fn()
         schedule, *args = p["mcs"]
         schedules = {"fixed": mcs.FixedMCSSchedule,
                      "alternating": mcs.AlternatingMCSSchedule,
-                     "brownian": mcs.BrownianMCSSchedule}
+                     "brownian": partial(mcs.BrownianMCSSchedule,
+                                         seed=spec.sim_seed)}
         return scenario.add_custom_link(WiFiLink(
             scenario.env, mcs=schedules[schedule](*args),
-            config=WiFiMacConfig(seed=p.get("mac_seed", 0)), qdisc=qdisc,
+            config=WiFiMacConfig(seed=spec.sim_seed), qdisc=qdisc,
             estimator=estimator), name=name)
     if link.kind == "cellular":
         config = SyntheticTraceConfig(

@@ -15,7 +15,6 @@ from typing import Dict, Sequence
 from repro.core.params import ABCParams
 from repro.core.stability import FluidModel, stability_threshold
 from repro.experiments.runner import run_single_bottleneck
-from repro.simulator.link import ConstantRate
 
 
 @dataclass
@@ -76,7 +75,7 @@ def packet_level_stability(delta_values: Sequence[float] = (0.04, 0.133, 0.4),
     out: Dict[float, PacketLevelStabilityPoint] = {}
     for delta in delta_values:
         params = ABCParams(delta=delta)
-        result = run_single_bottleneck("abc", ConstantRate(link_mbps * 1e6),
+        result = run_single_bottleneck("abc", link_mbps * 1e6,
                                        rtt=tau, duration=duration,
                                        abc_params=params)
         flow = result.extra["flow"]

@@ -13,7 +13,7 @@
   walk in [3, 7] (Fig. 14), for one and two users.
 
 Figs. 5, 10 and 14 are :class:`~repro.experiments.scenario_spec.ScenarioSpec`
-cells on a ``wifi`` link (its MCS schedule, MAC seed and rate estimator),
+cells on a ``wifi`` link (an MCS schedule, plus the rate estimator),
 run by the ``rate_prediction`` and ``wifi`` summaries.  Fig. 4 is the one
 experiment in the repo that wires a
 :class:`~repro.simulator.scenario.Scenario` by hand: it pushes raw packets
@@ -124,10 +124,9 @@ def rate_prediction_spec(mcs: int, fraction: float, duration: float,
     offered = fraction * WiFiMacConfig().capacity_bps(mcs_rate_bps(mcs))
     return ScenarioSpec(
         scheme="cubic", duration=duration, abc_params=WIFI_DEFAULTS,
-        links=[LinkSpec("wifi", {"mcs": ["fixed", mcs], "mac_seed": seed,
-                                 "estimator": True},
-                        buffer_packets=2000, name=f"wifi-{mcs}")],
-        flows=[FlowSpec(rtt=0.02, app_rate_bps=offered)])
+        sim_seed=seed, flows=[FlowSpec(rtt=0.02, app_rate_bps=offered)],
+        links=[LinkSpec("wifi", {"mcs": ["fixed", mcs]}, buffer_packets=2000,
+                        name=f"wifi-{mcs}")])
 
 
 def rate_prediction_summary(built: BuiltScenario) -> RatePredictionPoint:
@@ -199,16 +198,15 @@ def wifi_case_spec(scheme: str, num_users: int, duration: float, rtt: float,
     ``seed`` drives the MAC (and the Brownian walk).  ABC's router reads
     the link's rate estimator."""
     mcs = {"alternating": ["alternating", 1, 7, 2.0],
-           "brownian": ["brownian", 3, 7, 2.0, seed]}.get(mcs_mode)
+           "brownian": ["brownian", 3, 7, 2.0]}.get(mcs_mode)
     if mcs is None:
         raise ValueError("mcs_mode must be 'alternating' or 'brownian'")
     params = WIFI_DEFAULTS if abc_delay_threshold is None else (
         WIFI_DEFAULTS.with_overrides(delay_threshold=abc_delay_threshold))
     return ScenarioSpec(
-        scheme=scheme, duration=duration, abc_params=params,
-        links=[LinkSpec("wifi", {"mcs": mcs, "mac_seed": seed,
-                                 "estimator": scheme == "abc"},
-                        buffer_packets=500, name="wifi")],
+        scheme=scheme, duration=duration, abc_params=params, sim_seed=seed,
+        links=[LinkSpec("wifi", {"mcs": mcs}, buffer_packets=500,
+                        name="wifi")],
         flows=[FlowSpec(rtt=rtt, label=f"{scheme}-{i}")
                for i in range(num_users)])
 

@@ -31,13 +31,14 @@ from repro.metro.aggregate import queuing_histogram
 
 
 def metro_summary(built: BuiltScenario, mix: str, seed: int,
-                  base_flows: int, warmup: float = 0.0) -> Dict[str, Any]:
+                  warmup: float = 0.0) -> Dict[str, Any]:
     """Run a :meth:`~repro.metro.spec.MetroSpec.cell_spec` cell into its
-    picklable row (the ``metro`` summary).  Per-flow throughputs, like
-    ``throughput_bps``, cover ``[warmup, duration]``; ``mix`` and ``seed``
-    label the row."""
+    picklable row (the ``metro`` summary), its backlogged flows the base.
+    Per-flow throughputs, like ``throughput_bps``, cover ``[warmup,
+    duration]``; ``mix`` and ``seed`` label the row."""
     scenario, duration = built.scenario, built.spec.duration
     link = scenario.links[0]
+    base_flows = sum(flow.size_bytes is None for flow in built.spec.flows)
     base = built.flows[:base_flows]
     churn = list(zip(built.spec.flows[base_flows:], built.flows[base_flows:]))
     result = scenario.run(duration)

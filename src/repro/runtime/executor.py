@@ -34,10 +34,10 @@ workers.  Used as a context manager the executor keeps them alive across
         second = fig18_rtt_sensitivity(executor=executor)  # no spin-up
 
 Workers are primed with the shared trace store
-(:mod:`repro.runtime.trace_store`) when they start, so job kwargs carry
-only a trace's content key (a ``trace_ref`` link in a cell's spec) instead
-of pickling every trace into every cell.  A ``run()`` that references a trace the workers
-do not hold transparently restarts them with a fresh snapshot.
+(:mod:`repro.runtime.trace_store`) when they start, so a cell's spec
+carries only a trace's content key (a ``trace_ref`` link), not the trace.
+A ``run()`` that references a trace the workers do not hold transparently
+restarts them with a fresh snapshot.
 
 Execution
 ---------

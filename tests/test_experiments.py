@@ -141,7 +141,7 @@ def test_fig6_single_seed_is_bit_identical_to_cell():
     from repro.experiments.scenario_spec import spec_cell
     routed = fig6_nonabc_bottleneck(duration=12.0)
     direct = spec_cell(fig6_spec(12.0, wired_mbps=12.0, rtt=0.1).to_jsonable(),
-                       "fig6", wired_mbps=12.0, sample_interval=0.25)
+                       "fig6", sample_interval=0.25)
     assert routed.tracking_error == direct.tracking_error
     assert (routed.throughput_mbps == direct.throughput_mbps).all()
     assert (routed.w_abc == direct.w_abc).all()

@@ -55,15 +55,14 @@ CELLS = {
     "fig11": lambda: spec_cell(coexistence.fig6_spec(
         6.0, wired_mbps=12.0, rtt=0.1,
         cross_schedule=[(2.0, 4.0), (4.0 + 1e-9, 6.0)]).to_jsonable(),
-        "fig6", wired_mbps=12.0, sample_interval=0.5),
+        "fig6", sample_interval=0.5),
     "fig7": lambda: spec_cell(coexistence.shared_bottleneck_spec(
         24.0, 4.0, 0.1, n_abc=2, n_cubic=2, abc_starts=(0.0, 1.0),
-        cubic_starts=(2.0, 3.0)).to_jsonable(), "coexistence", n_abc=2,
-        n_cubic=2, warmup=3.0),
+        cubic_starts=(2.0, 3.0)).to_jsonable(), "coexistence", warmup=3.0),
     "fig12-zombie": lambda: spec_cell(coexistence.shared_bottleneck_spec(
         24.0, 4.0, 0.1, n_abc=1, n_cubic=1, strategy="zombie",
         short_flow_load=0.25, warmup=1.0).to_jsonable(), "coexistence",
-        n_abc=1, n_cubic=1, warmup=1.0),
+        warmup=1.0),
     "fig13": lambda: spec_cell(coexistence.app_limited_spec(
         num_app_limited=5, aggregate_app_rate_mbps=1.0, duration=3.0,
         rtt=0.1, seed=23).to_jsonable(), "app_limited"),

@@ -102,6 +102,21 @@ def test_stability_sweep_experiment():
     assert sweep[0.2].fluid_oscillation_s > sweep[1.33].fluid_oscillation_s
 
 
+def test_packet_level_stability_runs_abc_on_a_constant_link():
+    from repro.experiments.runner import run_single_bottleneck
+    from repro.experiments.scenario_spec import LinkSpec
+    from repro.experiments.stability_eval import packet_level_stability
+    (point,) = packet_level_stability(delta_values=(0.133,),
+                                      duration=1.0).values()
+    direct = run_single_bottleneck(
+        "abc", LinkSpec("constant", {"rate_bps": 24e6}), rtt=0.1,
+        duration=1.0, abc_params=ABCParams(delta=0.133))
+    assert point.delta == 0.133
+    assert point.utilization == direct.utilization
+    assert point.queuing_p95_ms == direct.queuing_p95_ms
+    assert 0.0 < point.utilization <= 1.0 and point.queuing_std_ms >= 0.0
+
+
 
 # ------------------------------------------------------------ packet vs fluid
 #: Measured over the cases below (last 10 s of 20 s runs): utilisation

@@ -45,16 +45,16 @@ SUMMARY_CELLS = {
         {}),
     "fig6": (lambda: fig6_spec(6.0, wired_mbps=12.0, rtt=0.1,
                                cross_schedule=[(2.0, 4.0)]),
-             {"wired_mbps": 12.0, "sample_interval": 0.5}),
+             {"sample_interval": 0.5}),
     "coexistence": (lambda: shared_bottleneck_spec(
         12.0, 2.0, 0.05, n_abc=1, n_cubic=1, short_flow_load=0.2,
-        warmup=0.5, seed=3), {"n_abc": 1, "n_cubic": 1, "warmup": 0.5}),
+        warmup=0.5, seed=3), {"warmup": 0.5}),
     "app_limited": (lambda: app_limited_spec(3, 0.5, duration=1.5,
                                              rtt=0.05, seed=1), {}),
     "metro": (lambda: MetroSpec(schemes=[MIX], traces={}, duration=1.5,
                                 arrival_rate=3.0).cell_spec(
                                     MIX, "cell-x", 8e6, 1),
-              {"mix": MIX, "seed": 1, "base_flows": 2, "warmup": 0.5}),
+              {"mix": MIX, "seed": 1, "warmup": 0.5}),
     "fuzz": (lambda: ScenarioGen(seed=0).sample(0),
              {"check_determinism": True}),
 }
