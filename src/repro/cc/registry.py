@@ -1,33 +1,37 @@
 """Name-based registry of sender-side congestion-control algorithms.
 
 Experiments refer to schemes by the labels used in the paper's figures
-("cubic", "bbr", "sprout", ...).  The registry maps those labels to factories
-so sweeps can be written as plain lists of strings.  Router-side components
-(AQM qdiscs, the ABC router, XCP/RCP/VCP routers) are chosen separately by the
-experiment runner because the same sender can face different bottleneck
-configurations (e.g. Cubic vs Cubic+Codel).
+("cubic", "bbr", "sprout", ...).  The registry maps those labels to the
+``"module:class"`` of each sender, imported by :func:`make_cc` on first
+use: validating a spec or listing the schemes loads no sender module, and a
+cell loads only the senders it runs.  Router-side components (AQM qdiscs,
+the ABC router, XCP/RCP/VCP routers) are chosen separately by the experiment
+runner because the same sender can face different bottleneck configurations
+(e.g. Cubic vs Cubic+Codel).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from pkgutil import resolve_name
+from typing import TYPE_CHECKING, List
 
-from repro.cc.base import CongestionControl
-from repro.cc.bbr import BBR
-from repro.cc.copa import Copa
-from repro.cc.cubic import Cubic
-from repro.cc.newreno import NewReno
-from repro.cc.pcc_vivace import PCCVivace
-from repro.cc.sprout import Sprout
-from repro.cc.vegas import Vegas
-from repro.cc.verus import Verus
+if TYPE_CHECKING:
+    from repro.cc.base import CongestionControl
 
-_REGISTRY: Dict[str, Callable[..., CongestionControl]] = {}
-
-
-def register_scheme(name: str, factory: Callable[..., CongestionControl]) -> None:
-    """Register (or override) a congestion-control factory under ``name``."""
-    _REGISTRY[name.lower()] = factory
+_REGISTRY = {
+    "newreno": "repro.cc.newreno:NewReno",
+    "cubic": "repro.cc.cubic:Cubic",
+    "vegas": "repro.cc.vegas:Vegas",
+    "bbr": "repro.cc.bbr:BBR",
+    "copa": "repro.cc.copa:Copa",
+    "pcc": "repro.cc.pcc_vivace:PCCVivace",
+    "sprout": "repro.cc.sprout:Sprout",
+    "verus": "repro.cc.verus:Verus",
+    "abc": "repro.core.sender:ABCWindowControl",
+    "xcp": "repro.explicit.xcp:XCPSender",
+    "rcp": "repro.explicit.rcp:RCPSender",
+    "vcp": "repro.explicit.vcp:VCPSender",
+}
 
 
 def make_cc(name: str, **kwargs) -> CongestionControl:
@@ -36,46 +40,9 @@ def make_cc(name: str, **kwargs) -> CongestionControl:
     if key not in _REGISTRY:
         raise KeyError(f"unknown congestion control scheme {name!r}; "
                        f"available: {sorted(_REGISTRY)}")
-    return _REGISTRY[key](**kwargs)
+    return resolve_name(_REGISTRY[key])(**kwargs)
 
 
 def available_schemes() -> List[str]:
     """Names of all registered sender-side schemes."""
     return sorted(_REGISTRY)
-
-
-def _register_builtin() -> None:
-    register_scheme("newreno", NewReno)
-    register_scheme("cubic", Cubic)
-    register_scheme("vegas", Vegas)
-    register_scheme("bbr", BBR)
-    register_scheme("copa", Copa)
-    register_scheme("pcc", PCCVivace)
-    register_scheme("sprout", Sprout)
-    register_scheme("verus", Verus)
-
-    # ABC and the explicit schemes live in other subpackages; import lazily to
-    # avoid circular imports at package-initialisation time.
-    def _abc_factory(**kwargs):
-        from repro.core.sender import ABCWindowControl
-        return ABCWindowControl(**kwargs)
-
-    def _xcp_factory(**kwargs):
-        from repro.explicit.xcp import XCPSender
-        return XCPSender(**kwargs)
-
-    def _rcp_factory(**kwargs):
-        from repro.explicit.rcp import RCPSender
-        return RCPSender(**kwargs)
-
-    def _vcp_factory(**kwargs):
-        from repro.explicit.vcp import VCPSender
-        return VCPSender(**kwargs)
-
-    register_scheme("abc", _abc_factory)
-    register_scheme("xcp", _xcp_factory)
-    register_scheme("rcp", _rcp_factory)
-    register_scheme("vcp", _vcp_factory)
-
-
-_register_builtin()

@@ -27,7 +27,8 @@ from repro.analysis.stats import SeedResultSet
 from repro.experiments.runner import run_seed_grid
 from repro.experiments.scenario_spec import (NATIVE, BuiltScenario, FlowSpec,
                                              LinkSpec, ScenarioSpec, spec_job)
-from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.spec import SweepJob
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ from repro.experiments.runner import (EXPLICIT_SCHEMES, SCHEME_NAMES,
                                       run_spec_grid, single_bottleneck_spec,
                                       sweep_averages)
 from repro.experiments.scenario_spec import spec_job
-from repro.runtime.executor import SweepExecutor, SweepJob
-from repro.runtime.spec import SweepSpec, validate_schemes
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.spec import SweepJob, SweepSpec, validate_schemes
 from repro.runtime.trace_store import register_trace
 
 #: Scheme subset used by default for the heavier sweeps (everything).

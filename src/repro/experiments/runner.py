@@ -35,8 +35,8 @@ from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
                                              ScenarioSpec, build,
                                              link_spec_from, spec_cell)
 from repro.obs.manifest import build_manifest, run_dir, write_manifest
-from repro.runtime.executor import SweepExecutor, SweepJob
-from repro.runtime.spec import SweepCell, SweepSpec
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.spec import SweepCell, SweepJob, SweepSpec
 
 #: Scheme labels in the order the paper's tables list them.
 SCHEME_NAMES: Tuple[str, ...] = (

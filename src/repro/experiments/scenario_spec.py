@@ -17,7 +17,10 @@ discipline at the bottleneck (Cubic runs over a deep drop-tail buffer,
 router); :data:`SCHEMES` maps each label to its sender, and :func:`build`
 makes the qdisc.  A link's ``qdisc`` is the scheme's own by default,
 drop-tail on a ``wired`` hop, or the two-queue ABC scheduler of Figs. 7 / 12
-with its ``maxmin`` or ``zombie`` weight controller.
+with its ``maxmin`` or ``zombie`` weight controller.  Senders, qdiscs and
+summaries are ``"module:name"`` table entries imported on first use: a spec
+loads none of them (nor the simulator or the executor), and a cell loads
+only the ones it runs.
 
 :func:`link_spec_from` is the one converter from the ``link_spec`` values
 the entry points accept: a rate in bit/s, a
@@ -31,13 +34,15 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
+from pkgutil import resolve_name
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.cc.registry import available_schemes, make_cc
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.cellular.trace import CellularTrace
 from repro.core.params import ABCParams, CELLULAR_DEFAULTS
-from repro.runtime.executor import SweepJob
+from repro.experiments.summaries import SUMMARIES
+from repro.runtime.spec import SweepJob
 from repro.runtime.trace_store import TraceRef, get_trace, register_trace
 
 if TYPE_CHECKING:  # the simulator is imported by build: a spec needs none of it
@@ -268,38 +273,32 @@ class BuiltScenario:
 
 def _qdisc(link: LinkSpec, spec: ScenarioSpec, params: ABCParams):
     """``link``'s qdisc: its ``qdisc`` label, drop-tail on a wired hop, else
-    the scheme's bottleneck qdisc (imported here, so a spec needs none)."""
-    from repro.aqm.codel import CoDelQdisc
-    from repro.aqm.droptail import DropTailQdisc
-    from repro.aqm.pie import PIEQdisc
-    from repro.core import coexistence
-    from repro.core.pk_abc import PKABCRouterQdisc
-    from repro.core.router import ABCRouterQdisc
-    from repro.explicit.rcp import RCPRouterQdisc
-    from repro.explicit.vcp import VCPRouterQdisc
-    from repro.explicit.xcp import XCPRouterQdisc
-
+    the scheme's bottleneck qdisc.  Only the class the label names is
+    imported, so a spec needs no qdisc and an ABC cell no AQM."""
     b = link.buffer_packets
     label = link.qdisc or ("droptail" if link.role == "wired" else spec.scheme)
-    controllers = {"maxmin": coexistence.MaxMinWeightController,
-                   "zombie": coexistence.ZombieListWeightController}
-    if label in controllers:
+    if label in ("maxmin", "zombie"):
+        from repro.core import coexistence
+
+        controller = {"maxmin": coexistence.MaxMinWeightController,
+                      "zombie": coexistence.ZombieListWeightController}[label]
         return coexistence.DualQueueABCQdisc(
             params=params, buffer_packets=b,
-            controller=controllers[label](interval=1.0))
-    return {"abc": lambda: ABCRouterQdisc(params=params, buffer_packets=b),
-            "pk-abc": lambda: PKABCRouterQdisc(params=params,
-                                               buffer_packets=b),
-            "abc-enqueue": lambda: ABCRouterQdisc(
-                params=params, buffer_packets=b, feedback_basis="enqueue"),
-            "cubic+codel": lambda: CoDelQdisc(buffer_packets=b),
-            "cubic+pie": lambda: PIEQdisc(buffer_packets=b,
-                                          seed=spec.sim_seed),
-            "xcp": lambda: XCPRouterQdisc(buffer_packets=b),
-            "xcpw": lambda: XCPRouterQdisc(buffer_packets=b, wireless=True),
-            "rcp": lambda: RCPRouterQdisc(buffer_packets=b),
-            "vcp": lambda: VCPRouterQdisc(buffer_packets=b),
-            }.get(label, lambda: DropTailQdisc(buffer_packets=b))()
+            controller=controller(interval=1.0))
+    abc = {"params": params}
+    target, kwargs = {
+        "abc": ("repro.core.router:ABCRouterQdisc", abc),
+        "pk-abc": ("repro.core.pk_abc:PKABCRouterQdisc", abc),
+        "abc-enqueue": ("repro.core.router:ABCRouterQdisc",
+                        dict(abc, feedback_basis="enqueue")),
+        "cubic+codel": ("repro.aqm.codel:CoDelQdisc", {}),
+        "cubic+pie": ("repro.aqm.pie:PIEQdisc", {"seed": spec.sim_seed}),
+        "xcp": ("repro.explicit.xcp:XCPRouterQdisc", {}),
+        "xcpw": ("repro.explicit.xcp:XCPRouterQdisc", {"wireless": True}),
+        "rcp": ("repro.explicit.rcp:RCPRouterQdisc", {}),
+        "vcp": ("repro.explicit.vcp:VCPRouterQdisc", {}),
+    }.get(label, ("repro.aqm.droptail:DropTailQdisc", {}))
+    return resolve_name(target)(buffer_packets=b, **kwargs)
 
 
 def _add_link(scenario: Scenario, link: LinkSpec, index: int,
@@ -397,11 +396,8 @@ def spec_cell(spec: dict, summary: str, **summary_args) -> Any:
     """The one sweep job function: build the JSON-able ``spec`` and hand it
     to the summary named ``summary``, which runs it and returns the cell's
     picklable result (the result cache keys on all three arguments)."""
-    # Late: the summaries live with their figures, which import this module.
-    from repro.experiments.summaries import SUMMARIES
-
-    return SUMMARIES[summary](build(ScenarioSpec.from_jsonable(spec)),
-                              **summary_args)
+    return resolve_name(SUMMARIES[summary])(
+        build(ScenarioSpec.from_jsonable(spec)), **summary_args)
 
 
 def spec_job(spec: ScenarioSpec, summary: str, label: str,

@@ -27,7 +27,8 @@ from repro.cellular.trace import CellularTrace
 from repro.experiments.runner import (run_seed_grid, single_bottleneck_spec,
                                       single_bottleneck_summary)
 from repro.experiments.scenario_spec import BuiltScenario, LinkSpec, spec_job
-from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.spec import SweepJob
 from repro.runtime.trace_store import register_trace
 
 

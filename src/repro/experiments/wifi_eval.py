@@ -35,7 +35,8 @@ from repro.core.params import WIFI_DEFAULTS
 from repro.experiments.runner import run_seed_grid
 from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
                                              LinkSpec, ScenarioSpec, spec_job)
-from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.spec import SweepJob
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.wifi.mac import WiFiLink, WiFiMacConfig

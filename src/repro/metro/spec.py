@@ -27,8 +27,7 @@ from typing import Any, Dict, Sequence
 
 from repro.metro.workload import (bounded_pareto_sizes, parse_mix,
                                   poisson_arrivals, scheme_assignment)
-from repro.runtime.executor import SweepJob
-from repro.runtime.spec import SweepSpec
+from repro.runtime.spec import SweepJob, SweepSpec
 
 #: The default city-wide scheme mix (dominantly ABC, with loss-based and
 #: model-based coexistence traffic).

@@ -4,7 +4,7 @@ This subsystem turns the repository's figure sweeps into fleets of
 independent jobs:
 
 * :class:`~repro.runtime.spec.SweepSpec` — declarative schemes × traces ×
-  seeds grid that expands into jobs (run by
+  seeds grid that expands into :class:`~repro.runtime.spec.SweepJob`\\ s (run by
   :func:`repro.experiments.runner.run_seed_grid`).
 * :class:`~repro.runtime.executor.SweepExecutor` — runs jobs serially or on
   a ``multiprocessing`` pool and memoizes results in an on-disk
@@ -28,10 +28,25 @@ arguments or ``REPRO_SEEDS`` (:func:`~repro.config.resolve_seeds`; every
 The invariant the rest of the repo relies on: a sweep's metrics are
 bit-for-bit identical whether executed serially, in parallel, on a reused
 pool, or replayed from the cache.
+
+The names below are resolved on first use (PEP 562), so writing a spec or
+running a cell in-process never loads the executor and ``multiprocessing``.
 """
 
-from repro.runtime.cache import ResultCache  # read by benchmarks/ledger
-from repro.runtime.executor import SweepExecutor, SweepJob  # read by benchmarks/ledger
-from repro.runtime.faults import is_failure  # read by benchmarks/ledger
-from repro.runtime.journal import RunJournal, run_key_for  # read by benchmarks/ledger
-from repro.runtime.spec import SweepSpec  # read by benchmarks/ledger
+_LAZY = {
+    "ResultCache": "repro.runtime.cache:ResultCache",  # read by benchmarks/ledger
+    "SweepExecutor": "repro.runtime.executor:SweepExecutor",  # read by benchmarks/ledger
+    "SweepJob": "repro.runtime.spec:SweepJob",  # read by benchmarks/ledger
+    "SweepSpec": "repro.runtime.spec:SweepSpec",  # read by benchmarks/ledger
+    "is_failure": "repro.runtime.faults:is_failure",  # read by benchmarks/ledger
+    "RunJournal": "repro.runtime.journal:RunJournal",  # read by benchmarks/ledger
+    "run_key_for": "repro.runtime.journal:run_key_for",  # read by benchmarks/ledger
+}
+
+
+def __getattr__(name):
+    from pkgutil import resolve_name
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return resolve_name(_LAZY[name])

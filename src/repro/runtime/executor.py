@@ -90,35 +90,15 @@ from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
 from repro.config import RuntimeConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs.progress import SweepProgress, resolve_progress
-from repro.runtime.cache import CODE_VERSION_SALT, ResultCache, stable_hash
+from repro.runtime.cache import CODE_VERSION_SALT, ResultCache
 from repro.runtime.faults import (FaultInjectionError, FaultInjector,
                                   JobAttempt, JobFailure, JobFailureError,
                                   crash_attempt, retry_backoff,
                                   timeout_attempt)
 from repro.runtime.journal import RunJournal, run_key_for
+from repro.runtime.spec import SweepJob
 from repro.runtime.trace_store import (install_snapshot, referenced_keys,
                                        snapshot_for)
-
-@dataclass
-class SweepJob:
-    """One independent sweep cell: a module-level function plus kwargs.
-
-    ``label`` is purely cosmetic (progress/debug output); it does not enter
-    the cache key, so relabeling a job still hits its cached result.
-    """
-
-    func: Callable[..., Any]
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-    label: str = ""
-
-    def cache_key(self, salt: str) -> str:
-        """Content-addressed cache key: function identity + kwargs + salt."""
-        func_id = f"{self.func.__module__}.{self.func.__qualname__}"
-        return stable_hash([func_id, self.kwargs, salt])
-
-    def run(self) -> Any:
-        return self.func(**self.kwargs)
-
 
 def _timed_attempt(job: SweepJob, job_key: Optional[str], attempt: int,
                    injector: Optional[FaultInjector], pid: int

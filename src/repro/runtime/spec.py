@@ -2,7 +2,7 @@
 
 A :class:`SweepSpec` names the axes of a figure-style sweep — schemes ×
 traces × seeds — and expands into independent
-:class:`~repro.runtime.executor.SweepJob`\\ s, one per cell: a
+:class:`SweepJob`\\ s, one per cell: a
 :func:`~repro.experiments.scenario_spec.spec_cell` job whose spec is
 :func:`repro.experiments.runner.single_bottleneck_spec`'s and whose
 ``single_bottleneck`` summary returns a picklable
@@ -23,11 +23,33 @@ deep inside a half-finished sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
-from repro.runtime.executor import SweepJob
+from repro.runtime.cache import stable_hash
 from repro.runtime.trace_store import register_trace
+
+
+@dataclass
+class SweepJob:
+    """One independent sweep cell: a module-level function plus kwargs.
+
+    ``label`` is purely cosmetic (progress/debug output); it does not enter
+    the cache key, so relabeling a job still hits its cached result.
+    """
+
+    func: Callable[..., Any]
+    kwargs: Dict[str, Any] = field(default_factory=dict)
+    label: str = ""
+
+    def cache_key(self, salt: str) -> str:
+        """Content-addressed cache key: function identity + kwargs + salt."""
+        func_id = f"{self.func.__module__}.{self.func.__qualname__}"
+        return stable_hash([func_id, self.kwargs, salt])
+
+    def run(self) -> Any:
+        return self.func(**self.kwargs)
 
 
 def validate_schemes(schemes: Sequence[str]) -> List[str]:

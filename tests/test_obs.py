@@ -18,6 +18,7 @@ Pins the contracts ``src/repro/obs`` is built on:
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -32,7 +33,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import SweepProgress
 from repro.obs.trace import (EventTraceRecorder, sweep_trace_events,
                              write_chrome_trace)
-from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.spec import SweepJob
 from repro.simulator.engine import EventLoop
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -540,11 +542,39 @@ def test_profile_tool_setup_split():
     proc = _run_tool("profile_hotpath.py", "--setup", "--metro", "abc:1",
                      "--duration", "0.5")
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[2:]
+    lines = proc.stdout.splitlines()
+    rows = lines[2:8]
     assert [row.split(maxsplit=2)[2] for row in rows] == [
         "interpreter", "numpy import", "repro import", "trace synthesis",
         "expand", "total"]
     assert rows[-1].split()[1] == "100.0%"
+    assert lines[8].startswith("   first job ")
+    # Modules loaded by set-up, then by set-up plus the first job (the
+    # simulator, the ABC router and sender): in all, and under repro.
+    setup, setup_repro, ran, ran_repro = map(int, re.findall(r"\d+", lines[9]))
+    assert setup > setup_repro > 0
+    assert ran - setup >= ran_repro - setup_repro > 5
+
+
+def test_count_gate_fails_on_a_rise_beyond_its_tolerance():
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    from count_gate import TOLERANCE, regressions
+
+    expected = {"total": 24.0, "functions": {"a": 1.0, "b": 2.0}}
+    assert regressions(expected, expected) == []
+    assert regressions(expected, {"total": 24.0 * (1 + TOLERANCE),
+                                  "functions": {"a": 0.5}}) == []
+    rose = {"total": 25.0, "functions": {"a": 1.0, "b": 2.1, "new": 0.01}}
+    assert [line.split(":")[0] for line in regressions(expected, rose)] == [
+        "total", "b", "new"]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="tools/hotpath_counts.json holds CPython 3.11 counts")
+def test_count_gate_passes_on_this_checkout():
+    """ROADMAP item 5's gate: no per-packet Python call count rose."""
+    proc = _run_tool("count_gate.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_profile_tool_bare_out_lands_in_run_dir(tmp_path):

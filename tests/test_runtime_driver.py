@@ -20,9 +20,10 @@ import time
 
 import pytest
 
-from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.executor import SweepExecutor
 from repro.runtime.faults import JobFailureError, is_failure, retry_backoff
 from repro.runtime.faults import crash_attempt, timeout_attempt
+from repro.runtime.spec import SweepJob
 
 
 @pytest.fixture(autouse=True)

@@ -25,8 +25,8 @@ from repro.core.params import ABCParams
 from repro.experiments.runner import run_cellular_sweep, sweep_averages
 from repro.runtime import cache as cache_module
 from repro.runtime.cache import ResultCache, stable_hash
-from repro.runtime.executor import SweepExecutor, SweepJob
-from repro.runtime.spec import SweepSpec
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.spec import SweepJob, SweepSpec
 
 
 def _tiny_traces():
@@ -219,7 +219,7 @@ def test_runtime_imports_without_numpy_or_the_simulator():
     """Executor, cache and journal start without numpy or any scheme."""
     loaded = _fresh_python("""
         import sys
-        import repro.runtime
+        import repro.runtime.executor
         print(" ".join(sys.modules))
     """).split()
     assert "numpy" not in loaded

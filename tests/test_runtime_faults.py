@@ -27,10 +27,11 @@ from repro.metro.aggregate import aggregate_city
 from repro.obs.manifest import executor_record
 from repro.obs.trace import sweep_trace_events
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.executor import SweepExecutor
 from repro.runtime.faults import (FaultInjector, FaultSpec, JobFailure,
                                   JobFailureError, is_failure, retry_backoff)
 from repro.runtime.journal import RunJournal, run_key_for
+from repro.runtime.spec import SweepJob
 
 
 # Module-level so jobs survive pickling into pool workers.
@@ -553,7 +554,8 @@ _SIGINT_SCRIPT = textwrap.dedent("""
     import time
 
     sys.path.insert(0, {src!r})
-    from repro.runtime.executor import SweepExecutor, SweepJob
+    from repro.runtime.executor import SweepExecutor
+    from repro.runtime.spec import SweepJob
     from tests.test_runtime_faults import _sleepy
 
     def children():

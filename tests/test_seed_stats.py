@@ -34,7 +34,8 @@ from repro.experiments.runner import (run_cellular_sweep, run_seed_grid,
                                       sweep_averages)
 from repro.experiments.timeseries import fig1_timeseries, fig17_square_wave
 from repro.experiments.wifi_eval import fig5_rate_prediction, fig10_wifi
-from repro.runtime.executor import SweepExecutor, SweepJob
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.spec import SweepJob
 from repro.runtime.trace_store import TraceRef, get_trace, register_trace
 
 REPRO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"

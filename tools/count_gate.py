@@ -1,0 +1,110 @@
+"""Deterministic per-packet gate: Python calls per delivered MTU must not rise.
+
+Counts the Python calls made inside ``Scenario.run`` per delivered MTU, in
+total and per ``repro`` function, on the 4-cell 2 s ``metro_ack`` and
+``metro_paced`` cities (``tools/profile_hotpath.py --counts``), and compares
+them with the committed ``tools/hotpath_counts.json``.  It fails when the
+total or any function's count rises by more than ``TOLERANCE``; a function
+the file does not list rises from zero.  The counts are exact and
+machine-independent, so one run settles it, but they move between CPython
+minor versions: the file records the version it was written on, and the gate
+refuses to compare on another::
+
+    PYTHONPATH=src python tools/count_gate.py            # exit 1 on a rise
+    PYTHONPATH=src python tools/count_gate.py --write    # re-baseline
+
+Re-baseline only in a change that means to move the per-packet path, and
+say why in its CHANGES.md entry.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import os
+import sys
+from pathlib import Path
+
+from profile_hotpath import METRO_CELLS, HotpathCounts, metro_workload
+
+#: The ledger's two metro mixes (``benchmarks/ledger/workloads.py``).
+MIXES = {"metro_ack": "abc:0.6,cubic:0.3,bbr:0.1",
+         "metro_paced": "bbr:0.6,pcc:0.2,abc:0.2"}
+#: Simulated seconds per cell.
+DURATION = 2.0
+#: The fraction a count may rise by before the gate fails.
+TOLERANCE = 0.03
+BASELINE = Path(__file__).with_name("hotpath_counts.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def python_version() -> str:
+    return "{}.{}".format(*sys.version_info[:2])
+
+
+def python_calls(mix: str) -> dict:
+    """Python calls per delivered MTU on a ``mix`` city: the total, and per
+    ``repro`` function (``<file under src>:<qualified name>``)."""
+    counts = HotpathCounts()
+    counts.run(metro_workload(mix, DURATION))
+    per_function = collections.Counter()
+    for code, (_bytecodes, calls, _c_calls) in counts.by_code.items():
+        path = Path(code.co_filename)
+        if path.is_relative_to(SRC / "repro") and calls:
+            name = getattr(code, "co_qualname", code.co_name)
+            per_function[f"{path.relative_to(SRC).as_posix()}:{name}"] += (
+                calls / counts.delivered_mtus)
+    return {"total": round(counts.totals()["py_calls_per_op"], 6),
+            "functions": {name: round(value, 6)
+                          for name, value in sorted(per_function.items())}}
+
+
+def regressions(expected: dict, measured: dict,
+                tolerance: float = TOLERANCE) -> list:
+    """One line per count in ``measured`` that exceeds ``expected`` by more
+    than ``tolerance``: the total, then the functions."""
+    rows = {"total": (expected["total"], measured["total"])}
+    rows.update({name: (expected["functions"].get(name, 0.0), value)
+                 for name, value in measured["functions"].items()})
+    return [f"{name}: {old:.6f} -> {new:.6f} Python calls per MTU"
+            for name, (old, new) in rows.items()
+            if new > old * (1 + tolerance)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help=f"rewrite {BASELINE.name} from this checkout")
+    args = parser.parse_args(argv)
+    for knob in [name for name in os.environ if name.startswith("REPRO_")]:
+        del os.environ[knob]            # the counts are of the defaults
+    measured = {name: python_calls(mix) for name, mix in MIXES.items()}
+    if args.write:
+        BASELINE.write_text(json.dumps(
+            {"python": python_version(), "cells": METRO_CELLS,
+             "duration": DURATION, "mixes": MIXES, "counts": measured},
+            indent=1) + "\n")
+        print(f"wrote {BASELINE}")
+        return 0
+    baseline = json.loads(BASELINE.read_text())
+    if baseline["python"] != python_version():
+        print(f"error: {BASELINE.name} was written on CPython "
+              f"{baseline['python']}; this is {python_version()}")
+        return 2
+    failed = False
+    for name, counts in measured.items():
+        expected = baseline["counts"][name]
+        moved = sum(value != expected["functions"].get(function)
+                    for function, value in counts["functions"].items())
+        print(f"{name}: {expected['total']:.6f} -> {counts['total']:.6f} "
+              f"Python calls per MTU; {moved} of "
+              f"{len(counts['functions'])} repro functions moved")
+        for line in regressions(expected, counts):
+            print(f"  ROSE > {TOLERANCE:.0%}  {line}")
+            failed = True
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

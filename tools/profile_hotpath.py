@@ -30,9 +30,11 @@ finished scenario is unwired by ``Scenario.run`` and freed by refcounting).
 ``--setup`` times what a fresh interpreter pays before the first job instead:
 interpreter start-up and exit, the ``numpy`` import, the ``repro`` import,
 trace synthesis and ``expand()`` (trace-store registration and job
-construction), as the median of ``SETUP_LAUNCHES`` launches.  It runs the
-``--metro`` city, or else the Fig. 9 grid (every scheme over the eight-trace
-set) at ``--duration``::
+construction), as the median of ``SETUP_LAUNCHES`` launches.  It then runs
+the first job, times it apart from set-up, and prints how many modules
+(in all, and under ``repro``) set-up imported and set-up plus the first job
+did.  It runs the ``--metro`` city, or else the Fig. 9 grid (every scheme
+over the eight-trace set) at ``--duration``::
 
     PYTHONPATH=src python tools/profile_hotpath.py --setup --duration 30
     PYTHONPATH=src python tools/profile_hotpath.py --setup --metro MIX --duration 8
@@ -70,9 +72,10 @@ METRO_CELLS = 4
 SETUP_LAUNCHES = 5
 
 #: Run by ``--setup`` in a fresh interpreter: each stage's end is marked,
-#: and the marks are printed as JSON.
+#: then the first job runs (marked too); the marks and the modules loaded
+#: after set-up and after the first job are printed as JSON.
 SETUP_PROBE = """\
-import json, time
+import json, sys, time
 marks = [time.perf_counter()]
 import numpy
 marks.append(time.perf_counter())
@@ -80,9 +83,13 @@ marks.append(time.perf_counter())
 marks.append(time.perf_counter())
 spec = {spec}
 marks.append(time.perf_counter())
-spec.expand()
+_cells, jobs = spec.expand()
 marks.append(time.perf_counter())
-print(json.dumps(marks))
+modules = [list(sys.modules)]
+jobs[0].run()
+marks.append(time.perf_counter())
+modules.append(list(sys.modules))
+print(json.dumps([marks, modules]))
 """
 SETUP_STAGES = ("numpy import", "repro import", "trace synthesis", "expand")
 
@@ -125,10 +132,11 @@ def setup_probe(mix: str | None, duration: float) -> str:
              f"traces=synthetic_trace_set(duration={duration!r}, seed=1))")
 
 
-def setup_split(code: str) -> dict:
+def setup_split(code: str) -> tuple:
     """Median seconds per set-up stage over ``SETUP_LAUNCHES`` fresh
-    interpreters; ``interpreter`` is each launch's wall time outside the
-    marked stages (start-up and exit)."""
+    interpreters, and the first job's, and ``(all, under repro)`` module
+    counts after set-up and after the first job; ``interpreter`` is each
+    launch's wall time outside the marked stages (start-up and exit)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -138,18 +146,28 @@ def setup_split(code: str) -> dict:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         wall = time.perf_counter() - t0
-        marks = json.loads(out.splitlines()[-1])
+        marks, modules = json.loads(out.splitlines()[-1])
         stages = [b - a for a, b in zip(marks, marks[1:])]
-        launches.append([wall - (marks[-1] - marks[0]), *stages, wall])
-    names = ("interpreter", *SETUP_STAGES, "total")
-    return {name: median(launch[i] for launch in launches)
-            for i, name in enumerate(names)}
+        job = stages.pop()
+        launches.append([wall - (marks[-1] - marks[0]), *stages, wall - job,
+                         job])
+    names = ("interpreter", *SETUP_STAGES, "total", "first job")
+    split = {name: median(launch[i] for launch in launches)
+             for i, name in enumerate(names)}
+    counts = [(len(loaded), sum(name.split(".")[0] == "repro"
+                                for name in loaded)) for loaded in modules]
+    return split, counts
 
 
-def print_setup(split: dict) -> None:
+def print_setup(split: dict, counts: list) -> None:
+    job = split.pop("first job")
     print("        ms   share  stage")
     for name, seconds in split.items():
         print(f"   {seconds * 1e3:7.1f}  {seconds / split['total']:6.1%}  {name}")
+    (setup, setup_repro), (ran, ran_repro) = counts
+    print(f"   first job {job * 1e3:.1f} ms (not in total)")
+    print(f"   modules imported: {setup} by set-up ({setup_repro} under "
+          f"repro), {ran} with the first job ({ran_repro} under repro)")
 
 
 def profile(workload) -> cProfile.Profile:
@@ -330,7 +348,7 @@ def main(argv=None) -> int:
                 if args.metro is not None else "Fig. 9 grid, 8 traces")
         print(f"=== set-up split: {what} x {args.duration:g}s (median of "
               f"{SETUP_LAUNCHES} fresh interpreters) ===")
-        print_setup(setup_split(setup_probe(args.metro, args.duration)))
+        print_setup(*setup_split(setup_probe(args.metro, args.duration)))
         return 0
 
     if args.metro is not None:
