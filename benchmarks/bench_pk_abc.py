@@ -2,7 +2,7 @@
 
 from _util import print_table, run_once
 
-from repro.experiments.oracle import pk_abc_comparison
+from repro.experiments.feedback import pk_abc_comparison
 
 
 def test_pk_abc_oracle(benchmark):

@@ -1,23 +1,16 @@
-"""Shared experiment machinery: single-bottleneck runs and the grid runner.
+"""Shared experiment machinery: the single-bottleneck cell and the grid runner.
 
-:func:`run_single_bottleneck` runs the standard one-flow-one-bottleneck
+:func:`single_bottleneck_spec` describes the standard one-flow-one-bottleneck
 cellular experiment (§6.2: 100 ms minimum RTT, 250-packet buffer) for one
-scheme label: :func:`single_bottleneck_spec` run through the
-``single_bottleneck`` summary, as in a sweep cell.
+scheme label, and :func:`single_bottleneck_summary` (the
+``single_bottleneck`` summary) runs and measures it.  To read a flow's own
+stats, build the spec, call the summary and read ``built.flows``.
 
-Sweeps (:func:`run_cellular_sweep`) route through
-:class:`repro.runtime.executor.SweepExecutor`: every (scheme, trace, seed)
-cell is an independent job that can run serially, on a ``multiprocessing``
-pool, or be replayed from the on-disk result cache with bit-identical
-metrics, as the executor (``executor=``, else one built from the
-``REPRO_*`` environment) says.  Passing ``seeds=[...]`` (or setting
-``REPRO_SEEDS``) adds the statistical seed axis: each cell runs once per
-seed and the sweep returns :class:`~repro.analysis.stats.SeedResultSet`
-aggregates whose metric attributes are across-seed means with 95 %
-confidence intervals attached.
-:func:`run_seed_grid` is the one grid runner — that axis for every figure
-entry point, ``run_cellular_sweep`` and a ``metro_pack`` city alike: a
-caller lists one seed's jobs and shapes the per-cell values it gets back.
+:func:`run_seed_grid` is the one grid runner.  Every figure but Fig. 4's
+probe, :func:`run_cellular_sweep` and a ``metro_pack`` city list one seed's
+cells; it runs them per seed (``seeds=``, else ``REPRO_SEEDS``) through one
+:class:`~repro.runtime.executor.SweepExecutor` (serial, a worker pool or the
+result cache, bit-identical either way) and writes one ``figure`` manifest.
 """
 
 from __future__ import annotations
@@ -32,8 +25,8 @@ from repro.cellular.trace import CellularTrace
 from repro.config import resolve_seeds
 from repro.core.params import ABCParams
 from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
-                                             ScenarioSpec, build,
-                                             link_spec_from, spec_cell)
+                                             ScenarioSpec, link_spec_from,
+                                             spec_cell)
 from repro.obs.manifest import build_manifest, run_dir, write_manifest
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepCell, SweepJob, SweepSpec
@@ -94,10 +87,7 @@ def single_bottleneck_summary(built: BuiltScenario,
     scenario, flow = built.scenario, built.flows[0]
     result = scenario.run(built.spec.duration)
     stats = flow.stats
-    # The flow's utilisation is measured against the *last* bottleneck it
-    # traverses when there are several (the paper reports end-to-end
-    # utilisation of the constrained path); with a single link this is just
-    # that link.
+    # A multi-hop path is as utilised as its least utilised hop.
     per_link_utilization = [result.link_utilization(link, t0=warmup)
                             for link in scenario.links]
     return SingleBottleneckResult(
@@ -112,25 +102,6 @@ def single_bottleneck_summary(built: BuiltScenario,
         drops=result.link_drops(scenario.links[0]),
         extra={"per_link_utilization": per_link_utilization},
     )
-
-
-def run_single_bottleneck(scheme: str, link_spec: Any, rtt: float = 0.1,
-                          duration: float = 30.0, buffer_packets: int = 250,
-                          abc_params: Optional[ABCParams] = None,
-                          warmup: float = 0.0,
-                          extra_links: Sequence[Any] = (),
-                          seed: int = 0) -> SingleBottleneckResult:
-    """:func:`single_bottleneck_spec`, built and run in this process; the
-    result's ``extra`` also holds the live ``flow``, ``scenario`` and
-    ``links``."""
-    built = build(single_bottleneck_spec(
-        scheme, link_spec, rtt=rtt, duration=duration,
-        buffer_packets=buffer_packets, abc_params=abc_params,
-        extra_links=extra_links, seed=seed))
-    result = single_bottleneck_summary(built, warmup)
-    result.extra.update(flow=built.flows[0], scenario=built.scenario,
-                        links=built.scenario.links)
-    return result
 
 
 def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],

@@ -10,11 +10,15 @@ the theorem can be validated and the δ = 133 ms / τ = 100 ms default justified
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.core.params import ABCParams
 from repro.core.stability import FluidModel, stability_threshold
-from repro.experiments.runner import run_single_bottleneck
+from repro.experiments.runner import run_seed_grid, single_bottleneck_spec
+from repro.experiments.scenario_spec import spec_job
+from repro.runtime.executor import SweepExecutor
 
 
 @dataclass
@@ -62,28 +66,25 @@ class PacketLevelStabilityPoint:
 
 def packet_level_stability(delta_values: Sequence[float] = (0.04, 0.133, 0.4),
                            tau: float = 0.1, link_mbps: float = 24.0,
-                           duration: float = 30.0
+                           duration: float = 30.0,
+                           executor: Optional[SweepExecutor] = None
                            ) -> Dict[float, PacketLevelStabilityPoint]:
     """Run the real ABC stack on a constant link for several δ values.
 
     Small δ (below 2τ/3) over-reacts to queue build-up and produces visible
     rate/queue oscillation and lower utilisation; large δ is stable but drains
-    queues more slowly.
+    queues more slowly.  Each δ is a ``timeseries`` cell (0.25 s bins); the
+    link is deterministic, so the seed list is pinned to ``(0,)``.
     """
-    import numpy as np
-
-    out: Dict[float, PacketLevelStabilityPoint] = {}
-    for delta in delta_values:
-        params = ABCParams(delta=delta)
-        result = run_single_bottleneck("abc", link_mbps * 1e6,
-                                       rtt=tau, duration=duration,
-                                       abc_params=params)
-        flow = result.extra["flow"]
-        _, queuing = flow.stats.queuing_delay_timeseries(bin_size=0.25)
-        out[delta] = PacketLevelStabilityPoint(
-            delta=delta,
-            utilization=result.utilization,
-            queuing_p95_ms=result.queuing_p95_ms,
-            queuing_std_ms=float(np.std(queuing)) * 1000.0 if queuing.size else 0.0,
-        )
-    return out
+    jobs = [spec_job(single_bottleneck_spec(
+                "abc", link_mbps * 1e6, rtt=tau, duration=duration,
+                abc_params=ABCParams(delta=delta)),
+                "timeseries", f"stability/delta{delta:g}", bin_size=0.25)
+            for delta in delta_values]
+    series = run_seed_grid(lambda s: jobs, 0, (0,), executor)
+    return {delta: PacketLevelStabilityPoint(
+                delta=delta, utilization=ts.utilization,
+                queuing_p95_ms=ts.queuing_p95_ms,
+                queuing_std_ms=(float(np.std(ts.queuing_delay_ms))
+                                if ts.queuing_delay_ms.size else 0.0))
+            for delta, ts in zip(delta_values, series)}

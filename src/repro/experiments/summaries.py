@@ -9,6 +9,7 @@ picklable result."""
 SUMMARIES = {
     "single_bottleneck": "repro.experiments.runner:single_bottleneck_summary",
     "timeseries": "repro.experiments.timeseries:timeseries_summary",
+    "fairness": "repro.experiments.fairness:fairness_summary",
     "rate_prediction": "repro.experiments.wifi_eval:rate_prediction_summary",
     "wifi": "repro.experiments.wifi_eval:wifi_summary",
     "fig6": "repro.experiments.coexistence:fig6_summary",

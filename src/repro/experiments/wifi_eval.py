@@ -14,11 +14,11 @@
 
 Figs. 5, 10 and 14 are :class:`~repro.experiments.scenario_spec.ScenarioSpec`
 cells on a ``wifi`` link (an MCS schedule, plus the rate estimator),
-run by the ``rate_prediction`` and ``wifi`` summaries.  Fig. 4 is the one
-experiment in the repo that wires a
-:class:`~repro.simulator.scenario.Scenario` by hand: it pushes raw packets
-straight into the MAC, with no flow, sender or receiver, which is nothing a
-:class:`~repro.experiments.scenario_spec.FlowSpec` describes.
+run by the ``rate_prediction`` and ``wifi`` summaries, like every other
+flow-carrying figure.  Fig. 4 is the one experiment in the repo that wires a
+:class:`~repro.simulator.scenario.Scenario` by hand and runs in-process: it
+pushes raw packets straight into the MAC, with no flow, sender or receiver,
+and a spec needs at least one flow (:meth:`ScenarioSpec.validate`).
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class InterAckSamples:
     expected_slope_ms_per_frame: float
 
 
-def fig4_inter_ack(mcs_index: int = 5, offered_load_bps: float = 12e6,
-                   duration: float = 30.0, seed: int = 3) -> InterAckSamples:
+def fig4_inter_ack(mcs_index: int = 5, duration: float = 30.0,
+                   seed: int = 3) -> InterAckSamples:
     """Collect (batch size, inter-ACK time) samples from the MAC model.
 
     A non-backlogged sender offers bursts of varying size (the paper's sender
@@ -264,8 +264,10 @@ def fig10_wifi(num_users: int = 1, duration: float = 45.0, rtt: float = 0.04,
 
 def fig14_wifi_brownian(num_users: int = 1, duration: float = 45.0,
                         rtt: float = 0.04, seed: int = 13,
+                        executor: Optional[SweepExecutor] = None,
                         seeds: Optional[Sequence[int]] = None
                         ) -> List[WiFiSchemeResult]:
     """Appendix B variant of the WiFi experiment (Brownian MCS walk)."""
     return fig10_wifi(num_users=num_users, duration=duration, rtt=rtt,
-                      mcs_mode="brownian", seed=seed, seeds=seeds)
+                      mcs_mode="brownian", seed=seed, executor=executor,
+                      seeds=seeds)

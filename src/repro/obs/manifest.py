@@ -3,8 +3,8 @@
 When ``REPRO_RUN_DIR`` names a directory, two call sites write one manifest
 each there: :func:`repro.experiments.runner.run_seed_grid` (kind ``figure``:
 every figure entry point, ``run_cellular_sweep`` and every ``metro_pack``
-city) and a fuzz campaign (kind ``fuzz``).  The in-process figures (2, 3, 4)
-write none.  A manifest is enough to answer, months later, *what exactly
+city) and a fuzz campaign (kind ``fuzz``).  Fig. 4's in-process probe
+writes none.  A manifest is enough to answer, months later, *what exactly
 produced this number*: the git SHA, the cache's code-version salt, the
 ``REPRO_*`` variables set and the configuration the executor resolved
 (``executor.config``), the seed list and job labels, per-job timings (worker

@@ -1,13 +1,21 @@
 """Tests for the experiment harness modules (reduced-size runs)."""
 
+import importlib
+import inspect
+import json
 import math
+import pkgutil
 
+import numpy as np
 import pytest
 
+from repro import experiments
+from repro.experiments import (coexistence, fairness, feedback, pareto,
+                               stability_eval, timeseries, wifi_eval)
 from repro.experiments.runner import (normalized_table, run_cellular_sweep,
                                       sweep_averages)
 from repro.experiments.scenario_spec import (FlowSpec, LinkSpec, ScenarioSpec,
-                                             build)
+                                             build, spec_cell)
 from repro.experiments.timeseries import fig17_square_wave, summarize_timeseries
 from repro.experiments.fairness import fig3_fairness
 from repro.experiments.wifi_eval import fig4_inter_ack, fig5_rate_prediction, fig10_wifi
@@ -16,6 +24,7 @@ from repro.experiments.coexistence import (fig6_nonabc_bottleneck,
                                            fig13_app_limited)
 from repro.experiments.pareto import fig8_pareto
 from repro.cellular.synthetic import synthetic_trace_set
+from repro.runtime.executor import SweepExecutor
 
 
 # ------------------------------------------------------------ runner
@@ -178,3 +187,109 @@ def test_fig8_abc_outside_prior_frontier():
     assert len(downlink.points) == 5
     assert downlink.abc_outside_frontier()
     assert not math.isnan(downlink.points[0].delay_p95_ms)
+
+
+# ------------------------------------------- every figure runs on its executor
+#: Every public figure entry point that runs cells, with short arguments.
+FIGURE_ENTRY_POINTS = {
+    "fig1_timeseries": (timeseries.fig1_timeseries,
+                        dict(schemes=("abc",), duration=2.0)),
+    "fig2_feedback": (feedback.fig2_feedback, dict(duration=2.0)),
+    "fig3_fairness": (fairness.fig3_fairness,
+                      dict(additive_increase=True, num_flows=2, stagger=1.0)),
+    "fig5_rate_prediction": (wifi_eval.fig5_rate_prediction,
+                             dict(mcs_indices=(5,), load_fractions=(0.5,),
+                                  duration=1.0)),
+    "fig6_nonabc_bottleneck": (coexistence.fig6_nonabc_bottleneck,
+                               dict(duration=2.0)),
+    "fig7_coexistence_timeseries": (coexistence.fig7_coexistence_timeseries,
+                                    dict(duration=2.0, stagger=0.5)),
+    "fig8_pareto": (pareto.fig8_pareto, dict(schemes=("abc",), duration=2.0)),
+    "fig9_sweep": (pareto.fig9_sweep,
+                   dict(schemes=("abc",), duration=2.0,
+                        trace_names=["Verizon-LTE-1"])),
+    "fig10_wifi": (wifi_eval.fig10_wifi,
+                   dict(duration=1.0, abc_delay_thresholds=(0.06,),
+                        baselines=())),
+    "fig11_cross_traffic": (coexistence.fig11_cross_traffic,
+                            dict(duration=3.0)),
+    "fig12_offered_load_sweep": (coexistence.fig12_offered_load_sweep,
+                                 dict(loads=(0.25,), duration=2.0)),
+    "fig13_app_limited": (coexistence.fig13_app_limited,
+                          dict(num_app_limited=3, duration=2.0)),
+    "fig14_wifi_brownian": (wifi_eval.fig14_wifi_brownian,
+                            dict(duration=0.5)),
+    "fig16_explicit": (pareto.fig16_explicit,
+                       dict(duration=1.0, trace_names=["Verizon-LTE-1"])),
+    "fig17_square_wave": (timeseries.fig17_square_wave,
+                          dict(schemes=("abc",), duration=1.0)),
+    "fig18_rtt_sensitivity": (pareto.fig18_rtt_sensitivity,
+                              dict(schemes=("abc",), rtts=(0.05,),
+                                   duration=2.0)),
+    "jain_index_sweep": (fairness.jain_index_sweep,
+                         dict(flow_counts=(2,), duration=2.0, warmup=1.0)),
+    "packet_level_stability": (stability_eval.packet_level_stability,
+                               dict(delta_values=(0.133,), duration=1.0)),
+    "pk_abc_comparison": (feedback.pk_abc_comparison, dict(duration=2.0)),
+}
+
+#: The entry points that ran in-process, off the executor, until they became
+#: spec cells: each must leave a complete ``figure`` manifest.
+FORMERLY_IN_PROCESS = ("fig2_feedback", "fig3_fairness", "jain_index_sweep",
+                       "packet_level_stability", "pk_abc_comparison")
+
+
+def test_every_figure_entry_point_is_listed():
+    """Fig. 4's probe is the one figure that runs no cells (a figure's
+    ``*_spec`` / ``*_summary`` describe and measure one cell)."""
+    figures = set()
+    for info in pkgutil.iter_modules(experiments.__path__):
+        module = importlib.import_module(f"repro.experiments.{info.name}")
+        figures |= {name for name, obj in vars(module).items()
+                    if name.startswith("fig") and inspect.isfunction(obj)
+                    and obj.__module__ == module.__name__
+                    and not name.endswith(("_spec", "_summary"))}
+    assert figures - {"fig4_inter_ack"} <= set(FIGURE_ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_ENTRY_POINTS))
+def test_figure_entry_point_runs_on_the_given_executor(name):
+    func, kwargs = FIGURE_ENTRY_POINTS[name]
+    executor = SweepExecutor(jobs=1)
+    func(executor=executor, **kwargs)
+    assert executor.last_stats.total > 0
+
+
+@pytest.mark.parametrize("name", FORMERLY_IN_PROCESS)
+def test_figure_writes_one_manifest_and_replays_from_the_cache(
+        name, tmp_path, monkeypatch):
+    func, kwargs = FIGURE_ENTRY_POINTS[name]
+    runs = tmp_path / "runs"
+    monkeypatch.setenv("REPRO_RUN_DIR", str(runs))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    first = SweepExecutor(jobs=1)
+    func(executor=first, **kwargs)
+    (manifest,) = runs.glob("figure-*.json")
+    cells = json.loads(manifest.read_text())["spec"]["cells"]
+    assert len(cells) == first.last_stats.total
+    assert all(cell is not None for cell in cells)
+
+    again = SweepExecutor(jobs=1)
+    func(executor=again, **kwargs)
+    assert again.last_stats.executed == 0
+    assert again.last_stats.cache_hits == first.last_stats.total
+
+
+def test_a_fig3_cell_replays_from_its_manifest(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path))
+    result = fairness.fig3_fairness(False, num_flows=3, stagger=1.0,
+                                    executor=SweepExecutor(jobs=1))
+    (manifest,) = tmp_path.glob("figure-*.json")
+    (cell,) = json.loads(manifest.read_text())["spec"]["cells"]
+    assert cell["summary"] == "fairness"
+    replay = spec_cell(**cell)
+    assert [t / 1e6 for t in replay.throughputs_bps] \
+        == result.steady_state_throughputs_mbps
+    assert np.array_equal(replay.times, result.times)
+    for index, tput in enumerate(replay.per_flow_bps):
+        assert np.array_equal(tput / 1e6, result.per_flow_mbps[index])

@@ -16,25 +16,33 @@ from repro.aqm.codel import CoDelQdisc
 from repro.aqm.droptail import DropTailQdisc
 from repro.core.params import ABCParams
 from repro.core.router import ABCRouterQdisc
-from repro.experiments.runner import run_single_bottleneck
+from repro.experiments.runner import single_bottleneck_spec
+from repro.experiments.scenario_spec import spec_cell
 from tests.conftest import run_single_flow
 
 DURATION = 10.0
 
 
+def single_cell(scheme, link_spec, **kwargs):
+    """One ``single_bottleneck`` cell of ``DURATION`` seconds."""
+    return spec_cell(single_bottleneck_spec(
+        scheme, link_spec, duration=DURATION, **kwargs).to_jsonable(),
+        "single_bottleneck")
+
+
 @pytest.fixture(scope="module")
 def abc_result(bursty_trace):
-    return run_single_bottleneck("abc", bursty_trace, duration=DURATION)
+    return single_cell("abc", bursty_trace)
 
 
 @pytest.fixture(scope="module")
 def cubic_result(bursty_trace):
-    return run_single_bottleneck("cubic", bursty_trace, duration=DURATION)
+    return single_cell("cubic", bursty_trace)
 
 
 @pytest.fixture(scope="module")
 def codel_result(bursty_trace):
-    return run_single_bottleneck("cubic+codel", bursty_trace, duration=DURATION)
+    return single_cell("cubic+codel", bursty_trace)
 
 
 # ------------------------------------------------------------ §2 motivation
@@ -66,58 +74,58 @@ def test_abc_beats_cubic_codel_tradeoff(abc_result, codel_result):
 
 # ------------------------------------------------------------ §6.3 baselines
 def test_bbr_incurs_higher_delay_than_abc(bursty_trace, abc_result):
-    bbr = run_single_bottleneck("bbr", bursty_trace, duration=DURATION)
+    bbr = single_cell("bbr", bursty_trace)
     assert bbr.queuing_p95_ms > 1.5 * abc_result.queuing_p95_ms
 
 
 def test_sprout_is_conservative(bursty_trace, abc_result):
     """ABC achieves substantially higher utilisation than Sprout (§6.3)."""
-    sprout = run_single_bottleneck("sprout", bursty_trace, duration=DURATION)
+    sprout = single_cell("sprout", bursty_trace)
     assert sprout.utilization < abc_result.utilization
     assert abc_result.utilization / max(sprout.utilization, 1e-6) > 1.2
 
 
 def test_vegas_underutilizes_relative_to_abc(bursty_trace, abc_result):
-    vegas = run_single_bottleneck("vegas", bursty_trace, duration=DURATION)
+    vegas = single_cell("vegas", bursty_trace)
     assert vegas.utilization < abc_result.utilization
 
 
 def test_xcp_similar_throughput_but_higher_delay(bursty_trace, abc_result):
     """§6.3: XCP reaches ABC-like utilisation but ~2× the p95 delay."""
-    xcp = run_single_bottleneck("xcp", bursty_trace, duration=DURATION)
+    xcp = single_cell("xcp", bursty_trace)
     assert xcp.utilization > 0.75 * abc_result.utilization
     assert xcp.queuing_p95_ms > 1.3 * abc_result.queuing_p95_ms
 
 
 def test_xcpw_improves_on_xcp_delay(bursty_trace):
-    xcp = run_single_bottleneck("xcp", bursty_trace, duration=DURATION)
-    xcpw = run_single_bottleneck("xcpw", bursty_trace, duration=DURATION)
+    xcp = single_cell("xcp", bursty_trace)
+    xcpw = single_cell("xcpw", bursty_trace)
     assert xcpw.queuing_p95_ms < xcp.queuing_p95_ms
 
 
 def test_abc_beats_rcp_utilization(bursty_trace, abc_result):
     """Appendix D: ABC achieves ~20 % more utilisation than RCP."""
-    rcp = run_single_bottleneck("rcp", bursty_trace, duration=DURATION)
+    rcp = single_cell("rcp", bursty_trace)
     assert abc_result.utilization > 1.1 * rcp.utilization
 
 
 def test_abc_beats_vcp_utilization(bursty_trace, abc_result):
-    vcp = run_single_bottleneck("vcp", bursty_trace, duration=DURATION)
+    vcp = single_cell("vcp", bursty_trace)
     assert abc_result.utilization > 1.1 * vcp.utilization
 
 
 # ------------------------------------------------------------ feedback ablation
 def test_dequeue_feedback_halves_delay_vs_enqueue(bursty_trace):
     """Fig. 2: enqueue-rate feedback roughly doubles p95 queuing delay."""
-    dequeue = run_single_bottleneck("abc", bursty_trace, duration=DURATION)
-    enqueue = run_single_bottleneck("abc-enqueue", bursty_trace, duration=DURATION)
+    dequeue = single_cell("abc", bursty_trace)
+    enqueue = single_cell("abc-enqueue", bursty_trace)
     assert enqueue.queuing_p95_ms > 1.4 * dequeue.queuing_p95_ms
 
 
 # ------------------------------------------------------------ PK-ABC (§6.6)
 def test_pk_abc_reduces_delay_at_same_utilization(bursty_trace):
-    abc = run_single_bottleneck("abc", bursty_trace, duration=DURATION)
-    pk = run_single_bottleneck("pk-abc", bursty_trace, duration=DURATION)
+    abc = single_cell("abc", bursty_trace)
+    pk = single_cell("pk-abc", bursty_trace)
     assert pk.queuing_p95_ms < abc.queuing_p95_ms
     assert pk.utilization > 0.9 * abc.utilization
 
@@ -132,8 +140,7 @@ def test_two_abc_bottlenecks_track_the_slower_one(short_trace, bursty_trace):
     check is that whichever link is the effective bottleneck is reasonably
     utilised and queues stay bounded at both.
     """
-    result = run_single_bottleneck("abc", short_trace, duration=DURATION,
-                                   extra_links=[bursty_trace])
+    result = single_cell("abc", short_trace, extra_links=[bursty_trace])
     assert max(result.extra["per_link_utilization"]) > 0.4
     assert result.queuing_p95_ms < 400.0
     assert result.throughput_bps > 2e6
@@ -152,9 +159,9 @@ def test_abc_utilization_approaches_eta_on_constant_link():
 
 def test_abc_delay_threshold_trades_delay_for_throughput(bursty_trace):
     """Fig. 10: larger dt -> more throughput and more delay."""
-    low = run_single_bottleneck("abc", bursty_trace, duration=DURATION,
-                                abc_params=ABCParams(delay_threshold=0.02))
-    high = run_single_bottleneck("abc", bursty_trace, duration=DURATION,
-                                 abc_params=ABCParams(delay_threshold=0.1))
+    low = single_cell("abc", bursty_trace,
+                      abc_params=ABCParams(delay_threshold=0.02))
+    high = single_cell("abc", bursty_trace,
+                       abc_params=ABCParams(delay_threshold=0.1))
     assert high.utilization >= low.utilization
     assert high.queuing_p95_ms >= low.queuing_p95_ms

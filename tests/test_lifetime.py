@@ -29,7 +29,7 @@ import pytest
 from repro.cc.registry import make_cc
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.experiments.coexistence import fig7_coexistence_timeseries
-from repro.experiments.runner import SCHEME_NAMES, run_single_bottleneck
+from repro.experiments.runner import SCHEME_NAMES, single_bottleneck_spec
 from repro.experiments.scenario_spec import LinkSpec, spec_cell
 from repro.experiments.wifi_eval import fig10_wifi
 from repro.fuzz.campaign import evaluate_scenario
@@ -63,10 +63,12 @@ def _probe_over_own_scenario() -> list:
 
 
 def _cases() -> dict:
-    cases = {f"scheme-{scheme}": (lambda s=scheme: run_single_bottleneck(
-        s, TRACE, rtt=0.08, duration=2.5)) for scheme in SCHEME_NAMES}
-    cases["two-bottlenecks"] = lambda: run_single_bottleneck(
-        "abc", TRACE, duration=2.5, extra_links=(12e6,))
+    cases = {f"scheme-{scheme}": (lambda s=scheme: spec_cell(
+        single_bottleneck_spec(s, TRACE, rtt=0.08, duration=2.5).to_jsonable(),
+        "single_bottleneck")) for scheme in SCHEME_NAMES}
+    cases["two-bottlenecks"] = lambda: spec_cell(single_bottleneck_spec(
+        "abc", TRACE, duration=2.5, extra_links=(12e6,)).to_jsonable(),
+        "single_bottleneck")
     for name, mix in MIXES.items():
         cases[f"metro-{name}-trace"] = lambda m=mix: metro_cell(
             m, "trace-cell", TRACE, seed=1, duration=2.5)

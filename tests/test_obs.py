@@ -78,18 +78,21 @@ def test_registry_merge_is_order_independent():
 # ---------------------------------------------------------------------------
 # Scenario harvest
 # ---------------------------------------------------------------------------
-def _run_fig_cell(**overrides):
-    from repro.experiments.runner import run_single_bottleneck
-    kwargs = dict(scheme="abc", link_spec=12e6, rtt=0.05, duration=2.0,
-                  buffer_packets=100, seed=0)
-    kwargs.update(overrides)
-    return run_single_bottleneck(**kwargs)
+def _run_fig_cell(scheme="abc"):
+    """One single-bottleneck cell run in this process: its summary and the
+    built scenario the summary ran."""
+    from repro.experiments.runner import (single_bottleneck_spec,
+                                          single_bottleneck_summary)
+    from repro.experiments.scenario_spec import build
+    built = build(single_bottleneck_spec(scheme, 12e6, rtt=0.05, duration=2.0,
+                                         buffer_packets=100))
+    return single_bottleneck_summary(built), built
 
 
 def test_harvest_publishes_component_counters(monkeypatch):
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    result = _run_fig_cell()
-    scenario = result.extra["scenario"]
+    _, built = _run_fig_cell()
+    scenario = built.scenario
     counters = obs_metrics.registry().snapshot()["counters"]
     assert counters["scenario.runs"] == 1
     assert counters["engine.events_dispatched"] == scenario.env.events_processed
@@ -106,8 +109,8 @@ def test_harvest_publishes_component_counters(monkeypatch):
 def test_harvest_publishes_pacing_counters(monkeypatch):
     """The pacing-loop counters ride the same end-of-run harvest."""
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    result = _run_fig_cell(scheme="bbr")
-    sender = result.extra["scenario"].flows[0].sender
+    _, built = _run_fig_cell(scheme="bbr")
+    sender = built.flows[0].sender
     counters = obs_metrics.registry().snapshot()["counters"]
     assert counters["sender.pace_ticks"] == sender.pace_ticks > 0
     assert counters["sender.pace_halts"] == sender.pace_halts
@@ -115,9 +118,9 @@ def test_harvest_publishes_pacing_counters(monkeypatch):
 
 def test_results_bit_identical_with_and_without_telemetry(monkeypatch):
     monkeypatch.setenv("REPRO_TELEMETRY", "0")
-    off = _run_fig_cell()
+    off, _ = _run_fig_cell()
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    on = _run_fig_cell()
+    on, _ = _run_fig_cell()
     assert off.throughput_bps == on.throughput_bps
     assert off.utilization == on.utilization
     assert off.delay_p95_ms == on.delay_p95_ms
@@ -397,7 +400,7 @@ def test_event_trace_recorder_records_every_dispatch(tmp_path):
 
 
 def test_traced_run_is_bit_identical_to_untraced():
-    untraced = _run_fig_cell()
+    untraced, untraced_built = _run_fig_cell()
     from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec,
                                                  build, link_spec_from)
     # Tracing the same cell through the hook must not change results.
@@ -408,7 +411,7 @@ def test_traced_run_is_bit_identical_to_untraced():
     recorder = EventTraceRecorder(scenario.env)
     result = scenario.run(2.0)
     recorder.detach()
-    traced_scenario = untraced.extra["scenario"]
+    traced_scenario = untraced_built.scenario
     assert scenario.env.events_processed == traced_scenario.env.events_processed
     assert (result.flow_throughput_bps(flow)
             == untraced.throughput_bps)

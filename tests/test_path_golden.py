@@ -41,8 +41,9 @@ from repro.aqm.pie import PIEQdisc
 from repro.cc.registry import make_cc
 from repro.cellular.synthetic import lte_showcase_trace
 from repro.core.router import ABCRouterQdisc
-from repro.experiments.runner import run_single_bottleneck
-from repro.experiments.scenario_spec import LinkSpec
+from repro.experiments.runner import (single_bottleneck_spec,
+                                      single_bottleneck_summary)
+from repro.experiments.scenario_spec import LinkSpec, build
 from repro.metro.spec import MetroSpec
 from repro.simulator.endpoints import IDLE_PACING_POLL
 from repro.simulator.engine import EventLoop
@@ -90,17 +91,15 @@ def scenario_summary(scenario, links) -> dict:
 # ------------------------------------------------------------------ builders
 def _scheme_on_trace(scheme):
     def run():
-        result = run_single_bottleneck(
+        built = build(single_bottleneck_spec(
             scheme, lte_showcase_trace(duration=2.5, seed=7),
-            rtt=0.08, duration=2.5, buffer_packets=150)
-        # ``extra`` holds live simulation objects; the flow's full per-packet
-        # record is captured through flow_summary instead.
+            rtt=0.08, duration=2.5, buffer_packets=150))
+        result = single_bottleneck_summary(built)
+        # The flow's full per-packet record is captured through flow_summary.
         summary = {key: value
                    for key, value in dataclasses.asdict(result).items()
                    if key != "extra"}
-        flow = result.extra.get("flow")
-        if flow is not None:
-            summary["flow"] = flow_summary(flow)
+        summary["flow"] = flow_summary(built.flows[0])
         return summary
     return run
 

@@ -22,6 +22,7 @@ from repro.experiments.scenario_spec import (LinkSpec, ScenarioSpec, build,
 from repro.fuzz.generator import ScenarioGen, SmallMetroGen
 from repro.fuzz.invariants import scenario_summary
 from repro.fuzz.shrink import load_corpus_entry
+from repro.runtime.executor import SweepExecutor
 from repro.runtime.trace_store import register_trace
 
 from test_path_golden import metro_cell
@@ -36,6 +37,12 @@ def _round_trip(spec: ScenarioSpec) -> ScenarioSpec:
     return ScenarioSpec.from_jsonable(json.loads(json.dumps(spec.to_jsonable())))
 
 
+def _single(scheme, link_spec, **kwargs):
+    """One ``single_bottleneck`` cell, run in this process."""
+    return spec_cell(runner.single_bottleneck_spec(
+        scheme, link_spec, **kwargs).to_jsonable(), "single_bottleneck")
+
+
 def _run(spec: ScenarioSpec) -> dict:
     built = build(spec)
     built.scenario.run(spec.duration)
@@ -44,9 +51,9 @@ def _run(spec: ScenarioSpec) -> dict:
 
 #: One short run of every rewired cell, by the figure it serves.
 CELLS = {
-    "single-bottleneck": lambda: runner.run_single_bottleneck(
+    "single-bottleneck": lambda: _single(
         "cubic+pie", TRACE, duration=2.0, extra_links=(9e6,), seed=3),
-    "single-bottleneck-models": lambda: [runner.run_single_bottleneck(
+    "single-bottleneck-models": lambda: [_single(
         "abc", LinkSpec(kind, params), duration=1.5) for kind, params in (
             ("constant", {"rate_bps": 6e6}),
             ("square", {"low_bps": 4e6, "high_bps": 9e6, "half_period": 0.5,
@@ -71,9 +78,11 @@ CELLS = {
     "fig14": lambda: spec_cell(wifi_eval.wifi_case_spec(
         "abc", 2, duration=1.5, rtt=0.04, mcs_mode="brownian", seed=3,
         abc_delay_threshold=0.02).to_jsonable(), "wifi"),
-    "fig3": lambda: fairness.fig3_fairness(False, num_flows=2, stagger=1.0),
+    "fig3": lambda: fairness.fig3_fairness(False, num_flows=2, stagger=1.0,
+                                           executor=SweepExecutor(jobs=1)),
     "jain": lambda: fairness.jain_index_sweep(flow_counts=(2,), duration=2.0,
-                                              warmup=1.0),
+                                              warmup=1.0,
+                                              executor=SweepExecutor(jobs=1)),
     "metro-square": lambda: metro_cell(MIX, "cell-a", LinkSpec("square", {
         "low_bps": 4e6, "high_bps": 9e6, "half_period": 0.5}),
                                        seed=1, duration=3.0),
@@ -92,8 +101,7 @@ def built_specs(monkeypatch):
         specs.append(spec)
         return real_build(spec)
 
-    for module in (scenario_spec, runner, fairness):
-        monkeypatch.setattr(module, "build", recording)
+    monkeypatch.setattr(scenario_spec, "build", recording)
     return specs
 
 
@@ -146,14 +154,11 @@ def test_legacy_link_specs_convert():
 
 def test_single_bottleneck_trace_label_is_deterministic():
     stepped = LinkSpec("stepped", {"steps": [[0.0, 6e6]]})
-    labels = [runner.run_single_bottleneck("abc", stepped, duration=1.0).trace
-              for _ in range(2)]
+    labels = [_single("abc", stepped, duration=1.0).trace for _ in range(2)]
     assert labels[0] == labels[1]
     assert "0x" not in labels[0]
-    assert runner.run_single_bottleneck("abc", 6e6, duration=1.0).trace \
-        == str(6e6)
-    assert runner.run_single_bottleneck("abc", TRACE, duration=1.0).trace \
-        == TRACE.name
+    assert _single("abc", 6e6, duration=1.0).trace == str(6e6)
+    assert _single("abc", TRACE, duration=1.0).trace == TRACE.name
 
 
 def test_metro_per_flow_throughputs_cover_the_measured_window():

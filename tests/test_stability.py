@@ -103,14 +103,15 @@ def test_stability_sweep_experiment():
 
 
 def test_packet_level_stability_runs_abc_on_a_constant_link():
-    from repro.experiments.runner import run_single_bottleneck
-    from repro.experiments.scenario_spec import LinkSpec
+    from repro.experiments.runner import single_bottleneck_spec
+    from repro.experiments.scenario_spec import LinkSpec, spec_cell
     from repro.experiments.stability_eval import packet_level_stability
     (point,) = packet_level_stability(delta_values=(0.133,),
                                       duration=1.0).values()
-    direct = run_single_bottleneck(
+    direct = spec_cell(single_bottleneck_spec(
         "abc", LinkSpec("constant", {"rate_bps": 24e6}), rtt=0.1,
-        duration=1.0, abc_params=ABCParams(delta=0.133))
+        duration=1.0, abc_params=ABCParams(delta=0.133)).to_jsonable(),
+        "single_bottleneck")
     assert point.delta == 0.133
     assert point.utilization == direct.utilization
     assert point.queuing_p95_ms == direct.queuing_p95_ms

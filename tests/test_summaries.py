@@ -19,8 +19,8 @@ from repro.experiments.coexistence import (app_limited_spec,
                                            fig6_nonabc_bottleneck, fig6_spec,
                                            shared_bottleneck_spec)
 from repro.experiments.runner import single_bottleneck_spec
-from repro.experiments.scenario_spec import (LinkSpec, ScenarioSpec, build,
-                                             spec_cell)
+from repro.experiments.scenario_spec import (FlowSpec, LinkSpec,
+                                             ScenarioSpec, build, spec_cell)
 from repro.experiments.summaries import SUMMARIES
 from repro.experiments.wifi_eval import rate_prediction_spec, wifi_case_spec
 from repro.fuzz.generator import ScenarioGen
@@ -39,6 +39,11 @@ SUMMARY_CELLS = {
         "abc", 12e6, rtt=0.05, duration=1.0), {"warmup": 0.2}),
     "timeseries": (lambda: single_bottleneck_spec(
         "cubic", SQUARE, rtt=0.05, duration=1.0), {"bin_size": 0.25}),
+    "fairness": (lambda: ScenarioSpec(
+        scheme="abc", duration=1.5, links=[LinkSpec("constant",
+                                                    {"rate_bps": 12e6})],
+        flows=[FlowSpec(rtt=0.05), FlowSpec(rtt=0.05, start_time=0.5)]),
+        {"t0": 0.5, "bin_size": 0.25}),
     "rate_prediction": (lambda: rate_prediction_spec(
         5, 0.6, duration=1.0, seed=1), {}),
     "wifi": (lambda: wifi_case_spec(
