@@ -32,14 +32,8 @@ class Cubic(CongestionControl):
 
     name = "cubic"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 10.0,
-                 fast_convergence: bool = True, tcp_friendliness: bool = True,
-                 react_to_ecn: bool = True):
+    def __init__(self, mss: int = MTU, initial_cwnd: float = 10.0):
         super().__init__(mss=mss, initial_cwnd=initial_cwnd)
-        self.fast_convergence = fast_convergence
-        self.tcp_friendliness = tcp_friendliness
-        self.react_to_ecn = react_to_ecn
-
         self.ssthresh = math.inf
         self.w_max = 0.0
         self.epoch_start: Optional[float] = None
@@ -72,7 +66,7 @@ class Cubic(CongestionControl):
         if rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * rtt
         now = feedback.now
-        if self.react_to_ecn and feedback.ece:
+        if feedback.ece:
             self._reduce(now)
             cwnd = self._cwnd
             return cwnd if cwnd >= 1.0 else 1.0
@@ -92,14 +86,13 @@ class Cubic(CongestionControl):
             cwnd += (target - cwnd) / per_window * acked_packets
         else:
             cwnd += 0.01 * acked_packets / per_window
-        if self.tcp_friendliness:
-            # RFC 8312 §4.2 estimate of what standard TCP would have reached,
-            # per packet ACKed over the window as just updated.
-            w_tcp = self.w_tcp + _TCP_FRIENDLY_GAIN * (
-                acked_packets / (cwnd if cwnd > 1.0 else 1.0))
-            self.w_tcp = w_tcp
-            if w_tcp > cwnd:
-                cwnd = w_tcp
+        # RFC 8312 §4.2 estimate of what standard TCP would have reached,
+        # per packet ACKed over the window as just updated.
+        w_tcp = self.w_tcp + _TCP_FRIENDLY_GAIN * (
+            acked_packets / (cwnd if cwnd > 1.0 else 1.0))
+        self.w_tcp = w_tcp
+        if w_tcp > cwnd:
+            cwnd = w_tcp
         if cwnd < 1.0:
             cwnd = 1.0
         self._cwnd = cwnd
@@ -111,7 +104,8 @@ class Cubic(CongestionControl):
             return
         self._last_reduction_time = now
         self.epoch_start = None
-        if self._cwnd < self.w_max and self.fast_convergence:
+        if self._cwnd < self.w_max:
+            # Fast convergence (RFC 8312 §4.6).
             self.w_max = self._cwnd * (2.0 - CUBIC_BETA) / 2.0
         else:
             self.w_max = self._cwnd

@@ -18,18 +18,16 @@ class NewReno(CongestionControl):
 
     name = "newreno"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 10.0,
-                 react_to_ecn: bool = True):
+    def __init__(self, mss: int = MTU, initial_cwnd: float = 10.0):
         super().__init__(mss=mss, initial_cwnd=initial_cwnd)
         self.ssthresh = math.inf
-        self.react_to_ecn = react_to_ecn
         self._srtt = 0.1
         self._last_reduction_time = -math.inf
 
     def on_ack(self, feedback: AckFeedback) -> float:
         if feedback.rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
-        if self.react_to_ecn and feedback.ece:
+        if feedback.ece:
             self.on_loss(feedback.now)
             return self.window()
         acked_packets = feedback.bytes_acked / self.mss

@@ -157,8 +157,8 @@ class DualQueueABCQdisc(Qdisc):
 
     ABC packets (identified by ``packet.abc_capable``) go through an embedded
     :class:`~repro.core.router.ABCRouterQdisc` whose capacity is scaled by the
-    current ABC weight; non-ABC packets go through a separate drop-tail (or
-    caller-supplied) queue.  A byte-weighted scheduler serves the two queues
+    current ABC weight; non-ABC packets go through a separate drop-tail
+    queue.  A byte-weighted scheduler serves the two queues
     in proportion to the weights produced by the controller.
     """
 
@@ -166,7 +166,6 @@ class DualQueueABCQdisc(Qdisc):
 
     def __init__(self, params: Optional[ABCParams] = None,
                  buffer_packets: int = 250,
-                 nonabc_qdisc: Optional[Qdisc] = None,
                  controller: Optional[WeightController] = None,
                  initial_weight: float = 0.5):
         super().__init__(buffer_packets=buffer_packets)
@@ -175,8 +174,7 @@ class DualQueueABCQdisc(Qdisc):
         self.params = params if params is not None else ABCParams()
         self.abc_queue = ABCRouterQdisc(params=self.params,
                                         buffer_packets=buffer_packets)
-        self.nonabc_queue = nonabc_qdisc if nonabc_qdisc is not None else (
-            FifoQdisc(buffer_packets=buffer_packets))
+        self.nonabc_queue = FifoQdisc(buffer_packets=buffer_packets)
         self.controller = controller if controller is not None else MaxMinWeightController()
         self.weight_abc = initial_weight
         # Seed the controller so its first report agrees with the configured

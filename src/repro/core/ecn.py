@@ -59,11 +59,9 @@ def receiver_echo(codepoint: ECN) -> ReceiverEcho:
                         ece=(codepoint == ECN.CE))
 
 
-def sender_codepoint(abc_enabled: bool, ecn_enabled: bool = True) -> ECN:
-    """Codepoint a sender stamps on outgoing data packets."""
-    if abc_enabled:
-        return ECN.ACCEL
-    return ECN.BRAKE if ecn_enabled else ECN.NOT_ECT
+def sender_codepoint(abc_enabled: bool) -> ECN:
+    """Codepoint an ECN-capable sender stamps on outgoing data packets."""
+    return ECN.ACCEL if abc_enabled else ECN.BRAKE
 
 
 # ---------------------------------------------------------------------------

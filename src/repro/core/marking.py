@@ -3,8 +3,12 @@
 The router computes an accelerate fraction ``f(t)`` for every outgoing packet
 (Eq. 2) and must ensure that no more than that fraction of packets carry an
 accelerate mark.  The paper uses a deterministic token bucket (Algorithm 1) to
-avoid the burstiness of probabilistic marking; both variants are implemented
-here so the difference can be measured (see ``benchmarks/bench_marking.py``).
+avoid the burstiness of probabilistic marking.  The ABC router always marks
+with the token bucket, inlined in
+:meth:`~repro.core.router.ABCRouterQdisc.dequeue`; :class:`TokenBucketMarker`
+holds its counters and is its readable form.  :class:`ProbabilisticMarker`
+exists only so :func:`~repro.experiments.feedback.marking_burstiness` can
+measure the difference (see ``benchmarks/bench_marking.py``).
 """
 
 from __future__ import annotations
@@ -54,27 +58,10 @@ class TokenBucketMarker:
         self.brake_count += 1
         return False
 
-    def observe(self, fraction: float) -> None:
-        """Account for an outgoing packet that is not eligible for marking.
-
-        Algorithm 1 increments the token for *every* outgoing packet, even
-        ones that already carry a brake (set by an upstream ABC router) — only
-        the decrement is tied to granting an accelerate.  This is what makes
-        the accelerate fraction along a multi-bottleneck path the *minimum* of
-        the per-router fractions rather than their product.
-        """
-        fraction = min(max(fraction, 0.0), 1.0)
-        self.token = min(self.token + fraction, self.token_limit)
-
     @property
     def accel_fraction(self) -> float:
         total = self.accel_count + self.brake_count
         return self.accel_count / total if total else 0.0
-
-    def reset(self) -> None:
-        self.token = 0.0
-        self.accel_count = 0
-        self.brake_count = 0
 
 
 class ProbabilisticMarker:
@@ -99,14 +86,7 @@ class ProbabilisticMarker:
             self.brake_count += 1
         return accel
 
-    def observe(self, fraction: float) -> None:
-        """Probabilistic marking keeps no state across packets."""
-
     @property
     def accel_fraction(self) -> float:
         total = self.accel_count + self.brake_count
         return self.accel_count / total if total else 0.0
-
-    def reset(self) -> None:
-        self.accel_count = 0
-        self.brake_count = 0

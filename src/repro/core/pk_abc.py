@@ -33,9 +33,9 @@ class PKABCRouterQdisc(ABCRouterQdisc):
 
     def capacity_bps(self, now: float) -> float:
         if self.capacity_fn is not None:
-            return max(self.capacity_fn(now), 0.0) * self.capacity_share
+            return max(self.capacity_fn(now), 0.0)
         link = self.link
         if link is not None and hasattr(link, "future_capacity_bps"):
             future = link.future_capacity_bps(now, self.lookahead)
-            return max(future, 0.0) * self.capacity_share
+            return max(future, 0.0)
         return super().capacity_bps(now)

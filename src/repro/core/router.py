@@ -12,8 +12,10 @@ module (§6.1).  On every dequeued packet it:
    bucket of Algorithm 1, honouring the rule that accelerates may be
    downgraded to brakes but never upgraded (multi-bottleneck support).
 
-Setting ``feedback_basis="enqueue"`` reproduces the ablation of Fig. 2, where
-the fraction is computed from the enqueue rate the way prior explicit schemes
+``x(t)`` is always the standing-queue delay ``q(t)/µ(t)`` and marking is
+always Algorithm 1's deterministic token bucket.  The one option,
+``feedback_basis="enqueue"``, reproduces the ablation of Fig. 2, where the
+fraction is computed from the enqueue rate the way prior explicit schemes
 do — the resulting feedback lags capacity changes by an RTT and roughly
 doubles tail queuing delay.
 
@@ -21,7 +23,7 @@ Optimisation changes vs the original per-packet path
 ----------------------------------------------------
 :meth:`ABCRouterQdisc.dequeue` runs steps 1–5 as straight-line code (the
 original chained ``_pop`` → estimator ``add`` → ``accel_fraction`` →
-``target_rate`` → capacity / queuing-delay reads → marker); marks and rates
+``target_rate`` → capacity read → marker); marks and rates
 are bit-identical (``tests/test_path_golden.py``):
 
 * **Per-timestamp capacity memo.**  All dequeues of one transmission
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.marking import ProbabilisticMarker, TokenBucketMarker
+from repro.core.marking import TokenBucketMarker
 from repro.core.params import ABCParams
 from repro.simulator.estimators import _TRIM, WindowedRateEstimator
 from repro.simulator.packet import ACCEL, BRAKE, Packet
@@ -64,22 +66,13 @@ class ABCRouterQdisc(Qdisc):
     def __init__(self, params: Optional[ABCParams] = None,
                  buffer_packets: int = 250,
                  capacity_fn: Optional[CapacityFn] = None,
-                 feedback_basis: str = "dequeue",
-                 delay_mode: str = "standing",
-                 probabilistic_marking: bool = False,
-                 capacity_share: float = 1.0):
+                 feedback_basis: str = "dequeue"):
         super().__init__(buffer_packets=buffer_packets)
         if feedback_basis not in ("dequeue", "enqueue"):
             raise ValueError("feedback_basis must be 'dequeue' or 'enqueue'")
-        if delay_mode not in ("standing", "sojourn"):
-            raise ValueError("delay_mode must be 'standing' or 'sojourn'")
-        if not 0.0 < capacity_share <= 1.0:
-            raise ValueError("capacity_share must be in (0, 1]")
         self.params = params if params is not None else ABCParams()
         self.capacity_fn = capacity_fn
         self.feedback_basis = feedback_basis
-        self.delay_mode = delay_mode
-        self.capacity_share = capacity_share
 
         # One windowed-rate estimator: the cr(t) of Eq. 2, fed at the site
         # ``feedback_basis`` names (every dequeue, or — the Fig. 2 ablation —
@@ -87,12 +80,7 @@ class ABCRouterQdisc(Qdisc):
         self._rate = WindowedRateEstimator(
             window=self.params.measurement_window)
         self._rate_on_dequeue = feedback_basis == "dequeue"
-        if probabilistic_marking:
-            self.marker = ProbabilisticMarker()
-        else:
-            self.marker = TokenBucketMarker(token_limit=self.params.token_limit)
-        self._token_bucket = not probabilistic_marking
-        self._standing = delay_mode == "standing"
+        self.marker = TokenBucketMarker(token_limit=self.params.token_limit)
         # Per-timestamp capacity memo, enabled per link type in attach().
         self._cap_memo_time = -1.0
         self._cap_memo = 0.0
@@ -128,20 +116,15 @@ class ABCRouterQdisc(Qdisc):
             capacity = self.link.capacity_bps(now)
         else:
             capacity = 0.0
-        return max(capacity, 0.0) * self.capacity_share
-
-    def queuing_delay_estimate(self, now: float, capacity: float) -> float:
-        """The x(t) term of Eq. (1)."""
-        if self.delay_mode == "sojourn":
-            return self.sojourn_time(now)
-        return self.queuing_delay(now, capacity)
+        return max(capacity, 0.0)
 
     # ------------------------------------------------------------ control law
     def target_rate(self, now: float, capacity: Optional[float] = None) -> float:
-        """Eq. (1): ``tr(t) = η·µ(t) − µ(t)/δ·(x(t) − dt)+``, floored at 0."""
+        """Eq. (1): ``tr(t) = η·µ(t) − µ(t)/δ·(x(t) − dt)+``, floored at 0,
+        with ``x(t) = q(t)/µ(t)`` the standing-queue delay."""
         p = self.params
         mu = self.capacity_bps(now) if capacity is None else capacity
-        x = self.queuing_delay_estimate(now, mu)
+        x = self.queuing_delay(now, mu)
         excess_delay = max(x - p.delay_threshold, 0.0)
         tr = p.eta * mu - (mu / p.delta) * excess_delay
         self.last_capacity = mu
@@ -226,21 +209,11 @@ class ABCRouterQdisc(Qdisc):
                 mu = self.link.capacity_bps(now)
                 if mu < 0.0:
                     mu = 0.0
-                mu *= self.capacity_share
                 self._cap_memo_time = now
                 self._cap_memo = mu
         else:
             mu = self.capacity_bps(now)
-        if self._standing:
-            x = self.backlog_bytes * 8.0 / mu if mu > 0.0 else 0.0
-        else:
-            head = queue[0] if queue else None
-            if head is None:
-                x = 0.0
-            else:
-                x = now - head.enqueue_time
-                if x < 0.0:
-                    x = 0.0
+        x = self.backlog_bytes * 8.0 / mu if mu > 0.0 else 0.0
         excess_delay = x - params.delay_threshold
         if excess_delay < 0.0:
             excess_delay = 0.0
@@ -295,29 +268,20 @@ class ABCRouterQdisc(Qdisc):
             # adds f(t) for every outgoing packet) so that the accelerate
             # fraction along a multi-bottleneck path is the minimum of the
             # per-router fractions rather than their product.
-            if self._token_bucket:
-                token = marker.token + fraction
-                limit = marker.token_limit
-                marker.token = token if token <= limit else limit
-            else:
-                marker.observe(fraction)
-            return packet
-        if self._token_bucket:
             token = marker.token + fraction
             limit = marker.token_limit
-            if token > limit:
-                token = limit
-            if token >= 1.0:
-                marker.token = token - 1.0
-                marker.accel_count += 1
-                keep_accel = True
-            else:
-                marker.token = token
-                marker.brake_count += 1
-                keep_accel = False
+            marker.token = token if token <= limit else limit
+            return packet
+        token = marker.token + fraction
+        limit = marker.token_limit
+        if token > limit:
+            token = limit
+        if token >= 1.0:
+            marker.token = token - 1.0
+            marker.accel_count += 1
         else:
-            keep_accel = marker.mark(fraction)
-        if not keep_accel:
+            marker.token = token
+            marker.brake_count += 1
             # apply_brake, inlined: only accelerate packets get this far.
             packet.ecn = BRAKE
             self.marked_packets += 1

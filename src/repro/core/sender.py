@@ -34,32 +34,28 @@ class ABCWindowControl(CongestionControl):
     params:
         Protocol parameters; only ``additive_increase`` and
         ``window_cap_factor`` are used on the sender side.
-    dual_window:
-        When True (default) the Cubic-driven ``w_nonabc`` window is maintained
-        so the flow behaves like Cubic whenever a non-ABC router is the
-        bottleneck.  Disabling it isolates the pure accel/brake behaviour for
-        unit tests and the fairness experiments on all-ABC paths.
+
+    The Cubic-driven ``w_nonabc`` window always exists (§5.1.1), on every
+    path: the flow behaves like Cubic whenever a non-ABC router is the
+    bottleneck, and like pure accel/brake whenever an ABC router is.
     """
 
     name = "abc"
     uses_abc = True
 
     def __init__(self, params: Optional[ABCParams] = None, mss: int = MTU,
-                 initial_cwnd: float = 2.0, dual_window: bool = True):
+                 initial_cwnd: float = 2.0):
         super().__init__(mss=mss, initial_cwnd=initial_cwnd)
         self.params = params if params is not None else ABCParams()
-        self.dual_window = dual_window
         self.w_abc = float(initial_cwnd)
-        self.cubic = Cubic(mss=mss, initial_cwnd=initial_cwnd) if dual_window else None
+        self.cubic = Cubic(mss=mss, initial_cwnd=initial_cwnd)
         self.accel_acks = 0
         self.brake_acks = 0
 
     # ------------------------------------------------------------ windows
     @property
     def w_nonabc(self) -> float:
-        """The Cubic window tracking non-ABC bottlenecks (inf when disabled)."""
-        if self.cubic is None:
-            return float("inf")
+        """The Cubic window tracking non-ABC bottlenecks."""
         return self.cubic.cwnd()
 
     def cwnd(self) -> float:
@@ -91,8 +87,7 @@ class ABCWindowControl(CongestionControl):
             w = 1.0
 
         cubic = self.cubic
-        if cubic is not None:
-            cubic.on_ack(feedback)
+        cubic.on_ack(feedback)
 
         # Cap both windows at ``window_cap_factor ×`` packets in flight
         # (§5.1.1) so the non-bottleneck window cannot grow unboundedly.  The
@@ -108,28 +103,23 @@ class ABCWindowControl(CongestionControl):
             w = cap
         self.w_abc = w
 
-        if cubic is not None:
-            # cubic.clamp_to(cap), inlined.
-            cw = cubic._cwnd
-            if cw > cap:
-                cw = cap if cap >= 1.0 else 1.0
-                cubic._cwnd = cw
-            # cwnd() = max(min(w_abc, cubic cwnd), 1.0), inlined.
-            effective = w if w <= cw else cw
-        else:
-            effective = w
+        # cubic.clamp_to(cap), inlined.
+        cw = cubic._cwnd
+        if cw > cap:
+            cw = cap if cap >= 1.0 else 1.0
+            cubic._cwnd = cw
+        # cwnd() = max(min(w_abc, cubic cwnd), 1.0), inlined.
+        effective = w if w <= cw else cw
         return effective if effective >= 1.0 else 1.0
 
     def on_loss(self, now: float) -> None:
-        if self.cubic is not None:
-            self.cubic.on_loss(now)
+        self.cubic.on_loss(now)
 
     def on_timeout(self, now: float) -> None:
         # Losing a whole window of feedback usually means the path is dead or
         # an outage occurred; restart conservatively on both windows.
         self.w_abc = max(self.w_abc / 2.0, self.min_cwnd())
-        if self.cubic is not None:
-            self.cubic.on_timeout(now)
+        self.cubic.on_timeout(now)
 
     # ------------------------------------------------------------ stats
     @property

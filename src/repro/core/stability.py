@@ -63,10 +63,6 @@ class FluidModel:
         Number of competing ABC flows ``N``.
     capacity_bps:
         Link capacity µ (constant, per the theorem's setting).
-    ai_period:
-        ``l``: each sender adds one extra packet every ``l`` seconds.  The
-        paper's additive increase is one packet per RTT, so the default is
-        ``tau``.
     mss_bits:
         Packet size in bits, used to convert the additive-increase packet rate
         into a rate fraction of µ.
@@ -74,7 +70,7 @@ class FluidModel:
 
     def __init__(self, params: Optional[ABCParams] = None, tau: float = 0.1,
                  num_flows: int = 1, capacity_bps: float = 10e6,
-                 ai_period: Optional[float] = None, mss_bits: float = 12000.0):
+                 mss_bits: float = 12000.0):
         if tau <= 0:
             raise ValueError("tau must be positive")
         if num_flows < 0:
@@ -85,14 +81,15 @@ class FluidModel:
         self.tau = tau
         self.num_flows = num_flows
         self.capacity_bps = capacity_bps
-        self.ai_period = ai_period if ai_period is not None else tau
         self.mss_bits = mss_bits
 
     # ------------------------------------------------------------ constants
     @property
     def drift(self) -> float:
-        """The constant ``A = (η − 1) + N/(µ·l)`` (with N·mss/l in bit/s)."""
-        ai_rate_bps = self.num_flows * self.mss_bits / self.ai_period
+        """The constant ``A = (η − 1) + N/(µ·l)`` (with N·mss/l in bit/s),
+        where each sender adds one packet every ``l = tau`` seconds: the
+        paper's additive increase is one packet per RTT."""
+        ai_rate_bps = self.num_flows * self.mss_bits / self.tau
         return (self.params.eta - 1.0) + ai_rate_bps / self.capacity_bps
 
     def fixed_point(self) -> float:

@@ -129,7 +129,6 @@ def fig6_summary(built: BuiltScenario,
 def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
                            rtt: float = 0.1, sample_interval: float = 0.25,
                            cross_traffic: bool = False,
-                           cross_schedule: Optional[Sequence[tuple]] = None,
                            executor: Optional[SweepExecutor] = None
                            ) -> DualBottleneckTrace:
     """Run the wireless(ABC)+wired(drop-tail) experiment.
@@ -142,11 +141,11 @@ def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
     ``REPRO_JOBS``/``REPRO_CACHE_DIR`` like the sweep figures.  The topology
     is deterministic, so its seed list is pinned to ``(0,)``.
     """
-    if cross_traffic and cross_schedule is None:
+    cross_schedule = None
+    if cross_traffic:
         third = duration / 3.0
         cross_schedule = [(third, 2 * third), (2 * third + 1e-9, duration)]
-    job = spec_job(fig6_spec(duration, wired_mbps, rtt,
-                             cross_schedule if cross_traffic else None),
+    job = spec_job(fig6_spec(duration, wired_mbps, rtt, cross_schedule),
                    "fig6", "fig11" if cross_traffic else "fig6",
                    sample_interval=sample_interval)
     return run_seed_grid(lambda s: [job], 0, (0,), executor)[0]

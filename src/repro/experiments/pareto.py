@@ -72,10 +72,10 @@ class ParetoScatter:
     points: List[ParetoPoint] = field(default_factory=list)
     point_stats: Dict[str, Dict[str, SeedAggregate]] = field(default_factory=dict)
 
-    def frontier(self, exclude: str = "abc") -> List[tuple]:
-        """Pareto frontier of every scheme except ``exclude``."""
+    def frontier(self) -> List[tuple]:
+        """Pareto frontier of every scheme except ABC."""
         others = [(p.scheme, p.delay_p95_ms, p.utilization)
-                  for p in self.points if p.scheme != exclude]
+                  for p in self.points if p.scheme != "abc"]
         return pareto_frontier(others)
 
     def abc_outside_frontier(self) -> bool:

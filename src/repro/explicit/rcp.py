@@ -34,13 +34,12 @@ class RCPRouterQdisc(Qdisc):
     name = "rcp"
 
     def __init__(self, buffer_packets: int = 250, alpha: float = RCP_ALPHA,
-                 beta: float = RCP_BETA, default_rtt: float = 0.1,
-                 initial_rate_bps: Optional[float] = None):
+                 beta: float = RCP_BETA, default_rtt: float = 0.1):
         super().__init__(buffer_packets=buffer_packets)
         self.alpha = alpha
         self.beta = beta
         self.default_rtt = default_rtt
-        self.rate_bps = initial_rate_bps if initial_rate_bps is not None else 1e6
+        self.rate_bps = 1e6
         self._interval_start: Optional[float] = None
         self._input_bytes = 0
         self._sum_rtt_weighted = 0.0

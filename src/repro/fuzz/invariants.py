@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.analysis.fairness import jain_fairness_index
 from repro.experiments.scenario_spec import (NATIVE, BuiltScenario,
@@ -317,12 +317,10 @@ INVARIANT_NAMES = ("link-throughput", "non-negative", "queuing-delay-bound",
                    "packet-conservation", "fairness", "determinism")
 
 
-def run_invariants(ctx: CheckContext,
-                   checkers: Optional[List[Checker]] = None) -> List[Violation]:
-    """Run ``checkers`` (default: the full suite) and collect violations."""
-    suite = DEFAULT_CHECKERS if checkers is None else checkers
+def run_invariants(ctx: CheckContext) -> List[Violation]:
+    """Run the full suite of checkers and collect violations."""
     violations: List[Violation] = []
-    for checker in suite:
+    for checker in DEFAULT_CHECKERS:
         violations.extend(checker(ctx))
     return violations
 

@@ -120,8 +120,6 @@ class Sender:
         Unique flow identifier stamped on every packet.
     cc:
         The congestion-control policy object.
-    egress:
-        First hop of the forward path (anything with ``receive``/``send``).
     source:
         Traffic source; defaults to a backlogged flow.
     start_time:
@@ -131,13 +129,13 @@ class Sender:
     """
 
     def __init__(self, env: EventLoop, flow_id: int, cc: CongestionControl,
-                 egress=None, source: Optional[TrafficSource] = None,
+                 source: Optional[TrafficSource] = None,
                  start_time: float = 0.0, mss: int = MTU,
                  name: Optional[str] = None):
         self.env = env
         self.flow_id = flow_id
         self.cc = cc
-        self.egress = egress
+        self.egress = None
         self.source = source if source is not None else BackloggedSource()
         self.start_time = start_time
         self.mss = mss
@@ -217,6 +215,7 @@ class Sender:
         self._try_send()
 
     def connect(self, egress) -> None:
+        """Set the first hop of the forward path (anything with ``receive``)."""
         self.egress = egress
         self._fwd = None  # re-resolve the fused forward hop
 
@@ -660,10 +659,10 @@ class Receiver:
     #: would produce; only heap sequence numbers shift.
     deliver_shifted = True
 
-    def __init__(self, env: EventLoop, egress=None, name: str = "receiver",
+    def __init__(self, env: EventLoop, name: str = "receiver",
                  ack_size: int = ACK_SIZE):
         self.env = env
-        self.egress = egress
+        self.egress = None
         self.name = name
         self.ack_size = ack_size
         self.flow_stats: Dict[int, FlowStats] = {}

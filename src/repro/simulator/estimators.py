@@ -106,13 +106,13 @@ class WindowedRateEstimator:
 
 
 class EWMA:
-    """Exponentially weighted moving average with optional initial value."""
+    """Exponentially weighted moving average, seeded by its first sample."""
 
-    def __init__(self, alpha: float, initial: Optional[float] = None):
+    def __init__(self, alpha: float):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
-        self._value = initial
+        self._value: Optional[float] = None
 
     def update(self, sample: float) -> float:
         if self._value is None:

@@ -94,13 +94,6 @@ class Qdisc:
     def is_empty(self) -> bool:
         return self.backlog_packets == 0
 
-    def sojourn_time(self, now: float) -> float:
-        """Time the head-of-line packet has spent queued (0 when empty)."""
-        head = self.peek()
-        if head is None:
-            return 0.0
-        return max(now - head.enqueue_time, 0.0)
-
     def queuing_delay(self, now: float, capacity_bps: float) -> float:
         """Standing-queue delay estimate ``q(t) / µ(t)`` used by Eq. (1)."""
         if capacity_bps <= 0:

@@ -330,14 +330,6 @@ class ScenarioResult:
             return 0.0
         return float(np.percentile(values, pct)) * 1000.0
 
-    def aggregate_delay_mean_ms(self, kind: str = "one_way") -> float:
-        """Mean per-packet delay over all packets of all flows."""
-        import numpy as np
-        values = self._aggregate_delays(kind)
-        if values.size == 0:
-            return 0.0
-        return float(np.mean(values)) * 1000.0
-
     def aggregate_throughput_bps(self, t0: float = 0.0,
                                  t1: Optional[float] = None) -> float:
         t1 = self.duration if t1 is None else t1
@@ -357,15 +349,3 @@ class ScenarioResult:
         """Packets the link lost: refused by its queue or randomly lost."""
         return link.dropped_packets + link.random_loss_packets
 
-    def summary(self, link: Optional[Link] = None,
-                warmup: float = 0.0) -> Dict[str, float]:
-        """Convenience summary used by the experiment runner."""
-        link = link if link is not None else self.scenario.links[0]
-        return {
-            "throughput_bps": self.aggregate_throughput_bps(t0=warmup),
-            "utilization": self.link_utilization(link, t0=warmup),
-            "delay_p95_ms": self.aggregate_delay_percentile_ms(95),
-            "delay_mean_ms": self.aggregate_delay_mean_ms(),
-            "queuing_p95_ms": self.aggregate_delay_percentile_ms(95, kind="queuing"),
-            "drops": float(self.link_drops(link)),
-        }

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 #: 802.11n single-spatial-stream, 20 MHz, long guard interval PHY bitrates,
 #: indexed by MCS index 0–7 (bits per second).
@@ -78,8 +77,7 @@ class BrownianMCSSchedule(MCSSchedule):
     """
 
     def __init__(self, min_index: int = 3, max_index: int = 7,
-                 period: float = 2.0, seed: int = 0,
-                 start_index: Optional[int] = None):
+                 period: float = 2.0, seed: int = 0):
         mcs_rate_bps(min_index)
         mcs_rate_bps(max_index)
         if min_index > max_index:
@@ -90,8 +88,7 @@ class BrownianMCSSchedule(MCSSchedule):
         self.max_index = max_index
         self.period = period
         self._rng = random.Random(seed)
-        start = start_index if start_index is not None else (min_index + max_index) // 2
-        self._walk = [min(max(start, min_index), max_index)]
+        self._walk = [(min_index + max_index) // 2]
 
     def _extend_to(self, steps: int) -> None:
         while len(self._walk) <= steps:

@@ -1,7 +1,5 @@
 """Unit tests for the ABC protocol core: params, marking, router, sender."""
 
-import math
-
 import pytest
 
 from repro.core.marking import ProbabilisticMarker, TokenBucketMarker
@@ -83,14 +81,12 @@ def test_token_bucket_token_capped():
     assert marker.token <= 2.0
 
 
-def test_token_bucket_tracks_counts_and_reset():
+def test_token_bucket_tracks_counts():
     marker = TokenBucketMarker()
     for _ in range(10):
         marker.mark(0.5)
     assert marker.accel_count + marker.brake_count == 10
     assert 0.0 < marker.accel_fraction < 1.0
-    marker.reset()
-    assert marker.accel_count == 0 and marker.token == 0.0
 
 
 def test_token_bucket_validation():
@@ -214,29 +210,13 @@ def test_router_drops_when_buffer_full():
     assert router.dropped_packets == 10
 
 
-def test_router_capacity_share_scales_target():
-    router = make_router(capacity_bps=10e6, capacity_share=0.5)
-    assert router.target_rate(0.0) == pytest.approx(0.98 * 5e6)
-    with pytest.raises(ValueError):
-        make_router(capacity_share=0.0)
-
-
 def test_router_feedback_basis_validation():
     with pytest.raises(ValueError):
         ABCRouterQdisc(feedback_basis="hybrid")
-    with pytest.raises(ValueError):
-        ABCRouterQdisc(delay_mode="weird")
-
-
-def test_router_sojourn_delay_mode():
-    router = ABCRouterQdisc(capacity_fn=lambda now: 10e6, delay_mode="sojourn")
-    router.enqueue(Packet(flow_id=0, seq=0), 0.0)
-    assert router.queuing_delay_estimate(0.5, 10e6) == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("feedback_basis", ["dequeue", "enqueue"])
-@pytest.mark.parametrize("delay_mode", ["standing", "sojourn"])
-def test_dequeue_matches_the_documented_control_law(delay_mode, feedback_basis):
+def test_dequeue_matches_the_documented_control_law(feedback_basis):
     """``dequeue`` evaluates Eq. 1/2 inline; ``target_rate`` /
     ``accel_fraction`` are the documented form.  After every dequeue the two
     must agree exactly on the same router state, so the inlined arithmetic
@@ -244,8 +224,7 @@ def test_dequeue_matches_the_documented_control_law(delay_mode, feedback_basis):
     from repro.simulator.engine import EventLoop
     from repro.simulator.link import RateLink, SquareWaveRate
 
-    router = ABCRouterQdisc(delay_mode=delay_mode,
-                            feedback_basis=feedback_basis, buffer_packets=400)
+    router = ABCRouterQdisc(feedback_basis=feedback_basis, buffer_packets=400)
     # Attached to a stock link, so the per-timestamp capacity memo is live.
     RateLink(EventLoop(), SquareWaveRate(4e6, 16e6, half_period=0.05),
              qdisc=router)
@@ -271,27 +250,27 @@ def test_dequeue_matches_the_documented_control_law(delay_mode, feedback_basis):
 
 # ------------------------------------------------------------ sender window law
 def test_sender_accelerate_adds_one_plus_ai():
-    cc = ABCWindowControl(initial_cwnd=10.0, dual_window=False)
+    cc = ABCWindowControl(initial_cwnd=10.0)
     cc.on_ack(ack(0.0, accel=True, in_flight=20))
     assert cc.w_abc == pytest.approx(11.0 + 1.0 / 10.0)
 
 
 def test_sender_brake_subtracts_one_minus_ai():
-    cc = ABCWindowControl(initial_cwnd=10.0, dual_window=False)
+    cc = ABCWindowControl(initial_cwnd=10.0)
     cc.on_ack(ack(0.0, accel=False, in_flight=20))
     assert cc.w_abc == pytest.approx(9.0 + 1.0 / 10.0)
 
 
 def test_sender_without_ai_is_pure_mimd():
     params = ABCParams(additive_increase=False)
-    cc = ABCWindowControl(params=params, initial_cwnd=10.0, dual_window=False)
+    cc = ABCWindowControl(params=params, initial_cwnd=10.0)
     cc.on_ack(ack(0.0, accel=True, in_flight=20))
     assert cc.w_abc == pytest.approx(11.0)
 
 
 def test_sender_all_accelerates_double_window_in_one_rtt():
     cc = ABCWindowControl(params=ABCParams(additive_increase=False),
-                          initial_cwnd=10.0, dual_window=False)
+                          initial_cwnd=10.0)
     for i in range(10):
         cc.on_ack(ack(i * 0.01, accel=True, in_flight=40))
     assert cc.w_abc == pytest.approx(20.0)
@@ -299,21 +278,21 @@ def test_sender_all_accelerates_double_window_in_one_rtt():
 
 def test_sender_all_brakes_empty_window_in_one_rtt():
     cc = ABCWindowControl(params=ABCParams(additive_increase=False),
-                          initial_cwnd=10.0, dual_window=False)
+                          initial_cwnd=10.0)
     for i in range(10):
         cc.on_ack(ack(i * 0.01, accel=False, in_flight=40))
     assert cc.w_abc == cc.min_cwnd()
 
 
 def test_sender_window_never_below_min():
-    cc = ABCWindowControl(initial_cwnd=2.0, dual_window=False)
+    cc = ABCWindowControl(initial_cwnd=2.0)
     for i in range(50):
         cc.on_ack(ack(i * 0.01, accel=False, in_flight=10))
     assert cc.w_abc >= cc.min_cwnd()
 
 
 def test_sender_effective_window_is_min_of_both():
-    cc = ABCWindowControl(initial_cwnd=10.0, dual_window=True)
+    cc = ABCWindowControl(initial_cwnd=10.0)
     cc.w_abc = 50.0
     cc.cubic._cwnd = 20.0
     assert cc.cwnd() == 20.0
@@ -340,12 +319,6 @@ def test_sender_loss_only_affects_cubic_window():
     assert cc.w_nonabc < 40.0
 
 
-def test_sender_without_dual_window_has_infinite_nonabc():
-    cc = ABCWindowControl(dual_window=False)
-    assert math.isinf(cc.w_nonabc)
-    cc.on_loss(1.0)  # must not raise
-
-
 def test_sender_ece_reduces_cubic_window():
     cc = ABCWindowControl(initial_cwnd=10.0)
     cc.cubic._cwnd = 40.0
@@ -355,14 +328,14 @@ def test_sender_ece_reduces_cubic_window():
 
 
 def test_sender_timeout_halves_abc_window():
-    cc = ABCWindowControl(initial_cwnd=10.0, dual_window=False)
+    cc = ABCWindowControl(initial_cwnd=10.0)
     cc.w_abc = 30.0
     cc.on_timeout(1.0)
     assert cc.w_abc == pytest.approx(15.0)
 
 
 def test_sender_tracks_accel_fraction():
-    cc = ABCWindowControl(dual_window=False)
+    cc = ABCWindowControl()
     cc.on_ack(ack(0.0, accel=True))
     cc.on_ack(ack(0.01, accel=False))
     assert cc.observed_accel_fraction == pytest.approx(0.5)
@@ -374,7 +347,7 @@ def test_sender_uses_abc_flag():
 
 def test_steady_state_window_matches_fairness_argument():
     """§3.1.3: in steady state 2f + 1/w = 1, so w = 1/(1 - 2f)."""
-    cc = ABCWindowControl(initial_cwnd=5.0, dual_window=False)
+    cc = ABCWindowControl(initial_cwnd=5.0)
     f = 0.45
     marker = TokenBucketMarker()
     now = 0.0

@@ -197,7 +197,7 @@ class _ReferenceCubic(Cubic):
     def on_ack(self, feedback):
         if feedback.rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
-        if self.react_to_ecn and feedback.ece:
+        if feedback.ece:
             self.branches.add("ece")
             self._reduce(feedback.now)
             return self.window()
@@ -216,11 +216,10 @@ class _ReferenceCubic(Cubic):
         else:
             self.branches.add("past target")
             self._cwnd += 0.01 * acked_packets / max(self._cwnd, 1.0)
-        if self.tcp_friendliness:
-            w_est = self._tcp_friendly_window(acked_packets)
-            if w_est > self._cwnd:
-                self.branches.add("tcp friendly")
-                self._cwnd = w_est
+        w_est = self._tcp_friendly_window(acked_packets)
+        if w_est > self._cwnd:
+            self.branches.add("tcp friendly")
+            self._cwnd = w_est
         self._clamp()
         return self.window()
 

@@ -106,7 +106,7 @@ def test_speed_figures_name_a_ledger_workload():
 #: Total lines of ``src/**/*.py`` at the last PR that moved it.  The north
 #: star says this number goes down: lower it when a PR shrinks ``src/``;
 #: raising it is an edit a reviewer sees and a PR has to argue for.
-SRC_LINE_CEILING = 13_213
+SRC_LINE_CEILING = 13_097
 
 
 def test_every_ci_job_gates():
@@ -427,6 +427,92 @@ def test_dead_surface_allowlist_has_no_stale_entries():
                for name, _, _ in _public_definitions(
                    ast.parse(path.read_text()))}
     assert DEAD_SURFACE_ALLOWLIST <= defined
+
+
+#: Switch parameters in ``src/repro/`` that no call in ``src/``, ``tools/``,
+#: ``benchmarks/`` or ``examples/`` passes, kept on purpose, each with the
+#: non-test caller that needs it.  Anything else the scan below finds is a
+#: behaviour only tests select: delete the switch and the code it keeps.
+UNSET_SWITCH_ALLOWLIST: dict = {}
+
+
+def _switches(tree: ast.Module):
+    """``(key, callee, parameter, position, line)`` for every parameter of a
+    function or method whose default is a ``bool``, ``str`` or ``None``
+    literal.  ``callee`` is the name a call spells (the class for
+    ``__init__``); ``position`` is the parameter's index among a call's
+    positional arguments (``None`` when keyword-only)."""
+    owners = {id(sub): node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for sub in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(id(node))
+        bound = owner is not None and not any(
+            _dotted(d) == "staticmethod" for d in node.decorator_list)
+        if owner is None:
+            key, callee = node.name, node.name
+        elif node.name == "__init__":
+            key, callee = owner.name, owner.name
+        else:
+            key, callee = f"{owner.name}.{node.name}", node.name
+        arguments = node.args
+        positional = arguments.posonlyargs + arguments.args
+        defaults = ([None] * (len(positional) - len(arguments.defaults))
+                    + arguments.defaults)
+        params = [(arg, default, index - bound) for index, (arg, default)
+                  in enumerate(zip(positional, defaults))]
+        params += [(arg, default, None) for arg, default
+                   in zip(arguments.kwonlyargs, arguments.kw_defaults)]
+        for arg, default, position in params:
+            if (isinstance(default, ast.Constant)
+                    and (default.value is None
+                         or isinstance(default.value, (bool, str)))):
+                yield (f"{key}({arg.arg})", callee, arg.arg, position,
+                       node.lineno)
+
+
+def _unset_switches() -> dict:
+    """Switches no non-test call passes.  A call passes a parameter by
+    keyword (matched by name, as methods are matched above; a string key
+    of a dict literal counts, since such dicts are spread into ``**``
+    calls), or at its position when the call spells the callee's name."""
+    keywords, positional = set(), collections.Counter()
+    for top in ("src", "tools", "benchmarks", "examples"):
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    keywords |= {kw.arg for kw in node.keywords}
+                    callee = _dotted(node.func).rpartition(".")[2]
+                    positional[callee] = max(positional[callee],
+                                             len(node.args))
+                elif isinstance(node, ast.Dict):
+                    keywords |= {key.value for key in node.keys
+                                 if isinstance(key, ast.Constant)}
+    unset = {}
+    for path, tree in _src_trees():
+        for key, callee, param, position, line in _switches(tree):
+            if param not in keywords and (position is None
+                                          or positional[callee] <= position):
+                unset[key] = f"src/repro/{path.as_posix()}:{line}"
+    return unset
+
+
+def test_no_unset_switch_in_src():
+    """An option needs a non-test caller that wants a value other than its
+    default; a switch only tests set keeps a second behaviour alive for
+    nothing the repo runs."""
+    unset = {key: where for key, where in _unset_switches().items()
+             if key not in UNSET_SWITCH_ALLOWLIST}
+    assert not unset, ("switches no call outside tests/ sets — delete them "
+                       "with the code they keep, or allowlist them with the "
+                       "caller that needs them: " + ", ".join(
+                           f"{where} {key}" for key, where in sorted(
+                               unset.items())))
+
+
+def test_unset_switch_allowlist_has_no_stale_entries():
+    assert set(UNSET_SWITCH_ALLOWLIST) <= set(_unset_switches())
 
 
 def _is_package(module: str) -> bool:

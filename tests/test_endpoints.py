@@ -88,7 +88,9 @@ class ShrinkingWindow(AIMD):
 def turn_around(packet):
     """``packet`` the way a receiver sends it back: as its own ACK."""
     capture = Capture()
-    Receiver(EventLoop(), egress=capture).receive(packet)
+    receiver = Receiver(EventLoop())
+    receiver.connect(capture)
+    receiver.receive(packet)
     (ack,) = capture.packets
     assert ack is packet
     return ack
@@ -267,7 +269,8 @@ def test_ack_of_retransmitted_seq_gives_no_rtt_sample():
 def test_receiver_echoes_accelerate_bit():
     env = EventLoop()
     capture = Capture()
-    receiver = Receiver(env, egress=capture)
+    receiver = Receiver(env)
+    receiver.connect(capture)
     sent = [Packet(flow_id=1, seq=seq, ecn=codepoint, abc_capable=True)
             for seq, codepoint in enumerate(ECN)]
     for packet in sent:
@@ -304,7 +307,8 @@ def test_sender_decodes_echo_like_the_section_5_1_2_table(codepoint):
     env = EventLoop()
     cc = RecordingAIMD(initial_cwnd=2.0, ssthresh=2.0)
     sender = Sender(env, flow_id=0, cc=cc)
-    receiver = Receiver(env, egress=DelayHop(env, 0.01, dst=sender))
+    receiver = Receiver(env)
+    receiver.connect(DelayHop(env, 0.01, dst=sender))
     sender.connect(DelayHop(env, 0.01, dst=Stamp(receiver)))
     sender.start()
     env.run(until=0.1)
@@ -330,7 +334,8 @@ def test_ack_crosses_a_reverse_abc_router_unmarked():
     env = EventLoop()
     capture = Capture()
     reverse = congested_router_link(env, capture)
-    receiver = Receiver(env, egress=reverse, ack_size=52)
+    receiver = Receiver(env, ack_size=52)
+    receiver.connect(reverse)
     for packet in burst(MTU):
         receiver.receive(packet)
     # One ACK is in transmission, the other 19 wait, 52 bytes each.
@@ -365,7 +370,8 @@ def test_miswired_endpoints_ignore_the_wrong_kind_of_packet():
     assert sender.acks_received == 0 and 0 in sender.outstanding
 
     capture = Capture()
-    receiver = Receiver(env, egress=capture)
+    receiver = Receiver(env)
+    receiver.connect(capture)
     ack = turn_around(Packet(flow_id=0, seq=0))
     receiver.receive(ack)  # an ACK, not data
     assert receiver.packets_received == 0 and not capture.packets

@@ -234,7 +234,8 @@ def test_ewma_initialises_with_first_sample():
 
 
 def test_ewma_moves_toward_samples():
-    e = EWMA(alpha=0.5, initial=0.0)
+    e = EWMA(alpha=0.5)
+    e.update(0.0)
     e.update(10.0)
     assert e.value == pytest.approx(5.0)
     e.update(10.0)

@@ -131,7 +131,8 @@ def test_rcp_sender_ignores_unstamped_acks():
 
 
 def test_rcp_router_stamps_minimum_rate():
-    router = RCPRouterQdisc(initial_rate_bps=3e6)
+    router = RCPRouterQdisc()
+    router.rate_bps = 3e6
     router.attach(FakeLink(10e6))
     pkt = Packet(flow_id=0, seq=0, meta={"rcp_rtt": 0.1, "rcp_rate_bps": math.inf})
     router.enqueue(pkt, 0.0)
@@ -139,7 +140,7 @@ def test_rcp_router_stamps_minimum_rate():
 
 
 def test_rcp_router_rate_grows_toward_capacity():
-    router = RCPRouterQdisc(initial_rate_bps=1e6)
+    router = RCPRouterQdisc()
     router.attach(FakeLink(10e6))
     now = 0.0
     for i in range(500):

@@ -24,6 +24,7 @@ import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.cc.registry import make_cc
@@ -175,8 +176,17 @@ def test_unwired_scenario_reads_as_before(monkeypatch):
     assert scenario.env.pending == 0
     result = ScenarioResult(scenario)
     qdisc = link.qdisc
+    delays = np.concatenate([flow.stats.delays() for flow in scenario.flows])
     assert {
-        "summary": result.summary(),
+        "summary": {
+            "throughput_bps": result.aggregate_throughput_bps(),
+            "utilization": result.link_utilization(link),
+            "delay_p95_ms": result.aggregate_delay_percentile_ms(95),
+            "delay_mean_ms": float(np.mean(delays)) * 1000.0,
+            "queuing_p95_ms": result.aggregate_delay_percentile_ms(
+                95, kind="queuing"),
+            "drops": float(result.link_drops(link)),
+        },
         "utilization_after_1s": result.link_utilization(link, t0=1.0),
         "offered_bits": link.offered_bits(0.0, DURATION),
         "link": [link.arrived_packets, link.delivered_packets,

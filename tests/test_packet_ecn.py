@@ -97,8 +97,7 @@ def test_receiver_echo_ce_sets_ece():
 
 def test_sender_codepoint_selection():
     assert ecn.sender_codepoint(abc_enabled=True) == ECN.ACCEL
-    assert ecn.sender_codepoint(abc_enabled=False, ecn_enabled=True) == ECN.BRAKE
-    assert ecn.sender_codepoint(abc_enabled=False, ecn_enabled=False) == ECN.NOT_ECT
+    assert ecn.sender_codepoint(abc_enabled=False) == ECN.BRAKE
 
 
 def test_legacy_router_sees_abc_packets_as_ecn_capable():

@@ -163,7 +163,7 @@ def test_router_accel_fraction_in_unit_interval(capacity):
 @given(st.lists(st.booleans(), min_size=1, max_size=400),
        st.floats(min_value=2.0, max_value=100.0))
 def test_abc_window_stays_positive_and_finite(accel_pattern, initial):
-    cc = ABCWindowControl(initial_cwnd=initial, dual_window=False)
+    cc = ABCWindowControl(initial_cwnd=initial)
     now = 0.0
     for accel in accel_pattern:
         cc.on_ack(AckFeedback(now=now, rtt=0.1, bytes_acked=MTU, accel=accel,
@@ -185,6 +185,98 @@ def test_abc_window_cap_respects_in_flight(in_flight):
     cap = cc.params.window_cap_factor * (in_flight + 1)
     assert cc.w_abc <= cap + 1e-9
     assert cc.w_nonabc <= cap + 1e-9
+
+
+#: ACKs as ``(accelerate, bytes_acked, packets_in_flight, ece)``.
+_ACKS = st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=3 * MTU),
+                           st.integers(min_value=0, max_value=120), st.booleans()),
+                 min_size=1, max_size=200)
+
+
+def _feedback(step, accel, acked, in_flight, ece):
+    return AckFeedback(now=step * 0.01, rtt=0.1, bytes_acked=acked, accel=accel,
+                       ece=ece, packets_in_flight=in_flight)
+
+
+def _cap(cc, in_flight):
+    """``window_cap_factor`` × (in-flight + the packet being ACKed), never
+    below 2 packets."""
+    return max(cc.params.window_cap_factor * (in_flight + 1), 2.0)
+
+
+@SETTINGS
+@given(_ACKS, st.floats(min_value=1.0, max_value=200.0), st.booleans(),
+       st.floats(min_value=1.0, max_value=3.0))
+def test_abc_ack_applies_the_accel_brake_law(acks, initial, additive_increase,
+                                             cap_factor):
+    """With a = bytes_acked / mss, each ACK moves ``w_abc`` to w + (a + a/w)
+    on an accelerate and w − (a − a/w) on a brake (the a/w term only with
+    additive increase), floored at 1 and capped; ECE never touches it."""
+    params = ABCParams(additive_increase=additive_increase,
+                       window_cap_factor=cap_factor)
+    cc = ABCWindowControl(params=params, initial_cwnd=initial)
+    for step, (accel, acked, in_flight, ece) in enumerate(acks):
+        w, a = cc.w_abc, acked / cc.mss
+        ai = a / w if additive_increase else 0.0
+        expected = w + (a + ai) if accel else w - (a - ai)
+        cc.on_ack(_feedback(step, accel, acked, in_flight, ece))
+        assert cc.w_abc == min(max(expected, 1.0), _cap(cc, in_flight))
+
+
+@SETTINGS
+@given(_ACKS, st.floats(min_value=1.0, max_value=200.0),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=199),
+                          st.sampled_from(("loss", "timeout"))), max_size=6))
+def test_abc_window_is_the_smaller_window_under_the_cap(acks, initial, events):
+    """``on_ack`` returns max(min(w_abc, Cubic cwnd), 1), through losses and
+    timeouts of the Cubic window, and never more than the cap."""
+    cc = ABCWindowControl(initial_cwnd=initial)
+    events = dict(events)
+    for step, (accel, acked, in_flight, ece) in enumerate(acks):
+        event = events.get(step)
+        if event == "loss":
+            cc.on_loss(step * 0.01)
+        elif event == "timeout":
+            cc.on_timeout(step * 0.01)
+        window = cc.on_ack(_feedback(step, accel, acked, in_flight, ece))
+        assert window == max(min(cc.w_abc, cc.cubic.cwnd()), 1.0) == cc.cwnd()
+        assert window <= _cap(cc, in_flight)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                          st.integers(min_value=0, max_value=4),
+                          st.sampled_from((ECN.ACCEL, ECN.ACCEL, ECN.BRAKE,
+                                           ECN.NOT_ECT))),
+                min_size=1, max_size=150),
+       st.floats(min_value=1e5, max_value=5e7),
+       st.floats(min_value=1.0, max_value=4.0),
+       st.sampled_from(("dequeue", "enqueue")))
+def test_router_keeps_no_more_accelerates_than_the_fractions_allow(
+        steps, capacity, token_limit, feedback_basis):
+    """Over any run of consecutive ``dequeue`` calls the accelerates kept
+    are at most Σf(t) over the run plus ``token_limit`` (Algorithm 1)."""
+    router = ABCRouterQdisc(params=ABCParams(token_limit=token_limit),
+                            buffer_packets=500, feedback_basis=feedback_basis,
+                            capacity_fn=lambda now: capacity)
+    seq, runs = 0, []
+    for step, (arrivals, departures, codepoint) in enumerate(steps):
+        now = step * 0.002
+        for _ in range(arrivals):
+            router.enqueue(Packet(flow_id=0, seq=seq, ecn=codepoint), now)
+            seq += 1
+        for _ in range(departures):
+            packet = router.dequeue(now)
+            if packet is None:
+                break
+            runs.append((packet.ecn is ECN.ACCEL, router.last_fraction))
+    # The worst run is the largest rise of Σ(kept − f) over its prefixes.
+    prefix = lowest = worst = 0.0
+    for kept, fraction in runs:
+        prefix += kept - fraction
+        worst = max(worst, prefix - lowest)
+        lowest = min(lowest, prefix)
+    assert worst <= token_limit + 1e-9 * (1 + len(runs))
 
 
 # ------------------------------------------------------------ estimators

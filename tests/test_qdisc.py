@@ -57,13 +57,6 @@ def test_peek_does_not_remove():
     assert q.backlog_packets == 1
 
 
-def test_sojourn_time_of_head_packet():
-    q = FifoQdisc()
-    assert q.sojourn_time(5.0) == 0.0
-    q.enqueue(mk(0), 1.0)
-    assert q.sojourn_time(1.5) == pytest.approx(0.5)
-
-
 def test_queuing_delay_uses_capacity():
     q = FifoQdisc()
     q.enqueue(mk(0, size=1500), 0.0)

@@ -240,14 +240,17 @@ def test_scenario_two_flows_share_link():
     assert total == pytest.approx(10e6, rel=0.15)
 
 
-def test_scenario_summary_keys(short_trace):
+def test_scenario_result_link_accessors(short_trace):
     sc = Scenario()
     link = sc.add_cellular_link(short_trace, qdisc=ABCRouterQdisc(), name="cell")
     sc.add_flow(ABCWindowControl(), [link], rtt=0.1)
     res = sc.run(4.0)
-    summary = res.summary(link)
-    assert set(summary) == {"throughput_bps", "utilization", "delay_p95_ms",
-                            "delay_mean_ms", "queuing_p95_ms", "drops"}
+    assert res.aggregate_throughput_bps() > 0.0
+    assert 0.0 < res.link_utilization(link) <= 1.0
+    assert (res.aggregate_delay_percentile_ms(95)
+            >= res.aggregate_delay_percentile_ms(95, kind="queuing") >= 0.0)
+    assert res.link_drops(link) == (link.dropped_packets
+                                    + link.random_loss_packets)
 
 
 def test_scenario_short_flow_completes():
