@@ -1,10 +1,11 @@
 """CoDel (Controlled Delay) active queue management.
 
-Implementation of the CoDel dequeue-time algorithm from Nichols & Jacobson,
-"Controlling Queue Delay" (ACM Queue 2012) and RFC 8289.  Packets whose
-sojourn time has exceeded ``target`` for at least ``interval`` are dropped (or
-ECN-marked when ``ecn=True``) at a rate that increases with the square root of
-the number of drops, which is the control law that gives CoDel its name.
+The CoDel dequeue-time algorithm of Nichols & Jacobson, "Controlling Queue
+Delay" (ACM Queue 2012), as RFC 8289 §5's pseudocode writes it.  Packets
+whose sojourn time has exceeded ``target`` for at least ``interval`` are
+dropped (or ECN-marked when ``ecn=True``) at a rate that increases with the
+square root of the number of drops, which is the control law that gives CoDel
+its name.
 
 The paper pairs CoDel with Cubic ("Cubic+Codel"): it removes bufferbloat but
 cannot signal rate increases, which is exactly the behaviour Fig. 1c shows and
@@ -14,10 +15,14 @@ ABC improves on.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.simulator.packet import Packet, apply_ce
 from repro.simulator.qdisc import Qdisc
+
+#: RFC 8289's ``maxpacket``, the interface MTU: with no more than this left
+#: queued, a packet is never dropped.
+MAXPACKET = 1500
 
 
 class CoDelQdisc(Qdisc):
@@ -49,19 +54,23 @@ class CoDelQdisc(Qdisc):
         return True
 
     # ------------------------------------------------------------ dequeue
-    def _should_flag(self, packet: Packet, now: float) -> bool:
-        """CoDel's ``dodeque`` check: has sojourn stayed above target?"""
-        sojourn = now - packet.enqueue_time
-        if sojourn < self.target or self.backlog_bytes <= 2 * packet.size:
+    def _dodequeue(self, now: float) -> Tuple[Optional[Packet], bool]:
+        """RFC 8289's ``dodequeue``: the head packet, and ``ok_to_drop``."""
+        packet = self._pop(now)
+        if packet is None:
             self._first_above_time = 0.0
-            return False
-        if self._first_above_time == 0.0:
+            return None, False
+        if (now - packet.enqueue_time < self.target
+                or self.backlog_bytes <= MAXPACKET):
+            self._first_above_time = 0.0
+        elif self._first_above_time == 0.0:
             self._first_above_time = now + self.interval
-            return False
-        return now >= self._first_above_time
+        elif now >= self._first_above_time:
+            return packet, True
+        return packet, False
 
     def _control_law(self, t: float) -> float:
-        return t + self.interval / math.sqrt(max(self._drop_count, 1))
+        return t + self.interval / math.sqrt(self._drop_count)
 
     def _handle(self, packet: Packet, now: float) -> Optional[Packet]:
         """Drop or ECN-mark a packet selected by the control law."""
@@ -73,34 +82,23 @@ class CoDelQdisc(Qdisc):
         return None
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        packet = self._pop(now)
-        if packet is None:
-            self._dropping = False
-            return None
-
-        flag = self._should_flag(packet, now)
+        """RFC 8289's ``dequeue``; its "drop" ECN-marks a capable packet
+        and sends it on when ``ecn`` is set, as Linux's ``codel`` does."""
+        packet, ok_to_drop = self._dodequeue(now)
         if self._dropping:
-            if not flag:
+            if not ok_to_drop:
                 self._dropping = False
-            else:
-                while self._dropping and now >= self._drop_next:
-                    handled = self._handle(packet, now)
-                    self._drop_count += 1
-                    if handled is not None:
-                        # ECN mark: deliver the marked packet, stay in state.
-                        self._drop_next = self._control_law(self._drop_next)
-                        return handled
-                    packet = self._pop(now)
-                    if packet is None:
-                        self._dropping = False
-                        return None
-                    if not self._should_flag(packet, now):
-                        self._dropping = False
-                    else:
-                        self._drop_next = self._control_law(self._drop_next)
-        elif flag and (now - self._drop_next < self.interval
-                       or now - self._first_above_time >= self.interval):
-            handled = self._handle(packet, now)
+            while self._dropping and now >= self._drop_next:
+                self._drop_count += 1
+                if self._handle(packet, now) is not None:
+                    self._drop_next = self._control_law(self._drop_next)
+                    return packet
+                packet, ok_to_drop = self._dodequeue(now)
+                if not ok_to_drop:
+                    self._dropping = False
+                else:
+                    self._drop_next = self._control_law(self._drop_next)
+        elif ok_to_drop:
             self._dropping = True
             delta = self._drop_count - self._last_drop_count
             self._drop_count = 1
@@ -108,10 +106,6 @@ class CoDelQdisc(Qdisc):
                 self._drop_count = delta
             self._drop_next = self._control_law(now)
             self._last_drop_count = self._drop_count
-            if handled is not None:
-                return handled
-            packet = self._pop(now)
-            if packet is None:
-                self._dropping = False
-                return None
+            if self._handle(packet, now) is None:
+                packet, _ = self._dodequeue(now)
         return packet

@@ -88,17 +88,6 @@ def _journal(value: Any) -> Union[None, bool, Path]:
     return _path(value)
 
 
-def _faults(value: Any) -> Any:
-    from repro.runtime.faults import FaultSpec  # late: it imports this module
-
-    if isinstance(value, str):
-        value = FaultSpec.parse(value)
-    if value is not False and not isinstance(value, FaultSpec):
-        raise TypeError(f"must be a FaultSpec, a spec string or False, "
-                        f"got {type(value).__name__}")
-    return value if value and value.active else None
-
-
 def _knob(env: str, parse: Callable, default: Any, doc: str) -> Any:
     return dataclasses.field(
         default=default, metadata={"env": env, "parse": parse, "doc": doc})
@@ -124,8 +113,6 @@ class RuntimeConfig:
     failure_policy: str = _knob(
         "REPRO_FAILURE_POLICY", _policy, "strict",
         "retries exhausted: 'strict' raises, 'salvage' returns JobFailures")
-    faults: Any = _knob("REPRO_FAULTS", _faults, None,
-                        "deterministic chaos spec (repro.runtime.faults)")
     cache_dir: Optional[Path] = _knob(
         "REPRO_CACHE_DIR", _path, None,
         "on-disk result cache directory; unset = no cache")
@@ -169,14 +156,12 @@ class RuntimeConfig:
         return self.run_dir / "journal"
 
     def to_jsonable(self) -> Dict[str, Any]:
-        """For a manifest: paths / fault spec as strings, a callback as True."""
+        """For a manifest: paths as strings, a callback as True."""
         def plain(value: Any) -> Any:
             if isinstance(value, Path):
                 return str(value)
             if isinstance(value, tuple):
                 return list(value)
-            if hasattr(value, "describe"):      # a FaultSpec
-                return value.describe()
             return True if callable(value) else value
         return {name: plain(getattr(self, name)) for name in KNOBS}
 

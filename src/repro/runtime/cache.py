@@ -51,8 +51,9 @@ from repro.config import resolve
 #: stale cache entries from older code versions then miss instead of lying.
 #: v3: hot-path overhaul — closed-form SquareWaveRate.bits_between changes
 #: utilisation denominators, and the Fig. 6/7/11/13 entry points became
-#: cacheable sweep jobs.
-CODE_VERSION_SALT = "repro-runtime-v3"
+#: cacheable sweep jobs.  v4: CoDel follows RFC 8289 as written, which moves
+#: every ``cubic+codel`` cell.
+CODE_VERSION_SALT = "repro-runtime-v4"
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +135,6 @@ class ResultCache:
         self.corrupt = 0
         self.evictions = 0
         self.write_errors = 0
-        #: Optional FaultInjector (set by the executor when REPRO_FAULTS
-        #: includes cache_write_fail) — put() consults it to inject OSErrors.
-        self.fault_injector = None
         # Size cap: max_mb, else REPRO_CACHE_MAX_MB; unset / 0 = unbounded.
         max_mb = resolve("cache_max_mb", max_mb)
         self._max_bytes = int(max_mb * 1024 * 1024) if max_mb else None
@@ -191,10 +189,6 @@ class ResultCache:
         :class:`~repro.runtime.executor.ExecutorStats`).
         """
         try:
-            if (self.fault_injector is not None
-                    and self.fault_injector.should("cache_write_fail",
-                                                   key, 1)):
-                raise OSError("injected cache_write_fail")
             path = self._path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

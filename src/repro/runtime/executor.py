@@ -13,8 +13,9 @@ Results are returned in job-submission order and each job runs in its own
 simulator instance with explicit seeds, so the returned metrics are
 bit-for-bit identical whether a sweep runs serially, in parallel, on a
 reused pool, or is replayed from the cache.
-``tests/test_runtime_executor.py`` enforces this; with fault injection
-active, ``tests/test_runtime_faults.py`` extends it to the failure records.
+``tests/test_runtime_executor.py`` enforces this; with faults injected by
+``tests/chaos.py``, ``tests/test_runtime_faults.py`` extends it to the
+failure records.
 
 Configuration
 -------------
@@ -46,31 +47,32 @@ retry budget, in-process or pooled — walks each pending cell through one
 attempt state machine (:meth:`SweepExecutor._drive`; diagram in
 ``docs/ARCHITECTURE.md``): fresh → in flight → landed, and a landed attempt
 is *ok*: commit + record + progress, or *failed* (exception / worker died /
-deadline): seeded backoff and resubmit while the retry budget lasts, then a
+deadline): hashed backoff and resubmit while the retry budget lasts, then a
 :class:`~repro.runtime.faults.JobFailure` in the cell's slot.
 
 The loop runs over one of two small *transports*, chosen from what the code
 can observe — one worker, or a single pending cell with no deadline to
-enforce, runs in-process (:class:`_InProcessTransport`: capacity one,
-injected crashes/hangs synthesized, no preemption of a wedged job); anything
-else goes to the pool (:class:`_PoolTransport`: N processes, one duplex pipe
-each, one attempt at a time per worker, so the parent *knows* which process
-runs which attempt and whether it is alive — no thread, no poll interval, no
-grace period; its docstring has the protocol).  ``queue_wait_seconds`` is
+enforce, runs in-process (:class:`_InProcessTransport`: capacity one, no
+preemption of a wedged job); anything else goes to the pool
+(:class:`_PoolTransport`: N processes, one duplex pipe each, one attempt at
+a time per worker, so the parent *knows* which process runs which attempt
+and whether it is alive — no thread, no poll interval, no grace period; its
+docstring has the protocol).  ``queue_wait_seconds`` is
 the hand-off latency from ``submit`` to the worker starting the attempt: a
 cell waiting for a free worker waits in the parent, off every clock.
 
-Timeout, retries, fault injection, journal, cache, progress and telemetry
-are per-job policies that are simply absent when not configured
-(``timeout=None`` arms no deadline, ``retries=0`` exhausts on the first
-failure, no injector fires nothing), so every run keeps the four promises
-of ``docs/ARCHITECTURE.md`` ("Failure lifecycle"): a completed cell is
-committed as it lands; ``strict`` raises only after the sweep finished and
-``last_stats`` is assembled; ``job_records`` holds one record per attempt;
-job keys are computed only when something consumes them.
+Timeout, retries, journal, cache, progress and telemetry are per-job
+policies that are simply absent when not configured (``timeout=None`` arms
+no deadline, ``retries=0`` exhausts on the first failure), so every run
+keeps the four promises of ``docs/ARCHITECTURE.md`` ("Failure lifecycle"):
+a completed cell is committed as it lands; ``strict`` raises only after the
+sweep finished and ``last_stats`` is assembled; ``job_records`` holds one
+record per attempt; job keys are computed only when something consumes
+them.
 
-The retry schedule is seeded, so it is part of the reproducible record; and
-a ``KeyboardInterrupt`` kills and reaps the workers instead of orphaning them.
+The retry schedule is a hash of the job key, so it is part of the
+reproducible record; and a ``KeyboardInterrupt`` kills and reaps the workers
+instead of orphaning them.
 """
 
 from __future__ import annotations
@@ -91,8 +93,7 @@ from repro.config import RuntimeConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs.progress import SweepProgress, resolve_progress
 from repro.runtime.cache import CODE_VERSION_SALT, ResultCache
-from repro.runtime.faults import (FaultInjectionError, FaultInjector,
-                                  JobAttempt, JobFailure, JobFailureError,
+from repro.runtime.faults import (JobAttempt, JobFailure, JobFailureError,
                                   crash_attempt, retry_backoff,
                                   timeout_attempt)
 from repro.runtime.journal import RunJournal, run_key_for
@@ -100,30 +101,25 @@ from repro.runtime.spec import SweepJob
 from repro.runtime.trace_store import (install_snapshot, referenced_keys,
                                        snapshot_for)
 
-def _timed_attempt(job: SweepJob, job_key: Optional[str], attempt: int,
-                   injector: Optional[FaultInjector], pid: int
+def _timed_attempt(job: SweepJob, attempt: int, pid: int
                    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """One guarded attempt and its timing record, ``(outcome, meta)``; never
     raises.
 
     Shared verbatim by the in-process transport and pool workers so an
     error's captured traceback is byte-identical across execution modes
-    (same frames, same files, same lines).  Injected ``job_error`` faults
-    fire inside the ``try`` for the same reason.
+    (same frames, same files, same lines).
     """
     start_unix = time.time()
     t0 = time.perf_counter()
     try:
-        if injector is not None:
-            injector.maybe_error(job_key, attempt)
         outcome = {"ok": True, "value": job.run()}
     except Exception as exc:
         tb = "".join(traceback.format_exception(type(exc), exc,
                                                 exc.__traceback__))
         outcome = {"ok": False, "outcome": "error",
                    "error_type": type(exc).__qualname__, "error": str(exc),
-                   "traceback": tb, "exception": exc,
-                   "injected": isinstance(exc, FaultInjectionError)}
+                   "traceback": tb, "exception": exc}
     return outcome, {
         "label": job.label, "pid": pid, "start_unix": start_unix,
         "wall_seconds": time.perf_counter() - t0, "queue_wait_seconds": 0.0,
@@ -133,16 +129,13 @@ def _timed_attempt(job: SweepJob, job_key: Optional[str], attempt: int,
 def _run_attempt(payload: tuple) -> tuple:
     """The worker-side trampoline: one attempt of one job.
 
-    Fires any injected process faults (crash/hang), runs the guarded attempt
-    and hands the completion back.  With ``REPRO_TELEMETRY`` on, the worker
-    registry is snapshotted and **reset**, so every attempt ships exactly
-    its own delta and the parent-side merge is order-independent.
+    Runs the guarded attempt and hands the completion back.  With
+    ``REPRO_TELEMETRY`` on, the worker registry is snapshotted and
+    **reset**, so every attempt ships exactly its own delta and the
+    parent-side merge is order-independent.
     """
-    attempt, job, job_key, injector, submitted_unix = payload
-    if injector is not None:
-        injector.fire_process_faults(job_key, attempt)
-    outcome, meta = _timed_attempt(job, job_key, attempt, injector,
-                                   os.getpid())
+    attempt, job, submitted_unix = payload
+    outcome, meta = _timed_attempt(job, attempt, os.getpid())
     meta["queue_wait_seconds"] = max(meta["start_unix"] - submitted_unix, 0.0)
     if not outcome["ok"]:
         # The original exception rides home for strict-mode re-raising, but
@@ -176,7 +169,7 @@ def _worker_main(conn, trace_snapshot: Dict[str, Any]) -> None:
             # the pipe is still clean): an errored attempt, not a hang.
             conn.send(({"ok": False, "outcome": "error", "error": str(exc),
                         "error_type": type(exc).__qualname__, "traceback": "",
-                        "exception": None, "injected": False}, None, None))
+                        "exception": None}, None, None))
 
 
 class _InProcessTransport:
@@ -184,8 +177,7 @@ class _InProcessTransport:
 
     ``submit`` names no worker process (it returns ``None``), so the driver
     arms no deadline and never calls ``abandon``: a serial run cannot
-    preempt a wedged job.  Injected process faults are synthesized instead
-    of fired, and a job's counters land in this process's registry
+    preempt a wedged job.  A job's counters land in this process's registry
     directly, so there is no snapshot to ship.
 
     A completion is ``(slot, outcome, meta, metrics_snapshot)``:
@@ -199,24 +191,13 @@ class _InProcessTransport:
     #: The driver's clock (monotonic seconds).
     now = staticmethod(time.monotonic)
 
-    def __init__(self, injector: Optional[FaultInjector] = None):
-        self._injector = injector
+    def __init__(self):
         self._pid = os.getpid()
         self._done: Optional[tuple] = None
 
-    def submit(self, slot: int, attempt: int, job: SweepJob,
-               job_key: Optional[str]) -> Optional[int]:
+    def submit(self, slot: int, attempt: int, job: SweepJob) -> Optional[int]:
         """Start one attempt; the pid now running it, if a process is."""
-        injector = self._injector
-        if injector is not None:
-            for kind, tag in (("worker_crash", "worker_crash"),
-                              ("job_hang", "timeout")):
-                if injector.should(kind, job_key, attempt):
-                    self._done = (slot, {"ok": False, "outcome": tag},
-                                  None, None)
-                    return None
-        outcome, meta = _timed_attempt(job, job_key, attempt, injector,
-                                       self._pid)
+        outcome, meta = _timed_attempt(job, attempt, self._pid)
         self._done = (slot, outcome, meta, None)
         return None
 
@@ -241,11 +222,9 @@ class _PoolTransport:
 
     now = staticmethod(time.monotonic)
 
-    def __init__(self, processes: int, trace_snapshot: Dict[str, Any],
-                 injector: Optional[FaultInjector] = None):
+    def __init__(self, processes: int, trace_snapshot: Dict[str, Any]):
         self.capacity = processes
         self.trace_snapshot = trace_snapshot
-        self._injector = injector
         #: pipe -> (process, the slot whose attempt it is running).
         self._busy: Dict[Any, Tuple[Any, int]] = {}
         self._idle = [self._spawn() for _ in range(processes)]
@@ -272,8 +251,8 @@ class _PoolTransport:
         conn.close()
         return self._spawn()
 
-    def submit(self, slot, attempt, job, job_key) -> int:
-        payload = (attempt, job, job_key, self._injector, time.time())
+    def submit(self, slot, attempt, job) -> int:
+        payload = (attempt, job, time.time())
         while True:
             process, conn = self._idle.pop()
             try:
@@ -385,7 +364,7 @@ class ExecutorStats:
 
     @property
     def worker_crashes(self) -> int:
-        """Attempts whose worker died under them (injected or real)."""
+        """Attempts whose worker died under them."""
         return self._landed_as("worker_crash")
 
     @property
@@ -415,11 +394,8 @@ class SweepExecutor:
         ``True`` selects the stderr line, ``False`` forces progress off, and
         any callable receives a :class:`~repro.obs.progress.SweepProgress`
         after every completed cell.
-    timeout, retries, backoff:
-        Per-job deadline (seconds), retry budget, backoff base (seconds).
-    faults:
-        Deterministic chaos: a :class:`~repro.runtime.faults.FaultSpec`, a
-        spec string, or ``False`` to force off.
+    timeout, retries:
+        Per-job deadline (seconds) and retry budget.
     failure_policy:
         ``"strict"`` (raise after retries are exhausted) or ``"salvage"``
         (return JobFailure sentinels in-slot).
@@ -437,32 +413,17 @@ class SweepExecutor:
                  progress: Union[None, bool, Callable] = None,
                  timeout: Union[int, float, str, None] = None,
                  retries: Union[int, str, None] = None,
-                 backoff: Union[int, float, str, None] = None,
-                 faults: Any = None,
                  failure_policy: Optional[str] = None,
                  journal: Any = None):
         self.config = config = RuntimeConfig.from_env().overlay(
             jobs=jobs, cache_dir=cache_dir, progress=progress,
-            timeout=timeout, retries=retries, backoff=backoff, faults=faults,
-            failure_policy=failure_policy, journal=journal)
+            timeout=timeout, retries=retries, failure_policy=failure_policy,
+            journal=journal)
         self.cache: Optional[ResultCache] = (
             ResultCache(config.cache_dir, config.cache_max_mb)
             if config.cache_dir is not None else None)
         #: Code-version salt mixed into every cache key.
         self.salt = CODE_VERSION_SALT
-        self._injector: Optional[FaultInjector] = (
-            FaultInjector(config.faults) if config.faults is not None
-            else None)
-        if (config.faults is not None and config.timeout is None
-                and config.faults.rate("job_hang") > 0.0):
-            raise ValueError(
-                "REPRO_FAULTS injects job_hang but no job timeout is set — "
-                "an injected hang would wedge the sweep forever; set "
-                "REPRO_JOB_TIMEOUT (or timeout=)")
-        if self.cache is not None and self._injector is not None:
-            # cache_write_fail faults fire inside ResultCache.put, which
-            # degrades them to a warning + miss like any real OSError.
-            self.cache.fault_injector = self._injector
         self.last_stats = ExecutorStats()
         self._persistent = False
         self._pool: Optional[_PoolTransport] = None
@@ -502,7 +463,7 @@ class SweepExecutor:
         """
         workers = self.config.jobs
         if workers <= 1 or (len(pending) == 1 and self.config.timeout is None):
-            return _InProcessTransport(self._injector), False
+            return _InProcessTransport(), False
         needed = referenced_keys([job.kwargs for job in pending])
         reused = (self._pool is not None
                   and needed <= self._pool.trace_snapshot.keys())
@@ -510,7 +471,7 @@ class SweepExecutor:
             self.close()
             self._pool = _PoolTransport(
                 workers if self._persistent else min(workers, len(pending)),
-                snapshot_for(needed), self._injector)
+                snapshot_for(needed))
         return self._pool, reused
 
     # ------------------------------------------------------------------ run
@@ -533,8 +494,8 @@ class SweepExecutor:
         # one of them; a failure record or backoff draw computes its own.
         keys: List[Optional[str]] = (
             [job.cache_key(self.salt) for job in jobs]
-            if (cache is not None or config.journal_dir is not None
-                or self._injector is not None) else [None] * len(jobs))
+            if cache is not None or config.journal_dir is not None
+            else [None] * len(jobs))
         stats = ExecutorStats(total=len(jobs), workers=config.jobs)
         cache_counts = ("corrupt", "evictions", "write_errors")
         cache_before = [getattr(cache, name, 0) for name in cache_counts]
@@ -631,8 +592,6 @@ class SweepExecutor:
         """
         config = self.config
         retries, timeout = config.retries, config.timeout
-        injector = self._injector
-        seed = config.faults.seed if config.faults is not None else 0
         registry = obs_metrics.registry()
         failures: Dict[int, JobFailure] = {}
         originals: Dict[int, BaseException] = {}
@@ -663,7 +622,7 @@ class SweepExecutor:
                     slot, attempt = fresh.popleft(), 1
                 else:
                     break
-                pid = submit(slot, attempt, jobs[slot], keys[slot])
+                pid = submit(slot, attempt, jobs[slot])
                 inflight[slot] = (attempt, pid, time.time())
                 if timeout is not None and pid is not None:
                     deadlines[slot] = transport.now() + timeout
@@ -710,26 +669,21 @@ class SweepExecutor:
                             "attempt": attempt, "outcome": tag}
                 records.append(meta)
                 if tag == "worker_crash":
-                    rec = crash_attempt(attempt, injected=(
-                        injector is not None and injector.should(
-                            "worker_crash", key_of(slot), attempt)))
+                    rec = crash_attempt(attempt)
                 elif tag == "timeout":
-                    rec = timeout_attempt(attempt, timeout, injected=(
-                        injector is not None and injector.should(
-                            "job_hang", key_of(slot), attempt)))
+                    rec = timeout_attempt(attempt, timeout)
                 else:
                     rec = JobAttempt(
                         attempt=attempt, outcome="error",
                         error=outcome["error"],
                         error_type=outcome["error_type"],
-                        traceback=outcome["traceback"],
-                        injected=outcome["injected"])
+                        traceback=outcome["traceback"])
                     if outcome["exception"] is not None:
                         originals[slot] = outcome["exception"]
                 attempts = history.setdefault(slot, [])
-                if attempt <= retries:  # budget left: seeded backoff, resubmit
+                if attempt <= retries:  # budget left: hashed backoff, resubmit
                     delay = retry_backoff(key_of(slot), attempt,
-                                          config.backoff, seed)
+                                          config.backoff)
                     attempts.append(dataclasses.replace(
                         rec, backoff_seconds=delay))
                     heapq.heappush(waiting, (now + delay, slot, attempt + 1))

@@ -1,42 +1,12 @@
-"""Deterministic fault injection for the sweep runtime.
+"""Failure records and the hashed retry backoff of the sweep runtime.
 
 Chaos testing a sweep only pays off when a chaos run can be *replayed*: the
-same faults must hit the same cells on every run, regardless of worker count
-or scheduling, so a failure found under injection is as reproducible (and as
-shrinkable) as a fuzz counterexample.  This module gets that property the
-same way the result cache gets content addressing — every fault decision is
-a pure function of ``(spec seed, fault kind, job cache key, attempt
-number)``, hashed through SHA-256 into a uniform draw.  No process-local RNG
-state, no wall clock, no worker identity.
-
-Fault spec
-----------
-``REPRO_FAULTS`` holds a comma-separated ``kind:probability`` list plus an
-optional ``seed:N`` token::
-
-    REPRO_FAULTS="worker_crash:0.02,job_hang:0.01,cache_write_fail:0.05,seed:7"
-
-Supported kinds:
-
-``worker_crash``
-    The worker process running the attempt dies (``os._exit`` in pool
-    workers; synthesized in-process for serial runs).  Exercises the
-    executor's end-of-file detection, worker replacement and resubmission path.
-``job_hang``
-    The attempt wedges forever (the worker sleeps until killed; synthesized
-    as an immediate timeout for serial runs).  Requires ``REPRO_JOB_TIMEOUT``
-    — an injected hang with no timeout would hang the sweep, so resolving
-    such a spec fails fast.
-``job_error``
-    The attempt raises :class:`FaultInjectionError` before the job body runs.
-``cache_write_fail``
-    The result cache's store for this key raises ``OSError`` (exercising the
-    degrade-to-warning-and-miss path in :meth:`ResultCache.put`).
-
-Faults fire *before* the job body executes, so a faulted attempt never
-leaves partial simulator state or metrics behind — which is what makes the
-serial and parallel failure records byte-identical
-(``tests/test_runtime_faults.py`` pins this).
+same failures must land in byte-identical records on every run, regardless
+of worker count or scheduling.  So nothing here reads a wall clock, a
+process-local RNG or a worker identity: the retry backoff is a pure function
+of ``(job cache key, attempt number)``, hashed through SHA-256 into a
+uniform draw.  Faults are injected by the caller, never by the runtime: the
+tests wrap the executor's transport (``tests/chaos.py``).
 
 Failure records
 ---------------
@@ -44,168 +14,36 @@ After retries are exhausted the executor returns (or raises, per policy) a
 :class:`JobFailure`: a frozen, picklable record of the job key, label and
 every attempt (outcome, error text, traceback, deterministic backoff).  Wall
 -clock timings deliberately live elsewhere (the executor's ``job_records`` /
-run manifests), never in the failure record, so two chaos runs with the same
-seed produce byte-identical failures.
+run manifests), never in the failure record, so two runs that fail the same
+way produce byte-identical failures.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-#: Fault kinds the injector understands (anything else is a spec error).
-FAULT_KINDS = ("worker_crash", "job_hang", "job_error", "cache_write_fail")
-
-#: Synthesized message for crashed attempts — shared by the serial
-#: (synthesized) and parallel (pid-death-detected) paths so their failure
-#: records match byte for byte.
+#: Synthesized message for crashed attempts — shared by every transport so
+#: serial and parallel failure records match byte for byte.
 CRASH_MESSAGE = "worker process died during job attempt"
-
-#: Exit status used by injected worker crashes (visible in pool diagnostics).
-CRASH_EXIT_CODE = 3
-
-
-class FaultInjectionError(RuntimeError):
-    """The error raised by an injected ``job_error`` fault."""
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """A parsed, validated fault spec: sorted (kind, probability) + seed.
-
-    Frozen and picklable so the executor can ship it to pool workers inside
-    each attempt payload.
-    """
-
-    rates: Tuple[Tuple[str, float], ...] = ()
-    seed: int = 0
-
-    @property
-    def active(self) -> bool:
-        return any(rate > 0.0 for _, rate in self.rates)
-
-    def rate(self, kind: str) -> float:
-        for name, rate in self.rates:
-            if name == kind:
-                return rate
-        return 0.0
-
-    def describe(self) -> str:
-        parts = [f"{kind}:{rate:g}" for kind, rate in self.rates]
-        parts.append(f"seed:{self.seed}")
-        return ",".join(parts)
-
-    @classmethod
-    def parse(cls, raw: str) -> "FaultSpec":
-        """Parse ``kind:prob,...[,seed:N]``; raise ``ValueError`` loudly."""
-        rates: Dict[str, float] = {}
-        seed = 0
-        for token in raw.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            name, sep, value = token.partition(":")
-            name = name.strip().lower()
-            if not sep:
-                raise ValueError(
-                    f"fault spec token {token!r} must be kind:probability "
-                    f"(or seed:N)")
-            if name == "seed":
-                try:
-                    seed = int(value)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"fault spec seed must be an integer, got "
-                        f"{value!r}") from exc
-                continue
-            if name not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {name!r}; known kinds: "
-                    f"{sorted(FAULT_KINDS)}")
-            try:
-                rate = float(value)
-            except ValueError as exc:
-                raise ValueError(
-                    f"fault probability for {name!r} must be a float, "
-                    f"got {value!r}") from exc
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"fault probability for {name!r} must be in "
-                    f"[0, 1], got {rate}")
-            if name in rates:
-                raise ValueError(f"duplicate fault kind {name!r}")
-            rates[name] = rate
-        return cls(rates=tuple(sorted(rates.items())), seed=seed)
-
-
-def _uniform_draw(seed: int, kind: str, job_key: str, attempt: int) -> float:
-    """A deterministic uniform draw in [0, 1) for one fault decision.
-
-    Independent across (kind, job_key, attempt) but identical across
-    processes, platforms and reruns — SHA-256 of the coordinate string, with
-    the top 8 bytes read as an unsigned integer.
-    """
-    payload = f"{seed}|{kind}|{job_key}|{attempt}".encode()
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
-@dataclass(frozen=True)
-class FaultInjector:
-    """Stateless fault oracle over a :class:`FaultSpec`.
-
-    Both the executor (parent side, for predictions and backoff) and the
-    pool workers (attempt side, for actually firing faults) hold one; all
-    decisions agree because they are pure functions of the coordinates.
-    """
-
-    spec: FaultSpec
-
-    def should(self, kind: str, job_key: str, attempt: int) -> bool:
-        rate = self.spec.rate(kind)
-        if rate <= 0.0:
-            return False
-        return _uniform_draw(self.spec.seed, kind, job_key, attempt) < rate
-
-    def fire_process_faults(self, job_key: str, attempt: int) -> None:
-        """Fire process-level faults for this attempt (pool workers only).
-
-        ``worker_crash`` hard-exits the process (bypassing ``finally``
-        blocks, like a real segfault); ``job_hang`` wedges until the parent's
-        timeout kills this worker.  Must be called before the job body so a
-        faulted attempt leaves no partial state.  ``job_error`` is *not*
-        fired here — it belongs inside the guarded attempt so serial and
-        parallel runs capture byte-identical tracebacks.
-        """
-        if self.should("worker_crash", job_key, attempt):
-            os._exit(CRASH_EXIT_CODE)
-        if self.should("job_hang", job_key, attempt):
-            import time
-            while True:  # parent kills this pid at the job deadline
-                time.sleep(60.0)
-
-    def maybe_error(self, job_key: str, attempt: int) -> None:
-        if self.should("job_error", job_key, attempt):
-            raise FaultInjectionError(
-                f"injected job_error (attempt {attempt})")
 
 
 def retry_backoff(job_key: str, attempt: int, base: float,
-                  seed: int = 0, cap: float = 30.0) -> float:
+                  cap: float = 30.0) -> float:
     """Deterministic exponential backoff with jitter, in seconds.
 
     ``attempt`` is the 1-based attempt that just failed; the returned delay
     precedes attempt ``attempt + 1``.  Exponential base doubling, capped,
-    with a seeded jitter factor in [0.5, 1.0) drawn from the same hash
-    family as the fault decisions — so the whole retry schedule is part of
-    the reproducible record.
+    with a jitter factor in [0.5, 1.0) read off the SHA-256 of the
+    coordinates — so the whole retry schedule is part of the reproducible
+    record, identical across processes and reruns.
     """
     if base <= 0.0:
         return 0.0
     window = min(base * 2.0 ** (attempt - 1), cap)
-    jitter = 0.5 + 0.5 * _uniform_draw(seed, "backoff", job_key, attempt)
+    digest = hashlib.sha256(f"backoff|{job_key}|{attempt}".encode()).digest()
+    jitter = 0.5 + 0.5 * int.from_bytes(digest[:8], "big") / 2.0 ** 64
     return window * jitter
 
 
@@ -227,7 +65,6 @@ class JobAttempt:
     error: str
     error_type: str = ""
     traceback: str = ""
-    injected: bool = False
     backoff_seconds: float = 0.0
 
     def to_jsonable(self) -> Dict[str, Any]:
@@ -237,7 +74,6 @@ class JobAttempt:
             "error": self.error,
             "error_type": self.error_type,
             "traceback": self.traceback,
-            "injected": self.injected,
             "backoff_seconds": self.backoff_seconds,
         }
 
@@ -292,18 +128,14 @@ def is_failure(value: Any) -> bool:
     return isinstance(value, JobFailure)
 
 
-def crash_attempt(attempt: int, injected: bool,
-                  backoff_seconds: float = 0.0) -> JobAttempt:
+def crash_attempt(attempt: int) -> JobAttempt:
     """The canonical record for a crashed attempt (serial ≡ parallel)."""
     return JobAttempt(attempt=attempt, outcome="worker_crash",
-                      error=CRASH_MESSAGE, error_type="WorkerCrash",
-                      injected=injected, backoff_seconds=backoff_seconds)
+                      error=CRASH_MESSAGE, error_type="WorkerCrash")
 
 
-def timeout_attempt(attempt: int, timeout: float, injected: bool,
-                    backoff_seconds: float = 0.0) -> JobAttempt:
+def timeout_attempt(attempt: int, timeout: float) -> JobAttempt:
     """The canonical record for a timed-out attempt (serial ≡ parallel)."""
     return JobAttempt(attempt=attempt, outcome="timeout",
                       error=f"job attempt exceeded {timeout!r}s wall-clock "
-                            f"timeout", error_type="JobTimeout",
-                      injected=injected, backoff_seconds=backoff_seconds)
+                            f"timeout", error_type="JobTimeout")

@@ -90,23 +90,15 @@ class _ReferenceCoDel:
     """RFC 8289 §5's ``dodequeue`` / ``dequeue`` pseudocode, clocked by the
     caller: ``now`` is an argument and there is no engine.  The RFC's "drop"
     marks an ECN-capable packet and delivers it instead when ``ecn`` is on,
-    as Linux's ``codel`` does.  Each keyword after ``ecn`` defaults to the
-    RFC; ``CODEL_DEPARTURES`` sets it to what ``CoDelQdisc`` does instead.
+    as Linux's ``codel`` does.
     """
 
     MAXPACKET = 1500  # the RFC's ``maxpacket_``: the interface MTU
 
-    def __init__(self, buffer_packets, target, interval, ecn, *,
-                 backlog_floor=lambda size: _ReferenceCoDel.MAXPACKET,
-                 acm_queue_entry=False, recheck_after_entry_drop=True,
-                 reset_above_when_empty=True):
+    def __init__(self, buffer_packets, target, interval, ecn):
         self.buffer_packets, self.target, self.interval = (
             buffer_packets, target, interval)
         self.ecn = ecn
-        self.backlog_floor = backlog_floor
-        self.acm_queue_entry = acm_queue_entry
-        self.recheck_after_entry_drop = recheck_after_entry_drop
-        self.reset_above_when_empty = reset_above_when_empty
         self.queue = collections.deque()  # (seq, size, ecn_capable, tstamp)
         self.bytes = 0
         self.first_above_time = self.drop_next = 0.0
@@ -122,18 +114,13 @@ class _ReferenceCoDel:
         self.bytes += size
         return True
 
-    def _dodequeue(self, now, check=True):
+    def _dodequeue(self, now):
         if not self.queue:
-            if self.reset_above_when_empty:
-                self.first_above_time = 0.0
-            else:  # what an empty queue does instead: end the dropping state
-                self.dropping = False
+            self.first_above_time = 0.0
             return None, False
         p = self.queue.popleft()
         self.bytes -= p[1]
-        if not check:
-            return p, False
-        if now - p[3] < self.target or self.bytes <= self.backlog_floor(p[1]):
+        if now - p[3] < self.target or self.bytes <= self.MAXPACKET:
             self.first_above_time = 0.0
         elif self.first_above_time == 0.0:
             self.first_above_time = now + self.interval
@@ -165,11 +152,9 @@ class _ReferenceCoDel:
                     self.dropping = False
                 else:
                     self.drop_next = self._control_law(self.drop_next)
-        elif ok_to_drop and (not self.acm_queue_entry
-                             or now - self.drop_next < self.interval
-                             or now - self.first_above_time >= self.interval):
+        elif ok_to_drop:
             marked = self._drop(p)
-            self.dropping = True  # set first: an empty queue may end it
+            self.dropping = True
             delta = self.count - self.lastcount
             self.count = 1
             if delta > 1 and now - self.drop_next < 16 * self.interval:
@@ -177,21 +162,8 @@ class _ReferenceCoDel:
             self.drop_next = self._control_law(now)
             self.lastcount = self.count
             if not marked:
-                p, _ = self._dodequeue(now, self.recheck_after_entry_drop)
+                p, _ = self._dodequeue(now)
         return None if p is None else p[0]
-
-
-#: Where ``CoDelQdisc`` departs from RFC 8289 (ROADMAP item 6 lists them).
-CODEL_DEPARTURES = dict(
-    # Keeps two of the dequeued packet's size queued, not one MTU.
-    backlog_floor=lambda size: 2 * size,
-    # Enters the dropping state on the ACM Queue 2012 test, not ok_to_drop.
-    acm_queue_entry=True,
-    # Sends the packet after an entry drop without dodequeue's check.
-    recheck_after_entry_drop=False,
-    # Keeps first_above_time when the queue runs empty.
-    reset_above_when_empty=False,
-)
 
 
 def _codel_schedule(rng):
@@ -258,34 +230,29 @@ def _assert_codel_matches(reference, schedule):
        interval=st.sampled_from((0.005, 0.01, 0.02)))
 def test_codel_matches_rfc8289_reference(seed, ecn, buffer_packets, target,
                                          interval):
-    reference = _ReferenceCoDel(buffer_packets, target, interval, ecn,
-                                **CODEL_DEPARTURES)
+    reference = _ReferenceCoDel(buffer_packets, target, interval, ecn)
     _assert_codel_matches(reference, _codel_schedule(random.Random(seed)))
 
 
-#: An entry drop at 23 ms leaves one packet, sent unchecked; the queue runs
-#: empty with ``first_above_time`` set, then a burst of four arrives.
+#: An entry drop at 13 ms, then the queue runs empty; a burst of four MTUs
+#: arrives at 16 ms, and its first packet has sat above target when it
+#: reaches the head.
 _EMPTY_AFTER_ENTRY = (
-    [(0.0, seq, size, False) for seq, size in enumerate((64, 64, 64, 1500))]
-    + [(now, None, 0, False) for now in (0.002, 0.013, 0.023, 0.024)]
-    + [(0.025, seq, 64, False) for seq in range(4, 8)]
-    + [(0.027, None, 0, False)])
+    [(0.0, seq, 1500, False) for seq in range(4)]
+    + [(now, None, 0, False) for now in (0.002, 0.013, 0.014, 0.015)]
+    + [(0.016, seq, 1500, False) for seq in range(4, 8)]
+    + [(now, None, 0, False) for now in (0.018, 0.020)])
 
 
-def test_codel_keeps_first_above_time_across_an_empty_queue():
-    """The departure the random schedules do not reach: ``CoDelQdisc``
-    drops the burst's first packet at once, the RFC starts a new interval."""
-    reference = _ReferenceCoDel(1000, 0.001, 0.01, False, **CODEL_DEPARTURES)
+def test_codel_resets_first_above_time_across_an_empty_queue():
+    """An empty queue resets ``first_above_time``: the burst after it starts
+    a new interval, so its first packet goes out instead of being dropped
+    at once."""
+    reference = _ReferenceCoDel(1000, 0.001, 0.01, False)
     _assert_codel_matches(reference, _EMPTY_AFTER_ENTRY)
-    assert reference.verdicts == {2: "aqm-drop", 4: "aqm-drop"}
-    rfc = _ReferenceCoDel(1000, 0.001, 0.01, False, **dict(
-        CODEL_DEPARTURES, reset_above_when_empty=True))
-    for now, seq, size, ecn_capable in _EMPTY_AFTER_ENTRY:
-        if seq is None:
-            rfc.dequeue(now)
-        else:
-            rfc.enqueue(seq, size, ecn_capable, now)
-    assert rfc.verdicts == {2: "aqm-drop"}
+    assert reference.verdicts == {1: "aqm-drop"}
+    assert reference.first_above_time == 0.018 + 0.01
+    assert [p[0] for p in reference.queue] == [6, 7]
 
 
 # ------------------------------------------------------------ PIE unit

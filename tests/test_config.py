@@ -25,12 +25,10 @@ from repro.obs.manifest import executor_record, provenance
 from repro.obs.progress import resolve_progress, stderr_reporter
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
-from repro.runtime.faults import FaultSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CPUS = os.cpu_count() or 1
 HOME = Path("~").expanduser()
-CHAOS = "job_error:0.5,seed:3"
 
 
 def sink(progress):
@@ -75,16 +73,6 @@ CASES = {
         rejected=["lenient"],
         arguments=[("strict", "strict"), ("SALVAGE", "salvage")],
         bad_arguments=["ignore"]),
-    "faults": dict(
-        accepted=[(CHAOS, FaultSpec.parse(CHAOS)),
-                  ("job_error:0.0", None)],                 # inactive spec
-        rejected=["job_error", "job_error:2", "meteor:0.1", "seed:pi"],
-        arguments=[(False, None),                           # explicit off
-                   ("job_error:0.0", None),
-                   ("worker_crash:0.1", FaultSpec.parse("worker_crash:0.1")),
-                   (FaultSpec.parse("job_hang:1"), FaultSpec.parse("job_hang:1")),
-                   (FaultSpec(), None)],
-        bad_arguments=[42, "job_error:often"]),
     "cache_dir": dict(
         accepted=[("/tmp/c", Path("/tmp/c")), ("~/c", HOME / "c")],
         rejected=[],
@@ -130,7 +118,7 @@ def clean_env(monkeypatch):
 
 
 def test_every_knob_has_cases_and_is_fully_declared():
-    assert list(CASES) == list(KNOBS) and len(KNOBS) == 13
+    assert list(CASES) == list(KNOBS) and len(KNOBS) == 12
     envs = [knob.metadata["env"] for knob in KNOBS.values()]
     assert len(set(envs)) == len(envs)
     for knob in KNOBS.values():
@@ -265,11 +253,11 @@ def test_executor_config_is_its_only_configuration(clean_env, tmp_path):
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.jobs = 1
     assert (config.jobs, config.timeout, config.retries, config.backoff,
-            config.faults, config.failure_policy, config.journal_dir,
-            config.cache_dir) == (3, 5.0, 2, 0.05, None, "salvage", None,
+            config.failure_policy, config.journal_dir,
+            config.cache_dir) == (3, 5.0, 2, 0.05, "salvage", None,
                                   tmp_path)
     for mirror in ("workers", "progress", "timeout", "retries", "backoff",
-                   "faults", "failure_policy", "journal_dir"):
+                   "failure_policy", "journal_dir"):
         assert not hasattr(executor, mirror), mirror
     assert executor.cache.root == tmp_path
 
@@ -299,13 +287,12 @@ def test_cache_cap_rejects_garbage_and_negatives_by_name(clean_env, tmp_path):
 def test_manifest_records_what_the_sweep_used(clean_env, tmp_path):
     clean_env.setenv("REPRO_JOBS", "1")
     executor = SweepExecutor(jobs=2, retries=3, timeout=60, journal=tmp_path,
-                             faults="job_error:0.1,seed:4", progress=sink)
+                             progress=sink)
     used = executor_record(executor)["config"]
     assert used == executor.config.to_jsonable()
     assert list(used) == list(KNOBS)
     assert (used["jobs"], used["retries"], used["timeout"]) == (2, 3, 60.0)
     assert used["journal"] == str(tmp_path)
-    assert used["faults"] == "job_error:0.1,seed:4"
     assert used["progress"] is True and used["seeds"] is None
     # provenance()["knobs"] keeps its shape: the raw strings that were set.
     assert provenance()["knobs"] == {"REPRO_JOBS": "1"}

@@ -51,7 +51,7 @@ def ok(value):
 def error(message: str = "boom"):
     return {"ok": False, "outcome": "error", "error": message,
             "error_type": "ValueError", "traceback": f"tb {message}",
-            "exception": ValueError(message), "injected": False}
+            "exception": ValueError(message)}
 
 
 #: The worker dies: end of file on its pipe, no completion in it.
@@ -79,7 +79,7 @@ class ScriptedTransport:
     def now(self):
         return self.clock
 
-    def submit(self, slot, attempt, job, job_key):
+    def submit(self, slot, attempt, job):
         assert len(self._busy) < self.capacity, "no idle worker"
         pid = 100 + len(self.submitted)
         self.submitted.append((self.clock, slot, attempt))
@@ -124,8 +124,8 @@ class ScriptedTransport:
 
 def _run(script, n_jobs=1, policy="salvage", capacity=2, **knobs):
     """Drive ``n_jobs`` scripted cells: (results, executor, transport)."""
-    executor = SweepExecutor(jobs=2, progress=False, faults=False,
-                             journal=False, failure_policy=policy, **knobs)
+    executor = SweepExecutor(jobs=2, progress=False, journal=False,
+                             failure_policy=policy, **knobs)
     transport = ScriptedTransport(script, capacity)
     executor._transport = lambda pending: (transport, False)
     return executor.run(_jobs(n_jobs)), executor, transport
@@ -135,7 +135,7 @@ def _run(script, n_jobs=1, policy="salvage", capacity=2, **knobs):
 def test_timeout_is_finalised_with_the_canonical_record_and_one_kill():
     results, executor, transport = _run({}, timeout=2.0)      # it wedges
     (failure,) = results
-    assert failure.attempts == (timeout_attempt(1, 2.0, injected=False),)
+    assert failure.attempts == (timeout_attempt(1, 2.0),)
     assert transport.abandoned == [(2.0, 0)]     # once, at the deadline
     assert transport.killed == [(2.0, 100)]
     assert executor.last_stats.timeouts == 1
@@ -190,7 +190,7 @@ def test_two_deadlines_expiring_in_one_wake_up_are_both_landed():
 def test_dead_worker_is_landed_as_a_crash_with_the_canonical_record():
     results, executor, transport = _run({(0, 1): (0.2, DIES)})
     (failure,) = results
-    assert failure.attempts == (crash_attempt(1, injected=False),)
+    assert failure.attempts == (crash_attempt(1),)
     assert transport.abandoned == []          # nothing left to kill
     assert executor.last_stats.worker_crashes == 1
     (record,) = executor.last_stats.job_records
@@ -201,12 +201,13 @@ def test_dead_worker_is_landed_as_a_crash_with_the_canonical_record():
     assert excinfo.value.failure.outcome == "worker_crash"
 
 
-def test_crash_lands_in_the_wake_up_that_saw_it():
+def test_crash_lands_in_the_wake_up_that_saw_it(monkeypatch):
     # With no backoff the retry goes out at the instant of the death: the
     # expected clock has no polling or grace term in it, timeout or not.
+    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
     results, executor, transport = _run({
         (0, 1): (0.2, DIES), (0, 2): (0.3, ok("second worker"))},
-        retries=1, backoff=0.0, timeout=60.0)
+        retries=1, timeout=60.0)
     assert results == ["second worker"]
     assert transport.submitted == [(0.0, 0, 1), (0.2, 0, 2)]
     assert transport.clock == 0.5
@@ -216,13 +217,14 @@ def test_crash_lands_in_the_wake_up_that_saw_it():
 
 
 # ---------------------------------------------------------------- retries
-def test_retry_is_resubmitted_only_after_its_seeded_backoff():
+def test_retry_is_resubmitted_only_after_its_seeded_backoff(monkeypatch):
+    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.5")
     results, executor, transport = _run({
         (0, 1): (0.25, error()),
         (0, 2): (0.25, ok("second time lucky")),
-    }, retries=1, backoff=0.5)
+    }, retries=1)
     key = _jobs(1)[0].cache_key(executor.salt)
-    delay = retry_backoff(key, 1, 0.5, seed=0)
+    delay = retry_backoff(key, 1, 0.5)
     assert 0.25 <= delay < 0.5
     assert results == ["second time lucky"]
     assert transport.submitted == [(0.0, 0, 1), (0.25 + delay, 0, 2)]
@@ -232,25 +234,25 @@ def test_retry_is_resubmitted_only_after_its_seeded_backoff():
                                                           (2, "ok")]
 
 
-def test_exhausted_budget_leaves_the_full_history_in_slot():
+def test_exhausted_budget_leaves_the_full_history_in_slot(monkeypatch):
+    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.5")
     script = {
         (0, 1): (0.1, ok("fine")),
         (1, 1): (0.1, error("first")),
         (1, 2): (0.2, DIES),
         (1, 3): (0.1, error("last")),
     }
-    results, executor, _ = _run(script, n_jobs=2, retries=2, backoff=0.5)
+    results, executor, _ = _run(script, n_jobs=2, retries=2)
     key = _jobs(2)[1].cache_key(executor.salt)
     assert results[0] == "fine"
     failure = results[1]
     assert is_failure(failure) and failure.key == key
     assert [(a.attempt, a.outcome, a.error) for a in failure.attempts] == [
         (1, "error", "first"),
-        (2, "worker_crash", crash_attempt(2, False).error),
+        (2, "worker_crash", crash_attempt(2).error),
         (3, "error", "last")]
     assert [a.backoff_seconds for a in failure.attempts] == [
-        retry_backoff(key, 1, 0.5, seed=0), retry_backoff(key, 2, 0.5, seed=0),
-        0.0]
+        retry_backoff(key, 1, 0.5), retry_backoff(key, 2, 0.5), 0.0]
     stats = executor.last_stats
     assert (stats.retries, stats.worker_crashes, stats.failed_jobs) == (2, 1, 1)
     assert stats.failures == [failure.to_jsonable()]
@@ -258,4 +260,4 @@ def test_exhausted_budget_leaves_the_full_history_in_slot():
     # strict: the sweep still finishes, then the last original exception of
     # the lowest failed slot is raised.
     with pytest.raises(ValueError, match="last"):
-        _run(script, n_jobs=2, policy="strict", retries=2, backoff=0.5)
+        _run(script, n_jobs=2, policy="strict", retries=2)

@@ -1,11 +1,11 @@
-"""Tests for the fault-tolerance layer: injection, retries, resume.
+"""Tests for the fault-tolerance layer: retries, deadlines, salvage, resume.
 
-The load-bearing property mirrors the executor's determinism contract: with
-the same seed and the same ``REPRO_FAULTS`` spec, a chaos run produces
-byte-identical results *and failure records* whether it executes serially or
-on a pool — and a sweep killed mid-run resumes via its journal, re-executing
-only the unfinished cells with final aggregates bit-identical to an
-uninterrupted run.
+Faults come from outside the runtime, through :mod:`tests.chaos`.  The
+load-bearing property mirrors the executor's determinism contract: with the
+same fault spec, a chaos run produces byte-identical results *and failure
+records* whether it executes serially or on a pool — and a sweep killed
+mid-run resumes via its journal, re-executing only the unfinished cells with
+final aggregates bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -28,10 +28,17 @@ from repro.obs.manifest import executor_record
 from repro.obs.trace import sweep_trace_events
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
-from repro.runtime.faults import (FaultInjector, FaultSpec, JobFailure,
-                                  JobFailureError, is_failure, retry_backoff)
+from repro.runtime.faults import (JobFailure, JobFailureError, is_failure,
+                                  retry_backoff)
 from repro.runtime.journal import RunJournal, run_key_for
 from repro.runtime.spec import SweepJob
+from tests.chaos import Chaos, inject
+
+
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    """Retries go out at once unless a test asks for a backoff."""
+    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
 
 
 # Module-level so jobs survive pickling into pool workers.
@@ -65,13 +72,10 @@ CHAOS = "job_error:0.4,worker_crash:0.3,job_hang:0.2,seed:11"
 
 # ------------------------------------------------------------- spec parsing
 def test_fault_spec_parsing_roundtrip():
-    spec = FaultSpec.parse("worker_crash:0.02, job_hang:0.01, seed:7")
+    spec = Chaos.parse("worker_crash:0.02, job_hang:0.01, seed:7")
     assert spec.seed == 7
-    assert spec.rate("worker_crash") == 0.02
-    assert spec.rate("job_hang") == 0.01
-    assert spec.rate("job_error") == 0.0
-    assert spec.active
-    assert FaultSpec.parse(spec.describe()) == spec
+    assert spec.rates == {"job_hang": 0.01, "worker_crash": 0.02}
+    assert Chaos.parse(spec.describe()) == spec
 
 
 @pytest.mark.parametrize("raw", [
@@ -84,47 +88,54 @@ def test_fault_spec_parsing_roundtrip():
 ])
 def test_fault_spec_rejects_bad_tokens(raw):
     with pytest.raises(ValueError):
-        FaultSpec.parse(raw)
+        Chaos.parse(raw)
 
 
 def test_injected_hang_requires_timeout():
-    with pytest.raises(ValueError, match="job_hang"):
-        SweepExecutor(jobs=1, faults="job_hang:0.5")
-    # With a timeout the same spec is accepted.
-    SweepExecutor(jobs=1, faults="job_hang:0.5", timeout=1.0)
+    with inject("job_hang:0.5"):
+        with pytest.raises(ValueError, match="job_hang"):
+            SweepExecutor(jobs=1).run(_jobs(1))
+        # With a timeout the same spec is accepted.
+        SweepExecutor(jobs=1, timeout=1.0, failure_policy="salvage").run(
+            _jobs(1))
 
 
 def test_fault_decisions_are_pure_functions():
-    spec = FaultSpec.parse("job_error:0.5,seed:9")
-    a, b = FaultInjector(spec), FaultInjector(spec)
-    decisions = [a.should("job_error", f"key{i}", 1) for i in range(64)]
-    assert decisions == [b.should("job_error", f"key{i}", 1) for i in range(64)]
+    spec = Chaos.parse("job_error:0.5,seed:9")
+    decisions = [spec.should("job_error", f"key{i}", 1) for i in range(64)]
+    assert decisions == [Chaos.parse("job_error:0.5,seed:9").should(
+        "job_error", f"key{i}", 1) for i in range(64)]
     assert any(decisions) and not all(decisions)
+    assert spec.fired == []                         # should() logs nothing
     # A different seed draws a different pattern.
-    other = FaultInjector(FaultSpec.parse("job_error:0.5,seed:10"))
+    other = Chaos.parse("job_error:0.5,seed:10")
     assert decisions != [other.should("job_error", f"key{i}", 1)
                          for i in range(64)]
 
 
 def test_retry_backoff_is_deterministic_and_bounded():
-    first = retry_backoff("k", 1, base=0.1, seed=4)
-    assert first == retry_backoff("k", 1, base=0.1, seed=4)
+    first = retry_backoff("k", 1, base=0.1)
+    assert first == retry_backoff("k", 1, base=0.1)
     assert 0.05 <= first < 0.1                     # base window, jittered
-    assert 0.1 <= retry_backoff("k", 2, base=0.1, seed=4) < 0.2
-    assert retry_backoff("k", 99, base=0.1, seed=4) <= 30.0  # capped
-    assert retry_backoff("k", 1, base=0.0, seed=4) == 0.0
+    assert 0.1 <= retry_backoff("k", 2, base=0.1) < 0.2
+    assert retry_backoff("k", 99, base=0.1) <= 30.0  # capped
+    assert retry_backoff("k", 1, base=0.0) == 0.0
 
 
 # ------------------------------------------------------- chaos determinism
 def test_chaos_byte_identical_serial_vs_parallel():
     """The acceptance pin: same seed + spec => byte-identical records."""
-    kwargs = dict(faults=CHAOS, retries=2, backoff=0.0, timeout=1.0,
-                  failure_policy="salvage")
-    serial = SweepExecutor(jobs=1, **kwargs).run(_jobs())
-    serial_again = SweepExecutor(jobs=1, **kwargs).run(_jobs())
-    parallel = SweepExecutor(jobs=3, **kwargs).run(_jobs())
+    kwargs = dict(retries=2, timeout=1.0, failure_policy="salvage")
+    with inject(CHAOS) as chaos:
+        serial = SweepExecutor(jobs=1, **kwargs).run(_jobs())
+        fired = list(chaos.fired)
+        serial_again = SweepExecutor(jobs=1, **kwargs).run(_jobs())
+        parallel = SweepExecutor(jobs=3, **kwargs).run(_jobs())
 
     assert any(is_failure(r) for r in serial)       # the spec actually bites
+    assert {kind for kind, _, _ in fired} == {"worker_crash", "job_hang",
+                                              "job_error"}
+    assert sorted(chaos.fired) == sorted(fired * 3)
     assert _canonical_run(serial) == _canonical_run(serial_again)
     assert _canonical_run(serial) == _canonical_run(parallel)
     # Slot-by-slot the records compare equal as values too (pickle bytes can
@@ -137,21 +148,21 @@ def test_chaos_byte_identical_serial_vs_parallel():
                        sort_keys=True)
 
 
-def test_chaos_failure_records_carry_attempt_history():
-    executor = SweepExecutor(jobs=1, faults="job_error:1.0,seed:2",
-                             retries=2, backoff=0.01,
-                             failure_policy="salvage")
-    (result,) = executor.run(_jobs(1))
+def test_chaos_failure_records_carry_attempt_history(monkeypatch):
+    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
+    executor = SweepExecutor(jobs=1, retries=2, failure_policy="salvage")
+    with inject("job_error:1.0,seed:2") as chaos:
+        (result,) = executor.run(_jobs(1))
     assert is_failure(result)
     assert [a.attempt for a in result.attempts] == [1, 2, 3]
     assert all(a.outcome == "error" for a in result.attempts)
-    assert all(a.injected for a in result.attempts)
-    assert all(a.error_type == "FaultInjectionError" for a in result.attempts)
+    assert all(a.error_type == "InjectedFault" for a in result.attempts)
+    assert chaos.fired == [("job_error", result.key, n) for n in (1, 2, 3)]
     # Backoff precedes every attempt but the last, deterministically.
     assert [a.backoff_seconds > 0 for a in result.attempts] == [
         True, True, False]
     assert result.attempts[0].backoff_seconds == retry_backoff(
-        result.key, 1, 0.01, seed=2)
+        result.key, 1, 0.01)
     stats = executor.last_stats
     assert (stats.retries, stats.failed_jobs) == (2, 1)
     assert stats.failures == [result.to_jsonable()]
@@ -160,16 +171,13 @@ def test_chaos_failure_records_carry_attempt_history():
 def test_retries_recover_transient_faults():
     """A fault that hits attempt 1 but not attempt 2 costs a retry, not
     the job: with enough budget the sweep completes cleanly."""
-    spec = FaultSpec.parse("job_error:0.4,seed:11")
-    injector = FaultInjector(spec)
-    executor = SweepExecutor(jobs=1, faults=spec, retries=6, backoff=0.0)
-    jobs = _jobs()
-    results = executor.run(jobs)
+    executor = SweepExecutor(jobs=1, retries=6)
+    with inject("job_error:0.4,seed:11") as chaos:
+        results = executor.run(_jobs())
     assert results == [_double(i) for i in range(6)]
     # The spec fired on at least one first attempt (else the test is vacuous).
-    keys = [job.cache_key(executor.salt) for job in jobs]
-    assert any(injector.should("job_error", key, 1) for key in keys)
-    assert executor.last_stats.retries > 0
+    assert ("job_error", 1) in {(kind, n) for kind, _, n in chaos.fired}
+    assert executor.last_stats.retries == len(chaos.fired)
     assert executor.last_stats.failed_jobs == 0
 
 
@@ -190,10 +198,10 @@ def test_timeout_kills_wedged_parallel_job():
 
 
 def test_injected_hang_times_out_serial_and_parallel_identically():
-    kwargs = dict(faults="job_hang:1.0,seed:5", timeout=0.5, retries=1,
-                  backoff=0.0, failure_policy="salvage")
-    serial = SweepExecutor(jobs=1, **kwargs).run(_jobs(2))
-    parallel = SweepExecutor(jobs=2, **kwargs).run(_jobs(2))
+    kwargs = dict(timeout=0.5, retries=1, failure_policy="salvage")
+    with inject("job_hang:1.0,seed:5"):
+        serial = SweepExecutor(jobs=1, **kwargs).run(_jobs(2))
+        parallel = SweepExecutor(jobs=2, **kwargs).run(_jobs(2))
     assert all(is_failure(r) and r.outcome == "timeout" for r in serial)
     assert _canonical_run(serial) == _canonical_run(parallel)
 
@@ -201,9 +209,9 @@ def test_injected_hang_times_out_serial_and_parallel_identically():
 def test_worker_crash_detected_and_resubmitted():
     """A crash on attempt 1 only: the worker is replaced and the
     resubmitted attempt completes the sweep."""
-    executor = SweepExecutor(jobs=2, faults="worker_crash:0.3,seed:11",
-                             retries=2, backoff=0.0, timeout=10.0)
-    results = executor.run(_jobs())
+    executor = SweepExecutor(jobs=2, retries=2, timeout=10.0)
+    with inject("worker_crash:0.3,seed:11"):
+        results = executor.run(_jobs())
     assert results == [_double(i) for i in range(6)]
     assert executor.last_stats.worker_crashes > 0
     assert executor.last_stats.retries > 0
@@ -218,22 +226,20 @@ def test_error_on_a_replacement_worker_matches_the_serial_traceback():
     key = job.cache_key(SweepExecutor(jobs=1).salt)
 
     def crash_then_error(seed: int) -> bool:
-        injector = FaultInjector(FaultSpec.parse(
-            f"worker_crash:0.5,job_error:0.5,seed:{seed}"))
-        return (injector.should("worker_crash", key, 1)
-                and not injector.should("worker_crash", key, 2)
-                and injector.should("job_error", key, 2))
+        chaos = Chaos.parse(f"worker_crash:0.5,job_error:0.5,seed:{seed}")
+        return (chaos.should("worker_crash", key, 1)
+                and not chaos.should("worker_crash", key, 2)
+                and chaos.should("job_error", key, 2))
 
     seed = next(seed for seed in range(1000) if crash_then_error(seed))
-    kwargs = dict(faults=f"worker_crash:0.5,job_error:0.5,seed:{seed}",
-                  retries=1, backoff=0.0, timeout=10.0,
-                  failure_policy="salvage")
-    (serial,) = SweepExecutor(jobs=1, **kwargs).run([job])
-    # One cell with a deadline to enforce: a pool of one worker, so only
-    # the crashed worker's replacement can have run attempt 2.
-    (parallel,) = SweepExecutor(jobs=2, **kwargs).run([job])
+    kwargs = dict(retries=1, timeout=10.0, failure_policy="salvage")
+    with inject(f"worker_crash:0.5,job_error:0.5,seed:{seed}"):
+        (serial,) = SweepExecutor(jobs=1, **kwargs).run([job])
+        # One cell with a deadline to enforce: a pool of one worker, so only
+        # the crashed worker's replacement can have run attempt 2.
+        (parallel,) = SweepExecutor(jobs=2, **kwargs).run([job])
     assert [a.outcome for a in parallel.attempts] == ["worker_crash", "error"]
-    assert "FaultInjectionError" in parallel.last.traceback
+    assert "InjectedFault" in parallel.last.traceback
     assert "During handling" not in parallel.last.traceback
     assert parallel.last.traceback == serial.last.traceback
     assert _canonical_run([serial]) == _canonical_run([parallel])
@@ -283,7 +289,7 @@ def test_strict_policy_reraises_original_exception():
     jobs = [SweepJob(func=_double, kwargs={"value": 1}),
             SweepJob(func=_double, kwargs={"value": 2, "fail": True})]
     for workers in (1, 2):
-        executor = SweepExecutor(jobs=workers, retries=1, backoff=0.0)
+        executor = SweepExecutor(jobs=workers, retries=1)
         with pytest.raises(ValueError, match="bad value 2"):
             executor.run(jobs)
         # Stats and failure records are assembled before the raise.
@@ -293,9 +299,9 @@ def test_strict_policy_reraises_original_exception():
 
 
 def test_strict_policy_wraps_recordless_failures():
-    executor = SweepExecutor(jobs=1, faults="worker_crash:1.0,seed:1",
-                             retries=0, timeout=5.0)
-    with pytest.raises(JobFailureError) as excinfo:
+    executor = SweepExecutor(jobs=1, retries=0, timeout=5.0)
+    with inject("worker_crash:1.0,seed:1"), \
+            pytest.raises(JobFailureError) as excinfo:
         executor.run(_jobs(1))
     assert excinfo.value.failure.outcome == "worker_crash"
 
@@ -403,10 +409,10 @@ def test_run_key_is_order_independent():
 
 def test_failed_cells_are_not_journaled(tmp_path):
     jdir = tmp_path / "journal"
-    executor = SweepExecutor(jobs=1, journal=jdir,
-                             faults="job_error:1.0,seed:2", retries=0,
+    executor = SweepExecutor(jobs=1, journal=jdir, retries=0,
                              failure_policy="salvage")
-    (sentinel,) = executor.run(_jobs(1))
+    with inject("job_error:1.0,seed:2"):
+        (sentinel,) = executor.run(_jobs(1))
     assert is_failure(sentinel)
     # A later run without faults re-executes the cell from scratch.
     retry = SweepExecutor(jobs=1, journal=jdir)
@@ -434,10 +440,11 @@ def test_fuzz_campaign_resume_and_salvage(tmp_path):
     # Salvage: an exhausted scenario becomes a failed_jobs entry, and the
     # report stays deterministic under the same fault spec.
     def chaos_campaign():
-        chaos_executor = SweepExecutor(jobs=1, faults="job_error:0.6,seed:4",
-                                       retries=0, failure_policy="salvage")
-        return run_campaign(budget=3, seed=3, executor=chaos_executor,
-                            shrink=False, check_determinism=False)
+        chaos_executor = SweepExecutor(jobs=1, retries=0,
+                                       failure_policy="salvage")
+        with inject("job_error:0.6,seed:4"):
+            return run_campaign(budget=3, seed=3, executor=chaos_executor,
+                                shrink=False, check_determinism=False)
     report = chaos_campaign()
     assert report["format"] == 3
     assert len(report["failed_jobs"]) > 0
@@ -483,11 +490,13 @@ def test_read_only_cache_dir_does_not_crash_sweep(tmp_path):
         cache_dir.chmod(0o700)
 
 
-def test_injected_cache_write_faults_are_counted(tmp_path):
-    executor = SweepExecutor(jobs=1, cache_dir=tmp_path / "cache",
-                             faults="cache_write_fail:1.0,seed:1")
-    assert executor.run(_jobs(3)) == [0, 2, 4]
+def test_injected_cache_write_faults_are_counted(tmp_path, capsys):
+    executor = SweepExecutor(jobs=1, cache_dir=tmp_path / "cache")
+    with inject("cache_write_fail:1.0,seed:1") as chaos:
+        assert executor.run(_jobs(3)) == [0, 2, 4]
     assert executor.last_stats.cache_write_errors == 3
+    assert [kind for kind, _, _ in chaos.fired] == ["cache_write_fail"] * 3
+    assert capsys.readouterr().err.count("injected cache_write_fail") == 3
     # Nothing was cached: the replay executes everything again.
     replay = SweepExecutor(jobs=1, cache_dir=tmp_path / "cache")
     replay.run(_jobs(3))
@@ -496,10 +505,9 @@ def test_injected_cache_write_faults_are_counted(tmp_path):
 
 # ----------------------------------------------------- observability hooks
 def test_manifest_records_failures_and_retry_stats():
-    executor = SweepExecutor(jobs=1, faults="job_error:1.0,seed:2",
-                             retries=1, backoff=0.0,
-                             failure_policy="salvage")
-    executor.run(_jobs(1))
+    executor = SweepExecutor(jobs=1, retries=1, failure_policy="salvage")
+    with inject("job_error:1.0,seed:2"):
+        executor.run(_jobs(1))
     record = executor_record(executor)
     assert record["retries"] == 1
     assert record["failed_jobs"] == 1
@@ -538,10 +546,9 @@ def test_trace_renders_retried_attempts_as_spans():
 
 
 def test_resilient_job_records_tag_attempts():
-    executor = SweepExecutor(jobs=1, faults="job_error:1.0,seed:2",
-                             retries=1, backoff=0.0,
-                             failure_policy="salvage")
-    executor.run(_jobs(1))
+    executor = SweepExecutor(jobs=1, retries=1, failure_policy="salvage")
+    with inject("job_error:1.0,seed:2"):
+        executor.run(_jobs(1))
     outcomes = [(r["attempt"], r["outcome"])
                 for r in executor.last_stats.job_records]
     assert outcomes == [(1, "error"), (2, "error")]
@@ -608,7 +615,7 @@ def test_sigint_leaves_no_orphaned_workers(tmp_path):
 
 
 # ------------------------------------------------ the default executor
-# No timeout, retries, faults or journal configured: the loop every figure
+# No timeout, retries, injected faults or journal: the loop every figure
 # sweep uses must give the same guarantees as the configured one.
 def _fragile(value: int, die: bool = False, fail: bool = False) -> int:
     if die:
