@@ -2,9 +2,9 @@
 
 ABC's coexistence weight controller (§5.2) estimates the demand of every flow
 sharing the bottleneck (top-K flows: measured rate inflated by X %; short
-flows: their measured aggregate rate) and computes the max-min fair allocation
-of the link capacity over those demands.  The weight of each queue is then the
-total allocation of its flows.
+flows: their measured aggregate rate, granted in full) and computes the
+max-min fair allocation of the rest of the capacity over the top-K demands.
+The weight of each queue is then the total allocation of its flows.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ is how the weights are chosen:
 
 * :class:`MaxMinWeightController` — the paper's approach.  Measure the rate of
   the K largest flows in each queue (Space-Saving), treat the remainder of
-  each queue as demand-limited short flows, inflate top-K demands by X %,
-  compute a max-min fair allocation over all demands and set each queue's
-  weight to the total allocation of its flows.
+  each queue as demand-limited short flows (granted their rate), inflate
+  top-K demands by X %, share what is left max-min fairly over them and set
+  each queue's weight to the total allocation of its flows.
 * :class:`ZombieListWeightController` — RCP's strategy: estimate the number of
   flows per queue with a Zombie List and equalise *average* per-flow rates,
   i.e. make weights proportional to flow counts.  Fig. 12b shows why this is
@@ -74,25 +74,21 @@ class MaxMinWeightController(WeightController):
         self._totals[queue] += size
 
     def _demands(self, elapsed: float) -> tuple[Dict, Dict]:
-        """Build the demand map and the flow→queue map for the allocation."""
+        """The top-K flows' demands, keyed ``(queue, flow_id)``, and each
+        queue's short-flow rate (the rest of its bytes).  Short flows are
+        demand-limited: they get their rate in full, where one max-min key
+        for all of them would cap their sum at one flow's fair share."""
         demands: Dict = {}
-        queue_of: Dict = {}
+        short: Dict = {}
         for queue in ("abc", "nonabc"):
-            meter = self._meters[queue]
-            top = meter.top(self.top_k)
+            top = self._meters[queue].top(self.top_k)
             top_bytes = 0.0
             for flow_id, volume in top:
                 rate = volume * 8.0 / elapsed
-                key = (queue, flow_id)
-                demands[key] = rate * (1.0 + self.demand_headroom)
-                queue_of[key] = queue
+                demands[(queue, flow_id)] = rate * (1.0 + self.demand_headroom)
                 top_bytes += volume
-            short_bytes = max(self._totals[queue] - top_bytes, 0.0)
-            if short_bytes > 0:
-                key = (queue, "__short__")
-                demands[key] = short_bytes * 8.0 / elapsed
-                queue_of[key] = queue
-        return demands, queue_of
+            short[queue] = max(self._totals[queue] - top_bytes, 0.0) * 8.0 / elapsed
+        return demands, short
 
     def compute_weight(self, now: float, capacity_bps: float) -> float:
         if self._interval_start is None:
@@ -100,13 +96,13 @@ class MaxMinWeightController(WeightController):
         elapsed = now - self._interval_start
         if elapsed < self.interval:
             return self.last_weight
-        demands, queue_of = self._demands(elapsed)
+        demands, totals = self._demands(elapsed)
         if demands:
-            allocation = max_min_allocation(demands, capacity_bps)
+            allocation = max_min_allocation(demands, max(
+                capacity_bps - totals["abc"] - totals["nonabc"], 0.0))
             self.last_allocation = allocation
-            totals = {"abc": 0.0, "nonabc": 0.0}
-            for key, value in allocation.items():
-                totals[queue_of[key]] += value
+            for (queue, _), value in allocation.items():
+                totals[queue] += value
             grand = totals["abc"] + totals["nonabc"]
             if grand > 0:
                 weight = totals["abc"] / grand

@@ -8,7 +8,7 @@ with the token bucket, inlined in
 :meth:`~repro.core.router.ABCRouterQdisc.dequeue`; :class:`TokenBucketMarker`
 holds its counters and is its readable form.  :class:`ProbabilisticMarker`
 exists only so :func:`~repro.experiments.feedback.marking_burstiness` can
-measure the difference (see ``benchmarks/bench_marking.py``).
+measure the difference (the ``marking`` row of ``tools/reproduce.py``).
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Each experiment function is pure Python (no plotting): it runs the relevant
 simulations and returns the rows/series the corresponding figure or table in
-the paper reports.  The benchmark harnesses under ``benchmarks/`` call these
-functions and print the results; the integration tests assert the qualitative
-claims (who wins, by roughly what factor, where crossovers fall).
+the paper reports.  The rows of ``tools/reproduce.py`` call these functions,
+print the results and check the paper's claims; the integration tests assert
+the qualitative claims (who wins, by roughly what factor, where crossovers fall).
 
-Index (``README.md``'s figure table maps every figure to its benchmark):
+Index (``README.md``'s figure table maps every figure to its row):
 
 * :mod:`repro.experiments.runner` — scheme registry, the single-bottleneck
   cellular runner shared by most experiments, and ``run_seed_grid``, the one

@@ -147,6 +147,22 @@ def test_maxmin_controller_short_flows_do_not_inflate_their_queue():
     assert weight > 0.4
 
 
+def test_maxmin_controller_grants_short_flows_their_rate_in_full():
+    """The flows outside the top K are many demand-limited flows, not one:
+    their 4 Mbit/s is more than one fair share of 10 Mbit/s among three keys,
+    yet max-min over every flow on its own would grant all of it, leaving
+    3 Mbit/s to each long flow."""
+    ctrl = MaxMinWeightController(interval=1.0, top_k=1)
+    for t in range(10):
+        now = t * 0.1
+        ctrl.observe_departure("abc", 1, 60_000, now)
+        ctrl.observe_departure("nonabc", 2, 60_000, now)
+        for sf in range(10):
+            ctrl.observe_departure("nonabc", 100 + sf, 5_000, now)
+    weight = ctrl.compute_weight(1.0, capacity_bps=10e6)
+    assert weight == pytest.approx(0.3)
+
+
 def test_maxmin_controller_weight_bounded():
     ctrl = MaxMinWeightController(interval=0.5, minimum_weight=0.05)
     for t in range(10):
