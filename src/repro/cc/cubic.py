@@ -40,7 +40,6 @@ class Cubic(CongestionControl):
         self.origin_point = 0.0
         self.k = 0.0
         self.w_tcp = 0.0
-        self.ack_count = 0.0
         self._srtt = 0.1
         self._last_reduction_time = -math.inf
 
@@ -53,7 +52,6 @@ class Cubic(CongestionControl):
         else:
             self.k = 0.0
             self.origin_point = self._cwnd
-        self.ack_count = 0.0
         self.w_tcp = self._cwnd
 
     # ------------------------------------------------------------ interface

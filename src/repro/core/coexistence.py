@@ -65,7 +65,6 @@ class MaxMinWeightController(WeightController):
         self._totals = {"abc": 0.0, "nonabc": 0.0}
         self._interval_start: Optional[float] = None
         self.last_weight = 0.5
-        self.last_allocation: Dict = {}
 
     def observe_departure(self, queue: str, flow_id: int, size: int, now: float) -> None:
         if self._interval_start is None:
@@ -100,7 +99,6 @@ class MaxMinWeightController(WeightController):
         if demands:
             allocation = max_min_allocation(demands, max(
                 capacity_bps - totals["abc"] - totals["nonabc"], 0.0))
-            self.last_allocation = allocation
             for (queue, _), value in allocation.items():
                 totals[queue] += value
             grand = totals["abc"] + totals["nonabc"]
@@ -178,7 +176,6 @@ class DualQueueABCQdisc(Qdisc):
         if hasattr(self.controller, "last_weight"):
             self.controller.last_weight = initial_weight
         self._served_bytes = {"abc": 0.0, "nonabc": 0.0}
-        self.weight_history: list[tuple[float, float]] = []
 
     # ------------------------------------------------------------ capacity
     def attach(self, link) -> None:
@@ -247,7 +244,6 @@ class DualQueueABCQdisc(Qdisc):
         weight = self.controller.compute_weight(now, self._link_capacity(now))
         if weight != self.weight_abc:
             self.weight_abc = weight
-            self.weight_history.append((now, weight))
             # Reset the served-byte counters so the new weights take effect
             # quickly instead of being dominated by history.
             self._served_bytes = {"abc": 0.0, "nonabc": 0.0}

@@ -58,11 +58,6 @@ class TokenBucketMarker:
         self.brake_count += 1
         return False
 
-    @property
-    def accel_fraction(self) -> float:
-        total = self.accel_count + self.brake_count
-        return self.accel_count / total if total else 0.0
-
 
 class ProbabilisticMarker:
     """Mark accelerate with probability ``f(t)`` (the ablation alternative).
@@ -85,8 +80,3 @@ class ProbabilisticMarker:
         else:
             self.brake_count += 1
         return accel
-
-    @property
-    def accel_fraction(self) -> float:
-        total = self.accel_count + self.brake_count
-        return self.accel_count / total if total else 0.0

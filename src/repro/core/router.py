@@ -286,18 +286,3 @@ class ABCRouterQdisc(Qdisc):
             packet.ecn = BRAKE
             self.marked_packets += 1
         return packet
-
-    # ------------------------------------------------------------ stats
-    # Every marking decision goes through the marker, which counts it.
-    @property
-    def accel_marked(self) -> int:
-        return self.marker.accel_count
-
-    @property
-    def brake_marked(self) -> int:
-        return self.marker.brake_count
-
-    @property
-    def observed_accel_fraction(self) -> float:
-        total = self.accel_marked + self.brake_marked
-        return self.accel_marked / total if total else 0.0

@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
@@ -27,6 +27,7 @@ from repro.analysis.stats import SeedResultSet
 from repro.experiments.runner import run_seed_grid
 from repro.experiments.scenario_spec import (NATIVE, BuiltScenario, FlowSpec,
                                              LinkSpec, ScenarioSpec, spec_job)
+from repro.obs.signals import SignalRecorder
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepJob
 
@@ -76,7 +77,7 @@ def fig6_spec(duration: float, wired_mbps: float, rtt: float,
 
 def fig6_summary(built: BuiltScenario,
                  sample_interval: float) -> DualBottleneckTrace:
-    """Run a :func:`fig6_spec` scenario, sampling the ABC flow's two windows
+    """Run a :func:`fig6_spec` scenario, recording the ABC flow's two windows
     and the wireless rate every ``sample_interval`` (the ``fig6`` summary)."""
     scenario, abc_flow = built.scenario, built.flows[0]
     duration = built.spec.duration
@@ -84,18 +85,13 @@ def fig6_summary(built: BuiltScenario,
     cross_schedule = [on for flow in built.spec.flows[1:]
                       for on in flow.on_off]
 
-    # Sample windows and rates while the simulation runs.
-    samples: List[tuple] = []
-    cc = abc_flow.cc
-    wireless_capacity = scenario.links[0].capacity
-    scenario.every(sample_interval, lambda now: samples.append(
-        (now, cc.w_abc, cc.w_nonabc, wireless_capacity.rate_at(now))))
+    signals = SignalRecorder(scenario, sample_interval)
     scenario.run(duration)
-
-    times = np.array([s[0] for s in samples])
-    w_abc = np.array([s[1] for s in samples])
-    w_cubic = np.array([min(s[2], 10_000.0) for s in samples])
-    wireless_rate = np.array([s[3] for s in samples]) / 1e6
+    windows = signals.flows[abc_flow.flow_id]
+    times = np.array(signals.times)
+    w_abc = np.array(windows["w_abc"])
+    w_cubic = np.minimum(windows["w_nonabc"], 10_000.0)
+    wireless_rate = np.array(signals.links["wireless"]["capacity_bps"]) / 1e6
 
     t_bins, tput = abc_flow.stats.throughput_timeseries(bin_size=sample_interval,
                                                         t1=duration)
@@ -167,7 +163,6 @@ class CoexistenceResult:
     cubic_throughputs_mbps: List[float]
     abc_queuing_p95_ms: float
     cubic_queuing_p95_ms: float
-    weight_history: List[tuple] = field(default_factory=list)
 
     @property
     def mean_abc_mbps(self) -> float:
@@ -258,7 +253,6 @@ def coexistence_summary(built: BuiltScenario,
         cubic_throughputs_mbps=cubic_tputs,
         abc_queuing_p95_ms=float(np.mean(abc_q)) if abc_q else 0.0,
         cubic_queuing_p95_ms=float(np.mean(cubic_q)) if cubic_q else 0.0,
-        weight_history=list(built.scenario.links[0].qdisc.weight_history),
     )
 
 

@@ -10,8 +10,8 @@ simulator (or checker) bug worth a corpus entry:
     Bits a link delivered never exceed the bits its capacity model offered
     (plus an explicit per-model slack for edge effects).
 ``non-negative``
-    Queue backlogs (sampled mid-run and at the end), counters, congestion
-    windows and delay samples are non-negative and finite.
+    Queue backlogs (recorded mid-run and read at the end), counters,
+    recorded congestion windows and delay samples are non-negative and finite.
 ``queuing-delay-bound``
     No delivered packet queued longer than the worst-case FIFO drain time of
     the buffers it crossed.
@@ -31,12 +31,13 @@ campaign layer, which owns running the simulation twice; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from dataclasses import dataclass
+from typing import Callable, List
 
 from repro.analysis.fairness import jain_fairness_index
 from repro.experiments.scenario_spec import (NATIVE, BuiltScenario,
                                              ScenarioSpec, build)
+from repro.obs.signals import SignalRecorder
 from repro.simulator.link import (CapacityModel, ConstantRate, OpportunityLink,
                                   RateLink, SquareWaveRate, SteppedRate)
 from repro.simulator.packet import MTU
@@ -50,7 +51,7 @@ FAIRNESS_FLOOR = 0.6
 #: Absolute slack for float comparisons on time quantities (seconds).
 TIME_EPS = 1e-6
 
-#: Simulated seconds between two mid-run samples of :func:`run_scenario`.
+#: Simulated seconds between two samples of :func:`run_built`'s recorder.
 SAMPLE_INTERVAL = 0.05
 
 
@@ -69,10 +70,8 @@ class CheckContext:
     fuzz: ScenarioSpec
     built: BuiltScenario
     result: ScenarioResult
-    #: Mid-run samples: ``{flow_id: [cwnd, ...]}`` and
-    #: ``{link name: [backlog packets, ...]}``.
-    cwnd_samples: Dict[int, List[float]] = field(default_factory=dict)
-    backlog_samples: Dict[str, List[int]] = field(default_factory=dict)
+    #: The run's mid-run columns, every :data:`SAMPLE_INTERVAL`.
+    signals: SignalRecorder
 
 
 Checker = Callable[[CheckContext], List[Violation]]
@@ -84,22 +83,11 @@ def run_scenario(fuzz: ScenarioSpec) -> CheckContext:
 
 
 def run_built(built: BuiltScenario) -> CheckContext:
-    """Run ``built`` with one probe sampling every flow's window and every
-    link's backlog each :data:`SAMPLE_INTERVAL`; what the checkers read."""
-    links = built.scenario.links
-    cwnd = {flow.flow_id: [] for flow in built.flows}
-    backlog = {link.name: [] for link in links}
-
-    def probe(now: float) -> None:
-        for flow in built.flows:
-            cwnd[flow.flow_id].append(flow.sender.cc.cwnd())
-        for link in links:
-            backlog[link.name].append(link.qdisc.backlog_packets)
-
-    built.scenario.every(SAMPLE_INTERVAL, probe)
+    """Run ``built`` under a :class:`SignalRecorder`: what checkers read."""
+    signals = SignalRecorder(built.scenario, SAMPLE_INTERVAL)
     result = built.scenario.run(built.spec.duration)
     return CheckContext(fuzz=built.spec, built=built, result=result,
-                        cwnd_samples=cwnd, backlog_samples=backlog)
+                        signals=signals)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +155,7 @@ def check_non_negative(ctx: CheckContext) -> List[Violation]:
             out.append(Violation(
                 "non-negative",
                 f"link {link.name!r} has a negative packet counter"))
-        if min(ctx.backlog_samples.get(link.name, ()), default=0) < 0:
+        if min(ctx.signals.links[link.name]["backlog_packets"]) < 0:
             out.append(Violation(
                 "non-negative",
                 f"link {link.name!r} recorded a negative queue sample"))
@@ -182,7 +170,7 @@ def check_non_negative(ctx: CheckContext) -> List[Violation]:
             out.append(Violation(
                 "non-negative",
                 f"flow {flow.flow_id} recorded a negative queuing delay"))
-        for sample in ctx.cwnd_samples.get(flow.flow_id, ()):
+        for sample in ctx.signals.flows[flow.flow_id]["cwnd"]:
             if not math.isfinite(sample) or sample < 0.0:
                 out.append(Violation(
                     "non-negative",

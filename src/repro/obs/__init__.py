@@ -1,4 +1,4 @@
-"""Observability: counter registry, run manifests, progress, trace export.
+"""Observability: counters, run manifests, progress, traces and signals.
 
 The subsystem is opt-in via three knobs (declared in :mod:`repro.config`) and
 costs (near) nothing when disabled:
@@ -14,8 +14,8 @@ costs (near) nothing when disabled:
 * ``REPRO_PROGRESS=1`` — a live stderr progress line for long sweeps
   (:mod:`repro.obs.progress`).
 * Chrome-trace export (:mod:`repro.obs.trace` + ``tools/export_trace.py``)
-  renders a simulation's event timeline or a sweep's per-worker job timeline
-  as ``chrome://tracing``-loadable JSON.
+  renders a simulation's event timeline, with a :mod:`repro.obs.signals`
+  recorder's link columns as counter tracks, or a sweep's job timeline.
 
 Import discipline: the simulator and the runtime import
 :mod:`repro.obs.metrics`, so it must not import either of them;

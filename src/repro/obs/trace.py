@@ -9,9 +9,9 @@ JSON that ``chrome://tracing`` (and Perfetto's legacy loader) accepts:
   fired event.  Exported events use **simulated time** as the timeline axis
   (µs) and the callback's **wall-clock cost** as the bar length, so a slow
   callback is literally a long bar; one tracing row (tid) per component class,
-  plus per-link queue-depth counter tracks when the caller registers
-  :meth:`EventTraceRecorder.queue_probe` with :meth:`Scenario.every
-  <repro.simulator.scenario.Scenario.every>`.
+  plus whatever counter tracks the caller adds to
+  :attr:`EventTraceRecorder.counters` (``tools/export_trace.py`` adds a
+  :class:`~repro.obs.signals.SignalRecorder`'s link columns).
 * **Sweep worker timeline** — :func:`sweep_trace_events` renders the per-job
   records every :class:`~repro.runtime.executor.SweepExecutor` run
   collects (and a run manifest stores under ``executor.jobs``): one row per
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Cap on recorded events; beyond it the recorder counts drops instead of
 #: growing without bound (a 30 s metro cell can dispatch tens of millions).
@@ -40,7 +40,6 @@ class EventTraceRecorder:
     Attach before the run, detach (or just export) after::
 
         recorder = EventTraceRecorder(scenario.env)
-        scenario.every(0.05, recorder.queue_probe(scenario.links))
         scenario.run(duration)
         recorder.write_chrome(Path("trace.json"))
     """
@@ -88,20 +87,6 @@ class EventTraceRecorder:
             })
         events.extend(_thread_names(1, {v: k for k, v in tids.items()}))
         return events
-
-    def queue_probe(self, links: List[Any]) -> Callable[[float], None]:
-        """A ``Scenario.every`` probe adding one ``queue:<link name>``
-        counter sample (backlog in packets) per link to :attr:`counters`."""
-        counters = self.counters
-
-        def probe(now: float) -> None:
-            for link in links:
-                counters.append({
-                    "name": f"queue:{link.name}", "cat": "queue", "ph": "C",
-                    "ts": now * 1e6, "pid": 1,
-                    "args": {"packets": link.qdisc.backlog_packets},
-                })
-        return probe
 
     def write_chrome(self, path: Path) -> Path:
         return write_chrome_trace(path, self.chrome_events() + self.counters,

@@ -52,8 +52,8 @@ from repro.config import resolve
 #: v3: hot-path overhaul — closed-form SquareWaveRate.bits_between changes
 #: utilisation denominators, and the Fig. 6/7/11/13 entry points became
 #: cacheable sweep jobs.  v4: CoDel follows RFC 8289 as written, which moves
-#: every ``cubic+codel`` cell.
-CODE_VERSION_SALT = "repro-runtime-v4"
+#: every ``cubic+codel`` cell.  v5: a ``CoexistenceResult`` has no weight log.
+CODE_VERSION_SALT = "repro-runtime-v5"
 
 
 # ---------------------------------------------------------------------------

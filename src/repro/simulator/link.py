@@ -398,7 +398,6 @@ class OpportunityLink(Link):
         self.bytes_per_opportunity = bytes_per_opportunity
         self.capacity_window = capacity_window
         self._next_index = 0
-        self._cycle = 0
         self._started = False
 
     # ------------------------------------------------------------ trace math

@@ -57,22 +57,18 @@ class WiFiRateEstimator:
         self.cap_factor = cap_factor
         self._samples: Deque[tuple[float, float]] = deque()
         self._dequeue_rate = WindowedRateEstimator(window=window)
-        self.last_raw_estimate = 0.0
-        self.observations = 0
 
     # ------------------------------------------------------------ inputs
     def observe_batch(self, obs: BatchObservation) -> float:
         """Process one block-ACK and return the raw µ̂ sample (bps)."""
         if obs.batch_frames <= 0 or obs.inter_ack_time <= 0 or obs.bitrate_bps <= 0:
             raise ValueError("batch observation fields must be positive")
-        self.observations += 1
         m = self.max_batch_frames
         b = min(obs.batch_frames, m)
         # Eq. 8: extrapolate the inter-ACK time to a full batch.
         tia_full = obs.inter_ack_time + (m - b) * obs.frame_bits / obs.bitrate_bps
         # Eq. 6: full-batch capacity estimate.
         mu_hat = m * obs.frame_bits / tia_full
-        self.last_raw_estimate = mu_hat
         self._samples.append((obs.time, mu_hat))
         self._expire(obs.time)
         # Track the actually delivered bits for the rate-doubling cap.

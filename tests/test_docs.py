@@ -262,9 +262,6 @@ DEAD_SURFACE_ALLOWLIST = {
     "from_mahimahi_file",
     # How a user builds a trace from a measured rate series.
     "from_rate_series",
-    # Per-queue delay of the dual-queue scheduler, for Scenario.every probes.
-    "abc_queuing_delay",
-    "nonabc_queuing_delay",
     # Fig. 12's fairness measures, for ad hoc analysis of sweep results.
     "throughput_ratio",
     "relative_std",
@@ -285,10 +282,9 @@ DEAD_SURFACE_ALLOWLIST = {
     # How a user fits a real trace to an experiment's capacity and length.
     "scaled",
     "truncated",
-    # Eq. 2's accelerate fraction, router and marker side, and the fraction
-    # a sender observes: ROADMAP item 3a's mark-fraction signal reads them.
+    # Eq. 2's accelerate fraction in readable form; ABCRouterQdisc.dequeue
+    # inlines it and the tests hold the inlined form to it.
     "accel_fraction",
-    "observed_accel_fraction",
     # Theorem 3.1 and the Appendix A fluid model: the analytic oracle the
     # packet simulator is checked against.
     "is_theoretically_stable",

@@ -343,7 +343,8 @@ def test_ack_crosses_a_reverse_abc_router_unmarked():
     assert reverse.qdisc.backlog_bytes == 19 * 52
     env.run()
     assert len(capture.packets) == 20
-    assert reverse.qdisc.brake_marked == 0 and reverse.qdisc.accel_marked == 0
+    marker = reverse.qdisc.marker
+    assert marker.brake_count == 0 and marker.accel_count == 0
     assert all(a.is_ack and a.echo is ECN.ACCEL and a.ecn is ECN.NOT_ECT
                for a in capture.packets)
     assert ([a.meta["xcp_feedback_bytes"] for a in capture.packets]
@@ -356,7 +357,7 @@ def test_ack_crosses_a_reverse_abc_router_unmarked():
     for packet in burst(52):
         forward.send(packet)
     env.run()
-    assert forward.qdisc.brake_marked > 0
+    assert forward.qdisc.marker.brake_count > 0
 
 
 def test_miswired_endpoints_ignore_the_wrong_kind_of_packet():

@@ -190,16 +190,17 @@ def test_conservation_checker_fires_on_broken_counter():
 def test_non_negative_checker_fires_on_negative_backlog_and_cwnd():
     ctx = run_scenario(_tiny_scenario())
     link = ctx.built.scenario.links[0]
-    # One probe call per 50 ms of the 1.5 s run (0 … ≈1.45 s: the float sum
-    # overshoots 1.5), sampling the window and the queue together.
-    assert len(ctx.backlog_samples[link.name]) == 30
-    assert len(ctx.cwnd_samples[ctx.built.flows[0].flow_id]) == 30
+    flow_id = ctx.built.flows[0].flow_id
+    # One recorder sample per 50 ms of the 1.5 s run (0 … ≈1.45 s: the float
+    # sum overshoots 1.5), reading the window and the queue together.
+    backlog = ctx.signals.links[link.name]["backlog_packets"]
+    cwnd = ctx.signals.flows[flow_id]["cwnd"]
+    assert len(ctx.signals.times) == len(backlog) == len(cwnd) == 30
     assert check_non_negative(ctx) == []
-    ctx.backlog_samples[link.name].append(-2)
+    backlog.append(-2)
     assert [v.invariant for v in check_non_negative(ctx)] == ["non-negative"]
     link.qdisc.backlog_packets = -1
-    flow_id = ctx.built.flows[0].flow_id
-    ctx.cwnd_samples[flow_id].append(-5.0)
+    cwnd.append(-5.0)
     names = {v.invariant for v in check_non_negative(ctx)}
     assert names == {"non-negative"}
     assert len(check_non_negative(ctx)) == 3

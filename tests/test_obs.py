@@ -480,6 +480,12 @@ def test_export_trace_tool_scenario_mode(tmp_path):
              if e["ph"] == "C" and e["name"] == "queue:bottleneck"]
     assert len(queue) == 20
     assert all(e["args"]["packets"] >= 0 for e in queue)
+    # The ABC router's tracks ride the same samples.
+    fraction = [e["args"]["fraction"] for e in payload["traceEvents"]
+                if e["ph"] == "C" and e["name"] == "fraction:bottleneck"]
+    assert len(fraction) == 20 and all(0.0 <= f <= 1.0 for f in fraction)
+    assert sum(e["name"] == "target_rate:bottleneck"
+               for e in payload["traceEvents"]) == 20
 
 
 def test_export_trace_tool_manifest_mode(tmp_path, monkeypatch):

@@ -427,13 +427,10 @@ def test_counters_are_derived_from_the_series_that_hold_them(monkeypatch):
 
     (link,) = scenario.links
     router = link.qdisc
-    assert router.accel_marked == router.marker.accel_count > 0
-    assert router.brake_marked == router.marker.brake_count > 0
-    assert router.accel_marked + router.brake_marked == abc_dequeued
+    marker = router.marker
+    assert marker.accel_count > 0 and marker.brake_count > 0
+    assert marker.accel_count + marker.brake_count == abc_dequeued
     assert abc_dequeued < link.delivered_packets   # Cubic's pass unmarked
-    for name in ("accel_marked", "brake_marked"):
-        with pytest.raises(AttributeError):
-            setattr(router, name, 0)
 
     # Receiver.receive_at is FlowStats' one writer: one sample per packet,
     # read off the packet before it turns around as its own ACK.

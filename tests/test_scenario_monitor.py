@@ -1,4 +1,5 @@
-"""Tests for the scenario builder, its one sampler and the delivery records."""
+"""Tests for the scenario builder, its one sampler, the signal recorder
+that rides it, and the delivery records."""
 
 import re
 from pathlib import Path
@@ -11,6 +12,9 @@ from repro.cc.cubic import Cubic
 from repro.aqm.droptail import DropTailQdisc
 from repro.core.router import ABCRouterQdisc
 from repro.core.sender import ABCWindowControl
+from repro.experiments.scenario_spec import (FlowSpec, LinkSpec, ScenarioSpec,
+                                             build, link_spec_from)
+from repro.obs.signals import SignalRecorder
 from repro.simulator.endpoints import Receiver
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import ConstantRate, RateLink
@@ -147,19 +151,78 @@ def test_nothing_is_sampled_unless_a_probe_is_registered():
             == plain.env.events_processed + len(seen))
 
 
-def test_a_read_only_probe_changes_no_result():
-    def run(probe):
-        sc = Scenario()
-        link = sc.add_rate_link(8e6, qdisc=DropTailQdisc(50), name="l")
-        flow = sc.add_flow(Cubic(), [link], rtt=0.05)
-        if probe:
-            sc.every(0.01, lambda now: (flow.cc.cwnd(),
-                                        link.qdisc.backlog_packets))
-        sc.run(2.0)
-        return (flow.stats.recv_times, flow.stats.queuing_delays,
-                link.departure_times)
+#: One cell per kind of state the recorder reads: an ABC router, the dual
+#: queue beside a Cubic flow, an ABC router whose µ is the Wi-Fi estimator,
+#: and an AQM.
+_RECORDED_CELLS = {
+    "abc": ScenarioSpec(scheme="abc", duration=2.0, flows=[FlowSpec(rtt=0.05)],
+                        links=[link_spec_from(12e6, name="bottleneck")]),
+    "abc-dual": ScenarioSpec(
+        scheme="abc", duration=3.0,
+        flows=[FlowSpec(rtt=0.05), FlowSpec(cc="cubic", rtt=0.05)],
+        links=[link_spec_from(12e6, name="shared", qdisc="maxmin")]),
+    "abc-wifi": ScenarioSpec(
+        scheme="abc", duration=2.0, flows=[FlowSpec(rtt=0.05)],
+        links=[LinkSpec("wifi", {"mcs": ["alternating", 1, 7, 0.5]},
+                        name="wifi")]),
+    "cubic+codel": ScenarioSpec(
+        scheme="cubic+codel", duration=2.0, flows=[FlowSpec(rtt=0.05)] * 2,
+        links=[link_spec_from(8e6, name="bottleneck")]),
+}
 
-    assert run(probe=True) == run(probe=False)
+
+@pytest.mark.parametrize("cell", sorted(_RECORDED_CELLS))
+def test_a_read_only_probe_changes_no_result(cell):
+    def run(recorded):
+        built = build(_RECORDED_CELLS[cell])
+        signals = SignalRecorder(built.scenario, 0.01) if recorded else None
+        built.scenario.run(built.spec.duration)
+        routers = [getattr(link.qdisc, "abc_queue", link.qdisc)
+                   for link in built.scenario.links]
+        return signals, (
+            [(flow.stats.recv_times, flow.stats.queuing_delays)
+             for flow in built.flows],
+            [link.departure_times for link in built.scenario.links],
+            [(router.marker.accel_count, router.marker.brake_count)
+             for router in routers if hasattr(router, "marker")])
+
+    signals, recorded = run(recorded=True)
+    assert recorded == run(recorded=False)[1]
+    (columns,) = signals.links.values()
+    assert set(columns) >= {"backlog_packets", "capacity_bps"}
+    if cell != "cubic+codel":
+        assert {"fraction", "target_rate", "accel_count"} <= set(columns)
+        assert "w_abc" in signals.flows[0] and recorded[2][0][0] > 0
+    assert ("weight_abc" in columns) == (cell == "abc-dual")
+
+
+def test_recorded_columns_agree_with_the_link_and_the_sender_law():
+    """On a square-wave link: capacity is the model's rate, f(t) stays in
+    [0, 1], the mark counts only grow and end at the marker's, and the ABC
+    window is min(w_abc, w_nonabc) floored at min_cwnd (§5.1.1)."""
+    duration, interval = 4.0, 1 / 64  # exact in binary: a sample lands at 4.0
+    built = build(ScenarioSpec(
+        scheme="abc", duration=duration, flows=[FlowSpec(rtt=0.05)],
+        links=[LinkSpec("square", {"low_bps": 6e6, "high_bps": 18e6,
+                                   "half_period": 0.5}, name="square")]))
+    signals = SignalRecorder(built.scenario, interval)
+    built.scenario.run(duration)
+    (link,), (flow,) = built.scenario.links, built.flows
+    columns, marker = signals.links["square"], link.qdisc.marker
+    assert signals.times[-1] == duration and len(signals.times) == 257
+    assert columns["capacity_bps"] == [link.capacity.rate_at(t)
+                                       for t in signals.times]
+    assert set(columns["capacity_bps"]) == {6e6, 18e6}
+    assert all(0.0 <= f <= 1.0 for f in columns["fraction"])
+    assert min(columns["fraction"]) < 1.0  # the router did brake
+    for name, final in (("accel_count", marker.accel_count),
+                        ("brake_count", marker.brake_count)):
+        counts = columns[name]
+        assert counts == sorted(counts) and counts[-1] == final > 0
+    windows = signals.flows[flow.flow_id]
+    assert windows["cwnd"] == [max(min(w_abc, w_nonabc), flow.cc.min_cwnd())
+                               for w_abc, w_nonabc in zip(
+                                   windows["w_abc"], windows["w_nonabc"])]
 
 
 #: Where a hand-rolled sampler or injector would go.  Code above the

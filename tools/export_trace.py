@@ -6,8 +6,12 @@ Two sources, one output format (the Chrome trace-event JSON that
 * A **simulation event timeline** — runs one scheme over the LTE showcase
   trace with the engine's trace hook attached and renders every dispatched
   event: simulated time on the axis, each event's wall-clock cost as its bar
-  length, one row per component class, plus a queue-depth counter track
-  sampled every 50 simulated ms by a :meth:`Scenario.every` probe::
+  length, one row per component class, plus one counter track per link
+  column a :class:`~repro.obs.signals.SignalRecorder` samples every 50
+  simulated ms: ``queue:<link>`` (backlog packets), ``capacity_bps:<link>``
+  and, on an ABC router, ``fraction:<link>``, ``target_rate:<link>``,
+  ``router_capacity:<link>``, ``queuing_delay:<link>``,
+  ``accel_count:<link>`` and ``brake_count:<link>``::
 
       PYTHONPATH=src python tools/export_trace.py --scheme abc --out trace.json
       PYTHONPATH=src python tools/export_trace.py --scheme cubic --duration 5
@@ -34,12 +38,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.manifest import in_run_dir  # noqa: E402
 
+#: Track and series names of a recorded link column, where they are not
+#: the column's own name.
+TRACKS = {"backlog_packets": ("queue", "packets")}
+
+
+def signal_counters(signals) -> list:
+    """Chrome counter events (``"ph": "C"``) for every link column of a
+    :class:`~repro.obs.signals.SignalRecorder`, one track per column."""
+    events = []
+    for link, columns in signals.links.items():
+        for column, values in columns.items():
+            track, series = TRACKS.get(column, (column, column))
+            events += [{"name": f"{track}:{link}", "cat": "signal", "ph": "C",
+                        "ts": now * 1e6, "pid": 1, "args": {series: value}}
+                       for now, value in zip(signals.times, values)]
+    return events
+
 
 def export_scenario_trace(scheme: str, duration: float, seed: int,
                           out: Path) -> Path:
     from repro.cellular.synthetic import lte_showcase_trace
     from repro.experiments.runner import single_bottleneck_spec
     from repro.experiments.scenario_spec import build
+    from repro.obs.signals import SignalRecorder
     from repro.obs.trace import EventTraceRecorder
 
     # The spec a single-bottleneck ``spec_cell`` job runs, built here so the
@@ -48,9 +70,10 @@ def export_scenario_trace(scheme: str, duration: float, seed: int,
         scheme, lte_showcase_trace(duration=duration, seed=7), rtt=0.1,
         duration=duration, seed=seed)).scenario
     recorder = EventTraceRecorder(scenario.env)
-    scenario.every(0.05, recorder.queue_probe(scenario.links))
+    signals = SignalRecorder(scenario, 0.05)
     scenario.run(duration)
     recorder.detach()
+    recorder.counters.extend(signal_counters(signals))
     path = recorder.write_chrome(out)
     print(f"wrote {path}: {len(recorder.records)} events "
           f"({recorder.dropped} dropped)")
