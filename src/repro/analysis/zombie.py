@@ -17,17 +17,17 @@ from __future__ import annotations
 import random
 from typing import Hashable, List
 
+#: EWMA gain of the hit-probability estimate.
+ALPHA = 0.02
+
 
 class ZombieList:
     """SRED-style flow-count estimation from packet arrivals."""
 
-    def __init__(self, size: int = 64, alpha: float = 0.02, seed: int = 0):
+    def __init__(self, size: int = 64, seed: int = 0):
         if size <= 0:
             raise ValueError("size must be positive")
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
         self.size = size
-        self.alpha = alpha
         self._rng = random.Random(seed)
         self._zombies: List[Hashable] = []
         self._hit_probability = 0.0
@@ -41,8 +41,8 @@ class ZombieList:
             return
         idx = self._rng.randrange(len(self._zombies))
         hit = self._zombies[idx] == flow_key
-        self._hit_probability = ((1.0 - self.alpha) * self._hit_probability
-                                 + self.alpha * (1.0 if hit else 0.0))
+        self._hit_probability = ((1.0 - ALPHA) * self._hit_probability
+                                 + ALPHA * (1.0 if hit else 0.0))
         if hit:
             return
         # On a miss, with some probability overwrite the chosen zombie (or

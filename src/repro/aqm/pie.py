@@ -1,12 +1,12 @@
 """PIE (Proportional Integral controller Enhanced) AQM, RFC 8033.
 
 PIE drops (or ECN-marks) packets probabilistically at enqueue time.  The drop
-probability is updated every ``t_update`` seconds by a proportional-integral
+probability is updated every ``T_UPDATE`` seconds by a proportional-integral
 controller driven by the estimated queuing delay:
 
-    p += alpha * (delay - target) + beta * (delay - delay_old)
+    p += ALPHA * (delay - TARGET) + BETA * (delay - delay_old)
 
-with the RFC's auto-scaling of ``alpha``/``beta`` when ``p`` is small and its
+with the RFC's auto-scaling of ``ALPHA``/``BETA`` when ``p`` is small and its
 burst-allowance logic.  The paper evaluates "Cubic+PIE" as an AQM baseline.
 """
 
@@ -18,30 +18,29 @@ from typing import Optional
 from repro.simulator.packet import Packet, apply_ce
 from repro.simulator.qdisc import Qdisc
 
+#: RFC 8033's defaults: the queue-delay target and the update period (s),
+#: the PI gains, and the burst allowance (s).
+TARGET = 0.015
+T_UPDATE = 0.015
+ALPHA = 0.125
+BETA = 1.25
+MAX_BURST = 0.15
+
 
 class PIEQdisc(Qdisc):
     """PIE AQM over a FIFO queue."""
 
     name = "pie"
 
-    def __init__(self, buffer_packets: int = 250, target: float = 0.015,
-                 t_update: float = 0.015, alpha: float = 0.125,
-                 beta: float = 1.25, max_burst: float = 0.15,
-                 ecn: bool = False, seed: int = 0):
+    def __init__(self, buffer_packets: int = 250, ecn: bool = False,
+                 seed: int = 0):
         super().__init__(buffer_packets=buffer_packets)
-        if target <= 0 or t_update <= 0:
-            raise ValueError("target and t_update must be positive")
-        self.target = target
-        self.t_update = t_update
-        self.alpha = alpha
-        self.beta = beta
-        self.max_burst = max_burst
         self.ecn = ecn
         self._rng = random.Random(seed)
 
         self.drop_prob = 0.0
         self._qdelay_old = 0.0
-        self._burst_allowance = max_burst
+        self._burst_allowance = MAX_BURST
         self._last_update: Optional[float] = None
         self._avg_dq_rate_bps = 0.0
         self._dq_start: Optional[float] = None
@@ -62,14 +61,14 @@ class PIEQdisc(Qdisc):
         if self._last_update is None:
             self._last_update = now
             return
-        while now - self._last_update >= self.t_update:
-            self._last_update += self.t_update
+        while now - self._last_update >= T_UPDATE:
+            self._last_update += T_UPDATE
             self._update_probability()
 
     def _update_probability(self) -> None:
         qdelay = self._estimate_delay()
-        p = (self.alpha * (qdelay - self.target)
-             + self.beta * (qdelay - self._qdelay_old))
+        p = (ALPHA * (qdelay - TARGET)
+             + BETA * (qdelay - self._qdelay_old))
         # RFC 8033 auto-tuning: scale the adjustment down when drop_prob is
         # small so the controller does not overshoot.
         if self.drop_prob < 0.000001:
@@ -85,18 +84,18 @@ class PIEQdisc(Qdisc):
         elif self.drop_prob < 0.1:
             p /= 2
         self.drop_prob = min(max(self.drop_prob + p, 0.0), 1.0)
-        if qdelay < self.target / 2 and self._qdelay_old < self.target / 2:
+        if qdelay < TARGET / 2 and self._qdelay_old < TARGET / 2:
             self.drop_prob *= 0.98
         self._qdelay_old = qdelay
         if self._burst_allowance > 0:
-            self._burst_allowance = max(self._burst_allowance - self.t_update, 0.0)
+            self._burst_allowance = max(self._burst_allowance - T_UPDATE, 0.0)
 
     # ------------------------------------------------------------ enqueue
     def _should_mark(self, now: float) -> bool:
         if self._burst_allowance > 0:
             return False
         qdelay = self._estimate_delay()
-        if qdelay < self.target / 2 and self.drop_prob < 0.2:
+        if qdelay < TARGET / 2 and self.drop_prob < 0.2:
             return False
         if self.backlog_packets <= 2:
             return False

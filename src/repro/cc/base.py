@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.simulator.packet import MTU, AckFeedback
+from repro.simulator.packet import AckFeedback
 
 
 class CongestionControl:
@@ -39,8 +39,7 @@ class CongestionControl:
     #: True when the scheme relies on pacing rather than pure ACK clocking.
     needs_pacing = False
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 10.0):
-        self.mss = mss
+    def __init__(self, initial_cwnd: float = 10.0):
         self._cwnd = float(initial_cwnd)
 
     # ------------------------------------------------------------ interface

@@ -23,6 +23,15 @@ from repro.simulator.packet import MTU, AckFeedback
 
 #: PROBE_BW pacing-gain cycle (one phase per min-RTT).
 GAIN_CYCLE = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+#: Windows (s) of the bottleneck-bandwidth max and the min-RTT filters.
+BW_WINDOW = 10.0
+RTT_WINDOW = 10.0
+#: PROBE_RTT: entered every ``PROBE_RTT_INTERVAL`` s, held for
+#: ``PROBE_RTT_DURATION`` s.
+PROBE_RTT_INTERVAL = 10.0
+PROBE_RTT_DURATION = 0.2
+#: In-flight cap in BDPs.
+CWND_GAIN = 2.0
 
 
 class BBR(CongestionControl):
@@ -33,18 +42,12 @@ class BBR(CongestionControl):
 
     STARTUP, DRAIN, PROBE_BW, PROBE_RTT = "startup", "drain", "probe_bw", "probe_rtt"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 10.0,
-                 bw_window: float = 10.0, rtt_window: float = 10.0,
-                 probe_rtt_interval: float = 10.0, probe_rtt_duration: float = 0.2,
-                 cwnd_gain: float = 2.0):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
+    def __init__(self):
+        super().__init__()
         self.state = self.STARTUP
-        self.cwnd_gain = cwnd_gain
-        self.btl_bw = WindowedMinMax(window=bw_window, mode="max")
-        self.min_rtt = WindowedMinMax(window=rtt_window, mode="min")
+        self.btl_bw = WindowedMinMax(window=BW_WINDOW, mode="max")
+        self.min_rtt = WindowedMinMax(window=RTT_WINDOW, mode="min")
         self.delivery_rate = WindowedRateEstimator(window=0.1)
-        self.probe_rtt_interval = probe_rtt_interval
-        self.probe_rtt_duration = probe_rtt_duration
 
         self._pacing_gain = 2.885
         self._cycle_index = 0
@@ -60,20 +63,20 @@ class BBR(CongestionControl):
         rtt = self.min_rtt.get(default=0.1)
         if bw <= 0:
             return self._cwnd
-        return bw * rtt / (self.mss * 8.0)
+        return bw * rtt / (MTU * 8.0)
 
     def pacing_rate(self) -> float:
         bw = self.btl_bw.get()
         if bw <= 0:
             # Before the first bandwidth sample, pace at a nominal start-up
             # rate derived from the initial window and a 100 ms guess.
-            return self._cwnd * self.mss * 8.0 / 0.1
+            return self._cwnd * MTU * 8.0 / 0.1
         return self._pacing_gain * bw
 
     def cwnd(self) -> float:
         if self.state == self.PROBE_RTT:
             return 4.0
-        return max(self.cwnd_gain * self._bdp_packets(), 4.0)
+        return max(CWND_GAIN * self._bdp_packets(), 4.0)
 
     # ------------------------------------------------------------ state
     def _check_full_pipe(self) -> None:
@@ -113,9 +116,9 @@ class BBR(CongestionControl):
                 self._last_probe_rtt = now
         elif self.state == self.PROBE_BW:
             self._advance_cycle(now)
-            if now - self._last_probe_rtt >= self.probe_rtt_interval:
+            if now - self._last_probe_rtt >= PROBE_RTT_INTERVAL:
                 self.state = self.PROBE_RTT
-                self._probe_rtt_until = now + self.probe_rtt_duration
+                self._probe_rtt_until = now + PROBE_RTT_DURATION
                 self._pacing_gain = 1.0
         elif self.state == self.PROBE_RTT:
             if now >= self._probe_rtt_until:

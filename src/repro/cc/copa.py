@@ -14,11 +14,14 @@ relevant behaviour).
 
 from __future__ import annotations
 
-import math
-
 from repro.cc.base import CongestionControl
 from repro.simulator.estimators import WindowedMinMax
 from repro.simulator.packet import MTU, AckFeedback
+
+#: Copa's δ: the target rate is 1 / (δ · queuing delay) packets per second.
+DELTA = 0.5
+#: Window (s) of the min-RTT filter.
+RTT_MIN_WINDOW = 10.0
 
 
 class Copa(CongestionControl):
@@ -26,13 +29,9 @@ class Copa(CongestionControl):
 
     name = "copa"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 4.0,
-                 delta: float = 0.5, rtt_min_window: float = 10.0):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.delta = delta
-        self.rtt_min = WindowedMinMax(window=rtt_min_window, mode="min")
+    def __init__(self):
+        super().__init__(initial_cwnd=4.0)
+        self.rtt_min = WindowedMinMax(window=RTT_MIN_WINDOW, mode="min")
         self.rtt_standing = WindowedMinMax(window=0.05, mode="min")
         self.velocity = 1.0
         self._direction = 0
@@ -57,13 +56,13 @@ class Copa(CongestionControl):
         rtt_min = self.rtt_min.get(default=self._srtt)
         rtt_standing = self.rtt_standing.query(now, default=self._srtt)
         queuing_delay = max(rtt_standing - rtt_min, 0.0)
-        acked_packets = feedback.bytes_acked / self.mss
+        acked_packets = feedback.bytes_acked / MTU
 
         if queuing_delay <= 1e-6:
             # Empty queue: the target rate is unbounded, so increase.
             increasing = True
         else:
-            target_rate_pps = 1.0 / (self.delta * queuing_delay)
+            target_rate_pps = 1.0 / (DELTA * queuing_delay)
             current_rate_pps = self._cwnd / max(rtt_standing, 1e-6)
             increasing = current_rate_pps <= target_rate_pps
 
@@ -78,7 +77,7 @@ class Copa(CongestionControl):
             self.velocity = min(self.velocity * 2.0, 2 ** 6)
             self._last_velocity_update = now
 
-        step = self.velocity * acked_packets / (self.delta * max(self._cwnd, 1.0))
+        step = self.velocity * acked_packets / (DELTA * max(self._cwnd, 1.0))
         self._cwnd += step if increasing else -step
         self._clamp()
         return self.window()

@@ -32,8 +32,8 @@ class Cubic(CongestionControl):
 
     name = "cubic"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 10.0):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
+    def __init__(self, initial_cwnd: float = 10.0):
+        super().__init__(initial_cwnd=initial_cwnd)
         self.ssthresh = math.inf
         self.w_max = 0.0
         self.epoch_start: Optional[float] = None
@@ -68,7 +68,7 @@ class Cubic(CongestionControl):
             self._reduce(now)
             cwnd = self._cwnd
             return cwnd if cwnd >= 1.0 else 1.0
-        acked_packets = feedback.bytes_acked / self.mss
+        acked_packets = feedback.bytes_acked / MTU
         cwnd = self._cwnd
         if cwnd < self.ssthresh:
             cwnd += acked_packets

@@ -18,8 +18,8 @@ class NewReno(CongestionControl):
 
     name = "newreno"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 10.0):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
+    def __init__(self):
+        super().__init__()
         self.ssthresh = math.inf
         self._srtt = 0.1
         self._last_reduction_time = -math.inf
@@ -30,7 +30,7 @@ class NewReno(CongestionControl):
         if feedback.ece:
             self.on_loss(feedback.now)
             return self.window()
-        acked_packets = feedback.bytes_acked / self.mss
+        acked_packets = feedback.bytes_acked / MTU
         if self._cwnd < self.ssthresh:
             self._cwnd += acked_packets
         else:

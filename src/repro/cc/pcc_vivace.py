@@ -27,6 +27,18 @@ from typing import List, Optional
 from repro.cc.base import CongestionControl
 from repro.simulator.packet import MTU, AckFeedback
 
+#: Starting base rate (bit/s), and the bounds the rate is clamped to.
+INITIAL_RATE_BPS = 3e6
+MIN_RATE_BPS = 0.2e6
+MAX_RATE_BPS = 400e6
+#: Probe rates are ``base · (1 ± EPSILON)``; a gradient step moves the base
+#: rate by ``STEP_FRACTION`` of itself.
+EPSILON = 0.05
+STEP_FRACTION = 0.15
+#: The utility's latency (b) and loss (c) coefficients.
+LATENCY_COEFF = 9.0
+LOSS_COEFF = 11.35
+
 
 class _MonitorInterval:
     """Per-MI measurement bucket, keyed by packet *send* time."""
@@ -74,19 +86,9 @@ class PCCVivace(CongestionControl):
     name = "pcc"
     needs_pacing = True
 
-    def __init__(self, mss: int = MTU, initial_rate_bps: float = 3e6,
-                 epsilon: float = 0.05, step_fraction: float = 0.15,
-                 latency_coeff: float = 9.0, loss_coeff: float = 11.35,
-                 min_rate_bps: float = 0.2e6, max_rate_bps: float = 400e6):
-        super().__init__(mss=mss, initial_cwnd=math.inf)
-        self.base_rate = initial_rate_bps
-        self.epsilon = epsilon
-        self.step_fraction = step_fraction
-        self.latency_coeff = latency_coeff
-        self.loss_coeff = loss_coeff
-        self.min_rate = min_rate_bps
-        self.max_rate = max_rate_bps
-
+    def __init__(self):
+        super().__init__(initial_cwnd=math.inf)
+        self.base_rate = INITIAL_RATE_BPS
         self._srtt = 0.1
         self._mis: List[_MonitorInterval] = []
         self._probe_sign = 1
@@ -96,7 +98,7 @@ class PCCVivace(CongestionControl):
     def cwnd(self) -> float:
         # Cap in-flight data at twice the rate-delay product so a stale high
         # rate cannot flood a collapsed link indefinitely.
-        return max(2.0 * self.base_rate * self._srtt / (self.mss * 8.0), 4.0)
+        return max(2.0 * self.base_rate * self._srtt / (MTU * 8.0), 4.0)
 
     def pacing_rate(self) -> float:
         mi = self._current_mi()
@@ -108,8 +110,8 @@ class PCCVivace(CongestionControl):
 
     def _probe_rate(self) -> float:
         if self._probe_phase == 0:
-            return self.base_rate * (1.0 + self._probe_sign * self.epsilon)
-        return self.base_rate * (1.0 - self._probe_sign * self.epsilon)
+            return self.base_rate * (1.0 + self._probe_sign * EPSILON)
+        return self.base_rate * (1.0 - self._probe_sign * EPSILON)
 
     def _ensure_mi(self, now: float) -> _MonitorInterval:
         current = self._current_mi()
@@ -135,14 +137,14 @@ class PCCVivace(CongestionControl):
         while len(self._mis) >= 3 and now >= self._mis[1].end + grace:
             first, second = self._mis[0], self._mis[1]
             up, down = (first, second) if first.rate_bps >= second.rate_bps else (second, first)
-            u_up = up.utility(self.latency_coeff, self.loss_coeff)
-            u_down = down.utility(self.latency_coeff, self.loss_coeff)
-            step = self.step_fraction * self.base_rate
+            u_up = up.utility(LATENCY_COEFF, LOSS_COEFF)
+            u_down = down.utility(LATENCY_COEFF, LOSS_COEFF)
+            step = STEP_FRACTION * self.base_rate
             if u_up > u_down:
                 self.base_rate += step
             elif u_down > u_up:
                 self.base_rate -= step
-            self.base_rate = min(max(self.base_rate, self.min_rate), self.max_rate)
+            self.base_rate = min(max(self.base_rate, MIN_RATE_BPS), MAX_RATE_BPS)
             self._probe_sign = -self._probe_sign
             del self._mis[:2]
 
@@ -168,5 +170,5 @@ class PCCVivace(CongestionControl):
             mi.losses += 1
 
     def on_timeout(self, now: float) -> None:
-        self.base_rate = max(self.base_rate / 2.0, self.min_rate)
+        self.base_rate = max(self.base_rate / 2.0, MIN_RATE_BPS)
         self._mis.clear()

@@ -31,22 +31,23 @@ from repro.cc.base import CongestionControl
 from repro.simulator.estimators import WindowedRateEstimator
 from repro.simulator.packet import MTU, AckFeedback
 
+#: Delay target (s) the in-flight data should drain within.
+TARGET_DELAY = 0.1
+#: The cautious percentile of recent delivery rates used as the forecast.
+FORECAST_PERCENTILE = 25.0
+#: Delivery-rate samples: one per ``TICK_INTERVAL`` s, kept for
+#: ``SAMPLE_WINDOW`` s.
+SAMPLE_WINDOW = 2.0
+TICK_INTERVAL = 0.02
+
 
 class Sprout(CongestionControl):
     """Conservative forecast-based window sizing for cellular links."""
 
     name = "sprout"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 4.0,
-                 target_delay: float = 0.1, forecast_percentile: float = 25.0,
-                 sample_window: float = 2.0, tick_interval: float = 0.02):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
-        if not 0 < forecast_percentile <= 100:
-            raise ValueError("forecast_percentile must be in (0, 100]")
-        self.target_delay = target_delay
-        self.forecast_percentile = forecast_percentile
-        self.sample_window = sample_window
-        self.tick_interval = tick_interval
+    def __init__(self):
+        super().__init__(initial_cwnd=4.0)
         self._delivery_rate = WindowedRateEstimator(window=0.2)
         self._rate_samples: Deque[Tuple[float, float]] = deque()
         # Memo of forecast_rate_bps(); dropped wherever _rate_samples changes
@@ -58,7 +59,7 @@ class Sprout(CongestionControl):
 
     # ------------------------------------------------------------ forecast
     def _record_sample(self, now: float) -> None:
-        if now - self._last_sample_time < self.tick_interval:
+        if now - self._last_sample_time < TICK_INTERVAL:
             return
         self._last_sample_time = now
         rate = self._delivery_rate.rate_bps(now)
@@ -66,7 +67,7 @@ class Sprout(CongestionControl):
             return
         self._rate_samples.append((now, rate))
         self._forecast = None
-        cutoff = now - self.sample_window
+        cutoff = now - SAMPLE_WINDOW
         while self._rate_samples and self._rate_samples[0][0] < cutoff:
             self._rate_samples.popleft()
 
@@ -76,7 +77,7 @@ class Sprout(CongestionControl):
         if forecast is None:
             if self._rate_samples:
                 rates = np.array([r for _, r in self._rate_samples])
-                forecast = float(np.percentile(rates, self.forecast_percentile))
+                forecast = float(np.percentile(rates, FORECAST_PERCENTILE))
             else:
                 forecast = 0.0
             self._forecast = forecast
@@ -99,12 +100,12 @@ class Sprout(CongestionControl):
         self._delivery_rate.add(now, feedback.bytes_acked)
         self._record_sample(now)
 
-        acked_packets = feedback.bytes_acked / self.mss
+        acked_packets = feedback.bytes_acked / MTU
         queuing = self._queuing_delay()
         forecast = self.forecast_rate_bps()
-        forecast_window = (forecast * self.target_delay / 8.0) / self.mss
+        forecast_window = (forecast * TARGET_DELAY / 8.0) / MTU
 
-        if queuing < 0.5 * self.target_delay:
+        if queuing < 0.5 * TARGET_DELAY:
             # The link is draining everything we send: probe gently (about one
             # packet per RTT) above the cautious forecast.
             self._cwnd += acked_packets / max(self._cwnd, 1.0)
@@ -125,7 +126,7 @@ class Sprout(CongestionControl):
         # forecast was too optimistic, so step down to the cautious estimate.
         forecast = self.forecast_rate_bps()
         if forecast > 0:
-            self._cwnd = max((forecast * self.target_delay / 8.0) / self.mss,
+            self._cwnd = max((forecast * TARGET_DELAY / 8.0) / MTU,
                              self.min_cwnd())
 
     def on_timeout(self, now: float) -> None:

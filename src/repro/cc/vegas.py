@@ -15,20 +15,20 @@ import math
 from repro.cc.base import CongestionControl
 from repro.simulator.packet import MTU, AckFeedback
 
+#: Standing-queue thresholds (packets): grow below ``ALPHA``, shrink above
+#: ``BETA``; slow start ends above ``GAMMA``.
+ALPHA = 2.0
+BETA = 4.0
+GAMMA = 1.0
+
 
 class Vegas(CongestionControl):
     """TCP Vegas with the classic alpha/beta packet thresholds."""
 
     name = "vegas"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 4.0,
-                 alpha: float = 2.0, beta: float = 4.0, gamma: float = 1.0):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
-        if not 0 < alpha <= beta:
-            raise ValueError("need 0 < alpha <= beta")
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
+    def __init__(self):
+        super().__init__(initial_cwnd=4.0)
         self.base_rtt = math.inf
         self.ssthresh = math.inf
         self._srtt: float | None = None
@@ -52,10 +52,10 @@ class Vegas(CongestionControl):
         if feedback.ece:
             self.on_loss(feedback.now)
             return self.window()
-        acked_packets = feedback.bytes_acked / self.mss
+        acked_packets = feedback.bytes_acked / MTU
         diff = self._diff_packets()
         if self._in_slow_start:
-            if diff > self.gamma:
+            if diff > GAMMA:
                 self._in_slow_start = False
                 self.ssthresh = self._cwnd
             else:
@@ -63,9 +63,9 @@ class Vegas(CongestionControl):
                 # ACK gives the same average pace without per-RTT state.
                 self._cwnd += acked_packets / 2.0
                 return self.window()
-        if diff < self.alpha:
+        if diff < ALPHA:
             self._cwnd += acked_packets / max(self._cwnd, 1.0)
-        elif diff > self.beta:
+        elif diff > BETA:
             self._cwnd -= acked_packets / max(self._cwnd, 1.0)
         self._clamp()
         return self.window()

@@ -21,23 +21,24 @@ from repro.cc.base import CongestionControl
 from repro.simulator.estimators import EWMA, WindowedMinMax
 from repro.simulator.packet import MTU, AckFeedback
 
+#: Comfort band of the RTT / min-RTT ratio.
+DELAY_LOW = 2.0
+DELAY_HIGH = 3.5
+#: Per-RTT window growth below the band, and the decrease factor above it.
+INCREASE_STEP = 3.0
+DECREASE_FACTOR = 0.85
+#: Every ``PROBE_PERIOD`` s the growth is ``PROBE_BOOST`` for 0.25 s.
+PROBE_PERIOD = 4.0
+PROBE_BOOST = 6.0
+
 
 class Verus(CongestionControl):
     """Delay-profile congestion control for cellular networks (simplified)."""
 
     name = "verus"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 4.0,
-                 delay_low: float = 2.0, delay_high: float = 3.5,
-                 increase_step: float = 3.0, decrease_factor: float = 0.85,
-                 probe_period: float = 4.0, probe_boost: float = 6.0):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
-        self.delay_low = delay_low
-        self.delay_high = delay_high
-        self.increase_step = increase_step
-        self.decrease_factor = decrease_factor
-        self.probe_period = probe_period
-        self.probe_boost = probe_boost
+    def __init__(self):
+        super().__init__(initial_cwnd=4.0)
         self.rtt_min = WindowedMinMax(window=30.0, mode="min")
         self._smoothed_rtt = EWMA(alpha=0.2)
         self._last_decrease = -math.inf
@@ -54,23 +55,23 @@ class Verus(CongestionControl):
         rtt_min = self.rtt_min.get(default=0.05)
         srtt = self._smoothed_rtt.get(default=rtt_min)
         delay_ratio = srtt / max(rtt_min, 1e-6)
-        acked_packets = feedback.bytes_acked / self.mss
+        acked_packets = feedback.bytes_acked / MTU
 
         # Periodic aggressive probing: Verus re-explores the delay profile,
         # which is the source of its characteristic rate oscillations.
-        probing = (now - self._epoch_start) % self.probe_period < 0.25
+        probing = (now - self._epoch_start) % PROBE_PERIOD < 0.25
 
-        if delay_ratio > self.delay_high:
+        if delay_ratio > DELAY_HIGH:
             if now - self._last_decrease > srtt:
-                self._cwnd = max(self._cwnd * self.decrease_factor, self.min_cwnd())
+                self._cwnd = max(self._cwnd * DECREASE_FACTOR, self.min_cwnd())
                 self._last_decrease = now
-        elif delay_ratio < self.delay_low:
-            step = self.probe_boost if probing else self.increase_step
+        elif delay_ratio < DELAY_LOW:
+            step = PROBE_BOOST if probing else INCREASE_STEP
             self._cwnd += step * acked_packets / max(self._cwnd, 1.0)
         else:
             # Inside the comfort band: drift upward slowly, faster when
             # probing.
-            step = self.probe_boost if probing else 0.5
+            step = PROBE_BOOST if probing else 0.5
             self._cwnd += step * acked_packets / max(self._cwnd, 1.0)
         self._clamp()
         return self.window()

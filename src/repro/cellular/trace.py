@@ -68,22 +68,6 @@ class CellularTrace:
             return 0.0
         return len(self._times) * self.bytes_per_opportunity * 8.0 / self.duration
 
-    def opportunities_before(self, t: float) -> int:
-        """Number of delivery opportunities with timestamp strictly below
-        ``t`` (a cumulative-count lookup via ``searchsorted``)."""
-        return int(np.searchsorted(self._times_np, t, side="left"))
-
-    def bits_between(self, t0: float, t1: float) -> float:
-        """Total bit-capacity the trace offers over ``[t0, t1)``.
-
-        Closed form: the difference of two cumulative opportunity counts
-        times the opportunity size — no per-opportunity iteration.
-        """
-        if t1 <= t0:
-            return 0.0
-        count = (self.opportunities_before(t1) - self.opportunities_before(t0))
-        return count * self.bytes_per_opportunity * 8.0
-
     def rate_timeseries(self, bin_size: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
         """Binned capacity time series ``(bin_centers_s, rate_bps)``."""
         n_bins = max(int(math.ceil(self.duration / bin_size)), 1)

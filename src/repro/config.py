@@ -11,8 +11,8 @@ whitespace-only value means *unset*.
 :class:`~repro.runtime.executor.SweepExecutor` resolves the whole table once,
 at construction, as ``executor.config``; the run manifest records it.  What
 has no executor to hang off is a single-field live read through
-:func:`resolve`: ``REPRO_TELEMETRY``, ``REPRO_RUN_DIR``, ``REPRO_SEEDS`` in
-``run_seed_grid``, ``REPRO_CACHE_MAX_MB`` in a bare ``ResultCache``.
+:func:`resolve`: ``REPRO_TELEMETRY``, ``REPRO_RUN_DIR`` and ``REPRO_SEEDS``
+in ``run_seed_grid``.
 """
 
 from __future__ import annotations
@@ -107,18 +107,12 @@ class RuntimeConfig:
         "per-job wall-clock deadline in seconds; unset / 0 = none")
     retries: int = _knob("REPRO_JOB_RETRIES", partial(_number, int, 0), 0,
                          "retry budget per job")
-    backoff: float = _knob(
-        "REPRO_RETRY_BACKOFF", partial(_number, float, 0.0), 0.05,
-        "base seconds of the seeded exponential retry backoff")
     failure_policy: str = _knob(
         "REPRO_FAILURE_POLICY", _policy, "strict",
         "retries exhausted: 'strict' raises, 'salvage' returns JobFailures")
     cache_dir: Optional[Path] = _knob(
         "REPRO_CACHE_DIR", _path, None,
         "on-disk result cache directory; unset = no cache")
-    cache_max_mb: Optional[float] = _knob(
-        "REPRO_CACHE_MAX_MB", partial(_number, float, None), None,
-        "result cache size cap in MiB (mtime-LRU); unset / 0 = unbounded")
     journal: Union[None, bool, Path] = _knob(
         "REPRO_JOURNAL", _journal, None,
         "resume journal: a directory, or truthy = <run dir>/journal")

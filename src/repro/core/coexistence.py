@@ -33,6 +33,16 @@ from repro.core.router import ABCRouterQdisc
 from repro.simulator.packet import Packet
 from repro.simulator.qdisc import FifoQdisc, Qdisc
 
+#: The ABC queue's weight before the first update, and the weight bounds.
+INITIAL_WEIGHT = 0.5
+MINIMUM_WEIGHT = 0.05
+#: Max-min: the K largest flows per queue, and their demand headroom X.
+TOP_K = 10
+DEMAND_HEADROOM = 0.10
+#: Zombie list: slots per queue, and the ABC queue's list's seed.
+ZOMBIE_SIZE = 64
+ZOMBIE_SEED = 0
+
 
 class WeightController:
     """Interface for coexistence weight controllers."""
@@ -48,23 +58,15 @@ class WeightController:
 class MaxMinWeightController(WeightController):
     """The paper's demand-based max-min weight allocation (§5.2)."""
 
-    def __init__(self, top_k: int = 10, demand_headroom: float = 0.10,
-                 interval: float = 1.0, minimum_weight: float = 0.05):
-        if top_k <= 0:
-            raise ValueError("top_k must be positive")
-        if demand_headroom < 0:
-            raise ValueError("demand_headroom must be non-negative")
+    def __init__(self, interval: float = 1.0):
         if interval <= 0:
             raise ValueError("interval must be positive")
-        self.top_k = top_k
-        self.demand_headroom = demand_headroom
         self.interval = interval
-        self.minimum_weight = minimum_weight
-        self._meters = {"abc": SpaceSaving(capacity=4 * top_k),
-                        "nonabc": SpaceSaving(capacity=4 * top_k)}
+        self._meters = {"abc": SpaceSaving(capacity=4 * TOP_K),
+                        "nonabc": SpaceSaving(capacity=4 * TOP_K)}
         self._totals = {"abc": 0.0, "nonabc": 0.0}
         self._interval_start: Optional[float] = None
-        self.last_weight = 0.5
+        self.last_weight = INITIAL_WEIGHT
 
     def observe_departure(self, queue: str, flow_id: int, size: int, now: float) -> None:
         if self._interval_start is None:
@@ -80,11 +82,11 @@ class MaxMinWeightController(WeightController):
         demands: Dict = {}
         short: Dict = {}
         for queue in ("abc", "nonabc"):
-            top = self._meters[queue].top(self.top_k)
+            top = self._meters[queue].top(TOP_K)
             top_bytes = 0.0
             for flow_id, volume in top:
                 rate = volume * 8.0 / elapsed
-                demands[(queue, flow_id)] = rate * (1.0 + self.demand_headroom)
+                demands[(queue, flow_id)] = rate * (1.0 + DEMAND_HEADROOM)
                 top_bytes += volume
             short[queue] = max(self._totals[queue] - top_bytes, 0.0) * 8.0 / elapsed
         return demands, short
@@ -104,7 +106,7 @@ class MaxMinWeightController(WeightController):
             grand = totals["abc"] + totals["nonabc"]
             if grand > 0:
                 weight = totals["abc"] / grand
-                weight = min(max(weight, self.minimum_weight), 1.0 - self.minimum_weight)
+                weight = min(max(weight, MINIMUM_WEIGHT), 1.0 - MINIMUM_WEIGHT)
                 self.last_weight = weight
         # Start a fresh measurement interval.
         for meter in self._meters.values():
@@ -117,16 +119,15 @@ class MaxMinWeightController(WeightController):
 class ZombieListWeightController(WeightController):
     """RCP's flow-count-based weights (the Fig. 12b baseline)."""
 
-    def __init__(self, interval: float = 1.0, minimum_weight: float = 0.05,
-                 zombie_size: int = 64, seed: int = 0):
+    def __init__(self, interval: float = 1.0):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.interval = interval
-        self.minimum_weight = minimum_weight
-        self._zombies = {"abc": ZombieList(size=zombie_size, seed=seed),
-                         "nonabc": ZombieList(size=zombie_size, seed=seed + 1)}
+        self._zombies = {"abc": ZombieList(size=ZOMBIE_SIZE, seed=ZOMBIE_SEED),
+                         "nonabc": ZombieList(size=ZOMBIE_SIZE,
+                                              seed=ZOMBIE_SEED + 1)}
         self._last_update: Optional[float] = None
-        self.last_weight = 0.5
+        self.last_weight = INITIAL_WEIGHT
 
     def observe_departure(self, queue: str, flow_id: int, size: int, now: float) -> None:
         self._zombies[queue].observe(flow_id)
@@ -141,8 +142,8 @@ class ZombieListWeightController(WeightController):
         n_abc = self._zombies["abc"].estimated_flow_count()
         n_nonabc = self._zombies["nonabc"].estimated_flow_count()
         weight = n_abc / (n_abc + n_nonabc)
-        self.last_weight = min(max(weight, self.minimum_weight),
-                               1.0 - self.minimum_weight)
+        self.last_weight = min(max(weight, MINIMUM_WEIGHT),
+                               1.0 - MINIMUM_WEIGHT)
         return self.last_weight
 
 
@@ -160,21 +161,14 @@ class DualQueueABCQdisc(Qdisc):
 
     def __init__(self, params: Optional[ABCParams] = None,
                  buffer_packets: int = 250,
-                 controller: Optional[WeightController] = None,
-                 initial_weight: float = 0.5):
+                 controller: Optional[WeightController] = None):
         super().__init__(buffer_packets=buffer_packets)
-        if not 0.0 < initial_weight < 1.0:
-            raise ValueError("initial_weight must be in (0, 1)")
         self.params = params if params is not None else ABCParams()
         self.abc_queue = ABCRouterQdisc(params=self.params,
                                         buffer_packets=buffer_packets)
         self.nonabc_queue = FifoQdisc(buffer_packets=buffer_packets)
         self.controller = controller if controller is not None else MaxMinWeightController()
-        self.weight_abc = initial_weight
-        # Seed the controller so its first report agrees with the configured
-        # starting point instead of silently resetting to its own default.
-        if hasattr(self.controller, "last_weight"):
-            self.controller.last_weight = initial_weight
+        self.weight_abc = INITIAL_WEIGHT
         self._served_bytes = {"abc": 0.0, "nonabc": 0.0}
 
     # ------------------------------------------------------------ capacity

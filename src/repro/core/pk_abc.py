@@ -17,6 +17,10 @@ from typing import Optional
 from repro.core.params import ABCParams
 from repro.core.router import ABCRouterQdisc
 
+#: How far ahead (s) the router reads the link's capacity: one RTT of the
+#: paper's 100 ms experiments.
+LOOKAHEAD = 0.1
+
 
 class PKABCRouterQdisc(ABCRouterQdisc):
     """ABC router that reads the link capacity one RTT into the future."""
@@ -24,18 +28,14 @@ class PKABCRouterQdisc(ABCRouterQdisc):
     name = "pk-abc"
 
     def __init__(self, params: Optional[ABCParams] = None,
-                 buffer_packets: int = 250, lookahead: float = 0.1,
-                 **kwargs):
-        super().__init__(params=params, buffer_packets=buffer_packets, **kwargs)
-        if lookahead <= 0:
-            raise ValueError("lookahead must be positive")
-        self.lookahead = lookahead
+                 buffer_packets: int = 250):
+        super().__init__(params=params, buffer_packets=buffer_packets)
 
     def capacity_bps(self, now: float) -> float:
         if self.capacity_fn is not None:
             return max(self.capacity_fn(now), 0.0)
         link = self.link
         if link is not None and hasattr(link, "future_capacity_bps"):
-            future = link.future_capacity_bps(now, self.lookahead)
+            future = link.future_capacity_bps(now, LOOKAHEAD)
             return max(future, 0.0)
         return super().capacity_bps(now)

@@ -25,6 +25,9 @@ from repro.cc.cubic import Cubic
 from repro.core.params import ABCParams
 from repro.simulator.packet import MTU, AckFeedback
 
+#: Initial ``w_abc`` and ``w_nonabc`` (packets).
+INITIAL_CWND = 2.0
+
 
 class ABCWindowControl(CongestionControl):
     """ABC congestion control (sender side).
@@ -43,12 +46,11 @@ class ABCWindowControl(CongestionControl):
     name = "abc"
     uses_abc = True
 
-    def __init__(self, params: Optional[ABCParams] = None, mss: int = MTU,
-                 initial_cwnd: float = 2.0):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
+    def __init__(self, params: Optional[ABCParams] = None):
+        super().__init__(initial_cwnd=INITIAL_CWND)
         self.params = params if params is not None else ABCParams()
-        self.w_abc = float(initial_cwnd)
-        self.cubic = Cubic(mss=mss, initial_cwnd=initial_cwnd)
+        self.w_abc = INITIAL_CWND
+        self.cubic = Cubic(initial_cwnd=INITIAL_CWND)
         self.accel_acks = 0
         self.brake_acks = 0
 
@@ -71,7 +73,7 @@ class ABCWindowControl(CongestionControl):
         ``max``/``min`` are spelled as comparisons (``min_cwnd`` is the
         constant 1.0 here).
         """
-        acked = feedback.bytes_acked / self.mss
+        acked = feedback.bytes_acked / MTU
         w = self.w_abc
         if self.params.additive_increase:
             ai = acked / (w if w > 1.0 else 1.0)

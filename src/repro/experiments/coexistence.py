@@ -31,6 +31,20 @@ from repro.obs.signals import SignalRecorder
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepJob
 
+#: Fig. 6 / 11: the wireless link's rates (Mbit/s), each held for
+#: ``WIRELESS_STEP_S``; the wired link's rate; the sampling interval (s).
+WIRELESS_RATES_MBPS = (18, 6, 14, 4, 10, 22, 8, 16)
+WIRELESS_STEP_S = 5.0
+WIRED_MBPS = 12.0
+FIG6_SAMPLE_INTERVAL = 0.25
+#: Figs. 7 / 12: the shared bottleneck's rate (Mbit/s), Fig. 12's long
+#: flows per scheme, and the size of its Poisson short flows.
+SHARED_LINK_MBPS = 24.0
+FIG12_LONG_FLOWS = 3
+SHORT_FLOW_BYTES = 50_000
+#: Fig. 13: the application-limited flows' aggregate rate (Mbit/s).
+APP_LIMITED_MBPS = 1.0
+
 
 # ---------------------------------------------------------------------------
 # Fig. 6 / Fig. 11 — non-ABC bottlenecks on the path
@@ -49,12 +63,12 @@ class DualBottleneckTrace:
     tracking_error: float = 0.0
 
 
-def _default_wireless_steps(duration: float, period: float = 5.0,
-                            rates_mbps: Sequence[float] = (18, 6, 14, 4, 10, 22, 8, 16)
-                            ) -> List[List[float]]:
-    """``[start_s, rate_bps]`` steps: each rate in turn for ``period`` s."""
-    return [[index * period, rates_mbps[index % len(rates_mbps)] * 1e6]
-            for index in range(math.ceil(duration / period))]
+def _default_wireless_steps(duration: float) -> List[List[float]]:
+    """``[start_s, rate_bps]`` steps: each rate in turn for
+    ``WIRELESS_STEP_S``."""
+    rates = WIRELESS_RATES_MBPS
+    return [[index * WIRELESS_STEP_S, rates[index % len(rates)] * 1e6]
+            for index in range(math.ceil(duration / WIRELESS_STEP_S))]
 
 
 def fig6_spec(duration: float, wired_mbps: float, rtt: float,
@@ -122,8 +136,7 @@ def fig6_summary(built: BuiltScenario,
     )
 
 
-def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
-                           rtt: float = 0.1, sample_interval: float = 0.25,
+def fig6_nonabc_bottleneck(duration: float = 80.0, rtt: float = 0.1,
                            cross_traffic: bool = False,
                            executor: Optional[SweepExecutor] = None
                            ) -> DualBottleneckTrace:
@@ -141,9 +154,9 @@ def fig6_nonabc_bottleneck(duration: float = 80.0, wired_mbps: float = 12.0,
     if cross_traffic:
         third = duration / 3.0
         cross_schedule = [(third, 2 * third), (2 * third + 1e-9, duration)]
-    job = spec_job(fig6_spec(duration, wired_mbps, rtt, cross_schedule),
+    job = spec_job(fig6_spec(duration, WIRED_MBPS, rtt, cross_schedule),
                    "fig6", "fig11" if cross_traffic else "fig6",
-                   sample_interval=sample_interval)
+                   sample_interval=FIG6_SAMPLE_INTERVAL)
     return run_seed_grid(lambda s: [job], 0, (0,), executor)[0]
 
 
@@ -179,8 +192,8 @@ class CoexistenceResult:
         return (self.mean_cubic_mbps - self.mean_abc_mbps) / denom
 
 
-def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0,
-                                rtt: float = 0.1, stagger: float = 30.0,
+def fig7_coexistence_timeseries(duration: float = 120.0, rtt: float = 0.1,
+                                stagger: float = 30.0,
                                 executor: Optional[SweepExecutor] = None
                                 ) -> CoexistenceResult:
     """Fig. 7: two ABC then two Cubic flows arrive one after another.
@@ -190,7 +203,7 @@ def fig7_coexistence_timeseries(link_mbps: float = 24.0, duration: float = 120.0
     ``(17,)``.
     """
     job = spec_job(shared_bottleneck_spec(
-        link_mbps, duration, rtt, n_abc=2, n_cubic=2,
+        SHARED_LINK_MBPS, duration, rtt, n_abc=2, n_cubic=2,
         abc_starts=(0.0, stagger), cubic_starts=(2 * stagger, 3 * stagger)),
         "coexistence", "fig7", warmup=3 * stagger)
     return run_seed_grid(lambda s: [job], 17, (17,), executor)[0]
@@ -201,7 +214,6 @@ def shared_bottleneck_spec(link_mbps: float, duration: float, rtt: float,
                            short_flow_load: float = 0.0,
                            abc_starts: Optional[Sequence[float]] = None,
                            cubic_starts: Optional[Sequence[float]] = None,
-                           short_flow_bytes: int = 50_000,
                            warmup: float = 5.0, seed: int = 17
                            ) -> ScenarioSpec:
     """ABC and Cubic flows on one dual-queue ABC bottleneck whose weight
@@ -218,14 +230,14 @@ def shared_bottleneck_spec(link_mbps: float, duration: float, rtt: float,
     if short_flow_load > 0:
         rng = np.random.default_rng(seed)
         offered_bps = short_flow_load * link_mbps * 1e6
-        arrival_rate = offered_bps / (short_flow_bytes * 8.0)
+        arrival_rate = offered_bps / (SHORT_FLOW_BYTES * 8.0)
         t = warmup
         while t < duration:
             t += rng.exponential(1.0 / arrival_rate)
             if t >= duration:
                 break
             flows.append(FlowSpec(cc="cubic", rtt=rtt, start_time=float(t),
-                                  size_bytes=short_flow_bytes, label="short"))
+                                  size_bytes=SHORT_FLOW_BYTES, label="short"))
 
     return ScenarioSpec(
         scheme="abc", duration=duration, flows=flows, links=[LinkSpec(
@@ -268,9 +280,8 @@ def coexistence_metrics(result: CoexistenceResult) -> Dict[str, float]:
 
 
 def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5),
-                             strategy: str = "maxmin", link_mbps: float = 24.0,
-                             duration: float = 40.0, rtt: float = 0.1,
-                             n_long: int = 3, seed: int = 17,
+                             strategy: str = "maxmin", duration: float = 40.0,
+                             rtt: float = 0.1, seed: int = 17,
                              executor: Optional[SweepExecutor] = None,
                              seeds: Optional[Sequence[int]] = None
                              ) -> Dict[float, CoexistenceResult]:
@@ -291,9 +302,9 @@ def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5)
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
         return [spec_job(shared_bottleneck_spec(
-                    link_mbps, duration, rtt, n_abc=n_long, n_cubic=n_long,
-                    strategy=strategy, short_flow_load=load, warmup=warmup,
-                    seed=s),
+                    SHARED_LINK_MBPS, duration, rtt, n_abc=FIG12_LONG_FLOWS,
+                    n_cubic=FIG12_LONG_FLOWS, strategy=strategy,
+                    short_flow_load=load, warmup=warmup, seed=s),
                     "coexistence", f"fig12/{strategy}/seed{s}/load{load:g}",
                     warmup=warmup)
                 for load in loads]
@@ -344,10 +355,8 @@ def app_limited_summary(built: BuiltScenario) -> AppLimitedResult:
     )
 
 
-def fig13_app_limited(num_app_limited: int = 50,
-                      aggregate_app_rate_mbps: float = 1.0,
-                      duration: float = 30.0, rtt: float = 0.1,
-                      seed: int = 23,
+def fig13_app_limited(num_app_limited: int = 50, duration: float = 30.0,
+                      rtt: float = 0.1, seed: int = 23,
                       executor: Optional[SweepExecutor] = None,
                       seeds: Optional[Sequence[int]] = None):
     """Fig. 13: a backlogged ABC flow plus many application-limited ABC flows.
@@ -363,9 +372,8 @@ def fig13_app_limited(num_app_limited: int = 50,
     capacity processes.
     """
     def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [spec_job(app_limited_spec(num_app_limited,
-                                          aggregate_app_rate_mbps, duration,
-                                          rtt, s),
+        return [spec_job(app_limited_spec(num_app_limited, APP_LIMITED_MBPS,
+                                          duration, rtt, s),
                          "app_limited", f"fig13/seed{s}")]
 
     return run_seed_grid(jobs_for_seed, seed, seeds, executor)[0]

@@ -23,8 +23,13 @@ from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec, LinkSpec,
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepJob
 
+#: Fig. 3 and §6.5: the shared link's rate (Mbit/s).
+LINK_MBPS = 24.0
+#: §6.5: flow starts are spread over this many seconds.
+START_JITTER = 0.2
 
-def _shared_link_job(label: str, link_mbps: float, duration: float,
+
+def _shared_link_job(label: str, duration: float,
                      rtt: float, starts: Sequence[float], buffer_packets: int,
                      abc_params: Optional[ABCParams] = None,
                      **summary_args) -> SweepJob:
@@ -32,7 +37,7 @@ def _shared_link_job(label: str, link_mbps: float, duration: float,
     constant-rate link."""
     return spec_job(ScenarioSpec(
         scheme="abc", duration=duration, abc_params=abc_params,
-        links=[LinkSpec("constant", {"rate_bps": link_mbps * 1e6},
+        links=[LinkSpec("constant", {"rate_bps": LINK_MBPS * 1e6},
                         buffer_packets=buffer_packets, name="shared")],
         flows=[FlowSpec(rtt=rtt, start_time=start, label=f"abc-{i}")
                for i, start in enumerate(starts)]),
@@ -74,7 +79,7 @@ class FairnessResult:
 
 
 def fig3_fairness(additive_increase: bool, num_flows: int = 5,
-                  link_mbps: float = 24.0, stagger: float = 20.0,
+                  stagger: float = 20.0,
                   rtt: float = 0.1, bin_size: float = 1.0,
                   buffer_packets: int = 250,
                   executor: Optional[SweepExecutor] = None) -> FairnessResult:
@@ -84,8 +89,7 @@ def fig3_fairness(additive_increase: bool, num_flows: int = 5,
     interval during which all flows are active (just before the run ends).
     """
     job = _shared_link_job(
-        f"fig3/ai{int(additive_increase)}", link_mbps,
-        stagger * (num_flows + 1), rtt,
+        f"fig3/ai{int(additive_increase)}", stagger * (num_flows + 1), rtt,
         [index * stagger for index in range(num_flows)], buffer_packets,
         ABCParams(additive_increase=additive_increase),
         t0=stagger * num_flows, bin_size=bin_size)
@@ -97,9 +101,8 @@ def fig3_fairness(additive_increase: bool, num_flows: int = 5,
 
 
 def jain_index_sweep(flow_counts: Sequence[int] = (2, 4, 8, 16, 32),
-                     link_mbps: float = 24.0, duration: float = 60.0,
-                     rtt: float = 0.1, warmup: float = 20.0,
-                     start_jitter: float = 0.2,
+                     duration: float = 60.0, rtt: float = 0.1,
+                     warmup: float = 20.0,
                      executor: Optional[SweepExecutor] = None
                      ) -> Dict[int, float]:
     """§6.5: Jain fairness index for N simultaneous ABC flows.
@@ -110,8 +113,8 @@ def jain_index_sweep(flow_counts: Sequence[int] = (2, 4, 8, 16, 32),
     deployment's natural jitter never exhibits.
     """
     jobs = [_shared_link_job(
-                f"jain/n{count}", link_mbps, duration, rtt,
-                [i * start_jitter / max(count, 1) for i in range(count)], 500,
+                f"jain/n{count}", duration, rtt,
+                [i * START_JITTER / max(count, 1) for i in range(count)], 500,
                 t0=warmup)
             for count in flow_counts]
     cells = run_seed_grid(lambda s: jobs, 0, (0,), executor)

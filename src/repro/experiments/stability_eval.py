@@ -20,6 +20,11 @@ from repro.experiments.runner import run_seed_grid, single_bottleneck_spec
 from repro.experiments.scenario_spec import spec_job
 from repro.runtime.executor import SweepExecutor
 
+#: The feedback delay τ (s) of both sweeps, and the packet-level link's rate
+#: (Mbit/s).
+TAU = 0.1
+LINK_MBPS = 24.0
+
 
 @dataclass
 class StabilityPoint:
@@ -33,22 +38,22 @@ class StabilityPoint:
 
 def fluid_stability_sweep(delta_over_tau: Sequence[float] = (0.4, 0.55, 0.67,
                                                              0.8, 1.0, 1.33, 2.0),
-                          tau: float = 0.1, num_flows: int = 10,
+                          num_flows: int = 10,
                           capacity_bps: float = 10e6,
                           duration: float = 60.0) -> Dict[float, StabilityPoint]:
     """Integrate the fluid model for several δ/τ ratios."""
     out: Dict[float, StabilityPoint] = {}
     for ratio in delta_over_tau:
-        delta = ratio * tau
+        delta = ratio * TAU
         params = ABCParams(delta=delta)
-        model = FluidModel(params=params, tau=tau, num_flows=num_flows,
+        model = FluidModel(params=params, tau=TAU, num_flows=num_flows,
                            capacity_bps=capacity_bps)
         result = model.simulate(duration=duration, initial_delay=0.3,
                                 convergence_tolerance=2e-3)
         out[ratio] = StabilityPoint(
             delta=delta,
-            tau=tau,
-            theoretically_stable=delta > stability_threshold(tau),
+            tau=TAU,
+            theoretically_stable=delta > stability_threshold(TAU),
             fluid_converged=result.converged,
             fluid_oscillation_s=result.oscillation_amplitude,
             fixed_point_s=result.fixed_point,
@@ -65,7 +70,6 @@ class PacketLevelStabilityPoint:
 
 
 def packet_level_stability(delta_values: Sequence[float] = (0.04, 0.133, 0.4),
-                           tau: float = 0.1, link_mbps: float = 24.0,
                            duration: float = 30.0,
                            executor: Optional[SweepExecutor] = None
                            ) -> Dict[float, PacketLevelStabilityPoint]:
@@ -77,7 +81,7 @@ def packet_level_stability(delta_values: Sequence[float] = (0.04, 0.133, 0.4),
     link is deterministic, so the seed list is pinned to ``(0,)``.
     """
     jobs = [spec_job(single_bottleneck_spec(
-                "abc", link_mbps * 1e6, rtt=tau, duration=duration,
+                "abc", LINK_MBPS * 1e6, rtt=TAU, duration=duration,
                 abc_params=ABCParams(delta=delta)),
                 "timeseries", f"stability/delta{delta:g}", bin_size=0.25)
             for delta in delta_values]

@@ -16,7 +16,7 @@ curves, with the scalar metrics' aggregates (mean/stdev/95 % CI) in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,10 @@ from repro.experiments.scenario_spec import BuiltScenario, LinkSpec, spec_job
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepJob
 from repro.runtime.trace_store import register_trace
+
+#: Fig. 17's square wave: its low and high rates (Mbit/s).
+SQUARE_LOW_MBPS = 12.0
+SQUARE_HIGH_MBPS = 24.0
 
 
 @dataclass
@@ -133,7 +137,6 @@ def fig1_timeseries(schemes: Sequence[str] = ("cubic", "verus", "cubic+codel", "
 
 
 def fig17_square_wave(schemes: Sequence[str] = ("abc", "rcp", "xcpw"),
-                      low_mbps: float = 12.0, high_mbps: float = 24.0,
                       half_period: float = 0.5, duration: float = 10.0,
                       rtt: float = 0.1, bin_size: float = 0.25,
                       executor: Optional[SweepExecutor] = None,
@@ -145,8 +148,8 @@ def fig17_square_wave(schemes: Sequence[str] = ("abc", "rcp", "xcpw"),
     per-cell simulation; with several ``seeds`` each scheme's series is the
     across-seed mean, as in :func:`fig1_timeseries`.
     """
-    link = LinkSpec("square", {"low_bps": low_mbps * 1e6,
-                               "high_bps": high_mbps * 1e6,
+    link = LinkSpec("square", {"low_bps": SQUARE_LOW_MBPS * 1e6,
+                               "high_bps": SQUARE_HIGH_MBPS * 1e6,
                                "half_period": float(half_period)})
 
     def jobs_for_seed(s: int) -> List[SweepJob]:

@@ -20,12 +20,15 @@ import math
 from typing import Optional
 
 from repro.cc.base import CongestionControl
-from repro.simulator.estimators import WindowedRateEstimator
 from repro.simulator.packet import MTU, AckFeedback, Packet
 from repro.simulator.qdisc import Qdisc
 
 RCP_ALPHA = 0.5
 RCP_BETA = 0.25
+#: The RTT (s) assumed for packets that carry none, and before any arrive.
+RCP_DEFAULT_RTT = 0.1
+#: A sender's rate (bit/s) before the first advertised rate reaches it.
+RCP_INITIAL_RATE_BPS = 1e6
 
 
 class RCPRouterQdisc(Qdisc):
@@ -33,17 +36,13 @@ class RCPRouterQdisc(Qdisc):
 
     name = "rcp"
 
-    def __init__(self, buffer_packets: int = 250, alpha: float = RCP_ALPHA,
-                 beta: float = RCP_BETA, default_rtt: float = 0.1):
+    def __init__(self, buffer_packets: int = 250):
         super().__init__(buffer_packets=buffer_packets)
-        self.alpha = alpha
-        self.beta = beta
-        self.default_rtt = default_rtt
         self.rate_bps = 1e6
         self._interval_start: Optional[float] = None
         self._input_bytes = 0
         self._sum_rtt_weighted = 0.0
-        self.last_avg_rtt = default_rtt
+        self.last_avg_rtt = RCP_DEFAULT_RTT
 
     def _capacity_bps(self, now: float) -> float:
         if self.link is None:
@@ -66,12 +65,12 @@ class RCPRouterQdisc(Qdisc):
             return
         input_rate = self._input_bytes * 8.0 / elapsed
         avg_rtt = (self._sum_rtt_weighted / self._input_bytes
-                   if self._input_bytes > 0 else self.default_rtt)
+                   if self._input_bytes > 0 else RCP_DEFAULT_RTT)
         avg_rtt = max(avg_rtt, 1e-3)
         self.last_avg_rtt = avg_rtt
         queue_bits = self.backlog_bytes * 8.0
-        adjustment = (self.alpha * (capacity - input_rate)
-                      - self.beta * queue_bits / avg_rtt)
+        adjustment = (RCP_ALPHA * (capacity - input_rate)
+                      - RCP_BETA * queue_bits / avg_rtt)
         factor = 1.0 + (elapsed / avg_rtt) * adjustment / capacity
         # Keep the advertised rate within sane bounds: never below a probing
         # floor (so an outage cannot pin the rate at zero forever) and never
@@ -87,7 +86,7 @@ class RCPRouterQdisc(Qdisc):
             self.dropped_packets += 1
             return False
         self._maybe_update_rate(now)
-        rtt = float(packet.meta.get("rcp_rtt", self.default_rtt))
+        rtt = float(packet.meta.get("rcp_rtt", RCP_DEFAULT_RTT))
         self._input_bytes += packet.size
         self._sum_rtt_weighted += rtt * packet.size
         if "rcp_rate_bps" in packet.meta:
@@ -107,9 +106,9 @@ class RCPSender(CongestionControl):
     name = "rcp"
     needs_pacing = True
 
-    def __init__(self, mss: int = MTU, initial_rate_bps: float = 1e6):
-        super().__init__(mss=mss, initial_cwnd=4.0)
-        self.rate_bps = initial_rate_bps
+    def __init__(self):
+        super().__init__(initial_cwnd=4.0)
+        self.rate_bps = RCP_INITIAL_RATE_BPS
         self._srtt = 0.1
 
     def packet_meta(self, now: float) -> dict:
@@ -124,7 +123,7 @@ class RCPSender(CongestionControl):
     def cwnd(self) -> float:
         # Cap in-flight data at twice the rate-delay product so a stale rate
         # cannot keep flooding a link whose capacity collapsed.
-        return max(2.0 * self.rate_bps * self._srtt / (self.mss * 8.0), 4.0)
+        return max(2.0 * self.rate_bps * self._srtt / (MTU * 8.0), 4.0)
 
     def on_ack(self, feedback: AckFeedback) -> Optional[float]:
         if feedback.rtt is not None:

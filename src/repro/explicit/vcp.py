@@ -40,12 +40,8 @@ class VCPRouterQdisc(Qdisc):
 
     name = "vcp"
 
-    def __init__(self, buffer_packets: int = 250, interval: float = VCP_INTERVAL,
-                 kappa: float = VCP_KAPPA, gamma: float = VCP_GAMMA):
+    def __init__(self, buffer_packets: int = 250):
         super().__init__(buffer_packets=buffer_packets)
-        self.interval = interval
-        self.kappa = kappa
-        self.gamma = gamma
         self._interval_start: Optional[float] = None
         self._input_bytes = 0
         self.load_factor = 0.0
@@ -61,13 +57,13 @@ class VCPRouterQdisc(Qdisc):
             self._interval_start = now
             return
         elapsed = now - self._interval_start
-        if elapsed < self.interval:
+        if elapsed < VCP_INTERVAL:
             return
         capacity = self._capacity_bps(now)
         if capacity > 0:
             arrival_bps = self._input_bytes * 8.0 / elapsed
-            queue_bps = self.kappa * self.backlog_bytes * 8.0 / elapsed
-            self.load_factor = (arrival_bps + queue_bps) / (self.gamma * capacity)
+            queue_bps = VCP_KAPPA * self.backlog_bytes * 8.0 / elapsed
+            self.load_factor = (arrival_bps + queue_bps) / (VCP_GAMMA * capacity)
         else:
             self.load_factor = float("inf")
         if self.load_factor < 0.8:
@@ -100,13 +96,8 @@ class VCPSender(CongestionControl):
 
     name = "vcp"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 2.0,
-                 xi: float = VCP_XI, alpha: float = VCP_ALPHA,
-                 beta: float = VCP_BETA):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
-        self.xi = xi
-        self.alpha = alpha
-        self.beta = beta
+    def __init__(self):
+        super().__init__(initial_cwnd=2.0)
         self._srtt = 0.1
         self._last_md_time = float("-inf")
 
@@ -117,24 +108,24 @@ class VCPSender(CongestionControl):
         if feedback.rtt is not None:
             self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
         region = int(feedback.meta.get("vcp_region", LOW_LOAD))
-        acked_packets = feedback.bytes_acked / self.mss
+        acked_packets = feedback.bytes_acked / MTU
         fraction_of_window = acked_packets / max(self._cwnd, 1.0)
         if region == OVERLOAD:
             # MD at most once per RTT, then freeze until fresh feedback.
             if feedback.now - self._last_md_time > self._srtt:
-                self._cwnd = max(self._cwnd * self.beta, self.min_cwnd())
+                self._cwnd = max(self._cwnd * VCP_BETA, self.min_cwnd())
                 self._last_md_time = feedback.now
         elif region == HIGH_LOAD:
             # AI: +alpha packets per RTT, spread across the window's ACKs.
-            self._cwnd += self.alpha * fraction_of_window
+            self._cwnd += VCP_ALPHA * fraction_of_window
         else:
             # MI: grow by a factor (1 + xi) per RTT, spread across ACKs.
-            self._cwnd += self.xi * acked_packets
+            self._cwnd += VCP_XI * acked_packets
         self._clamp()
         return self.window()
 
     def on_loss(self, now: float) -> None:
-        self._cwnd = max(self._cwnd * self.beta, self.min_cwnd())
+        self._cwnd = max(self._cwnd * VCP_BETA, self.min_cwnd())
 
     def on_timeout(self, now: float) -> None:
         self._cwnd = self.min_cwnd()

@@ -35,6 +35,9 @@ from repro.simulator.qdisc import Qdisc
 #: Stable gain values from the XCP paper, also used by the ABC paper (§6.3).
 XCP_ALPHA = 0.55
 XCP_BETA = 0.4
+#: The RTT (s) assumed for packets that carry none, and the first control
+#: interval (and XCPw's input-rate window).
+XCP_DEFAULT_RTT = 0.1
 
 
 class XCPRouterQdisc(Qdisc):
@@ -42,17 +45,12 @@ class XCPRouterQdisc(Qdisc):
 
     name = "xcp"
 
-    def __init__(self, buffer_packets: int = 250, alpha: float = XCP_ALPHA,
-                 beta: float = XCP_BETA, wireless: bool = False,
-                 default_rtt: float = 0.1):
+    def __init__(self, buffer_packets: int = 250, wireless: bool = False):
         super().__init__(buffer_packets=buffer_packets)
-        self.alpha = alpha
-        self.beta = beta
         self.wireless = wireless
-        self.default_rtt = default_rtt
 
         self._interval_start: Optional[float] = None
-        self._interval_length = default_rtt
+        self._interval_length = XCP_DEFAULT_RTT
         # Per-interval accumulators (classic XCP).
         self._input_bytes = 0
         self._sum_rtt_bytes = 0.0          # Σ rtt_i · s_i
@@ -65,7 +63,7 @@ class XCPRouterQdisc(Qdisc):
         self._scale_pos = 0.0
         self._scale_neg = 0.0
         # Sliding-window measurements for the wireless (per-packet) variant.
-        self._input_rate = WindowedRateEstimator(window=default_rtt)
+        self._input_rate = WindowedRateEstimator(window=XCP_DEFAULT_RTT)
         self.last_phi = 0.0
 
     # ------------------------------------------------------------ capacity
@@ -86,11 +84,11 @@ class XCPRouterQdisc(Qdisc):
         capacity = self._capacity_bps(now)
         input_rate = self._input_bytes * 8.0 / elapsed
         avg_rtt = (self._sum_rtt_weighted / self._input_bytes
-                   if self._input_bytes > 0 else self.default_rtt)
+                   if self._input_bytes > 0 else XCP_DEFAULT_RTT)
         avg_rtt = max(avg_rtt, 1e-3)
         spare_bps = capacity - input_rate
-        phi_bits = (self.alpha * avg_rtt * spare_bps
-                    - self.beta * self._min_queue_bytes * 8.0)
+        phi_bits = (XCP_ALPHA * avg_rtt * spare_bps
+                    - XCP_BETA * self._min_queue_bytes * 8.0)
         self._phi_bytes = phi_bits / 8.0
         self.last_phi = self._phi_bytes
         # Scaling denominators from this interval drive next interval's
@@ -111,8 +109,8 @@ class XCPRouterQdisc(Qdisc):
         capacity = self._capacity_bps(now)
         input_rate = self._input_rate.rate_bps(now)
         spare_bps = capacity - input_rate
-        phi_bits = (self.alpha * rtt * spare_bps
-                    - self.beta * self.backlog_bytes * 8.0)
+        phi_bits = (XCP_ALPHA * rtt * spare_bps
+                    - XCP_BETA * self.backlog_bytes * 8.0)
         self.last_phi = phi_bits / 8.0
         return self.last_phi
 
@@ -122,7 +120,7 @@ class XCPRouterQdisc(Qdisc):
             self.dropped_packets += 1
             return False
         self._maybe_roll_interval(now)
-        rtt = float(packet.meta.get("xcp_rtt", self.default_rtt))
+        rtt = float(packet.meta.get("xcp_rtt", XCP_DEFAULT_RTT))
         cwnd_bytes = max(float(packet.meta.get("xcp_cwnd_bytes", packet.size)), packet.size)
         self._input_bytes += packet.size
         self._input_rate.add(now, packet.size)
@@ -172,17 +170,17 @@ class XCPSender(CongestionControl):
 
     name = "xcp"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 2.0):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
+    def __init__(self):
+        super().__init__(initial_cwnd=2.0)
         self._srtt = 0.1
 
     def packet_meta(self, now: float) -> dict:
         return {
             "xcp_rtt": self._srtt,
-            "xcp_cwnd_bytes": self._cwnd * self.mss,
+            "xcp_cwnd_bytes": self._cwnd * MTU,
             # Request an aggressive increase; routers reduce it to what the
             # path can support (the header starts effectively unbounded).
-            "xcp_feedback_bytes": float(self.mss),
+            "xcp_feedback_bytes": float(MTU),
         }
 
     def on_ack(self, feedback: AckFeedback) -> float:
@@ -191,7 +189,7 @@ class XCPSender(CongestionControl):
         delta_bytes = float(feedback.meta.get("xcp_feedback_bytes", 0.0))
         if math.isinf(delta_bytes):
             delta_bytes = 0.0
-        self._cwnd += delta_bytes / self.mss
+        self._cwnd += delta_bytes / MTU
         self._clamp()
         return self.window()
 

@@ -17,7 +17,7 @@ byte-identical JSON, regardless of worker count, cache state or wall-clock.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.experiments.scenario_spec import (BuiltScenario, ScenarioSpec,
                                              build, spec_job)
@@ -39,6 +39,8 @@ from repro.runtime.faults import is_failure
 #: (with their deterministic JobFailure records) instead of aborting the
 #: campaign.
 REPORT_FORMAT = 3
+#: Predicate evaluations the shrinker may spend on one failure group.
+SHRINK_ATTEMPTS = 60
 
 
 def evaluate_scenario(fuzz: ScenarioSpec,
@@ -91,7 +93,6 @@ def run_campaign(budget: int, seed: int = 0,
                  executor: Optional[SweepExecutor] = None,
                  check_determinism: bool = True,
                  shrink: bool = True,
-                 shrink_attempts: int = 60,
                  corpus_dir: Optional[Path] = None) -> Dict[str, Any]:
     """Run a fuzzing campaign and return the (deterministic) report dict.
 
@@ -148,7 +149,7 @@ def run_campaign(budget: int, seed: int = 0,
         if shrink:
             minimized = shrink_scenario(
                 example, _still_fails(group["invariant"], check_determinism),
-                max_attempts=shrink_attempts)
+                max_attempts=SHRINK_ATTEMPTS)
             group["minimized_scenario"] = minimized.to_jsonable()
         if corpus_dir is not None:
             target = ScenarioSpec.from_jsonable(

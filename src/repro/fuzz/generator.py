@@ -124,81 +124,3 @@ class ScenarioGen:
         if budget <= 0:
             raise ValueError("budget must be positive")
         return [self.sample(i) for i in range(budget)]
-
-
-class SmallMetroGen:
-    """Seeded sampler of small metro cities: 10-20 cells with churn on.
-
-    A *city* is a list of per-cell :class:`ScenarioSpec` descriptions, one
-    single-bottleneck cell each, mirroring the metro pack's workload
-    (:meth:`repro.metro.spec.MetroSpec.cell_spec`): a couple of long-lived backlogged
-    flows plus a churning population of finite-size flows — Poisson arrival
-    times and bounded-Pareto sizes drawn from the deterministic streams in
-    :mod:`repro.metro.workload` — whose schemes come from the coexistence
-    mix :attr:`MIX` (ABC natives plus Cubic and BBR cross-traffic).  Every
-    cell runs the ABC router (``scheme="abc"``), so each one goes through
-    the *existing* invariant net and campaign machinery unchanged: churn is
-    just flows with ``size_bytes`` set.
-    """
-
-    #: The coexistence mix churn flows draw their scheme from.
-    MIX = (("abc", 0.6), ("cubic", 0.3), ("bbr", 0.1))
-
-    def __init__(self, seed: int = 0, min_cells: int = 10,
-                 max_cells: int = 20):
-        if not 1 <= min_cells <= max_cells:
-            raise ValueError("need 1 <= min_cells <= max_cells")
-        self.seed = seed
-        self.min_cells = min_cells
-        self.max_cells = max_cells
-
-    def _sample_cell_link(self, rng: random.Random) -> LinkSpec:
-        if rng.random() < 0.5:
-            params = {"rate_bps": rng.uniform(4e6, 12e6)}
-            kind = "constant"
-        else:
-            low = rng.uniform(3e6, 8e6)
-            params = {"low_bps": low,
-                      "high_bps": low * rng.uniform(1.5, 2.5),
-                      "half_period": rng.uniform(0.3, 0.7)}
-            kind = "square"
-        return LinkSpec(kind=kind, params=params,
-                        buffer_packets=rng.choice((50, 100, 250)),
-                        role="bottleneck")
-
-    def sample_city(self, index: int) -> List[ScenarioSpec]:
-        """The ``index``-th city of this generator's stream."""
-        from repro.metro.workload import (bounded_pareto_sizes,
-                                          poisson_arrivals, scheme_assignment)
-
-        rng = random.Random(f"metro-fuzz-{self.seed}:{index}")
-        n_cells = rng.randint(self.min_cells, self.max_cells)
-        duration = round(rng.uniform(2.0, 4.0), 1)
-        cells: List[ScenarioSpec] = []
-        for c in range(n_cells):
-            # The workload streams key on the cell *name*, which encodes
-            # (generator seed, city index, cell index) — independent cells,
-            # reproducible city.
-            cell_name = f"fuzz-metro-{self.seed}-{index}-{c}"
-            rtt = round(rng.uniform(0.03, 0.12), 3)
-            flows = [FlowSpec(cc=NATIVE, rtt=rtt, start_time=0.0)
-                     for _ in range(rng.choice((1, 2)))]
-            arrivals = poisson_arrivals(rng.uniform(1.0, 3.0), duration,
-                                        cell_name, self.seed)
-            sizes = bounded_pareto_sizes(len(arrivals), cell_name, self.seed,
-                                         min_bytes=20_000,
-                                         max_bytes=500_000, alpha=1.2)
-            schemes = scheme_assignment(len(arrivals), self.MIX, cell_name,
-                                        self.seed)
-            for start, size, scheme in zip(arrivals, sizes, schemes):
-                flows.append(FlowSpec(
-                    cc=NATIVE if scheme == "abc" else scheme, rtt=rtt,
-                    start_time=start, size_bytes=size))
-            cell = ScenarioSpec(scenario_id=index * 1000 + c, scheme="abc",
-                                duration=duration,
-                                links=[self._sample_cell_link(rng)],
-                                flows=flows,
-                                sim_seed=rng.randrange(2**16))
-            cell.validate()
-            cells.append(cell)
-        return cells

@@ -67,23 +67,16 @@ def merged_percentile_ms(histograms: Sequence[Sequence[int]],
     return float(edges[min(index, len(edges) - 1)])
 
 
-def jain_index(values: Sequence[float]) -> float:
-    """Jain's fairness index ``(Σx)² / (n·Σx²)`` (1.0 = perfectly fair)."""
-    x = np.asarray(list(values), dtype=float)
-    if x.size == 0:
-        return 0.0
-    denominator = x.size * float(np.dot(x, x))
-    if denominator == 0.0:
-        return 0.0
-    return float(x.sum()) ** 2 / denominator
+#: The flow-completion-time percentiles a city reports.
+FCT_PERCENTILES = (50.0, 95.0, 99.0)
 
 
-def _percentiles(values: Sequence[float],
-                 pcts: Sequence[float] = (50.0, 95.0, 99.0)) -> Dict[str, float]:
+def _percentiles(values: Sequence[float]) -> Dict[str, float]:
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
-        return {f"p{pct:g}": 0.0 for pct in pcts}
-    return {f"p{pct:g}": float(np.percentile(arr, pct)) for pct in pcts}
+        return {f"p{pct:g}": 0.0 for pct in FCT_PERCENTILES}
+    return {f"p{pct:g}": float(np.percentile(arr, pct))
+            for pct in FCT_PERCENTILES}
 
 
 def aggregate_city(cell_results: Sequence[Mapping]) -> Dict[str, object]:
@@ -95,6 +88,7 @@ def aggregate_city(cell_results: Sequence[Mapping]) -> Dict[str, object]:
     ``failed_cells`` so the roll-up degrades gracefully — 199 good cells
     beat zero — without silently pretending the city was complete.
     """
+    from repro.analysis.fairness import jain_fairness_index
     from repro.runtime.faults import is_failure
 
     cell_results = list(cell_results)
@@ -129,8 +123,8 @@ def aggregate_city(cell_results: Sequence[Mapping]) -> Dict[str, object]:
             [r["queuing_hist"] for r in cell_results], 99.0),
         "queuing_p50_ms": merged_percentile_ms(
             [r["queuing_hist"] for r in cell_results], 50.0),
-        "jain_base_flows": jain_index(base_tputs),
-        "jain_all_flows": jain_index(all_tputs),
+        "jain_base_flows": jain_fairness_index(base_tputs),
+        "jain_all_flows": jain_fairness_index(all_tputs),
         "fct_s": _percentiles(fcts),
         "offered_flows": offered,
         "completed_flows": completed,

@@ -32,6 +32,9 @@ from repro.runtime.spec import SweepJob, SweepSpec
 #: The default city-wide scheme mix (dominantly ABC, with loss-based and
 #: model-based coexistence traffic).
 DEFAULT_MIX = "abc:0.6,cubic:0.3,bbr:0.1"
+#: The share of a :func:`metro_pack` city's cells that are square-wave
+#: sectors (the rest are trace-driven).
+SQUARE_FRACTION = 0.5
 
 
 @dataclass
@@ -112,13 +115,12 @@ class MetroSpec(SweepSpec):
 def metro_pack(n_cells: int, duration: float = 8.0, trace_seed: int = 1,
                seeds: Sequence[int] = (0,),
                mixes: Sequence[str] = (DEFAULT_MIX,),
-               square_fraction: float = 0.5,
                **spec_kwargs) -> MetroSpec:
     """The standard metro city: ``n_cells`` cellular cells of two classes.
 
     The paper models cellular capacity two ways — Mahimahi-style delivery
     traces (Figs. 2/15) and a square-wave time-varying rate (Fig. 17) — and
-    a city contains both kinds of cell.  ``square_fraction`` of the cells
+    a city contains both kinds of cell.  ``SQUARE_FRACTION`` of the cells
     (interleaved evenly, deterministic per index) are square-wave sectors
     whose low/high rates and half-period are drawn from the cell's own
     stream; the rest are trace-driven, cycling through the synthetic trace
@@ -134,16 +136,14 @@ def metro_pack(n_cells: int, duration: float = 8.0, trace_seed: int = 1,
 
     if n_cells <= 0:
         raise ValueError("n_cells must be positive")
-    if not 0.0 <= square_fraction <= 1.0:
-        raise ValueError("square_fraction must be in [0, 1]")
     library = sorted(TRACE_LIBRARY)
     traces: Dict[str, Any] = {}
     square_count = 0
     for index in range(n_cells):
         name = f"cell-{index:03d}"
         # Even interleaving: cell i is a square-wave sector iff admitting it
-        # keeps the running square share at or below square_fraction.
-        if square_count + 1 <= (index + 1) * square_fraction:
+        # keeps the running square share at or below SQUARE_FRACTION.
+        if square_count + 1 <= (index + 1) * SQUARE_FRACTION:
             rng = stream("square", name, trace_seed)
             low = rng.uniform(8e6, 16e6)
             high = low * rng.uniform(1.5, 2.5)

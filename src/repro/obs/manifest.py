@@ -120,7 +120,7 @@ def executor_record(executor: Any) -> Dict[str, Any]:
         "config": executor.config.to_jsonable(),
     }
     for name in ("retries", "timeouts", "worker_crashes", "failed_jobs",
-                 "cache_evictions", "cache_write_errors", "journal_hits"):
+                 "cache_write_errors", "journal_hits"):
         if getattr(stats, name):
             record[name] = getattr(stats, name)
     if stats.failures:
@@ -152,8 +152,9 @@ def write_manifest(manifest: Dict[str, Any],
     """Write ``manifest`` as JSON into the run directory; returns the path.
 
     ``directory`` defaults to ``REPRO_RUN_DIR``; when neither is set the
-    manifest is dropped and None returned.  Filenames embed a monotonic
-    nanosecond timestamp plus the pid, so concurrent writers never collide.
+    manifest is dropped and None returned.  Filenames embed a wall-clock
+    nanosecond timestamp (``time.time_ns()``, not monotonic) plus the pid,
+    so concurrent writers never collide.
     """
     directory = directory if directory is not None else run_dir()
     if directory is None:

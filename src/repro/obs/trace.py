@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 
 #: Cap on recorded events; beyond it the recorder counts drops instead of
 #: growing without bound (a 30 s metro cell can dispatch tens of millions).
-DEFAULT_MAX_EVENTS = 2_000_000
+MAX_EVENTS = 2_000_000
 
 
 class EventTraceRecorder:
@@ -44,9 +44,8 @@ class EventTraceRecorder:
         recorder.write_chrome(Path("trace.json"))
     """
 
-    def __init__(self, loop: Any, max_events: int = DEFAULT_MAX_EVENTS):
+    def __init__(self, loop: Any):
         self._loop = loop
-        self.max_events = max_events
         #: (sim_time_s, wall_ns, callback) triples, in dispatch order.
         self.records: List[tuple] = []
         self.dropped = 0
@@ -55,7 +54,7 @@ class EventTraceRecorder:
         loop.set_trace_hook(self._record)
 
     def _record(self, sim_time: float, callback: Any, wall_ns: int) -> None:
-        if len(self.records) >= self.max_events:
+        if len(self.records) >= MAX_EVENTS:
             self.dropped += 1
             return
         self.records.append((sim_time, wall_ns, callback))

@@ -27,10 +27,7 @@ treated as misses and deleted lazily.
 
 The salt defaults to :data:`CODE_VERSION_SALT` (bump it when a simulator
 change intentionally alters results); a per-branch cache is a different
-``REPRO_CACHE_DIR`` (or ``salt=``).  Under a size cap (``REPRO_CACHE_MAX_MB``
-or ``max_mb=``) a write that crosses it evicts the least recently used
-entries by mtime: a write sets an entry's mtime and, under a cap, so does a
-hit.
+``REPRO_CACHE_DIR`` (or ``salt=``).
 """
 
 from __future__ import annotations
@@ -43,9 +40,7 @@ import pickle
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Optional, Tuple
-
-from repro.config import resolve
+from typing import Any, Tuple
 
 #: Bump whenever simulator semantics change in a way that alters metrics;
 #: stale cache entries from older code versions then miss instead of lying.
@@ -127,28 +122,12 @@ class ResultCache:
     :func:`stable_hash`; the cache never inspects the values themselves.
     """
 
-    def __init__(self, root: os.PathLike | str,
-                 max_mb: Optional[float] = None):
+    def __init__(self, root: os.PathLike | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: Lifetime counts; the executor reports each run's delta.
         self.corrupt = 0
-        self.evictions = 0
         self.write_errors = 0
-        # Size cap: max_mb, else REPRO_CACHE_MAX_MB; unset / 0 = unbounded.
-        max_mb = resolve("cache_max_mb", max_mb)
-        self._max_bytes = int(max_mb * 1024 * 1024) if max_mb else None
-        # Sweeping stats the whole tree on every put would make writes O(n);
-        # instead a sweep runs on the first put and then once per
-        # ``_sweep_interval`` bytes written by this process.  The cap is
-        # therefore enforced to within one interval, which is the usual
-        # contract for an LRU disk cache shared by concurrent writers.  The
-        # interval never exceeds the cap itself, else a sub-megabyte cap
-        # would wait for a megabyte of writes before its first eviction.
-        self._sweep_interval = (
-            max(self._max_bytes // 8, min(1 << 20, self._max_bytes))
-            if self._max_bytes is not None else 0)
-        self._bytes_since_sweep: Optional[int] = None  # None = sweep on first put
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -172,11 +151,6 @@ class ResultCache:
             path.unlink(missing_ok=True)
             self.corrupt += 1
             return False, None
-        if self._max_bytes is not None:
-            try:
-                os.utime(path)  # a hit is a use: _sweep evicts by mtime
-            except OSError:
-                pass
         return True, value
 
     def put(self, key: str, value: Any) -> None:
@@ -208,47 +182,6 @@ class ResultCache:
             print(f"warning: result cache write failed for {key[:12]}… "
                   f"({exc}); continuing without caching this cell",
                   file=sys.stderr)
-            return
-        if self._max_bytes is not None:
-            written = self._bytes_since_sweep
-            if written is None:
-                self._sweep()
-            else:
-                try:
-                    written += path.stat().st_size
-                except OSError:
-                    written += 0
-                if written >= self._sweep_interval:
-                    self._sweep()
-                else:
-                    self._bytes_since_sweep = written
-
-    def _sweep(self) -> None:
-        """Evict least recently used entries (oldest mtime) until the tree
-        fits ``_max_bytes``.
-
-        The entry just written carries the newest mtime, so it is evicted
-        last; a concurrently-vanished file (another worker's eviction) is
-        simply skipped.
-        """
-        entries = []
-        total = 0
-        for path in self.root.glob("*/*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        if total > self._max_bytes:
-            entries.sort(key=lambda item: item[0])
-            for _, size, path in entries:
-                path.unlink(missing_ok=True)
-                self.evictions += 1
-                total -= size
-                if total <= self._max_bytes:
-                    break
-        self._bytes_since_sweep = 0
 
     def contains(self, key: str) -> bool:
         return self._path(key).exists()

@@ -330,9 +330,6 @@ class ExecutorStats:
     #: Cache entries found corrupt during this run's scan — served as misses,
     #: deleted, then recomputed and rewritten (distinct from ordinary misses).
     cache_corrupt: int = 0
-    #: Entries evicted by the REPRO_CACHE_MAX_MB size cap while this run's
-    #: results were being stored (mtime-LRU, see repro.runtime.cache).
-    cache_evictions: int = 0
     #: Cache writes that failed with an OSError (disk full, read-only dir)
     #: and were degraded to a warning + miss instead of crashing the sweep.
     cache_write_errors: int = 0
@@ -420,7 +417,7 @@ class SweepExecutor:
             timeout=timeout, retries=retries, failure_policy=failure_policy,
             journal=journal)
         self.cache: Optional[ResultCache] = (
-            ResultCache(config.cache_dir, config.cache_max_mb)
+            ResultCache(config.cache_dir)
             if config.cache_dir is not None else None)
         #: Code-version salt mixed into every cache key.
         self.salt = CODE_VERSION_SALT
@@ -497,7 +494,7 @@ class SweepExecutor:
             if cache is not None or config.journal_dir is not None
             else [None] * len(jobs))
         stats = ExecutorStats(total=len(jobs), workers=config.jobs)
-        cache_counts = ("corrupt", "evictions", "write_errors")
+        cache_counts = ("corrupt", "write_errors")
         cache_before = [getattr(cache, name, 0) for name in cache_counts]
         journal: Optional[RunJournal] = None
         if config.journal_dir is not None and jobs:
@@ -682,8 +679,7 @@ class SweepExecutor:
                         originals[slot] = outcome["exception"]
                 attempts = history.setdefault(slot, [])
                 if attempt <= retries:  # budget left: hashed backoff, resubmit
-                    delay = retry_backoff(key_of(slot), attempt,
-                                          config.backoff)
+                    delay = retry_backoff(key_of(slot), attempt)
                     attempts.append(dataclasses.replace(
                         rec, backoff_seconds=delay))
                     heapq.heappush(waiting, (now + delay, slot, attempt + 1))

@@ -28,20 +28,21 @@ from typing import Any, Dict, Tuple
 #: serial and parallel failure records match byte for byte.
 CRASH_MESSAGE = "worker process died during job attempt"
 
+#: The retry backoff's first window and its cap, in seconds.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 30.0
 
-def retry_backoff(job_key: str, attempt: int, base: float,
-                  cap: float = 30.0) -> float:
+
+def retry_backoff(job_key: str, attempt: int) -> float:
     """Deterministic exponential backoff with jitter, in seconds.
 
     ``attempt`` is the 1-based attempt that just failed; the returned delay
-    precedes attempt ``attempt + 1``.  Exponential base doubling, capped,
-    with a jitter factor in [0.5, 1.0) read off the SHA-256 of the
-    coordinates — so the whole retry schedule is part of the reproducible
-    record, identical across processes and reruns.
+    precedes attempt ``attempt + 1``.  ``BACKOFF_BASE`` doubling, capped at
+    ``BACKOFF_CAP``, with a jitter factor in [0.5, 1.0) read off the SHA-256
+    of the coordinates — so the whole retry schedule is part of the
+    reproducible record, identical across processes and reruns.
     """
-    if base <= 0.0:
-        return 0.0
-    window = min(base * 2.0 ** (attempt - 1), cap)
+    window = min(BACKOFF_BASE * 2.0 ** (attempt - 1), BACKOFF_CAP)
     digest = hashlib.sha256(f"backoff|{job_key}|{attempt}".encode()).digest()
     jitter = 0.5 + 0.5 * int.from_bytes(digest[:8], "big") / 2.0 ** 64
     return window * jitter

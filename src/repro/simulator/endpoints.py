@@ -32,7 +32,7 @@ original), the raw event sequence is not:
   that ends by re-arming or disarming, so an ACK re-arms with one attribute
   store (``timer.armed_at = now``) and the arithmetic
   (:meth:`Sender._rto_deadline`) runs in the timer's guard event, once per
-  ``min_rto`` per armed flow (no-op ``DeadlineTimer._fire`` events, same
+  ``MIN_RTO`` per armed flow (no-op ``DeadlineTimer._fire`` events, same
   expiry instant).
 * **Fused DelayHop forward.**  A ``DelayHop`` next hop is resolved once to
   ``(delay, dst.receive)`` and posted directly — the heap entry the hop
@@ -61,7 +61,7 @@ from typing import Dict, Optional
 
 from repro.cc.base import CongestionControl
 from repro.simulator.engine import DeadlineTimer, EventLoop
-from repro.simulator.estimators import RTTEstimator
+from repro.simulator.estimators import MAX_RTO, MIN_RTO, RTTEstimator
 from repro.simulator.monitor import FlowStats
 from repro.simulator.packet import (ACCEL, ACK_SIZE, CE, MTU, NOT_ECT,
                                     AckFeedback, Packet)
@@ -124,21 +124,19 @@ class Sender:
         Traffic source; defaults to a backlogged flow.
     start_time:
         Simulated time at which the flow starts.
-    mss:
-        Maximum segment size in bytes.
+
+    Segments are at most :data:`~repro.simulator.packet.MTU` bytes.
     """
 
     def __init__(self, env: EventLoop, flow_id: int, cc: CongestionControl,
                  source: Optional[TrafficSource] = None,
-                 start_time: float = 0.0, mss: int = MTU,
-                 name: Optional[str] = None):
+                 start_time: float = 0.0, name: Optional[str] = None):
         self.env = env
         self.flow_id = flow_id
         self.cc = cc
         self.egress = None
         self.source = source if source is not None else BackloggedSource()
         self.start_time = start_time
-        self.mss = mss
         self.name = name or f"flow-{flow_id}"
 
         self.rtt = RTTEstimator()
@@ -169,11 +167,8 @@ class Sender:
         self._wake_pending = False
         self._pacing_active = False
         self._rto_backoff = 1.0
-        # The srtt-less default RTO (1.0 s) must not undercut the guard
-        # spacing either.
-        assert self.rtt.min_rto <= 1.0
         self._rto_timer = DeadlineTimer(env, self._on_rto, self._rto_deadline,
-                                        self.rtt.min_rto)
+                                        MIN_RTO)
         self._paced = cc.needs_pacing
         cc_type = type(cc)
         # A CC with the base no-op on_packet_sent cannot change its window
@@ -278,8 +273,8 @@ class Sender:
 
     def _send_new_packet(self, now: float) -> None:
         available = self.source.bytes_available(now)
-        size = (self.mss if math.isinf(available)
-                else int(min(self.mss, max(available, 0))))
+        size = (MTU if math.isinf(available)
+                else int(min(MTU, max(available, 0))))
         if size <= 0:
             return
         seq = self.next_seq
@@ -348,7 +343,7 @@ class Sender:
         sent_packets = 0
         if sendable:
             cc = self.cc
-            mss = self.mss
+            mss = MTU
             flow_id = self.flow_id
             abc_capable = cc.uses_abc
             ecn = ACCEL if abc_capable else NOT_ECT
@@ -429,7 +424,7 @@ class Sender:
                         self._send_new_packet(now)
                         sent = True
                 else:
-                    mss = self.mss
+                    mss = MTU
                     if kind == 1:
                         source = self.source
                         available = source.total_bytes - source.sent_bytes
@@ -467,7 +462,7 @@ class Sender:
                         self._arm_rto(now)
                         sent = True
         if rate > 0:
-            interval = self.mss * 8.0 / rate
+            interval = MTU * 8.0 / rate
             if not sent and interval > IDLE_PACING_POLL:
                 # Window- or application-limited: poll again shortly so we
                 # react quickly once the constraint clears.
@@ -609,13 +604,10 @@ class Sender:
             rto = 1.0
         else:
             rto = srtt + 4.0 * rtt.rttvar
-            min_rto = rtt.min_rto
-            if rto < min_rto:
-                rto = min_rto
-            else:
-                max_rto = rtt.max_rto
-                if rto > max_rto:
-                    rto = max_rto
+            if rto < MIN_RTO:
+                rto = MIN_RTO
+            elif rto > MAX_RTO:
+                rto = MAX_RTO
         return armed_at + rto * self._rto_backoff
 
     def _on_rto(self) -> None:
@@ -645,7 +637,7 @@ class Receiver:
     endpoints' mis-wiring guards test it), ``echo`` (the codepoint received,
     which the sender decodes) and the three a reverse-path element reads —
     ``ecn = NOT_ECT`` and ``abc_capable = False`` so no router marks or
-    classifies the ACK, ``size = ack_size`` so a link charges a bare ACK.
+    classifies the ACK, ``size = ACK_SIZE`` so a link charges a bare ACK.
     Nothing reads the time and queue bookkeeping fields again (the sender
     keeps its own in-flight record), so they stay as they are.
     """
@@ -659,12 +651,10 @@ class Receiver:
     #: would produce; only heap sequence numbers shift.
     deliver_shifted = True
 
-    def __init__(self, env: EventLoop, name: str = "receiver",
-                 ack_size: int = ACK_SIZE):
+    def __init__(self, env: EventLoop, name: str = "receiver"):
         self.env = env
         self.egress = None
         self.name = name
-        self.ack_size = ack_size
         self.flow_stats: Dict[int, FlowStats] = {}
         self._ack_fwd: Optional[tuple] = None
 
@@ -709,7 +699,7 @@ class Receiver:
         packet.echo = packet.ecn
         packet.ecn = NOT_ECT
         packet.abc_capable = False
-        packet.size = self.ack_size
+        packet.size = ACK_SIZE
         fwd = self._ack_fwd
         if fwd is None:
             # Fuse the return DelayHop the way Sender._resolve_forward does.

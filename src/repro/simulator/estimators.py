@@ -172,15 +172,18 @@ class WindowedMinMax:
         return self.get(default)
 
 
+#: The RTO clamp (s).
+MIN_RTO = 0.2
+MAX_RTO = 60.0
+
+
 class RTTEstimator:
     """Classic SRTT/RTTVAR estimator (RFC 6298) with an RTO clamp."""
 
-    def __init__(self, min_rto: float = 0.2, max_rto: float = 60.0):
+    def __init__(self):
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.min_rtt = math.inf
-        self.min_rto = min_rto
-        self.max_rto = max_rto
 
     def update(self, sample: float) -> None:
         if sample <= 0:
@@ -198,7 +201,7 @@ class RTTEstimator:
         if self.srtt is None or self.rttvar is None:
             return 1.0
         rto = self.srtt + 4.0 * self.rttvar
-        return min(max(rto, self.min_rto), self.max_rto)
+        return min(max(rto, MIN_RTO), MAX_RTO)
 
     def minimum(self, default: float = 0.1) -> float:
         return self.min_rtt if math.isfinite(self.min_rtt) else default

@@ -1,7 +1,8 @@
 """Link models: constant-rate, time-varying-rate and trace-driven links.
 
 A link owns a qdisc, pulls packets from it when it has transmission capacity
-and delivers them to the downstream node after a propagation delay.  Three
+and delivers them to the downstream node; propagation delay belongs to each
+flow's path (its per-flow delay hop), not to the link.  Three
 capacity models cover every experiment in the paper:
 
 * :class:`ConstantRate` — wired links (e.g. the 12 Mbit/s drop-tail link in
@@ -19,10 +20,10 @@ Optimisation changes vs the original per-packet path
 Results are bit-identical to the original (``tests/test_path_golden.py``);
 heap sequence numbers are not:
 
-* **Inline delivery.**  With zero propagation delay and a downstream node
-  that declares itself ``deliver_inline``-safe (a ``FlowDemux``: it only
-  posts future events), :class:`RateLink` and :class:`OpportunityLink` call
-  it synchronously instead of bouncing through a zero-delay event.  Arrival
+* **Inline delivery.**  When the downstream node declares itself
+  ``deliver_inline``-safe (a ``FlowDemux``: it only posts future events),
+  :class:`RateLink` and :class:`OpportunityLink` call it synchronously
+  instead of bouncing through a zero-delay event.  Arrival
   order at every stateful object is unchanged.  The Wi-Fi MAC keeps the
   delivery event (:meth:`Link._deliver`).
 * **A link is its own record.**  Each delivery appends ``(time, bytes)`` to
@@ -39,6 +40,10 @@ from typing import Iterable, List, Optional, Protocol, Sequence
 from repro.simulator.engine import EventLoop
 from repro.simulator.packet import MTU, Packet
 from repro.simulator.qdisc import FifoQdisc, Qdisc
+
+#: The trailing window (s) over which a trace-driven link reports its
+#: opportunity rate as its capacity.
+CAPACITY_WINDOW = 0.1
 
 
 class Node(Protocol):
@@ -182,12 +187,12 @@ class Link:
     """Base class: owns a qdisc, delivers packets downstream.
 
     Subclasses decide *when* packets leave the queue; this class handles the
-    shared plumbing (enqueueing, drop accounting, propagation delay, delivery
-    and the departure record).
+    shared plumbing (enqueueing, drop accounting, delivery and the departure
+    record).
     """
 
     def __init__(self, env: EventLoop, qdisc: Optional[Qdisc] = None,
-                 prop_delay: float = 0.0, name: str = "link",
+                 name: str = "link",
                  dst: Optional[Node] = None, loss_rate: float = 0.0,
                  loss_seed: int = 0):
         if not 0.0 <= loss_rate < 1.0:
@@ -195,7 +200,6 @@ class Link:
         self.env = env
         self.qdisc = qdisc if qdisc is not None else FifoQdisc()
         self.qdisc.attach(self)
-        self.prop_delay = prop_delay
         self.name = name
         self.dst = dst
         #: One entry per delivered packet: when it left and its size.
@@ -213,9 +217,8 @@ class Link:
         self._loss_rng = random.Random(loss_seed)
         # When the downstream node declares itself ``deliver_inline``-safe
         # (it only *posts* future events, never mutates shared state — e.g.
-        # a FlowDemux) and there is no propagation delay to model, delivery
-        # invokes it synchronously instead of bouncing through a zero-delay
-        # event (see connect()).
+        # a FlowDemux), delivery invokes it synchronously instead of
+        # bouncing through a zero-delay event (see connect()).
         self._rx_inline = None
         if dst is not None:
             self.connect(dst)
@@ -223,10 +226,8 @@ class Link:
     # ------------------------------------------------------------ wiring
     def connect(self, dst: Optional[Node]) -> None:
         self.dst = dst
-        self._rx_inline = (
-            dst.receive if (self.prop_delay == 0.0
-                            and getattr(dst, "deliver_inline", False))
-            else None)
+        self._rx_inline = (dst.receive if getattr(dst, "deliver_inline", False)
+                           else None)
 
     # ------------------------------------------------------------ record
     @property
@@ -268,14 +269,14 @@ class Link:
         raise NotImplementedError
 
     def _deliver(self, packet: Packet) -> None:
-        """Ship a dequeued packet to the downstream node through a delivery
-        event after the propagation delay (the Wi-Fi MAC's delivery;
-        :class:`RateLink` and :class:`OpportunityLink` inline their own)."""
+        """Ship a dequeued packet to the downstream node through a zero-delay
+        event (the Wi-Fi MAC's delivery; :class:`RateLink` and
+        :class:`OpportunityLink` inline their own)."""
         self.departure_times.append(self.env._now)
         self.departure_bytes.append(packet.size)
         dst = self.dst
         if dst is not None:
-            self.env.post(self.prop_delay, dst.receive, packet)
+            self.env.post(0.0, dst.receive, packet)
 
     @property
     def packets_in_transmission(self) -> int:
@@ -316,11 +317,11 @@ class RateLink(Link):
     """
 
     def __init__(self, env: EventLoop, capacity: CapacityModel,
-                 qdisc: Optional[Qdisc] = None, prop_delay: float = 0.0,
-                 name: str = "rate-link", dst: Optional[Node] = None,
-                 loss_rate: float = 0.0, loss_seed: int = 0):
-        super().__init__(env, qdisc=qdisc, prop_delay=prop_delay, name=name,
-                         dst=dst, loss_rate=loss_rate, loss_seed=loss_seed)
+                 qdisc: Optional[Qdisc] = None, name: str = "rate-link",
+                 dst: Optional[Node] = None, loss_rate: float = 0.0,
+                 loss_seed: int = 0):
+        super().__init__(env, qdisc=qdisc, name=name, dst=dst,
+                         loss_rate=loss_rate, loss_seed=loss_seed)
         self.capacity = capacity
         self._busy = False
 
@@ -355,7 +356,7 @@ class RateLink(Link):
         else:
             dst = self.dst
             if dst is not None:
-                env.post(self.prop_delay, dst.receive, packet)
+                env.post(0.0, dst.receive, packet)
         nxt = self.qdisc.dequeue(now)
         if nxt is None:
             self._busy = False
@@ -381,13 +382,11 @@ class OpportunityLink(Link):
     """
 
     def __init__(self, env: EventLoop, opportunity_times: Iterable[float],
-                 qdisc: Optional[Qdisc] = None, prop_delay: float = 0.0,
-                 name: str = "cell-link", dst: Optional[Node] = None,
-                 bytes_per_opportunity: int = MTU,
-                 capacity_window: float = 0.1,
-                 loss_rate: float = 0.0, loss_seed: int = 0):
-        super().__init__(env, qdisc=qdisc, prop_delay=prop_delay, name=name,
-                         dst=dst, loss_rate=loss_rate, loss_seed=loss_seed)
+                 qdisc: Optional[Qdisc] = None, name: str = "cell-link",
+                 dst: Optional[Node] = None, loss_rate: float = 0.0,
+                 loss_seed: int = 0):
+        super().__init__(env, qdisc=qdisc, name=name, dst=dst,
+                         loss_rate=loss_rate, loss_seed=loss_seed)
         times = sorted(float(t) for t in opportunity_times)
         if not times:
             raise ValueError("opportunity_times must not be empty")
@@ -395,8 +394,6 @@ class OpportunityLink(Link):
             raise ValueError("opportunity times must be non-negative")
         self._times = times
         self._trace_span = max(times[-1], 1e-3)
-        self.bytes_per_opportunity = bytes_per_opportunity
-        self.capacity_window = capacity_window
         self._next_index = 0
         self._started = False
 
@@ -436,13 +433,12 @@ class OpportunityLink(Link):
         # (see _finish_transmission), then post the next opportunity.
         env = self.env
         now = env._now
-        budget = self.bytes_per_opportunity
+        budget = MTU
         qdisc = self.qdisc
         peek = qdisc.peek
         dequeue = qdisc.dequeue
         departure_times = self.departure_times
         departure_bytes = self.departure_bytes
-        prop_delay = self.prop_delay
         rx = self._rx_inline
         dst = self.dst
         dst_receive = dst.receive if dst is not None else None
@@ -461,7 +457,7 @@ class OpportunityLink(Link):
             if rx is not None:
                 rx(packet)
             elif dst_receive is not None:
-                post(prop_delay, dst_receive, packet)
+                post(0.0, dst_receive, packet)
         # _opportunity_time inlined (integer divmod, identical expression).
         next_index = self._next_index
         times = self._times
@@ -477,8 +473,8 @@ class OpportunityLink(Link):
 
     # ------------------------------------------------------------ capacity
     def capacity_bps(self, now: float) -> float:
-        """Opportunity rate over the trailing ``capacity_window`` seconds."""
-        return self.capacity_in_window(now - self.capacity_window, now)
+        """Opportunity rate over the trailing ``CAPACITY_WINDOW`` seconds."""
+        return self.capacity_in_window(now - CAPACITY_WINDOW, now)
 
     def capacity_in_window(self, t0: float, t1: float) -> float:
         """Average opportunity rate (bps) over ``[t0, t1]``."""
@@ -486,7 +482,7 @@ class OpportunityLink(Link):
         if t1 <= t0:
             return 0.0
         count = self._index_at(t1) - self._index_at(t0)
-        return count * self.bytes_per_opportunity * 8.0 / (t1 - t0)
+        return count * MTU * 8.0 / (t1 - t0)
 
     def max_drain_interval(self, packets: int) -> float:
         """Worst-case time for ``packets`` consecutive delivery opportunities.
@@ -512,4 +508,4 @@ class OpportunityLink(Link):
 
     def offered_bits(self, t0: float, t1: float) -> float:
         count = self._index_at(t1) - self._index_at(t0)
-        return count * self.bytes_per_opportunity * 8.0
+        return count * MTU * 8.0

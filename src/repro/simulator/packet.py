@@ -96,7 +96,7 @@ class Packet:
     seq:
         Sequence number, in packets, assigned by the sender.
     size:
-        Size in bytes (headers included); the receiver's ``ack_size`` once the
+        Size in bytes (headers included); :data:`ACK_SIZE` once the
         packet has been turned around.
     ecn:
         Current ECN codepoint.  ABC data packets start as :attr:`ECN.ACCEL`;

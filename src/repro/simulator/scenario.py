@@ -26,7 +26,6 @@ registers one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -38,8 +37,7 @@ from repro.simulator.engine import EventLoop
 from repro.simulator.link import (CapacityModel, ConstantRate, Link,
                                   OpportunityLink, RateLink)
 from repro.simulator.monitor import FlowStats
-from repro.simulator.packet import MTU
-from repro.simulator.qdisc import FifoQdisc, Qdisc
+from repro.simulator.qdisc import Qdisc
 from repro.simulator.traffic import TrafficSource
 
 
@@ -188,7 +186,7 @@ class Scenario:
     def add_flow(self, cc: CongestionControl, links: Sequence[Link],
                  rtt: float = 0.1, start_time: float = 0.0,
                  source: Optional[TrafficSource] = None,
-                 label: str = "", mss: int = MTU) -> Flow:
+                 label: str = "") -> Flow:
         """Add a flow whose data path traverses ``links`` in order.
 
         ``rtt`` is the flow's minimum round-trip time: half is spread across
@@ -202,7 +200,7 @@ class Scenario:
         self._next_flow_id += 1
 
         sender = Sender(self.env, flow_id, cc, source=source,
-                        start_time=start_time, mss=mss,
+                        start_time=start_time,
                         name=label or f"flow-{flow_id}")
         receiver = Receiver(self.env, name=f"recv-{flow_id}")
 

@@ -19,6 +19,10 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+#: An application-limited source's byte bucket (the most it can send after
+#: an idle period).
+BURST_BYTES = 30_000
+
 
 class TrafficSource:
     """Interface for traffic sources."""
@@ -75,23 +79,22 @@ class FixedSizeSource(TrafficSource):
 class RateLimitedSource(TrafficSource):
     """Application-limited flow generating data at ``rate_bps``.
 
-    Data accrues continuously into a byte bucket capped at ``burst_bytes``
-    so an idle period cannot be followed by an unbounded burst.
+    Data accrues continuously from time 0 into a byte bucket capped at
+    ``BURST_BYTES`` so an idle period cannot be followed by an unbounded
+    burst.
     """
 
-    def __init__(self, rate_bps: float, burst_bytes: int = 30_000,
-                 start_time: float = 0.0):
+    def __init__(self, rate_bps: float):
         if rate_bps <= 0:
             raise ValueError("rate_bps must be positive")
         self.rate_bps = rate_bps
-        self.burst_bytes = burst_bytes
         self._credit = 0.0
-        self._last_update = start_time
+        self._last_update = 0.0
 
     def _accrue(self, now: float) -> None:
         if now > self._last_update:
             self._credit += (now - self._last_update) * self.rate_bps / 8.0
-            self._credit = min(self._credit, float(self.burst_bytes))
+            self._credit = min(self._credit, float(BURST_BYTES))
             self._last_update = now
 
     def bytes_available(self, now: float) -> float:

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.simulator.estimators import WindowedRateEstimator
+
+#: The estimate is capped at this multiple of the rate actually delivered.
+CAP_FACTOR = 2.0
 
 
 @dataclass
@@ -46,15 +49,13 @@ class BatchObservation:
 class WiFiRateEstimator:
     """Implements the estimator of Eqs. (5)–(8)."""
 
-    def __init__(self, max_batch_frames: int = 32, window: float = 0.04,
-                 cap_factor: float = 2.0):
+    def __init__(self, max_batch_frames: int = 32, window: float = 0.04):
         if max_batch_frames <= 0:
             raise ValueError("max_batch_frames must be positive")
         if window <= 0:
             raise ValueError("window must be positive")
         self.max_batch_frames = max_batch_frames
         self.window = window
-        self.cap_factor = cap_factor
         self._samples: Deque[tuple[float, float]] = deque()
         self._dequeue_rate = WindowedRateEstimator(window=window)
 
@@ -96,7 +97,7 @@ class WiFiRateEstimator:
         observed = self.observed_dequeue_rate(now)
         if observed <= 0:
             return average
-        return min(average, self.cap_factor * observed)
+        return min(average, CAP_FACTOR * observed)
 
     def capacity_fn(self, apply_cap: bool = True):
         """A ``fn(now) -> bps`` callback suitable for the ABC router qdisc."""

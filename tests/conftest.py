@@ -9,6 +9,8 @@ import pytest
 from repro.cc.base import CongestionControl
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.cellular.trace import CellularTrace
+from repro.core.params import ABCParams
+from repro.core.sender import ABCWindowControl
 from repro.simulator.engine import EventLoop
 from repro.simulator.packet import MTU, AckFeedback
 
@@ -16,6 +18,22 @@ from repro.simulator.packet import MTU, AckFeedback
 @pytest.fixture
 def env() -> EventLoop:
     return EventLoop()
+
+
+def with_cwnd(cc: CongestionControl, cwnd: float) -> CongestionControl:
+    """``cc`` with its window set to ``cwnd`` packets (each scheme starts
+    from its own constant initial window)."""
+    cc._cwnd = float(cwnd)
+    return cc
+
+
+def abc_sender(initial_cwnd: float,
+               params: ABCParams | None = None) -> ABCWindowControl:
+    """An ABC sender whose ``w_abc`` and Cubic window both start at
+    ``initial_cwnd`` packets instead of ``INITIAL_CWND``."""
+    cc = ABCWindowControl(params=params)
+    cc._cwnd = cc.w_abc = cc.cubic._cwnd = float(initial_cwnd)
+    return cc
 
 
 @pytest.fixture(scope="session")
@@ -62,16 +80,16 @@ class AIMD(CongestionControl):
 
     name = "aimd"
 
-    def __init__(self, mss: int = MTU, initial_cwnd: float = 2.0,
+    def __init__(self, initial_cwnd: float = 2.0,
                  additive_increase: float = 1.0, beta: float = 0.5,
                  ssthresh: float = math.inf):
-        super().__init__(mss=mss, initial_cwnd=initial_cwnd)
+        super().__init__(initial_cwnd=initial_cwnd)
         self.additive_increase = additive_increase
         self.beta = beta
         self.ssthresh = ssthresh
 
     def on_ack(self, feedback: AckFeedback) -> float:
-        acked_packets = feedback.bytes_acked / self.mss
+        acked_packets = feedback.bytes_acked / MTU
         if self._cwnd < self.ssthresh:
             self._cwnd += acked_packets  # slow start
         else:

@@ -9,6 +9,8 @@ from repro.core.sender import ABCWindowControl
 from repro.core.stability import is_theoretically_stable
 from repro.simulator.packet import ECN, MTU, AckFeedback, Packet
 
+from tests.conftest import abc_sender
+
 
 def ack(now, accel=True, rtt=0.1, bytes_acked=MTU, ece=False, in_flight=10):
     return AckFeedback(now=now, rtt=rtt, bytes_acked=bytes_acked, accel=accel,
@@ -249,49 +251,47 @@ def test_dequeue_matches_the_documented_control_law(feedback_basis):
 
 # ------------------------------------------------------------ sender window law
 def test_sender_accelerate_adds_one_plus_ai():
-    cc = ABCWindowControl(initial_cwnd=10.0)
+    cc = abc_sender(10.0)
     cc.on_ack(ack(0.0, accel=True, in_flight=20))
     assert cc.w_abc == pytest.approx(11.0 + 1.0 / 10.0)
 
 
 def test_sender_brake_subtracts_one_minus_ai():
-    cc = ABCWindowControl(initial_cwnd=10.0)
+    cc = abc_sender(10.0)
     cc.on_ack(ack(0.0, accel=False, in_flight=20))
     assert cc.w_abc == pytest.approx(9.0 + 1.0 / 10.0)
 
 
 def test_sender_without_ai_is_pure_mimd():
     params = ABCParams(additive_increase=False)
-    cc = ABCWindowControl(params=params, initial_cwnd=10.0)
+    cc = abc_sender(10.0, params=params)
     cc.on_ack(ack(0.0, accel=True, in_flight=20))
     assert cc.w_abc == pytest.approx(11.0)
 
 
 def test_sender_all_accelerates_double_window_in_one_rtt():
-    cc = ABCWindowControl(params=ABCParams(additive_increase=False),
-                          initial_cwnd=10.0)
+    cc = abc_sender(10.0, params=ABCParams(additive_increase=False))
     for i in range(10):
         cc.on_ack(ack(i * 0.01, accel=True, in_flight=40))
     assert cc.w_abc == pytest.approx(20.0)
 
 
 def test_sender_all_brakes_empty_window_in_one_rtt():
-    cc = ABCWindowControl(params=ABCParams(additive_increase=False),
-                          initial_cwnd=10.0)
+    cc = abc_sender(10.0, params=ABCParams(additive_increase=False))
     for i in range(10):
         cc.on_ack(ack(i * 0.01, accel=False, in_flight=40))
     assert cc.w_abc == cc.min_cwnd()
 
 
 def test_sender_window_never_below_min():
-    cc = ABCWindowControl(initial_cwnd=2.0)
+    cc = abc_sender(2.0)
     for i in range(50):
         cc.on_ack(ack(i * 0.01, accel=False, in_flight=10))
     assert cc.w_abc >= cc.min_cwnd()
 
 
 def test_sender_effective_window_is_min_of_both():
-    cc = ABCWindowControl(initial_cwnd=10.0)
+    cc = abc_sender(10.0)
     cc.w_abc = 50.0
     cc.cubic._cwnd = 20.0
     assert cc.cwnd() == 20.0
@@ -300,7 +300,7 @@ def test_sender_effective_window_is_min_of_both():
 
 
 def test_sender_windows_capped_at_twice_in_flight():
-    cc = ABCWindowControl(initial_cwnd=10.0)
+    cc = abc_sender(10.0)
     cc.w_abc = 500.0
     cc.cubic._cwnd = 400.0
     cc.on_ack(ack(0.0, accel=True, in_flight=20))
@@ -309,7 +309,7 @@ def test_sender_windows_capped_at_twice_in_flight():
 
 
 def test_sender_loss_only_affects_cubic_window():
-    cc = ABCWindowControl(initial_cwnd=10.0)
+    cc = abc_sender(10.0)
     cc.w_abc = 40.0
     cc.cubic._cwnd = 40.0
     cc.cubic.ssthresh = 1.0
@@ -319,7 +319,7 @@ def test_sender_loss_only_affects_cubic_window():
 
 
 def test_sender_ece_reduces_cubic_window():
-    cc = ABCWindowControl(initial_cwnd=10.0)
+    cc = abc_sender(10.0)
     cc.cubic._cwnd = 40.0
     cc.cubic.ssthresh = 1.0
     cc.on_ack(ack(1.0, accel=True, ece=True, in_flight=30))
@@ -327,7 +327,7 @@ def test_sender_ece_reduces_cubic_window():
 
 
 def test_sender_timeout_halves_abc_window():
-    cc = ABCWindowControl(initial_cwnd=10.0)
+    cc = abc_sender(10.0)
     cc.w_abc = 30.0
     cc.on_timeout(1.0)
     assert cc.w_abc == pytest.approx(15.0)
@@ -346,7 +346,7 @@ def test_sender_uses_abc_flag():
 
 def test_steady_state_window_matches_fairness_argument():
     """§3.1.3: in steady state 2f + 1/w = 1, so w = 1/(1 - 2f)."""
-    cc = ABCWindowControl(initial_cwnd=5.0)
+    cc = abc_sender(5.0)
     f = 0.45
     marker = TokenBucketMarker()
     now = 0.0

@@ -10,18 +10,18 @@ import random
 import numpy as np
 import pytest
 
-from repro.cc.bbr import BBR
+from repro.cc.bbr import BBR, CWND_GAIN
 from repro.cc.copa import Copa
 from repro.cc.cubic import Cubic
 from repro.cc.newreno import NewReno
 from repro.cc.pcc_vivace import PCCVivace
 from repro.cc.registry import available_schemes, make_cc
-from repro.cc.sprout import Sprout
+from repro.cc.sprout import FORECAST_PERCENTILE, Sprout
 from repro.cc.vegas import Vegas
 from repro.cc.verus import Verus
 from repro.cc.cubic import CUBIC_BETA, CUBIC_C
 from repro.simulator.packet import MTU, AckFeedback
-from tests.conftest import AIMD
+from tests.conftest import AIMD, with_cwnd
 
 
 def ack(now, rtt=0.1, bytes_acked=MTU, accel=True, ece=False, in_flight=10,
@@ -113,13 +113,13 @@ def test_aimd_loss_halves_window():
 
 
 def test_newreno_timeout_resets_to_min():
-    cc = NewReno(initial_cwnd=30.0)
+    cc = with_cwnd(NewReno(), 30.0)
     cc.on_timeout(1.0)
     assert cc.cwnd() == cc.min_cwnd()
 
 
 def test_newreno_reduces_once_per_rtt():
-    cc = NewReno(initial_cwnd=32.0)
+    cc = with_cwnd(NewReno(), 32.0)
     cc.ssthresh = 1.0
     cc.on_loss(1.0)
     w = cc.cwnd()
@@ -201,7 +201,7 @@ class _ReferenceCubic(Cubic):
             self.branches.add("ece")
             self._reduce(feedback.now)
             return self.window()
-        acked_packets = feedback.bytes_acked / self.mss
+        acked_packets = feedback.bytes_acked / MTU
         if self._cwnd < self.ssthresh:
             self.branches.add("slow start")
             self._cwnd += acked_packets
@@ -253,14 +253,14 @@ def test_cubic_flat_ack_body_matches_the_rfc_formulas_bit_for_bit():
 
 # ------------------------------------------------------------ Vegas
 def test_vegas_increases_when_queue_small():
-    cc = Vegas(initial_cwnd=10.0)
+    cc = with_cwnd(Vegas(), 10.0)
     cc._in_slow_start = False
     drive(cc, n_acks=20, rtt=0.1)   # base == actual RTT -> diff 0 < alpha
     assert cc.cwnd() > 10.0
 
 
 def test_vegas_decreases_when_queue_large():
-    cc = Vegas(initial_cwnd=50.0)
+    cc = with_cwnd(Vegas(), 50.0)
     cc._in_slow_start = False
     cc.base_rtt = 0.1
     drive(cc, n_acks=30, rtt=0.2)   # large standing queue -> diff > beta
@@ -268,14 +268,14 @@ def test_vegas_decreases_when_queue_large():
 
 
 def test_vegas_leaves_slow_start_on_queueing():
-    cc = Vegas(initial_cwnd=4.0)
+    cc = with_cwnd(Vegas(), 4.0)
     cc.base_rtt = 0.1
     drive(cc, n_acks=50, rtt=0.25)
     assert not cc._in_slow_start
 
 
 def test_vegas_loss_is_gentle():
-    cc = Vegas(initial_cwnd=40.0)
+    cc = with_cwnd(Vegas(), 40.0)
     cc.on_loss(1.0)
     assert cc.cwnd() == pytest.approx(30.0)
 
@@ -286,7 +286,7 @@ def test_bbr_needs_pacing_flag():
 
 
 def test_bbr_estimates_bandwidth_and_exits_startup():
-    cc = BBR(initial_cwnd=10.0)
+    cc = BBR()
     now = 0.0
     for i in range(300):
         cc.on_ack(ack(now, rtt=0.1, in_flight=20))
@@ -300,7 +300,7 @@ def test_bbr_cwnd_tracks_bdp():
     cc.btl_bw.update(0.0, 10e6)
     cc.min_rtt.update(0.0, 0.1)
     bdp_packets = 10e6 * 0.1 / (MTU * 8.0)
-    assert cc.cwnd() == pytest.approx(cc.cwnd_gain * bdp_packets, rel=0.01)
+    assert cc.cwnd() == pytest.approx(CWND_GAIN * bdp_packets, rel=0.01)
 
 
 def test_bbr_pacing_rate_positive_before_samples():
@@ -322,20 +322,20 @@ def test_bbr_timeout_restarts_startup():
 
 # ------------------------------------------------------------ Copa
 def test_copa_increases_on_empty_queue():
-    cc = Copa(initial_cwnd=10.0)
+    cc = with_cwnd(Copa(), 10.0)
     drive(cc, n_acks=30, rtt=0.1)
     assert cc.cwnd() > 10.0
 
 
 def test_copa_decreases_when_queuing_delay_large():
-    cc = Copa(initial_cwnd=100.0, delta=0.5)
+    cc = with_cwnd(Copa(), 100.0)
     cc.rtt_min.update(0.0, 0.05)
     drive(cc, n_acks=60, rtt=0.4, start=0.1)
     assert cc.cwnd() < 100.0
 
 
 def test_copa_velocity_resets_on_direction_change():
-    cc = Copa(initial_cwnd=50.0)
+    cc = with_cwnd(Copa(), 50.0)
     cc.rtt_min.update(0.0, 0.05)
     drive(cc, n_acks=30, rtt=0.05, start=0.0)      # increasing
     drive(cc, n_acks=30, rtt=0.5, start=1.0)       # now decreasing
@@ -343,14 +343,14 @@ def test_copa_velocity_resets_on_direction_change():
 
 
 def test_copa_loss_halves():
-    cc = Copa(initial_cwnd=40.0)
+    cc = with_cwnd(Copa(), 40.0)
     cc.on_loss(1.0)
     assert cc.cwnd() == pytest.approx(20.0)
 
 
 # ------------------------------------------------------------ Sprout
 def test_sprout_window_follows_forecast():
-    cc = Sprout(initial_cwnd=4.0, target_delay=0.1)
+    cc = Sprout()
     now = 0.0
     # 10 Mbit/s of ACKed traffic with no queuing delay.
     for _ in range(200):
@@ -361,7 +361,7 @@ def test_sprout_window_follows_forecast():
 
 
 def test_sprout_conservative_under_queueing():
-    cc = Sprout(initial_cwnd=50.0, target_delay=0.1)
+    cc = with_cwnd(Sprout(), 50.0)
     cc.rtt_min = 0.05
     now = 0.0
     for _ in range(100):
@@ -372,7 +372,7 @@ def test_sprout_conservative_under_queueing():
 
 
 def test_sprout_timeout_resets():
-    cc = Sprout(initial_cwnd=30.0)
+    cc = with_cwnd(Sprout(), 30.0)
     cc.on_timeout(1.0)
     assert cc.cwnd() == cc.min_cwnd()
 
@@ -387,7 +387,7 @@ def test_sprout_forecast_is_recomputed_only_when_its_samples_change(monkeypatch)
 
     def fresh(cc):
         rates = [r for _, r in cc._rate_samples]
-        return float(percentile(np.array(rates), cc.forecast_percentile)) \
+        return float(percentile(np.array(rates), FORECAST_PERCENTILE)) \
             if rates else 0.0
 
     rng = random.Random("sprout-memo")
@@ -411,20 +411,20 @@ def test_sprout_forecast_is_recomputed_only_when_its_samples_change(monkeypatch)
 
 # ------------------------------------------------------------ Verus
 def test_verus_grows_when_delay_low():
-    cc = Verus(initial_cwnd=10.0)
+    cc = with_cwnd(Verus(), 10.0)
     drive(cc, n_acks=50, rtt=0.1)
     assert cc.cwnd() > 10.0
 
 
 def test_verus_shrinks_when_delay_high():
-    cc = Verus(initial_cwnd=50.0)
+    cc = with_cwnd(Verus(), 50.0)
     cc.rtt_min.update(0.0, 0.05)
     drive(cc, n_acks=100, rtt=0.4, start=0.1, spacing=0.02)
     assert cc.cwnd() < 50.0
 
 
 def test_verus_loss_reduces():
-    cc = Verus(initial_cwnd=40.0)
+    cc = with_cwnd(Verus(), 40.0)
     cc._smoothed_rtt.update(0.1)
     cc.on_loss(10.0)
     assert cc.cwnd() < 40.0
@@ -433,13 +433,15 @@ def test_verus_loss_reduces():
 # ------------------------------------------------------------ PCC Vivace
 def test_pcc_is_rate_based():
     assert PCCVivace.needs_pacing
-    cc = PCCVivace(initial_rate_bps=2e6)
+    cc = PCCVivace()
+    cc.base_rate = 2e6
     assert cc.pacing_rate() > 0
     assert cc.cwnd() >= 4.0
 
 
 def test_pcc_rate_increases_when_unconstrained():
-    cc = PCCVivace(initial_rate_bps=2e6)
+    cc = PCCVivace()
+    cc.base_rate = 2e6
     now = 0.0
     initial = cc.base_rate
     # ACK everything promptly with flat RTT: utility rises with rate.
@@ -451,7 +453,8 @@ def test_pcc_rate_increases_when_unconstrained():
 
 
 def test_pcc_timeout_halves_rate():
-    cc = PCCVivace(initial_rate_bps=8e6)
+    cc = PCCVivace()
+    cc.base_rate = 8e6
     cc.on_timeout(1.0)
     assert cc.base_rate == pytest.approx(4e6)
 

@@ -7,7 +7,15 @@ from repro.cellular.synthetic import (SyntheticTraceConfig, lte_showcase_trace,
                                       synthetic_trace, synthetic_trace_set)
 from repro.cellular.trace import CellularTrace
 from repro.cellular.synthetic import TRACE_LIBRARY, rate_series, uplink_downlink_pair
+from repro.simulator.engine import EventLoop
+from repro.simulator.link import OpportunityLink
 from repro.simulator.packet import MTU
+
+
+def _offered_bits(trace: CellularTrace, t0: float, t1: float) -> float:
+    """What a link replaying ``trace`` offers over ``[t0, t1)``."""
+    return OpportunityLink(EventLoop(), trace.opportunity_times).offered_bits(
+        t0, t1)
 
 
 # ------------------------------------------------------------ CellularTrace
@@ -27,8 +35,8 @@ def test_trace_requires_opportunities():
 
 def test_trace_rate_in_window():
     trace = CellularTrace([i * 0.001 for i in range(1000)])
-    assert trace.bits_between(0.0, 0.5) / 0.5 == pytest.approx(12e6, rel=0.01)
-    assert trace.bits_between(0.5, 0.5) == 0.0
+    assert _offered_bits(trace, 0.0, 0.5) / 0.5 == pytest.approx(12e6, rel=0.01)
+    assert _offered_bits(trace, 0.5, 0.5) == 0.0
 
 
 def test_trace_rate_timeseries_shape():
@@ -40,21 +48,22 @@ def test_trace_rate_timeseries_shape():
 
 def test_trace_bits_between_counts_opportunities():
     trace = CellularTrace([0.0, 0.1, 0.2, 0.3, 0.9])
-    per_opp = trace.bytes_per_opportunity * 8.0
-    assert trace.bits_between(0.0, 1.0) == pytest.approx(5 * per_opp)
+    per_opp = MTU * 8.0
+    assert _offered_bits(trace, 0.0, 0.5) == pytest.approx(4 * per_opp)
     # Half-open window: an opportunity exactly at t1 is excluded, one at t0
-    # is included, matching the searchsorted cumulative-count convention.
-    assert trace.bits_between(0.1, 0.3) == pytest.approx(2 * per_opp)
-    assert trace.bits_between(0.5, 0.5) == 0.0
-    assert trace.bits_between(1.0, 0.0) == 0.0
+    # is included, matching the bisect cumulative-count convention.
+    assert _offered_bits(trace, 0.1, 0.3) == pytest.approx(2 * per_opp)
+    assert _offered_bits(trace, 0.5, 0.5) == 0.0
+    # The link replays the trace cyclically: one 0.9 s period holds all five.
+    assert _offered_bits(trace, 0.9, 1.8) == pytest.approx(5 * per_opp)
 
 
 def test_trace_bits_between_matches_a_direct_count():
     trace = CellularTrace([i * 0.003 for i in range(500)])
-    per_opp = trace.bytes_per_opportunity * 8.0
+    per_opp = MTU * 8.0
     for t0, t1 in [(0.0, 0.5), (0.25, 1.0), (0.1, 0.11)]:
         count = sum(1 for t in trace.opportunity_times if t0 <= t < t1)
-        assert trace.bits_between(t0, t1) == count * per_opp
+        assert _offered_bits(trace, t0, t1) == count * per_opp
 
 
 def test_trace_scaled_changes_rate():
@@ -97,8 +106,8 @@ def test_trace_mahimahi_round_trip(tmp_path):
 
 def test_trace_from_rate_series():
     trace = CellularTrace.from_rate_series([0.0, 1.0], [12e6, 6e6])
-    assert trace.bits_between(0.0, 1.0) == pytest.approx(12e6, rel=0.02)
-    assert trace.bits_between(1.0, 2.0) == pytest.approx(6e6, rel=0.02)
+    assert _offered_bits(trace, 0.0, 1.0) == pytest.approx(12e6, rel=0.02)
+    assert _offered_bits(trace, 1.0, 2.0) == pytest.approx(6e6, rel=0.02)
     with pytest.raises(ValueError):
         CellularTrace.from_rate_series([0.0], [1e6, 2e6])
     with pytest.raises(ValueError):

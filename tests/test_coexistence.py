@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import coexistence
 from repro.core.coexistence import (DualQueueABCQdisc, MaxMinWeightController,
                                     ZombieListWeightController)
 from repro.simulator.packet import ECN, Packet
@@ -46,8 +47,9 @@ def test_dual_queue_dequeue_updates_backlog():
     assert q.backlog_packets == 0
 
 
-def test_dual_queue_work_conserving_when_one_queue_empty():
-    q = DualQueueABCQdisc(initial_weight=0.9)
+def test_dual_queue_work_conserving_when_one_queue_empty(monkeypatch):
+    monkeypatch.setattr(coexistence, "INITIAL_WEIGHT", 0.9)
+    q = DualQueueABCQdisc()
     q.attach(FakeLink(10e6))
     for i in range(5):
         q.enqueue(legacy_pkt(i), 0.0)
@@ -55,9 +57,9 @@ def test_dual_queue_work_conserving_when_one_queue_empty():
     assert all(p is not None for p in served)
 
 
-def test_dual_queue_serves_in_weight_proportion_when_backlogged():
-    q = DualQueueABCQdisc(initial_weight=0.75,
-                          controller=MaxMinWeightController(interval=1e9))
+def test_dual_queue_serves_in_weight_proportion_when_backlogged(monkeypatch):
+    monkeypatch.setattr(coexistence, "INITIAL_WEIGHT", 0.75)
+    q = DualQueueABCQdisc(controller=MaxMinWeightController(interval=1e9))
     q.attach(FakeLink(10e6))
     for i in range(400):
         q.enqueue(abc_pkt(i), 0.0)
@@ -70,15 +72,15 @@ def test_dual_queue_serves_in_weight_proportion_when_backlogged():
     assert abc_served == pytest.approx(150, abs=10)  # ≈ 75 % of 200
 
 
-def test_dual_queue_abc_capacity_scaled_by_weight():
-    q = DualQueueABCQdisc(initial_weight=0.25)
+def test_dual_queue_abc_capacity_scaled_by_weight(monkeypatch):
+    monkeypatch.setattr(coexistence, "INITIAL_WEIGHT", 0.25)
+    q = DualQueueABCQdisc()
     q.attach(FakeLink(16e6))
     assert q._abc_capacity(0.0) == pytest.approx(4e6)
 
 
 def test_dual_queue_marks_abc_packets_only():
-    q = DualQueueABCQdisc(initial_weight=0.5,
-                          controller=MaxMinWeightController(interval=1e9))
+    q = DualQueueABCQdisc(controller=MaxMinWeightController(interval=1e9))
     q.attach(FakeLink(2e6))
     now = 0.0
     for i in range(300):
@@ -98,15 +100,8 @@ def test_dual_queue_marks_abc_packets_only():
     assert seen_brake
 
 
-def test_dual_queue_weight_validation():
-    with pytest.raises(ValueError):
-        DualQueueABCQdisc(initial_weight=0.0)
-    with pytest.raises(ValueError):
-        DualQueueABCQdisc(initial_weight=1.0)
-
-
 def test_dual_queue_queuing_delay_helpers():
-    q = DualQueueABCQdisc(initial_weight=0.5)
+    q = DualQueueABCQdisc()
     q.attach(FakeLink(12e6))
     for i in range(10):
         q.enqueue(abc_pkt(i), 0.0)
@@ -128,10 +123,11 @@ def test_maxmin_controller_balanced_long_flows():
     assert weight == pytest.approx(0.5, abs=0.05)
 
 
-def test_maxmin_controller_short_flows_do_not_inflate_their_queue():
+def test_maxmin_controller_short_flows_do_not_inflate_their_queue(monkeypatch):
     """§5.2: demand-limited short flows must not pull capacity toward their
     queue the way RCP's flow-count equalisation does."""
-    ctrl = MaxMinWeightController(interval=1.0, top_k=2)
+    monkeypatch.setattr(coexistence, "TOP_K", 2)
+    ctrl = MaxMinWeightController(interval=1.0)
     for t in range(10):
         now = t * 0.1
         # One long ABC flow using ~4.8 Mbit/s.
@@ -147,12 +143,13 @@ def test_maxmin_controller_short_flows_do_not_inflate_their_queue():
     assert weight > 0.4
 
 
-def test_maxmin_controller_grants_short_flows_their_rate_in_full():
+def test_maxmin_controller_grants_short_flows_their_rate_in_full(monkeypatch):
     """The flows outside the top K are many demand-limited flows, not one:
     their 4 Mbit/s is more than one fair share of 10 Mbit/s among three keys,
     yet max-min over every flow on its own would grant all of it, leaving
     3 Mbit/s to each long flow."""
-    ctrl = MaxMinWeightController(interval=1.0, top_k=1)
+    monkeypatch.setattr(coexistence, "TOP_K", 1)
+    ctrl = MaxMinWeightController(interval=1.0)
     for t in range(10):
         now = t * 0.1
         ctrl.observe_departure("abc", 1, 60_000, now)
@@ -164,7 +161,7 @@ def test_maxmin_controller_grants_short_flows_their_rate_in_full():
 
 
 def test_maxmin_controller_weight_bounded():
-    ctrl = MaxMinWeightController(interval=0.5, minimum_weight=0.05)
+    ctrl = MaxMinWeightController(interval=0.5)
     for t in range(10):
         ctrl.observe_departure("abc", 1, 100_000, t * 0.1)
     weight = ctrl.compute_weight(2.0, capacity_bps=10e6)
@@ -179,16 +176,13 @@ def test_maxmin_controller_holds_weight_between_intervals():
 
 def test_maxmin_controller_validation():
     with pytest.raises(ValueError):
-        MaxMinWeightController(top_k=0)
-    with pytest.raises(ValueError):
         MaxMinWeightController(interval=0.0)
-    with pytest.raises(ValueError):
-        MaxMinWeightController(demand_headroom=-0.1)
 
 
 # ------------------------------------------------------------ zombie weights
-def test_zombie_controller_weights_proportional_to_flow_counts():
-    ctrl = ZombieListWeightController(interval=1.0, seed=5)
+def test_zombie_controller_weights_proportional_to_flow_counts(monkeypatch):
+    monkeypatch.setattr(coexistence, "ZOMBIE_SEED", 5)
+    ctrl = ZombieListWeightController(interval=1.0)
     for t in range(4000):
         now = t * 0.001
         ctrl.observe_departure("abc", t % 2, 1500, now)          # 2 flows

@@ -23,7 +23,6 @@ from repro.config import (KNOBS, RuntimeConfig, environment_knobs, resolve,
                           resolve_seeds)
 from repro.obs.manifest import executor_record, provenance
 from repro.obs.progress import resolve_progress, stderr_reporter
-from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,11 +61,6 @@ CASES = {
         rejected=["many", "-1", "1.5"],
         arguments=[(1, 1), ("2", 2), (0, 0)],
         bad_arguments=[-1]),
-    "backoff": dict(
-        accepted=[("0.01", 0.01), ("2", 2.0), ("0", 0.0)],
-        rejected=["slow", "-0.1"],
-        arguments=[(0.5, 0.5), (0, 0.0), ("0.25", 0.25)],
-        bad_arguments=[-1.0]),
     "failure_policy": dict(
         accepted=[("salvage", "salvage"), ("strict", "strict"),
                   (" Salvage ", "salvage")],
@@ -78,11 +72,6 @@ CASES = {
         rejected=[],
         arguments=[("/tmp/d", Path("/tmp/d")), (Path("e"), Path("e"))],
         bad_arguments=[42]),
-    "cache_max_mb": dict(
-        accepted=[("1.25", 1.25), ("64", 64.0), ("0", None)],
-        rejected=["abc", "-5"],
-        arguments=[(2, 2.0), (0, None)],
-        bad_arguments=[-5]),
     "journal": dict(
         accepted=[("/tmp/j", Path("/tmp/j")), ("~/j", HOME / "j"),
                   ("1", True), ("yes", True), ("ON", True),
@@ -118,7 +107,7 @@ def clean_env(monkeypatch):
 
 
 def test_every_knob_has_cases_and_is_fully_declared():
-    assert list(CASES) == list(KNOBS) and len(KNOBS) == 12
+    assert list(CASES) == list(KNOBS) and len(KNOBS) == 10
     envs = [knob.metadata["env"] for knob in KNOBS.values()]
     assert len(set(envs)) == len(envs)
     for knob in KNOBS.values():
@@ -252,36 +241,21 @@ def test_executor_config_is_its_only_configuration(clean_env, tmp_path):
     assert isinstance(config, RuntimeConfig)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.jobs = 1
-    assert (config.jobs, config.timeout, config.retries, config.backoff,
+    assert (config.jobs, config.timeout, config.retries,
             config.failure_policy, config.journal_dir,
-            config.cache_dir) == (3, 5.0, 2, 0.05, "salvage", None,
-                                  tmp_path)
+            config.cache_dir) == (3, 5.0, 2, "salvage", None, tmp_path)
     for mirror in ("workers", "progress", "timeout", "retries", "backoff",
                    "failure_policy", "journal_dir"):
         assert not hasattr(executor, mirror), mirror
     assert executor.cache.root == tmp_path
 
 
-# ------------------------------------------------- the three behaviour fixes
+# ------------------------------------------------- the behaviour fixes
 def test_empty_jobs_means_unset_not_every_cpu(clean_env):
     clean_env.setattr(os, "cpu_count", lambda: 8)
     for blank in ("", "  "):
         clean_env.setenv("REPRO_JOBS", blank)
         assert SweepExecutor().config.jobs == 1
-
-
-def test_cache_cap_rejects_garbage_and_negatives_by_name(clean_env, tmp_path):
-    for raw in ("abc", "-5"):
-        clean_env.setenv("REPRO_CACHE_MAX_MB", raw)
-        with pytest.raises(ValueError, match="REPRO_CACHE_MAX_MB"):
-            ResultCache(tmp_path)
-        with pytest.raises(ValueError, match="REPRO_CACHE_MAX_MB"):
-            SweepExecutor(jobs=1, cache_dir=tmp_path)
-    assert ResultCache(tmp_path, max_mb=2)._max_bytes == 2 * 1024 * 1024
-    clean_env.setenv("REPRO_CACHE_MAX_MB", "0")
-    assert ResultCache(tmp_path)._max_bytes is None
-    with pytest.raises(ValueError, match="REPRO_CACHE_MAX_MB"):
-        ResultCache(tmp_path, max_mb=-5)
 
 
 def test_manifest_records_what_the_sweep_used(clean_env, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from repro.cc.cubic import Cubic
 from repro.simulator.endpoints import DelayHop, Receiver, Sender
 from repro.simulator.engine import EventLoop
+from repro.simulator.estimators import MIN_RTO
 from repro.simulator.link import ConstantRate, RateLink
 from repro.simulator.packet import ACK_SIZE, MTU, ECN, Packet
 from repro.simulator.qdisc import FifoQdisc
@@ -319,7 +320,7 @@ def test_sender_decodes_echo_like_the_section_5_1_2_table(codepoint):
 
 
 def test_ack_crosses_a_reverse_abc_router_unmarked():
-    """A hand-wired reverse link sees a bare ACK: ``ack_size`` bytes of
+    """A hand-wired reverse link sees a bare ACK: ``ACK_SIZE`` bytes of
     backlog, Not-ECT, so a congested ABC router there cannot re-mark the
     echo, and the scheme's in-band fields ride through."""
     def congested_router_link(env, dst):
@@ -334,13 +335,13 @@ def test_ack_crosses_a_reverse_abc_router_unmarked():
     env = EventLoop()
     capture = Capture()
     reverse = congested_router_link(env, capture)
-    receiver = Receiver(env, ack_size=52)
+    receiver = Receiver(env)
     receiver.connect(reverse)
     for packet in burst(MTU):
         receiver.receive(packet)
-    # One ACK is in transmission, the other 19 wait, 52 bytes each.
+    # One ACK is in transmission, the other 19 wait, ACK_SIZE bytes each.
     assert reverse.qdisc.backlog_packets == 19
-    assert reverse.qdisc.backlog_bytes == 19 * 52
+    assert reverse.qdisc.backlog_bytes == 19 * ACK_SIZE
     env.run()
     assert len(capture.packets) == 20
     marker = reverse.qdisc.marker
@@ -461,6 +462,6 @@ def test_resumed_acks_reset_the_backoff_and_fire_no_spurious_rto():
     # retransmissions get through.  Nothing after that.
     assert cc.timeouts_at == [1.0, 3.0]
     assert sender._rto_backoff == 1.0
-    assert sender.rtt.rto == sender.rtt.min_rto   # srtt + 4·rttvar < 0.2 s
+    assert sender.rtt.rto == MIN_RTO   # srtt + 4·rttvar < 0.2 s
     assert receiver.packets_received > 1000
     assert sender._rto_timer.armed_at is not None  # still in flight, armed

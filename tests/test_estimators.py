@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.router import ABCRouterQdisc
-from repro.simulator.estimators import (_TRIM, EWMA, RTTEstimator,
+from repro.simulator.estimators import (_TRIM, EWMA, MIN_RTO, RTTEstimator,
                                         WindowedMinMax, WindowedRateEstimator)
 from repro.simulator.packet import Packet
 
@@ -304,9 +304,9 @@ def test_rtt_estimator_tracks_min():
 
 
 def test_rtt_estimator_rto_has_floor():
-    rtt = RTTEstimator(min_rto=0.2)
+    rtt = RTTEstimator()
     rtt.update(0.01)
-    assert rtt.rto >= 0.2
+    assert rtt.rto == MIN_RTO == 0.2
 
 
 def test_rtt_estimator_rto_before_samples():

@@ -4,13 +4,14 @@ import math
 
 import pytest
 
+from repro.explicit import vcp
 from repro.explicit.rcp import RCPRouterQdisc, RCPSender
 from repro.explicit.vcp import VCPRouterQdisc, VCPSender
 from repro.explicit.xcp import XCPRouterQdisc, XCPSender
 from repro.explicit.vcp import HIGH_LOAD, LOW_LOAD, OVERLOAD
 from repro.simulator.link import ConstantRate
 from repro.simulator.packet import MTU, AckFeedback, Packet
-from tests.conftest import run_single_flow
+from tests.conftest import run_single_flow, with_cwnd
 
 
 def ack_with_meta(meta, now=1.0, rtt=0.1):
@@ -31,32 +32,32 @@ class FakeLink:
 
 # ------------------------------------------------------------ XCP sender
 def test_xcp_sender_stamps_congestion_header():
-    cc = XCPSender(initial_cwnd=4.0)
+    cc = with_cwnd(XCPSender(), 4.0)
     meta = cc.packet_meta(0.0)
     assert set(meta) == {"xcp_rtt", "xcp_cwnd_bytes", "xcp_feedback_bytes"}
     assert meta["xcp_cwnd_bytes"] == pytest.approx(4.0 * MTU)
 
 
 def test_xcp_sender_applies_positive_feedback():
-    cc = XCPSender(initial_cwnd=4.0)
+    cc = with_cwnd(XCPSender(), 4.0)
     cc.on_ack(ack_with_meta({"xcp_feedback_bytes": 3 * MTU}))
     assert cc.cwnd() == pytest.approx(7.0)
 
 
 def test_xcp_sender_applies_negative_feedback():
-    cc = XCPSender(initial_cwnd=10.0)
+    cc = with_cwnd(XCPSender(), 10.0)
     cc.on_ack(ack_with_meta({"xcp_feedback_bytes": -4 * MTU}))
     assert cc.cwnd() == pytest.approx(6.0)
 
 
 def test_xcp_sender_ignores_missing_feedback():
-    cc = XCPSender(initial_cwnd=10.0)
+    cc = with_cwnd(XCPSender(), 10.0)
     cc.on_ack(ack_with_meta({}))
     assert cc.cwnd() == pytest.approx(10.0)
 
 
 def test_xcp_sender_loss_and_timeout():
-    cc = XCPSender(initial_cwnd=10.0)
+    cc = with_cwnd(XCPSender(), 10.0)
     cc.on_loss(1.0)
     assert cc.cwnd() == pytest.approx(5.0)
     cc.on_timeout(2.0)
@@ -113,19 +114,19 @@ def test_xcp_converges_on_constant_link():
 # ------------------------------------------------------------ RCP
 def test_rcp_sender_is_rate_based():
     assert RCPSender.needs_pacing
-    cc = RCPSender(initial_rate_bps=1e6)
+    cc = RCPSender()
     assert cc.pacing_rate() == 1e6
     assert cc.cwnd() >= 4.0
 
 
 def test_rcp_sender_adopts_advertised_rate():
-    cc = RCPSender(initial_rate_bps=1e6)
+    cc = RCPSender()
     cc.on_ack(ack_with_meta({"rcp_rate_bps": 5e6}))
     assert cc.pacing_rate() == pytest.approx(5e6)
 
 
 def test_rcp_sender_ignores_unstamped_acks():
-    cc = RCPSender(initial_rate_bps=1e6)
+    cc = RCPSender()
     cc.on_ack(ack_with_meta({"rcp_rate_bps": math.inf}))
     assert cc.pacing_rate() == pytest.approx(1e6)
 
@@ -159,7 +160,7 @@ def test_rcp_converges_on_constant_link():
 
 # ------------------------------------------------------------ VCP
 def test_vcp_sender_regions():
-    cc = VCPSender(initial_cwnd=10.0)
+    cc = with_cwnd(VCPSender(), 10.0)
     w0 = cc.cwnd()
     cc.on_ack(ack_with_meta({"vcp_region": LOW_LOAD}))
     assert cc.cwnd() > w0                       # MI
@@ -171,7 +172,7 @@ def test_vcp_sender_regions():
 
 
 def test_vcp_md_at_most_once_per_rtt():
-    cc = VCPSender(initial_cwnd=32.0)
+    cc = with_cwnd(VCPSender(), 32.0)
     cc.on_ack(ack_with_meta({"vcp_region": OVERLOAD}, now=1.0))
     w = cc.cwnd()
     cc.on_ack(ack_with_meta({"vcp_region": OVERLOAD}, now=1.01))
@@ -180,7 +181,7 @@ def test_vcp_md_at_most_once_per_rtt():
 
 def test_vcp_mi_is_slow_doubling_takes_many_rtts():
     """§7: VCP can take ~12 RTTs to double its rate (0.0625 MI gain)."""
-    cc = VCPSender(initial_cwnd=10.0)
+    cc = with_cwnd(VCPSender(), 10.0)
     rtts = 0
     now = 0.0
     while cc.cwnd() < 20.0 and rtts < 30:
@@ -191,8 +192,9 @@ def test_vcp_mi_is_slow_doubling_takes_many_rtts():
     assert 8 <= rtts <= 16
 
 
-def test_vcp_router_load_factor_regions():
-    router = VCPRouterQdisc(interval=0.1)
+def test_vcp_router_load_factor_regions(monkeypatch):
+    monkeypatch.setattr(vcp, "VCP_INTERVAL", 0.1)
+    router = VCPRouterQdisc()
     router.attach(FakeLink(10e6))
     now = 0.0
     # Offer ~5 Mbit/s -> low load.

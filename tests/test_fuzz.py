@@ -16,7 +16,7 @@ from repro.fuzz.campaign import evaluate_scenario, run_campaign
 from repro.experiments.scenario_spec import (CROSS_TRAFFIC_SCHEMES, NATIVE,
                                              FlowSpec, LinkSpec, ScenarioSpec,
                                              spec_cell)
-from repro.fuzz.generator import ScenarioGen, SmallMetroGen
+from repro.fuzz.generator import ScenarioGen
 from repro.fuzz.invariants import (FAIRNESS_FLOOR, check_fairness,
                                    check_link_throughput, check_non_negative,
                                    check_packet_conservation,
@@ -25,6 +25,8 @@ from repro.fuzz.invariants import (FAIRNESS_FLOOR, check_fairness,
                                    scenario_summary)
 from repro.fuzz.shrink import (corpus_entry, load_corpus_entry,
                                save_corpus_entry, shrink_scenario)
+from repro.metro.spec import DEFAULT_MIX, metro_pack
+from repro.metro.workload import parse_mix
 from repro.runtime.executor import SweepExecutor
 
 
@@ -127,43 +129,50 @@ def test_flow_spec_rejects_non_positive_size():
         FlowSpec(cc=NATIVE, rtt=0.05, size_bytes=0).validate()
 
 
+def _metro_city(n_cells: int, duration: float, seed: int = 0):
+    """The per-cell specs of a ``metro_pack`` city for one seed."""
+    city = metro_pack(n_cells, duration=duration)
+    return [city.cell_spec(DEFAULT_MIX, name, link, seed)
+            for name, link in city.traces.items()]
+
+
 def test_small_metro_city_deterministic_and_valid():
-    first = SmallMetroGen(seed=5).sample_city(0)
-    second = SmallMetroGen(seed=5).sample_city(0)
+    first = _metro_city(4, duration=2.0, seed=5)
+    second = _metro_city(4, duration=2.0, seed=5)
     assert ([cell.to_jsonable() for cell in first]
             == [cell.to_jsonable() for cell in second])
-    assert 10 <= len(first) <= 20
+    assert len(first) == 4
+    assert {cell.links[0].kind for cell in first} == {"square", "trace_ref"}
     churn = [flow for cell in first for flow in cell.flows
              if flow.size_bytes is not None]
     assert churn, "a metro city must have churn on"
-    allowed = {NATIVE if cc == "abc" else cc for cc, _ in SmallMetroGen.MIX}
-    assert {flow.cc for flow in churn} <= allowed
+    allowed = {NATIVE if cc == "abc" else cc for cc, _ in parse_mix(DEFAULT_MIX)}
+    assert {flow.cc for cell in first for flow in cell.flows} <= allowed
     for cell in first:
         cell.validate()  # raises on an invalid cell
         assert cell.scheme == "abc"
         assert any(flow.size_bytes is None for flow in cell.flows)
-    # JSON round-trip covers the new size_bytes field.
+    # JSON round-trip covers the size_bytes field.
     encoded = json.dumps([cell.to_jsonable() for cell in first])
     assert [ScenarioSpec.from_jsonable(data) for data in json.loads(encoded)] \
         == first
 
 
 def test_small_metro_cells_satisfy_invariant_net():
-    city = SmallMetroGen(seed=3, min_cells=10, max_cells=12).sample_city(1)
-    # Full-city sweeps belong to the fuzz campaign; tier-1 checks a slice of
-    # cells end to end, enough to cover both link kinds and churn departure.
+    # Full-city sweeps belong to the fuzz campaign; tier-1 checks a small
+    # city end to end, enough to cover both link kinds and churn departure.
     departed = 0
-    for cell in city[:4]:
+    for cell in _metro_city(4, duration=2.0, seed=1):
         ctx = run_scenario(cell)
         violations = run_invariants(ctx)
-        assert violations == [], (cell.scenario_id,
+        assert violations == [], (cell.links[0].name,
                                   [v.message for v in violations])
         for spec, flow in zip(cell.flows, ctx.built.flows):
             if (spec.size_bytes is not None
                     and flow.sender.completion_time is not None):
                 departed += 1
                 assert flow.stats.bytes_received == spec.size_bytes
-    assert departed > 0, "no churn flow completed in the sampled slice"
+    assert departed > 0, "no churn flow completed in the city"
 
 
 # ================================================================ invariants

@@ -130,16 +130,6 @@ def test_rate_link_serialises_back_to_back_packets():
     assert [p.seq for p in sink.packets] == [0, 1, 2]
 
 
-def test_rate_link_propagation_delay():
-    env = EventLoop()
-    sink = Collector()
-    link = RateLink(env, ConstantRate(12e6), qdisc=FifoQdisc(), dst=sink,
-                    prop_delay=0.05)
-    link.send(Packet(flow_id=0, seq=0, size=1500))
-    env.run()
-    assert env.now == pytest.approx(0.051)
-
-
 def test_rate_link_drop_counted():
     env = EventLoop()
     link = RateLink(env, ConstantRate(1e6), qdisc=FifoQdisc(buffer_packets=1),

@@ -28,6 +28,7 @@ import pytest
 
 from repro.experiments.runner import run_cellular_sweep
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.obs.manifest import MANIFEST_SCHEMA, provenance
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import SweepProgress
@@ -418,11 +419,12 @@ def test_traced_run_is_bit_identical_to_untraced():
     assert len(recorder.records) == scenario.env.events_processed
 
 
-def test_recorder_detach_and_cap():
+def test_recorder_detach_and_cap(monkeypatch):
+    monkeypatch.setattr(obs_trace, "MAX_EVENTS", 4)
     loop = EventLoop()
     for i in range(10):
         loop.post(0.1 * (i + 1), lambda: None)
-    recorder = EventTraceRecorder(loop, max_events=4)
+    recorder = EventTraceRecorder(loop)
     loop.run(until=0.65)
     assert len(recorder.records) == 4
     assert recorder.dropped == 2

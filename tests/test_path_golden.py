@@ -396,7 +396,7 @@ def test_counters_are_derived_from_the_series_that_hold_them(monkeypatch):
     it, not counted per packet next to it: same numbers, no second store."""
     from repro.simulator.endpoints import Receiver
     from repro.simulator.monitor import FlowStats
-    from repro.simulator.packet import ACCEL, Packet
+    from repro.simulator.packet import ACCEL, ACK_SIZE, Packet
 
     abc_dequeued = 0
     dequeue = ABCRouterQdisc.dequeue
@@ -443,7 +443,7 @@ def test_counters_are_derived_from_the_series_that_hold_them(monkeypatch):
         expected.append((now, packet.sent_time, packet.size,
                          packet.total_queuing_delay))
         receiver.receive_at(packet, now)
-        assert packet.is_ack and packet.size == receiver.ack_size
+        assert packet.is_ack and packet.size == ACK_SIZE
     stats = receiver.stats_for(0)
     assert list(zip(stats.recv_times, stats.sent_times, stats.sizes,
                     stats.queuing_delays)) == expected

@@ -11,12 +11,13 @@ from repro.analysis.topk import SpaceSaving
 from repro.core.marking import TokenBucketMarker
 from repro.core.params import ABCParams
 from repro.core.router import ABCRouterQdisc
-from repro.core.sender import ABCWindowControl
 from repro.core.stability import FluidModel
 from repro.simulator.engine import EventLoop
 from repro.simulator.estimators import WindowedMinMax, WindowedRateEstimator
 from repro.simulator.packet import AckFeedback, ECN, MTU, Packet, apply_brake
 from repro.simulator.qdisc import FifoQdisc
+
+from tests.conftest import abc_sender
 
 # Keep hypothesis example counts moderate so the suite stays fast.
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -163,7 +164,7 @@ def test_router_accel_fraction_in_unit_interval(capacity):
 @given(st.lists(st.booleans(), min_size=1, max_size=400),
        st.floats(min_value=2.0, max_value=100.0))
 def test_abc_window_stays_positive_and_finite(accel_pattern, initial):
-    cc = ABCWindowControl(initial_cwnd=initial)
+    cc = abc_sender(initial)
     now = 0.0
     for accel in accel_pattern:
         cc.on_ack(AckFeedback(now=now, rtt=0.1, bytes_acked=MTU, accel=accel,
@@ -177,7 +178,7 @@ def test_abc_window_stays_positive_and_finite(accel_pattern, initial):
 @SETTINGS
 @given(st.integers(min_value=1, max_value=60))
 def test_abc_window_cap_respects_in_flight(in_flight):
-    cc = ABCWindowControl(initial_cwnd=5.0)
+    cc = abc_sender(5.0)
     cc.w_abc = 10_000.0
     cc.cubic._cwnd = 10_000.0
     cc.on_ack(AckFeedback(now=1.0, rtt=0.1, bytes_acked=MTU, accel=True,
@@ -214,9 +215,9 @@ def test_abc_ack_applies_the_accel_brake_law(acks, initial, additive_increase,
     additive increase), floored at 1 and capped; ECE never touches it."""
     params = ABCParams(additive_increase=additive_increase,
                        window_cap_factor=cap_factor)
-    cc = ABCWindowControl(params=params, initial_cwnd=initial)
+    cc = abc_sender(initial, params=params)
     for step, (accel, acked, in_flight, ece) in enumerate(acks):
-        w, a = cc.w_abc, acked / cc.mss
+        w, a = cc.w_abc, acked / MTU
         ai = a / w if additive_increase else 0.0
         expected = w + (a + ai) if accel else w - (a - ai)
         cc.on_ack(_feedback(step, accel, acked, in_flight, ece))
@@ -230,7 +231,7 @@ def test_abc_ack_applies_the_accel_brake_law(acks, initial, additive_increase,
 def test_abc_window_is_the_smaller_window_under_the_cap(acks, initial, events):
     """``on_ack`` returns max(min(w_abc, Cubic cwnd), 1), through losses and
     timeouts of the Cubic window, and never more than the cap."""
-    cc = ABCWindowControl(initial_cwnd=initial)
+    cc = abc_sender(initial)
     events = dict(events)
     for step, (accel, acked, in_flight, ece) in enumerate(acks):
         event = events.get(step)

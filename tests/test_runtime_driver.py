@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.runtime.executor import SweepExecutor
+from repro.runtime import faults
 from repro.runtime.faults import JobFailureError, is_failure, retry_backoff
 from repro.runtime.faults import crash_attempt, timeout_attempt
 from repro.runtime.spec import SweepJob
@@ -204,7 +205,7 @@ def test_dead_worker_is_landed_as_a_crash_with_the_canonical_record():
 def test_crash_lands_in_the_wake_up_that_saw_it(monkeypatch):
     # With no backoff the retry goes out at the instant of the death: the
     # expected clock has no polling or grace term in it, timeout or not.
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+    monkeypatch.setattr(faults, "BACKOFF_BASE", 0.0)
     results, executor, transport = _run({
         (0, 1): (0.2, DIES), (0, 2): (0.3, ok("second worker"))},
         retries=1, timeout=60.0)
@@ -218,13 +219,13 @@ def test_crash_lands_in_the_wake_up_that_saw_it(monkeypatch):
 
 # ---------------------------------------------------------------- retries
 def test_retry_is_resubmitted_only_after_its_seeded_backoff(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.5")
+    monkeypatch.setattr(faults, "BACKOFF_BASE", 0.5)
     results, executor, transport = _run({
         (0, 1): (0.25, error()),
         (0, 2): (0.25, ok("second time lucky")),
     }, retries=1)
     key = _jobs(1)[0].cache_key(executor.salt)
-    delay = retry_backoff(key, 1, 0.5)
+    delay = retry_backoff(key, 1)
     assert 0.25 <= delay < 0.5
     assert results == ["second time lucky"]
     assert transport.submitted == [(0.0, 0, 1), (0.25 + delay, 0, 2)]
@@ -235,7 +236,7 @@ def test_retry_is_resubmitted_only_after_its_seeded_backoff(monkeypatch):
 
 
 def test_exhausted_budget_leaves_the_full_history_in_slot(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.5")
+    monkeypatch.setattr(faults, "BACKOFF_BASE", 0.5)
     script = {
         (0, 1): (0.1, ok("fine")),
         (1, 1): (0.1, error("first")),
@@ -252,7 +253,7 @@ def test_exhausted_budget_leaves_the_full_history_in_slot(monkeypatch):
         (2, "worker_crash", crash_attempt(2).error),
         (3, "error", "last")]
     assert [a.backoff_seconds for a in failure.attempts] == [
-        retry_backoff(key, 1, 0.5), retry_backoff(key, 2, 0.5), 0.0]
+        retry_backoff(key, 1), retry_backoff(key, 2), 0.0]
     stats = executor.last_stats
     assert (stats.retries, stats.worker_crashes, stats.failed_jobs) == (2, 1, 1)
     assert stats.failures == [failure.to_jsonable()]

@@ -416,79 +416,3 @@ def test_cache_garbage_entries_are_misses(tmp_path, garbage):
     assert hit and value == {"ok": True}
 
 
-# ------------------------------------------------------------ size cap
-def _blob_job(value: int, kilobytes: int = 600) -> bytes:
-    """A job whose cached pickle is ~``kilobytes`` KB (deterministic)."""
-    return bytes([value % 256]) * (kilobytes * 1024)
-
-
-def test_cache_size_cap_evicts_oldest_entries(tmp_path):
-    # Cap ~1.25 MB with ~600 KB entries; the sweep interval floors at 1 MB,
-    # so the first put sweeps immediately and the third put (>= 1 MB written
-    # since) sweeps again and must evict the oldest entry.
-    cache = ResultCache(tmp_path, max_mb=1.25)
-    keys = [f"{i:02x}" + "0" * 62 for i in range(3)]
-    cache.put(keys[0], _blob_job(0))
-    os.utime(cache._path(keys[0]), (1000.0, 1000.0))   # force mtime order
-    cache.put(keys[1], _blob_job(1))
-    os.utime(cache._path(keys[1]), (2000.0, 2000.0))
-    assert cache.evictions == 0 and len(cache) == 2
-    cache.put(keys[2], _blob_job(2))                   # newest mtime wins
-    assert cache.evictions == 1
-    assert not cache.contains(keys[0]), "mtime-LRU must drop the oldest"
-    assert cache.contains(keys[1]) and cache.contains(keys[2])
-
-
-def test_cache_size_cap_evicts_least_recently_read_entry(tmp_path):
-    # Same cap and sizes: A was written first, but reading it makes B the
-    # least recently used entry, so B is what the third put evicts.
-    cache = ResultCache(tmp_path, max_mb=1.25)
-    a, b, c = (f"{i:02x}" + "0" * 62 for i in range(3))
-    cache.put(a, _blob_job(0))
-    cache.put(b, _blob_job(1))
-    os.utime(cache._path(a), (1000.0, 1000.0))
-    os.utime(cache._path(b), (2000.0, 2000.0))
-    assert cache.get(a) == (True, _blob_job(0))
-    cache.put(c, _blob_job(2))
-    assert cache.evictions == 1
-    assert not cache.contains(b), "a hit must refresh its entry's mtime"
-    assert cache.contains(a) and cache.contains(c)
-
-
-def test_cache_cap_env_knob(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1.25")
-    assert ResultCache(tmp_path)._max_bytes == int(1.25 * 1024 * 1024)
-    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0")
-    assert ResultCache(tmp_path)._max_bytes is None
-    monkeypatch.delenv("REPRO_CACHE_MAX_MB")
-    assert ResultCache(tmp_path)._max_bytes is None
-    # Explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "64")
-    assert ResultCache(tmp_path, max_mb=2)._max_bytes == 2 * 1024 * 1024
-
-
-def test_executor_reports_cache_evictions(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1")
-    executor = SweepExecutor(jobs=1, cache_dir=tmp_path)
-    jobs = [SweepJob(func=_blob_job, kwargs=dict(value=i)) for i in range(4)]
-    results = executor.run(jobs)
-    assert results == [_blob_job(i) for i in range(4)]
-    assert executor.last_stats.cache_evictions > 0
-    assert executor.cache.evictions == executor.last_stats.cache_evictions
-    # An uncapped executor never evicts.
-    monkeypatch.delenv("REPRO_CACHE_MAX_MB")
-    unbounded = SweepExecutor(jobs=1, cache_dir=tmp_path / "u")
-    unbounded.run(jobs)
-    assert unbounded.last_stats.cache_evictions == 0
-
-
-def test_manifest_records_cache_evictions(tmp_path, monkeypatch):
-    from repro.obs.manifest import executor_record
-    # 200 KB entries under a 0.5 MB cap: the fourth write sweeps and evicts
-    # the two oldest entries.
-    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.5")
-    executor = SweepExecutor(jobs=1, cache_dir=tmp_path)
-    executor.run([SweepJob(func=_blob_job, kwargs=dict(value=i, kilobytes=200))
-                  for i in range(4)])
-    assert executor_record(executor)["cache_evictions"] == 2
-    assert executor.last_stats.cache_evictions == 2

@@ -28,8 +28,9 @@ from repro.obs.manifest import executor_record
 from repro.obs.trace import sweep_trace_events
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
-from repro.runtime.faults import (JobFailure, JobFailureError, is_failure,
-                                  retry_backoff)
+from repro.runtime import faults
+from repro.runtime.faults import (BACKOFF_BASE, BACKOFF_CAP, JobFailure,
+                                  JobFailureError, is_failure, retry_backoff)
 from repro.runtime.journal import RunJournal, run_key_for
 from repro.runtime.spec import SweepJob
 from tests.chaos import Chaos, inject
@@ -38,7 +39,7 @@ from tests.chaos import Chaos, inject
 @pytest.fixture(autouse=True)
 def _no_backoff(monkeypatch):
     """Retries go out at once unless a test asks for a backoff."""
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+    monkeypatch.setattr(faults, "BACKOFF_BASE", 0.0)
 
 
 # Module-level so jobs survive pickling into pool workers.
@@ -113,13 +114,13 @@ def test_fault_decisions_are_pure_functions():
                          for i in range(64)]
 
 
-def test_retry_backoff_is_deterministic_and_bounded():
-    first = retry_backoff("k", 1, base=0.1)
-    assert first == retry_backoff("k", 1, base=0.1)
-    assert 0.05 <= first < 0.1                     # base window, jittered
-    assert 0.1 <= retry_backoff("k", 2, base=0.1) < 0.2
-    assert retry_backoff("k", 99, base=0.1) <= 30.0  # capped
-    assert retry_backoff("k", 1, base=0.0) == 0.0
+def test_retry_backoff_is_deterministic_and_bounded(monkeypatch):
+    monkeypatch.setattr(faults, "BACKOFF_BASE", BACKOFF_BASE)  # the real one
+    first = retry_backoff("k", 1)
+    assert first == retry_backoff("k", 1)
+    assert BACKOFF_BASE / 2 <= first < BACKOFF_BASE  # base window, jittered
+    assert BACKOFF_BASE <= retry_backoff("k", 2) < 2 * BACKOFF_BASE
+    assert retry_backoff("k", 99) <= BACKOFF_CAP   # capped
 
 
 # ------------------------------------------------------- chaos determinism
@@ -149,7 +150,7 @@ def test_chaos_byte_identical_serial_vs_parallel():
 
 
 def test_chaos_failure_records_carry_attempt_history(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
+    monkeypatch.setattr(faults, "BACKOFF_BASE", 0.01)
     executor = SweepExecutor(jobs=1, retries=2, failure_policy="salvage")
     with inject("job_error:1.0,seed:2") as chaos:
         (result,) = executor.run(_jobs(1))
@@ -161,8 +162,7 @@ def test_chaos_failure_records_carry_attempt_history(monkeypatch):
     # Backoff precedes every attempt but the last, deterministically.
     assert [a.backoff_seconds > 0 for a in result.attempts] == [
         True, True, False]
-    assert result.attempts[0].backoff_seconds == retry_backoff(
-        result.key, 1, 0.01)
+    assert result.attempts[0].backoff_seconds == retry_backoff(result.key, 1)
     stats = executor.last_stats
     assert (stats.retries, stats.failed_jobs) == (2, 1)
     assert stats.failures == [result.to_jsonable()]
@@ -383,6 +383,19 @@ def test_journal_is_keyed_by_job_content(tmp_path):
     other.run(_jobs(4))                              # different grid
     assert len(list(jdir.glob("run-*.journal"))) == 2
     # Identical grid resumes instead of re-running.
+    replay = SweepExecutor(jobs=1, journal=jdir)
+    replay.run(_jobs(3))
+    assert replay.last_stats.executed == 0
+    assert replay.last_stats.journal_hits == 3
+
+
+def test_journal_store_keeps_every_journaled_value(tmp_path, monkeypatch):
+    """The journal's private store is a ``ResultCache``, which evicts
+    nothing: a leftover ``REPRO_CACHE_MAX_MB`` (the retired size cap) in the
+    environment must not make a replay re-run journaled cells."""
+    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.000001")
+    jdir = tmp_path / "journal"
+    SweepExecutor(jobs=1, journal=jdir).run(_jobs(3))
     replay = SweepExecutor(jobs=1, journal=jdir)
     replay.run(_jobs(3))
     assert replay.last_stats.executed == 0

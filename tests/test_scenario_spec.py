@@ -19,9 +19,10 @@ from repro.experiments import (coexistence, fairness, runner, scenario_spec,
                                wifi_eval)
 from repro.experiments.scenario_spec import (LinkSpec, ScenarioSpec, build,
                                              link_spec_from, spec_cell)
-from repro.fuzz.generator import ScenarioGen, SmallMetroGen
+from repro.fuzz.generator import ScenarioGen
 from repro.fuzz.invariants import scenario_summary
 from repro.fuzz.shrink import load_corpus_entry
+from repro.metro.spec import DEFAULT_MIX, metro_pack
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.trace_store import register_trace
 
@@ -116,8 +117,10 @@ def test_every_rewired_cell_spec_round_trips(cell, built_specs):
 
 
 def test_fuzz_specs_round_trip():
-    specs = ScenarioGen(seed=6).sample_many(4) + SmallMetroGen(
-        seed=5, min_cells=1, max_cells=1).sample_city(0)
+    city = metro_pack(2, duration=1.0)
+    specs = ScenarioGen(seed=6).sample_many(4) + [
+        city.cell_spec(DEFAULT_MIX, name, link, 5)
+        for name, link in city.traces.items()]
     for spec in specs:
         assert _round_trip(spec) == spec
         assert _run(_round_trip(spec)) == _run(spec)

@@ -95,7 +95,7 @@ def test_empirical_stability_helper():
 
 def test_stability_sweep_experiment():
     from repro.experiments.stability_eval import fluid_stability_sweep
-    sweep = fluid_stability_sweep(delta_over_tau=(0.2, 1.33), tau=0.1)
+    sweep = fluid_stability_sweep(delta_over_tau=(0.2, 1.33))
     assert not sweep[0.2].theoretically_stable
     assert sweep[1.33].theoretically_stable
     assert sweep[1.33].fluid_converged

@@ -15,6 +15,7 @@ from pkgutil import resolve_name
 
 import pytest
 
+from repro.experiments import coexistence
 from repro.experiments.coexistence import (app_limited_spec,
                                            fig6_nonabc_bottleneck, fig6_spec,
                                            shared_bottleneck_spec)
@@ -87,7 +88,8 @@ def test_a_probe_that_reads_the_clock_changes_no_summary(summary):
 
 def test_a_figure_cell_replays_from_its_manifest(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path))
-    result = fig6_nonabc_bottleneck(duration=4.0, sample_interval=0.5,
+    monkeypatch.setattr(coexistence, "FIG6_SAMPLE_INTERVAL", 0.5)
+    result = fig6_nonabc_bottleneck(duration=4.0,
                                     executor=SweepExecutor(jobs=1))
     (manifest,) = tmp_path.glob("figure-*.json")
     (cell,) = json.loads(manifest.read_text())["spec"]["cells"]

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.simulator import traffic
 from repro.simulator.traffic import (BackloggedSource, FixedSizeSource,
                                      OnOffSource, RateLimitedSource)
 
@@ -40,8 +41,9 @@ def test_rate_limited_source_accrues_credit():
     assert src.bytes_available(1.0) == pytest.approx(400.0)
 
 
-def test_rate_limited_source_burst_cap():
-    src = RateLimitedSource(rate_bps=8e6, burst_bytes=5000)
+def test_rate_limited_source_burst_cap(monkeypatch):
+    monkeypatch.setattr(traffic, "BURST_BYTES", 5000)
+    src = RateLimitedSource(rate_bps=8e6)
     assert src.bytes_available(100.0) == 5000
 
 
