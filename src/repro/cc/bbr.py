@@ -58,16 +58,9 @@ class BBR(CongestionControl):
         self._probe_rtt_until = -1.0
 
     # ------------------------------------------------------------ model
-    def _bdp_packets(self) -> float:
-        bw = self.btl_bw.get()
-        rtt = self.min_rtt.get(default=0.1)
-        if bw <= 0:
-            return self._cwnd
-        return bw * rtt / (MTU * 8.0)
-
     def pacing_rate(self) -> float:
-        bw = self.btl_bw.get()
-        if bw <= 0:
+        bw = self.btl_bw.best
+        if bw is None or bw <= 0:
             # Before the first bandwidth sample, pace at a nominal start-up
             # rate derived from the initial window and a 100 ms guess.
             return self._cwnd * MTU * 8.0 / 0.1
@@ -76,46 +69,59 @@ class BBR(CongestionControl):
     def cwnd(self) -> float:
         if self.state == self.PROBE_RTT:
             return 4.0
-        return max(CWND_GAIN * self._bdp_packets(), 4.0)
+        # CWND_GAIN BDPs, in packets (the min-RTT filter defaults to 100 ms).
+        bw = self.btl_bw.best
+        if bw is None or bw <= 0:
+            return max(CWND_GAIN * self._cwnd, 4.0)
+        rtt = self.min_rtt.best
+        bdp = bw * (0.1 if rtt is None else rtt) / (MTU * 8.0)
+        return max(CWND_GAIN * bdp, 4.0)
 
     # ------------------------------------------------------------ state
-    def _check_full_pipe(self) -> None:
-        bw = self.btl_bw.get()
-        if bw > self._full_bw * 1.25:
-            self._full_bw = bw
-            self._full_bw_count = 0
-        else:
-            self._full_bw_count += 1
-
-    def _advance_cycle(self, now: float) -> None:
-        if now - self._cycle_start >= self.min_rtt.get(default=0.1):
-            self._cycle_index = (self._cycle_index + 1) % len(GAIN_CYCLE)
-            self._cycle_start = now
-            self._pacing_gain = GAIN_CYCLE[self._cycle_index]
-
     def on_ack(self, feedback: AckFeedback) -> Optional[float]:
         now = feedback.now
-        self.delivery_rate.add(now, feedback.bytes_acked)
-        rate_sample = self.delivery_rate.rate_bps(now)
+        # WindowedRateEstimator.add, inlined minus the expiry rate_bps repeats.
+        rate = self.delivery_rate
+        if rate._first_sample_time is None:
+            rate._first_sample_time = now
+        rate._times.append(now)
+        rate._sizes.append(feedback.bytes_acked)
+        rate._total += feedback.bytes_acked
+        rate_sample = rate.rate_bps(now)
         if rate_sample > 0:
             self.btl_bw.update(now, rate_sample)
         if feedback.rtt is not None:
             self.min_rtt.update(now, feedback.rtt)
 
         if self.state == self.STARTUP:
-            self._check_full_pipe()
+            # The pipe is full after three ACKs without 25 % more bandwidth.
+            bw = self.btl_bw.get()
+            if bw > self._full_bw * 1.25:
+                self._full_bw = bw
+                self._full_bw_count = 0
+            else:
+                self._full_bw_count += 1
             if self._full_bw_count >= 3:
                 self.state = self.DRAIN
                 self._pacing_gain = 1.0 / 2.885
         elif self.state == self.DRAIN:
-            if feedback.packets_in_flight <= self._bdp_packets():
+            # The BDP in packets, as cwnd() computes it.
+            bw, rtt = self.btl_bw.best, self.min_rtt.best
+            if feedback.packets_in_flight <= (
+                    self._cwnd if bw is None or bw <= 0
+                    else bw * (0.1 if rtt is None else rtt) / (MTU * 8.0)):
                 self.state = self.PROBE_BW
                 self._cycle_index = 0
                 self._cycle_start = now
                 self._pacing_gain = GAIN_CYCLE[0]
                 self._last_probe_rtt = now
         elif self.state == self.PROBE_BW:
-            self._advance_cycle(now)
+            # Advance the gain cycle once per min-RTT.
+            rtt = self.min_rtt.best
+            if now - self._cycle_start >= (0.1 if rtt is None else rtt):
+                self._cycle_index = (self._cycle_index + 1) % len(GAIN_CYCLE)
+                self._cycle_start = now
+                self._pacing_gain = GAIN_CYCLE[self._cycle_index]
             if now - self._last_probe_rtt >= PROBE_RTT_INTERVAL:
                 self.state = self.PROBE_RTT
                 self._probe_rtt_until = now + PROBE_RTT_DURATION

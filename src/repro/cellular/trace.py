@@ -1,10 +1,11 @@
 """Mahimahi-style cellular link traces.
 
 A trace is an ordered list of *delivery opportunities*: timestamps at which
-the link can transmit one MTU-sized (1500-byte) packet.  Mahimahi stores them
-as integer milliseconds, one per line; an opportunity repeated ``n`` times on
-the same millisecond means ``n`` packets can be delivered in that millisecond.
-This module keeps timestamps in seconds internally.
+the link can transmit one MTU-sized (1500-byte) packet, as the
+:class:`~repro.simulator.link.OpportunityLink` replaying it does.  Mahimahi
+stores them as integer milliseconds, one per line; an opportunity repeated
+``n`` times on the same millisecond means ``n`` packets can be delivered in
+that millisecond.  This module keeps timestamps in seconds internally.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ class CellularTrace:
     floats themselves, at a fixed number of hashing steps.
     """
 
-    def __init__(self, opportunity_times: Iterable[float], name: str = "trace",
-                 bytes_per_opportunity: int = MTU):
+    def __init__(self, opportunity_times: Iterable[float], name: str = "trace"):
         times = sorted(float(t) for t in opportunity_times)
         if not times:
             raise ValueError("a trace needs at least one delivery opportunity")
@@ -40,7 +40,6 @@ class CellularTrace:
         self._times_np = np.asarray(times, dtype=float)
         self._times_np.setflags(write=False)
         self.name = name
-        self.bytes_per_opportunity = bytes_per_opportunity
 
     # ------------------------------------------------------------ basic API
     @property
@@ -60,13 +59,13 @@ class CellularTrace:
                 f"{self.duration:.1f}s, mean {self.mean_rate_bps() / 1e6:.2f} Mbit/s>")
 
     def cache_fingerprint(self) -> tuple:
-        return (self.name, self.bytes_per_opportunity, self._times_np)
+        return (self.name, MTU, self._times_np)
 
     # ------------------------------------------------------------ rates
     def mean_rate_bps(self) -> float:
         if self.duration <= 0:
             return 0.0
-        return len(self._times) * self.bytes_per_opportunity * 8.0 / self.duration
+        return len(self._times) * MTU * 8.0 / self.duration
 
     def rate_timeseries(self, bin_size: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
         """Binned capacity time series ``(bin_centers_s, rate_bps)``."""
@@ -75,7 +74,7 @@ class CellularTrace:
         np.minimum(idx, n_bins - 1, out=idx)
         counts = np.bincount(idx, minlength=n_bins).astype(float)
         centers = (np.arange(n_bins) + 0.5) * bin_size
-        return centers, counts * self.bytes_per_opportunity * 8.0 / bin_size
+        return centers, counts * MTU * 8.0 / bin_size
 
     # ------------------------------------------------------------ transforms
     def scaled(self, factor: float, name: str | None = None) -> "CellularTrace":
@@ -83,16 +82,14 @@ class CellularTrace:
         if factor <= 0:
             raise ValueError("factor must be positive")
         return CellularTrace((t / factor for t in self._times),
-                             name=name or f"{self.name}-x{factor:g}",
-                             bytes_per_opportunity=self.bytes_per_opportunity)
+                             name=name or f"{self.name}-x{factor:g}")
 
     def truncated(self, duration: float, name: str | None = None) -> "CellularTrace":
         """Keep only opportunities within the first ``duration`` seconds."""
         kept = [t for t in self._times if t <= duration]
         if not kept:
             raise ValueError("truncation left no opportunities")
-        return CellularTrace(kept, name=name or f"{self.name}-{duration:g}s",
-                             bytes_per_opportunity=self.bytes_per_opportunity)
+        return CellularTrace(kept, name=name or f"{self.name}-{duration:g}s")
 
     # ------------------------------------------------------------ file I/O
     @classmethod
@@ -111,8 +108,7 @@ class CellularTrace:
 
     @classmethod
     def from_rate_series(cls, times_s: Sequence[float], rates_bps: Sequence[float],
-                         name: str = "trace",
-                         bytes_per_opportunity: int = MTU) -> "CellularTrace":
+                         name: str = "trace") -> "CellularTrace":
         """Build a trace from a piecewise-constant rate series.
 
         ``times_s`` are segment start times (the final segment ends at the
@@ -133,10 +129,9 @@ class CellularTrace:
         for (start, end), rate in zip(zip(times, times[1:]), rates_bps):
             if rate <= 0 or end <= start:
                 continue
-            interval = bytes_per_opportunity * 8.0 / rate
+            interval = MTU * 8.0 / rate
             t = start
             while t < end:
                 opportunities.append(t)
                 t += interval
-        return cls(opportunities, name=name,
-                   bytes_per_opportunity=bytes_per_opportunity)
+        return cls(opportunities, name=name)

@@ -42,6 +42,8 @@ original), the raw event sequence is not:
   send decision (at most one packet per tick, so every ``sent_time`` is
   unchanged) and *halts* the tick chain when a fixed-size flow completes
   instead of idle-polling to the horizon (``pace_ticks`` / ``pace_halts``).
+  It re-arms the RTO as :meth:`receive` does (a bare store with packets in
+  flight), and a paced ACK calls ``_try_send`` only to flush retransmissions.
 * **One object per round trip.**  The receiver turns the delivered
   ``Packet`` around in place as its own ACK (see :class:`Receiver`) instead
   of copying it into a second object, senders construct packets directly
@@ -459,7 +461,12 @@ class Sender:
                             egress = self.egress
                             if egress is not None:
                                 _forward(egress, packet)
-                        self._arm_rto(now)
+                        # Sender._arm_rto, inlined: in flight means armed.
+                        self.rto_rearms += 1
+                        if n:
+                            self._rto_timer.armed_at = now
+                        else:
+                            self._rto_timer.arm(now)
                         sent = True
         if rate > 0:
             interval = MTU * 8.0 / rate
@@ -541,14 +548,15 @@ class Sender:
         # the guard check, a bare store.
         if self._paced:
             # The pacing loop emits new packets; an ACK only re-arms the RTO
-            # and flushes retransmissions.
+            # and flushes retransmissions (all _try_send does when paced).
             self.cc.on_ack(feedback)
             if outstanding:
                 self.rto_rearms += 1
                 self._rto_timer.armed_at = now
             else:
                 self._rto_timer.armed_at = None
-            self._try_send()
+            if self.retransmit_queue:
+                self._try_send()
             return
         cwnd = self.cc.on_ack(feedback)
         if self.retransmit_queue or self._source_kind == 2:

@@ -133,7 +133,10 @@ class WindowedMinMax:
     """Windowed minimum or maximum (monotonic deque), used by BBR and Copa.
 
     ``mode`` is either ``"min"`` or ``"max"``; samples older than ``window``
-    seconds are evicted lazily on every update/query.
+    seconds are evicted lazily on every update/query.  ``best`` publishes the
+    extremum (``None`` while the deque is empty): :meth:`update` and
+    :meth:`query`, the only methods that change the deque, refresh it, so BBR
+    reads the attribute instead of calling :meth:`get`.
     """
 
     def __init__(self, window: float, mode: str = "max"):
@@ -142,34 +145,37 @@ class WindowedMinMax:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        self.mode = mode
+        self.best: Optional[float] = None
+        self._max = mode == "max"
         self._samples: Deque[Tuple[float, float]] = deque()
-
-    def _better(self, a: float, b: float) -> bool:
-        return a >= b if self.mode == "max" else a <= b
 
     def update(self, now: float, value: float) -> float:
         samples = self._samples
-        while samples and self._better(value, samples[-1][1]):
-            samples.pop()
+        if self._max:
+            while samples and value >= samples[-1][1]:
+                samples.pop()
+        else:
+            while samples and value <= samples[-1][1]:
+                samples.pop()
         samples.append((now, value))
-        self._expire(now)
-        return self.get()
+        # query's expiry, inlined (the sample just appended is live).
+        cutoff = now - self.window
+        while samples[0][0] < cutoff:
+            samples.popleft()
+        best = self.best = samples[0][1]
+        return best
 
-    def _expire(self, now: float) -> None:
+    def get(self, default: float = 0.0) -> float:
+        best = self.best
+        return default if best is None else best
+
+    def query(self, now: float, default: float = 0.0) -> float:
         cutoff = now - self.window
         samples = self._samples
         while samples and samples[0][0] < cutoff:
             samples.popleft()
-
-    def get(self, default: float = 0.0) -> float:
-        if not self._samples:
-            return default
-        return self._samples[0][1]
-
-    def query(self, now: float, default: float = 0.0) -> float:
-        self._expire(now)
-        return self.get(default)
+        best = self.best = samples[0][1] if samples else None
+        return default if best is None else best
 
 
 #: The RTO clamp (s).

@@ -320,6 +320,65 @@ def test_bbr_timeout_restarts_startup():
     assert cc.state == BBR.STARTUP
 
 
+def _seeded_bbr_run(trace, check):
+    """One BBR flow over the seeded ``trace`` for 3 s, calling ``check(cc,
+    sender)`` after each of its ACKs has updated the model; returns the
+    states the ACKs left BBR in."""
+    from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec,
+                                                 build, link_spec_from)
+
+    built = build(ScenarioSpec(
+        scheme="bbr", duration=3.0,
+        links=[link_spec_from(trace, name="bottleneck")],
+        flows=[FlowSpec(rtt=0.05)]))
+    (flow,) = built.flows
+    cc, sender = flow.cc, flow.sender
+    on_ack = cc.on_ack
+    states = []
+
+    def checked_on_ack(feedback):
+        result = on_ack(feedback)
+        states.append(cc.state)
+        check(cc, sender)
+        return result
+
+    cc.on_ack = checked_on_ack
+    built.scenario.run(3.0)
+    assert len(states) > 500
+    return set(states)
+
+
+def test_bbr_reads_its_model_at_every_ack_of_a_seeded_run(short_trace):
+    """``cwnd()`` and ``pacing_rate()`` equal the formulas written out from
+    the filters' own deques: ``max(CWND_GAIN·bw·rtt/(MTU·8), 4)`` (4 in
+    PROBE_RTT) and the pacing gain times ``bw``."""
+    def check(cc, _sender):
+        bw = cc.btl_bw._samples[0][1]
+        rtt = cc.min_rtt._samples[0][1]
+        assert cc.btl_bw.best == bw and cc.min_rtt.best == rtt
+        expected = (4.0 if cc.state == BBR.PROBE_RTT
+                    else max(CWND_GAIN * (bw * rtt / (MTU * 8.0)), 4.0))
+        assert cc.cwnd() == expected
+        assert cc.pacing_rate() == cc._pacing_gain * bw
+
+    states = _seeded_bbr_run(short_trace, check)
+    assert {BBR.STARTUP, BBR.DRAIN, BBR.PROBE_BW} <= states
+
+
+def test_paced_sender_keeps_its_rto_armed_behind_every_send(short_trace):
+    """With packets in flight the RTO timer is armed, its guard is pending,
+    and it was re-armed no earlier than the newest send: the pacing loop
+    re-arms it on every packet it sends."""
+    def check(_cc, sender):
+        if sender.outstanding:
+            timer = sender._rto_timer
+            assert timer.armed_at is not None and timer._guarded
+            newest = max(info[2] for info in sender.outstanding.values())
+            assert timer.armed_at >= newest
+
+    _seeded_bbr_run(short_trace, check)
+
+
 # ------------------------------------------------------------ Copa
 def test_copa_increases_on_empty_queue():
     cc = with_cwnd(Copa(), 10.0)

@@ -571,13 +571,21 @@ def test_count_gate_fails_on_a_rise_beyond_its_tolerance():
     sys.path.insert(0, str(REPO_ROOT / "tools"))
     from count_gate import TOLERANCE, regressions
 
-    expected = {"total": 24.0, "functions": {"a": 1.0, "b": 2.0}}
+    expected = {"total": 24.0, "bytecodes": 1000.0,
+                "functions": {"a": 1.0, "b": 2.0}}
     assert regressions(expected, expected) == []
     assert regressions(expected, {"total": 24.0 * (1 + TOLERANCE),
+                                  "bytecodes": 1000.0 * (1 + TOLERANCE),
                                   "functions": {"a": 0.5}}) == []
-    rose = {"total": 25.0, "functions": {"a": 1.0, "b": 2.1, "new": 0.01}}
+    rose = {"total": 25.0, "bytecodes": 1000.0,
+            "functions": {"a": 1.0, "b": 2.1, "new": 0.01}}
     assert [line.split(":")[0] for line in regressions(expected, rose)] == [
         "total", "b", "new"]
+    # Bytecodes are gated on their own: a change that adds work without a
+    # call (an inlined loop) rises here alone.
+    heavier = dict(expected, bytecodes=1031.0)
+    assert [line.split(":")[0] for line in regressions(expected, heavier)] == [
+        "bytecodes"]
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),

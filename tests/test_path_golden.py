@@ -459,13 +459,13 @@ def test_counters_are_derived_from_the_series_that_hold_them(monkeypatch):
 #: * ``golden-trace-scenario`` (ABC + Cubic, 3 s, ACK-clocked): 31.3 before
 #:   the RTO deadline became a function and Cubic got one flat per-ACK body,
 #:   24.8 after;
-#: * ``paced-bbr-trace`` (one BBR flow, paced): 47.2, against 53.1 when
-#:   BBR's ``on_ack`` also returns its window — five calls per ACK
-#:   (``window → cwnd → _bdp_packets → two WindowedMinMax.get``) for a value
-#:   the pacing loop never reads.
+#: * ``paced-bbr-trace`` (one BBR flow, paced): 28.8 since BBR reads its
+#:   filters' published extrema in straight-line code and the pace tick
+#:   re-arms the RTO inline, against 47.2 before (and 53.1 when BBR's
+#:   ``on_ack`` also returned a window the pacing loop never reads).
 PYTHON_CALLS_PER_PACKET_CEILING = {
     "golden-trace-scenario": 27.0,
-    "paced-bbr-trace": 49.0,
+    "paced-bbr-trace": 31.0,
 }
 
 

@@ -280,6 +280,44 @@ def test_router_keeps_no_more_accelerates_than_the_fractions_allow(
     assert worst <= token_limit + 1e-9 * (1 + len(runs))
 
 
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                          st.integers(min_value=0, max_value=4),
+                          st.sampled_from((ECN.ACCEL, ECN.ACCEL, ECN.BRAKE,
+                                           ECN.NOT_ECT))),
+                min_size=1, max_size=150),
+       st.floats(min_value=1e5, max_value=5e7),
+       st.floats(min_value=1.0, max_value=4.0))
+def test_router_marks_like_algorithm_1_on_its_own_fractions(
+        steps, capacity, token_limit):
+    """Each dequeue's verdict is Algorithm 1's, run on the f(t) the router
+    computed for it: every outgoing packet adds f to a token capped at
+    ``token_limit``, and an accelerate packet keeps its mark only by
+    spending a whole token."""
+    router = ABCRouterQdisc(params=ABCParams(token_limit=token_limit),
+                            buffer_packets=500,
+                            capacity_fn=lambda now: capacity)
+    sent, token = [], 0.0
+    for step, (arrivals, departures, codepoint) in enumerate(steps):
+        now = step * 0.002
+        for _ in range(arrivals):
+            router.enqueue(Packet(flow_id=0, seq=len(sent), ecn=codepoint), now)
+            sent.append(codepoint)
+        for _ in range(departures):
+            packet = router.dequeue(now)
+            if packet is None:
+                break
+            token = min(token + router.last_fraction, token_limit)
+            expected = sent[packet.seq]
+            if expected is ECN.ACCEL:
+                if token >= 1.0:
+                    token -= 1.0
+                else:
+                    expected = ECN.BRAKE
+            assert packet.ecn is expected
+            assert router.marker.token == token
+
+
 # ------------------------------------------------------------ estimators
 @SETTINGS
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=100.0),
@@ -295,15 +333,36 @@ def test_rate_estimator_never_negative(samples):
 
 
 @SETTINGS
-@given(st.lists(st.floats(min_value=0.001, max_value=10.0), min_size=1, max_size=200))
-def test_windowed_minmax_invariants(values):
-    w_max = WindowedMinMax(window=1e9, mode="max")
-    w_min = WindowedMinMax(window=1e9, mode="min")
-    for i, v in enumerate(values):
-        w_max.update(float(i), v)
-        w_min.update(float(i), v)
-    assert w_max.get() == max(values)
-    assert w_min.get() == min(values)
+@given(st.floats(min_value=0.05, max_value=5.0),
+       st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0),
+                          st.one_of(st.none(),
+                                    st.floats(min_value=0.001, max_value=10.0))),
+                min_size=1, max_size=200))
+def test_windowed_minmax_invariants(window, steps):
+    """Interleaved updates (a value) and queries (``None``) at non-decreasing
+    times: after every step the published ``best`` is the brute-force max /
+    min over the samples no older than ``now - window``, and ``None`` exactly
+    when the deque is empty."""
+    filters = {max: WindowedMinMax(window=window, mode="max"),
+               min: WindowedMinMax(window=window, mode="min")}
+    samples = []
+    now = 0.0
+    for dt, value in steps:
+        now += dt
+        for extremum, w in filters.items():
+            if value is None:
+                returned = w.query(now, default=-1.0)
+            else:
+                returned = w.update(now, value)
+            live = [v for t, v in samples + [(now, value)]
+                    if v is not None and not t < now - window]
+            expected = extremum(live) if live else None
+            assert w.best == expected
+            assert (w.best is None) == (not w._samples)
+            assert returned == (-1.0 if expected is None else expected)
+            assert w.get(default=-1.0) == returned
+        if value is not None:
+            samples.append((now, value))
 
 
 # ------------------------------------------------------------ queues

@@ -181,8 +181,6 @@ def test_a_trace_is_keyed_by_its_float64_array():
     nudged[len(nudged) // 2] = np.nextafter(nudged[len(nudged) // 2], np.inf)
     assert stable_hash(CellularTrace(nudged, name=trace.name)) != key
     assert stable_hash(CellularTrace(times, name="renamed")) != key
-    assert stable_hash(CellularTrace(times, name=trace.name,
-                                     bytes_per_opportunity=1000)) != key
     # Pinned so no trace key moves silently.
     assert stable_hash(CellularTrace([0.0, 0.001, 0.0025], name="pin")) == (
         "d8e1f7b10c082a9d61564c6c9dd6cb6bf3a20429bfc9d3f04251d7efc2e2d3ad")

@@ -1,11 +1,15 @@
-"""Deterministic per-packet gate: Python calls per delivered MTU must not rise.
+"""Deterministic per-packet gate: Python calls and bytecodes per delivered
+MTU must not rise.
 
 Counts the Python calls made inside ``Scenario.run`` per delivered MTU, in
-total and per ``repro`` function, on the 4-cell 2 s ``metro_ack`` and
-``metro_paced`` cities (``tools/profile_hotpath.py --counts``), and compares
-them with the committed ``tools/hotpath_counts.json``.  It fails when the
-total or any function's count rises by more than ``TOLERANCE``; a function
-the file does not list rises from zero.  The counts are exact and
+total and per ``repro`` function, and the bytecodes executed per delivered
+MTU in total, on the 4-cell 2 s ``metro_ack`` and ``metro_paced`` cities
+(``tools/profile_hotpath.py --counts``), and compares them with the committed
+``tools/hotpath_counts.json``.  It fails when either total or any function's
+call count rises by more than ``TOLERANCE``; a function the file does not
+list rises from zero.  The functions are those of the ``repro`` package this
+interpreter imports, so ``PYTHONPATH`` may point at a copy of ``src/``
+(``tools/mutants.py`` does).  The counts are exact and
 machine-independent, so one run settles it, but they move between CPython
 minor versions: the file records the version it was written on, and the gate
 refuses to compare on another::
@@ -26,6 +30,7 @@ import os
 import sys
 from pathlib import Path
 
+import repro
 from profile_hotpath import METRO_CELLS, HotpathCounts, metro_workload
 
 #: The ledger's two metro mixes (``benchmarks/ledger/workloads.py``).
@@ -36,7 +41,7 @@ DURATION = 2.0
 #: The fraction a count may rise by before the gate fails.
 TOLERANCE = 0.03
 BASELINE = Path(__file__).with_name("hotpath_counts.json")
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = Path(repro.__file__).resolve().parent.parent
 
 
 def python_version() -> str:
@@ -44,8 +49,9 @@ def python_version() -> str:
 
 
 def python_calls(mix: str) -> dict:
-    """Python calls per delivered MTU on a ``mix`` city: the total, and per
-    ``repro`` function (``<file under src>:<qualified name>``)."""
+    """Per delivered MTU on a ``mix`` city: Python calls in total and per
+    ``repro`` function (``<file under src>:<qualified name>``), and
+    bytecodes in total."""
     counts = HotpathCounts()
     counts.run(metro_workload(mix, DURATION))
     per_function = collections.Counter()
@@ -55,7 +61,9 @@ def python_calls(mix: str) -> dict:
             name = getattr(code, "co_qualname", code.co_name)
             per_function[f"{path.relative_to(SRC).as_posix()}:{name}"] += (
                 calls / counts.delivered_mtus)
-    return {"total": round(counts.totals()["py_calls_per_op"], 6),
+    totals = counts.totals()
+    return {"total": round(totals["py_calls_per_op"], 6),
+            "bytecodes": round(totals["bytecodes_per_op"], 3),
             "functions": {name: round(value, 6)
                           for name, value in sorted(per_function.items())}}
 
@@ -63,12 +71,16 @@ def python_calls(mix: str) -> dict:
 def regressions(expected: dict, measured: dict,
                 tolerance: float = TOLERANCE) -> list:
     """One line per count in ``measured`` that exceeds ``expected`` by more
-    than ``tolerance``: the total, then the functions."""
-    rows = {"total": (expected["total"], measured["total"])}
-    rows.update({name: (expected["functions"].get(name, 0.0), value)
+    than ``tolerance``: the call total, the bytecode total, then the
+    functions' calls."""
+    rows = {"total": (expected["total"], measured["total"], "Python calls"),
+            "bytecodes": (expected["bytecodes"], measured["bytecodes"],
+                          "bytecodes")}
+    rows.update({name: (expected["functions"].get(name, 0.0), value,
+                        "Python calls")
                  for name, value in measured["functions"].items()})
-    return [f"{name}: {old:.6f} -> {new:.6f} Python calls per MTU"
-            for name, (old, new) in rows.items()
+    return [f"{name}: {old:.6f} -> {new:.6f} {unit} per MTU"
+            for name, (old, new, unit) in rows.items()
             if new > old * (1 + tolerance)]
 
 
@@ -98,7 +110,8 @@ def main(argv=None) -> int:
         moved = sum(value != expected["functions"].get(function)
                     for function, value in counts["functions"].items())
         print(f"{name}: {expected['total']:.6f} -> {counts['total']:.6f} "
-              f"Python calls per MTU; {moved} of "
+              f"Python calls and {expected['bytecodes']:.1f} -> "
+              f"{counts['bytecodes']:.1f} bytecodes per MTU; {moved} of "
               f"{len(counts['functions'])} repro functions moved")
         for line in regressions(expected, counts):
             print(f"  ROSE > {TOLERANCE:.0%}  {line}")
