@@ -2,10 +2,10 @@
 
 The CoDel dequeue-time algorithm of Nichols & Jacobson, "Controlling Queue
 Delay" (ACM Queue 2012), as RFC 8289 §5's pseudocode writes it.  Packets
-whose sojourn time has exceeded ``target`` for at least ``interval`` are
-dropped (or ECN-marked when ``ecn=True``) at a rate that increases with the
-square root of the number of drops, which is the control law that gives CoDel
-its name.
+whose sojourn time has exceeded ``TARGET`` for at least ``INTERVAL`` are
+dropped (or ECN-marked when ``ECN_MARKING`` is set) at a rate that increases
+with the square root of the number of drops, which is the control law that
+gives CoDel its name.
 
 The paper pairs CoDel with Cubic ("Cubic+Codel"): it removes bufferbloat but
 cannot signal rate increases, which is exactly the behaviour Fig. 1c shows and
@@ -23,6 +23,13 @@ from repro.simulator.qdisc import Qdisc
 #: RFC 8289's ``maxpacket``, the interface MTU: with no more than this left
 #: queued, a packet is never dropped.
 MAXPACKET = 1500
+#: RFC 8289's defaults: the sojourn-time target and the interval it must
+#: persist for (s).
+TARGET = 0.005
+INTERVAL = 0.1
+#: CE-mark an ECN-capable packet instead of dropping it, as Linux's ``ecn``
+#: option does (no cell the repo runs sets it).
+ECN_MARKING = False
 
 
 class CoDelQdisc(Qdisc):
@@ -30,15 +37,8 @@ class CoDelQdisc(Qdisc):
 
     name = "codel"
 
-    def __init__(self, buffer_packets: int = 250, target: float = 0.005,
-                 interval: float = 0.1, ecn: bool = False):
+    def __init__(self, buffer_packets: int = 250):
         super().__init__(buffer_packets=buffer_packets)
-        if target <= 0 or interval <= 0:
-            raise ValueError("target and interval must be positive")
-        self.target = target
-        self.interval = interval
-        self.ecn = ecn
-
         self._first_above_time = 0.0
         self._drop_next = 0.0
         self._drop_count = 0
@@ -60,21 +60,21 @@ class CoDelQdisc(Qdisc):
         if packet is None:
             self._first_above_time = 0.0
             return None, False
-        if (now - packet.enqueue_time < self.target
+        if (now - packet.enqueue_time < TARGET
                 or self.backlog_bytes <= MAXPACKET):
             self._first_above_time = 0.0
         elif self._first_above_time == 0.0:
-            self._first_above_time = now + self.interval
+            self._first_above_time = now + INTERVAL
         elif now >= self._first_above_time:
             return packet, True
         return packet, False
 
     def _control_law(self, t: float) -> float:
-        return t + self.interval / math.sqrt(self._drop_count)
+        return t + INTERVAL / math.sqrt(self._drop_count)
 
     def _handle(self, packet: Packet, now: float) -> Optional[Packet]:
         """Drop or ECN-mark a packet selected by the control law."""
-        if self.ecn and packet.ecn.is_ecn_capable:
+        if ECN_MARKING and packet.ecn.is_ecn_capable:
             packet.ecn = apply_ce(packet.ecn)
             self.marked_packets += 1
             return packet
@@ -83,7 +83,8 @@ class CoDelQdisc(Qdisc):
 
     def dequeue(self, now: float) -> Optional[Packet]:
         """RFC 8289's ``dequeue``; its "drop" ECN-marks a capable packet
-        and sends it on when ``ecn`` is set, as Linux's ``codel`` does."""
+        and sends it on when ``ECN_MARKING`` is set, as Linux's ``codel``
+        does."""
         packet, ok_to_drop = self._dodequeue(now)
         if self._dropping:
             if not ok_to_drop:
@@ -102,7 +103,7 @@ class CoDelQdisc(Qdisc):
             self._dropping = True
             delta = self._drop_count - self._last_drop_count
             self._drop_count = 1
-            if delta > 1 and now - self._drop_next < 16 * self.interval:
+            if delta > 1 and now - self._drop_next < 16 * INTERVAL:
                 self._drop_count = delta
             self._drop_next = self._control_law(now)
             self._last_drop_count = self._drop_count

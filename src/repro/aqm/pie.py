@@ -25,6 +25,9 @@ T_UPDATE = 0.015
 ALPHA = 0.125
 BETA = 1.25
 MAX_BURST = 0.15
+#: CE-mark an ECN-capable packet instead of dropping it while the drop
+#: probability is below 10 % (RFC 8033 §5.1; no cell the repo runs sets it).
+ECN_MARKING = False
 
 
 class PIEQdisc(Qdisc):
@@ -32,10 +35,8 @@ class PIEQdisc(Qdisc):
 
     name = "pie"
 
-    def __init__(self, buffer_packets: int = 250, ecn: bool = False,
-                 seed: int = 0):
+    def __init__(self, buffer_packets: int = 250, seed: int = 0):
         super().__init__(buffer_packets=buffer_packets)
-        self.ecn = ecn
         self._rng = random.Random(seed)
 
         self.drop_prob = 0.0
@@ -107,7 +108,8 @@ class PIEQdisc(Qdisc):
             self.dropped_packets += 1
             return False
         if self._should_mark(now):
-            if self.ecn and packet.ecn.is_ecn_capable and self.drop_prob < 0.1:
+            if (ECN_MARKING and packet.ecn.is_ecn_capable
+                    and self.drop_prob < 0.1):
                 packet.ecn = apply_ce(packet.ecn)
                 self.marked_packets += 1
             else:

@@ -83,11 +83,6 @@ class CongestionControl:
         """Lower bound enforced by the sender (packets)."""
         return 1.0
 
-    def clamp_to(self, cap: float) -> None:
-        """Upper-bound the window (used by the ABC dual-window cap, §5.1.1)."""
-        if self._cwnd > cap:
-            self._cwnd = max(cap, self.min_cwnd())
-
     # ------------------------------------------------------------ helpers
     def _clamp(self) -> None:
         if self._cwnd < self.min_cwnd():

@@ -12,5 +12,4 @@
   weight allocation used to share an ABC bottleneck with non-ABC flows (§5.2).
 * :mod:`repro.core.pk_abc` — the PK-ABC oracle variant (§6.6).
 * :mod:`repro.core.stability` — the fluid model behind Theorem 3.1.
-* :mod:`repro.core.ecn` — the ECN codepoint re-purposing of §5.1.2.
 """

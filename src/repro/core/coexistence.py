@@ -42,6 +42,8 @@ DEMAND_HEADROOM = 0.10
 #: Zombie list: slots per queue, and the ABC queue's list's seed.
 ZOMBIE_SIZE = 64
 ZOMBIE_SEED = 0
+#: Seconds between weight updates, for both controllers.
+WEIGHT_INTERVAL = 1.0
 
 
 class WeightController:
@@ -58,10 +60,7 @@ class WeightController:
 class MaxMinWeightController(WeightController):
     """The paper's demand-based max-min weight allocation (§5.2)."""
 
-    def __init__(self, interval: float = 1.0):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.interval = interval
+    def __init__(self):
         self._meters = {"abc": SpaceSaving(capacity=4 * TOP_K),
                         "nonabc": SpaceSaving(capacity=4 * TOP_K)}
         self._totals = {"abc": 0.0, "nonabc": 0.0}
@@ -95,7 +94,7 @@ class MaxMinWeightController(WeightController):
         if self._interval_start is None:
             return self.last_weight
         elapsed = now - self._interval_start
-        if elapsed < self.interval:
+        if elapsed < WEIGHT_INTERVAL:
             return self.last_weight
         demands, totals = self._demands(elapsed)
         if demands:
@@ -119,10 +118,7 @@ class MaxMinWeightController(WeightController):
 class ZombieListWeightController(WeightController):
     """RCP's flow-count-based weights (the Fig. 12b baseline)."""
 
-    def __init__(self, interval: float = 1.0):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.interval = interval
+    def __init__(self):
         self._zombies = {"abc": ZombieList(size=ZOMBIE_SIZE, seed=ZOMBIE_SEED),
                          "nonabc": ZombieList(size=ZOMBIE_SIZE,
                                               seed=ZOMBIE_SEED + 1)}
@@ -136,7 +132,7 @@ class ZombieListWeightController(WeightController):
         if self._last_update is None:
             self._last_update = now
             return self.last_weight
-        if now - self._last_update < self.interval:
+        if now - self._last_update < WEIGHT_INTERVAL:
             return self.last_weight
         self._last_update = now
         n_abc = self._zombies["abc"].estimated_flow_count()

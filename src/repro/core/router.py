@@ -22,9 +22,9 @@ doubles tail queuing delay.
 Optimisation changes vs the original per-packet path
 ----------------------------------------------------
 :meth:`ABCRouterQdisc.dequeue` runs steps 1–5 as straight-line code (the
-original chained ``_pop`` → estimator ``add`` → ``accel_fraction`` →
-``target_rate`` → capacity read → marker); marks and rates
-are bit-identical (``tests/test_path_golden.py``):
+original chained ``_pop`` → estimator ``add`` → Eq. 2 and Eq. 1 methods →
+capacity read → marker); marks and rates are bit-identical
+(``tests/test_path_golden.py``):
 
 * **Per-timestamp capacity memo.**  All dequeues of one transmission
   opportunity share ``now``, so µ(t) is read once per timestamp when it is a
@@ -39,9 +39,10 @@ are bit-identical (``tests/test_path_golden.py``):
 * **Inlined token bucket.**  Algorithm 1's add / clamp / spend on the
   already-clamped fraction, without the marker's defensive re-clamp.
 
-:meth:`ABCRouterQdisc.target_rate` and :meth:`ABCRouterQdisc.accel_fraction`
-remain the readable form of Eq. 1/2, and ``tests/test_abc_core.py`` asserts
-that the inlined arithmetic agrees with them after every dequeue.
+The readable form of Eq. 1/2, of the brake rule and of the cr(t) window is
+``tests/reference/abc_paper.py``, written from the paper; the tests hold
+``last_capacity`` / ``last_queuing_delay`` / ``last_target_rate`` /
+``last_fraction`` to it after every dequeue.
 """
 
 from __future__ import annotations
@@ -118,45 +119,7 @@ class ABCRouterQdisc(Qdisc):
             capacity = 0.0
         return max(capacity, 0.0)
 
-    # ------------------------------------------------------------ control law
-    def target_rate(self, now: float, capacity: Optional[float] = None) -> float:
-        """Eq. (1): ``tr(t) = η·µ(t) − µ(t)/δ·(x(t) − dt)+``, floored at 0,
-        with ``x(t) = q(t)/µ(t)`` the standing-queue delay."""
-        p = self.params
-        mu = self.capacity_bps(now) if capacity is None else capacity
-        x = self.queuing_delay(now, mu)
-        excess_delay = max(x - p.delay_threshold, 0.0)
-        tr = p.eta * mu - (mu / p.delta) * excess_delay
-        self.last_capacity = mu
-        self.last_queuing_delay = x
-        self.last_target_rate = max(tr, 0.0)
-        return self.last_target_rate
-
-    def accel_fraction(self, now: float) -> float:
-        """Eq. (2): ``f(t) = min(tr(t) / (2·cr(t)), 1)``.
-
-        With ``feedback_basis="enqueue"`` the denominator uses the enqueue
-        rate instead (the Fig. 2 ablation).
-        """
-        tr = self.target_rate(now)
-        reference = self._rate.rate_bps(now)
-        if reference <= 0.0:
-            # No rate measurement yet (start-up or after an idle period):
-            # allow senders to ramp up by marking accelerate.
-            fraction = 1.0
-        else:
-            fraction = min(0.5 * tr / reference, 1.0)
-        self.last_fraction = max(fraction, 0.0)
-        return self.last_fraction
-
     # ------------------------------------------------------------ queue ops
-    # Per-packet pipeline, flattened: dequeue is _pop → estimator add →
-    # target_rate → accel_fraction → marker in straight-line code with the
-    # same arithmetic (`max`/`min` become the equivalent comparisons).
-    # target_rate()/accel_fraction() above stay the readable form of
-    # Eq. 1/2; tests/test_abc_core.py checks the two agree after every
-    # dequeue.
-
     def enqueue(self, packet: Packet, now: float) -> bool:
         if self.backlog_packets >= self.buffer_packets:
             self.dropped_packets += 1
@@ -198,9 +161,9 @@ class ABCRouterQdisc(Qdisc):
             rate._sizes.append(size)
             rate._total += size
 
-        # target_rate (Eq. 1).  All dequeues of one transmission opportunity
-        # share `now`, so the capacity lookup is memoized per timestamp when
-        # capacity is a pure function of time.
+        # abc_paper.target_rate (Eq. 1), inlined.  All dequeues of one
+        # transmission opportunity share `now`, so the capacity lookup is
+        # memoized per timestamp when capacity is a pure function of time.
         params = self.params
         if self._cap_memoizable:
             if now == self._cap_memo_time:
@@ -224,7 +187,8 @@ class ABCRouterQdisc(Qdisc):
             tr = 0.0
         self.last_target_rate = tr
 
-        # accel_fraction (Eq. 2).  WindowedRateEstimator.rate_bps, inlined.
+        # abc_paper.accel_fraction (Eq. 2), inlined, over a cr(t) read by
+        # WindowedRateEstimator.rate_bps, inlined.
         window = rate.window
         cutoff = now - window
         start = rate._start
@@ -282,7 +246,7 @@ class ABCRouterQdisc(Qdisc):
         else:
             marker.token = token
             marker.brake_count += 1
-            # apply_brake, inlined: only accelerate packets get this far.
+            # abc_paper.brake, inlined: only accelerate packets get this far.
             packet.ecn = BRAKE
             self.marked_packets += 1
         return packet

@@ -91,8 +91,9 @@ class ABCWindowControl(CongestionControl):
         cubic = self.cubic
         cubic.on_ack(feedback)
 
-        # Cap both windows at ``window_cap_factor ×`` packets in flight
-        # (§5.1.1) so the non-bottleneck window cannot grow unboundedly.  The
+        # abc_paper.dual_window, inlined: cap both windows at
+        # ``window_cap_factor ×`` packets in flight (§5.1.1) so the
+        # non-bottleneck window cannot grow unboundedly.  The
         # count includes the packet whose ACK is being processed (the sender
         # removes it from its in-flight set just before invoking the
         # congestion controller), otherwise the cap would bite during normal
@@ -104,13 +105,10 @@ class ABCWindowControl(CongestionControl):
         if w > cap:
             w = cap
         self.w_abc = w
-
-        # cubic.clamp_to(cap), inlined.
         cw = cubic._cwnd
         if cw > cap:
-            cw = cap if cap >= 1.0 else 1.0
-            cubic._cwnd = cw
-        # cwnd() = max(min(w_abc, cubic cwnd), 1.0), inlined.
+            cubic._cwnd = cw = cap
+        # ABCWindowControl.cwnd, inlined.
         effective = w if w <= cw else cw
         return effective if effective >= 1.0 else 1.0
 

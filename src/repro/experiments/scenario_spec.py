@@ -284,7 +284,7 @@ def _qdisc(link: LinkSpec, spec: ScenarioSpec, params: ABCParams):
                       "zombie": coexistence.ZombieListWeightController}[label]
         return coexistence.DualQueueABCQdisc(
             params=params, buffer_packets=b,
-            controller=controller(interval=1.0))
+            controller=controller())
     abc = {"params": params}
     target, kwargs = {
         "abc": ("repro.core.router:ABCRouterQdisc", abc),

@@ -507,7 +507,7 @@ class Sender:
         if not info_retransmission:
             rtt_sample = now - info_sent_time
             if rtt_sample > 0:
-                # RTTEstimator.update, inlined.
+                # rfc6298.RetransmissionTimer.on_ack, inlined.
                 rtt = self.rtt
                 if rtt_sample < rtt.min_rtt:
                     rtt.min_rtt = rtt_sample
@@ -605,7 +605,7 @@ class Sender:
     def _rto_deadline(self, armed_at: float) -> float:
         """The RTO deadline of a timer armed at ``armed_at``, from the current
         RTT estimate and backoff (evaluated by the timer's guard event)."""
-        # RTTEstimator.rto, inlined (min/max as comparisons).
+        # rfc6298.RetransmissionTimer.rto, inlined (min/max as comparisons).
         rtt = self.rtt
         srtt = rtt.srtt
         if srtt is None:

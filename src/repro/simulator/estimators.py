@@ -158,7 +158,8 @@ class WindowedMinMax:
             while samples and value <= samples[-1][1]:
                 samples.pop()
         samples.append((now, value))
-        # query's expiry, inlined (the sample just appended is live).
+        # WindowedMinMax.query, inlined (the sample just appended is
+        # live, so the deque does not empty).
         cutoff = now - self.window
         while samples[0][0] < cutoff:
             samples.popleft()
@@ -178,36 +179,21 @@ class WindowedMinMax:
         return default if best is None else best
 
 
-#: The RTO clamp (s).
+#: The RTO clamp (s).  RFC 6298 §2.4's floor is 1 s; 0.2 s is Linux's.
 MIN_RTO = 0.2
 MAX_RTO = 60.0
 
 
 class RTTEstimator:
-    """Classic SRTT/RTTVAR estimator (RFC 6298) with an RTO clamp."""
+    """A sender's RTT record: RFC 6298's SRTT and RTTVAR, and the smallest
+    sample.  :meth:`repro.simulator.endpoints.Sender.receive` updates it and
+    ``Sender._rto_deadline`` reads it (``tests/reference/rfc6298.py`` is
+    the RFC they are checked against)."""
 
     def __init__(self):
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.min_rtt = math.inf
-
-    def update(self, sample: float) -> None:
-        if sample <= 0:
-            return
-        self.min_rtt = min(self.min_rtt, sample)
-        if self.srtt is None or self.rttvar is None:
-            self.srtt = sample
-            self.rttvar = sample / 2.0
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
-            self.srtt = 0.875 * self.srtt + 0.125 * sample
-
-    @property
-    def rto(self) -> float:
-        if self.srtt is None or self.rttvar is None:
-            return 1.0
-        rto = self.srtt + 4.0 * self.rttvar
-        return min(max(rto, MIN_RTO), MAX_RTO)
 
     def minimum(self, default: float = 0.1) -> float:
         return self.min_rtt if math.isfinite(self.min_rtt) else default

@@ -192,8 +192,7 @@ class Link:
     """
 
     def __init__(self, env: EventLoop, qdisc: Optional[Qdisc] = None,
-                 name: str = "link",
-                 dst: Optional[Node] = None, loss_rate: float = 0.0,
+                 name: str = "link", loss_rate: float = 0.0,
                  loss_seed: int = 0):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
@@ -201,7 +200,7 @@ class Link:
         self.qdisc = qdisc if qdisc is not None else FifoQdisc()
         self.qdisc.attach(self)
         self.name = name
-        self.dst = dst
+        self.dst: Optional[Node] = None
         #: One entry per delivered packet: when it left and its size.
         self.departure_times: List[float] = []
         self.departure_bytes: List[int] = []
@@ -220,8 +219,6 @@ class Link:
         # a FlowDemux), delivery invokes it synchronously instead of
         # bouncing through a zero-delay event (see connect()).
         self._rx_inline = None
-        if dst is not None:
-            self.connect(dst)
 
     # ------------------------------------------------------------ wiring
     def connect(self, dst: Optional[Node]) -> None:
@@ -318,9 +315,8 @@ class RateLink(Link):
 
     def __init__(self, env: EventLoop, capacity: CapacityModel,
                  qdisc: Optional[Qdisc] = None, name: str = "rate-link",
-                 dst: Optional[Node] = None, loss_rate: float = 0.0,
-                 loss_seed: int = 0):
-        super().__init__(env, qdisc=qdisc, name=name, dst=dst,
+                 loss_rate: float = 0.0, loss_seed: int = 0):
+        super().__init__(env, qdisc=qdisc, name=name,
                          loss_rate=loss_rate, loss_seed=loss_seed)
         self.capacity = capacity
         self._busy = False
@@ -383,9 +379,8 @@ class OpportunityLink(Link):
 
     def __init__(self, env: EventLoop, opportunity_times: Iterable[float],
                  qdisc: Optional[Qdisc] = None, name: str = "cell-link",
-                 dst: Optional[Node] = None, loss_rate: float = 0.0,
-                 loss_seed: int = 0):
-        super().__init__(env, qdisc=qdisc, name=name, dst=dst,
+                 loss_rate: float = 0.0, loss_seed: int = 0):
+        super().__init__(env, qdisc=qdisc, name=name,
                          loss_rate=loss_rate, loss_seed=loss_seed)
         times = sorted(float(t) for t in opportunity_times)
         if not times:

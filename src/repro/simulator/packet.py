@@ -26,7 +26,8 @@ set, the codepoint it saw moved to ``echo``, and ``ecn`` / ``abc_capable`` /
 ``size`` rewritten so the reverse path sees a bare, Not-ECT, unmarkable ACK.
 The sender decodes ``echo`` the way §5.1.2 reads the returning header: ``echo
 is ACCEL`` is the accelerate bit (the re-purposed NS flag), ``echo is CE`` is
-ECE, brake and Not-ECT set neither (:func:`repro.core.ecn.receiver_echo`).
+ECE, brake and Not-ECT set neither (``echo`` in
+``tests/reference/abc_paper.py``).
 """
 
 from __future__ import annotations
@@ -64,17 +65,6 @@ NOT_ECT = ECN.NOT_ECT
 ACCEL = ECN.ACCEL
 BRAKE = ECN.BRAKE
 CE = ECN.CE
-
-
-def apply_brake(codepoint: ECN) -> ECN:
-    """Downgrade a codepoint to *brake*, respecting the one-way rule.
-
-    Routers may turn an accelerate into a brake but must never upgrade a brake
-    (or touch CE / Not-ECT packets).
-    """
-    if codepoint == ACCEL:
-        return BRAKE
-    return codepoint
 
 
 def apply_ce(codepoint: ECN) -> ECN:

@@ -72,9 +72,9 @@ class WiFiLink(Link):
 
     def __init__(self, env: EventLoop, mcs: Optional[MCSSchedule] = None,
                  config: Optional[WiFiMacConfig] = None,
-                 qdisc: Optional[Qdisc] = None, name: str = "wifi", dst=None,
+                 qdisc: Optional[Qdisc] = None, name: str = "wifi",
                  estimator: Optional[WiFiRateEstimator] = None):
-        super().__init__(env, qdisc=qdisc, name=name, dst=dst)
+        super().__init__(env, qdisc=qdisc, name=name)
         self.mcs = mcs if mcs is not None else FixedMCSSchedule(7)
         self.config = config if config is not None else WiFiMacConfig()
         self._rng = random.Random(self.config.seed)

@@ -106,3 +106,38 @@ class AIMD(CongestionControl):
     def on_timeout(self, now: float) -> None:
         self.ssthresh = max(self._cwnd * self.beta, 2.0)
         self._cwnd = self.min_cwnd()
+
+
+def decoded_echo(codepoint) -> tuple:
+    """The ``(accel, ece)`` pair a sender hands its cc when its data packets
+    reach the receiver carrying ``codepoint``."""
+    from repro.simulator.endpoints import DelayHop, Receiver, Sender
+
+    class Stamp:
+        """A router stand-in: every packet leaves with ``codepoint``."""
+
+        def __init__(self, dst):
+            self.dst = dst
+
+        def receive(self, packet):
+            packet.ecn = codepoint
+            self.dst.receive(packet)
+
+    pairs = []
+
+    class Recording(AIMD):
+        def on_ack(self, feedback):
+            pairs.append((feedback.accel, feedback.ece))
+            return super().on_ack(feedback)
+
+    env = EventLoop()
+    sender = Sender(env, flow_id=0,
+                    cc=Recording(initial_cwnd=2.0, ssthresh=2.0))
+    receiver = Receiver(env)
+    receiver.connect(DelayHop(env, 0.01, dst=sender))
+    sender.connect(DelayHop(env, 0.01, dst=Stamp(receiver)))
+    sender.start()
+    env.run(until=0.1)
+    assert len(pairs) >= 4
+    (pair,) = set(pairs)
+    return pair

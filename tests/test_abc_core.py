@@ -10,6 +10,7 @@ from repro.core.stability import is_theoretically_stable
 from repro.simulator.packet import ECN, MTU, AckFeedback, Packet
 
 from tests.conftest import abc_sender
+from tests.reference import abc_paper
 
 
 def ack(now, accel=True, rtt=0.1, bytes_acked=MTU, ece=False, in_flight=10):
@@ -109,67 +110,99 @@ def test_token_bucket_less_bursty_than_probabilistic():
 
 
 # ------------------------------------------------------------ router control law
+# ``dequeue`` evaluates Eq. 1/2 inline and publishes what it used as
+# ``last_capacity`` / ``last_queuing_delay`` / ``last_target_rate`` /
+# ``last_fraction``; these tests hold those to ``tests/reference/abc_paper.py``
+# fed with the capacity, backlog and departures the test itself knows.
 def make_router(capacity_bps=10e6, **kwargs) -> ABCRouterQdisc:
     return ABCRouterQdisc(capacity_fn=lambda now: capacity_bps, **kwargs)
 
 
+def eq1(params, mu, queue_bytes):
+    return abc_paper.target_rate(mu, queue_bytes * 8.0, params.eta,
+                                 params.delta, params.delay_threshold)
+
+
+def dequeue_behind(router, queue_packets, now=0.0):
+    """Dequeue one packet with ``queue_packets`` left behind it."""
+    for i in range(queue_packets + 1):
+        router.enqueue(Packet(flow_id=0, seq=i), now)
+    assert router.dequeue(now) is not None
+    assert router.backlog_packets == queue_packets
+
+
 def test_target_rate_is_eta_mu_when_queue_empty():
     router = make_router(capacity_bps=10e6)
-    assert router.target_rate(0.0) == pytest.approx(0.98 * 10e6)
+    dequeue_behind(router, 0)
+    assert router.last_target_rate == eq1(router.params, 10e6, 0)
+    assert router.last_target_rate == pytest.approx(0.98 * 10e6)
 
 
 def test_target_rate_reduced_by_queue_above_threshold():
     params = ABCParams(eta=0.98, delta=0.133, delay_threshold=0.02)
     router = ABCRouterQdisc(params=params, capacity_fn=lambda now: 10e6)
-    # Build a standing queue of 100 packets -> x(t) = 100*12000/10e6 = 120 ms.
-    for i in range(100):
-        router.enqueue(Packet(flow_id=0, seq=i), 0.0)
+    # A standing queue of 100 packets -> x(t) = 100*12000/10e6 = 120 ms.
+    dequeue_behind(router, 100)
     expected_x = 100 * MTU * 8 / 10e6
+    assert router.last_queuing_delay == expected_x
     expected = 0.98 * 10e6 - 10e6 / 0.133 * (expected_x - 0.02)
-    assert router.target_rate(0.0) == pytest.approx(expected, rel=1e-6)
+    assert router.last_target_rate == eq1(params, 10e6, 100 * MTU)
+    assert router.last_target_rate == pytest.approx(expected, rel=1e-6)
 
 
 def test_target_rate_never_negative():
     router = make_router(capacity_bps=10e6)
-    for i in range(10_000):
-        if not router.enqueue(Packet(flow_id=0, seq=i), 0.0):
-            break
-    assert router.target_rate(0.0) >= 0.0
+    dequeue_behind(router, router.buffer_packets - 1)
+    assert router.last_target_rate == 0.0 == eq1(
+        router.params, 10e6, (router.buffer_packets - 1) * MTU)
 
 
 def test_target_rate_ignores_delay_below_threshold():
     params = ABCParams(delay_threshold=0.1)
     router = ABCRouterQdisc(params=params, capacity_fn=lambda now: 10e6)
-    for i in range(50):  # 60 ms of queue < 100 ms threshold
-        router.enqueue(Packet(flow_id=0, seq=i), 0.0)
-    assert router.target_rate(0.0) == pytest.approx(0.98 * 10e6)
+    dequeue_behind(router, 50)  # 60 ms of queue < 100 ms threshold
+    assert router.last_target_rate == eq1(params, 10e6, 50 * MTU)
+    assert router.last_target_rate == pytest.approx(0.98 * 10e6)
 
 
 def test_accel_fraction_is_half_target_over_dequeue_rate():
     router = make_router(capacity_bps=10e6)
-    # Prime the dequeue-rate estimator at ~10 Mbit/s.
-    now = 0.0
+    # Dequeue at ~10 Mbit/s, logging the departures the router measures.
+    now, log = 0.0, []
     for i in range(100):
         router.enqueue(Packet(flow_id=0, seq=i), now)
         router.dequeue(now)
-        now += MTU * 8 / 10e6
-    fraction = router.accel_fraction(now)
-    assert fraction == pytest.approx(0.5 * 0.98, rel=0.1)
+        log.append((now, MTU))
+        last, now = now, now + MTU * 8 / 10e6
+    cr = abc_paper.window_rate(log, last, router.params.measurement_window)
+    assert router.last_fraction == abc_paper.accel_fraction(
+        eq1(router.params, 10e6, 0), cr)
+    assert router.last_fraction == pytest.approx(0.5 * 0.98, rel=0.1)
 
 
 def test_accel_fraction_one_when_no_dequeue_history():
-    router = make_router()
-    assert router.accel_fraction(0.0) == 1.0
+    """With nothing measured inside the window (Fig. 2's enqueue basis after
+    an idle spell) the router marks accelerate so senders can ramp up."""
+    router = make_router(feedback_basis="enqueue")
+    router.enqueue(Packet(flow_id=0, seq=0), 0.0)
+    router.dequeue(1.0)
+    assert router.last_fraction == 1.0 == abc_paper.accel_fraction(
+        router.last_target_rate, abc_paper.window_rate(
+            [(0.0, MTU)], 1.0, router.params.measurement_window))
 
 
 def test_accel_fraction_clamped_to_one():
     router = make_router(capacity_bps=100e6)
-    now = 0.0
+    now, log = 0.0, []
     for i in range(20):  # dequeue rate far below capacity
         router.enqueue(Packet(flow_id=0, seq=i), now)
         router.dequeue(now)
-        now += 0.01
-    assert router.accel_fraction(now) == 1.0
+        log.append((now, MTU))
+        last, now = now, now + 0.01
+    cr = abc_paper.window_rate(log, last, router.params.measurement_window)
+    assert 0.5 * router.last_target_rate / cr > 1.0
+    assert router.last_fraction == 1.0 == abc_paper.accel_fraction(
+        eq1(router.params, 100e6, 0), cr)
 
 
 def test_router_marks_only_accelerate_packets():
@@ -218,32 +251,39 @@ def test_router_feedback_basis_validation():
 
 @pytest.mark.parametrize("feedback_basis", ["dequeue", "enqueue"])
 def test_dequeue_matches_the_documented_control_law(feedback_basis):
-    """``dequeue`` evaluates Eq. 1/2 inline; ``target_rate`` /
-    ``accel_fraction`` are the documented form.  After every dequeue the two
-    must agree exactly on the same router state, so the inlined arithmetic
-    cannot drift from the equations."""
+    """After every dequeue, µ, x, tr and f are Eq. 1/2 of the capacity, the
+    backlog and the departure (or admitted-arrival) log the test keeps: the
+    inlined arithmetic cannot drift from the equations."""
     from repro.simulator.engine import EventLoop
     from repro.simulator.link import RateLink, SquareWaveRate
 
     router = ABCRouterQdisc(feedback_basis=feedback_basis, buffer_packets=400)
-    # Attached to a stock link, so the per-timestamp capacity memo is live.
-    RateLink(EventLoop(), SquareWaveRate(4e6, 16e6, half_period=0.05),
-             qdisc=router)
-    seq = 0
-    checked = 0
+    # A stock link, so the router's per-timestamp capacity memo is live.
+    wave = SquareWaveRate(4e6, 16e6, half_period=0.05)
+    RateLink(EventLoop(), wave, qdisc=router)
+    params = router.params
+    seq, queued, log, checked = 0, 0, [], 0
     for step in range(600):
         now = step * 0.0007
         for _ in range(1 + (step * 7) % 4):          # bursty arrivals
-            router.enqueue(Packet(flow_id=0, seq=seq, ecn=ECN.ACCEL), now)
+            if router.enqueue(Packet(flow_id=0, seq=seq, ecn=ECN.ACCEL), now):
+                queued += MTU
+                if feedback_basis == "enqueue":
+                    log.append((now, MTU))
             seq += 1
         for _ in range(1 + step % 3):                # same-timestamp dequeues
             if router.dequeue(now) is None:
                 break
-            inline = (router.last_target_rate, router.last_fraction,
-                      router.last_capacity, router.last_queuing_delay)
-            assert router.accel_fraction(now) == inline[1]
-            assert router.target_rate(now) == inline[0]
-            assert (router.last_capacity, router.last_queuing_delay) == inline[2:]
+            queued -= MTU
+            if feedback_basis == "dequeue":
+                log.append((now, MTU))
+            mu = wave.rate_at(now)
+            tr = eq1(params, mu, queued)
+            cr = abc_paper.window_rate(log, now, params.measurement_window)
+            assert (router.last_capacity, router.last_queuing_delay,
+                    router.last_target_rate, router.last_fraction) == (
+                mu, abc_paper.queuing_delay(queued * 8.0, mu), tr,
+                abc_paper.accel_fraction(tr, cr))
             checked += 1
     assert checked > 600
     assert 0 < router.marker.brake_count and 0 < router.marker.accel_count

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aqm import codel, pie
 from repro.aqm.codel import CoDelQdisc
 from repro.aqm.droptail import DropTailQdisc
 from repro.aqm.pie import PIEQdisc
@@ -26,15 +27,8 @@ def mk(seq, ecn=ECN.NOT_ECT):
 
 
 # ------------------------------------------------------------ CoDel unit
-def test_codel_parameter_validation():
-    with pytest.raises(ValueError):
-        CoDelQdisc(target=0.0)
-    with pytest.raises(ValueError):
-        CoDelQdisc(interval=-1.0)
-
-
 def test_codel_no_drops_below_target():
-    q = CoDelQdisc(target=0.005, interval=0.1)
+    q = CoDelQdisc()
     now = 0.0
     for i in range(50):
         q.enqueue(mk(i), now)
@@ -44,8 +38,9 @@ def test_codel_no_drops_below_target():
     assert q.dropped_packets == 0
 
 
-def test_codel_drops_when_sojourn_persistently_high():
-    q = CoDelQdisc(target=0.005, interval=0.05)
+def test_codel_drops_when_sojourn_persistently_high(monkeypatch):
+    monkeypatch.setattr(codel, "INTERVAL", 0.05)
+    q = CoDelQdisc()
     # Fill a standing queue and drain it slowly so sojourn stays high.
     for i in range(200):
         q.enqueue(mk(i), i * 0.0001)
@@ -61,8 +56,10 @@ def test_codel_drops_when_sojourn_persistently_high():
     assert delivered < 200
 
 
-def test_codel_ecn_marks_instead_of_dropping():
-    q = CoDelQdisc(target=0.005, interval=0.05, ecn=True)
+def test_codel_ecn_marks_instead_of_dropping(monkeypatch):
+    monkeypatch.setattr(codel, "INTERVAL", 0.05)
+    monkeypatch.setattr(codel, "ECN_MARKING", True)
+    q = CoDelQdisc()
     for i in range(200):
         q.enqueue(mk(i, ecn=ECN.ACCEL), i * 0.0001)
     now = 0.5
@@ -191,9 +188,15 @@ def _assert_codel_matches(reference, schedule):
     """Drive ``reference`` and a ``CoDelQdisc`` with its settings through
     ``schedule``: every dequeue sends the same packet, and every packet gets
     the same verdict."""
-    qdisc = CoDelQdisc(buffer_packets=reference.buffer_packets,
-                       target=reference.target, interval=reference.interval,
-                       ecn=reference.ecn)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codel, "TARGET", reference.target)
+        patch.setattr(codel, "INTERVAL", reference.interval)
+        patch.setattr(codel, "ECN_MARKING", reference.ecn)
+        _drive_codel(reference, schedule)
+
+
+def _drive_codel(reference, schedule):
+    qdisc = CoDelQdisc(buffer_packets=reference.buffer_packets)
     verdicts, accepted, sent = {}, set(), []
     for now, seq, size, ecn_capable in schedule:
         if seq is None:
@@ -290,8 +293,9 @@ def test_pie_tail_drops_when_buffer_full():
     assert q.backlog_packets == 3
 
 
-def test_pie_marks_ecn_capable_at_low_drop_prob():
-    q = PIEQdisc(buffer_packets=50, ecn=True, seed=4)
+def test_pie_marks_ecn_capable_at_low_drop_prob(monkeypatch):
+    monkeypatch.setattr(pie, "ECN_MARKING", True)
+    q = PIEQdisc(buffer_packets=50, seed=4)
     for i in range(10):
         q.enqueue(mk(i), 0.0)
     # A standing queue past the burst allowance with a small drop
@@ -339,7 +343,7 @@ def test_pie_delay_estimate_fallbacks():
 
 
 def test_codel_dequeue_empty_resets_dropping_state():
-    q = CoDelQdisc(target=0.001, interval=0.01)
+    q = CoDelQdisc()
     assert q.dequeue(0.0) is None
     q._dropping = True
     assert q.dequeue(1.0) is None

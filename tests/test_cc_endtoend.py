@@ -21,7 +21,7 @@ from repro.cc.vegas import Vegas
 from repro.cc.verus import Verus
 from repro.cc.cubic import CUBIC_BETA, CUBIC_C
 from repro.simulator.packet import MTU, AckFeedback
-from tests.conftest import AIMD, with_cwnd
+from tests.conftest import AIMD, abc_sender, with_cwnd
 
 
 def ack(now, rtt=0.1, bytes_acked=MTU, accel=True, ece=False, in_flight=10,
@@ -173,9 +173,11 @@ def test_cubic_timeout_collapses_window():
 
 
 def test_cubic_clamp_to_cap():
-    cc = Cubic(initial_cwnd=50.0)
-    cc.clamp_to(10.0)
-    assert cc.cwnd() == 10.0
+    """ABC's dual window (§5.1.1) clamps its Cubic window to the cap."""
+    cc = abc_sender(50.0)
+    window = cc.on_ack(ack(1.0, in_flight=4))
+    # Four in flight plus the packet ACKed: a cap of factor × 5 packets.
+    assert cc.cubic.cwnd() == cc.params.window_cap_factor * 5 == window
 
 
 class _ReferenceCubic(Cubic):

@@ -59,7 +59,8 @@ def test_dual_queue_work_conserving_when_one_queue_empty(monkeypatch):
 
 def test_dual_queue_serves_in_weight_proportion_when_backlogged(monkeypatch):
     monkeypatch.setattr(coexistence, "INITIAL_WEIGHT", 0.75)
-    q = DualQueueABCQdisc(controller=MaxMinWeightController(interval=1e9))
+    monkeypatch.setattr(coexistence, "WEIGHT_INTERVAL", 1e9)
+    q = DualQueueABCQdisc(controller=MaxMinWeightController())
     q.attach(FakeLink(10e6))
     for i in range(400):
         q.enqueue(abc_pkt(i), 0.0)
@@ -79,8 +80,9 @@ def test_dual_queue_abc_capacity_scaled_by_weight(monkeypatch):
     assert q._abc_capacity(0.0) == pytest.approx(4e6)
 
 
-def test_dual_queue_marks_abc_packets_only():
-    q = DualQueueABCQdisc(controller=MaxMinWeightController(interval=1e9))
+def test_dual_queue_marks_abc_packets_only(monkeypatch):
+    monkeypatch.setattr(coexistence, "WEIGHT_INTERVAL", 1e9)
+    q = DualQueueABCQdisc(controller=MaxMinWeightController())
     q.attach(FakeLink(2e6))
     now = 0.0
     for i in range(300):
@@ -111,7 +113,7 @@ def test_dual_queue_queuing_delay_helpers():
 
 # ------------------------------------------------------------ max-min weights
 def test_maxmin_controller_balanced_long_flows():
-    ctrl = MaxMinWeightController(interval=1.0)
+    ctrl = MaxMinWeightController()
     # Two backlogged flows per queue with equal rates.
     for t in range(10):
         now = t * 0.1
@@ -127,7 +129,7 @@ def test_maxmin_controller_short_flows_do_not_inflate_their_queue(monkeypatch):
     """§5.2: demand-limited short flows must not pull capacity toward their
     queue the way RCP's flow-count equalisation does."""
     monkeypatch.setattr(coexistence, "TOP_K", 2)
-    ctrl = MaxMinWeightController(interval=1.0)
+    ctrl = MaxMinWeightController()
     for t in range(10):
         now = t * 0.1
         # One long ABC flow using ~4.8 Mbit/s.
@@ -149,7 +151,7 @@ def test_maxmin_controller_grants_short_flows_their_rate_in_full(monkeypatch):
     yet max-min over every flow on its own would grant all of it, leaving
     3 Mbit/s to each long flow."""
     monkeypatch.setattr(coexistence, "TOP_K", 1)
-    ctrl = MaxMinWeightController(interval=1.0)
+    ctrl = MaxMinWeightController()
     for t in range(10):
         now = t * 0.1
         ctrl.observe_departure("abc", 1, 60_000, now)
@@ -160,29 +162,26 @@ def test_maxmin_controller_grants_short_flows_their_rate_in_full(monkeypatch):
     assert weight == pytest.approx(0.3)
 
 
-def test_maxmin_controller_weight_bounded():
-    ctrl = MaxMinWeightController(interval=0.5)
+def test_maxmin_controller_weight_bounded(monkeypatch):
+    monkeypatch.setattr(coexistence, "WEIGHT_INTERVAL", 0.5)
+    ctrl = MaxMinWeightController()
     for t in range(10):
         ctrl.observe_departure("abc", 1, 100_000, t * 0.1)
     weight = ctrl.compute_weight(2.0, capacity_bps=10e6)
     assert 0.05 <= weight <= 0.95
 
 
-def test_maxmin_controller_holds_weight_between_intervals():
-    ctrl = MaxMinWeightController(interval=10.0)
+def test_maxmin_controller_holds_weight_between_intervals(monkeypatch):
+    monkeypatch.setattr(coexistence, "WEIGHT_INTERVAL", 10.0)
+    ctrl = MaxMinWeightController()
     ctrl.observe_departure("abc", 1, 1000, 0.0)
     assert ctrl.compute_weight(1.0, 10e6) == ctrl.last_weight
-
-
-def test_maxmin_controller_validation():
-    with pytest.raises(ValueError):
-        MaxMinWeightController(interval=0.0)
 
 
 # ------------------------------------------------------------ zombie weights
 def test_zombie_controller_weights_proportional_to_flow_counts(monkeypatch):
     monkeypatch.setattr(coexistence, "ZOMBIE_SEED", 5)
-    ctrl = ZombieListWeightController(interval=1.0)
+    ctrl = ZombieListWeightController()
     for t in range(4000):
         now = t * 0.001
         ctrl.observe_departure("abc", t % 2, 1500, now)          # 2 flows
@@ -191,8 +190,3 @@ def test_zombie_controller_weights_proportional_to_flow_counts(monkeypatch):
     weight = ctrl.compute_weight(5.0, 10e6)
     # The non-ABC queue holds more flows, so RCP-style weighting favours it.
     assert weight < 0.45
-
-
-def test_zombie_controller_validation():
-    with pytest.raises(ValueError):
-        ZombieListWeightController(interval=0.0)

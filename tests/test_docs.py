@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import ast
 import collections
+import functools
 import re
 import sys
+import tokenize
 from pathlib import Path
 from pkgutil import resolve_name
 
@@ -106,7 +108,7 @@ def test_speed_figures_name_a_ledger_workload():
 #: Total lines of ``src/**/*.py`` at the last PR that moved it.  The north
 #: star says this number goes down: lower it when a PR shrinks ``src/``;
 #: raising it is an edit a reviewer sees and a PR has to argue for.
-SRC_LINE_CEILING = 12_689
+SRC_LINE_CEILING = 12_532
 
 
 def test_every_ci_job_gates():
@@ -267,24 +269,9 @@ DEAD_SURFACE_ALLOWLIST = {
     "relative_std",
     # Space-Saving's per-key overestimation bound, the sketch's guarantee.
     "error_bound",
-    # §5.1.2's encoding tables and marking rules (the sender, routers and
-    # receiver inline their use; the tests hold the inlined forms to them).
-    "ABC_INTERPRETATION",
-    "CLASSIC_INTERPRETATION",
-    "sender_codepoint",
-    "receiver_echo",
-    "apply_brake",
-    "proxied_brake",
-    "proxied_receiver_accel",
-    # The ABC dual-window cap (§5.1.1) in readable form; ABCWindowControl
-    # inlines it.
-    "clamp_to",
     # How a user fits a real trace to an experiment's capacity and length.
     "scaled",
     "truncated",
-    # Eq. 2's accelerate fraction in readable form; ABCRouterQdisc.dequeue
-    # inlines it and the tests hold the inlined form to it.
-    "accel_fraction",
     # Theorem 3.1 and the Appendix A fluid model: the analytic oracle the
     # packet simulator is checked against.
     "is_theoretically_stable",
@@ -432,10 +419,28 @@ UNSET_SWITCH_ALLOWLIST: dict = {
     # through ``schedules[schedule](*args)`` in scenario_spec._add_link.
     "BrownianMCSSchedule(min_index)": "scenario_spec._add_link",
     "BrownianMCSSchedule(max_index)": "scenario_spec._add_link",
+    "BrownianMCSSchedule(period)": "scenario_spec._add_link",
     # The Euler step of the analytic oracle: the fixed-point tests
     # (test_stability.py, test_property_based.py) sweep it.
     "FluidModel.simulate(step)": "tests/test_property_based.py",
 }
+
+
+def _functions(tree: ast.Module):
+    """``(function, owner class or None, key, callee)`` for every function
+    and method: ``key`` names it in the switch keys below, ``callee`` is the
+    name a call spells (the class for ``__init__``)."""
+    owners = {id(sub): node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for sub in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = owners.get(id(node))
+            if owner is None:
+                yield node, owner, node.name, node.name
+            elif node.name == "__init__":
+                yield node, owner, owner.name, owner.name
+            else:
+                yield node, owner, f"{owner.name}.{node.name}", node.name
 
 
 def _switches(tree: ast.Module):
@@ -445,20 +450,9 @@ def _switches(tree: ast.Module):
     spells (the class for ``__init__``); ``position`` is the parameter's
     index among a call's positional arguments (``None`` when
     keyword-only)."""
-    owners = {id(sub): node for node in ast.walk(tree)
-              if isinstance(node, ast.ClassDef) for sub in node.body}
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        owner = owners.get(id(node))
+    for node, owner, key, callee in _functions(tree):
         bound = owner is not None and not any(
             _dotted(d) == "staticmethod" for d in node.decorator_list)
-        if owner is None:
-            key, callee = node.name, node.name
-        elif node.name == "__init__":
-            key, callee = owner.name, owner.name
-        else:
-            key, callee = f"{owner.name}.{node.name}", node.name
         arguments = node.args
         positional = arguments.posonlyargs + arguments.args
         defaults = ([None] * (len(positional) - len(arguments.defaults))
@@ -473,51 +467,116 @@ def _switches(tree: ast.Module):
                        node.lineno)
 
 
-def _passed_through(tree: ast.Module) -> set:
-    """``id``s of the keywords ``name=name`` that hand on the enclosing
-    function's own parameter ``name``: such a call sets nothing itself."""
-    through = set()
-    for function in ast.walk(tree):
-        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            arguments = function.args
-            params = {arg.arg for arg in (arguments.posonlyargs
-                                          + arguments.args
-                                          + arguments.kwonlyargs)}
-            through |= {id(kw) for node in ast.walk(function)
+def _passed_through(tree: ast.Module) -> dict:
+    """The keywords ``name=name`` that hand on the enclosing function's own
+    parameter ``name``, as ``id`` -> that parameter's switch key: such a
+    call passes a value only when its caller was passed one."""
+    through = {}
+    for function, _, key, _ in _functions(tree):
+        arguments = function.args
+        params = {arg.arg for arg in (arguments.posonlyargs + arguments.args
+                                      + arguments.kwonlyargs)}
+        through.update({id(kw): f"{key}({kw.arg})"
+                        for node in ast.walk(function)
                         if isinstance(node, ast.Call) for kw in node.keywords
                         if kw.arg in params and isinstance(kw.value, ast.Name)
-                        and kw.value.id == kw.arg}
+                        and kw.value.id == kw.arg})
     return through
 
 
+def _calls(tree: ast.Module, bases: dict):
+    """``(call, callees)`` for every call in ``tree``.  ``callees`` are the
+    names whose parameters the call can set: the function or method name it
+    spells, plus the ancestors of a class it constructs; ``super()`` calls
+    name the enclosing class's ancestors.  ``None`` when the callee is no
+    name (``resolve_name(target)(...)``), or ``dict``, whose keywords are
+    spread into some ``**`` call: either may reach anything."""
+    def ancestors(name):
+        found, todo = set(), list(bases.get(name, ()))
+        while todo:
+            base = todo.pop()
+            if base not in found:
+                found.add(base)
+                todo += bases.get(base, ())
+        return found
+
+    enclosing = {id(node): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Call)
+                and _dotted(func.value.func) == "super"):
+            inherited = ancestors(enclosing.get(id(node)))
+            yield node, inherited if func.attr == "__init__" else {func.attr}
+        elif isinstance(func, ast.Name) and func.id == "dict":
+            yield node, None             # spread into a ``**`` call later
+        elif isinstance(func, (ast.Name, ast.Attribute)):
+            name = _dotted(func).rpartition(".")[2]
+            yield node, {name} | ancestors(name)
+        else:
+            yield node, None
+
+
+@functools.cache
 def _unset_switches() -> dict:
-    """Defaulted parameters no non-test call passes.  A call passes a parameter by
-    keyword (matched by name, as methods are matched above; a string key
-    of a dict literal counts, since such dicts are spread into ``**``
-    calls; ``name=name`` handing on the caller's own parameter does not),
-    or at its position when the call spells the callee's name."""
-    keywords, positional = set(), collections.Counter()
-    for top in ("src", "tools", "benchmarks", "examples"):
-        for path in (REPO_ROOT / top).rglob("*.py"):
-            tree = ast.parse(path.read_text())
-            through = _passed_through(tree)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    keywords |= {kw.arg for kw in node.keywords
-                                 if id(kw) not in through}
-                    callee = _dotted(node.func).rpartition(".")[2]
-                    positional[callee] = max(positional[callee],
-                                             len(node.args))
-                elif isinstance(node, ast.Dict):
-                    keywords |= {key.value for key in node.keys
-                                 if isinstance(key, ast.Constant)}
-    unset = {}
-    for path, tree in _src_trees():
-        for key, callee, param, position, line in _switches(tree):
-            if param not in keywords and (position is None
-                                          or positional[callee] <= position):
+    """Defaulted parameters no non-test call passes.  A call passes a
+    parameter by keyword, or at its position, to the callees ``_calls``
+    finds.  A class's ``__init__`` parameters match only calls that name the
+    class (or a subclass); functions and methods match by name, as above.
+    A call to no name, and a string key of a dict literal (such dicts are
+    spread into ``**`` calls), pass their keywords to every callee.
+    ``name=name`` handing on the caller's own parameter passes when that
+    parameter is passed (or has no default)."""
+    trees = [ast.parse(path.read_text())
+             for top in ("src", "tools", "benchmarks", "examples")
+             for path in (REPO_ROOT / top).rglob("*.py")]
+    bases = {node.name: [_dotted(base).rpartition(".")[2]
+                         for base in node.bases]
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    by_class, by_name, anywhere = set(), set(), set()
+    positional = collections.Counter()
+    handed_on = []
+
+    def passes(callees, names):
+        if callees is None:
+            anywhere.update(names)
+            return
+        by_name.update(names)
+        by_class.update((callee, name) for callee in callees
+                        if callee in bases for name in names)
+
+    for tree in trees:
+        through = _passed_through(tree)
+        for node, callees in _calls(tree, bases):
+            passes(callees, {kw.arg for kw in node.keywords
+                             if id(kw) not in through})
+            handed_on += [(through[id(kw)], callees, kw.arg)
+                          for kw in node.keywords if id(kw) in through]
+            for callee in callees or ():
+                positional[callee] = max(positional[callee], len(node.args))
+        anywhere |= {key.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Dict) for key in node.keys
+                     if isinstance(key, ast.Constant)}
+    switches = [(path, switch) for path, tree in _src_trees()
+                for switch in _switches(tree)]
+    while True:
+        unset = {}
+        for path, (key, callee, param, position, line) in switches:
+            by_keyword = param in anywhere or (
+                (callee, param) in by_class if callee in bases
+                else param in by_name)
+            if not by_keyword and (position is None
+                                   or positional[callee] <= position):
                 unset[key] = f"src/repro/{path.as_posix()}:{line}"
-    return unset
+        released = [entry for entry in handed_on if entry[0] not in unset]
+        if not released:
+            return unset
+        handed_on = [entry for entry in handed_on if entry[0] in unset]
+        for _, callees, name in released:
+            passes(callees, {name})
 
 
 def test_no_unset_switch_in_src():
@@ -536,6 +595,50 @@ def test_no_unset_switch_in_src():
 
 def test_unset_switch_allowlist_has_no_stale_entries():
     assert set(UNSET_SWITCH_ALLOWLIST) <= set(_unset_switches())
+
+
+#: ``# Qdisc._push, inlined`` or ``# abc_paper.target_rate (Eq. 1), inlined``:
+#: the name of the definition whose body the code below the comment inlines.
+_INLINED = re.compile(r"([A-Za-z_][\w.]*)\s*(?:\([^()]*\))?,\s*inlined\b")
+
+
+def _definitions(paths) -> set:
+    """What an inline marker may name: ``name``, ``module.name``,
+    ``Class.member`` and ``module.Class.member`` for every module-level
+    definition and every member of a module-level class in ``paths``."""
+    def named(node):
+        return (_bound_names(node) | {getattr(node, "name", None)}) - {None}
+
+    names = set()
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            found = named(node)
+            if isinstance(node, ast.ClassDef):
+                found |= {f"{node.name}.{member}" for sub in node.body
+                          for member in named(sub)}
+            names |= found | {f"{path.stem}.{name}" for name in found}
+    return names
+
+
+def test_inline_markers_name_existing_definitions():
+    """Every ``# <Name>, inlined`` comment in ``src/`` names a definition in
+    ``src/`` or in ``tests/reference/``: a marker whose original was deleted
+    or renamed points at nothing a reader can check the inline against."""
+    sources = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+    defined = _definitions(
+        sources + sorted((REPO_ROOT / "tests" / "reference").glob("*.py")))
+    stale = []
+    for path in sources:
+        with path.open() as handle:
+            for token in tokenize.generate_tokens(handle.readline):
+                if token.type != tokenize.COMMENT:
+                    continue
+                names = _INLINED.findall(token.string)
+                if len(names) != token.string.count(", inlined"):
+                    names.append(token.string)
+                stale += [f"{path.relative_to(REPO_ROOT)}:{token.start[0]} "
+                          f"{name}" for name in names if name not in defined]
+    assert not stale, "inline markers naming nothing: " + ", ".join(stale)
 
 
 def _is_package(module: str) -> bool:

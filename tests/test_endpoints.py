@@ -1,20 +1,24 @@
 """Tests for the generic sender/receiver transport machinery."""
 
+import collections
+import math
+import random
+
 import pytest
 
 from repro.cc.cubic import Cubic
 from repro.simulator.endpoints import DelayHop, Receiver, Sender
 from repro.simulator.engine import EventLoop
-from repro.simulator.estimators import MIN_RTO
+from repro.simulator.estimators import MAX_RTO, MIN_RTO
 from repro.simulator.link import ConstantRate, RateLink
 from repro.simulator.packet import ACK_SIZE, MTU, ECN, Packet
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import FixedSizeSource, RateLimitedSource
-from repro.core.ecn import receiver_echo
 from repro.core.router import ABCRouterQdisc
 from repro.core.sender import ABCWindowControl
-from tests.conftest import AIMD
+from tests.conftest import AIMD, decoded_echo
+from tests.reference import abc_paper, rfc6298
 
 
 def build_loop(cc, rate_bps=10e6, buffer_packets=100, rtt=0.1,
@@ -24,7 +28,8 @@ def build_loop(cc, rate_bps=10e6, buffer_packets=100, rtt=0.1,
     sender = Sender(env, flow_id=0, cc=cc, source=source)
     receiver = Receiver(env)
     link = RateLink(env, ConstantRate(rate_bps),
-                    qdisc=FifoQdisc(buffer_packets=buffer_packets), dst=receiver)
+                    qdisc=FifoQdisc(buffer_packets=buffer_packets))
+    link.connect(receiver)
     fwd = DelayHop(env, rtt / 2.0, dst=link)
     back = DelayHop(env, rtt / 2.0, dst=sender)
     sender.connect(fwd)
@@ -292,31 +297,9 @@ def test_receiver_echoes_accelerate_bit():
 
 @pytest.mark.parametrize("codepoint", list(ECN), ids=lambda c: c.name)
 def test_sender_decodes_echo_like_the_section_5_1_2_table(codepoint):
-    """The (accel, ece) pair the sender hands its cc is what the readable
-    table ``repro.core.ecn.receiver_echo`` says for the received codepoint."""
-
-    class Stamp:
-        """A router stand-in: every packet leaves with ``codepoint``."""
-
-        def __init__(self, dst):
-            self.dst = dst
-
-        def receive(self, packet):
-            packet.ecn = codepoint
-            self.dst.receive(packet)
-
-    env = EventLoop()
-    cc = RecordingAIMD(initial_cwnd=2.0, ssthresh=2.0)
-    sender = Sender(env, flow_id=0, cc=cc)
-    receiver = Receiver(env)
-    receiver.connect(DelayHop(env, 0.01, dst=sender))
-    sender.connect(DelayHop(env, 0.01, dst=Stamp(receiver)))
-    sender.start()
-    env.run(until=0.1)
-    expected = receiver_echo(codepoint)
-    assert len(cc.feedbacks) >= 4
-    assert ({(f.accel, f.ece) for f in cc.feedbacks}
-            == {(expected.accel, expected.ece)})
+    """The (accel, ece) pair the sender hands its cc is what §5.1.2's table
+    says for the received codepoint."""
+    assert decoded_echo(codepoint) == abc_paper.echo(codepoint)
 
 
 def test_ack_crosses_a_reverse_abc_router_unmarked():
@@ -324,8 +307,9 @@ def test_ack_crosses_a_reverse_abc_router_unmarked():
     backlog, Not-ECT, so a congested ABC router there cannot re-mark the
     echo, and the scheme's in-band fields ride through."""
     def congested_router_link(env, dst):
-        return RateLink(env, ConstantRate(100e3), qdisc=ABCRouterQdisc(),
-                        dst=dst)
+        link = RateLink(env, ConstantRate(100e3), qdisc=ABCRouterQdisc())
+        link.connect(dst)
+        return link
 
     def burst(size):
         return [Packet(flow_id=1, seq=seq, size=size, ecn=ECN.ACCEL,
@@ -445,7 +429,8 @@ def test_resumed_acks_reset_the_backoff_and_fire_no_spurious_rto():
     sender = Sender(env, flow_id=0, cc=cc)
     receiver = Receiver(env)
     link = RateLink(env, ConstantRate(10e6),
-                    qdisc=FifoQdisc(buffer_packets=100), dst=receiver)
+                    qdisc=FifoQdisc(buffer_packets=100))
+    link.connect(receiver)
 
     class Gate:
         """Black-holes the path until t = 1.5 s."""
@@ -462,6 +447,81 @@ def test_resumed_acks_reset_the_backoff_and_fire_no_spurious_rto():
     # retransmissions get through.  Nothing after that.
     assert cc.timeouts_at == [1.0, 3.0]
     assert sender._rto_backoff == 1.0
-    assert sender.rtt.rto == MIN_RTO   # srtt + 4·rttvar < 0.2 s
+    assert sender._rto_deadline(8.0) == 8.0 + MIN_RTO   # srtt + 4·rttvar < 0.2 s
     assert receiver.packets_received > 1000
     assert sender._rto_timer.armed_at is not None  # still in flight, armed
+
+
+class RFC6298Check(AIMD):
+    """AIMD that holds the sender's RTT record and RTO to RFC 6298 at every
+    ACK and every timeout, feeding the reference what it observes: the
+    time since the ACKed transmission left and whether it was a
+    retransmission."""
+
+    def __init__(self):
+        super().__init__(initial_cwnd=4.0)
+        self.reference = rfc6298.RetransmissionTimer(MIN_RTO, MAX_RTO)
+        self.sender = None
+        self.samples = []
+        self.seen = collections.Counter()
+
+    def check(self, now):
+        record, reference = self.sender.rtt, self.reference
+        assert (record.srtt, record.rttvar) == (reference.srtt,
+                                                reference.rttvar)
+        assert record.min_rtt == min(self.samples, default=math.inf)
+        assert self.sender._rto_deadline(now) == now + reference.rto()
+        if reference.srtt is not None:
+            unbacked = reference.rto() / reference.backoff
+            self.seen["floor" if unbacked == MIN_RTO else "above"] += 1
+        self.seen[f"backoff {reference.backoff}"] += 1
+
+    def on_ack(self, feedback):
+        rtt = feedback.now - feedback.sent_time
+        if feedback.is_retransmission:
+            self.seen["karn"] += 1
+        else:
+            self.samples.append(rtt)
+        self.reference.on_ack(rtt, feedback.is_retransmission)
+        self.check(feedback.now)
+        return super().on_ack(feedback)
+
+    def on_timeout(self, now):
+        self.check(now)
+        self.reference.on_timeout()
+        super().on_timeout(now)
+
+
+class LossyHop:
+    """A seeded path: each packet is lost with probability ``loss`` (and all
+    of them inside ``blackout``), else delivered after 20–140 ms."""
+
+    def __init__(self, env, dst, seed, loss, blackout):
+        self.env, self.dst = env, dst
+        self.rng = random.Random(seed)
+        self.loss, self.blackout = loss, blackout
+
+    def receive(self, packet):
+        start, end = self.blackout
+        if self.rng.random() < self.loss or start <= self.env.now < end:
+            return
+        self.env.post(0.02 + 0.12 * self.rng.random(), self.dst.receive,
+                      packet)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sender_rtt_and_rto_follow_rfc6298(seed):
+    """Over a seeded lossy, reordering path with a 6 s black-out (so
+    timeouts back off, and retransmitted segments are ACKed), the sender's
+    SRTT, RTTVAR, minimum RTT and RTO deadline equal RFC 6298's after every
+    ACK and at every timeout."""
+    env = EventLoop()
+    cc = RFC6298Check()
+    sender = cc.sender = Sender(env, flow_id=0, cc=cc)
+    receiver = Receiver(env)
+    receiver.connect(DelayHop(env, 0.01, dst=sender))
+    sender.connect(LossyHop(env, receiver, seed, 0.05, (3.0, 9.0)))
+    sender.start()
+    env.run(until=12.0)
+    assert cc.seen["karn"] and cc.seen["floor"] and cc.seen["above"]
+    assert sender.timeouts >= 4 and cc.seen["backoff 8"]

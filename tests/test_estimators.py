@@ -14,9 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.router import ABCRouterQdisc
-from repro.simulator.estimators import (_TRIM, EWMA, MIN_RTO, RTTEstimator,
+from repro.simulator.endpoints import Receiver, Sender
+from repro.simulator.engine import EventLoop
+from repro.simulator.estimators import (_TRIM, EWMA, MAX_RTO, MIN_RTO,
                                         WindowedMinMax, WindowedRateEstimator)
-from repro.simulator.packet import Packet
+from repro.simulator.packet import MTU, Packet
+from repro.simulator.traffic import FixedSizeSource
+from tests.conftest import AIMD
+from tests.reference import rfc6298
 
 
 # ------------------------------------------------------------ rate estimator
@@ -288,32 +293,67 @@ def test_windowed_minmax_validation():
         WindowedMinMax(window=0.0, mode="max")
 
 
-# ------------------------------------------------------------ RTT estimator
+# ------------------------------------------------------------ RTT record
+class _Delays:
+    """Hands packet ``seq`` to ``dst`` ``delays[seq]`` seconds after it left,
+    so the sender's ``seq``-th RTT sample is exactly that delay."""
+
+    def __init__(self, env, delays, dst):
+        self.env, self.delays, self.dst = env, delays, dst
+
+    def receive(self, packet):
+        self.env.post(self.delays[packet.seq], self.dst.receive, packet)
+
+
+def _sender_after(*rtts):
+    """A sender whose packets all left at t = 0 and were ACKed ``rtts``
+    seconds later (the RTT record the sender reads, and its RTO)."""
+    env = EventLoop()
+    sender = Sender(env, flow_id=0, cc=AIMD(initial_cwnd=len(rtts)),
+                    source=FixedSizeSource(len(rtts) * MTU))
+    receiver = Receiver(env)
+    receiver.connect(sender)
+    sender.connect(_Delays(env, rtts, receiver))
+    sender.start()
+    env.run(until=max(rtts))
+    return sender
+
+
+def _rfc6298(*rtts):
+    reference = rfc6298.RetransmissionTimer(MIN_RTO, MAX_RTO)
+    for rtt in sorted(rtts):
+        reference.on_ack(rtt, False)
+    return reference
+
+
 def test_rtt_estimator_first_sample_sets_srtt():
-    rtt = RTTEstimator()
-    rtt.update(0.2)
-    assert rtt.srtt == pytest.approx(0.2)
-    assert rtt.rttvar == pytest.approx(0.1)
+    rtt = _sender_after(0.2).rtt
+    assert (rtt.srtt, rtt.rttvar) == (0.2, 0.1)
+    reference = _rfc6298(0.2)
+    assert (rtt.srtt, rtt.rttvar) == (reference.srtt, reference.rttvar)
 
 
 def test_rtt_estimator_tracks_min():
-    rtt = RTTEstimator()
-    for sample in (0.3, 0.1, 0.2):
-        rtt.update(sample)
-    assert rtt.minimum() == pytest.approx(0.1)
+    sender = _sender_after(0.3, 0.1, 0.2)
+    assert sender.rtt.minimum() == 0.1
+    reference = _rfc6298(0.3, 0.1, 0.2)
+    assert (sender.rtt.srtt, sender.rtt.rttvar) == (reference.srtt,
+                                                    reference.rttvar)
 
 
 def test_rtt_estimator_rto_has_floor():
-    rtt = RTTEstimator()
-    rtt.update(0.01)
-    assert rtt.rto == MIN_RTO == 0.2
+    sender = _sender_after(0.01)
+    assert sender._rto_deadline(0.0) == MIN_RTO == 0.2
+    assert _rfc6298(0.01).rto() == MIN_RTO
 
 
 def test_rtt_estimator_rto_before_samples():
-    assert RTTEstimator().rto == pytest.approx(1.0)
+    sender = Sender(EventLoop(), flow_id=0, cc=AIMD())
+    assert sender._rto_deadline(0.0) == 1.0 == _rfc6298().rto()
 
 
 def test_rtt_estimator_ignores_non_positive_samples():
-    rtt = RTTEstimator()
-    rtt.update(-1.0)
-    assert rtt.srtt is None
+    """An ACK in the instant its packet left carries no RTT sample."""
+    sender = _sender_after(0.0)
+    assert sender.bytes_acked == MTU
+    assert sender.rtt.srtt is None and sender.rtt.min_rtt == math.inf

@@ -111,7 +111,8 @@ def test_square_wave_start_low():
 def test_rate_link_transmission_time():
     env = EventLoop()
     sink = Collector()
-    link = RateLink(env, ConstantRate(12e6), qdisc=FifoQdisc(), dst=sink)
+    link = RateLink(env, ConstantRate(12e6), qdisc=FifoQdisc())
+    link.connect(sink)
     link.send(Packet(flow_id=0, seq=0, size=1500))
     env.run()
     # 1500 B at 12 Mbit/s = 1 ms
@@ -122,7 +123,8 @@ def test_rate_link_transmission_time():
 def test_rate_link_serialises_back_to_back_packets():
     env = EventLoop()
     sink = Collector()
-    link = RateLink(env, ConstantRate(12e6), qdisc=FifoQdisc(), dst=sink)
+    link = RateLink(env, ConstantRate(12e6), qdisc=FifoQdisc())
+    link.connect(sink)
     for i in range(3):
         link.send(Packet(flow_id=0, seq=i, size=1500))
     env.run()
@@ -132,8 +134,8 @@ def test_rate_link_serialises_back_to_back_packets():
 
 def test_rate_link_drop_counted():
     env = EventLoop()
-    link = RateLink(env, ConstantRate(1e6), qdisc=FifoQdisc(buffer_packets=1),
-                    dst=Collector())
+    link = RateLink(env, ConstantRate(1e6), qdisc=FifoQdisc(buffer_packets=1))
+    link.connect(Collector())
     for i in range(5):
         link.send(Packet(flow_id=0, seq=i))
     # One in service slot has been dequeued; one queued; the rest dropped.
@@ -152,7 +154,8 @@ def test_opportunity_link_delivers_on_schedule():
     env = EventLoop()
     sink = Collector()
     times = [0.01, 0.02, 0.03, 0.04]
-    link = OpportunityLink(env, times, qdisc=FifoQdisc(), dst=sink)
+    link = OpportunityLink(env, times, qdisc=FifoQdisc())
+    link.connect(sink)
     for i in range(2):
         link.send(Packet(flow_id=0, seq=i, size=MTU))
     link.start()
@@ -164,7 +167,8 @@ def test_opportunity_link_delivers_on_schedule():
 def test_opportunity_link_wasted_opportunities_when_idle():
     env = EventLoop()
     sink = Collector()
-    link = OpportunityLink(env, [0.01, 0.02], qdisc=FifoQdisc(), dst=sink)
+    link = OpportunityLink(env, [0.01, 0.02], qdisc=FifoQdisc())
+    link.connect(sink)
     link.start()
     env.run(until=0.05)
     assert sink.packets == []
@@ -173,7 +177,8 @@ def test_opportunity_link_wasted_opportunities_when_idle():
 def test_opportunity_link_small_packets_share_an_opportunity():
     env = EventLoop()
     sink = Collector()
-    link = OpportunityLink(env, [0.01], qdisc=FifoQdisc(), dst=sink)
+    link = OpportunityLink(env, [0.01], qdisc=FifoQdisc())
+    link.connect(sink)
     for i in range(3):
         link.send(Packet(flow_id=0, seq=i, size=400))
     link.start()
@@ -184,7 +189,8 @@ def test_opportunity_link_small_packets_share_an_opportunity():
 def test_opportunity_link_trace_wraps_around():
     env = EventLoop()
     sink = Collector()
-    link = OpportunityLink(env, [0.5, 1.0], qdisc=FifoQdisc(buffer_packets=10), dst=sink)
+    link = OpportunityLink(env, [0.5, 1.0], qdisc=FifoQdisc(buffer_packets=10))
+    link.connect(sink)
     for i in range(4):
         link.send(Packet(flow_id=0, seq=i))
     link.start()

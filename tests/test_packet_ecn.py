@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.core import ecn
+from repro.cc.cubic import Cubic
+from repro.core.router import ABCRouterQdisc
+from repro.core.sender import ABCWindowControl
 from repro.simulator import packet as packet_module
-from repro.simulator.endpoints import Receiver
+from repro.simulator.endpoints import Receiver, Sender
 from repro.simulator.engine import EventLoop
-from repro.simulator.packet import (ACK_SIZE, MTU, ECN, Packet, apply_brake,
-                                    apply_ce)
+from repro.simulator.packet import ACK_SIZE, MTU, ECN, Packet, apply_ce
+from tests.conftest import decoded_echo
+from tests.reference import abc_paper
 
 
 # ---------------------------------------------------------------- codepoints
@@ -26,10 +29,18 @@ def test_accel_and_brake_are_legacy_ecn_capable():
 
 
 def test_apply_brake_only_downgrades_accelerate():
-    assert apply_brake(ECN.ACCEL) == ECN.BRAKE
-    assert apply_brake(ECN.BRAKE) == ECN.BRAKE
-    assert apply_brake(ECN.CE) == ECN.CE
-    assert apply_brake(ECN.NOT_ECT) == ECN.NOT_ECT
+    """Through an ABC router whose f(t) is 0 (12 s of queue at 1 kbit/s),
+    every codepoint leaves as §5.1.2's brake of it, and braking twice is
+    braking once."""
+    for codepoint in ECN:
+        packet = Packet(flow_id=0, seq=0, ecn=codepoint)
+        for _ in range(2):
+            router = ABCRouterQdisc(capacity_fn=lambda now: 1e3)
+            router.enqueue(packet, 0.0)
+            router.enqueue(Packet(flow_id=0, seq=1), 0.0)
+            assert router.dequeue(0.0) is packet
+            assert router.last_fraction == 0.0
+            assert packet.ecn == abc_paper.brake(codepoint)
 
 
 def test_apply_ce_marks_only_ecn_capable_packets():
@@ -74,42 +85,57 @@ def test_module_constants_are_the_enum_members():
 
 
 # ---------------------------------------------------------------- §5.1.2 tables
+class Tap:
+    """A next hop that keeps what it is handed."""
+
+    def __init__(self):
+        self.packets = []
+
+    def receive(self, packet):
+        self.packets.append(packet)
+
+
 def test_abc_reinterpretation_table():
-    assert ecn.ABC_INTERPRETATION[ECN.ACCEL] == "Accelerate"
-    assert ecn.ABC_INTERPRETATION[ECN.BRAKE] == "Brake"
-    assert ecn.CLASSIC_INTERPRETATION[ECN.ACCEL].startswith("ECN-Capable")
+    """The enum's members are §5.1.2's rows: the bit pair and, in the name,
+    the ABC meaning."""
+    assert set(ECN) == set(abc_paper.CODEPOINTS)
+    assert abc_paper.CODEPOINTS[ECN.ACCEL][1] == "Accelerate"
+    assert abc_paper.CODEPOINTS[ECN.BRAKE][1] == "Brake"
+    assert (ECN.NOT_ECT, ECN.ACCEL, ECN.BRAKE, ECN.CE) == (
+        abc_paper.NOT_ECT, abc_paper.ACCELERATE, abc_paper.BRAKE, abc_paper.CE)
 
 
 def test_receiver_echo_accelerate():
-    echo = ecn.receiver_echo(ECN.ACCEL)
-    assert echo.accel and not echo.ece
+    assert decoded_echo(ECN.ACCEL) == abc_paper.echo(ECN.ACCEL)
+    assert abc_paper.echo(ECN.ACCEL) == (True, False)
 
 
 def test_receiver_echo_brake():
-    echo = ecn.receiver_echo(ECN.BRAKE)
-    assert not echo.accel and not echo.ece
+    assert decoded_echo(ECN.BRAKE) == abc_paper.echo(ECN.BRAKE)
+    assert abc_paper.echo(ECN.BRAKE) == (False, False)
 
 
 def test_receiver_echo_ce_sets_ece():
-    echo = ecn.receiver_echo(ECN.CE)
-    assert not echo.accel and echo.ece
+    assert decoded_echo(ECN.CE) == abc_paper.echo(ECN.CE)
+    assert abc_paper.echo(ECN.CE) == (False, True)
 
 
 def test_sender_codepoint_selection():
-    assert ecn.sender_codepoint(abc_enabled=True) == ECN.ACCEL
-    assert ecn.sender_codepoint(abc_enabled=False) == ECN.BRAKE
+    """An ABC sender stamps accelerate; any other sends Not-ECT."""
+    for cc, expected in ((ABCWindowControl(), abc_paper.ACCELERATE),
+                         (Cubic(), abc_paper.NOT_ECT)):
+        sent = Tap()
+        sender = Sender(EventLoop(), flow_id=0, cc=cc)
+        sender.connect(sent)
+        sender.start()
+        sender.env.run(until=0.01)
+        assert sent.packets and {p.ecn for p in sent.packets} == {expected}
 
 
 def test_legacy_router_sees_abc_packets_as_ecn_capable():
-    assert ecn.sender_codepoint(True).is_ecn_capable
-
-
-def test_proxied_deployment_round_trip():
-    # Sender marks accelerate, router may flip to CE for brake, receiver
-    # echoes CE via ECE; absence of CE is read as accelerate.
-    sent = ECN.ACCEL
-    assert ecn.proxied_receiver_accel(sent)
-    braked = ecn.proxied_brake(sent)
-    assert braked == ECN.CE
-    assert not ecn.proxied_receiver_accel(braked)
-    assert ecn.proxied_brake(ECN.NOT_ECT) == ECN.NOT_ECT
+    """Both ABC codepoints are ECT to a classic router (§5.1.2's first
+    table), so a legacy AQM CE-marks them instead of dropping."""
+    for codepoint in (ECN.ACCEL, ECN.BRAKE):
+        assert abc_paper.CODEPOINTS[codepoint][0].startswith(
+            "ECN-Capable Transport")
+        assert codepoint.is_ecn_capable and apply_ce(codepoint) is ECN.CE

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import copy
 import math
 
 from hypothesis import given, settings
@@ -14,10 +15,11 @@ from repro.core.router import ABCRouterQdisc
 from repro.core.stability import FluidModel
 from repro.simulator.engine import EventLoop
 from repro.simulator.estimators import WindowedMinMax, WindowedRateEstimator
-from repro.simulator.packet import AckFeedback, ECN, MTU, Packet, apply_brake
+from repro.simulator.packet import AckFeedback, ECN, MTU, Packet
 from repro.simulator.qdisc import FifoQdisc
 
 from tests.conftest import abc_sender
+from tests.reference import abc_paper
 
 # Keep hypothesis example counts moderate so the suite stays fast.
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -125,12 +127,17 @@ def test_token_bucket_bounded_by_cumulative_fraction(fractions):
 
 # ------------------------------------------------------------ ECN / router
 @SETTINGS
-@given(st.sampled_from(list(ECN)))
-def test_apply_brake_never_upgrades(codepoint):
-    result = apply_brake(codepoint)
-    assert result != ECN.ACCEL or codepoint == ECN.ACCEL
-    # Applying brake twice is idempotent.
-    assert apply_brake(result) == result
+@given(st.lists(st.sampled_from(list(ECN)), min_size=1, max_size=60),
+       st.floats(min_value=1e5, max_value=1e8))
+def test_apply_brake_never_upgrades(codepoints, capacity):
+    """Whatever fractions the router computes, a packet leaves with its own
+    codepoint or §5.1.2's brake of it: never upgraded."""
+    router = ABCRouterQdisc(capacity_fn=lambda now: capacity)
+    for seq, codepoint in enumerate(codepoints):
+        router.enqueue(Packet(flow_id=0, seq=seq, ecn=codepoint), 0.0)
+    for seq, codepoint in enumerate(codepoints):
+        packet = router.dequeue(seq * 0.001)
+        assert packet.ecn in (codepoint, abc_paper.brake(codepoint))
 
 
 @SETTINGS
@@ -141,10 +148,14 @@ def test_router_target_rate_bounded(capacity, queue_packets, delta):
     params = ABCParams(delta=delta)
     router = ABCRouterQdisc(params=params, buffer_packets=500,
                             capacity_fn=lambda now: capacity)
-    for i in range(queue_packets):
+    for i in range(queue_packets + 1):
         router.enqueue(Packet(flow_id=0, seq=i), 0.0)
-    tr = router.target_rate(0.0)
+    router.dequeue(0.0)
+    tr = router.last_target_rate
     assert 0.0 <= tr <= params.eta * capacity + 1e-6
+    assert tr == abc_paper.target_rate(capacity, queue_packets * MTU * 8.0,
+                                       params.eta, delta,
+                                       params.delay_threshold)
 
 
 @SETTINGS
@@ -155,8 +166,8 @@ def test_router_accel_fraction_in_unit_interval(capacity):
     for i in range(50):
         router.enqueue(Packet(flow_id=0, seq=i), now)
         router.dequeue(now)
+        assert 0.0 <= router.last_fraction <= 1.0
         now += 0.001
-    assert 0.0 <= router.accel_fraction(now) <= 1.0
 
 
 # ------------------------------------------------------------ ABC sender
@@ -242,6 +253,26 @@ def test_abc_window_is_the_smaller_window_under_the_cap(acks, initial, events):
         window = cc.on_ack(_feedback(step, accel, acked, in_flight, ece))
         assert window == max(min(cc.w_abc, cc.cubic.cwnd()), 1.0) == cc.cwnd()
         assert window <= _cap(cc, in_flight)
+
+
+@SETTINGS
+@given(_ACKS, st.floats(min_value=1.0, max_value=200.0),
+       st.floats(min_value=1.0, max_value=3.0))
+def test_abc_ack_applies_the_dual_window_cap(acks, initial, cap_factor):
+    """§5.1.1 on every ACK: ``w_abc`` after Eq. 3 and the Cubic window after
+    Cubic's own update are both capped at max(2, factor · in-flight), and
+    the sender gets the smaller.  In flight counts the packet being ACKed:
+    the sender has just removed it from its in-flight set."""
+    cc = abc_sender(initial, params=ABCParams(window_cap_factor=cap_factor))
+    for step, (accel, acked, in_flight, ece) in enumerate(acks):
+        w, a = cc.w_abc, acked / MTU
+        w = max(w + (a + a / w) if accel else w - (a - a / w), 1.0)
+        feedback = _feedback(step, accel, acked, in_flight, ece)
+        cubic = copy.deepcopy(cc.cubic)
+        cubic.on_ack(feedback)
+        window = cc.on_ack(feedback)
+        assert (cc.w_abc, cc.cubic.cwnd(), window) == abc_paper.dual_window(
+            w, cubic.cwnd(), in_flight + 1, cap_factor)
 
 
 @SETTINGS

@@ -64,7 +64,8 @@ def test_mac_config_validation():
 def test_wifi_link_delivers_all_packets_in_batches():
     env = EventLoop()
     sink = Collector()
-    link = WiFiLink(env, mcs=FixedMCSSchedule(7), qdisc=FifoQdisc(500), dst=sink)
+    link = WiFiLink(env, mcs=FixedMCSSchedule(7), qdisc=FifoQdisc(500))
+    link.connect(sink)
     for i in range(100):
         link.send(Packet(flow_id=0, seq=i))
     env.run(until=1.0)
@@ -76,7 +77,8 @@ def test_wifi_batch_size_capped_at_max():
     env = EventLoop()
     link = WiFiLink(env, mcs=FixedMCSSchedule(7),
                     config=WiFiMacConfig(max_batch_frames=8),
-                    qdisc=FifoQdisc(500), dst=Collector())
+                    qdisc=FifoQdisc(500))
+    link.connect(Collector())
     for i in range(50):
         link.send(Packet(flow_id=0, seq=i))
     env.run(until=1.0)
@@ -88,7 +90,8 @@ def test_wifi_inter_ack_time_grows_with_batch_size():
     env = EventLoop()
     config = WiFiMacConfig(seed=1)
     link = WiFiLink(env, mcs=FixedMCSSchedule(5), config=config,
-                    qdisc=FifoQdisc(2000), dst=Collector())
+                    qdisc=FifoQdisc(2000))
+    link.connect(Collector())
 
     # Alternate between bursts of different sizes to sample several b values.
     def offer(burst):
