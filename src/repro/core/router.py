@@ -26,10 +26,12 @@ original chained ``_pop`` → estimator ``add`` → Eq. 2 and Eq. 1 methods →
 capacity read → marker); marks and rates are bit-identical
 (``tests/test_path_golden.py``):
 
-* **Per-timestamp capacity memo.**  All dequeues of one transmission
-  opportunity share ``now``, so µ(t) is read once per timestamp when it is a
-  pure function of time (stock links, no ``capacity_fn``, ``capacity_bps``
-  not overridden — see :meth:`ABCRouterQdisc.attach`).
+* **Capacity is the link's state.**  A router with neither a
+  ``capacity_fn`` nor an overridden :meth:`capacity_bps` reads µ(t) off its
+  link, one call per dequeue: a rate link answers from its cached ``(rate,
+  from, until)``, a trace link counts its opportunities inline.  (The
+  per-timestamp memo this replaced never hit on a forward link, where every
+  dequeue has its own ``now``.)
 * **One estimator, fed where it is read.**  A scalar two-pointer
   :class:`~repro.simulator.estimators.WindowedRateEstimator` receives a
   sample per dequeue (or per enqueue under ``feedback_basis="enqueue"``) and
@@ -82,10 +84,7 @@ class ABCRouterQdisc(Qdisc):
             window=self.params.measurement_window)
         self._rate_on_dequeue = feedback_basis == "dequeue"
         self.marker = TokenBucketMarker(token_limit=self.params.token_limit)
-        # Per-timestamp capacity memo, enabled per link type in attach().
-        self._cap_memo_time = -1.0
-        self._cap_memo = 0.0
-        self._cap_memoizable = False
+        self._reads_link = False
 
         # Introspection values used by tests and the feedback ablation.
         self.last_target_rate = 0.0
@@ -96,16 +95,10 @@ class ABCRouterQdisc(Qdisc):
     # ------------------------------------------------------------ wiring
     def attach(self, link) -> None:
         super().attach(link)
-        # The per-timestamp capacity memo is only sound when capacity is a
-        # pure function of `now`: the two stock link models qualify, a
-        # user-supplied capacity_fn (e.g. the stateful WiFi estimator) may
-        # not — those keep the one-call-per-packet behaviour.  A subclass
-        # overriding capacity_bps (PK-ABC's lookahead oracle) also opts out,
-        # since the memoized read inlines the base method.
-        from repro.simulator.link import OpportunityLink, RateLink
-        self._cap_memoizable = (
-            self.capacity_fn is None
-            and type(link) in (OpportunityLink, RateLink)
+        # dequeue reads µ(t) straight off the link unless a capacity_fn or a
+        # subclass's capacity_bps (PK-ABC's look-ahead) stands in between.
+        self._reads_link = (
+            link is not None and self.capacity_fn is None
             and type(self).capacity_bps is ABCRouterQdisc.capacity_bps)
 
     # ------------------------------------------------------------ measurement
@@ -161,19 +154,12 @@ class ABCRouterQdisc(Qdisc):
             rate._sizes.append(size)
             rate._total += size
 
-        # abc_paper.target_rate (Eq. 1), inlined.  All dequeues of one
-        # transmission opportunity share `now`, so the capacity lookup is
-        # memoized per timestamp when capacity is a pure function of time.
+        # abc_paper.target_rate (Eq. 1), inlined.
         params = self.params
-        if self._cap_memoizable:
-            if now == self._cap_memo_time:
-                mu = self._cap_memo
-            else:
-                mu = self.link.capacity_bps(now)
-                if mu < 0.0:
-                    mu = 0.0
-                self._cap_memo_time = now
-                self._cap_memo = mu
+        if self._reads_link:
+            mu = self.link.capacity_bps(now)
+            if mu < 0.0:
+                mu = 0.0
         else:
             mu = self.capacity_bps(now)
         x = self.backlog_bytes * 8.0 / mu if mu > 0.0 else 0.0

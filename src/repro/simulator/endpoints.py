@@ -92,8 +92,8 @@ class DelayHop:
     """A pure propagation-delay segment (no queueing, no capacity limit)."""
 
     def __init__(self, env: EventLoop, delay: float, dst=None, name: str = "delay"):
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        if not 0.0 <= delay < math.inf:  # NaN fails too
+            raise ValueError("delay must be finite and non-negative")
         self.env = env
         self.delay = delay
         self.dst = dst
@@ -172,6 +172,8 @@ class Sender:
         self._rto_timer = DeadlineTimer(env, self._on_rto, self._rto_deadline,
                                         MIN_RTO)
         self._paced = cc.needs_pacing
+        # Every scheme's min_cwnd() is a constant; the pace tick reads it here.
+        self._window_floor = cc.min_cwnd()
         cc_type = type(cc)
         # A CC with the base no-op on_packet_sent cannot change its window
         # as it sends (the pacing loop then skips the call).
@@ -354,7 +356,8 @@ class Sender:
             if fwd is None:
                 fwd = self._resolve_forward()
             fwd_delay, fwd_cb = fwd
-            post = self.env.post
+            env = self.env
+            arrival = now + fwd_delay       # EventLoop.post's time, unguarded
             next_seq = self.next_seq
             sent_bytes = 0
             while True:
@@ -374,7 +377,7 @@ class Sender:
                 sent_bytes += size
                 sent_packets += 1
                 if fwd_cb is not None:
-                    post(fwd_delay, fwd_cb, packet)
+                    env.push((arrival, env._next_seq(), fwd_cb, (packet,)))
                 else:
                     egress = self.egress
                     if egress is not None:
@@ -403,7 +406,8 @@ class Sender:
         # check, retransmission first, source draw, packet build, forward
         # hop, RTO re-arm) is inlined for backlogged and fixed-size sources,
         # mirroring _burst's integer arithmetic.
-        now = self.env._now
+        env = self.env
+        now = env._now
         self.pace_ticks += 1
         cc = self.cc
         kind = self._source_kind
@@ -414,7 +418,7 @@ class Sender:
             n = len(outstanding)
             # CongestionControl.window, inlined.
             cwnd = cc.cwnd()
-            floor = cc.min_cwnd()
+            floor = self._window_floor
             if floor > cwnd:
                 cwnd = floor
             if n + 1 <= cwnd:
@@ -456,7 +460,8 @@ class Sender:
                             fwd = self._resolve_forward()
                         fwd_cb = fwd[1]
                         if fwd_cb is not None:
-                            self.env.post(fwd[0], fwd_cb, packet)
+                            env.push((now + fwd[0], env._next_seq(), fwd_cb,
+                                      (packet,)))
                         else:
                             egress = self.egress
                             if egress is not None:
@@ -486,7 +491,7 @@ class Sender:
                 # only schedule its successor, so the chain stops here.
                 self.pace_halts += 1
                 return
-        self.env.post(interval, self._pace_tick)
+        env.push((now + interval, env._next_seq(), self._pace_tick, ()))
 
     # ------------------------------------------------------------ receiving
     def receive(self, ack) -> None:
@@ -723,7 +728,8 @@ class Receiver:
             # at the arrival event (where ``env._now == now``), so the ACK
             # lands at a bit-identical time even when this runs early, at
             # delivery time.
-            self.env.post_at(now + fwd[0], cb, packet)
+            env = self.env
+            env.push((now + fwd[0], env._next_seq(), cb, (packet,)))
         elif self.egress is not None:
             _forward(self.egress, packet)
 

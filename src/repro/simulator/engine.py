@@ -18,7 +18,13 @@ Design notes
   callback return early (:class:`DeadlineTimer` is the pattern).
 * One scheduler pair and one run loop.  :meth:`EventLoop.post` and
   :meth:`EventLoop.post_at` each build their heap entry directly (delegating
-  costs a Python call per event on the hottest path in the repo).
+  costs a Python call per event on the hottest path in the repo).  The five
+  per-packet sites — ``Sender._burst``, ``Sender._pace_tick`` (packet and
+  next tick), ``Receiver.receive_at``, ``RateLink._finish_transmission`` and
+  ``OpportunityLink._fire_opportunity`` — skip even that frame: they call
+  ``push`` (``functools.partial(heappush, heap)``, a C call) with the
+  ``now + delay`` that ``post`` evaluates, and their delays are checked where
+  they are made (``DelayHop``, the capacity models, the trace's times).
   :meth:`EventLoop.run` reads the trace hook once per run and branches on
   that local per event; it pops before it looks (an entry beyond the horizon
   is pushed back, once per run, under its own sequence number) and stores the
@@ -31,6 +37,7 @@ Design notes
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter_ns
@@ -120,6 +127,8 @@ class EventLoop:
         self._now = 0.0
         self._heap: list[tuple] = []
         self._next_seq = count().__next__
+        #: ``push((time, self._next_seq(), callback, args))``, unguarded.
+        self.push = partial(heappush, self._heap)
         self._limit = float("inf")
         self._events_processed = 0
         self._trace_hook: Optional[Callable[[float, Callable, int], None]] = None

@@ -31,8 +31,8 @@ class WindowedRateEstimator:
     Nothing is ever re-derived: samples sit in parallel ``_times`` /
     ``_sizes`` lists, ``_start`` indexes the oldest live one, and the window's
     byte count is the difference of two running integer sums (``_total``
-    added, ``_expired`` aged out).  Both :meth:`add` and :meth:`rate_bps`
-    advance ``_start``, so an instance that is fed but never read holds at
+    added, ``_expired`` aged out).  :meth:`rate_bps` advances ``_start`` and
+    :meth:`add` reads it, so an instance that is fed but never read holds at
     most one window of samples plus ``_TRIM`` dead ones.  The ABC router
     inlines both methods at its per-packet call sites
     (:meth:`repro.core.router.ABCRouterQdisc.dequeue`).
@@ -59,12 +59,13 @@ class WindowedRateEstimator:
         self._times.append(now)
         self._sizes.append(size_bytes)
         self._total += size_bytes
-        self._expire(now)
+        self.rate_bps(now)              # ages out samples the window left
 
-    def _expire(self, now: float) -> bool:
-        """Age out samples older than ``now - window``; True when a live
-        sample remains."""
-        cutoff = now - self.window
+    def rate_bps(self, now: float) -> float:
+        """Current rate estimate in bits per second (0.0 with no samples),
+        after aging out the samples older than ``now - window``."""
+        window = self.window
+        cutoff = now - window
         times = self._times
         start = self._start
         n = len(times)
@@ -81,17 +82,12 @@ class WindowedRateEstimator:
                 n -= start
                 start = 0
             self._start = start
-        return start < n
-
-    def rate_bps(self, now: float) -> float:
-        """Current rate estimate in bits per second (0.0 with no samples)."""
-        if not self._expire(now):
+        if start >= n:
             return 0.0
         # min(window, max(now - first, 0)), with an instantaneous burst of
         # samples (zero span) falling back to the full window rather than
         # reporting an infinite rate.
         span = now - self._first_sample_time
-        window = self.window
         if span > window or span <= 0.0:
             span = window
         return (self._total - self._expired) * 8.0 / span
@@ -194,6 +190,3 @@ class RTTEstimator:
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.min_rtt = math.inf
-
-    def minimum(self, default: float = 0.1) -> float:
-        return self.min_rtt if math.isfinite(self.min_rtt) else default

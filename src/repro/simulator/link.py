@@ -29,11 +29,15 @@ heap sequence numbers are not:
 * **A link is its own record.**  Each delivery appends ``(time, bytes)`` to
   the link's departure lists — the numerator of every utilisation figure —
   and the delivered totals are read off them, not counted next to them.
+* **Capacity is state.**  A rate link keeps its model's rate until the next
+  change (:meth:`CapacityModel.rate_until`), a trace link counts its window
+  inline, and :meth:`Link.send` kicks only an idle link.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from typing import Iterable, List, Optional, Protocol, Sequence
 
@@ -62,34 +66,33 @@ class CapacityModel:
     def rate_at(self, t: float) -> float:
         raise NotImplementedError
 
-    def bits_between(self, t0: float, t1: float) -> float:
-        """Total bit-capacity offered by the link over ``[t0, t1]``.
+    def rate_until(self, t: float) -> tuple[float, float]:
+        """``rate_at(t)`` and the first float time it may differ from."""
+        raise NotImplementedError
 
-        The default implementation integrates :meth:`rate_at` with a 1 ms
-        step; subclasses with closed forms override it.
-        """
-        if t1 <= t0:
-            return 0.0
-        step = 0.001
-        total = 0.0
-        t = t0
-        while t < t1:
-            dt = min(step, t1 - t)
-            total += self.rate_at(t) * dt
-            t += dt
-        return total
+    def bits_between(self, t0: float, t1: float) -> float:
+        """Total bit-capacity offered by the link over ``[t0, t1]``."""
+        raise NotImplementedError
+
+
+def _check_positive(name: str, value: float) -> None:
+    # NaN fails too: links add times made from these to now unguarded.
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 class ConstantRate(CapacityModel):
     """Fixed-rate link."""
 
     def __init__(self, rate_bps: float):
-        if rate_bps <= 0:
-            raise ValueError("rate_bps must be positive")
+        _check_positive("rate_bps", rate_bps)
         self.rate_bps = rate_bps
 
     def rate_at(self, t: float) -> float:
         return self.rate_bps
+
+    def rate_until(self, t: float) -> tuple[float, float]:
+        return self.rate_bps, math.inf
 
     def bits_between(self, t0: float, t1: float) -> float:
         return max(t1 - t0, 0.0) * self.rate_bps
@@ -108,8 +111,8 @@ class SteppedRate(CapacityModel):
         times = [t for t, _ in steps]
         if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("steps must be sorted by time")
-        if any(rate <= 0 for _, rate in steps):
-            raise ValueError("rates must be positive")
+        for _, rate in steps:
+            _check_positive("rates", rate)
         self._times = list(times)
         self._rates = [r for _, r in steps]
 
@@ -118,6 +121,12 @@ class SteppedRate(CapacityModel):
         if idx < 0:
             idx = 0
         return self._rates[idx]
+
+    def rate_until(self, t: float) -> tuple[float, float]:
+        times = self._times
+        idx = bisect.bisect_right(times, t)
+        return (self._rates[idx - 1 if idx else 0],
+                times[idx] if idx < len(times) else math.inf)
 
     def bits_between(self, t0: float, t1: float) -> float:
         if t1 <= t0:
@@ -141,8 +150,9 @@ class SquareWaveRate(CapacityModel):
 
     def __init__(self, low_bps: float, high_bps: float, half_period: float,
                  start_low: bool = False):
-        if low_bps <= 0 or high_bps <= 0 or half_period <= 0:
-            raise ValueError("rates and half_period must be positive")
+        _check_positive("low_bps", low_bps)
+        _check_positive("high_bps", high_bps)
+        _check_positive("half_period", half_period)
         self.low_bps = low_bps
         self.high_bps = high_bps
         self.half_period = half_period
@@ -154,12 +164,20 @@ class SquareWaveRate(CapacityModel):
     def rate_at(self, t: float) -> float:
         return self._second if int(t / self.half_period) % 2 else self._first
 
-    def bits_between(self, t0: float, t1: float) -> float:
-        """Closed form: whole half-periods plus the two partial edges.
+    def rate_until(self, t: float) -> tuple[float, float]:
+        h = self.half_period
+        k = int(t / h)
+        # The rounded (k+1)·h may sit an ulp or two either side of the first
+        # float at which int(u / h) leaves k (rate_at's test): step onto it.
+        until = (k + 1) * h
+        while int(until / h) <= k:
+            until = math.nextafter(until, math.inf)
+        while int(math.nextafter(until, 0.0) / h) > k:
+            until = math.nextafter(until, 0.0)
+        return (self._second if k % 2 else self._first), until
 
-        Replaces the generic 1 ms numerical integration (15 000 ``rate_at``
-        calls for a 15 s window) with exact O(1) arithmetic.
-        """
+    def bits_between(self, t0: float, t1: float) -> float:
+        """Closed form: whole half-periods plus the two partial edges."""
         if t1 <= t0:
             return 0.0
         return self._bits_from_zero(t1) - self._bits_from_zero(t0)
@@ -219,6 +237,9 @@ class Link:
         # a FlowDemux), delivery invokes it synchronously instead of
         # bouncing through a zero-delay event (see connect()).
         self._rx_inline = None
+        #: A rate link mid-packet, a trace link once started, a Wi-Fi batch
+        #: in the air: :meth:`send` kicks :meth:`_on_enqueue` only when clear.
+        self._busy = False
 
     # ------------------------------------------------------------ wiring
     def connect(self, dst: Optional[Node]) -> None:
@@ -253,7 +274,8 @@ class Link:
             self.random_loss_packets += 1
             return
         if self.qdisc.enqueue(packet, now):
-            self._on_enqueue(now)
+            if not self._busy:
+                self._on_enqueue(now)
         else:
             self.dropped_packets += 1
 
@@ -262,7 +284,7 @@ class Link:
     receive = send
 
     def _on_enqueue(self, now: float) -> None:
-        """Hook: subclasses kick their transmission machinery here."""
+        """Hook: an idle link kicks its transmission machinery here."""
         raise NotImplementedError
 
     def _deliver(self, packet: Packet) -> None:
@@ -310,7 +332,8 @@ class RateLink(Link):
 
     The transmission time of a packet is ``size*8 / rate_at(start)``; for the
     step patterns in the paper (which change at most every 500 ms) this is an
-    excellent approximation.
+    excellent approximation.  ``_rate`` holds on ``[_rate_from,
+    _rate_until)``; the model is asked again only outside that span.
     """
 
     def __init__(self, env: EventLoop, capacity: CapacityModel,
@@ -319,24 +342,27 @@ class RateLink(Link):
         super().__init__(env, qdisc=qdisc, name=name,
                          loss_rate=loss_rate, loss_seed=loss_seed)
         self.capacity = capacity
-        self._busy = False
+        self._rate = 0.0
+        self._rate_from = self._rate_until = 0.0   # nothing cached yet
 
     @property
     def packets_in_transmission(self) -> int:
         return 1 if self._busy else 0
 
-    def _on_enqueue(self, now: float) -> None:
-        if not self._busy:
-            self._start_transmission()
+    def _refresh_rate(self, now: float) -> float:
+        self._rate, self._rate_until = self.capacity.rate_until(now)
+        self._rate_from = now
+        return self._rate
 
-    def _start_transmission(self) -> None:
-        now = self.env._now
+    def _on_enqueue(self, now: float) -> None:
         packet = self.qdisc.dequeue(now)
         if packet is None:
-            self._busy = False
             return
         self._busy = True
-        self.env.post(packet.size * 8.0 / self.capacity.rate_at(now),
+        rate = self._rate
+        if not self._rate_from <= now < self._rate_until:
+            rate = self._refresh_rate(now)
+        self.env.post(packet.size * 8.0 / rate,
                       self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
@@ -357,11 +383,16 @@ class RateLink(Link):
         if nxt is None:
             self._busy = False
             return
-        env.post(nxt.size * 8.0 / self.capacity.rate_at(now),
-                 self._finish_transmission, nxt)
+        rate = self._rate
+        if not self._rate_from <= now < self._rate_until:
+            rate = self._refresh_rate(now)
+        env.push((now + nxt.size * 8.0 / rate, env._next_seq(),
+                  self._finish_transmission, (nxt,)))
 
     def capacity_bps(self, now: float) -> float:
-        return self.capacity.rate_at(now)
+        if self._rate_from <= now < self._rate_until:
+            return self._rate
+        return self._refresh_rate(now)
 
     def offered_bits(self, t0: float, t1: float) -> float:
         return self.capacity.bits_between(t0, t1)
@@ -385,12 +416,11 @@ class OpportunityLink(Link):
         times = sorted(float(t) for t in opportunity_times)
         if not times:
             raise ValueError("opportunity_times must not be empty")
-        if times[0] < 0:
-            raise ValueError("opportunity times must be non-negative")
+        if times[0] < 0 or not all(map(math.isfinite, times)):
+            raise ValueError("opportunity times must be finite, >= 0")
         self._times = times
         self._trace_span = max(times[-1], 1e-3)
         self._next_index = 0
-        self._started = False
 
     # ------------------------------------------------------------ trace math
     def _opportunity_time(self, index: int) -> float:
@@ -412,9 +442,9 @@ class OpportunityLink(Link):
 
     def start(self) -> None:
         """Begin replaying the trace.  Called by the scenario at time 0."""
-        if self._started:
+        if self._busy:
             return
-        self._started = True
+        self._busy = True
         self._schedule_next_opportunity()
 
     def _schedule_next_opportunity(self) -> None:
@@ -425,51 +455,68 @@ class OpportunityLink(Link):
 
     def _fire_opportunity(self, index: int) -> None:
         # Drain up to one opportunity's bytes, delivering each packet inline
-        # (see _finish_transmission), then post the next opportunity.
+        # (see _finish_transmission), then push the next opportunity.
         env = self.env
         now = env._now
-        budget = MTU
         qdisc = self.qdisc
-        peek = qdisc.peek
-        dequeue = qdisc.dequeue
-        departure_times = self.departure_times
-        departure_bytes = self.departure_bytes
-        rx = self._rx_inline
-        dst = self.dst
-        dst_receive = dst.receive if dst is not None else None
-        post = env.post
-        while budget > 0:
-            head = peek()
-            if head is None or head.size > budget:
-                break
-            packet = dequeue(now)
-            if packet is None:
-                break
-            size = packet.size
-            budget -= size
-            departure_times.append(now)
-            departure_bytes.append(size)
-            if rx is not None:
-                rx(packet)
-            elif dst_receive is not None:
-                post(0.0, dst_receive, packet)
+        if qdisc.backlog_packets:
+            # A packet is at most one MTU, so the first always fits; the
+            # head is peeked only while a partial budget is left.
+            budget = MTU
+            dequeue = qdisc.dequeue
+            rx = self._rx_inline
+            dst = self.dst
+            while True:
+                packet = dequeue(now)
+                if packet is None:
+                    break
+                size = packet.size
+                budget -= size
+                self.departure_times.append(now)
+                self.departure_bytes.append(size)
+                if rx is not None:
+                    rx(packet)
+                elif dst is not None:
+                    env.post(0.0, dst.receive, packet)
+                if budget <= 0:
+                    break
+                head = qdisc.peek()
+                if head is None or head.size > budget:
+                    break
         # _opportunity_time inlined (integer divmod, identical expression).
         next_index = self._next_index
         times = self._times
         cycle, offset = divmod(next_index, len(times))
-        env.post_at(cycle * self._trace_span + times[offset],
-                    self._fire_opportunity, next_index)
+        when = cycle * self._trace_span + times[offset]
+        if when < now:  # post_at's clamp: a wrap can round an ulp early
+            when = now
+        env.push((when, env._next_seq(), self._fire_opportunity, (next_index,)))
         self._next_index = next_index + 1
 
     def _on_enqueue(self, now: float) -> None:
         # Opportunities are clocked by the trace, not by arrivals.
-        if not self._started:
-            self.start()
+        self.start()
 
     # ------------------------------------------------------------ capacity
     def capacity_bps(self, now: float) -> float:
-        """Opportunity rate over the trailing ``CAPACITY_WINDOW`` seconds."""
-        return self.capacity_in_window(now - CAPACITY_WINDOW, now)
+        """Opportunity rate over the trailing ``CAPACITY_WINDOW`` seconds:
+        :meth:`capacity_in_window` with both ``_index_at`` calls inlined."""
+        t0 = now - CAPACITY_WINDOW
+        if t0 < 0.0:
+            t0 = 0.0
+        if now <= t0:
+            return 0.0
+        times = self._times
+        span = self._trace_span
+        if now < span:  # the first replay cycle: divmod would give (0, t)
+            count = (bisect.bisect_left(times, now)
+                     - bisect.bisect_left(times, t0))
+        else:
+            cycle, within = divmod(now, span)
+            count = int(cycle) * len(times) + bisect.bisect_left(times, within)
+            cycle, within = divmod(t0, span)
+            count -= int(cycle) * len(times) + bisect.bisect_left(times, within)
+        return count * MTU * 8.0 / (now - t0)
 
     def capacity_in_window(self, t0: float, t1: float) -> float:
         """Average opportunity rate (bps) over ``[t0, t1]``."""

@@ -79,15 +79,13 @@ class WiFiLink(Link):
         self.config = config if config is not None else WiFiMacConfig()
         self._rng = random.Random(self.config.seed)
         self.estimator = estimator
-        self._transmitting = False
         self._last_ack_time: Optional[float] = None
         self.batches_sent = 0
         self.batch_log: list[BatchObservation] = []
 
     # ------------------------------------------------------------ batching
     def _on_enqueue(self, now: float) -> None:
-        if not self._transmitting:
-            self._start_batch()
+        self._start_batch()
 
     def _draw_overhead(self) -> float:
         lo, hi = self.config.overhead_min, self.config.overhead_max
@@ -98,9 +96,9 @@ class WiFiLink(Link):
     def _start_batch(self) -> None:
         now = self.env.now
         if self.qdisc.is_empty:
-            self._transmitting = False
+            self._busy = False
             return
-        self._transmitting = True
+        self._busy = True
         batch: list[Packet] = []
         while len(batch) < self.config.max_batch_frames:
             packet = self.qdisc.dequeue(now)
@@ -108,7 +106,7 @@ class WiFiLink(Link):
                 break
             batch.append(packet)
         if not batch:
-            self._transmitting = False
+            self._busy = False
             return
         bitrate = self.mcs.rate_at(now)
         frame_bits = self.config.frame_size_bytes * 8.0

@@ -121,7 +121,7 @@ def test_rtt_estimate_close_to_configured():
     env, sender, _, _ = build_loop(AIMD(initial_cwnd=2.0, ssthresh=2.0),
                                    rtt=0.08, duration=2.0)
     # Propagation 80 ms plus ~1.2 ms serialisation.
-    assert sender.rtt.minimum() == pytest.approx(0.0812, abs=0.01)
+    assert sender.rtt.min_rtt == pytest.approx(0.0812, abs=0.01)
 
 
 def test_slow_start_grows_window():
@@ -385,6 +385,13 @@ def test_abc_sender_marks_packets_accelerate():
 def test_delay_hop_validation():
     with pytest.raises(ValueError):
         DelayHop(EventLoop(), delay=-1.0)
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+def test_delay_hop_rejects_non_finite_delay(delay):
+    # The sender and receiver add a hop's delay to now unguarded.
+    with pytest.raises(ValueError):
+        DelayHop(EventLoop(), delay=delay)
 
 
 def test_sink_counts_traffic():

@@ -339,3 +339,75 @@ def test_deadline_that_undercuts_min_delay_is_caught():
     timer.arm(loop.now)
     with pytest.raises(AssertionError):
         loop.run(until=1.0)
+
+
+def _clock_specs():
+    """Fuzz-generator specs covering every scheme label and every link kind:
+    the sampled ones as drawn, the rest on a sampled spec's flows."""
+    from dataclasses import replace
+
+    from repro.experiments.scenario_spec import (LINK_KINDS, NATIVE, SCHEMES,
+                                                 LinkSpec)
+    from repro.fuzz.generator import ScenarioGen
+
+    gen = ScenarioGen(seed=2)
+    specs, schemes, kinds = [], set(), set()
+    for index in range(200):
+        spec = gen.sample(index)
+        kind = spec.links[0].kind
+        if spec.scheme not in schemes or kind not in kinds:
+            specs.append(spec)
+            schemes.add(spec.scheme)
+            kinds.add(kind)
+    base = next(spec for spec in specs
+                if all(flow.cc == NATIVE for flow in spec.flows))
+    specs += [replace(base, scheme=scheme)
+              for scheme in sorted(set(SCHEMES) - schemes)]
+    others = {"stepped": {"steps": [[0.0, 4e6], [0.7, 12e6], [1.3, 2e6]]},
+              "wifi": {"mcs": ["alternating", 1, 7, 0.3]}}
+    specs += [replace(base, links=[LinkSpec(kind, params)])
+              for kind, params in others.items()]
+    assert kinds | set(others) | {"trace_ref"} == set(LINK_KINDS)
+    return specs
+
+
+def _watch_clock(loop, label):
+    """Install a trace hook that fails when a dispatched time is earlier
+    than the one before it; returns the one-item list of the last time."""
+    last = [0.0]
+
+    def monotone(time, _callback, _wall_ns):
+        assert time >= last[0], (label, time)
+        last[0] = time
+
+    loop.set_trace_hook(monotone)
+    return last
+
+
+def test_dispatched_time_never_decreases_on_any_scheme_or_link():
+    """The per-packet sites push heap entries without post_at's clamp to
+    now; a time behind the clock would be dispatched out of order."""
+    from repro.experiments.scenario_spec import build
+
+    for spec in _clock_specs():
+        built = build(spec)
+        last = _watch_clock(built.scenario.env,
+                            (spec.scheme, spec.links[0].kind))
+        built.scenario.run(spec.duration)
+        assert last[0] > 0.0
+
+
+def test_a_replayed_trace_never_schedules_behind_the_clock():
+    """A trace with opportunities at 0 and at its span replays each wrap as
+    ``(c+1)·span + 0`` after ``c·span + span``, which rounds an ulp early
+    for some cycles (c = 5 here): the link clamps it to now, as post_at
+    would."""
+    from repro.simulator.link import OpportunityLink
+
+    loop = EventLoop()
+    link = OpportunityLink(loop, [0.0, 0.1, 0.3])
+    assert 6 * 0.3 + 0.0 < 5 * 0.3 + 0.3
+    last = _watch_clock(loop, "trace wrap")
+    link.start()
+    loop.run(until=30.0)
+    assert last[0] > 29.0

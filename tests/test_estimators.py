@@ -335,7 +335,7 @@ def test_rtt_estimator_first_sample_sets_srtt():
 
 def test_rtt_estimator_tracks_min():
     sender = _sender_after(0.3, 0.1, 0.2)
-    assert sender.rtt.minimum() == 0.1
+    assert sender.rtt.min_rtt == 0.1
     reference = _rfc6298(0.3, 0.1, 0.2)
     assert (sender.rtt.srtt, sender.rtt.rttvar) == (reference.srtt,
                                                     reference.rttvar)

@@ -1,10 +1,14 @@
 """Tests for capacity models and the rate/opportunity link implementations."""
 
+import math
+import random
+
 import pytest
 
 from repro.simulator.engine import EventLoop
-from repro.simulator.link import (ConstantRate, OpportunityLink, RateLink,
-                                  SquareWaveRate, SteppedRate)
+from repro.simulator.link import (CAPACITY_WINDOW, ConstantRate,
+                                  OpportunityLink, RateLink, SquareWaveRate,
+                                  SteppedRate)
 from repro.simulator.packet import MTU, Packet
 from repro.simulator.qdisc import FifoQdisc
 
@@ -29,6 +33,17 @@ def test_constant_rate_rejects_non_positive():
         ConstantRate(0.0)
 
 
+#: Values a link would add to ``now`` unguarded (EventLoop.push), so every
+#: constructor that takes one rejects them.
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_constant_rate_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        ConstantRate(value)
+
+
 def test_stepped_rate_lookup():
     model = SteppedRate([(0.0, 1e6), (5.0, 2e6), (10.0, 4e6)])
     assert model.rate_at(0.0) == 1e6
@@ -50,6 +65,20 @@ def test_stepped_rate_validation():
         SteppedRate([(1.0, 1e6), (0.5, 2e6)])
     with pytest.raises(ValueError):
         SteppedRate([(0.0, -1.0)])
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_stepped_rate_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        SteppedRate([(0.0, 1e6), (1.0, value)])
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["low_bps", "high_bps", "half_period"])
+def test_square_wave_rejects_non_finite(field, value):
+    kwargs = {"low_bps": 12e6, "high_bps": 24e6, "half_period": 0.5}
+    with pytest.raises(ValueError):
+        SquareWaveRate(**{**kwargs, field: value})
 
 
 def test_square_wave_alternates():
@@ -149,6 +178,89 @@ def test_rate_link_capacity_and_offered_bits():
     assert link.offered_bits(0.0, 2.0) == pytest.approx(10e6)
 
 
+# ------------------------------------------------ rate link: capacity cache
+def _edge_near(model, guess, before):
+    """The first float near ``guess`` at which ``model.rate_at`` leaves
+    ``before``, found from ``rate_at`` alone."""
+    edge = guess
+    while model.rate_at(edge) == before:
+        edge = math.nextafter(edge, math.inf)
+    while model.rate_at(math.nextafter(edge, -math.inf)) != before:
+        edge = math.nextafter(edge, -math.inf)
+    return edge
+
+
+def _cache_cases():
+    """``(model, [(inside, edge)])``: a time inside each stretch of constant
+    rate and the edge that ends it (a constant link gets arbitrary ones)."""
+    cases = []
+    metro = [random.Random(seed).uniform(0.3, 0.7) for seed in range(4)]
+    for h in [0.3, 0.7, 0.5] + metro:
+        for start_low in (False, True):
+            model = SquareWaveRate(6e6, 13e6, h, start_low=start_low)
+            cases.append((model, [
+                (k * h + h / 2, _edge_near(model, (k + 1) * h,
+                                           model.rate_at(k * h + h / 2)))
+                for k in range(24)]))
+    steps = [(0.0, 3e6), (0.3, 9e6), (0.7, 5e6), (1.1, 12e6), (2.9, 4e6)]
+    cases.append((SteppedRate(steps), [
+        ((t0 + t1) / 2, t1) for (t0, _), (t1, _) in zip(steps, steps[1:])]))
+    cases.append((ConstantRate(7e6), [(0.1 * k + 0.05, 0.1 * k + 0.1)
+                                      for k in range(10)]))
+    return cases
+
+
+@pytest.mark.parametrize("model,stretches", _cache_cases())
+def test_rate_link_cached_capacity_is_exact_at_every_edge(model, stretches):
+    """capacity_bps answers from the cached (rate, from, until): read inside
+    each stretch, one ulp before its edge, at it and one ulp after, in
+    increasing and then in decreasing time order."""
+    link = RateLink(EventLoop(), model, qdisc=FifoQdisc())
+    reads = []
+    for inside, edge in stretches:
+        reads += [inside, math.nextafter(edge, -math.inf), edge,
+                  math.nextafter(edge, math.inf)]
+    for now in reads + reads[::-1]:
+        assert link.capacity_bps(now) == model.rate_at(now), now
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("model,stretches", _cache_cases())
+def test_rate_link_transmission_reads_the_rate_at_its_start(
+        model, stretches, ulps):
+    """A packet sent to an idle link inside a stretch warms the cache; one
+    sent ``ulps`` from the stretch's edge must be timed by the new rate."""
+    env = EventLoop()
+    link = RateLink(env, model, qdisc=FifoQdisc())
+    sends = []
+    for inside, edge in stretches:
+        for _ in range(abs(ulps)):
+            edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+        sends += [inside, edge]
+    for seq, t in enumerate(sends):
+        env.post_at(t, link.send, Packet(flow_id=0, seq=seq, size=MTU))
+    env.run()
+    assert link.departure_times == [t + MTU * 8.0 / model.rate_at(t)
+                                    for t in sends]
+
+
+def test_rate_link_back_to_back_transmissions_cross_edges_exactly():
+    """Rates whose MTU time is a power of two put back-to-back departures,
+    and so the next packet's start, exactly on the 0.5 s edges."""
+    model = SquareWaveRate(MTU * 8 * 512, MTU * 8 * 1024, 0.5)
+    env = EventLoop()
+    link = RateLink(env, model, qdisc=FifoQdisc(buffer_packets=4000))
+    for seq in range(3000):
+        link.send(Packet(flow_id=0, seq=seq, size=MTU))
+    env.run()
+    expected, now = [], 0.0
+    for _ in range(3000):
+        now += MTU * 8.0 / model.rate_at(now)
+        expected.append(now)
+    assert 0.5 in expected and 1.5 in expected
+    assert link.departure_times == expected
+
+
 # ------------------------------------------------------------ opportunity link
 def test_opportunity_link_delivers_on_schedule():
     env = EventLoop()
@@ -211,3 +323,21 @@ def test_opportunity_link_capacity_window():
 def test_opportunity_link_requires_opportunities():
     with pytest.raises(ValueError):
         OpportunityLink(EventLoop(), [], qdisc=FifoQdisc())
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_opportunity_link_rejects_non_finite_times(value):
+    with pytest.raises(ValueError):
+        OpportunityLink(EventLoop(), [0.1, value, 0.3], qdisc=FifoQdisc())
+
+
+def test_opportunity_link_capacity_is_the_trailing_window_rate():
+    """capacity_bps inlines capacity_in_window's two trace lookups."""
+    rng = random.Random(3)
+    times = sorted(rng.uniform(0.0, 0.8) for _ in range(300))
+    link = OpportunityLink(EventLoop(), times, qdisc=FifoQdisc())
+    reads = [0.0, 0.05, 0.1, times[7], times[-1], 0.8 + 0.1, 1.7, 5.0]
+    reads += [rng.uniform(0.0, 4.0) for _ in range(200)]
+    for now in reads:
+        assert link.capacity_bps(now) == link.capacity_in_window(
+            now - CAPACITY_WINDOW, now)

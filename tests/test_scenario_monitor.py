@@ -290,7 +290,7 @@ def test_scenario_rtt_respected():
     link = sc.add_rate_link(50e6, name="fast")
     flow = sc.add_flow(Cubic(initial_cwnd=2.0), [link], rtt=0.2)
     sc.run(2.0)
-    assert flow.sender.rtt.minimum() == pytest.approx(0.2, abs=0.01)
+    assert flow.sender.rtt.min_rtt == pytest.approx(0.2, abs=0.01)
 
 
 def test_scenario_two_flows_share_link():

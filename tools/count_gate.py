@@ -3,8 +3,11 @@ MTU must not rise.
 
 Counts the Python calls made inside ``Scenario.run`` per delivered MTU, in
 total and per ``repro`` function, and the bytecodes executed per delivered
-MTU in total, on the 4-cell 2 s ``metro_ack`` and ``metro_paced`` cities
-(``tools/profile_hotpath.py --counts``), and compares them with the committed
+MTU in total, on the 4-cell 2 s ``metro_ack`` and ``metro_paced`` cities and
+on the ``paper_figs`` scheme set (one 1 s single-bottleneck cell per scheme
+of the paper's tables on the synthetic LTE showcase trace, so every ``cc``,
+``aqm`` and ``explicit`` module is on the path; ``tools/profile_hotpath.py
+--counts``), and compares them with the committed
 ``tools/hotpath_counts.json``.  It fails when either total or any function's
 call count rises by more than ``TOLERANCE``; a function the file does not
 list rises from zero.  The functions are those of the ``repro`` package this
@@ -28,16 +31,21 @@ import collections
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import repro
-from profile_hotpath import METRO_CELLS, HotpathCounts, metro_workload
+from profile_hotpath import (METRO_CELLS, HotpathCounts, metro_workload,
+                             scenario_workload)
+from repro.experiments.runner import SCHEME_NAMES
 
 #: The ledger's two metro mixes (``benchmarks/ledger/workloads.py``).
 MIXES = {"metro_ack": "abc:0.6,cubic:0.3,bbr:0.1",
          "metro_paced": "bbr:0.6,pcc:0.2,abc:0.2"}
-#: Simulated seconds per cell.
+#: Simulated seconds per metro cell.
 DURATION = 2.0
+#: Simulated seconds per ``paper_figs`` cell.
+FIGS_DURATION = 1.0
 #: The fraction a count may rise by before the gate fails.
 TOLERANCE = 0.03
 BASELINE = Path(__file__).with_name("hotpath_counts.json")
@@ -48,12 +56,25 @@ def python_version() -> str:
     return "{}.{}".format(*sys.version_info[:2])
 
 
-def python_calls(mix: str) -> dict:
-    """Per delivered MTU on a ``mix`` city: Python calls in total and per
-    ``repro`` function (``<file under src>:<qualified name>``), and
-    bytecodes in total."""
+def figs_workload():
+    """Set up the ``paper_figs`` scheme set; returns the run."""
+    cells = [scenario_workload(scheme, FIGS_DURATION)
+             for scheme in SCHEME_NAMES]
+    return lambda: [cell() for cell in cells]
+
+
+#: Counted set -> its set-up, called right before the set is counted.
+SETS = {**{name: partial(metro_workload, mix, DURATION)
+           for name, mix in MIXES.items()},
+        "paper_figs": figs_workload}
+
+
+def python_calls(setup) -> dict:
+    """Per delivered MTU on the workload ``setup()`` returns: Python calls
+    in total and per ``repro`` function (``<file under src>:<qualified
+    name>``), and bytecodes in total."""
     counts = HotpathCounts()
-    counts.run(metro_workload(mix, DURATION))
+    counts.run(setup())
     per_function = collections.Counter()
     for code, (_bytecodes, calls, _c_calls) in counts.by_code.items():
         path = Path(code.co_filename)
@@ -91,11 +112,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for knob in [name for name in os.environ if name.startswith("REPRO_")]:
         del os.environ[knob]            # the counts are of the defaults
-    measured = {name: python_calls(mix) for name, mix in MIXES.items()}
+    measured = {name: python_calls(setup) for name, setup in SETS.items()}
     if args.write:
         BASELINE.write_text(json.dumps(
             {"python": python_version(), "cells": METRO_CELLS,
-             "duration": DURATION, "mixes": MIXES, "counts": measured},
+             "duration": DURATION, "mixes": MIXES,
+             "figs": {"schemes": list(SCHEME_NAMES),
+                      "duration": FIGS_DURATION},
+             "counts": measured},
             indent=1) + "\n")
         print(f"wrote {BASELINE}")
         return 0
@@ -106,7 +130,11 @@ def main(argv=None) -> int:
         return 2
     failed = False
     for name, counts in measured.items():
-        expected = baseline["counts"][name]
+        expected = baseline["counts"].get(name)
+        if expected is None:
+            print(f"{name}: not in {BASELINE.name}; re-baseline with --write")
+            failed = True
+            continue
         moved = sum(value != expected["functions"].get(function)
                     for function, value in counts["functions"].items())
         print(f"{name}: {expected['total']:.6f} -> {counts['total']:.6f} "

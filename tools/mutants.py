@@ -55,6 +55,10 @@ PACED_RTO = ("tests/test_cc_endtoend.py::"
 RFC6298 = ("tests/test_endpoints.py::test_sender_rtt_and_rto_follow_rfc6298",)
 DUAL_WINDOW = ("tests/test_property_based.py::"
                "test_abc_ack_applies_the_dual_window_cap",)
+CAPACITY_CACHE = ("tests/test_links.py::"
+                  "test_rate_link_cached_capacity_is_exact_at_every_edge",
+                  "tests/test_links.py::"
+                  "test_rate_link_transmission_reads_the_rate_at_its_start")
 
 MUTANTS = [
     # --- CoDel against RFC 8289 (aqm/codel.py)
@@ -162,11 +166,42 @@ MUTANTS = [
      DUAL_WINDOW),
     # --- the per-packet path (simulator/link.py)
     ("simulator/link.py",
-     "self._finish_transmission, nxt)",
-     "lambda packet: self._finish_transmission(packet), nxt)",
-     "a wrapper around the callback a rate link posts per transmission: "
+     "self._finish_transmission, (nxt,)))",
+     "lambda packet: self._finish_transmission(packet), (nxt,)))",
+     "a wrapper around the callback a rate link pushes per transmission: "
      "results unchanged, one more Python call per packet",
      ("tools/count_gate.py",)),
+    ("simulator/link.py",
+     "if self._rate_from <= now < self._rate_until:\n"
+     "            return self._rate",
+     "if self._rate_from <= now <= self._rate_until:\n"
+     "            return self._rate",
+     "capacity_bps answers from the cached rate at its edge (stale)",
+     CAPACITY_CACHE),
+    ("simulator/link.py",
+     "now < self._rate_until:\n"
+     "            rate = self._refresh_rate(now)\n"
+     "        env.push(",
+     "now <= self._rate_until:\n"
+     "            rate = self._refresh_rate(now)\n"
+     "        env.push(",
+     "a back-to-back transmission starting at an edge reads the old rate",
+     ("tests/test_links.py::"
+      "test_rate_link_back_to_back_transmissions_cross_edges_exactly",)),
+    ("simulator/link.py",
+     "        while int(until / h) <= k:\n"
+     "            until = math.nextafter(until, math.inf)\n"
+     "        while int(math.nextafter(until, 0.0) / h) > k:\n"
+     "            until = math.nextafter(until, 0.0)\n",
+     "",
+     "a square wave's edge is the rounded (k+1)·h, not where rate_at steps",
+     CAPACITY_CACHE),
+    ("simulator/link.py",
+     "        if when < now:",
+     "        if False:",
+     "a trace replay's wrap is pushed an ulp behind the clock",
+     ("tests/test_engine.py::"
+      "test_a_replayed_trace_never_schedules_behind_the_clock",)),
     # --- the shared sender (simulator/endpoints.py)
     ("simulator/endpoints.py",
      "echo is ACCEL,",
