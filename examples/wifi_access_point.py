@@ -55,7 +55,7 @@ def run_ap(scheme):
     if scheme == "abc":
         estimator = WiFiRateEstimator(window=WIFI_DEFAULTS.measurement_window)
         qdisc = ABCRouterQdisc(params=WIFI_DEFAULTS, buffer_packets=500,
-                               capacity_fn=estimator.capacity_fn())
+                               capacity_fn=estimator.estimate_bps)
         sender = ABCWindowControl(params=WIFI_DEFAULTS)
         link = WiFiLink(scenario.env, mcs=schedule, qdisc=qdisc,
                         estimator=estimator)

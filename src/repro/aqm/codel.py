@@ -50,16 +50,25 @@ class CoDelQdisc(Qdisc):
         if self.backlog_packets >= self.buffer_packets:
             self.dropped_packets += 1
             return False
-        self._push(packet, now)
+        # FifoQdisc.enqueue, inlined.
+        packet.enqueue_time = now
+        self._queue.append(packet)
+        self.backlog_bytes += packet.size
+        self.backlog_packets += 1
         return True
 
     # ------------------------------------------------------------ dequeue
     def _dodequeue(self, now: float) -> Tuple[Optional[Packet], bool]:
         """RFC 8289's ``dodequeue``: the head packet, and ``ok_to_drop``."""
-        packet = self._pop(now)
-        if packet is None:
+        if not self._queue:
             self._first_above_time = 0.0
             return None, False
+        # FifoQdisc.dequeue, inlined.
+        packet = self._queue.popleft()
+        if now > packet.enqueue_time:
+            packet.total_queuing_delay += now - packet.enqueue_time
+        self.backlog_bytes -= packet.size
+        self.backlog_packets -= 1
         if (now - packet.enqueue_time < TARGET
                 or self.backlog_bytes <= MAXPACKET):
             self._first_above_time = 0.0

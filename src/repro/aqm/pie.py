@@ -48,14 +48,13 @@ class PIEQdisc(Qdisc):
         self._dq_bytes = 0
 
     # ------------------------------------------------------------ update
-    def _estimate_delay(self) -> float:
+    def _estimate_delay(self, now: float) -> float:
         """Little's-law queue-delay estimate from the departure-rate EWMA."""
         if self._avg_dq_rate_bps > 0:
             return self.backlog_bytes * 8.0 / self._avg_dq_rate_bps
-        if self.link is not None:
-            rate = self.link.capacity_bps(self.now)
-            if rate > 0:
-                return self.backlog_bytes * 8.0 / rate
+        rate = self._link_capacity(now)
+        if rate > 0:
+            return self.backlog_bytes * 8.0 / rate
         return 0.0
 
     def _maybe_update(self, now: float) -> None:
@@ -64,10 +63,10 @@ class PIEQdisc(Qdisc):
             return
         while now - self._last_update >= T_UPDATE:
             self._last_update += T_UPDATE
-            self._update_probability()
+            self._update_probability(now)
 
-    def _update_probability(self) -> None:
-        qdelay = self._estimate_delay()
+    def _update_probability(self, now: float) -> None:
+        qdelay = self._estimate_delay(now)
         p = (ALPHA * (qdelay - TARGET)
              + BETA * (qdelay - self._qdelay_old))
         # RFC 8033 auto-tuning: scale the adjustment down when drop_prob is
@@ -95,7 +94,7 @@ class PIEQdisc(Qdisc):
     def _should_mark(self, now: float) -> bool:
         if self._burst_allowance > 0:
             return False
-        qdelay = self._estimate_delay()
+        qdelay = self._estimate_delay(now)
         if qdelay < TARGET / 2 and self.drop_prob < 0.2:
             return False
         if self.backlog_packets <= 2:
@@ -115,15 +114,24 @@ class PIEQdisc(Qdisc):
             else:
                 self.dropped_packets += 1
                 return False
-        self._push(packet, now)
+        # FifoQdisc.enqueue, inlined.
+        packet.enqueue_time = now
+        self._queue.append(packet)
+        self.backlog_bytes += packet.size
+        self.backlog_packets += 1
         return True
 
     # ------------------------------------------------------------ dequeue
     def dequeue(self, now: float) -> Optional[Packet]:
         self._maybe_update(now)
-        packet = self._pop(now)
-        if packet is None:
+        # FifoQdisc.dequeue, inlined.
+        if not self._queue:
             return None
+        packet = self._queue.popleft()
+        if now > packet.enqueue_time:
+            packet.total_queuing_delay += now - packet.enqueue_time
+        self.backlog_bytes -= packet.size
+        self.backlog_packets -= 1
         # Departure-rate estimation (simplified from RFC 8033 §5.3): EWMA of
         # the instantaneous drain rate measured over dequeue bursts.
         if self._dq_start is None:

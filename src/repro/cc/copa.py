@@ -79,8 +79,7 @@ class Copa(CongestionControl):
 
         step = self.velocity * acked_packets / (DELTA * max(self._cwnd, 1.0))
         self._cwnd += step if increasing else -step
-        self._clamp()
-        return self.window()
+        return self._floor_cwnd()
 
     def on_loss(self, now: float) -> None:
         self.velocity = 1.0

@@ -89,9 +89,6 @@ class Sprout(CongestionControl):
         return max(self._srtt - self.rtt_min, 0.0)
 
     # ------------------------------------------------------------ interface
-    def cwnd(self) -> float:
-        return max(self._cwnd, self.min_cwnd())
-
     def on_ack(self, feedback: AckFeedback) -> float:
         now = feedback.now
         if feedback.rtt is not None:
@@ -118,8 +115,7 @@ class Sprout(CongestionControl):
                 self._cwnd = forecast_window
             else:
                 self._cwnd = max(self._cwnd * 0.9, self.min_cwnd())
-        self._clamp()
-        return self.window()
+        return self._floor_cwnd()
 
     def on_loss(self, now: float) -> None:
         # Sprout's window already targets a bounded queue; a loss means the

@@ -67,8 +67,7 @@ class Vegas(CongestionControl):
             self._cwnd += acked_packets / max(self._cwnd, 1.0)
         elif diff > BETA:
             self._cwnd -= acked_packets / max(self._cwnd, 1.0)
-        self._clamp()
-        return self.window()
+        return self._floor_cwnd()
 
     def on_loss(self, now: float) -> None:
         self._in_slow_start = False

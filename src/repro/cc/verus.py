@@ -73,8 +73,7 @@ class Verus(CongestionControl):
             # probing.
             step = PROBE_BOOST if probing else 0.5
             self._cwnd += step * acked_packets / max(self._cwnd, 1.0)
-        self._clamp()
-        return self.window()
+        return self._floor_cwnd()
 
     def on_loss(self, now: float) -> None:
         if now - self._last_decrease > self._smoothed_rtt.get(default=0.1):

@@ -19,6 +19,9 @@ The scheduler itself is a byte-weighted deficit scheduler: the queue whose
 served-bytes-to-weight ratio is smallest goes next, which converges to the
 configured weights whenever both queues are backlogged and stays
 work-conserving otherwise.
+
+Optimisation changes: :meth:`DualQueueABCQdisc.dequeue` refreshes the weight
+and picks the queue inline, with the original's float expressions in order.
 """
 
 from __future__ import annotations
@@ -165,7 +168,8 @@ class DualQueueABCQdisc(Qdisc):
         self.nonabc_queue = FifoQdisc(buffer_packets=buffer_packets)
         self.controller = controller if controller is not None else MaxMinWeightController()
         self.weight_abc = INITIAL_WEIGHT
-        self._served_bytes = {"abc": 0.0, "nonabc": 0.0}
+        # Bytes each queue was served since the weight last changed.
+        self._served_abc = self._served_nonabc = 0.0
 
     # ------------------------------------------------------------ capacity
     def attach(self, link) -> None:
@@ -176,78 +180,73 @@ class DualQueueABCQdisc(Qdisc):
         self.abc_queue.capacity_fn = (
             self._abc_capacity if link is not None else None)
 
-    def _link_capacity(self, now: float) -> float:
-        if self.link is None:
-            return 0.0
-        return self.link.capacity_bps(now)
-
     def _abc_capacity(self, now: float) -> float:
-        """Capacity share visible to the embedded ABC router (§5.2)."""
-        return self._link_capacity(now) * self.weight_abc
+        """Capacity share visible to the embedded ABC router (§5.2): its
+        ``capacity_fn`` while attached, so one hop from the link."""
+        return self.link.capacity_bps(now) * self.weight_abc
 
     # ------------------------------------------------------------ queue ops
-    def _classify(self, packet: Packet) -> str:
-        return "abc" if getattr(packet, "abc_capable", False) else "nonabc"
-
     def enqueue(self, packet: Packet, now: float) -> bool:
-        queue_name = self._classify(packet)
-        queue = self.abc_queue if queue_name == "abc" else self.nonabc_queue
-        accepted = queue.enqueue(packet, now)
-        if accepted:
+        queue = self.abc_queue if packet.abc_capable else self.nonabc_queue
+        if queue.enqueue(packet, now):
             self.backlog_bytes += packet.size
             self.backlog_packets += 1
-        else:
-            self.dropped_packets += 1
-        return accepted
+            return True
+        self.dropped_packets += 1
+        return False
 
-    def _pick_queue(self) -> Optional[str]:
-        abc_empty = self.abc_queue.is_empty
-        nonabc_empty = self.nonabc_queue.is_empty
-        if abc_empty and nonabc_empty:
-            return None
-        if abc_empty:
-            return "nonabc"
-        if nonabc_empty:
-            return "abc"
-        # Both backlogged: serve the queue that is furthest behind its weight.
-        abc_normalised = self._served_bytes["abc"] / max(self.weight_abc, 1e-9)
-        nonabc_normalised = (self._served_bytes["nonabc"]
-                             / max(1.0 - self.weight_abc, 1e-9))
-        return "abc" if abc_normalised <= nonabc_normalised else "nonabc"
+    def _pick_queue(self) -> Qdisc:
+        """The queue served next (the one further behind its weight)."""
+        abc, nonabc = self.abc_queue, self.nonabc_queue
+        if not abc.backlog_packets:
+            return nonabc
+        if nonabc.backlog_packets and not (
+                self._served_abc / max(self.weight_abc, 1e-9)
+                <= self._served_nonabc / max(1.0 - self.weight_abc, 1e-9)):
+            return nonabc
+        return abc
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        self._refresh_weight(now)
-        choice = self._pick_queue()
-        if choice is None:
-            return None
-        queue = self.abc_queue if choice == "abc" else self.nonabc_queue
+        # The weight refresh: a new weight resets the served bytes, so it
+        # takes effect quickly instead of being dominated by history.
+        link = self.link
+        weight = self.controller.compute_weight(
+            now, link.capacity_bps(now) if link is not None else 0.0)
+        if weight != self.weight_abc:
+            self.weight_abc = weight
+            self._served_abc = self._served_nonabc = 0.0
+        # DualQueueABCQdisc._pick_queue, inlined.
+        abc, nonabc = self.abc_queue, self.nonabc_queue
+        if not abc.backlog_packets:
+            queue = nonabc              # None below if it is empty too
+        elif nonabc.backlog_packets and not (
+                self._served_abc / max(weight, 1e-9)
+                <= self._served_nonabc / max(1.0 - weight, 1e-9)):
+            queue = nonabc
+        else:
+            queue = abc
         packet = queue.dequeue(now)
         if packet is None:
             return None
-        self.backlog_bytes -= packet.size
+        size = packet.size
+        self.backlog_bytes -= size
         self.backlog_packets -= 1
-        self._served_bytes[choice] += packet.size
-        self.controller.observe_departure(choice, packet.flow_id, packet.size, now)
+        if queue is abc:
+            self._served_abc += size
+            name = "abc"
+        else:
+            self._served_nonabc += size
+            name = "nonabc"
+        self.controller.observe_departure(name, packet.flow_id, size, now)
         return packet
-
-    def _refresh_weight(self, now: float) -> None:
-        weight = self.controller.compute_weight(now, self._link_capacity(now))
-        if weight != self.weight_abc:
-            self.weight_abc = weight
-            # Reset the served-byte counters so the new weights take effect
-            # quickly instead of being dominated by history.
-            self._served_bytes = {"abc": 0.0, "nonabc": 0.0}
 
     # ------------------------------------------------------------ helpers
     def peek(self) -> Optional[Packet]:
-        choice = self._pick_queue()
-        if choice is None:
-            return None
-        queue = self.abc_queue if choice == "abc" else self.nonabc_queue
-        return queue.peek()
+        return self._pick_queue().peek()
 
     def abc_queuing_delay(self, now: float) -> float:
-        return self.abc_queue.queuing_delay(now, self._abc_capacity(now))
+        capacity = self._link_capacity(now) * self.weight_abc
+        return self.abc_queue.queuing_delay(now, capacity)
 
     def nonabc_queuing_delay(self, now: float) -> float:
         capacity = self._link_capacity(now) * (1.0 - self.weight_abc)

@@ -22,7 +22,7 @@ doubles tail queuing delay.
 Optimisation changes vs the original per-packet path
 ----------------------------------------------------
 :meth:`ABCRouterQdisc.dequeue` runs steps 1–5 as straight-line code (the
-original chained ``_pop`` → estimator ``add`` → Eq. 2 and Eq. 1 methods →
+original chained the FIFO pop → estimator ``add`` → Eq. 2 and Eq. 1 methods →
 capacity read → marker); marks and rates are bit-identical
 (``tests/test_path_golden.py``):
 
@@ -120,7 +120,7 @@ class ABCRouterQdisc(Qdisc):
         size = packet.size
         if not self._rate_on_dequeue:
             self._rate.add(now, size)
-        # Qdisc._push, inlined.
+        # FifoQdisc.enqueue, inlined.
         packet.enqueue_time = now
         self._queue.append(packet)
         self.backlog_bytes += size
@@ -135,7 +135,6 @@ class ABCRouterQdisc(Qdisc):
         if not queue:
             return None
         packet = queue.popleft()
-        packet.dequeue_time = now
         waited = now - packet.enqueue_time
         if waited > 0.0:
             packet.total_queuing_delay += waited

@@ -318,7 +318,7 @@ def _add_link(scenario: Scenario, link: LinkSpec, index: int,
 
         estimator = WiFiRateEstimator(window=params.measurement_window)
         if isinstance(qdisc, ABCRouterQdisc):
-            qdisc.capacity_fn = estimator.capacity_fn()
+            qdisc.capacity_fn = estimator.estimate_bps
         schedule, *args = p["mcs"]
         schedules = {"fixed": mcs.FixedMCSSchedule,
                      "alternating": mcs.AlternatingMCSSchedule,

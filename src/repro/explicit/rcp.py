@@ -44,11 +44,6 @@ class RCPRouterQdisc(Qdisc):
         self._sum_rtt_weighted = 0.0
         self.last_avg_rtt = RCP_DEFAULT_RTT
 
-    def _capacity_bps(self, now: float) -> float:
-        if self.link is None:
-            return 0.0
-        return self.link.capacity_bps(now)
-
     def _maybe_update_rate(self, now: float) -> None:
         if self._interval_start is None:
             self._interval_start = now
@@ -57,7 +52,7 @@ class RCPRouterQdisc(Qdisc):
         elapsed = now - self._interval_start
         if elapsed < interval:
             return
-        capacity = self._capacity_bps(now)
+        capacity = self._link_capacity(now)
         if capacity <= 0:
             self._interval_start = now
             self._input_bytes = 0
@@ -92,12 +87,24 @@ class RCPRouterQdisc(Qdisc):
         if "rcp_rate_bps" in packet.meta:
             packet.meta["rcp_rate_bps"] = min(
                 float(packet.meta["rcp_rate_bps"]), self.rate_bps)
-        self._push(packet, now)
+        # FifoQdisc.enqueue, inlined.
+        packet.enqueue_time = now
+        self._queue.append(packet)
+        self.backlog_bytes += packet.size
+        self.backlog_packets += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
         self._maybe_update_rate(now)
-        return self._pop(now)
+        # FifoQdisc.dequeue, inlined.
+        if not self._queue:
+            return None
+        packet = self._queue.popleft()
+        if now > packet.enqueue_time:
+            packet.total_queuing_delay += now - packet.enqueue_time
+        self.backlog_bytes -= packet.size
+        self.backlog_packets -= 1
+        return packet
 
 
 class RCPSender(CongestionControl):

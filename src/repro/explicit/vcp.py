@@ -47,11 +47,6 @@ class VCPRouterQdisc(Qdisc):
         self.load_factor = 0.0
         self.region = LOW_LOAD
 
-    def _capacity_bps(self, now: float) -> float:
-        if self.link is None:
-            return 0.0
-        return self.link.capacity_bps(now)
-
     def _maybe_update(self, now: float) -> None:
         if self._interval_start is None:
             self._interval_start = now
@@ -59,7 +54,7 @@ class VCPRouterQdisc(Qdisc):
         elapsed = now - self._interval_start
         if elapsed < VCP_INTERVAL:
             return
-        capacity = self._capacity_bps(now)
+        capacity = self._link_capacity(now)
         if capacity > 0:
             arrival_bps = self._input_bytes * 8.0 / elapsed
             queue_bps = VCP_KAPPA * self.backlog_bytes * 8.0 / elapsed
@@ -83,12 +78,24 @@ class VCPRouterQdisc(Qdisc):
         self._input_bytes += packet.size
         if "vcp_region" in packet.meta:
             packet.meta["vcp_region"] = max(int(packet.meta["vcp_region"]), self.region)
-        self._push(packet, now)
+        # FifoQdisc.enqueue, inlined.
+        packet.enqueue_time = now
+        self._queue.append(packet)
+        self.backlog_bytes += packet.size
+        self.backlog_packets += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
         self._maybe_update(now)
-        return self._pop(now)
+        # FifoQdisc.dequeue, inlined.
+        if not self._queue:
+            return None
+        packet = self._queue.popleft()
+        if now > packet.enqueue_time:
+            packet.total_queuing_delay += now - packet.enqueue_time
+        self.backlog_bytes -= packet.size
+        self.backlog_packets -= 1
+        return packet
 
 
 class VCPSender(CongestionControl):
@@ -121,8 +128,7 @@ class VCPSender(CongestionControl):
         else:
             # MI: grow by a factor (1 + xi) per RTT, spread across ACKs.
             self._cwnd += VCP_XI * acked_packets
-        self._clamp()
-        return self.window()
+        return self._floor_cwnd()
 
     def on_loss(self, now: float) -> None:
         self._cwnd = max(self._cwnd * VCP_BETA, self.min_cwnd())

@@ -66,12 +66,6 @@ class XCPRouterQdisc(Qdisc):
         self._input_rate = WindowedRateEstimator(window=XCP_DEFAULT_RTT)
         self.last_phi = 0.0
 
-    # ------------------------------------------------------------ capacity
-    def _capacity_bps(self, now: float) -> float:
-        if self.link is None:
-            return 0.0
-        return self.link.capacity_bps(now)
-
     # ------------------------------------------------------------ intervals
     def _maybe_roll_interval(self, now: float) -> None:
         if self._interval_start is None:
@@ -81,7 +75,7 @@ class XCPRouterQdisc(Qdisc):
         if now - self._interval_start < self._interval_length:
             return
         elapsed = now - self._interval_start
-        capacity = self._capacity_bps(now)
+        capacity = self._link_capacity(now)
         input_rate = self._input_bytes * 8.0 / elapsed
         avg_rtt = (self._sum_rtt_weighted / self._input_bytes
                    if self._input_bytes > 0 else XCP_DEFAULT_RTT)
@@ -106,7 +100,7 @@ class XCPRouterQdisc(Qdisc):
 
     def _instant_phi_bytes(self, now: float, rtt: float) -> float:
         """XCPw: recompute aggregate feedback from sliding-window state."""
-        capacity = self._capacity_bps(now)
+        capacity = self._link_capacity(now)
         input_rate = self._input_rate.rate_bps(now)
         spare_bps = capacity - input_rate
         phi_bits = (XCP_ALPHA * rtt * spare_bps
@@ -129,7 +123,11 @@ class XCPRouterQdisc(Qdisc):
         self._sum_rtt_sq_bytes_per_cwnd += rtt * rtt * packet.size / cwnd_bytes
         self._min_queue_bytes = min(self._min_queue_bytes, self.backlog_bytes)
         self._annotate(packet, now, rtt, cwnd_bytes)
-        self._push(packet, now)
+        # FifoQdisc.enqueue, inlined.
+        packet.enqueue_time = now
+        self._queue.append(packet)
+        self.backlog_bytes += packet.size
+        self.backlog_packets += 1
         return True
 
     def _annotate(self, packet: Packet, now: float, rtt: float,
@@ -162,7 +160,15 @@ class XCPRouterQdisc(Qdisc):
 
     def dequeue(self, now: float) -> Optional[Packet]:
         self._maybe_roll_interval(now)
-        return self._pop(now)
+        # FifoQdisc.dequeue, inlined.
+        if not self._queue:
+            return None
+        packet = self._queue.popleft()
+        if now > packet.enqueue_time:
+            packet.total_queuing_delay += now - packet.enqueue_time
+        self.backlog_bytes -= packet.size
+        self.backlog_packets -= 1
+        return packet
 
 
 class XCPSender(CongestionControl):
@@ -190,8 +196,7 @@ class XCPSender(CongestionControl):
         if math.isinf(delta_bytes):
             delta_bytes = 0.0
         self._cwnd += delta_bytes / MTU
-        self._clamp()
-        return self.window()
+        return self._floor_cwnd()
 
     def on_loss(self, now: float) -> None:
         self._cwnd = max(self._cwnd / 2.0, self.min_cwnd())

@@ -22,7 +22,7 @@ original), the raw event sequence is not:
 
 * **One frame per ACK.**  :meth:`Sender.receive` does the RTT update, the
   RACK precheck (full scan only when the oldest outstanding packet is past
-  the reorder window), the ``AckFeedback`` build, the window update
+  the reorder window), the ``AckFeedback`` restamp, the window update
   (``cc.on_ack`` returns the window to fill) and the send burst
   (:meth:`Sender._burst`: integer arithmetic for backlogged / fixed-size
   sources, window read once per burst).  Recovery, other sources and a CC
@@ -49,6 +49,9 @@ original), the raw event sequence is not:
   of copying it into a second object, senders construct packets directly
   (a freelist measured no faster than the allocator), and the in-flight
   record is a plain ``(seq, size, sent_time, is_retransmission)`` tuple.
+  Packets are built by ``object.__new__`` and ``Packet.__init__`` (CPython
+  specialises that call, not the class call), and each ACK restamps the
+  sender's one ``AckFeedback``.
 * **Time-shifted receiver.**  :meth:`Receiver.receive_at` takes the arrival
   time as an argument so the demux can run it synchronously at delivery time
   (``deliver_shifted``; the ``_limit`` horizon rule lives in
@@ -80,14 +83,6 @@ REORDER_WINDOW = 0.002
 IDLE_PACING_POLL = 0.01
 
 
-def _forward(hop, packet) -> None:
-    """Hand ``packet`` to the next hop, whichever spelling it supports."""
-    if hasattr(hop, "send"):
-        hop.send(packet)
-    else:
-        hop.receive(packet)
-
-
 class DelayHop:
     """A pure propagation-delay segment (no queueing, no capacity limit)."""
 
@@ -106,9 +101,6 @@ class DelayHop:
         if self.dst is None:
             return
         self.env.post(self.delay, self.dst.receive, packet)
-
-    # Links use .send(); keep both spellings so hops are interchangeable.
-    send = receive
 
 
 class Sender:
@@ -172,8 +164,6 @@ class Sender:
         self._rto_timer = DeadlineTimer(env, self._on_rto, self._rto_deadline,
                                         MIN_RTO)
         self._paced = cc.needs_pacing
-        # Every scheme's min_cwnd() is a constant; the pace tick reads it here.
-        self._window_floor = cc.min_cwnd()
         cc_type = type(cc)
         # A CC with the base no-op on_packet_sent cannot change its window
         # as it sends (the pacing loop then skips the call).
@@ -199,6 +189,7 @@ class Sender:
         else:
             self._source_kind = 2
         self._fwd: Optional[tuple] = None
+        self._feedback = AckFeedback(0.0, None, 0, False, False, 0)
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -299,7 +290,6 @@ class Sender:
             size=size,
             ecn=ACCEL if abc_capable else NOT_ECT,
             sent_time=now,
-            is_retransmission=is_retransmission,
             abc_capable=abc_capable,
             meta=self.cc.packet_meta(now),
         )
@@ -308,7 +298,7 @@ class Sender:
         self.packets_sent += 1
         self.cc.on_packet_sent(now, seq, size, self.in_flight)
         if self.egress is not None:
-            _forward(self.egress, packet)
+            self.egress.receive(packet)
         self._arm_rto(now)
 
     def _resolve_forward(self) -> tuple:
@@ -359,6 +349,7 @@ class Sender:
             env = self.env
             arrival = now + fwd_delay       # EventLoop.post's time, unguarded
             next_seq = self.next_seq
+            new, init = object.__new__, Packet.__init__
             sent_bytes = 0
             while True:
                 if fixed:
@@ -369,8 +360,9 @@ class Sender:
                     size = mss
                 meta = {} if static_meta else cc.packet_meta(now)
                 # Positional; the zeros are the queue-bookkeeping fields.
-                packet = Packet(flow_id, next_seq, size, ecn, now, False,
-                                abc_capable, 0.0, 0.0, 0.0, meta)
+                packet = new(Packet)
+                init(packet, flow_id, next_seq, size, ecn, now, abc_capable,
+                     0.0, 0.0, meta)
                 outstanding[next_seq] = (next_seq, size, now, False)
                 next_seq += 1
                 n += 1
@@ -381,7 +373,7 @@ class Sender:
                 else:
                     egress = self.egress
                     if egress is not None:
-                        _forward(egress, packet)
+                        egress.receive(packet)
                 if n + 1 > cwnd:
                     break
                 if fixed and available < 1:
@@ -418,7 +410,7 @@ class Sender:
             n = len(outstanding)
             # CongestionControl.window, inlined.
             cwnd = cc.cwnd()
-            floor = self._window_floor
+            floor = cc._min_cwnd
             if floor > cwnd:
                 cwnd = floor
             if n + 1 <= cwnd:
@@ -446,10 +438,11 @@ class Sender:
                         meta = {} if self._static_meta else cc.packet_meta(now)
                         seq = self.next_seq
                         self.next_seq = seq + 1
-                        packet = Packet(
-                            self.flow_id, seq, size,
+                        packet = object.__new__(Packet)
+                        Packet.__init__(
+                            packet, self.flow_id, seq, size,
                             ACCEL if abc_capable else NOT_ECT,
-                            now, False, abc_capable, 0.0, 0.0, 0.0, meta)
+                            now, abc_capable, 0.0, 0.0, meta)
                         outstanding[seq] = (seq, size, now, False)
                         self.bytes_sent += size
                         self.packets_sent += 1
@@ -465,7 +458,7 @@ class Sender:
                         else:
                             egress = self.egress
                             if egress is not None:
-                                _forward(egress, packet)
+                                egress.receive(packet)
                         # Sender._arm_rto, inlined: in flight means armed.
                         self.rto_rearms += 1
                         if n:
@@ -541,13 +534,18 @@ class Sender:
                     self._detect_losses(now)
                 break
         # The echoed codepoint decodes to the two §5.1.2 header bits,
-        # accelerate (NS) and ECE.  Positional AckFeedback construction
-        # (field order pinned by the dataclass definition); kwargs are
-        # measurable at this call rate.
+        # accelerate (NS) and ECE.  All nine fields are restamped.
         echo = ack.echo
-        feedback = AckFeedback(now, rtt_sample, info_size, echo is ACCEL,
-                               echo is CE, len(outstanding),
-                               info_retransmission, info_sent_time, ack.meta)
+        feedback = self._feedback
+        feedback.now = now
+        feedback.rtt = rtt_sample
+        feedback.bytes_acked = info_size
+        feedback.accel = echo is ACCEL
+        feedback.ece = echo is CE
+        feedback.packets_in_flight = len(outstanding)
+        feedback.is_retransmission = info_retransmission
+        feedback.sent_time = info_sent_time
+        feedback.meta = ack.meta
         # The packet just ACKed was in flight, so the timer is armed and its
         # guard pending: re-arming (both branches) is DeadlineTimer.arm minus
         # the guard check, a bare store.
@@ -731,5 +729,5 @@ class Receiver:
             env = self.env
             env.push((now + fwd[0], env._next_seq(), cb, (packet,)))
         elif self.egress is not None:
-            _forward(self.egress, packet)
+            self.egress.receive(packet)
 

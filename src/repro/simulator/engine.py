@@ -31,6 +31,9 @@ Design notes
   clock unconditionally: every heap entry's time is at or after ``now``,
   because the schedulers clamp and the clock only jumps to ``until`` when
   nothing earlier is left.
+* ``events_processed`` is not counted per event: a run dispatched the events
+  pending at its start, plus the sequence numbers drawn during it (a draw at
+  each end reads them), less those pending or dropped by ``clear`` at its end.
 * Simulated time is a float in **seconds**.  All other modules follow the same
   convention (rates are in bits per second, sizes in bytes).
 """
@@ -131,6 +134,7 @@ class EventLoop:
         self.push = partial(heappush, self._heap)
         self._limit = float("inf")
         self._events_processed = 0
+        self._dropped = 0               # events clear() discarded
         self._trace_hook: Optional[Callable[[float, Callable, int], None]] = None
 
     # ------------------------------------------------------------------ time
@@ -199,12 +203,13 @@ class EventLoop:
         heap = self._heap
         limit = float("inf") if until is None else until
         # Published so components that execute work synchronously instead of
-        # via a heap entry (FlowDemux's inline receiver delivery) can honour
+        # via a heap entry (inline receiver delivery) can honour
         # the same cut-off the run loop applies: an event strictly beyond
         # ``until`` never fires.
         self._limit = limit
         hook = self._trace_hook
-        executed = 0
+        # See the design note on events_processed (- 1: the draw at the end).
+        base = len(heap) + self._dropped - self._next_seq()
         try:
             while heap:
                 entry = heappop(heap)
@@ -219,12 +224,13 @@ class EventLoop:
                     t0 = perf_counter_ns()
                     callback(*args)
                     hook(time, callback, perf_counter_ns() - t0)
-                executed += 1
         finally:
-            self._events_processed += executed
+            self._events_processed += (base + self._next_seq() - 1
+                                       - len(heap) - self._dropped)
         if until is not None and until > self._now:
             self._now = until
 
     def clear(self) -> None:
         """Drop all pending events (the clock is left untouched)."""
+        self._dropped += len(self._heap)
         self._heap.clear()

@@ -22,10 +22,10 @@ heap sequence numbers are not:
 
 * **Inline delivery.**  When the downstream node declares itself
   ``deliver_inline``-safe (a ``FlowDemux``: it only posts future events),
-  :class:`RateLink` and :class:`OpportunityLink` call it synchronously
-  instead of bouncing through a zero-delay event.  Arrival
-  order at every stateful object is unchanged.  The Wi-Fi MAC keeps the
-  delivery event (:meth:`Link._deliver`).
+  every link (the Wi-Fi MAC too) calls it synchronously instead of bouncing
+  through a zero-delay event, and reads the demux's fused routes itself: a
+  receiver route within the run's horizon runs without the demux's frame.
+  Arrival order at every stateful object is unchanged.
 * **A link is its own record.**  Each delivery appends ``(time, bytes)`` to
   the link's departure lists — the numerator of every utilisation figure —
   and the delivered totals are read off them, not counted next to them.
@@ -235,8 +235,9 @@ class Link:
         # When the downstream node declares itself ``deliver_inline``-safe
         # (it only *posts* future events, never mutates shared state — e.g.
         # a FlowDemux), delivery invokes it synchronously instead of
-        # bouncing through a zero-delay event (see connect()).
+        # bouncing through a zero-delay event, and reads its fused routes.
         self._rx_inline = None
+        self._routes: dict = {}
         #: A rate link mid-packet, a trace link once started, a Wi-Fi batch
         #: in the air: :meth:`send` kicks :meth:`_on_enqueue` only when clear.
         self._busy = False
@@ -244,8 +245,9 @@ class Link:
     # ------------------------------------------------------------ wiring
     def connect(self, dst: Optional[Node]) -> None:
         self.dst = dst
-        self._rx_inline = (dst.receive if getattr(dst, "deliver_inline", False)
-                           else None)
+        inline = getattr(dst, "deliver_inline", False)
+        self._rx_inline = dst.receive if inline else None
+        self._routes = dst._fused if inline else {}
 
     # ------------------------------------------------------------ record
     @property
@@ -286,16 +288,6 @@ class Link:
     def _on_enqueue(self, now: float) -> None:
         """Hook: an idle link kicks its transmission machinery here."""
         raise NotImplementedError
-
-    def _deliver(self, packet: Packet) -> None:
-        """Ship a dequeued packet to the downstream node through a zero-delay
-        event (the Wi-Fi MAC's delivery; :class:`RateLink` and
-        :class:`OpportunityLink` inline their own)."""
-        self.departure_times.append(self.env._now)
-        self.departure_bytes.append(packet.size)
-        dst = self.dst
-        if dst is not None:
-            self.env.post(0.0, dst.receive, packet)
 
     @property
     def packets_in_transmission(self) -> int:
@@ -372,13 +364,14 @@ class RateLink(Link):
         now = env._now
         self.departure_times.append(now)
         self.departure_bytes.append(packet.size)
-        rx = self._rx_inline
-        if rx is not None:
-            rx(packet)
-        else:
-            dst = self.dst
-            if dst is not None:
-                env.post(0.0, dst.receive, packet)
+        # FlowDemux.receive, inlined for a shifted route within the horizon.
+        route = self._routes.get(packet.flow_id)
+        if route and route[2] and (when := now + route[0]) <= env._limit:
+            route[1](packet, when)
+        elif self._rx_inline is not None:
+            self._rx_inline(packet)
+        elif self.dst is not None:
+            env.post(0.0, self.dst.receive, packet)
         nxt = self.qdisc.dequeue(now)
         if nxt is None:
             self._busy = False
@@ -466,6 +459,8 @@ class OpportunityLink(Link):
             dequeue = qdisc.dequeue
             rx = self._rx_inline
             dst = self.dst
+            routes = self._routes
+            limit = env._limit
             while True:
                 packet = dequeue(now)
                 if packet is None:
@@ -474,7 +469,11 @@ class OpportunityLink(Link):
                 budget -= size
                 self.departure_times.append(now)
                 self.departure_bytes.append(size)
-                if rx is not None:
+                # FlowDemux.receive, inlined (see _finish_transmission).
+                route = routes.get(packet.flow_id)
+                if route and route[2] and (when := now + route[0]) <= limit:
+                    route[1](packet, when)
+                elif rx is not None:
                     rx(packet)
                 elif dst is not None:
                     env.post(0.0, dst.receive, packet)

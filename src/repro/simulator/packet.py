@@ -92,10 +92,8 @@ class Packet:
         Current ECN codepoint.  ABC data packets start as :attr:`ECN.ACCEL`;
         ACKs travel Not-ECT.
     sent_time:
-        Simulated time at which the sender transmitted the packet.
-    is_retransmission:
-        True when this packet is a retransmission of an earlier sequence
-        number (retransmissions are excluded from RTT sampling).
+        Simulated time at which the sender transmitted the packet.  Whether
+        it is a retransmission is the sender's own record, not the packet's.
     abc_capable:
         True for packets whose sender speaks ABC; routers use this to steer
         packets into the ABC or non-ABC queue (§5.2).  False on ACKs.
@@ -114,19 +112,12 @@ class Packet:
     size: int = MTU
     ecn: ECN = NOT_ECT
     sent_time: float = 0.0
-    is_retransmission: bool = False
     abc_capable: bool = False
     enqueue_time: float = 0.0
-    dequeue_time: float = 0.0
     total_queuing_delay: float = 0.0
     meta: dict[str, Any] = field(default_factory=dict)
     is_ack: bool = False
     echo: ECN = NOT_ECT
-
-    @property
-    def queuing_delay(self) -> float:
-        """Queuing delay experienced at the most recent bottleneck hop."""
-        return max(self.dequeue_time - self.enqueue_time, 0.0)
 
 
 @dataclass(slots=True)
@@ -135,7 +126,9 @@ class AckFeedback:
 
     Congestion controllers never see the returning :class:`Packet`; the
     sender converts it so that window- and rate-based algorithms share one
-    interface.
+    interface.  Each sender owns one instance and restamps all nine fields
+    on every ACK, so a scheme may read it only during the call it is handed
+    to; one that keeps it must keep a copy.
     """
 
     now: float

@@ -26,9 +26,10 @@ class Qdisc:
     """Base class for queueing disciplines.
 
     Subclasses must implement :meth:`enqueue` and :meth:`dequeue` and keep
-    :attr:`backlog_bytes` / :attr:`backlog_packets` consistent; the helpers
-    :meth:`_push` and :meth:`_pop` do the bookkeeping for simple FIFO-organised
-    qdiscs.
+    :attr:`backlog_bytes` / :attr:`backlog_packets` consistent.  A
+    FIFO-organised qdisc keeps ``_queue`` and does :class:`FifoQdisc`'s
+    bookkeeping inline (stamp ``enqueue_time`` on the way in, add the wait
+    to ``total_queuing_delay`` on the way out).
     """
 
     def __init__(self, buffer_packets: int = 250):
@@ -49,11 +50,9 @@ class Qdisc:
         is a reference cycle)."""
         self.link = link
 
-    @property
-    def now(self) -> float:
-        if self.link is None:
-            return 0.0
-        return self.link.env.now
+    def _link_capacity(self, now: float) -> float:
+        """The owning link's capacity µ(now); 0 while detached."""
+        return 0.0 if self.link is None else self.link.capacity_bps(now)
 
     # ------------------------------------------------------------ interface
     def enqueue(self, packet: Packet, now: float) -> bool:
@@ -65,34 +64,12 @@ class Qdisc:
         raise NotImplementedError
 
     # ------------------------------------------------------------ helpers
-    def _push(self, packet: Packet, now: float) -> None:
-        packet.enqueue_time = now
-        self._queue.append(packet)
-        self.backlog_bytes += packet.size
-        self.backlog_packets += 1
-
-    def _pop(self, now: float) -> Optional[Packet]:
-        if not self._queue:
-            return None
-        packet = self._queue.popleft()
-        packet.dequeue_time = now
-        waited = now - packet.enqueue_time
-        if waited > 0.0:
-            packet.total_queuing_delay += waited
-        self.backlog_bytes -= packet.size
-        self.backlog_packets -= 1
-        return packet
-
     def peek(self) -> Optional[Packet]:
         """Packet at the head of the queue (None when empty)."""
         return self._queue[0] if self._queue else None
 
     def __len__(self) -> int:
         return self.backlog_packets
-
-    @property
-    def is_empty(self) -> bool:
-        return self.backlog_packets == 0
 
     def queuing_delay(self, now: float, capacity_bps: float) -> float:
         """Standing-queue delay estimate ``q(t) / µ(t)`` used by Eq. (1)."""
@@ -108,8 +85,18 @@ class FifoQdisc(Qdisc):
         if self.backlog_packets >= self.buffer_packets:
             self.dropped_packets += 1
             return False
-        self._push(packet, now)
+        packet.enqueue_time = now
+        self._queue.append(packet)
+        self.backlog_bytes += packet.size
+        self.backlog_packets += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        return self._pop(now)
+        if not self._queue:
+            return None
+        packet = self._queue.popleft()
+        if now > packet.enqueue_time:  # i.e. now - enqueue_time > 0.0
+            packet.total_queuing_delay += now - packet.enqueue_time
+        self.backlog_bytes -= packet.size
+        self.backlog_packets -= 1
+        return packet

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.cc.base import CongestionControl
 from repro.cellular.trace import CellularTrace
 from repro.obs import metrics as obs_metrics
-from repro.simulator.endpoints import DelayHop, Receiver, Sender, _forward
+from repro.simulator.endpoints import DelayHop, Receiver, Sender
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import (CapacityModel, ConstantRate, Link,
                                   OpportunityLink, RateLink)
@@ -56,7 +56,8 @@ class FlowDemux:
     is parked in the heap instead).  Scheduled times and per-object arrival
     orders are those of the hop-by-hop events; only heap sequence numbers
     shift.  Any other route (or a demux built without an event loop) takes
-    the generic hop dispatch.
+    the generic hop dispatch.  Links read ``_fused`` in place, so its triples
+    are their format too (``FlowDemux.receive, inlined`` in ``link.py``).
     """
 
     #: A demux only *posts* future events when handed a packet — it never
@@ -89,7 +90,7 @@ class FlowDemux:
         if fused is None:
             hop = self.routes.get(packet.flow_id)
             if hop is not None:
-                _forward(hop, packet)
+                hop.receive(packet)
             return
         env = self._env
         delay, callback, shifted = fused

@@ -16,6 +16,10 @@ rate estimator depends on (§4.1):
 The link exposes the observables the ABC qdisc reads from the driver (batch
 size, block-ACK time, bitrate) and feeds them to an attached
 :class:`~repro.wifi.rate_estimator.WiFiRateEstimator`.
+
+Optimisation changes: a finished batch delivers its frames inline, reading
+the demux's fused routes as :class:`~repro.simulator.link.RateLink` does,
+instead of posting a zero-delay event per frame (results bit-identical).
 """
 
 from __future__ import annotations
@@ -94,29 +98,28 @@ class WiFiLink(Link):
         return self._rng.uniform(lo, hi)
 
     def _start_batch(self) -> None:
-        now = self.env.now
-        if self.qdisc.is_empty:
-            self._busy = False
-            return
-        self._busy = True
+        now = self.env._now
+        qdisc = self.qdisc
         batch: list[Packet] = []
-        while len(batch) < self.config.max_batch_frames:
-            packet = self.qdisc.dequeue(now)
-            if packet is None:
-                break
-            batch.append(packet)
+        payload = 0
+        if qdisc.backlog_packets:
+            for _ in range(self.config.max_batch_frames):
+                packet = qdisc.dequeue(now)
+                if packet is None:
+                    break
+                batch.append(packet)
+                payload += packet.size
+        self._busy = bool(batch)
         if not batch:
-            self._busy = False
             return
         bitrate = self.mcs.rate_at(now)
-        frame_bits = self.config.frame_size_bytes * 8.0
-        payload_bits = sum(p.size for p in batch) * 8.0
-        tx_time = payload_bits / bitrate + self._draw_overhead()
+        tx_time = payload * 8.0 / bitrate + self._draw_overhead()
         self.env.post(tx_time, self._finish_batch, batch, now, bitrate, tx_time)
 
     def _finish_batch(self, batch: list[Packet], start_time: float,
                       bitrate: float, tx_time: float) -> None:
-        now = self.env.now
+        env = self.env
+        now = env._now
         self.batches_sent += 1
         # Block-ACK inter-arrival time: time since the previous block ACK if
         # the radio stayed busy, otherwise the duration of this batch alone.
@@ -138,8 +141,19 @@ class WiFiLink(Link):
         if self.estimator is not None:
             self.estimator.observe_batch(observation)
 
+        routes = self._routes
+        rx = self._rx_inline
         for packet in batch:
-            self._deliver(packet)
+            self.departure_times.append(now)
+            self.departure_bytes.append(packet.size)
+            # FlowDemux.receive, inlined (see RateLink._finish_transmission).
+            route = routes.get(packet.flow_id)
+            if route and route[2] and (when := now + route[0]) <= env._limit:
+                route[1](packet, when)
+            elif rx is not None:
+                rx(packet)
+            elif self.dst is not None:
+                env.post(0.0, self.dst.receive, packet)
         self._start_batch()
 
     # ------------------------------------------------------------ capacity

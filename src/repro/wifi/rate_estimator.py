@@ -56,7 +56,8 @@ class WiFiRateEstimator:
             raise ValueError("window must be positive")
         self.max_batch_frames = max_batch_frames
         self.window = window
-        self._samples: Deque[tuple[float, float]] = deque()
+        self._times: Deque[float] = deque()
+        self._values: Deque[float] = deque()
         self._dequeue_rate = WindowedRateEstimator(window=window)
 
     # ------------------------------------------------------------ inputs
@@ -70,7 +71,8 @@ class WiFiRateEstimator:
         tia_full = obs.inter_ack_time + (m - b) * obs.frame_bits / obs.bitrate_bps
         # Eq. 6: full-batch capacity estimate.
         mu_hat = m * obs.frame_bits / tia_full
-        self._samples.append((obs.time, mu_hat))
+        self._times.append(obs.time)
+        self._values.append(mu_hat)
         self._expire(obs.time)
         # Track the actually delivered bits for the rate-doubling cap.
         self._dequeue_rate.add(obs.time, int(b * obs.frame_bits / 8))
@@ -83,24 +85,22 @@ class WiFiRateEstimator:
     # ------------------------------------------------------------ outputs
     def _expire(self, now: float) -> None:
         cutoff = now - self.window
-        while self._samples and self._samples[0][0] < cutoff:
-            self._samples.popleft()
+        times = self._times
+        while times and times[0] < cutoff:
+            times.popleft()
+            self._values.popleft()
 
     def estimate_bps(self, now: float, apply_cap: bool = True) -> float:
-        """Smoothed (and optionally capped) link-capacity estimate µ̂(t)."""
+        """Smoothed (and optionally capped) link-capacity estimate µ̂(t);
+        the ABC router's ``capacity_fn`` on a Wi-Fi link."""
         self._expire(now)
-        if not self._samples:
+        values = self._values
+        if not values:
             return 0.0
-        average = sum(value for _, value in self._samples) / len(self._samples)
+        average = sum(values) / len(values)
         if not apply_cap:
             return average
         observed = self.observed_dequeue_rate(now)
         if observed <= 0:
             return average
         return min(average, CAP_FACTOR * observed)
-
-    def capacity_fn(self, apply_cap: bool = True):
-        """A ``fn(now) -> bps`` callback suitable for the ABC router qdisc."""
-        def _estimate(now: float) -> float:
-            return self.estimate_bps(now, apply_cap=apply_cap)
-        return _estimate

@@ -325,7 +325,7 @@ def test_pie_delay_estimate_fallbacks():
     q = PIEQdisc(buffer_packets=50)
     # No departures yet and no link attached: no rate to divide by.
     q.enqueue(mk(0), 0.0)
-    assert q._estimate_delay() == 0.0
+    assert q._estimate_delay(0.0) == 0.0
 
     class _StubEnv:
         now = 0.0
@@ -339,7 +339,7 @@ def test_pie_delay_estimate_fallbacks():
     q.attach(_StubLink())
     # Little's law against the link capacity until the departure-rate EWMA
     # has a sample: 1500 bytes at 12 Mbit/s = 1 ms.
-    assert q._estimate_delay() == pytest.approx(1500 * 8.0 / 12e6)
+    assert q._estimate_delay(0.0) == pytest.approx(1500 * 8.0 / 12e6)
 
 
 def test_codel_dequeue_empty_resets_dropping_state():

@@ -73,6 +73,33 @@ def test_dual_queue_serves_in_weight_proportion_when_backlogged(monkeypatch):
     assert abc_served == pytest.approx(150, abs=10)  # ≈ 75 % of 200
 
 
+def test_dual_queue_restarts_its_byte_count_when_the_weight_changes():
+    """A new weight takes effect at once: the served-byte history is reset
+    instead of paying back the old share first."""
+    class SteppedWeight:
+        weight = 0.5
+
+        def compute_weight(self, now, capacity_bps):
+            return self.weight
+
+        def observe_departure(self, queue, flow_id, size, now):
+            pass
+
+    controller = SteppedWeight()
+    q = DualQueueABCQdisc(controller=controller)
+    q.attach(FakeLink(10e6))
+    for i in range(200):
+        q.enqueue(abc_pkt(i), 0.0)
+        q.enqueue(legacy_pkt(i), 0.0)
+    before = [q.dequeue(0.0).abc_capable for _ in range(40)]
+    assert sum(before) == 20
+    controller.weight = 0.9
+    after = [q.dequeue(0.0).abc_capable for _ in range(20)]
+    # From a fresh count, 9 ABC packets per legacy one; paying back the old
+    # 50/50 history would serve ~160 ABC packets in a row.
+    assert after == [True, False] + [True] * 9 + [False] + [True] * 8
+
+
 def test_dual_queue_abc_capacity_scaled_by_weight(monkeypatch):
     monkeypatch.setattr(coexistence, "INITIAL_WEIGHT", 0.25)
     q = DualQueueABCQdisc()

@@ -1,6 +1,7 @@
 """Tests for the generic sender/receiver transport machinery."""
 
 import collections
+import dataclasses
 import math
 import random
 
@@ -66,14 +67,15 @@ class Sink:
 
 
 class RecordingAIMD(AIMD):
-    """AIMD that keeps every ``AckFeedback`` the sender hands it."""
+    """AIMD that keeps a copy of every ``AckFeedback`` the sender hands it
+    (the sender restamps one object per ACK)."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.feedbacks = []
 
     def on_ack(self, feedback):
-        self.feedbacks.append(feedback)
+        self.feedbacks.append(dataclasses.replace(feedback))
         return super().on_ack(feedback)
 
 
@@ -261,14 +263,75 @@ def test_ack_of_retransmitted_seq_gives_no_rtt_sample():
     env.run(until=1.5)  # past the initial 1 s RTO
     assert sender.timeouts == 1 and sender.retransmissions >= 1
     original, retransmission = [p for p in path.packets if p.seq == 0]
-    assert not original.is_retransmission and original.sent_time == 0.0
-    assert retransmission.is_retransmission
+    assert original.sent_time == 0.0
+    assert sender.outstanding[0] == (0, MTU, retransmission.sent_time, True)
     sender.receive(turn_around(original))
     (feedback,) = cc.feedbacks
     assert feedback.rtt is None
     assert feedback.is_retransmission
     assert feedback.sent_time == retransmission.sent_time > 0.0
     assert sender.rtt.srtt is None
+
+
+def test_restamped_feedback_carries_nothing_over_from_the_previous_ack():
+    """The sender restamps one AckFeedback per ACK: a retransmission's ACK
+    right after a fresh one must reach the CC with no RTT sample, the flag
+    set and its own send time, size and in-band header dict."""
+    env = EventLoop()
+    cc = RecordingAIMD(initial_cwnd=3.0)
+    sender = Sender(env, flow_id=0, cc=cc,
+                    source=FixedSizeSource(2 * MTU + 700))
+    path = Capture()
+    sender.connect(path)
+    sender.start()
+    env.run(until=0.05)
+    first, second, last = path.packets
+    assert (first.seq, last.seq, last.size) == (0, 2, 700)
+    sender.receive(turn_around(last))          # fresh: an RTT sample
+    while not sender.timeouts:                 # then an RTO
+        env.run(until=env.now + 0.01)
+    resent = path.packets[-1]
+    assert resent.seq == 0 and resent.sent_time > 0.05
+    sender.receive(turn_around(resent))        # the retransmission's ACK
+    fresh, retransmitted = cc.feedbacks
+    assert fresh.rtt == pytest.approx(0.05) and not fresh.is_retransmission
+    assert (fresh.bytes_acked, fresh.sent_time) == (700, 0.0)
+    assert fresh.meta is last.meta
+    assert retransmitted.rtt is None and retransmitted.is_retransmission
+    assert retransmitted.now == env.now
+    assert (retransmitted.bytes_acked, retransmitted.sent_time) == (
+        MTU, resent.sent_time)
+    assert retransmitted.meta is resent.meta is not last.meta
+
+
+def test_xcp_ack_hands_the_cc_that_packets_own_header():
+    """An XCP ACK's ``feedback.meta`` is the header dict its data packet
+    carried (and routers wrote into), not a copy or a neighbour's."""
+    from repro.explicit.xcp import XCPSender
+
+    class RecordingXCP(XCPSender):
+        def __init__(self):
+            super().__init__()
+            self.metas = []
+
+        def on_ack(self, feedback):
+            self.metas.append(feedback.meta)
+            return super().on_ack(feedback)
+
+    env = EventLoop()
+    cc = RecordingXCP()
+    sender = Sender(env, flow_id=0, cc=cc)
+    path = Capture()
+    sender.connect(path)
+    sender.start()
+    env.run(until=0.05)
+    sent = list(path.packets)
+    assert len(sent) == 2 and sent[0].meta is not sent[1].meta
+    for packet in sent:
+        packet.meta["xcp_feedback_bytes"] = 100.0 + packet.seq
+        sender.receive(turn_around(packet))
+    assert len(cc.metas) == 2
+    assert all(meta is packet.meta for meta, packet in zip(cc.metas, sent))
 
 
 # ------------------------------------------------------------ receiver echo

@@ -311,6 +311,23 @@ def test_opportunity_link_trace_wraps_around():
     assert len(sink.packets) == 4
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the replay period is times[-1], so a trace with an "
+    "opportunity at 0 and one at its span offers both at every wrap; the "
+    "fix moves every trace-driven result"))
+def test_trace_replay_offers_each_opportunity_once_per_cycle():
+    """A 3-entry trace replayed for two cycles is 6 opportunities at 6
+    distinct instants (a backlogged queue sends one MTU per opportunity)."""
+    env = EventLoop()
+    link = OpportunityLink(env, [0.0, 0.1, 0.2], qdisc=FifoQdisc(100))
+    link.connect(Collector())
+    for i in range(50):
+        link.send(Packet(flow_id=0, seq=i, size=MTU))
+    env.run(until=1.0)
+    first_two_cycles = link.departure_times[:6]
+    assert len(set(first_two_cycles)) == 6, first_two_cycles
+
+
 def test_opportunity_link_capacity_window():
     env = EventLoop()
     times = [i * 0.001 for i in range(1000)]  # 1500 B every 1 ms = 12 Mbit/s

@@ -9,7 +9,7 @@ from repro.simulator import packet as packet_module
 from repro.simulator.endpoints import Receiver, Sender
 from repro.simulator.engine import EventLoop
 from repro.simulator.packet import ACK_SIZE, MTU, ECN, Packet, apply_ce
-from tests.conftest import decoded_echo
+from tests.conftest import AIMD, decoded_echo
 from tests.reference import abc_paper
 
 
@@ -55,17 +55,28 @@ def test_packet_defaults():
     pkt = Packet(flow_id=1, seq=0)
     assert pkt.size == MTU
     assert pkt.ecn == ECN.NOT_ECT
-    assert not pkt.is_retransmission
     assert pkt.total_queuing_delay == 0.0
 
 
-def test_queuing_delay_property():
-    pkt = Packet(flow_id=1, seq=0)
-    pkt.enqueue_time = 1.0
-    pkt.dequeue_time = 1.25
-    assert pkt.queuing_delay == pytest.approx(0.25)
-    pkt.dequeue_time = 0.5  # never negative
-    assert pkt.queuing_delay == 0.0
+def test_retransmission_flag_is_the_senders_record():
+    """A packet carries no retransmission flag: the sender's outstanding
+    record does, since a returning object may be an earlier transmission of
+    a since-retransmitted number.  Nor does it keep a per-hop dequeue time;
+    queues add each wait to ``total_queuing_delay``."""
+    assert not {"is_retransmission", "dequeue_time",
+                "queuing_delay"} & set(dir(Packet))
+    env = EventLoop()
+    sender = Sender(env, flow_id=0, cc=AIMD(initial_cwnd=2.0))
+    sent = []
+    sender.connect(type("Path", (), {"receive": staticmethod(sent.append)})())
+    sender.start()
+    env.run(until=0.5)
+    assert [info[3] for info in sender.outstanding.values()] == [False, False]
+    env.run(until=1.5)          # past the initial 1 s RTO
+    assert sender.timeouts == 1 and sender.outstanding
+    for seq, size, sent_time, retransmission in sender.outstanding.values():
+        assert retransmission and sent_time == 1.0
+        assert [p.sent_time for p in sent if p.seq == seq] == [0.0, 1.0]
 
 
 def test_ack_defaults_and_detection():

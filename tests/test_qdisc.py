@@ -47,7 +47,7 @@ def test_droptail_drops_when_full():
 def test_dequeue_empty_returns_none():
     q = FifoQdisc()
     assert q.dequeue(0.0) is None
-    assert q.is_empty
+    assert q.backlog_packets == 0 and len(q) == 0
 
 
 def test_peek_does_not_remove():

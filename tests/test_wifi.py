@@ -73,6 +73,30 @@ def test_wifi_link_delivers_all_packets_in_batches():
     assert link.batches_sent >= 100 / link.config.max_batch_frames
 
 
+def test_wifi_link_records_every_frame_it_delivers_inline():
+    """A finished batch hands its frames straight to the flow demux (no
+    delivery event per frame) and records each one: one departure per frame
+    of every batch, at that batch's block-ACK time."""
+    import collections
+
+    from repro.experiments.scenario_spec import build
+    from repro.experiments.wifi_eval import wifi_case_spec
+
+    spec = wifi_case_spec("abc", 2, 1.0, 0.04, "alternating", 9, 0.06)
+    built = build(spec)
+    link = built.scenario.links[0]
+    built.scenario.run(spec.duration)
+    delivered = sum(len(flow.stats) for flow in built.flows)
+    frames = collections.Counter()
+    for observation in link.batch_log:
+        frames[observation.time] += observation.batch_frames
+    assert delivered > 100 and len(link.departure_times) >= delivered
+    assert collections.Counter(link.departure_times) == frames
+    assert len(link.departure_bytes) == len(link.departure_times)
+    assert sum(link.departure_bytes) >= sum(
+        sum(flow.stats.sizes) for flow in built.flows)
+
+
 def test_wifi_batch_size_capped_at_max():
     env = EventLoop()
     link = WiFiLink(env, mcs=FixedMCSSchedule(7),

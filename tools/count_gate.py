@@ -4,10 +4,11 @@ MTU must not rise.
 Counts the Python calls made inside ``Scenario.run`` per delivered MTU, in
 total and per ``repro`` function, and the bytecodes executed per delivered
 MTU in total, on the 4-cell 2 s ``metro_ack`` and ``metro_paced`` cities and
-on the ``paper_figs`` scheme set (one 1 s single-bottleneck cell per scheme
+on the ``paper_figs`` set (0.5 s cells: one single-bottleneck cell per scheme
 of the paper's tables on the synthetic LTE showcase trace, so every ``cc``,
-``aqm`` and ``explicit`` module is on the path; ``tools/profile_hotpath.py
---counts``), and compares them with the committed
+``aqm`` and ``explicit`` module is on the path, plus Fig. 10's ABC Wi-Fi cell
+and Fig. 7's dual-queue cell; ``tools/profile_hotpath.py --counts``), and
+compares them with the committed
 ``tools/hotpath_counts.json``.  It fails when either total or any function's
 call count rises by more than ``TOLERANCE``; a function the file does not
 list rises from zero.  The functions are those of the ``repro`` package this
@@ -45,7 +46,7 @@ MIXES = {"metro_ack": "abc:0.6,cubic:0.3,bbr:0.1",
 #: Simulated seconds per metro cell.
 DURATION = 2.0
 #: Simulated seconds per ``paper_figs`` cell.
-FIGS_DURATION = 1.0
+FIGS_DURATION = 0.5
 #: The fraction a count may rise by before the gate fails.
 TOLERANCE = 0.03
 BASELINE = Path(__file__).with_name("hotpath_counts.json")
@@ -57,9 +58,23 @@ def python_version() -> str:
 
 
 def figs_workload():
-    """Set up the ``paper_figs`` scheme set; returns the run."""
+    """Set up the ``paper_figs`` set: one cell per ``SCHEME_NAMES`` scheme,
+    Fig. 10's ABC Wi-Fi cell and Fig. 7's dual-queue cell (its two ABC and
+    two Cubic flows all start at 0); returns the run."""
+    from repro.experiments.coexistence import (SHARED_LINK_MBPS,
+                                               shared_bottleneck_spec)
+    from repro.experiments.scenario_spec import spec_cell
+    from repro.experiments.wifi_eval import wifi_case_spec
+
     cells = [scenario_workload(scheme, FIGS_DURATION)
              for scheme in SCHEME_NAMES]
+    wifi = wifi_case_spec("abc", 2, FIGS_DURATION, 0.04, "alternating", 1,
+                          0.06)
+    dual = shared_bottleneck_spec(SHARED_LINK_MBPS, FIGS_DURATION, 0.1,
+                                  n_abc=2, n_cubic=2)
+    cells += [partial(spec_cell, wifi.to_jsonable(), "wifi"),
+              partial(spec_cell, dual.to_jsonable(), "coexistence",
+                      warmup=0.0)]
     return lambda: [cell() for cell in cells]
 
 
@@ -118,6 +133,7 @@ def main(argv=None) -> int:
             {"python": python_version(), "cells": METRO_CELLS,
              "duration": DURATION, "mixes": MIXES,
              "figs": {"schemes": list(SCHEME_NAMES),
+                      "cells": ["fig10 abc wifi", "fig7 abc-dual"],
                       "duration": FIGS_DURATION},
              "counts": measured},
             indent=1) + "\n")

@@ -55,6 +55,8 @@ PACED_RTO = ("tests/test_cc_endtoend.py::"
 RFC6298 = ("tests/test_endpoints.py::test_sender_rtt_and_rto_follow_rfc6298",)
 DUAL_WINDOW = ("tests/test_property_based.py::"
                "test_abc_ack_applies_the_dual_window_cap",)
+RESTAMP = ("tests/test_endpoints.py::"
+           "test_restamped_feedback_carries_nothing_over_from_the_previous_ack",)
 CAPACITY_CACHE = ("tests/test_links.py::"
                   "test_rate_link_cached_capacity_is_exact_at_every_edge",
                   "tests/test_links.py::"
@@ -204,8 +206,8 @@ MUTANTS = [
       "test_a_replayed_trace_never_schedules_behind_the_clock",)),
     # --- the shared sender (simulator/endpoints.py)
     ("simulator/endpoints.py",
-     "echo is ACCEL,",
-     "echo is not ACCEL,",
+     "feedback.accel = echo is ACCEL\n",
+     "feedback.accel = echo is not ACCEL\n",
      "accelerate and brake swapped in the echo",
      ("tests/test_endpoints.py::"
       "test_sender_decodes_echo_like_the_section_5_1_2_table",)),
@@ -241,6 +243,31 @@ MUTANTS = [
      "                        sent = True",
      "the pace tick does not arm the RTO timer from idle",
      PACED_RTO),
+    ("simulator/endpoints.py",
+     "        feedback.rtt = rtt_sample\n",
+     "",
+     "the per-ACK restamp skips rtt: the previous ACK's sample leaks",
+     RESTAMP),
+    ("simulator/endpoints.py",
+     "        feedback.meta = ack.meta\n",
+     "",
+     "the per-ACK restamp skips meta: the CC reads a stale header dict",
+     RESTAMP + ("tests/test_endpoints.py::"
+                "test_xcp_ack_hands_the_cc_that_packets_own_header",)),
+    # --- inline delivery and the dual queue (wifi/mac.py, core/coexistence.py)
+    ("wifi/mac.py",
+     "            self.departure_times.append(now)\n",
+     "",
+     "Wi-Fi inline delivery leaves its frames out of the departure record",
+     ("tests/test_wifi.py::"
+      "test_wifi_link_records_every_frame_it_delivers_inline",)),
+    ("core/coexistence.py",
+     "            self.weight_abc = weight\n"
+     "            self._served_abc = self._served_nonabc = 0.0\n",
+     "            self.weight_abc = weight\n",
+     "a new dual-queue weight pays back the old served-byte history",
+     ("tests/test_coexistence.py::"
+      "test_dual_queue_restarts_its_byte_count_when_the_weight_changes",)),
     # --- BBR's model (simulator/estimators.py, cc/bbr.py)
     ("simulator/estimators.py",
      "best = self.best = samples[0][1] if samples else None",
