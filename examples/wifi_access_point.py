@@ -22,7 +22,7 @@ from repro.core.params import WIFI_DEFAULTS
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import RateLimitedSource
-from repro.wifi.mac import WiFiLink, WiFiMacConfig
+from repro.wifi.mac import WiFiLink
 from repro.wifi.mcs import AlternatingMCSSchedule, FixedMCSSchedule
 from repro.wifi.rate_estimator import WiFiRateEstimator
 
@@ -34,10 +34,9 @@ def estimator_accuracy_demo():
     print("=== §4.1 link-rate estimation (non-backlogged sender) ===")
     for mcs in (3, 5, 7):
         scenario = Scenario()
-        estimator = WiFiRateEstimator(max_batch_frames=32)
+        estimator = WiFiRateEstimator()
         link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(mcs),
-                        config=WiFiMacConfig(), qdisc=FifoQdisc(2000),
-                        estimator=estimator)
+                        qdisc=FifoQdisc(2000), estimator=estimator)
         scenario.add_custom_link(link, name=f"wifi-mcs{mcs}")
         true_capacity = link.true_capacity_bps(0.0)
         scenario.add_flow(Cubic(), [link], rtt=RTT,

@@ -18,6 +18,10 @@ import numpy as np
 
 from repro.simulator.packet import MTU
 
+#: Bin width (s) of :meth:`CellularTrace.rate_timeseries`: Fig. 1's capacity
+#: curve, binned as its flows' throughput is.
+RATE_BIN = 0.5
+
 
 class CellularTrace:
     """An immutable sequence of delivery-opportunity timestamps (seconds).
@@ -67,14 +71,15 @@ class CellularTrace:
             return 0.0
         return len(self._times) * MTU * 8.0 / self.duration
 
-    def rate_timeseries(self, bin_size: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-        """Binned capacity time series ``(bin_centers_s, rate_bps)``."""
-        n_bins = max(int(math.ceil(self.duration / bin_size)), 1)
-        idx = (self._times_np / bin_size).astype(int)
+    def rate_timeseries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Capacity time series ``(bin_centers_s, rate_bps)`` in bins
+        ``RATE_BIN`` wide."""
+        n_bins = max(int(math.ceil(self.duration / RATE_BIN)), 1)
+        idx = (self._times_np / RATE_BIN).astype(int)
         np.minimum(idx, n_bins - 1, out=idx)
         counts = np.bincount(idx, minlength=n_bins).astype(float)
-        centers = (np.arange(n_bins) + 0.5) * bin_size
-        return centers, counts * MTU * 8.0 / bin_size
+        centers = (np.arange(n_bins) + 0.5) * RATE_BIN
+        return centers, counts * MTU * 8.0 / RATE_BIN
 
     # ------------------------------------------------------------ transforms
     def scaled(self, factor: float, name: str | None = None) -> "CellularTrace":

@@ -31,7 +31,8 @@ capacity read → marker); marks and rates are bit-identical
   link, one call per dequeue: a rate link answers from its cached ``(rate,
   from, until)``, a trace link counts its opportunities inline.  (The
   per-timestamp memo this replaced never hit on a forward link, where every
-  dequeue has its own ``now``.)
+  dequeue has its own ``now``.)  One with a ``capacity_fn`` (the Wi-Fi rate
+  estimator, the dual queue's ABC share) calls it directly.
 * **One estimator, fed where it is read.**  A scalar two-pointer
   :class:`~repro.simulator.estimators.WindowedRateEstimator` receives a
   sample per dequeue (or per enqueue under ``feedback_basis="enqueue"``) and
@@ -84,6 +85,11 @@ class ABCRouterQdisc(Qdisc):
             window=self.params.measurement_window)
         self._rate_on_dequeue = feedback_basis == "dequeue"
         self.marker = TokenBucketMarker(token_limit=self.params.token_limit)
+        # dequeue reads µ(t) itself (off the link, or from ``capacity_fn``)
+        # unless a subclass's capacity_bps (PK-ABC's look-ahead) stands in
+        # between.
+        self._own_capacity = (type(self).capacity_bps
+                              is ABCRouterQdisc.capacity_bps)
         self._reads_link = False
 
         # Introspection values used by tests and the feedback ablation.
@@ -95,11 +101,8 @@ class ABCRouterQdisc(Qdisc):
     # ------------------------------------------------------------ wiring
     def attach(self, link) -> None:
         super().attach(link)
-        # dequeue reads µ(t) straight off the link unless a capacity_fn or a
-        # subclass's capacity_bps (PK-ABC's look-ahead) stands in between.
-        self._reads_link = (
-            link is not None and self.capacity_fn is None
-            and type(self).capacity_bps is ABCRouterQdisc.capacity_bps)
+        self._reads_link = (link is not None and self.capacity_fn is None
+                            and self._own_capacity)
 
     # ------------------------------------------------------------ measurement
     def capacity_bps(self, now: float) -> float:
@@ -155,12 +158,15 @@ class ABCRouterQdisc(Qdisc):
 
         # abc_paper.target_rate (Eq. 1), inlined.
         params = self.params
+        # ABCRouterQdisc.capacity_bps, inlined.
         if self._reads_link:
             mu = self.link.capacity_bps(now)
-            if mu < 0.0:
-                mu = 0.0
+        elif self.capacity_fn is not None and self._own_capacity:
+            mu = self.capacity_fn(now)
         else:
             mu = self.capacity_bps(now)
+        if mu < 0.0:
+            mu = 0.0
         x = self.backlog_bytes * 8.0 / mu if mu > 0.0 else 0.0
         excess_delay = x - params.delay_threshold
         if excess_delay < 0.0:

@@ -158,10 +158,9 @@ class FluidModel:
             oscillation_amplitude=amplitude,
         )
 
-    def empirical_stability(self, duration: float = 60.0,
-                            initial_delay: float = 0.5) -> bool:
-        """Check convergence numerically from a perturbed initial condition
+    def empirical_stability(self, duration: float = 60.0) -> bool:
+        """Check convergence numerically from a 500 ms initial queuing delay
         (to within 2 ms of the fixed point)."""
-        result = self.simulate(duration=duration, initial_delay=initial_delay,
+        result = self.simulate(duration=duration, initial_delay=0.5,
                                convergence_tolerance=2e-3)
         return result.converged

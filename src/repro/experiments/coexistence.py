@@ -25,8 +25,9 @@ import numpy as np
 
 from repro.analysis.stats import SeedResultSet
 from repro.experiments.runner import run_seed_grid
-from repro.experiments.scenario_spec import (NATIVE, BuiltScenario, FlowSpec,
-                                             LinkSpec, ScenarioSpec, spec_job)
+from repro.experiments.scenario_spec import (BASE_RTT, NATIVE, BuiltScenario,
+                                             FlowSpec, LinkSpec, ScenarioSpec,
+                                             spec_job)
 from repro.obs.signals import SignalRecorder
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepJob
@@ -136,7 +137,7 @@ def fig6_summary(built: BuiltScenario,
     )
 
 
-def fig6_nonabc_bottleneck(duration: float = 80.0, rtt: float = 0.1,
+def fig6_nonabc_bottleneck(duration: float = 80.0,
                            cross_traffic: bool = False,
                            executor: Optional[SweepExecutor] = None
                            ) -> DualBottleneckTrace:
@@ -154,7 +155,7 @@ def fig6_nonabc_bottleneck(duration: float = 80.0, rtt: float = 0.1,
     if cross_traffic:
         third = duration / 3.0
         cross_schedule = [(third, 2 * third), (2 * third + 1e-9, duration)]
-    job = spec_job(fig6_spec(duration, WIRED_MBPS, rtt, cross_schedule),
+    job = spec_job(fig6_spec(duration, WIRED_MBPS, BASE_RTT, cross_schedule),
                    "fig6", "fig11" if cross_traffic else "fig6",
                    sample_interval=FIG6_SAMPLE_INTERVAL)
     return run_seed_grid(lambda s: [job], 0, (0,), executor)[0]
@@ -192,7 +193,7 @@ class CoexistenceResult:
         return (self.mean_cubic_mbps - self.mean_abc_mbps) / denom
 
 
-def fig7_coexistence_timeseries(duration: float = 120.0, rtt: float = 0.1,
+def fig7_coexistence_timeseries(duration: float = 120.0,
                                 stagger: float = 30.0,
                                 executor: Optional[SweepExecutor] = None
                                 ) -> CoexistenceResult:
@@ -203,7 +204,7 @@ def fig7_coexistence_timeseries(duration: float = 120.0, rtt: float = 0.1,
     ``(17,)``.
     """
     job = spec_job(shared_bottleneck_spec(
-        SHARED_LINK_MBPS, duration, rtt, n_abc=2, n_cubic=2,
+        SHARED_LINK_MBPS, duration, BASE_RTT, n_abc=2, n_cubic=2,
         abc_starts=(0.0, stagger), cubic_starts=(2 * stagger, 3 * stagger)),
         "coexistence", "fig7", warmup=3 * stagger)
     return run_seed_grid(lambda s: [job], 17, (17,), executor)[0]
@@ -281,7 +282,7 @@ def coexistence_metrics(result: CoexistenceResult) -> Dict[str, float]:
 
 def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5),
                              strategy: str = "maxmin", duration: float = 40.0,
-                             rtt: float = 0.1, seed: int = 17,
+                             seed: int = 17,
                              executor: Optional[SweepExecutor] = None,
                              seeds: Optional[Sequence[int]] = None
                              ) -> Dict[float, CoexistenceResult]:
@@ -302,7 +303,8 @@ def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5)
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
         return [spec_job(shared_bottleneck_spec(
-                    SHARED_LINK_MBPS, duration, rtt, n_abc=FIG12_LONG_FLOWS,
+                    SHARED_LINK_MBPS, duration, BASE_RTT,
+                    n_abc=FIG12_LONG_FLOWS,
                     n_cubic=FIG12_LONG_FLOWS, strategy=strategy,
                     short_flow_load=load, warmup=warmup, seed=s),
                     "coexistence", f"fig12/{strategy}/seed{s}/load{load:g}",
@@ -356,7 +358,7 @@ def app_limited_summary(built: BuiltScenario) -> AppLimitedResult:
 
 
 def fig13_app_limited(num_app_limited: int = 50, duration: float = 30.0,
-                      rtt: float = 0.1, seed: int = 23,
+                      seed: int = 23,
                       executor: Optional[SweepExecutor] = None,
                       seeds: Optional[Sequence[int]] = None):
     """Fig. 13: a backlogged ABC flow plus many application-limited ABC flows.
@@ -373,7 +375,7 @@ def fig13_app_limited(num_app_limited: int = 50, duration: float = 30.0,
     """
     def jobs_for_seed(s: int) -> List[SweepJob]:
         return [spec_job(app_limited_spec(num_app_limited, APP_LIMITED_MBPS,
-                                          duration, rtt, s),
+                                          duration, BASE_RTT, s),
                          "app_limited", f"fig13/seed{s}")]
 
     return run_seed_grid(jobs_for_seed, seed, seeds, executor)[0]

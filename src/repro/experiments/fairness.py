@@ -27,10 +27,12 @@ from repro.runtime.spec import SweepJob
 LINK_MBPS = 24.0
 #: §6.5: flow starts are spread over this many seconds.
 START_JITTER = 0.2
+#: Fig. 3's throughput bin width (s).
+FAIRNESS_BIN = 1.0
 
 
 def _shared_link_job(label: str, duration: float,
-                     rtt: float, starts: Sequence[float], buffer_packets: int,
+                     starts: Sequence[float], buffer_packets: int,
                      abc_params: Optional[ABCParams] = None,
                      **summary_args) -> SweepJob:
     """One ``fairness`` cell: ABC flows starting at ``starts`` on a shared
@@ -39,7 +41,7 @@ def _shared_link_job(label: str, duration: float,
         scheme="abc", duration=duration, abc_params=abc_params,
         links=[LinkSpec("constant", {"rate_bps": LINK_MBPS * 1e6},
                         buffer_packets=buffer_packets, name="shared")],
-        flows=[FlowSpec(rtt=rtt, start_time=start, label=f"abc-{i}")
+        flows=[FlowSpec(start_time=start, label=f"abc-{i}")
                for i, start in enumerate(starts)]),
         "fairness", label, **summary_args)
 
@@ -54,14 +56,14 @@ class FlowThroughputs:
     per_flow_bps: List[np.ndarray]
 
 
-def fairness_summary(built: BuiltScenario, t0: float = 0.0,
-                     bin_size: float = 1.0) -> FlowThroughputs:
+def fairness_summary(built: BuiltScenario,
+                     t0: float = 0.0) -> FlowThroughputs:
     """Run a shared-link scenario and measure every flow (the ``fairness``
     summary)."""
     duration = built.spec.duration
     built.scenario.run(duration)
     stats = [flow.stats for flow in built.flows]
-    series = [s.throughput_timeseries(bin_size=bin_size, t1=duration)
+    series = [s.throughput_timeseries(bin_size=FAIRNESS_BIN, t1=duration)
               for s in stats]
     return FlowThroughputs([s.throughput_bps(t0, duration) for s in stats],
                            max((t for t, _ in series), key=len),
@@ -80,7 +82,6 @@ class FairnessResult:
 
 def fig3_fairness(additive_increase: bool, num_flows: int = 5,
                   stagger: float = 20.0,
-                  rtt: float = 0.1, bin_size: float = 1.0,
                   buffer_packets: int = 250,
                   executor: Optional[SweepExecutor] = None) -> FairnessResult:
     """Reproduce one panel of Fig. 3 (with or without additive increase).
@@ -89,10 +90,10 @@ def fig3_fairness(additive_increase: bool, num_flows: int = 5,
     interval during which all flows are active (just before the run ends).
     """
     job = _shared_link_job(
-        f"fig3/ai{int(additive_increase)}", stagger * (num_flows + 1), rtt,
+        f"fig3/ai{int(additive_increase)}", stagger * (num_flows + 1),
         [index * stagger for index in range(num_flows)], buffer_packets,
         ABCParams(additive_increase=additive_increase),
-        t0=stagger * num_flows, bin_size=bin_size)
+        t0=stagger * num_flows)
     cell = run_seed_grid(lambda s: [job], 0, (0,), executor)[0]
     steady = [tput / 1e6 for tput in cell.throughputs_bps]
     return FairnessResult(
@@ -101,7 +102,7 @@ def fig3_fairness(additive_increase: bool, num_flows: int = 5,
 
 
 def jain_index_sweep(flow_counts: Sequence[int] = (2, 4, 8, 16, 32),
-                     duration: float = 60.0, rtt: float = 0.1,
+                     duration: float = 60.0,
                      warmup: float = 20.0,
                      executor: Optional[SweepExecutor] = None
                      ) -> Dict[int, float]:
@@ -113,7 +114,7 @@ def jain_index_sweep(flow_counts: Sequence[int] = (2, 4, 8, 16, 32),
     deployment's natural jitter never exhibits.
     """
     jobs = [_shared_link_job(
-                f"jain/n{count}", duration, rtt,
+                f"jain/n{count}", duration,
                 [i * START_JITTER / max(count, 1) for i in range(count)], 500,
                 t0=warmup)
             for count in flow_counts]

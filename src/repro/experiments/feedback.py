@@ -27,13 +27,12 @@ from repro.experiments.scenario_spec import spec_job
 from repro.runtime.executor import SweepExecutor
 
 
-def _on_one_trace(schemes: Sequence[str], trace: CellularTrace, rtt: float,
+def _on_one_trace(schemes: Sequence[str], trace: CellularTrace,
                   duration: float, seed: int, label: str,
                   executor: Optional[SweepExecutor]
                   ) -> List[SingleBottleneckResult]:
     """One ``single_bottleneck`` cell per scheme on ``trace``, in order."""
-    jobs = [spec_job(single_bottleneck_spec(scheme, trace, rtt=rtt,
-                                            duration=duration),
+    jobs = [spec_job(single_bottleneck_spec(scheme, trace, duration=duration),
                      "single_bottleneck", f"{label}/{scheme}")
             for scheme in schemes]
     return run_seed_grid(lambda s: jobs, seed, (seed,), executor)
@@ -64,14 +63,14 @@ def default_feedback_trace(duration: float = 60.0, seed: int = 21) -> CellularTr
     return synthetic_trace(config, duration, seed=seed)
 
 
-def fig2_feedback(duration: float = 60.0, rtt: float = 0.1,
+def fig2_feedback(duration: float = 60.0,
                   trace: Optional[CellularTrace] = None, seed: int = 21,
                   executor: Optional[SweepExecutor] = None
                   ) -> FeedbackComparison:
     """Run ABC with dequeue-based and enqueue-based feedback on one trace."""
     trace = trace if trace is not None else default_feedback_trace(duration, seed)
-    dequeue, enqueue = _on_one_trace(("abc", "abc-enqueue"), trace, rtt,
-                                     duration, seed, "fig2", executor)
+    dequeue, enqueue = _on_one_trace(("abc", "abc-enqueue"), trace, duration,
+                                     seed, "fig2", executor)
     return FeedbackComparison(dequeue.queuing_p95_ms, enqueue.queuing_p95_ms,
                               dequeue.utilization, enqueue.utilization)
 
@@ -86,14 +85,14 @@ class OracleComparison:
     pk_delay_p95_ms: float
 
 
-def pk_abc_comparison(duration: float = 30.0, rtt: float = 0.1, seed: int = 11,
+def pk_abc_comparison(duration: float = 30.0, seed: int = 11,
                       trace: Optional[CellularTrace] = None,
                       executor: Optional[SweepExecutor] = None
                       ) -> OracleComparison:
     """Run ABC and PK-ABC on the same uplink trace and compare delays."""
     if trace is None:
         trace, _ = uplink_downlink_pair(duration=duration, seed=seed)
-    abc, pk = _on_one_trace(("abc", "pk-abc"), trace, rtt, duration, seed,
+    abc, pk = _on_one_trace(("abc", "pk-abc"), trace, duration, seed,
                             "pk-abc", executor)
     return OracleComparison(abc.utilization, pk.utilization,
                             abc.queuing_p95_ms, pk.queuing_p95_ms,

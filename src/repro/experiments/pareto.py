@@ -114,7 +114,7 @@ def _fig8_panel_links(duration: float, seed: int) -> Tuple[tuple, ...]:
 
 
 def fig8_pareto(schemes: Sequence[str] = DEFAULT_SCHEMES,
-                duration: float = 30.0, rtt: float = 0.1, seed: int = 11,
+                duration: float = 30.0, seed: int = 11,
                 executor: Optional[SweepExecutor] = None,
                 seeds: Optional[Sequence[int]] = None
                 ) -> Dict[str, ParetoScatter]:
@@ -129,7 +129,7 @@ def fig8_pareto(schemes: Sequence[str] = DEFAULT_SCHEMES,
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
         return [spec_job(single_bottleneck_spec(
-                    sch, link, rtt=rtt, duration=duration,
+                    sch, link, duration=duration,
                     extra_links=extras), "single_bottleneck",
                     f"seed{s}/{label}/{sch}")
                 for label, (link, extras) in zip(
@@ -143,8 +143,7 @@ def fig8_pareto(schemes: Sequence[str] = DEFAULT_SCHEMES,
 
 
 def fig9_sweep(schemes: Sequence[str] = DEFAULT_SCHEMES,
-               duration: float = 30.0, rtt: float = 0.1, seed: int = 1,
-               traces: Optional[Mapping[str, CellularTrace]] = None,
+               duration: float = 30.0, seed: int = 1,
                executor: Optional[SweepExecutor] = None,
                seeds: Optional[Sequence[int]] = None,
                trace_names: Optional[Sequence[str]] = None
@@ -154,32 +153,30 @@ def fig9_sweep(schemes: Sequence[str] = DEFAULT_SCHEMES,
     The seed regenerates the synthetic trace set; with several ``seeds``
     each (scheme, trace-name) value becomes a
     :class:`~repro.analysis.stats.SeedResultSet` and :func:`sweep_averages`
-    reports mean ± 95 % CI per scheme.  ``traces=`` pins the set, which
-    leaves the seed nothing to vary — for a seed axis over fixed traces use
-    :func:`~repro.experiments.runner.run_cellular_sweep`; ``trace_names``
-    restricts the synthetic set to a subset of the trace library while
-    keeping per-seed regeneration (Figs. 15/16).
+    reports mean ± 95 % CI per scheme.  ``trace_names`` restricts the
+    synthetic set to a subset of the trace library while keeping per-seed
+    regeneration (Figs. 15/16); to sweep traces of your own, use
+    :func:`~repro.experiments.runner.run_cellular_sweep`.
     """
     def spec_for_seed(s: int) -> SweepSpec:
-        trace_set = traces if traces is not None else synthetic_trace_set(
+        trace_set = synthetic_trace_set(
             duration=duration, seed=s,
             names=list(trace_names) if trace_names is not None else None)
         return SweepSpec(schemes=list(schemes), traces=dict(trace_set),
-                         rtt=rtt, duration=duration)
+                         duration=duration)
 
     return run_spec_grid(spec_for_seed, seed, seeds, executor)
 
 
-def fig16_explicit(duration: float = 30.0, rtt: float = 0.1, seed: int = 1,
-                   traces: Optional[Mapping[str, CellularTrace]] = None,
+def fig16_explicit(duration: float = 30.0, seed: int = 1,
                    executor: Optional[SweepExecutor] = None,
                    seeds: Optional[Sequence[int]] = None,
                    trace_names: Optional[Sequence[str]] = None
                    ) -> Dict[str, Dict[str, SingleBottleneckResult]]:
     """Reproduce Fig. 16: ABC against the explicit-feedback schemes."""
-    return fig9_sweep(schemes=EXPLICIT_SCHEMES, duration=duration, rtt=rtt,
-                      seed=seed, traces=traces, executor=executor,
-                      seeds=seeds, trace_names=trace_names)
+    return fig9_sweep(schemes=EXPLICIT_SCHEMES, duration=duration,
+                      seed=seed, executor=executor, seeds=seeds,
+                      trace_names=trace_names)
 
 
 def table1_summary(sweep: Mapping[str, Mapping[str, SingleBottleneckResult]]

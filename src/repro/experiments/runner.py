@@ -24,9 +24,9 @@ from repro.analysis.stats import (SeedResultSet, aggregate_values,
 from repro.cellular.trace import CellularTrace
 from repro.config import resolve_seeds
 from repro.core.params import ABCParams
-from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
-                                             ScenarioSpec, link_spec_from,
-                                             spec_cell)
+from repro.experiments.scenario_spec import (BASE_RTT, BuiltScenario,
+                                             FlowSpec, ScenarioSpec,
+                                             link_spec_from, spec_cell)
 from repro.obs.manifest import build_manifest, run_dir, write_manifest
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepCell, SweepJob, SweepSpec
@@ -57,7 +57,7 @@ class SingleBottleneckResult:
     extra: dict = field(default_factory=dict)
 
 
-def single_bottleneck_spec(scheme: str, link_spec: Any, rtt: float = 0.1,
+def single_bottleneck_spec(scheme: str, link_spec: Any, rtt: float = BASE_RTT,
                            duration: float = 30.0,
                            buffer_packets: int = 250,
                            abc_params: Optional[ABCParams] = None,
@@ -175,9 +175,7 @@ def run_spec_grid(spec_for_seed: Callable[[int], SweepSpec],
 
 def run_cellular_sweep(schemes: Sequence[str],
                        traces: Mapping[str, CellularTrace],
-                       rtt: float = 0.1, duration: float = 30.0,
-                       buffer_packets: int = 250,
-                       abc_params: Optional[ABCParams] = None,
+                       duration: float = 30.0, buffer_packets: int = 250,
                        executor: Optional[SweepExecutor] = None,
                        seeds: Optional[Sequence[int]] = None
                        ) -> Dict[str, Dict[str, SingleBottleneckResult]]:
@@ -197,9 +195,8 @@ def run_cellular_sweep(schemes: Sequence[str],
     :class:`~repro.analysis.stats.SeedResultSet` whose metric attributes are
     across-seed means (full aggregates under ``.stats``).
     """
-    spec = SweepSpec(schemes=list(schemes), traces=dict(traces), rtt=rtt,
-                     duration=duration, buffer_packets=buffer_packets,
-                     abc_params=abc_params)
+    spec = SweepSpec(schemes=list(schemes), traces=dict(traces),
+                     duration=duration, buffer_packets=buffer_packets)
     return run_spec_grid(lambda s: replace(spec, seeds=(s,)), 0, seeds,
                          executor)
 

@@ -66,6 +66,8 @@ CROSS_TRAFFIC_SCHEMES = frozenset(
 
 #: Flow ``cc`` meaning "the scheme's native sender".
 NATIVE = "native"
+#: The base round-trip time (s) of every wired and cellular figure (§6).
+BASE_RTT = 0.1
 
 #: Capacity kind → the params it needs (positive, or a non-empty series).
 LINK_KINDS = {"constant": ("rate_bps",),
@@ -152,7 +154,7 @@ class FlowSpec:
     """
 
     cc: str = NATIVE
-    rtt: float = 0.1
+    rtt: float = BASE_RTT
     start_time: float = 0.0
     size_bytes: Optional[int] = None
     app_rate_bps: Optional[float] = None
@@ -313,7 +315,7 @@ def _add_link(scenario: Scenario, link: LinkSpec, index: int,
     if link.kind == "wifi":
         from repro.core.router import ABCRouterQdisc
         from repro.wifi import mcs
-        from repro.wifi.mac import WiFiLink, WiFiMacConfig
+        from repro.wifi.mac import WiFiLink
         from repro.wifi.rate_estimator import WiFiRateEstimator
 
         estimator = WiFiRateEstimator(window=params.measurement_window)
@@ -326,7 +328,7 @@ def _add_link(scenario: Scenario, link: LinkSpec, index: int,
                                          seed=spec.sim_seed)}
         return scenario.add_custom_link(WiFiLink(
             scenario.env, mcs=schedules[schedule](*args),
-            config=WiFiMacConfig(seed=spec.sim_seed), qdisc=qdisc,
+            seed=spec.sim_seed, qdisc=qdisc,
             estimator=estimator), name=name)
     if link.kind == "cellular":
         config = SyntheticTraceConfig(

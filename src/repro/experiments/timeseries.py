@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.analysis.stats import SeedAggregate, aggregate_metric_dicts
 from repro.cellular.synthetic import lte_showcase_trace
-from repro.cellular.trace import CellularTrace
+from repro.cellular.trace import RATE_BIN, CellularTrace
 from repro.experiments.runner import (run_seed_grid, single_bottleneck_spec,
                                       single_bottleneck_summary)
 from repro.experiments.scenario_spec import BuiltScenario, LinkSpec, spec_job
@@ -34,6 +34,8 @@ from repro.runtime.trace_store import register_trace
 #: Fig. 17's square wave: its low and high rates (Mbit/s).
 SQUARE_LOW_MBPS = 12.0
 SQUARE_HIGH_MBPS = 24.0
+#: Fig. 17's bin width (s).
+SQUARE_BIN = 0.25
 
 
 @dataclass
@@ -101,8 +103,7 @@ def _combine_seed_series(series_list: Sequence[TimeSeries],
 
 
 def fig1_timeseries(schemes: Sequence[str] = ("cubic", "verus", "cubic+codel", "abc"),
-                    duration: float = 30.0, rtt: float = 0.1,
-                    buffer_packets: int = 250, bin_size: float = 0.5,
+                    duration: float = 30.0, buffer_packets: int = 250,
                     trace: Optional[CellularTrace] = None, seed: int = 7,
                     executor: Optional[SweepExecutor] = None,
                     seeds: Optional[Sequence[int]] = None
@@ -110,19 +111,20 @@ def fig1_timeseries(schemes: Sequence[str] = ("cubic", "verus", "cubic+codel", "
     """Reproduce Fig. 1: each scheme over the same emulated LTE trace.
 
     The seed regenerates the LTE trace (unless pinned via ``trace=``); with
-    several ``seeds`` each scheme's series is the across-seed mean.
+    several ``seeds`` each scheme's series is the across-seed mean.  Flows
+    and capacity are binned alike, ``RATE_BIN`` wide.
     """
     capacities: Dict[int, np.ndarray] = {}
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
         trace_s = trace if trace is not None else lte_showcase_trace(
             duration=duration, seed=s)
-        _, capacities[s] = trace_s.rate_timeseries(bin_size=bin_size)
+        _, capacities[s] = trace_s.rate_timeseries()
         ref = register_trace(trace_s)
         return [spec_job(single_bottleneck_spec(
-                    sch, ref, rtt=rtt, duration=duration,
+                    sch, ref, duration=duration,
                     buffer_packets=buffer_packets), "timeseries",
-                    f"fig1/seed{s}/{sch}", bin_size=bin_size)
+                    f"fig1/seed{s}/{sch}", bin_size=RATE_BIN)
                 for sch in schemes]
 
     out = dict(zip(schemes, run_seed_grid(
@@ -138,7 +140,6 @@ def fig1_timeseries(schemes: Sequence[str] = ("cubic", "verus", "cubic+codel", "
 
 def fig17_square_wave(schemes: Sequence[str] = ("abc", "rcp", "xcpw"),
                       half_period: float = 0.5, duration: float = 10.0,
-                      rtt: float = 0.1, bin_size: float = 0.25,
                       executor: Optional[SweepExecutor] = None,
                       seeds: Optional[Sequence[int]] = None
                       ) -> Dict[str, TimeSeries]:
@@ -154,8 +155,8 @@ def fig17_square_wave(schemes: Sequence[str] = ("abc", "rcp", "xcpw"),
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
         return [spec_job(single_bottleneck_spec(
-                    sch, link, rtt=rtt, duration=duration, seed=s),
-                    "timeseries", f"fig17/seed{s}/{sch}", bin_size=bin_size)
+                    sch, link, duration=duration, seed=s),
+                    "timeseries", f"fig17/seed{s}/{sch}", bin_size=SQUARE_BIN)
                 for sch in schemes]
 
     return dict(zip(schemes, run_seed_grid(

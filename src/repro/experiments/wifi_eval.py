@@ -39,13 +39,15 @@ from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepJob
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
-from repro.wifi.mac import WiFiLink, WiFiMacConfig
+from repro.wifi.mac import WiFiLink, backlogged_capacity_bps
 from repro.wifi.mcs import FixedMCSSchedule, mcs_rate_bps
 
 #: End-to-end baselines evaluated on WiFi (§6.3 excludes Sprout and Verus,
 #: which are cellular-specific).
 WIFI_BASELINES: Sequence[str] = ("cubic+codel", "copa", "vegas", "bbr", "pcc",
                                  "cubic")
+#: The round-trip time (s) of Figs. 10 and 14's flows.
+WIFI_RTT = 0.04
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +70,10 @@ def fig4_inter_ack(mcs_index: int = 5, duration: float = 30.0,
     access point transmits A-MPDUs spanning the full range of batch sizes and
     the linear ``TIA(b) = b·S/R + h`` relationship is observable.
     """
-    from repro.simulator.packet import Packet
+    from repro.simulator.packet import MTU, Packet
 
     scenario = Scenario()
-    config = WiFiMacConfig(seed=seed)
-    link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(mcs_index), config=config,
+    link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(mcs_index), seed=seed,
                     qdisc=FifoQdisc(buffer_packets=2000))
     scenario.add_custom_link(link, name="wifi")
 
@@ -93,7 +94,7 @@ def fig4_inter_ack(mcs_index: int = 5, duration: float = 30.0,
         slope = float(np.polyfit(sizes, times, 1)[0])
     else:
         slope = 0.0
-    expected = config.frame_size_bytes * 8.0 / link.mcs.rate_at(0.0) * 1000.0
+    expected = MTU * 8.0 / link.mcs.rate_at(0.0) * 1000.0
     return InterAckSamples(batch_sizes=sizes, inter_ack_times_ms=times,
                            fitted_slope_ms_per_frame=slope,
                            expected_slope_ms_per_frame=expected)
@@ -122,7 +123,7 @@ def rate_prediction_spec(mcs: int, fraction: float, duration: float,
     """One (MCS index, offered-load fraction) cell of the Fig. 5 grid: a
     Cubic sender offering ``fraction`` of the link's backlogged capacity
     over a fixed-MCS link that carries the rate estimator."""
-    offered = fraction * WiFiMacConfig().capacity_bps(mcs_rate_bps(mcs))
+    offered = fraction * backlogged_capacity_bps(mcs_rate_bps(mcs))
     return ScenarioSpec(
         scheme="cubic", duration=duration, abc_params=WIFI_DEFAULTS,
         sim_seed=seed, flows=[FlowSpec(rtt=0.02, app_rate_bps=offered)],
@@ -227,7 +228,7 @@ def wifi_summary(built: BuiltScenario) -> WiFiSchemeResult:
     )
 
 
-def fig10_wifi(num_users: int = 1, duration: float = 45.0, rtt: float = 0.04,
+def fig10_wifi(num_users: int = 1, duration: float = 45.0,
                mcs_mode: str = "alternating", seed: int = 9,
                abc_delay_thresholds: Sequence[float] = (0.02, 0.06, 0.1),
                baselines: Sequence[str] = WIFI_BASELINES,
@@ -249,7 +250,7 @@ def fig10_wifi(num_users: int = 1, duration: float = 45.0, rtt: float = 0.04,
         cases = [("abc", name, threshold)
                  for name, threshold in zip(names, abc_delay_thresholds)]
         cases += [(scheme, scheme, None) for scheme in baselines]
-        return [spec_job(wifi_case_spec(scheme, num_users, duration, rtt,
+        return [spec_job(wifi_case_spec(scheme, num_users, duration, WIFI_RTT,
                                         mcs_mode, s, threshold),
                          "wifi", f"wifi/seed{s}/{name}")
                 for scheme, name, threshold in cases]
@@ -263,11 +264,11 @@ def fig10_wifi(num_users: int = 1, duration: float = 45.0, rtt: float = 0.04,
 
 
 def fig14_wifi_brownian(num_users: int = 1, duration: float = 45.0,
-                        rtt: float = 0.04, seed: int = 13,
+                        seed: int = 13,
                         executor: Optional[SweepExecutor] = None,
                         seeds: Optional[Sequence[int]] = None
                         ) -> List[WiFiSchemeResult]:
     """Appendix B variant of the WiFi experiment (Brownian MCS walk)."""
-    return fig10_wifi(num_users=num_users, duration=duration, rtt=rtt,
+    return fig10_wifi(num_users=num_users, duration=duration,
                       mcs_mode="brownian", seed=seed, executor=executor,
                       seeds=seeds)

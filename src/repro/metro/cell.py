@@ -11,7 +11,7 @@ the whole scenario.
 Each cell simulates one bottleneck (a trace-driven cellular link, a
 square-wave sector or a fixed rate) carrying
 
-* ``base_flows`` long-lived backlogged flows started at t=0, and
+* ``BASE_FLOWS`` long-lived backlogged flows started at t=0, and
 * a churning population of short flows — Poisson arrivals, bounded-Pareto
   sizes — that start mid-run and depart when their transfer completes,
 

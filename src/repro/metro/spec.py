@@ -35,6 +35,13 @@ DEFAULT_MIX = "abc:0.6,cubic:0.3,bbr:0.1"
 #: The share of a :func:`metro_pack` city's cells that are square-wave
 #: sectors (the rest are trace-driven).
 SQUARE_FRACTION = 0.5
+#: Every cell's long-lived backlogged flows, started at t=0.
+BASE_FLOWS = 2
+#: The bounded-Pareto law of every cell's churn flow sizes: the smallest and
+#: largest size (bytes) and the shape α.
+FLOW_SIZE_MIN = 20_000
+FLOW_SIZE_MAX = 2_000_000
+FLOW_SIZE_ALPHA = 1.2
 
 
 @dataclass
@@ -44,18 +51,15 @@ class MetroSpec(SweepSpec):
     ``schemes`` holds weighted mix labels (see
     :func:`repro.metro.workload.parse_mix`); ``traces`` maps cell names to
     link specs (a :class:`~repro.cellular.trace.CellularTrace`, a rate in
-    bps or a :class:`~repro.experiments.scenario_spec.LinkSpec`).  The
-    workload knobs (``base_flows``, ``arrival_rate``, the
-    bounded-Pareto size law) apply to every cell.
+    bps or a :class:`~repro.experiments.scenario_spec.LinkSpec`).  Every
+    cell runs ``BASE_FLOWS`` backlogged flows plus churn flows arriving as a
+    Poisson process of rate ``arrival_rate`` (per second, the one workload
+    option), sized by the ``FLOW_SIZE_*`` bounded-Pareto law.
     """
 
     rtt: float = 0.05
     duration: float = 8.0
-    base_flows: int = 2
     arrival_rate: float = 2.0
-    flow_size_min: int = 20_000
-    flow_size_max: int = 2_000_000
-    flow_size_alpha: float = 1.2
 
     def _validate_schemes(self) -> None:
         from repro.cc.registry import available_schemes
@@ -84,10 +88,10 @@ class MetroSpec(SweepSpec):
         arrivals = poisson_arrivals(self.arrival_rate, self.duration, cell,
                                     seed)
         sizes = bounded_pareto_sizes(len(arrivals), cell, seed,
-                                     min_bytes=self.flow_size_min,
-                                     max_bytes=self.flow_size_max,
-                                     alpha=self.flow_size_alpha)
-        base = self.base_flows
+                                     min_bytes=FLOW_SIZE_MIN,
+                                     max_bytes=FLOW_SIZE_MAX,
+                                     alpha=FLOW_SIZE_ALPHA)
+        base = BASE_FLOWS
         schemes = scheme_assignment(base + len(arrivals), parse_mix(mix),
                                     cell, seed)
         ccs = [NATIVE if scheme == "abc" else scheme for scheme in schemes]

@@ -80,10 +80,8 @@ def poisson_arrivals(rate_per_s: float, duration: float, cell: str,
     return times
 
 
-def bounded_pareto_sizes(n: int, cell: str, seed: int,
-                         min_bytes: int = 20_000,
-                         max_bytes: int = 2_000_000,
-                         alpha: float = 1.2) -> List[int]:
+def bounded_pareto_sizes(n: int, cell: str, seed: int, min_bytes: int,
+                         max_bytes: int, alpha: float) -> List[int]:
     """``n`` heavy-tailed flow sizes from a bounded Pareto(α, xm, xM)."""
     if n <= 0:
         return []

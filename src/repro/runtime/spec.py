@@ -98,7 +98,6 @@ class SweepSpec:
     rtt: float = 0.1
     duration: float = 30.0
     buffer_packets: int = 250
-    abc_params: Optional[Any] = None
     warmup: float = 0.0
 
     def validate(self) -> None:
@@ -128,9 +127,9 @@ class SweepSpec:
 
         return spec_job(single_bottleneck_spec(
             scheme, link_spec, rtt=self.rtt, duration=self.duration,
-            buffer_packets=self.buffer_packets, abc_params=self.abc_params,
-            seed=seed), "single_bottleneck",
-            f"{scheme}/{trace_name}/seed{seed}", warmup=self.warmup)
+            buffer_packets=self.buffer_packets, seed=seed),
+            "single_bottleneck", f"{scheme}/{trace_name}/seed{seed}",
+            warmup=self.warmup)
 
     def expand(self) -> Tuple[List[SweepCell], List[SweepJob]]:
         """All cells in deterministic scheme→trace→seed order.

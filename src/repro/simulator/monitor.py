@@ -117,16 +117,16 @@ class FlowStats:
         return float(np.mean(values))
 
     def throughput_timeseries(self, bin_size: float = 0.5,
-                              t0: float = 0.0,
                               t1: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Binned throughput time series ``(bin_centers, rates_bps)``."""
+        """Binned throughput time series ``(bin_centers, rates_bps)`` over
+        ``[0, t1]`` (default: to the last arrival)."""
         if not self.recv_times:
             return np.array([]), np.array([])
         if t1 is None:
             t1 = self.recv_times[-1]
-        n_bins = max(int(math.ceil((t1 - t0) / bin_size)), 1)
-        edges = t0 + np.arange(n_bins + 1) * bin_size
-        totals = _bin_totals(self.recv_times, self.sizes, t0, t1,
+        n_bins = max(int(math.ceil(t1 / bin_size)), 1)
+        edges = np.arange(n_bins + 1) * bin_size
+        totals = _bin_totals(self.recv_times, self.sizes, 0.0, t1,
                              bin_size, n_bins)
         centers = (edges[:-1] + edges[1:]) / 2.0
         return centers, totals * 8.0 / bin_size

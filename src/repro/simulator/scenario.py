@@ -329,19 +329,18 @@ class ScenarioResult:
             return 0.0
         return float(np.percentile(values, pct)) * 1000.0
 
-    def aggregate_throughput_bps(self, t0: float = 0.0,
-                                 t1: Optional[float] = None) -> float:
-        t1 = self.duration if t1 is None else t1
-        return sum(self.flow_throughput_bps(f, t0, t1) for f in self.scenario.flows)
+    def aggregate_throughput_bps(self, t0: float = 0.0) -> float:
+        """All flows' goodput over ``[t0, duration]``."""
+        return sum(self.flow_throughput_bps(f, t0, self.duration)
+                   for f in self.scenario.flows)
 
     # ------------------------------------------------------------ links
-    def link_utilization(self, link: Link, t0: float = 0.0,
-                         t1: Optional[float] = None) -> float:
-        t1 = self.duration if t1 is None else t1
-        offered = link.offered_bits(t0, t1)
+    def link_utilization(self, link: Link, t0: float = 0.0) -> float:
+        """Delivered over offered bits on ``link`` over ``[t0, duration]``."""
+        offered = link.offered_bits(t0, self.duration)
         if offered <= 0:
             return 0.0
-        delivered = link.delivered_bits(t0, t1)
+        delivered = link.delivered_bits(t0, self.duration)
         return min(max(delivered / offered, 0.0), 1.0)
 
     def link_drops(self, link: Link) -> int:

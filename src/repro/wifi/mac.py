@@ -3,13 +3,15 @@
 The model captures exactly the features of the WiFi MAC that the paper's link
 rate estimator depends on (§4.1):
 
-* frames are transmitted in A-MPDU batches of at most ``max_batch_frames``
-  frames; a new batch starts only after the previous batch's block ACK;
+* frames are transmitted in A-MPDU batches of at most ``MAX_BATCH_FRAMES``
+  (the estimator's ``M``) MTU-sized frames; a new batch starts only after
+  the previous batch's block ACK;
 * when the queue holds fewer than a full batch, a smaller batch is sent —
   which is why naive utilisation-based capacity estimates fail;
 * every batch pays a size-independent overhead ``h(t)`` (channel contention,
-  preamble, block-ACK reception) drawn from a configurable random range,
-  which produces the vertical spread seen in Fig. 4;
+  preamble, block-ACK reception) drawn uniformly from
+  ``[OVERHEAD_MIN, OVERHEAD_MAX]`` by the link's seeded generator, which
+  produces the vertical spread seen in Fig. 4;
 * the PHY bitrate ``R`` follows an :class:`~repro.wifi.mcs.MCSSchedule`
   (fixed, alternating or Brownian).
 
@@ -25,7 +27,6 @@ instead of posting a zero-delay event per frame (results bit-identical).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.simulator.engine import EventLoop
@@ -33,55 +34,36 @@ from repro.simulator.link import Link
 from repro.simulator.packet import MTU, Packet
 from repro.simulator.qdisc import Qdisc
 from repro.wifi.mcs import FixedMCSSchedule, MCSSchedule
-from repro.wifi.rate_estimator import BatchObservation, WiFiRateEstimator
+from repro.wifi.rate_estimator import (MAX_BATCH_FRAMES, BatchObservation,
+                                       WiFiRateEstimator)
+
+#: Bounds (s) of the per-batch overhead ``h(t)``: 0.8–2.5 ms reproduce the
+#: spread of inter-ACK times shown in Fig. 4, where full batches of ~20
+#: frames take 6–14 ms.
+OVERHEAD_MIN = 0.0008
+OVERHEAD_MAX = 0.0025
 
 
-@dataclass
-class WiFiMacConfig:
-    """Parameters of the 802.11n MAC model.
-
-    ``overhead_min``/``overhead_max`` bound the per-batch overhead ``h(t)``;
-    the defaults (0.8–2.5 ms) reproduce the spread of inter-ACK times shown in
-    Fig. 4, where full batches of ~20 frames take 6–14 ms.
-    """
-
-    max_batch_frames: int = 32
-    frame_size_bytes: int = MTU
-    overhead_min: float = 0.0008
-    overhead_max: float = 0.0025
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_batch_frames <= 0:
-            raise ValueError("max_batch_frames must be positive")
-        if self.frame_size_bytes <= 0:
-            raise ValueError("frame_size_bytes must be positive")
-        if not 0 <= self.overhead_min <= self.overhead_max:
-            raise ValueError("need 0 <= overhead_min <= overhead_max")
-
-    @property
-    def mean_overhead(self) -> float:
-        return (self.overhead_min + self.overhead_max) / 2.0
-
-    def capacity_bps(self, bitrate: float) -> float:
-        """Backlogged-link capacity at PHY ``bitrate``: a full batch of M
-        frames takes ``M·S/R + E[h]`` seconds."""
-        m = self.max_batch_frames
-        frame_bits = self.frame_size_bytes * 8.0
-        return m * frame_bits / (m * frame_bits / bitrate + self.mean_overhead)
+def backlogged_capacity_bps(bitrate: float) -> float:
+    """Backlogged-link capacity at PHY ``bitrate``: a full batch of M
+    MTU-sized frames takes ``M·S/R + E[h]`` seconds."""
+    m = MAX_BATCH_FRAMES
+    frame_bits = MTU * 8.0
+    return m * frame_bits / (m * frame_bits / bitrate
+                             + (OVERHEAD_MIN + OVERHEAD_MAX) / 2.0)
 
 
 class WiFiLink(Link):
-    """A WiFi hop that transmits queued packets in A-MPDU batches."""
+    """A WiFi hop that transmits queued packets in A-MPDU batches; ``seed``
+    seeds its per-batch overhead draws."""
 
     def __init__(self, env: EventLoop, mcs: Optional[MCSSchedule] = None,
-                 config: Optional[WiFiMacConfig] = None,
-                 qdisc: Optional[Qdisc] = None, name: str = "wifi",
+                 seed: int = 0, qdisc: Optional[Qdisc] = None,
+                 name: str = "wifi",
                  estimator: Optional[WiFiRateEstimator] = None):
         super().__init__(env, qdisc=qdisc, name=name)
         self.mcs = mcs if mcs is not None else FixedMCSSchedule(7)
-        self.config = config if config is not None else WiFiMacConfig()
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(seed)
         self.estimator = estimator
         self._last_ack_time: Optional[float] = None
         self.batches_sent = 0
@@ -91,19 +73,13 @@ class WiFiLink(Link):
     def _on_enqueue(self, now: float) -> None:
         self._start_batch()
 
-    def _draw_overhead(self) -> float:
-        lo, hi = self.config.overhead_min, self.config.overhead_max
-        if hi <= lo:
-            return lo
-        return self._rng.uniform(lo, hi)
-
     def _start_batch(self) -> None:
         now = self.env._now
         qdisc = self.qdisc
         batch: list[Packet] = []
         payload = 0
         if qdisc.backlog_packets:
-            for _ in range(self.config.max_batch_frames):
+            for _ in range(MAX_BATCH_FRAMES):
                 packet = qdisc.dequeue(now)
                 if packet is None:
                     break
@@ -113,7 +89,8 @@ class WiFiLink(Link):
         if not batch:
             return
         bitrate = self.mcs.rate_at(now)
-        tx_time = payload * 8.0 / bitrate + self._draw_overhead()
+        tx_time = payload * 8.0 / bitrate + self._rng.uniform(OVERHEAD_MIN,
+                                                              OVERHEAD_MAX)
         self.env.post(tx_time, self._finish_batch, batch, now, bitrate, tx_time)
 
     def _finish_batch(self, batch: list[Packet], start_time: float,
@@ -129,11 +106,10 @@ class WiFiLink(Link):
             inter_ack = tx_time
         self._last_ack_time = now
 
-        frame_bits = self.config.frame_size_bytes * 8.0
         observation = BatchObservation(
             time=now,
             batch_frames=len(batch),
-            frame_bits=frame_bits,
+            frame_bits=MTU * 8.0,
             inter_ack_time=inter_ack,
             bitrate_bps=bitrate,
         )
@@ -160,7 +136,7 @@ class WiFiLink(Link):
     def true_capacity_bps(self, now: float) -> float:
         """Backlogged-link capacity given the current MCS and mean overhead:
         the ground truth the estimator is evaluated against in Fig. 5."""
-        return self.config.capacity_bps(self.mcs.rate_at(now))
+        return backlogged_capacity_bps(self.mcs.rate_at(now))
 
     def capacity_bps(self, now: float) -> float:
         """Capacity exposed to router qdiscs.

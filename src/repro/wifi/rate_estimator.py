@@ -31,6 +31,9 @@ from typing import Deque
 
 from repro.simulator.estimators import WindowedRateEstimator
 
+#: The batch size ``M`` (frames) of Eqs. 6–8: an A-MPDU carries at most this
+#: many frames, and a partial batch is extrapolated to this many.
+MAX_BATCH_FRAMES = 32
 #: The estimate is capped at this multiple of the rate actually delivered.
 CAP_FACTOR = 2.0
 
@@ -49,12 +52,9 @@ class BatchObservation:
 class WiFiRateEstimator:
     """Implements the estimator of Eqs. (5)–(8)."""
 
-    def __init__(self, max_batch_frames: int = 32, window: float = 0.04):
-        if max_batch_frames <= 0:
-            raise ValueError("max_batch_frames must be positive")
+    def __init__(self, window: float = 0.04):
         if window <= 0:
             raise ValueError("window must be positive")
-        self.max_batch_frames = max_batch_frames
         self.window = window
         self._times: Deque[float] = deque()
         self._values: Deque[float] = deque()
@@ -65,42 +65,42 @@ class WiFiRateEstimator:
         """Process one block-ACK and return the raw µ̂ sample (bps)."""
         if obs.batch_frames <= 0 or obs.inter_ack_time <= 0 or obs.bitrate_bps <= 0:
             raise ValueError("batch observation fields must be positive")
-        m = self.max_batch_frames
+        m = MAX_BATCH_FRAMES
         b = min(obs.batch_frames, m)
         # Eq. 8: extrapolate the inter-ACK time to a full batch.
         tia_full = obs.inter_ack_time + (m - b) * obs.frame_bits / obs.bitrate_bps
         # Eq. 6: full-batch capacity estimate.
         mu_hat = m * obs.frame_bits / tia_full
-        self._times.append(obs.time)
-        self._values.append(mu_hat)
-        self._expire(obs.time)
+        times, values = self._times, self._values
+        times.append(obs.time)
+        values.append(mu_hat)
+        # Age out the samples older than the window (never this one), so an
+        # estimator nothing reads stays one window long.
+        cutoff = obs.time - self.window
+        while times[0] < cutoff:
+            times.popleft()
+            values.popleft()
         # Track the actually delivered bits for the rate-doubling cap.
         self._dequeue_rate.add(obs.time, int(b * obs.frame_bits / 8))
         return mu_hat
 
-    def observed_dequeue_rate(self, now: float) -> float:
-        """Rate actually delivered over the sliding window (bps)."""
-        return self._dequeue_rate.rate_bps(now)
-
     # ------------------------------------------------------------ outputs
-    def _expire(self, now: float) -> None:
+    def estimate_bps(self, now: float, apply_cap: bool = True) -> float:
+        """Smoothed (and optionally capped) link-capacity estimate µ̂(t)
+        over the samples of the trailing ``window``; the ABC router's
+        ``capacity_fn`` on a Wi-Fi link.  The cap reads the rate delivered
+        over the same window."""
         cutoff = now - self.window
-        times = self._times
+        times, values = self._times, self._values
         while times and times[0] < cutoff:
             times.popleft()
-            self._values.popleft()
-
-    def estimate_bps(self, now: float, apply_cap: bool = True) -> float:
-        """Smoothed (and optionally capped) link-capacity estimate µ̂(t);
-        the ABC router's ``capacity_fn`` on a Wi-Fi link."""
-        self._expire(now)
-        values = self._values
+            values.popleft()
         if not values:
             return 0.0
         average = sum(values) / len(values)
         if not apply_cap:
             return average
-        observed = self.observed_dequeue_rate(now)
+        observed = self._dequeue_rate.rate_bps(now)
         if observed <= 0:
             return average
         return min(average, CAP_FACTOR * observed)

@@ -41,7 +41,7 @@ def test_trace_rate_in_window():
 
 def test_trace_rate_timeseries_shape():
     trace = CellularTrace([i * 0.01 for i in range(100)])
-    times, rates = trace.rate_timeseries(bin_size=0.1)
+    times, rates = trace.rate_timeseries()
     assert len(times) == len(rates)
     assert np.all(rates >= 0)
 
@@ -163,7 +163,7 @@ def test_synthetic_trace_mean_rate_near_config():
 def test_synthetic_trace_has_large_dynamic_range():
     """§2: capacity can double and halve within a second."""
     trace = lte_showcase_trace(duration=30.0, seed=7)
-    _, rates = trace.rate_timeseries(bin_size=0.5)
+    _, rates = trace.rate_timeseries()
     positive = rates[rates > 0]
     assert positive.max() / max(positive.min(), 1e5) > 4.0
 

@@ -12,6 +12,7 @@ import collections
 import functools
 import re
 import sys
+import textwrap
 import tokenize
 from pathlib import Path
 from pkgutil import resolve_name
@@ -108,7 +109,7 @@ def test_speed_figures_name_a_ledger_workload():
 #: Total lines of ``src/**/*.py`` at the last PR that moved it.  The north
 #: star says this number goes down: lower it when a PR shrinks ``src/``;
 #: raising it is an edit a reviewer sees and a PR has to argue for.
-SRC_LINE_CEILING = 12_609
+SRC_LINE_CEILING = 12_595
 
 
 def test_every_ci_job_gates():
@@ -409,11 +410,11 @@ def test_dead_surface_allowlist_has_no_stale_entries():
     assert DEAD_SURFACE_ALLOWLIST <= defined
 
 
-#: Defaulted parameters in ``src/repro/`` that no call in ``src/``,
-#: ``tools/``, ``benchmarks/`` or ``examples/`` passes, kept on purpose, each
-#: with the caller that needs it.  Anything else the scan below finds is a
-#: value only tests change: make it the constant it always is (or, for a
-#: switch, delete it and the code it keeps).
+#: Defaulted parameters and dataclass fields in ``src/repro/`` that no call
+#: in ``src/``, ``tools/``, ``benchmarks/`` or ``examples/`` sets, kept on
+#: purpose, each with the caller that needs it.  Anything else the scan below
+#: finds is a value only tests change: make it the constant it always is (or,
+#: for a switch, delete it and the code it keeps).
 UNSET_SWITCH_ALLOWLIST: dict = {
     # A wifi LinkSpec's ``["brownian", 3, 7, 2.0]`` reaches them positionally
     # through ``schedules[schedule](*args)`` in scenario_spec._add_link.
@@ -424,6 +425,14 @@ UNSET_SWITCH_ALLOWLIST: dict = {
     # (test_stability.py, test_property_based.py) sweep it.
     "FluidModel.simulate(step)": "tests/test_property_based.py",
 }
+
+
+def _caller_trees() -> dict:
+    """``{path: tree}`` of every file whose calls may set a switch, keyed by
+    the path from the repo root; the switches are those under ``src/``."""
+    return {path.relative_to(REPO_ROOT): ast.parse(path.read_text())
+            for top in ("src", "tools", "benchmarks", "examples")
+            for path in (REPO_ROOT / top).rglob("*.py")}
 
 
 def _functions(tree: ast.Module):
@@ -443,147 +452,371 @@ def _functions(tree: ast.Module):
                 yield node, owner, f"{owner.name}.{node.name}", node.name
 
 
-def _switches(tree: ast.Module):
-    """``(key, callee, parameter, position, line)`` for every parameter of a
-    function or method that has a default (a ``bool``, a number, a tuple, a
-    module constant such as ``MTU``, ...).  ``callee`` is the name a call
-    spells (the class for ``__init__``); ``position`` is the parameter's
-    index among a call's positional arguments (``None`` when
-    keyword-only)."""
-    for node, owner, key, callee in _functions(tree):
-        bound = owner is not None and not any(
-            _dotted(d) == "staticmethod" for d in node.decorator_list)
-        arguments = node.args
-        positional = arguments.posonlyargs + arguments.args
-        defaults = ([None] * (len(positional) - len(arguments.defaults))
-                    + arguments.defaults)
-        params = [(arg, default, index - bound) for index, (arg, default)
-                  in enumerate(zip(positional, defaults))]
-        params += [(arg, default, None) for arg, default
-                   in zip(arguments.kwonlyargs, arguments.kw_defaults)]
-        for arg, default, position in params:
-            if default is not None:
-                yield (f"{key}({arg.arg})", callee, arg.arg, position,
-                       node.lineno)
+def _positional(function, owner) -> list:
+    """The parameters a call's positional arguments fill, in order."""
+    arguments = function.args
+    bound = owner is not None and not any(
+        _dotted(d) == "staticmethod" for d in function.decorator_list)
+    return (arguments.posonlyargs + arguments.args)[bound:]
 
 
-def _passed_through(tree: ast.Module) -> dict:
-    """The keywords ``name=name`` that hand on the enclosing function's own
-    parameter ``name``, as ``id`` -> that parameter's switch key: such a
-    call passes a value only when its caller was passed one."""
-    through = {}
-    for function, _, key, _ in _functions(tree):
-        arguments = function.args
-        params = {arg.arg for arg in (arguments.posonlyargs + arguments.args
-                                      + arguments.kwonlyargs)}
-        through.update({id(kw): f"{key}({kw.arg})"
-                        for node in ast.walk(function)
-                        if isinstance(node, ast.Call) for kw in node.keywords
-                        if kw.arg in params and isinstance(kw.value, ast.Name)
-                        and kw.value.id == kw.arg})
-    return through
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        _dotted(getattr(decorator, "func", decorator)).endswith("dataclass")
+        for decorator in node.decorator_list)
 
 
-def _calls(tree: ast.Module, bases: dict):
-    """``(call, callees)`` for every call in ``tree``.  ``callees`` are the
-    names whose parameters the call can set: the function or method name it
-    spells, plus the ancestors of a class it constructs; ``super()`` calls
-    name the enclosing class's ancestors.  ``None`` when the callee is no
-    name (``resolve_name(target)(...)``), or ``dict``, whose keywords are
-    spread into some ``**`` call: either may reach anything."""
-    def ancestors(name):
-        found, todo = set(), list(bases.get(name, ()))
+def _fields(node: ast.ClassDef) -> list:
+    """``(name, defaulted, line)`` for each constructor field a
+    ``@dataclass`` declares, in order: an annotated name that is no
+    ``ClassVar`` and no ``field(init=False)``.  A field is defaulted unless
+    it has no default or starts as an empty container
+    (``field(default_factory=list)``), a slot the record's writers fill."""
+    found = []
+    for stmt in node.body:
+        if (not isinstance(stmt, ast.AnnAssign)
+                or "ClassVar" in ast.unparse(stmt.annotation)):
+            continue
+        value = stmt.value
+        options = ({kw.arg: kw.value for kw in value.keywords}
+                   if isinstance(value, ast.Call)
+                   and _dotted(value.func).endswith("field") else None)
+        if getattr((options or {}).get("init"), "value", True) is False:
+            continue
+        defaulted = value is not None and (options is None or (
+            "default" in options or ("default_factory" in options and _dotted(
+                options["default_factory"]) not in ("list", "dict", "set"))))
+        found.append((stmt.target.id, defaulted, stmt.lineno))
+    return found
+
+
+def _enclosing_classes(tree: ast.Module) -> dict:
+    """``id(node)`` -> the name of the innermost class around it."""
+    enclosing = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            enclosing.update((id(node), cls.name) for node in ast.walk(cls))
+    return enclosing
+
+
+def _named(node):
+    """The name a callable expression spells (``f``, ``mod.f`` and
+    ``"repro.mod:f"`` spell ``f``), or ``None``."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return _dotted(node).rpartition(".")[2]
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _TARGET.fullmatch(node.value)):
+        return node.value.rpartition(":")[2]
+    return None
+
+
+class _Index:
+    """What the scan knows of all caller trees: each class's bases, each
+    dataclass's constructor fields (inherited ones first), each callee's
+    positional parameters, and the module-level dict literals whose values
+    all name callables (``SUMMARIES``, ``_REGISTRY``), so that a call of
+    ``TABLE[key]`` reaches the callable its key names."""
+
+    def __init__(self, trees: dict):
+        nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+        classes = {node.name: node for node in nodes
+                   if isinstance(node, ast.ClassDef)}
+        self.bases = {name: [_dotted(base).rpartition(".")[2]
+                             for base in node.bases]
+                      for name, node in classes.items()}
+        self.fields = {name: self._inherited(name, classes)
+                       for name, node in classes.items()
+                       if _is_dataclass(node)}
+        self.signatures = {name: [field for field, _, _ in fields]
+                           for name, fields in self.fields.items()}
+        for tree in trees.values():
+            for function, owner, _, callee in _functions(tree):
+                self.signatures.setdefault(callee, [
+                    arg.arg for arg in _positional(function, owner)])
+        self.tables = {}
+        for node in (node for tree in trees.values() for node in tree.body):
+            value = getattr(node, "value", None)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                    value, ast.Dict) and value.keys:
+                table = {getattr(key, "value", None): _named(entry)
+                         for key, entry in zip(value.keys, value.values)}
+                if None not in table.values():
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    self.tables.update((target.id, table) for target in targets
+                                       if isinstance(target, ast.Name))
+
+    def _inherited(self, name, classes) -> list:
+        node = classes.get(name)
+        if not _is_dataclass(node):
+            return []
+        return [field for base in self.bases[name]
+                for field in self._inherited(base, classes)] + _fields(node)
+
+    def ancestors(self, name) -> set:
+        found, todo = set(), list(self.bases.get(name, ()))
         while todo:
             base = todo.pop()
             if base not in found:
                 found.add(base)
-                todo += bases.get(base, ())
+                todo += self.bases.get(base, ())
         return found
 
-    enclosing = {id(node): cls.name for cls in ast.walk(tree)
-                 if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+    def targets(self, node, keys=None):
+        """The callees a call of ``node`` can set: the name it spells plus,
+        for a class, its ancestors; for ``TABLE[key]`` (or
+        ``resolve_name(TABLE[key])``) the callable a constant key names, or
+        one ``keys`` binds the parameter ``key`` to, else every callable of
+        the table; ``None`` when unknown."""
+        if _named(getattr(node, "func", None)) == "resolve_name" and node.args:
+            node = node.args[0]
+            if not isinstance(node, (ast.Subscript, ast.Constant)):
+                return None
+        if not isinstance(node, ast.Subscript):
+            name = _named(node)
+            return None if name is None else {name} | self.ancestors(name)
+        table = self.tables.get(_dotted(node.value))
+        if table is None:
+            return None
+        key = getattr(node.slice, "value",
+                      (keys or {}).get(_dotted(node.slice)))
+        names = [table[key]] if key in table else table.values()
+        return set().union(*({name} | self.ancestors(name) for name in names))
+
+
+class _Site(collections.namedtuple(
+        "_Site", "scopes callees args keywords func")):
+    """One call: the enclosing functions' ``(key, callee, parameters,
+    **-name)``, innermost last; the callees ``_Index.targets`` finds;
+    positional ``args``; ``keywords`` as ``(name or None for a ** spread,
+    value)``; and the called expression, which a ``TABLE[key]`` call
+    resolves again once its key is known (``None`` for a dict)."""
+
+    def handed_on(self, name):
+        """The enclosing function whose own parameter ``name`` is."""
+        return next((scope for scope in reversed(self.scopes)
+                     if name in scope[2]), None)
+
+    def keys(self, index: _Index, outer: dict) -> dict:
+        """The string constants this call passes its callee's parameters:
+        literal ones, and those of the caller's own parameters that
+        ``outer`` binds."""
+        callees = self.callees or ()
+        signature = (index.signatures.get(next(iter(callees)), [])
+                     if len(callees) == 1 else [])
+        passed = list(zip(signature, self.args)) + self.keywords
+        found = {name: value.value for name, value in passed
+                 if isinstance(value, ast.Constant)
+                 and isinstance(value.value, str)}
+        found.update((name, outer[value.id]) for name, value in passed
+                     if isinstance(value, ast.Name) and value.id in outer)
+        return found
+
+
+def _switches(tree: ast.Module, index: _Index):
+    """``(key, callee, parameter, position, line, is_field)`` for every
+    defaulted parameter of a function or method (a ``bool``, a number, a
+    tuple, a module constant such as ``MTU``, ...) and every defaulted field
+    of a ``@dataclass``.  ``callee`` is the name a call spells (the class for
+    ``__init__`` and a dataclass); ``position`` is the index among a call's
+    positional arguments (``None`` when keyword-only)."""
+    for node, owner, key, callee in _functions(tree):
+        arguments = node.args
+        positional = arguments.posonlyargs + arguments.args
+        defaults = dict(zip(positional[::-1], arguments.defaults[::-1]))
+        defaults.update(zip(arguments.kwonlyargs, arguments.kw_defaults))
+        order = _positional(node, owner)
+        for arg, default in defaults.items():
+            if default is not None:
+                position = order.index(arg) if arg in order else None
+                yield (f"{key}({arg.arg})", callee, arg.arg, position,
+                       node.lineno, False)
     for node in ast.walk(tree):
+        if _is_dataclass(node):
+            fields = index.fields[node.name]
+            own = len(fields) - len(_fields(node))
+            for position, (name, defaulted, line) in enumerate(fields):
+                if defaulted and position >= own:
+                    yield (f"{node.name}({name})", node.name, name, position,
+                           line, True)
+
+
+def _calls(tree: ast.Module, index: _Index):
+    """Every call in ``tree`` as a ``_Site``.  ``super()`` names the
+    enclosing class's ancestors and ``cls`` the class; ``partial(f, ...)``
+    calls ``f``; ``dataclasses.replace`` sets fields of the class of
+    ``self``, else of every dataclass.  ``dict(...)`` and dict literals are
+    calls of no known callee, since their keys are spread into some ``**``
+    call later, unless a call hands them over together with a function
+    (``SweepJob(func=spec_cell, kwargs=dict(...))``): then they call it."""
+    enclosing, scopes = _enclosing_classes(tree), collections.defaultdict(list)
+    for function, _, key, callee in _functions(tree):
+        kwarg = function.args.kwarg
+        here = (key, callee, set(_parameters(function)), kwarg and kwarg.arg)
+        for node in ast.walk(function):
+            scopes[id(node)].append(here)
+
+    def bundle(node):
+        """``dict(...)`` and ``{...}`` as ``(args, keywords)``, or ``None``."""
+        if isinstance(node, ast.Dict):
+            return [], [(getattr(key, "value", None), value)
+                        for key, value in zip(node.keys, node.values)
+                        if key is None
+                        or isinstance(getattr(key, "value", None), str)]
+        if isinstance(node, ast.Call) and _named(node.func) == "dict":
+            return node.args, [(kw.arg, kw.value) for kw in node.keywords]
+        return None
+
+    handed = set()
+    for node in ast.walk(tree):          # breadth first: a call before its
+        if id(node) in handed:           # arguments
+            continue
+        where = scopes[id(node)]
+        if bundle(node) is not None:
+            yield _Site(where, None, *bundle(node), None)
+            continue
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
+        func, args = node.func, node.args
+        name = _named(func)
+        cls = enclosing.get(id(node))
         if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Call)
                 and _dotted(func.value.func) == "super"):
-            inherited = ancestors(enclosing.get(id(node)))
-            yield node, inherited if func.attr == "__init__" else {func.attr}
-        elif isinstance(func, ast.Name) and func.id == "dict":
-            yield node, None             # spread into a ``**`` call later
-        elif isinstance(func, (ast.Name, ast.Attribute)):
-            name = _dotted(func).rpartition(".")[2]
-            yield node, {name} | ancestors(name)
+            callees = (index.ancestors(cls) if func.attr == "__init__"
+                       else {func.attr})
+        elif name == "partial" and args:
+            func, args = args[0], args[1:]
+            callees = index.targets(func)
+        elif name == "replace" and args:
+            callees = ({cls} | index.ancestors(cls)
+                       if _dotted(args[0]) == "self" and cls
+                       else set(index.fields))
+            args = []
+        elif name == "cls" and cls:
+            callees = {cls} | index.ancestors(cls)
         else:
-            yield node, None
+            callees = index.targets(func)
+        keywords = [(kw.arg, kw.value) for kw in node.keywords]
+        yield _Site(where, callees, args, keywords, func)
+        values = node.args + [value for _, value in keywords]
+        functions = [value for value in values
+                     if isinstance(value, (ast.Name, ast.Attribute))
+                     and _named(value) in index.signatures]
+        for value in values:
+            if functions and bundle(value) is not None:
+                handed.add(id(value))
+                yield _Site(where, set().union(*map(index.targets, functions)),
+                            *bundle(value), None)
 
 
-@functools.cache
-def _unset_switches() -> dict:
-    """Defaulted parameters no non-test call passes.  A call passes a
-    parameter by keyword, or at its position, to the callees ``_calls``
-    finds.  A class's ``__init__`` parameters match only calls that name the
-    class (or a subclass); functions and methods match by name, as above.
-    A call to no name, and a string key of a dict literal (such dicts are
-    spread into ``**`` calls), pass their keywords to every callee.
-    ``name=name`` handing on the caller's own parameter passes when that
-    parameter is passed (or has no default)."""
-    trees = [ast.parse(path.read_text())
-             for top in ("src", "tools", "benchmarks", "examples")
-             for path in (REPO_ROOT / top).rglob("*.py")]
-    bases = {node.name: [_dotted(base).rpartition(".")[2]
-                         for base in node.bases]
-             for tree in trees for node in ast.walk(tree)
-             if isinstance(node, ast.ClassDef)}
-    by_class, by_name, anywhere = set(), set(), set()
+def _unset_switches(trees: dict) -> dict:
+    """Defaulted parameters and dataclass fields of the ``src/`` files in
+    ``trees`` (``{path: ast.Module}``) that no call in ``trees`` sets.
+
+    A call sets a parameter of the callees ``_calls`` finds by keyword or at
+    its position: keywords match by callee, never by bare name.  A call of
+    no known callee sets its keywords everywhere.  Keywords a function takes
+    into its own ``**kwargs`` reach the calls it spreads them into, hop by
+    hop, and a string constant it was passed picks the callable of a
+    ``TABLE[key]`` call (``spec_job(spec, "fairness", ...)`` reaches only
+    ``fairness_summary``).  A ``**`` spread of any other mapping sets every
+    parameter of a known callee (its keys are data), and a ``*`` spread
+    every position.  ``name=name`` handing on the caller's own parameter
+    sets the callee's only once that parameter is set (or has no default).
+    A dataclass field is also set by an assignment to an attribute of its
+    name (``self.name`` only in its class), or by ``setattr`` with a string
+    or f-string naming it, as a result record's fields are."""
+    index = _Index(trees)
+    sites = [site for tree in trees.values() for site in _calls(tree, index)]
+    forwards = collections.defaultdict(list)
+    for site in sites:
+        spreads = {_dotted(value) for name, value in site.keywords
+                   if name is None}
+        for _, callee, params, kwarg in site.scopes:
+            if kwarg in spreads:
+                forwards[callee].append((params, site))
+    by_callee, anywhere = set(), set()
     positional = collections.Counter()
     handed_on = []
 
-    def passes(callees, names):
+    def passes(callees, names, keys, seen=frozenset()):
         if callees is None:
             anywhere.update(names)
             return
-        by_name.update(names)
-        by_class.update((callee, name) for callee in callees
-                        if callee in bases for name in names)
+        by_callee.update((callee, name) for callee in callees
+                         for name in names)
+        for callee in callees - seen:
+            for params, site in forwards[callee]:
+                if names - params:
+                    passes(index.targets(site.func, keys)
+                           if keys and isinstance(site.func, (
+                               ast.Subscript, ast.Call)) else site.callees,
+                           names - params, site.keys(index, keys),
+                           seen | callees)
 
-    for tree in trees:
-        through = _passed_through(tree)
-        for node, callees in _calls(tree, bases):
-            passes(callees, {kw.arg for kw in node.keywords
-                             if id(kw) not in through})
-            handed_on += [(through[id(kw)], callees, kw.arg)
-                          for kw in node.keywords if id(kw) in through]
-            for callee in callees or ():
-                positional[callee] = max(positional[callee], len(node.args))
-        anywhere |= {key.value for node in ast.walk(tree)
-                     if isinstance(node, ast.Dict) for key in node.keys
-                     if isinstance(key, ast.Constant)}
-    switches = [(path, switch) for path, tree in _src_trees()
-                for switch in _switches(tree)]
+    for site in sites:
+        names = set()
+        for name, value in site.keywords:
+            scope = site.handed_on(name) if _dotted(value) == name else None
+            if scope:
+                handed_on.append((f"{scope[0]}({name})", site, name))
+            elif name is not None:
+                names.add(name)
+            elif site.callees and all(
+                    scope[3] != _dotted(value) for scope in site.scopes):
+                names.add("*")          # data: every parameter
+        passes(site.callees, names, site.keys(index, {}))
+        spread = any(isinstance(arg, ast.Starred) for arg in site.args)
+        for callee in site.callees or ():
+            positional[callee] = max(positional[callee], float("inf")
+                                     if spread else len(site.args))
+    assigned, patterns = set(), []
+    for tree in trees.values():
+        enclosing = _enclosing_classes(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Store):
+                cls = (enclosing.get(id(node))
+                       if _dotted(node.value) == "self" else None)
+                assigned.update((owner, node.attr) for owner in (
+                    {cls} | index.ancestors(cls) if cls else {None}))
+            elif (_named(getattr(node, "func", None)) == "setattr"
+                  and len(node.args) > 1 and isinstance(
+                      node.args[1], (ast.Constant, ast.JoinedStr))):
+                parts = getattr(node.args[1], "values", [node.args[1]])
+                patterns.append(re.compile("".join(
+                    re.escape(part.value) if isinstance(part, ast.Constant)
+                    else r"\w+" for part in parts)))
+    switches = [(path, switch) for path, tree in trees.items()
+                if path.parts[0] == "src" for switch in _switches(tree, index)]
     while True:
         unset = {}
-        for path, (key, callee, param, position, line) in switches:
-            by_keyword = param in anywhere or (
-                (callee, param) in by_class if callee in bases
-                else param in by_name)
-            if not by_keyword and (position is None
-                                   or positional[callee] <= position):
-                unset[key] = f"src/repro/{path.as_posix()}:{line}"
+        for path, (key, callee, param, position, line, is_field) in switches:
+            if not (param in anywhere or (callee, param) in by_callee
+                    or (callee, "*") in by_callee
+                    or (position is not None and positional[callee] > position)
+                    or is_field and (
+                        {(None, param), (callee, param)} & assigned
+                        or any(p.fullmatch(param) for p in patterns))):
+                unset[key] = f"{path.as_posix()}:{line}"
         released = [entry for entry in handed_on if entry[0] not in unset]
         if not released:
             return unset
         handed_on = [entry for entry in handed_on if entry[0] in unset]
-        for _, callees, name in released:
-            passes(callees, {name})
+        for _, site, name in released:
+            passes(site.callees, {name}, site.keys(index, {}))
+
+
+@functools.cache
+def _repo_unset_switches() -> dict:
+    return _unset_switches(_caller_trees())
 
 
 def test_no_unset_switch_in_src():
     """An option needs a non-test caller that wants a value other than its
     default; a switch only tests set keeps a second behaviour alive for
     nothing the repo runs, and a number only tests vary is a constant."""
-    unset = {key: where for key, where in _unset_switches().items()
+    unset = {key: where for key, where in _repo_unset_switches().items()
              if key not in UNSET_SWITCH_ALLOWLIST}
     assert not unset, ("defaulted parameters no call outside tests/ sets — "
                        "make them constants (delete a switch with the code "
@@ -594,7 +827,82 @@ def test_no_unset_switch_in_src():
 
 
 def test_unset_switch_allowlist_has_no_stale_entries():
-    assert set(UNSET_SWITCH_ALLOWLIST) <= set(_unset_switches())
+    assert set(UNSET_SWITCH_ALLOWLIST) <= set(_repo_unset_switches())
+
+
+def _scan(source: str) -> set:
+    """The unset switches of one synthetic ``src/`` module."""
+    return set(_unset_switches(
+        {Path("src/m.py"): ast.parse(textwrap.dedent(source))}))
+
+
+def test_switch_scan_matches_keywords_by_callee():
+    assert _scan("""
+        def f(rtt=0.1): ...
+        def g(rtt=0.1): ...
+        f(rtt=0.2)
+        """) == {"g(rtt)"}
+
+
+def test_switch_scan_follows_kwargs_hand_ons():
+    assert _scan("""
+        class Spec:
+            def __init__(self, rate=1.0, size=2): ...
+        def pack(count=1, **kwargs):
+            return Spec(**kwargs)
+        pack(count=2, rate=3.0)
+        """) == {"Spec(size)"}
+    # Through a deferred job and a table of "module:function" targets.
+    assert _scan("""
+        SUMMARIES = {"a": "repro.m:summary_a", "b": "repro.m:summary_b"}
+        def summary_a(built, t0=0.0, step=1): ...
+        def summary_b(built, t0=0.0): ...
+        def cell(summary, **args):
+            return resolve_name(SUMMARIES[summary])(None, **args)
+        def job(summary, **args):
+            return Job(func=cell, kwargs=dict(summary=summary, **args))
+        job("a", t0=1.0)
+        """) == {"summary_a(step)", "summary_b(t0)"}
+
+
+def test_switch_scan_lets_a_mapping_spread_reach_every_field():
+    assert _scan("""
+        @dataclass
+        class Params:
+            eta: float = 0.9
+            delta: float = 0.1
+        @dataclass
+        class Other:
+            eta: float = 0.9
+        def load(data):
+            return Params(**data)
+        """) == {"Other(eta)"}
+
+
+def test_switch_scan_skips_fields_assigned_after_construction():
+    assert _scan("""
+        @dataclass
+        class Stats:
+            runs: int
+            hits: int = 0
+            misses: int = 0
+        def run():
+            stats = Stats(1)
+            stats.hits += 1
+            return stats
+        """) == {"Stats(misses)"}
+
+
+def test_switch_scan_releases_a_hand_on_only_when_passed():
+    assert _scan("""
+        def inner(rtt=0.1): ...
+        def outer(rtt=0.1):
+            return inner(rtt=rtt)
+        def leaf(bin_size=0.1): ...
+        def entry(bin_size=0.5):
+            return leaf(bin_size=bin_size)
+        entry(bin_size=1.0)
+        """) == {"outer(rtt)", "inner(rtt)"}
 
 
 #: ``# Qdisc._push, inlined`` or ``# abc_paper.target_rate (Eq. 1), inlined``:

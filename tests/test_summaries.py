@@ -44,7 +44,7 @@ SUMMARY_CELLS = {
         scheme="abc", duration=1.5, links=[LinkSpec("constant",
                                                     {"rate_bps": 12e6})],
         flows=[FlowSpec(rtt=0.05), FlowSpec(rtt=0.05, start_time=0.5)]),
-        {"t0": 0.5, "bin_size": 0.25}),
+        {"t0": 0.5}),
     "rate_prediction": (lambda: rate_prediction_spec(
         5, 0.6, duration=1.0, seed=1), {}),
     "wifi": (lambda: wifi_case_spec(

@@ -6,10 +6,12 @@ import pytest
 from repro.simulator.engine import EventLoop
 from repro.simulator.packet import MTU, Packet
 from repro.simulator.qdisc import FifoQdisc
-from repro.wifi.mac import WiFiLink, WiFiMacConfig
+from repro.wifi import mac
+from repro.wifi.mac import WiFiLink
 from repro.wifi.mcs import (AlternatingMCSSchedule, BrownianMCSSchedule,
                             FixedMCSSchedule, MCS_RATES_BPS, mcs_rate_bps)
-from repro.wifi.rate_estimator import BatchObservation, WiFiRateEstimator
+from repro.wifi.rate_estimator import (MAX_BATCH_FRAMES, BatchObservation,
+                                       WiFiRateEstimator)
 
 
 class Collector:
@@ -54,13 +56,6 @@ def test_brownian_schedule_bounded_and_deterministic():
 
 
 # ------------------------------------------------------------ MAC model
-def test_mac_config_validation():
-    with pytest.raises(ValueError):
-        WiFiMacConfig(max_batch_frames=0)
-    with pytest.raises(ValueError):
-        WiFiMacConfig(overhead_min=0.01, overhead_max=0.001)
-
-
 def test_wifi_link_delivers_all_packets_in_batches():
     env = EventLoop()
     sink = Collector()
@@ -70,7 +65,7 @@ def test_wifi_link_delivers_all_packets_in_batches():
         link.send(Packet(flow_id=0, seq=i))
     env.run(until=1.0)
     assert len(sink.packets) == 100
-    assert link.batches_sent >= 100 / link.config.max_batch_frames
+    assert link.batches_sent >= 100 / MAX_BATCH_FRAMES
 
 
 def test_wifi_link_records_every_frame_it_delivers_inline():
@@ -97,11 +92,10 @@ def test_wifi_link_records_every_frame_it_delivers_inline():
         sum(flow.stats.sizes) for flow in built.flows)
 
 
-def test_wifi_batch_size_capped_at_max():
+def test_wifi_batch_size_capped_at_max(monkeypatch):
+    monkeypatch.setattr(mac, "MAX_BATCH_FRAMES", 8)
     env = EventLoop()
-    link = WiFiLink(env, mcs=FixedMCSSchedule(7),
-                    config=WiFiMacConfig(max_batch_frames=8),
-                    qdisc=FifoQdisc(500))
+    link = WiFiLink(env, mcs=FixedMCSSchedule(7), qdisc=FifoQdisc(500))
     link.connect(Collector())
     for i in range(50):
         link.send(Packet(flow_id=0, seq=i))
@@ -112,8 +106,7 @@ def test_wifi_batch_size_capped_at_max():
 def test_wifi_inter_ack_time_grows_with_batch_size():
     """Fig. 4: inter-ACK time is linear in batch size with slope S/R."""
     env = EventLoop()
-    config = WiFiMacConfig(seed=1)
-    link = WiFiLink(env, mcs=FixedMCSSchedule(5), config=config,
+    link = WiFiLink(env, mcs=FixedMCSSchedule(5), seed=1,
                     qdisc=FifoQdisc(2000))
     link.connect(Collector())
 
@@ -166,7 +159,7 @@ def obs(batch, tia, bitrate=52e6, t=0.0, frame_bits=MTU * 8.0):
 
 
 def test_estimator_full_batch_recovers_capacity():
-    est = WiFiRateEstimator(max_batch_frames=32)
+    est = WiFiRateEstimator()
     # A full batch: TIA = 32*S/R + h with h = 1 ms.
     tia = 32 * MTU * 8 / 52e6 + 0.001
     est.observe_batch(obs(32, tia))
@@ -176,8 +169,8 @@ def test_estimator_full_batch_recovers_capacity():
 
 def test_estimator_extrapolates_partial_batches():
     """Eq. 8: a partial batch predicts the same capacity as a full one."""
-    est_full = WiFiRateEstimator(max_batch_frames=32)
-    est_partial = WiFiRateEstimator(max_batch_frames=32)
+    est_full = WiFiRateEstimator()
+    est_partial = WiFiRateEstimator()
     h = 0.0015
     full_tia = 32 * MTU * 8 / 52e6 + h
     partial_tia = 4 * MTU * 8 / 52e6 + h
@@ -188,7 +181,7 @@ def test_estimator_extrapolates_partial_batches():
 
 
 def test_estimator_cap_limits_to_double_observed_rate():
-    est = WiFiRateEstimator(max_batch_frames=32, window=1.0)
+    est = WiFiRateEstimator(window=1.0)
     h = 0.001
     # A tiny batch every 100 ms: observed throughput is low.
     for i in range(10):
@@ -196,12 +189,12 @@ def test_estimator_cap_limits_to_double_observed_rate():
         est.observe_batch(obs(1, tia, t=i * 0.1))
     capped = est.estimate_bps(1.0, apply_cap=True)
     uncapped = est.estimate_bps(1.0, apply_cap=False)
-    assert capped <= 2.0 * est.observed_dequeue_rate(1.0) + 1e-6
+    assert capped <= 2.0 * est._dequeue_rate.rate_bps(1.0) + 1e-6
     assert capped < uncapped
 
 
 def test_estimator_smooths_over_window():
-    est = WiFiRateEstimator(max_batch_frames=32, window=0.04)
+    est = WiFiRateEstimator(window=0.04)
     est.observe_batch(obs(32, 0.008, t=0.0))
     est.observe_batch(obs(32, 0.012, t=0.01))
     smoothed = est.estimate_bps(0.01, apply_cap=False)
@@ -214,6 +207,16 @@ def test_estimator_old_samples_expire():
     est = WiFiRateEstimator(window=0.04)
     est.observe_batch(obs(32, 0.008, t=0.0))
     assert est.estimate_bps(1.0, apply_cap=False) == 0.0
+
+
+def test_estimator_keeps_a_sample_exactly_one_window_old():
+    """The window is closed at its old end, as the router's
+    ``WindowedRateEstimator`` is: a sample ``window`` seconds old still
+    counts, and one a moment older does not."""
+    est = WiFiRateEstimator(window=0.5)
+    est.observe_batch(obs(32, 0.008, t=0.0))
+    assert est.estimate_bps(0.5, apply_cap=False) == 32 * MTU * 8 / 0.008
+    assert est.estimate_bps(0.5000001, apply_cap=False) == 0.0
 
 
 def test_estimator_rejects_bad_observations():
@@ -231,9 +234,9 @@ def test_estimator_accuracy_within_five_percent_end_to_end():
     from repro.simulator.traffic import RateLimitedSource
 
     scenario = Scenario()
-    estimator = WiFiRateEstimator(max_batch_frames=32)
+    estimator = WiFiRateEstimator()
     link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(5),
-                    config=WiFiMacConfig(seed=2), qdisc=FifoQdisc(2000),
+                    seed=2, qdisc=FifoQdisc(2000),
                     estimator=estimator)
     scenario.add_custom_link(link, name="wifi")
     true_capacity = link.true_capacity_bps(0.0)

@@ -261,6 +261,12 @@ MUTANTS = [
      "Wi-Fi inline delivery leaves its frames out of the departure record",
      ("tests/test_wifi.py::"
       "test_wifi_link_records_every_frame_it_delivers_inline",)),
+    ("wifi/rate_estimator.py",
+     "while times and times[0] < cutoff:",
+     "while times and times[0] <= cutoff:",
+     "the Wi-Fi estimate drops a sample exactly one window old",
+     ("tests/test_wifi.py::"
+      "test_estimator_keeps_a_sample_exactly_one_window_old",)),
     ("core/coexistence.py",
      "            self.weight_abc = weight\n"
      "            self._served_abc = self._served_nonabc = 0.0\n",
