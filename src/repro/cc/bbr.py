@@ -11,6 +11,10 @@ BBR's probing frequently overshoots the capacity, producing high 95th
 percentile delays despite good utilisation — this implementation preserves
 exactly that behaviour.  The full PROBE_RTT machinery is reduced to a periodic
 window clamp.
+
+Optimisation changes: ``on_ack`` inlines the delivery-rate read and both
+filters' ``WindowedMinMax.update``, keeping the published ``best`` that
+``cwnd()`` and ``pacing_rate()`` read.  Results are bit-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cc.base import CongestionControl
-from repro.simulator.estimators import WindowedMinMax, WindowedRateEstimator
+from repro.simulator.estimators import (_TRIM, WindowedMinMax,
+                                        WindowedRateEstimator)
 from repro.simulator.packet import MTU, AckFeedback
 
 #: PROBE_BW pacing-gain cycle (one phase per min-RTT).
@@ -32,6 +37,8 @@ PROBE_RTT_INTERVAL = 10.0
 PROBE_RTT_DURATION = 0.2
 #: In-flight cap in BDPs.
 CWND_GAIN = 2.0
+#: The model's states (``BBR.state``).
+STARTUP, DRAIN, PROBE_BW, PROBE_RTT = "startup", "drain", "probe_bw", "probe_rtt"
 
 
 class BBR(CongestionControl):
@@ -40,11 +47,9 @@ class BBR(CongestionControl):
     name = "bbr"
     needs_pacing = True
 
-    STARTUP, DRAIN, PROBE_BW, PROBE_RTT = "startup", "drain", "probe_bw", "probe_rtt"
-
     def __init__(self):
         super().__init__()
-        self.state = self.STARTUP
+        self.state = STARTUP
         self.btl_bw = WindowedMinMax(window=BW_WINDOW, mode="max")
         self.min_rtt = WindowedMinMax(window=RTT_WINDOW, mode="min")
         self.delivery_rate = WindowedRateEstimator(window=0.1)
@@ -67,7 +72,7 @@ class BBR(CongestionControl):
         return self._pacing_gain * bw
 
     def cwnd(self) -> float:
-        if self.state == self.PROBE_RTT:
+        if self.state == PROBE_RTT:
             return 4.0
         # CWND_GAIN BDPs, in packets (the min-RTT filter defaults to 100 ms).
         bw = self.btl_bw.best
@@ -75,25 +80,67 @@ class BBR(CongestionControl):
             return max(CWND_GAIN * self._cwnd, 4.0)
         rtt = self.min_rtt.best
         bdp = bw * (0.1 if rtt is None else rtt) / (MTU * 8.0)
-        return max(CWND_GAIN * bdp, 4.0)
+        cwnd = CWND_GAIN * bdp
+        return 4.0 if cwnd < 4.0 else cwnd
 
     # ------------------------------------------------------------ state
     def on_ack(self, feedback: AckFeedback) -> Optional[float]:
         now = feedback.now
-        # WindowedRateEstimator.add, inlined minus the expiry rate_bps repeats.
+        acked = feedback.bytes_acked
+        # WindowedRateEstimator.add, inlined; the rate read below expires.
         rate = self.delivery_rate
         if rate._first_sample_time is None:
             rate._first_sample_time = now
-        rate._times.append(now)
-        rate._sizes.append(feedback.bytes_acked)
-        rate._total += feedback.bytes_acked
-        rate_sample = rate.rate_bps(now)
+        times = rate._times
+        times.append(now)
+        rate._sizes.append(acked)
+        rate._total += acked
+        # WindowedRateEstimator.rate_bps, inlined: the sample just appended
+        # is live, so the window is never empty.
+        window = rate.window
+        cutoff = now - window
+        start = rate._start
+        if times[start] < cutoff:
+            sizes, expired, n = rate._sizes, rate._expired, len(times)
+            while start < n and times[start] < cutoff:
+                expired += sizes[start]
+                start += 1
+            rate._expired = expired
+            if start >= _TRIM:
+                del times[:start]
+                del sizes[:start]
+                start = 0
+            rate._start = start
+        span = now - rate._first_sample_time
+        if span > window or span <= 0.0:
+            span = window
+        rate_sample = (rate._total - rate._expired) * 8.0 / span
         if rate_sample > 0:
-            self.btl_bw.update(now, rate_sample)
-        if feedback.rtt is not None:
-            self.min_rtt.update(now, feedback.rtt)
+            # WindowedMinMax.update, inlined for the max filter.
+            btl_bw = self.btl_bw
+            samples = btl_bw._samples
+            while samples and rate_sample >= samples[-1][1]:
+                samples.pop()
+            samples.append((now, rate_sample))
+            cutoff = now - btl_bw.window
+            while samples[0][0] < cutoff:
+                samples.popleft()
+            btl_bw.best = samples[0][1]
+        rtt = feedback.rtt
+        if rtt is not None:
+            # WindowedMinMax.update, inlined for the min filter.
+            min_rtt = self.min_rtt
+            samples = min_rtt._samples
+            while samples and rtt <= samples[-1][1]:
+                samples.pop()
+            samples.append((now, rtt))
+            cutoff = now - min_rtt.window
+            while samples[0][0] < cutoff:
+                samples.popleft()
+            min_rtt.best = samples[0][1]
 
-        if self.state == self.STARTUP:
+        state = self.state
+        if state == STARTUP:
             # The pipe is full after three ACKs without 25 % more bandwidth.
             bw = self.btl_bw.get()
             if bw > self._full_bw * 1.25:
@@ -102,20 +149,20 @@ class BBR(CongestionControl):
             else:
                 self._full_bw_count += 1
             if self._full_bw_count >= 3:
-                self.state = self.DRAIN
+                self.state = DRAIN
                 self._pacing_gain = 1.0 / 2.885
-        elif self.state == self.DRAIN:
+        elif state == DRAIN:
             # The BDP in packets, as cwnd() computes it.
             bw, rtt = self.btl_bw.best, self.min_rtt.best
             if feedback.packets_in_flight <= (
                     self._cwnd if bw is None or bw <= 0
                     else bw * (0.1 if rtt is None else rtt) / (MTU * 8.0)):
-                self.state = self.PROBE_BW
+                self.state = PROBE_BW
                 self._cycle_index = 0
                 self._cycle_start = now
                 self._pacing_gain = GAIN_CYCLE[0]
                 self._last_probe_rtt = now
-        elif self.state == self.PROBE_BW:
+        elif state == PROBE_BW:
             # Advance the gain cycle once per min-RTT.
             rtt = self.min_rtt.best
             if now - self._cycle_start >= (0.1 if rtt is None else rtt):
@@ -123,12 +170,12 @@ class BBR(CongestionControl):
                 self._cycle_start = now
                 self._pacing_gain = GAIN_CYCLE[self._cycle_index]
             if now - self._last_probe_rtt >= PROBE_RTT_INTERVAL:
-                self.state = self.PROBE_RTT
+                self.state = PROBE_RTT
                 self._probe_rtt_until = now + PROBE_RTT_DURATION
                 self._pacing_gain = 1.0
-        elif self.state == self.PROBE_RTT:
+        elif state == PROBE_RTT:
             if now >= self._probe_rtt_until:
-                self.state = self.PROBE_BW
+                self.state = PROBE_BW
                 self._last_probe_rtt = now
                 self._cycle_index = 0
                 self._cycle_start = now
@@ -140,7 +187,7 @@ class BBR(CongestionControl):
         pass
 
     def on_timeout(self, now: float) -> None:
-        self.state = self.STARTUP
+        self.state = STARTUP
         self._pacing_gain = 2.885
         self._full_bw = 0.0
         self._full_bw_count = 0

@@ -17,6 +17,10 @@ it sustains high throughput but builds large queues on variable cellular links
 (Figs. 8–10).  This implementation keeps the utility function and the
 alternating probe structure but simplifies Vivace's confidence amplification
 and dynamic change boundaries.
+
+Optimisation changes: an MI stores its ``end``, and ``on_ack`` attributes
+its ACK inline (the readable rules: ``tests/reference/pcc_vivace.py``) and
+concludes a probe pair only when one is due.  Results are bit-identical.
 """
 
 from __future__ import annotations
@@ -41,31 +45,22 @@ LOSS_COEFF = 11.35
 
 
 class _MonitorInterval:
-    """Per-MI measurement bucket, keyed by packet *send* time."""
+    """Per-MI measurement bucket, keyed by packet *send* time: it holds the
+    ACKs of packets sent in ``[start, end)``."""
+
+    __slots__ = ("start", "duration", "end", "rate_bps", "bytes_acked",
+                 "bytes_sent", "losses", "first_rtt", "last_rtt")
 
     def __init__(self, start: float, duration: float, rate_bps: float):
         self.start = start
         self.duration = duration
+        self.end = start + duration
         self.rate_bps = rate_bps
         self.bytes_acked = 0
         self.bytes_sent = 0
         self.losses = 0
         self.first_rtt: Optional[float] = None
         self.last_rtt: Optional[float] = None
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    def contains(self, sent_time: float) -> bool:
-        return self.start <= sent_time < self.end
-
-    def observe_ack(self, feedback: AckFeedback) -> None:
-        self.bytes_acked += feedback.bytes_acked
-        if feedback.rtt is not None:
-            if self.first_rtt is None:
-                self.first_rtt = feedback.rtt
-            self.last_rtt = feedback.rtt
 
     def utility(self, b: float, c: float) -> float:
         throughput_mbps = self.bytes_acked * 8.0 / self.duration / 1e6
@@ -101,34 +96,21 @@ class PCCVivace(CongestionControl):
         return max(2.0 * self.base_rate * self._srtt / (MTU * 8.0), 4.0)
 
     def pacing_rate(self) -> float:
-        mi = self._current_mi()
-        return mi.rate_bps if mi is not None else self.base_rate
+        mis = self._mis
+        return mis[-1].rate_bps if mis else self.base_rate
 
     # ------------------------------------------------------------ MI engine
-    def _current_mi(self) -> Optional[_MonitorInterval]:
-        return self._mis[-1] if self._mis else None
-
-    def _probe_rate(self) -> float:
+    def _open_mi(self, now: float) -> _MonitorInterval:
+        """Start the next probe MI at ``now`` (the current one has ended)."""
+        duration = max(self._srtt, 0.01)
         if self._probe_phase == 0:
-            return self.base_rate * (1.0 + self._probe_sign * EPSILON)
-        return self.base_rate * (1.0 - self._probe_sign * EPSILON)
-
-    def _ensure_mi(self, now: float) -> _MonitorInterval:
-        current = self._current_mi()
-        if current is None or now >= current.end:
-            duration = max(self._srtt, 0.01)
-            current = _MonitorInterval(now, duration, self._probe_rate())
-            self._mis.append(current)
-            self._probe_phase = 1 - self._probe_phase
+            rate = self.base_rate * (1.0 + self._probe_sign * EPSILON)
+        else:
+            rate = self.base_rate * (1.0 - self._probe_sign * EPSILON)
+        current = _MonitorInterval(now, duration, rate)
+        self._mis.append(current)
+        self._probe_phase = 1 - self._probe_phase
         return current
-
-    def _find_mi(self, sent_time: float) -> Optional[_MonitorInterval]:
-        for mi in reversed(self._mis):
-            if mi.contains(sent_time):
-                return mi
-            if mi.end <= sent_time - 4 * self._srtt:
-                break
-        return None
 
     def _conclude_finished(self, now: float) -> None:
         """Once a pair of probe MIs has had one RTT to collect results, take
@@ -150,24 +132,44 @@ class PCCVivace(CongestionControl):
 
     # ------------------------------------------------------------ callbacks
     def on_packet_sent(self, now: float, seq: int, size: int, in_flight: int) -> None:
-        mi = self._ensure_mi(now)
-        mi.bytes_sent += size
+        mis = self._mis
+        if mis and now < mis[-1].end:
+            mis[-1].bytes_sent += size
+        else:
+            self._open_mi(now).bytes_sent += size
 
     def on_ack(self, feedback: AckFeedback) -> Optional[float]:
-        if feedback.rtt is not None:
-            self._srtt = 0.875 * self._srtt + 0.125 * feedback.rtt
-        self._ensure_mi(feedback.now)
-        mi = self._find_mi(feedback.sent_time)
-        if mi is not None:
-            mi.observe_ack(feedback)
+        rtt = feedback.rtt
+        if rtt is not None:
+            self._srtt = 0.875 * self._srtt + 0.125 * rtt
+        now = feedback.now
+        mis = self._mis
+        if not mis or now >= mis[-1].end:
+            self._open_mi(now)
+        # pcc_vivace.find_mi, inlined: the newest MI whose [start, end) holds
+        # the send time, searched back until MIs end 4 RTTs before it.
+        sent_time = feedback.sent_time
+        horizon = sent_time - 4 * self._srtt
+        for mi in reversed(mis):
+            if mi.start <= sent_time < mi.end:
+                # pcc_vivace.observe_ack, inlined.
+                mi.bytes_acked += feedback.bytes_acked
+                if rtt is not None:
+                    if mi.first_rtt is None:
+                        mi.first_rtt = rtt
+                    mi.last_rtt = rtt
+                break
+            if mi.end <= horizon:
+                break
         if feedback.ece:
-            self.on_loss(feedback.now)
-        self._conclude_finished(feedback.now)
+            self.on_loss(now)
+        if len(mis) >= 3 and now >= mis[1].end + self._srtt:
+            self._conclude_finished(now)
 
     def on_loss(self, now: float) -> None:
-        mi = self._current_mi()
-        if mi is not None:
-            mi.losses += 1
+        mis = self._mis
+        if mis:
+            mis[-1].losses += 1
 
     def on_timeout(self, now: float) -> None:
         self.base_rate = max(self.base_rate / 2.0, MIN_RATE_BPS)

@@ -42,6 +42,8 @@ BASE_FLOWS = 2
 FLOW_SIZE_MIN = 20_000
 FLOW_SIZE_MAX = 2_000_000
 FLOW_SIZE_ALPHA = 1.2
+#: Every metro flow's base round-trip time (s).
+METRO_RTT = 0.05
 
 
 @dataclass
@@ -57,7 +59,6 @@ class MetroSpec(SweepSpec):
     option), sized by the ``FLOW_SIZE_*`` bounded-Pareto law.
     """
 
-    rtt: float = 0.05
     duration: float = 8.0
     arrival_rate: float = 2.0
 
@@ -95,9 +96,9 @@ class MetroSpec(SweepSpec):
         schemes = scheme_assignment(base + len(arrivals), parse_mix(mix),
                                     cell, seed)
         ccs = [NATIVE if scheme == "abc" else scheme for scheme in schemes]
-        flows = [FlowSpec(cc=ccs[index], rtt=self.rtt, label=f"base-{index}")
+        flows = [FlowSpec(cc=ccs[index], rtt=METRO_RTT, label=f"base-{index}")
                  for index in range(base)]
-        flows += [FlowSpec(cc=ccs[base + index], rtt=self.rtt,
+        flows += [FlowSpec(cc=ccs[base + index], rtt=METRO_RTT,
                            start_time=start, size_bytes=size,
                            label=f"churn-{index}")
                   for index, (start, size) in enumerate(zip(arrivals, sizes))]

@@ -183,9 +183,6 @@ class ResultCache:
                   f"({exc}); continuing without caching this cell",
                   file=sys.stderr)
 
-    def contains(self, key: str) -> bool:
-        return self._path(key).exists()
-
     def clear(self) -> int:
         """Remove every entry; returns the number removed."""
         removed = 0

@@ -317,7 +317,7 @@ class _PoolTransport:
 
 
 @dataclass
-class ExecutorStats:
+class ExecutorStats:  # record: filled in by the run it describes
     """What the last :meth:`SweepExecutor.run` call actually did.
 
     ``job_records`` is the run's one count of its attempts: ``retries``,

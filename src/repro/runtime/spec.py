@@ -95,7 +95,6 @@ class SweepSpec:
     schemes: Sequence[str]
     traces: Mapping[str, Any]
     seeds: Sequence[int] = (0,)
-    rtt: float = 0.1
     duration: float = 30.0
     buffer_packets: int = 250
     warmup: float = 0.0
@@ -123,10 +122,10 @@ class SweepSpec:
         unchanged.
         """
         from repro.experiments.runner import single_bottleneck_spec
-        from repro.experiments.scenario_spec import spec_job
+        from repro.experiments.scenario_spec import BASE_RTT, spec_job
 
         return spec_job(single_bottleneck_spec(
-            scheme, link_spec, rtt=self.rtt, duration=self.duration,
+            scheme, link_spec, rtt=BASE_RTT, duration=self.duration,
             buffer_packets=self.buffer_packets, seed=seed),
             "single_bottleneck", f"{scheme}/{trace_name}/seed{seed}",
             warmup=self.warmup)

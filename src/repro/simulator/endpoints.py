@@ -52,6 +52,10 @@ original), the raw event sequence is not:
   Packets are built by ``object.__new__`` and ``Packet.__init__`` (CPython
   specialises that call, not the class call), and each ACK restamps the
   sender's one ``AckFeedback``.
+* **Slotted sender.**  37 attributes are past CPython 3.11's 30-key
+  shared instance dict, so :class:`Sender` declares ``__slots__`` and its
+  ``self.x`` stay specialised; the CC's class attribute ``uses_abc`` is
+  read once, as ``_abc`` / ``_ecn``.
 * **Time-shifted receiver.**  :meth:`Receiver.receive_at` takes the arrival
   time as an argument so the demux can run it synchronously at delivery time
   (``deliver_shifted``; the ``_limit`` horizon rule lives in
@@ -122,6 +126,14 @@ class Sender:
     Segments are at most :data:`~repro.simulator.packet.MTU` bytes.
     """
 
+    __slots__ = tuple("""env flow_id cc egress source start_time name rtt
+        next_seq outstanding retransmit_queue _recovery_end_seq
+        _latest_acked_sent_time bytes_sent bytes_acked packets_sent
+        retransmissions loss_events timeouts acks_received rto_rearms
+        pace_ticks pace_halts completion_time _started _wake_pending
+        _pacing_active _rto_backoff _rto_timer _paced _abc _ecn
+        _static_window _static_meta _source_kind _fwd _feedback""".split())
+
     def __init__(self, env: EventLoop, flow_id: int, cc: CongestionControl,
                  source: Optional[TrafficSource] = None,
                  start_time: float = 0.0, name: Optional[str] = None):
@@ -164,6 +176,9 @@ class Sender:
         self._rto_timer = DeadlineTimer(env, self._on_rto, self._rto_deadline,
                                         MIN_RTO)
         self._paced = cc.needs_pacing
+        # The class attribute, read once: every data packet carries it.
+        self._abc = cc.uses_abc
+        self._ecn = ACCEL if self._abc else NOT_ECT
         cc_type = type(cc)
         # A CC with the base no-op on_packet_sent cannot change its window
         # as it sends (the pacing loop then skips the call).
@@ -283,14 +298,13 @@ class Sender:
         self._transmit(seq, size, now, is_retransmission=True)
 
     def _transmit(self, seq: int, size: int, now: float, is_retransmission: bool) -> None:
-        abc_capable = self.cc.uses_abc
         packet = Packet(
             flow_id=self.flow_id,
             seq=seq,
             size=size,
-            ecn=ACCEL if abc_capable else NOT_ECT,
+            ecn=self._ecn,
             sent_time=now,
-            abc_capable=abc_capable,
+            abc_capable=self._abc,
             meta=self.cc.packet_meta(now),
         )
         self.outstanding[seq] = (seq, size, now, is_retransmission)
@@ -339,8 +353,8 @@ class Sender:
             cc = self.cc
             mss = MTU
             flow_id = self.flow_id
-            abc_capable = cc.uses_abc
-            ecn = ACCEL if abc_capable else NOT_ECT
+            abc_capable = self._abc
+            ecn = self._ecn
             static_meta = self._static_meta
             fwd = self._fwd
             if fwd is None:
@@ -434,15 +448,13 @@ class Sender:
                     else:
                         size = mss
                     if size > 0:
-                        abc_capable = cc.uses_abc
                         meta = {} if self._static_meta else cc.packet_meta(now)
                         seq = self.next_seq
                         self.next_seq = seq + 1
                         packet = object.__new__(Packet)
                         Packet.__init__(
-                            packet, self.flow_id, seq, size,
-                            ACCEL if abc_capable else NOT_ECT,
-                            now, abc_capable, 0.0, 0.0, meta)
+                            packet, self.flow_id, seq, size, self._ecn,
+                            now, self._abc, 0.0, 0.0, meta)
                         outstanding[seq] = (seq, size, now, False)
                         self.bytes_sent += size
                         self.packets_sent += 1

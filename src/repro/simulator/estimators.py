@@ -34,8 +34,9 @@ class WindowedRateEstimator:
     added, ``_expired`` aged out).  :meth:`rate_bps` advances ``_start`` and
     :meth:`add` reads it, so an instance that is fed but never read holds at
     most one window of samples plus ``_TRIM`` dead ones.  The ABC router
-    inlines both methods at its per-packet call sites
-    (:meth:`repro.core.router.ABCRouterQdisc.dequeue`).
+    and BBR inline both methods at their per-packet call sites
+    (:meth:`repro.core.router.ABCRouterQdisc.dequeue`,
+    :meth:`repro.cc.bbr.BBR.on_ack`).
     """
 
     __slots__ = ("window", "_times", "_sizes", "_start", "_total", "_expired",
@@ -132,7 +133,8 @@ class WindowedMinMax:
     seconds are evicted lazily on every update/query.  ``best`` publishes the
     extremum (``None`` while the deque is empty): :meth:`update` and
     :meth:`query`, the only methods that change the deque, refresh it, so BBR
-    reads the attribute instead of calling :meth:`get`.
+    reads the attribute instead of calling :meth:`get` (and inlines
+    :meth:`update`, keeping that refresh).
     """
 
     def __init__(self, window: float, mode: str = "max"):

@@ -75,7 +75,7 @@ def apply_ce(codepoint: ECN) -> ECN:
 
 
 @dataclass(slots=True)
-class Packet:
+class Packet:  # record: links, receivers and the sender fill it
     """A packet travelling through the simulator: data on the way out, its own
     acknowledgement on the way back (see the module docstring).
 
@@ -121,7 +121,7 @@ class Packet:
 
 
 @dataclass(slots=True)
-class AckFeedback:
+class AckFeedback:  # record: restamped by its sender per ACK
     """Normalised view of an ACK handed to congestion-control algorithms.
 
     Congestion controllers never see the returning :class:`Packet`; the

@@ -1,5 +1,7 @@
 """Unit tests for the ABC protocol core: params, marking, router, sender."""
 
+import random
+
 import pytest
 
 from repro.core.marking import ProbabilisticMarker, TokenBucketMarker
@@ -178,6 +180,53 @@ def test_accel_fraction_is_half_target_over_dequeue_rate():
     assert router.last_fraction == abc_paper.accel_fraction(
         eq1(router.params, 10e6, 0), cr)
     assert router.last_fraction == pytest.approx(0.5 * 0.98, rel=0.1)
+
+
+def _cr_reads(departures, mu, after):
+    """cr(t) at each departure from ``after`` on, recovered from Eq. 2 as
+    the router applied it: f = ½·tr/cr, so cr = ½·tr/f (f stays below 1)."""
+    router, reads = make_router(capacity_bps=mu), []
+    for seq, now in enumerate(departures):
+        router.enqueue(Packet(flow_id=0, seq=seq), now)
+        router.dequeue(now)
+        if now >= after:
+            assert router.last_fraction < 1.0
+            reads.append(0.5 * router.last_target_rate / router.last_fraction)
+    return reads
+
+
+def test_cr_reads_departures_spaced_exactly_at_mu():
+    """A standing queue departs every MTU·8/µ s (the float sum a busy link
+    accumulates); every cr(t) read lies within 0.5 % of µ.  The closed
+    window counts N + 1 packets on most departures (N = µ·T/(MTU·8) = 250
+    here), so today this holds only because 1/N is 0.4 %."""
+    mu, departures, now = 60e6, [], 0.0
+    while now < 2.0:
+        departures.append(now)
+        now += MTU * 8 / mu
+    window = make_router().params.measurement_window
+    for cr in _cr_reads(departures, mu, after=window):
+        assert cr == pytest.approx(mu, rel=0.005)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 18: the closed window [now - T, now] "
+                        "counts the departing packet, so Poisson departures "
+                        "read r + MTU/T (+2 % here)")
+def test_cr_reads_poisson_departures_at_their_rate():
+    """Departures of a Poisson process at r = 12 Mbit/s (µ·T/(MTU·8) = 50
+    per window): the mean cr(t) read at a departure is the rate the
+    departures realised over the reads' span, within 0.5 %.  (The link's µ
+    is r/2 so that f stays below 1 and cr can be recovered from it.)"""
+    rate, rng = 12e6, random.Random(18)
+    departures, now = [], 0.0
+    while now < 60.0:
+        departures.append(now)
+        now += rng.expovariate(rate / (MTU * 8))
+    reads = _cr_reads(departures, rate / 2, after=1.0)
+    read = [now for now in departures if now >= 1.0]
+    realised = (len(read) - 1) * MTU * 8 / (read[-1] - read[0])
+    assert sum(reads) / len(reads) == pytest.approx(realised, rel=0.005)
 
 
 def test_accel_fraction_one_when_no_dequeue_history():

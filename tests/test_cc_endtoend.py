@@ -10,11 +10,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.cc.bbr import BBR, CWND_GAIN
+from repro.cc.bbr import (BBR, CWND_GAIN, DRAIN, PROBE_BW, PROBE_RTT,
+                         STARTUP)
 from repro.cc.copa import Copa
 from repro.cc.cubic import Cubic
 from repro.cc.newreno import NewReno
-from repro.cc.pcc_vivace import PCCVivace
+from repro.cc.pcc_vivace import INITIAL_RATE_BPS, PCCVivace
 from repro.cc.registry import available_schemes, make_cc
 from repro.cc.sprout import FORECAST_PERCENTILE, Sprout
 from repro.cc.vegas import Vegas
@@ -22,6 +23,7 @@ from repro.cc.verus import Verus
 from repro.cc.cubic import CUBIC_BETA, CUBIC_C
 from repro.simulator.packet import MTU, AckFeedback
 from tests.conftest import AIMD, abc_sender, with_cwnd
+from tests.reference import pcc_vivace
 
 
 def ack(now, rtt=0.1, bytes_acked=MTU, accel=True, ece=False, in_flight=10,
@@ -294,7 +296,7 @@ def test_bbr_estimates_bandwidth_and_exits_startup():
         cc.on_ack(ack(now, rtt=0.1, in_flight=20))
         now += 0.004
     assert cc.btl_bw.get() > 0
-    assert cc.state != BBR.STARTUP
+    assert cc.state != STARTUP
 
 
 def test_bbr_cwnd_tracks_bdp():
@@ -311,15 +313,15 @@ def test_bbr_pacing_rate_positive_before_samples():
 
 def test_bbr_probe_rtt_clamps_window():
     cc = BBR()
-    cc.state = BBR.PROBE_RTT
+    cc.state = PROBE_RTT
     assert cc.cwnd() == 4.0
 
 
 def test_bbr_timeout_restarts_startup():
     cc = BBR()
-    cc.state = BBR.PROBE_BW
+    cc.state = PROBE_BW
     cc.on_timeout(1.0)
-    assert cc.state == BBR.STARTUP
+    assert cc.state == STARTUP
 
 
 def _seeded_bbr_run(trace, check):
@@ -358,13 +360,13 @@ def test_bbr_reads_its_model_at_every_ack_of_a_seeded_run(short_trace):
         bw = cc.btl_bw._samples[0][1]
         rtt = cc.min_rtt._samples[0][1]
         assert cc.btl_bw.best == bw and cc.min_rtt.best == rtt
-        expected = (4.0 if cc.state == BBR.PROBE_RTT
+        expected = (4.0 if cc.state == PROBE_RTT
                     else max(CWND_GAIN * (bw * rtt / (MTU * 8.0)), 4.0))
         assert cc.cwnd() == expected
         assert cc.pacing_rate() == cc._pacing_gain * bw
 
     states = _seeded_bbr_run(short_trace, check)
-    assert {BBR.STARTUP, BBR.DRAIN, BBR.PROBE_BW} <= states
+    assert {STARTUP, DRAIN, PROBE_BW} <= states
 
 
 def test_paced_sender_keeps_its_rto_armed_behind_every_send(short_trace):
@@ -518,6 +520,70 @@ def test_pcc_timeout_halves_rate():
     cc.base_rate = 8e6
     cc.on_timeout(1.0)
     assert cc.base_rate == pytest.approx(4e6)
+
+
+def _credit(mi) -> tuple:
+    return mi.bytes_acked, mi.first_rtt, mi.last_rtt
+
+
+def test_pcc_credits_each_ack_of_a_seeded_run_where_the_twin_does(
+        short_trace):
+    """After every ACK of a 3 s PCC flow over the seeded ``short_trace``,
+    the flat ``on_ack`` has credited the MI that ``pcc_vivace.find_mi``
+    picks among the MIs it searched, as ``observe_ack`` does, and left
+    every other MI as it was."""
+    from types import SimpleNamespace
+
+    from repro.experiments.scenario_spec import (FlowSpec, ScenarioSpec,
+                                                 build, link_spec_from)
+
+    built = build(ScenarioSpec(
+        scheme="pcc", duration=3.0,
+        links=[link_spec_from(short_trace, name="bottleneck")],
+        flows=[FlowSpec(rtt=0.05)]))
+    (flow,) = built.flows
+    cc = flow.cc
+    on_ack = cc.on_ack
+    acks, credited = [0], [0]
+
+    def checked_on_ack(feedback):
+        before = [(mi, _credit(mi)) for mi in cc._mis]
+        result = on_ack(feedback)
+        known = {id(mi) for mi, _ in before}
+        # The MIs it searched: those it found, then the one it opened.
+        searched = before + [(mi, (0, None, None)) for mi in cc._mis
+                             if id(mi) not in known]
+        twins = [SimpleNamespace(start=mi.start, duration=mi.duration,
+                                 bytes_acked=acked, first_rtt=first,
+                                 last_rtt=last)
+                 for mi, (acked, first, last) in searched]
+        picked = pcc_vivace.find_mi(twins, feedback.sent_time, cc._srtt)
+        if picked is not None:
+            pcc_vivace.observe_ack(picked, feedback.bytes_acked, feedback.rtt)
+            credited[0] += 1
+        assert [_credit(mi) for mi, _ in searched] == list(map(_credit, twins))
+        acks[0] += 1
+        return result
+
+    cc.on_ack = checked_on_ack
+    built.scenario.run(3.0)
+    assert acks[0] > 500 and credited[0] > 0.9 * acks[0]
+    assert cc.base_rate != INITIAL_RATE_BPS      # MIs were concluded
+
+
+def test_pcc_mis_are_half_open_in_send_time():
+    """An MI holds the ACKs of packets sent in ``[start, end)``, as the
+    twin's ``contains`` says: one sent as it ends belongs to the next."""
+    cc = PCCVivace()
+    cc.on_packet_sent(0.0, 0, MTU, 1)
+    (mi,) = cc._mis
+    end = mi.start + mi.duration
+    for sent_time in (0.0, math.nextafter(end, 0.0), end, -1e-9):
+        acked = mi.bytes_acked
+        cc.on_ack(ack(end / 2, rtt=None, sent_time=sent_time))
+        assert cc._mis == [mi]
+        assert (mi.bytes_acked > acked) == pcc_vivace.contains(mi, sent_time)
+    assert mi.bytes_acked == 2 * MTU
 
 
 def test_pcc_utility_penalises_loss():

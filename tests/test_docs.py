@@ -109,7 +109,7 @@ def test_speed_figures_name_a_ledger_workload():
 #: Total lines of ``src/**/*.py`` at the last PR that moved it.  The north
 #: star says this number goes down: lower it when a PR shrinks ``src/``;
 #: raising it is an edit a reviewer sees and a PR has to argue for.
-SRC_LINE_CEILING = 12_595
+SRC_LINE_CEILING = 12_655
 
 
 def test_every_ci_job_gates():
@@ -427,10 +427,24 @@ UNSET_SWITCH_ALLOWLIST: dict = {
 }
 
 
+#: A ``class`` line ending in ``# record: ...`` declares a result record:
+#: its fields are what its writers fill in, not options.
+_RECORD = re.compile(r"#\s*record\b")
+
+
+def _parse(text: str) -> ast.Module:
+    """``ast.parse``, noting on each class whether it is a record."""
+    tree, lines = ast.parse(text), text.splitlines()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            node.record = bool(_RECORD.search(lines[node.lineno - 1]))
+    return tree
+
+
 def _caller_trees() -> dict:
     """``{path: tree}`` of every file whose calls may set a switch, keyed by
     the path from the repo root; the switches are those under ``src/``."""
-    return {path.relative_to(REPO_ROOT): ast.parse(path.read_text())
+    return {path.relative_to(REPO_ROOT): _parse(path.read_text())
             for top in ("src", "tools", "benchmarks", "examples")
             for path in (REPO_ROOT / top).rglob("*.py")}
 
@@ -632,7 +646,7 @@ def _switches(tree: ast.Module, index: _Index):
                 yield (f"{key}({arg.arg})", callee, arg.arg, position,
                        node.lineno, False)
     for node in ast.walk(tree):
-        if _is_dataclass(node):
+        if _is_dataclass(node) and not node.record:
             fields = index.fields[node.name]
             own = len(fields) - len(_fields(node))
             for position, (name, defaulted, line) in enumerate(fields):
@@ -709,6 +723,49 @@ def _calls(tree: ast.Module, index: _Index):
                             *bundle(value), None)
 
 
+def _class_named(node, index: _Index):
+    """The class an annotation names (``C``, ``mod.C``, ``Optional[C]``),
+    if the scan knows it."""
+    if isinstance(node, ast.Subscript) and _dotted(node.value).endswith(
+            "Optional"):
+        node = node.slice
+    name = _named(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+    return name if name in index.bases else None
+
+
+def _typed_names(tree: ast.Module, index: _Index) -> dict:
+    """``id(name node)`` -> class for every use of a name the scan can type
+    in its function (or at module level): bound there once, by constructing
+    a known class or annotated with one (an argument, or ``name: C = ...``)."""
+    scopes = [node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef))] + [tree]
+    typed = {}
+    for scope in scopes:
+        nodes = list(ast.walk(scope))
+        known, bound = {}, collections.Counter()
+        arguments = getattr(scope, "args", None)
+        for arg in (arguments.posonlyargs + arguments.args
+                    + arguments.kwonlyargs) if arguments else ():
+            bound[arg.arg] += 1
+            if arg.annotation is not None:
+                known[arg.arg] = _class_named(arg.annotation, index)
+        for node in nodes:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound[node.id] += 1
+            if isinstance(node, ast.AnnAssign) and isinstance(
+                    node.target, ast.Name):
+                known[node.target.id] = _class_named(node.annotation, index)
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and isinstance(node.targets[0], ast.Name)
+                  and isinstance(node.value, ast.Call)):
+                known[node.targets[0].id] = _class_named(node.value.func,
+                                                         index)
+        typed.update((id(node), known[node.id]) for node in nodes
+                     if isinstance(node, ast.Name) and known.get(node.id)
+                     and bound[node.id] <= 1)
+    return typed
+
+
 def _unset_switches(trees: dict) -> dict:
     """Defaulted parameters and dataclass fields of the ``src/`` files in
     ``trees`` (``{path: ast.Module}``) that no call in ``trees`` sets.
@@ -724,8 +781,10 @@ def _unset_switches(trees: dict) -> dict:
     every position.  ``name=name`` handing on the caller's own parameter
     sets the callee's only once that parameter is set (or has no default).
     A dataclass field is also set by an assignment to an attribute of its
-    name (``self.name`` only in its class), or by ``setattr`` with a string
-    or f-string naming it, as a result record's fields are."""
+    name on an object of its class: ``self.name`` in the class (or a
+    subclass), or a local name the scan types by construction or annotation
+    (``_typed_names``); or by ``setattr`` with a string or f-string naming
+    it.  A record's fields (``_parse``) are no switches."""
     index = _Index(trees)
     sites = [site for tree in trees.values() for site in _calls(tree, index)]
     forwards = collections.defaultdict(list)
@@ -772,14 +831,16 @@ def _unset_switches(trees: dict) -> dict:
                                      if spread else len(site.args))
     assigned, patterns = set(), []
     for tree in trees.values():
-        enclosing = _enclosing_classes(tree)
+        enclosing, types = _enclosing_classes(tree), _typed_names(tree, index)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(
                     node.ctx, ast.Store):
                 cls = (enclosing.get(id(node))
-                       if _dotted(node.value) == "self" else None)
-                assigned.update((owner, node.attr) for owner in (
-                    {cls} | index.ancestors(cls) if cls else {None}))
+                       if _dotted(node.value) == "self"
+                       else types.get(id(node.value)))
+                if cls:
+                    assigned.update((owner, node.attr)
+                                    for owner in {cls} | index.ancestors(cls))
             elif (_named(getattr(node, "func", None)) == "setattr"
                   and len(node.args) > 1 and isinstance(
                       node.args[1], (ast.Constant, ast.JoinedStr))):
@@ -796,7 +857,7 @@ def _unset_switches(trees: dict) -> dict:
                     or (callee, "*") in by_callee
                     or (position is not None and positional[callee] > position)
                     or is_field and (
-                        {(None, param), (callee, param)} & assigned
+                        (callee, param) in assigned
                         or any(p.fullmatch(param) for p in patterns))):
                 unset[key] = f"{path.as_posix()}:{line}"
         released = [entry for entry in handed_on if entry[0] not in unset]
@@ -833,7 +894,7 @@ def test_unset_switch_allowlist_has_no_stale_entries():
 def _scan(source: str) -> set:
     """The unset switches of one synthetic ``src/`` module."""
     return set(_unset_switches(
-        {Path("src/m.py"): ast.parse(textwrap.dedent(source))}))
+        {Path("src/m.py"): _parse(textwrap.dedent(source))}))
 
 
 def test_switch_scan_matches_keywords_by_callee():
@@ -903,6 +964,32 @@ def test_switch_scan_releases_a_hand_on_only_when_passed():
             return leaf(bin_size=bin_size)
         entry(bin_size=1.0)
         """) == {"outer(rtt)", "inner(rtt)"}
+
+
+def test_switch_scan_counts_a_store_only_on_an_object_it_can_type():
+    source = """
+        @dataclass
+        class Spec:
+            rtt: float = 0.1
+            size: int = 2
+            depth: int = 3
+        @dataclass
+        class Feedback:  # record: restamped per ACK
+            rtt: float = 0.0
+        def restamp(feedback):
+            feedback.rtt = 0.2
+        def grow(spec: Spec):
+            spec.size = 4
+        def build():
+            spec = Spec()
+            spec.depth = 5
+            return spec
+        """
+    # ``feedback`` is untyped, so its store sets no field named rtt; the
+    # annotated and the constructed ``spec`` set theirs.
+    assert _scan(source) == {"Spec(rtt)"}
+    assert _scan(source.replace("# record", "#")) == {
+        "Spec(rtt)", "Feedback(rtt)"}
 
 
 #: ``# Qdisc._push, inlined`` or ``# abc_paper.target_rate (Eq. 1), inlined``:

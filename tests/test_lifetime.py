@@ -22,7 +22,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-from collections import Counter
+import types
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -213,3 +214,72 @@ def test_fuzz_invariants_read_an_unwired_scenario():
         assert verdict["violations"] == []
         assert hashlib.sha256(json.dumps(
             verdict["summary"], sort_keys=True).encode()).hexdigest() == digest
+
+
+# ------------------------------------------------------------ object layout
+#: CPython 3.11 shares one key table among a class's instance dicts, and so
+#: specialises ``self.x`` to an indexed load or store, only while an instance
+#: holds at most 30 attributes; past that the dict is a combined table and
+#: every attribute access takes the slower hashed path.  ``Sender`` once held
+#: 35 and paid that on every ACK and pacing tick.  ``tools/count_gate.py``
+#: cannot see it: the bytecodes are the same, only their specialisation
+#: differs.  A per-packet class past the limit declares ``__slots__``.
+SHARED_KEYS_LIMIT = 30
+
+
+def _repro_objects(root) -> list:
+    """Every object of a ``repro`` class reachable from ``root`` through
+    attributes, slots, containers and bound methods (the event heap's
+    callbacks)."""
+    scalars = (int, float, str, bytes, type(None), np.ndarray)
+    seen, todo, found = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, scalars) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, tuple, set, frozenset, deque)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, types.MethodType):
+            todo.append(obj.__self__)
+        elif type(obj).__module__.startswith("repro."):
+            found.append(obj)
+            todo.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                slots = cls.__dict__.get("__slots__", ())
+                todo.extend(getattr(obj, slot, None) for slot in (
+                    (slots,) if isinstance(slots, str) else slots))
+    return found
+
+
+@pytest.mark.parametrize("cell", ["metro-paced", "fig9-pcc", "fig9-bbr"])
+def test_no_per_packet_object_outgrows_shared_key_dicts(cell):
+    from repro.experiments.scenario_spec import build
+    from repro.metro.spec import MetroSpec
+
+    if cell == "metro-paced":
+        spec = MetroSpec(schemes=[MIXES["paced"]], traces={},
+                         duration=2.0).cell_spec(MIXES["paced"], "trace-cell",
+                                                 TRACE, 1)
+    else:
+        spec = single_bottleneck_spec(cell[5:], TRACE, duration=2.0)
+    built = build(spec)
+    scenario, widest = built.scenario, {}
+
+    def walk(_now):
+        for obj in _repro_objects(scenario):
+            name = type(obj).__qualname__
+            size = len(vars(obj)) if hasattr(obj, "__dict__") else 0
+            widest[name] = max(widest.get(name, 0), size)
+
+    scenario.every(0.5, walk)
+    scenario.run(spec.duration)
+    (link,) = scenario.links
+    reached = {type(obj).__qualname__ for obj in (
+        scenario, scenario.env, link, link.qdisc, built.flows[0].cc,
+        built.flows[0].sender, built.flows[0].receiver)}
+    assert reached <= set(widest)
+    wide = {name: n for name, n in widest.items() if n > SHARED_KEYS_LIMIT}
+    assert not wide, f"instances past CPython's shared-key limit: {wide}"

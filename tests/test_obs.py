@@ -588,6 +588,35 @@ def test_count_gate_fails_on_a_rise_beyond_its_tolerance():
         "bytecodes"]
 
 
+def test_count_gate_reads_a_mix_shift_apart_from_a_costlier_function():
+    """Calls per MTU rise both when more traffic takes one scheme's path
+    and when a function starts calling more; only the second raises a
+    function's calls made per call of it."""
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    from count_gate import costlier, regressions
+
+    expected = {"total": 10.0, "bytecodes": 900.0,
+                "functions": {"abc_ack": 1.0, "cubic_ack": 1.0, "law": 2.0},
+                "per_call": {"abc_ack": 2.0, "cubic_ack": 0.0, "law": 0.0}}
+    # A third more of the packets are ABC's: its ACK and the law it calls
+    # twice per ACK run more often, each call as costly as before.
+    shifted = {"total": 10.5, "bytecodes": 900.0,
+               "functions": {"abc_ack": 1.5, "cubic_ack": 0.5, "law": 3.0},
+               "per_call": dict(expected["per_call"])}
+    rose = regressions(expected, shifted)
+    assert [line.split(":")[0] for line in rose] == [
+        "total", "abc_ack", "law"]
+    assert rose[1].endswith("2.000 -> 2.000 calls made per call")
+    assert costlier(expected, shifted) == []
+    # Same mix, but the ABC ACK now calls its law four times.
+    dearer = {"total": 12.0, "bytecodes": 900.0,
+              "functions": {"abc_ack": 1.0, "cubic_ack": 1.0, "law": 4.0},
+              "per_call": dict(expected["per_call"], abc_ack=4.0)}
+    assert [line.split(":")[0] for line in regressions(expected, dearer)] == [
+        "total", "law"]
+    assert costlier(expected, dearer) == ["abc_ack"]
+
+
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="tools/hotpath_counts.json holds CPython 3.11 counts")
 def test_count_gate_passes_on_this_checkout():

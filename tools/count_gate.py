@@ -11,7 +11,11 @@ and Fig. 7's dual-queue cell; ``tools/profile_hotpath.py --counts``), and
 compares them with the committed
 ``tools/hotpath_counts.json``.  It fails when either total or any function's
 call count rises by more than ``TOLERANCE``; a function the file does not
-list rises from zero.  The functions are those of the ``repro`` package this
+list rises from zero.  Next to each rise it prints the Python calls the
+function makes per call of it, and then the functions whose calls per call
+rose: a rise per MTU that no such function explains is a traffic mix that
+moved (more packets down one scheme's path), not a costlier function.  The
+functions are those of the ``repro`` package this
 interpreter imports, so ``PYTHONPATH`` may point at a copy of ``src/``
 (``tools/mutants.py`` does).  The counts are exact and
 machine-independent, so one run settles it, but they move between CPython
@@ -87,37 +91,57 @@ SETS = {**{name: partial(metro_workload, mix, DURATION)
 def python_calls(setup) -> dict:
     """Per delivered MTU on the workload ``setup()`` returns: Python calls
     in total and per ``repro`` function (``<file under src>:<qualified
-    name>``), and bytecodes in total."""
+    name>``), and bytecodes in total; and per call of each function, the
+    Python calls it makes."""
     counts = HotpathCounts()
     counts.run(setup())
     per_function = collections.Counter()
-    for code, (_bytecodes, calls, _c_calls) in counts.by_code.items():
+    called, made = collections.Counter(), collections.Counter()
+    for code, (_bytecodes, calls, _c_calls, callees) in counts.by_code.items():
         path = Path(code.co_filename)
         if path.is_relative_to(SRC / "repro") and calls:
             name = getattr(code, "co_qualname", code.co_name)
-            per_function[f"{path.relative_to(SRC).as_posix()}:{name}"] += (
-                calls / counts.delivered_mtus)
+            name = f"{path.relative_to(SRC).as_posix()}:{name}"
+            per_function[name] += calls / counts.delivered_mtus
+            called[name] += calls
+            made[name] += callees
     totals = counts.totals()
     return {"total": round(totals["py_calls_per_op"], 6),
             "bytecodes": round(totals["bytecodes_per_op"], 3),
             "functions": {name: round(value, 6)
-                          for name, value in sorted(per_function.items())}}
+                          for name, value in sorted(per_function.items())},
+            "per_call": {name: round(made[name] / called[name], 6)
+                         for name in sorted(called)}}
 
 
 def regressions(expected: dict, measured: dict,
                 tolerance: float = TOLERANCE) -> list:
     """One line per count in ``measured`` that exceeds ``expected`` by more
     than ``tolerance``: the call total, the bytecode total, then the
-    functions' calls."""
+    functions' calls, each with the Python calls it makes per call of it."""
     rows = {"total": (expected["total"], measured["total"], "Python calls"),
             "bytecodes": (expected["bytecodes"], measured["bytecodes"],
                           "bytecodes")}
     rows.update({name: (expected["functions"].get(name, 0.0), value,
                         "Python calls")
                  for name, value in measured["functions"].items()})
+    before, after = expected.get("per_call", {}), measured.get("per_call", {})
     return [f"{name}: {old:.6f} -> {new:.6f} {unit} per MTU"
+            + (f", {before.get(name, 0.0):.3f} -> {after[name]:.3f} "
+               "calls made per call" if name in after else "")
             for name, (old, new, unit) in rows.items()
             if new > old * (1 + tolerance)]
+
+
+def costlier(expected: dict, measured: dict,
+             tolerance: float = TOLERANCE) -> list:
+    """The functions that make more Python calls per call of them than
+    ``expected`` by more than ``tolerance`` (one that is new makes them
+    from zero).  A rise per MTU with none of these is a traffic mix that
+    moved: the same functions run more often, each as costly as before."""
+    before = expected.get("per_call", {})
+    return sorted(name for name, value in measured.get("per_call", {}).items()
+                  if value > before.get(name, 0.0) * (1 + tolerance))
 
 
 def main(argv=None) -> int:
@@ -157,9 +181,15 @@ def main(argv=None) -> int:
               f"Python calls and {expected['bytecodes']:.1f} -> "
               f"{counts['bytecodes']:.1f} bytecodes per MTU; {moved} of "
               f"{len(counts['functions'])} repro functions moved")
-        for line in regressions(expected, counts):
+        rose = regressions(expected, counts)
+        for line in rose:
             print(f"  ROSE > {TOLERANCE:.0%}  {line}")
             failed = True
+        if rose:
+            dearer = costlier(expected, counts)
+            print("  costlier per call: " + ", ".join(dearer) if dearer else
+                  "  no function makes more calls per call: the traffic mix "
+                  "moved")
     return 1 if failed else 0
 
 

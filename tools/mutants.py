@@ -50,6 +50,9 @@ MINMAX_PROPERTY = ("tests/test_property_based.py::"
                    "test_windowed_minmax_invariants",)
 BBR_MODEL = ("tests/test_cc_endtoend.py::"
              "test_bbr_reads_its_model_at_every_ack_of_a_seeded_run",)
+PCC_TWIN = ("tests/test_cc_endtoend.py::"
+            "test_pcc_credits_each_ack_of_a_seeded_run_where_the_twin_does",
+            "tests/test_cc_endtoend.py::test_pcc_mis_are_half_open_in_send_time")
 PACED_RTO = ("tests/test_cc_endtoend.py::"
              "test_paced_sender_keeps_its_rto_armed_behind_every_send",)
 RFC6298 = ("tests/test_endpoints.py::test_sender_rtt_and_rto_follow_rfc6298",)
@@ -284,17 +287,33 @@ MUTANTS = [
      "best = self.best = samples[0][1]\n",
      "best = samples[0][1]\n",
      "update leaves a stale published extremum",
-     MINMAX_PROPERTY + BBR_MODEL),
+     MINMAX_PROPERTY),
     ("simulator/estimators.py",
      'self._max = mode == "max"',
      'self._max = mode == "min"',
      "the max filter compares as a min filter",
      MINMAX_PROPERTY),
     ("cc/bbr.py",
-     "return max(CWND_GAIN * bdp, 4.0)",
-     "return max(bdp, 4.0)",
+     "cwnd = CWND_GAIN * bdp",
+     "cwnd = bdp",
      "BBR's cwnd() ignores CWND_GAIN",
      BBR_MODEL),
+    ("cc/bbr.py",
+     "            btl_bw.best = samples[0][1]\n",
+     "",
+     "BBR's inlined max filter leaves a stale published extremum",
+     BBR_MODEL),
+    # --- PCC Vivace's monitor intervals (cc/pcc_vivace.py)
+    ("cc/pcc_vivace.py",
+     "self.end = start + duration",
+     "self.end = start",
+     "an MI is stored as ending where it starts",
+     PCC_TWIN),
+    ("cc/pcc_vivace.py",
+     "if mi.start <= sent_time < mi.end:",
+     "if mi.start <= sent_time <= mi.end:",
+     "an MI also takes the ACK of a packet sent as it ends",
+     PCC_TWIN),
 ]
 
 

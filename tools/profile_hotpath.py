@@ -182,7 +182,8 @@ class HotpathCounts:
     """Bytecodes and calls executed inside ``Scenario.run``, by function."""
 
     def __init__(self) -> None:
-        #: code object -> [bytecodes, Python calls, C calls made from it]
+        #: code object -> [bytecodes, Python calls, C calls made from it,
+        #: Python calls made from it]
         self.by_code: dict = {}
         self.delivered_mtus = 0.0
         self.runs = 0
@@ -192,7 +193,7 @@ class HotpathCounts:
     def _row(self, code) -> list:
         row = self.by_code.get(code)
         if row is None:
-            row = self.by_code[code] = [0, 0, 0]
+            row = self.by_code[code] = [0, 0, 0, 0]
         return row
 
     def _trace(self, frame, event, arg):
@@ -210,6 +211,9 @@ class HotpathCounts:
     def _profile(self, frame, event, arg) -> None:
         if event == "call":
             self._row(frame.f_code)[1] += 1
+            caller = frame.f_back
+            if caller is not None:
+                self._row(caller.f_code)[3] += 1
         elif event == "c_call":
             self._row(frame.f_code)[2] += 1
 
