@@ -16,13 +16,17 @@ Run with::
     python examples/coexistence_demo.py
 """
 
-from repro.experiments.coexistence import (fig6_nonabc_bottleneck,
+from repro.experiments.coexistence import (FIG6_SAMPLE_INTERVAL, WIRED_MBPS,
+                                           fig6_spec,
                                            fig7_coexistence_timeseries)
+from repro.experiments.scenario_spec import BASE_RTT, spec_cell
 
 
 def main():
     print("=== Part 1: ABC across an ABC wireless hop + non-ABC wired hop ===")
-    trace = fig6_nonabc_bottleneck(duration=60.0)
+    # One Fig. 6 cell, run in-process: a spec plus the summary that measures it.
+    trace = spec_cell(fig6_spec(60.0, WIRED_MBPS, BASE_RTT).to_jsonable(),
+                      "fig6", sample_interval=FIG6_SAMPLE_INTERVAL)
     print(f"  mean relative tracking error vs ideal rate: {trace.tracking_error:.2%}")
     print(f"  peak queuing delay: {trace.queuing_delay_ms.max():.0f} ms")
     print(f"  peak w_abc: {trace.w_abc.max():.0f} packets, "

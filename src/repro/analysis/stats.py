@@ -12,7 +12,7 @@ The confidence interval uses the two-sided Student-t critical value for
 ``n - 1`` degrees of freedom (exact table up to 30 df, the asymptotic 1.96
 beyond), i.e. ``half-width = t.975(n-1) · s / sqrt(n)``.  With a single seed
 the half-width is 0 and the mean **is** the seed's value bit-for-bit, which
-is what lets the multi-seed entry points collapse to the legacy single-seed
+is what lets the multi-seed grids collapse to the legacy single-seed
 output.
 
 Typical use::
@@ -111,16 +111,19 @@ def result_metrics(result: Any) -> Dict[str, float]:
     """Pull the numeric fields out of one sweep-cell result.
 
     Works on any metrics dataclass (``SingleBottleneckResult``,
-    ``WiFiSchemeResult``, ...) or a plain mapping; non-numeric fields
-    (labels, ``extra`` dicts, arrays) are skipped.  Booleans are excluded —
-    averaging them across seeds would silently turn a claim check into a
-    vote.
+    ``WiFiSchemeResult``, ...), whose properties count as metrics too
+    (``CoexistenceResult.throughput_gap``), or a plain mapping; non-numeric
+    fields (labels, ``extra`` dicts, arrays) are skipped.  Booleans are
+    excluded — averaging them across seeds would silently turn a claim
+    check into a vote.
     """
     if isinstance(result, Mapping):
         items = result.items()
     elif dataclasses.is_dataclass(result) and not isinstance(result, type):
-        items = ((f.name, getattr(result, f.name))
-                 for f in dataclasses.fields(result))
+        names = [f.name for f in dataclasses.fields(result)]
+        names += [name for name, attr in vars(type(result)).items()
+                  if isinstance(attr, property)]
+        items = ((name, getattr(result, name)) for name in names)
     else:
         items = vars(result).items()
     return {name: float(value) for name, value in items
@@ -150,7 +153,7 @@ def aggregate_metric_dicts(dicts: Sequence[Mapping[str, float]]
 def split_by_seed(results: Sequence[Any], n_seeds: int) -> List[List[Any]]:
     """Regroup a flat seed-major result list into per-cell seed lists.
 
-    Multi-seed entry points submit their jobs seed-major — all of seed 0's
+    Multi-seed grids submit their jobs seed-major — all of seed 0's
     cells (in grid order), then all of seed 1's, and so on — and executors
     return results in submission order.  This inverts that layout:
     ``split_by_seed(results, k)[j]`` is grid cell ``j``'s results across the
@@ -168,7 +171,7 @@ def split_by_seed(results: Sequence[Any], n_seeds: int) -> List[List[Any]]:
 class SeedResultSet:
     """Per-seed results of one sweep cell, readable like a single result.
 
-    Multi-seed entry points return one of these per (scheme, trace) cell in
+    Multi-seed grids return one of these per (scheme, trace) cell in
     place of the single result object.  It quacks like the underlying result:
     reading a numeric metric attribute (``set.utilization``) returns the
     across-seed **mean**, so single-seed consumers such as
@@ -184,8 +187,7 @@ class SeedResultSet:
     the first seed's result.
     """
 
-    def __init__(self, seeds: Sequence[int], results: Sequence[Any],
-                 metrics: Any = None):
+    def __init__(self, seeds: Sequence[int], results: Sequence[Any]):
         seeds = tuple(seeds)
         results = tuple(results)
         if not results:
@@ -193,11 +195,10 @@ class SeedResultSet:
         if len(seeds) != len(results):
             raise ValueError(
                 f"got {len(seeds)} seeds but {len(results)} results")
-        metrics_fn = metrics if metrics is not None else result_metrics
         self.seeds = seeds
         self.per_seed = results
         self.stats: Dict[str, SeedAggregate] = aggregate_metric_dicts(
-            [metrics_fn(r) for r in results])
+            [result_metrics(r) for r in results])
 
     def agg(self, name: str) -> SeedAggregate:
         """The :class:`SeedAggregate` of one metric."""

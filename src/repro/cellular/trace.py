@@ -10,17 +10,12 @@ that millisecond.  This module keeps timestamps in seconds internally.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
 from repro.simulator.packet import MTU
-
-#: Bin width (s) of :meth:`CellularTrace.rate_timeseries`: Fig. 1's capacity
-#: curve, binned as its flows' throughput is.
-RATE_BIN = 0.5
 
 
 class CellularTrace:
@@ -70,16 +65,6 @@ class CellularTrace:
         if self.duration <= 0:
             return 0.0
         return len(self._times) * MTU * 8.0 / self.duration
-
-    def rate_timeseries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Capacity time series ``(bin_centers_s, rate_bps)`` in bins
-        ``RATE_BIN`` wide."""
-        n_bins = max(int(math.ceil(self.duration / RATE_BIN)), 1)
-        idx = (self._times_np / RATE_BIN).astype(int)
-        np.minimum(idx, n_bins - 1, out=idx)
-        counts = np.bincount(idx, minlength=n_bins).astype(float)
-        centers = (np.arange(n_bins) + 0.5) * RATE_BIN
-        return centers, counts * MTU * 8.0 / RATE_BIN
 
     # ------------------------------------------------------------ transforms
     def scaled(self, factor: float, name: str | None = None) -> "CellularTrace":

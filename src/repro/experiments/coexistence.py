@@ -11,19 +11,22 @@
   two-queue scheduler; Fig. 12 adds Poisson short flows and compares the
   max-min weight allocation against RCP's Zombie-List strategy.
 * Fig. 13 — one backlogged ABC flow sharing the bottleneck with 200
-  application-limited ABC flows.
+  application-limited ABC flows (30 in the card, with the same 1 Mbit/s
+  aggregate: the claim — the backlogged flow still fills the link and delays
+  stay low though most flows cannot respond to accelerates — is unchanged).
+
+Their rows are in :data:`repro.experiments.figures.FIGURES`; Fig. 7's shares
+:func:`fig7_job` with :func:`fig7_coexistence_timeseries`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.stats import SeedResultSet
 from repro.experiments.runner import run_seed_grid
 from repro.experiments.scenario_spec import (BASE_RTT, NATIVE, BuiltScenario,
                                              FlowSpec, LinkSpec, ScenarioSpec,
@@ -38,10 +41,9 @@ WIRELESS_RATES_MBPS = (18, 6, 14, 4, 10, 22, 8, 16)
 WIRELESS_STEP_S = 5.0
 WIRED_MBPS = 12.0
 FIG6_SAMPLE_INTERVAL = 0.25
-#: Figs. 7 / 12: the shared bottleneck's rate (Mbit/s), Fig. 12's long
-#: flows per scheme, and the size of its Poisson short flows.
+#: Figs. 7 / 12: the shared bottleneck's rate (Mbit/s), and the size of
+#: Fig. 12's Poisson short flows.
 SHARED_LINK_MBPS = 24.0
-FIG12_LONG_FLOWS = 3
 SHORT_FLOW_BYTES = 50_000
 #: Fig. 13: the application-limited flows' aggregate rate (Mbit/s).
 APP_LIMITED_MBPS = 1.0
@@ -137,35 +139,6 @@ def fig6_summary(built: BuiltScenario,
     )
 
 
-def fig6_nonabc_bottleneck(duration: float = 80.0,
-                           cross_traffic: bool = False,
-                           executor: Optional[SweepExecutor] = None
-                           ) -> DualBottleneckTrace:
-    """Run the wireless(ABC)+wired(drop-tail) experiment.
-
-    With ``cross_traffic=True`` this is the Fig. 11 experiment: an on-off
-    Cubic flow shares the wired link, so ABC's ideal rate becomes the minimum
-    of the wireless rate and its fair share of the wired link.
-
-    The run is routed through :func:`run_seed_grid`, so it honours
-    ``REPRO_JOBS``/``REPRO_CACHE_DIR`` like the sweep figures.  The topology
-    is deterministic, so its seed list is pinned to ``(0,)``.
-    """
-    cross_schedule = None
-    if cross_traffic:
-        third = duration / 3.0
-        cross_schedule = [(third, 2 * third), (2 * third + 1e-9, duration)]
-    job = spec_job(fig6_spec(duration, WIRED_MBPS, BASE_RTT, cross_schedule),
-                   "fig6", "fig11" if cross_traffic else "fig6",
-                   sample_interval=FIG6_SAMPLE_INTERVAL)
-    return run_seed_grid(lambda s: [job], 0, (0,), executor)[0]
-
-
-def fig11_cross_traffic(duration: float = 80.0, **kwargs) -> DualBottleneckTrace:
-    """Fig. 11 is Fig. 6 plus on-off cross traffic on the wired link."""
-    return fig6_nonabc_bottleneck(duration=duration, cross_traffic=True, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 7 / Fig. 12 — sharing an ABC bottleneck with non-ABC flows
 # ---------------------------------------------------------------------------
@@ -193,6 +166,15 @@ class CoexistenceResult:
         return (self.mean_cubic_mbps - self.mean_abc_mbps) / denom
 
 
+def fig7_job(duration: float, stagger: float) -> SweepJob:
+    """Fig. 7's one cell: two ABC then two Cubic flows arrive ``stagger``
+    apart, measured once the last has arrived."""
+    return spec_job(shared_bottleneck_spec(
+        SHARED_LINK_MBPS, duration, BASE_RTT, n_abc=2, n_cubic=2,
+        abc_starts=(0.0, stagger), cubic_starts=(2 * stagger, 3 * stagger)),
+        "coexistence", "fig7", warmup=3 * stagger)
+
+
 def fig7_coexistence_timeseries(duration: float = 120.0,
                                 stagger: float = 30.0,
                                 executor: Optional[SweepExecutor] = None
@@ -203,10 +185,7 @@ def fig7_coexistence_timeseries(duration: float = 120.0,
     short-flow process, which Fig. 7 disables, so its seed list is pinned to
     ``(17,)``.
     """
-    job = spec_job(shared_bottleneck_spec(
-        SHARED_LINK_MBPS, duration, BASE_RTT, n_abc=2, n_cubic=2,
-        abc_starts=(0.0, stagger), cubic_starts=(2 * stagger, 3 * stagger)),
-        "coexistence", "fig7", warmup=3 * stagger)
+    job = fig7_job(duration, stagger)
     return run_seed_grid(lambda s: [job], 17, (17,), executor)[0]
 
 
@@ -269,53 +248,6 @@ def coexistence_summary(built: BuiltScenario,
     )
 
 
-def coexistence_metrics(result: CoexistenceResult) -> Dict[str, float]:
-    """The Fig. 12 metrics aggregated across seeds (properties included)."""
-    return {
-        "mean_abc_mbps": result.mean_abc_mbps,
-        "mean_cubic_mbps": result.mean_cubic_mbps,
-        "throughput_gap": result.throughput_gap,
-        "abc_queuing_p95_ms": result.abc_queuing_p95_ms,
-        "cubic_queuing_p95_ms": result.cubic_queuing_p95_ms,
-    }
-
-
-def fig12_offered_load_sweep(loads: Sequence[float] = (0.0625, 0.125, 0.25, 0.5),
-                             strategy: str = "maxmin", duration: float = 40.0,
-                             seed: int = 17,
-                             executor: Optional[SweepExecutor] = None,
-                             seeds: Optional[Sequence[int]] = None
-                             ) -> Dict[float, CoexistenceResult]:
-    """Fig. 12: long ABC and Cubic flows plus Poisson short flows.
-
-    ``strategy`` selects the queue-weight controller: ``"maxmin"`` (the
-    paper's approach) or ``"zombie"`` (RCP's flow-count equalisation, which
-    over-serves the queue holding the short flows).
-
-    The seed drives the Poisson short-flow arrival process; with several
-    ``seeds`` each load's value becomes a
-    :class:`~repro.analysis.stats.SeedResultSet` aggregating
-    :func:`coexistence_metrics` across arrival patterns.
-    """
-    if strategy not in ("maxmin", "zombie"):
-        raise ValueError("strategy must be 'maxmin' or 'zombie'")
-    warmup = 5.0  # short flows arrive, and long flows are measured, after it
-
-    def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [spec_job(shared_bottleneck_spec(
-                    SHARED_LINK_MBPS, duration, BASE_RTT,
-                    n_abc=FIG12_LONG_FLOWS,
-                    n_cubic=FIG12_LONG_FLOWS, strategy=strategy,
-                    short_flow_load=load, warmup=warmup, seed=s),
-                    "coexistence", f"fig12/{strategy}/seed{s}/load{load:g}",
-                    warmup=warmup)
-                for load in loads]
-
-    return dict(zip(loads, run_seed_grid(
-        jobs_for_seed, seed, seeds, executor,
-        combine=partial(SeedResultSet, metrics=coexistence_metrics))))
-
-
 # ---------------------------------------------------------------------------
 # Fig. 13 — application-limited flows
 # ---------------------------------------------------------------------------
@@ -355,27 +287,3 @@ def app_limited_summary(built: BuiltScenario) -> AppLimitedResult:
         backlogged_throughput_mbps=result.flow_throughput_bps(backlogged) / 1e6,
         app_limited_aggregate_mbps=aggregate,
     )
-
-
-def fig13_app_limited(num_app_limited: int = 50, duration: float = 30.0,
-                      seed: int = 23,
-                      executor: Optional[SweepExecutor] = None,
-                      seeds: Optional[Sequence[int]] = None):
-    """Fig. 13: a backlogged ABC flow plus many application-limited ABC flows.
-
-    The paper uses 200 application-limited flows; the default here is 50 (with
-    the same 1 Mbit/s aggregate) to keep the runtime reasonable — the claim
-    being tested (the backlogged flow still fills the link and delays stay
-    low even though most flows cannot respond to accelerates) is unchanged.
-
-    Routed through the sweep executor.  The seed regenerates the synthetic
-    cellular trace; with several ``seeds`` the return value becomes a
-    :class:`~repro.analysis.stats.SeedResultSet` over genuinely different
-    capacity processes.
-    """
-    def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [spec_job(app_limited_spec(num_app_limited, APP_LIMITED_MBPS,
-                                          duration, BASE_RTT, s),
-                         "app_limited", f"fig13/seed{s}")]
-
-    return run_seed_grid(jobs_for_seed, seed, seeds, executor)[0]

@@ -6,9 +6,10 @@ scheme label, and :func:`single_bottleneck_summary` (the
 ``single_bottleneck`` summary) runs and measures it.  To read a flow's own
 stats, build the spec, call the summary and read ``built.flows``.
 
-:func:`run_seed_grid` is the one grid runner.  Every figure but Fig. 4's
-probe, :func:`run_cellular_sweep` and a ``metro_pack`` city list one seed's
-cells; it runs them per seed (``seeds=``, else ``REPRO_SEEDS``) through one
+:func:`run_seed_grid` is the one grid runner.  Every row of
+:data:`repro.experiments.figures.FIGURES`, :func:`run_cellular_sweep` and a
+``metro_pack`` city list one seed's cells; it runs them per seed
+(``seeds=``, else ``REPRO_SEEDS``) through one
 :class:`~repro.runtime.executor.SweepExecutor` (serial, a worker pool or the
 result cache, bit-identical either way) and writes one ``figure`` manifest.
 """
@@ -29,7 +30,7 @@ from repro.experiments.scenario_spec import (BASE_RTT, BuiltScenario,
                                              link_spec_from, spec_cell)
 from repro.obs.manifest import build_manifest, run_dir, write_manifest
 from repro.runtime.executor import SweepExecutor
-from repro.runtime.spec import SweepCell, SweepJob, SweepSpec
+from repro.runtime.spec import SweepJob, SweepSpec
 
 #: Scheme labels in the order the paper's tables list them.
 SCHEME_NAMES: Tuple[str, ...] = (
@@ -107,16 +108,16 @@ def single_bottleneck_summary(built: BuiltScenario,
 def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
                   default_seed: int,
                   seeds: Optional[Sequence[int]] = None,
-                  executor: Optional[SweepExecutor] = None,
-                  combine: Callable[..., Any] = SeedResultSet) -> List[Any]:
+                  executor: Optional[SweepExecutor] = None) -> List[Any]:
     """The one grid runner: one value per grid cell, in grid order.
 
     ``jobs_for_seed(s)`` lists one seed's cells.  The seed list is ``seeds``,
     else ``REPRO_SEEDS``, else ``(default_seed,)``; every seed's jobs go
     seed-major through one executor (``executor``, else ``SweepExecutor()``,
     which reads the ``REPRO_*`` environment).  With one seed each value is
-    the cell's own result object; with several it is
-    ``combine(seeds, per_seed)``.
+    the cell's own result object; with several it is a
+    :class:`~repro.analysis.stats.SeedResultSet` of the cell's per-seed
+    results (the one across-seed aggregation).
     ``jobs_for_seed`` sees the seed and nothing else, so seed ``s`` runs the
     same jobs — same cache keys, same results — however many other seeds
     ride along.  A grid without a seed axis pins ``seeds`` (e.g. ``(0,)``),
@@ -143,33 +144,43 @@ def run_seed_grid(jobs_for_seed: Callable[[int], Sequence[SweepJob]],
             executor=executor), directory)
     if len(seeds) == 1:
         return results
-    return [combine(seeds, per_seed)
+    return [SeedResultSet(seeds, per_seed)
             for per_seed in split_by_seed(results, len(seeds))]
 
 
-def run_spec_grid(spec_for_seed: Callable[[int], SweepSpec],
-                  default_seed: int,
-                  seeds: Optional[Sequence[int]] = None,
-                  executor: Optional[SweepExecutor] = None
-                  ) -> Dict[str, Dict[str, Any]]:
-    """:func:`run_seed_grid` over one :class:`SweepSpec` per seed, grouped
-    as ``results[scheme][trace]`` (the Fig. 9 / 15 / 16 shape).
-
-    ``spec_for_seed(s)`` is seed ``s``'s scheme × trace grid; its jobs are
-    labelled ``seed{s}/{scheme}/{trace}``.
-    """
-    grid: List[SweepCell] = []
+def run_keyed_grid(cells_for_seed: Callable[[int], Mapping[Any, SweepJob]],
+                   default_seed: int, seeds: Optional[Sequence[int]],
+                   executor: Optional[SweepExecutor]) -> Dict[Any, Any]:
+    """:func:`run_seed_grid` over one seed's ``{key: job}`` cells: returns
+    ``{key: value}`` in grid order (a ``FIGURES`` row's shape)."""
+    keys: List[Any] = []
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
-        grid[:], sweep_jobs = spec_for_seed(s).expand()
-        for cell, job in zip(grid, sweep_jobs):
-            job.label = f"seed{s}/{cell.scheme}/{cell.trace}"
-        return sweep_jobs
+        cells = cells_for_seed(s)
+        keys[:] = cells
+        return list(cells.values())
 
     values = run_seed_grid(jobs_for_seed, default_seed, seeds, executor)
+    return dict(zip(keys, values))
+
+
+def sweep_cells(spec: SweepSpec, seed: int
+                ) -> Dict[Tuple[str, str], SweepJob]:
+    """Seed ``seed``'s cells of a scheme × trace :class:`SweepSpec`, keyed
+    ``(scheme, trace)`` in grid order and labelled
+    ``seed{seed}/{scheme}/{trace}`` (the Fig. 9 / 15 / 16 grid)."""
+    cells, jobs = spec.expand()
+    for cell, job in zip(cells, jobs):
+        job.label = f"seed{seed}/{cell.scheme}/{cell.trace}"
+    return {(cell.scheme, cell.trace): job for cell, job in zip(cells, jobs)}
+
+
+def by_scheme(values: Mapping[Tuple[str, str], Any]
+              ) -> Dict[str, Dict[str, Any]]:
+    """``{(scheme, trace): value}`` as ``results[scheme][trace]``."""
     out: Dict[str, Dict[str, Any]] = {}
-    for cell, value in zip(grid, values):
-        out.setdefault(cell.scheme, {})[cell.trace] = value
+    for (scheme, trace), value in values.items():
+        out.setdefault(scheme, {})[trace] = value
     return out
 
 
@@ -197,8 +208,9 @@ def run_cellular_sweep(schemes: Sequence[str],
     """
     spec = SweepSpec(schemes=list(schemes), traces=dict(traces),
                      duration=duration, buffer_packets=buffer_packets)
-    return run_spec_grid(lambda s: replace(spec, seeds=(s,)), 0, seeds,
-                         executor)
+    return by_scheme(run_keyed_grid(
+        lambda s: sweep_cells(replace(spec, seeds=(s,)), s), 0, seeds,
+        executor))
 
 
 #: Metrics averaged across traces by :func:`sweep_averages`, in row order.

@@ -23,7 +23,7 @@ loads none of them (nor the simulator or the executor), and a cell loads
 only the ones it runs.
 
 :func:`link_spec_from` is the one converter from the ``link_spec`` values
-the entry points accept: a rate in bit/s, a
+the spec builders accept: a rate in bit/s, a
 :class:`~repro.cellular.trace.CellularTrace` (registered with the trace
 store), a :class:`~repro.runtime.trace_store.TraceRef`, or a
 :class:`LinkSpec`.

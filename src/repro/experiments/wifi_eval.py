@@ -15,7 +15,9 @@
 Figs. 5, 10 and 14 are :class:`~repro.experiments.scenario_spec.ScenarioSpec`
 cells on a ``wifi`` link (an MCS schedule, plus the rate estimator),
 run by the ``rate_prediction`` and ``wifi`` summaries, like every other
-flow-carrying figure.  Fig. 4 is the one experiment in the repo that wires a
+flow-carrying figure; their rows are in
+:data:`repro.experiments.figures.FIGURES`, and Figs. 10 and 14 share
+:func:`wifi_jobs` with :func:`fig10_wifi`.  Fig. 4 is the one experiment in the repo that wires a
 :class:`~repro.simulator.scenario.Scenario` by hand and runs in-process: it
 pushes raw packets straight into the MAC, with no flow, sender or receiver,
 and a spec needs at least one flow (:meth:`ScenarioSpec.validate`).
@@ -24,13 +26,11 @@ and a spec needs at least one flow (:meth:`ScenarioSpec.validate`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import count, cycle
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.stats import SeedResultSet, result_metrics
 from repro.core.params import WIFI_DEFAULTS
 from repro.experiments.runner import run_seed_grid
 from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
@@ -148,37 +148,6 @@ def rate_prediction_summary(built: BuiltScenario) -> RatePredictionPoint:
     )
 
 
-def rate_prediction_metrics(point: RatePredictionPoint) -> Dict[str, float]:
-    """Numeric fields plus the derived relative error, for seed aggregation."""
-    metrics = result_metrics(point)
-    metrics["relative_error"] = point.relative_error
-    return metrics
-
-
-def fig5_rate_prediction(mcs_indices: Sequence[int] = (3, 5, 7),
-                         load_fractions: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
-                         duration: float = 20.0, seed: int = 5,
-                         executor: Optional[SweepExecutor] = None,
-                         seeds: Optional[Sequence[int]] = None
-                         ) -> List[RatePredictionPoint]:
-    """Sweep offered load on three links and record estimator accuracy.
-
-    The seed drives the WiFi MAC model; with several ``seeds`` each (MCS,
-    load) point is a :class:`~repro.analysis.stats.SeedResultSet`
-    (attribute reads give the across-seed mean; ``relative_error`` is
-    aggregated too).
-    """
-    def jobs_for_seed(s: int) -> List[SweepJob]:
-        return [spec_job(rate_prediction_spec(mcs, fraction, duration, s),
-                         "rate_prediction",
-                         f"fig5/seed{s}/mcs{mcs}/load{fraction:g}")
-                for mcs in mcs_indices for fraction in load_fractions]
-
-    return run_seed_grid(jobs_for_seed, seed, seeds, executor,
-                         combine=partial(SeedResultSet,
-                                         metrics=rate_prediction_metrics))
-
-
 # ---------------------------------------------------------------------------
 # Fig. 10 / Fig. 14 — throughput vs delay on a varying WiFi link
 # ---------------------------------------------------------------------------
@@ -228,47 +197,45 @@ def wifi_summary(built: BuiltScenario) -> WiFiSchemeResult:
     )
 
 
-def fig10_wifi(num_users: int = 1, duration: float = 45.0,
-               mcs_mode: str = "alternating", seed: int = 9,
+def wifi_jobs(num_users: int, duration: float, mcs_mode: str, seed: int,
+              abc_delay_thresholds: Sequence[float],
+              baselines: Sequence[str]) -> Dict[str, SweepJob]:
+    """One seed's Fig. 10 / Fig. 14 cells, keyed by row name: ABC once per
+    delay threshold (``abc_dt{ms}``), then each baseline."""
+    cases = [(f"abc_dt{int(round(threshold * 1000))}", "abc", threshold)
+             for threshold in abc_delay_thresholds]
+    cases += [(scheme, scheme, None) for scheme in baselines]
+    return {name: spec_job(wifi_case_spec(scheme, num_users, duration,
+                                          WIFI_RTT, mcs_mode, seed,
+                                          threshold),
+                           "wifi", f"wifi/seed{seed}/{name}")
+            for name, scheme, threshold in cases}
+
+
+def fig10_wifi(num_users: int = 1, duration: float = 45.0, seed: int = 9,
                abc_delay_thresholds: Sequence[float] = (0.02, 0.06, 0.1),
                baselines: Sequence[str] = WIFI_BASELINES,
                executor: Optional[SweepExecutor] = None,
                seeds: Optional[Sequence[int]] = None) -> List[WiFiSchemeResult]:
-    """Reproduce Fig. 10 (alternating MCS) or Fig. 14 (``mcs_mode="brownian"``).
+    """Reproduce Fig. 10: the alternating-MCS link, one row per scheme; ABC
+    appears once per delay threshold with the scheme name ``abc_dt{ms}``.
 
-    Returns one row per scheme; ABC appears once per delay threshold with the
-    scheme name ``abc_dt{ms}``.
-
-    The seed drives the WiFi MAC model (and the Brownian MCS walk); with
-    several ``seeds`` each row becomes a
-    :class:`~repro.analysis.stats.SeedResultSet` across MAC realisations.
+    The seed drives the WiFi MAC model; with several ``seeds`` each row
+    becomes a :class:`~repro.analysis.stats.SeedResultSet` across MAC
+    realisations.
     """
-    names = [f"abc_dt{int(round(threshold * 1000))}"
-             for threshold in abc_delay_thresholds]
+    names: List[str] = []
 
     def jobs_for_seed(s: int) -> List[SweepJob]:
-        cases = [("abc", name, threshold)
-                 for name, threshold in zip(names, abc_delay_thresholds)]
-        cases += [(scheme, scheme, None) for scheme in baselines]
-        return [spec_job(wifi_case_spec(scheme, num_users, duration, WIFI_RTT,
-                                        mcs_mode, s, threshold),
-                         "wifi", f"wifi/seed{s}/{name}")
-                for scheme, name, threshold in cases]
+        jobs = wifi_jobs(num_users, duration, "alternating", s,
+                         abc_delay_thresholds, baselines)
+        names[:] = jobs
+        return list(jobs.values())
 
     rows = run_seed_grid(jobs_for_seed, seed, seeds, executor)
     for name, row in zip(names, rows):
-        # A SeedResultSet forwards ``scheme`` from its first seed's result.
+        # ``wifi_summary`` reports an ABC row as plain ``abc``; a
+        # SeedResultSet forwards ``scheme`` from its first seed's result.
         for res in getattr(row, "per_seed", (row,)):
             res.scheme = name
     return rows
-
-
-def fig14_wifi_brownian(num_users: int = 1, duration: float = 45.0,
-                        seed: int = 13,
-                        executor: Optional[SweepExecutor] = None,
-                        seeds: Optional[Sequence[int]] = None
-                        ) -> List[WiFiSchemeResult]:
-    """Appendix B variant of the WiFi experiment (Brownian MCS walk)."""
-    return fig10_wifi(num_users=num_users, duration=duration,
-                      mcs_mode="brownian", seed=seed, executor=executor,
-                      seeds=seeds)

@@ -114,7 +114,7 @@ class MetroSpec(SweepSpec):
         mix = str(scheme).lower()
         return spec_job(self.cell_spec(mix, trace_name, link_spec, seed),
                         "metro", f"{scheme}/{trace_name}/seed{seed}", mix=mix,
-                        seed=seed, warmup=self.warmup)
+                        seed=seed, warmup=0.0)
 
 
 def metro_pack(n_cells: int, duration: float = 8.0, trace_seed: int = 1,

@@ -9,7 +9,7 @@ independent jobs:
 * :class:`~repro.runtime.executor.SweepExecutor` — runs jobs serially or on
   a ``multiprocessing`` pool and memoizes results in an on-disk
   content-addressed cache.  It is the one object that says how a sweep runs:
-  entry points take a ready executor (or build ``SweepExecutor()`` from the
+  grid runners take a ready executor (or build ``SweepExecutor()`` from the
   ``REPRO_*`` environment).
 * :class:`~repro.runtime.cache.ResultCache` — the cache itself, keyed by
   :func:`~repro.runtime.cache.stable_hash` of (job function, kwargs,

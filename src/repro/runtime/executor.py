@@ -31,8 +31,8 @@ workers.  Used as a context manager the executor keeps them alive across
 ``run()`` calls::
 
     with SweepExecutor(jobs=4) as executor:
-        first = fig9_sweep(executor=executor)     # workers start here
-        second = fig18_rtt_sensitivity(executor=executor)  # no spin-up
+        first = run_figure(FIGURES["fig09"], executor)   # workers start here
+        second = run_figure(FIGURES["fig18"], executor)  # no spin-up
 
 Workers are primed with the shared trace store
 (:mod:`repro.runtime.trace_store`) when they start, so a cell's spec

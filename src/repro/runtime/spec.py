@@ -97,7 +97,6 @@ class SweepSpec:
     seeds: Sequence[int] = (0,)
     duration: float = 30.0
     buffer_packets: int = 250
-    warmup: float = 0.0
 
     def validate(self) -> None:
         self._validate_schemes()
@@ -128,7 +127,7 @@ class SweepSpec:
             scheme, link_spec, rtt=BASE_RTT, duration=self.duration,
             buffer_packets=self.buffer_packets, seed=seed),
             "single_bottleneck", f"{scheme}/{trace_name}/seed{seed}",
-            warmup=self.warmup)
+            warmup=0.0)
 
     def expand(self) -> Tuple[List[SweepCell], List[SweepJob]]:
         """All cells in deterministic scheme→trace→seed order.

@@ -141,3 +141,39 @@ def decoded_echo(codepoint) -> tuple:
     assert len(pairs) >= 4
     (pair,) = set(pairs)
     return pair
+
+
+class KeyRecorder:
+    """An executor stand-in that runs nothing: it records the cache keys
+    of the jobs it is handed and returns an empty result for each."""
+
+    def run(self, jobs):
+        self.keys = [job.cache_key("salt") for job in jobs]
+        return [{} for _ in jobs]
+
+
+def shrunk(figure, duration: float, keys=None):
+    """A ``FIGURES`` row cut down on the test side, in the style of
+    ``repro.fuzz.shrink``: only the cells whose key is in ``keys`` (every
+    cell when ``None``), each spec ending at ``duration`` seconds (flows
+    that would start later are dropped) and a measurement start
+    (``warmup`` / ``t0``) past the middle of the run moved to it."""
+    from repro.experiments.scenario_spec import ScenarioSpec, spec_job
+
+    def cells(seed: int) -> dict:
+        out = {}
+        for key, job in figure.cells(seed).items():
+            if keys is not None and key not in keys:
+                continue
+            args = dict(job.kwargs)
+            spec = ScenarioSpec.from_jsonable(args.pop("spec"))
+            spec.duration = min(spec.duration, duration)
+            spec.flows = [flow for flow in spec.flows
+                          if flow.start_time < spec.duration]
+            for name in ("warmup", "t0"):
+                if name in args:
+                    args[name] = min(args[name], spec.duration / 2.0)
+            out[key] = spec_job(spec, args.pop("summary"), job.label, **args)
+        return out
+
+    return figure._replace(cells=cells)

@@ -109,7 +109,7 @@ def test_speed_figures_name_a_ledger_workload():
 #: Total lines of ``src/**/*.py`` at the last PR that moved it.  The north
 #: star says this number goes down: lower it when a PR shrinks ``src/``;
 #: raising it is an edit a reviewer sees and a PR has to argue for.
-SRC_LINE_CEILING = 12_655
+SRC_LINE_CEILING = 12_291
 
 
 def test_every_ci_job_gates():

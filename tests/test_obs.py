@@ -313,11 +313,10 @@ def test_sweep_manifest_round_trip(tmp_path, monkeypatch):
 
 
 def test_every_seeded_figure_call_leaves_one_manifest(tmp_path, monkeypatch):
-    from repro.experiments.coexistence import (fig6_nonabc_bottleneck,
-                                               fig13_app_limited)
-    from repro.experiments.pareto import fig9_sweep
+    from repro.experiments.figures import FIGURES, run_figure
     from repro.experiments.runner import run_seed_grid
     from repro.metro.spec import metro_pack
+    from tests.conftest import shrunk
     monkeypatch.delenv("REPRO_SEEDS", raising=False)
     runs = tmp_path / "runs"
     monkeypatch.setenv("REPRO_RUN_DIR", str(runs))
@@ -331,18 +330,21 @@ def test_every_seeded_figure_call_leaves_one_manifest(tmp_path, monkeypatch):
         path.unlink()
         return manifest
 
-    fig9_sweep(schemes=["abc"], duration=1.0, seeds=[1, 2],
-               trace_names=["Verizon-LTE-1"], executor=SweepExecutor(jobs=1))
+    monkeypatch.setenv("REPRO_SEEDS", "1,2")
+    run_figure(shrunk(FIGURES["fig09"], duration=1.0,
+                      keys=[("abc", "Verizon-LTE-1")]),
+               SweepExecutor(jobs=1))
     manifest = only_manifest()
     assert manifest["spec"]["seeds"] == [1, 2]
-    assert len(manifest["spec"]["jobs"]) == 2
+    assert manifest["spec"]["jobs"] == ["seed1/abc/Verizon-LTE-1",
+                                        "seed2/abc/Verizon-LTE-1"]
     assert manifest["executor"]["config"]["jobs"] == 1
-    fig13_app_limited(num_app_limited=2, duration=1.0)
+    monkeypatch.delenv("REPRO_SEEDS")
+    run_figure(shrunk(FIGURES["fig13"], duration=1.0), SweepExecutor(jobs=1))
     spec = only_manifest()["spec"]
     assert (spec["seeds"], spec["jobs"]) == ([23], ["fig13/seed23"])
     assert [cell["summary"] for cell in spec["cells"]] == ["app_limited"]
-    # The grids that used to run outside run_seed_grid.  The city and the
-    # one-job figure pin their seed list, so REPRO_SEEDS leaves them alone.
+    # A grid with a pinned seed list ignores REPRO_SEEDS.
     _one_cell(SweepExecutor(jobs=1), seeds=[0, 1])
     assert only_manifest()["spec"]["seeds"] == [0, 1]
     monkeypatch.setenv("REPRO_SEEDS", "5,6")
@@ -352,7 +354,7 @@ def test_every_seeded_figure_call_leaves_one_manifest(tmp_path, monkeypatch):
     assert (spec["seeds"], spec["jobs"]) == ([0], [
         f"{city.schemes[0]}/cell-00{i}/seed0" for i in range(2)])
     assert [cell["summary"] for cell in spec["cells"]] == ["metro"] * 2
-    fig6_nonabc_bottleneck(duration=1.0)
+    run_figure(shrunk(FIGURES["fig06"], duration=1.0), SweepExecutor(jobs=1))
     spec = only_manifest()["spec"]
     assert (spec["seeds"], spec["jobs"]) == ([0], ["fig6"])
     assert [cell["summary"] for cell in spec["cells"]] == ["fig6"]

@@ -1,6 +1,6 @@
 """``tools/reproduce.py``: the one command that regenerates the paper's
 evaluation.  Its rows are data, so these tests hold the table's shape, that
-``--list`` resolves every entry point, that two cheap rows run end to end,
+``--list`` builds every row's cells, that two cheap rows run end to end,
 and that a failing check shows in the exit status and the output."""
 
 from __future__ import annotations
@@ -9,27 +9,35 @@ import re
 import sys
 from pathlib import Path
 
+from repro.experiments.figures import FIGURES
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import reproduce  # noqa: E402
 
-FIGURES = [f"fig{n:02d}" for n in range(1, 19)] + ["table1"]
+PAPER = [f"fig{n:02d}" for n in range(1, 19)] + ["table1"]
 
 
 def test_rows_are_unique_checked_and_cover_every_figure():
     ids = [row.id for row in reproduce.ROWS]
     assert len(ids) == len(set(ids))
     assert all(row.checks for row in reproduce.ROWS)
-    assert set(FIGURES) <= set(ids)
-    for row in reproduce.ROWS:
-        assert row.calls and all(re.fullmatch(r"repro(\.\w+)+:\w+", target)
-                                 for target, _ in row.calls), row.id
+    assert set(PAPER) <= set(ids)
+    runs = [run for row in reproduce.ROWS for run in row.runs]
+    assert all(callable(run) or run in FIGURES for run in runs)
+    assert sorted(run for run in runs if not callable(run)) == sorted(FIGURES)
 
 
 def test_list_resolves_every_entry_point(capsys):
+    """``--list`` builds every row's cells (one line per figure it runs,
+    with its summaries and cell count) and runs nothing."""
     assert reproduce.main(["--list"]) == 0
-    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert listed == [row.id for row in reproduce.ROWS]
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted({line.split()[0] for line in lines}) == sorted(
+        row.id for row in reproduce.ROWS)
+    counted = [line for line in lines if re.search(r"\(\d+ cells\)$", line)]
+    assert len(counted) == len(FIGURES)
+    assert "fig09      single_bottleneck (96 cells)" in lines
 
 
 def test_cheap_rows_run_end_to_end_and_pass(capsys):

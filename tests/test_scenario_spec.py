@@ -15,16 +15,17 @@ from pathlib import Path
 import pytest
 
 from repro.cellular.synthetic import synthetic_trace_set
-from repro.experiments import (coexistence, fairness, runner, scenario_spec,
-                               wifi_eval)
+from repro.experiments import coexistence, runner, scenario_spec, wifi_eval
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.scenario_spec import (LinkSpec, ScenarioSpec, build,
                                              link_spec_from, spec_cell)
 from repro.fuzz.generator import ScenarioGen
 from repro.fuzz.invariants import scenario_summary
 from repro.fuzz.shrink import load_corpus_entry
-from repro.metro.spec import DEFAULT_MIX, metro_pack
+from repro.metro.spec import DEFAULT_MIX, MetroSpec, metro_pack
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.trace_store import register_trace
+from tests.conftest import shrunk
 
 from test_path_golden import metro_cell
 
@@ -79,11 +80,10 @@ CELLS = {
     "fig14": lambda: spec_cell(wifi_eval.wifi_case_spec(
         "abc", 2, duration=1.5, rtt=0.04, mcs_mode="brownian", seed=3,
         abc_delay_threshold=0.02).to_jsonable(), "wifi"),
-    "fig3": lambda: fairness.fig3_fairness(False, num_flows=2, stagger=1.0,
-                                           executor=SweepExecutor(jobs=1)),
-    "jain": lambda: fairness.jain_index_sweep(flow_counts=(2,), duration=2.0,
-                                              warmup=1.0,
-                                              executor=SweepExecutor(jobs=1)),
+    "fig3": lambda: run_figure(shrunk(FIGURES["fig03"], duration=3.0,
+                                      keys=(False,)), SweepExecutor(jobs=1)),
+    "jain": lambda: run_figure(shrunk(FIGURES["jain"], duration=2.0,
+                                      keys=(2,)), SweepExecutor(jobs=1)),
     "metro-square": lambda: metro_cell(MIX, "cell-a", LinkSpec("square", {
         "low_bps": 4e6, "high_bps": 9e6, "half_period": 0.5}),
                                        seed=1, duration=3.0),
@@ -165,8 +165,9 @@ def test_single_bottleneck_trace_label_is_deterministic():
 
 
 def test_metro_per_flow_throughputs_cover_the_measured_window():
-    cell = metro_cell(MIX, "cell-w", 8e6, seed=4, duration=4.0, warmup=2.0,
-                      arrival_rate=3.0)
+    (job,) = MetroSpec(schemes=[MIX], traces={"cell-w": 8e6}, seeds=(4,),
+                       duration=4.0, arrival_rate=3.0).expand()[1]
+    cell = spec_cell(**{**job.kwargs, "warmup": 2.0})
     per_flow = (sum(cell["base_throughputs_bps"])
                 + sum(cell["churn_throughputs_bps"]))
     assert per_flow == pytest.approx(cell["throughput_bps"], rel=1e-9)

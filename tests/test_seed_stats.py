@@ -19,24 +19,20 @@ import pickle
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.analysis.stats import (SeedAggregate, SeedResultSet,
                                   aggregate_metric_dicts, aggregate_values,
                                   result_metrics, t_critical_95)
 from repro.cellular.synthetic import SyntheticTraceConfig, synthetic_trace
-from repro.experiments.coexistence import (fig12_offered_load_sweep,
-                                           fig13_app_limited)
-from repro.experiments.pareto import (fig8_pareto, fig9_sweep,
-                                      fig18_rtt_sensitivity)
+from repro.experiments.coexistence import CoexistenceResult
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.runner import (run_cellular_sweep, run_seed_grid,
                                       sweep_averages)
-from repro.experiments.timeseries import fig1_timeseries, fig17_square_wave
-from repro.experiments.wifi_eval import fig5_rate_prediction, fig10_wifi
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepJob
 from repro.runtime.trace_store import TraceRef, get_trace, register_trace
+from tests.conftest import KeyRecorder, shrunk
 
 REPRO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -146,17 +142,19 @@ def test_single_seed_sweep_is_bit_identical_to_legacy():
             assert _metrics(single[scheme][trace]) == _metrics(legacy[scheme][trace])
 
 
-def test_fig9_single_seed_matches_legacy():
-    """seeds=[s] ≡ seed=s bit-for-bit — including for cubic+pie, whose PIE
-    qdisc consumes the per-cell seed (the single-seed path must keep the
-    legacy cell seed 0 and only move the trace seed)."""
-    legacy = fig9_sweep(schemes=["abc", "cubic+pie"], duration=3.0, seed=1,
-                        trace_names=["Verizon-LTE-1"])
-    single = fig9_sweep(schemes=["abc", "cubic+pie"], duration=3.0,
-                        seeds=[1], trace_names=["Verizon-LTE-1"])
-    for scheme in ("abc", "cubic+pie"):
-        assert (_metrics(single[scheme]["Verizon-LTE-1"])
-                == _metrics(legacy[scheme]["Verizon-LTE-1"]))
+def test_fig9_single_seed_matches_legacy(monkeypatch):
+    """``REPRO_SEEDS=s`` ≡ the row's default seed ``s`` bit-for-bit —
+    including for cubic+pie, whose PIE qdisc consumes the per-cell seed (a
+    seed moves the traces, never the cell seed 0)."""
+    figure = shrunk(FIGURES["fig09"], duration=3.0, keys=[
+        (scheme, "Verizon-LTE-1") for scheme in ("abc", "cubic+pie")])
+    monkeypatch.delenv("REPRO_SEEDS", raising=False)
+    legacy = run_figure(figure, SweepExecutor(jobs=1))
+    monkeypatch.setenv("REPRO_SEEDS", str(figure.seed))
+    single = run_figure(figure, SweepExecutor(jobs=1))
+    assert list(single) == list(legacy)
+    for key in legacy:
+        assert _metrics(single[key]) == _metrics(legacy[key])
 
 
 def test_sweep_averages_single_seed_rows_keep_legacy_shape():
@@ -234,10 +232,6 @@ def test_run_seed_grid_submits_seed_major_and_combines_in_grid_order():
     assert [v.per_seed for v in values] == [
         ({"value": 100.0 + i}, {"value": 200.0 + i}) for i in range(3)]
     assert [v.stats["value"].mean for v in values] == [150.0, 151.0, 152.0]
-    combined = run_seed_grid(
-        _toy_jobs, 7, seeds=[1, 2], executor=executor,
-        combine=lambda seeds, per_seed: (seeds, [r["value"] for r in per_seed]))
-    assert combined == [((1, 2), [100.0 + i, 200.0 + i]) for i in range(3)]
 
 
 def test_run_seed_grid_reads_repro_seeds_only_without_an_argument(monkeypatch):
@@ -249,70 +243,53 @@ def test_run_seed_grid_reads_repro_seeds_only_without_an_argument(monkeypatch):
     assert executor.labels == ["seed9/cell0", "seed9/cell1", "seed9/cell2"]
 
 
-def _exact(result) -> dict:
-    """Every field of one cell's result, arrays as their bytes."""
-    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
-            for name, value in vars(result).items()}
+def test_result_metrics_count_properties():
+    """A result's properties are metrics too, so one across-seed
+    aggregation covers Fig. 12's throughput gap."""
+    runs = [CoexistenceResult([4.0], [5.0], 1.0, 2.0),
+            CoexistenceResult([4.0], [6.0], 1.0, 2.0)]
+    assert result_metrics(runs[0])["throughput_gap"] == 0.25
+    assert SeedResultSet((1, 2), runs).throughput_gap == 0.375
 
 
-def _numbers(value) -> list:
-    """The numeric fields of every cell a figure returned, in grid order."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return [n for item in value for n in _numbers(item)]
-    if hasattr(value, "points"):                 # a ParetoScatter
-        return _numbers(value.points)
-    return [result_metrics(value)]
-
-
-PIE = ("abc", "cubic+pie")      # cubic+pie's drop RNG consumes the cell seed
-SEEDED_FIGURES = {
-    "fig1": (fig1_timeseries, dict(schemes=PIE, duration=2.0)),
-    "fig5": (fig5_rate_prediction, dict(mcs_indices=(3,), duration=2.0,
-                                        load_fractions=(0.4, 1.0))),
-    "fig8": (fig8_pareto, dict(schemes=PIE, duration=2.0)),
-    "fig9": (fig9_sweep, dict(schemes=PIE, duration=2.0,
-                              trace_names=["Verizon-LTE-1"])),
-    "fig10": (fig10_wifi, dict(duration=2.0, abc_delay_thresholds=(0.06,),
-                               baselines=("cubic",))),
-    "fig12": (fig12_offered_load_sweep, dict(loads=(0.5,), duration=8.0)),
-    "fig13": (fig13_app_limited, dict(num_app_limited=4, duration=3.0)),
-    "fig17": (fig17_square_wave, dict(schemes=("abc", "rcp"), duration=2.0)),
-    "fig18": (fig18_rtt_sensitivity, dict(schemes=PIE, rtts=(0.05, 0.1),
-                                          duration=2.0)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SEEDED_FIGURES))
+@pytest.mark.parametrize("name", sorted(FIGURES),
+                         ids=lambda name: name.replace("fig0", "fig"))
 def test_every_seeded_figure_keeps_the_seed_axis_contract(name, monkeypatch):
-    """``seeds=[a]`` is the ``seed=a`` run, and seed ``a``'s block of
-    ``seeds=[a, b]`` is that same run bit for bit — whatever the figure."""
-    monkeypatch.delenv("REPRO_SEEDS", raising=False)
-    figure, kwargs = SEEDED_FIGURES[name]
-    # Fig. 17 has no ``seed`` parameter: its default seed is 0.
-    a, legacy = (0, {}) if name == "fig17" else (3, {"seed": 3})
-    executor = _RecordingExecutor()
-    single = figure(seeds=[a], executor=executor, **kwargs)
-    assert _numbers(single) == _numbers(figure(**legacy, **kwargs))
-    single_cells = [_exact(r) for r in executor.results]
-    figure(seeds=[a, 4], executor=executor, **kwargs)
-    n = len(single_cells)
-    assert len(executor.results) == 2 * n
-    assert [_exact(r) for r in executor.results[:n]] == single_cells
+    """Seed ``a``'s jobs are the same (same cache keys) alone or beside
+    seed ``b``, seed ``b``'s are its own, and a pinned row ignores
+    ``REPRO_SEEDS`` — whatever the row."""
+    figure = FIGURES[name]
+    monkeypatch.delenv("REPRO_RUN_DIR", raising=False)
+    n = len(figure.cells(figure.seed))
+
+    def jobs_for_seed(s):
+        return list(figure.cells(s).values())
+
+    alone, beside = KeyRecorder(), KeyRecorder()
+    run_seed_grid(jobs_for_seed, figure.seed, [3], alone)
+    run_seed_grid(jobs_for_seed, figure.seed, [3, 4], beside)
+    assert len(alone.keys) == n and len(beside.keys) == 2 * n
+    assert beside.keys[:n] == alone.keys
+    if not figure.pinned:       # a seed axis: seed b's cells are its own
+        assert beside.keys[n:] != alone.keys
+    monkeypatch.setenv("REPRO_SEEDS", "3,4")
+    run_figure(figure, alone)
+    assert len(alone.keys) == n * (1 if figure.pinned else 2)
 
 
-def test_fig9_adding_a_seed_replays_the_cached_one(tmp_path):
-    kwargs = dict(schemes=PIE, duration=2.0, trace_names=["Verizon-LTE-1"])
+def test_fig9_adding_a_seed_replays_the_cached_one(tmp_path, monkeypatch):
+    figure = shrunk(FIGURES["fig09"], duration=2.0, keys=[
+        (scheme, "Verizon-LTE-1") for scheme in ("abc", "cubic+pie")])
     executor = _RecordingExecutor(cache_dir=tmp_path / "cache")
-    single = fig9_sweep(seeds=[1], executor=executor, **kwargs)
+    monkeypatch.setenv("REPRO_SEEDS", "1")
+    single = run_figure(figure, executor)
     assert executor.last_stats.executed == 2
-    multi = fig9_sweep(seeds=[1, 2], executor=executor, **kwargs)
+    monkeypatch.setenv("REPRO_SEEDS", "1,2")
+    multi = run_figure(figure, executor)
     assert executor.last_stats.cache_hits == 2       # seed 1's two cells
     assert executor.last_stats.executed == 2         # seed 2's two cells
-    for scheme in PIE:
-        assert (_metrics(multi[scheme]["Verizon-LTE-1"].per_seed[0])
-                == _metrics(single[scheme]["Verizon-LTE-1"]))
+    for key, value in single.items():
+        assert _metrics(multi[key].per_seed[0]) == _metrics(value)
 
 
 def test_the_seed_axis_is_written_once():

@@ -102,21 +102,22 @@ def test_stability_sweep_experiment():
     assert sweep[0.2].fluid_oscillation_s > sweep[1.33].fluid_oscillation_s
 
 
-def test_packet_level_stability_runs_abc_on_a_constant_link():
+def test_packet_level_delta_row_runs_abc_on_a_constant_link():
+    from repro.experiments.figures import FIGURES, run_figure
     from repro.experiments.runner import single_bottleneck_spec
     from repro.experiments.scenario_spec import LinkSpec, spec_cell
-    from repro.experiments.stability_eval import packet_level_stability
-    (point,) = packet_level_stability(delta_values=(0.133,),
-                                      duration=1.0).values()
+    from repro.runtime.executor import SweepExecutor
+    from tests.conftest import shrunk
+    (point,) = run_figure(shrunk(FIGURES["stability"], duration=1.0,
+                                 keys=(0.133,)),
+                          SweepExecutor(jobs=1)).values()
     direct = spec_cell(single_bottleneck_spec(
         "abc", LinkSpec("constant", {"rate_bps": 24e6}), rtt=0.1,
         duration=1.0, abc_params=ABCParams(delta=0.133)).to_jsonable(),
         "single_bottleneck")
-    assert point.delta == 0.133
     assert point.utilization == direct.utilization
     assert point.queuing_p95_ms == direct.queuing_p95_ms
-    assert 0.0 < point.utilization <= 1.0 and point.queuing_std_ms >= 0.0
-
+    assert 0.0 < point.utilization <= 1.0 and point.queuing_delay_ms.size
 
 
 # ------------------------------------------------------------ packet vs fluid

