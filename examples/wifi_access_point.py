@@ -37,7 +37,7 @@ def estimator_accuracy_demo():
         estimator = WiFiRateEstimator()
         link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(mcs),
                         qdisc=FifoQdisc(2000), estimator=estimator)
-        scenario.add_custom_link(link, name=f"wifi-mcs{mcs}")
+        scenario.add_custom_link(link)
         true_capacity = link.true_capacity_bps(0.0)
         scenario.add_flow(Cubic(), [link], rtt=RTT,
                           source=RateLimitedSource(0.6 * true_capacity))
@@ -61,7 +61,7 @@ def run_ap(scheme):
     else:
         link = WiFiLink(scenario.env, mcs=schedule, qdisc=CoDelQdisc(500))
         sender = Cubic()
-    scenario.add_custom_link(link, name="wifi")
+    scenario.add_custom_link(link)
     flow = scenario.add_flow(sender, [link], rtt=RTT)
     result = scenario.run(DURATION)
     return result, link, flow

@@ -29,6 +29,8 @@ from repro.core.params import ABCParams
 MSS_BITS = 12000.0
 #: Convergence is judged over this final share of an integration.
 SETTLE_FRACTION = 0.2
+#: How long (s) :meth:`FluidModel.empirical_stability` integrates.
+EMPIRICAL_DURATION = 60.0
 
 
 def stability_threshold(tau: float) -> float:
@@ -158,9 +160,9 @@ class FluidModel:
             oscillation_amplitude=amplitude,
         )
 
-    def empirical_stability(self, duration: float = 60.0) -> bool:
-        """Check convergence numerically from a 500 ms initial queuing delay
-        (to within 2 ms of the fixed point)."""
-        result = self.simulate(duration=duration, initial_delay=0.5,
+    def empirical_stability(self) -> bool:
+        """Check convergence numerically over ``EMPIRICAL_DURATION`` from a
+        500 ms initial queuing delay (to within 2 ms of the fixed point)."""
+        result = self.simulate(duration=EMPIRICAL_DURATION, initial_delay=0.5,
                                convergence_tolerance=2e-3)
         return result.converged

@@ -329,7 +329,7 @@ def _add_link(scenario: Scenario, link: LinkSpec, index: int,
         return scenario.add_custom_link(WiFiLink(
             scenario.env, mcs=schedules[schedule](*args),
             seed=spec.sim_seed, qdisc=qdisc,
-            estimator=estimator), name=name)
+            estimator=estimator))
     if link.kind == "cellular":
         config = SyntheticTraceConfig(
             mean_rate_bps=p["mean_rate_bps"], min_rate_bps=p["min_rate_bps"],

@@ -12,16 +12,20 @@ several δ on a ``LINK_MBPS`` link, so the theorem can be validated and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.core.params import ABCParams
 from repro.core.stability import FluidModel, stability_threshold
 
 #: The feedback delay τ (s) of both sweeps, the packet-level link's rate
-#: (Mbit/s) and the fluid model's flow count.
+#: (Mbit/s); the fluid model's flow count and δ/τ ratios.
 TAU = 0.1
 LINK_MBPS = 24.0
 FLUID_FLOWS = 10
+FLUID_RATIOS = (0.4, 0.55, 0.67, 0.8, 1.0, 1.33, 2.0)
+#: The fluid model's link rate (bit/s): this sweep is the one caller outside
+#: the tests that sets ``FluidModel(capacity_bps)``.
+FLUID_CAPACITY_BPS = 10e6
 
 
 @dataclass
@@ -34,18 +38,15 @@ class StabilityPoint:
     fixed_point_s: float
 
 
-def fluid_stability_sweep(delta_over_tau: Sequence[float] = (0.4, 0.55, 0.67,
-                                                             0.8, 1.0, 1.33, 2.0),
-                          capacity_bps: float = 10e6,
-                          duration: float = 60.0) -> Dict[float, StabilityPoint]:
-    """Integrate the fluid model for several δ/τ ratios."""
+def fluid_stability_sweep() -> Dict[float, StabilityPoint]:
+    """Integrate the fluid model for each of the ``FLUID_RATIOS``."""
     out: Dict[float, StabilityPoint] = {}
-    for ratio in delta_over_tau:
+    for ratio in FLUID_RATIOS:
         delta = ratio * TAU
         params = ABCParams(delta=delta)
         model = FluidModel(params=params, tau=TAU, num_flows=FLUID_FLOWS,
-                           capacity_bps=capacity_bps)
-        result = model.simulate(duration=duration, initial_delay=0.3,
+                           capacity_bps=FLUID_CAPACITY_BPS)
+        result = model.simulate(duration=60.0, initial_delay=0.3,
                                 convergence_tolerance=2e-3)
         out[ratio] = StabilityPoint(
             delta=delta,

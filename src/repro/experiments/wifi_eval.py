@@ -75,7 +75,7 @@ def fig4_inter_ack(mcs_index: int = 5, duration: float = 30.0,
     scenario = Scenario()
     link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(mcs_index), seed=seed,
                     qdisc=FifoQdisc(buffer_packets=2000))
-    scenario.add_custom_link(link, name="wifi")
+    scenario.add_custom_link(link)
 
     bursts = cycle((1, 2, 4, 8, 12, 16, 20, 24, 28, 32))
     seqs = count()
@@ -215,13 +215,13 @@ def wifi_jobs(num_users: int, duration: float, mcs_mode: str, seed: int,
 def fig10_wifi(num_users: int = 1, duration: float = 45.0, seed: int = 9,
                abc_delay_thresholds: Sequence[float] = (0.02, 0.06, 0.1),
                baselines: Sequence[str] = WIFI_BASELINES,
-               executor: Optional[SweepExecutor] = None,
-               seeds: Optional[Sequence[int]] = None) -> List[WiFiSchemeResult]:
+               executor: Optional[SweepExecutor] = None
+               ) -> List[WiFiSchemeResult]:
     """Reproduce Fig. 10: the alternating-MCS link, one row per scheme; ABC
     appears once per delay threshold with the scheme name ``abc_dt{ms}``.
 
-    The seed drives the WiFi MAC model; with several ``seeds`` each row
-    becomes a :class:`~repro.analysis.stats.SeedResultSet` across MAC
+    The seed drives the WiFi MAC model; with several ``REPRO_SEEDS`` each
+    row becomes a :class:`~repro.analysis.stats.SeedResultSet` across MAC
     realisations.
     """
     names: List[str] = []
@@ -232,7 +232,7 @@ def fig10_wifi(num_users: int = 1, duration: float = 45.0, seed: int = 9,
         names[:] = jobs
         return list(jobs.values())
 
-    rows = run_seed_grid(jobs_for_seed, seed, seeds, executor)
+    rows = run_seed_grid(jobs_for_seed, seed, executor=executor)
     for name, row in zip(names, rows):
         # ``wifi_summary`` reports an ABC row as plain ``abc``; a
         # SeedResultSet forwards ``scheme`` from its first seed's result.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List
 
 from repro.experiments.scenario_spec import ScenarioSpec
 
@@ -144,22 +144,17 @@ CORPUS_FORMAT = 1
 
 
 def corpus_entry(scenario: ScenarioSpec, violations: List[str],
-                 description: str = "",
-                 summary: Optional[dict] = None) -> dict:
-    """Build a corpus-entry dict.
-
-    Failing entries (``violations`` non-empty) pin the invariant names that
-    must trip on replay.  Clean entries (``violations == []``) additionally
-    pin the exact run ``summary`` so they double as determinism regressions.
+                 description: str = "") -> dict:
+    """Build a corpus-entry dict that pins the invariant names that must
+    trip on replay.  (A clean entry, which pins a run summary instead, is
+    written by hand; ``load_corpus_entry`` reads both.)
     """
-    entry = {
+    return {
         "format": CORPUS_FORMAT,
         "description": description,
         "scenario": scenario.to_jsonable(),
-        "expect": ({"violations": sorted(set(violations))} if violations
-                   else {"clean": True, "summary": summary or {}}),
+        "expect": {"violations": sorted(set(violations))},
     }
-    return entry
 
 
 def save_corpus_entry(entry: dict, path: Path) -> None:

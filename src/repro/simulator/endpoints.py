@@ -1,4 +1,4 @@
-"""Transport endpoints: the generic sender, the receiver and plain delay hops.
+"""Transport endpoints: the generic sender and the receiver.
 
 The :class:`Sender` implements the mechanics every scheme shares — window
 gating, ACK clocking, optional pacing, RTT sampling, loss detection (gap-based,
@@ -12,6 +12,12 @@ feedback: the received codepoint, which the sender reads as the classic ECN
 signal (the ECE flag) and the ABC accelerate/brake bit (the re-purposed NS bit
 of §5.1.2), plus any scheme-specific header fields (XCP/RCP/VCP) carried in
 ``packet.meta``.
+
+Each endpoint is wired once, by :meth:`Sender.connect` /
+:meth:`Receiver.connect`, to a ``(delay, callback)`` hop: a packet it sends
+at ``now`` is ``callback(packet)`` at ``now + delay`` (the flow's
+propagation delay to the next element of its path).  Until then, and after
+a finished scenario unwires it, its packets vanish.
 
 Optimisation changes vs the original per-ACK path
 -------------------------------------------------
@@ -34,10 +40,6 @@ original), the raw event sequence is not:
   (:meth:`Sender._rto_deadline`) runs in the timer's guard event, once per
   ``MIN_RTO`` per armed flow (no-op ``DeadlineTimer._fire`` events, same
   expiry instant).
-* **Fused DelayHop forward.**  A ``DelayHop`` next hop is resolved once to
-  ``(delay, dst.receive)`` and posted directly — the heap entry the hop
-  itself would push, minus the bounce (senders: ``_resolve_forward``;
-  receivers: ``_ack_fwd``).
 * **One callback per pacing tick.**  :meth:`Sender._pace_tick` inlines the
   send decision (at most one packet per tick, so every ``sent_time`` is
   unchanged) and *halts* the tick chain when a fixed-size flow completes
@@ -57,19 +59,20 @@ original), the raw event sequence is not:
   ``self.x`` stay specialised; the CC's class attribute ``uses_abc`` is
   read once, as ``_abc`` / ``_ecn``.
 * **Time-shifted receiver.**  :meth:`Receiver.receive_at` takes the arrival
-  time as an argument so the demux can run it synchronously at delivery time
-  (``deliver_shifted``; the ``_limit`` horizon rule lives in
-  :class:`~repro.simulator.scenario.FlowDemux`).
+  time as an argument so the last link of a flow's path can run it
+  synchronously at delivery time (the ``_limit`` horizon rule lives in
+  :class:`~repro.simulator.link.Link`'s deliveries).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, Optional
+from heapq import heappush
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.cc.base import CongestionControl
-from repro.simulator.engine import DeadlineTimer, EventLoop
+from repro.simulator.engine import DeadlineTimer, EventLoop, check_delay
 from repro.simulator.estimators import MAX_RTO, MIN_RTO, RTTEstimator
 from repro.simulator.monitor import FlowStats
 from repro.simulator.packet import (ACCEL, ACK_SIZE, CE, MTU, NOT_ECT,
@@ -87,24 +90,17 @@ REORDER_WINDOW = 0.002
 IDLE_PACING_POLL = 0.01
 
 
-class DelayHop:
-    """A pure propagation-delay segment (no queueing, no capacity limit)."""
+#: ``(delay, callback)``: where an endpoint's packets go.
+Hop = Tuple[float, Callable]
 
-    def __init__(self, env: EventLoop, delay: float, dst=None, name: str = "delay"):
-        if not 0.0 <= delay < math.inf:  # NaN fails too
-            raise ValueError("delay must be finite and non-negative")
-        self.env = env
-        self.delay = delay
-        self.dst = dst
-        self.name = name
 
-    def connect(self, dst) -> None:
-        self.dst = dst
+def _vanish(packet) -> None:
+    """The callback of an endpoint that is not wired: each packet still goes
+    through the heap as one event (counted in ``events_processed``), whose
+    callback drops it."""
 
-    def receive(self, packet) -> None:
-        if self.dst is None:
-            return
-        self.env.post(self.delay, self.dst.receive, packet)
+
+_UNWIRED: Hop = (0.0, _vanish)
 
 
 class Sender:
@@ -126,13 +122,13 @@ class Sender:
     Segments are at most :data:`~repro.simulator.packet.MTU` bytes.
     """
 
-    __slots__ = tuple("""env flow_id cc egress source start_time name rtt
+    __slots__ = tuple("""env flow_id cc _hop source start_time name rtt
         next_seq outstanding retransmit_queue _recovery_end_seq
         _latest_acked_sent_time bytes_sent bytes_acked packets_sent
         retransmissions loss_events timeouts acks_received rto_rearms
         pace_ticks pace_halts completion_time _started _wake_pending
         _pacing_active _rto_backoff _rto_timer _paced _abc _ecn
-        _static_window _static_meta _source_kind _fwd _feedback""".split())
+        _static_window _static_meta _source_kind _feedback""".split())
 
     def __init__(self, env: EventLoop, flow_id: int, cc: CongestionControl,
                  source: Optional[TrafficSource] = None,
@@ -140,7 +136,7 @@ class Sender:
         self.env = env
         self.flow_id = flow_id
         self.cc = cc
-        self.egress = None
+        self._hop = _UNWIRED
         self.source = source if source is not None else BackloggedSource()
         self.start_time = start_time
         self.name = name or f"flow-{flow_id}"
@@ -203,7 +199,6 @@ class Sender:
             self._source_kind = 1
         else:
             self._source_kind = 2
-        self._fwd: Optional[tuple] = None
         self._feedback = AckFeedback(0.0, None, 0, False, False, 0)
 
     # ------------------------------------------------------------ lifecycle
@@ -219,10 +214,11 @@ class Sender:
             self._start_pacing()
         self._try_send()
 
-    def connect(self, egress) -> None:
-        """Set the first hop of the forward path (anything with ``receive``)."""
-        self.egress = egress
-        self._fwd = None  # re-resolve the fused forward hop
+    def connect(self, hop: Optional[Hop]) -> None:
+        """Send each packet to the forward path's first element: ``hop`` is
+        ``(delay, callback)``, ``None`` unwires.  Every packet reaches
+        ``callback`` through a heap event, even at delay 0."""
+        self._hop = _UNWIRED if hop is None else (check_delay(hop[0]), hop[1])
 
     # ------------------------------------------------------------ properties
     @property
@@ -311,22 +307,9 @@ class Sender:
         self.bytes_sent += size
         self.packets_sent += 1
         self.cc.on_packet_sent(now, seq, size, self.in_flight)
-        if self.egress is not None:
-            self.egress.receive(packet)
+        delay, callback = self._hop
+        self.env.post(delay, callback, packet)
         self._arm_rto(now)
-
-    def _resolve_forward(self) -> tuple:
-        """Fuse the egress DelayHop: schedule its destination callback
-        directly, skipping the per-packet dispatch and hop bounce.  The
-        scheduled (time, callback) pairs are the ones the hop would
-        schedule, so even the event sequence is unchanged by this fusion."""
-        egress = self.egress
-        if type(egress) is DelayHop and egress.dst is not None:
-            fwd = (egress.delay, egress.dst.receive)
-        else:
-            fwd = (0.0, None)  # generic _forward fallback
-        self._fwd = fwd
-        return fwd
 
     def _burst(self, now: float, cwnd: float) -> bool:
         """Send as much new data as the window and the source allow.
@@ -356,11 +339,9 @@ class Sender:
             abc_capable = self._abc
             ecn = self._ecn
             static_meta = self._static_meta
-            fwd = self._fwd
-            if fwd is None:
-                fwd = self._resolve_forward()
-            fwd_delay, fwd_cb = fwd
+            fwd_delay, fwd_cb = self._hop
             env = self.env
+            heap, seqs = env._heap, env._seq
             arrival = now + fwd_delay       # EventLoop.post's time, unguarded
             next_seq = self.next_seq
             new, init = object.__new__, Packet.__init__
@@ -382,12 +363,7 @@ class Sender:
                 n += 1
                 sent_bytes += size
                 sent_packets += 1
-                if fwd_cb is not None:
-                    env.push((arrival, env._next_seq(), fwd_cb, (packet,)))
-                else:
-                    egress = self.egress
-                    if egress is not None:
-                        egress.receive(packet)
+                heappush(heap, (arrival, next(seqs), fwd_cb, (packet,)))
                 if n + 1 > cwnd:
                     break
                 if fixed and available < 1:
@@ -460,17 +436,9 @@ class Sender:
                         self.packets_sent += 1
                         if not self._static_window:
                             cc.on_packet_sent(now, seq, size, n + 1)
-                        fwd = self._fwd
-                        if fwd is None:
-                            fwd = self._resolve_forward()
-                        fwd_cb = fwd[1]
-                        if fwd_cb is not None:
-                            env.push((now + fwd[0], env._next_seq(), fwd_cb,
-                                      (packet,)))
-                        else:
-                            egress = self.egress
-                            if egress is not None:
-                                egress.receive(packet)
+                        delay, callback = self._hop
+                        heappush(env._heap, (now + delay, next(env._seq),
+                                             callback, (packet,)))
                         # Sender._arm_rto, inlined: in flight means armed.
                         self.rto_rearms += 1
                         if n:
@@ -496,7 +464,8 @@ class Sender:
                 # only schedule its successor, so the chain stops here.
                 self.pace_halts += 1
                 return
-        env.push((now + interval, env._next_seq(), self._pace_tick, ()))
+        heappush(env._heap,
+                 (now + interval, next(env._seq), self._pace_tick, ()))
 
     # ------------------------------------------------------------ receiving
     def receive(self, ack) -> None:
@@ -665,25 +634,17 @@ class Receiver:
     keeps its own in-flight record), so they stay as they are.
     """
 
-    #: A receiver is a per-flow leaf — its state is only ever touched by this
-    #: flow's data packets, which all funnel through one demux in delivery
-    #: order — so the demux may run it synchronously at delivery time with
-    #: the *computed* arrival timestamp instead of posting an arrival event
-    #: (see :meth:`receive_at`).  Every recorded time and the returned ACK's
-    #: scheduled arrival are built from the same float expressions the event
-    #: would produce; only heap sequence numbers shift.
-    deliver_shifted = True
-
     def __init__(self, env: EventLoop, name: str = "receiver"):
         self.env = env
-        self.egress = None
+        self._hop = _UNWIRED
         self.name = name
         self.flow_stats: Dict[int, FlowStats] = {}
-        self._ack_fwd: Optional[tuple] = None
 
-    def connect(self, egress) -> None:
-        self.egress = egress
-        self._ack_fwd = None
+    def connect(self, hop: Optional[Hop]) -> None:
+        """Send each ACK back along the reverse path: ``hop`` is ``(delay,
+        callback)``, ``None`` unwires.  Every ACK reaches ``callback`` through
+        a heap event, even at delay 0."""
+        self._hop = _UNWIRED if hop is None else (check_delay(hop[0]), hop[1])
 
     @property
     def packets_received(self) -> int:
@@ -701,8 +662,13 @@ class Receiver:
     def receive_at(self, packet, now: float) -> None:
         """Record ``packet`` as arriving at ``now`` and return its ACK.
 
-        ``now`` may lie ahead of the simulation clock when the demux invokes
-        this synchronously at delivery time (see :attr:`deliver_shifted`).
+        ``now`` may lie ahead of the simulation clock: the last link of the
+        flow's path runs this synchronously at delivery time with the
+        *computed* arrival time instead of posting an arrival event.  A
+        receiver is a per-flow leaf — only this flow's data packets touch it,
+        in delivery order — so every recorded time and the ACK's scheduled
+        arrival are the float expressions the event would produce; only heap
+        sequence numbers shift.
         """
         if packet.is_ack:
             return
@@ -723,23 +689,10 @@ class Receiver:
         packet.ecn = NOT_ECT
         packet.abc_capable = False
         packet.size = ACK_SIZE
-        fwd = self._ack_fwd
-        if fwd is None:
-            # Fuse the return DelayHop the way Sender._resolve_forward does.
-            egress = self.egress
-            if type(egress) is DelayHop and egress.dst is not None:
-                fwd = (egress.delay, egress.dst.receive)
-            else:
-                fwd = (0.0, None)
-            self._ack_fwd = fwd
-        cb = fwd[1]
-        if cb is not None:
-            # ``now + delay`` is the exact expression the hop would evaluate
-            # at the arrival event (where ``env._now == now``), so the ACK
-            # lands at a bit-identical time even when this runs early, at
-            # delivery time.
-            env = self.env
-            env.push((now + fwd[0], env._next_seq(), cb, (packet,)))
-        elif self.egress is not None:
-            self.egress.receive(packet)
+        # ``now + delay`` is the expression an arrival event would evaluate
+        # (where ``env._now == now``), so the ACK lands at a bit-identical
+        # time even when this runs early, at delivery time.
+        delay, callback = self._hop
+        env = self.env
+        heappush(env._heap, (now + delay, next(env._seq), callback, (packet,)))
 

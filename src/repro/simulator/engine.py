@@ -21,16 +21,24 @@ Design notes
   costs a Python call per event on the hottest path in the repo).  The five
   per-packet sites — ``Sender._burst``, ``Sender._pace_tick`` (packet and
   next tick), ``Receiver.receive_at``, ``RateLink._finish_transmission`` and
-  ``OpportunityLink._fire_opportunity`` — skip even that frame: they call
-  ``push`` (``functools.partial(heappush, heap)``, a C call) with the
-  ``now + delay`` that ``post`` evaluates, and their delays are checked where
-  they are made (``DelayHop``, the capacity models, the trace's times).
+  ``OpportunityLink._fire_opportunity`` — skip even that frame: they write
+  ``heappush(env._heap, (now + delay, next(env._seq), callback, args))``, the
+  entry ``post`` builds, with a module-global and a builtin callee that
+  CPython 3.11 specialises (an instance attribute holding a ``partial`` or a
+  bound ``__next__`` stays unspecialised at every such line).  Their delays
+  are checked where they are made (:func:`check_delay` when a hop is wired,
+  the capacity models, the trace's times).  ``_seq``, the loop's one
+  :class:`itertools.count`, is the tie-order seam: same-time events fire in
+  the order they drew from it.
   :meth:`EventLoop.run` reads the trace hook once per run and branches on
   that local per event; it pops before it looks (an entry beyond the horizon
   is pushed back, once per run, under its own sequence number) and stores the
   clock unconditionally: every heap entry's time is at or after ``now``,
   because the schedulers clamp and the clock only jumps to ``until`` when
-  nothing earlier is left.
+  nothing earlier is left.  Its loop closes with an unconditional backward
+  jump (``while True``, and a ``break`` on an empty heap): CPython 3.11 warms
+  a code object up on calls and those jumps only, so a ``while heap:`` loop
+  would stay unspecialised through the first seven runs in every process.
 * ``events_processed`` is not counted per event: a run dispatched the events
   pending at its start, plus the sequence numbers drawn during it (a draw at
   each end reads them), less those pending or dropped by ``clear`` at its end.
@@ -40,11 +48,19 @@ Design notes
 
 from __future__ import annotations
 
-from functools import partial
+import math
 from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter_ns
 from typing import Any, Callable, Optional
+
+
+def check_delay(delay: float) -> float:
+    """``delay``, once it is known to be finite and non-negative (NaN fails
+    too): a per-packet site adds a wired hop's delay to ``now`` unguarded."""
+    if not 0.0 <= delay < math.inf:
+        raise ValueError("delay must be finite and non-negative")
+    return delay
 
 
 class DeadlineTimer:
@@ -129,9 +145,7 @@ class EventLoop:
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple] = []
-        self._next_seq = count().__next__
-        #: ``push((time, self._next_seq(), callback, args))``, unguarded.
-        self.push = partial(heappush, self._heap)
+        self._seq = count()             # tie order: see the design notes
         self._limit = float("inf")
         self._events_processed = 0
         self._dropped = 0               # events clear() discarded
@@ -181,7 +195,7 @@ class EventLoop:
                 raise ValueError("event delay must not be NaN")
             delay = 0.0
         heappush(self._heap,
-                 (self._now + delay, self._next_seq(), callback, args))
+                 (self._now + delay, next(self._seq), callback, args))
 
     def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at an absolute simulated time (a time in
@@ -190,7 +204,7 @@ class EventLoop:
             if time != time:
                 raise ValueError("event time must not be NaN")
             time = self._now
-        heappush(self._heap, (time, self._next_seq(), callback, args))
+        heappush(self._heap, (time, next(self._seq), callback, args))
 
     # ------------------------------------------------------------------- run
     def run(self, until: Optional[float] = None) -> None:
@@ -209,9 +223,11 @@ class EventLoop:
         self._limit = limit
         hook = self._trace_hook
         # See the design note on events_processed (- 1: the draw at the end).
-        base = len(heap) + self._dropped - self._next_seq()
+        base = len(heap) + self._dropped - next(self._seq)
         try:
-            while heap:
+            while True:
+                if not heap:
+                    break
                 entry = heappop(heap)
                 time, _, callback, args = entry
                 if time > limit:
@@ -225,7 +241,7 @@ class EventLoop:
                     callback(*args)
                     hook(time, callback, perf_counter_ns() - t0)
         finally:
-            self._events_processed += (base + self._next_seq() - 1
+            self._events_processed += (base + next(self._seq) - 1
                                        - len(heap) - self._dropped)
         if until is not None and until > self._now:
             self._now = until

@@ -1,9 +1,9 @@
 """Link models: constant-rate, time-varying-rate and trace-driven links.
 
 A link owns a qdisc, pulls packets from it when it has transmission capacity
-and delivers them to the downstream node; propagation delay belongs to each
-flow's path (its per-flow delay hop), not to the link.  Three
-capacity models cover every experiment in the paper:
+and hands each one to its flow's next hop, by the link's route table;
+propagation delay belongs to each flow's path (the delay of its routes), not
+to the link.  Three capacity models cover every experiment in the paper:
 
 * :class:`ConstantRate` — wired links (e.g. the 12 Mbit/s drop-tail link in
   Fig. 11, the 24 Mbit/s fairness link in Fig. 3).
@@ -20,12 +20,12 @@ Optimisation changes vs the original per-packet path
 Results are bit-identical to the original (``tests/test_path_golden.py``);
 heap sequence numbers are not:
 
-* **Inline delivery.**  When the downstream node declares itself
-  ``deliver_inline``-safe (a ``FlowDemux``: it only posts future events),
-  every link (the Wi-Fi MAC too) calls it synchronously instead of bouncing
-  through a zero-delay event, and reads the demux's fused routes itself: a
-  receiver route within the run's horizon runs without the demux's frame.
-  Arrival order at every stateful object is unchanged.
+* **Inline delivery.**  Every link (the Wi-Fi MAC too) reads its route
+  table at delivery time: a receiver route whose arrival falls within the
+  run's horizon runs the receiver synchronously with the computed arrival
+  time, with no event and no frame between them; any other packet takes
+  :meth:`Link._forward`.  Arrival order at every stateful object is
+  unchanged.
 * **A link is its own record.**  Each delivery appends ``(time, bytes)`` to
   the link's departure lists — the numerator of every utilisation figure —
   and the delivered totals are read off them, not counted next to them.
@@ -39,22 +39,17 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from typing import Iterable, List, Optional, Protocol, Sequence
+from heapq import heappush
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-from repro.simulator.engine import EventLoop
+from repro.simulator.engine import EventLoop, check_delay
 from repro.simulator.packet import MTU, Packet
 from repro.simulator.qdisc import FifoQdisc, Qdisc
 
 #: The trailing window (s) over which a trace-driven link reports its
 #: opportunity rate as its capacity.
 CAPACITY_WINDOW = 0.1
-
-
-class Node(Protocol):
-    """Anything that can receive packets from a link."""
-
-    def receive(self, packet: Packet) -> None:  # pragma: no cover - protocol
-        ...
 
 
 # --------------------------------------------------------------------------
@@ -205,8 +200,11 @@ class Link:
     """Base class: owns a qdisc, delivers packets downstream.
 
     Subclasses decide *when* packets leave the queue; this class handles the
-    shared plumbing (enqueueing, drop accounting, delivery and the departure
-    record).
+    shared plumbing (enqueueing, drop accounting, routing and the departure
+    record).  ``routes`` maps a flow id to ``(delay, callback, shifted)``: a
+    packet leaving at ``now`` is ``callback(packet)`` at ``now + delay``, or,
+    for a ``shifted`` route (a receiver's ``receive_at``), ``callback(packet,
+    now + delay)``; a packet of a flow with no route leaves the simulation.
     """
 
     def __init__(self, env: EventLoop, qdisc: Optional[Qdisc] = None,
@@ -218,7 +216,7 @@ class Link:
         self.qdisc = qdisc if qdisc is not None else FifoQdisc()
         self.qdisc.attach(self)
         self.name = name
-        self.dst: Optional[Node] = None
+        self.routes: Dict[int, tuple] = {}
         #: One entry per delivered packet: when it left and its size.
         self.departure_times: List[float] = []
         self.departure_bytes: List[int] = []
@@ -232,22 +230,30 @@ class Link:
         self.random_loss_packets = 0
         self.loss_rate = loss_rate
         self._loss_rng = random.Random(loss_seed)
-        # When the downstream node declares itself ``deliver_inline``-safe
-        # (it only *posts* future events, never mutates shared state — e.g.
-        # a FlowDemux), delivery invokes it synchronously instead of
-        # bouncing through a zero-delay event, and reads its fused routes.
-        self._rx_inline = None
-        self._routes: dict = {}
         #: A rate link mid-packet, a trace link once started, a Wi-Fi batch
         #: in the air: :meth:`send` kicks :meth:`_on_enqueue` only when clear.
         self._busy = False
 
     # ------------------------------------------------------------ wiring
-    def connect(self, dst: Optional[Node]) -> None:
-        self.dst = dst
-        inline = getattr(dst, "deliver_inline", False)
-        self._rx_inline = dst.receive if inline else None
-        self._routes = dst._fused if inline else {}
+    def connect(self, flow_id: int,
+                route: Tuple[float, Callable, bool]) -> None:
+        """Route ``flow_id``'s packets: ``route`` is ``(delay, callback,
+        shifted)`` (see the class docstring)."""
+        delay, callback, shifted = route
+        self.routes[flow_id] = (check_delay(delay), callback, shifted)
+
+    def _forward(self, packet: Packet, route: Optional[tuple]) -> None:
+        """What the inlined deliveries leave over: a non-shifted route, a
+        receiver arrival past the run's horizon ``env._limit`` (parked as an
+        event, which never fires) and a packet of no routed flow."""
+        if route is None:
+            return
+        delay, callback, shifted = route
+        env = self.env
+        if shifted:
+            env.post(delay, callback, packet, env._now + delay)
+        else:
+            env.post(delay, callback, packet)
 
     # ------------------------------------------------------------ record
     @property
@@ -280,10 +286,6 @@ class Link:
                 self._on_enqueue(now)
         else:
             self.dropped_packets += 1
-
-    # Links can be chained directly (link.dst = another link); the downstream
-    # link's ``receive`` is simply its ``send``.
-    receive = send
 
     def _on_enqueue(self, now: float) -> None:
         """Hook: an idle link kicks its transmission machinery here."""
@@ -358,20 +360,17 @@ class RateLink(Link):
                       self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
-        # Delivery (inline to a deliver_inline-safe neighbour) and the next
-        # transmission start in one frame.
+        # Delivery (inline for a receiver route within the horizon) and the
+        # next transmission start in one frame.
         env = self.env
         now = env._now
         self.departure_times.append(now)
         self.departure_bytes.append(packet.size)
-        # FlowDemux.receive, inlined for a shifted route within the horizon.
-        route = self._routes.get(packet.flow_id)
+        route = self.routes.get(packet.flow_id)
         if route and route[2] and (when := now + route[0]) <= env._limit:
             route[1](packet, when)
-        elif self._rx_inline is not None:
-            self._rx_inline(packet)
-        elif self.dst is not None:
-            env.post(0.0, self.dst.receive, packet)
+        else:
+            self._forward(packet, route)
         nxt = self.qdisc.dequeue(now)
         if nxt is None:
             self._busy = False
@@ -379,8 +378,8 @@ class RateLink(Link):
         rate = self._rate
         if not self._rate_from <= now < self._rate_until:
             rate = self._refresh_rate(now)
-        env.push((now + nxt.size * 8.0 / rate, env._next_seq(),
-                  self._finish_transmission, (nxt,)))
+        heappush(env._heap, (now + nxt.size * 8.0 / rate, next(env._seq),
+                             self._finish_transmission, (nxt,)))
 
     def capacity_bps(self, now: float) -> float:
         if self._rate_from <= now < self._rate_until:
@@ -457,9 +456,7 @@ class OpportunityLink(Link):
             # head is peeked only while a partial budget is left.
             budget = MTU
             dequeue = qdisc.dequeue
-            rx = self._rx_inline
-            dst = self.dst
-            routes = self._routes
+            routes = self.routes
             limit = env._limit
             while True:
                 packet = dequeue(now)
@@ -469,14 +466,11 @@ class OpportunityLink(Link):
                 budget -= size
                 self.departure_times.append(now)
                 self.departure_bytes.append(size)
-                # FlowDemux.receive, inlined (see _finish_transmission).
-                route = routes.get(packet.flow_id)
+                route = routes.get(packet.flow_id)  # see _finish_transmission
                 if route and route[2] and (when := now + route[0]) <= limit:
                     route[1](packet, when)
-                elif rx is not None:
-                    rx(packet)
-                elif dst is not None:
-                    env.post(0.0, dst.receive, packet)
+                else:
+                    self._forward(packet, route)
                 if budget <= 0:
                     break
                 head = qdisc.peek()
@@ -489,7 +483,8 @@ class OpportunityLink(Link):
         when = cycle * self._trace_span + times[offset]
         if when < now:  # post_at's clamp: a wrap can round an ulp early
             when = now
-        env.push((when, env._next_seq(), self._fire_opportunity, (next_index,)))
+        heappush(env._heap,
+                 (when, next(env._seq), self._fire_opportunity, (next_index,)))
         self._next_index = next_index + 1
 
     def _on_enqueue(self, now: float) -> None:

@@ -8,16 +8,18 @@ ingredients and returns a :class:`ScenarioResult` exposing the metrics the
 paper reports (utilisation, per-packet delay percentiles, queuing-delay time
 series, per-flow throughput).
 
-Propagation delay is modelled with per-flow :class:`DelayHop` segments: half
-of the flow's minimum RTT is spread over the forward path (split evenly
-between the segments before, between and after the bottleneck links) and half
-is spent on the ACK return path.
+Propagation delay belongs to each flow's path: half of the flow's minimum
+RTT is spread over the forward path (split evenly between the segments
+before, between and after the bottleneck links) and half is spent on the ACK
+return path.  :meth:`Scenario.add_flow` wires each segment once, as the
+``(delay, callback)`` hop of the element it leaves: the sender's, each link's
+route for the flow, the receiver's.
 
 Lifetime of a cell: a scenario is wired by ``add_*``, runs once, is unwired
 by :meth:`Scenario.run` and is freed by its last reference — a finished
 scenario holds no reference cycle, so no collector pass is needed.  Results
 are read from flows, links, qdiscs and cc objects, not from wiring
-(``link.dst``, ``sender.egress``, demux routes and the event heap are gone).
+(the endpoints' hops, the links' routes and the event heap are gone).
 
 State that only exists mid-run (a window, a queue backlog) is read by a probe
 registered with :meth:`Scenario.every`; nothing is sampled unless a caller
@@ -27,81 +29,18 @@ registers one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.cc.base import CongestionControl
 from repro.cellular.trace import CellularTrace
 from repro.obs import metrics as obs_metrics
-from repro.simulator.endpoints import DelayHop, Receiver, Sender
+from repro.simulator.endpoints import Receiver, Sender
 from repro.simulator.engine import EventLoop
 from repro.simulator.link import (CapacityModel, ConstantRate, Link,
                                   OpportunityLink, RateLink)
 from repro.simulator.monitor import FlowStats
 from repro.simulator.qdisc import Qdisc
 from repro.simulator.traffic import TrafficSource
-
-
-class FlowDemux:
-    """Routes packets leaving a shared link to the flow's next hop.
-
-    Routes whose next hop is a :class:`DelayHop` are precompiled to
-    ``(delay, destination_callback, shifted)`` triples so a routed packet
-    costs one dict lookup and one ``post`` call instead of a hop bounce
-    through the event loop.  When the destination declares itself
-    ``deliver_shifted``-safe (a :class:`~repro.simulator.endpoints.Receiver`
-    — a per-flow leaf whose state nothing else observes mid-run), the post
-    is elided entirely: the destination runs synchronously with the computed
-    arrival time ``now + delay``, unless that time lies beyond the run
-    horizon ``env._limit`` (an arrival event there would never fire, so one
-    is parked in the heap instead).  Scheduled times and per-object arrival
-    orders are those of the hop-by-hop events; only heap sequence numbers
-    shift.  Any other route (or a demux built without an event loop) takes
-    the generic hop dispatch.  Links read ``_fused`` in place, so its triples
-    are their format too (``FlowDemux.receive, inlined`` in ``link.py``).
-    """
-
-    #: A demux only *posts* future events when handed a packet — it never
-    #: mutates queue or flow state — so a link may invoke it synchronously
-    #: at delivery time instead of bouncing through a zero-delay event
-    #: (arrival order at every stateful object is unchanged, only heap
-    #: sequence numbers shift).
-    deliver_inline = True
-
-    def __init__(self, name: str = "demux", env=None):
-        self.name = name
-        self.routes: Dict[int, object] = {}
-        self._env = env
-        self._fused: Dict[int, tuple] = {}
-
-    def set_route(self, flow_id: int, next_hop) -> None:
-        self.routes[flow_id] = next_hop
-        if (self._env is not None and type(next_hop) is DelayHop
-                and next_hop.dst is not None):
-            dst = next_hop.dst
-            if getattr(dst, "deliver_shifted", False):
-                self._fused[flow_id] = (next_hop.delay, dst.receive_at, True)
-            else:
-                self._fused[flow_id] = (next_hop.delay, dst.receive, False)
-        else:
-            self._fused.pop(flow_id, None)
-
-    def receive(self, packet) -> None:
-        fused = self._fused.get(packet.flow_id)
-        if fused is None:
-            hop = self.routes.get(packet.flow_id)
-            if hop is not None:
-                hop.receive(packet)
-            return
-        env = self._env
-        delay, callback, shifted = fused
-        if shifted:
-            when = env._now + delay
-            if when <= env._limit:
-                callback(packet, when)
-            else:
-                env.post(delay, callback, packet, when)
-        else:
-            env.post(delay, callback, packet)
 
 
 @dataclass
@@ -130,15 +69,11 @@ class Scenario:
         self.env = EventLoop()
         self.links: List[Link] = []
         self.flows: List[Flow] = []
-        self._demux: Dict[int, FlowDemux] = {}
         self._next_flow_id = 0
         self.duration: float = 0.0
 
     # ------------------------------------------------------------ links
-    def _register_link(self, link: Link, name: str) -> Link:
-        demux = FlowDemux(name=f"{name}-demux", env=self.env)
-        link.connect(demux)
-        self._demux[id(link)] = demux
+    def _register_link(self, link: Link) -> Link:
         self.links.append(link)
         return link
 
@@ -161,7 +96,7 @@ class Scenario:
             link_name = name or f"cell-{len(self.links)}"
         link = OpportunityLink(self.env, times, qdisc=qdisc, name=link_name,
                                loss_rate=loss_rate, loss_seed=loss_seed)
-        return self._register_link(link, link_name)
+        return self._register_link(link)
 
     def add_rate_link(self, capacity: Union[float, CapacityModel],
                       qdisc: Optional[Qdisc] = None,
@@ -173,15 +108,11 @@ class Scenario:
         link_name = name or f"link-{len(self.links)}"
         link = RateLink(self.env, model, qdisc=qdisc, name=link_name,
                         loss_rate=loss_rate, loss_seed=loss_seed)
-        return self._register_link(link, link_name)
+        return self._register_link(link)
 
-    def add_custom_link(self, link: Link, name: Optional[str] = None) -> Link:
+    def add_custom_link(self, link: Link) -> Link:
         """Register an externally constructed link (e.g. a WiFi MAC link)."""
-        link_name = name or link.name
-        return self._register_link(link, link_name)
-
-    def demux_for(self, link: Link) -> FlowDemux:
-        return self._demux[id(link)]
+        return self._register_link(link)
 
     # ------------------------------------------------------------ flows
     def add_flow(self, cc: CongestionControl, links: Sequence[Link],
@@ -209,23 +140,11 @@ class Scenario:
         n_segments = len(links) + 1
         segment_delay = forward_delay / n_segments
 
-        # Sender → first link.
-        first_hop = DelayHop(self.env, segment_delay, dst=links[0],
-                             name=f"fwd-{flow_id}-0")
-        sender.connect(first_hop)
-        # Link i → link i+1, final link → receiver.
-        for index, link in enumerate(links):
-            demux = self.demux_for(link)
-            if index + 1 < len(links):
-                next_dst = links[index + 1]
-            else:
-                next_dst = receiver
-            hop = DelayHop(self.env, segment_delay, dst=next_dst,
-                           name=f"fwd-{flow_id}-{index + 1}")
-            demux.set_route(flow_id, hop)
-        # Receiver → sender (ACK path).
-        ack_hop = DelayHop(self.env, rtt / 2.0, dst=sender, name=f"ack-{flow_id}")
-        receiver.connect(ack_hop)
+        sender.connect((segment_delay, links[0].send))
+        for link, next_link in zip(links, links[1:]):
+            link.connect(flow_id, (segment_delay, next_link.send, False))
+        links[-1].connect(flow_id, (segment_delay, receiver.receive_at, True))
+        receiver.connect((rtt / 2.0, sender.receive))    # the ACK path
 
         flow = Flow(flow_id=flow_id, sender=sender, receiver=receiver,
                     links=list(links), label=label or f"flow-{flow_id}")
@@ -276,11 +195,8 @@ class Scenario:
         """Undo the wiring ``add_*`` did ("Lifetime of a cell", above)."""
         self.env.clear()  # env -> heap -> bound method -> component -> env
         for link in self.links:
-            link.connect(None)
+            link.routes.clear()
             link.qdisc.attach(None)
-        for demux in self._demux.values():
-            demux.routes.clear()
-            demux._fused.clear()
         for flow in self.flows:
             flow.sender.connect(None)
             flow.sender._rto_timer = None  # holds two of its bound methods

@@ -20,7 +20,7 @@ size, block-ACK time, bitrate) and feeds them to an attached
 :class:`~repro.wifi.rate_estimator.WiFiRateEstimator`.
 
 Optimisation changes: a finished batch delivers its frames inline, reading
-the demux's fused routes as :class:`~repro.simulator.link.RateLink` does,
+the link's route table as :class:`~repro.simulator.link.RateLink` does,
 instead of posting a zero-delay event per frame (results bit-identical).
 """
 
@@ -117,19 +117,16 @@ class WiFiLink(Link):
         if self.estimator is not None:
             self.estimator.observe_batch(observation)
 
-        routes = self._routes
-        rx = self._rx_inline
+        routes = self.routes
         for packet in batch:
             self.departure_times.append(now)
             self.departure_bytes.append(packet.size)
-            # FlowDemux.receive, inlined (see RateLink._finish_transmission).
+            # See RateLink._finish_transmission.
             route = routes.get(packet.flow_id)
             if route and route[2] and (when := now + route[0]) <= env._limit:
                 route[1](packet, when)
-            elif rx is not None:
-                rx(packet)
-            elif self.dst is not None:
-                env.post(0.0, self.dst.receive, packet)
+            else:
+                self._forward(packet, route)
         self._start_batch()
 
     # ------------------------------------------------------------ capacity

@@ -111,17 +111,12 @@ class AIMD(CongestionControl):
 def decoded_echo(codepoint) -> tuple:
     """The ``(accel, ece)`` pair a sender hands its cc when its data packets
     reach the receiver carrying ``codepoint``."""
-    from repro.simulator.endpoints import DelayHop, Receiver, Sender
+    from repro.simulator.endpoints import Receiver, Sender
 
-    class Stamp:
+    def stamp(packet):
         """A router stand-in: every packet leaves with ``codepoint``."""
-
-        def __init__(self, dst):
-            self.dst = dst
-
-        def receive(self, packet):
-            packet.ecn = codepoint
-            self.dst.receive(packet)
+        packet.ecn = codepoint
+        receiver.receive(packet)
 
     pairs = []
 
@@ -134,8 +129,8 @@ def decoded_echo(codepoint) -> tuple:
     sender = Sender(env, flow_id=0,
                     cc=Recording(initial_cwnd=2.0, ssthresh=2.0))
     receiver = Receiver(env)
-    receiver.connect(DelayHop(env, 0.01, dst=sender))
-    sender.connect(DelayHop(env, 0.01, dst=Stamp(receiver)))
+    receiver.connect((0.01, sender.receive))
+    sender.connect((0.01, stamp))
     sender.start()
     env.run(until=0.1)
     assert len(pairs) >= 4
@@ -177,3 +172,33 @@ def shrunk(figure, duration: float, keys=None):
         return out
 
     return figure._replace(cells=cells)
+
+
+def generated_specs():
+    """Fuzz-generator specs covering every scheme label and every link kind:
+    the sampled ones as drawn, the rest on a sampled spec's flows."""
+    from dataclasses import replace
+
+    from repro.experiments.scenario_spec import (LINK_KINDS, NATIVE, SCHEMES,
+                                                 LinkSpec)
+    from repro.fuzz.generator import ScenarioGen
+
+    gen = ScenarioGen(seed=2)
+    specs, schemes, kinds = [], set(), set()
+    for index in range(200):
+        spec = gen.sample(index)
+        kind = spec.links[0].kind
+        if spec.scheme not in schemes or kind not in kinds:
+            specs.append(spec)
+            schemes.add(spec.scheme)
+            kinds.add(kind)
+    base = next(spec for spec in specs
+                if all(flow.cc == NATIVE for flow in spec.flows))
+    specs += [replace(base, scheme=scheme)
+              for scheme in sorted(set(SCHEMES) - schemes)]
+    others = {"stepped": {"steps": [[0.0, 4e6], [0.7, 12e6], [1.3, 2e6]]},
+              "wifi": {"mcs": ["alternating", 1, 7, 0.3]}}
+    specs += [replace(base, links=[LinkSpec(kind, params)])
+              for kind, params in others.items()]
+    assert kinds | set(others) | {"trace_ref"} == set(LINK_KINDS)
+    return specs

@@ -11,7 +11,7 @@ from repro.core.sender import ABCWindowControl
 from repro.core.stability import is_theoretically_stable
 from repro.simulator.packet import ECN, MTU, AckFeedback, Packet
 
-from tests.conftest import abc_sender
+from tests.conftest import abc_sender, generated_specs
 from tests.reference import abc_paper
 
 
@@ -444,3 +444,106 @@ def test_steady_state_window_matches_fairness_argument():
         now += 0.001
     expected = 1.0 / (1.0 - 2.0 * f)
     assert cc.w_abc == pytest.approx(expected, rel=0.2)
+
+
+# ------------------------------------------------------------ invariants on generated specs
+def _abc_specs():
+    """The generated specs that put an ABC router on the path; then the
+    single-queue router and the dual queue (with a Cubic flow beside the
+    ABC ones) on every link of a generated spec with a constant, a
+    square-wave and a trace-driven bottleneck; then every link of a
+    two-link spec an ABC router, so packets reach the second one braked."""
+    from dataclasses import replace
+
+    from repro.experiments.scenario_spec import FlowSpec
+
+    def routed(spec, qdisc, flows):
+        return replace(spec, scheme="abc", flows=flows, links=[
+            replace(link, role="bottleneck", qdisc=qdisc)
+            for link in spec.links])
+
+    generated = generated_specs()
+    specs = [spec for spec in generated
+             if spec.scheme in ("abc", "abc-enqueue", "pk-abc")]
+    for kind in ("constant", "square", "cellular"):
+        spec = next(spec for spec in generated if spec.links[0].kind == kind)
+        specs.append(routed(spec, None, spec.flows))
+        specs.append(routed(spec, "maxmin",
+                            spec.flows + [FlowSpec(cc="cubic")]))
+    spec = next(spec for spec in generated if len(spec.links) > 1)
+    specs.append(routed(spec, None, spec.flows))
+    return specs
+
+
+def _watch_abc(built, seen):
+    """Check the router and sender invariants at every dequeue of every ABC
+    router (a dual queue's embedded one too) and after every ABC ACK, by
+    wrapping the methods on the instances; ``seen`` counts what was checked."""
+    from repro.core.coexistence import DualQueueABCQdisc
+
+    for link in built.scenario.links:
+        router = link.qdisc
+        if isinstance(router, DualQueueABCQdisc):
+            router = router.abc_queue
+        if not isinstance(router, ABCRouterQdisc):
+            continue
+        # ConstantRate, SquareWaveRate or the trace-driven OpportunityLink.
+        key = (type(link.qdisc).__name__,
+               type(getattr(link, "capacity", link)).__name__)
+        seen[key] += 0                  # a router that never dequeues fails
+        braked = set()
+
+        def enqueue(packet, now, inner=router.enqueue, braked=braked):
+            admitted = inner(packet, now)
+            if admitted and packet.ecn is ECN.BRAKE:
+                braked.add(id(packet))
+            return admitted
+
+        def dequeue(now, router=router, inner=router.dequeue, braked=braked,
+                    key=key):
+            packet = inner(now)
+            if packet is not None and id(packet) in braked:
+                braked.discard(id(packet))
+                assert packet.ecn is ECN.BRAKE, "a brake was upgraded"
+                seen["arrived braked"] += 1
+            marker = router.marker
+            assert 0.0 <= marker.token <= marker.token_limit, marker.token
+            assert router.last_target_rate >= 0.0, router.last_target_rate
+            assert 0.0 <= router.last_fraction <= 1.0, router.last_fraction
+            seen[key] += 1
+            return packet
+
+        router.enqueue, router.dequeue = enqueue, dequeue
+    for flow in built.flows:
+        cc = flow.cc
+        if isinstance(cc, ABCWindowControl):
+            def on_ack(feedback, cc=cc, inner=cc.on_ack):
+                window = inner(feedback)
+                assert cc.w_abc >= cc.min_cwnd(), cc.w_abc
+                seen["abc acks"] += 1
+                return window
+
+            cc.on_ack = on_ack
+
+
+def test_abc_invariants_hold_on_generated_specs():
+    """A packet that arrived braked leaves braked, the token stays in
+    [0, token_limit], the target rate is never negative and the fraction is
+    in [0, 1] at every dequeue of every ABC router, and ``w_abc`` never falls
+    below ``min_cwnd()`` after any ABC ACK, on generated scenarios."""
+    import collections
+
+    from repro.experiments.scenario_spec import build
+
+    seen = collections.Counter()
+    for spec in _abc_specs():
+        built = build(spec)
+        _watch_abc(built, seen)
+        built.scenario.run(spec.duration)
+    routers = {key for key in seen if isinstance(key, tuple)}
+    assert routers >= {(qdisc, kind) for qdisc in ("ABCRouterQdisc",
+                                                   "DualQueueABCQdisc")
+                       for kind in ("ConstantRate", "SquareWaveRate",
+                                    "OpportunityLink")}
+    assert all(seen[key] > 100 for key in routers), seen
+    assert seen["arrived braked"] > 100 and seen["abc acks"] > 1000, seen

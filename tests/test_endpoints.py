@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.cc.cubic import Cubic
-from repro.simulator.endpoints import DelayHop, Receiver, Sender
+from repro.simulator.endpoints import Receiver, Sender
 from repro.simulator.engine import EventLoop
 from repro.simulator.estimators import MAX_RTO, MIN_RTO
 from repro.simulator.link import ConstantRate, RateLink
@@ -30,11 +30,9 @@ def build_loop(cc, rate_bps=10e6, buffer_packets=100, rtt=0.1,
     receiver = Receiver(env)
     link = RateLink(env, ConstantRate(rate_bps),
                     qdisc=FifoQdisc(buffer_packets=buffer_packets))
-    link.connect(receiver)
-    fwd = DelayHop(env, rtt / 2.0, dst=link)
-    back = DelayHop(env, rtt / 2.0, dst=sender)
-    sender.connect(fwd)
-    receiver.connect(back)
+    link.connect(0, (0.0, receiver.receive, False))
+    sender.connect((rtt / 2.0, link.send))
+    receiver.connect((rtt / 2.0, sender.receive))
     sender.start()
     env.run(until=duration)
     return env, sender, receiver, link
@@ -49,8 +47,6 @@ class Capture:
     def receive(self, packet):
         self.packets.append(packet)
 
-    send = receive
-
 
 class Sink:
     """A node that silently absorbs whatever it receives."""
@@ -62,8 +58,6 @@ class Sink:
     def receive(self, packet):
         self.packets += 1
         self.bytes += packet.size
-
-    send = receive
 
 
 class RecordingAIMD(AIMD):
@@ -96,9 +90,11 @@ class ShrinkingWindow(AIMD):
 def turn_around(packet):
     """``packet`` the way a receiver sends it back: as its own ACK."""
     capture = Capture()
-    receiver = Receiver(EventLoop())
-    receiver.connect(capture)
+    env = EventLoop()
+    receiver = Receiver(env)
+    receiver.connect((0.0, capture.receive))
     receiver.receive(packet)
+    env.run()
     (ack,) = capture.packets
     assert ack is packet
     return ack
@@ -191,7 +187,7 @@ def test_rto_fires_when_path_goes_dead():
     env = EventLoop()
     cc = AIMD(initial_cwnd=4.0)
     sender = Sender(env, flow_id=0, cc=cc)
-    sender.connect(Sink())  # packets vanish; no ACKs ever return
+    sender.connect((0.0, Sink().receive))  # no ACK ever returns
     sender.start()
     env.run(until=5.0)
     assert sender.timeouts >= 1
@@ -201,7 +197,7 @@ def test_rto_fires_when_path_goes_dead():
 def test_rto_backoff_doubles():
     env = EventLoop()
     sender = Sender(env, flow_id=0, cc=AIMD(initial_cwnd=2.0))
-    sender.connect(Sink())
+    sender.connect((0.0, Sink().receive))
     sender.start()
     env.run(until=10.0)
     assert sender.timeouts >= 2
@@ -211,7 +207,7 @@ def test_rto_backoff_doubles():
 def test_stale_ack_ignored():
     env = EventLoop()
     sender = Sender(env, flow_id=0, cc=AIMD(initial_cwnd=2.0))
-    sender.connect(Sink())
+    sender.connect((0.0, Sink().receive))
     sender.start()
     env.run(until=0.01)
     before = sender.bytes_acked
@@ -258,7 +254,7 @@ def test_ack_of_retransmitted_seq_gives_no_rtt_sample():
     cc = RecordingAIMD(initial_cwnd=2.0)
     sender = Sender(env, flow_id=0, cc=cc)
     path = Capture()  # holds the packets; no ACK returns by itself
-    sender.connect(path)
+    sender.connect((0.0, path.receive))
     sender.start()
     env.run(until=1.5)  # past the initial 1 s RTO
     assert sender.timeouts == 1 and sender.retransmissions >= 1
@@ -282,7 +278,7 @@ def test_restamped_feedback_carries_nothing_over_from_the_previous_ack():
     sender = Sender(env, flow_id=0, cc=cc,
                     source=FixedSizeSource(2 * MTU + 700))
     path = Capture()
-    sender.connect(path)
+    sender.connect((0.0, path.receive))
     sender.start()
     env.run(until=0.05)
     first, second, last = path.packets
@@ -322,7 +318,7 @@ def test_xcp_ack_hands_the_cc_that_packets_own_header():
     cc = RecordingXCP()
     sender = Sender(env, flow_id=0, cc=cc)
     path = Capture()
-    sender.connect(path)
+    sender.connect((0.0, path.receive))
     sender.start()
     env.run(until=0.05)
     sent = list(path.packets)
@@ -339,7 +335,7 @@ def test_receiver_echoes_accelerate_bit():
     env = EventLoop()
     capture = Capture()
     receiver = Receiver(env)
-    receiver.connect(capture)
+    receiver.connect((0.0, capture.receive))
     sent = [Packet(flow_id=1, seq=seq, ecn=codepoint, abc_capable=True)
             for seq, codepoint in enumerate(ECN)]
     for packet in sent:
@@ -371,7 +367,7 @@ def test_ack_crosses_a_reverse_abc_router_unmarked():
     echo, and the scheme's in-band fields ride through."""
     def congested_router_link(env, dst):
         link = RateLink(env, ConstantRate(100e3), qdisc=ABCRouterQdisc())
-        link.connect(dst)
+        link.connect(1, (0.0, dst.receive, False))
         return link
 
     def burst(size):
@@ -383,9 +379,10 @@ def test_ack_crosses_a_reverse_abc_router_unmarked():
     capture = Capture()
     reverse = congested_router_link(env, capture)
     receiver = Receiver(env)
-    receiver.connect(reverse)
+    receiver.connect((0.0, reverse.send))
     for packet in burst(MTU):
         receiver.receive(packet)
+    env.run(until=0.0)
     # One ACK is in transmission, the other 19 wait, ACK_SIZE bytes each.
     assert reverse.qdisc.backlog_packets == 19
     assert reverse.qdisc.backlog_bytes == 19 * ACK_SIZE
@@ -411,7 +408,7 @@ def test_ack_crosses_a_reverse_abc_router_unmarked():
 def test_miswired_endpoints_ignore_the_wrong_kind_of_packet():
     env = EventLoop()
     sender = Sender(env, flow_id=0, cc=AIMD(initial_cwnd=2.0))
-    sender.connect(Sink())
+    sender.connect((0.0, Sink().receive))
     sender.start()
     env.run(until=0.01)
     assert 0 in sender.outstanding
@@ -420,7 +417,7 @@ def test_miswired_endpoints_ignore_the_wrong_kind_of_packet():
 
     capture = Capture()
     receiver = Receiver(env)
-    receiver.connect(capture)
+    receiver.connect((0.0, capture.receive))
     ack = turn_around(Packet(flow_id=0, seq=0))
     receiver.receive(ack)  # an ACK, not data
     assert receiver.packets_received == 0 and not capture.packets
@@ -447,14 +444,22 @@ def test_abc_sender_marks_packets_accelerate():
 
 def test_delay_hop_validation():
     with pytest.raises(ValueError):
-        DelayHop(EventLoop(), delay=-1.0)
+        Receiver(EventLoop()).connect((-1.0, Sink().receive))
 
 
 @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
 def test_delay_hop_rejects_non_finite_delay(delay):
-    # The sender and receiver add a hop's delay to now unguarded.
-    with pytest.raises(ValueError):
-        DelayHop(EventLoop(), delay=delay)
+    # The endpoints and links add a hop's delay to now unguarded.
+    env = EventLoop()
+    sink = Sink()
+    link = RateLink(env, ConstantRate(1e6))
+    for connect in (Sender(env, flow_id=0, cc=AIMD()).connect,
+                    Receiver(env).connect,
+                    lambda hop: link.connect(0, (*hop, False)),
+                    lambda hop: link.connect(0, (*hop, True))):
+        with pytest.raises(ValueError):
+            connect((delay, sink.receive))
+    assert not link.routes
 
 
 def test_sink_counts_traffic():
@@ -482,7 +487,7 @@ def test_black_holed_flow_times_out_at_1_3_7_seconds():
     env = EventLoop()
     cc = TimeoutLog(initial_cwnd=2.0)
     sender = Sender(env, flow_id=0, cc=cc)
-    sender.connect(Sink())
+    sender.connect((0.0, Sink().receive))
     sender.start()
     env.run(until=10.0)
     # Backoff 1, 2, 4 on the srtt-less 1.0 s RTO, to the float.
@@ -500,17 +505,15 @@ def test_resumed_acks_reset_the_backoff_and_fire_no_spurious_rto():
     receiver = Receiver(env)
     link = RateLink(env, ConstantRate(10e6),
                     qdisc=FifoQdisc(buffer_packets=100))
-    link.connect(receiver)
+    link.connect(0, (0.0, receiver.receive, False))
 
-    class Gate:
+    def gate(packet):
         """Black-holes the path until t = 1.5 s."""
+        if env.now >= 1.5:
+            link.send(packet)
 
-        def receive(self, packet):
-            if env.now >= 1.5:
-                link.send(packet)
-
-    sender.connect(DelayHop(env, 0.05, dst=Gate()))
-    receiver.connect(DelayHop(env, 0.05, dst=sender))
+    sender.connect((0.05, gate))
+    receiver.connect((0.05, sender.receive))
     sender.start()
     env.run(until=8.0)
     # 1.0: first RTO; its retransmissions die too; 3.0: second RTO, whose
@@ -589,8 +592,9 @@ def test_sender_rtt_and_rto_follow_rfc6298(seed):
     cc = RFC6298Check()
     sender = cc.sender = Sender(env, flow_id=0, cc=cc)
     receiver = Receiver(env)
-    receiver.connect(DelayHop(env, 0.01, dst=sender))
-    sender.connect(LossyHop(env, receiver, seed, 0.05, (3.0, 9.0)))
+    receiver.connect((0.01, sender.receive))
+    sender.connect((0.0, LossyHop(env, receiver, seed, 0.05, (3.0, 9.0))
+                    .receive))
     sender.start()
     env.run(until=12.0)
     assert cc.seen["karn"] and cc.seen["floor"] and cc.seen["above"]

@@ -1,11 +1,16 @@
 """Unit tests for the discrete-event engine."""
 
+import dis
 import functools
 import math
+import sys
+import types
 
 import pytest
 
 from repro.simulator.engine import DeadlineTimer, EventLoop
+
+from tests.conftest import generated_specs
 
 
 def test_events_fire_in_time_order():
@@ -181,6 +186,29 @@ def test_event_loop_has_one_run_loop():
     assert all(type(entry) is tuple for entry in loop._heap)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.11 is the first to specialise bytecode")
+def test_run_is_specialised_within_its_first_call():
+    """CPython 3.11 warms a code object up on calls and unconditional
+    backward jumps only: a dispatch loop closed by a conditional jump stays
+    unspecialised for the first seven runs in every process, however many
+    events they dispatch.  A fresh copy of ``run``'s code, run once over 16
+    events, must come back specialised."""
+    run = EventLoop.run
+    fresh = types.FunctionType(run.__code__.replace(), run.__globals__,
+                               run.__name__, run.__defaults__)
+    loop = EventLoop()
+    for index in range(16):
+        loop.post(index * 0.001, int)
+    fresh(loop)
+    assert loop.events_processed == 16
+
+    def opnames(adaptive):
+        return [instruction.opname for instruction
+                in dis.get_instructions(fresh, adaptive=adaptive)]
+    assert opnames(adaptive=True) != opnames(adaptive=False)
+
+
 def _chained_workload(loop, fired):
     """Events that post further events, some of them beyond the horizon."""
     def tick(depth):
@@ -341,36 +369,6 @@ def test_deadline_that_undercuts_min_delay_is_caught():
         loop.run(until=1.0)
 
 
-def _clock_specs():
-    """Fuzz-generator specs covering every scheme label and every link kind:
-    the sampled ones as drawn, the rest on a sampled spec's flows."""
-    from dataclasses import replace
-
-    from repro.experiments.scenario_spec import (LINK_KINDS, NATIVE, SCHEMES,
-                                                 LinkSpec)
-    from repro.fuzz.generator import ScenarioGen
-
-    gen = ScenarioGen(seed=2)
-    specs, schemes, kinds = [], set(), set()
-    for index in range(200):
-        spec = gen.sample(index)
-        kind = spec.links[0].kind
-        if spec.scheme not in schemes or kind not in kinds:
-            specs.append(spec)
-            schemes.add(spec.scheme)
-            kinds.add(kind)
-    base = next(spec for spec in specs
-                if all(flow.cc == NATIVE for flow in spec.flows))
-    specs += [replace(base, scheme=scheme)
-              for scheme in sorted(set(SCHEMES) - schemes)]
-    others = {"stepped": {"steps": [[0.0, 4e6], [0.7, 12e6], [1.3, 2e6]]},
-              "wifi": {"mcs": ["alternating", 1, 7, 0.3]}}
-    specs += [replace(base, links=[LinkSpec(kind, params)])
-              for kind, params in others.items()]
-    assert kinds | set(others) | {"trace_ref"} == set(LINK_KINDS)
-    return specs
-
-
 def _watch_clock(loop, label):
     """Install a trace hook that fails when a dispatched time is earlier
     than the one before it; returns the one-item list of the last time."""
@@ -389,7 +387,7 @@ def test_dispatched_time_never_decreases_on_any_scheme_or_link():
     now; a time behind the clock would be dispatched out of order."""
     from repro.experiments.scenario_spec import build
 
-    for spec in _clock_specs():
+    for spec in generated_specs():
         built = build(spec)
         last = _watch_clock(built.scenario.env,
                             (spec.scheme, spec.links[0].kind))

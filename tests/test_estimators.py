@@ -312,8 +312,8 @@ def _sender_after(*rtts):
     sender = Sender(env, flow_id=0, cc=AIMD(initial_cwnd=len(rtts)),
                     source=FixedSizeSource(len(rtts) * MTU))
     receiver = Receiver(env)
-    receiver.connect(sender)
-    sender.connect(_Delays(env, rtts, receiver))
+    receiver.connect((0.0, sender.receive))
+    sender.connect((0.0, _Delays(env, rtts, receiver).receive))
     sender.start()
     env.run(until=max(rtts))
     return sender

@@ -317,8 +317,10 @@ def test_corpus_entry_round_trip(tmp_path):
     assert loaded["expect"]["violations"] == ["non-negative",
                                               "packet-conservation"]
 
-    clean = corpus_entry(fuzz, [], summary={"links": {}, "flows": {}})
-    assert clean["expect"]["clean"] is True
+    clean = dict(failing, expect={"clean": True,
+                                  "summary": {"links": {}, "flows": {}}})
+    save_corpus_entry(clean, tmp_path / "clean.json")
+    assert load_corpus_entry(tmp_path / "clean.json") == clean
 
     bad = dict(loaded, format=99)
     (tmp_path / "bad.json").write_text(json.dumps(bad))

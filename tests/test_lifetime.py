@@ -175,7 +175,7 @@ def test_unwired_scenario_reads_as_before(monkeypatch):
     finally:
         obs_metrics.registry().reset()
     link = scenario.links[0]
-    assert link.dst is None and link.qdisc.link is None  # really unwired
+    assert not link.routes and link.qdisc.link is None  # really unwired
     assert scenario.env.pending == 0
     result = ScenarioResult(scenario)
     qdisc = link.qdisc

@@ -141,7 +141,7 @@ def test_rate_link_transmission_time():
     env = EventLoop()
     sink = Collector()
     link = RateLink(env, ConstantRate(12e6), qdisc=FifoQdisc())
-    link.connect(sink)
+    link.connect(0, (0.0, sink.receive, False))
     link.send(Packet(flow_id=0, seq=0, size=1500))
     env.run()
     # 1500 B at 12 Mbit/s = 1 ms
@@ -153,7 +153,7 @@ def test_rate_link_serialises_back_to_back_packets():
     env = EventLoop()
     sink = Collector()
     link = RateLink(env, ConstantRate(12e6), qdisc=FifoQdisc())
-    link.connect(sink)
+    link.connect(0, (0.0, sink.receive, False))
     for i in range(3):
         link.send(Packet(flow_id=0, seq=i, size=1500))
     env.run()
@@ -164,7 +164,7 @@ def test_rate_link_serialises_back_to_back_packets():
 def test_rate_link_drop_counted():
     env = EventLoop()
     link = RateLink(env, ConstantRate(1e6), qdisc=FifoQdisc(buffer_packets=1))
-    link.connect(Collector())
+    link.connect(0, (0.0, Collector().receive, False))
     for i in range(5):
         link.send(Packet(flow_id=0, seq=i))
     # One in service slot has been dequeued; one queued; the rest dropped.
@@ -267,7 +267,7 @@ def test_opportunity_link_delivers_on_schedule():
     sink = Collector()
     times = [0.01, 0.02, 0.03, 0.04]
     link = OpportunityLink(env, times, qdisc=FifoQdisc())
-    link.connect(sink)
+    link.connect(0, (0.0, sink.receive, False))
     for i in range(2):
         link.send(Packet(flow_id=0, seq=i, size=MTU))
     link.start()
@@ -280,7 +280,7 @@ def test_opportunity_link_wasted_opportunities_when_idle():
     env = EventLoop()
     sink = Collector()
     link = OpportunityLink(env, [0.01, 0.02], qdisc=FifoQdisc())
-    link.connect(sink)
+    link.connect(0, (0.0, sink.receive, False))
     link.start()
     env.run(until=0.05)
     assert sink.packets == []
@@ -290,7 +290,7 @@ def test_opportunity_link_small_packets_share_an_opportunity():
     env = EventLoop()
     sink = Collector()
     link = OpportunityLink(env, [0.01], qdisc=FifoQdisc())
-    link.connect(sink)
+    link.connect(0, (0.0, sink.receive, False))
     for i in range(3):
         link.send(Packet(flow_id=0, seq=i, size=400))
     link.start()
@@ -302,7 +302,7 @@ def test_opportunity_link_trace_wraps_around():
     env = EventLoop()
     sink = Collector()
     link = OpportunityLink(env, [0.5, 1.0], qdisc=FifoQdisc(buffer_packets=10))
-    link.connect(sink)
+    link.connect(0, (0.0, sink.receive, False))
     for i in range(4):
         link.send(Packet(flow_id=0, seq=i))
     link.start()
@@ -320,7 +320,7 @@ def test_trace_replay_offers_each_opportunity_once_per_cycle():
     distinct instants (a backlogged queue sends one MTU per opportunity)."""
     env = EventLoop()
     link = OpportunityLink(env, [0.0, 0.1, 0.2], qdisc=FifoQdisc(100))
-    link.connect(Collector())
+    link.connect(0, (0.0, Collector().receive, False))
     for i in range(50):
         link.send(Packet(flow_id=0, seq=i, size=MTU))
     env.run(until=1.0)

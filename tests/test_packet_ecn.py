@@ -68,7 +68,7 @@ def test_retransmission_flag_is_the_senders_record():
     env = EventLoop()
     sender = Sender(env, flow_id=0, cc=AIMD(initial_cwnd=2.0))
     sent = []
-    sender.connect(type("Path", (), {"receive": staticmethod(sent.append)})())
+    sender.connect((0.0, sent.append))
     sender.start()
     env.run(until=0.5)
     assert [info[3] for info in sender.outstanding.values()] == [False, False]
@@ -137,7 +137,7 @@ def test_sender_codepoint_selection():
                          (Cubic(), abc_paper.NOT_ECT)):
         sent = Tap()
         sender = Sender(EventLoop(), flow_id=0, cc=cc)
-        sender.connect(sent)
+        sender.connect((0.0, sent.receive))
         sender.start()
         sender.env.run(until=0.01)
         assert sent.packets and {p.ecn for p in sent.packets} == {expected}

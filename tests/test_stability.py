@@ -88,14 +88,17 @@ def test_queue_never_negative():
     assert np.all(result.queuing_delay >= 0.0)
 
 
-def test_empirical_stability_helper():
+def test_empirical_stability_helper(monkeypatch):
+    from repro.core import stability
+    monkeypatch.setattr(stability, "EMPIRICAL_DURATION", 30.0)
     assert FluidModel(params=ABCParams(delta=0.133), tau=0.1,
-                      num_flows=10).empirical_stability(duration=30.0)
+                      num_flows=10).empirical_stability()
 
 
-def test_stability_sweep_experiment():
-    from repro.experiments.stability_eval import fluid_stability_sweep
-    sweep = fluid_stability_sweep(delta_over_tau=(0.2, 1.33))
+def test_stability_sweep_experiment(monkeypatch):
+    from repro.experiments import stability_eval
+    monkeypatch.setattr(stability_eval, "FLUID_RATIOS", (0.2, 1.33))
+    sweep = stability_eval.fluid_stability_sweep()
     assert not sweep[0.2].theoretically_stable
     assert sweep[1.33].theoretically_stable
     assert sweep[1.33].fluid_converged

@@ -64,7 +64,7 @@ def test_wifi_link_delivers_all_packets_in_batches():
     env = EventLoop()
     sink = Collector()
     link = WiFiLink(env, mcs=FixedMCSSchedule(7), qdisc=FifoQdisc(500))
-    link.connect(sink)
+    link.connect(0, (0.0, sink.receive, False))
     for i in range(100):
         link.send(Packet(flow_id=0, seq=i))
     env.run(until=1.0)
@@ -73,8 +73,8 @@ def test_wifi_link_delivers_all_packets_in_batches():
 
 
 def test_wifi_link_records_every_frame_it_delivers_inline():
-    """A finished batch hands its frames straight to the flow demux (no
-    delivery event per frame) and records each one: one departure per frame
+    """A finished batch hands its frames straight to their flows' receivers
+    (no delivery event per frame) and records each one: one departure per frame
     of every batch, at that batch's block-ACK time."""
     import collections
 
@@ -100,7 +100,7 @@ def test_wifi_batch_size_capped_at_max(monkeypatch):
     monkeypatch.setattr(mac, "MAX_BATCH_FRAMES", 8)
     env = EventLoop()
     link = WiFiLink(env, mcs=FixedMCSSchedule(7), qdisc=FifoQdisc(500))
-    link.connect(Collector())
+    link.connect(0, (0.0, Collector().receive, False))
     for i in range(50):
         link.send(Packet(flow_id=0, seq=i))
     env.run(until=1.0)
@@ -112,7 +112,7 @@ def test_wifi_inter_ack_time_grows_with_batch_size():
     env = EventLoop()
     link = WiFiLink(env, mcs=FixedMCSSchedule(5), seed=1,
                     qdisc=FifoQdisc(2000))
-    link.connect(Collector())
+    link.connect(0, (0.0, Collector().receive, False))
 
     # Alternate between bursts of different sizes to sample several b values.
     def offer(burst):
@@ -242,7 +242,7 @@ def test_estimator_accuracy_within_five_percent_end_to_end():
     link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(5),
                     seed=2, qdisc=FifoQdisc(2000),
                     estimator=estimator)
-    scenario.add_custom_link(link, name="wifi")
+    scenario.add_custom_link(link)
     true_capacity = link.true_capacity_bps(0.0)
     scenario.add_flow(make_cc("cubic"), [link], rtt=0.02,
                       source=RateLimitedSource(0.6 * true_capacity))
@@ -271,7 +271,7 @@ def test_estimator_mean_matches_the_analytic_mean(mcs, load):
     estimator = WiFiRateEstimator()
     link = WiFiLink(env, mcs=FixedMCSSchedule(mcs), seed=1,
                     qdisc=FifoQdisc(4 * MAX_BATCH_FRAMES), estimator=estimator)
-    link.connect(Collector())
+    link.connect(0, (0.0, Collector().receive, False))
     bursts = itertools.cycle((1, 5, 9, 13, 17, 21, 25, 29))
     raw, capped = [], []
 

@@ -188,10 +188,10 @@ MUTANTS = [
     ("simulator/link.py",
      "now < self._rate_until:\n"
      "            rate = self._refresh_rate(now)\n"
-     "        env.push(",
+     "        heappush(",
      "now <= self._rate_until:\n"
      "            rate = self._refresh_rate(now)\n"
-     "        env.push(",
+     "        heappush(",
      "a back-to-back transmission starting at an edge reads the old rate",
      ("tests/test_links.py::"
       "test_rate_link_back_to_back_transmissions_cross_edges_exactly",)),

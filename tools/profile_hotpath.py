@@ -2,7 +2,7 @@
 
 Profiles one scheme over the showcase LTE trace, or one ``metro_pack`` city
 (many flows of mixed schemes churning through shared ABC routers — the load
-that makes router and demux costs visible, which a single-flow trace cannot),
+that makes router and routing costs visible, which a single-flow trace cannot),
 and prints the top functions by ``tottime`` (or any other :mod:`pstats` sort
 key).  The ledger (``benchmarks/ledger/``) says which layer the time goes to;
 this says which function::
