@@ -19,11 +19,12 @@ from repro.cc.cubic import Cubic
 from repro.core.router import ABCRouterQdisc
 from repro.core.sender import ABCWindowControl
 from repro.core.params import WIFI_DEFAULTS
+from repro.simulator.link import ConstantRate, SquareWaveRate
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.simulator.traffic import RateLimitedSource
 from repro.wifi.mac import WiFiLink
-from repro.wifi.mcs import AlternatingMCSSchedule, FixedMCSSchedule
+from repro.wifi.mcs import mcs_rate_bps
 from repro.wifi.rate_estimator import WiFiRateEstimator
 
 DURATION = 30.0
@@ -35,7 +36,7 @@ def estimator_accuracy_demo():
     for mcs in (3, 5, 7):
         scenario = Scenario()
         estimator = WiFiRateEstimator()
-        link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(mcs),
+        link = WiFiLink(scenario.env, ConstantRate(mcs_rate_bps(mcs)),
                         qdisc=FifoQdisc(2000), estimator=estimator)
         scenario.add_custom_link(link)
         true_capacity = link.true_capacity_bps(0.0)
@@ -50,16 +51,16 @@ def estimator_accuracy_demo():
 
 def run_ap(scheme):
     scenario = Scenario()
-    schedule = AlternatingMCSSchedule(low_index=1, high_index=7, period=2.0)
+    phy_rate = SquareWaveRate(mcs_rate_bps(1), mcs_rate_bps(7), 2.0)
     if scheme == "abc":
         estimator = WiFiRateEstimator(window=WIFI_DEFAULTS.measurement_window)
         qdisc = ABCRouterQdisc(params=WIFI_DEFAULTS, buffer_packets=500,
                                capacity_fn=estimator.estimate_bps)
         sender = ABCWindowControl(params=WIFI_DEFAULTS)
-        link = WiFiLink(scenario.env, mcs=schedule, qdisc=qdisc,
+        link = WiFiLink(scenario.env, phy_rate, qdisc=qdisc,
                         estimator=estimator)
     else:
-        link = WiFiLink(scenario.env, mcs=schedule, qdisc=CoDelQdisc(500))
+        link = WiFiLink(scenario.env, phy_rate, qdisc=CoDelQdisc(500))
         sender = Cubic()
     scenario.add_custom_link(link)
     flow = scenario.add_flow(sender, [link], rtt=RTT)

@@ -7,7 +7,8 @@ On the Verizon uplink trace this cuts the 95th-percentile per-packet delay
 from 97 ms to 28 ms at the same (~90 %) utilisation.
 
 With a trace-driven link the future is simply the next stretch of the trace,
-so PK-ABC is the ABC router with a look-ahead capacity callback.
+so PK-ABC is the ABC router whose ``capacity_fn`` reads the trace ahead; it
+runs on a trace-driven link only.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Optional
 
 from repro.core.params import ABCParams
 from repro.core.router import ABCRouterQdisc
+from repro.simulator.link import OpportunityLink
 
 #: How far ahead (s) the router reads the link's capacity: one RTT of the
 #: paper's 100 ms experiments.
@@ -31,11 +33,16 @@ class PKABCRouterQdisc(ABCRouterQdisc):
                  buffer_packets: int = 250):
         super().__init__(params=params, buffer_packets=buffer_packets)
 
-    def capacity_bps(self, now: float) -> float:
-        if self.capacity_fn is not None:
-            return max(self.capacity_fn(now), 0.0)
-        link = self.link
-        if link is not None and hasattr(link, "future_capacity_bps"):
-            future = link.future_capacity_bps(now, LOOKAHEAD)
-            return max(future, 0.0)
-        return super().capacity_bps(now)
+    def attach(self, link) -> None:
+        """While attached, ``capacity_fn`` is the trace's opportunity rate
+        over ``[now, now + LOOKAHEAD]``; detached, it is cleared (it holds
+        the link, which holds this router)."""
+        if link is None:
+            self.capacity_fn = None
+        elif isinstance(link, OpportunityLink):
+            window = link.capacity_in_window
+            self.capacity_fn = lambda now: window(now, now + LOOKAHEAD)
+        else:
+            raise ValueError("PK-ABC reads the future of a trace-driven "
+                             f"link, not of a {type(link).__name__}")
+        super().attach(link)

@@ -4,8 +4,9 @@ The router is implemented as a qdisc, mirroring the paper's Linux qdisc kernel
 module (§6.1).  On every dequeued packet it:
 
 1. measures the dequeue rate ``cr(t)`` over a sliding window of length ``T``;
-2. reads the link capacity ``µ(t)`` (from the owning link, from a supplied
-   capacity callback, or — on WiFi — from the §4.1 estimator);
+2. reads the link capacity ``µ(t)``: from ``capacity_fn`` when one is set
+   (the §4.1 estimator on WiFi, the dual queue's share, PK-ABC's
+   look-ahead), else from the owning link;
 3. computes the target rate ``tr(t) = η·µ(t) − µ(t)/δ·(x(t) − dt)+``;
 4. converts it to the accelerate fraction ``f(t) = min(tr/(2·cr), 1)``;
 5. marks the packet accelerate or brake through the deterministic token
@@ -26,13 +27,13 @@ original chained the FIFO pop → estimator ``add`` → Eq. 2 and Eq. 1 methods 
 capacity read → marker); marks and rates are bit-identical
 (``tests/test_path_golden.py``):
 
-* **Capacity is the link's state.**  A router with neither a
-  ``capacity_fn`` nor an overridden :meth:`capacity_bps` reads µ(t) off its
-  link, one call per dequeue: a rate link answers from its cached ``(rate,
-  from, until)``, a trace link counts its opportunities inline.  (The
-  per-timestamp memo this replaced never hit on a forward link, where every
-  dequeue has its own ``now``.)  One with a ``capacity_fn`` (the Wi-Fi rate
-  estimator, the dual queue's ABC share) calls it directly.
+* **Capacity is the link's state.**  A router without a ``capacity_fn``
+  reads µ(t) off its link, one call per dequeue: a rate link answers from
+  its cached ``(rate, from, until)``, a trace link counts its opportunities
+  inline.  (The per-timestamp memo this replaced never hit on a forward
+  link, where every dequeue has its own ``now``.)  Every other µ(t) — the
+  Wi-Fi rate estimator, the dual queue's ABC share, PK-ABC's look-ahead —
+  is a ``capacity_fn``, called directly.
 * **One estimator, fed where it is read.**  A scalar two-pointer
   :class:`~repro.simulator.estimators.WindowedRateEstimator` receives a
   sample per dequeue (or per enqueue under ``feedback_basis="enqueue"``) and
@@ -58,10 +59,6 @@ from repro.simulator.estimators import _TRIM, WindowedRateEstimator
 from repro.simulator.packet import ACCEL, BRAKE, Packet
 from repro.simulator.qdisc import Qdisc
 
-#: Type of the optional capacity callback: ``capacity_bps = fn(now)``.
-CapacityFn = Callable[[float], float]
-
-
 class ABCRouterQdisc(Qdisc):
     """ABC marking router implemented as a queueing discipline."""
 
@@ -69,7 +66,7 @@ class ABCRouterQdisc(Qdisc):
 
     def __init__(self, params: Optional[ABCParams] = None,
                  buffer_packets: int = 250,
-                 capacity_fn: Optional[CapacityFn] = None,
+                 capacity_fn: Optional[Callable[[float], float]] = None,
                  feedback_basis: str = "dequeue"):
         super().__init__(buffer_packets=buffer_packets)
         if feedback_basis not in ("dequeue", "enqueue"):
@@ -85,35 +82,12 @@ class ABCRouterQdisc(Qdisc):
             window=self.params.measurement_window)
         self._rate_on_dequeue = feedback_basis == "dequeue"
         self.marker = TokenBucketMarker(token_limit=self.params.token_limit)
-        # dequeue reads µ(t) itself (off the link, or from ``capacity_fn``)
-        # unless a subclass's capacity_bps (PK-ABC's look-ahead) stands in
-        # between.
-        self._own_capacity = (type(self).capacity_bps
-                              is ABCRouterQdisc.capacity_bps)
-        self._reads_link = False
 
         # Introspection values used by tests and the feedback ablation.
         self.last_target_rate = 0.0
         self.last_fraction = 1.0
         self.last_capacity = 0.0
         self.last_queuing_delay = 0.0
-
-    # ------------------------------------------------------------ wiring
-    def attach(self, link) -> None:
-        super().attach(link)
-        self._reads_link = (link is not None and self.capacity_fn is None
-                            and self._own_capacity)
-
-    # ------------------------------------------------------------ measurement
-    def capacity_bps(self, now: float) -> float:
-        """Link capacity µ(t) available to ABC traffic."""
-        if self.capacity_fn is not None:
-            capacity = self.capacity_fn(now)
-        elif self.link is not None:
-            capacity = self.link.capacity_bps(now)
-        else:
-            capacity = 0.0
-        return max(capacity, 0.0)
 
     # ------------------------------------------------------------ queue ops
     def enqueue(self, packet: Packet, now: float) -> bool:
@@ -158,13 +132,11 @@ class ABCRouterQdisc(Qdisc):
 
         # abc_paper.target_rate (Eq. 1), inlined.
         params = self.params
-        # ABCRouterQdisc.capacity_bps, inlined.
-        if self._reads_link:
+        # µ(t), available to ABC traffic.
+        if self.capacity_fn is None:
             mu = self.link.capacity_bps(now)
-        elif self.capacity_fn is not None and self._own_capacity:
-            mu = self.capacity_fn(now)
         else:
-            mu = self.capacity_bps(now)
+            mu = self.capacity_fn(now)
         if mu < 0.0:
             mu = 0.0
         x = self.backlog_bytes * 8.0 / mu if mu > 0.0 else 0.0

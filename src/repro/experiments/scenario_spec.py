@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import partial
 from pkgutil import resolve_name
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -312,24 +311,31 @@ def _add_link(scenario: Scenario, link: LinkSpec, index: int,
     p = link.params
     if link.kind == "trace_ref":
         return scenario.add_cellular_link(get_trace(p["key"]), **kwargs)
+    from repro.simulator.link import ConstantRate, SquareWaveRate, SteppedRate
+
     if link.kind == "wifi":
         from repro.core.router import ABCRouterQdisc
-        from repro.wifi import mcs
         from repro.wifi.mac import WiFiLink
+        from repro.wifi.mcs import brownian_mcs_rate, mcs_rate_bps
         from repro.wifi.rate_estimator import WiFiRateEstimator
 
         estimator = WiFiRateEstimator(window=params.measurement_window)
         if isinstance(qdisc, ABCRouterQdisc):
             qdisc.capacity_fn = estimator.estimate_bps
         schedule, *args = p["mcs"]
-        schedules = {"fixed": mcs.FixedMCSSchedule,
-                     "alternating": mcs.AlternatingMCSSchedule,
-                     "brownian": partial(mcs.BrownianMCSSchedule,
-                                         seed=spec.sim_seed)}
+        if schedule == "fixed":
+            phy_rate = ConstantRate(mcs_rate_bps(*args))
+        elif schedule == "alternating":
+            low, high, period = args
+            phy_rate = SquareWaveRate(mcs_rate_bps(low), mcs_rate_bps(high),
+                                      period)
+        elif schedule == "brownian":
+            phy_rate = brownian_mcs_rate(*args, spec.sim_seed, spec.duration)
+        else:
+            raise ValueError(f"unknown MCS schedule {schedule!r}")
         return scenario.add_custom_link(WiFiLink(
-            scenario.env, mcs=schedules[schedule](*args),
-            seed=spec.sim_seed, qdisc=qdisc,
-            estimator=estimator))
+            scenario.env, phy_rate, seed=spec.sim_seed, qdisc=qdisc,
+            name=name, estimator=estimator))
     if link.kind == "cellular":
         config = SyntheticTraceConfig(
             mean_rate_bps=p["mean_rate_bps"], min_rate_bps=p["min_rate_bps"],
@@ -340,8 +346,6 @@ def _add_link(scenario: Scenario, link: LinkSpec, index: int,
         trace = synthetic_trace(config, spec.duration,
                                 seed=int(p.get("trace_seed", 0)))
         return scenario.add_cellular_link(trace, **kwargs)
-    from repro.simulator.link import ConstantRate, SquareWaveRate, SteppedRate
-
     if link.kind == "constant":
         model = ConstantRate(p["rate_bps"])
     elif link.kind == "square":

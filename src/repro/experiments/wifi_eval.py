@@ -13,7 +13,7 @@
   walk in [3, 7] (Fig. 14), for one and two users.
 
 Figs. 5, 10 and 14 are :class:`~repro.experiments.scenario_spec.ScenarioSpec`
-cells on a ``wifi`` link (an MCS schedule, plus the rate estimator),
+cells on a ``wifi`` link (its PHY rate, plus the rate estimator),
 run by the ``rate_prediction`` and ``wifi`` summaries, like every other
 flow-carrying figure; their rows are in
 :data:`repro.experiments.figures.FIGURES`, and Figs. 10 and 14 share
@@ -37,10 +37,11 @@ from repro.experiments.scenario_spec import (BuiltScenario, FlowSpec,
                                              LinkSpec, ScenarioSpec, spec_job)
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepJob
+from repro.simulator.link import ConstantRate
 from repro.simulator.qdisc import FifoQdisc
 from repro.simulator.scenario import Scenario
 from repro.wifi.mac import WiFiLink, backlogged_capacity_bps
-from repro.wifi.mcs import FixedMCSSchedule, mcs_rate_bps
+from repro.wifi.mcs import mcs_rate_bps
 
 #: End-to-end baselines evaluated on WiFi (§6.3 excludes Sprout and Verus,
 #: which are cellular-specific).
@@ -73,8 +74,8 @@ def fig4_inter_ack(mcs_index: int = 5, duration: float = 30.0,
     from repro.simulator.packet import MTU, Packet
 
     scenario = Scenario()
-    link = WiFiLink(scenario.env, mcs=FixedMCSSchedule(mcs_index), seed=seed,
-                    qdisc=FifoQdisc(buffer_packets=2000))
+    link = WiFiLink(scenario.env, ConstantRate(mcs_rate_bps(mcs_index)),
+                    seed=seed, qdisc=FifoQdisc(buffer_packets=2000))
     scenario.add_custom_link(link)
 
     bursts = cycle((1, 2, 4, 8, 12, 16, 20, 24, 28, 32))
@@ -94,7 +95,7 @@ def fig4_inter_ack(mcs_index: int = 5, duration: float = 30.0,
         slope = float(np.polyfit(sizes, times, 1)[0])
     else:
         slope = 0.0
-    expected = MTU * 8.0 / link.mcs.rate_at(0.0) * 1000.0
+    expected = MTU * 8.0 / mcs_rate_bps(mcs_index) * 1000.0
     return InterAckSamples(batch_sizes=sizes, inter_ack_times_ms=times,
                            fitted_slope_ms_per_frame=slope,
                            expected_slope_ms_per_frame=expected)
@@ -140,7 +141,7 @@ def rate_prediction_summary(built: BuiltScenario) -> RatePredictionPoint:
     raw = link.estimator.estimate_bps(duration, apply_cap=False)
     capped = link.estimator.estimate_bps(duration, apply_cap=True)
     return RatePredictionPoint(
-        mcs_index=link.mcs.index,
+        mcs_index=built.spec.links[0].params["mcs"][1],
         offered_load_mbps=built.spec.flows[0].app_rate_bps / 1e6,
         true_capacity_mbps=link.true_capacity_bps(0.0) / 1e6,
         predicted_mbps=raw / 1e6,

@@ -8,12 +8,12 @@ to the link.  Three capacity models cover every experiment in the paper:
 * :class:`ConstantRate` — wired links (e.g. the 12 Mbit/s drop-tail link in
   Fig. 11, the 24 Mbit/s fairness link in Fig. 3).
 * :class:`SteppedRate` / :class:`SquareWaveRate` — step patterns used in
-  Fig. 6 and Fig. 17.
+  Fig. 6 and Fig. 17, and Wi-Fi's PHY rate (Figs. 10, 14).
 * :class:`OpportunityLink` — Mahimahi-style trace-driven delivery
   opportunities for the cellular experiments (Figs. 1, 8, 9, 15, 16, 18).
 
 The WiFi MAC link lives in :mod:`repro.wifi.mac`; it subclasses :class:`Link`
-and adds A-MPDU batching and block ACKs.
+and adds A-MPDU batching and block ACKs at a :class:`CapacityModel`'s rate.
 
 Optimisation changes vs the original per-packet path
 ----------------------------------------------------
@@ -513,7 +513,7 @@ class OpportunityLink(Link):
         return count * MTU * 8.0 / (now - t0)
 
     def capacity_in_window(self, t0: float, t1: float) -> float:
-        """Average opportunity rate (bps) over ``[t0, t1]``."""
+        """Average opportunity rate (bps) over ``[t0, t1]`` (PK-ABC, §6.6)."""
         t0 = max(t0, 0.0)
         if t1 <= t0:
             return 0.0
@@ -537,10 +537,6 @@ class OpportunityLink(Link):
             if span > worst:
                 worst = span
         return worst
-
-    def future_capacity_bps(self, now: float, horizon: float) -> float:
-        """Capacity over ``[now, now+horizon]`` — used by PK-ABC (§6.6)."""
-        return self.capacity_in_window(now, now + horizon)
 
     def offered_bits(self, t0: float, t1: float) -> float:
         count = self._index_at(t1) - self._index_at(t0)

@@ -4,9 +4,10 @@ The paper's WiFi evaluation runs on a commodity 802.11n access point whose
 driver exposes A-MPDU batch sizes, block-ACK receive times and per-batch
 transmission bitrates.  This package provides:
 
-* :mod:`repro.wifi.mcs` — the 802.11n MCS-index → PHY-bitrate table and the
-  MCS schedules used in the experiments (alternating 1↔7 every 2 s, and the
-  Brownian-motion schedule of Appendix B);
+* :mod:`repro.wifi.mcs` — the 802.11n MCS-index → PHY-bitrate table and
+  Appendix B's Brownian MCS walk as a
+  :class:`~repro.simulator.link.SteppedRate` (Fig. 10's 1↔7 every 2 s is a
+  :class:`~repro.simulator.link.SquareWaveRate` over two of its rates);
 * :mod:`repro.wifi.mac` — a :class:`~repro.simulator.link.Link` subclass that
   transmits queued frames in A-MPDU batches, models per-batch overhead
   (contention, preamble, block-ACK) and reports the observables the estimator

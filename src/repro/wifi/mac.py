@@ -12,8 +12,8 @@ rate estimator depends on (§4.1):
   preamble, block-ACK reception) drawn uniformly from
   ``[OVERHEAD_MIN, OVERHEAD_MAX]`` by the link's seeded generator, which
   produces the vertical spread seen in Fig. 4;
-* the PHY bitrate ``R`` follows an :class:`~repro.wifi.mcs.MCSSchedule`
-  (fixed, alternating or Brownian).
+* the PHY bitrate ``R`` is a :class:`~repro.simulator.link.CapacityModel`
+  (constant, a square wave or Appendix B's Brownian walk).
 
 The link exposes the observables the ABC qdisc reads from the driver (batch
 size, block-ACK time, bitrate) and feeds them to an attached
@@ -30,10 +30,9 @@ import random
 from typing import Optional
 
 from repro.simulator.engine import EventLoop
-from repro.simulator.link import Link
+from repro.simulator.link import CapacityModel, Link
 from repro.simulator.packet import MTU, Packet
 from repro.simulator.qdisc import Qdisc
-from repro.wifi.mcs import FixedMCSSchedule, MCSSchedule
 from repro.wifi.rate_estimator import (MAX_BATCH_FRAMES, BatchObservation,
                                        WiFiRateEstimator)
 
@@ -54,15 +53,15 @@ def backlogged_capacity_bps(bitrate: float) -> float:
 
 
 class WiFiLink(Link):
-    """A WiFi hop that transmits queued packets in A-MPDU batches; ``seed``
-    seeds its per-batch overhead draws."""
+    """A WiFi hop that transmits queued packets in A-MPDU batches at the PHY
+    rate ``phy_rate``; ``seed`` seeds its per-batch overhead draws."""
 
-    def __init__(self, env: EventLoop, mcs: Optional[MCSSchedule] = None,
+    def __init__(self, env: EventLoop, phy_rate: CapacityModel,
                  seed: int = 0, qdisc: Optional[Qdisc] = None,
                  name: str = "wifi",
                  estimator: Optional[WiFiRateEstimator] = None):
         super().__init__(env, qdisc=qdisc, name=name)
-        self.mcs = mcs if mcs is not None else FixedMCSSchedule(7)
+        self.phy_rate = phy_rate
         self._rng = random.Random(seed)
         self.estimator = estimator
         self._last_ack_time: Optional[float] = None
@@ -88,7 +87,7 @@ class WiFiLink(Link):
         self._busy = bool(batch)
         if not batch:
             return
-        bitrate = self.mcs.rate_at(now)
+        bitrate = self.phy_rate.rate_at(now)
         tx_time = payload * 8.0 / bitrate + self._rng.uniform(OVERHEAD_MIN,
                                                               OVERHEAD_MAX)
         self.env.post(tx_time, self._finish_batch, batch, now, bitrate, tx_time)
@@ -131,9 +130,9 @@ class WiFiLink(Link):
 
     # ------------------------------------------------------------ capacity
     def true_capacity_bps(self, now: float) -> float:
-        """Backlogged-link capacity given the current MCS and mean overhead:
+        """Backlogged-link capacity at the current PHY rate and mean overhead:
         the ground truth the estimator is evaluated against in Fig. 5."""
-        return backlogged_capacity_bps(self.mcs.rate_at(now))
+        return backlogged_capacity_bps(self.phy_rate.rate_at(now))
 
     def capacity_bps(self, now: float) -> float:
         """Capacity exposed to router qdiscs.

@@ -194,7 +194,10 @@ def generated_specs():
             kinds.add(kind)
     base = next(spec for spec in specs
                 if all(flow.cc == NATIVE for flow in spec.flows))
-    specs += [replace(base, scheme=scheme)
+    # PK-ABC reads the future of a trace-driven link, so it runs on one.
+    trace = next(spec for spec in specs if spec.links[0].kind == "cellular")
+    specs += [replace(base, scheme=scheme,
+                      links=trace.links if scheme == "pk-abc" else base.links)
               for scheme in sorted(set(SCHEMES) - schemes)]
     others = {"stepped": {"steps": [[0.0, 4e6], [0.7, 12e6], [1.3, 2e6]]},
               "wifi": {"mcs": ["alternating", 1, 7, 0.3]}}

@@ -338,6 +338,36 @@ def test_dequeue_matches_the_documented_control_law(feedback_basis):
     assert 0 < router.marker.brake_count and 0 < router.marker.accel_count
 
 
+def test_pk_abc_reads_the_trace_one_lookahead_ahead_while_attached():
+    """§6.6: PK-ABC's µ(t) is the opportunity rate over the next
+    ``LOOKAHEAD`` of its trace, not the trailing window its link reports;
+    detached, it holds nothing of the link."""
+    from repro.core.pk_abc import LOOKAHEAD, PKABCRouterQdisc
+    from repro.simulator.engine import EventLoop
+    from repro.simulator.link import OpportunityLink
+
+    # One MTU every 1 ms for 0.5 s, then every 0.5 ms.
+    times = [i * 0.001 for i in range(500)] + [
+        0.5 + i * 0.0005 for i in range(1000)]
+    router = PKABCRouterQdisc()
+    link = OpportunityLink(EventLoop(), times, qdisc=router)
+    router.enqueue(Packet(flow_id=0, seq=0, ecn=ECN.ACCEL), 0.45)
+    router.dequeue(0.45)
+    assert router.last_capacity == link.capacity_in_window(
+        0.45, 0.45 + LOOKAHEAD)
+    assert router.last_capacity > 1.4 * link.capacity_bps(0.45)
+    router.attach(None)
+    assert router.capacity_fn is None
+
+
+def test_pk_abc_on_a_link_without_a_trace_fails_to_build():
+    from repro.experiments.runner import single_bottleneck_spec
+    from repro.experiments.scenario_spec import build
+
+    with pytest.raises(ValueError, match="PK-ABC"):
+        build(single_bottleneck_spec("pk-abc", 12e6, duration=1.0))
+
+
 # ------------------------------------------------------------ sender window law
 def test_sender_accelerate_adds_one_plus_ai():
     cc = abc_sender(10.0)

@@ -109,7 +109,7 @@ def test_speed_figures_name_a_ledger_workload():
 #: Total lines of ``src/**/*.py`` at the last PR that moved it.  The north
 #: star says this number goes down: lower it when a PR shrinks ``src/``;
 #: raising it is an edit a reviewer sees and a PR has to argue for.
-SRC_LINE_CEILING = 12_166
+SRC_LINE_CEILING = 12_096
 
 
 def test_every_ci_job_gates():
@@ -416,11 +416,6 @@ def test_dead_surface_allowlist_has_no_stale_entries():
 #: finds is a value only tests change: make it the constant it always is (or,
 #: for a switch, delete it and the code it keeps).
 UNSET_SWITCH_ALLOWLIST: dict = {
-    # A wifi LinkSpec's ``["brownian", 3, 7, 2.0]`` reaches them positionally
-    # through ``schedules[schedule](*args)`` in scenario_spec._add_link.
-    "BrownianMCSSchedule(min_index)": "scenario_spec._add_link",
-    "BrownianMCSSchedule(max_index)": "scenario_spec._add_link",
-    "BrownianMCSSchedule(period)": "scenario_spec._add_link",
     # The Euler step of the analytic oracle: the fixed-point tests
     # (test_stability.py, test_property_based.py) sweep it.
     "FluidModel.simulate(step)": "tests/test_property_based.py",

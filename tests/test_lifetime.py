@@ -68,6 +68,10 @@ def _cases() -> dict:
     cases = {f"scheme-{scheme}": (lambda s=scheme: spec_cell(
         single_bottleneck_spec(s, TRACE, rtt=0.08, duration=2.5).to_jsonable(),
         "single_bottleneck")) for scheme in SCHEME_NAMES}
+    # PK-ABC's look-ahead capacity_fn holds its link while attached.
+    cases["scheme-pk-abc"] = lambda: spec_cell(single_bottleneck_spec(
+        "pk-abc", TRACE, rtt=0.08, duration=2.5).to_jsonable(),
+        "single_bottleneck")
     cases["two-bottlenecks"] = lambda: spec_cell(single_bottleneck_spec(
         "abc", TRACE, duration=2.5, extra_links=(12e6,)).to_jsonable(),
         "single_bottleneck")

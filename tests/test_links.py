@@ -333,7 +333,7 @@ def test_opportunity_link_capacity_window():
     times = [i * 0.001 for i in range(1000)]  # 1500 B every 1 ms = 12 Mbit/s
     link = OpportunityLink(env, times, qdisc=FifoQdisc())
     assert link.capacity_in_window(0.0, 0.5) == pytest.approx(12e6, rel=0.01)
-    assert link.future_capacity_bps(0.1, 0.1) == pytest.approx(12e6, rel=0.05)
+    assert link.capacity_in_window(0.1, 0.2) == pytest.approx(12e6, rel=0.05)
     assert link.offered_bits(0.0, 1.0) == pytest.approx(12e6, rel=0.01)
 
 

@@ -282,6 +282,19 @@ MUTANTS = [
      "return min(average, observed)",
      "the rate-doubling cap caps µ̂ at the delivered rate itself",
      WIFI_ORACLE),
+    ("wifi/mcs.py",
+     "for k, index in enumerate(walk)",
+     "for k, index in enumerate(walk, 1)",
+     "the Brownian MCS walk runs one step late",
+     ("tests/test_wifi.py::"
+      "test_brownian_walk_steps_through_the_drawn_indices",
+      "tests/test_wifi.py::test_fig14_link_walks_its_seeds_mcs_indices")),
+    ("core/pk_abc.py",
+     "window(now, now + LOOKAHEAD)",
+     "window(now - LOOKAHEAD, now)",
+     "PK-ABC reads the trace's last RTT instead of its next",
+     ("tests/test_abc_core.py::"
+      "test_pk_abc_reads_the_trace_one_lookahead_ahead_while_attached",)),
     ("core/coexistence.py",
      "            self.weight_abc = weight\n"
      "            self._served_abc = self._served_nonabc = 0.0\n",
